@@ -1,21 +1,16 @@
-"""Phase-1 scaling benchmarks: parallel front end + span-hash parse cache.
+"""Phase-1 benchmark: the incremental front end behind the span-hash
+parse cache.
 
-Two legs, guarding two different claims:
+**Incremental warm edit** — real wall clock.  With a warm parse cache, a
+1-function edit re-parses exactly one function and rebases the rest
+from disk; that must beat re-parsing everything, measured as paired
+rounds with the same drift-cancelling median as the artifact-cache
+benchmark.
 
-1. **Scaling** — the deterministic work-unit model.  Parallel phase 1's
-   critical path (sequential skeleton + LPT-scheduled function windows,
-   :func:`~repro.driver.phases.phase1_critical_path_work`) must shrink
-   at least 2x from 1 to 4 jobs on the f_huge workload.  Wall clock at
-   each job count is *recorded* but never asserted: CPython's GIL
-   serializes a thread-pool parse regardless of core count, so the
-   machine-independent critical path is the honest scaling measure (it
-   is what a free-threaded or process-backed phase 1 would pay).
-
-2. **Incremental warm edit** — real wall clock.  With a warm parse
-   cache, a 1-function edit re-parses exactly one function and
-   rebases the rest from disk; that must beat re-parsing everything,
-   measured as paired rounds with the same drift-cancelling median as
-   the artifact-cache benchmark.
+(The file keeps its name for the trajectory point it writes.  There is
+no scaling leg: phase 1 runs in the master, as in the paper, and a
+CPython thread pool over the windows measured the same at 1, 2, 4 and
+8 threads.)
 
 Timings land in ``benchmarks/out/BENCH_phase1.json`` — the trajectory
 point CI archives beside the other bench artifacts.
@@ -29,7 +24,6 @@ import time
 from repro.cache import ParseCache
 from repro.driver.phases import (
     Phase1Stats,
-    phase1_critical_path_work,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -45,54 +39,11 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_phase1_critical_path_scales(results_dir):
-    stats = Phase1Stats()
-    phase1_parallel(SOURCE, jobs=1, stats=stats)
-    assert stats.mode == "parallel"
-    assert len(stats.window_work) == FUNCTIONS
-
-    critical = {
-        jobs: phase1_critical_path_work(stats, jobs) for jobs in (1, 2, 4, 8)
-    }
-    speedups = {jobs: critical[1] / critical[jobs] for jobs in critical}
-
-    # Informational wall clock (GIL-bound; never asserted).
-    sequential_wall = _timed(lambda: phase1_parse_and_check(SOURCE))
-    walls = {
-        jobs: _timed(lambda j=jobs: phase1_parallel(SOURCE, jobs=j))
-        for jobs in (1, 2, 4)
-    }
-
-    summary = {
-        "workload": f"{FUNCTIONS} x f_{SIZE}",
-        "python": platform.python_version(),
-        "skeleton_work": stats.skeleton_work,
-        "window_work": stats.window_work,
-        "critical_path_work": {str(j): w for j, w in critical.items()},
-        "critical_path_speedup": {
-            str(j): round(s, 3) for j, s in speedups.items()
-        },
-        "sequential_wall_s": round(sequential_wall, 6),
-        "parallel_wall_s": {str(j): round(w, 6) for j, w in walls.items()},
-    }
-    (results_dir / "BENCH_phase1_scaling.json").write_text(
-        json.dumps(summary, indent=2) + "\n"
-    )
-    print(
-        f"\nphase-1 critical path: 1j={critical[1]} 4j={critical[4]} "
-        f"(speedup {speedups[4]:.2f}x at 4 jobs)"
-    )
-    # The acceptance bar: >= 2x critical-path improvement at 4 jobs.
-    assert speedups[4] >= 2.0
-    # Monotone in the job count.
-    assert critical[1] >= critical[2] >= critical[4] >= critical[8]
-
-
 def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
     """Warm-edit leg: parse 1 function + rebase 7 from disk vs parse 8."""
     cache = ParseCache(tmp_path / "parse")
     fill_wall = _timed(
-        lambda: phase1_parallel(SOURCE, jobs=1, parse_cache=cache)
+        lambda: phase1_parallel(SOURCE, parse_cache=cache)
     )
 
     # Line-count-changing body edit of f1: later functions shift down,
@@ -107,7 +58,7 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
     # warm rounds (all 8 functions served from cache) against full
     # parses — the steady state of an edit-recompile loop.
     warm_stats = Phase1Stats()
-    phase1_parallel(edited, jobs=1, parse_cache=cache, stats=warm_stats)
+    phase1_parallel(edited, parse_cache=cache, stats=warm_stats)
     assert (warm_stats.cache_hits, warm_stats.cache_misses) == (
         FUNCTIONS - 1,
         1,
@@ -119,9 +70,7 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
         full_walls.append(_timed(lambda: phase1_parse_and_check(edited)))
         stats = Phase1Stats()
         start = time.perf_counter()
-        parsed = phase1_parallel(
-            edited, jobs=1, parse_cache=cache, stats=stats
-        )
+        parsed = phase1_parallel(edited, parse_cache=cache, stats=stats)
         warm_walls.append(time.perf_counter() - start)
         assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
 

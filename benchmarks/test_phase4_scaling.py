@@ -1,30 +1,16 @@
-"""Phase-4 scaling benchmarks: parallel back end + link/module cache.
+"""Phase-4 benchmark: the per-section back end behind the link/module
+cache.
 
-Three legs, guarding three different claims:
+**Incremental warm edit** — real wall clock.  With a warm link cache, a
+1-function edit re-links exactly one section and serves the rest from
+disk; that must beat re-linking everything, measured as paired rounds
+with the same drift-cancelling median as the other cache benchmarks.
 
-1. **Scaling** — the deterministic work-unit model.  Parallel phase 4's
-   critical path (LPT-scheduled per-section link jobs plus the
-   sequential download tail,
-   :func:`~repro.driver.phases.phase4_critical_path_work`) must shrink
-   at least 2x from 1 to 4 jobs on an unbalanced multi-section module.
-   Wall clock at each job count is *recorded* but never asserted:
-   CPython's GIL serializes a thread-pool link regardless of core
-   count, so the machine-independent critical path is the honest
-   scaling measure.
-
-2. **Katseff baseline** — the paper's own point of comparison (§4.2.2).
-   Katseff parallelized *assembly only* by data partitioning, leaving
-   fixup (and in our pipeline: linking and download) sequential.  Our
-   distributed assembly moves the same work onto the phase-2/3 function
-   masters, so the back end's remaining critical path must beat the
-   Katseff-style total (partitioned assembly + sequential link tail)
-   at every worker count.
-
-3. **Incremental warm edit** — real wall clock.  With a warm link
-   cache, a 1-function edit re-links exactly one section and serves
-   the rest from disk; that must beat re-linking everything, measured
-   as paired rounds with the same drift-cancelling median as the other
-   cache benchmarks.
+(The file keeps its name for the trajectory point it writes.  There is
+no scaling leg: sections are linked in the master, one after the other,
+and a CPython thread pool over them measured the same at 1, 2 and 4
+threads.  The paper's Katseff comparison (§4.2.2) lives in
+``test_katseff_assembler.py``.)
 
 Timings land in ``benchmarks/out/BENCH_phase4.json`` — the trajectory
 point CI archives beside the other bench artifacts.
@@ -35,25 +21,19 @@ import platform
 import statistics
 import time
 
-from repro.asmlink.parallel_assembler import assemble_parallel
 from repro.cache import LinkCache
 from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.phases import (
+    Phase4Runner,
     Phase4Stats,
     phase1_parse_and_check,
-    phase4_critical_path_work,
     phase4_link_and_download,
-    phase4_parallel,
 )
 from repro.driver.section_master import combine_section_results
 from repro.machine.warp_array import WarpArrayModel
 from repro.workloads.kernels import synthetic_function
 from repro.workloads.sizes import lines_for
 
-# Unequal sections (the LPT schedule has to pair them up for its
-# speedup) but no single dominator: a section whose link work exceeds
-# a quarter of the total would cap the 4-job critical path below 2x
-# no matter how the rest is scheduled.
 SECTION_SIZES = [
     "medium", "small", "medium", "small", "medium", "small", "medium",
     "small",
@@ -65,7 +45,7 @@ def multi_section_program():
     """One section per entry of SECTION_SIZES, one cell each.
 
     ``synthetic_program`` emits a single section by design (the paper's
-    S_n programs); phase 4 parallelizes *across* sections, so the bench
+    S_n programs); the link cache works *per section*, so the bench
     needs a hand-built multi-section module.
     """
     parts = ["module bench_p4"]
@@ -107,95 +87,26 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_phase4_critical_path_scales(results_dir):
-    parsed, combined = _combined_for(SOURCE)
-    stats = Phase4Stats()
-    module, _, _ = phase4_parallel(
-        parsed, combined, ARRAY, jobs=1, stats=stats
-    )
-    assert stats.mode == "parallel"
-    assert len(stats.section_link_work) == len(SECTION_SIZES)
-
-    critical = {
-        jobs: phase4_critical_path_work(stats, jobs) for jobs in (1, 2, 4, 8)
-    }
-    speedups = {jobs: critical[1] / critical[jobs] for jobs in critical}
-
-    # Katseff baseline: partitioned assembly, then everything else
-    # sequential.  Our back end (assembly already absorbed upstream,
-    # links LPT-scheduled) must beat that total at every worker count.
-    all_objects = [
-        obj for section in parsed.module.sections
-        for obj in combined[section.name].objects
-    ]
-    sequential_link_tail = stats.tail_work + sum(stats.section_link_work)
-    katseff = {}
-    for workers in (1, 2, 4, 8):
-        baseline = assemble_parallel(all_objects, workers)
-        katseff[workers] = (
-            baseline.critical_path_work + sequential_link_tail
-        )
-        assert critical[workers] < katseff[workers], (
-            f"{workers} workers: ours {critical[workers]} vs "
-            f"Katseff-style {katseff[workers]}"
-        )
-
-    # Informational wall clock (GIL-bound; never asserted).
-    sequential_wall = _timed(
-        lambda: phase4_link_and_download(parsed, _objects(combined), ARRAY)
-    )
-    walls = {
-        jobs: _timed(
-            lambda j=jobs: phase4_parallel(parsed, combined, ARRAY, jobs=j)
-        )
-        for jobs in (1, 2, 4)
-    }
-
-    summary = {
-        "workload": "2 functions x " + "/".join(SECTION_SIZES),
-        "python": platform.python_version(),
-        "section_assembly_work": stats.section_assembly_work,
-        "section_link_work": stats.section_link_work,
-        "tail_work": stats.tail_work,
-        "critical_path_work": {str(j): w for j, w in critical.items()},
-        "critical_path_speedup": {
-            str(j): round(s, 3) for j, s in speedups.items()
-        },
-        "katseff_style_work": {str(j): w for j, w in katseff.items()},
-        "sequential_wall_s": round(sequential_wall, 6),
-        "parallel_wall_s": {str(j): round(w, 6) for j, w in walls.items()},
-    }
-    (results_dir / "BENCH_phase4_scaling.json").write_text(
-        json.dumps(summary, indent=2) + "\n"
-    )
-    print(
-        f"\nphase-4 critical path: 1j={critical[1]} 4j={critical[4]} "
-        f"(speedup {speedups[4]:.2f}x at 4 jobs; "
-        f"Katseff-style at 4 workers: {katseff[4]})"
-    )
-    # The acceptance bar: >= 2x critical-path improvement at 4 jobs.
-    assert speedups[4] >= 2.0
-    # Monotone in the job count.
-    assert critical[1] >= critical[2] >= critical[4] >= critical[8]
+def _run_phase4(parsed, combined, link_cache, stats=None):
+    """The runner as the master drives it once all sections combined."""
+    runner = Phase4Runner(parsed, ARRAY, link_cache=link_cache, stats=stats)
+    cached = runner.lookup_module(combined)
+    if cached is None:
+        for section in parsed.module.sections:
+            runner.section_ready(combined[section.name])
+    return runner.finish(combined, cached_module=cached)
 
 
 def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
     """Warm-edit leg: re-link 1 section + 7 cache loads vs re-link 8."""
     cache = LinkCache(tmp_path / "link")
     parsed, combined = _combined_for(SOURCE)
-    fill_wall = _timed(
-        lambda: phase4_parallel(
-            parsed, combined, ARRAY, jobs=1, link_cache=cache
-        )
-    )
+    fill_wall = _timed(lambda: _run_phase4(parsed, combined, cache))
 
     parsed2, combined2 = _combined_for(EDITED)
     # The edit round itself: exactly one section misses.
     edit_stats = Phase4Stats()
-    phase4_parallel(
-        parsed2, combined2, ARRAY, jobs=1, link_cache=cache,
-        stats=edit_stats,
-    )
+    _run_phase4(parsed2, combined2, cache, stats=edit_stats)
     assert (edit_stats.link_cache_hits, edit_stats.link_cache_misses) == (
         len(SECTION_SIZES) - 1,
         1,
@@ -216,9 +127,7 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
         )
         stats = Phase4Stats()
         start = time.perf_counter()
-        module, _, _ = phase4_parallel(
-            parsed2, combined2, ARRAY, jobs=1, link_cache=cache, stats=stats
-        )
+        module, _, _ = _run_phase4(parsed2, combined2, cache, stats=stats)
         warm_walls.append(time.perf_counter() - start)
         assert stats.mode == "cached"
 

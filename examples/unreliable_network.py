@@ -17,29 +17,23 @@ Run:  python examples/unreliable_network.py
 """
 
 from repro import ParallelCompiler, SequentialCompiler
-from repro.parallel import (
-    ChaosBackend,
-    FlakyBackend,
-    RetryingBackend,
-    SerialBackend,
-    SupervisedBackend,
-)
+from repro.parallel import ChaosBackend, SerialBackend, SupervisedBackend
 from repro.workloads.synthetic import synthetic_program
 
 SOURCE = synthetic_program("small", 6, module_name="flaky_build")
 
 
 def crashes_only() -> None:
-    """The PR-1 story: clean crashes, absorbed by simple retry."""
+    """The simple story: clean crashes, absorbed by retry alone."""
     sequential = SequentialCompiler().compile(SOURCE)
-    flaky = FlakyBackend(
-        SerialBackend(), failure_rate=0.5, seed=11, max_failures_per_task=2
+    flaky = ChaosBackend(
+        SerialBackend(), seed=11, crash_rate=0.5, max_failures_per_task=2
     )
-    backend = RetryingBackend(flaky, max_attempts=3)
+    backend = SupervisedBackend(flaky, max_attempts=3, hedge_after=None)
     result = ParallelCompiler(backend=backend).compile(SOURCE)
-    print("-- crashes only (RetryingBackend) --")
-    print(f"injected crashes          : {flaky.injected_failures}")
-    print(f"retries performed         : {backend.retries_performed}")
+    print("-- crashes only --")
+    print(f"injected crashes          : {flaky.injected_crashes}")
+    print(f"retries performed         : {backend.supervision.retries}")
     print(f"output identical to the sequential compiler:",
           result.digest == sequential.digest)
 
@@ -70,7 +64,7 @@ def full_chaos() -> None:
     result = ParallelCompiler(backend=backend).compile(SOURCE)
     stats = backend.supervision
 
-    print("\n-- full chaos (SupervisedBackend) --")
+    print("\n-- full chaos --")
     print(f"injected crashes          : {chaos.injected_crashes}")
     print(f"injected hangs            : {chaos.injected_hangs}")
     print(f"injected corruptions      : {chaos.injected_corruptions}")

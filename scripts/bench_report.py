@@ -4,10 +4,10 @@
 Every landed perf PR leaves a ``BENCH_<date>_<topic>.json`` file at the
 repo root (plus pytest-benchmark output for the original compile-speed
 figures).  The files use a handful of schemas — pytest-benchmark,
-paired warm/cold cache rounds, chaos overhead, service throughput,
-critical-path scaling — so the dashboards kept diverging.  This script
-recognizes each schema by its keys and renders everything into one
-committed markdown file, ``docs/BENCH_TRAJECTORY.md``:
+paired warm/cold cache rounds, chaos overhead, service throughput — so
+the dashboards kept diverging.  This script recognizes each schema by
+its keys and renders everything into one committed markdown file,
+``docs/BENCH_TRAJECTORY.md``:
 
     python scripts/bench_report.py            # rewrite docs/BENCH_TRAJECTORY.md
     python scripts/bench_report.py --check    # exit 1 if the doc is stale
@@ -124,34 +124,6 @@ def render_service(doc: dict) -> list[str]:
     ]
 
 
-def render_scaling(doc: dict) -> list[str]:
-    """Critical-path scaling legs (phase-1/phase-4 work model)."""
-    speedups = doc.get("critical_path_speedup", {})
-    lines = [
-        f"Workload: {doc.get('workload', '?')}",
-        "",
-        "| jobs | critical-path work | speedup |",
-        "|---|---|---|",
-    ]
-    work = doc.get("critical_path_work", {})
-    for jobs in sorted(speedups, key=int):
-        lines.append(
-            f"| {jobs} | {work.get(jobs, '?')} | {speedups[jobs]:.2f}x |"
-        )
-    if "katseff_style_work" in doc:
-        katseff = doc["katseff_style_work"]
-        lines += [
-            "",
-            "Katseff-style baseline (partitioned assembly, sequential "
-            "link tail): "
-            + ", ".join(
-                f"{jobs}w={katseff[jobs]}"
-                for jobs in sorted(katseff, key=int)
-            ),
-        ]
-    return lines
-
-
 def render_fabric(doc: dict) -> list[str]:
     """Distributed-fabric scaling + node-kill robustness point."""
     rows = [
@@ -239,8 +211,6 @@ def render_one(doc: dict) -> list[str]:
         return render_predict(doc)
     if "benchmarks" in doc and "machine_info" in doc:
         return render_pyperf(doc)
-    if "critical_path_speedup" in doc:
-        return render_scaling(doc)
     if "node_kill_completed" in doc:
         return render_fabric(doc)
     if "search_wins" in doc:

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Count the public surface ROADMAP aim 2 tracks, and guard it.
+
+    python scripts/surface_count.py                       # print the counts
+    python scripts/surface_count.py --check               # exit 1 if any grew
+    python scripts/surface_count.py > docs/SURFACE.json   # after a reduction
+
+The counts, all over ``src/**/*.py``:
+
+``src_lines``           physical lines (what ``wc -l`` reports)
+``cli_flags``           ``add_argument`` calls whose first name starts ``-``
+``env_vars``            distinct ``WARPCC_*`` names
+``streaming_backends``  classes defining ``run_tasks_streaming``
+``stats_dataclasses``   ``@dataclass`` classes named ``*Stats``
+
+``--check`` compares against the committed ``docs/SURFACE.json`` and
+fails when any count *exceeds* it: the numbers may fall, and a PR that
+makes one fall commits the new file; a PR that needs one to rise has to
+say so by editing the file.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import re
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+COMMITTED = REPO / "docs" / "SURFACE.json"
+
+ENV_VAR = re.compile(r"\bWARPCC_[A-Z0-9_]+\b")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", ""
+        )
+        if name == "dataclass":
+            return True
+    return False
+
+
+def count_surface() -> dict:
+    lines = flags = backends = stats = 0
+    env_vars = set()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += text.count("\n")
+        env_vars.update(ENV_VAR.findall(text))
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and str(node.args[0].value).startswith("-")
+            ):
+                flags += 1
+            elif isinstance(node, ast.ClassDef):
+                if any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "run_tasks_streaming"
+                    for item in node.body
+                ):
+                    backends += 1
+                if node.name.endswith("Stats") and _is_dataclass(node):
+                    stats += 1
+    return {
+        "src_lines": lines,
+        "cli_flags": flags,
+        "env_vars": len(env_vars),
+        "streaming_backends": backends,
+        "stats_dataclasses": stats,
+    }
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args not in ([], ["--check"]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    counts = count_surface()
+    if not args:
+        print(json.dumps(counts, indent=2))
+        return 0
+    committed = json.loads(COMMITTED.read_text())
+    grew = [
+        f"{name}: {counts[name]} > {committed[name]}"
+        for name in counts
+        if counts[name] > committed[name]
+    ]
+    for name in counts:
+        print(f"{name:20} {counts[name]:>6}  (committed {committed[name]})")
+    if grew:
+        print(
+            "surface grew past docs/SURFACE.json — " + "; ".join(grew),
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

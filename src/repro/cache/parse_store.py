@@ -1,6 +1,6 @@
 """Per-function parse+sema cache (the incremental front end's disk tier).
 
-Phase 1's parallel path (:func:`repro.driver.phases.phase1_parallel`)
+Phase 1's incremental path (:func:`repro.driver.phases.phase1_parallel`)
 splits a module into per-function byte windows.  Each window's checked
 subtree depends on exactly three things:
 

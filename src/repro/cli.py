@@ -99,12 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="artifact-cache directory for --parallel "
+        help="cache directory for --parallel: the artifact, parse and "
+        "link tiers live under it "
         "(default: $WARPCC_CACHE_DIR or ~/.cache/warpcc)",
     )
     compile_cmd.add_argument(
         "--no-cache", action="store_true",
-        help="disable the persistent function-level artifact cache",
+        help="disable the persistent caches (function artifacts, "
+        "per-function parses, linked sections and modules)",
     )
     compile_cmd.add_argument(
         "--cache-url", default=None, metavar="HOST:PORT",
@@ -112,29 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "read-through/write-behind in front of the local cache, and "
         "any cache-tier failure degrades to local-only "
         "(default: $WARPCC_CACHE_URL)",
-    )
-    compile_cmd.add_argument(
-        "--phase1-jobs", type=int, default=None, metavar="N",
-        help="parse and check N function bodies concurrently in phase 1 "
-        "(boundary-scan front end; bit-identical to sequential); "
-        "implies --parallel",
-    )
-    compile_cmd.add_argument(
-        "--no-parse-cache", action="store_true",
-        help="with --phase1-jobs: disable the persistent per-function "
-        "parse cache (span-hash keyed incremental front end)",
-    )
-    compile_cmd.add_argument(
-        "--phase4-jobs", type=int, default=None, metavar="N",
-        help="link N sections concurrently in phase 4 over the function "
-        "masters' pre-assembled payloads (bit-identical to sequential); "
-        "implies --parallel",
-    )
-    compile_cmd.add_argument(
-        "--no-link-cache", action="store_true",
-        help="with --phase4-jobs: disable the persistent link/module "
-        "cache (content-keyed per-section CellPrograms plus whole "
-        "DownloadModules)",
     )
     compile_cmd.add_argument(
         "--supervised", action="store_true",
@@ -609,11 +588,7 @@ def _close_cache(cache) -> None:
 
 
 def _cache_stats_line(cache) -> str:
-    stats = cache.stats
-    line = (
-        f"artifact cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{cache.size_bytes()} bytes on disk"
-    )
+    line = _tier_stats_line("artifact cache", cache)
     remote = getattr(cache, "remote", None)
     if remote is not None:
         state = "disabled" if remote.disabled else "live"
@@ -625,47 +600,21 @@ def _cache_stats_line(cache) -> str:
     return line
 
 
-def _build_parse_cache(args):
-    """The parse cache selected by --phase1-jobs / --no-parse-cache."""
-    if args.phase1_jobs is None or args.no_parse_cache:
-        return None
-    from .cache import ParseCache
-
-    return ParseCache(args.cache_dir)
-
-
-def _parse_cache_stats_line(parse_cache) -> str:
-    stats = parse_cache.stats
+def _tier_stats_line(label: str, store) -> str:
+    stats = store.stats
     return (
-        f"parse cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{parse_cache.size_bytes()} bytes on disk"
+        f"{label}: {stats.hits} hit(s), {stats.misses} miss(es), "
+        f"{store.size_bytes()} bytes on disk"
     )
 
 
-def _build_link_cache(args):
-    """The link cache selected by --phase4-jobs / --no-link-cache.
-
-    ``WARPCC_LINK_CACHE_DIR`` overrides the tier's directory when no
-    --cache-dir is given, so nested compiles (the service's workers,
-    subprocess smoke tests) share one link tier.
-    """
-    if args.phase4_jobs is None or args.no_link_cache:
-        return None
-    import os
-
-    from .cache import LinkCache
-
-    return LinkCache(
-        args.cache_dir or os.environ.get("WARPCC_LINK_CACHE_DIR") or None
-    )
-
-
-def _link_cache_stats_line(link_cache) -> str:
-    stats = link_cache.stats
-    return (
-        f"link cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{link_cache.size_bytes()} bytes on disk"
-    )
+def _tier_counters(store) -> dict:
+    stats = store.stats
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "bytes_on_disk": store.size_bytes(),
+    }
 
 
 def _cmd_compile(args) -> int:
@@ -678,31 +627,17 @@ def _cmd_compile(args) -> int:
     array = WarpArrayModel(cell_count=args.cells)
     if args.supervised or args.chaos is not None:
         args.parallel = True  # supervision wraps the parallel backend
-    if args.phase1_jobs is not None:
-        args.parallel = True  # the parallel front end rides the hierarchy
-    if args.phase4_jobs is not None:
-        args.parallel = True  # the parallel back end rides the hierarchy
+    # One switch for the three on-disk tiers: --parallel with
+    # --cache-dir / --no-cache.
     cache = _build_cache(args) if args.parallel else None
-    parse_cache = _build_parse_cache(args) if args.parallel else None
-    link_cache = _build_link_cache(args) if args.parallel else None
+    parse_cache = link_cache = None
+    if cache is not None:
+        from .cache import LinkCache, ParseCache
+
+        parse_cache = ParseCache(args.cache_dir)
+        link_cache = LinkCache(args.cache_dir)
     try:
         if args.parallel:
-            if parse_cache is not None:
-                # Pool workers read this to run the incremental front
-                # end on their own phase-1 misses.
-                import os
-
-                os.environ["WARPCC_PARSE_CACHE_DIR"] = str(
-                    parse_cache.cache_dir
-                )
-            if link_cache is not None:
-                # Propagated so nested compiles (service workers, smoke
-                # subprocesses) share the same link tier.
-                import os
-
-                os.environ["WARPCC_LINK_CACHE_DIR"] = str(
-                    link_cache.cache_dir
-                )
             backend = (
                 ProcessPoolBackend(args.jobs)
                 if args.jobs is None or args.jobs > 1
@@ -742,8 +677,7 @@ def _cmd_compile(args) -> int:
             with ParallelCompiler(
                 backend=backend, array=array, opt_level=args.opt_level,
                 cache=cache, owns_backend=True,
-                phase1_jobs=args.phase1_jobs, parse_cache=parse_cache,
-                phase4_jobs=args.phase4_jobs, link_cache=link_cache,
+                parse_cache=parse_cache, link_cache=link_cache,
             ) as compiler:
                 result = compiler.compile(source, filename=args.file)
         else:
@@ -776,26 +710,9 @@ def _cmd_compile(args) -> int:
         document = result.to_dict()
         document["ok"] = not result.profile.failed_functions()
         if cache is not None:
-            stats = cache.stats
-            document["artifact_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "bytes_on_disk": cache.size_bytes(),
-            }
-        if parse_cache is not None:
-            stats = parse_cache.stats
-            document["parse_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "bytes_on_disk": parse_cache.size_bytes(),
-            }
-        if link_cache is not None:
-            stats = link_cache.stats
-            document["link_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "bytes_on_disk": link_cache.size_bytes(),
-            }
+            document["artifact_cache"] = _tier_counters(cache)
+            document["parse_cache"] = _tier_counters(parse_cache)
+            document["link_cache"] = _tier_counters(link_cache)
         print(json.dumps(document, indent=2, sort_keys=True))
         return 1 if result.profile.failed_functions() else 0
 
@@ -821,23 +738,13 @@ def _cmd_compile(args) -> int:
               f"{result.profile.download_words} words")
         if cache is not None:
             print(_cache_stats_line(cache))
-        if parse_cache is not None:
-            print(_parse_cache_stats_line(parse_cache))
-        if link_cache is not None:
-            print(_link_cache_stats_line(link_cache))
+            print(_tier_stats_line("parse cache", parse_cache))
+            print(_tier_stats_line("link cache", link_cache))
     if result.profile.failed_functions():
         # Poison functions that could not even be compiled in-process:
         # the module is partial, signal it without hiding the rest.
         return 1
     return 0
-
-
-def _variant_store_stats_line(variant_store) -> str:
-    stats = variant_store.stats
-    return (
-        f"variant store: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{variant_store.size_bytes()} bytes on disk"
-    )
 
 
 def _cmd_search(args) -> int:
@@ -949,7 +856,7 @@ def _cmd_search(args) -> int:
         if cache is not None:
             print(_cache_stats_line(cache))
         if variant_store is not None:
-            print(_variant_store_stats_line(variant_store))
+            print(_tier_stats_line("variant store", variant_store))
     return 1 if result.profile.failed_functions() else 0
 
 

@@ -20,7 +20,6 @@ modules that happen to share a filename can never collide.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ from ..machine.warp_array import WarpArrayModel
 from .phases import (
     ParsedProgram,
     compile_one_function,
-    phase1_parallel,
     phase1_parse_and_check,
 )
 from .results import FunctionReport
@@ -133,31 +131,15 @@ def attach_assembly(result: FunctionTaskResult) -> FunctionTaskResult:
 # ---------------------------------------------------------------------------
 
 
-def _default_phase1_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get("WARPCC_PHASE1_CACHE", "8")))
-    except ValueError:  # pragma: no cover - defensive
-        return 8
-
+#: modules the memo holds per process (LRU eviction beyond it)
+PHASE1_CACHE_CAPACITY = 8
 
 _phase1_cache: "OrderedDict[Tuple[str, str], ParsedProgram]" = OrderedDict()
-_phase1_capacity: int = _default_phase1_capacity()
 _phase1_hits: int = 0
 _phase1_misses: int = 0
 #: The compile service runs many job threads in one process, all sharing
 #: this cache; LRU bookkeeping (move_to_end + eviction) must not race.
 _phase1_lock = threading.Lock()
-
-
-def configure_phase1_cache(capacity: int) -> None:
-    """Bound the per-worker cache to ``capacity`` modules (LRU eviction)."""
-    global _phase1_capacity
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be positive, got {capacity}")
-    with _phase1_lock:
-        _phase1_capacity = capacity
-        while len(_phase1_cache) > _phase1_capacity:
-            _phase1_cache.popitem(last=False)
 
 
 def clear_phase1_cache() -> None:
@@ -174,43 +156,15 @@ def phase1_cache_stats() -> Tuple[int, int]:
     return _phase1_hits, _phase1_misses
 
 
-#: One ParseCache per distinct directory, so every task a worker process
-#: runs shares the incremental front end's disk tier.
-_worker_parse_caches: dict = {}
-
-
-def _default_front(source_text: str, filename: str) -> ParsedProgram:
-    """The front end a worker runs on a memo miss.
-
-    When the driving process exported ``WARPCC_PARSE_CACHE_DIR`` the
-    worker uses the incremental front end at ``jobs=1`` (the pool is the
-    parallelism; nesting thread pools inside workers buys nothing), so
-    even a cold worker's first parse of an edited module reuses every
-    untouched function from disk.  Otherwise: the sequential front end.
-    """
-    cache_dir = os.environ.get("WARPCC_PARSE_CACHE_DIR")
-    if not cache_dir:
-        return phase1_parse_and_check(source_text, filename)
-    parse_cache = _worker_parse_caches.get(cache_dir)
-    if parse_cache is None:
-        from ..cache.parse_store import ParseCache
-
-        parse_cache = ParseCache(cache_dir)
-        _worker_parse_caches[cache_dir] = parse_cache
-    return phase1_parallel(
-        source_text, filename, jobs=1, parse_cache=parse_cache
-    )
-
-
 def phase1_cached(
     source_text: str, filename: str = "<input>", front=None
 ) -> Tuple[ParsedProgram, bool]:
     """Phase 1 through the per-worker memo; returns ``(parsed, hit)``.
 
     ``front`` (a ``(source_text, filename) -> ParsedProgram`` callable)
-    is what runs on a miss; it defaults to :func:`_default_front`, which
-    picks the sequential or incremental front end from the environment.
-    Only successful parses are cached — a module with errors raises
+    is what runs on a miss; it defaults to the sequential
+    :func:`phase1_parse_and_check` — what a worker that misses its memo
+    runs.  Only successful parses are cached — a module with errors raises
     :class:`~repro.lang.diagnostics.CompileError` every time.
     """
     global _phase1_hits, _phase1_misses
@@ -227,12 +181,12 @@ def phase1_cached(
     # Parse outside the lock: concurrent job threads parsing *different*
     # modules must not serialize on each other.  Two threads racing the
     # same module both parse; last writer wins, results are identical.
-    builder = front if front is not None else _default_front
+    builder = front if front is not None else phase1_parse_and_check
     parsed = builder(source_text, filename)
     with _phase1_lock:
         _phase1_misses += 1
         _phase1_cache[key] = parsed
-        while len(_phase1_cache) > _phase1_capacity:
+        while len(_phase1_cache) > PHASE1_CACHE_CAPACITY:
             _phase1_cache.popitem(last=False)
     return parsed, False
 

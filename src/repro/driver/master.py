@@ -11,11 +11,11 @@ Our master: parses and checks once (aborting on errors), builds one
 :class:`FunctionTask` per function, consults the persistent artifact
 cache (functions whose fingerprints hit never cross the process
 boundary), streams the remaining tasks through an execution backend while
-section masters recombine results as they arrive, and runs phase 4 —
-sequentially by default, or per-section-parallel and link-cached
-(``phase4_jobs``/``link_cache``) with each section's link job submitted
-the moment its streaming recombiner completes.  The output is
-bit-identical to the sequential compiler's.
+section masters recombine results as they arrive, and runs phase 4
+through :class:`~repro.driver.phases.Phase4Runner`: each section is
+linked the moment its streaming recombiner completes, over the assembly
+the function masters shipped, behind the optional link cache.  The
+output is bit-identical to the sequential compiler's.
 
 Ownership: a compile never shuts down or reconfigures the backend or
 cache it was given — both may be shared with other compilers (the
@@ -45,7 +45,6 @@ from .phases import (
     Phase4Stats,
     phase1_parallel,
     phase1_parse_and_check,
-    phase4_link_and_download,
 )
 from .results import CompilationResult, WorkProfile
 from .section_master import StreamingSectionCombiner
@@ -68,9 +67,7 @@ class ParallelCompiler:
         cache=None,
         dispatch: Optional[TaskDispatch] = None,
         owns_backend: bool = False,
-        phase1_jobs: Optional[int] = None,
         parse_cache=None,
-        phase4_jobs: Optional[int] = None,
         link_cache=None,
         unroll_budget: int = 0,
         ii_budget: int = 0,
@@ -99,26 +96,21 @@ class ParallelCompiler:
         #: backends: closing a compiler must never tear down a pool it
         #: does not own (the double-shutdown footgun).
         self.owns_backend = owns_backend
-        #: thread count for the parallel phase-1 front end; None keeps
-        #: the sequential front end (unless a parse cache is given, which
-        #: also routes through :func:`phase1_parallel` at its default).
-        self.phase1_jobs = phase1_jobs
         #: optional :class:`repro.cache.ParseCache`: per-function parse+
-        #: sema results are served from / written back to it.
+        #: sema results are served from / written back to it.  Given one,
+        #: phase 1 runs the incremental front end
+        #: (:func:`phase1_parallel`); without one, the sequential front
+        #: end, which has nothing to reuse.
         self.parse_cache = parse_cache
         #: :class:`~repro.driver.phases.Phase1Stats` of the most recent
         #: :meth:`compile` — telemetry for reports and benchmarks.
         self.last_phase1_stats: Optional[Phase1Stats] = None
-        #: thread count for the parallel phase-4 back end; None keeps
-        #: the sequential tail (unless a link cache is given, which also
-        #: routes through :class:`Phase4Runner` at its default).
-        self.phase4_jobs = phase4_jobs
         #: optional :class:`repro.cache.LinkCache`: per-section linked
         #: programs and whole download modules are served from / written
         #: back to it.
         self.link_cache = link_cache
         #: :class:`~repro.driver.phases.Phase4Stats` of the most recent
-        #: :meth:`compile` (None when the sequential tail ran).
+        #: :meth:`compile`.
         self.last_phase4_stats: Optional[Phase4Stats] = None
         #: variant-search codegen knobs, threaded into every task and
         #: into the cache fingerprints (both 0 = the standard pipeline).
@@ -149,13 +141,9 @@ class ParallelCompiler:
         # goes through the phase-1 cache so in-process workers (and, with
         # a fork start method, freshly forked pool workers) reuse it.
         stats = Phase1Stats()
-        if self.phase1_jobs is not None or self.parse_cache is not None:
+        if self.parse_cache is not None:
             front = lambda s, f: phase1_parallel(
-                s,
-                f,
-                jobs=self.phase1_jobs,
-                parse_cache=self.parse_cache,
-                stats=stats,
+                s, f, parse_cache=self.parse_cache, stats=stats
             )
         else:
             front = lambda s, f: phase1_parse_and_check(s, f, stats=stats)
@@ -185,37 +173,29 @@ class ParallelCompiler:
         misses, fingerprints = self._serve_from_cache(parsed, tasks, combiner)
         dispatched = bool(misses)
 
-        # Parallel + incremental phase 4: link jobs overlap the
-        # remaining phase-2/3 compiles.  diagnostics_text is fixed
-        # before dispatch — the module embeds only the master's own
-        # sink, never supervisor additions (see below).
+        # Phase 4: each section is linked as its recombiner completes
+        # it.  diagnostics_text is fixed before dispatch — the module
+        # embeds only the master's own sink, never supervisor additions
+        # (see below).
         diagnostics_text = parsed.sink.render()
-        runner: Optional[Phase4Runner] = None
+        runner = Phase4Runner(
+            parsed, self.array, diagnostics_text, link_cache=self.link_cache
+        )
+        phase4_stats = self.last_phase4_stats = runner.stats
         cached_module = None
-        phase4_stats = Phase4Stats()
-        if self.phase4_jobs is not None or self.link_cache is not None:
-            runner = Phase4Runner(
-                parsed,
-                self.array,
-                diagnostics_text,
-                jobs=self.phase4_jobs,
-                link_cache=self.link_cache,
-                stats=phase4_stats,
-            )
-            if not misses:
-                # Fully warm in phases 2/3: probe the whole-module tier
-                # before linking anything.
-                cached_module = runner.lookup_module(combiner.finalize())
-            if cached_module is None:
-                for ready in combiner.combined_sections():
-                    runner.section_ready(ready)
-        self.last_phase4_stats = phase4_stats if runner is not None else None
+        if not misses:
+            # Fully warm in phases 2/3: probe the whole-module tier
+            # before linking anything.
+            cached_module = runner.lookup_module(combiner.finalize())
+        if cached_module is None:
+            for ready in combiner.combined_sections():
+                runner.section_ready(ready)
 
         for result in self._dispatch_misses(misses):
             if self.cache is not None:
                 self._write_back(fingerprints, result)
             completed = combiner.add(result)
-            if runner is not None and completed is not None:
+            if completed is not None:
                 runner.section_ready(completed)
         combined = combiner.finalize()
 
@@ -280,19 +260,14 @@ class ParallelCompiler:
             profile.functions.extend(section_result.reports)
             diagnostics.extend(section_result.diagnostics)
 
-        if runner is not None:
-            module, assembly_work, link_work = runner.finish(
-                combined, cached_module=cached_module
-            )
-            profile.phase4_assembly_ms = round(phase4_stats.assembly_ms, 3)
-            profile.phase4_link_ms = round(phase4_stats.link_ms, 3)
-            profile.phase4_mode = phase4_stats.mode
-            profile.link_cache_hits = phase4_stats.link_cache_hits
-            profile.link_cache_misses = phase4_stats.link_cache_misses
-        else:
-            module, assembly_work, link_work = phase4_link_and_download(
-                parsed, objects, self.array, diagnostics_text
-            )
+        module, assembly_work, link_work = runner.finish(
+            combined, cached_module=cached_module
+        )
+        profile.phase4_assembly_ms = round(phase4_stats.assembly_ms, 3)
+        profile.phase4_link_ms = round(phase4_stats.link_ms, 3)
+        profile.phase4_mode = phase4_stats.mode
+        profile.link_cache_hits = phase4_stats.link_cache_hits
+        profile.link_cache_misses = phase4_stats.link_cache_misses
         # Result diagnostics normally mirror the master's own sink; any
         # others (the supervisor's poison warnings and isolation
         # tracebacks) exist only on results.  Surface them on the

@@ -1,26 +1,26 @@
 """The four compiler phases (paper §3.2).
 
-1. parsing and semantic checking — sequential by default
-   (:func:`phase1_parse_and_check`), but parallel and incremental on
-   demand (:func:`phase1_parallel`, ``--phase1-jobs``): a boundary scan
-   splits the module at function heads, the function bodies are parsed
-   and checked concurrently against a shared signature table, and
+1. parsing and semantic checking — :func:`phase1_parse_and_check` is
+   the sequential front end and the canonical oracle.
+   :func:`phase1_parallel` is its *incremental* twin: a boundary scan
+   splits the module at function heads, each function window is parsed
+   and checked on its own against a shared signature table, and
    per-function results are reused across runs through the span-hash
-   parse cache (:mod:`repro.cache.parse_store`).  The parallel path is
-   bit-identical to the sequential one; any deviation (or any
-   diagnostic) falls back to the sequential front end, which remains
-   the canonical oracle;
+   parse cache (:mod:`repro.cache.parse_store`).  It is bit-identical
+   to the sequential front end, to which it falls back on any deviation
+   (or any diagnostic);
 2. flowgraph construction, local optimization, global dependencies;
 3. software pipelining and code generation;
 4. I/O driver generation, assembly, and post-processing (linking,
    download-module construction).
 
-Phases 2 and 3 run per function — :func:`compile_one_function` is the
-exact unit of work a function master executes.  Phase 4 has the same
-two gears as phase 1: :func:`phase4_link_and_download` is the canonical
-sequential tail, and :func:`phase4_parallel` /:class:`Phase4Runner` run
-per-section links concurrently (sections are independent by
-construction) over pre-assembled function-master payloads, with a
+Phases 1 and 4 run in the master, one after the other, as in the paper:
+the parallelism is the function masters'.  Phases 2 and 3 run per
+function — :func:`compile_one_function` is the exact unit of work a
+function master executes.  Phase 4 has the same two gears as phase 1:
+:func:`phase4_link_and_download` is the canonical sequential tail, and
+:class:`Phase4Runner` links each section as its streaming recombiner
+completes it, over the function masters' pre-assembled payloads, with a
 persistent link/module cache (:mod:`repro.cache.link_store`) and a
 sequential fallback on any irregularity so diagnostics and digests stay
 byte-identical.
@@ -28,10 +28,8 @@ byte-identical.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,49 +83,14 @@ class ParsedProgram:
 
 @dataclass
 class Phase1Stats:
-    """Telemetry for one phase-1 run (either front end).
-
-    ``parse_ms``/``sema_ms`` are *aggregate* CPU-ish time — on the
-    parallel path they sum per-window worker time, so they measure work,
-    not wall clock.  ``skeleton_work``/``window_work`` are deterministic
-    token counts feeding :func:`phase1_critical_path_work`.
-    """
+    """Telemetry for one phase-1 run (either front end)."""
 
     mode: str = "sequential"  # sequential | parallel | fallback | memo
-    jobs: int = 1
     parse_ms: float = 0.0
     sema_ms: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     fallback_reason: Optional[str] = None
-    #: tokens handled sequentially (skeleton gaps + its EOF-less tail)
-    skeleton_work: int = 0
-    #: tokens per function window, in source order (cache hits included —
-    #: a hit still *represents* that many tokens of parse work)
-    window_work: List[int] = field(default_factory=list)
-
-
-def default_phase1_jobs() -> int:
-    """Same sizing heuristic as the warm worker farm: all cores but one."""
-    return max(1, (os.cpu_count() or 2) - 1)
-
-
-def phase1_critical_path_work(stats: Phase1Stats, jobs: int) -> int:
-    """Deterministic work-unit model of parallel phase 1's critical path.
-
-    LPT-schedules the per-window token counts onto ``jobs`` workers and
-    returns the sequential skeleton work plus the busiest worker's load.
-    This is the machine-independent scaling measure the benchmarks
-    guard: wall clock on a CPython thread pool is GIL-bound, but the
-    critical path is what a free-threaded or process-backed phase 1
-    would pay.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    loads = [0] * jobs
-    for work in sorted(stats.window_work, reverse=True):
-        loads[loads.index(min(loads))] += work
-    return stats.skeleton_work + (max(loads) if loads else 0)
 
 
 def phase1_parse_and_check(
@@ -171,7 +134,7 @@ def phase1_parse_and_check(
 
 
 # ---------------------------------------------------------------------------
-# Parallel + incremental phase 1
+# Incremental phase 1
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +216,7 @@ def _parse_and_check_window(
     window,
     table: Dict[str, ast.Function],
 ) -> Tuple[ast.Function, object, List[Tuple[str, Span]], int, float, float]:
-    """One worker's job: lex, parse, and check a single function window.
+    """Lex, parse, and check a single function window.
 
     Returns ``(fn, scope, calls, token_count, parse_s, sema_s)``; raises
     :class:`_WindowProblem` on any diagnostic (the fallback re-derives
@@ -282,33 +245,27 @@ def _parse_and_check_window(
 def phase1_parallel(
     source_text: str,
     filename: str = "<input>",
-    jobs: Optional[int] = None,
     parse_cache=None,
     stats: Optional[Phase1Stats] = None,
 ) -> ParsedProgram:
-    """Parallel + incremental phase 1; bit-identical to the sequential
-    front end, to which it falls back on *any* irregularity.
+    """Incremental phase 1; bit-identical to the sequential front end,
+    to which it falls back on *any* irregularity.
 
     Pipeline: boundary-scan the text into per-function byte windows;
-    parse the skeleton (everything between windows) sequentially; parse
-    each function *header* sequentially to build the per-section
-    signature table; then parse+check every function body concurrently
-    (``jobs`` threads) against that read-only table — or serve it from
+    parse the skeleton (everything between windows); parse each function
+    *header* to build the per-section signature table; then parse+check
+    every function body against that read-only table — or serve it from
     ``parse_cache`` (a :class:`~repro.cache.parse_store.ParseCache`),
-    span-rebased to its current location.  A final sequential structure
-    pass re-checks the whole-module properties (duplicate names, cell
-    ranges, call cycles).
+    span-rebased to its current location.  A final structure pass
+    re-checks the whole-module properties (duplicate names, cell ranges,
+    call cycles).  The name records the window split's origin, not
+    threads: the windows are independent, and are parsed in a loop.
 
     Any diagnostic anywhere aborts the fast path and re-runs
     :func:`phase1_parse_and_check`, whose error report is canonical —
     errors abort compilation anyway, so the doubled front-end cost on
     the error path is irrelevant.
     """
-    if jobs is None:
-        jobs = default_phase1_jobs()
-    if stats is not None:
-        stats.jobs = jobs
-
     boundaries = scan_boundaries(source_text)
     if boundaries is None:
         return _phase1_fallback(
@@ -334,7 +291,7 @@ def phase1_parallel(
             source_text, filename, stats, "skeleton/boundary mismatch"
         )
 
-    # -- signature pass: headers only, sequential -----------------------
+    # -- signature pass: headers only ------------------------------------
     t_sig = time.perf_counter()
     section_tables: List[Dict[str, ast.Function]] = []
     section_hashes: List[Optional[str]] = []
@@ -366,11 +323,12 @@ def phase1_parallel(
             section_hashes.append(None)
     signature_s = time.perf_counter() - t_sig
 
-    # -- per-function pass: cache hits, then concurrent parse+check -----
-    jobs_list: List[Tuple[int, int, object]] = []  # (sec idx, win idx, window)
-    for sec_idx, sec_bounds in enumerate(boundaries.sections):
-        for win_idx, window in enumerate(sec_bounds.function_windows):
-            jobs_list.append((sec_idx, win_idx, window))
+    # -- per-function pass: cache hits, then parse+check the misses -----
+    indexed: List[Tuple[int, int, object]] = [  # (sec idx, win idx, window)
+        (sec_idx, win_idx, window)
+        for sec_idx, sec_bounds in enumerate(boundaries.sections)
+        for win_idx, window in enumerate(sec_bounds.function_windows)
+    ]
 
     results: Dict[Tuple[int, int], tuple] = {}
     keys: Dict[Tuple[int, int], str] = {}
@@ -379,7 +337,7 @@ def phase1_parallel(
     if parse_cache is not None:
         from ..cache.parse_store import window_key
 
-        for sec_idx, win_idx, window in jobs_list:
+        for sec_idx, win_idx, window in indexed:
             base = source.position_at(window.start)
             key = window_key(
                 source_text[window.start : window.end],
@@ -402,33 +360,13 @@ def phase1_parallel(
                 cache_misses += 1
                 misses.append((sec_idx, win_idx, window))
     else:
-        misses = jobs_list
+        misses = indexed
 
     try:
-        if jobs > 1 and len(misses) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(jobs, len(misses))
-            ) as pool:
-                futures = [
-                    (
-                        sec_idx,
-                        win_idx,
-                        pool.submit(
-                            _parse_and_check_window,
-                            source,
-                            window,
-                            section_tables[sec_idx],
-                        ),
-                    )
-                    for sec_idx, win_idx, window in misses
-                ]
-                for sec_idx, win_idx, future in futures:
-                    results[(sec_idx, win_idx)] = future.result()
-        else:
-            for sec_idx, win_idx, window in misses:
-                results[(sec_idx, win_idx)] = _parse_and_check_window(
-                    source, window, section_tables[sec_idx]
-                )
+        for sec_idx, win_idx, window in misses:
+            results[(sec_idx, win_idx)] = _parse_and_check_window(
+                source, window, section_tables[sec_idx]
+            )
     except _WindowProblem as problem:
         return _phase1_fallback(source_text, filename, stats, problem.reason)
 
@@ -449,7 +387,7 @@ def phase1_parallel(
                 ),
             )
 
-    # -- splice + sequential structure pass -----------------------------
+    # -- splice + structure pass ----------------------------------------
     for sec_idx, (sec_node, sec_bounds) in enumerate(
         zip(module.sections, boundaries.sections)
     ):
@@ -475,7 +413,7 @@ def phase1_parallel(
         )
 
     sema = SemaResult(module)
-    window_work: List[int] = []
+    window_tokens = 0
     parse_s_total = sema_s_total = 0.0
     for sec_idx, sec_node in enumerate(module.sections):
         for win_idx, fn in enumerate(sec_node.functions):
@@ -483,7 +421,7 @@ def phase1_parallel(
                 (sec_idx, win_idx)
             ]
             sema.scopes[(sec_node.name, fn.name)] = scope
-            window_work.append(token_count)
+            window_tokens += token_count
             parse_s_total += parse_s
             sema_s_total += sema_s
 
@@ -491,14 +429,12 @@ def phase1_parallel(
         stats.mode = "parallel"
         stats.cache_hits = cache_hits
         stats.cache_misses = cache_misses
-        stats.skeleton_work = len(skeleton_tokens) - 1
-        stats.window_work = window_work
         stats.parse_ms += (skeleton_s + signature_s + parse_s_total) * 1000.0
         stats.sema_ms += (structure_s + sema_s_total) * 1000.0
 
     # Token identity: sequential lexing sees every skeleton token, every
     # window token, and one EOF — exactly what the two counts sum to.
-    parse_work = len(skeleton_tokens) + sum(window_work)
+    parse_work = len(skeleton_tokens) + window_tokens
     return ParsedProgram(
         module=module,
         sema=sema,
@@ -608,81 +544,33 @@ def phase4_link_and_download(
 
 
 # ---------------------------------------------------------------------------
-# Parallel + incremental phase 4.
+# Incremental phase 4.
 #
 # Sections are independent by construction — link_section reads one
-# section's object functions and the cell model, nothing else — so the
-# per-section links can run concurrently, and each one can start the
-# moment its streaming recombiner completes.  Assembly itself has
-# already been *distributed*: function masters ship an
-# AssembledFunction beside each ObjectFunction, so the link jobs mostly
-# just lay out pre-assembled code.  Everything below mirrors the
-# phase-1 contract: the sequential phase4_link_and_download stays the
-# canonical oracle, and any irregularity on the fast path (a poisoned
-# or failed function, a validation error, an exception in a link job)
-# falls back to it wholesale so diagnostics and digests stay
-# byte-identical.
+# section's object functions and the cell model, nothing else — so each
+# one is linked the moment its streaming recombiner completes, and each
+# linked program can be cached on its own.  Assembly itself has already
+# been *distributed*: function masters ship an AssembledFunction beside
+# each ObjectFunction, so a section link mostly just lays out
+# pre-assembled code.  Everything below mirrors the phase-1 contract:
+# the sequential phase4_link_and_download stays the canonical oracle,
+# and any irregularity on the fast path (a poisoned or failed function,
+# a validation error, an exception while linking) falls back to it
+# wholesale so diagnostics and digests stay byte-identical.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Phase4Stats:
-    """Telemetry for one phase-4 run (either back end).
-
-    ``assembly_ms``/``link_ms`` are *aggregate* worker time summed over
-    link jobs, so they measure work, not wall clock.  The
-    ``section_*_work`` lists are deterministic work units feeding
-    :func:`phase4_critical_path_work`.
-    """
+    """Telemetry for one phase-4 run through :class:`Phase4Runner`."""
 
     mode: str = "sequential"  # sequential | parallel | cached | fallback
-    jobs: int = 1
     assembly_ms: float = 0.0
     link_ms: float = 0.0
     link_cache_hits: int = 0
     link_cache_misses: int = 0
     module_cache_hit: bool = False
     fallback_reason: Optional[str] = None
-    #: per-section assembly work units, in module order (what the
-    #: function masters absorbed via distributed assembly)
-    section_assembly_work: List[int] = field(default_factory=list)
-    #: per-section link work units, in module order
-    section_link_work: List[int] = field(default_factory=list)
-    #: sequential tail: download-module replication + I/O driver
-    #: bookkeeping (cells used plus one unit per section)
-    tail_work: int = 0
-
-
-def default_phase4_jobs() -> int:
-    """Same sizing heuristic as the warm worker farm: all cores but one."""
-    return max(1, (os.cpu_count() or 2) - 1)
-
-
-def phase4_critical_path_work(
-    stats: Phase4Stats, jobs: int, distributed_assembly: bool = True
-) -> int:
-    """Deterministic work-unit model of phase 4's critical path.
-
-    LPT-schedules the per-section work onto ``jobs`` link workers and
-    returns the sequential tail work plus the busiest worker's load.
-    With ``distributed_assembly`` each section costs only its link work
-    (assembly rode the phase-2/3 function masters); without it, each
-    section also pays its assembly work inline — ``jobs=1`` with
-    ``distributed_assembly=False`` is exactly the sequential back end.
-    Wall clock on a CPython thread pool is GIL-bound, so this
-    machine-independent critical path is what the benchmarks guard.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    per_section = list(stats.section_link_work)
-    if not distributed_assembly:
-        per_section = [
-            a + l for a, l in zip(stats.section_assembly_work, per_section)
-        ]
-    loads = [0] * jobs
-    for work in sorted(per_section, reverse=True):
-        loads[loads.index(min(loads))] += work
-    return stats.tail_work + (max(loads) if loads else 0)
 
 
 def _assembly_matches(asm: AssembledFunction, obj: ObjectFunction) -> bool:
@@ -698,18 +586,18 @@ def _assembly_matches(asm: AssembledFunction, obj: ObjectFunction) -> bool:
 
 
 class Phase4Runner:
-    """Streaming parallel back end: one link job per combined section.
+    """Streaming back end: one section link per combined section.
 
     The driver hands each :class:`~repro.driver.section_master.CombinedSection`
     to :meth:`section_ready` as the streaming recombiner completes it —
-    link jobs overlap the remaining phase-2/3 compiles — then calls
-    :meth:`finish` to gather the programs and build the download
-    module.  With a :class:`~repro.cache.link_store.LinkCache`, each
-    job first consults the section tier, and :meth:`lookup_module` can
-    skip phase 4 entirely on a fully-warm recompile.
+    the section is linked there and then, in the master — then calls
+    :meth:`finish` to build the download module.  With a
+    :class:`~repro.cache.link_store.LinkCache`, each link first consults
+    the section tier, and :meth:`lookup_module` can skip phase 4
+    entirely on a fully-warm recompile.
 
     Any irregularity — a poisoned or failed function, a range-validation
-    error, a duplicate delivery, an exception in any link job — taints
+    error, a duplicate delivery, an exception while linking — taints
     the run and :meth:`finish` falls back to the sequential
     :func:`phase4_link_and_download`, which re-raises the canonical
     error or re-links everything; either way the output is byte-for-byte
@@ -721,22 +609,17 @@ class Phase4Runner:
         parsed: ParsedProgram,
         array: WarpArrayModel,
         diagnostics_text: str = "",
-        jobs: Optional[int] = None,
         link_cache: Optional["LinkCache"] = None,
         stats: Optional[Phase4Stats] = None,
     ):
         self.parsed = parsed
         self.array = array
         self.diagnostics_text = diagnostics_text
-        self.jobs = jobs if jobs is not None else default_phase4_jobs()
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
         self.link_cache = link_cache
         self.stats = stats if stats is not None else Phase4Stats()
-        self.stats.jobs = self.jobs
         self._sections = {s.name: s for s in parsed.module.sections}
-        self._futures: Dict[str, object] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: section name -> (program, cache hit, assembly s, link s)
+        self._linked: Dict[str, Tuple[CellProgram, bool, float, float]] = {}
         self._taint_reason: Optional[str] = None
 
     # -- irregularity handling ----------------------------------------
@@ -806,14 +689,14 @@ class Phase4Runner:
     # -- section tier --------------------------------------------------
 
     def section_ready(self, combined: "CombinedSection") -> None:
-        """Submit one recombined section's link job (non-blocking)."""
+        """Link one recombined section."""
         if self._taint_reason is not None:
             return
         section = self._sections.get(combined.section_name)
         if section is None:
             self._taint(f"unknown section {combined.section_name!r}")
             return
-        if combined.section_name in self._futures:
+        if combined.section_name in self._linked:
             self._taint(f"duplicate section {combined.section_name!r}")
             return
         if not self._combined_clean(combined):
@@ -829,16 +712,15 @@ class Phase4Runner:
         except Exception as exc:  # noqa: BLE001 - canonical error on fallback
             self._taint(f"range validation: {exc}")
             return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="warpcc-phase4"
+        try:
+            self._linked[combined.section_name] = self._link_one(
+                section, combined
             )
-        self._futures[combined.section_name] = self._executor.submit(
-            self._link_one, section, combined
-        )
+        except Exception as exc:  # noqa: BLE001 - canonical error on fallback
+            self._taint(f"{type(exc).__name__}: {exc}")
 
     def _link_one(self, section: ast.Section, combined: "CombinedSection"):
-        """One link job: section-cache probe, assembly top-up, link."""
+        """One section: section-cache probe, assembly top-up, link."""
         key = None
         if self.link_cache is not None:
             from ..cache.link_store import section_link_key
@@ -880,62 +762,40 @@ class Phase4Runner:
 
     # -- completion ----------------------------------------------------
 
-    def _work_model(self, combined: Dict[str, "CombinedSection"]) -> Tuple[int, int]:
-        """Fill the deterministic work model; identical on every path."""
-        self.stats.section_assembly_work = []
-        self.stats.section_link_work = []
-        tail = 0
-        for section in self.parsed.module.sections:
-            objs = combined[section.name].objects
-            self.stats.section_assembly_work.append(
-                sum(assembly_work_units(o) for o in objs)
-            )
-            self.stats.section_link_work.append(link_work_units(objs))
-            tail += (section.last_cell - section.first_cell + 1) + 1
-        self.stats.tail_work = tail
-        return (
-            sum(self.stats.section_assembly_work),
-            sum(self.stats.section_link_work),
-        )
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
     def finish(
         self,
         combined: Dict[str, "CombinedSection"],
         cached_module: Optional[DownloadModule] = None,
     ) -> Tuple[DownloadModule, int, int]:
-        """Gather link jobs and build the module; returns the same
+        """Build the module from the linked sections; returns the same
         ``(module, assembly_work, link_work)`` triple as the sequential
         :func:`phase4_link_and_download`."""
-        try:
-            assembly_work, link_work = self._work_model(combined)
-            if cached_module is not None:
-                return cached_module, assembly_work, link_work
-            reason = self._taint_reason
-            if reason is None:
-                try:
-                    module = self._gather(combined)
-                    if self.stats.mode != "cached":
-                        self.stats.mode = "parallel"
-                    return module, assembly_work, link_work
-                except Exception as exc:  # noqa: BLE001 - fall back wholesale
-                    reason = f"{type(exc).__name__}: {exc}"
-            # Sequential fallback: the canonical oracle re-links (or
-            # re-raises the canonical first error).
-            self.stats.mode = "fallback"
-            self.stats.fallback_reason = reason
-            objects = {
-                name: section.objects for name, section in combined.items()
-            }
-            return phase4_link_and_download(
-                self.parsed, objects, self.array, self.diagnostics_text
-            )
-        finally:
-            self._shutdown()
+        assembly_work = link_work = 0
+        for section in self.parsed.module.sections:
+            objs = combined[section.name].objects
+            assembly_work += sum(assembly_work_units(o) for o in objs)
+            link_work += link_work_units(objs)
+        if cached_module is not None:
+            return cached_module, assembly_work, link_work
+        reason = self._taint_reason
+        if reason is None:
+            try:
+                module = self._gather(combined)
+                if self.stats.mode != "cached":
+                    self.stats.mode = "parallel"
+                return module, assembly_work, link_work
+            except Exception as exc:  # noqa: BLE001 - fall back wholesale
+                reason = f"{type(exc).__name__}: {exc}"
+        # Sequential fallback: the canonical oracle re-links (or
+        # re-raises the canonical first error).
+        self.stats.mode = "fallback"
+        self.stats.fallback_reason = reason
+        objects = {
+            name: section.objects for name, section in combined.items()
+        }
+        return phase4_link_and_download(
+            self.parsed, objects, self.array, self.diagnostics_text
+        )
 
     def _gather(self, combined: Dict[str, "CombinedSection"]) -> DownloadModule:
         section_cells: Dict[str, Tuple[int, int]] = {}
@@ -949,12 +809,10 @@ class Phase4Runner:
                 section.first_cell,
                 section.last_cell,
             )
-            future = self._futures.get(section.name)
-            if future is not None:
-                outcome = future.result()
-            else:
+            outcome = self._linked.get(section.name)
+            if outcome is None:
                 # A section the driver never announced (barrier-style
-                # callers): link it inline on the gathering thread.
+                # callers): link it now.
                 if not self._combined_clean(combined[section.name]):
                     raise SectionTaintedError(section.name)
                 outcome = self._link_one(section, combined[section.name])
@@ -981,44 +839,9 @@ class Phase4Runner:
 
 
 class SectionTaintedError(Exception):
-    """A poisoned/failed section reached the parallel back end."""
+    """A poisoned/failed section reached the incremental back end."""
 
     def __init__(self, section_name: str):
         super().__init__(
             f"section {section_name!r} has poisoned or failed functions"
         )
-
-
-def phase4_parallel(
-    parsed: ParsedProgram,
-    combined: Dict[str, "CombinedSection"],
-    array: WarpArrayModel,
-    diagnostics_text: str = "",
-    jobs: Optional[int] = None,
-    link_cache: Optional["LinkCache"] = None,
-    stats: Optional[Phase4Stats] = None,
-) -> Tuple[DownloadModule, int, int]:
-    """Barrier-style parallel + incremental phase 4.
-
-    ``combined`` maps section name -> recombined section (what
-    ``StreamingSectionCombiner.finalize`` returns).  Probes the module
-    cache, else links every section concurrently on ``jobs`` threads.
-    Output is bit-identical to :func:`phase4_link_and_download`; any
-    irregularity falls back to it.  Returns (module, assembly work,
-    link work).
-    """
-    runner = Phase4Runner(
-        parsed,
-        array,
-        diagnostics_text,
-        jobs=jobs,
-        link_cache=link_cache,
-        stats=stats,
-    )
-    cached = runner.lookup_module(combined)
-    if cached is None:
-        for section in parsed.module.sections:
-            ready = combined.get(section.name)
-            if ready is not None:
-                runner.section_ready(ready)
-    return runner.finish(combined, cached_module=cached)

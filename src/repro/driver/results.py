@@ -87,10 +87,10 @@ class WorkProfile:
 
     parse_work: int = 0
     sema_work: int = 0
-    #: wall-time telemetry for the master's own phase-1 run (aggregate
-    #: worker time on the parallel front end) and which front end ran:
-    #: ``sequential``, ``parallel``, ``fallback`` (parallel path bailed
-    #: to sequential), or ``memo`` (whole-module LRU hit, no parse).
+    #: wall-time telemetry for the master's own phase-1 run and which
+    #: front end ran: ``sequential``, ``parallel`` (the incremental,
+    #: window-split one), ``fallback`` (it bailed to sequential), or
+    #: ``memo`` (whole-module LRU hit, no parse).
     phase1_parse_ms: float = 0.0
     phase1_sema_ms: float = 0.0
     phase1_mode: str = "sequential"
@@ -99,10 +99,10 @@ class WorkProfile:
     #: memo counted on the function reports).
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
-    #: wall-time telemetry for phase 4 (aggregate link-job time on the
-    #: parallel back end) and which back end ran: ``sequential``,
-    #: ``parallel``, ``cached`` (whole-module cache hit, phase 4
-    #: skipped), or ``fallback`` (parallel path bailed to sequential).
+    #: wall-time telemetry for phase 4 and which back end ran:
+    #: ``sequential`` (SequentialCompiler's tail), ``parallel`` (the
+    #: per-section runner), ``cached`` (whole-module cache hit, phase 4
+    #: skipped), or ``fallback`` (the runner bailed to sequential).
     phase4_assembly_ms: float = 0.0
     phase4_link_ms: float = 0.0
     phase4_mode: str = "sequential"

@@ -36,11 +36,11 @@ from .wire import (
     Connection,
     ProtocolError,
     decode_frame,
-    fabric_secret,
-    hmac_tag,
     pack_blob,
+    pack_bytes,
     read_frame_line,
     unpack_blob,
+    unpack_bytes,
 )
 
 
@@ -170,57 +170,13 @@ class CacheServiceServer:
             if self.chaos is not None:
                 blob = self.chaos.maybe_corrupt(key, blob)
             reply = {"ok": True, "hit": True}
-            reply.update(pack_blob_raw(blob))
+            reply.update(pack_bytes(blob))
             return reply
         if op == "cache-put":
-            blob = unpack_blob_raw(frame)
+            blob = unpack_bytes(frame)
             self.store.put(key, blob)
             return {"ok": True, "stored": True}
         raise ProtocolError(f"unknown cache op {op!r}", reason="bad-request")
-
-
-def pack_blob_raw(blob: bytes) -> dict:
-    """Like :func:`repro.fabric.wire.pack_blob` but for raw bytes the
-    caller already pickled (the server must not re-pickle blobs, or the
-    digest would cover pickle-of-pickle).  With a shared fabric secret
-    configured the fields carry the same HMAC tag :func:`pack_blob`
-    would add, so clients can authenticate cache-server responses."""
-    import base64
-    import hashlib
-
-    fields = {
-        "blob": base64.b64encode(blob).decode("ascii"),
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    key = fabric_secret()
-    if key is not None:
-        fields["hmac"] = hmac_tag(blob, key)
-    return fields
-
-
-def unpack_blob_raw(frame: dict) -> bytes:
-    import base64
-    import hashlib
-    import hmac as hmac_mod
-
-    from .wire import AuthenticationError, WireCorruption
-
-    try:
-        blob = base64.b64decode(str(frame.get("blob", "")).encode("ascii"), validate=True)
-    except Exception as exc:  # noqa: BLE001
-        raise WireCorruption(f"undecodable blob: {exc}")
-    key = fabric_secret()
-    if key is not None:
-        tag = frame.get("hmac")
-        if not isinstance(tag, str) or not hmac_mod.compare_digest(
-            tag, hmac_tag(blob, key)
-        ):
-            raise AuthenticationError(
-                "blob HMAC missing or wrong (peer lacks the fabric secret?)"
-            )
-    if hashlib.sha256(blob).hexdigest() != frame.get("sha256"):
-        raise WireCorruption("blob digest mismatch")
-    return blob
 
 
 class NetworkCacheClient:
@@ -334,11 +290,8 @@ class NetworkCacheClient:
         return result
 
     def put(self, fingerprint: str, result: FunctionTaskResult) -> bool:
-        import pickle
-
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {"op": "cache-put", "key": fingerprint}
-        payload.update(pack_blob_raw(blob))
+        payload.update(pack_blob(result))
         reply = self._request(payload)
         return bool(reply and reply.get("ok"))
 

@@ -225,12 +225,11 @@ def _blob_digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def pack_blob(payload, secret=_ENV_SECRET) -> dict:
-    """Fields carrying an arbitrary picklable payload plus its digest.
+def pack_bytes(blob: bytes, secret=_ENV_SECRET) -> dict:
+    """Fields carrying raw bytes plus their digest.
 
     With a shared secret configured the fields also carry an HMAC tag
-    keyed on it, proving the blob was produced by a secret holder."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    keyed on it, proving the bytes were produced by a secret holder."""
     key = fabric_secret() if secret is _ENV_SECRET else secret
     fields = {
         "blob": base64.b64encode(blob).decode("ascii"),
@@ -241,13 +240,12 @@ def pack_blob(payload, secret=_ENV_SECRET) -> dict:
     return fields
 
 
-def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
-    """Decode, authenticate, digest-check, and type-check a packed blob.
+def unpack_bytes(frame: dict, secret=_ENV_SECRET) -> bytes:
+    """Decode, authenticate, and digest-check packed bytes.
 
     When a shared secret is configured the frame's HMAC is compared in
-    constant time *before* the blob is unpickled — a peer that does not
-    hold the secret cannot reach the deserializer at all.  Unpickling
-    itself goes through :func:`restricted_loads`.
+    constant time *before* the bytes reach any caller — a peer that
+    does not hold the secret cannot reach a deserializer at all.
     """
     try:
         blob = base64.b64decode(frame["blob"].encode("ascii"), validate=True)
@@ -268,6 +266,23 @@ def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
             f"blob digest mismatch: frame says {frame.get('sha256')!r}, "
             f"content hashes to {digest!r}"
         )
+    return blob
+
+
+def pack_blob(payload, secret=_ENV_SECRET) -> dict:
+    """:func:`pack_bytes` over an arbitrary picklable payload."""
+    return pack_bytes(
+        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), secret
+    )
+
+
+def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
+    """:func:`unpack_bytes`, then unpickle and type-check the payload.
+
+    Unpickling goes through :func:`restricted_loads`, and only after
+    the bytes were authenticated and digest-checked.
+    """
+    blob = unpack_bytes(frame, secret)
     try:
         payload = restricted_loads(blob)
     except WireCorruption:

@@ -24,9 +24,8 @@ Pipeline variants (the matrix):
                           in-process worker-node agents behind
                           :class:`~repro.fabric.hub.RemoteBackend`
 ``cache``                 cache-cold then cache-warm compile, shared store
-``phase1``                parallel+incremental front end (boundary scan,
-                          concurrent per-function parse+sema, parse cache),
-                          cold then warm
+``phase1``                incremental front end (boundary scan, per-function
+                          parse+sema, parse cache), cold then warm
 ``supervised``            deadline/hedge/quarantine supervision, no faults
 ``chaos``                 supervision over seeded crash/hang/corrupt faults
 ``search``                optimization-variant search: cold + warm runs must
@@ -537,7 +536,7 @@ class DifferentialOracle:
 
     def _compile_phase1_variant(self, source: str, *, array, opt_level):
         """Parse-cache-cold compile, then a warm recompile of the same
-        source; both through the parallel front end (2 parse threads).
+        source; both through the incremental front end.
         Digest must match across the cold/warm pair (a rebased cache
         entry must be indistinguishable from a fresh parse) and, when
         the fast path ran, the warm run must actually hit the cache."""
@@ -551,7 +550,6 @@ class DifferentialOracle:
                 backend=SerialBackend(),
                 array=array,
                 opt_level=opt_level,
-                phase1_jobs=2,
                 parse_cache=parse_cache,
             )
             # Drop the whole-module memo before each compile (earlier
@@ -578,10 +576,10 @@ class DifferentialOracle:
             return warm
 
     def _compile_phase4_variant(self, source: str, *, array, opt_level):
-        """Link-cache-cold parallel phase 4, then a fully-warm recompile.
+        """Link-cache-cold phase 4, then a fully-warm recompile.
 
-        The cold run links every section concurrently (2 link threads)
-        over pre-assembled payloads; the warm run serves phases 2/3 from
+        The cold run links every section over pre-assembled payloads;
+        the warm run serves phases 2/3 from
         the artifact cache and must skip phase 4 via the whole-module
         tier.  Digests must match across the pair, and — combined with
         the generic digest check against the sequential baseline — that
@@ -594,7 +592,6 @@ class DifferentialOracle:
                 array=array,
                 opt_level=opt_level,
                 cache=ArtifactCache(tmp),
-                phase4_jobs=2,
                 link_cache=LinkCache(tmp),
             )
             cold = compiler.compile(source)

@@ -1,15 +1,15 @@
 """Boundary scanner: split a module at ``section``/``function`` heads.
 
-The parallel front end needs to know *where* each function's text lives
-before it can parse the functions concurrently — but deriving that from
-a full parse would defeat the point.  This scanner is the answer for a
+The incremental front end needs to know *where* each function's text
+lives before it can parse the functions one by one — but deriving that
+from a full parse would defeat the point.  This scanner is the answer for a
 block-structured grammar: a single character-level skim that replicates
 the lexer's trivia/word/number rules exactly (so a ``function`` inside a
 ``--`` comment or glued to a float literal is never mistaken for a
 keyword) and tracks block depth through ``begin``/``if``/``for``/
 ``while``/``end``.  It never builds tokens or an AST; its output is one
 half-open byte window per function plus the offset where the header ends
-(the ``begin`` keyword), which is all the parallel parser and the
+(the ``begin`` keyword), which is all the window parser and the
 signature pass need.
 
 The scanner only has to be *right on valid modules*: whenever the input

@@ -173,7 +173,7 @@ class Parser:
     def parse_function(self) -> Optional[ast.Function]:
         """Parse exactly one function, then require EOF.
 
-        Entry point for the parallel front end: the token stream is one
+        Entry point for the incremental front end: the token stream is one
         function's byte window (from the boundary scanner), lexed through
         a :class:`~repro.lang.source.WindowedSource` so every span is
         absolute.  Unconsumed tokens mean the window and the grammar
@@ -191,7 +191,7 @@ class Parser:
     def parse_function_signature(self) -> Optional[ast.Function]:
         """Header-only parse: name, parameters, return type.
 
-        Used by the parallel front end's sequential signature pass; the
+        Used by the incremental front end's signature pass; the
         result is a body-less stub whose signature is exactly what the
         per-function checkers (and the parse-cache key) need.  Tokens
         after the return type (the ``var`` block) are deliberately left

@@ -12,13 +12,15 @@ cross-function:
   cell ranges, empty sections);
 - :class:`FunctionChecker` checks one function against a read-only table
   of its siblings' *signatures* — the only cross-function information a
-  call site needs — so per-function checks can run in parallel;
+  call site needs — so each function can be checked (and cached) on
+  its own;
 - :func:`function_call_sites` + :func:`detect_call_cycles` implement the
   no-recursion rule over an already-collected call graph.
 
 :class:`SemanticChecker` composes these into the sequential whole-module
-pass; the parallel front end (:func:`repro.driver.phases.phase1_parallel`)
-composes the same pieces with the per-function step fanned out.
+pass; the incremental front end
+(:func:`repro.driver.phases.phase1_parallel`) composes the same pieces
+with the per-function step run window by window.
 
 Analysis annotates every expression with its type and returns a
 :class:`SemaResult` with per-function symbol tables consumed by lowering.
@@ -257,8 +259,8 @@ class FunctionChecker:
 
     The table needs only *signatures* (name, parameter names/types,
     return type): call-site checking never looks at a callee's body, so
-    the parallel front end can hand every worker the same cheap stub
-    table and check all functions of a section concurrently.  One
+    the incremental front end can check every function of a section
+    against the same cheap stub table, independently of the others.  One
     instance checks one function; it owns no shared mutable state.
     """
 

@@ -100,12 +100,12 @@ class SourceFile:
 class WindowedSource:
     """A slice of a larger source file that reports *absolute* positions.
 
-    The parallel front end lexes each function's byte window (and the
+    The incremental front end lexes each function's byte window (and the
     skeleton gaps between windows) independently; the lexer only ever
     touches ``.text``, ``.filename`` and :meth:`position_at`, so a
     windowed view that translates slice-relative offsets back into
     whole-file positions makes every token and span come out identical
-    to a sequential lex of the full text — which is what keeps parallel
+    to a sequential lex of the full text — which is what keeps its
     diagnostics and AST spans bit-identical to the sequential parse.
     """
 

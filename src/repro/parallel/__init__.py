@@ -1,13 +1,7 @@
 """Parallel execution backends and scheduling strategies."""
 
 from .backend import ExecutionBackend, stream_task_results
-from .fault_tolerance import (
-    ChaosBackend,
-    FlakyBackend,
-    FunctionMasterFailure,
-    RetryBudgetExceeded,
-    RetryingBackend,
-)
+from .fault_tolerance import ChaosBackend, FunctionMasterFailure
 from .local import ProcessPoolBackend, SerialBackend
 from .parallel_make import (
     MakeCycleError,
@@ -36,11 +30,8 @@ __all__ = [
     "Assignment",
     "ChaosBackend",
     "ExecutionBackend",
-    "FlakyBackend",
     "FunctionMasterFailure",
     "MakeCycleError",
-    "RetryBudgetExceeded",
-    "RetryingBackend",
     "SupervisedBackend",
     "SupervisionStats",
     "WorkerHealthTracker",

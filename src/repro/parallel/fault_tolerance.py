@@ -1,18 +1,16 @@
-"""Fault-tolerant task execution and deterministic fault injection.
+"""Deterministic fault injection for the function-master farm.
 
 The paper's §5.2 is a lament about exactly this: "it is hard to make a
 parallel program reliable ... the application code becomes unwieldy as it
 tries to account for all possible failures in the child processes and
-their host processors."  This module packages that unwieldy code once:
+their host processors."  The careful master that accounts for them is
+:class:`repro.parallel.supervisor.SupervisedBackend` (retries,
+deadlines, hedging, quarantine, poison isolation); this module is the
+other half, the faults to be careful about:
 
-- :class:`RetryingBackend` wraps any execution backend and resubmits
-  failed function-master tasks (on the real network: a crashed Lisp
-  process or a rebooted workstation) until they succeed or a retry budget
-  is exhausted;
-- :class:`FlakyBackend` is the matching crash injector: it makes an
-  inner backend fail deterministically (seeded), so recovery paths are
-  testable and benchmarkable;
-- :class:`ChaosBackend` is the full fault suite — clean crashes, hangs
+- :class:`FunctionMasterFailure` is how one attempt's death (injected
+  or real) is reported to the supervisor;
+- :class:`ChaosBackend` is the fault suite — clean crashes, hangs
   (slow tasks), corrupt result payloads, whole-worker death, and poison
   tasks that crash on every worker — over a set of *simulated named
   workers*, so the supervisor's health tracking and quarantine logic
@@ -21,8 +19,6 @@ their host processors."  This module packages that unwieldy code once:
 Because function masters are pure (same task -> same object code), retry
 is always safe: the section master cannot tell a first-try result from a
 third-try result, and the final download module stays bit-identical.
-The richer failure taxonomy (deadlines, hedging, quarantine, poison
-isolation) lives in :mod:`repro.parallel.supervisor`.
 """
 
 from __future__ import annotations
@@ -59,205 +55,8 @@ class FunctionMasterFailure(Exception):
         )
 
 
-class RetryBudgetExceeded(Exception):
-    """Tasks kept failing past the retry budget.
-
-    ``failures`` carries the *complete attempt history* of every task
-    that was given up on — one :class:`FunctionMasterFailure` per failed
-    attempt, across all retry rounds, in round order.
-    """
-
-    def __init__(self, failures: List[FunctionMasterFailure]):
-        self.failures = failures
-        seen = []
-        for f in failures:
-            name = f"{f.task.section_name}.{f.task.function_name}"
-            if name not in seen:
-                seen.append(name)
-        super().__init__(f"gave up on: {', '.join(seen)}")
-
-
 def _task_key(task: FunctionTask) -> Tuple[str, str]:
     return (task.section_name, task.function_name)
-
-
-class FlakyBackend:
-    """Deterministic failure injection around any backend.
-
-    Each (task, attempt) pair fails with probability ``failure_rate``,
-    decided by a private seeded generator — the same seed always produces
-    the same crash pattern, so tests and benchmarks are reproducible.
-    """
-
-    def __init__(
-        self,
-        inner: ExecutionBackend,
-        failure_rate: float,
-        seed: int = 0,
-        max_failures_per_task: Optional[int] = None,
-    ):
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError(f"failure rate must be in [0, 1), got {failure_rate}")
-        self.inner = inner
-        self.failure_rate = failure_rate
-        self._rng = random.Random(seed)
-        self.max_failures_per_task = max_failures_per_task
-        self._attempts: Dict[Tuple[str, str], int] = {}
-        self.injected_failures = 0
-
-    @property
-    def worker_count(self) -> int:
-        return self.inner.worker_count
-
-    @property
-    def effective_worker_count(self) -> int:
-        return getattr(
-            self.inner, "effective_worker_count", self.inner.worker_count
-        )
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        results, failures = self.run_tasks_partial(tasks)
-        if failures:
-            raise failures[0]
-        return results
-
-    def _decide(
-        self, tasks: List[FunctionTask]
-    ) -> Tuple[List[FunctionTask], List[FunctionMasterFailure]]:
-        """Draw this round's crash pattern (consuming the shared RNG in
-        task order); returns (survivors, doomed)."""
-        doomed: List[FunctionMasterFailure] = []
-        survivors: List[FunctionTask] = []
-        for task in tasks:
-            key = _task_key(task)
-            attempt = self._attempts.get(key, 0)
-            self._attempts[key] = attempt + 1
-            fail = self._rng.random() < self.failure_rate
-            if self.max_failures_per_task is not None:
-                fail = fail and attempt < self.max_failures_per_task
-            if fail:
-                self.injected_failures += 1
-                doomed.append(
-                    FunctionMasterFailure(
-                        task, f"injected crash on attempt {attempt + 1}"
-                    )
-                )
-            else:
-                survivors.append(task)
-        return survivors, doomed
-
-    def run_tasks_partial(
-        self, tasks: List[FunctionTask]
-    ) -> Tuple[List[FunctionTaskResult], List[FunctionMasterFailure]]:
-        """Run tasks, injecting crashes; survivors are still computed."""
-        survivors, doomed = self._decide(tasks)
-        results = self.inner.run_tasks(survivors) if survivors else []
-        return results, doomed
-
-    def run_tasks_streaming(
-        self, tasks: List[FunctionTask]
-    ) -> Iterator[FunctionTaskResult]:
-        """Native streaming with partial failure: survivors are yielded
-        incrementally (through the inner backend's own streaming), then
-        the first injected crash is raised as a per-task
-        :class:`FunctionMasterFailure` — so streaming consumers see real
-        partial progress instead of the barrier adapter's
-        all-or-nothing behaviour.  The crash pattern is drawn up front
-        in task order, so a given seed produces exactly the same
-        failures as ``run_tasks_partial``."""
-        survivors, doomed = self._decide(tasks)
-        if survivors:
-            yield from stream_task_results(self.inner, survivors)
-        if doomed:
-            raise doomed[0]
-
-
-class RetryingBackend:
-    """Resubmit failed function-master tasks, like a careful §5.2 master.
-
-    Works with any inner backend: backends exposing
-    ``run_tasks_partial`` (like :class:`FlakyBackend`) report per-task
-    failures in bulk; plain backends are driven one task at a time so a
-    single crash cannot take down the whole batch.
-
-    The wrapper is transparent: besides forwarding
-    ``effective_worker_count`` and the streaming API, unknown attributes
-    (``is_warm``, ``dispatches``, ``shutdown``, ...) delegate to the
-    inner backend instead of being hidden by the wrapper.
-    """
-
-    def __init__(self, inner, max_attempts: int = 3):
-        if max_attempts < 1:
-            raise ValueError(f"need at least one attempt, got {max_attempts}")
-        self.inner = inner
-        self.max_attempts = max_attempts
-        self.retries_performed = 0
-
-    def __getattr__(self, name: str):
-        # Only reached for attributes RetryingBackend itself lacks.  The
-        # __dict__ lookup avoids recursing before __init__ ran (e.g.
-        # during unpickling).
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    @property
-    def worker_count(self) -> int:
-        return self.inner.worker_count
-
-    @property
-    def effective_worker_count(self) -> int:
-        return getattr(
-            self.inner, "effective_worker_count", self.inner.worker_count
-        )
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
-
-    def run_tasks_streaming(
-        self, tasks: List[FunctionTask]
-    ) -> Iterator[FunctionTaskResult]:
-        """Yield each task's result as soon as an attempt produces it;
-        failed tasks re-enter the pending set for the next round.
-
-        Failures are accumulated across rounds: when the budget runs out,
-        :class:`RetryBudgetExceeded` carries every failed attempt of every
-        given-up task, not just the final round's."""
-        pending = list(tasks)
-        history: Dict[Tuple[str, str], List[FunctionMasterFailure]] = {}
-        for attempt in range(1, self.max_attempts + 1):
-            if not pending:
-                break
-            if attempt > 1:
-                self.retries_performed += len(pending)
-            results, failures = self._attempt(pending)
-            yield from results
-            for failure in failures:
-                history.setdefault(_task_key(failure.task), []).append(failure)
-            pending = [f.task for f in failures]
-        if pending:
-            raise RetryBudgetExceeded(
-                [
-                    failure
-                    for task in pending
-                    for failure in history[_task_key(task)]
-                ]
-            )
-
-    def _attempt(self, tasks: List[FunctionTask]):
-        if hasattr(self.inner, "run_tasks_partial"):
-            return self.inner.run_tasks_partial(tasks)
-        results: List[FunctionTaskResult] = []
-        failures: List[FunctionMasterFailure] = []
-        for task in tasks:
-            try:
-                results.extend(self.inner.run_tasks([task]))
-            except FunctionMasterFailure as failure:
-                failures.append(failure)
-            except Exception as error:  # a real child-process death
-                failures.append(FunctionMasterFailure(task, repr(error)))
-        return results, failures
 
 
 class ChaosBackend:

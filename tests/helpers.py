@@ -52,6 +52,18 @@ def wrap_function(body: str, cells: str = "0..0") -> str:
     return f"module m\nsection s (cells {cells})\n{body}\nend\nend\n"
 
 
+def plain_retry(inner, max_attempts: int = 3, **kwargs):
+    """A :class:`SupervisedBackend` reduced to plain retry: no hedging,
+    and neither quarantine nor the distinct-worker rule ends a task
+    before its attempt budget does."""
+    from repro.parallel.supervisor import SupervisedBackend
+
+    kwargs.setdefault("hedge_after", None)
+    kwargs.setdefault("poison_threshold", 100)
+    kwargs.setdefault("quarantine_after", 100)
+    return SupervisedBackend(inner, max_attempts=max_attempts, **kwargs)
+
+
 def compile_and_run(
     source: str,
     inputs: List[Number],

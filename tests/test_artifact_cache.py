@@ -251,15 +251,19 @@ class TestWriteBackUnderFailure:
     stub) cannot masquerade as a healthy farm artifact next build."""
 
     def test_retried_then_successful_task_is_written_back(self, cache):
-        from repro.parallel.fault_tolerance import FlakyBackend, RetryingBackend
+        from repro.parallel.fault_tolerance import ChaosBackend
+        from repro.parallel.supervisor import SupervisedBackend
 
         # Every task fails exactly once, then succeeds on retry.
-        flaky = FlakyBackend(
-            SerialBackend(), 0.999, seed=1, max_failures_per_task=1
+        flaky = ChaosBackend(
+            SerialBackend(), crash_rate=1.0, seed=1, max_failures_per_task=1
         )
-        backend = RetryingBackend(flaky, max_attempts=3)
+        backend = SupervisedBackend(
+            flaky, max_attempts=3, hedge_after=None, quarantine_after=100
+        )
         cold = ParallelCompiler(backend=backend, cache=cache).compile(SOURCE)
-        assert flaky.injected_failures == 4  # all four tasks were retried
+        assert flaky.injected_crashes == 4  # all four tasks were retried
+        assert not cold.profile.poisoned_functions()
         assert cold.profile.artifact_cache_misses() == 4
         assert cache.entry_count() == 4
 

@@ -39,6 +39,103 @@ def bad_file(tmp_path):
     return str(path)
 
 
+class TestCacheSwitch:
+    """``--parallel`` with ``--cache-dir`` / ``--no-cache`` is the one
+    switch for the artifact, parse and link tiers."""
+
+    SOURCE = """
+module tiers
+  section a (cells 0..2)
+    function a1(): int begin return 11; end
+    function a2(): int begin return 12; end
+  end
+  section b (cells 3..5)
+    function b1(): int begin return 21; end
+    function b2(): int begin return 22; end
+  end
+  section c (cells 6..8)
+    function c1(): int begin return 31; end
+  end
+end
+"""
+    FUNCTIONS, SECTIONS = 5, 3
+
+    def compile_json(self, path, cache_dir, capsys):
+        import json
+
+        from repro.driver.function_master import clear_phase1_cache
+
+        clear_phase1_cache()  # each CLI run is a new process's memo
+        assert main([
+            "compile", str(path), "--parallel", "--jobs", "1",
+            "--cache-dir", str(cache_dir), "--json",
+        ]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_cache_dir_drives_all_three_tiers(self, tmp_path, capsys):
+        from repro import SequentialCompiler
+
+        path, cache_dir = tmp_path / "tiers.w2", tmp_path / "cache"
+        path.write_text(self.SOURCE)
+        want = SequentialCompiler().compile(self.SOURCE).digest
+
+        cold = self.compile_json(path, cache_dir, capsys)
+        assert cold["digest"] == want
+        for tier in ("artifact_cache", "parse_cache"):
+            assert (cold[tier]["hits"], cold[tier]["misses"]) == (
+                0, self.FUNCTIONS,
+            )
+        assert cold["profile"]["link_cache_misses"] == self.SECTIONS
+
+        warm = self.compile_json(path, cache_dir, capsys)
+        assert warm["digest"] == want
+        for tier in ("artifact_cache", "parse_cache"):
+            assert (warm[tier]["hits"], warm[tier]["misses"]) == (
+                self.FUNCTIONS, 0,
+            )
+        assert warm["link_cache"]["hits"] == 1  # the whole module
+        assert warm["profile"]["phase4_mode"] == "cached"
+
+        edited = self.SOURCE.replace("return 12;", "return 1200;")
+        path.write_text(edited)
+        edit = self.compile_json(path, cache_dir, capsys)
+        assert edit["digest"] == SequentialCompiler().compile(edited).digest
+        for tier in ("artifact_cache", "parse_cache"):
+            assert (edit[tier]["hits"], edit[tier]["misses"]) == (
+                self.FUNCTIONS - 1, 1,
+            )
+        profile = edit["profile"]
+        assert profile["phase4_mode"] == "parallel"
+        assert (profile["link_cache_hits"], profile["link_cache_misses"]) == (
+            self.SECTIONS - 1, 1,
+        )
+
+    @pytest.mark.parametrize("flag", [
+        "--phase1-jobs", "--phase4-jobs", "--no-parse-cache",
+        "--no-link-cache",
+    ])
+    def test_removed_flags_are_rejected(self, good_file, flag, capsys):
+        value = ["2"] if flag.endswith("jobs") else []
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", good_file, flag, *value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_knobs_are_named_nowhere_in_src(self):
+        from pathlib import Path
+
+        import repro
+
+        removed = (
+            "WARPCC_PARSE_CACHE_DIR", "WARPCC_LINK_CACHE_DIR",
+            "WARPCC_PHASE1_CACHE", "phase1_jobs", "phase4_jobs",
+        )
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for name in removed:
+                assert name not in text, f"{name} in {path}"
+
+
 class TestCompile:
     def test_report(self, good_file, capsys):
         assert main(["compile", good_file]) == 0

@@ -12,15 +12,11 @@ import pytest
 from repro.driver.function_master import FunctionTask, run_compile_task, run_function_master
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
-from repro.parallel.fault_tolerance import (
-    FlakyBackend,
-    RetryBudgetExceeded,
-    RetryingBackend,
-)
+from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import ProcessPoolBackend, SerialBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
-from helpers import wrap_function
+from helpers import plain_retry, wrap_function
 
 SOURCE = """
 module grains
@@ -109,22 +105,29 @@ class TestSectionGranularityBackends:
         assert backend.dispatches == 2
 
     def test_section_granularity_with_retrying_flaky_backend(self):
-        flaky = FlakyBackend(
-            SerialBackend(), 0.6, seed=1, max_failures_per_task=2
+        flaky = ChaosBackend(
+            SerialBackend(), crash_rate=0.6, seed=1, max_failures_per_task=2
         )
-        backend = RetryingBackend(flaky, max_attempts=4)
+        backend = plain_retry(flaky, max_attempts=4)
         parallel = ParallelCompiler(
             backend=backend, granularity="section"
         ).compile(SOURCE)
         sequential = SequentialCompiler().compile(SOURCE)
         assert parallel.digest == sequential.digest
-        assert flaky.injected_failures > 0
-        assert backend.retries_performed > 0
+        assert flaky.injected_crashes > 0
+        assert backend.supervision.retries == flaky.injected_crashes
+        assert backend.supervision.poisoned_tasks == 0
 
     def test_section_granularity_retry_budget_still_enforced(self):
-        flaky = FlakyBackend(SerialBackend(), 0.999, seed=1)
-        backend = RetryingBackend(flaky, max_attempts=2)
-        with pytest.raises(RetryBudgetExceeded):
-            ParallelCompiler(
-                backend=backend, granularity="section"
-            ).compile(SOURCE)
+        # A section task gets its two farm attempts and no more; it is
+        # then compiled in-process, whole, and the module is unchanged.
+        flaky = ChaosBackend(SerialBackend(), crash_rate=1.0, seed=1)
+        backend = plain_retry(flaky, max_attempts=2)
+        parallel = ParallelCompiler(
+            backend=backend, granularity="section"
+        ).compile(SOURCE)
+        sections = len({f.section_name for f in parallel.profile.functions})
+        assert flaky.injected_crashes == 2 * sections
+        assert backend.supervision.poisoned_tasks == sections
+        assert all(f.poisoned for f in parallel.profile.functions)
+        assert parallel.digest == SequentialCompiler().compile(SOURCE).digest

@@ -17,7 +17,7 @@ from repro.fabric import (
     NetworkCacheClient,
     TieredCache,
 )
-from repro.fabric.netcache import pack_blob_raw
+from repro.fabric.wire import pack_bytes
 
 SOURCE = """
 module net_mod
@@ -82,7 +82,7 @@ class TestClientServer:
         fp, result = _artifact()
         blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {"op": "cache-put", "key": fp}
-        payload.update(pack_blob_raw(blob))
+        payload.update(pack_bytes(blob))
         payload["sha256"] = "0" * 64
         reply = client._request(payload)
         assert reply is not None and not reply.get("ok")

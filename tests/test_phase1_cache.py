@@ -9,9 +9,9 @@ modules sharing a filename can never collide.
 import pytest
 
 from repro.driver.function_master import (
+    PHASE1_CACHE_CAPACITY,
     FunctionTask,
     clear_phase1_cache,
-    configure_phase1_cache,
     phase1_cache_stats,
     phase1_cached,
     run_compile_task,
@@ -46,10 +46,8 @@ end
 @pytest.fixture(autouse=True)
 def fresh_cache():
     clear_phase1_cache()
-    configure_phase1_cache(8)
     yield
     clear_phase1_cache()
-    configure_phase1_cache(8)
 
 
 class TestCacheSemantics:
@@ -87,16 +85,15 @@ class TestCacheSemantics:
         assert phase1_cache_stats() == (0, 0)
 
     def test_lru_eviction_is_bounded(self):
-        configure_phase1_cache(1)
         phase1_cached(SOURCE_A, "<t>")
-        phase1_cached(SOURCE_B, "<t>")  # evicts A
+        for index in range(PHASE1_CACHE_CAPACITY):  # evicts A, the oldest
+            phase1_cached(SOURCE_B, f"<t{index}>")
         _parsed, hit = phase1_cached(SOURCE_A, "<t>")
         assert not hit
-        assert phase1_cache_stats() == (0, 3)
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            configure_phase1_cache(0)
+        assert phase1_cache_stats() == (0, PHASE1_CACHE_CAPACITY + 2)
+        # ... while the most recent ones are all still there.
+        _parsed, hit = phase1_cached(SOURCE_B, f"<t{PHASE1_CACHE_CAPACITY - 1}>")
+        assert hit
 
 
 class TestCacheTelemetry:

@@ -1,4 +1,4 @@
-"""Parallel + incremental phase 1: bit-identity with the sequential
+"""Incremental phase 1: bit-identity with the sequential
 front end, and the span-hash parse cache's invalidation contract.
 
 The headline property mirrors the paper's own correctness requirement
@@ -19,7 +19,6 @@ from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import (
     Phase1Stats,
-    phase1_critical_path_work,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -41,7 +40,7 @@ def _assert_equivalent(source: str, **kwargs):
     phase1_parse_and_check(source) in every observable way."""
     seq = phase1_parse_and_check(source)
     stats = Phase1Stats()
-    par = phase1_parallel(source, jobs=2, stats=stats, **kwargs)
+    par = phase1_parallel(source, stats=stats, **kwargs)
     # Deep structural + span equality (AST dataclasses compare fields;
     # expression types are excluded from eq but unparse covers shape).
     assert par.module == seq.module
@@ -127,7 +126,7 @@ def test_error_modules_raise_identical_diagnostics(source):
     with pytest.raises(CompileError) as seq_err:
         phase1_parse_and_check(source)
     with pytest.raises(CompileError) as par_err:
-        phase1_parallel(source, jobs=2)
+        phase1_parallel(source)
     assert _render(par_err.value) == _render(seq_err.value)
 
 
@@ -139,7 +138,7 @@ def test_error_module_with_parse_cache_still_canonical():
             phase1_parse_and_check(source)
         for _ in range(2):  # cold, then possibly-cached second attempt
             with pytest.raises(CompileError) as par_err:
-                phase1_parallel(source, jobs=2, parse_cache=cache)
+                phase1_parallel(source, parse_cache=cache)
             assert _render(par_err.value) == _render(seq_err.value)
 
 
@@ -155,10 +154,10 @@ def test_parse_cache_cold_then_warm():
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         cold = Phase1Stats()
-        phase1_parallel(SOURCE, jobs=2, parse_cache=cache, stats=cold)
+        phase1_parallel(SOURCE, parse_cache=cache, stats=cold)
         assert (cold.cache_hits, cold.cache_misses) == (0, FUNCTIONS)
         warm = Phase1Stats()
-        par = phase1_parallel(SOURCE, jobs=2, parse_cache=cache, stats=warm)
+        par = phase1_parallel(SOURCE, parse_cache=cache, stats=warm)
         assert (warm.cache_hits, warm.cache_misses) == (FUNCTIONS, 0)
         assert par.module == phase1_parse_and_check(SOURCE).module
 
@@ -169,7 +168,7 @@ def test_body_edit_reparses_exactly_one_function():
     so every later function's cached spans go through the rebase."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
-        phase1_parallel(SOURCE, jobs=2, parse_cache=cache)
+        phase1_parallel(SOURCE, parse_cache=cache)
         edited = SOURCE.replace(
             "acc := 0.0;",
             "acc := 0.0;\n    acc := acc + 1.0;\n    acc := acc + 2.0;",
@@ -177,7 +176,7 @@ def test_body_edit_reparses_exactly_one_function():
         )
         assert edited != SOURCE
         stats = Phase1Stats()
-        par = phase1_parallel(edited, jobs=2, parse_cache=cache, stats=stats)
+        par = phase1_parallel(edited, parse_cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS - 1, 1)
         # Rebased entries must be bit-identical to a fresh parse: spans,
         # structure, everything.
@@ -191,14 +190,14 @@ def test_signature_edit_invalidates_whole_section():
     (call-site checking reads the shared signature table)."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
-        phase1_parallel(SOURCE, jobs=2, parse_cache=cache)
+        phase1_parallel(SOURCE, parse_cache=cache)
         edited = SOURCE.replace(
             "function f1(x: float, y: float) : float",
             "function f1(x: float, y: float, z: float) : float",
         )
         assert edited != SOURCE
         stats = Phase1Stats()
-        phase1_parallel(edited, jobs=2, parse_cache=cache, stats=stats)
+        phase1_parallel(edited, parse_cache=cache, stats=stats)
         assert stats.cache_hits == 0
         assert stats.cache_misses == FUNCTIONS
 
@@ -208,32 +207,14 @@ def test_comment_only_edit_hits_everything():
     every function's window text untouched — all hits, spans rebased."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
-        phase1_parallel(SOURCE, jobs=2, parse_cache=cache)
+        phase1_parallel(SOURCE, parse_cache=cache)
         edited = SOURCE.replace(
             "module ", "-- a new comment line\nmodule ", 1
         )
         stats = Phase1Stats()
-        par = phase1_parallel(edited, jobs=2, parse_cache=cache, stats=stats)
+        par = phase1_parallel(edited, parse_cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
         assert par.module == phase1_parse_and_check(edited).module
-
-
-# ---------------------------------------------------------------------------
-# Deterministic scaling model
-# ---------------------------------------------------------------------------
-
-
-def test_critical_path_work_scales():
-    stats = Phase1Stats()
-    phase1_parallel(synthetic_program("huge", 8), jobs=1, stats=stats)
-    assert stats.mode == "parallel"
-    assert len(stats.window_work) == 8
-    one = phase1_critical_path_work(stats, 1)
-    four = phase1_critical_path_work(stats, 4)
-    assert one / four >= 2.0
-    # Monotone: more jobs never lengthen the critical path.
-    assert phase1_critical_path_work(stats, 2) <= one
-    assert four <= phase1_critical_path_work(stats, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +228,7 @@ def test_compiler_with_parallel_front_end_is_bit_identical():
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         compiler = ParallelCompiler(
-            backend=SerialBackend(), phase1_jobs=2, parse_cache=cache
+            backend=SerialBackend(), parse_cache=cache
         )
         clear_phase1_cache()
         cold = compiler.compile(SOURCE)
@@ -274,7 +255,7 @@ def test_compile_cli_json_reports_parse_cache(tmp_path, capsys):
     clear_phase1_cache()
     code = main([
         "compile", str(source_path),
-        "--phase1-jobs", "2", "--jobs", "1",
+        "--parallel", "--jobs", "1",
         "--cache-dir", str(tmp_path / "cache"),
         "--json",
     ])

@@ -1,10 +1,10 @@
-"""Parallel + incremental phase 4: bit-identity with the sequential
-back end, and the link/module cache's invalidation contract.
+"""Incremental phase 4: bit-identity with the sequential back end, and
+the link/module cache's invalidation contract.
 
 The headline property mirrors the paper's own correctness requirement
 (recombined parallel output must be bit-identical to sequential, §3.2)
 at the back end: over 200 generator seeds across size classes, the
-download module produced by :func:`phase4_parallel` — cold, warm
+download module produced by :class:`Phase4Runner` — cold, warm
 (section tier), and fully warm (module tier) — has the same
 :func:`module_digest` as the sequential
 :func:`phase4_link_and_download`.  Error paths raise the identical
@@ -24,9 +24,7 @@ from repro.driver.phases import (
     Phase4Runner,
     Phase4Stats,
     phase1_parse_and_check,
-    phase4_critical_path_work,
     phase4_link_and_download,
-    phase4_parallel,
 )
 from repro.driver.section_master import combine_section_results
 from repro.driver.sequential import SequentialCompiler
@@ -46,6 +44,21 @@ def _combined_for(source, array=None):
         )
         combined[section.name] = combine_section_results(section, results)
     return parsed, combined
+
+
+def run_phase4(
+    parsed, combined, array, diagnostics_text="", link_cache=None, stats=None
+):
+    """Drive the runner the way the master does once every section is
+    combined: probe the module tier, else announce each section."""
+    runner = Phase4Runner(
+        parsed, array, diagnostics_text, link_cache=link_cache, stats=stats
+    )
+    cached = runner.lookup_module(combined)
+    if cached is None:
+        for section in parsed.module.sections:
+            runner.section_ready(combined[section.name])
+    return runner.finish(combined, cached_module=cached)
 
 
 def _objects(combined):
@@ -78,8 +91,8 @@ def test_parallel_phase4_matches_sequential_across_seeds(block):
             want = module_digest(seq_module)
             # Plain parallel, no cache.
             stats = Phase4Stats()
-            par_module, par_aw, par_lw = phase4_parallel(
-                parsed, combined, ARRAY, jobs=2, stats=stats
+            par_module, par_aw, par_lw = run_phase4(
+                parsed, combined, ARRAY, stats=stats
             )
             assert module_digest(par_module) == want, (
                 f"{size_class} seed {seed}"
@@ -90,16 +103,16 @@ def test_parallel_phase4_matches_sequential_across_seeds(block):
             assert (par_aw, par_lw) == (seq_aw, seq_lw)
             # Cold through the cache: every section is a miss.
             cold = Phase4Stats()
-            cold_module, _, _ = phase4_parallel(
-                parsed, combined, ARRAY, jobs=2, link_cache=cache, stats=cold
+            cold_module, _, _ = run_phase4(
+                parsed, combined, ARRAY, link_cache=cache, stats=cold
             )
             assert module_digest(cold_module) == want
             assert cold.link_cache_misses == len(parsed.module.sections)
             assert cold.link_cache_hits == 0
             # Fully warm: the module tier answers, phase 4 is skipped.
             warm = Phase4Stats()
-            warm_module, _, _ = phase4_parallel(
-                parsed, combined, ARRAY, jobs=2, link_cache=cache, stats=warm
+            warm_module, _, _ = run_phase4(
+                parsed, combined, ARRAY, link_cache=cache, stats=warm
             )
             assert module_digest(warm_module) == want
             assert warm.mode == "cached"
@@ -141,14 +154,14 @@ def test_link_cache_cold_then_warm_section_tier():
         cache = LinkCache(tmp)
         cold = Phase4Stats()
         runner = Phase4Runner(
-            parsed, ARRAY, jobs=2, link_cache=cache, stats=cold
+            parsed, ARRAY, link_cache=cache, stats=cold
         )
         module, _, _ = runner.finish(combined)  # no lookup_module probe
         assert module_digest(module) == want
         assert (cold.link_cache_hits, cold.link_cache_misses) == (0, SECTIONS)
         warm = Phase4Stats()
         runner = Phase4Runner(
-            parsed, ARRAY, jobs=2, link_cache=cache, stats=warm
+            parsed, ARRAY, link_cache=cache, stats=warm
         )
         module, _, _ = runner.finish(combined)
         assert module_digest(module) == want
@@ -162,11 +175,11 @@ def test_one_function_edit_relinks_exactly_one_section():
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
         parsed, combined = _combined_for(SOURCE)
-        phase4_parallel(parsed, combined, ARRAY, jobs=2, link_cache=cache)
+        run_phase4(parsed, combined, ARRAY, link_cache=cache)
         parsed2, combined2 = _combined_for(EDITED)
         stats = Phase4Stats()
-        module, _, _ = phase4_parallel(
-            parsed2, combined2, ARRAY, jobs=2, link_cache=cache, stats=stats
+        module, _, _ = run_phase4(
+            parsed2, combined2, ARRAY, link_cache=cache, stats=stats
         )
         assert stats.mode == "parallel"  # module tier must miss
         assert (stats.link_cache_hits, stats.link_cache_misses) == (
@@ -185,12 +198,12 @@ def test_geometry_change_invalidates_section_entries():
     parsed, combined = _combined_for(SOURCE)
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
-        phase4_parallel(parsed, combined, ARRAY, jobs=2, link_cache=cache)
+        run_phase4(parsed, combined, ARRAY, link_cache=cache)
         small = WarpArrayModel(cell_count=10)
         small.cell.data_memory_words //= 2
         stats = Phase4Stats()
-        module, _, _ = phase4_parallel(
-            parsed, combined, small, jobs=2, link_cache=cache, stats=stats
+        module, _, _ = run_phase4(
+            parsed, combined, small, link_cache=cache, stats=stats
         )
         assert stats.link_cache_hits == 0
         assert stats.link_cache_misses == SECTIONS
@@ -206,14 +219,14 @@ def test_diagnostics_text_keys_the_module_tier():
     parsed, combined = _combined_for(SOURCE)
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
-        phase4_parallel(
+        run_phase4(
             parsed, combined, ARRAY, diagnostics_text="warn: a",
-            jobs=2, link_cache=cache,
+            link_cache=cache,
         )
         stats = Phase4Stats()
-        module, _, _ = phase4_parallel(
+        module, _, _ = run_phase4(
             parsed, combined, ARRAY, diagnostics_text="warn: b",
-            jobs=2, link_cache=cache, stats=stats,
+            link_cache=cache, stats=stats,
         )
         assert not stats.module_cache_hit
         assert module.diagnostics_text == "warn: b"
@@ -230,8 +243,8 @@ def test_stripped_assembly_still_links_identically():
     for section in combined.values():
         section.assembled.clear()
     stats = Phase4Stats()
-    module, _, _ = phase4_parallel(
-        parsed, combined, ARRAY, jobs=2, stats=stats
+    module, _, _ = run_phase4(
+        parsed, combined, ARRAY, stats=stats
     )
     assert stats.mode == "parallel"
     assert module_digest(module) == want
@@ -246,7 +259,7 @@ def test_mismatched_assembly_payload_is_reassembled():
     )
     victim = combined["a"].assembled["a1"]
     victim.frame_words += 7717
-    module, _, _ = phase4_parallel(parsed, combined, ARRAY, jobs=2)
+    module, _, _ = run_phase4(parsed, combined, ARRAY)
     assert module_digest(module) == want
 
 
@@ -262,7 +275,7 @@ def test_bad_cell_range_raises_identical_error():
         phase4_link_and_download(parsed, _objects(combined), small)
     stats = Phase4Stats()
     with pytest.raises(ValueError) as par_err:
-        phase4_parallel(parsed, combined, small, jobs=2, stats=stats)
+        run_phase4(parsed, combined, small, stats=stats)
     assert str(par_err.value) == str(seq_err.value)
     assert stats.mode == "fallback"
     assert "range validation" in stats.fallback_reason
@@ -272,8 +285,8 @@ def test_poisoned_section_falls_back_to_sequential():
     parsed, combined = _combined_for(SOURCE)
     combined["b"].reports[0].poisoned = 1
     stats = Phase4Stats()
-    module, _, _ = phase4_parallel(
-        parsed, combined, ARRAY, jobs=2, stats=stats
+    module, _, _ = run_phase4(
+        parsed, combined, ARRAY, stats=stats
     )
     assert stats.mode == "fallback"
     assert "poisoned" in stats.fallback_reason
@@ -287,11 +300,11 @@ def test_poisoned_section_never_served_from_module_cache():
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
         parsed, combined = _combined_for(SOURCE)
-        phase4_parallel(parsed, combined, ARRAY, jobs=2, link_cache=cache)
+        run_phase4(parsed, combined, ARRAY, link_cache=cache)
         combined["a"].reports[0].poisoned = 1
         stats = Phase4Stats()
         runner = Phase4Runner(
-            parsed, ARRAY, jobs=2, link_cache=cache, stats=stats
+            parsed, ARRAY, link_cache=cache, stats=stats
         )
         assert runner.lookup_module(combined) is None
         assert not stats.module_cache_hit
@@ -300,7 +313,7 @@ def test_poisoned_section_never_served_from_module_cache():
 def test_duplicate_section_delivery_taints():
     parsed, combined = _combined_for(SOURCE)
     stats = Phase4Stats()
-    runner = Phase4Runner(parsed, ARRAY, jobs=2, stats=stats)
+    runner = Phase4Runner(parsed, ARRAY, stats=stats)
     runner.section_ready(combined["a"])
     runner.section_ready(combined["a"])  # double delivery
     module, _, _ = runner.finish(combined)
@@ -321,18 +334,9 @@ def test_unknown_section_taints():
     stray.section_name = "ghost"
     for obj in stray.objects:
         obj.section_name = "ghost"
-    runner = Phase4Runner(parsed, ARRAY, jobs=2)
+    runner = Phase4Runner(parsed, ARRAY)
     runner.section_ready(stray)
     assert runner._taint_reason is not None
-
-
-def test_jobs_must_be_positive():
-    parsed, combined = _combined_for(SOURCE)
-    with pytest.raises(ValueError):
-        Phase4Runner(parsed, ARRAY, jobs=0)
-    stats = Phase4Stats()
-    with pytest.raises(ValueError):
-        phase4_critical_path_work(stats, 0)
 
 
 ERROR_MODULES = [
@@ -348,57 +352,43 @@ ERROR_MODULES = [
 
 @pytest.mark.parametrize("source", ERROR_MODULES)
 def test_error_modules_identical_diagnostics_end_to_end(source):
-    """Front-end errors never reach phase 4, but the phase-4-parallel
-    compiler must still render the canonical diagnostics."""
+    """Front-end errors never reach phase 4, but the parallel compiler
+    must still render the canonical diagnostics."""
 
     def _render(error):
         return "\n".join(d.render() for d in error.diagnostics)
 
     with pytest.raises(CompileError) as seq_err:
         SequentialCompiler().compile(source)
-    compiler = ParallelCompiler(backend=SerialBackend(), phase4_jobs=2)
+    compiler = ParallelCompiler(backend=SerialBackend())
     with pytest.raises(CompileError) as par_err:
         compiler.compile(source)
     assert _render(par_err.value) == _render(seq_err.value)
 
 
-# ---------------------------------------------------------------------------
-# Deterministic scaling model
-# ---------------------------------------------------------------------------
-
-
-def test_critical_path_work_model():
-    stats = Phase4Stats(
-        section_assembly_work=[40, 30, 20, 10],
-        section_link_work=[40, 30, 20, 10],
-        tail_work=10,
-    )
-    # jobs=1 without distributed assembly is exactly the sequential
-    # back end: all assembly + all link + the tail.
-    sequential = phase4_critical_path_work(
-        stats, 1, distributed_assembly=False
-    )
-    assert sequential == 10 + (40 + 30 + 20 + 10) * 2
-    one = phase4_critical_path_work(stats, 1)
-    two = phase4_critical_path_work(stats, 2)
-    four = phase4_critical_path_work(stats, 4)
-    assert one == 10 + 100
-    assert two == 10 + 50  # LPT: {40,10} {30,20}
-    assert four == 10 + 40
-    assert four <= two <= one <= sequential
-
-
 def test_runner_fills_work_model_on_every_path():
+    """The (assembly work, link work) pair is the sequential tail's on
+    the cold, section-warm, module-cached and fallback paths alike."""
     parsed, combined = _combined_for(SOURCE)
-    for link_cache in (None, LinkCache(tempfile.mkdtemp())):
+    _, want_aw, want_lw = phase4_link_and_download(
+        parsed, _objects(combined), ARRAY
+    )
+    cache = LinkCache(tempfile.mkdtemp())
+    modes = []
+    for link_cache in (None, cache, cache):
         stats = Phase4Stats()
-        phase4_parallel(
-            parsed, combined, ARRAY, jobs=2,
-            link_cache=link_cache, stats=stats,
+        _, aw, lw = run_phase4(
+            parsed, combined, ARRAY, link_cache=link_cache, stats=stats
         )
-        assert len(stats.section_link_work) == SECTIONS
-        assert len(stats.section_assembly_work) == SECTIONS
-        assert stats.tail_work > 0
+        assert (aw, lw) == (want_aw, want_lw)
+        modes.append(stats.mode)
+    combined["b"].reports[0].poisoned = 1
+    stats = Phase4Stats()
+    _, aw, lw = run_phase4(parsed, combined, ARRAY, stats=stats)
+    assert (aw, lw) == (want_aw, want_lw)
+    assert modes + [stats.mode] == [
+        "parallel", "parallel", "cached", "fallback",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +402,6 @@ def test_compiler_with_parallel_back_end_is_bit_identical():
         compiler = ParallelCompiler(
             backend=SerialBackend(),
             cache=ArtifactCache(tmp + "/artifacts"),
-            phase4_jobs=2,
             link_cache=LinkCache(tmp + "/link"),
         )
         cold = compiler.compile(SOURCE)
@@ -433,6 +422,54 @@ def test_compiler_with_parallel_back_end_is_bit_identical():
         assert "phase4_mode" in warm.profile.to_dict()
 
 
+@pytest.mark.parametrize("with_caches", [False, True])
+def test_compile_starts_no_thread(with_caches, monkeypatch):
+    """Phases 1 and 4 run in the master: a compile over the serial
+    backend starts no thread, with or without the three caches."""
+    import threading
+
+    from repro.cache import ParseCache
+
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    before = threading.enumerate()
+    with tempfile.TemporaryDirectory() as tmp:
+        caches = (
+            dict(
+                cache=ArtifactCache(tmp),
+                parse_cache=ParseCache(tmp),
+                link_cache=LinkCache(tmp),
+            )
+            if with_caches
+            else {}
+        )
+        compiler = ParallelCompiler(backend=SerialBackend(), **caches)
+        for source in (SOURCE, SOURCE, EDITED):  # cold, warm, one edit
+            compiler.compile(source)
+    assert started == []
+    assert threading.enumerate() == before
+
+
+def test_unsupervised_corrupt_assembly_still_links_identically():
+    """The runner consumes shipped assembly on every compile now, so a
+    scribbled pre-assembled payload nobody validated must be discarded
+    at link time — with no supervisor in front to catch it."""
+    from repro.parallel.fault_tolerance import ChaosBackend
+
+    backend = ChaosBackend(SerialBackend(), corrupt_assembly_rate=1.0)
+    compiler = ParallelCompiler(backend=backend)
+    par = compiler.compile(SOURCE)
+    assert backend.injected_assembly_corruptions == 5  # every function
+    assert par.digest == SequentialCompiler().compile(SOURCE).digest
+    assert compiler.last_phase4_stats.mode == "parallel"
+
+
 def test_compile_cli_json_reports_link_cache(tmp_path, capsys):
     import json
 
@@ -442,7 +479,7 @@ def test_compile_cli_json_reports_link_cache(tmp_path, capsys):
     source_path.write_text(SOURCE)
     argv = [
         "compile", str(source_path),
-        "--phase4-jobs", "2", "--jobs", "1",
+        "--parallel", "--jobs", "1",
         "--cache-dir", str(tmp_path / "cache"),
         "--json",
     ]
@@ -465,7 +502,7 @@ def test_no_link_cache_flag_disables_the_cache(tmp_path, capsys):
     source_path.write_text(SOURCE)
     argv = [
         "compile", str(source_path),
-        "--phase4-jobs", "2", "--jobs", "1", "--no-link-cache",
+        "--parallel", "--jobs", "1", "--no-cache",
         "--cache-dir", str(tmp_path / "cache"),
         "--json",
     ]
@@ -474,3 +511,4 @@ def test_no_link_cache_flag_disables_the_cache(tmp_path, capsys):
         document = json.loads(capsys.readouterr().out)
         assert document["profile"]["phase4_mode"] == "parallel"
         assert "link_cache" not in document
+    assert not (tmp_path / "cache").exists()

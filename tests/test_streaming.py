@@ -18,12 +18,12 @@ from repro.driver.section_master import (
 )
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.backend import stream_task_results
-from repro.parallel.fault_tolerance import (
-    FlakyBackend,
-    RetryingBackend,
-)
+from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
 from repro.parallel.local import ProcessPoolBackend, SerialBackend
+from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
+
+from helpers import plain_retry
 
 SOURCE = """
 module streams
@@ -72,11 +72,9 @@ class TestStreamingBackends:
         assert names == ["a1", "a2", "b1"]
 
     def test_flaky_backend_streams_survivors_then_raises(self):
-        from repro.parallel.fault_tolerance import FunctionMasterFailure
-
         # seed chosen so some tasks survive and at least one crashes:
         # the stream must deliver real partial progress before raising.
-        flaky = FlakyBackend(SerialBackend(), 0.5, seed=3)
+        flaky = ChaosBackend(SerialBackend(), crash_rate=0.5, seed=2)
         survivors = []
         with pytest.raises(FunctionMasterFailure) as excinfo:
             for result in flaky.run_tasks_streaming(build_tasks()):
@@ -84,28 +82,24 @@ class TestStreamingBackends:
         assert survivors  # partial progress was yielded, not discarded
         assert excinfo.value.task.function_name not in survivors
         # the crash pattern matches the bulk API under the same seed
-        twin = FlakyBackend(SerialBackend(), 0.5, seed=3)
+        twin = ChaosBackend(SerialBackend(), crash_rate=0.5, seed=2)
         _, failures = twin.run_tasks_partial(build_tasks())
         assert excinfo.value.task.function_name == (
             failures[0].task.function_name
         )
 
     def test_supervised_streaming_over_flaky_backend(self):
-        from repro.parallel.supervisor import SupervisedBackend
-
-        flaky = FlakyBackend(
-            SerialBackend(), 0.6, seed=11, max_failures_per_task=2
+        flaky = ChaosBackend(
+            SerialBackend(), crash_rate=0.6, seed=11, max_failures_per_task=2
         )
         backend = SupervisedBackend(
             flaky, max_attempts=4, hedge_after=None, task_timeout=0
         )
         results = list(backend.run_tasks_streaming(build_tasks()))
         assert sorted(r.function_name for r in results) == ["a1", "a2", "b1"]
-        assert flaky.injected_failures > 0
+        assert flaky.injected_crashes > 0
 
     def test_supervised_warm_pool_streaming_digest(self):
-        from repro.parallel.supervisor import SupervisedBackend
-
         sequential = SequentialCompiler().compile(SOURCE)
         with WarmPoolBackend(max_workers=2) as inner:
             backend = SupervisedBackend(inner)
@@ -114,21 +108,30 @@ class TestStreamingBackends:
         assert backend.supervision.poisoned_tasks == 0
 
     def test_retrying_backend_streams_and_retries(self):
-        flaky = FlakyBackend(
-            SerialBackend(), 0.6, seed=11, max_failures_per_task=2
+        # Every crash costs exactly one retry, and a retried task's
+        # result arrives in the same stream as the first-try ones.
+        flaky = ChaosBackend(
+            SerialBackend(), crash_rate=0.6, seed=11, max_failures_per_task=2
         )
-        backend = RetryingBackend(flaky, max_attempts=4)
-        results = list(backend.run_tasks_streaming(build_tasks()))
-        assert sorted(r.function_name for r in results) == ["a1", "a2", "b1"]
-        assert flaky.injected_failures > 0
+        backend = plain_retry(flaky, max_attempts=4)
+        stream = backend.run_tasks_streaming(build_tasks())
+        first = next(stream)
+        rest = list(stream)
+        assert sorted(r.function_name for r in [first] + rest) == [
+            "a1", "a2", "b1",
+        ]
+        assert flaky.injected_crashes > 0
+        assert backend.supervision.retries == flaky.injected_crashes
+        assert backend.supervision.poisoned_tasks == 0
 
     def test_retrying_backend_delegates_inner_attributes(self):
-        inner = WarmPoolBackend(max_workers=1)
-        wrapped = RetryingBackend(inner)
-        # Not defined on the wrapper: must come from the warm pool.
-        assert wrapped.is_warm is False
-        assert wrapped.dispatches == 0
-        wrapped.shutdown()  # delegates too
+        flaky = ChaosBackend(SerialBackend(), workers=3)
+        wrapped = SupervisedBackend(flaky)
+        # Not defined on the wrapper: must come from the wrapped farm.
+        assert wrapped.worker_names == ("w0", "w1", "w2")
+        assert wrapped.injected_crashes == 0
+        assert wrapped.worker_count == 3
+        assert wrapped.effective_worker_count == 1  # the serial executor's
         with pytest.raises(AttributeError):
             wrapped.definitely_not_an_attribute
 

@@ -360,14 +360,14 @@ class TestResultValidation:
             seed=2, corrupt_assembly_rate=1.0, max_corruptions_per_task=1
         )
         backend = supervised(inner, max_attempts=3, hedge_after=None)
-        compiler = ParallelCompiler(backend=backend, phase4_jobs=2)
+        compiler = ParallelCompiler(backend=backend)
         par = compiler.compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
         assert inner.injected_assembly_corruptions == 6
         assert backend.supervision.corrupt_payloads == 6
         assert par.profile.supervisor_corrupt_payloads == 6
-        # The retried results linked on the parallel back end, not a
+        # The retried results linked through the runner, not a
         # fallback: every section was clean by the time it combined.
         assert compiler.last_phase4_stats.mode == "parallel"
 
