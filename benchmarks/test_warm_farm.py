@@ -4,10 +4,9 @@ Two claims from the warm-farm work, each with a generous threshold so CI
 boxes of any speed stay stable:
 
 (a) a *second* compilation through the warm pool is faster than a
-    compilation through a cold ``ProcessPoolBackend`` — the warm run
-    skips executor spin-up (the cold backend forks a fresh executor per
-    ``run_tasks``) and, thanks to the per-worker phase-1 cache, any
-    re-parse the workers would otherwise do;
+    cold one — a farm built for one compilation and shut down after it.
+    The warm run skips executor spin-up and, thanks to the per-worker
+    phase-1 cache, any re-parse the workers would otherwise do;
 (b) the bitset dataflow kernels solve liveness on ``f_huge`` faster
     than the reference frozenset solver.
 
@@ -34,7 +33,6 @@ from repro.opt.dataflow import (
     unpack_solution,
 )
 from repro.opt.liveness import block_use_def, live_variables
-from repro.parallel.local import ProcessPoolBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 from repro.workloads.synthetic import synthetic_program
 
@@ -53,8 +51,9 @@ def test_warm_pool_second_compile_beats_cold_pool(results_dir):
 
     rounds = 7
 
-    cold_backend = ProcessPoolBackend(max_workers=4)
-    cold_compiler = ParallelCompiler(backend=cold_backend)
+    def cold_compile():
+        with WarmPoolBackend(max_workers=4) as cold_backend:
+            ParallelCompiler(backend=cold_backend).compile(SOURCE)
 
     with WarmPoolBackend(max_workers=4) as warm_backend:
         warm_compiler = ParallelCompiler(backend=warm_backend)
@@ -63,7 +62,7 @@ def test_warm_pool_second_compile_beats_cold_pool(results_dir):
 
         cold_walls, warm_walls = [], []
         for _ in range(rounds):
-            cold_walls.append(_timed(lambda: cold_compiler.compile(SOURCE)))
+            cold_walls.append(_timed(cold_compile))
             warm_walls.append(_timed(lambda: warm_compiler.compile(SOURCE)))
 
     diffs = sorted(c - w for c, w in zip(cold_walls, warm_walls))

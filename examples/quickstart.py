@@ -4,7 +4,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ParallelCompiler, SequentialCompiler, run_module
-from repro.parallel import ProcessPoolBackend, SerialBackend
+from repro.parallel import SerialBackend, WarmPoolBackend
 
 SOURCE = """
 module quickstart
@@ -52,10 +52,12 @@ def main() -> None:
     assert parallel_result.digest == result.digest
     print("parallel compiler output identical:", True)
 
-    # 4. On a multi-core machine, use one OS process per function master:
-    #       ParallelCompiler(backend=ProcessPoolBackend())
+    # 4. On a multi-core machine, use one OS process per function master
+    #    (the farm starts on first use and stops when the block exits):
+    #       with WarmPoolBackend() as farm:
+    #           ParallelCompiler(backend=farm).compile(SOURCE)
     print("process-pool backend available with",
-          ProcessPoolBackend().worker_count, "workers")
+          WarmPoolBackend().worker_count, "workers")
 
 
 if __name__ == "__main__":

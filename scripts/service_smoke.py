@@ -8,8 +8,13 @@ the service's whole value proposition is that multiplexing many tenants
 over one shared pool changes *when* work runs, never *what* it
 produces.
 
-Exits non-zero (with a diagnostic) on any mismatch, failed job, or
-timeout.  Usage::
+A finished job keeps its reply, not its compile, so the server must not
+grow with the modules it has compiled: on Linux the server's ``VmRSS``
+after all its jobs (a run of sequential repeats, then three concurrent)
+must stay within 2x of its value after the first job.
+
+Exits non-zero (with a diagnostic) on any mismatch, failed job, memory
+growth, or timeout.  Usage::
 
     PYTHONPATH=src python scripts/service_smoke.py [--workers N]
 """
@@ -35,6 +40,21 @@ MODULES = [
     ("bob", "smoke_b", synthetic_program("small", 2, module_name="smoke_b")),
     ("alice", "smoke_c", synthetic_program("tiny", 4, module_name="smoke_c")),
 ]
+
+#: sequential resubmissions after the first job, for the RSS check
+REPEAT_JOBS = 24
+
+
+def server_rss_kb(pid: int):
+    """The process's resident set in KB from /proc, or None off Linux."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
 
 
 def main() -> int:
@@ -68,6 +88,24 @@ def main() -> int:
         address = match.group(1)
         print(f"service up at {address}")
 
+        # Sequential jobs first; the RSS after the very first one is the
+        # baseline the server's memory is held to.
+        failures = 0
+        rss_first = None
+        client = ServiceClient(address, timeout=args.timeout)
+        for index in range(1 + REPEAT_JOBS):
+            tenant, name, source = MODULES[index % len(MODULES)]
+            job = client.submit_and_wait(
+                source, tenant=tenant, filename=f"{name}.w2",
+                timeout=args.timeout,
+            )
+            if job["state"] != "done" or job["digest"] != expected[name]:
+                print(f"repeat {index} ({name}): {job['state']}, digest "
+                      "mismatch or failure", file=sys.stderr)
+                failures += 1
+            if index == 0:
+                rss_first = server_rss_kb(server.pid)
+
         results, errors = {}, []
 
         def submit(tenant, name, source):
@@ -94,7 +132,6 @@ def main() -> int:
         if errors:
             print("submission errors:", *errors, sep="\n  ", file=sys.stderr)
             return 1
-        failures = 0
         for _, name, _ in MODULES:
             job = results.get(name)
             if job is None:
@@ -112,6 +149,18 @@ def main() -> int:
                 print(f"{name}: done, digest identical "
                       f"({job['tasks_done']} task(s), "
                       f"tenant {job['tenant']})")
+
+        rss_last = server_rss_kb(server.pid)
+        if rss_first is None or rss_last is None:
+            print("server RSS: skipped (no /proc)")
+        else:
+            print(f"server RSS: {rss_first / 1024:.1f} MB after the first "
+                  f"job, {rss_last / 1024:.1f} MB after "
+                  f"{1 + len(MODULES) + REPEAT_JOBS}")
+            if rss_last > 2 * rss_first:
+                print("server RSS more than doubled: finished jobs are "
+                      "holding memory", file=sys.stderr)
+                failures += 1
 
         overview = ServiceClient(address).status(gantt=True)
         print(overview["gantt"])

@@ -10,7 +10,11 @@ The counts, all over ``src/**/*.py``:
 ``src_lines``           physical lines (what ``wc -l`` reports)
 ``cli_flags``           ``add_argument`` calls whose first name starts ``-``
 ``env_vars``            distinct ``WARPCC_*`` names
-``streaming_backends``  classes defining ``run_tasks_streaming``
+``streaming_backends``  classes implementing ``run_tasks_streaming`` (the
+                        ``ExecutionBackend`` protocol declares it and is
+                        not one)
+``task_surfaces``       distinct ``run_tasks_*`` method names classes define
+                        (a bare barrier-style name would count too)
 ``stats_dataclasses``   ``@dataclass`` classes named ``*Stats``
 
 ``--check`` compares against the committed ``docs/SURFACE.json`` and
@@ -45,9 +49,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_protocol(node: ast.ClassDef) -> bool:
+    return any(getattr(base, "id", "") == "Protocol" for base in node.bases)
+
+
 def count_surface() -> dict:
     lines = flags = backends = stats = 0
     env_vars = set()
+    task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines += text.count("\n")
@@ -63,11 +72,17 @@ def count_surface() -> dict:
             ):
                 flags += 1
             elif isinstance(node, ast.ClassDef):
-                if any(
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == "run_tasks_streaming"
+                methods = {
+                    item.name
                     for item in node.body
-                ):
+                    if isinstance(item, ast.FunctionDef)
+                }
+                task_surfaces.update(
+                    name
+                    for name in methods
+                    if name.split("_")[:2] == ["run", "tasks"]
+                )
+                if "run_tasks_streaming" in methods and not _is_protocol(node):
                     backends += 1
                 if node.name.endswith("Stats") and _is_dataclass(node):
                     stats += 1
@@ -76,6 +91,7 @@ def count_surface() -> dict:
         "cli_flags": flags,
         "env_vars": len(env_vars),
         "streaming_backends": backends,
+        "task_surfaces": len(task_surfaces),
         "stats_dataclasses": stats,
     }
 

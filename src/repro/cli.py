@@ -36,8 +36,9 @@ from .driver.sequential import SequentialCompiler
 from .lang.diagnostics import CompileError
 from .machine.warp_array import WarpArrayModel
 from .metrics.overhead import compute_overhead
-from .parallel.local import ProcessPoolBackend, SerialBackend
+from .parallel.local import SerialBackend
 from .parallel.schedule import one_function_per_processor
+from .parallel.warm_pool import WarmPoolBackend
 from .warpsim.array_runner import run_module
 from .workloads.sizes import SIZE_CLASSES
 from .workloads.synthetic import synthetic_program
@@ -239,11 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workstations (default: one per function)",
     )
     bench_cmd.add_argument(
-        "--backend", choices=("sim", "serial", "pool", "warm"),
+        "--backend", choices=("sim", "serial", "warm"),
         default="sim",
-        help="'sim' replays the 1988 cluster model; 'serial', 'pool' "
-        "(cold process pool) and 'warm' (persistent warm-worker farm) "
-        "measure real wall-clock on this machine",
+        help="'sim' replays the 1988 cluster model; 'serial' and 'warm' "
+        "(the multiprocess farm: round 1 is its cold start, later "
+        "rounds run warm) measure real wall-clock on this machine",
     )
     bench_cmd.add_argument(
         "--repeat", type=int, default=2,
@@ -638,8 +639,10 @@ def _cmd_compile(args) -> int:
         link_cache = LinkCache(args.cache_dir)
     try:
         if args.parallel:
+            # Owned by this one compile and shut down with it: a warm
+            # pool used once is the cold pool.
             backend = (
-                ProcessPoolBackend(args.jobs)
+                WarmPoolBackend(args.jobs)
                 if args.jobs is None or args.jobs > 1
                 else SerialBackend()
             )
@@ -781,7 +784,7 @@ def _cmd_search(args) -> int:
         variant_store = VariantStore(args.cache_dir)
 
     backend = (
-        ProcessPoolBackend(args.jobs)
+        WarmPoolBackend(args.jobs)
         if args.jobs is not None and args.jobs > 1
         else SerialBackend()
     )
@@ -939,8 +942,6 @@ def _cmd_bench_live(args, source: str) -> int:
     import tempfile
     import time
 
-    from .parallel.warm_pool import WarmPoolBackend
-
     if args.repeat < 1:
         print("warpcc: --repeat must be at least 1", file=sys.stderr)
         return 2
@@ -954,8 +955,6 @@ def _cmd_bench_live(args, source: str) -> int:
 
     if args.backend == "serial":
         backend = SerialBackend()
-    elif args.backend == "pool":
-        backend = ProcessPoolBackend(max_workers=args.processors)
     else:
         backend = WarmPoolBackend(max_workers=args.processors)
 
@@ -1106,7 +1105,6 @@ def _parse_tenant_weights(entries: List[str]) -> dict:
 
 
 def _cmd_serve(args) -> int:
-    from .parallel.warm_pool import WarmPoolBackend
     from .service import CompileService, ServiceSocketServer
     from .service.client import ADDRESS_ENV
 
@@ -1431,12 +1429,8 @@ def _cmd_worker(args) -> int:
     from .fabric import FabricChaos, WorkerNodeAgent
 
     if args.serial:
-        from .parallel.local import SerialBackend
-
         backend = SerialBackend()
     else:
-        from .parallel.warm_pool import WarmPoolBackend
-
         backend = WarmPoolBackend(max_workers=args.workers)
     chaos = None
     if args.chaos is not None:

@@ -29,7 +29,7 @@ backend is left exactly as it was found.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.download import module_digest, module_size_words
 from ..asmlink.objformat import ObjectFunction
@@ -49,11 +49,6 @@ from .phases import (
 from .results import CompilationResult, WorkProfile
 from .section_master import StreamingSectionCombiner
 
-#: A dispatch seam: takes the cache-miss tasks, yields their results in
-#: completion order.  The default routes through ``self.backend``; the
-#: compile service substitutes a fair-share queue feeding a shared pool.
-TaskDispatch = Callable[[List[FunctionTask]], Iterable[FunctionTaskResult]]
-
 
 class ParallelCompiler:
     """Master / section-master / function-master parallel compilation."""
@@ -65,7 +60,6 @@ class ParallelCompiler:
         opt_level: int = 2,
         granularity: str = "function",
         cache=None,
-        dispatch: Optional[TaskDispatch] = None,
         owns_backend: bool = False,
         parse_cache=None,
         link_cache=None,
@@ -87,10 +81,6 @@ class ParallelCompiler:
         #: optional :class:`repro.cache.ArtifactCache`: phase-2/3 results
         #: are served from / written back to it, keyed per function.
         self.cache = cache
-        #: optional :data:`TaskDispatch` that replaces direct backend
-        #: dispatch — used by the compile service to interleave this
-        #: compile's tasks with other tenants' on one shared pool.
-        self.dispatch = dispatch
         #: whether :meth:`close` may shut the backend down.  False for
         #: caller-provided (possibly shared, possibly context-managed)
         #: backends: closing a compiler must never tear down a pool it
@@ -159,14 +149,10 @@ class ParallelCompiler:
         stats_before = (
             self.cache.stats.copy() if self.cache is not None else None
         )
-        # With an external dispatch the backend is driven by someone else
-        # (the service's scheduler); its supervision counters aggregate
-        # many concurrent jobs, so no per-compile delta is attributable.
-        supervision = (
-            getattr(self.backend, "supervision", None)
-            if self.dispatch is None
-            else None
-        )
+        # Only a backend this compile drives itself has attributable
+        # supervision counters (the service's per-job backend, whose
+        # shared pool aggregates many concurrent jobs, exposes none).
+        supervision = getattr(self.backend, "supervision", None)
         supervision_before = (
             supervision.copy() if supervision is not None else None
         )
@@ -191,7 +177,7 @@ class ParallelCompiler:
             for ready in combiner.combined_sections():
                 runner.section_ready(ready)
 
-        for result in self._dispatch_misses(misses):
+        for result in stream_task_results(self.backend, misses):
             if self.cache is not None:
                 self._write_back(fingerprints, result)
             completed = combiner.add(result)
@@ -199,18 +185,14 @@ class ParallelCompiler:
                 runner.section_ready(completed)
         combined = combiner.finalize()
 
-        if self.dispatch is not None:
-            dispatch_surface = self.dispatch
-        else:
-            dispatch_surface = self.backend
         profile = WorkProfile(
             parse_work=parsed.parse_work,
             sema_work=parsed.sema_work,
             source_lines=parsed.source_lines,
             workers_used=(
                 getattr(
-                    dispatch_surface, "effective_worker_count",
-                    getattr(dispatch_surface, "worker_count", 1),
+                    self.backend, "effective_worker_count",
+                    getattr(self.backend, "worker_count", 1),
                 )
                 if dispatched
                 # Everything came out of the artifact cache: the master
@@ -298,16 +280,6 @@ class ParallelCompiler:
             profile=profile,
             objects=all_objects,
         )
-
-    def _dispatch_misses(
-        self, misses: List[FunctionTask]
-    ) -> Iterable[FunctionTaskResult]:
-        """Run the cache-miss tasks through the dispatch seam."""
-        if not misses:
-            return ()
-        if self.dispatch is not None:
-            return self.dispatch(misses)
-        return stream_task_results(self.backend, misses)
 
     # -- artifact cache -------------------------------------------------
 

@@ -622,9 +622,6 @@ class RemoteBackend:
             return self.worker_count
         return self._last_effective
 
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
     ) -> Iterator[FunctionTaskResult]:

@@ -17,7 +17,6 @@ Pipeline variants (the matrix):
 ========================  ==================================================
 ``sequential``            :class:`~repro.driver.sequential.SequentialCompiler`
 ``parallel``              master/section/function hierarchy, in-process
-``parallel-barrier``      same, forced through the barrier (non-streaming) API
 ``section``               section-granularity dispatch (§3.1's original plan)
 ``warm-pool``             persistent multiprocess warm-worker farm
 ``fabric``                distributed fabric: a loopback hub plus two
@@ -76,7 +75,6 @@ from .generator import GeneratedProgram, config_for_size_class, generate_program
 ALL_PIPELINES: Tuple[str, ...] = (
     "sequential",
     "parallel",
-    "parallel-barrier",
     "section",
     "warm-pool",
     "fabric",
@@ -103,26 +101,6 @@ DEFAULT_PIPELINES: Tuple[str, ...] = tuple(
 )
 
 MISMATCH_KINDS = ("digest", "diagnostic", "semantic", "crash")
-
-
-class _BarrierOnly:
-    """Hide a backend's streaming surface: forces the barrier API."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    @property
-    def worker_count(self) -> int:
-        return self._inner.worker_count
-
-    @property
-    def effective_worker_count(self) -> int:
-        return getattr(
-            self._inner, "effective_worker_count", self._inner.worker_count
-        )
-
-    def run_tasks(self, tasks):
-        return self._inner.run_tasks(tasks)
 
 
 @dataclass
@@ -306,10 +284,6 @@ class DifferentialOracle:
             return ParallelCompiler(backend=SerialBackend(), **kwargs).compile(
                 source
             )
-        if name == "parallel-barrier":
-            return ParallelCompiler(
-                backend=_BarrierOnly(SerialBackend()), **kwargs
-            ).compile(source)
         if name == "section":
             return ParallelCompiler(
                 backend=SerialBackend(), granularity="section", **kwargs

@@ -2,7 +2,7 @@
 
 from .backend import ExecutionBackend, stream_task_results
 from .fault_tolerance import ChaosBackend, FunctionMasterFailure
-from .local import ProcessPoolBackend, SerialBackend
+from .local import SerialBackend
 from .parallel_make import (
     MakeCycleError,
     MakeResult,
@@ -37,7 +37,6 @@ __all__ = [
     "WorkerHealthTracker",
     "MakeResult",
     "MakeTarget",
-    "ProcessPoolBackend",
     "SerialBackend",
     "WarmPoolBackend",
     "ast_cost_hint",

@@ -1,20 +1,20 @@
 """Execution backends for the parallel compiler.
 
 A backend answers one question: given N independent function-master
-tasks, run them and return their results.  The paper's host was an
-Ethernet network of diskless SUN workstations reached through UNIX
-heavyweight processes; ours are local OS processes
-(:class:`repro.parallel.local.ProcessPoolBackend`), an in-process serial
-executor for tests, or the discrete-event cluster simulator for timing
-studies (:mod:`repro.cluster`).
+tasks, run them and yield their results as they finish.  The paper's
+host was an Ethernet network of diskless SUN workstations reached
+through UNIX heavyweight processes; ours are local OS processes
+(:class:`repro.parallel.warm_pool.WarmPoolBackend`), an in-process serial
+executor for tests, leased remote agents, or the discrete-event cluster
+simulator for timing studies (:mod:`repro.cluster`).
 
-Backends come in two flavours: the original barrier API
-(:meth:`ExecutionBackend.run_tasks`, all results at once) and the
-streaming API (:meth:`ExecutionBackend.run_tasks_streaming`, results
-yielded as function masters finish).  The driver always consumes through
-:func:`stream_task_results`, which adapts barrier-only backends, so
-section masters can recombine results while slower functions are still
-compiling.
+Every backend offers exactly one task-running surface,
+:meth:`ExecutionBackend.run_tasks_streaming`; a fault-attributing
+backend may add ``run_tasks_events`` (a start/result/failure stream the
+supervisor prefers).  Every consumer — driver, service, node agent,
+chaos wrapper — reaches a backend through :func:`stream_task_results`,
+so section masters can recombine results while slower functions are
+still compiling.
 """
 
 from __future__ import annotations
@@ -27,14 +27,10 @@ from ..driver.function_master import FunctionTask, FunctionTaskResult
 class ExecutionBackend(Protocol):
     """Runs function-master tasks; order of results is unspecified."""
 
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        ...  # pragma: no cover - protocol
-
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
-    ) -> Iterator[FunctionTaskResult]:
-        """Yield results as they complete (optional; see
-        :func:`stream_task_results` for the barrier fallback)."""
+    ) -> Iterable[FunctionTaskResult]:
+        """Yield results as they complete."""
         ...  # pragma: no cover - protocol
 
     @property
@@ -45,27 +41,17 @@ class ExecutionBackend(Protocol):
     @property
     def effective_worker_count(self) -> int:
         """Workers that could actually run concurrently in the most
-        recent ``run_tasks`` call (a pool of 8 given 3 tasks used 3) —
-        the denominator speedup/efficiency metrics must divide by."""
+        recent dispatch (a pool of 8 given 3 tasks used 3) — the
+        denominator speedup/efficiency metrics must divide by."""
         ...  # pragma: no cover - protocol
 
 
 def stream_task_results(
     backend, tasks: List[FunctionTask]
 ) -> Iterator[FunctionTaskResult]:
-    """Stream results from any backend.
-
-    Uses the backend's ``run_tasks_streaming`` when it has one; otherwise
-    falls back to the barrier API and yields its results in order.  This
-    is the one place the driver touches a backend's task-running surface.
-    """
-    runner = getattr(backend, "run_tasks_streaming", None)
-    if runner is not None:
-        yield from runner(tasks)
-    else:
-        yield from backend.run_tasks(tasks)
-
-
-def drain(results: Iterable[FunctionTaskResult]) -> List[FunctionTaskResult]:
-    """Collect a result stream into a list (barrier on top of streaming)."""
-    return list(results)
+    """Stream results from any backend — the one place a backend's
+    task-running surface is touched.  ``run_tasks_streaming`` may return
+    any iterable (a generator, or a plain list); a backend is never
+    asked to run zero tasks."""
+    if tasks:
+        yield from backend.run_tasks_streaming(tasks)

@@ -257,7 +257,7 @@ class ChaosBackend:
                 self._hangs[key] = self._hangs.get(key, 0) + 1
                 self._sleep(self.hang_delay)
             try:
-                results = self.inner.run_tasks([task])
+                results = list(stream_task_results(self.inner, [task]))
             except FunctionMasterFailure as failure:
                 failure.worker = failure.worker or worker
                 yield ("failure", failure)
@@ -303,24 +303,6 @@ class ChaosBackend:
                     result.assembled.frame_words += 7717
                     corrupt_asm = False  # first assembled result only
                 yield ("result", result)
-
-    def run_tasks_partial(
-        self, tasks: List[FunctionTask]
-    ) -> Tuple[List[FunctionTaskResult], List[FunctionMasterFailure]]:
-        results: List[FunctionTaskResult] = []
-        failures: List[FunctionMasterFailure] = []
-        for kind, payload in self.run_tasks_events(tasks):
-            if kind == "result":
-                results.append(payload)
-            elif kind == "failure":
-                failures.append(payload)
-        return results, failures
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        results, failures = self.run_tasks_partial(tasks)
-        if failures:
-            raise failures[0]
-        return results
 
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]

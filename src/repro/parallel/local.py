@@ -1,119 +1,31 @@
-"""Local execution backends: serial (in-process) and multiprocessing.
+"""The in-process execution backend.
 
-The multiprocessing backend is the real thing: each function master is an
-OS process, compilation proceeds concurrently, and on a multi-core host
-the parallel compiler genuinely finishes sooner — the modern analogue of
-farming function masters out to idle workstations.
-
-Tasks are dispatched in size-aware batches (§4.3 cost estimates, see
-:func:`repro.parallel.schedule.batch_tasks_by_cost`) rather than one IPC
-round-trip per task, and both backends benefit from the per-worker
-phase-1 cache in :mod:`repro.driver.function_master`.  For a pool that
-stays warm *across* compilations, see
+:class:`SerialBackend` runs every function master in the calling
+process, in order — the backend for tests, debugging and the
+supervisor's last-resort fallback.  The real thing, one OS process per
+concurrent function master, is
 :class:`repro.parallel.warm_pool.WarmPoolBackend`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ..driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
-    run_compile_batch,
     run_compile_task,
 )
-from .schedule import batch_tasks_by_cost, provided_task_costs
 
 
 class SerialBackend:
     """Runs every task in-process, in order (tests and debugging)."""
 
-    def __init__(self):
-        self._worker_count = 1
-
-    @property
-    def worker_count(self) -> int:
-        return self._worker_count
-
-    @property
-    def effective_worker_count(self) -> int:
-        return self._worker_count
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
+    worker_count = 1
+    effective_worker_count = 1
 
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
     ) -> Iterator[FunctionTaskResult]:
         for task in tasks:
             yield from run_compile_task(task)
-
-
-class ProcessPoolBackend:
-    """One OS process per concurrent function master.
-
-    The executor is created per ``run_tasks`` call (cold start every
-    compilation, like the paper's fresh Lisp processes); tasks are
-    submitted as cost-balanced batches of ``batches_per_worker`` chunks
-    per worker so tiny functions share IPC round-trips.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        batches_per_worker: int = 4,
-    ):
-        if max_workers is None:
-            max_workers = max(1, (os.cpu_count() or 2) - 1)
-        if max_workers < 1:
-            raise ValueError(f"need at least one worker, got {max_workers}")
-        if batches_per_worker < 1:
-            raise ValueError(
-                f"need at least one batch per worker, got {batches_per_worker}"
-            )
-        self._max_workers = max_workers
-        self._batches_per_worker = batches_per_worker
-        self._last_effective_workers: Optional[int] = None
-        #: pluggable LPT cost seam; None packs batches by the static
-        #: §4.3 hint (see schedule.provided_task_costs)
-        self.cost_provider = None
-
-    @property
-    def worker_count(self) -> int:
-        return self._max_workers
-
-    @property
-    def effective_worker_count(self) -> int:
-        """Workers the last ``run_tasks`` actually used.
-
-        ``max_workers`` silently caps at the task count; reporting the
-        capped value keeps speedup denominators honest."""
-        if self._last_effective_workers is None:
-            return self._max_workers
-        return self._last_effective_workers
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
-
-    def run_tasks_streaming(
-        self, tasks: List[FunctionTask]
-    ) -> Iterator[FunctionTaskResult]:
-        """Yield results batch-by-batch as workers complete them."""
-        if not tasks:
-            return
-        workers = min(self._max_workers, len(tasks))
-        self._last_effective_workers = workers
-        chunks = batch_tasks_by_cost(
-            provided_task_costs(tasks, self.cost_provider),
-            workers * self._batches_per_worker,
-        )
-        batches = [[tasks[i] for i in chunk] for chunk in chunks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_compile_batch, batch) for batch in batches
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                yield from future.result()

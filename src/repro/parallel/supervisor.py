@@ -41,9 +41,9 @@ master the paper wished for, around any execution backend:
    failure — a corrupted payload is re-run, never linked.
 
 The supervisor consumes dispatches through whatever incremental surface
-the inner backend offers (``run_tasks_events`` > ``run_tasks_partial`` >
-streaming), feeding an event queue from daemon dispatch threads so the
-consuming section master keeps recombining while stragglers are hedged.
+the inner backend offers (``run_tasks_events``, else streaming),
+feeding an event queue from daemon dispatch threads so the consuming
+section master keeps recombining while stragglers are hedged.
 """
 
 from __future__ import annotations
@@ -299,9 +299,6 @@ class SupervisedBackend:
             self.timeout_multiplier * max(self.cost_for(task), 1.0),
         )
 
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
     ) -> Iterator[FunctionTaskResult]:
@@ -369,12 +366,6 @@ class _SupervisedRun:
             if events is not None:
                 for kind, payload in events(tasks):
                     put((dispatch.id, kind, payload))
-            elif hasattr(backend, "run_tasks_partial"):
-                results, failures = backend.run_tasks_partial(tasks)
-                for result in results:
-                    put((dispatch.id, "result", result))
-                for failure in failures:
-                    put((dispatch.id, "failure", failure))
             else:
                 for result in stream_task_results(backend, tasks):
                     put((dispatch.id, "result", result))

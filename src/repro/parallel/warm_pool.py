@@ -3,9 +3,9 @@
 The paper's implementation overhead is dominated by per-task startup:
 every function master is a fresh Lisp process that must "download a
 portion of a large core image" and re-derive phase-1 state before any
-useful work.  Our :class:`~repro.parallel.local.ProcessPoolBackend` has
-the same pathology — a new ``ProcessPoolExecutor`` per ``run_tasks``
-call, and a full re-parse in every worker.
+useful work.  A process pool built per compilation has the same
+pathology — a new ``ProcessPoolExecutor`` per dispatch, and a full
+re-parse in every worker.
 
 :class:`WarmPoolBackend` removes both costs:
 
@@ -73,7 +73,7 @@ class WarmPoolBackend:
         #: pluggable LPT cost seam; None packs batches by the static
         #: §4.3 hint (see schedule.provided_task_costs)
         self.cost_provider = None
-        #: telemetry: completed run_tasks calls / pools rebuilt after crash
+        #: telemetry: completed dispatches / pools rebuilt after crash
         self.dispatches = 0
         self.crash_recoveries = 0
 
@@ -88,9 +88,6 @@ class WarmPoolBackend:
         if self._last_effective_workers is None:
             return self._max_workers
         return self._last_effective_workers
-
-    def run_tasks(self, tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
-        return list(self.run_tasks_streaming(tasks))
 
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
@@ -159,7 +156,7 @@ class WarmPoolBackend:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the farm.  The next ``run_tasks`` lazily restarts it."""
+        """Stop the farm.  The next dispatch lazily restarts it."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:

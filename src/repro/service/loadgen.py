@@ -432,7 +432,7 @@ def replay_edit_session(
             failed += 1
             continue
         latencies.append(job.finished_at - job.submitted_at)
-        digests.append(job.result.digest)
+        digests.append(job.digest)
         tasks_total += job.tasks_total
         cache_served += job.cache_served
     latencies.sort()

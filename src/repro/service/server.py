@@ -19,9 +19,9 @@ Architecture (one process, many threads)::
                                   to their jobs by (section, function)
 
 Every job is an ordinary :class:`~repro.driver.master.ParallelCompiler`
-compile, run in a runner thread with a *dispatch seam* that detours its
+compile, run in a runner thread over a per-job backend that detours its
 cache-miss tasks through the shared fair-share queue instead of a
-private backend.  Per-job state (WorkProfile, combiner, diagnostics)
+private pool.  Per-job state (WorkProfile, combiner, diagnostics)
 therefore stays isolated by construction; only pool slots and the
 artifact cache are shared.  The pool backend is used exclusively by the
 dispatcher thread, one wave at a time, through the same
@@ -44,13 +44,12 @@ import queue as queue_mod
 import socketserver
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..driver.function_master import FunctionTask, FunctionTaskResult
 from ..driver.master import ParallelCompiler
-from ..driver.results import CompilationResult
 from ..lang.diagnostics import CompileError
 from ..machine.warp_array import WarpArrayModel
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
@@ -86,6 +85,11 @@ class ServiceDispatchError(Exception):
 #: spans the per-job Gantt is drawn from — see metrics.job_gantt
 TaskSpan = JobSpan
 
+#: terminal jobs whose reply stays queryable (evicted oldest first)
+KEEP_FINISHED = 256
+#: most recent task spans kept for Gantt/utilization export
+MAX_SPANS = 4096
+
 
 @dataclass
 class JobRecord:
@@ -104,7 +108,12 @@ class JobRecord:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[str] = None
-    result: Optional[CompilationResult] = None
+    #: a ``done`` job's reply, built once at finish (``report`` is
+    #: ``CompilationResult.to_dict()``); the compile itself is not kept
+    #: and ``source`` is emptied
+    digest: Optional[str] = None
+    report: Optional[dict] = None
+    diagnostics: Optional[str] = None
     cancel_requested: bool = False
     tasks_total: int = 0
     tasks_done: int = 0
@@ -117,7 +126,9 @@ class JobRecord:
     def terminal(self) -> bool:
         return self.state in _TERMINAL
 
-    def summary(self) -> dict:
+    def summary(self, detail: bool = False) -> dict:
+        """The job document: an overview row, or with ``detail`` the
+        full reply of ``status --job`` / ``wait``."""
         data = {
             "job": self.job_id,
             "tenant": self.tenant,
@@ -140,34 +151,31 @@ class JobRecord:
             "cache_served": self.cache_served,
             "error": self.error,
         }
-        if self.result is not None:
-            data["digest"] = self.result.digest
+        if detail and self.report is not None:
+            data["digest"] = self.digest
+            data["report"] = self.report
+            data["diagnostics"] = self.diagnostics
         return data
 
 
-class _JobDispatch:
-    """The dispatch seam handed to a job's ParallelCompiler: enqueue the
+class _JobBackend:
+    """The backend handed to a job's ParallelCompiler: enqueue the
     cache-miss tasks into the shared fair-share queue, then yield results
-    as the dispatcher routes them back."""
+    as the dispatcher routes them back.  It exposes no ``supervision``:
+    the shared pool's counters aggregate every tenant's jobs."""
 
     def __init__(self, service: "CompileService", job: JobRecord):
         self._service = service
         self._job = job
-        self._last_task_count: Optional[int] = None
+        self.worker_count = service.worker_count
+        self.effective_worker_count = service.worker_count
 
-    @property
-    def effective_worker_count(self) -> int:
-        workers = self._service.worker_count
-        if self._last_task_count is None:
-            return workers
-        return max(1, min(workers, self._last_task_count))
-
-    def __call__(
+    def run_tasks_streaming(
         self, tasks: List[FunctionTask]
     ) -> Iterator[FunctionTaskResult]:
         keyed = [(task, result_keys_for_task(task)) for task in tasks]
         expected = sum(len(keys) for _, keys in keyed)
-        self._last_task_count = len(tasks)
+        self.effective_worker_count = min(self.worker_count, len(tasks))
         self._service._submit_tasks(self._job, keyed, expected)
         received = 0
         while received < expected:
@@ -204,8 +212,6 @@ class CompileService:
         per_tenant_inflight: int = 8,
         tenant_weights: Optional[Dict[str, float]] = None,
         wave_size: Optional[int] = None,
-        keep_finished: int = 256,
-        max_spans: int = 4096,
         cost_model=None,
         speculation: bool = False,
         speculation_inflight: int = 2,
@@ -221,10 +227,6 @@ class CompileService:
             raise ValueError(
                 "per_tenant_inflight must be positive, "
                 f"got {per_tenant_inflight}"
-            )
-        if keep_finished < 1:
-            raise ValueError(
-                f"keep_finished must be positive, got {keep_finished}"
             )
         self.owns_backend = backend is None
         if backend is None:
@@ -244,8 +246,6 @@ class CompileService:
         self.max_queued = max_queued
         self.max_running = max_running
         self.per_tenant_inflight = per_tenant_inflight
-        self.keep_finished = keep_finished
-        self.max_spans = max_spans
 
         #: learned cost model (repro.predict.observe.CostModel) or None
         #: for the static §4.3 hints everywhere.  When set it becomes
@@ -281,8 +281,8 @@ class CompileService:
         self._closing = False
         self._closed = False
         self._t0 = time.monotonic()
-        #: completed task spans (bounded), for Gantt/utilization export
-        self.spans: List[TaskSpan] = []
+        #: the most recent completed task spans, for Gantt/utilization
+        self.spans: "deque[TaskSpan]" = deque(maxlen=MAX_SPANS)
         self.stats = {
             "submitted": 0,
             "rejected": 0,
@@ -429,12 +429,11 @@ class CompileService:
             self._run_job(job)
 
     def _run_job(self, job: JobRecord) -> None:
-        dispatch = _JobDispatch(self, job)
         compiler = ParallelCompiler(
+            backend=_JobBackend(self, job),
             array=WarpArrayModel(cell_count=job.cell_count),
             opt_level=job.opt_level,
             cache=self._cache,
-            dispatch=dispatch,
         )
         try:
             result = compiler.compile(job.source, filename=job.filename)
@@ -456,10 +455,13 @@ class CompileService:
                 job.error = f"{type(error).__name__}: {error}"
                 self._finish(job, "failed")
         else:
+            report = result.to_dict()  # built once, outside the lock
             with self._cond:
                 # A cancel that raced the last result loses: the work is
                 # done and bit-identical, so completing wins.
-                job.result = result
+                job.digest = result.digest
+                job.report = report
+                job.diagnostics = result.diagnostics_text
                 job.cache_served = result.profile.artifact_cache_hits()
                 self._finish(job, "done", digest=result.digest)
 
@@ -469,6 +471,7 @@ class CompileService:
             return
         job.state = state
         job.finished_at = self._now()
+        job.source = ""
         self.stats[state] += 1
         self._event(job, state, **extra)
         self._evict_finished()
@@ -480,7 +483,7 @@ class CompileService:
             for job_id, job in self._jobs.items()
             if job.terminal
         ]
-        excess = len(terminal) - self.keep_finished
+        excess = len(terminal) - KEEP_FINISHED
         for job_id in terminal[:max(0, excess)]:
             del self._jobs[job_id]
 
@@ -572,15 +575,14 @@ class CompileService:
                 job = self._jobs.get(job_id)
                 if job is None or job.terminal:
                     return
-                if len(self.spans) < self.max_spans:
-                    self.spans.append(
-                        TaskSpan(
-                            job_id=job_id,
-                            label=f"{key[0]}.{key[1]}",
-                            start=wave_start,
-                            end=now,
-                        )
+                self.spans.append(
+                    TaskSpan(
+                        job_id=job_id,
+                        label=f"{key[0]}.{key[1]}",
+                        start=wave_start,
+                        end=now,
                     )
+                )
                 if job.cancel_requested:
                     return  # the cancel sentinel is already in the inbox
                 job.tasks_done += 1
@@ -844,14 +846,6 @@ class CompileService:
 PROTOCOL_VERSION = 1
 
 
-def _job_detail(service: CompileService, job: JobRecord) -> dict:
-    detail = job.summary()
-    if job.result is not None:
-        detail["report"] = job.result.to_dict()
-        detail["diagnostics"] = job.result.diagnostics_text
-    return detail
-
-
 #: Hard bound on one request line.  Modules are a few KB of source; a
 #: client sending more than this per line is buggy or hostile, and
 #: either way the server refuses to buffer it.
@@ -950,7 +944,7 @@ class _ServiceRequestHandler(socketserver.StreamRequestHandler):
                         ok=False, error=str(error), reason="unknown-job"
                     )
                     return
-                payload = {"ok": True, "job": _job_detail(service, job)}
+                payload = {"ok": True, "job": job.summary(detail=True)}
                 if request.get("gantt"):
                     payload["gantt"] = service.gantt(
                         job_id, width=int(request.get("width", 72))
@@ -987,7 +981,7 @@ class _ServiceRequestHandler(socketserver.StreamRequestHandler):
             except TimeoutError as error:
                 self._reply(ok=False, error=str(error), reason="timeout")
             else:
-                self._reply(ok=True, job=_job_detail(service, job))
+                self._reply(ok=True, job=job.summary(detail=True))
         elif op == "watch":
             source = request.get("source")
             if source is None:

@@ -64,6 +64,18 @@ def plain_retry(inner, max_attempts: int = 3, **kwargs):
     return SupervisedBackend(inner, max_attempts=max_attempts, **kwargs)
 
 
+def collect_events(backend, tasks):
+    """(results, failures) of one dispatch, collected from a
+    fault-attributing backend's ``run_tasks_events`` stream."""
+    results, failures = [], []
+    for kind, payload in backend.run_tasks_events(tasks):
+        if kind == "result":
+            results.append(payload)
+        elif kind == "failure":
+            failures.append(payload)
+    return results, failures
+
+
 def compile_and_run(
     source: str,
     inputs: List[Number],

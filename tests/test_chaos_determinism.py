@@ -3,9 +3,9 @@
 Every fault decision is drawn from an RNG derived from ``(seed, task
 key, attempt)`` — sha256-hashed, so the schedule cannot depend on how a
 caller interleaves dispatch.  These tests pin that contract: the same
-seed must replay the *identical* fault schedule whether the compile runs
-under barrier execution (``run_tasks_partial``) or streaming
-(``run_tasks_streaming`` / ``run_tasks_events``), and regardless of task
+seed must replay the *identical* fault schedule whether the dispatch is
+read as the full event stream (``run_tasks_events``) or as the plain
+result stream (``run_tasks_streaming``), and regardless of task
 submission order.
 """
 
@@ -18,7 +18,7 @@ from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
-from helpers import wrap_function
+from helpers import collect_events, wrap_function
 
 SOURCE = wrap_function(
     "\n".join(
@@ -46,9 +46,10 @@ def build_tasks(source=SOURCE):
     )
 
 
-def schedule_via_barrier(backend, tasks):
-    """(fault telemetry, per-task outcome) after one barrier dispatch."""
-    results, failures = backend.run_tasks_partial(tasks)
+def schedule_via_events(backend, tasks):
+    """(fault telemetry, per-task outcome) after one dispatch read as
+    the full event stream."""
+    results, failures = collect_events(backend, tasks)
     return _schedule(backend, results, failures)
 
 
@@ -85,16 +86,15 @@ def _schedule(backend, results, failures):
 class TestScheduleDeterminism:
     def test_barrier_and_streaming_replay_identical_schedules(self):
         tasks = build_tasks()
-        barrier = schedule_via_barrier(chaos(), list(tasks))
+        events = schedule_via_events(chaos(), list(tasks))
         streaming = schedule_via_streaming(chaos(), list(tasks))
-        # run_tasks_streaming stops at the first failure (partial
-        # progress model); compare the common prefix of outcomes and
-        # the exact fault decisions for every task both paths reached.
-        assert streaming["failures"] == barrier["failures"][:1] or (
-            not barrier["failures"] and not streaming["failures"]
-        )
-        reached = {r for r in streaming["results"]}
-        assert reached <= set(barrier["results"])
+        # run_tasks_streaming reports only the first failure (partial
+        # progress model); the survivors and every fault decision must
+        # be the event stream's exactly.
+        assert streaming["failures"] == events["failures"][:1]
+        assert streaming["results"] == events["results"]
+        for counter in ("crashes", "hangs", "corruptions"):
+            assert streaming[counter] == events[counter]
 
     def test_events_replay_is_bitwise_identical(self):
         tasks = build_tasks()
@@ -124,9 +124,9 @@ class TestScheduleDeterminism:
         tasks = build_tasks()
         forward = chaos()
         reverse = chaos()
-        f_results, f_failures = forward.run_tasks_partial(list(tasks))
-        r_results, r_failures = reverse.run_tasks_partial(
-            list(reversed(tasks))
+        f_results, f_failures = collect_events(forward, list(tasks))
+        r_results, r_failures = collect_events(
+            reverse, list(reversed(tasks))
         )
         key = lambda r: (r.section_name, r.function_name, r.worker)
         fkey = lambda f: (f.task.section_name, f.task.function_name, f.worker)
@@ -135,8 +135,8 @@ class TestScheduleDeterminism:
 
     def test_different_seeds_give_different_schedules(self):
         tasks = build_tasks()
-        a = schedule_via_barrier(chaos(seed=1), list(tasks))
-        b = schedule_via_barrier(chaos(seed=2), list(tasks))
+        a = schedule_via_events(chaos(seed=1), list(tasks))
+        b = schedule_via_events(chaos(seed=2), list(tasks))
         assert a != b
 
 

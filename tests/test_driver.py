@@ -11,7 +11,8 @@ from repro.driver.section_master import (
 )
 from repro.driver.sequential import SequentialCompiler
 from repro.lang.diagnostics import CompileError
-from repro.parallel.local import ProcessPoolBackend, SerialBackend
+from repro.parallel.local import SerialBackend
+from repro.parallel.warm_pool import WarmPoolBackend
 from repro.warpsim.array_runner import run_module
 
 from helpers import wrap_function
@@ -154,9 +155,10 @@ class TestParallelEqualsSequential:
 
     def test_process_pool_digest_identical(self):
         seq = SequentialCompiler().compile(MULTI_SECTION)
-        par = ParallelCompiler(
-            backend=ProcessPoolBackend(max_workers=3)
-        ).compile(MULTI_SECTION)
+        with ParallelCompiler(
+            backend=WarmPoolBackend(max_workers=3), owns_backend=True
+        ) as compiler:
+            par = compiler.compile(MULTI_SECTION)
         assert par.digest == seq.digest
 
     def test_work_profiles_identical(self):

@@ -66,3 +66,48 @@ class TestEquivalenceMatrix:
         covered = {size for size, _, _ in all_synthetic_programs()}
         tested = {p.values[0] for p in MATRIX}
         assert tested == covered
+
+
+class TestOneDispatchSurface:
+    """Every backend of the matrix is reached through the one call site,
+    ``stream_task_results``, and so is the service's per-job backend."""
+
+    SOURCE = next(
+        source for size, n, source in all_synthetic_programs()
+        if (size, n) == ("tiny", 4)
+    )
+
+    def _tasks(self):
+        from repro.driver.phases import phase1_parse_and_check
+
+        return ParallelCompiler()._build_tasks(
+            phase1_parse_and_check(self.SOURCE), self.SOURCE, "<t>"
+        )
+
+    @pytest.mark.parametrize("which", ["serial", "warm"])
+    def test_one_result_per_function_task(self, which, warm_pool):
+        from repro.parallel.backend import stream_task_results
+
+        backend = SerialBackend() if which == "serial" else warm_pool
+        tasks = self._tasks()
+        results = list(stream_task_results(backend, tasks))
+        assert sorted((r.section_name, r.function_name) for r in results) == (
+            sorted((t.section_name, t.function_name) for t in tasks)
+        )
+        assert list(stream_task_results(backend, [])) == []
+
+    @pytest.mark.parametrize("which", ["serial", "warm"])
+    def test_service_job_reports_workers_used(
+        self, which, warm_pool, sequential_digests
+    ):
+        from repro.service import CompileService
+
+        backend = SerialBackend() if which == "serial" else warm_pool
+        with CompileService(backend) as service:
+            job = service.wait(service.submit(self.SOURCE), timeout=120.0)
+        assert job.state == "done", job.error
+        assert job.digest == sequential_digests(self.SOURCE)
+        # four cache-miss tasks over the shared pool's workers
+        assert job.report["profile"]["workers_used"] == min(
+            backend.worker_count, 4
+        )

@@ -175,7 +175,9 @@ class TestSchedulingAndFailure:
         backend = RemoteBackend(hub)
         results = []
         consumer = threading.Thread(
-            target=lambda: results.extend(backend.run_tasks(_tasks())),
+            target=lambda: results.extend(
+                backend.run_tasks_streaming(_tasks())
+            ),
             daemon=True,
         )
         consumer.start()
@@ -231,7 +233,7 @@ class TestSchedulingAndFailure:
             agent.stop()
 
     def test_empty_wave_is_a_noop(self, hub):
-        assert RemoteBackend(hub).run_tasks([]) == []
+        assert list(RemoteBackend(hub).run_tasks_streaming([])) == []
 
 
 class TestComposition:
@@ -263,7 +265,7 @@ class TestComposition:
                 job_id = service.submit(SOURCE, tenant="alice")
                 job = service.wait(job_id, timeout=60.0)
                 assert job.state == "done"
-                assert job.result.digest == _sequential_digest()
+                assert job.digest == _sequential_digest()
         finally:
             agent.stop()
 
@@ -370,7 +372,7 @@ class TestWaveCleanup:
 
         def consume():
             try:
-                backend.run_tasks([bad])
+                list(backend.run_tasks_streaming([bad]))
             except Exception as exc:  # noqa: BLE001 - the point of the test
                 errors.append(exc)
 

@@ -8,7 +8,7 @@ from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
-from helpers import plain_retry as retrying, wrap_function
+from helpers import collect_events, plain_retry as retrying, wrap_function
 
 SOURCE = wrap_function(
     "\n".join(
@@ -113,11 +113,11 @@ class TestRetryingBackend:
             def __init__(self):
                 self.calls = 0
 
-            def run_tasks(self, tasks):
+            def run_tasks_streaming(self, tasks):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("child process killed")
-                return SerialBackend().run_tasks(tasks)
+                return SerialBackend().run_tasks_streaming(tasks)
 
         backend = retrying(ExplodingBackend(), max_attempts=3)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
@@ -147,8 +147,8 @@ class TestChaosBackend:
     def test_decisions_are_a_pure_function_of_the_seed(self):
         a = self.chaos(workers=4, seed=9, crash_rate=0.4)
         b = self.chaos(workers=4, seed=9, crash_rate=0.4)
-        _, fail_a = a.run_tasks_partial(build_tasks())
-        _, fail_b = b.run_tasks_partial(build_tasks())
+        _, fail_a = collect_events(a, build_tasks())
+        _, fail_b = collect_events(b, build_tasks())
         assert [f.task.function_name for f in fail_a] == [
             f.task.function_name for f in fail_b
         ]
@@ -161,15 +161,15 @@ class TestChaosBackend:
         # deterministic under supervisor retries and hedges.
         forward = self.chaos(workers=4, seed=9, crash_rate=0.4)
         backward = self.chaos(workers=4, seed=9, crash_rate=0.4)
-        _, fail_f = forward.run_tasks_partial(build_tasks())
-        _, fail_b = backward.run_tasks_partial(list(reversed(build_tasks())))
+        _, fail_f = collect_events(forward, build_tasks())
+        _, fail_b = collect_events(backward, list(reversed(build_tasks())))
         assert sorted(f.task.function_name for f in fail_f) == sorted(
             f.task.function_name for f in fail_b
         )
 
     def test_dead_worker_attempts_always_fail(self):
         backend = self.chaos(workers=1, seed=0, dead_workers=("w0",))
-        results, failures = backend.run_tasks_partial(build_tasks())
+        results, failures = collect_events(backend, build_tasks())
         assert results == []
         assert len(failures) == 6
         assert all(f.worker == "w0" for f in failures)
@@ -178,28 +178,28 @@ class TestChaosBackend:
         backend = self.chaos(workers=4, seed=0, poison=(("s", "f1"),))
         workers = set()
         for _ in range(3):
-            _, failures = backend.run_tasks_partial(build_tasks()[1:2])
+            _, failures = collect_events(backend, build_tasks()[1:2])
             assert len(failures) == 1
             workers.add(failures[0].worker)
         assert len(workers) == 3  # rotation guarantees distinct hosts
 
     def test_results_carry_worker_attribution(self):
         backend = self.chaos(workers=4, seed=0)
-        results, failures = backend.run_tasks_partial(build_tasks())
+        results, failures = collect_events(backend, build_tasks())
         assert failures == []
         assert all(r.worker in backend.worker_names for r in results)
 
     def test_excluded_workers_receive_no_attempts(self):
         backend = self.chaos(workers=4, seed=0)
         backend.exclude_workers({"w0", "w1"})
-        results, _ = backend.run_tasks_partial(build_tasks())
+        results, _ = collect_events(backend, build_tasks())
         assert all(r.worker in ("w2", "w3") for r in results)
 
     def test_corruption_breaks_the_payload_digest(self):
         from repro.driver.function_master import result_payload_digest
 
         backend = self.chaos(workers=4, seed=0, corrupt_rate=1.0)
-        results, _ = backend.run_tasks_partial(build_tasks())
+        results, _ = collect_events(backend, build_tasks())
         assert backend.injected_corruptions == 6
         assert all(
             result_payload_digest(r) != r.payload_digest for r in results
@@ -214,7 +214,7 @@ class TestChaosBackend:
             hang_delay=0.01,
             sleep=naps.append,
         )
-        results, failures = backend.run_tasks_partial(build_tasks())
+        results, failures = collect_events(backend, build_tasks())
         assert failures == []
         assert len(results) == 6
         assert naps == [0.01] * 6

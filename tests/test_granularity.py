@@ -13,7 +13,7 @@ from repro.driver.function_master import FunctionTask, run_compile_task, run_fun
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.fault_tolerance import ChaosBackend
-from repro.parallel.local import ProcessPoolBackend, SerialBackend
+from repro.parallel.local import SerialBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
 from helpers import plain_retry, wrap_function
@@ -81,10 +81,12 @@ class TestGranularityOption:
 
     def test_section_granularity_with_process_pool(self):
         sequential = SequentialCompiler().compile(SOURCE)
-        parallel = ParallelCompiler(
-            backend=ProcessPoolBackend(max_workers=2),
+        with ParallelCompiler(
+            backend=WarmPoolBackend(max_workers=2),
             granularity="section",
-        ).compile(SOURCE)
+            owns_backend=True,
+        ) as compiler:
+            parallel = compiler.compile(SOURCE)
         assert parallel.digest == sequential.digest
 
 

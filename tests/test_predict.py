@@ -50,9 +50,6 @@ class RecordingBackend:
     def __init__(self):
         self.tasks = []
 
-    def run_tasks(self, tasks):
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(self, tasks):
         for task in tasks:
             self.tasks.append(task)
@@ -72,9 +69,6 @@ class GateBackend:
         #: in dispatch order — what starvation tests assert on
         self.dispatched = []
 
-    def run_tasks(self, tasks):
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(self, tasks):
         for task in tasks:
             self.dispatched.append((task.filename, task.function_name))
@@ -92,9 +86,6 @@ class SlowOnce:
         self.slow_name = slow_name
         self.delay = delay
         self.attempts = {}
-
-    def run_tasks(self, tasks):
-        return list(self.run_tasks_streaming(tasks))
 
     def run_tasks_streaming(self, tasks):
         for task in tasks:
@@ -281,13 +272,15 @@ class TestCostProviderSeam:
 
     def test_backend_digests_unchanged_by_provider(self):
         """Costs reorder batches; results must be bit-identical."""
-        from repro.parallel.local import ProcessPoolBackend
+        from repro.parallel.warm_pool import WarmPoolBackend
 
         expected = SequentialCompiler().compile(SOURCE).digest
-        backend = ProcessPoolBackend(max_workers=2)
-        # reverse the relative order the packer sees
-        backend.cost_provider = lambda task: 1.0 / max(task.cost_hint, 1.0)
-        result = ParallelCompiler(backend=backend).compile(SOURCE)
+        with WarmPoolBackend(max_workers=2) as backend:
+            # reverse the relative order the packer sees
+            backend.cost_provider = lambda task: 1.0 / max(
+                task.cost_hint, 1.0
+            )
+            result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == expected
 
 
@@ -379,7 +372,7 @@ class TestWatchSpeculation:
             )
             assert job.state == "done"
             assert job.cache_served == 3
-            assert job.result.digest == spec.result.digest
+            assert job.digest == spec.digest
 
     def test_clean_update_does_nothing(self, tmp_path):
         source = synthetic_program("tiny", 2, module_name="w_clean")
@@ -551,7 +544,7 @@ class TestWatchSpeculation:
                 cold_service.submit(source), timeout=60.0
             )
         assert warm.state == "done" and cold.state == "done"
-        assert warm.result.digest == cold.result.digest
+        assert warm.digest == cold.digest
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ class TestDeterminismSweep:
                     if (
                         on.state != "done"
                         or off.state != "done"
-                        or on.result.digest != off.result.digest
+                        or on.digest != off.digest
                     ):
                         mismatches.append(program.seed)
         assert mismatches == [], (

@@ -35,7 +35,6 @@ from repro.cache import (
 from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.machine.warp_array import WarpArrayModel
-from repro.parallel.backend import stream_task_results
 from repro.parallel.local import SerialBackend
 from repro.search import (
     REFERENCE_KEY,
@@ -210,16 +209,16 @@ class TestBackendIndependence:
         source = TWO_FUNCTION
         expected = self._reference_outcome(source)
 
+        class ReversedBackend(SerialBackend):
+            def run_tasks_streaming(self, tasks):
+                return super().run_tasks_streaming(list(reversed(tasks)))
+
         def reversed_factory(config):
-            backend = SerialBackend()
             return ParallelCompiler(
-                backend=backend,
+                backend=ReversedBackend(),
                 opt_level=config.opt_level,
                 unroll_budget=config.unroll_budget,
                 ii_budget=config.ii_budget,
-                dispatch=lambda tasks: stream_task_results(
-                    backend, list(reversed(tasks))
-                ),
             )
 
         clear_phase1_cache()

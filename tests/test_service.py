@@ -36,9 +36,6 @@ class GateBackend:
         self.gate = threading.Event()
         self.worker_count = 1
 
-    def run_tasks(self, tasks):
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(self, tasks):
         self.gate.wait(timeout=30.0)
         yield from stream_task_results(self.inner, tasks)
@@ -96,7 +93,7 @@ class TestConcurrentJobs:
             for name, job_id in jobs.items():
                 job = service.wait(job_id, timeout=60.0)
                 assert job.state == "done", job.error
-                assert job.result.digest == expected[name]
+                assert job.digest == expected[name]
 
     def test_work_profiles_are_isolated_per_job(self):
         """Concurrent jobs must not bleed counters or function reports
@@ -106,13 +103,13 @@ class TestConcurrentJobs:
         with CompileService(SerialBackend(), max_running=2) as service:
             ja = service.submit(a, tenant="alice", filename="iso_a.w2")
             jb = service.submit(b, tenant="bob", filename="iso_b.w2")
-            ra = service.wait(ja, timeout=60.0).result
-            rb = service.wait(jb, timeout=60.0).result
-        assert ra.module_name == "iso_a" and rb.module_name == "iso_b"
-        assert len(ra.profile.functions) == 4
-        assert len(rb.profile.functions) == 2
-        a_names = {f.name for f in ra.profile.functions}
-        b_names = {f.name for f in rb.profile.functions}
+            ra = service.wait(ja, timeout=60.0).report
+            rb = service.wait(jb, timeout=60.0).report
+        assert ra["module"] == "iso_a" and rb["module"] == "iso_b"
+        assert len(ra["profile"]["functions"]) == 4
+        assert len(rb["profile"]["functions"]) == 2
+        a_names = {f["name"] for f in ra["profile"]["functions"]}
+        b_names = {f["name"] for f in rb["profile"]["functions"]}
         assert not (a_names & b_names & {"<crossed>"})
         assert a_names.isdisjoint(b_names) or a_names != b_names
 
@@ -127,7 +124,7 @@ class TestConcurrentJobs:
                 service.submit(source, tenant="bob"), timeout=60.0
             )
         assert first.state == "done" and second.state == "done"
-        assert second.result.digest == first.result.digest
+        assert second.digest == first.digest
         assert second.cache_served >= 1
 
     def test_supervised_backend_composes_unchanged(self):
@@ -137,7 +134,7 @@ class TestConcurrentJobs:
         with CompileService(backend) as service:
             job = service.wait(service.submit(source), timeout=60.0)
         assert job.state == "done"
-        assert job.result.digest == expected
+        assert job.digest == expected
 
 
 class TestAdmission:
@@ -275,3 +272,110 @@ class TestLifecycle:
         assert "slot 0" in chart
         assert ja in chart and jb in chart
         assert 0.0 <= utilization <= 1.0
+
+
+def _stable(report):
+    """A job report without what legitimately differs between two
+    compiles of the same source: wall-clock fields and the per-process
+    phase-1 memo counters."""
+    volatile = ("phase1_cache_hits", "phase1_cache_misses", "phase1_mode")
+
+    def scrub(value):
+        if isinstance(value, dict):
+            return {
+                key: scrub(item)
+                for key, item in value.items()
+                if not key.endswith("_ms") and key not in volatile
+            }
+        if isinstance(value, list):
+            return [scrub(item) for item in value]
+        return value
+
+    return scrub(report)
+
+
+class TestFinishedJobRetention:
+    """A finished job keeps its reply, not its compile (ROADMAP aim 3:
+    a server that runs for days holds bounded memory)."""
+
+    @staticmethod
+    def _live(*types):
+        import gc
+
+        gc.collect()
+        return sum(isinstance(obj, types) for obj in gc.get_objects())
+
+    def test_finished_jobs_hold_no_compile(self):
+        from repro.asmlink.download import DownloadModule
+        from repro.asmlink.objformat import ObjectFunction
+        from repro.driver.master import ParallelCompiler
+        from repro.driver.results import CompilationResult
+
+        heavy = (DownloadModule, ObjectFunction, CompilationResult)
+        sources = [
+            synthetic_program("tiny", 2 + index % 3, module_name=f"keep{index}")
+            for index in range(20)
+        ]
+        direct = ParallelCompiler(backend=SerialBackend()).compile(sources[-1])
+        expected = (
+            direct.digest, _stable(direct.to_dict()), direct.diagnostics_text
+        )
+        del direct
+        before = self._live(*heavy)
+        with CompileService(
+            SerialBackend(), max_running=2, per_tenant_inflight=20
+        ) as service:
+            ids = [service.submit(source) for source in sources]
+            jobs = [service.wait(job_id, timeout=60.0) for job_id in ids]
+            assert all(job.state == "done" for job in jobs)
+            assert self._live(*heavy) == before
+            assert all(job.source == "" for job in jobs)
+            # what `wait` and `status --job` serve
+            detail = jobs[-1].summary(detail=True)
+        assert (
+            detail["digest"], _stable(detail["report"]), detail["diagnostics"]
+        ) == expected
+        assert jobs[-1].digest == detail["report"]["digest"]
+
+    def test_terminal_jobs_are_bounded(self, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "KEEP_FINISHED", 4)
+        with CompileService(SerialBackend()) as service:
+            for index in range(10):
+                job_id = service.submit(_module(f"bounded{index}"))
+                service.wait(job_id, timeout=60.0)
+                rows = service.jobs_summary()
+                assert len(rows) <= 4
+                assert rows[-1]["job"] == job_id
+            assert [row["job"] for row in rows] == ["j7", "j8", "j9", "j10"]
+
+    def test_job_after_the_span_bound_still_draws(self, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "MAX_SPANS", 5)
+        with CompileService(SerialBackend()) as service:
+            for index in range(4):
+                job_id = service.submit(
+                    synthetic_program("tiny", 3, module_name=f"span{index}")
+                )
+                service.wait(job_id, timeout=60.0)
+            assert len(service.spans) == 5
+            chart = service.gantt(job_id)
+            overview = service.gantt()
+        assert "slot 0" in chart and job_id in chart
+        assert job_id in overview and "j1 " not in overview
+
+    def test_overview_rows_carry_no_digest(self):
+        import json
+
+        with CompileService(SerialBackend()) as service:
+            job_id = service.submit(
+                synthetic_program("small", 4, module_name="overview")
+            )
+            job = service.wait(job_id, timeout=60.0)
+            rows = service.jobs_summary()
+        assert len(job.digest) > 10_000  # a full module dump
+        assert "digest" not in rows[0] and "report" not in rows[0]
+        assert len(json.dumps(rows[0])) < 2048
+        assert job.summary(detail=True)["digest"] == job.digest

@@ -102,6 +102,30 @@ class TestProtocol:
         detail = client.status(job["job"])
         assert detail["job"]["state"] == "done"
 
+    def test_overview_reply_stays_small_per_job(self, endpoint):
+        """The service-wide status lists jobs without their digests (a
+        full module dump each); `status --job` and `wait` carry them."""
+        from repro.workloads.synthetic import synthetic_program
+
+        address, _ = endpoint
+        client = ServiceClient(address)
+        waited = [
+            client.submit_and_wait(
+                synthetic_program("small", 4, module_name=f"big{index}"),
+                timeout=60.0,
+            )
+            for index in range(3)
+        ]
+        assert all(len(job["digest"]) > 10_000 for job in waited)
+        overview = client.status()
+        assert len(overview["jobs"]) == 3
+        assert all("digest" not in row for row in overview["jobs"])
+        assert len(json.dumps(overview["jobs"])) < 3 * 2048
+        detail = client.status(waited[0]["job"])["job"]
+        assert detail["digest"] == waited[0]["digest"]
+        assert detail["report"] == waited[0]["report"]
+        assert detail["diagnostics"] == waited[0]["diagnostics"]
+
     def test_unknown_job_is_a_protocol_error(self, endpoint):
         address, _ = endpoint
         client = ServiceClient(address)

@@ -19,11 +19,11 @@ from repro.driver.section_master import (
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.backend import stream_task_results
 from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
-from repro.parallel.local import ProcessPoolBackend, SerialBackend
+from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
-from helpers import plain_retry
+from helpers import collect_events, plain_retry
 
 SOURCE = """
 module streams
@@ -54,22 +54,30 @@ class TestStreamingBackends:
         assert rest == ["a2", "b1"]
 
     def test_adapter_falls_back_to_barrier_backends(self):
-        class BarrierOnly:
+        # The barrier API is gone; what survives is that a backend's
+        # run_tasks_streaming may hand back a plain list, and that the
+        # adapter never asks a backend to run zero tasks.
+        class ListBackend:
             worker_count = 1
             effective_worker_count = 1
+            calls = 0
 
-            def run_tasks(self, tasks):
+            def run_tasks_streaming(self, tasks):
+                self.calls += 1
                 return [
                     result
                     for task in tasks
                     for result in run_compile_task(task)
                 ]
 
+        backend = ListBackend()
         names = [
             r.function_name
-            for r in stream_task_results(BarrierOnly(), build_tasks())
+            for r in stream_task_results(backend, build_tasks())
         ]
         assert names == ["a1", "a2", "b1"]
+        assert list(stream_task_results(backend, [])) == []
+        assert backend.calls == 1
 
     def test_flaky_backend_streams_survivors_then_raises(self):
         # seed chosen so some tasks survive and at least one crashes:
@@ -81,9 +89,9 @@ class TestStreamingBackends:
                 survivors.append(result.function_name)
         assert survivors  # partial progress was yielded, not discarded
         assert excinfo.value.task.function_name not in survivors
-        # the crash pattern matches the bulk API under the same seed
+        # the crash pattern matches the event stream under the same seed
         twin = ChaosBackend(SerialBackend(), crash_rate=0.5, seed=2)
-        _, failures = twin.run_tasks_partial(build_tasks())
+        _, failures = collect_events(twin, build_tasks())
         assert excinfo.value.task.function_name == (
             failures[0].task.function_name
         )
@@ -136,10 +144,13 @@ class TestStreamingBackends:
             wrapped.definitely_not_an_attribute
 
     def test_process_pool_streaming_digest(self):
+        # The cold pool: a farm owned by one compile and shut down with it.
         sequential = SequentialCompiler().compile(SOURCE)
-        backend = ProcessPoolBackend(max_workers=2)
-        parallel = ParallelCompiler(backend=backend).compile(SOURCE)
+        backend = WarmPoolBackend(max_workers=2)
+        with ParallelCompiler(backend=backend, owns_backend=True) as compiler:
+            parallel = compiler.compile(SOURCE)
         assert parallel.digest == sequential.digest
+        assert not backend.is_warm
 
     def test_warm_pool_streaming_digest_and_reuse(self):
         sequential = SequentialCompiler().compile(SOURCE)

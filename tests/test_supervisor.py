@@ -72,9 +72,6 @@ class SlowOnce:
         self.delay = delay
         self.attempts = {}
 
-    def run_tasks(self, tasks):
-        return list(self.run_tasks_streaming(tasks))
-
     def run_tasks_streaming(self, tasks):
         for task in tasks:
             seen = self.attempts.get(task.function_name, 0)

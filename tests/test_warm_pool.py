@@ -13,7 +13,7 @@ import pytest
 from repro.driver.function_master import FunctionTask, clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
-from repro.parallel.local import ProcessPoolBackend, SerialBackend
+from repro.parallel.local import SerialBackend
 from repro.parallel.schedule import ast_cost_hint, batch_tasks_by_cost
 from repro.parallel.warm_pool import WarmPoolBackend
 from repro.workloads.synthetic import synthetic_program
@@ -66,7 +66,7 @@ class TestPoolPersistence:
     def test_lazy_start(self):
         backend = WarmPoolBackend(max_workers=1)
         assert not backend.is_warm
-        backend.run_tasks([])
+        assert list(backend.run_tasks_streaming([])) == []
         assert not backend.is_warm  # empty batch never spins up the farm
         backend.shutdown()
 
@@ -115,7 +115,7 @@ class TestPoolPersistence:
         with WarmPoolBackend(max_workers=1, crash_retries=1) as backend:
             task = FunctionTask(SMALL, "<t>", "nope", None)
             with pytest.raises(KeyError):
-                backend.run_tasks([task])
+                list(backend.run_tasks_streaming([task]))
             assert backend.crash_recoveries == 0
 
     def test_rejects_bad_configuration(self):
@@ -129,8 +129,8 @@ class TestPoolPersistence:
 
 class TestEffectiveWorkerCount:
     def test_pool_backend_records_cap_at_task_count(self):
-        backend = ProcessPoolBackend(max_workers=8)
-        result = ParallelCompiler(backend=backend).compile(SMALL)
+        with WarmPoolBackend(max_workers=8) as backend:
+            result = ParallelCompiler(backend=backend).compile(SMALL)
         assert backend.effective_worker_count == 3
         assert result.profile.workers_used == 3
 
