@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import ClusterCostModel
 from repro.metrics.experiments import (
     MeasuredPair,
     measure_pair,
@@ -30,7 +30,7 @@ PAPER_NAME = {
 }
 
 
-def pairs_for(size_class: str, costs: Optional[CostModel] = None):
+def pairs_for(size_class: str, costs: Optional[ClusterCostModel] = None):
     return {
         n: measure_pair(size_class, n, costs=costs) for n in FUNCTION_COUNTS
     }

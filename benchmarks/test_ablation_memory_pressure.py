@@ -15,7 +15,7 @@ import dataclasses
 
 from figures_common import write_figure
 from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import ClusterCostModel
 from repro.metrics.experiments import (
     measure_pair,
     measure_user_program,
@@ -26,8 +26,8 @@ from repro.metrics.overhead import compute_overhead
 from repro.metrics.series import Figure
 
 
-def no_pressure() -> CostModel:
-    return CostModel(
+def no_pressure() -> ClusterCostModel:
+    return ClusterCostModel(
         retained_fraction=0.0,
         held_object_memory_per_bundle=0.0,
         gc_coeff=0.0,
@@ -36,8 +36,8 @@ def no_pressure() -> CostModel:
     )
 
 
-def heavy_pressure() -> CostModel:
-    return CostModel(
+def heavy_pressure() -> ClusterCostModel:
+    return ClusterCostModel(
         retained_fraction=1.0,
         held_object_memory_per_bundle=1.5,
         retained_cap=1e9,

@@ -7,13 +7,13 @@ startup free, even tiny functions should parallelize.
 """
 
 from figures_common import write_figure
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import ClusterCostModel
 from repro.metrics.experiments import measure_pair
 from repro.metrics.series import Figure
 
 
-def free_startup() -> CostModel:
-    return CostModel(
+def free_startup() -> ClusterCostModel:
+    return ClusterCostModel(
         lisp_core_words=0.0,
         lisp_init_sec=0.0,
         c_process_start_sec=0.0,

@@ -17,7 +17,7 @@ import platform
 
 from repro.cache import ArtifactCache
 from repro.parallel.local import SerialBackend
-from repro.predict import CostModel, ObservationStore
+from repro.predict import LearnedCostModel, ObservationStore
 from repro.service import CompileService, EditSessionSpec, replay_edit_session
 
 SPEC = EditSessionSpec(
@@ -33,7 +33,7 @@ ADVANTAGE_BAR = 0.6
 
 def _speculating_service(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
-    model = CostModel(ObservationStore(str(tmp_path / "obs")))
+    model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
     return CompileService(
         SerialBackend(),
         cache,

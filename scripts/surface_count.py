@@ -13,9 +13,16 @@ The counts, all over ``src/**/*.py``:
 ``streaming_backends``  classes implementing ``run_tasks_streaming`` (the
                         ``ExecutionBackend`` protocol declares it and is
                         not one)
-``task_surfaces``       distinct ``run_tasks_*`` method names classes define
-                        (a bare barrier-style name would count too)
+``task_surfaces``       distinct public methods, on those backends, whose
+                        first parameter is ``tasks`` — every way there is
+                        to hand a backend work
 ``stats_dataclasses``   ``@dataclass`` classes named ``*Stats``
+``socket_servers``      classes deriving from a ``socketserver`` class
+``socket_clients``      modules that open a socket themselves (call
+                        ``socket.create_connection`` or ``.makefile(``)
+
+Every count is an AST walk — none depends on how a name is spelled, so
+no grep for a deleted name can trip (or satisfy) one.
 
 ``--check`` compares against the committed ``docs/SURFACE.json`` and
 fails when any count *exceeds* it: the numbers may fall, and a PR that
@@ -53,15 +60,43 @@ def _is_protocol(node: ast.ClassDef) -> bool:
     return any(getattr(base, "id", "") == "Protocol" for base in node.bases)
 
 
+def _takes_tasks(method: ast.FunctionDef) -> bool:
+    args = method.args.args
+    return (
+        not method.name.startswith("_")
+        and len(args) > 1
+        and args[1].arg == "tasks"
+    )
+
+
+def _derives_from_socketserver(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(base, ast.Attribute)
+        and getattr(base.value, "id", "") == "socketserver"
+        for base in node.bases
+    )
+
+
+def _opens_a_socket(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    return node.func.attr == "makefile" or (
+        node.func.attr == "create_connection"
+        and getattr(node.func.value, "id", "") == "socket"
+    )
+
+
 def count_surface() -> dict:
-    lines = flags = backends = stats = 0
+    lines = flags = backends = stats = servers = clients = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines += text.count("\n")
         env_vars.update(ENV_VAR.findall(text))
-        for node in ast.walk(ast.parse(text, filename=str(path))):
+        nodes = list(ast.walk(ast.parse(text, filename=str(path))))
+        clients += any(_opens_a_socket(node) for node in nodes)
+        for node in nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -72,20 +107,22 @@ def count_surface() -> dict:
             ):
                 flags += 1
             elif isinstance(node, ast.ClassDef):
-                methods = {
-                    item.name
+                methods = [
+                    item
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
-                }
-                task_surfaces.update(
-                    name
-                    for name in methods
-                    if name.split("_")[:2] == ["run", "tasks"]
-                )
-                if "run_tasks_streaming" in methods and not _is_protocol(node):
-                    backends += 1
+                ]
+                servers += _derives_from_socketserver(node)
                 if node.name.endswith("Stats") and _is_dataclass(node):
                     stats += 1
+                if _is_protocol(node) or "run_tasks_streaming" not in {
+                    method.name for method in methods
+                }:
+                    continue
+                backends += 1
+                task_surfaces.update(
+                    method.name for method in methods if _takes_tasks(method)
+                )
     return {
         "src_lines": lines,
         "cli_flags": flags,
@@ -93,6 +130,8 @@ def count_surface() -> dict:
         "streaming_backends": backends,
         "task_surfaces": len(task_surfaces),
         "stats_dataclasses": stats,
+        "socket_servers": servers,
+        "socket_clients": clients,
     }
 
 

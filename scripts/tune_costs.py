@@ -17,7 +17,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import ClusterCostModel
 from repro.metrics.overhead import compute_overhead
 from repro.parallel.schedule import (
     fcfs_assignment,
@@ -62,7 +62,7 @@ def user_profile():
 
 
 def main(argv):
-    costs = CostModel()
+    costs = ClusterCostModel()
     for arg in argv:
         key, _, value = arg.partition("=")
         if not hasattr(costs, key):

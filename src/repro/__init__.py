@@ -20,7 +20,7 @@ Quick start::
     result = SequentialCompiler().compile(source_text)
 """
 
-from .cluster import ClusterSimulation, CostModel
+from .cluster import ClusterSimulation, ClusterCostModel
 from .driver import ParallelCompiler, SequentialCompiler
 from .machine import WarpArrayModel, WarpCellModel
 from .warpsim import run_module
@@ -32,7 +32,7 @@ from .cache import ArtifactCache  # noqa: E402 (needs __version__ for salts)
 __all__ = [
     "ArtifactCache",
     "ClusterSimulation",
-    "CostModel",
+    "ClusterCostModel",
     "ParallelCompiler",
     "SequentialCompiler",
     "WarpArrayModel",

@@ -1,0 +1,118 @@
+"""What a verb's flags build: the execution backend and the cache tiers.
+
+This is the only module under :mod:`repro.cli` that constructs a
+backend or opens a cache; compile, search, bench, serve and worker all
+come through :func:`build_backend` and :func:`open_caches`.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Dict
+
+from ..cache import ArtifactCache, LinkCache, ParseCache, VariantStore
+from ..parallel.fault_tolerance import ChaosBackend
+from ..parallel.local import SerialBackend
+from ..parallel.supervisor import SupervisedBackend
+from ..parallel.warm_pool import WarmPoolBackend
+
+#: report label -> store class, for every tier --cache-dir can hold
+TIERS = {
+    "artifact cache": ArtifactCache,
+    "parse cache": ParseCache,
+    "link cache": LinkCache,
+    "variant store": VariantStore,
+}
+
+
+def build_backend(args, chaos_seed=None, chaos_poison=None):
+    """The backend ``args.workers`` asks for — the one rule behind
+    ``--jobs`` and ``--workers``: N>1 is a warm pool of N this command
+    owns, 1 is in-process serial, unset is a pool of cores-1 (a verb
+    whose documented default is serial sets the flag's default to 1).
+
+    ``compile --chaos SEED`` replaces it with a simulated flaky farm
+    around an in-process executor: deterministic under the seed.
+    """
+    if chaos_seed is not None:
+        poison = ()
+        if chaos_poison:
+            section, _, function = chaos_poison.partition(".")
+            poison = ((section, function or None),)
+        return ChaosBackend(
+            SerialBackend(),
+            workers=4,
+            seed=chaos_seed,
+            crash_rate=0.2,
+            hang_rate=0.2,
+            hang_delay=0.2,
+            corrupt_rate=0.1,
+            poison=poison,
+        )
+    if args.workers is None or args.workers > 1:
+        return WarmPoolBackend(args.workers)
+    return SerialBackend()
+
+
+def supervise(args, backend, **tuning):
+    """``backend`` under the supervision layer, tuned by the verb's
+    ``--task-timeout`` / ``--hedge-after`` (``tuning``: what else the
+    verb has flags for)."""
+    return SupervisedBackend(
+        backend,
+        task_timeout=args.task_timeout,
+        hedge_after=args.hedge_after if args.hedge_after > 0 else None,
+        **tuning,
+    )
+
+
+def shutdown_backend(backend) -> None:
+    """Stop a backend this command owns (serial ones have nothing to stop)."""
+    shutdown = getattr(backend, "shutdown", None)
+    if shutdown is not None:
+        shutdown()
+
+
+def open_caches(args, *tiers: str) -> Dict[str, object]:
+    """The named tiers (by report label) opened under ``--cache-dir``,
+    in the order given; empty under ``--no-cache``.  On a verb that
+    takes ``--cache-url`` the artifact cache is tiered behind the
+    network cache that flag or $WARPCC_CACHE_URL names."""
+    if args.no_cache:
+        return {}
+    caches = {tier: TIERS[tier](args.cache_dir) for tier in tiers}
+    options = vars(args)
+    if "cache_url" in options and "artifact cache" in caches:
+        url = options["cache_url"] or os.environ.get("WARPCC_CACHE_URL")
+        if url:
+            from ..fabric import NetworkCacheClient, TieredCache
+
+            caches["artifact cache"] = TieredCache(
+                caches["artifact cache"], NetworkCacheClient(url)
+            )
+    return caches
+
+
+def close_caches(caches: Dict[str, object]) -> None:
+    """Flush and close a tiered cache (plain stores have no close)."""
+    for store in caches.values():
+        closer = getattr(store, "close", None)
+        if closer is not None:
+            closer()
+
+
+def tier_stats_line(label: str, store) -> str:
+    stats = store.stats
+    line = (
+        f"{label}: {stats.hits} hit(s), {stats.misses} miss(es), "
+        f"{store.size_bytes()} bytes on disk"
+    )
+    remote = getattr(store, "remote", None)
+    if remote is not None:
+        state = "disabled" if remote.disabled else "live"
+        line += (
+            f"; network tier ({state}): {remote.remote_hits} hit(s), "
+            f"{remote.remote_misses} miss(es), "
+            f"{remote.remote_errors} error(s)"
+        )
+    return line

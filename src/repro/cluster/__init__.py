@@ -1,7 +1,7 @@
 """Discrete-event simulation of the workstation network host."""
 
 from .cluster import HOME, ClusterSimulation, CompileSpan, TimingReport
-from .costs import CostModel, default_cost_model
+from .costs import ClusterCostModel, default_cost_model
 from .events import Simulator
 from .fileserver import FileServer
 from .network import SharedResource, ethernet_efficiency
@@ -11,7 +11,7 @@ __all__ = [
     "HOME",
     "ClusterSimulation",
     "CompileSpan",
-    "CostModel",
+    "ClusterCostModel",
     "FileServer",
     "MachinePool",
     "SharedResource",

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..driver.results import FunctionReport, WorkProfile
 from ..parallel.schedule import Assignment
-from .costs import CostModel, default_cost_model
+from .costs import ClusterCostModel, default_cost_model
 from .events import Simulator
 from .fileserver import FileServer
 from .network import SharedResource, ethernet_efficiency
@@ -75,7 +75,7 @@ class TimingReport:
 class ClusterSimulation:
     """Prices work profiles onto the simulated workstation network."""
 
-    def __init__(self, costs: Optional[CostModel] = None):
+    def __init__(self, costs: Optional[ClusterCostModel] = None):
         self.costs = costs or default_cost_model()
 
     # ------------------------------------------------------------------

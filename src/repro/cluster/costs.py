@@ -33,7 +33,7 @@ from ..driver.results import FunctionReport, WorkProfile
 
 
 @dataclass
-class CostModel:
+class ClusterCostModel:
     """All tunable constants of the cluster simulation."""
 
     # -- CPU rates (work units per virtual second) --------------------------
@@ -167,5 +167,5 @@ class CostModel:
         return self.object_words_per_bundle * report.bundles
 
 
-def default_cost_model() -> CostModel:
-    return CostModel()
+def default_cost_model() -> ClusterCostModel:
+    return ClusterCostModel()

@@ -190,10 +190,7 @@ class ParallelCompiler:
             sema_work=parsed.sema_work,
             source_lines=parsed.source_lines,
             workers_used=(
-                getattr(
-                    self.backend, "effective_worker_count",
-                    getattr(self.backend, "worker_count", 1),
-                )
+                self.backend.effective_worker_count
                 if dispatched
                 # Everything came out of the artifact cache: the master
                 # alone did the (trivial) work.

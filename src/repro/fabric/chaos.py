@@ -1,10 +1,10 @@
 """Seeded, deterministic fault injection for the fabric's transport.
 
-Same discipline as :class:`repro.parallel.fault_tolerance.ChaosBackend`:
-every fault decision is a pure function of ``(seed, kind, key, attempt)``
-hashed through sha256, so a given seed produces the same kills, drops,
-and corruptions no matter how threads interleave — a failing seed from
-CI replays locally, exactly.
+Same schedule as :class:`repro.parallel.fault_tolerance.ChaosBackend`
+(:mod:`repro.parallel.fault_schedule`): every fault decision is a pure
+function of ``(seed, kind, key, attempt)``, so a given seed produces the
+same kills, drops, and corruptions no matter how threads interleave — a
+failing seed from CI replays locally, exactly.
 
 :class:`FabricChaos` is the persistent *plan*: it owns the per-task
 attempt counters and per-fault budgets, and wraps each (re)connection a
@@ -21,20 +21,12 @@ counted misses — never a failed compile.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import defaultdict
-from typing import Dict, Optional
+from typing import Optional
 
+from ..parallel.fault_schedule import FaultSchedule
 from .wire import Connection, encode_frame
-
-
-def _roll(seed: int, kind: str, key: str, attempt: int) -> float:
-    """Deterministic uniform [0, 1) draw for one fault decision."""
-    material = f"{seed}:{kind}:{key}:{attempt}".encode("utf-8")
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 class FabricChaos:
@@ -53,7 +45,7 @@ class FabricChaos:
         max_kills_per_task: int = 1,
         max_truncations_per_task: int = 1,
     ):
-        self.seed = seed
+        self.schedule = FaultSchedule(seed)
         self.kill_rate = kill_rate
         self.heartbeat_drop_rate = heartbeat_drop_rate
         self.delay_rate = delay_rate
@@ -63,10 +55,6 @@ class FabricChaos:
         self.max_kills_per_task = max_kills_per_task
         self.max_truncations_per_task = max_truncations_per_task
         self._lock = threading.Lock()
-        self._attempts: Dict[str, int] = defaultdict(int)
-        self._kills_used: Dict[str, int] = defaultdict(int)
-        self._truncations_used: Dict[str, int] = defaultdict(int)
-        self._heartbeats_seen = 0
         self.kills_injected = 0
         self.heartbeats_dropped = 0
         self.frames_delayed = 0
@@ -75,18 +63,6 @@ class FabricChaos:
 
     def wrap(self, conn: Connection) -> "ChaosTransport":
         return ChaosTransport(conn, self)
-
-    # -- decisions (called by the transport under the plan lock) -------
-
-    def _next_attempt(self, key: str) -> int:
-        attempt = self._attempts[key]
-        self._attempts[key] = attempt + 1
-        return attempt
-
-    def _next_heartbeat(self) -> int:
-        n = self._heartbeats_seen
-        self._heartbeats_seen = n + 1
-        return n
 
 
 class ChaosTransport:
@@ -109,23 +85,15 @@ class ChaosTransport:
     def close(self) -> None:
         self._conn.close()
 
-    @property
-    def peername(self) -> str:
-        return self._conn.peername
-
-    @property
-    def max_frame_bytes(self) -> int:
-        return self._conn.max_frame_bytes
-
     def send(self, frame: dict) -> None:
         plan = self._plan
+        schedule = plan.schedule
         op = frame.get("op")
         if op == "heartbeat":
             with plan._lock:
-                n = plan._next_heartbeat()
-                drop = (
-                    _roll(plan.seed, "heartbeat-drop", "hb", n)
-                    < plan.heartbeat_drop_rate
+                drop = schedule.fires(
+                    "heartbeat-drop", "hb", schedule.take("heartbeat", "hb"),
+                    plan.heartbeat_drop_rate,
                 )
                 if drop:
                     plan.heartbeats_dropped += 1
@@ -139,29 +107,21 @@ class ChaosTransport:
 
         key = str(frame.get("id", "?"))
         with plan._lock:
-            attempt = plan._next_attempt(key)
-            kill = (
-                _roll(plan.seed, "kill", key, attempt) < plan.kill_rate
-                and plan._kills_used[key] < plan.max_kills_per_task
+            attempt = schedule.take("attempt", key)
+            kill = schedule.fires(
+                "kill", key, attempt, plan.kill_rate, plan.max_kills_per_task
             )
             if kill:
-                plan._kills_used[key] += 1
                 plan.kills_injected += 1
-            truncate = (
-                not kill
-                and _roll(plan.seed, "truncate", key, attempt)
-                < plan.truncate_rate
-                and plan._truncations_used[key] < plan.max_truncations_per_task
+            truncate = not kill and schedule.fires(
+                "truncate", key, attempt, plan.truncate_rate,
+                plan.max_truncations_per_task,
             )
             if truncate:
-                plan._truncations_used[key] += 1
                 plan.frames_truncated += 1
-            delay = (
-                _roll(plan.seed, "delay", key, attempt) < plan.delay_rate
-            )
-            duplicate = (
-                _roll(plan.seed, "duplicate", key, attempt)
-                < plan.duplicate_rate
+            delay = schedule.fires("delay", key, attempt, plan.delay_rate)
+            duplicate = schedule.fires(
+                "duplicate", key, attempt, plan.duplicate_rate
             )
 
         if kill:
@@ -201,18 +161,17 @@ class CacheChaos:
         fail_rate: float = 0.0,
         max_corruptions_per_key: int = 1,
     ):
-        self.seed = seed
+        self.schedule = FaultSchedule(seed)
         self.corrupt_rate = corrupt_rate
         self.fail_rate = fail_rate
         self.max_corruptions_per_key = max_corruptions_per_key
         self._lock = threading.Lock()
-        self._corruptions_used: Dict[str, int] = defaultdict(int)
         self.responses_corrupted = 0
         self.requests_failed = 0
 
     def should_fail(self, key: str) -> bool:
         with self._lock:
-            if _roll(self.seed, "cache-fail", key, 0) < self.fail_rate:
+            if self.schedule.fires("cache-fail", key, 0, self.fail_rate):
                 self.requests_failed += 1
                 return True
         return False
@@ -221,15 +180,12 @@ class CacheChaos:
         """Deterministically scribble on a response blob (bounded per key,
         so the retry after the client rejects it can succeed)."""
         with self._lock:
-            used = self._corruptions_used[key]
-            corrupt = (
-                blob
-                and _roll(self.seed, "cache-corrupt", key, used)
-                < self.corrupt_rate
-                and used < self.max_corruptions_per_key
+            # Each corruption already served is this key's next attempt.
+            corrupt = bool(blob) and self.schedule.fires(
+                "cache-corrupt", key, self.schedule.count("cache-corrupt", key),
+                self.corrupt_rate, self.max_corruptions_per_key,
             )
             if corrupt:
-                self._corruptions_used[key] = used + 1
                 self.responses_corrupted += 1
         if not corrupt:
             return blob

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hmac
 import os
 import queue
-import socketserver
 import threading
 import time
 from collections import deque
@@ -42,13 +41,16 @@ from ..parallel.backend import stream_task_results
 from ..parallel.local import SerialBackend
 from .wire import (
     PROTOCOL_VERSION,
+    AuthenticationError,
     Connection,
+    LineServer,
     ProtocolError,
     WireCorruption,
     decode_result,
     encode_task,
     fabric_secret,
     hmac_tag,
+    replies_to,
 )
 
 #: Lease/heartbeat defaults: a node missing ~3 heartbeats is lost.
@@ -118,20 +120,6 @@ class _Node:
         self.alive = True
 
 
-class _HubHandler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - socketserver entry point
-        self.server.hub._serve_connection(Connection(self.request))
-
-
-class _HubServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, hub: "FabricHub", host: str, port: int):
-        self.hub = hub
-        super().__init__((host, port), _HubHandler)
-
-
 class FabricHub:
     """Central scheduler for a fleet of worker-node agents."""
 
@@ -167,14 +155,9 @@ class FabricHub:
         self._closed = False
 
         self._local_queue: "queue.Queue" = queue.Queue()
-        self._server = _HubServer(self, host, port)
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="fabric-hub-server",
-            daemon=True,
+        self.endpoint = LineServer(host, port, self._serve_connection).start(
+            "fabric-hub-server"
         )
-        self._server_thread.start()
         self._monitor_stop = threading.Event()
         self._monitor_thread = threading.Thread(
             target=self._monitor_loop, name="fabric-hub-monitor", daemon=True
@@ -189,8 +172,7 @@ class FabricHub:
 
     @property
     def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
+        return self.endpoint.address
 
     def close(self, retire_fleet: bool = False) -> None:
         """Stop the hub.  Agents treat the plain ``shutdown`` as
@@ -204,8 +186,7 @@ class FabricHub:
             nodes = list(self._nodes.values())
             self._nodes.clear()
         self._monitor_stop.set()
-        self._server.shutdown()
-        self._server.server_close()
+        self.endpoint.close()
         self._local_queue.put(None)
         for node in nodes:
             try:
@@ -250,35 +231,34 @@ class FabricHub:
     # -- node connections ----------------------------------------------
 
     def _serve_connection(self, conn: Connection) -> None:
+        """One node's session: ``register`` (the only verb a peer has
+        before it holds a lease), then the lease loop.  The endpoint
+        answers a :class:`ProtocolError` raised here and closes the
+        connection when this returns."""
         node: Optional[_Node] = None
         reason = "disconnected"
-        try:
-            frame = conn.recv()
-            if frame is None:
-                return
-            if frame.get("op") != "register":
-                conn.send(
-                    {
-                        "op": "error",
-                        "ok": False,
-                        "reason": "bad-request",
-                        "error": "first frame must be register",
-                    }
-                )
-                return
-            if not self._authenticate(conn):
-                return
+
+        def register(frame: dict) -> dict:
+            nonlocal node
+            self._authenticate(conn)
             node = self._register(conn, frame)
-            conn.send(
-                {
-                    "op": "welcome",
-                    "ok": True,
-                    "node": node.node_id,
-                    "protocol": PROTOCOL_VERSION,
-                    "lease_ttl": self.lease_ttl,
-                    "heartbeat_interval": self.heartbeat_interval,
-                }
-            )
+            return {
+                "op": "welcome",
+                "ok": True,
+                "node": node.node_id,
+                "protocol": PROTOCOL_VERSION,
+                "lease_ttl": self.lease_ttl,
+                "heartbeat_interval": self.heartbeat_interval,
+            }
+
+        verbs = {"register": register}
+        try:
+            while node is None:
+                frame = conn.recv()
+                if frame is None:
+                    return
+                for reply in replies_to(frame, verbs):
+                    conn.send(reply)
             self._pump()
             while True:
                 frame = conn.recv()
@@ -291,7 +271,7 @@ class FabricHub:
                 if op == "result":
                     self._on_result(node, frame)
                 elif op == "task-done":
-                    self._on_task_done(frame)
+                    self._complete_task(str(frame.get("id", "")))
                 elif op == "task-failed":
                     self._on_task_failed(frame)
                 elif op == "goodbye":
@@ -300,22 +280,18 @@ class FabricHub:
                 # unknown ops are ignored (forward compatibility)
         except ProtocolError as exc:
             reason = exc.reason
-            with self._lock:
-                self.stats.corrupt_frames += 1
-            try:
-                conn.send(
-                    {"op": "error", "ok": False, "reason": exc.reason, "error": str(exc)}
-                )
-            except Exception:  # noqa: BLE001
-                pass
+            # a failed challenge is a refusal, not line noise
+            if not isinstance(exc, AuthenticationError):
+                with self._lock:
+                    self.stats.corrupt_frames += 1
+            raise
         except OSError:
             reason = "io-error"
         finally:
             if node is not None:
                 self._lose_node(node.node_id, reason, expect=node)
-            conn.close()
 
-    def _authenticate(self, conn: Connection) -> bool:
+    def _authenticate(self, conn: Connection) -> None:
         """Challenge-response proof of the shared secret, when one is
         configured.  Runs *before* registration: a peer that cannot
         answer never gains a lease, so no task payload (which carries
@@ -323,27 +299,21 @@ class FabricHub:
         Without a secret the fabric is open — trusted networks only."""
         secret = fabric_secret()
         if secret is None:
-            return True
+            return
         nonce = os.urandom(16).hex()
         conn.send({"op": "challenge", "nonce": nonce})
         reply = conn.recv()
-        if reply is None:
-            return False
-        tag = reply.get("hmac") if reply.get("op") == "auth" else None
+        tag = (
+            reply.get("hmac")
+            if reply is not None and reply.get("op") == "auth"
+            else None
+        )
         if not isinstance(tag, str) or not hmac.compare_digest(
             tag, hmac_tag(nonce.encode("ascii"), secret)
         ):
-            conn.send(
-                {
-                    "op": "error",
-                    "ok": False,
-                    "reason": "unauthenticated",
-                    "error": "challenge response does not prove the "
-                    "fabric secret",
-                }
+            raise AuthenticationError(
+                "challenge response does not prove the fabric secret"
             )
-            return False
-        return True
 
     def _register(self, conn: Connection, frame: dict) -> _Node:
         node_id = str(frame.get("node") or f"node-{id(conn):x}")
@@ -422,9 +392,6 @@ class FabricHub:
             if worker is not None and result.worker is None:
                 result.worker = worker
         wave.queue.put(("result", result))
-
-    def _on_task_done(self, frame: dict) -> None:
-        self._complete_task(str(frame.get("id", "")))
 
     def _complete_task(self, task_id: str) -> None:
         finished_wave = None

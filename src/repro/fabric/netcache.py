@@ -24,21 +24,23 @@ Tiering rules (INTERNALS.md §Distributed fabric):
 from __future__ import annotations
 
 import queue
-import socket
-import socketserver
 import threading
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..cache.store import DEFAULT_MAX_BYTES, PickleStore
 from ..driver.function_master import FunctionTaskResult, result_payload_digest
 from .chaos import CacheChaos
 from .wire import (
     Connection,
+    LineServer,
     ProtocolError,
-    decode_frame,
+    connect_with_backoff,
     pack_blob,
     pack_bytes,
-    read_frame_line,
+    parse_address,
+    refusal,
+    serve_requests,
     unpack_blob,
     unpack_bytes,
 )
@@ -55,20 +57,6 @@ class NetworkBlobStore(PickleStore):
 
     SUBDIR = "netblobs"
     PAYLOAD_TYPE = bytes
-
-
-class _CacheHandler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - socketserver entry point
-        self.server.cache_service._serve_connection(Connection(self.request))
-
-
-class _CacheServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, service: "CacheServiceServer", host: str, port: int):
-        self.cache_service = service
-        super().__init__((host, port), _CacheHandler)
 
 
 class CacheServiceServer:
@@ -99,23 +87,21 @@ class CacheServiceServer:
     ):
         self.store = NetworkBlobStore(cache_dir, max_bytes=max_bytes)
         self.chaos = chaos
-        self._server = _CacheServer(self, host, port)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="fabric-cache-server",
-            daemon=True,
-        )
-        self._thread.start()
+        self.verbs = {
+            "ping": self._ping,
+            "cache-get": self._keyed(self._get),
+            "cache-put": self._keyed(self._put),
+        }
+        self.endpoint = LineServer(
+            host, port, partial(serve_requests, verbs=self.verbs)
+        ).start("fabric-cache-server")
 
     @property
     def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
+        return self.endpoint.address
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self.endpoint.close()
 
     def __enter__(self) -> "CacheServiceServer":
         return self
@@ -123,60 +109,40 @@ class CacheServiceServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- connection loop -----------------------------------------------
+    # -- verbs ---------------------------------------------------------
 
-    def _serve_connection(self, conn: Connection) -> None:
-        try:
-            while True:
-                frame = conn.recv()
-                if frame is None:
-                    return
-                try:
-                    reply = self._dispatch(frame)
-                except ProtocolError as exc:
-                    conn.send(
-                        {"ok": False, "reason": exc.reason, "error": str(exc)}
-                    )
-                    return  # protocol violation: drop the connection
-                except Exception as exc:  # noqa: BLE001 - never kill the thread
-                    conn.send(
-                        {"ok": False, "reason": "error", "error": repr(exc)}
-                    )
-                    continue
-                conn.send(reply)
-        except ProtocolError as exc:
-            try:
-                conn.send({"ok": False, "reason": exc.reason, "error": str(exc)})
-            except Exception:  # noqa: BLE001
-                pass
-        except OSError:
-            pass
-        finally:
-            conn.close()
+    def _ping(self, frame: dict) -> dict:
+        return {"ok": True, "entries": self.store.entry_count()}
 
-    def _dispatch(self, frame: dict) -> dict:
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True, "entries": self.store.entry_count()}
-        key = str(frame.get("key", ""))
-        if not key:
-            raise ProtocolError("cache request without a key", reason="bad-request")
-        if self.chaos is not None and self.chaos.should_fail(key):
-            return {"ok": False, "reason": "unavailable", "error": "chaos"}
-        if op == "cache-get":
-            blob = self.store.get(key)
-            if blob is None:
-                return {"ok": True, "hit": False}
-            if self.chaos is not None:
-                blob = self.chaos.maybe_corrupt(key, blob)
-            reply = {"ok": True, "hit": True}
-            reply.update(pack_bytes(blob))
-            return reply
-        if op == "cache-put":
-            blob = unpack_bytes(frame)
-            self.store.put(key, blob)
-            return {"ok": True, "stored": True}
-        raise ProtocolError(f"unknown cache op {op!r}", reason="bad-request")
+    def _keyed(self, handler: Callable[[str, dict], dict]):
+        """A verb on one key: a request without one breaks the protocol
+        (reply, then drop), and chaos may fail it before the store."""
+
+        def verb(frame: dict) -> dict:
+            key = str(frame.get("key", ""))
+            if not key:
+                raise ProtocolError(
+                    "cache request without a key", reason="bad-request"
+                )
+            if self.chaos is not None and self.chaos.should_fail(key):
+                return refusal("chaos", "unavailable")
+            return handler(key, frame)
+
+        return verb
+
+    def _get(self, key: str, frame: dict) -> dict:
+        blob = self.store.get(key)
+        if blob is None:
+            return {"ok": True, "hit": False}
+        if self.chaos is not None:
+            blob = self.chaos.maybe_corrupt(key, blob)
+        reply = {"ok": True, "hit": True}
+        reply.update(pack_bytes(blob))
+        return reply
+
+    def _put(self, key: str, frame: dict) -> dict:
+        self.store.put(key, unpack_bytes(frame))
+        return {"ok": True, "stored": True}
 
 
 class NetworkCacheClient:
@@ -188,15 +154,10 @@ class NetworkCacheClient:
         *,
         timeout: float = 5.0,
         fail_threshold: int = 3,
-        max_frame_bytes: Optional[int] = None,
     ):
-        host, _, port = address.rpartition(":")
-        if not host or not port:
-            raise ValueError(f"cache address must be HOST:PORT, got {address!r}")
-        self.host, self.port = host, int(port)
+        self.host, self.port = parse_address(address, "cache")
         self.timeout = timeout
         self.fail_threshold = fail_threshold
-        self.max_frame_bytes = max_frame_bytes
         self.disabled = False
         self.remote_hits = 0
         self.remote_misses = 0
@@ -204,33 +165,25 @@ class NetworkCacheClient:
         self.corrupt_responses = 0
         self._consecutive_failures = 0
         self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
+        self._conn: Optional[Connection] = None
 
     # -- wire ----------------------------------------------------------
 
     def _request(self, payload: dict) -> Optional[dict]:
         """One request/reply; None on any transport trouble (counted)."""
-        import json
-
         with self._lock:
             if self.disabled:
                 return None
             try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout
+                if self._conn is None:
+                    self._conn = connect_with_backoff(
+                        self.host, self.port, attempts=1, timeout=self.timeout
                     )
-                    self._rfile = self._sock.makefile("rb")
-                self._sock.sendall(
-                    (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-                )
-                limit = self.max_frame_bytes or 32 * 1024 * 1024
-                line = read_frame_line(self._rfile, limit)
-                if line is None:
+                self._conn.send(payload)
+                reply = self._conn.recv()
+                if reply is None:
                     raise ConnectionError("cache service closed the connection")
-                reply = decode_frame(line)
-            except (OSError, ProtocolError, ValueError) as exc:
+            except (OSError, ProtocolError) as exc:
                 self._drop_connection()
                 self._note_failure(exc)
                 return None
@@ -238,18 +191,9 @@ class NetworkCacheClient:
             return reply
 
     def _drop_connection(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def _note_failure(self, exc: Exception) -> None:
         self.remote_errors += 1

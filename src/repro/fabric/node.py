@@ -45,6 +45,7 @@ from .wire import (
     encode_result,
     fabric_secret,
     hmac_tag,
+    parse_address,
 )
 
 
@@ -67,10 +68,7 @@ class WorkerNodeAgent:
         reconnect: bool = True,
         chaos: Optional[FabricChaos] = None,
     ):
-        host, _, port = address.rpartition(":")
-        if not host or not port:
-            raise ValueError(f"hub address must be HOST:PORT, got {address!r}")
-        self.host, self.port = host, int(port)
+        self.host, self.port = parse_address(address, "hub")
         self.backend = backend if backend is not None else SerialBackend()
         self.node_id = node_id or default_node_id()
         self.connect_attempts = connect_attempts
@@ -113,7 +111,7 @@ class WorkerNodeAgent:
         """Serve until stopped; reconnects with backoff on any failure."""
         while not self._stop.is_set():
             try:
-                sock = connect_with_backoff(
+                conn = connect_with_backoff(
                     self.host,
                     self.port,
                     attempts=self.connect_attempts,
@@ -125,7 +123,6 @@ class WorkerNodeAgent:
                     return
                 self._stop.wait(self.connect_cap)
                 continue
-            conn = Connection(sock)
             if self.chaos is not None:
                 conn = self.chaos.wrap(conn)
             self._conn = conn
@@ -204,7 +201,7 @@ class WorkerNodeAgent:
                     if frame.get("retire"):
                         self._stop.set()
                     return
-                elif op == "error":
+                elif frame.get("ok") is False:
                     return  # hub rejected us; reconnect fresh
         finally:
             session_over.set()

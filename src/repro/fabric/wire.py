@@ -1,12 +1,23 @@
-"""Framing and codecs for the fabric's JSON-lines wire protocol.
+"""The JSON-lines endpoint: framing, codecs, and the one socket layer.
 
-One frame per line, UTF-8 JSON objects, newline terminated — the same
-shape as the compile service's protocol, shared here so both sides use
-one hardened reader.  The reader enforces a frame-size bound (a peer
-cannot make us buffer an unbounded line), distinguishes a clean EOF from
-a connection that died mid-line, and turns malformed JSON into a typed
+One frame per line, UTF-8 JSON objects, newline terminated.  The compile
+service, the network cache tier and the fabric hub all speak it, and all
+three — servers and clients — go through this module: :class:`Connection`
+is the only code that reads or writes a socket, :class:`LineServer` the
+only listener.  The reader enforces a frame-size bound (a peer cannot
+make us buffer an unbounded line), distinguishes a clean EOF from a
+connection that died mid-line, and turns malformed JSON into a typed
 :class:`ProtocolError` carrying a machine-readable ``reason`` instead of
 whatever exception ``json`` felt like raising.
+
+One error policy, server side (:class:`LineServer`, :func:`replies_to`):
+a framing violation — oversized, truncated, bad JSON, not an object —
+gets one ``{"ok": false, "reason": ...}`` reply and the connection is
+dropped, because the framing state is unknowable after that; so does a
+handler that raises :class:`ProtocolError` (a peer breaking the protocol
+above the framing: a failed authentication, a digest that does not
+match).  Blank lines are skipped.  An unknown op or any other handler
+exception gets the same reply shape and the connection stays.
 
 Tasks and results are pickled, base64'd, and wrapped in a frame that
 carries the blob's sha256.  Decoding re-hashes the blob before
@@ -48,8 +59,10 @@ import os
 import pickle
 import random
 import socket
+import socketserver
 import threading
-from typing import Dict, Iterator, Optional, Tuple
+import time
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..asmlink.objformat import (
     AssembledFunction,
@@ -337,7 +350,7 @@ def decode_result(frame: dict) -> FunctionTaskResult:
 
 
 class Connection:
-    """One fabric peer connection.
+    """One peer connection — the only code that touches a socket.
 
     ``send`` is locked (the hub's scheduler and monitor threads both
     write to node connections); ``recv`` is only ever called from the
@@ -357,24 +370,31 @@ class Connection:
                 f"refusing to send {len(data)}-byte frame",
                 reason="oversized-frame",
             )
-        with self._send_lock:
-            self._sock.sendall(data)
+        self.send_raw(data)
 
     def send_raw(self, data: bytes) -> None:
-        """Raw bytes on the wire; exists for fault injection only."""
+        """Raw bytes on the wire; called directly for fault injection only."""
         with self._send_lock:
             self._sock.sendall(data)
 
+    def finish_sending(self) -> None:
+        """Half-close: the peer reads EOF after our last frame while we
+        keep reading its replies (the one-shot request style)."""
+        self._sock.shutdown(socket.SHUT_WR)
+
     def recv(self) -> Optional[dict]:
-        try:
-            line = read_frame_line(self._rfile, self.max_frame_bytes)
-        except ValueError:
-            # The file object was closed under us (shutdown, or chaos
-            # killing the link mid-read): same as a clean EOF.
-            return None
-        if line is None:
-            return None
-        return decode_frame(line)
+        """The next frame, ``None`` on clean EOF; blank lines are skipped."""
+        while True:
+            try:
+                line = read_frame_line(self._rfile, self.max_frame_bytes)
+            except ValueError:
+                # The file object was closed under us (shutdown, or chaos
+                # killing the link mid-read): same as a clean EOF.
+                return None
+            if line is None:
+                return None
+            if line.strip():
+                return decode_frame(line)
 
     def close(self) -> None:
         # Shut the socket down BEFORE closing the buffered reader: a
@@ -394,13 +414,109 @@ class Connection:
         except OSError:
             pass
 
-    @property
-    def peername(self) -> str:
+
+# ---------------------------------------------------------------------------
+# LineServer: the one listener, and the one request/reply loop.
+# ---------------------------------------------------------------------------
+
+
+def refusal(error: object, reason: str) -> dict:
+    """The one shape every endpoint refuses a request with."""
+    return {"ok": False, "error": str(error), "reason": reason}
+
+
+def error_reply(error: Exception) -> dict:
+    """The refusal for an exception: a :class:`ProtocolError` names its
+    own reason, anything else is the request's fault as far as the peer
+    can tell."""
+    if isinstance(error, ProtocolError):
+        return refusal(error, error.reason)
+    return refusal(f"{type(error).__name__}: {error}", "bad-request")
+
+
+def replies_to(request: dict, verbs: Dict[str, Callable]) -> Iterator[dict]:
+    """The frames answering one request from a verb table.  A handler
+    takes the request and returns one reply, or an iterable of them
+    (progress events before the final document); an unknown op or a
+    handler exception becomes an :func:`error_reply`, and only a
+    :class:`ProtocolError` propagates."""
+    try:
+        op = request.get("op")
+        handler = verbs.get(op)
+        if handler is None:
+            yield refusal(f"unknown op {op!r}", "bad-request")
+            return
+        reply = handler(request)
+        if isinstance(reply, dict):
+            yield reply
+        else:
+            yield from reply
+    except ProtocolError:
+        raise
+    except Exception as error:  # noqa: BLE001 - protocol barrier
+        yield error_reply(error)
+
+
+def serve_requests(conn: Connection, verbs: Dict[str, Callable]) -> None:
+    """A request/reply session: answer from ``verbs`` until EOF."""
+    for request in iter(conn.recv, None):
+        for reply in replies_to(request, verbs):
+            conn.send(reply)
+
+
+class LineServer(socketserver.ThreadingTCPServer):
+    """A listener that runs ``session(conn)`` on a thread per connection
+    and closes the connection when it returns — after one
+    :func:`error_reply` if a :class:`ProtocolError` escaped it (the
+    module docstring has the policy).  Either way the thread survives:
+    a client can never take a server thread down with it.  ``port=0``
+    picks a free port; read :attr:`address` after construction.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(
+        self, host: str, port: int, session: Callable[[Connection], None]
+    ):
+        super().__init__((host, port), None)
+        self.session = session
+        #: the one frame cap, handed to every connection accepted
+        self.max_frame_bytes = DEFAULT_MAX_FRAME_BYTES
+
+    def finish_request(self, request, client_address) -> None:
+        conn = Connection(request, self.max_frame_bytes)
         try:
-            host, port = self._sock.getpeername()[:2]
-            return f"{host}:{port}"
+            self.session(conn)
+        except ProtocolError as error:
+            try:
+                conn.send(error_reply(error))
+            except OSError:
+                pass
         except OSError:
-            return "<closed>"
+            pass
+        finally:
+            conn.close()
+
+    @property
+    def address(self) -> str:
+        host, port = self.server_address[:2]
+        return f"{host}:{port}"
+
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        super().serve_forever(poll_interval)
+
+    def start(self, name: str) -> "LineServer":
+        """Accept on a daemon thread (embedded servers)."""
+        threading.Thread(
+            target=self.serve_forever, name=name, daemon=True
+        ).start()
+        return self
+
+    def close(self) -> None:
+        """Stop a started (or serving) listener and free its port."""
+        self.shutdown()
+        self.server_close()
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +542,14 @@ def backoff_delays(
         yield max(0.0, delay - spread + 2.0 * spread * rng.random())
 
 
+def parse_address(address: str, what: str = "service") -> Tuple[str, int]:
+    """``HOST:PORT`` split for a ``what`` (service, cache, hub) address."""
+    host, _, port = address.rpartition(":")
+    if not host or not port:
+        raise ValueError(f"{what} address must be HOST:PORT, got {address!r}")
+    return host, int(port)
+
+
 def connect_with_backoff(
     host: str,
     port: int,
@@ -435,15 +559,14 @@ def connect_with_backoff(
     cap: float = 2.0,
     timeout: Optional[float] = None,
     rng: Optional[random.Random] = None,
-) -> socket.socket:
-    """``create_connection`` retried through :func:`backoff_delays`.
+) -> Connection:
+    """A :class:`Connection` to ``host:port``, the connect retried
+    through :func:`backoff_delays` (``timeout`` stays on the socket).
 
     Only connection-refused/reset races are retried — those are the
     "the server is still binding its socket" window.  Anything else
     (unknown host, permission) fails fast.
     """
-    import time
-
     last: Optional[Exception] = None
     delays = [0.0]
     delays.extend(backoff_delays(attempts - 1, base=base, cap=cap, rng=rng))
@@ -451,7 +574,9 @@ def connect_with_backoff(
         if delay:
             time.sleep(delay)
         try:
-            return socket.create_connection((host, port), timeout=timeout)
+            return Connection(
+                socket.create_connection((host, port), timeout=timeout)
+            )
         except (ConnectionRefusedError, ConnectionResetError) as exc:
             last = exc
     assert last is not None

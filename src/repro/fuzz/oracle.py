@@ -475,12 +475,12 @@ class DifferentialOracle:
         from cache and (via the caller's generic check) still match the
         sequential digest.  Compile errors propagate from the in-process
         compile so reject-parity is checked like any pipeline."""
-        from ..predict import CostModel, ObservationStore
+        from ..predict import LearnedCostModel, ObservationStore
         from ..service import CompileService
 
         with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-predict-") as tmp:
             cache = ArtifactCache(tmp)
-            model = CostModel(ObservationStore(tmp))
+            model = LearnedCostModel(ObservationStore(tmp))
             speculated = False
             with CompileService(
                 SerialBackend(),

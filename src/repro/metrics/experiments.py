@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.cluster import ClusterSimulation, TimingReport
-from ..cluster.costs import CostModel
+from ..cluster.costs import ClusterCostModel
 from ..driver.results import WorkProfile
 from ..driver.sequential import SequentialCompiler
 from ..parallel.schedule import (
@@ -61,7 +61,7 @@ class MeasuredPair:
 def measure_pair(
     size_class: str,
     n_functions: int,
-    costs: Optional[CostModel] = None,
+    costs: Optional[ClusterCostModel] = None,
     processors: Optional[int] = None,
 ) -> MeasuredPair:
     """Measure S_n sequentially and in parallel.
@@ -89,7 +89,7 @@ def measure_pair(
 
 def measure_user_program(
     processors: int,
-    costs: Optional[CostModel] = None,
+    costs: Optional[ClusterCostModel] = None,
     strategy: str = "grouped",
     estimator: CostEstimator = lines_and_nesting_cost,
 ) -> MeasuredPair:

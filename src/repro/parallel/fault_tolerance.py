@@ -23,14 +23,12 @@ third-try result, and the final download module stays bit-identical.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..driver.function_master import FunctionTask, FunctionTaskResult
 from .backend import ExecutionBackend, stream_task_results
+from .fault_schedule import FaultSchedule
 
 
 class FunctionMasterFailure(Exception):
@@ -55,7 +53,7 @@ class FunctionMasterFailure(Exception):
         )
 
 
-def _task_key(task: FunctionTask) -> Tuple[str, str]:
+def _task_key(task: FunctionTask) -> Tuple[str, Optional[str]]:
     return (task.section_name, task.function_name)
 
 
@@ -64,10 +62,12 @@ class ChaosBackend:
 
     Wraps an inner backend with a set of *simulated named workers*
     (``w0`` .. ``wN-1``).  Every (task, attempt) pair is assigned a
-    worker and a fault decision drawn from a generator derived from
-    ``(seed, task key, attempt)`` — a pure function of the seed, so the
-    injected pattern is identical no matter how a supervisor interleaves
-    retries, hedges, or timeouts around it.
+    worker and one draw per fault class from the shared
+    :class:`~repro.parallel.fault_schedule.FaultSchedule` — a pure
+    function of ``(seed, class, task key, attempt)``, so the injected
+    pattern is identical no matter how a supervisor interleaves
+    retries, hedges, or timeouts around it, and arming one class never
+    moves another's schedule.
 
     Fault classes (the §5.2 failure taxonomy):
 
@@ -128,7 +128,7 @@ class ChaosBackend:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         self.inner = inner
         self.worker_names = tuple(f"w{i}" for i in range(workers))
-        self.seed = seed
+        self.schedule = FaultSchedule(seed)
         self.crash_rate = crash_rate
         self.hang_rate = hang_rate
         self.hang_delay = hang_delay
@@ -141,11 +141,6 @@ class ChaosBackend:
         self.max_corruptions_per_task = max_corruptions_per_task
         self._sleep = sleep
         self._excluded: frozenset = frozenset()
-        self._attempts: Dict[Tuple[str, Optional[str]], int] = {}
-        self._failures: Dict[Tuple[str, Optional[str]], int] = {}
-        self._hangs: Dict[Tuple[str, Optional[str]], int] = {}
-        self._corruptions: Dict[Tuple[str, Optional[str]], int] = {}
-        self._asm_corruptions: Dict[Tuple[str, Optional[str]], int] = {}
         #: telemetry, per fault class
         self.injected_crashes = 0
         self.injected_hangs = 0
@@ -158,33 +153,21 @@ class ChaosBackend:
 
     @property
     def effective_worker_count(self) -> int:
-        return getattr(
-            self.inner, "effective_worker_count", self.inner.worker_count
-        )
+        return self.inner.effective_worker_count
 
     def exclude_workers(self, names) -> None:
         """Stop assigning attempts to ``names`` (the supervisor's
         quarantine set).  Passing an empty set re-admits everyone."""
         self._excluded = frozenset(names)
 
-    # -- deterministic decisions --------------------------------------
-
-    def _rng_for(self, key, attempt: int) -> random.Random:
-        salt = f"{self.seed}:{key[0]}.{key[1]}:{attempt}".encode("utf-8")
-        digest = hashlib.sha256(salt).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
-
-    def _assign_worker(self, key, attempt: int) -> str:
+    def _assign_worker(self, key: str, attempt: int) -> str:
         """Rotate each task over the non-excluded workers, starting at a
         key-derived offset — deterministic, and guarantees consecutive
         attempts of one task land on *distinct* workers."""
         available = [
             w for w in self.worker_names if w not in self._excluded
         ] or list(self.worker_names)
-        start = int.from_bytes(
-            hashlib.sha256(f"{self.seed}:{key[0]}.{key[1]}".encode()).digest()[:4],
-            "big",
-        )
+        start = int(self.schedule.roll("worker", key, 0) * (1 << 32))
         return available[(start + attempt) % len(available)]
 
     # -- execution ----------------------------------------------------
@@ -197,64 +180,35 @@ class ChaosBackend:
         of poisoning the whole stream with an exception, and start events
         let per-task deadlines measure the attempt itself rather than the
         queueing in front of it."""
+        schedule = self.schedule
         for task in tasks:
-            key = _task_key(task)
-            attempt = self._attempts.get(key, 0)
-            self._attempts[key] = attempt + 1
-            rng = self._rng_for(key, attempt)
+            task_key = _task_key(task)
+            key = f"{task_key[0]}.{task_key[1]}"
+            attempt = schedule.take("attempt", key)
             worker = self._assign_worker(key, attempt)
-            crash_draw = rng.random()
-            hang_draw = rng.random()
-            corrupt_draw = rng.random()
-            # Drawn only when the fault class is armed, so seeds replay
-            # the exact same schedules they produced before it existed.
-            asm_draw = (
-                rng.random() if self.corrupt_assembly_rate > 0 else 1.0
-            )
             yield ("start", task)
 
-            if key in self.poison:
+            crash = None  # why this attempt dies before it starts
+            if task_key in self.poison:
+                crash = f"poison task crashed (attempt {attempt + 1})"
+            elif worker in self.dead_workers:
+                crash = f"worker {worker} is dead"
+            elif schedule.fires(
+                "crash", key, attempt, self.crash_rate,
+                self.max_failures_per_task,
+            ):
+                crash = f"injected crash on attempt {attempt + 1}"
+            if crash is not None:
                 self.injected_crashes += 1
                 yield (
                     "failure",
-                    FunctionMasterFailure(
-                        task,
-                        f"poison task crashed (attempt {attempt + 1})",
-                        worker=worker,
-                    ),
+                    FunctionMasterFailure(task, crash, worker=worker),
                 )
                 continue
-            if worker in self.dead_workers:
-                self.injected_crashes += 1
-                yield (
-                    "failure",
-                    FunctionMasterFailure(
-                        task, f"worker {worker} is dead", worker=worker
-                    ),
-                )
-                continue
-            budget_left = (
-                self.max_failures_per_task is None
-                or self._failures.get(key, 0) < self.max_failures_per_task
-            )
-            if crash_draw < self.crash_rate and budget_left:
-                self.injected_crashes += 1
-                self._failures[key] = self._failures.get(key, 0) + 1
-                yield (
-                    "failure",
-                    FunctionMasterFailure(
-                        task,
-                        f"injected crash on attempt {attempt + 1}",
-                        worker=worker,
-                    ),
-                )
-                continue
-            if (
-                hang_draw < self.hang_rate
-                and self._hangs.get(key, 0) < self.max_hangs_per_task
+            if schedule.fires(
+                "hang", key, attempt, self.hang_rate, self.max_hangs_per_task
             ):
                 self.injected_hangs += 1
-                self._hangs[key] = self._hangs.get(key, 0) + 1
                 self._sleep(self.hang_delay)
             try:
                 results = list(stream_task_results(self.inner, [task]))
@@ -268,26 +222,20 @@ class ChaosBackend:
                     FunctionMasterFailure(task, repr(error), worker=worker),
                 )
                 continue
-            corrupt = (
-                corrupt_draw < self.corrupt_rate
-                and self._corruptions.get(key, 0) < self.max_corruptions_per_task
+            corrupt = bool(results) and schedule.fires(
+                "corrupt", key, attempt, self.corrupt_rate,
+                self.max_corruptions_per_task,
             )
-            if corrupt and results:
+            if corrupt:
                 self.injected_corruptions += 1
-                self._corruptions[key] = self._corruptions.get(key, 0) + 1
-            corrupt_asm = (
-                asm_draw < self.corrupt_assembly_rate
-                and self._asm_corruptions.get(key, 0)
-                < self.max_corruptions_per_task
-                and any(
-                    getattr(r, "assembled", None) is not None for r in results
-                )
+            corrupt_asm = any(
+                r.assembled is not None for r in results
+            ) and schedule.fires(
+                "corrupt-assembly", key, attempt, self.corrupt_assembly_rate,
+                self.max_corruptions_per_task,
             )
             if corrupt_asm:
                 self.injected_assembly_corruptions += 1
-                self._asm_corruptions[key] = (
-                    self._asm_corruptions.get(key, 0) + 1
-                )
             for position, result in enumerate(results):
                 result.worker = worker
                 if corrupt and position == 0:

@@ -89,7 +89,7 @@ def provided_task_costs(tasks: Sequence, provider) -> List[float]:
     """Per-task costs from a pluggable cost provider.
 
     ``provider`` is any ``Callable[[FunctionTask], float]`` (e.g. a
-    learned :class:`~repro.predict.observe.CostModel`); ``None`` — and
+    learned :class:`~repro.predict.observe.LearnedCostModel`); ``None`` — and
     any provider error — yields the task's static §4.3 ``cost_hint``,
     so a broken model can only cost scheduling quality, never a build.
     """

@@ -276,9 +276,7 @@ class SupervisedBackend:
 
     @property
     def effective_worker_count(self) -> int:
-        return getattr(
-            self.inner, "effective_worker_count", self.inner.worker_count
-        )
+        return self.inner.effective_worker_count
 
     def cost_for(self, task: FunctionTask) -> float:
         """Cost in §4.3 hint units: the pluggable provider's estimate
@@ -379,7 +377,7 @@ class _SupervisedRun:
     def _launch(self, tasks: List[FunctionTask], kind: str) -> None:
         now = self.sup.clock()
         if kind != "fallback":
-            capacity = getattr(self.sup.inner, "worker_count", 1)
+            capacity = self.sup.inner.worker_count
             if self.health.all_quarantined(now, capacity):
                 kind = "fallback"
                 self.stats.degradations += 1

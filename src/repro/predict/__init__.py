@@ -4,7 +4,7 @@ Two halves, both feeding the compile service:
 
 - :mod:`repro.predict.observe` — a persistent per-fingerprint store of
   observed compile times (a fifth :class:`~repro.cache.store.PickleStore`
-  tier) and :class:`CostModel`, an EWMA/percentile estimator that plugs
+  tier) and :class:`LearnedCostModel`, an EWMA/percentile estimator that plugs
   into every seam that previously consumed the static §4.3
   ``ast_cost_hint`` (fair-share queue, supervision deadlines, LPT batch
   packing) and falls back to the static hint for unseen fingerprints.
@@ -20,7 +20,7 @@ speculation only warms the ordinary content-addressed caches.
 """
 
 from .observe import (
-    CostModel,
+    LearnedCostModel,
     CostObservation,
     ObservationStore,
     task_fingerprint,
@@ -28,7 +28,7 @@ from .observe import (
 from .watch import SPECULATION_TENANT, SpeculationManager
 
 __all__ = [
-    "CostModel",
+    "LearnedCostModel",
     "CostObservation",
     "ObservationStore",
     "SPECULATION_TENANT",

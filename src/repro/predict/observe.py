@@ -11,7 +11,7 @@ loop:
   static hint it was observed under).  Same PickleStore machinery as
   the artifact/parse/link/variant tiers: atomic writes, LRU eviction,
   corrupt entries deleted and counted.
-- :class:`CostModel` is the pluggable cost provider: called with a
+- :class:`LearnedCostModel` is the pluggable cost provider: called with a
   :class:`~repro.driver.function_master.FunctionTask`, it returns a
   cost **in static-hint units** so learned and unseen tasks stay
   comparable inside one fair-share queue.  Unit conversion uses a
@@ -111,7 +111,7 @@ def task_fingerprint(task: FunctionTask) -> Optional[str]:
         return None
 
 
-class CostModel:
+class LearnedCostModel:
     """EWMA/percentile cost estimator over an :class:`ObservationStore`.
 
     Instances are callable — ``model(task)`` returns the estimated cost

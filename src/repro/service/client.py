@@ -9,10 +9,10 @@ progress events before the final job document.
 
 from __future__ import annotations
 
-import json
 import os
-import socket
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional
+
+from ..fabric.wire import ProtocolError, connect_with_backoff, parse_address
 
 #: default service address, overridable per-invocation with --connect
 ADDRESS_ENV = "WARPCC_SERVICE"
@@ -24,15 +24,6 @@ class ServiceError(Exception):
     def __init__(self, message: str, reason: str = "error"):
         super().__init__(message)
         self.reason = reason
-
-
-def parse_address(address: str) -> Tuple[str, int]:
-    host, _, port = address.rpartition(":")
-    if not host or not port:
-        raise ValueError(
-            f"service address must be HOST:PORT, got {address!r}"
-        )
-    return host, int(port)
 
 
 def resolve_address(address: Optional[str]) -> str:
@@ -74,30 +65,25 @@ class ServiceClient:
 
     # -- wire ----------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        from ..fabric.wire import connect_with_backoff
-
-        return connect_with_backoff(
+    def _request_lines(self, payload: dict) -> Iterator[dict]:
+        """Send one request; yield each reply line as a dict.  A reply
+        that breaks the framing (junk, oversized, cut off mid-line) is
+        a :class:`ServiceError` carrying the wire reason."""
+        conn = connect_with_backoff(
             self.host,
             self.port,
             attempts=self.connect_attempts,
             base=self.connect_backoff,
             timeout=self.timeout,
         )
-
-    def _request_lines(self, payload: dict) -> Iterator[dict]:
-        """Send one request; yield each reply line as a dict."""
-        with self._connect() as sock:
-            with sock.makefile("rwb") as stream:
-                stream.write(
-                    (json.dumps(payload) + "\n").encode("utf-8")
-                )
-                stream.flush()
-                sock.shutdown(socket.SHUT_WR)
-                for raw in stream:
-                    line = raw.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
+        try:
+            conn.send(payload)
+            conn.finish_sending()
+            yield from iter(conn.recv, None)
+        except ProtocolError as error:
+            raise ServiceError(str(error), reason=error.reason)
+        finally:
+            conn.close()
 
     def _request(self, payload: dict) -> dict:
         """Send one request; return the single (final) reply."""

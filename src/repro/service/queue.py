@@ -11,7 +11,7 @@ code and loop nesting", §4.3): every task carries its
 advances its tenant's *virtual time* by ``cost / weight`` (stride
 scheduling).  The estimate itself is a pluggable seam: construct the
 queue with a ``cost_provider`` (e.g. the learned
-:class:`~repro.predict.observe.CostModel`) to account tasks at observed
+:class:`~repro.predict.observe.LearnedCostModel`) to account tasks at observed
 compile times instead of the static hint — only the dispatch *order*
 changes, never any result.  The next task always comes from the tenant with the least
 virtual time, so:

@@ -39,17 +39,17 @@ unboundedly and never silently drops a job.
 from __future__ import annotations
 
 import itertools
-import json
 import queue as queue_mod
-import socketserver
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..driver.function_master import FunctionTask, FunctionTaskResult
 from ..driver.master import ParallelCompiler
+from ..fabric.wire import LineServer, refusal, serve_requests
 from ..lang.diagnostics import CompileError
 from ..machine.warp_array import WarpArrayModel
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
@@ -234,7 +234,7 @@ class CompileService:
 
             backend = WarmPoolBackend(max_workers=max_workers)
         self._backend = backend
-        self.worker_count = max(1, getattr(backend, "worker_count", 1))
+        self.worker_count = max(1, backend.worker_count)
         self.wave_size = (
             wave_size if wave_size is not None else self.worker_count * 2
         )
@@ -247,7 +247,7 @@ class CompileService:
         self.max_running = max_running
         self.per_tenant_inflight = per_tenant_inflight
 
-        #: learned cost model (repro.predict.observe.CostModel) or None
+        #: learned cost model (repro.predict.observe.LearnedCostModel) or None
         #: for the static §4.3 hints everywhere.  When set it becomes
         #: the cost provider for the fair queue and for every backend in
         #: the wrapper chain that exposes the seam, and it is fed
@@ -839,200 +839,21 @@ class CompileService:
 #
 # One request per line; the reply is one JSON line, except "wait" with
 # "stream": true, which sends one {"event": ...} line per job event
-# before the final {"ok": true, ...} line.  Errors never close the
-# server: they become {"ok": false, "error": ..., "reason": ...}.
+# before the final {"ok": true, ...} line.  Errors are answered by the
+# endpoint's one policy (repro.fabric.wire).
 # ---------------------------------------------------------------------------
 
 PROTOCOL_VERSION = 1
 
 
-#: Hard bound on one request line.  Modules are a few KB of source; a
-#: client sending more than this per line is buggy or hostile, and
-#: either way the server refuses to buffer it.
-MAX_REQUEST_BYTES = 16 * 1024 * 1024
-
-
-class _ServiceRequestHandler(socketserver.StreamRequestHandler):
-    """One thread per connection; a connection may issue many requests.
-
-    Framing violations — an oversized line, a stream that dies mid-line,
-    bytes that are not JSON — get one machine-readable
-    ``{"ok": false, "reason": ...}`` reply and the connection is
-    dropped; the framing state is unknowable after that, so continuing
-    to parse would be guessing.  Application errors reply with the same
-    shape but keep the connection.  Either way the handler thread
-    survives: a client can never take a worker thread down with it.
-    """
-
-    def handle(self) -> None:
-        from ..fabric.wire import ProtocolError, decode_frame, read_frame_line
-
-        while True:
-            try:
-                raw = read_frame_line(self.rfile, MAX_REQUEST_BYTES)
-            except ProtocolError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-                return  # framing is gone; drop the connection
-            if raw is None:
-                return  # clean EOF
-            if not raw.strip():
-                continue
-            try:
-                request = decode_frame(raw)
-            except ProtocolError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-                return
-            try:
-                self._dispatch(request)
-            except BrokenPipeError:  # pragma: no cover - client went away
-                return
-            except Exception as error:  # noqa: BLE001 - protocol barrier
-                self._reply(
-                    ok=False,
-                    error=f"{type(error).__name__}: {error}",
-                    reason="bad-request",
-                )
-
-    def _reply(self, **payload) -> None:
-        try:
-            self.wfile.write(
-                (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-            )
-            self.wfile.flush()
-        except (OSError, ValueError):  # pragma: no cover - client gone
-            pass
-
-    def _dispatch(self, request: dict) -> None:
-        service: CompileService = self.server.service  # type: ignore[attr-defined]
-        op = request.get("op")
-        if op == "ping":
-            self._reply(
-                ok=True, service="warpcc", protocol=PROTOCOL_VERSION
-            )
-        elif op == "submit":
-            try:
-                job_id = service.submit(
-                    request["source"],
-                    tenant=request.get("tenant", "default"),
-                    filename=request.get("filename", "<input>"),
-                    priority=request.get("priority", "normal"),
-                    opt_level=int(request.get("opt_level", 2)),
-                    cells=int(request.get("cells", 10)),
-                )
-            except AdmissionError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-            else:
-                self._reply(ok=True, job=job_id, state="queued")
-        elif op == "status":
-            job_id = request.get("job")
-            if job_id is None:
-                payload = {
-                    "ok": True,
-                    "stats": service.service_stats(),
-                    "jobs": service.jobs_summary(),
-                }
-                if request.get("gantt"):
-                    payload["gantt"] = service.gantt(
-                        width=int(request.get("width", 72))
-                    )
-                self._reply(**payload)
-            else:
-                try:
-                    job = service.job(job_id)
-                except KeyError as error:
-                    self._reply(
-                        ok=False, error=str(error), reason="unknown-job"
-                    )
-                    return
-                payload = {"ok": True, "job": job.summary(detail=True)}
-                if request.get("gantt"):
-                    payload["gantt"] = service.gantt(
-                        job_id, width=int(request.get("width", 72))
-                    )
-                self._reply(**payload)
-        elif op == "wait":
-            job_id = request.get("job")
-            try:
-                if request.get("stream"):
-                    index = 0
-                    while True:
-                        events, terminal = service.events_since(
-                            job_id, index, timeout=0.5
-                        )
-                        for event in events:
-                            self._reply(ok=True, event=event)
-                        index += len(events)
-                        if terminal and not events:
-                            break
-                        if terminal:
-                            # flush any events logged with the final state
-                            events, _ = service.events_since(
-                                job_id, index, timeout=0
-                            )
-                            for event in events:
-                                self._reply(ok=True, event=event)
-                            index += len(events)
-                            break
-                job = service.wait(
-                    job_id, timeout=request.get("timeout")
-                )
-            except KeyError as error:
-                self._reply(ok=False, error=str(error), reason="unknown-job")
-            except TimeoutError as error:
-                self._reply(ok=False, error=str(error), reason="timeout")
-            else:
-                self._reply(ok=True, job=job.summary(detail=True))
-        elif op == "watch":
-            source = request.get("source")
-            if source is None:
-                self._reply(
-                    ok=False,
-                    error="watch requires a source field",
-                    reason="bad-request",
-                )
-                return
-            outcome = service.watch_update(
-                source,
-                watch=str(request.get("watch", "default")),
-                filename=request.get("filename", "<watch>"),
-                opt_level=int(request.get("opt_level", 2)),
-                cells=int(request.get("cells", 10)),
-            )
-            self._reply(ok=True, **outcome)
-        elif op == "watch-status":
-            manager = service.speculation
-            self._reply(
-                ok=True,
-                enabled=manager is not None,
-                stats=manager.stats() if manager is not None else {},
-            )
-        elif op == "cancel":
-            try:
-                cancelled = service.cancel(request.get("job"))
-            except KeyError as error:
-                self._reply(ok=False, error=str(error), reason="unknown-job")
-            else:
-                self._reply(ok=True, cancelled=cancelled)
-        elif op == "shutdown":
-            drain = bool(request.get("drain", True))
-            self._reply(ok=True, draining=drain)
-            self.server.request_shutdown(drain)  # type: ignore[attr-defined]
-        else:
-            self._reply(
-                ok=False, error=f"unknown op {op!r}", reason="bad-request"
-            )
-
-
-class ServiceSocketServer(socketserver.ThreadingTCPServer):
-    """``warpcc serve``: the JSON-lines protocol endpoint.
+class ServiceSocketServer:
+    """``warpcc serve``: the service's verbs behind the JSON-lines
+    endpoint (:class:`~repro.fabric.wire.LineServer`).
 
     Binds localhost by default (the service trusts its peers exactly as
     much as any local compiler invocation).  ``port=0`` picks a free
     ephemeral port; read :attr:`address` after construction.
     """
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -1040,29 +861,138 @@ class ServiceSocketServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        super().__init__((host, port), _ServiceRequestHandler)
         self.service = service
+        self.verbs = {
+            "ping": self._ping,
+            "submit": self._submit,
+            "status": self._status,
+            "wait": self._wait,
+            "watch": self._watch,
+            "watch-status": self._watch_status,
+            "cancel": self._cancel,
+            "shutdown": self._shutdown,
+        }
+        self.endpoint = LineServer(
+            host, port, partial(serve_requests, verbs=self.verbs)
+        )
         self._shutdown_drain = True
-        self._shutdown_requested = threading.Event()
 
     @property
     def address(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
+        return self.endpoint.address
 
     def request_shutdown(self, drain: bool = True) -> None:
         """Ask the serve loop to stop (callable from handler threads)."""
         self._shutdown_drain = drain
-        self._shutdown_requested.set()
-        threading.Thread(target=self.shutdown, daemon=True).start()
+        threading.Thread(target=self.endpoint.shutdown, daemon=True).start()
 
     def serve_until_shutdown(self) -> None:
         """Serve requests until a ``shutdown`` op (or KeyboardInterrupt),
         then drain the service and close everything."""
         try:
-            self.serve_forever(poll_interval=0.1)
+            self.endpoint.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             pass
         finally:
-            self.server_close()
+            self.endpoint.server_close()
             self.service.close(drain=self._shutdown_drain)
+
+    # -- verbs: request -> one reply, or an iterator of them -----------
+
+    def _ping(self, request: dict) -> dict:
+        return {"ok": True, "service": "warpcc", "protocol": PROTOCOL_VERSION}
+
+    def _submit(self, request: dict) -> dict:
+        try:
+            job_id = self.service.submit(
+                request["source"],
+                tenant=request.get("tenant", "default"),
+                filename=request.get("filename", "<input>"),
+                priority=request.get("priority", "normal"),
+                opt_level=int(request.get("opt_level", 2)),
+                cells=int(request.get("cells", 10)),
+            )
+        except AdmissionError as error:
+            return refusal(error, error.reason)
+        return {"ok": True, "job": job_id, "state": "queued"}
+
+    def _status(self, request: dict) -> dict:
+        service = self.service
+        job_id = request.get("job")
+        if job_id is None:
+            reply = {
+                "ok": True,
+                "stats": service.service_stats(),
+                "jobs": service.jobs_summary(),
+            }
+        else:
+            try:
+                job = service.job(job_id)
+            except KeyError as error:
+                return refusal(error, "unknown-job")
+            reply = {"ok": True, "job": job.summary(detail=True)}
+        if request.get("gantt"):
+            reply["gantt"] = service.gantt(
+                job_id, width=int(request.get("width", 72))
+            )
+        return reply
+
+    def _wait(self, request: dict) -> Iterator[dict]:
+        service = self.service
+        job_id = request.get("job")
+        try:
+            if request.get("stream"):
+                index = 0
+                terminal = False
+                while not terminal:
+                    events, terminal = service.events_since(
+                        job_id, index, timeout=0.5
+                    )
+                    if terminal and events:
+                        # plus any events logged with the final state
+                        events += service.events_since(
+                            job_id, index + len(events), timeout=0
+                        )[0]
+                    for event in events:
+                        yield {"ok": True, "event": event}
+                    index += len(events)
+            job = service.wait(job_id, timeout=request.get("timeout"))
+        except KeyError as error:
+            yield refusal(error, "unknown-job")
+        except TimeoutError as error:
+            yield refusal(error, "timeout")
+        else:
+            yield {"ok": True, "job": job.summary(detail=True)}
+
+    def _watch(self, request: dict) -> dict:
+        source = request.get("source")
+        if source is None:
+            return refusal("watch requires a source field", "bad-request")
+        outcome = self.service.watch_update(
+            source,
+            watch=str(request.get("watch", "default")),
+            filename=request.get("filename", "<watch>"),
+            opt_level=int(request.get("opt_level", 2)),
+            cells=int(request.get("cells", 10)),
+        )
+        return {"ok": True, **outcome}
+
+    def _watch_status(self, request: dict) -> dict:
+        manager = self.service.speculation
+        return {
+            "ok": True,
+            "enabled": manager is not None,
+            "stats": manager.stats() if manager is not None else {},
+        }
+
+    def _cancel(self, request: dict) -> dict:
+        try:
+            cancelled = self.service.cancel(request.get("job"))
+        except KeyError as error:
+            return refusal(error, "unknown-job")
+        return {"ok": True, "cancelled": cancelled}
+
+    def _shutdown(self, request: dict) -> Iterator[dict]:
+        drain = bool(request.get("drain", True))
+        yield {"ok": True, "draining": drain}  # answered before stopping
+        self.request_shutdown(drain)

@@ -9,6 +9,9 @@ result stream (``run_tasks_streaming``), and regardless of task
 submission order.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.driver.master import ParallelCompiler
@@ -19,6 +22,7 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
 from helpers import collect_events, wrap_function
+from test_supervisor import TWO_SECTIONS, TestSeededChaosEndToEnd
 
 SOURCE = wrap_function(
     "\n".join(
@@ -176,3 +180,64 @@ class TestSupervisedReplay:
         assert digest_a == digest_b
         assert faults_a == faults_b
         assert digest_a == SequentialCompiler().compile(SOURCE).digest
+
+
+def ci_chaos_matrix():
+    """(fault, seed) for every leg of ci.yml's seeded-chaos job."""
+    workflow = pathlib.Path(__file__).parent.parent / ".github/workflows/ci.yml"
+    job = workflow.read_text().split("\n  chaos:\n")[1].split("\n    steps:")[0]
+    faults, seeds = (
+        re.search(rf"^\s+{axis}: \[(.*)\]$", job, re.MULTILINE)
+        .group(1)
+        .split(", ")
+        for axis in ("fault", "seed")
+    )
+    return [(fault, int(seed)) for fault in faults for seed in seeds]
+
+
+class TestCIMatrixCoverage:
+    @pytest.mark.parametrize("fault,seed", ci_chaos_matrix())
+    def test_ci_seed_injects_every_armed_fault_class(self, fault, seed):
+        """A matrix leg that injects nothing of its class tests nothing:
+        every CI seed must fire each armed class at least once on the
+        program the chaos job compiles (the poison task aside, whose
+        crashes are unconditional)."""
+        rates = TestSeededChaosEndToEnd.rates_for(fault)
+        inner = ChaosBackend(
+            SerialBackend(),
+            workers=4,
+            seed=seed,
+            hang_delay=0.0,
+            **rates,
+        )
+        backend = SupervisedBackend(
+            inner, task_timeout=0, hedge_after=None, max_attempts=6
+        )
+        result = ParallelCompiler(backend=backend).compile(TWO_SECTIONS)
+        assert result.digest == SequentialCompiler().compile(TWO_SECTIONS).digest
+        injected = {
+            "crash_rate": inner.injected_crashes,
+            "hang_rate": inner.injected_hangs,
+            "corrupt_rate": inner.injected_corruptions,
+            "corrupt_assembly_rate": inner.injected_assembly_corruptions,
+        }
+        armed = [name for name, rate in rates.items() if rate > 0]
+        assert armed
+        for name in armed:
+            assert injected[name] >= 1, f"{fault}/seed {seed}: no {name} fault"
+
+    def test_ci_matrix_crashes_some_healthy_task_twice(self):
+        """Crashes are unbounded per task in the chaos job, so the
+        matrix must hold a seed that exercises it: one healthy task
+        crashed on two workers before its third attempt succeeds."""
+        repeated = []
+        for seed in sorted({seed for _, seed in ci_chaos_matrix()}):
+            inner = ChaosBackend(
+                SerialBackend(), workers=4, seed=seed, crash_rate=0.3
+            )
+            failures = collect_events(inner, build_tasks(TWO_SECTIONS))[1]
+            retry = [f.task for f in failures]
+            failures = collect_events(inner, retry)[1]
+            if failures:
+                repeated.append(seed)
+        assert repeated, "no CI seed crashes a task on two attempts running"

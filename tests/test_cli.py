@@ -255,3 +255,149 @@ class TestBench:
         assert main(["bench", "tiny", "4", "--processors", "2"]) == 0
         out = capsys.readouterr().out
         assert "2 workstation(s)" in out
+
+
+class TestOneDefinitionPerFlag:
+    """Flags several verbs take are defined once (``repro.cli.options``)
+    and the backend they select is built by one rule
+    (``repro.cli.stack.build_backend``)."""
+
+    VERBS = (
+        "compile", "search", "run", "disasm", "bench", "fuzz", "serve",
+        "worker", "cache-server", "submit", "watch", "status",
+    )
+
+    @staticmethod
+    def shared_flags():
+        """option string -> the action ``options`` defines for it."""
+        import argparse
+
+        from repro.cli import options
+
+        reference = argparse.ArgumentParser()
+        options.target(reference)
+        options.caches(reference, cache_url=True)
+        options.supervision(reference)
+        options.connect(reference)
+        options.json_output(reference)
+        options.bind(reference)
+        options.jobs(reference, None, "")
+        options.workers(reference)
+        return {
+            action.option_strings[-1]: action
+            for action in reference._actions
+            if action.option_strings and action.dest != "help"
+        }
+
+    def test_every_verb_registers_and_builds_its_help(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert tuple(parser.verbs) == self.VERBS
+        for verb in self.VERBS:
+            with pytest.raises(SystemExit) as excinfo:
+                main([verb, "--help"])
+            assert excinfo.value.code == 0
+            assert f"usage: warpcc {verb}" in capsys.readouterr().out
+
+    def test_shared_flag_is_the_same_on_every_verb_that_takes_it(self):
+        from repro.cli import build_parser
+
+        shared = self.shared_flags()
+        seen = {flag: [] for flag in shared}
+        for verb, parser in build_parser().verbs.items():
+            for action in parser._actions:
+                reference = shared.get((action.option_strings or [None])[-1])
+                if reference is None:
+                    continue  # the verb's own flag
+                seen[action.option_strings[-1]].append(verb)
+                got = (action.option_strings, action.type, action.choices,
+                       action.dest, action.metavar)
+                assert got == (
+                    reference.option_strings, reference.type,
+                    reference.choices, reference.dest, reference.metavar,
+                ), (verb, action.option_strings)
+                if action.option_strings == ["--jobs"]:
+                    # differs by verb only in its stated default
+                    stem = reference.help.split("(default:")[0]
+                    assert action.help.startswith(stem)
+                    continue
+                assert action.default == reference.default, (verb, action)
+                assert action.help == reference.help, (verb, action)
+        # every flag options.py defines is in fact shared
+        assert all(len(verbs) >= 2 for verbs in seen.values()), seen
+        assert seen["--json"] == ["compile", "search", "submit", "watch", "status"]
+        assert seen["--cache-dir"] == [
+            "compile", "search", "bench", "serve", "cache-server"
+        ]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["compile", "f.w2", "--parallel"], "pool of cores-1"),
+        (["compile", "f.w2", "--parallel", "--jobs", "3"], "pool of 3"),
+        (["compile", "f.w2", "--parallel", "--jobs", "1"], "serial"),
+        (["search", "f.w2"], "serial"),
+        (["search", "f.w2", "--jobs", "1"], "serial"),
+        (["search", "f.w2", "--jobs", "3"], "pool of 3"),
+        (["serve"], "pool of cores-1"),
+        (["serve", "--workers", "3"], "pool of 3"),
+        (["serve", "--workers", "1"], "serial"),
+        (["worker", "--connect", "h:1"], "pool of cores-1"),
+        (["worker", "--connect", "h:1", "--workers", "3"], "pool of 3"),
+        (["worker", "--connect", "h:1", "--workers", "1"], "serial"),
+        (["worker", "--connect", "h:1", "--serial"], "serial"),
+    ])
+    def test_worker_count_flags_resolve_through_one_rule(self, argv, expected):
+        import os
+
+        from repro.cli import build_parser, stack
+        from repro.parallel import SerialBackend, WarmPoolBackend
+
+        backend = stack.build_backend(build_parser().parse_args(argv))
+        if expected == "serial":
+            assert isinstance(backend, SerialBackend)
+            return
+        assert isinstance(backend, WarmPoolBackend)  # lazy: no process yet
+        cores_minus_one = max(1, (os.cpu_count() or 2) - 1)
+        assert backend.worker_count == (
+            3 if expected == "pool of 3" else cores_minus_one
+        )
+
+    def test_worker_serial_and_workers_are_mutually_exclusive(self, capsys):
+        """Both write the one worker count; the last one must not win
+        silently."""
+        for argv in (["--serial", "--workers", "3"], ["--workers", "3", "--serial"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["worker", "--connect", "h:1", *argv])
+            assert excinfo.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cache_server_size_bound_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache-server", "--max-bytes", value])
+        assert excinfo.value.code == 2
+        assert "at least 1 byte" in capsys.readouterr().err
+
+    def test_verb_without_a_handler_fails_when_the_parser_is_built(
+        self, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def register_orphan(sub):
+            return sub.add_parser("orphan")  # forgot set_defaults(run=...)
+
+        monkeypatch.setattr(cli, "VERBS", (*cli.VERBS, register_orphan))
+        with pytest.raises(TypeError, match="'orphan' registered without"):
+            cli.build_parser()
+
+    def test_readme_flag_reference_matches_the_parser(self):
+        import pathlib
+        import subprocess
+        import sys
+
+        script = pathlib.Path(__file__).parent.parent / "scripts/cli_reference.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--check"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import HOME, ClusterSimulation
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import ClusterCostModel
 from repro.cluster.events import Simulator
 from repro.cluster.fileserver import FileServer
 from repro.cluster.network import SharedResource, ethernet_efficiency
@@ -173,43 +173,43 @@ def make_profile(work_list, lines=50, ir=200, loops=2, bundles=100):
 
 class TestCostModel:
     def test_slowdown_is_one_below_onset(self):
-        c = CostModel()
+        c = ClusterCostModel()
         assert c.slowdown(0.1 * c.workstation_memory) == 1.0
 
     def test_slowdown_monotone(self):
-        c = CostModel()
+        c = ClusterCostModel()
         heaps = [0.4, 0.7, 1.0, 1.3, 2.0]
         values = [c.slowdown(h * c.workstation_memory) for h in heaps]
         assert values == sorted(values)
 
     def test_slowdown_saturates(self):
-        c = CostModel()
+        c = ClusterCostModel()
         assert c.slowdown(100 * c.workstation_memory) <= 1 + c.max_extra_slowdown
 
     def test_paging_zero_when_fitting(self):
-        c = CostModel()
+        c = ClusterCostModel()
         assert c.paging_words(0.9 * c.workstation_memory, 100.0) == 0.0
 
     def test_paging_grows_with_excess(self):
-        c = CostModel()
+        c = ClusterCostModel()
         small = c.paging_words(1.1 * c.workstation_memory, 100.0)
         big = c.paging_words(1.5 * c.workstation_memory, 100.0)
         assert 0 < small < big
 
     def test_sequential_heap_grows_with_index(self):
-        c = CostModel()
+        c = ClusterCostModel()
         profile = make_profile([1000] * 4)
         heaps = [c.sequential_heap(profile, k) for k in range(4)]
         assert heaps[0] < heaps[-1]
 
     def test_sequential_heap_capped(self):
-        c = CostModel()
+        c = ClusterCostModel()
         profile = make_profile([1000] * 50, ir=2000, bundles=5000)
         gap = c.sequential_heap(profile, 49) - c.sequential_heap(profile, 0)
         assert gap <= c.retained_cap
 
     def test_function_master_heap_independent_of_order(self):
-        c = CostModel()
+        c = ClusterCostModel()
         profile = make_profile([1000, 2000])
         assert c.function_master_heap(
             profile, profile.functions[0]
@@ -218,7 +218,7 @@ class TestCostModel:
         )
 
     def test_compile_seconds_components(self):
-        c = CostModel()
+        c = ClusterCostModel()
         report = make_profile([9000]).functions[0]
         expected = (
             c.per_function_compile_sec

@@ -8,7 +8,6 @@ import pytest
 
 import repro
 import repro.parallel
-import repro.parallel.local
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.backend import stream_task_results
@@ -66,7 +65,7 @@ class TestDispatchSeam:
         inner = SerialBackend()
 
         class Recording:
-            worker_count = 1
+            worker_count = effective_worker_count = 1
 
             def run_tasks_streaming(self, tasks):
                 seen.extend(tasks)
@@ -90,8 +89,41 @@ class TestDispatchSeam:
 
 
 class TestOneTaskSurface:
-    """One way to hand tasks to a backend.  (Deleted names are spelled
-    in pieces so a repo-wide grep for them stays empty.)"""
+    """One way to hand tasks to a backend, checked structurally: an AST
+    walk over ``src/`` finds every class with the streaming surface and
+    every public method on one that takes ``tasks`` — so a barrier or
+    partial surface, or a resurrected cold pool, fails here whatever it
+    is called."""
+
+    BACKENDS = {
+        "SerialBackend", "WarmPoolBackend", "SupervisedBackend",
+        "ChaosBackend", "RemoteBackend", "_JobBackend",
+    }
+
+    @staticmethod
+    def task_surfaces():
+        """class name -> its public methods whose first parameter is
+        ``tasks``, for every non-protocol class that streams results."""
+        surfaces = {}
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef) or any(
+                    getattr(base, "id", "") == "Protocol" for base in node.bases
+                ):
+                    continue
+                methods = [
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+                if not any(m.name == "run_tasks_streaming" for m in methods):
+                    continue
+                surfaces[node.name] = {
+                    m.name for m in methods
+                    if not m.name.startswith("_")
+                    and len(m.args.args) > 1
+                    and m.args.args[1].arg == "tasks"
+                }
+        return surfaces
 
     def test_dispatch_argument_is_gone(self):
         with pytest.raises(TypeError):
@@ -100,21 +132,15 @@ class TestOneTaskSurface:
         assert len(parameters) - 1 == 10  # self excluded
 
     def test_cold_pool_class_is_gone(self):
-        name = "Process" + "PoolBackend"
-        assert name not in repro.parallel.__all__
-        assert not hasattr(repro.parallel, name)
-        assert not hasattr(repro.parallel.local, name)
+        assert set(self.task_surfaces()) == self.BACKENDS
+        assert self.BACKENDS - {"RemoteBackend", "_JobBackend"} <= set(
+            repro.parallel.__all__
+        )
 
     def test_no_class_defines_a_barrier_or_partial_surface(self):
-        surfaces = {}
-        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and (
-                        item.name.startswith("run_" + "tasks")
-                    ):
-                        surfaces.setdefault(item.name, []).append(node.name)
-        assert set(surfaces) == {"run_tasks_streaming", "run_tasks_events"}
-        assert surfaces["run_tasks_events"] == ["ChaosBackend"]
+        surfaces = self.task_surfaces()
+        events = {"run_tasks_streaming", "run_tasks_events"}
+        assert surfaces.pop("ChaosBackend") == events
+        assert all(
+            methods == {"run_tasks_streaming"} for methods in surfaces.values()
+        ), surfaces

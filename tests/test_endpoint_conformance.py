@@ -1,0 +1,240 @@
+"""One endpoint, one error policy: the compile service, the network
+cache tier and the fabric hub (before a peer holds a lease) all sit on
+:class:`repro.fabric.wire.LineServer`, and all three must treat a
+misbehaving peer the same way.
+
+A framing violation — oversized, truncated, bad JSON, not an object —
+gets one ``{"ok": false, "reason": ...}`` reply and the connection is
+dropped.  Blank lines are skipped.  An unknown op or a handler
+exception gets the same reply shape and the connection stays.
+
+The second half is the client side of the same boundary: a server that
+answers junk must surface as a ``ServiceError``, and as exit code 2
+from the client verbs, never as a traceback.
+"""
+
+import json
+import socket
+import threading
+from contextlib import contextmanager
+
+import pytest
+
+from repro.cli import main
+from repro.fabric import CacheServiceServer, FabricHub
+from repro.fabric.wire import DEFAULT_MAX_FRAME_BYTES, ProtocolError, error_reply
+from repro.parallel.local import SerialBackend
+from repro.service import (
+    CompileService,
+    ServiceClient,
+    ServiceError,
+    ServiceSocketServer,
+)
+
+
+class Peer:
+    """A raw socket: the tests decide every byte."""
+
+    def __init__(self, address):
+        host, _, port = address.rpartition(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=10.0)
+        self.rfile = self.sock.makefile("rb")
+
+    def send(self, data: bytes):
+        self.sock.sendall(data)
+
+    def ask(self, request: dict) -> dict:
+        self.send(json.dumps(request).encode() + b"\n")
+        return self.reply()
+
+    def reply(self) -> dict:
+        return json.loads(self.rfile.readline())
+
+    def dropped(self) -> bool:
+        return self.rfile.readline() == b""
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
+
+
+@contextmanager
+def service_endpoint(tmp_path):
+    server = ServiceSocketServer(CompileService(SerialBackend()))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    try:
+        # submit without a source: the handler raises KeyError
+        yield server.endpoint, {"op": "ping"}, {"op": "submit"}
+    finally:
+        server.request_shutdown(drain=False)
+        thread.join(timeout=30.0)
+
+
+@contextmanager
+def cache_endpoint(tmp_path):
+    with CacheServiceServer(tmp_path / "blobs") as server:
+        # a NUL in the key: the store's path lookup raises ValueError
+        yield (
+            server.endpoint,
+            {"op": "ping"},
+            {"op": "cache-get", "key": "\x00"},
+        )
+
+
+@contextmanager
+def hub_endpoint(tmp_path):
+    with FabricHub(lease_ttl=1.0, heartbeat_interval=0.2) as hub:
+        # before it registers, `register` is the one verb a peer has
+        yield (
+            hub.endpoint,
+            {"op": "register", "node": "conformance", "workers": 1},
+            {"op": "register", "workers": "many"},
+        )
+
+
+@pytest.fixture(params=[service_endpoint, cache_endpoint, hub_endpoint])
+def endpoint(request, tmp_path):
+    """(the LineServer, a request answered ok, one whose handler raises)"""
+    with request.param(tmp_path) as case:
+        yield case
+
+
+@pytest.fixture
+def peer(endpoint):
+    peer = Peer(endpoint[0].address)
+    yield peer
+    peer.close()
+
+
+def refused(reply: dict, reason: str) -> bool:
+    return reply["ok"] is False and reply["reason"] == reason and "error" in reply
+
+
+class TestServerSide:
+    def test_oversized_line_is_refused_before_it_is_buffered(self, endpoint):
+        server, healthy, _ = endpoint
+        server.max_frame_bytes = 256
+        peer = Peer(server.address)
+        peer.send(b'{"op": "ping", "pad": "' + b"x" * 4096 + b'"}\n')
+        assert refused(peer.reply(), "oversized-frame")
+        assert peer.dropped()
+        peer.close()
+        fresh = Peer(server.address)
+        assert fresh.ask(healthy)["ok"] is True
+        fresh.close()
+
+    def test_stream_dying_mid_line_is_never_parsed(self, endpoint, peer):
+        peer.send(b'{"op": "shut')  # no newline: the writer died here
+        peer.sock.shutdown(socket.SHUT_WR)
+        assert refused(peer.reply(), "truncated-frame")
+        assert peer.dropped()
+
+    def test_bad_json_is_refused_and_the_connection_dropped(self, endpoint, peer):
+        peer.send(b"{not json]\n")
+        assert refused(peer.reply(), "bad-json")
+        assert peer.dropped()
+
+    def test_non_object_frame_is_refused_and_dropped(self, endpoint, peer):
+        peer.send(b"[1, 2, 3]\n")
+        assert refused(peer.reply(), "bad-request")
+        assert peer.dropped()
+
+    def test_blank_lines_are_skipped(self, endpoint, peer):
+        peer.send(b"\n  \n")
+        assert peer.ask(endpoint[1])["ok"] is True
+
+    def test_unknown_op_is_refused_and_the_connection_stays(self, endpoint, peer):
+        assert refused(peer.ask({"op": "no-such-op"}), "bad-request")
+        assert refused(peer.ask({"op": ["not", "a", "name"]}), "bad-request")
+        assert peer.ask(endpoint[1])["ok"] is True
+
+    def test_handler_exception_is_refused_and_the_connection_stays(
+        self, endpoint, peer
+    ):
+        _, healthy, crashing = endpoint
+        assert refused(peer.ask(crashing), "bad-request")
+        assert peer.ask(healthy)["ok"] is True
+
+    def test_only_a_protocol_error_names_its_own_wire_reason(self):
+        """Any exception may happen to carry a ``reason`` attribute
+        (here 'surrogates not allowed'); it must not leak as the code."""
+        stray = UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed")
+        assert refused(error_reply(stray), "bad-request")
+        assert refused(error_reply(ProtocolError("x", reason="bad-json")), "bad-json")
+
+
+# ---------------------------------------------------------------------------
+# Client side: replies are read through the same checked boundary.
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def misbehaving_server(answer: bytes):
+    """Accepts connections, reads one request line, answers ``answer``
+    verbatim and hangs up."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                sock, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with sock:
+                sock.makefile("rb").readline()
+                try:
+                    sock.sendall(answer)
+                except OSError:
+                    pass  # the client hung up on an over-long line
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+        listener.close()
+
+
+def junk_reply(reason: str) -> bytes:
+    if reason == "oversized-frame":
+        return b"x" * (DEFAULT_MAX_FRAME_BYTES + 2)
+    return {
+        "bad-json": b"HTTP/1.1 400 Bad Request\r\n",
+        "bad-request": b'["a", "list"]\n',
+        "truncated-frame": b'{"ok": true, "job": "j',
+    }[reason]
+
+
+class TestClientSide:
+    @pytest.mark.parametrize(
+        "reason",
+        ["bad-json", "bad-request", "truncated-frame", "oversized-frame"],
+    )
+    def test_junk_reply_is_a_service_error_with_the_wire_reason(self, reason):
+        with misbehaving_server(junk_reply(reason)) as address:
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(address, timeout=10.0).ping()
+        assert excinfo.value.reason == reason
+
+    @pytest.mark.parametrize("verb", ["submit", "status", "watch"])
+    def test_client_verbs_exit_2_with_one_line(self, verb, tmp_path, capsys):
+        source = tmp_path / "m.w2"
+        source.write_text("module m end\n")
+        argv = {
+            "submit": ["submit", str(source)],
+            "status": ["status"],
+            "watch": ["watch", str(source), "--once"],
+        }[verb]
+        with misbehaving_server(b"\x00\xff garbage\n") as address:
+            assert main([*argv, "--connect", address]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("warpcc: ") and "[bad-json]" in line

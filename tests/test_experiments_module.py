@@ -42,9 +42,9 @@ class TestMeasurePair:
         )
 
     def test_custom_cost_model_respected(self):
-        from repro.cluster.costs import CostModel
+        from repro.cluster.costs import ClusterCostModel
 
-        cheap_startup = CostModel(lisp_core_words=0.0, lisp_init_sec=0.0)
+        cheap_startup = ClusterCostModel(lisp_core_words=0.0, lisp_init_sec=0.0)
         default = measure_pair("tiny", 2)
         cheap = measure_pair("tiny", 2, costs=cheap_startup)
         assert cheap.parallel.elapsed < default.parallel.elapsed

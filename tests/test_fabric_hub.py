@@ -309,6 +309,7 @@ class TestAuthentication:
             assert rejection.get("reason") == "unauthenticated"
             assert hub.live_node_count() == 0
             assert hub.stats.nodes_registered == 0
+            assert hub.stats.corrupt_frames == 0  # a refusal, not noise
             conn.close()
 
 

@@ -108,7 +108,7 @@ class TestRetryingBackend:
 
     def test_catches_real_exceptions_per_task(self):
         class ExplodingBackend:
-            worker_count = 1
+            worker_count = effective_worker_count = 1
 
             def __init__(self):
                 self.calls = 0

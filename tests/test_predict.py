@@ -23,7 +23,7 @@ from repro.parallel.schedule import provided_task_costs
 from repro.parallel.supervisor import SupervisedBackend
 from repro.predict import (
     SPECULATION_TENANT,
-    CostModel,
+    LearnedCostModel,
     ObservationStore,
     SpeculationManager,
     task_fingerprint,
@@ -118,7 +118,7 @@ def _recorded_tasks(source=SOURCE):
 
 class TestCostModel:
     def test_ewma_folds_and_window_trims(self, tmp_path):
-        model = CostModel(
+        model = LearnedCostModel(
             ObservationStore(str(tmp_path)), alpha=0.5, window=3
         )
         obs = None
@@ -131,14 +131,14 @@ class TestCostModel:
         assert obs.max_s == 4.0
 
     def test_estimates_persist_across_instances(self, tmp_path):
-        first = CostModel(ObservationStore(str(tmp_path)))
+        first = LearnedCostModel(ObservationStore(str(tmp_path)))
         first.observe("fp", 2.0)
         first.observe("fp", 2.0)
-        second = CostModel(ObservationStore(str(tmp_path)))
+        second = LearnedCostModel(ObservationStore(str(tmp_path)))
         assert second.estimate_seconds("fp") == pytest.approx(2.0)
 
     def test_min_samples_gates_estimates(self, tmp_path):
-        model = CostModel(ObservationStore(str(tmp_path)), min_samples=2)
+        model = LearnedCostModel(ObservationStore(str(tmp_path)), min_samples=2)
         model.observe("fp", 1.0)
         assert model.estimate_seconds("fp") is None
         model.observe("fp", 1.0)
@@ -146,7 +146,7 @@ class TestCostModel:
         assert model.estimate_seconds("never-seen") is None
 
     def test_percentile_is_nearest_rank(self, tmp_path):
-        model = CostModel(
+        model = LearnedCostModel(
             ObservationStore(str(tmp_path)), min_samples=1, window=10
         )
         for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
@@ -156,7 +156,7 @@ class TestCostModel:
         assert model.percentile_seconds("fp", 1.0) == pytest.approx(10.0)
 
     def test_unfingerprintable_task_falls_back_to_hint(self, tmp_path):
-        model = CostModel(ObservationStore(str(tmp_path)))
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
         bogus = FunctionTask("not a module", "<t>", "s", "f", cost_hint=7.5)
         assert model.cost_for(bogus) == 7.5
         assert model.fallbacks == 1
@@ -172,7 +172,7 @@ class TestCostModel:
         tasks = _recorded_tasks()
         assert len(tasks) >= 2
         fast, slow = tasks[0], tasks[1]
-        model = CostModel(ObservationStore(str(tmp_path)))
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
         for _ in range(4):
             model.observe_task(fast, 0.010)
             model.observe_task(slow, 0.020)
@@ -205,14 +205,14 @@ class TestCostModel:
     def test_invalid_knobs_rejected(self, tmp_path):
         store = ObservationStore(str(tmp_path))
         with pytest.raises(ValueError):
-            CostModel(store, alpha=0.0)
+            LearnedCostModel(store, alpha=0.0)
         with pytest.raises(ValueError):
-            CostModel(store, window=0)
+            LearnedCostModel(store, window=0)
         with pytest.raises(ValueError):
-            CostModel(store, min_samples=0)
+            LearnedCostModel(store, min_samples=0)
 
     def test_snapshot_reports_calibration(self, tmp_path):
-        model = CostModel(ObservationStore(str(tmp_path)))
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
         model.observe("fp", 0.5, hint=10.0)
         model.observe("fp", 0.5, hint=10.0)
         snap = model.snapshot()
@@ -334,7 +334,7 @@ class TestWinningAttemptObservation:
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
 
     def test_service_records_observations_end_to_end(self, tmp_path):
-        model = CostModel(ObservationStore(str(tmp_path / "obs")))
+        model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
         with CompileService(SerialBackend(), cost_model=model) as service:
             job = service.wait(
                 service.submit(synthetic_program("tiny", 3)), timeout=60.0
@@ -350,7 +350,7 @@ class TestWinningAttemptObservation:
 
 def _watch_service(tmp_path, **kwargs):
     cache = ArtifactCache(str(tmp_path / "cache"))
-    model = CostModel(ObservationStore(str(tmp_path / "obs")))
+    model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
     defaults = dict(cost_model=model, speculation=True)
     defaults.update(kwargs)
     return CompileService(SerialBackend(), cache, **defaults)

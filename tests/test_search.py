@@ -565,13 +565,18 @@ class TestSearchCLI:
         assert printed == outcome.result.digest.strip()
 
     def test_cli_compile_search_flag_delegates(self, tmp_path, capsys):
+        """``warpcc search`` is the one spelling: the second door on
+        ``compile`` (which ignored most of compile's own flags) is
+        gone, and so are the search tuning flags it carried there."""
         from repro.cli import main
 
         path = tmp_path / "m.w"
         path.write_text(TWO_FUNCTION)
-        code = main(["compile", str(path), "--search", "--no-cache"])
-        assert code == 0
-        assert "search:" in capsys.readouterr().out
+        for flags in (["--search"], ["--space", "o2u0i0"], ["--input-seed", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["compile", str(path), "--no-cache", *flags])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_search_uses_cache_dir(self, tmp_path, capsys):
         from repro.cli import main

@@ -31,20 +31,25 @@ end
 
 
 @pytest.fixture
-def endpoint():
-    service = CompileService(SerialBackend(), max_running=2)
-    server = ServiceSocketServer(service)
+def server():
+    server = ServiceSocketServer(
+        CompileService(SerialBackend(), max_running=2)
+    )
     thread = threading.Thread(
         target=server.serve_until_shutdown, daemon=True
     )
     thread.start()
     try:
-        yield server.address, service
+        yield server
     finally:
-        if not thread.is_alive():
-            return
-        server.request_shutdown(drain=False)
-        thread.join(timeout=30.0)
+        if thread.is_alive():
+            server.request_shutdown(drain=False)
+            thread.join(timeout=30.0)
+
+
+@pytest.fixture
+def endpoint(server):
+    return server.address, server.service
 
 
 class TestAddresses:
@@ -172,11 +177,9 @@ class TestProtocol:
             assert rfile.readline() == b""
         assert ServiceClient(address).ping()["ok"] is True
 
-    def test_oversized_line_is_refused_not_buffered(self, endpoint, monkeypatch):
-        import repro.service.server as server_mod
-
-        monkeypatch.setattr(server_mod, "MAX_REQUEST_BYTES", 256)
-        address, _ = endpoint
+    def test_oversized_line_is_refused_not_buffered(self, server):
+        server.endpoint.max_frame_bytes = 256  # the one cap, lowered
+        address = server.address
         host, port = parse_address(address)
         with socket.create_connection((host, port), timeout=10.0) as sock:
             sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 4096 + b'"}\n')

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.parallel.local import SerialBackend
-from repro.predict import CostModel, ObservationStore
+from repro.predict import LearnedCostModel, ObservationStore
 from repro.service import (
     CompileService,
     ServiceClient,
@@ -25,7 +25,7 @@ from repro.workloads.synthetic import synthetic_program
 @pytest.fixture
 def endpoint(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
-    model = CostModel(ObservationStore(str(tmp_path / "obs")))
+    model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
     service = CompileService(
         SerialBackend(),
         cache,

@@ -398,9 +398,8 @@ class TestSeededChaosEndToEnd:
     WARPCC_CHAOS_FAULT over a crash/hang/corrupt matrix."""
 
     @staticmethod
-    def _config():
-        seed = int(os.environ.get("WARPCC_CHAOS_SEED", "0"))
-        fault = os.environ.get("WARPCC_CHAOS_FAULT", "mixed")
+    def rates_for(fault):
+        """Fault rates of one WARPCC_CHAOS_FAULT matrix leg."""
         rates = {
             "crash_rate": 0.0,
             "hang_rate": 0.0,
@@ -413,12 +412,15 @@ class TestSeededChaosEndToEnd:
             rates["hang_rate"] = 0.3
         if fault in ("corrupt", "mixed"):
             rates["corrupt_rate"] = 0.25
-        # Its own matrix leg, deliberately not part of "mixed": the
-        # extra per-attempt fault draw would change which seeds push a
-        # second task over the poison threshold.
+        # Its own matrix leg, not part of "mixed".
         if fault == "corrupt-assembly":
             rates["corrupt_assembly_rate"] = 0.25
-        return seed, rates
+        return rates
+
+    @classmethod
+    def _config(cls):
+        seed = int(os.environ.get("WARPCC_CHAOS_SEED", "0"))
+        return seed, cls.rates_for(os.environ.get("WARPCC_CHAOS_FAULT", "mixed"))
 
     def test_chaos_run_completes_with_poison_diagnostic(self):
         seed, rates = self._config()
