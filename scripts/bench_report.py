@@ -206,7 +206,47 @@ def render_predict(doc: dict) -> list[str]:
     ]
 
 
+def render_e2e(doc: dict) -> list[str]:
+    """End-to-end point (scripts/e2e_point.py): the claim, then parent
+    and change medians per workload and end-to-end metric."""
+    claim = doc["claim"]
+    lines = [
+        f"Claim: `{claim['metric']}` on `{claim['workload']}` "
+        f"{claim['parent']['median']:.4g} → {claim['change']['median']:.4g} "
+        f"{claim['unit']} ({claim['speedup']:.2f}x; change better in "
+        f"{claim['change_wins']}/{claim['pairs']} pairs; parent quartiles "
+        f"{claim['parent']['q1']:.4g}..{claim['parent']['q3']:.4g}) — "
+        f"{'holds' if claim['holds'] else 'NOT MET'}.  "
+        f"`{doc['command']}` on each side, parent `{doc['parent_commit']}`.",
+    ]
+    again = claim.get("confirmation")
+    if again:
+        lines.append(
+            f"On seed {again['seed']}, not used during development: "
+            f"{again['parent']['median']:.4g} → {again['change']['median']:.4g} "
+            f"{claim['unit']} ({again['speedup']:.2f}x, "
+            f"{again['change_wins']}/{again['pairs']} pairs) — "
+            f"{'holds' if again['holds'] else 'NOT MET'}."
+        )
+    lines += [
+        "",
+        "| workload | metric | parent median | change median | change/parent |",
+        "|---|---|---|---|---|",
+    ]
+    for name, workload in doc["workloads"].items():
+        for metric, sides in workload["end_to_end"].items():
+            before, after = sides["parent"]["median"], sides["change"]["median"]
+            ratio = f"{after / before:.3f}" if before else "-"
+            lines.append(
+                f"| `{name}` | `{metric}` | {before:.6g} {sides['unit']} "
+                f"| {after:.6g} {sides['unit']} | {ratio} |"
+            )
+    return lines
+
+
 def render_one(doc: dict) -> list[str]:
+    if "e2e_trajectory_point" in doc:
+        return render_e2e(doc)
     if "speculation_advantage" in doc:
         return render_predict(doc)
     if "benchmarks" in doc and "machine_info" in doc:

@@ -9,6 +9,7 @@ assembler "the same input ... as the sequential compiler".
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
 from ..ir.instructions import Opcode
@@ -16,7 +17,6 @@ from ..machine.resources import FUClass
 from .objformat import (
     AssembledFunction,
     Bundle,
-    MachineOp,
     ObjectFunction,
     ScheduledBlock,
 )
@@ -73,17 +73,7 @@ def _resolve_bundle(
                 raise AssemblyError(
                     f"unresolved label {missing.args[0]!r} in {function_name!r}"
                 ) from None
-            op = MachineOp(
-                op=op.op,
-                fu=op.fu,
-                latency=op.latency,
-                dest=op.dest,
-                operands=op.operands,
-                array_offset=op.array_offset,
-                array_name=op.array_name,
-                labels=targets,
-                callee=op.callee,
-            )
+            op = replace(op, labels=targets)
         resolved.add(op)
     return resolved
 

@@ -36,21 +36,27 @@ def build_download_module(
 def module_digest(module: DownloadModule) -> str:
     """Deterministic, human-readable dump of a download module."""
     lines: List[str] = [f"download-module {module.module_name}"]
+    # Replicated cells share one CellProgram: its functions render once.
+    rendered: Dict[int, List[str]] = {}
     for cell in sorted(module.cell_programs):
         program = module.cell_programs[cell]
         lines.append(
             f"cell {cell}: section {program.section_name} "
             f"entry={program.entry} data={program.data_words}"
         )
-        for name in sorted(program.functions):
-            function = program.functions[name]
-            lines.append(
-                f"  {name}: frame@{program.frame_bases[name]} "
-                f"params=({', '.join(str(r) for r in function.param_regs)}) "
-                f"ret={function.return_bank or 'void'}"
-            )
-            for index, bundle in enumerate(function.bundles):
-                lines.append(f"    {index:4d} {bundle}")
+        body = rendered.get(id(program))
+        if body is None:
+            body = rendered[id(program)] = []
+            for name in sorted(program.functions):
+                function = program.functions[name]
+                body.append(
+                    f"  {name}: frame@{program.frame_bases[name]} params=("
+                    f"{', '.join(str(r) for r in function.param_regs)}) "
+                    f"ret={function.return_bank or 'void'}"
+                )
+                for index, bundle in enumerate(function.bundles):
+                    body.append(f"    {index:4d} {bundle}")
+        lines.extend(body)
     if module.diagnostics_text:
         lines.append("diagnostics:")
         lines.append(module.diagnostics_text)
@@ -62,14 +68,10 @@ def module_size_words(module: DownloadModule) -> int:
 
     Used by the cluster simulator to price moving the module from the
     compile host to the Warp interface unit over the network.
+    Replicated sections download once per cell.
     """
     total = 0
-    seen = set()
     for program in module.cell_programs.values():
-        if id(program) in seen:
-            # Replicated sections download once per cell nonetheless.
-            pass
-        seen.add(id(program))
         for function in program.functions.values():
             for bundle in function.bundles:
                 total += 1 + len(bundle.ops)

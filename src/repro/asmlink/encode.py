@@ -19,7 +19,7 @@ import struct
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from ..ir.instructions import Opcode
-from ..machine.resources import FUClass, PhysReg
+from ..machine.resources import FU_SLOTS, PhysReg
 from .objformat import (
     AssembledFunction,
     Bundle,
@@ -35,8 +35,7 @@ VERSION = 1
 #: of the format; bump VERSION when it changes).
 _OPCODE_LIST = list(Opcode)
 _OPCODE_ID = {op: i for i, op in enumerate(_OPCODE_LIST)}
-_FU_LIST = list(FUClass)
-_FU_ID = {fu: i for i, fu in enumerate(_FU_LIST)}
+_FU_ID = {fu: i for i, fu in enumerate(FU_SLOTS)}
 
 _OPERAND_REG = 0
 _OPERAND_INT = 1
@@ -315,7 +314,7 @@ def _decode_op(reader: _Reader) -> MachineOp:
     if opcode_id >= len(_OPCODE_LIST):
         raise FormatError(f"bad opcode id {opcode_id}")
     op = _OPCODE_LIST[opcode_id]
-    fu = _FU_LIST[reader.u8()]
+    fu = FU_SLOTS[reader.u8()]
     latency = reader.u8()
     dest: Optional[PhysReg] = None
     bank_code = reader.u8()

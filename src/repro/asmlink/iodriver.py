@@ -11,7 +11,7 @@ this descriptor to wire the external queues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..ir.instructions import Opcode
 from .objformat import CellProgram
@@ -63,16 +63,20 @@ def build_io_driver(cell_programs: Dict[int, CellProgram]) -> IODriver:
     if not cell_programs:
         raise ValueError("cannot build an I/O driver for an empty module")
     driver = IODriver()
+    # Replicated cells share one CellProgram: its I/O sites count once.
+    sites: Dict[int, Tuple[int, int]] = {}
     for cell_index, program in cell_programs.items():
-        receives = 0
-        sends = 0
-        for function in program.functions.values():
-            for bundle in function.bundles:
-                for op in bundle.all_ops():
-                    if op.op is Opcode.RECV:
-                        receives += 1
-                    elif op.op is Opcode.SEND:
-                        sends += 1
+        if id(program) not in sites:
+            opcodes = [
+                op.op
+                for function in program.functions.values()
+                for bundle in function.bundles
+                for op in bundle.ops.values()
+            ]
+            sites[id(program)] = (
+                opcodes.count(Opcode.RECV), opcodes.count(Opcode.SEND)
+            )
+        receives, sends = sites[id(program)]
         driver.profiles[cell_index] = CellIOProfile(
             section_name=program.section_name,
             entry=program.entry,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir.instructions import Opcode
-from ..machine.resources import FUClass, PhysReg
+from ..machine.resources import FU_SLOTS, FUClass, PhysReg
 
 #: Machine operands are physical registers or immediate numbers.
 MachineOperand = Union[PhysReg, int, float]
@@ -73,7 +73,8 @@ class Bundle:
 
     def all_ops(self) -> List[MachineOp]:
         """Ops in a fixed slot order (deterministic for printing/digests)."""
-        return [self.ops[fu] for fu in FUClass if fu in self.ops]
+        ops = self.ops
+        return [ops[fu] for fu in FU_SLOTS if fu in ops]
 
     def __str__(self) -> str:
         if self.is_empty():

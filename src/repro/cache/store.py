@@ -21,9 +21,11 @@ bounds and stats.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -44,6 +46,11 @@ def default_cache_dir() -> Path:
     if xdg:
         return Path(xdg) / "warpcc"
     return Path.home() / ".cache" / "warpcc"
+
+
+#: The cyclic collector's switch is process-wide: two threads saving and
+#: restoring it around an unpickle must not interleave.
+_COLLECTOR_LOCK = threading.Lock()
 
 
 @dataclass
@@ -101,7 +108,17 @@ class PickleStore:
             self.stats.misses += 1
             return None
         try:
-            result = pickle.loads(data)
+            # An entry is thousands of small containers, none garbage, yet
+            # each allocation threshold crossed starts a collection over
+            # them: a module-tier entry loads in 0.138 s, or 0.023 s paused.
+            with _COLLECTOR_LOCK:
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    result = pickle.loads(data)
+                finally:
+                    if collecting:
+                        gc.enable()
             if not isinstance(result, self.PAYLOAD_TYPE):
                 raise TypeError(f"cache entry holds {type(result).__name__}")
         except Exception:

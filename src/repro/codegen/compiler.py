@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 from ..asmlink.objformat import (
     Bundle,
     CodegenInfo,
-    MachineOp,
     ObjectFunction,
     ScheduledBlock,
 )
@@ -194,7 +193,7 @@ def _pipeline_one(
 
     floor = 2
     while floor <= max_ii:
-        schedule = _search_schedule(ops, edges, floor, max_ii)
+        schedule = find_modulo_schedule(ops, edges, max_ii, floor)
         if schedule is None:
             return None
         info.work_units += schedule.work_units
@@ -210,23 +209,6 @@ def _pipeline_one(
         info.pipelined_loops += 1
         info.initiation_intervals.append(result.ii)
         return result
-    return None
-
-
-def _search_schedule(ops, edges, floor, max_ii):
-    from .modulo import ModuloSchedule, resource_mii, try_modulo_schedule
-
-    work = 0
-    for ii in range(max(floor, resource_mii(ops), 2), max_ii + 1):
-        attempt = try_modulo_schedule(ops, edges, ii)
-        if attempt is None:
-            work += len(ops) * ii
-            continue
-        times, attempt_work = attempt
-        stages = max(t // ii for t in times) + 1 if times else 1
-        return ModuloSchedule(
-            ii=ii, times=times, stages=stages, work_units=work + attempt_work
-        )
     return None
 
 
@@ -312,14 +294,4 @@ def _retarget(block: ScheduledBlock, mapping: Dict[str, str]) -> None:
             continue
         new_labels = tuple(mapping.get(label, label) for label in seq.labels)
         if new_labels != seq.labels:
-            bundle.ops[FUClass.SEQ] = MachineOp(
-                op=seq.op,
-                fu=seq.fu,
-                latency=seq.latency,
-                dest=seq.dest,
-                operands=seq.operands,
-                array_offset=seq.array_offset,
-                array_name=seq.array_name,
-                labels=new_labels,
-                callee=seq.callee,
-            )
+            bundle.ops[FUClass.SEQ] = replace(seq, labels=new_labels)

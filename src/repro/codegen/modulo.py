@@ -34,23 +34,14 @@ The emitted structure (for a loop with S stages and T = trip - (S-1)):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.objformat import Bundle, MachineOp, ScheduledBlock
-from ..ir.cfg import FunctionIR
 from ..ir.instructions import Opcode
-from ..ir.loops import Loop, find_loops, is_pipelinable
-from ..machine.resources import FUClass, PhysReg
+from ..machine.resources import FU_SLOTS, FUClass, PhysReg
 from ..machine.warp_cell import WarpCellModel
-from ..opt.dependence import (
-    DependenceGraph,
-    MEMORY,
-    IO,
-    build_dependence_graph,
-    find_induction_register,
-)
-from .select import SelectedBlock
+from ..opt.dependence import DependenceGraph, MEMORY, IO
 
 #: Edge of the machine-level scheduling graph.
 @dataclass(frozen=True)
@@ -161,92 +152,177 @@ def resource_mii(ops: List[MachineOp]) -> int:
     return max(counts.values(), default=1)
 
 
-def try_modulo_schedule(
-    ops: List[MachineOp],
-    edges: List[SchedEdge],
-    ii: int,
-) -> Optional[Tuple[List[int], int]]:
-    """Greedy placement in zero-distance topological order, then a full
-    verification of every edge; returns (times, work) or None."""
+def recurrence_mii(
+    n: int, edges: List[SchedEdge], start: int = 1
+) -> Optional[int]:
+    """Lower bound on II from the dependence cycles: the smallest
+    ``II >= start`` at which the graph weighted ``delay - II*distance``
+    has no positive cycle — max(start, RecMII), RecMII being the maximum
+    over cycles of ceil(sum delay / sum distance).  None when a cycle of
+    distance 0 has positive delay: no II satisfies it.
+
+    A max-cycle-ratio walk: relax longest-path labels in sweeps over the
+    edges.  A sweep that changes nothing proves the current II feasible;
+    until then a cycle among the edges that last raised each label is a
+    positive one, and II jumps to that cycle's ratio — a lower bound like
+    every cycle's, so the walk never passes RecMII.
+    """
+    # Sorted by source: one sweep settles a body's forward distance-0 chains.
+    rows = sorted((e.source, e.sink, e.delay, e.distance) for e in edges)
+    ii = start
+    while True:
+        label = [0] * n
+        raised_by: List[Optional[tuple]] = [None] * n  # row, per sink
+        cycle: List[tuple] = []
+        while not cycle:
+            changed = False
+            for row in rows:
+                source, sink, delay, distance = row
+                reach = label[source] + delay - ii * distance
+                if reach > label[sink]:
+                    label[sink] = reach
+                    raised_by[sink] = row
+                    changed = True
+            if not changed:
+                return ii
+            cycle = _cycle_among(raised_by)
+        distance = sum(row[3] for row in cycle)
+        if distance == 0:
+            return None
+        ii = -(-sum(row[2] for row in cycle) // distance)
+
+
+def _cycle_among(raised_by: List[Optional[tuple]]) -> List[tuple]:
+    """One cycle of the graph sink -> ``raised_by[sink]`` -> its source,
+    as edge rows; [] if there is none."""
+    reached_from: List[Optional[int]] = [None] * len(raised_by)
+    for root in range(len(raised_by)):
+        node = root
+        while raised_by[node] is not None and reached_from[node] is None:
+            reached_from[node] = root
+            node = raised_by[node][0]
+        if raised_by[node] is not None and reached_from[node] == root:
+            cycle = [raised_by[node]]
+            while cycle[-1][0] != node:
+                cycle.append(raised_by[cycle[-1][0]])
+            return cycle
+    return []
+
+
+#: What :func:`schedule_plan` returns for a well-formed loop body.
+SchedulePlan = Tuple[List[int], List[List[Tuple[int, int, int]]], List[int]]
+
+
+def schedule_plan(
+    ops: List[MachineOp], edges: List[SchedEdge]
+) -> Optional[SchedulePlan]:
+    """What placement needs that does not depend on II, computed once per
+    loop: (topological order of the distance-0 subgraph, per sink its
+    incoming edges as (source, delay, distance), per op its functional
+    unit's reservation-table row).  None when the distance-0 subgraph has
+    a cycle (malformed graph)."""
     n = len(ops)
-    zero_succs: List[List[SchedEdge]] = [[] for _ in range(n)]
+    zero_succs: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
+    preds: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
     for edge in edges:
         if edge.distance == 0:
-            zero_succs[edge.source].append(edge)
+            zero_succs[edge.source].append(edge.sink)
             indegree[edge.sink] += 1
+        preds[edge.sink].append((edge.source, edge.delay, edge.distance))
 
-    # Topological order over the acyclic distance-0 subgraph.
     order: List[int] = [i for i in range(n) if indegree[i] == 0]
     head = 0
     while head < len(order):
         node = order[head]
         head += 1
-        for edge in zero_succs[node]:
-            indegree[edge.sink] -= 1
-            if indegree[edge.sink] == 0:
-                order.append(edge.sink)
+        for sink in zero_succs[node]:
+            indegree[sink] -= 1
+            if indegree[sink] == 0:
+                order.append(sink)
     if len(order) != n:
-        return None  # distance-0 cycle: malformed graph
+        return None
+    return order, preds, [FU_SLOTS.index(op.fu) for op in ops]
 
-    preds: List[List[SchedEdge]] = [[] for _ in range(n)]
-    for edge in edges:
-        preds[edge.sink].append(edge)
 
-    times: List[Optional[int]] = [None] * n
-    reservation: Dict[Tuple[FUClass, int], int] = {}
+def try_modulo_schedule(
+    ops: List[MachineOp],
+    edges: List[SchedEdge],
+    ii: int,
+    plan: Optional[SchedulePlan] = None,
+) -> Optional[Tuple[List[int], int]]:
+    """Greedy placement in zero-distance topological order, then a full
+    verification of every edge; returns (times, work) or None.  ``plan``
+    is :func:`schedule_plan` of the same ops and edges, for a caller that
+    attempts more than one II."""
+    plan = plan or schedule_plan(ops, edges)
+    if plan is None:
+        return None
+    order, preds, rows = plan
+
+    times: List[Optional[int]] = [None] * len(ops)
+    # Modulo reservation table: one row of II slots per functional unit.
+    reserved = bytearray(len(FU_SLOTS) * ii)
     work = len(edges)
 
     for node in order:
         earliest = 0
-        for edge in preds[node]:
-            src_time = times[edge.source]
+        for source, delay, distance in preds[node]:
+            src_time = times[source]
             if src_time is not None:
-                earliest = max(
-                    earliest, src_time + edge.delay - ii * edge.distance
-                )
-        placed = False
+                earliest = max(earliest, src_time + delay - ii * distance)
+        row = rows[node] * ii
         for t in range(earliest, earliest + ii):
             work += 1
-            slot = (ops[node].fu, t % ii)
-            if slot not in reservation:
-                reservation[slot] = node
+            if not reserved[row + t % ii]:
+                reserved[row + t % ii] = 1
                 times[node] = t
-                placed = True
                 break
-        if not placed:
+        else:
             return None
 
-    final_times = [t for t in times]  # all placed
     # Verify every edge, including loop-carried ones whose source was
     # placed after the sink in topological order.
-    for edge in edges:
-        if final_times[edge.sink] + ii * edge.distance < (
-            final_times[edge.source] + edge.delay
-        ):
-            return None
-    return final_times, work
+    for sink, incoming in enumerate(preds):
+        for source, delay, distance in incoming:
+            if times[sink] + ii * distance < times[source] + delay:
+                return None
+    return times, work
 
 
 def find_modulo_schedule(
     ops: List[MachineOp],
     edges: List[SchedEdge],
     max_ii: int,
+    floor: int = 2,
 ) -> Optional[ModuloSchedule]:
-    """Search II upward from ResMII; None if no II below ``max_ii`` works."""
-    total_work = 0
-    start = max(2, resource_mii(ops))  # II >= 2: the kernel needs its
-    # countdown to land before the kernel branch reads it.
+    """The first II in ``floor .. max_ii`` that greedy placement accepts.
+
+    The search starts at max(floor, ResMII, RecMII, 2): the kernel needs
+    II >= 2 for its countdown to land before the kernel branch reads it,
+    and an attempt ends by checking every edge, so none below RecMII can
+    succeed — the chosen II is the one a climb from ResMII finds.
+    ``work_units`` bills the simulated 1989 compiler, which does make that
+    climb: the IIs skipped here are charged like any failed attempt.
+    """
+    climb_from = max(floor, resource_mii(ops), 2)
+    if climb_from > max_ii:
+        return None
+    plan = schedule_plan(ops, edges)
+    start = recurrence_mii(len(ops), edges, climb_from)
+    if plan is None or start is None:
+        return None
+    # sum of II over climb_from .. start-1, each failed attempt len(ops)*II
+    total_work = len(ops) * (start - climb_from) * (climb_from + start - 1) // 2
     for ii in range(start, max_ii + 1):
-        result = try_modulo_schedule(ops, edges, ii)
+        result = try_modulo_schedule(ops, edges, ii, plan)
         if result is None:
             total_work += len(ops) * ii  # failed attempts are paid for too
             continue
         times, work = result
-        total_work += work
         stages = max(t // ii for t in times) + 1 if times else 1
         return ModuloSchedule(
-            ii=ii, times=times, stages=stages, work_units=total_work
+            ii=ii, times=times, stages=stages, work_units=total_work + work
         )
     return None
 

@@ -57,6 +57,10 @@ class Opcode(enum.Enum):
     BR = "br"  # conditional: (cond, true_label, false_label)
     RET = "ret"
 
+    # Members are singletons: hash by identity, in C, not through
+    # Enum.__hash__ (a Python-level hash of the name) on every set probe.
+    __hash__ = object.__hash__
+
 
 TERMINATORS = {Opcode.JMP, Opcode.BR, Opcode.RET}
 

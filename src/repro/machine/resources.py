@@ -24,8 +24,16 @@ class FUClass(enum.Enum):
     IO = "io"  # inter-cell queue port
     SEQ = "seq"  # sequencer: branches, calls, returns
 
+    # Members are singletons: hash by identity, in C, not through
+    # Enum.__hash__ (a Python-level hash of the name) on every dict probe.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
+
+
+#: The issue slots in their fixed order (digests, reservation-table rows).
+FU_SLOTS = tuple(FUClass)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,13 @@ class DependenceGraph:
     instructions: List[Instr]
     edges: List[DependenceEdge] = field(default_factory=list)
 
-    def successors(self, index: int) -> List[DependenceEdge]:
-        return [e for e in self.edges if e.source == index]
+    def __post_init__(self) -> None:
+        self._seen = set(self.edges)
 
     def add(self, source: int, sink: int, kind: str, distance: int) -> None:
         edge = DependenceEdge(source, sink, kind, distance)
-        if edge not in self.edges:
+        if edge not in self._seen:
+            self._seen.add(edge)
             self.edges.append(edge)
 
 

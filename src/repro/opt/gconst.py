@@ -86,11 +86,12 @@ def _solve(function: FunctionIR) -> Dict[str, State]:
     worklist: List[str] = [function.entry.name]
     queued = set(worklist)
     guard = 0
+    guard_limit = 40 * max(1, len(function.blocks)) * (
+        1 + function.instruction_count()
+    )
     while worklist:
         guard += 1
-        if guard > 40 * max(1, len(function.blocks)) * (
-            1 + function.instruction_count()
-        ):  # pragma: no cover - safety net
+        if guard > guard_limit:  # pragma: no cover - safety net
             raise RuntimeError("constant propagation failed to converge")
         name = worklist.pop(0)
         queued.discard(name)

@@ -71,15 +71,18 @@ def _one_round(function: FunctionIR) -> int:
     nest = find_loops(function)
     defs_count = _definition_counts(function)
     uses_outside: Dict[VReg, Set[str]] = _use_blocks(function)
+    # Hoisting moves no terminator: one predecessor and block map per round.
+    preds = function.predecessors()
+    block_map = function.block_map()
     moved = 0
     # Innermost first: their invariants may bubble outward next round.
     loops = sorted(nest.all_loops(), key=lambda l: -l.depth)
     for loop in loops:
-        preheader = _preheader_of(function, loop)
+        preheader = _preheader_of(preds, block_map, loop)
         if preheader is None:
             continue
         moved += _hoist_from_loop(
-            function, loop, preheader, defs_count, uses_outside
+            block_map, loop, preheader, defs_count, uses_outside
         )
     return moved
 
@@ -101,12 +104,13 @@ def _use_blocks(function: FunctionIR) -> Dict[VReg, Set[str]]:
     return uses
 
 
-def _preheader_of(function: FunctionIR, loop: Loop) -> Optional[BasicBlock]:
-    preds = function.predecessors()[loop.header]
-    outside = [p for p in preds if p not in loop.blocks]
+def _preheader_of(
+    preds: Dict[str, List[str]], block_map: Dict[str, BasicBlock], loop: Loop
+) -> Optional[BasicBlock]:
+    outside = [p for p in preds[loop.header] if p not in loop.blocks]
     if len(outside) != 1:
         return None
-    preheader = function.block_named(outside[0])
+    preheader = block_map[outside[0]]
     term = preheader.terminator
     if term is None or term.op is not Opcode.JMP:
         return None
@@ -114,13 +118,13 @@ def _preheader_of(function: FunctionIR, loop: Loop) -> Optional[BasicBlock]:
 
 
 def _hoist_from_loop(
-    function: FunctionIR,
+    block_map: Dict[str, BasicBlock],
     loop: Loop,
     preheader: BasicBlock,
     defs_count: Dict[VReg, int],
     uses_outside: Dict[VReg, Set[str]],
 ) -> int:
-    loop_blocks = [function.block_named(name) for name in sorted(loop.blocks)]
+    loop_blocks = [block_map[name] for name in sorted(loop.blocks)]
     defined_in_loop: Set[VReg] = set()
     for block in loop_blocks:
         for instr in block.instructions:

@@ -7,7 +7,7 @@ register allocator's live-interval construction.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..ir.cfg import BasicBlock, FunctionIR
 from ..ir.instructions import Instr
@@ -69,15 +69,16 @@ def live_variables(function: FunctionIR) -> BlockFacts:
 
 def iterate_live_out(
     block: BasicBlock, live_out: FrozenSet[VReg]
-) -> Iterator[Tuple[Instr, FrozenSet[VReg]]]:
+) -> Iterator[Tuple[Instr, Set[VReg]]]:
     """Yield ``(instr, live-after-instr)`` in *reverse* block order.
 
     Callers walking backwards (e.g. DCE) get, for each instruction, the set
-    of registers live immediately after it.
+    of registers live immediately after it.  It is one set, updated in
+    place between yields: read it before the next one, copy it to keep it.
     """
     live = set(live_out)
     for instr in reversed(block.instructions):
-        yield instr, frozenset(live)
+        yield instr, live
         if instr.dest is not None:
             live.discard(instr.dest)
         live.update(instr.uses())

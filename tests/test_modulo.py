@@ -12,6 +12,7 @@ from repro.codegen.modulo import (
     SchedEdge,
     find_modulo_schedule,
     machine_schedule_edges,
+    recurrence_mii,
     resource_mii,
     try_modulo_schedule,
 )
@@ -87,7 +88,11 @@ class TestScheduleSearch:
 
     def test_infeasible_max_ii_returns_none(self):
         ops, edges = body_ops_and_edges(ACC_LOOP)
-        assert find_modulo_schedule(ops, edges, max_ii=2) is None or True
+        bound = recurrence_mii(len(ops), edges)
+        assert bound > max(2, resource_mii(ops))  # the recurrence decides
+        # Below the bound there is no schedule; at it, this body has one.
+        assert find_modulo_schedule(ops, edges, max_ii=bound - 1) is None
+        assert find_modulo_schedule(ops, edges, max_ii=bound).ii == bound
         # (a max_ii of 1 is always infeasible since search starts at 2)
         assert find_modulo_schedule(ops, edges, max_ii=1) is None
 

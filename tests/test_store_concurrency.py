@@ -7,9 +7,15 @@ as a miss, never returned as an artifact.  These tests hammer one store
 directory from many real processes to prove it.
 """
 
+import gc
 import pickle
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
+from repro.cache.store import PickleStore
 from repro.fabric.netcache import NetworkBlobStore
 
 KEYS = [f"{i:02x}" * 32 for i in range(8)]
@@ -126,3 +132,81 @@ class TestQuarantine:
         (shard / ".tmp-dead-writer.pkl").write_bytes(b"partial")
         assert store.entry_count() == 1
         assert store.get(key) == _value_for(key, 0)
+
+
+def _collector_state():
+    for _ in range(2000):  # Python code, so a thread switch can land here
+        pass
+    return gc.isenabled()
+
+
+class _DuringLoad:
+    """Unpickles to whether the cyclic collector is on *during* the load."""
+
+    def __reduce__(self):
+        return _collector_state, ()
+
+
+class TestCollectorPausedAroundUnpickle:
+    """``PickleStore.get`` switches the cyclic collector off for the
+    unpickle and puts it back the way it found it."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_off_during_the_load_and_restored_on_a_hit(self, tmp_path):
+        store = PickleStore(tmp_path / "s")
+        store.put(KEYS[0], _DuringLoad())
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            assert store.get(KEYS[0]) is False  # collector off in the load
+            assert gc.isenabled() is before
+        assert store.stats.hits == 2
+
+    def test_restored_on_miss_and_corrupt_entry(self, tmp_path):
+        store = PickleStore(tmp_path / "s")
+        store.put(KEYS[1], [1, 2, 3])
+        store._entry_path(KEYS[1]).write_bytes(b"\x80\x04 not a pickle")
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            assert store.get(KEYS[0]) is None  # never written: a miss
+            assert gc.isenabled() is before
+        gc.enable()
+        assert store.get(KEYS[1]) is None
+        assert store.stats.corrupt == 1
+        assert gc.isenabled()
+
+    def test_two_threads_leave_it_as_they_found_it(self, tmp_path):
+        """The switch is process-wide: if saves and restores from two
+        threads interleaved, the first to finish would turn the collector
+        back on under the other's load, or the last would put back the
+        "off" it saw while another had it paused."""
+        store = PickleStore(tmp_path / "s")
+        store.put(KEYS[2], [_DuringLoad() for _ in range(20)])
+        seen, failures = [], []
+
+        def reader():
+            try:
+                for _ in range(10):
+                    seen.extend(store.get(KEYS[2]))
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        gc.enable()
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(seen) == 4 * 10 * 20 and not any(seen)
+        assert gc.isenabled()
