@@ -1,7 +1,13 @@
 """Assembly, linking, I/O driver generation, and download modules."""
 
 from .assembler import AssemblyError, assemble_function, assembly_work_units
-from .download import build_download_module, module_digest, module_size_words
+from .download import (
+    build_download_module,
+    listing_difference,
+    module_digest,
+    module_listing,
+    module_size_words,
+)
 from .encode import (
     FormatError,
     decode_module,
@@ -47,7 +53,9 @@ __all__ = [
     "encode_module",
     "link_section",
     "link_work_units",
+    "listing_difference",
     "module_digest",
+    "module_listing",
     "module_size_words",
     "read_module",
     "write_module",

@@ -62,6 +62,8 @@ def _resolve_bundle(
     bundle: Bundle, label_to_index: Dict[str, int], function_name: str
 ) -> Bundle:
     resolved = Bundle()
+    if not bundle.ops:
+        return resolved
     for op in bundle.all_ops():
         if op.labels:
             try:

@@ -1,14 +1,16 @@
 """Download-module construction and deterministic serialization.
 
 ``build_download_module`` is the tail of phase 4: it replicates each
-section's linked program onto the cells that section claims.  The textual
-digest is the artifact our integration tests diff to prove the parallel
-compiler produces byte-identical output to the sequential compiler — the
-paper's §3.2 correctness requirement.
+section's linked program onto the cells that section claims.  The module
+digest — the hash of the encoded module — is what our integration tests
+compare to prove the parallel compiler produces byte-identical output to
+the sequential compiler, the paper's §3.2 correctness requirement.
 """
 
 from __future__ import annotations
 
+import hashlib
+from itertools import zip_longest
 from typing import Dict, List, Tuple
 
 from .objformat import CellProgram, DownloadModule
@@ -34,7 +36,16 @@ def build_download_module(
 
 
 def module_digest(module: DownloadModule) -> str:
-    """Deterministic, human-readable dump of a download module."""
+    """SHA-256 of the encoded module — of the file ``--emit binary``
+    writes, so ``sha256sum m.warp`` prints it.  The encoding covers
+    every field of every op, the frame layout, the cell table and the
+    diagnostics, so equal digests mean bit-identical modules."""
+    return hashlib.sha256(module.encoded()).hexdigest()
+
+
+def module_listing(module: DownloadModule) -> str:
+    """Deterministic, human-readable dump of a download module: what
+    ``warpcc disasm`` prints and what a failed comparison quotes."""
     lines: List[str] = [f"download-module {module.module_name}"]
     # Replicated cells share one CellProgram: its functions render once.
     rendered: Dict[int, List[str]] = {}
@@ -63,6 +74,20 @@ def module_digest(module: DownloadModule) -> str:
     return "\n".join(lines)
 
 
+def listing_difference(got: DownloadModule, want: DownloadModule) -> str:
+    """Where two modules' listings first differ, for a mismatch report
+    (modules that differ only in a field the listing omits say so)."""
+    pairs = zip_longest(
+        module_listing(got).splitlines(),
+        module_listing(want).splitlines(),
+        fillvalue="<end of listing>",
+    )
+    for number, (line, other) in enumerate(pairs, 1):
+        if line != other:
+            return f"listing line {number}: {line!r} != {other!r}"
+    return "identical listings; the encodings differ in a field not listed"
+
+
 def module_size_words(module: DownloadModule) -> int:
     """Rough download size: one word per operation plus headers.
 
@@ -70,9 +95,6 @@ def module_size_words(module: DownloadModule) -> int:
     compile host to the Warp interface unit over the network.
     Replicated sections download once per cell.
     """
-    total = 0
-    for program in module.cell_programs.values():
-        for function in program.functions.values():
-            for bundle in function.bundles:
-                total += 1 + len(bundle.ops)
-    return total
+    return sum(
+        program.size_words() for program in module.cell_programs.values()
+    )

@@ -1,112 +1,90 @@
-"""Binary download-module format (phase 4 "format conversion").
+"""The one serial form of object code (phase 4 "format conversion").
 
 The paper's phase 4 ends with "linking, format conversion for download
 modules" — the artifact shipped to the Warp interface unit.  This module
-defines that wire format: a compact little-endian encoding of a
-:class:`DownloadModule`, with a string table, per-section programs
-(deduplicated — a section downloads once however many cells run it), and
-fully resolved bundles.
+defines that format, and everything that holds object code as bytes
+holds it in this format:
 
-The format round-trips exactly: ``decode_module(encode_module(m))``
-yields a module whose digest equals the original's, and the decoded
-module runs on the array simulator.
+- a **download module** (the ``.warp`` file, and the body of a module
+  cache entry) is ``MAGIC, VERSION, name, diagnostics``, then each
+  distinct program's blob behind its length, then the cell table.  Its
+  SHA-256 is the module digest (:func:`repro.asmlink.download.module_digest`);
+- a **program blob** (one :class:`CellProgram`; the body of a section
+  cache entry) is self-contained — ``section, entry, data words, size in
+  words``, its own string table, its functions in name order — so a
+  module is built from programs by concatenation and a program is a
+  slice of the module that holds it;
+- an **object-function blob** (one pre-assembly :class:`ObjectFunction`;
+  the body of an artifact cache entry) is the same op encoding with
+  branch targets still block labels.
+
+Every number is an unsigned LEB128 varint; strings are UTF-8 behind
+their length; an integer immediate is two's complement behind its byte
+count, so the encoding is total over what the code generator can emit.
+Each bundle sits behind its byte length (``{nop}`` is the single byte 0).
+That frame is what makes both directions cheap: generated code repeats
+itself — the 6,720 ops of an 8 × ``f_medium`` module are 299 distinct
+ones — so the encoder remembers each op's bytes and the decoder each
+bundle's, per blob, because string references are the blob's own.
+
+``decode_module(encode_module(m))`` rebuilds ``m`` exactly, op for op,
+and encodes back to the same bytes; ``decode_module`` of anything else
+raises :class:`FormatError` and nothing but.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-from typing import BinaryIO, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from ..gcpause import collector_paused
 from ..ir.instructions import Opcode
 from ..machine.resources import FU_SLOTS, PhysReg
 from .objformat import (
     AssembledFunction,
     Bundle,
     CellProgram,
+    CodegenInfo,
     DownloadModule,
     MachineOp,
+    ObjectFunction,
+    ScheduledBlock,
 )
 
 MAGIC = b"WARP"
-VERSION = 1
+#: 2: varints, per-program string tables, framed bundles, integer
+#: immediates of any size, label names beside label indices.
+VERSION = 2
 
 #: Stable wire ids for opcodes and functional units (enum order is part
 #: of the format; bump VERSION when it changes).
 _OPCODE_LIST = list(Opcode)
 _OPCODE_ID = {op: i for i, op in enumerate(_OPCODE_LIST)}
 _FU_ID = {fu: i for i, fu in enumerate(FU_SLOTS)}
+_BANK_ID = {None: 0, "i": 1, "f": 2}
+_BANKS = (None, "i", "f")
 
 _OPERAND_REG = 0
 _OPERAND_INT = 1
 _OPERAND_FLOAT = 2
 
+_LABEL_INDEX = 0
+_LABEL_NAME = 1
+
+#: which optional fields an op carries
+_HAS_DEST = 1
+_HAS_ARRAY_OFFSET = 2
+_HAS_ARRAY_NAME = 4
+_HAS_CALLEE = 8
+
+_F64 = struct.Struct("<d")
+_HEAD = struct.Struct("<4sH")
+_SMALL = [bytes((value,)) for value in range(0x80)]
+
 
 class FormatError(Exception):
-    """The byte stream is not a valid download module."""
-
-
-class _Writer:
-    def __init__(self):
-        self.buffer = io.BytesIO()
-        self.strings: Dict[str, int] = {}
-        self.string_list: List[str] = []
-
-    def intern(self, text: str) -> int:
-        index = self.strings.get(text)
-        if index is None:
-            index = len(self.string_list)
-            self.strings[text] = index
-            self.string_list.append(text)
-        return index
-
-    def u8(self, value: int) -> None:
-        self.buffer.write(struct.pack("<B", value))
-
-    def u16(self, value: int) -> None:
-        self.buffer.write(struct.pack("<H", value))
-
-    def u32(self, value: int) -> None:
-        self.buffer.write(struct.pack("<I", value))
-
-    def i64(self, value: int) -> None:
-        self.buffer.write(struct.pack("<q", value))
-
-    def f64(self, value: float) -> None:
-        self.buffer.write(struct.pack("<d", value))
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.buffer = io.BytesIO(data)
-        self.strings: List[str] = []
-
-    def _read(self, size: int) -> bytes:
-        data = self.buffer.read(size)
-        if len(data) != size:
-            raise FormatError("truncated download module")
-        return data
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self._read(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._read(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._read(4))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self._read(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._read(8))[0]
-
-    def string(self) -> str:
-        index = self.u32()
-        if index >= len(self.strings):
-            raise FormatError(f"string index {index} out of range")
-        return self.strings[index]
+    """The bytes are not valid object code (or the object code cannot
+    be written: an unresolved label in a download module)."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,112 +92,214 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
+def _uint(value: int) -> bytes:
+    if 0 <= value < 0x80:
+        return _SMALL[value]
+    if value < 0:
+        raise FormatError(f"cannot encode negative count or index {value}")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _uint(len(raw)) + raw
+
+
+def _reg(reg: PhysReg) -> bytes:
+    return _SMALL[_BANK_ID[reg.bank]] + _uint(reg.index)
+
+
+class _BlobWriter:
+    """One blob's body, its string table, and its op memo."""
+
+    def __init__(self, resolved: bool):
+        #: download modules hold assembled code only: a label name there
+        #: is an error, in an object function it is the normal case
+        self.resolved = resolved
+        self.body = bytearray()
+        self.words = 0
+        self._strings: Dict[str, int] = {}
+        self._op_by_id: Dict[int, bytes] = {}
+        self._op_by_value: Dict[object, bytes] = {}
+
+    def ref(self, text: str) -> bytes:
+        return _uint(self._strings.setdefault(text, len(self._strings)))
+
+    def string_table(self) -> bytes:
+        return _uint(len(self._strings)) + b"".join(map(_text, self._strings))
+
+    def signature(self, function) -> None:
+        """The fields object and assembled functions share."""
+        body = self.body
+        body += self.ref(function.name)
+        body += self.ref(function.section_name)
+        body += _uint(len(function.param_regs))
+        for reg in function.param_regs:
+            body += _reg(reg)
+        body += _SMALL[_BANK_ID[function.return_bank]]
+        body += _uint(function.frame_words)
+
+    def bundles(self, bundles: List[Bundle]) -> None:
+        body = self.body
+        by_id = self._op_by_id
+        body += _uint(len(bundles))
+        for bundle in bundles:
+            ops = bundle.ops
+            self.words += 1 + len(ops)
+            if not ops:
+                body.append(0)
+                continue
+            raw = b""
+            for op in bundle.all_ops():
+                encoded = by_id.get(id(op))
+                if encoded is None:
+                    encoded = by_id[id(op)] = self._op(op)
+                raw += encoded
+            body += _uint(len(raw))
+            body += raw
+
+    def _op(self, op: MachineOp) -> bytes:
+        # Equal ops have equal bytes — except that 1 == 1.0 and
+        # 0.0 == -0.0, so the key also says what each immediate is.
+        immediates = tuple(
+            [
+                value.hex() if type(value) is float else type(value)
+                for value in op.operands
+                if type(value) is not PhysReg
+            ]
+        )
+        key = (op, immediates) if immediates else op
+        encoded = self._op_by_value.get(key)
+        if encoded is None:
+            encoded = self._op_by_value[key] = self._encode_op(op)
+        return encoded
+
+    def _encode_op(self, op: MachineOp) -> bytes:
+        flags = (
+            (_HAS_DEST if op.dest is not None else 0)
+            | (_HAS_ARRAY_OFFSET if op.array_offset is not None else 0)
+            | (_HAS_ARRAY_NAME if op.array_name is not None else 0)
+            | (_HAS_CALLEE if op.callee is not None else 0)
+        )
+        out = bytearray((_OPCODE_ID[op.op], _FU_ID[op.fu], flags))
+        out += _uint(op.latency)
+        if op.dest is not None:
+            out += _reg(op.dest)
+        out += _uint(len(op.operands))
+        for operand in op.operands:
+            if isinstance(operand, PhysReg):
+                out.append(_OPERAND_REG)
+                out += _reg(operand)
+            elif isinstance(operand, int):
+                raw = operand.to_bytes(
+                    operand.bit_length() // 8 + 1, "little", signed=True
+                )
+                out.append(_OPERAND_INT)
+                out += _uint(len(raw))
+                out += raw
+            elif isinstance(operand, float):
+                out.append(_OPERAND_FLOAT)
+                out += _F64.pack(operand)
+            else:
+                raise FormatError(f"cannot encode operand {operand!r}")
+        if op.array_offset is not None:
+            out += _uint(op.array_offset)
+        if op.array_name is not None:
+            out += self.ref(op.array_name)
+        out += _uint(len(op.labels))
+        for label in op.labels:
+            if isinstance(label, int):
+                out.append(_LABEL_INDEX)
+                out += _uint(label)
+            elif self.resolved:
+                raise FormatError(
+                    f"unresolved label {label!r}: assemble before encoding"
+                )
+            else:
+                out.append(_LABEL_NAME)
+                out += self.ref(label)
+        if op.callee is not None:
+            out += self.ref(op.callee)
+        return bytes(out)
+
+
+def encode_program(program: CellProgram) -> bytes:
+    """One linked program as a self-contained blob."""
+    writer = _BlobWriter(resolved=True)
+    body = writer.body
+    body += _uint(len(program.functions))
+    for name in sorted(program.functions):
+        body += _uint(program.frame_bases[name])
+        writer.signature(program.functions[name])
+        writer.bundles(program.functions[name].bundles)
+    return b"".join(
+        (
+            _text(program.section_name),
+            _text(program.entry),
+            _uint(program.data_words),
+            _uint(writer.words),
+            writer.string_table(),
+            body,
+        )
+    )
+
+
+def encode_object_function(obj: ObjectFunction) -> bytes:
+    """One relocatable (pre-assembly) function as a self-contained blob."""
+    writer = _BlobWriter(resolved=False)
+    body = writer.body
+    writer.signature(obj)
+    info = obj.info
+    for count in (
+        info.schedule_cycles,
+        info.pipelined_loops,
+        info.work_units,
+        info.spill_slots,
+        len(info.initiation_intervals),
+        *info.initiation_intervals,
+    ):
+        body += _uint(count)
+    body += _uint(len(obj.diagnostics))
+    for line in obj.diagnostics:
+        body += writer.ref(line)
+    body += _uint(len(obj.blocks))
+    for block in obj.blocks:
+        body += writer.ref(block.label)
+        writer.bundles(block.bundles)
+    return writer.string_table() + body
+
+
 def encode_module(module: DownloadModule) -> bytes:
     """Serialize a download module to bytes."""
-    writer = _Writer()
-    # Body is written first into `writer.buffer`; the header and string
-    # table are prepended at the end (interning happens during the walk).
-    programs: List[Tuple[str, CellProgram]] = []
-    seen = set()
+    # Programs in order of their first cell; replicated cells share one
+    # program, which downloads once.
+    index_of: Dict[int, int] = {}
+    blobs: List[bytes] = []
+    cells: List[bytes] = []
     for cell in sorted(module.cell_programs):
         program = module.cell_programs[cell]
-        if id(program) not in seen:
-            seen.add(id(program))
-            programs.append((program.section_name, program))
-
-    writer.u32(writer.intern(module.module_name))
-    writer.u32(writer.intern(module.diagnostics_text))
-    writer.u16(len(programs))
-    for _name, program in programs:
-        _encode_program(writer, program)
-    writer.u16(len(module.cell_programs))
-    section_index = {name: i for i, (name, _p) in enumerate(programs)}
-    for cell in sorted(module.cell_programs):
-        writer.u16(cell)
-        writer.u16(section_index[module.cell_programs[cell].section_name])
-
-    body = writer.buffer.getvalue()
-    head = io.BytesIO()
-    head.write(MAGIC)
-    head.write(struct.pack("<H", VERSION))
-    head.write(struct.pack("<I", len(writer.string_list)))
-    for text in writer.string_list:
-        raw = text.encode("utf-8")
-        head.write(struct.pack("<I", len(raw)))
-        head.write(raw)
-    return head.getvalue() + body
-
-
-def _encode_program(writer: _Writer, program: CellProgram) -> None:
-    writer.u32(writer.intern(program.section_name))
-    writer.u32(writer.intern(program.entry))
-    writer.u32(program.data_words)
-    writer.u16(len(program.functions))
-    for name in sorted(program.functions):
-        function = program.functions[name]
-        writer.u32(writer.intern(name))
-        writer.u32(program.frame_bases[name])
-        _encode_function(writer, function)
-
-
-def _encode_function(writer: _Writer, function: AssembledFunction) -> None:
-    writer.u32(writer.intern(function.section_name))
-    writer.u8(len(function.param_regs))
-    for reg in function.param_regs:
-        _encode_reg(writer, reg)
-    banks = {None: 0, "i": 1, "f": 2}
-    writer.u8(banks[function.return_bank])
-    writer.u32(function.frame_words)
-    writer.u32(len(function.bundles))
-    for bundle in function.bundles:
-        ops = bundle.all_ops()
-        writer.u8(len(ops))
-        for op in ops:
-            _encode_op(writer, op)
-
-
-def _encode_reg(writer: _Writer, reg: PhysReg) -> None:
-    writer.u8(1 if reg.bank == "i" else 2)
-    writer.u16(reg.index)
-
-
-def _encode_op(writer: _Writer, op: MachineOp) -> None:
-    writer.u8(_OPCODE_ID[op.op])
-    writer.u8(_FU_ID[op.fu])
-    writer.u8(op.latency)
-    if op.dest is None:
-        writer.u8(0)
-    else:
-        _encode_reg(writer, op.dest)
-    writer.u8(len(op.operands))
-    for operand in op.operands:
-        if isinstance(operand, PhysReg):
-            writer.u8(_OPERAND_REG)
-            _encode_reg(writer, operand)
-        elif isinstance(operand, int):
-            writer.u8(_OPERAND_INT)
-            writer.i64(operand)
-        else:
-            writer.u8(_OPERAND_FLOAT)
-            writer.f64(float(operand))
-    if op.array_offset is None:
-        writer.u8(0)
-    else:
-        writer.u8(1)
-        writer.u32(op.array_offset)
-        writer.u32(writer.intern(op.array_name or ""))
-    writer.u8(len(op.labels))
-    for label in op.labels:
-        if not isinstance(label, int):
-            raise FormatError(
-                f"unresolved label {label!r}: assemble before encoding"
-            )
-        writer.u32(label)
-    if op.callee is None:
-        writer.u8(0)
-    else:
-        writer.u8(1)
-        writer.u32(writer.intern(op.callee))
+        index = index_of.get(id(program))
+        if index is None:
+            index = index_of[id(program)] = len(index_of)
+            blob = program.encoded()
+            blobs += (_uint(len(blob)), blob)
+        cells += (_uint(cell), _uint(index))
+    return b"".join(
+        [
+            _HEAD.pack(MAGIC, VERSION),
+            _text(module.module_name),
+            _text(module.diagnostics_text),
+            _uint(len(index_of)),
+            *blobs,
+            _uint(len(cells) // 2),
+            *cells,
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,137 +307,312 @@ def _encode_op(writer: _Writer, op: MachineOp) -> None:
 # ---------------------------------------------------------------------------
 
 
-def decode_module(data: bytes) -> DownloadModule:
-    """Reconstruct a download module from its wire format."""
-    if data[:4] != MAGIC:
-        raise FormatError("not a Warp download module (bad magic)")
-    version = struct.unpack("<H", data[4:6])[0]
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    (string_count,) = struct.unpack("<I", data[6:10])
-    offset = 10
-    strings: List[str] = []
-    for _ in range(string_count):
-        (length,) = struct.unpack("<I", data[offset:offset + 4])
-        offset += 4
-        strings.append(data[offset:offset + length].decode("utf-8"))
-        offset += length
-
-    reader = _Reader(data[offset:])
-    reader.strings = strings
-
-    module_name = reader.string()
-    diagnostics = reader.string()
-    program_count = reader.u16()
-    programs = [_decode_program(reader) for _ in range(program_count)]
-    module = DownloadModule(
-        module_name=module_name, diagnostics_text=diagnostics
-    )
-    cell_count = reader.u16()
-    for _ in range(cell_count):
-        cell = reader.u16()
-        index = reader.u16()
-        if index >= len(programs):
-            raise FormatError(f"program index {index} out of range")
-        module.cell_programs[cell] = programs[index]
-    return module
+def _uint_at(data: bytes, pos: int) -> Tuple[int, int]:
+    """The varint at ``pos`` and the position behind it (IndexError when
+    it runs off the end)."""
+    value = data[pos]
+    pos += 1
+    if value < 0x80:
+        return value, pos
+    value &= 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise FormatError("oversized number")
 
 
-def _decode_program(reader: _Reader) -> CellProgram:
-    section_name = reader.string()
-    entry = reader.string()
-    data_words = reader.u32()
+class _Reader:
+    """A cursor over a module or a blob; running off the end is a
+    FormatError.  A blob's string table is read up front and its
+    bundles are remembered by their bytes."""
+
+    def __init__(self, data: bytes, what: str, resolved: bool = True):
+        self.data = data
+        self.pos = 0
+        self.what = what
+        self.resolved = resolved
+        self.strings: List[str] = []
+        #: size of the bundles read so far: a word each, and one per op
+        self.words = 0
+        self._bundles: Dict[bytes, Dict] = {}
+        self._regs: Dict[Tuple[int, int], PhysReg] = {}
+
+    def uint(self) -> int:
+        try:
+            value, self.pos = _uint_at(self.data, self.pos)
+        except IndexError:
+            raise FormatError(f"truncated {self.what}") from None
+        return value
+
+    def take(self, size: int) -> bytes:
+        raw = self.data[self.pos : self.pos + size]
+        if len(raw) != size:
+            raise FormatError(f"truncated {self.what}")
+        self.pos += size
+        return raw
+
+    def text(self) -> str:
+        try:
+            return self.take(self.uint()).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise FormatError(f"bad string in {self.what}: {error}") from None
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise FormatError(f"trailing bytes after {self.what}")
+
+    def string_table(self) -> None:
+        self.strings = [self.text() for _ in range(self.uint())]
+
+    def ref(self) -> str:
+        index = self.uint()
+        if index >= len(self.strings):
+            raise FormatError(f"string index {index} out of range")
+        return self.strings[index]
+
+    def _reg(self, bank: int, index: int) -> PhysReg:
+        reg = self._regs.get((bank, index))
+        if reg is None:
+            if bank not in (1, 2):
+                raise FormatError(f"bad register bank code {bank}")
+            reg = self._regs[bank, index] = PhysReg(_BANKS[bank], index)
+        return reg
+
+    def signature(self) -> dict:
+        name = self.ref()
+        section_name = self.ref()
+        params = [
+            self._reg(self.uint(), self.uint()) for _ in range(self.uint())
+        ]
+        bank = self.uint()
+        if bank > 2:
+            raise FormatError(f"bad return bank code {bank}")
+        return dict(
+            name=name,
+            section_name=section_name,
+            param_regs=params,
+            return_bank=_BANKS[bank],
+            frame_words=self.uint(),
+        )
+
+    def bundles(self) -> List[Bundle]:
+        known = self._bundles
+        data = self.data
+        bundles: List[Bundle] = []
+        count = self.uint()
+        self.words += count
+        pos = self.pos
+        try:
+            for _ in range(count):
+                size = data[pos]
+                pos += 1
+                if size == 0:
+                    bundles.append(Bundle())
+                    continue
+                if size >= 0x80:
+                    size, pos = _uint_at(data, pos - 1)
+                raw = data[pos : pos + size]
+                pos += size
+                ops = known.get(raw)
+                if ops is None:
+                    if len(raw) != size:
+                        raise IndexError
+                    ops = known[raw] = self._decode_bundle(raw)
+                self.words += len(ops)
+                bundles.append(Bundle(dict(ops)))
+        except IndexError:
+            raise FormatError(
+                f"malformed {self.what}: a field runs past its frame or "
+                f"names a string the table lacks"
+            ) from None
+        self.pos = pos
+        return bundles
+
+    def _decode_bundle(self, raw: bytes) -> Dict:
+        """The ops of one bundle, by slot.  ``raw`` is a frame of its
+        own, so an index past its end is a truncated op."""
+        strings = self.strings
+        ops: Dict = {}
+        pos = 0
+        while pos < len(raw):
+            opcode_id, fu_id, flags = raw[pos], raw[pos + 1], raw[pos + 2]
+            if opcode_id >= len(_OPCODE_LIST):
+                raise FormatError(f"bad opcode id {opcode_id}")
+            if fu_id >= len(FU_SLOTS):
+                raise FormatError(f"bad functional unit id {fu_id}")
+            if flags > 15:
+                raise FormatError(f"bad op flags {flags:#x}")
+            latency, pos = _uint_at(raw, pos + 3)
+            dest = None
+            if flags & _HAS_DEST:
+                bank = raw[pos]
+                index, pos = _uint_at(raw, pos + 1)
+                dest = self._reg(bank, index)
+            count, pos = _uint_at(raw, pos)
+            operands = []
+            for _ in range(count):
+                tag = raw[pos]
+                if tag == _OPERAND_REG:
+                    bank = raw[pos + 1]
+                    index, pos = _uint_at(raw, pos + 2)
+                    operands.append(self._reg(bank, index))
+                elif tag == _OPERAND_INT:
+                    size, pos = _uint_at(raw, pos + 1)
+                    if pos + size > len(raw):
+                        raise IndexError
+                    value = raw[pos : pos + size]
+                    operands.append(int.from_bytes(value, "little", signed=True))
+                    pos += size
+                elif tag == _OPERAND_FLOAT:
+                    if pos + 9 > len(raw):
+                        raise IndexError
+                    operands.append(_F64.unpack_from(raw, pos + 1)[0])
+                    pos += 9
+                else:
+                    raise FormatError(f"bad operand tag {tag}")
+            array_offset = array_name = callee = None
+            if flags & _HAS_ARRAY_OFFSET:
+                array_offset, pos = _uint_at(raw, pos)
+            if flags & _HAS_ARRAY_NAME:
+                index, pos = _uint_at(raw, pos)
+                array_name = strings[index]
+            count, pos = _uint_at(raw, pos)
+            labels = []
+            for _ in range(count):
+                kind = raw[pos]
+                target, pos = _uint_at(raw, pos + 1)
+                if kind == _LABEL_NAME and not self.resolved:
+                    target = strings[target]
+                elif kind != _LABEL_INDEX:
+                    raise FormatError(f"bad label kind {kind}")
+                labels.append(target)
+            if flags & _HAS_CALLEE:
+                index, pos = _uint_at(raw, pos)
+                callee = strings[index]
+            fu = FU_SLOTS[fu_id]
+            if fu in ops:
+                raise FormatError(f"slot {fu} occupied twice in a bundle")
+            ops[fu] = MachineOp(
+                op=_OPCODE_LIST[opcode_id],
+                fu=fu,
+                latency=latency,
+                dest=dest,
+                operands=tuple(operands),
+                array_offset=array_offset,
+                array_name=array_name,
+                labels=tuple(labels),
+                callee=callee,
+            )
+        return ops
+
+
+def program_head(blob: bytes) -> Tuple[_Reader, str, str, int, int]:
+    """A program blob's fixed head — ``(section, entry, data words, size
+    in words)`` — and the reader positioned behind it.  What a cached
+    link needs of a program is here; nothing behind it is touched."""
+    reader = _Reader(blob, "program")
+    return reader, reader.text(), reader.text(), reader.uint(), reader.uint()
+
+
+@collector_paused()
+def decode_program(blob: bytes) -> CellProgram:
+    """Rebuild one program from its blob."""
+    reader, section_name, entry, data_words, words = program_head(blob)
+    reader.string_table()
     program = CellProgram(
         section_name=section_name, entry=entry, data_words=data_words
     )
-    for _ in range(reader.u16()):
-        name = reader.string()
-        frame_base = reader.u32()
-        function = _decode_function(reader, name)
-        program.functions[name] = function
+    for _ in range(reader.uint()):
+        frame_base = reader.uint()
+        signature = reader.signature()
+        name = signature["name"]
+        if name in program.functions:
+            raise FormatError(f"function {name!r} appears twice")
+        program.functions[name] = AssembledFunction(
+            bundles=reader.bundles(), **signature
+        )
         program.frame_bases[name] = frame_base
+    reader.finish()
+    if reader.words != words:
+        raise FormatError(f"program says {words} words, holds {reader.words}")
     return program
 
 
-def _decode_function(reader: _Reader, name: str) -> AssembledFunction:
-    section_name = reader.string()
-    params = [_decode_reg(reader) for _ in range(reader.u8())]
-    bank_code = reader.u8()
-    return_bank = {0: None, 1: "i", 2: "f"}[bank_code]
-    frame_words = reader.u32()
-    bundles: List[Bundle] = []
-    for _ in range(reader.u32()):
-        bundle = Bundle()
-        for _ in range(reader.u8()):
-            bundle.add(_decode_op(reader))
-        bundles.append(bundle)
-    return AssembledFunction(
-        name=name,
-        section_name=section_name,
-        bundles=bundles,
-        param_regs=params,
-        return_bank=return_bank,
-        frame_words=frame_words,
+@collector_paused()
+def decode_object_function(blob: bytes) -> ObjectFunction:
+    """Rebuild one relocatable function from its blob."""
+    reader = _Reader(blob, "object function", resolved=False)
+    reader.string_table()
+    signature = reader.signature()
+    cycles, loops, work, spills = (reader.uint() for _ in range(4))
+    intervals = [reader.uint() for _ in range(reader.uint())]
+    diagnostics = [reader.ref() for _ in range(reader.uint())]
+    blocks = [
+        ScheduledBlock(label=reader.ref(), bundles=reader.bundles())
+        for _ in range(reader.uint())
+    ]
+    reader.finish()
+    return ObjectFunction(
+        blocks=blocks,
+        info=CodegenInfo(cycles, loops, intervals, work, spills),
+        diagnostics=diagnostics,
+        **signature,
     )
 
 
-def _decode_reg(reader: _Reader) -> PhysReg:
-    bank_code = reader.u8()
-    if bank_code not in (1, 2):
-        raise FormatError(f"bad register bank code {bank_code}")
-    index = reader.u16()
-    return PhysReg("i" if bank_code == 1 else "f", index)
-
-
-def _decode_op(reader: _Reader) -> MachineOp:
-    opcode_id = reader.u8()
-    if opcode_id >= len(_OPCODE_LIST):
-        raise FormatError(f"bad opcode id {opcode_id}")
-    op = _OPCODE_LIST[opcode_id]
-    fu = FU_SLOTS[reader.u8()]
-    latency = reader.u8()
-    dest: Optional[PhysReg] = None
-    bank_code = reader.u8()
-    if bank_code:
-        if bank_code not in (1, 2):
-            raise FormatError(f"bad register bank code {bank_code}")
-        dest = PhysReg("i" if bank_code == 1 else "f", reader.u16())
-    operands = []
-    for _ in range(reader.u8()):
-        tag = reader.u8()
-        if tag == _OPERAND_REG:
-            operands.append(_decode_reg(reader))
-        elif tag == _OPERAND_INT:
-            operands.append(reader.i64())
-        elif tag == _OPERAND_FLOAT:
-            operands.append(reader.f64())
-        else:
-            raise FormatError(f"bad operand tag {tag}")
-    array_offset = None
-    array_name = None
-    if reader.u8():
-        array_offset = reader.u32()
-        array_name = reader.string() or None
-    labels = tuple(reader.u32() for _ in range(reader.u8()))
-    callee = None
-    if reader.u8():
-        callee = reader.string()
-    return MachineOp(
-        op=op,
-        fu=fu,
-        latency=latency,
-        dest=dest,
-        operands=tuple(operands),
-        array_offset=array_offset,
-        array_name=array_name,
-        labels=labels,
-        callee=callee,
+def _decode_module(
+    data: bytes, program_of: Callable[[bytes], CellProgram]
+) -> DownloadModule:
+    if data[:4] != MAGIC:
+        raise FormatError("not a Warp download module (bad magic)")
+    reader = _Reader(data, "download module")
+    if len(data) < _HEAD.size:
+        raise FormatError("truncated download module")
+    version = _HEAD.unpack_from(data)[1]
+    if version != VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    reader.pos = _HEAD.size
+    module = DownloadModule(
+        module_name=reader.text(), diagnostics_text=reader.text()
     )
+    programs = [
+        program_of(reader.take(reader.uint())) for _ in range(reader.uint())
+    ]
+    for _ in range(reader.uint()):
+        cell, index = reader.uint(), reader.uint()
+        if index >= len(programs):
+            raise FormatError(f"program index {index} out of range")
+        if cell in module.cell_programs:
+            raise FormatError(f"cell {cell} appears twice")
+        module.cell_programs[cell] = programs[index]
+    reader.finish()
+    return module
+
+
+def decode_module(data: bytes) -> DownloadModule:
+    """Reconstruct a download module from its wire format."""
+    return _decode_module(data, decode_program)
+
+
+def stored_module(data: bytes) -> DownloadModule:
+    """The module whose encoding ``data`` is known to be (bytes this
+    encoder wrote, checked against their hash by the cache tier that
+    kept them): it keeps them as its encoding, and each program decodes
+    when its code is first read."""
+    module = _decode_module(data, CellProgram.from_encoded)
+    module._encoded = data
+    return module
 
 
 def write_module(module: DownloadModule, path: str) -> int:
     """Encode to a file; returns the byte count."""
-    data = encode_module(module)
+    data = module.encoded()
     with open(path, "wb") as handle:
         handle.write(data)
     return len(data)

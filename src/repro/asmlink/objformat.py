@@ -74,6 +74,8 @@ class Bundle:
     def all_ops(self) -> List[MachineOp]:
         """Ops in a fixed slot order (deterministic for printing/digests)."""
         ops = self.ops
+        if len(ops) < 2:  # most bundles: a nop, or one op
+            return list(ops.values())
         return [ops[fu] for fu in FU_SLOTS if fu in ops]
 
     def __str__(self) -> str:
@@ -168,7 +170,13 @@ class AssembledFunction:
 
 @dataclass
 class CellProgram:
-    """Everything one cell needs: linked functions and frame layout."""
+    """Everything one cell needs: linked functions and frame layout.
+
+    A program is also its blob (:func:`repro.asmlink.encode.encode_program`):
+    :meth:`encoded` computes it once — a program is not edited after it
+    is linked — and one built by :meth:`from_encoded` starts from the
+    blob and decodes its code when that is first read.
+    """
 
     section_name: str
     functions: Dict[str, AssembledFunction] = field(default_factory=dict)
@@ -177,13 +185,66 @@ class CellProgram:
     frame_bases: Dict[str, int] = field(default_factory=dict)
     data_words: int = 0
 
+    @classmethod
+    def from_encoded(cls, blob: bytes) -> "CellProgram":
+        """The program ``blob`` encodes, read as far as the blob's head:
+        ``functions`` and ``frame_bases`` are decoded when first asked
+        for (see :meth:`__getattr__`)."""
+        from .encode import program_head
+
+        _, section_name, entry, data_words, words = program_head(blob)
+        program = cls.__new__(cls)
+        program.__dict__.update(
+            section_name=section_name,
+            entry=entry,
+            data_words=data_words,
+            _encoded=blob,
+            _words=words,
+        )
+        return program
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance does not have:
+        # after from_encoded, its code.
+        if name in ("functions", "frame_bases") and "_encoded" in self.__dict__:
+            from .encode import decode_program
+
+            whole = decode_program(self._encoded)
+            self.functions = whole.functions
+            self.frame_bases = whole.frame_bases
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def encoded(self) -> bytes:
+        blob = self.__dict__.get("_encoded")
+        if blob is None:
+            from .encode import encode_program
+
+            blob = self._encoded = encode_program(self)
+        return blob
+
+    def size_words(self) -> int:
+        """Download size: one word per operation plus one per bundle."""
+        words = self.__dict__.get("_words")
+        if words is None:
+            words = self._words = sum(
+                1 + len(bundle.ops)
+                for function in self.functions.values()
+                for bundle in function.bundles
+            )
+        return words
+
     def total_bundles(self) -> int:
         return sum(len(f.bundles) for f in self.functions.values())
 
 
 @dataclass
 class DownloadModule:
-    """The final artifact of phase 4: one program per cell of the array."""
+    """The final artifact of phase 4: one program per cell of the array.
+
+    :meth:`encoded` is the ``.warp`` form, computed once — a module is
+    not edited after it is built; its SHA-256 is the module digest.
+    """
 
     module_name: str
     #: cell index -> program for that cell
@@ -193,3 +254,11 @@ class DownloadModule:
     @property
     def cells_used(self) -> int:
         return len(self.cell_programs)
+
+    def encoded(self) -> bytes:
+        data = self.__dict__.get("_encoded")
+        if data is None:
+            from .encode import encode_module
+
+            data = self._encoded = encode_module(self)
+        return data

@@ -5,11 +5,12 @@ task always produces the same object code" — makes phase-2/3 results
 cacheable not just within a run (the warm farm's phase-1 LRU) but
 *across* runs.  This package keys each function's compiled artifact by a
 content fingerprint of everything that can influence phases 2 and 3
-(:mod:`repro.cache.fingerprint`) and stores the pickled result in an
-on-disk, concurrency-safe, size-bounded store
-(:mod:`repro.cache.store`).  The driver consults it before dispatching
-tasks to a backend, so editing one function of a module re-runs phases
-2-3 for exactly that function.
+(:mod:`repro.cache.fingerprint`) and stores the result — a small
+checked header and the object function in the serial form of
+:mod:`repro.asmlink.encode` — in an on-disk, concurrency-safe,
+size-bounded store (:mod:`repro.cache.store`).  The driver consults it
+before dispatching tasks to a backend, so editing one function of a
+module re-runs phases 2-3 for exactly that function.
 
 A second tier (:mod:`repro.cache.parse_store`) does the same for phase
 1: per-function parse+sema results keyed by span hash, start column,

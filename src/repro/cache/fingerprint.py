@@ -35,7 +35,9 @@ from ..lang import ast_nodes as ast
 #: 3: fingerprints grew the variant-search codegen knobs (unroll budget,
 #: modulo-scheduling II budget) — a variant artifact must never be
 #: served where a default compile is expected, and vice versa.
-CACHE_SCHEMA_VERSION = 3
+#: 4: entries are a checked header plus encoded bytes (the pickling
+#: tiers: a checked header plus the pickle), under a new file suffix.
+CACHE_SCHEMA_VERSION = 4
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

@@ -25,8 +25,15 @@ way phases 2-3 are:
 Invalidation: any object function's content changed (payload digest),
 a section's cell range or the cell/array geometry changed, diagnostics
 changed (module tier), or the compiler/link schema version bumped (the
-salt).  Both tiers ride :class:`~repro.cache.store.PickleStore` —
-atomic writes, corrupt-entry quarantine, LRU-by-mtime size bound.
+salt).  Both tiers ride :class:`~repro.cache.store.Store` — atomic
+writes, hashed headers and bodies, corrupt-entry quarantine,
+LRU-by-mtime size bound — and hold their payload in the serial form of
+:mod:`repro.asmlink.encode`: a section entry's body is the program's
+blob, a module entry's body is the ``.warp`` file, whose hash (the
+entry's ``sha256``) is the module digest.  What a cached link reads of
+either — names, entry, data and code size — sits in the blob's fixed
+head, so a hit hands back a program or a module whose instructions are
+decoded only if someone executes, links or prints them.
 """
 
 from __future__ import annotations
@@ -35,13 +42,15 @@ import hashlib
 import os
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..asmlink.objformat import CellProgram, DownloadModule
+from ..asmlink.encode import stored_module
+from ..asmlink.objformat import CellProgram
 from .fingerprint import _Hasher, compiler_salt
-from .store import DEFAULT_MAX_BYTES, CacheStats, PickleStore
+from .store import DEFAULT_MAX_BYTES, CacheStats, Store
 
-#: Bump whenever the CellProgram/DownloadModule layout or the meaning of
-#: a link key changes; old entries become unreachable rather than wrong.
-LINK_SCHEMA_VERSION = 1
+#: Bump whenever the entry format or the meaning of a link key changes;
+#: old entries become unreachable rather than wrong.
+#: 2: entries are encoded bytes behind a checked header, not pickles.
+LINK_SCHEMA_VERSION = 2
 
 
 def link_salt() -> str:
@@ -109,24 +118,34 @@ def module_link_key(
     return h.hexdigest()
 
 
-class SectionLinkStore(PickleStore):
+class _EncodedCodec:
+    """Body: the payload's own encoding, which it keeps; no facts in the
+    header — a program's and a module's are in the body's head."""
+
+    def __init__(self, from_encoded):
+        self.from_encoded = from_encoded
+
+    def pack(self, payload) -> Tuple[dict, bytes]:
+        return {}, payload.encoded()
+
+    def unpack(self, facts: dict, body: bytes):
+        return self.from_encoded(body)
+
+
+class SectionLinkStore(Store):
     """Disk tier for per-section linked cell programs."""
 
     SUBDIR = "link"
-    PAYLOAD_TYPE = CellProgram
-
-    def get(self, fingerprint: str) -> Optional[CellProgram]:
-        return super().get(fingerprint)
+    SCHEMA = LINK_SCHEMA_VERSION
+    codec = _EncodedCodec(CellProgram.from_encoded)
 
 
-class ModuleStore(PickleStore):
+class ModuleStore(Store):
     """Disk tier for whole download modules."""
 
     SUBDIR = "modules"
-    PAYLOAD_TYPE = DownloadModule
-
-    def get(self, fingerprint: str) -> Optional[DownloadModule]:
-        return super().get(fingerprint)
+    SCHEMA = LINK_SCHEMA_VERSION
+    codec = _EncodedCodec(stored_module)
 
 
 class LinkCache:

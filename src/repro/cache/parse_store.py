@@ -36,10 +36,12 @@ from typing import List, Optional, Tuple
 
 from ..lang import ast_nodes as ast
 from ..lang.rebase import rebase_function
-from ..lang.sema import FunctionScope
+from ..lang.sema import FunctionScope, Symbol
 from ..lang.source import Position, Span
+from ..lang.types import ArrayType, FloatType, IntType, VoidType
 from .fingerprint import _Hasher, _feed_signature, compiler_salt
-from .store import PickleStore
+from .pickled import PickleCodec
+from .store import Store
 
 #: Bump whenever the AST, FunctionScope, or ParseEntry layout changes;
 #: old entries become unreachable rather than wrong.
@@ -106,17 +108,29 @@ class ParseEntry:
     filename: str
 
 
-class ParseCache(PickleStore):
+class ParseCache(Store):
     """Disk tier for per-function phase-1 results.
 
     Lives under ``<cache_dir>/parse/`` beside the artifact cache's
     ``objects/``; same atomicity, corruption handling, and LRU bound.
-    Entries are unpickled fresh on every hit, so callers own the
-    returned trees outright and rebasing may mutate them in place.
+    Entries are unpickled fresh on every hit — through an allowlist of
+    exactly the classes a checked function subtree is made of — so
+    callers own the returned trees outright and rebasing may mutate
+    them in place.
     """
 
     SUBDIR = "parse"
-    PAYLOAD_TYPE = ParseEntry
+    SCHEMA = PARSE_SCHEMA_VERSION
+    codec = PickleCodec(
+        ParseEntry,
+        ast.Function, ast.Param, ast.VarDecl,
+        ast.AssignStmt, ast.IfStmt, ast.ForStmt, ast.WhileStmt,
+        ast.ReturnStmt, ast.SendStmt, ast.ReceiveStmt, ast.CallStmt,
+        ast.IntLiteral, ast.FloatLiteral, ast.VarRef, ast.IndexExpr,
+        ast.UnaryExpr, ast.BinaryExpr, ast.CallExpr,
+        FunctionScope, Symbol, Position, Span,
+        IntType, FloatType, ArrayType, VoidType,
+    )
 
     def get(
         self,

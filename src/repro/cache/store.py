@@ -1,40 +1,65 @@
-"""On-disk pickle stores: content-addressed, concurrent-safe, bounded.
+"""On-disk entry stores: content-addressed, concurrent-safe, bounded.
 
-Layout: ``<cache_dir>/<subdir>/<fp[:2]>/<fp>.pkl``, one pickled payload
-per entry.  Writes go through a temporary file in the same directory
-followed by ``os.replace``, which is atomic on POSIX and Windows — two
-compilers sharing a cache directory can race freely: readers see either
-the old bytes or the new bytes, never a torn write.  A reader that
-*does* find garbage (a corrupt or truncated entry, e.g. from a crashed
-writer on a non-atomic filesystem) deletes it, counts it, and reports a
-miss — corruption can cost a recompile, never a wrong artifact.
+Layout: ``<cache_dir>/<tier>/<fp[:2]>/<fp>.entry``.  An entry is a small
+checked header and a verified body::
+
+    "WCE1" | u32 header length | SHA-256 of the header | header (JSON) | body
+
+The header names the tier and its schema, carries the body's SHA-256
+(for ``modules/`` that is the module digest), and holds whatever facts
+the tier wants readable without touching the body; :meth:`Store.get`
+re-hashes both on every read.  A hash mismatch, a truncated file, a
+header of another tier or schema, a body its codec rejects — any of it —
+is a corrupt entry: deleted, counted, reported as a miss.  Corruption
+can cost a recompile, never a wrong artifact and never an exception.
+
+Writes go through a temporary file in the same directory followed by
+``os.replace``, which is atomic on POSIX and Windows — two compilers
+sharing a cache directory can race freely: readers see either the old
+bytes or the new bytes, never a torn write.
 
 Eviction is LRU by file mtime (every hit re-touches its entry), bounded
-by total bytes; a store never evicts the entry it just wrote.
+by total bytes; a store never evicts the entry it just wrote.  A handle
+keeps a running total of the tier's bytes — one directory scan when it
+first writes, advanced by each ``put`` — and only when that total
+crosses the bound does it scan again and evict.  The scan reads the
+disk, so handles in different processes still converge on the bound.
 
-Two tiers share this machinery: :class:`ArtifactCache` (phase-2/3
-object code, ``objects/``) and :class:`~repro.cache.parse_store.ParseCache`
-(phase-1 per-function parse+sema results, ``parse/``).  They live in
-separate subdirectories of the same cache dir and keep independent
-bounds and stats.
+:class:`Store` owns all of that for every tier.  A tier is a
+subdirectory, a schema number and a *codec* — how a payload becomes
+``(header facts, body)`` and back.  The tiers that hold object code
+(``objects/`` here, ``link/`` and ``modules/`` in
+:mod:`repro.cache.link_store`) keep it in the serial form of
+:mod:`repro.asmlink.encode`, with what a warm compile reads in the
+header; the tiers that hold object graphs pickle them behind a closed
+allowlist (:mod:`repro.cache.pickled`).
 """
 
 from __future__ import annotations
 
-import gc
+import hashlib
+import json
 import os
-import pickle
+import struct
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from ..asmlink.assembler import assemble_function
+from ..asmlink.encode import decode_object_function, encode_object_function
 from ..driver.function_master import FunctionTaskResult
+from ..driver.results import FunctionReport
+from ..gcpause import collector_paused
+from .fingerprint import CACHE_SCHEMA_VERSION
 
 #: Default size bound: plenty for thousands of functions, small enough
 #: that a developer cache dir never becomes a surprise.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+_PREFIX = struct.Struct("<4sI32s")
+ENTRY_MAGIC = b"WCE1"
 
 
 def default_cache_dir() -> Path:
@@ -46,11 +71,6 @@ def default_cache_dir() -> Path:
     if xdg:
         return Path(xdg) / "warpcc"
     return Path.home() / ".cache" / "warpcc"
-
-
-#: The cyclic collector's switch is process-wide: two threads saving and
-#: restoring it around an unpickle must not interleave.
-_COLLECTOR_LOCK = threading.Lock()
 
 
 @dataclass
@@ -66,20 +86,22 @@ class CacheStats:
         return CacheStats(self.hits, self.misses, self.evictions, self.corrupt)
 
 
-class PickleStore:
-    """Generic sharded pickle store; subclasses pin the payload type.
+class Store:
+    """One sharded tier of entries; subclasses name the tier.
 
     Class attributes:
 
     - ``SUBDIR`` — subdirectory of the cache dir holding this tier's
       entries (tiers sharing a cache dir must not collide);
-    - ``PAYLOAD_TYPE`` — entries that unpickle to anything else are
-      treated as corrupt (type confusion between tiers or schema
-      versions costs a recompute, never a wrong result).
+    - ``SCHEMA`` — the tier's schema number, written into every header;
+    - ``codec`` — ``pack(payload) -> (facts, body)`` and
+      ``unpack(facts, body) -> payload``; ``unpack`` raises on anything
+      it does not like, which makes the entry corrupt.
     """
 
-    SUBDIR = "objects"
-    PAYLOAD_TYPE: type = object
+    SUBDIR = ""
+    SCHEMA = 1
+    codec = None
 
     def __init__(
         self,
@@ -92,11 +114,15 @@ class PickleStore:
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         self._objects = self.cache_dir / self.SUBDIR
+        #: this handle's running total of the tier's bytes (None until
+        #: its first put scans the directory)
+        self._bytes: Optional[int] = None
+        self._bytes_lock = threading.Lock()
 
     # -- lookup --------------------------------------------------------
 
     def _entry_path(self, fingerprint: str) -> Path:
-        return self._objects / fingerprint[:2] / f"{fingerprint}.pkl"
+        return self._objects / fingerprint[:2] / f"{fingerprint}.entry"
 
     def get(self, fingerprint: str):
         """The cached payload, or None (miss).  Corrupt entries are
@@ -108,20 +134,8 @@ class PickleStore:
             self.stats.misses += 1
             return None
         try:
-            # An entry is thousands of small containers, none garbage, yet
-            # each allocation threshold crossed starts a collection over
-            # them: a module-tier entry loads in 0.138 s, or 0.023 s paused.
-            with _COLLECTOR_LOCK:
-                collecting = gc.isenabled()
-                gc.disable()
-                try:
-                    result = pickle.loads(data)
-                finally:
-                    if collecting:
-                        gc.enable()
-            if not isinstance(result, self.PAYLOAD_TYPE):
-                raise TypeError(f"cache entry holds {type(result).__name__}")
-        except Exception:
+            payload = self._open(data)
+        except Exception:  # noqa: BLE001 - whatever is wrong, it is the entry
             self.stats.corrupt += 1
             self.stats.misses += 1
             self._remove(path)
@@ -131,40 +145,81 @@ class PickleStore:
         except OSError:  # pragma: no cover - entry raced away; still a hit
             pass
         self.stats.hits += 1
-        return result
+        return payload
+
+    def _open(self, data: bytes):
+        """Check one entry's bytes and hand its payload back; raises on
+        any flaw."""
+        magic, header_size, header_hash = _PREFIX.unpack_from(data)
+        body_at = _PREFIX.size + header_size
+        raw_header = data[_PREFIX.size : body_at]
+        if magic != ENTRY_MAGIC or len(raw_header) != header_size:
+            raise ValueError("not a cache entry")
+        if hashlib.sha256(raw_header).digest() != header_hash:
+            raise ValueError("entry header does not match its hash")
+        header = json.loads(raw_header)
+        if (header["tier"], header["schema"]) != (self.SUBDIR, self.SCHEMA):
+            raise ValueError("entry of another tier or schema")
+        body = data[body_at:]
+        if hashlib.sha256(body).hexdigest() != header["sha256"]:
+            raise ValueError("entry body does not match its hash")
+        return self.codec.unpack(header, body)
 
     # -- insertion -----------------------------------------------------
 
-    def put(self, fingerprint: str, result) -> None:
-        """Store ``result`` atomically, then enforce the size bound."""
+    def put(self, fingerprint: str, payload) -> None:
+        """Store ``payload`` atomically, then enforce the size bound."""
+        facts, body = self.codec.pack(payload)
+        header = json.dumps(
+            dict(
+                facts,
+                tier=self.SUBDIR,
+                schema=self.SCHEMA,
+                sha256=hashlib.sha256(body).hexdigest(),
+            ),
+            sort_keys=True,
+        ).encode("utf-8")
         path = self._entry_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".pkl"
-        )
+        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
+                handle.write(
+                    _PREFIX.pack(
+                        ENTRY_MAGIC,
+                        len(header),
+                        hashlib.sha256(header).digest(),
+                    )
+                )
+                handle.write(header)
+                handle.write(body)
             os.replace(tmp_name, path)
         except BaseException:
             self._remove(Path(tmp_name))
             raise
-        self._evict(keep=path)
+        with self._bytes_lock:
+            if self._bytes is None:
+                self._bytes = self.size_bytes()  # counts the entry just written
+            else:
+                self._bytes += _PREFIX.size + len(header) + len(body)
+            if self._bytes > self.max_bytes:
+                self._evict(keep=path)
 
     # -- eviction ------------------------------------------------------
 
     def _entries(self) -> List[Tuple[float, int, Path]]:
-        """(mtime, size, path) for every entry currently on disk."""
+        """(mtime, size, path) for every entry currently on disk —
+        every file of the tier, whatever wrote it, so entries of an
+        older format age out like any other."""
         entries: List[Tuple[float, int, Path]] = []
         if not self._objects.is_dir():
             return entries
         for shard in self._objects.iterdir():
             if not shard.is_dir():
                 continue
-            for path in shard.glob("*.pkl"):
+            for path in shard.iterdir():
                 if path.name.startswith(".tmp-"):
-                    continue
+                    continue  # another writer's entry in flight
                 try:
                     stat = path.stat()
                 except OSError:  # raced with another process's eviction
@@ -179,17 +234,19 @@ class PickleStore:
     def entry_count(self) -> int:
         return len(self._entries())
 
-    def _evict(self, keep: Optional[Path] = None) -> None:
+    def _evict(self, keep: Path) -> None:
+        """Scan the tier and delete oldest-first down to the bound."""
         entries = sorted(self._entries())
         total = sum(size for _, size, _ in entries)
         for _, size, path in entries:
             if total <= self.max_bytes:
                 break
-            if keep is not None and path == keep:
+            if path == keep:
                 continue
             if self._remove(path):
                 self.stats.evictions += 1
                 total -= size
+        self._bytes = total
 
     def _remove(self, path: Path) -> bool:
         try:
@@ -206,15 +263,101 @@ class PickleStore:
         for _, _, path in self._entries():
             if self._remove(path):
                 removed += 1
+        with self._bytes_lock:
+            self._bytes = None
         return removed
 
 
-class ArtifactCache(PickleStore):
+# ---------------------------------------------------------------------------
+# objects/: compiled function artifacts (phases 2-3)
+# ---------------------------------------------------------------------------
+
+
+class StoredResult(FunctionTaskResult):
+    """A result as the artifact tier hands it back: what the header
+    states is there, the object code stays encoded until ``obj`` or
+    ``assembled`` is read.  A warm compile reads neither.  It pickles
+    as the plain :class:`FunctionTaskResult` it stands for."""
+
+    def __init__(self, body: bytes, assembles: bool, assembly_work: int, **facts):
+        self._body = body
+        self._assembles = assembles
+        self._assembly_work = assembly_work
+        super().__init__(obj=None, **facts)
+
+    @property
+    def obj(self):
+        if self._obj is None:
+            self._obj = decode_object_function(self._body)
+        return self._obj
+
+    @obj.setter
+    def obj(self, value) -> None:
+        self._obj = value
+
+    @property
+    def assembled(self):
+        # Assembly is pure, so the function master's assembled form is
+        # re-derived from the object function instead of stored twice
+        # (as much part of loading the entry as the decode is).
+        if self._assembled is None and self._assembles:
+            with collector_paused():
+                self._assembled = assemble_function(self.obj)
+        return self._assembled
+
+    @assembled.setter
+    def assembled(self, value) -> None:
+        self._assembled = value
+
+    @property
+    def assembly_work(self) -> int:
+        return self._assembly_work
+
+    def __reduce__(self):
+        return FunctionTaskResult, (
+            self.section_name,
+            self.function_name,
+            self.obj,
+            self.report,
+            self.diagnostics,
+            self.payload_digest,
+            self.worker,
+            self.assembled,
+        )
+
+
+class ArtifactCodec:
+    """Header: the function's report, its sealed payload digest, its
+    assembly work, whether it assembled.  Body: the object function."""
+
+    def pack(self, result: FunctionTaskResult) -> Tuple[dict, bytes]:
+        facts = dict(
+            section_name=result.section_name,
+            function_name=result.function_name,
+            report=asdict(result.report),
+            diagnostics=result.diagnostics,
+            payload_digest=result.payload_digest,
+            assembles=result.assembled is not None,
+            assembly_work=result.assembly_work,
+        )
+        return facts, encode_object_function(result.obj)
+
+    def unpack(self, facts: dict, body: bytes) -> StoredResult:
+        return StoredResult(
+            body,
+            facts["assembles"],
+            facts["assembly_work"],
+            section_name=facts["section_name"],
+            function_name=facts["function_name"],
+            report=FunctionReport(**facts["report"]),
+            diagnostics=facts["diagnostics"],
+            payload_digest=facts["payload_digest"],
+        )
+
+
+class ArtifactCache(Store):
     """Persistent store of compiled function artifacts (phases 2-3)."""
 
     SUBDIR = "objects"
-    PAYLOAD_TYPE = FunctionTaskResult
-
-    def get(self, fingerprint: str) -> Optional[FunctionTaskResult]:
-        """The cached artifact, or None (miss)."""
-        return super().get(fingerprint)
+    SCHEMA = CACHE_SCHEMA_VERSION
+    codec = ArtifactCodec()

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .fingerprint import compiler_salt
-from .store import PickleStore
+from .pickled import PickleCodec
+from .store import Store
 
 Number = Union[int, float]
 
@@ -71,12 +72,9 @@ class VariantScore:
         return self.error is None and self.cycles is not None
 
 
-class VariantStore(PickleStore):
-    """Persistent store of variant scores (``variants/`` tier)."""
+class VariantStore(Store):
+    """Persistent store of variant scores (``variants/`` tier); a score
+    is numbers, strings and tuples, so its pickles name no other class."""
 
     SUBDIR = "variants"
-    PAYLOAD_TYPE = VariantScore
-
-    def get(self, fingerprint: str) -> Optional[VariantScore]:
-        """The cached score, or None (miss)."""
-        return super().get(fingerprint)
+    codec = PickleCodec(VariantScore)

@@ -266,7 +266,7 @@ def run_status(args) -> int:
         if job.get("error"):
             print(f"  error: {job['error']}")
         if job.get("digest"):
-            print(f"  digest: {job['digest'].splitlines()[0]} ...")
+            print(f"  digest: {job['digest']}")
     else:
         stats = reply["stats"]
         print(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import sys
 
-from ..asmlink.download import module_digest
+from ..asmlink.download import module_listing
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
 from ..machine.warp_array import WarpArrayModel
@@ -85,5 +85,5 @@ def run_disasm(args) -> int:
     except (FormatError, OSError) as error:
         print(f"warpcc: {error}", file=sys.stderr)
         return 1
-    print(module_digest(module))
+    print(module_listing(module))
     return 0

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..asmlink.assembler import assemble_function
+from ..asmlink.assembler import assemble_function, assembly_work_units
 from ..asmlink.objformat import AssembledFunction, ObjectFunction
 from ..machine.warp_array import WarpArrayModel
 from .phases import (
@@ -89,6 +89,12 @@ class FunctionTaskResult:
     #: and raises the canonical AssemblyError.
     assembled: Optional[AssembledFunction] = None
 
+    @property
+    def assembly_work(self) -> int:
+        """Work units of assembling this function (a result read back
+        from the artifact cache knows the count without its code)."""
+        return assembly_work_units(self.obj)
+
 
 def result_payload_digest(result: FunctionTaskResult) -> str:
     """Canonical digest of a result's object-code payload.
@@ -98,10 +104,9 @@ def result_payload_digest(result: FunctionTaskResult) -> str:
     one, the pre-assembled form — not diagnostics or telemetry, which
     the master legitimately rewrites on cache hits."""
     hasher = hashlib.sha256(result.obj.digest_text().encode("utf-8"))
-    assembled = getattr(result, "assembled", None)
-    if assembled is not None:
+    if result.assembled is not None:
         hasher.update(b"\x1f")
-        hasher.update(assembled.digest_text().encode("utf-8"))
+        hasher.update(result.assembled.digest_text().encode("utf-8"))
     return hasher.hexdigest()
 
 

@@ -32,7 +32,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.download import module_digest, module_size_words
-from ..asmlink.objformat import ObjectFunction
 from ..machine.warp_array import WarpArrayModel
 from ..parallel.backend import ExecutionBackend, stream_task_results
 from ..parallel.local import SerialBackend
@@ -231,11 +230,11 @@ class ParallelCompiler:
             profile.supervisor_corrupt_payloads = (
                 supervision.corrupt_payloads - supervision_before.corrupt_payloads
             )
-        objects: Dict[str, List[ObjectFunction]] = {}
+        results: List[FunctionTaskResult] = []
         diagnostics: List[str] = []
         for section in parsed.module.sections:
             section_result = combined[section.name]
-            objects[section.name] = section_result.objects
+            results.extend(section_result.results)
             profile.functions.extend(section_result.reports)
             diagnostics.extend(section_result.diagnostics)
 
@@ -267,15 +266,15 @@ class ParallelCompiler:
         profile.link_work = link_work
         profile.download_words = module_size_words(module)
 
-        all_objects = [obj for section in parsed.module.sections
-                       for obj in objects[section.name]]
         return CompilationResult(
             module_name=parsed.module.name,
             download=module,
             digest=module_digest(module),
             diagnostics_text=diagnostics_text,
             profile=profile,
-            objects=all_objects,
+            # On demand: a function served from the artifact cache is
+            # decoded when its object code is first read, not before.
+            objects=lambda: [result.obj for result in results],
         )
 
     # -- artifact cache -------------------------------------------------

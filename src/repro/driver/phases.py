@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .section_master import CombinedSection
 
 from ..asmlink.download import build_download_module, module_size_words
-from ..asmlink.iodriver import build_io_driver
 from ..asmlink.linker import link_section, link_work_units
 from ..asmlink.assembler import assemble_function, assembly_work_units
 from ..asmlink.objformat import (
@@ -539,8 +538,16 @@ def phase4_link_and_download(
     module = build_download_module(
         parsed.module.name, section_cells, programs, diagnostics_text
     )
-    build_io_driver(module.cell_programs)  # validates I/O wiring
+    _require_cells(module)
     return module, assembly_work, link_work
+
+
+def _require_cells(module: DownloadModule) -> None:
+    """The one thing phase 4 checks of the I/O wiring: a module with no
+    cell has nothing to stream data through (the error is the one
+    :func:`~repro.asmlink.iodriver.build_io_driver` raises)."""
+    if not module.cell_programs:
+        raise ValueError("cannot build an I/O driver for an empty module")
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +777,14 @@ class Phase4Runner:
         """Build the module from the linked sections; returns the same
         ``(module, assembly_work, link_work)`` triple as the sequential
         :func:`phase4_link_and_download`."""
+        # Per function, from its result: what came out of the artifact
+        # cache states both counts without its object code (link work is
+        # link_work_units': bundles touched plus one symbol each).
         assembly_work = link_work = 0
         for section in self.parsed.module.sections:
-            objs = combined[section.name].objects
-            assembly_work += sum(assembly_work_units(o) for o in objs)
-            link_work += link_work_units(objs)
+            for result in combined[section.name].results:
+                assembly_work += result.assembly_work
+                link_work += result.report.bundles + 1
         if cached_module is not None:
             return cached_module, assembly_work, link_work
         reason = self._taint_reason
@@ -829,7 +839,7 @@ class Phase4Runner:
             self.parsed.module.name, section_cells, programs,
             self.diagnostics_text,
         )
-        build_io_driver(module.cell_programs)  # validates I/O wiring
+        _require_cells(module)
         if self.link_cache is not None and clean:
             try:
                 self.link_cache.modules.put(self._module_key(combined), module)

@@ -10,7 +10,7 @@ work profiles — what differs is how the work is laid out over processors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from ..asmlink.objformat import DownloadModule, ObjectFunction
 
@@ -260,7 +260,12 @@ class CompilationResult:
     digest: str
     diagnostics_text: str
     profile: WorkProfile
-    objects: List[ObjectFunction] = field(default_factory=list)
+    #: the object functions in source order — or, from a compiler that
+    #: may hold them only as encoded bytes, a callable that produces
+    #: them, called the first time ``objects`` is read
+    objects: Union[
+        List[ObjectFunction], Callable[[], List[ObjectFunction]]
+    ] = field(default_factory=list)
 
     def report_lines(self) -> List[str]:
         lines = [
@@ -330,3 +335,18 @@ class CompilationResult:
             "download_words": self.profile.download_words,
             "profile": self.profile.to_dict(),
         }
+
+
+def _objects(self: CompilationResult) -> List[ObjectFunction]:
+    if callable(self._objects):
+        self._objects = self._objects()
+    return self._objects
+
+
+def _set_objects(self: CompilationResult, value) -> None:
+    self._objects = value
+
+
+# After the decorator has seen the field: the generated __init__ /
+# __repr__ / __eq__ go through the property like any other reader.
+CompilationResult.objects = property(_objects, _set_objects)

@@ -20,6 +20,7 @@ without waiting on a global barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from ..asmlink.objformat import AssembledFunction, ObjectFunction
@@ -37,18 +38,33 @@ class CombinedSection:
     """A section's recombined compilation output, in source order."""
 
     section_name: str
-    objects: List[ObjectFunction] = field(default_factory=list)
+    #: the function masters' results — what a link that is served from
+    #: the cache reads of them is their reports and digests, so the
+    #: object code (``objects``, ``assembled``) is taken out on demand:
+    #: for a cached result that is when it is decoded
+    results: List[FunctionTaskResult] = field(default_factory=list)
     reports: List[FunctionReport] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     #: work proxy for the recombination itself (drives the cost model)
     combine_work: int = 0
-    #: distributed-assembly payloads, keyed by function name (functions
-    #: whose master's assembly failed are absent; the linker assembles
-    #: them itself)
-    assembled: Dict[str, AssembledFunction] = field(default_factory=dict)
     #: per-function payload digests in source order — the content
     #: fingerprints the link cache keys a section's CellProgram by
     payload_digests: List[str] = field(default_factory=list)
+
+    @cached_property
+    def objects(self) -> List[ObjectFunction]:
+        return [result.obj for result in self.results]
+
+    @cached_property
+    def assembled(self) -> Dict[str, AssembledFunction]:
+        """Distributed-assembly payloads, keyed by function name
+        (functions whose master's assembly failed are absent; the
+        linker assembles them itself)."""
+        return {
+            result.function_name: result.assembled
+            for result in self.results
+            if result.assembled is not None
+        }
 
 
 def combine_section_results(
@@ -83,15 +99,10 @@ def combine_section_results(
     combined = CombinedSection(section_name=section.name)
     for name in expected:
         result = by_name[name]
-        combined.objects.append(result.obj)
+        combined.results.append(result)
         combined.reports.append(result.report)
         combined.diagnostics.extend(result.diagnostics)
-        combined.combine_work += result.obj.bundle_count() + 1
-        # getattr: results built by hand in older tests (and artifacts
-        # pickled before the schema bump) may predate the field.
-        assembled = getattr(result, "assembled", None)
-        if assembled is not None:
-            combined.assembled[name] = assembled
+        combined.combine_work += result.report.bundles + 1
         combined.payload_digests.append(
             result.payload_digest or result_payload_digest(result)
         )

@@ -1,4 +1,4 @@
-"""Two-tier artifact cache: local PickleStore in front of a network tier.
+"""Two-tier artifact cache: local store in front of a network tier.
 
 Bazel-style content-addressed cache service: keys are the existing
 artifact fingerprints (already salted with the compiler version), values
@@ -28,7 +28,7 @@ import threading
 from functools import partial
 from typing import Callable, Optional
 
-from ..cache.store import DEFAULT_MAX_BYTES, PickleStore
+from ..cache.store import DEFAULT_MAX_BYTES, Store
 from ..driver.function_master import FunctionTaskResult, result_payload_digest
 from .chaos import CacheChaos
 from .wire import (
@@ -46,17 +46,26 @@ from .wire import (
 )
 
 
-class NetworkBlobStore(PickleStore):
+class _BlobCodec:
+    """Entry body = the client's bytes, as they came."""
+
+    def pack(self, blob: bytes):
+        return {}, blob
+
+    def unpack(self, facts: dict, body: bytes) -> bytes:
+        return body
+
+
+class NetworkBlobStore(Store):
     """Server-side storage: raw pickled-result blobs, content-addressed.
 
-    Reuses the PickleStore machinery wholesale — atomic tmp+rename
-    writes, LRU eviction, quarantine-on-corrupt — with ``bytes``
-    payloads so the server never needs to unpickle (or trust) what
-    clients store.
+    Reuses the store machinery wholesale — atomic tmp+rename writes,
+    LRU eviction, quarantine-on-corrupt — with ``bytes`` payloads, so
+    the server never unpickles (or trusts) what clients store.
     """
 
     SUBDIR = "netblobs"
-    PAYLOAD_TYPE = bytes
+    codec = _BlobCodec()
 
 
 class CacheServiceServer:
@@ -219,7 +228,7 @@ class NetworkCacheClient:
             return None
         try:
             result = unpack_blob(reply, FunctionTaskResult)
-            sealed = getattr(result, "payload_digest", None)
+            sealed = result.payload_digest
             if sealed is None or result_payload_digest(result) != sealed:
                 raise ProtocolError("cache entry fails payload-digest validation")
         except Exception:  # noqa: BLE001 - cache trouble must never fail a compile

@@ -53,7 +53,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
-import io
 import json
 import os
 import pickle
@@ -72,6 +71,7 @@ from ..asmlink.objformat import (
     ObjectFunction,
     ScheduledBlock,
 )
+from ..cache import pickled
 from ..driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
@@ -194,44 +194,33 @@ def encode_frame(frame: dict) -> bytes:
 #: any other class — is rejected before the unpickler can construct it,
 #: which is what makes a hostile blob inert rather than remote code
 #: execution.
-ALLOWED_PICKLE_GLOBALS: Dict[Tuple[str, str], type] = {
-    (cls.__module__, cls.__qualname__): cls
-    for cls in (
-        FunctionTask,
-        FunctionTaskResult,
-        FunctionReport,
-        ObjectFunction,
-        AssembledFunction,
-        ScheduledBlock,
-        Bundle,
-        MachineOp,
-        CodegenInfo,
-        Opcode,
-        FUClass,
-        PhysReg,
-        set,
-        frozenset,
-        complex,
-        bytearray,
-        range,
-        slice,
-    )
-}
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str):
-        cls = ALLOWED_PICKLE_GLOBALS.get((module, name))
-        if cls is None:
-            raise WireCorruption(
-                f"blob references disallowed global {module}.{name}"
-            )
-        return cls
+ALLOWED_PICKLE_GLOBALS: Dict[Tuple[str, str], type] = pickled.allowed_globals(
+    FunctionTask,
+    FunctionTaskResult,
+    FunctionReport,
+    ObjectFunction,
+    AssembledFunction,
+    ScheduledBlock,
+    Bundle,
+    MachineOp,
+    CodegenInfo,
+    Opcode,
+    FUClass,
+    PhysReg,
+    set,
+    frozenset,
+    complex,
+    bytearray,
+    range,
+    slice,
+)
 
 
 def restricted_loads(blob: bytes):
-    """``pickle.loads`` through the fabric's closed global allowlist."""
-    return _RestrictedUnpickler(io.BytesIO(blob)).load()
+    """``pickle.loads`` through the fabric's closed global allowlist
+    (the unpickler itself is :mod:`repro.cache.pickled`'s, shared with
+    the disk tiers that still pickle)."""
+    return pickled.restricted_loads(blob, ALLOWED_PICKLE_GLOBALS)
 
 
 def _blob_digest(blob: bytes) -> str:
@@ -335,7 +324,7 @@ def decode_result(frame: dict) -> FunctionTaskResult:
     corrupt result never even enters the scheduler.
     """
     result = unpack_blob(frame, FunctionTaskResult)
-    sealed = getattr(result, "payload_digest", None)
+    sealed = result.payload_digest
     if sealed is not None and result_payload_digest(result) != sealed:
         raise WireCorruption(
             f"result {result.section_name}.{result.function_name} fails "

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..asmlink.download import listing_difference, module_digest
 from ..cache import ArtifactCache, compiler_salt, module_fingerprints
 from ..driver.master import ParallelCompiler
 from ..driver.sequential import SequentialCompiler
@@ -353,7 +354,7 @@ class DifferentialOracle:
             if cold.digest != warm.digest:
                 raise OracleInvariantError(
                     "cache-warm digest diverged from cache-cold: "
-                    f"{warm.digest} != {cold.digest}"
+                    + listing_difference(warm.download, cold.download)
                 )
             if cache.stats.hits == 0:
                 raise OracleInvariantError(
@@ -380,7 +381,6 @@ class DifferentialOracle:
         Returns the reference-config compile so the caller's generic
         digest check still pins search's baseline == sequential.
         """
-        from ..asmlink.download import module_digest
         from ..cache.variant_store import VariantStore
         from ..driver.function_master import phase1_cached
         from ..driver.phases import (
@@ -536,7 +536,7 @@ class DifferentialOracle:
             if cold.digest != warm.digest:
                 raise OracleInvariantError(
                     "parse-cache-warm digest diverged from cold: "
-                    f"{warm.digest} != {cold.digest}"
+                    + listing_difference(warm.download, cold.download)
                 )
             stats = compiler.last_phase1_stats
             if (
@@ -575,7 +575,7 @@ class DifferentialOracle:
             if cold.digest != warm.digest:
                 raise OracleInvariantError(
                     "link-cache-warm digest diverged from cold: "
-                    f"{warm.digest} != {cold.digest}"
+                    + listing_difference(warm.download, cold.download)
                 )
             if (
                 cold_stats is not None
@@ -734,8 +734,9 @@ class DifferentialOracle:
                 Mismatch(
                     "digest",
                     name,
-                    f"download digest {digest[:16]}… != "
-                    f"sequential {expected[:16]}…",
+                    f"download digest {digest[:16]}… != sequential "
+                    f"{expected[:16]}…: "
+                    + listing_difference(result.download, baseline.download),
                 )
             )
         if result.diagnostics_text != baseline.diagnostics_text:

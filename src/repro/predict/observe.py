@@ -8,7 +8,7 @@ loop:
 
 - :class:`ObservationStore` persists one :class:`CostObservation` per
   content fingerprint (EWMA, a bounded window of recent samples, the
-  static hint it was observed under).  Same PickleStore machinery as
+  static hint it was observed under).  Same Store machinery as
   the artifact/parse/link/variant tiers: atomic writes, LRU eviction,
   corrupt entries deleted and counted.
 - :class:`LearnedCostModel` is the pluggable cost provider: called with a
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cache.fingerprint import function_fingerprint
-from ..cache.store import PickleStore
+from ..cache.pickled import PickleCodec
+from ..cache.store import Store
 from ..driver.function_master import FunctionTask, phase1_cached
 
 #: recent samples kept per fingerprint (enough for a stable p90 without
@@ -68,14 +69,11 @@ class CostObservation:
         return ordered[rank - 1]
 
 
-class ObservationStore(PickleStore):
+class ObservationStore(Store):
     """Persistent per-fingerprint compile-time observations (``observe/``)."""
 
     SUBDIR = "observe"
-    PAYLOAD_TYPE = CostObservation
-
-    def get(self, fingerprint: str) -> Optional[CostObservation]:
-        return super().get(fingerprint)
+    codec = PickleCodec(CostObservation)
 
 
 def task_fingerprint(task: FunctionTask) -> Optional[str]:

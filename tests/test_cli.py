@@ -1,8 +1,13 @@
 """The warpcc command-line interface."""
 
+import hashlib
+import re
+
 import pytest
 
+from repro.asmlink.download import module_listing
 from repro.cli import main
+from repro.driver.sequential import SequentialCompiler
 
 GOOD = """
 module cli_demo
@@ -146,7 +151,7 @@ class TestCompile:
     def test_digest(self, good_file, capsys):
         assert main(["compile", good_file, "--emit", "digest"]) == 0
         out = capsys.readouterr().out
-        assert "download-module cli_demo" in out
+        assert re.fullmatch(r"[0-9a-f]{64}\n", out)
 
     def test_driver_descriptor(self, good_file, capsys):
         assert main(["compile", good_file, "--emit", "driver"]) == 0
@@ -229,13 +234,17 @@ class TestDisasm:
         assert "recv" in text and "send" in text
 
     def test_disasm_matches_compile_digest(self, good_file, tmp_path, capsys):
+        """The digest is the hash of the file ``--emit binary`` writes,
+        and ``disasm`` of that file prints the compiled module's listing."""
         out = tmp_path / "prog.warp"
         main(["compile", good_file, "--emit", "binary", "-o", str(out)])
         capsys.readouterr()
         main(["compile", good_file, "--emit", "digest"])
-        digest = capsys.readouterr().out
+        digest = capsys.readouterr().out.strip()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         main(["disasm", str(out)])
-        assert capsys.readouterr().out == digest
+        compiled = SequentialCompiler().compile(GOOD, filename=good_file)
+        assert capsys.readouterr().out == module_listing(compiled.download) + "\n"
 
     def test_bad_file_errors(self, tmp_path, capsys):
         bogus = tmp_path / "junk.warp"

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
 from repro.service import CompileService, ServiceSocketServer
 
@@ -58,7 +59,8 @@ class TestCompileJson:
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is True
         assert document["module"] == "cli_service_demo"
-        assert document["digest"].startswith("download-module")
+        assert document["digest"] == SequentialCompiler().compile(GOOD).digest
+        assert len(document["digest"]) == 64
         functions = document["profile"]["functions"]
         assert [f["name"] for f in functions] == ["main"]
         assert functions[0]["work_units"] > 0
@@ -92,7 +94,7 @@ class TestSubmitAndStatus:
         ])
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out.startswith("download-module cli_service_demo")
+        assert captured.out == SequentialCompiler().compile(GOOD).digest + "\n"
         assert "function_done" in captured.err
 
     def test_submit_json_document(self, good_file, endpoint, capsys):

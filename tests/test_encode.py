@@ -1,12 +1,17 @@
 """Binary download-module format: round-trip and robustness."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.asmlink.download import module_digest
+from repro.asmlink.download import module_digest, module_listing
 from repro.asmlink.encode import (
     FormatError,
     decode_module,
+    decode_object_function,
+    decode_program,
     encode_module,
+    encode_object_function,
+    encode_program,
     read_module,
     write_module,
 )
@@ -105,9 +110,9 @@ class TestRobustness:
             decode_module(data[: len(data) // 2])
 
     def test_size_reasonable(self, compiled):
-        """The binary form is smaller than the textual digest."""
+        """The binary form is smaller than the listing."""
         data = encode_module(compiled.download)
-        assert len(data) < len(compiled.digest.encode("utf-8"))
+        assert len(data) < len(module_listing(compiled.download).encode("utf-8"))
 
 
 class TestSeededRoundTripProperty:
@@ -134,3 +139,265 @@ class TestSeededRoundTripProperty:
             assert decoded.diagnostics_text == (
                 compiled.download.diagnostics_text
             )
+
+
+# ---------------------------------------------------------------------------
+# Totality: everything the code generator can emit encodes, and every
+# byte string decodes to a module or raises FormatError.
+# ---------------------------------------------------------------------------
+
+BIG = 99999999999999999999999  # needs 77 bits
+
+BIG_IMMEDIATE = f"""
+module big
+section s (cells 0..0)
+  function main()
+  var i, m: int; x: float;
+  begin
+    receive(x);
+    m := 0;
+    for i := 1 to 4 do
+      m := m + i * {BIG};
+    end;
+    send(m);
+  end
+end
+end
+"""
+
+
+def _pipelines(tmp_path):
+    """The same module through every way of compiling it in-process."""
+    from repro.cache import ArtifactCache, LinkCache, ParseCache
+    from repro.driver.master import ParallelCompiler
+
+    def cached():
+        return ParallelCompiler(
+            cache=ArtifactCache(tmp_path),
+            parse_cache=ParseCache(tmp_path),
+            link_cache=LinkCache(tmp_path),
+        )
+
+    return [
+        ("sequential", SequentialCompiler()),
+        ("parallel", ParallelCompiler()),
+        ("section", ParallelCompiler(granularity="section")),
+        ("cache fill", cached()),
+        ("cache warm", cached()),
+    ]
+
+
+class TestIntegerImmediatesOfAnySize:
+    """The language accepts an integer literal of any size and the
+    listing prints it; version 1 packed immediates into 64 bits and
+    raised ``struct.error`` — harmless while only ``--emit binary``
+    encoded, fatal now that every compile does."""
+
+    def test_compiles_round_trips_and_runs_under_every_pipeline(self, tmp_path):
+        from repro.driver.function_master import clear_phase1_cache
+
+        digests = set()
+        for name, compiler in _pipelines(tmp_path):
+            clear_phase1_cache()
+            result = compiler.compile(BIG_IMMEDIATE)
+            assert str(BIG) in module_listing(result.download), name
+            decoded = decode_module(result.download.encoded())
+            assert decoded == _without_codegen_info(result.download), name
+            run = run_module(decoded, [1.0])
+            assert run.outputs == [10 * BIG], name
+            digests.add(result.digest)
+        assert len(digests) == 1
+
+    def test_the_constant_is_part_of_the_digest(self):
+        one_more = BIG_IMMEDIATE.replace(str(BIG), str(BIG + 1))
+        assert (
+            SequentialCompiler().compile(one_more).digest
+            != SequentialCompiler().compile(BIG_IMMEDIATE).digest
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, -1, 127, 128, -128, -129, 2**63 - 1, 2**63, -(2**63) - 1, 3**200],
+    )
+    def test_every_integer_round_trips(self, value):
+        assert _round_trip_operand(value) == value
+        assert type(_round_trip_operand(value)) is int
+
+
+class TestEqualButDifferentImmediates:
+    """``1 == 1.0`` and ``0.0 == -0.0`` — and so do the ops that hold
+    them — but they are different instructions: the encoder's memo of
+    op bytes must not hand one the other's encoding."""
+
+    @pytest.mark.parametrize(
+        "first,second", [(1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0), (0, 0.0)]
+    )
+    def test_both_survive_in_one_program(self, first, second):
+        program = _program_of_operands(first, second)
+        decoded = decode_program(encode_program(program))
+        got = [
+            bundle.all_ops()[0].operands[0]
+            for bundle in decoded.functions["f"].bundles
+        ]
+        assert [repr(v) for v in got] == [repr(first), repr(second)]
+
+    def test_swapping_them_changes_the_bytes(self):
+        assert encode_program(_program_of_operands(1, 1.0)) != encode_program(
+            _program_of_operands(1.0, 1)
+        )
+
+
+def _without_codegen_info(module):
+    """A copy of ``module`` as decoding rebuilds it: a download module
+    does not carry the code generator's accounting."""
+    return decode_module(encode_module(module))
+
+
+def _program_of_operands(*operands):
+    from repro.asmlink.objformat import (
+        AssembledFunction,
+        Bundle,
+        CellProgram,
+        MachineOp,
+    )
+    from repro.ir.instructions import Opcode
+    from repro.machine.resources import FUClass, PhysReg
+
+    bundles = []
+    for operand in operands:
+        bundle = Bundle()
+        bundle.add(
+            MachineOp(
+                op=Opcode.ADD,
+                fu=FUClass.IALU,
+                latency=1,
+                dest=PhysReg("i", 1),
+                operands=(operand, PhysReg("i", 2)),
+            )
+        )
+        bundles.append(bundle)
+    function = AssembledFunction(name="f", section_name="s", bundles=bundles)
+    return CellProgram(
+        section_name="s",
+        functions={"f": function},
+        entry="f",
+        frame_bases={"f": 0},
+    )
+
+
+def _round_trip_operand(value):
+    decoded = decode_program(encode_program(_program_of_operands(value)))
+    return decoded.functions["f"].bundles[0].all_ops()[0].operands[0]
+
+
+class TestObjectFunctionBlobs:
+    """The artifact tier's body: a pre-assembly function, labels still
+    names, round-trips exactly — accounting and diagnostics included."""
+
+    def test_round_trip_is_exact(self, compiled, compiled_multi):
+        for result in (compiled, compiled_multi):
+            for obj in result.objects:
+                obj.diagnostics = [f"note: {obj.name}"]
+                assert decode_object_function(encode_object_function(obj)) == obj
+
+    def test_label_names_are_refused_in_a_download_module(self, compiled):
+        from repro.asmlink.objformat import AssembledFunction, CellProgram
+
+        obj = compiled.objects[0]
+        unassembled = AssembledFunction(
+            name=obj.name,
+            section_name=obj.section_name,
+            bundles=[b for block in obj.blocks for b in block.bundles],
+        )
+        program = CellProgram(
+            section_name=obj.section_name,
+            functions={obj.name: unassembled},
+            frame_bases={obj.name: 0},
+        )
+        with pytest.raises(FormatError, match="unresolved label"):
+            encode_program(program)
+
+
+class TestDecodeIsTotal:
+    """``decode_module`` of any bytes returns a module or raises
+    ``FormatError`` — version 1 let a bad FU id out as ``IndexError``,
+    a bad bank code as ``KeyError``, a short header as ``struct.error``."""
+
+    @staticmethod
+    def _decodes_or_refuses(decode, data):
+        try:
+            decode(data)
+        except FormatError:
+            pass
+
+    @pytest.fixture(scope="class")
+    def encodings(self, compiled, compiled_multi):
+        modules = [r.download.encoded() for r in (compiled, compiled_multi)]
+        functions = [encode_object_function(o) for o in compiled_multi.objects]
+        return modules, functions
+
+    def test_every_truncation(self, encodings):
+        modules, functions = encodings
+        for data in modules:
+            for cut in range(len(data)):
+                with pytest.raises(FormatError):
+                    decode_module(data[:cut])
+        for data in functions:
+            for cut in range(len(data)):
+                with pytest.raises(FormatError):
+                    decode_object_function(data[:cut])
+
+    def test_every_single_byte_set_to_every_extreme(self, encodings):
+        modules, functions = encodings
+        for decode, blobs in (
+            (decode_module, modules),
+            (decode_object_function, functions),
+        ):
+            for data in blobs:
+                for position in range(len(data)):
+                    for value in (0x00, 0x7F, 0x80, 0xFF):
+                        damaged = bytearray(data)
+                        damaged[position] = value
+                        self._decodes_or_refuses(decode, bytes(damaged))
+
+    def test_trailing_bytes_are_refused(self, encodings):
+        modules, functions = encodings
+        with pytest.raises(FormatError, match="trailing"):
+            decode_module(modules[0] + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            decode_object_function(functions[0] + b"\x00")
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_and_truncated_valid_encodings(self, encodings, data):
+        modules, functions = encodings
+        decode, blobs = data.draw(
+            st.sampled_from(
+                [(decode_module, modules), (decode_object_function, functions)]
+            )
+        )
+        damaged = bytearray(data.draw(st.sampled_from(blobs)))
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["set", "drop", "insert", "cut"]))
+            at = data.draw(st.integers(0, len(damaged) - 1))
+            if kind == "set":
+                damaged[at] = data.draw(st.integers(0, 255))
+            elif kind == "drop":
+                del damaged[at : at + data.draw(st.integers(1, 8))]
+            elif kind == "insert":
+                damaged[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+            else:
+                del damaged[at:]
+            if not damaged:
+                break
+        self._decodes_or_refuses(decode, bytes(damaged))
+
+    @settings(max_examples=200, deadline=None)
+    @given(noise=st.binary(max_size=256))
+    def test_arbitrary_bytes_behind_a_valid_head(self, noise):
+        self._decodes_or_refuses(decode_module, b"WARP\x02\x00" + noise)
+        self._decodes_or_refuses(decode_object_function, noise)

@@ -108,8 +108,8 @@ class TestProtocol:
         assert detail["job"]["state"] == "done"
 
     def test_overview_reply_stays_small_per_job(self, endpoint):
-        """The service-wide status lists jobs without their digests (a
-        full module dump each); `status --job` and `wait` carry them."""
+        """The service-wide status lists jobs without their digests and
+        reports (a few KB each); `status --job` and `wait` carry them."""
         from repro.workloads.synthetic import synthetic_program
 
         address, _ = endpoint
@@ -121,7 +121,8 @@ class TestProtocol:
             )
             for index in range(3)
         ]
-        assert all(len(job["digest"]) > 10_000 for job in waited)
+        assert all(len(job["digest"]) == 64 for job in waited)
+        assert all(len(json.dumps(job["report"])) > 2048 for job in waited)
         overview = client.status()
         assert len(overview["jobs"]) == 3
         assert all("digest" not in row for row in overview["jobs"])

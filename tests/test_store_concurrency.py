@@ -1,4 +1,4 @@
-"""PickleStore under concurrent multi-process writers.
+"""The entry store under concurrent multi-process writers.
 
 The store's contract (src/repro/cache/store.py): atomic tmp+os.replace
 writes mean racing readers see old bytes or new bytes, never a torn
@@ -8,6 +8,7 @@ directory from many real processes to prove it.
 """
 
 import gc
+import os
 import pickle
 import sys
 import threading
@@ -15,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.cache.store import PickleStore
+from repro.cache.pickled import PickleCodec
+from repro.cache.store import Store
 from repro.fabric.netcache import NetworkBlobStore
 
 KEYS = [f"{i:02x}" * 32 for i in range(8)]
@@ -114,15 +116,61 @@ class TestQuarantine:
         assert not path.exists()
 
     def test_wrong_payload_type_is_quarantined(self, tmp_path):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _PickledNumbers(tmp_path / "s")
         key = KEYS[2]
+        # A well-formed entry whose pickle is of the WRONG type.
+        _PickledAnything(tmp_path / "s").put(key, {"not": "a number"})
         path = store._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A valid pickle of the WRONG type (tier/schema confusion).
-        path.write_bytes(pickle.dumps({"not": "bytes"}))
+        assert path.exists()
         assert store.get(key) is None
         assert store.stats.corrupt == 1
         assert not path.exists()
+
+    def test_entry_of_another_tier_is_quarantined(self, tmp_path):
+        """Tier confusion: a sound entry, moved under another tier's
+        directory, names the tier it was written for."""
+        blobs = NetworkBlobStore(tmp_path / "s")
+        numbers = _PickledNumbers(tmp_path / "s")
+        key = KEYS[2]
+        numbers.put(key, 7)
+        target = blobs._entry_path(key)
+        target.parent.mkdir(parents=True)
+        os.replace(numbers._entry_path(key), target)
+        assert blobs.get(key) is None
+        assert blobs.stats.corrupt == 1
+        assert not target.exists()
+
+    def test_flipped_header_or_body_byte_is_quarantined(self, tmp_path):
+        store = NetworkBlobStore(tmp_path / "s")
+        key = KEYS[4]
+        store.put(key, _value_for(key, 0))
+        path = store._entry_path(key)
+        whole = path.read_bytes()
+        header_at = whole.index(b'"tier"')
+        for corrupt, position in enumerate((header_at, len(whole) - 1), 1):
+            damaged = bytearray(whole)
+            damaged[position] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            assert store.get(key) is None
+            assert store.stats.corrupt == corrupt
+            assert not path.exists()
+
+    def test_pickle_naming_a_foreign_global_never_runs(self, tmp_path):
+        """The disk is a trust boundary: an entry whose pickle names
+        ``os.system`` is corrupt, and nothing it names is called."""
+        canary = tmp_path / "pwned"
+
+        class Evil:
+            def __reduce__(self):
+                return (os.system, (f"touch {canary}",))
+
+        store = _PickledNumbers(tmp_path / "s")
+        key = KEYS[5]
+        store.put(key, Evil())  # a writer is free to pickle anything
+        assert store.get(key) is None
+        assert store.stats.corrupt == 1
+        assert not store._entry_path(key).exists()
+        assert not canary.exists(), "restricted unpickler executed a payload"
 
     def test_tmp_files_never_count_as_entries(self, tmp_path):
         store = NetworkBlobStore(tmp_path / "s")
@@ -134,10 +182,92 @@ class TestQuarantine:
         assert store.get(key) == _value_for(key, 0)
 
 
+class TestSizeBound:
+    """``put`` keeps a running total and rescans the tier only when the
+    total crosses ``max_bytes``."""
+
+    @staticmethod
+    def _count_scans(store, monkeypatch):
+        scans = []
+        entries = store._entries
+        monkeypatch.setattr(
+            store, "_entries", lambda: scans.append(1) or entries()
+        )
+        return scans
+
+    def test_puts_under_the_bound_scan_the_tier_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = NetworkBlobStore(tmp_path / "s")
+        scans = self._count_scans(store, monkeypatch)
+        for round_no in range(5):
+            for key in KEYS:
+                store.put(key, _value_for(key, round_no))
+        assert len(scans) == 1
+        assert store.stats.evictions == 0
+
+    def test_crossing_the_bound_rescans_and_evicts(self, tmp_path, monkeypatch):
+        entry = len(_value_for(KEYS[0], 0)) + 256  # body + header, roughly
+        store = NetworkBlobStore(tmp_path / "s", max_bytes=3 * entry)
+        scans = self._count_scans(store, monkeypatch)
+        for key in KEYS:
+            store.put(key, _value_for(key, 0))
+        assert store.size_bytes() <= 3 * entry
+        assert store.stats.evictions >= len(KEYS) - 3
+        assert 1 < len(scans) <= len(KEYS) + 1  # not one per entry evicted
+        # The newest entry always survives its own put.
+        assert store.get(KEYS[-1]) == _value_for(KEYS[-1], 0)
+
+    def test_two_handles_converge_on_the_bound(self, tmp_path):
+        """Each handle counts only its own puts, but the scan a crossing
+        triggers reads the disk: whoever crosses evicts for both."""
+        entry = len(_value_for(KEYS[0], 0)) + 256
+        first = NetworkBlobStore(tmp_path / "s", max_bytes=4 * entry)
+        second = NetworkBlobStore(tmp_path / "s", max_bytes=4 * entry)
+        for round_no in range(4):
+            for index, key in enumerate(KEYS):
+                writer = first if index % 2 else second
+                writer.put(key, _value_for(key, round_no))
+        assert first.size_bytes() <= 4 * entry
+        assert first.stats.evictions + second.stats.evictions > 0
+
+    def test_entries_of_an_older_format_age_out(self, tmp_path):
+        """Every file of the tier counts toward the bound and is evicted
+        oldest-first, whatever wrote it — a pre-bump ``.pkl`` included."""
+        entry = len(_value_for(KEYS[0], 0)) + 256
+        store = NetworkBlobStore(tmp_path / "s", max_bytes=2 * entry)
+        store.put(KEYS[0], _value_for(KEYS[0], 0))
+        shard = store._entry_path(KEYS[0]).parent
+        old = shard / (KEYS[0] + ".pkl")
+        old.write_bytes(pickle.dumps("x" * (2 * entry)))
+        os.utime(old, (1, 1))  # the oldest file of the tier
+        assert store.entry_count() == 2
+        assert store.size_bytes() > 2 * entry
+        # The next process to write sees it in its first scan.
+        NetworkBlobStore(tmp_path / "s", max_bytes=2 * entry).put(
+            KEYS[1], _value_for(KEYS[1], 0)
+        )
+        assert not old.exists()
+        assert store.size_bytes() <= 2 * entry
+
+
 def _collector_state():
     for _ in range(2000):  # Python code, so a thread switch can land here
         pass
     return gc.isenabled()
+
+
+class _PickledAnything(Store):
+    """A pickling tier for these tests: any payload type, and the one
+    function ``_DuringLoad`` reduces to on its allowlist."""
+
+    SUBDIR = "probe"
+    codec = PickleCodec(object, _collector_state)
+
+
+class _PickledNumbers(Store):
+    SUBDIR = "probe"
+    codec = PickleCodec(int)
 
 
 class _DuringLoad:
@@ -148,8 +278,8 @@ class _DuringLoad:
 
 
 class TestCollectorPausedAroundUnpickle:
-    """``PickleStore.get`` switches the cyclic collector off for the
-    unpickle and puts it back the way it found it."""
+    """A pickling tier's ``get`` switches the cyclic collector off for
+    the unpickle and puts it back the way it found it."""
 
     @pytest.fixture(autouse=True)
     def _restore_collector(self):
@@ -158,7 +288,7 @@ class TestCollectorPausedAroundUnpickle:
         (gc.enable if was_enabled else gc.disable)()
 
     def test_off_during_the_load_and_restored_on_a_hit(self, tmp_path):
-        store = PickleStore(tmp_path / "s")
+        store = _PickledAnything(tmp_path / "s")
         store.put(KEYS[0], _DuringLoad())
         for before in (True, False):
             (gc.enable if before else gc.disable)()
@@ -167,7 +297,7 @@ class TestCollectorPausedAroundUnpickle:
         assert store.stats.hits == 2
 
     def test_restored_on_miss_and_corrupt_entry(self, tmp_path):
-        store = PickleStore(tmp_path / "s")
+        store = _PickledAnything(tmp_path / "s")
         store.put(KEYS[1], [1, 2, 3])
         store._entry_path(KEYS[1]).write_bytes(b"\x80\x04 not a pickle")
         for before in (True, False):
@@ -184,7 +314,7 @@ class TestCollectorPausedAroundUnpickle:
         threads interleaved, the first to finish would turn the collector
         back on under the other's load, or the last would put back the
         "off" it saw while another had it paused."""
-        store = PickleStore(tmp_path / "s")
+        store = _PickledAnything(tmp_path / "s")
         store.put(KEYS[2], [_DuringLoad() for _ in range(20)])
         seen, failures = [], []
 

@@ -1,0 +1,615 @@
+"""Object code on disk as verified bytes; the digest as their SHA-256.
+
+What these tests pin, each meaningless before the change:
+
+- the module digest *is* the hash of the ``.warp`` bytes, through every
+  way of getting a module (compilers cold / one-edit / warm, the
+  service, the CLI);
+- the hash discriminates at least as well as the listing it replaced;
+- a fully warm compile reads headers: it decodes no instruction and
+  unpickles nothing outside ``parse/``;
+- corruption in any tier is counted, quarantined and recompiled;
+- the laziness is invisible: whatever is read off a warm result is what
+  a cold compile gives.
+"""
+
+import functools
+import hashlib
+import json
+import os
+import pickle
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.asmlink import encode
+from repro.asmlink.download import (
+    listing_difference,
+    module_digest,
+    module_listing,
+    module_size_words,
+)
+from repro.asmlink.encode import decode_module, encode_module
+from repro.asmlink.objformat import CellProgram, DownloadModule
+from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
+from repro.cache.store import Store, StoredResult
+from repro.cli import main
+from repro.driver.function_master import (
+    FunctionTask,
+    FunctionTaskResult,
+    clear_phase1_cache,
+    result_payload_digest,
+    run_compile_task,
+)
+from repro.driver.master import ParallelCompiler
+from repro.driver.sequential import SequentialCompiler
+from repro.fabric.wire import restricted_loads
+from repro.fuzz import config_for_size_class, generate_program
+from repro.ir.instructions import Opcode
+from repro.machine.resources import FUClass, PhysReg
+from repro.parallel.local import SerialBackend
+from repro.service import CompileService, EditSessionSpec, plan_edit_session
+from repro.warpsim.array_runner import run_module
+from repro.workloads import synthetic_program, user_program
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cached_compile(root, source, filename="<input>"):
+    """One ``warpcc compile`` per call: fresh handles on ``root``, a new
+    compiler, no in-process memo.  Returns (result, compiler)."""
+    clear_phase1_cache()
+    compiler = ParallelCompiler(
+        cache=ArtifactCache(root),
+        parse_cache=ParseCache(root),
+        link_cache=LinkCache(root),
+    )
+    return compiler.compile(source, filename), compiler
+
+
+@functools.lru_cache(maxsize=None)
+def sequential(source: str):
+    """The reference compile of ``source`` (once per source)."""
+    return SequentialCompiler().compile(source)
+
+
+def edit_of(source: str) -> str:
+    """``source`` with one literal changed where it changes the code."""
+    for match in re.finditer(r"\b\d+\.\d+\b", source):
+        edited = source[: match.end()] + "1" + source[match.end() :]
+        if sequential(edited).digest != sequential(source).digest:
+            return edited
+    raise AssertionError("no literal of the program reaches its object code")
+
+
+PROGRAMS = {
+    "s2_medium": synthetic_program("medium", 2),
+    "user_program": user_program(),
+    "generated_3": generate_program(3, config_for_size_class("medium")).source,
+    "generated_11": generate_program(11, config_for_size_class("small")).source,
+}
+
+
+# ---------------------------------------------------------------------------
+# (a) one digest, however the module was come by
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_the_digest_is_the_hash_of_the_encoded_module(name, tmp_path):
+    source = PROGRAMS[name]
+    edited = edit_of(source)
+    want = sequential(source).digest
+    want_edited = sequential(edited).digest
+    assert re.fullmatch(r"[0-9a-f]{64}", want)
+
+    cold = ParallelCompiler().compile(source)
+    fill, _ = cached_compile(tmp_path / "c", source)
+    warm, warm_compiler = cached_compile(tmp_path / "c", source)
+    one_edit, edit_compiler = cached_compile(tmp_path / "c", edited)
+    assert warm_compiler.last_phase4_stats.mode == "cached"
+    assert one_edit.profile.artifact_cache_hits() > 0
+    assert one_edit.profile.artifact_cache_misses() > 0
+    for result, digest in (
+        (sequential(source), want),
+        (cold, want),
+        (fill, want),
+        (warm, want),
+        (one_edit, want_edited),
+    ):
+        assert result.digest == digest
+        assert module_digest(result.download) == digest
+        assert sha256(encode_module(result.download)) == digest
+        assert sha256(result.download.encoded()) == digest
+
+    with CompileService(SerialBackend()) as service:
+        job = service.wait(service.submit(source), timeout=120.0)
+    assert job.digest == want
+
+    path = tmp_path / f"{name}.w2"
+    path.write_text(source)
+    out = tmp_path / f"{name}.warp"
+    for _ in range(2):  # cold, then the module tier's own bytes
+        assert main([
+            "compile", str(path), "--parallel", "--cache-dir",
+            str(tmp_path / "cli"), "--emit", "binary", "-o", str(out),
+        ]) == 0
+        assert sha256(out.read_bytes()) == want
+
+
+# ---------------------------------------------------------------------------
+# (b) the hash tells apart whatever the listing told apart, and more
+# ---------------------------------------------------------------------------
+
+
+def test_digests_are_equal_exactly_when_listings_are():
+    sources = [
+        json.loads(path.read_text())["source"]
+        for path in sorted(CORPUS.glob("*.json"))
+    ]
+    sources += [
+        generate_program(seed, config_for_size_class("small")).source
+        for seed in range(10)
+    ]
+    seen = set()
+    for source in sources:
+        for compiler in (
+            SequentialCompiler(opt_level=1),
+            SequentialCompiler(opt_level=2),
+            ParallelCompiler(opt_level=1),
+            ParallelCompiler(granularity="section"),
+        ):
+            result = compiler.compile(source)
+            seen.add((result.digest, module_listing(result.download)))
+    digests = {digest for digest, _ in seen}
+    listings = {listing for _, listing in seen}
+    assert len(digests) == len(listings) == len(seen)
+    assert len(seen) > len(sources)  # the pool does hold different modules
+
+
+@pytest.fixture(scope="module")
+def two_section_module():
+    source = """
+module two
+section a (cells 0..1)
+  function helper(v: float) : float begin return v + 1.0; end
+  function main()
+  var v: float; k: int; a: array[4] of float;
+  begin for k := 1 to 2 do receive(v); a[k] := v; send(helper(a[k])); end; end
+end
+section b (cells 2..2)
+  function main()
+  var v: float; k: int;
+  begin for k := 1 to 2 do receive(v); send(v * 2.0); end; end
+end
+end
+"""
+    return SequentialCompiler().compile(source).download.encoded()
+
+
+def _some_op(module, wanted):
+    """(program, function, bundle, op) of the first op ``wanted`` accepts."""
+    for cell in sorted(module.cell_programs):
+        program = module.cell_programs[cell]
+        for name in sorted(program.functions):
+            function = program.functions[name]
+            for bundle in function.bundles:
+                for op in bundle.all_ops():
+                    if wanted(op):
+                        return program, function, bundle, op
+    raise AssertionError("no such op in the module")
+
+
+OP_MUTATIONS = {
+    "op": (lambda op: True, lambda op: replace(
+        op, op=Opcode.SUB if op.op is not Opcode.SUB else Opcode.ADD)),
+    "latency": (lambda op: True, lambda op: replace(op, latency=op.latency + 1)),
+    "dest": (lambda op: op.dest is not None, lambda op: replace(
+        op, dest=PhysReg(op.dest.bank, op.dest.index + 1))),
+    "operands": (lambda op: op.operands, lambda op: replace(
+        op, operands=op.operands[:-1])),
+    "array_offset": (lambda op: op.array_offset is not None, lambda op: replace(
+        op, array_offset=op.array_offset + 1)),
+    "array_name": (lambda op: op.array_name is not None, lambda op: replace(
+        op, array_name=op.array_name + "x")),
+    "labels": (lambda op: op.labels, lambda op: replace(
+        op, labels=tuple(target + 1 for target in op.labels))),
+    "callee": (lambda op: op.callee is not None, lambda op: replace(
+        op, callee="main")),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OP_MUTATIONS))
+def test_every_field_of_an_op_is_in_the_digest(field, two_section_module):
+    wanted, mutate = OP_MUTATIONS[field]
+    module = decode_module(two_section_module)
+    _, _, bundle, op = _some_op(module, wanted)
+    bundle.ops[op.fu] = mutate(op)
+    assert bundle.ops[op.fu] != op
+    assert module_digest(module) != sha256(two_section_module)
+
+
+def test_the_functional_unit_is_in_the_digest(two_section_module):
+    """``fu`` keys the bundle as well: move the op to a free slot."""
+    module = decode_module(two_section_module)
+    _, _, bundle, op = _some_op(module, lambda op: True)
+    free = next(fu for fu in FUClass if fu not in bundle.ops)
+    del bundle.ops[op.fu]
+    bundle.add(replace(op, fu=free))
+    assert module_listing(module) == module_listing(
+        decode_module(two_section_module)
+    ), "the listing never showed the unit"
+    assert module_digest(module) != sha256(two_section_module)
+
+
+def test_layout_cells_and_diagnostics_are_in_the_digest(two_section_module):
+    want = sha256(two_section_module)
+
+    def changed(change):
+        module = decode_module(two_section_module)
+        change(module)
+        return module_digest(module)
+
+    def frame_base(module):
+        module.cell_programs[0].frame_bases["main"] += 1
+
+    def entry(module):
+        module.cell_programs[0].entry = "helper"
+
+    def data_words(module):
+        module.cell_programs[2].data_words += 1
+
+    def cell_assignment(module):
+        module.cell_programs[1] = module.cell_programs[2]
+
+    def one_more_cell(module):
+        module.cell_programs[3] = module.cell_programs[2]
+
+    def diagnostics(module):
+        module.diagnostics_text = "warning: something"
+
+    def name(module):
+        module.module_name += "x"
+
+    digests = [
+        changed(change)
+        for change in (
+            frame_base, entry, data_words, cell_assignment, one_more_cell,
+            diagnostics, name,
+        )
+    ]
+    assert want not in digests and len(set(digests)) == len(digests)
+    assert changed(lambda module: None) == want
+
+
+def test_a_mismatch_names_the_first_differing_listing_line(two_section_module):
+    ours = decode_module(two_section_module)
+    theirs = decode_module(two_section_module)
+    _, _, bundle, op = _some_op(theirs, lambda op: op.dest is not None)
+    bundle.ops[op.fu] = replace(op, dest=PhysReg(op.dest.bank, op.dest.index + 7))
+    message = listing_difference(ours, theirs)
+    assert message.startswith("listing line ")
+    assert str(op.dest) in message and len(message) < 400
+    # A field the listing never showed: the message says so.
+    _, _, bundle, op = _some_op(ours, lambda op: True)
+    bundle.ops[op.fu] = replace(op, latency=op.latency + 1)
+    assert "not listed" in listing_difference(
+        ours, decode_module(two_section_module)
+    )
+    # One listing a prefix of the other: the end is where they differ.
+    shorter = decode_module(two_section_module)
+    del shorter.cell_programs[2]
+    assert "<end of listing>" in listing_difference(
+        shorter, decode_module(two_section_module)
+    )
+
+
+# ---------------------------------------------------------------------------
+# (c) a fully warm compile reads headers
+# ---------------------------------------------------------------------------
+
+SESSION = plan_edit_session(
+    EditSessionSpec(
+        seed=5, edits=2, functions=8, size_class="small", module_name="warm"
+    )
+)
+
+#: what must not depend on how warm the caches were
+STABLE_PROFILE_KEYS = (
+    "parse_work", "sema_work", "assembly_work", "link_work", "download_words",
+    "source_lines", "total_work", "function_work",
+)
+STABLE_FUNCTION_KEYS = (
+    "section", "name", "source_lines", "ir_instructions", "loop_weight",
+    "work_units", "bundles", "pipelined_loops", "initiation_intervals",
+    "frame_words",
+)
+
+
+def stable_view(document: dict) -> dict:
+    profile = document["profile"]
+    return {
+        **{key: document[key] for key in (
+            "module", "digest", "diagnostics", "download_cells", "download_words",
+        )},
+        **{key: profile[key] for key in STABLE_PROFILE_KEYS},
+        "functions": [
+            {key: function[key] for key in STABLE_FUNCTION_KEYS}
+            for function in profile["functions"]
+        ],
+    }
+
+
+def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
+    source = SESSION[0].source
+    cold, _ = cached_compile(tmp_path, source)
+    assert cold.profile.artifact_cache_misses() == 8
+
+    def refuse(what):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"a warm compile called {what}")
+        return boom
+
+    for name in ("decode_program", "decode_object_function", "decode_module"):
+        monkeypatch.setattr(encode, name, refuse(name))
+    for name in ("bundles", "_decode_bundle", "string_table"):
+        monkeypatch.setattr(encode._Reader, name, refuse(name))
+    monkeypatch.setattr(pickle, "loads", refuse("pickle.loads"))
+    unpickled = []
+    loads = pickled.restricted_loads
+    monkeypatch.setattr(
+        pickled, "restricted_loads",
+        lambda blob, allowed: unpickled.append(allowed) or loads(blob, allowed),
+    )
+    opened = []
+    open_entry = Store._open
+    monkeypatch.setattr(
+        Store, "_open",
+        lambda self, data: opened.append(self.SUBDIR) or open_entry(self, data),
+    )
+
+    warm, compiler = cached_compile(tmp_path, source)
+
+    assert sorted(opened) == ["modules"] + ["objects"] * 8 + ["parse"] * 8
+    assert unpickled == [ParseCache.codec.allowed] * 8
+    assert warm.profile.artifact_cache_hits() == 8
+    assert warm.profile.artifact_cache_misses() == 0
+    assert warm.profile.phase4_mode == "cached"
+    assert compiler.last_phase4_stats.mode == "cached"
+    assert warm.profile.download_words == cold.profile.download_words
+    assert module_size_words(warm.download) == cold.profile.download_words
+    assert stable_view(warm.to_dict()) == stable_view(cold.to_dict())
+    assert warm.report_lines() == cold.report_lines()
+
+
+def test_a_one_edit_compile_builds_its_module_from_bytes(tmp_path, monkeypatch):
+    """The edit leaves the object code as it was (a dead statement), so
+    the section tier hits and the module is header + cached blob + cell
+    table: nothing is decoded, and only the edited function encoded."""
+    cached_compile(tmp_path, SESSION[0].source)
+    want = SequentialCompiler().compile(SESSION[1].source).digest
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a one-edit compile decoded or re-encoded code")
+
+    for name in ("decode_program", "decode_object_function", "encode_program"):
+        monkeypatch.setattr(encode, name, boom)
+    result, compiler = cached_compile(tmp_path, SESSION[1].source)
+    stats = compiler.last_phase4_stats
+    assert (stats.mode, stats.link_cache_hits, stats.link_cache_misses) == (
+        "parallel", 1, 0,
+    )
+    assert result.profile.artifact_cache_misses() == 1
+    assert result.digest == want
+
+
+# ---------------------------------------------------------------------------
+# (d) corruption in every tier
+# ---------------------------------------------------------------------------
+
+
+def entries_of(root, tier):
+    return sorted((Path(root) / tier).glob("*/*.entry"))
+
+
+def flip_body_byte(path, other):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x40
+    path.write_bytes(bytes(data))
+
+
+def flip_header_byte(path, other):
+    data = bytearray(path.read_bytes())
+    data[data.index(b'"tier"') + 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def truncate(path, other):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) * 2 // 3])
+
+
+def swap_with_another_tier(path, other):
+    mine, theirs = path.read_bytes(), other.read_bytes()
+    path.write_bytes(theirs)
+    other.write_bytes(mine)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [flip_body_byte, flip_header_byte, truncate, swap_with_another_tier],
+)
+@pytest.mark.parametrize("tier", ["objects", "parse", "link", "modules"])
+def test_a_damaged_entry_is_counted_quarantined_and_recompiled(
+    tier, damage, tmp_path
+):
+    source = PROGRAMS["generated_11"]
+    want = sequential(source).digest
+    cached_compile(tmp_path, source)
+    if tier == "link":
+        # The section tier is read only when the module tier misses.
+        for path in entries_of(tmp_path, "modules"):
+            path.unlink()
+    victim = entries_of(tmp_path, tier)[0]
+    other_tier = "parse" if tier != "parse" else "objects"
+    other = entries_of(tmp_path, other_tier)[0]
+    damage(victim, other)
+
+    result, compiler = cached_compile(tmp_path, source)
+
+    assert result.digest == want
+    stats = {
+        "objects": compiler.cache.stats,
+        "parse": compiler.parse_cache.stats,
+        "link": compiler.link_cache.sections.stats,
+        "modules": compiler.link_cache.modules.stats,
+    }
+    assert stats[tier].corrupt == 1
+    if damage is swap_with_another_tier:
+        assert stats[other_tier].corrupt == 1
+    assert sum(s.corrupt for s in stats.values()) == (
+        2 if damage is swap_with_another_tier else 1
+    )
+    if tier == "objects":
+        assert result.profile.artifact_cache_corrupt == 1
+    # Quarantined and written afresh: the next compile is clean and warm.
+    again, compiler = cached_compile(tmp_path, source)
+    assert again.digest == want
+    assert compiler.last_phase4_stats.mode == "cached"
+    assert again.profile.artifact_cache_misses() == 0
+    assert compiler.cache.stats.corrupt == 0
+    assert compiler.parse_cache.stats.corrupt == 0
+    assert compiler.link_cache.stats.corrupt == 0
+
+
+def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
+    """The parse tier still unpickles — through its own allowlist."""
+    source = PROGRAMS["generated_11"]
+    want = sequential(source).digest
+    cached_compile(tmp_path, source)
+    canary = tmp_path / "pwned"
+
+    class Evil:
+        def __reduce__(self):
+            return (os.system, (f"touch {canary}",))
+
+    victim = entries_of(tmp_path, "parse")[0]
+    ParseCache(tmp_path).put(victim.stem, Evil())
+    result, compiler = cached_compile(tmp_path, source)
+    assert compiler.parse_cache.stats.corrupt == 1
+    assert not canary.exists()
+    assert result.digest == want
+
+
+def test_no_pickle_on_the_object_code_path():
+    """Reading or writing an objects/, link/ or modules/ entry imports
+    no pickle: the modules that do it do not name it."""
+    import ast
+    import repro.asmlink.encode
+    import repro.asmlink.objformat
+    import repro.cache.link_store
+    import repro.cache.store
+
+    for module in (
+        repro.cache.store, repro.cache.link_store,
+        repro.asmlink.encode, repro.asmlink.objformat,
+    ):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } | {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not {"pickle", "pickled", "marshal", "shelve"} & imported, module
+
+
+# ---------------------------------------------------------------------------
+# (e) the laziness is invisible
+# ---------------------------------------------------------------------------
+
+
+def test_what_a_warm_result_hands_out_is_what_a_cold_one_does(tmp_path):
+    program = generate_program(3, config_for_size_class("medium"))
+    cold = SequentialCompiler().compile(program.source)
+    cached_compile(tmp_path, program.source)
+    warm, compiler = cached_compile(tmp_path, program.source)
+    assert compiler.last_phase4_stats.mode == "cached"
+
+    cold_run = run_module(cold.download, program.inputs(), max_cycles=2_000_000)
+    warm_run = run_module(warm.download, program.inputs(), max_cycles=2_000_000)
+    assert warm_run.outputs == cold_run.outputs
+    assert warm_run.cycles == cold_run.cycles
+
+    assert [o.digest_text() for o in warm.objects] == [
+        o.digest_text() for o in cold.objects
+    ]
+    assert warm.objects is warm.objects  # decoded once
+    assert module_listing(warm.download) == module_listing(cold.download)
+    assert warm.download.cells_used == cold.download.cells_used
+    assert decode_module(warm.download.encoded()) == decode_module(
+        cold.download.encoded()
+    )
+
+
+def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
+    source = PROGRAMS["s2_medium"]
+    ParallelCompiler(cache=ArtifactCache(tmp_path)).compile(source)
+    fresh = {
+        result.function_name: result
+        for result in run_compile_task(
+            FunctionTask(source, "<input>", "sec1", None)
+        )
+    }
+
+    cache = ArtifactCache(tmp_path)
+    for path in entries_of(tmp_path, "objects"):
+        served = cache.get(path.stem)
+        assert isinstance(served, StoredResult)
+        want = fresh[served.function_name]
+        # What the header states is there before anything is decoded...
+        assert served.__dict__["_obj"] is None
+        assert served.payload_digest == want.payload_digest
+        assert served.assembly_work == want.assembly_work
+        assert served.report.bundles == want.obj.bundle_count()
+        # ...the sealed digest still checks out against the decoded code...
+        assert result_payload_digest(served) == served.payload_digest
+        assert served.obj == want.obj
+        assert served.assembled.digest_text() == want.assembled.digest_text()
+        # ...and over the wire it is the dataclass it stands for.
+        revived = restricted_loads(pickle.dumps(served))
+        assert type(revived) is FunctionTaskResult
+        assert revived.obj == want.obj
+        assert result_payload_digest(revived) == want.payload_digest
+        assert revived.report == served.report
+
+
+def test_a_stored_program_decodes_on_first_read_only(tmp_path):
+    source = PROGRAMS["s2_medium"]
+    cold, _ = cached_compile(tmp_path, source)
+    warm, _ = cached_compile(tmp_path, source)
+    program = warm.download.cell_programs[0]
+    assert isinstance(program, CellProgram)
+    assert "functions" not in program.__dict__
+    assert (program.section_name, program.entry, program.data_words) == (
+        cold.download.cell_programs[0].section_name,
+        cold.download.cell_programs[0].entry,
+        cold.download.cell_programs[0].data_words,
+    )
+    assert program.size_words() == cold.download.cell_programs[0].size_words()
+    assert "functions" not in program.__dict__
+    assert program.total_bundles() == cold.download.cell_programs[0].total_bundles()
+    assert "functions" in program.__dict__ and "frame_bases" in program.__dict__
+    assert isinstance(warm.download, DownloadModule)
+    with pytest.raises(AttributeError):
+        program.no_such_attribute
