@@ -20,6 +20,8 @@ The counts, all over ``src/**/*.py``:
 ``socket_servers``      classes deriving from a ``socketserver`` class
 ``socket_clients``      modules that open a socket themselves (call
                         ``socket.create_connection`` or ``.makefile(``)
+``wire_pickle_globals`` classes a fabric blob may name: arguments of the
+                        ``allowed_globals(...)`` call in ``fabric/wire.py``
 
 Every count is an AST walk — none depends on how a name is spelled, so
 no grep for a deleted name can trip (or satisfy) one.
@@ -86,8 +88,18 @@ def _opens_a_socket(node: ast.AST) -> bool:
     )
 
 
+def _wire_pickle_globals(path: Path, node: ast.AST) -> int:
+    if not (
+        path == SRC / "repro" / "fabric" / "wire.py"
+        and isinstance(node, ast.Call)
+        and getattr(node.func, "attr", "") == "allowed_globals"
+    ):
+        return 0
+    return len(node.args)
+
+
 def count_surface() -> dict:
-    lines = flags = backends = stats = servers = clients = 0
+    lines = flags = backends = stats = servers = clients = wire_globals = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -97,6 +109,7 @@ def count_surface() -> dict:
         nodes = list(ast.walk(ast.parse(text, filename=str(path))))
         clients += any(_opens_a_socket(node) for node in nodes)
         for node in nodes:
+            wire_globals += _wire_pickle_globals(path, node)
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -132,6 +145,7 @@ def count_surface() -> dict:
         "stats_dataclasses": stats,
         "socket_servers": servers,
         "socket_clients": clients,
+        "wire_pickle_globals": wire_globals,
     }
 
 

@@ -15,8 +15,13 @@ holds it in this format:
   module is built from programs by concatenation and a program is a
   slice of the module that holds it;
 - an **object-function blob** (one pre-assembly :class:`ObjectFunction`;
-  the body of an artifact cache entry) is the same op encoding with
-  branch targets still block labels.
+  the ``code`` of a function master's result and the body of an
+  artifact cache entry) is the same op encoding with branch targets
+  still block labels.  Like a program it holds the code, not the
+  accounting: ``info`` travels in the result's
+  :class:`~repro.driver.results.FunctionReport`, so an edit that leaves
+  a function's code alone leaves its blob — and the hash of it, which
+  keys the link tier — alone, however much work compiling it took.
 
 Every number is an unsigned LEB128 varint; strings are UTF-8 behind
 their length; an integer immediate is two's complement behind its byte
@@ -44,7 +49,6 @@ from .objformat import (
     AssembledFunction,
     Bundle,
     CellProgram,
-    CodegenInfo,
     DownloadModule,
     MachineOp,
     ObjectFunction,
@@ -254,16 +258,6 @@ def encode_object_function(obj: ObjectFunction) -> bytes:
     writer = _BlobWriter(resolved=False)
     body = writer.body
     writer.signature(obj)
-    info = obj.info
-    for count in (
-        info.schedule_cycles,
-        info.pipelined_loops,
-        info.work_units,
-        info.spill_slots,
-        len(info.initiation_intervals),
-        *info.initiation_intervals,
-    ):
-        body += _uint(count)
     body += _uint(len(obj.diagnostics))
     for line in obj.diagnostics:
         body += writer.ref(line)
@@ -550,20 +544,13 @@ def decode_object_function(blob: bytes) -> ObjectFunction:
     reader = _Reader(blob, "object function", resolved=False)
     reader.string_table()
     signature = reader.signature()
-    cycles, loops, work, spills = (reader.uint() for _ in range(4))
-    intervals = [reader.uint() for _ in range(reader.uint())]
     diagnostics = [reader.ref() for _ in range(reader.uint())]
     blocks = [
         ScheduledBlock(label=reader.ref(), bundles=reader.bundles())
         for _ in range(reader.uint())
     ]
     reader.finish()
-    return ObjectFunction(
-        blocks=blocks,
-        info=CodegenInfo(cycles, loops, intervals, work, spills),
-        diagnostics=diagnostics,
-        **signature,
-    )
+    return ObjectFunction(blocks=blocks, diagnostics=diagnostics, **signature)
 
 
 def _decode_module(

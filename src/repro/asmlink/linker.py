@@ -9,7 +9,7 @@ the section's first function.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..machine.warp_cell import WarpCellModel
 from .assembler import assemble_function
@@ -24,18 +24,8 @@ def link_section(
     section_name: str,
     objects: List[ObjectFunction],
     cell: WarpCellModel,
-    preassembled: Optional[Dict[str, AssembledFunction]] = None,
 ) -> CellProgram:
-    """Assemble and link one section's functions into a cell program.
-
-    ``preassembled`` maps function names to :class:`AssembledFunction`
-    payloads produced ahead of time by the function masters (distributed
-    assembly).  Assembly is pure — the same object function always
-    assembles to the same bundles — so using a pre-assembled payload is
-    output-identical to assembling here; any function missing from the
-    map (or shipped by a master whose assembly failed) is assembled on
-    the spot, raising the canonical :class:`AssemblyError`.
-    """
+    """Assemble and link one section's functions into a cell program."""
     if not objects:
         raise LinkError(f"section {section_name!r} has no functions to link")
     names = [o.name for o in objects]
@@ -51,10 +41,7 @@ def link_section(
                 f"function {obj.name!r} belongs to section "
                 f"{obj.section_name!r}, not {section_name!r}"
             )
-        ready = (preassembled or {}).get(obj.name)
-        if ready is None:
-            ready = assemble_function(obj)
-        assembled[obj.name] = ready
+        assembled[obj.name] = assemble_function(obj)
         frame_bases[obj.name] = base
         base += obj.frame_words
 

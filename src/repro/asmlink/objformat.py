@@ -126,8 +126,10 @@ class ObjectFunction:
         return sum(len(b.bundles) for b in self.blocks)
 
     def digest_text(self) -> str:
-        """Deterministic printable form, used to compare the sequential and
-        parallel compilers' outputs bit-for-bit."""
+        """Deterministic printable form of the code (not of ``info``):
+        the readable side of a failed comparison, and how variant search
+        tells that two configs produced the same code.  What crosses a
+        boundary, and is hashed, is the encoded form."""
         lines = [
             f"func {self.section_name}.{self.name} "
             f"params=({', '.join(str(r) for r in self.param_regs)}) "
@@ -150,22 +152,6 @@ class AssembledFunction:
     return_bank: Optional[str] = None
     frame_words: int = 0
     info: CodegenInfo = field(default_factory=CodegenInfo)
-
-    def digest_text(self) -> str:
-        """Deterministic printable form of the post-assembly payload.
-
-        Function masters assemble their own object function and seal the
-        result into the task's payload digest; the supervisor re-derives
-        this text to detect a corrupted :class:`AssembledFunction` before
-        it can ever reach the linker.
-        """
-        lines = [
-            f"asm {self.section_name}.{self.name} "
-            f"params=({', '.join(str(r) for r in self.param_regs)}) "
-            f"ret={self.return_bank or 'void'} frame={self.frame_words}"
-        ]
-        lines.extend(f"  {bundle}" for bundle in self.bundles)
-        return "\n".join(lines)
 
 
 @dataclass

@@ -37,7 +37,10 @@ from ..lang import ast_nodes as ast
 #: served where a default compile is expected, and vice versa.
 #: 4: entries are a checked header plus encoded bytes (the pickling
 #: tiers: a checked header plus the pickle), under a new file suffix.
-CACHE_SCHEMA_VERSION = 4
+#: 5: a result's payload digest is the SHA-256 of its encoded object
+#: function (it was a hash of two text renders), and an ``objects/``
+#: entry's own ``sha256`` is that digest.
+CACHE_SCHEMA_VERSION = 5
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

@@ -50,7 +50,8 @@ from .store import DEFAULT_MAX_BYTES, CacheStats, Store
 #: Bump whenever the entry format or the meaning of a link key changes;
 #: old entries become unreachable rather than wrong.
 #: 2: entries are encoded bytes behind a checked header, not pickles.
-LINK_SCHEMA_VERSION = 2
+#: 3: the payload digests in a key are hashes of the encoded functions.
+LINK_SCHEMA_VERSION = 3
 
 
 def link_salt() -> str:

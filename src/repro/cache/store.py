@@ -47,11 +47,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..asmlink.assembler import assemble_function
-from ..asmlink.encode import decode_object_function, encode_object_function
 from ..driver.function_master import FunctionTaskResult
 from ..driver.results import FunctionReport
-from ..gcpause import collector_paused
 from .fingerprint import CACHE_SCHEMA_VERSION
 
 #: Default size bound: plenty for thousands of functions, small enough
@@ -170,13 +167,10 @@ class Store:
     def put(self, fingerprint: str, payload) -> None:
         """Store ``payload`` atomically, then enforce the size bound."""
         facts, body = self.codec.pack(payload)
+        if "sha256" not in facts:  # stated by a payload that is sealed
+            facts["sha256"] = hashlib.sha256(body).hexdigest()
         header = json.dumps(
-            dict(
-                facts,
-                tier=self.SUBDIR,
-                schema=self.SCHEMA,
-                sha256=hashlib.sha256(body).hexdigest(),
-            ),
+            dict(facts, tier=self.SUBDIR, schema=self.SCHEMA),
             sort_keys=True,
         ).encode("utf-8")
         path = self._entry_path(fingerprint)
@@ -273,62 +267,12 @@ class Store:
 # ---------------------------------------------------------------------------
 
 
-class StoredResult(FunctionTaskResult):
-    """A result as the artifact tier hands it back: what the header
-    states is there, the object code stays encoded until ``obj`` or
-    ``assembled`` is read.  A warm compile reads neither.  It pickles
-    as the plain :class:`FunctionTaskResult` it stands for."""
-
-    def __init__(self, body: bytes, assembles: bool, assembly_work: int, **facts):
-        self._body = body
-        self._assembles = assembles
-        self._assembly_work = assembly_work
-        super().__init__(obj=None, **facts)
-
-    @property
-    def obj(self):
-        if self._obj is None:
-            self._obj = decode_object_function(self._body)
-        return self._obj
-
-    @obj.setter
-    def obj(self, value) -> None:
-        self._obj = value
-
-    @property
-    def assembled(self):
-        # Assembly is pure, so the function master's assembled form is
-        # re-derived from the object function instead of stored twice
-        # (as much part of loading the entry as the decode is).
-        if self._assembled is None and self._assembles:
-            with collector_paused():
-                self._assembled = assemble_function(self.obj)
-        return self._assembled
-
-    @assembled.setter
-    def assembled(self, value) -> None:
-        self._assembled = value
-
-    @property
-    def assembly_work(self) -> int:
-        return self._assembly_work
-
-    def __reduce__(self):
-        return FunctionTaskResult, (
-            self.section_name,
-            self.function_name,
-            self.obj,
-            self.report,
-            self.diagnostics,
-            self.payload_digest,
-            self.worker,
-            self.assembled,
-        )
-
-
 class ArtifactCodec:
-    """Header: the function's report, its sealed payload digest, its
-    assembly work, whether it assembled.  Body: the object function."""
+    """A :class:`FunctionTaskResult` as an entry.  Body: its ``code``,
+    verbatim.  Header: its other fields (but ``worker``, which belongs
+    to the run that compiled it), the ``payload_digest`` as the entry's
+    ``sha256`` — as sealed, not re-derived, so a result damaged between
+    seal and write makes an entry that fails its check when read."""
 
     def pack(self, result: FunctionTaskResult) -> Tuple[dict, bytes]:
         facts = dict(
@@ -336,22 +280,20 @@ class ArtifactCodec:
             function_name=result.function_name,
             report=asdict(result.report),
             diagnostics=result.diagnostics,
-            payload_digest=result.payload_digest,
-            assembles=result.assembled is not None,
             assembly_work=result.assembly_work,
+            sha256=result.payload_digest,
         )
-        return facts, encode_object_function(result.obj)
+        return facts, result.code
 
-    def unpack(self, facts: dict, body: bytes) -> StoredResult:
-        return StoredResult(
-            body,
-            facts["assembles"],
-            facts["assembly_work"],
+    def unpack(self, facts: dict, body: bytes) -> FunctionTaskResult:
+        return FunctionTaskResult(
             section_name=facts["section_name"],
             function_name=facts["function_name"],
+            code=body,
             report=FunctionReport(**facts["report"]),
+            payload_digest=facts["sha256"],
+            assembly_work=facts["assembly_work"],
             diagnostics=facts["diagnostics"],
-            payload_digest=facts["payload_digest"],
         )
 
 

@@ -25,8 +25,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..asmlink.assembler import assemble_function, assembly_work_units
-from ..asmlink.objformat import AssembledFunction, ObjectFunction
+from ..asmlink.assembler import assembly_work_units
+from ..asmlink.encode import decode_object_function, encode_object_function
+from ..asmlink.objformat import ObjectFunction
 from ..machine.warp_array import WarpArrayModel
 from .phases import (
     ParsedProgram,
@@ -64,65 +65,95 @@ class FunctionTask:
     ii_budget: int = 0
 
 
+class PayloadCorruption(Exception):
+    """A result's ``code`` does not hash to its sealed ``payload_digest``."""
+
+
 @dataclass
 class FunctionTaskResult:
-    """What a function master sends back to its section master."""
+    """What a function master sends back to its section master: the
+    compiled function as bytes, and the facts read without them.
+
+    This is the one form of a compiled function — over IPC, the fabric
+    wire and the network tier it pickles as these fields, and an
+    ``objects/`` cache entry is the same fields as a header with
+    ``code`` as its body.  :attr:`obj` is the graph behind the bytes.
+    """
 
     section_name: str
     function_name: str
-    obj: ObjectFunction
+    #: the object function as :func:`~repro.asmlink.encode.encode_object_function`
+    #: wrote it — what the linker consumes, once decoded
+    code: bytes
     report: FunctionReport
+    #: sha256 of ``code``, sealed by the function master.  Every boundary
+    #: a result crosses re-hashes the bytes against it (the supervisor,
+    #: the wire, the network tier, the cache entry's header) and so does
+    #: the first read of :attr:`obj`: damaged bytes are re-run, refused
+    #: or missed, never linked.
+    payload_digest: str
+    #: work units of assembling this function, counted by the function
+    #: master so that nobody needs the code to answer it
+    assembly_work: int
     diagnostics: List[str] = field(default_factory=list)
-    #: sha256 over the object code's canonical text, computed by the
-    #: function master before the result crosses the IPC boundary.  The
-    #: supervisor re-derives it on receipt: a mismatch means the payload
-    #: was corrupted in transit and the task must be re-run, not linked.
-    payload_digest: Optional[str] = None
     #: worker that produced this result, when the backend knows (the
     #: fault-injection suite's simulated workers report it; real pools
     #: leave it None).  Drives the supervisor's health tracking.
     worker: Optional[str] = None
-    #: distributed assembly (phase 4, layer 1): the function master
-    #: assembles its own object function so assembly rides the phase-2/3
-    #: parallelism instead of the sequential link tail.  None when the
-    #: object code cannot assemble — the linker then assembles it itself
-    #: and raises the canonical AssemblyError.
-    assembled: Optional[AssembledFunction] = None
 
     @property
-    def assembly_work(self) -> int:
-        """Work units of assembling this function (a result read back
-        from the artifact cache knows the count without its code)."""
-        return assembly_work_units(self.obj)
+    def obj(self) -> ObjectFunction:
+        """The object function: the graph the function master built, in
+        its own process; anywhere else ``code``, verified against the
+        seal and decoded on the first read."""
+        obj = self.__dict__.get("_obj")
+        if obj is None:
+            if result_payload_digest(self) != self.payload_digest:
+                raise PayloadCorruption(
+                    f"object code of {self.section_name}."
+                    f"{self.function_name} does not match its payload digest"
+                )
+            obj = self._obj = decode_object_function(self.code)
+        return obj
+
+    def __getstate__(self) -> dict:
+        # Only bytes cross a process, socket or file boundary.
+        state = dict(self.__dict__)
+        state.pop("_obj", None)
+        return state
 
 
 def result_payload_digest(result: FunctionTaskResult) -> str:
-    """Canonical digest of a result's object-code payload.
-
-    Covers exactly what the linker consumes — the object function's
-    deterministic printable form plus, when the function master shipped
-    one, the pre-assembled form — not diagnostics or telemetry, which
-    the master legitimately rewrites on cache hits."""
-    hasher = hashlib.sha256(result.obj.digest_text().encode("utf-8"))
-    if result.assembled is not None:
-        hasher.update(b"\x1f")
-        hasher.update(result.assembled.digest_text().encode("utf-8"))
-    return hasher.hexdigest()
+    """Digest of a result's object-code payload: the SHA-256 of its
+    ``code`` — exactly what the linker consumes, not the result's
+    diagnostics or telemetry, which the master legitimately rewrites
+    on cache hits."""
+    return hashlib.sha256(result.code).hexdigest()
 
 
-def attach_assembly(result: FunctionTaskResult) -> FunctionTaskResult:
-    """Assemble the result's object function and seal the payload digest.
+def attach_assembly(
+    obj: ObjectFunction, report: FunctionReport, diagnostics: List[str]
+) -> FunctionTaskResult:
+    """Seal one compiled function into its result: encode the object
+    function, count its assembly work, hash the bytes.  The result keeps
+    ``obj`` — the process that compiled a function links it without a
+    decode — and drops it when pickled.
 
-    Assembly failures are deliberately swallowed: the result ships with
-    ``assembled=None`` and the linker (sequential or parallel) assembles
-    the object function itself, raising the same :class:`AssemblyError`
-    the sequential compiler would — byte-identical diagnostics.
+    (The name is from when this step assembled, and shipped the assembly
+    beside the object function; ``benchmarks/e2e/tracing.py`` binds it,
+    so the rename waits for the next benchmark change.)
     """
-    try:
-        result.assembled = assemble_function(result.obj)
-    except Exception:  # noqa: BLE001 - any failure defers to the linker
-        result.assembled = None
-    result.payload_digest = result_payload_digest(result)
+    code = encode_object_function(obj)
+    result = FunctionTaskResult(
+        section_name=report.section_name,
+        function_name=report.name,
+        code=code,
+        report=report,
+        payload_digest=hashlib.sha256(code).hexdigest(),
+        assembly_work=assembly_work_units(obj),
+        diagnostics=diagnostics,
+    )
+    result._obj = obj
     return result
 
 
@@ -215,18 +246,13 @@ def run_function_master(task: FunctionTask) -> FunctionTaskResult:
         task.function_name,
         array,
         task.opt_level,
-        unroll_budget=getattr(task, "unroll_budget", 0),
-        ii_budget=getattr(task, "ii_budget", 0),
+        unroll_budget=task.unroll_budget,
+        ii_budget=task.ii_budget,
     )
     _record_cache_outcome(report, hit)
-    result = FunctionTaskResult(
-        section_name=task.section_name,
-        function_name=task.function_name,
-        obj=obj,
-        report=report,
-        diagnostics=[d.render() for d in parsed.sink.diagnostics],
+    return attach_assembly(
+        obj, report, [d.render() for d in parsed.sink.diagnostics]
     )
-    return attach_assembly(result)
 
 
 def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:
@@ -254,19 +280,14 @@ def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:
             function.name,
             array,
             task.opt_level,
-            unroll_budget=getattr(task, "unroll_budget", 0),
-            ii_budget=getattr(task, "ii_budget", 0),
+            unroll_budget=task.unroll_budget,
+            ii_budget=task.ii_budget,
         )
         if position == 0:
             _record_cache_outcome(report, hit)
-        result = FunctionTaskResult(
-            section_name=task.section_name,
-            function_name=function.name,
-            obj=obj,
-            report=report,
-            diagnostics=rendered if position == 0 else [],
+        results.append(
+            attach_assembly(obj, report, rendered if position == 0 else [])
         )
-        results.append(attach_assembly(result))
     return results
 
 

@@ -13,9 +13,9 @@ cache (functions whose fingerprints hit never cross the process
 boundary), streams the remaining tasks through an execution backend while
 section masters recombine results as they arrive, and runs phase 4
 through :class:`~repro.driver.phases.Phase4Runner`: each section is
-linked the moment its streaming recombiner completes, over the assembly
-the function masters shipped, behind the optional link cache.  The
-output is bit-identical to the sequential compiler's.
+linked the moment its streaming recombiner completes, behind the
+optional link cache.  The output is bit-identical to the sequential
+compiler's.
 
 Ownership: a compile never shuts down or reconfigures the backend or
 cache it was given — both may be shared with other compilers (the
@@ -241,7 +241,6 @@ class ParallelCompiler:
         module, assembly_work, link_work = runner.finish(
             combined, cached_module=cached_module
         )
-        profile.phase4_assembly_ms = round(phase4_stats.assembly_ms, 3)
         profile.phase4_link_ms = round(phase4_stats.link_ms, 3)
         profile.phase4_mode = phase4_stats.mode
         profile.link_cache_hits = phase4_stats.link_cache_hits
@@ -272,8 +271,9 @@ class ParallelCompiler:
             digest=module_digest(module),
             diagnostics_text=diagnostics_text,
             profile=profile,
-            # On demand: a function served from the artifact cache is
-            # decoded when its object code is first read, not before.
+            # On demand: a function that came as bytes (from the cache,
+            # from another process) is decoded when its object code is
+            # first read, not before.
             objects=lambda: [result.obj for result in results],
         )
 

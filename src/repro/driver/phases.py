@@ -20,10 +20,9 @@ function — :func:`compile_one_function` is the exact unit of work a
 function master executes.  Phase 4 has the same two gears as phase 1:
 :func:`phase4_link_and_download` is the canonical sequential tail, and
 :class:`Phase4Runner` links each section as its streaming recombiner
-completes it, over the function masters' pre-assembled payloads, with a
-persistent link/module cache (:mod:`repro.cache.link_store`) and a
-sequential fallback on any irregularity so diagnostics and digests stay
-byte-identical.
+completes it, with a persistent link/module cache
+(:mod:`repro.cache.link_store`) and a sequential fallback on any
+irregularity so diagnostics and digests stay byte-identical.
 """
 
 from __future__ import annotations
@@ -38,13 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..asmlink.download import build_download_module, module_size_words
 from ..asmlink.linker import link_section, link_work_units
-from ..asmlink.assembler import assemble_function, assembly_work_units
-from ..asmlink.objformat import (
-    AssembledFunction,
-    CellProgram,
-    DownloadModule,
-    ObjectFunction,
-)
+from ..asmlink.assembler import assembly_work_units
+from ..asmlink.objformat import CellProgram, DownloadModule, ObjectFunction
 from ..codegen.compiler import compile_function
 from ..ir.lowering import lower_function
 from ..ir.loops import loop_nest_weight
@@ -556,14 +550,12 @@ def _require_cells(module: DownloadModule) -> None:
 # Sections are independent by construction — link_section reads one
 # section's object functions and the cell model, nothing else — so each
 # one is linked the moment its streaming recombiner completes, and each
-# linked program can be cached on its own.  Assembly itself has already
-# been *distributed*: function masters ship an AssembledFunction beside
-# each ObjectFunction, so a section link mostly just lays out
-# pre-assembled code.  Everything below mirrors the phase-1 contract:
-# the sequential phase4_link_and_download stays the canonical oracle,
-# and any irregularity on the fast path (a poisoned or failed function,
-# a validation error, an exception while linking) falls back to it
-# wholesale so diagnostics and digests stay byte-identical.
+# linked program can be cached on its own.  Everything below mirrors
+# the phase-1 contract: the sequential phase4_link_and_download stays
+# the canonical oracle, and any irregularity on the fast path (a
+# poisoned or failed function, a validation error, an exception while
+# linking) falls back to it wholesale so diagnostics and digests stay
+# byte-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -572,24 +564,11 @@ class Phase4Stats:
     """Telemetry for one phase-4 run through :class:`Phase4Runner`."""
 
     mode: str = "sequential"  # sequential | parallel | cached | fallback
-    assembly_ms: float = 0.0
     link_ms: float = 0.0
     link_cache_hits: int = 0
     link_cache_misses: int = 0
     module_cache_hit: bool = False
     fallback_reason: Optional[str] = None
-
-
-def _assembly_matches(asm: AssembledFunction, obj: ObjectFunction) -> bool:
-    """Cheap sanity check that a shipped pre-assembled payload belongs
-    to this object function; a mismatch (corruption the supervisor did
-    not see, or a hand-built result) means: assemble fresh."""
-    return (
-        asm.name == obj.name
-        and asm.section_name == obj.section_name
-        and asm.frame_words == obj.frame_words
-        and len(asm.bundles) == obj.bundle_count()
-    )
 
 
 class Phase4Runner:
@@ -625,8 +604,8 @@ class Phase4Runner:
         self.link_cache = link_cache
         self.stats = stats if stats is not None else Phase4Stats()
         self._sections = {s.name: s for s in parsed.module.sections}
-        #: section name -> (program, cache hit, assembly s, link s)
-        self._linked: Dict[str, Tuple[CellProgram, bool, float, float]] = {}
+        #: section name -> (program, cache hit, link s)
+        self._linked: Dict[str, Tuple[CellProgram, bool, float]] = {}
         self._taint_reason: Optional[str] = None
 
     # -- irregularity handling ----------------------------------------
@@ -638,8 +617,7 @@ class Phase4Runner:
     @staticmethod
     def _combined_clean(combined: "CombinedSection") -> bool:
         return not any(
-            getattr(report, "poisoned", 0) or getattr(report, "failed", 0)
-            for report in combined.reports
+            report.poisoned or report.failed for report in combined.reports
         )
 
     # -- module tier ---------------------------------------------------
@@ -727,7 +705,7 @@ class Phase4Runner:
             self._taint(f"{type(exc).__name__}: {exc}")
 
     def _link_one(self, section: ast.Section, combined: "CombinedSection"):
-        """One section: section-cache probe, assembly top-up, link."""
+        """One section: section-cache probe, else assemble and link."""
         key = None
         if self.link_cache is not None:
             from ..cache.link_store import section_link_key
@@ -741,31 +719,15 @@ class Phase4Runner:
             )
             program = self.link_cache.sections.get(key)
             if program is not None:
-                return program, True, 0.0, 0.0
-        preassembled = dict(combined.assembled)
+                return program, True, 0.0
         start = time.perf_counter()
-        for obj in combined.objects:
-            ready = preassembled.get(obj.name)
-            if ready is not None and not _assembly_matches(ready, obj):
-                ready = None
-            if ready is None:
-                preassembled[obj.name] = assemble_function(obj)
-        assembled_at = time.perf_counter()
         program = link_section(
-            section.name,
-            combined.objects,
-            self.array.cell,
-            preassembled=preassembled,
+            section.name, combined.objects, self.array.cell
         )
-        linked_at = time.perf_counter()
+        link_s = time.perf_counter() - start
         if key is not None:
             self.link_cache.sections.put(key, program)
-        return (
-            program,
-            False,
-            assembled_at - start,
-            linked_at - assembled_at,
-        )
+        return program, False, link_s
 
     # -- completion ----------------------------------------------------
 
@@ -826,13 +788,12 @@ class Phase4Runner:
                 if not self._combined_clean(combined[section.name]):
                     raise SectionTaintedError(section.name)
                 outcome = self._link_one(section, combined[section.name])
-            program, hit, assembly_s, link_s = outcome
+            program, hit, link_s = outcome
             clean = clean and self._combined_clean(combined[section.name])
             if hit:
                 self.stats.link_cache_hits += 1
             else:
                 self.stats.link_cache_misses += 1
-            self.stats.assembly_ms += assembly_s * 1000.0
             self.stats.link_ms += link_s * 1000.0
             programs[section.name] = program
         module = build_download_module(

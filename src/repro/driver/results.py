@@ -9,7 +9,7 @@ work profiles — what differs is how the work is laid out over processors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from ..asmlink.objformat import DownloadModule, ObjectFunction
@@ -58,27 +58,11 @@ class FunctionReport:
 
     def to_dict(self) -> Dict:
         """JSON-serializable view (``warpcc compile --json``, the compile
-        service's status protocol)."""
-        return {
-            "section": self.section_name,
-            "name": self.name,
-            "source_lines": self.source_lines,
-            "ir_instructions": self.ir_instructions,
-            "loop_weight": self.loop_weight,
-            "work_units": self.work_units,
-            "bundles": self.bundles,
-            "pipelined_loops": self.pipelined_loops,
-            "initiation_intervals": list(self.initiation_intervals),
-            "frame_words": self.frame_words,
-            "winner_config": self.winner_config,
-            "simulated_cycles": self.simulated_cycles,
-            "phase1_cache_hits": self.phase1_cache_hits,
-            "phase1_cache_misses": self.phase1_cache_misses,
-            "artifact_cache_hits": self.artifact_cache_hits,
-            "artifact_cache_misses": self.artifact_cache_misses,
-            "poisoned": self.poisoned,
-            "failed": self.failed,
-        }
+        service's status protocol): the fields, the section under the
+        key ``section``."""
+        data = asdict(self)
+        data["section"] = data.pop("section_name")
+        return data
 
 
 @dataclass
@@ -99,11 +83,11 @@ class WorkProfile:
     #: memo counted on the function reports).
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
-    #: wall-time telemetry for phase 4 and which back end ran:
-    #: ``sequential`` (SequentialCompiler's tail), ``parallel`` (the
-    #: per-section runner), ``cached`` (whole-module cache hit, phase 4
-    #: skipped), or ``fallback`` (the runner bailed to sequential).
-    phase4_assembly_ms: float = 0.0
+    #: wall-time telemetry for phase 4 (the section links, assembly
+    #: included) and which back end ran: ``sequential``
+    #: (SequentialCompiler's tail), ``parallel`` (the per-section
+    #: runner), ``cached`` (whole-module cache hit, phase 4 skipped), or
+    #: ``fallback`` (the runner bailed to sequential).
     phase4_link_ms: float = 0.0
     phase4_mode: str = "sequential"
     #: link-cache counters for this compile's phase 4 (per-section
@@ -203,52 +187,19 @@ class WorkProfile:
         return sections
 
     def to_dict(self) -> Dict:
-        """JSON-serializable view of the profile and its counters."""
-        return {
-            "parse_work": self.parse_work,
-            "sema_work": self.sema_work,
-            "phase1_parse_ms": self.phase1_parse_ms,
-            "phase1_sema_ms": self.phase1_sema_ms,
-            "phase1_mode": self.phase1_mode,
-            "parse_cache_hits": self.parse_cache_hits,
-            "parse_cache_misses": self.parse_cache_misses,
-            "phase4_assembly_ms": self.phase4_assembly_ms,
-            "phase4_link_ms": self.phase4_link_ms,
-            "phase4_mode": self.phase4_mode,
-            "link_cache_hits": self.link_cache_hits,
-            "link_cache_misses": self.link_cache_misses,
-            "assembly_work": self.assembly_work,
-            "link_work": self.link_work,
-            "download_words": self.download_words,
-            "source_lines": self.source_lines,
-            "workers_used": self.workers_used,
-            "total_work": self.total_work(),
-            "function_work": self.function_work(),
-            "phase1_cache_hits": self.phase1_cache_hits(),
-            "phase1_cache_misses": self.phase1_cache_misses(),
-            "artifact_cache_hits": self.artifact_cache_hits(),
-            "artifact_cache_misses": self.artifact_cache_misses(),
-            "artifact_cache_evictions": self.artifact_cache_evictions,
-            "artifact_cache_corrupt": self.artifact_cache_corrupt,
-            "supervised": self.supervised,
-            "supervisor_timeouts": self.supervisor_timeouts,
-            "supervisor_hedges_won": self.supervisor_hedges_won,
-            "supervisor_quarantines": self.supervisor_quarantines,
-            "supervisor_poisoned_tasks": self.supervisor_poisoned_tasks,
-            "supervisor_degradations": self.supervisor_degradations,
-            "supervisor_corrupt_payloads": self.supervisor_corrupt_payloads,
-            "searched": self.searched,
-            "search_space": list(self.search_space),
-            "search_variants_simulated": self.search_variants_simulated,
-            "search_variants_cached": self.search_variants_cached,
-            "search_variants_identical": self.search_variants_identical,
-            "search_variants_disqualified": self.search_variants_disqualified,
-            "search_wins": dict(self.search_wins),
-            "search_baseline_cycles": self.search_baseline_cycles,
-            "search_module_cycles": self.search_module_cycles,
-            "search_cycles_saved": self.search_cycles_saved,
-            "functions": [f.to_dict() for f in self.functions],
-        }
+        """JSON-serializable view of the profile and its counters: the
+        fields, plus the sums the reports are read for."""
+        data = asdict(self)
+        data.update(
+            functions=[f.to_dict() for f in self.functions],
+            total_work=self.total_work(),
+            function_work=self.function_work(),
+            phase1_cache_hits=self.phase1_cache_hits(),
+            phase1_cache_misses=self.phase1_cache_misses(),
+            artifact_cache_hits=self.artifact_cache_hits(),
+            artifact_cache_misses=self.artifact_cache_misses(),
+        )
+        return data
 
 
 @dataclass

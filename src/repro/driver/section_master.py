@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
-from ..asmlink.objformat import AssembledFunction, ObjectFunction
+from ..asmlink.objformat import ObjectFunction
 from ..lang import ast_nodes as ast
-from .function_master import FunctionTaskResult, result_payload_digest
+from .function_master import FunctionTaskResult
 from .results import FunctionReport
 
 
@@ -40,8 +40,8 @@ class CombinedSection:
     section_name: str
     #: the function masters' results — what a link that is served from
     #: the cache reads of them is their reports and digests, so the
-    #: object code (``objects``, ``assembled``) is taken out on demand:
-    #: for a cached result that is when it is decoded
+    #: object code (``objects``) is taken out on demand: for a result
+    #: that crossed a boundary that is when it is verified and decoded
     results: List[FunctionTaskResult] = field(default_factory=list)
     reports: List[FunctionReport] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
@@ -54,17 +54,6 @@ class CombinedSection:
     @cached_property
     def objects(self) -> List[ObjectFunction]:
         return [result.obj for result in self.results]
-
-    @cached_property
-    def assembled(self) -> Dict[str, AssembledFunction]:
-        """Distributed-assembly payloads, keyed by function name
-        (functions whose master's assembly failed are absent; the
-        linker assembles them itself)."""
-        return {
-            result.function_name: result.assembled
-            for result in self.results
-            if result.assembled is not None
-        }
 
 
 def combine_section_results(
@@ -103,9 +92,7 @@ def combine_section_results(
         combined.reports.append(result.report)
         combined.diagnostics.extend(result.diagnostics)
         combined.combine_work += result.report.bundles + 1
-        combined.payload_digests.append(
-            result.payload_digest or result_payload_digest(result)
-        )
+        combined.payload_digests.append(result.payload_digest)
     return combined
 
 

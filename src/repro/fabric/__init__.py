@@ -17,8 +17,8 @@ Robustness model (see INTERNALS.md §Distributed fabric):
 - results are deduplicated by task key — first result wins, exactly the
   hedging rule the supervisor already applies;
 - every task and result crossing the wire carries a content digest, and
-  results are additionally re-validated against their sealed
-  ``payload_digest`` before the hub will route them;
+  a result's code is additionally re-hashed against its sealed
+  ``payload_digest`` before the hub will route it;
 - zero live nodes degrades gracefully to the local fallback pool;
 - the two-tier artifact cache (:mod:`repro.fabric.netcache`) treats
   every network-tier failure as a miss — cache trouble can cost a

@@ -109,7 +109,9 @@ class _TaskState:
 
 
 class _Node:
-    __slots__ = ("node_id", "conn", "workers", "expires_at", "inflight", "alive")
+    __slots__ = (
+        "node_id", "conn", "workers", "expires_at", "inflight", "alive", "refused"
+    )
 
     def __init__(self, node_id: str, conn, workers: int, expires_at: float):
         self.node_id = node_id
@@ -118,6 +120,9 @@ class _Node:
         self.expires_at = expires_at
         self.inflight: Dict[str, _TaskState] = {}
         self.alive = True
+        #: tasks of which this node sent a result that was refused: the
+        #: ack that follows it on the connection completes nothing
+        self.refused: Set[str] = set()
 
 
 class FabricHub:
@@ -271,7 +276,11 @@ class FabricHub:
                 if op == "result":
                     self._on_result(node, frame)
                 elif op == "task-done":
-                    self._complete_task(str(frame.get("id", "")))
+                    task_id = str(frame.get("id", ""))
+                    if task_id in node.refused:
+                        node.refused.discard(task_id)
+                    else:
+                        self._complete_task(task_id)
                 elif op == "task-failed":
                     self._on_task_failed(frame)
                 elif op == "goodbye":
@@ -370,6 +379,7 @@ class FabricHub:
             # attempt, never a wrong artifact.  Re-queue the task.
             with self._lock:
                 self.stats.corrupt_frames += 1
+            node.refused.add(task_id)
             self._requeue_task(task_id)
             return
         self._route_result(task_id, result, worker=f"node:{node.node_id}")

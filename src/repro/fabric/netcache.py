@@ -228,14 +228,14 @@ class NetworkCacheClient:
             return None
         try:
             result = unpack_blob(reply, FunctionTaskResult)
-            sealed = result.payload_digest
-            if sealed is None or result_payload_digest(result) != sealed:
+            if result_payload_digest(result) != result.payload_digest:
                 raise ProtocolError("cache entry fails payload-digest validation")
         except Exception:  # noqa: BLE001 - cache trouble must never fail a compile
             # A corrupt network-tier entry is a miss, never an artifact
             # and never an error: even a blob that unpickles into a
-            # FunctionTaskResult with mangled internals (payload-digest
-            # derivation raising) degrades to a recompile.
+            # FunctionTaskResult with mangled internals (something other
+            # than bytes where its code should be) degrades to a
+            # recompile.
             self.corrupt_responses += 1
             self.remote_misses += 1
             return None

@@ -31,8 +31,9 @@ over its own blob, so it proves nothing about who sent the frame.  Two
 mechanisms defend the unpickling boundary against a hostile peer:
 
 - every blob is decoded by a **restricted unpickler** whose global
-  table is a closed allowlist of the task/result dataclasses and their
-  constituents (:data:`ALLOWED_PICKLE_GLOBALS`); a blob referencing any
+  table is a closed allowlist of the task, result and report records
+  (:data:`ALLOWED_PICKLE_GLOBALS` — object code travels inside a result
+  as encoded bytes, not as classes); a blob referencing any
   other callable — ``os.system``, ``subprocess.Popen``, anything — is
   rejected before it can construct, so a pickle can never be turned
   into code execution;
@@ -63,14 +64,6 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from ..asmlink.objformat import (
-    AssembledFunction,
-    Bundle,
-    CodegenInfo,
-    MachineOp,
-    ObjectFunction,
-    ScheduledBlock,
-)
 from ..cache import pickled
 from ..driver.function_master import (
     FunctionTask,
@@ -78,8 +71,6 @@ from ..driver.function_master import (
     result_payload_digest,
 )
 from ..driver.results import FunctionReport
-from ..ir.instructions import Opcode
-from ..machine.resources import FUClass, PhysReg
 
 #: Protocol revision; bumped on incompatible frame changes.
 PROTOCOL_VERSION = 1
@@ -188,31 +179,14 @@ def encode_frame(frame: dict) -> bytes:
 # decoded through a closed-allowlist unpickler on every crossing.
 # ---------------------------------------------------------------------------
 
-#: The only globals a fabric blob may reference: the task/result
-#: dataclasses, their constituent types, and the handful of builtin
-#: containers pickle resolves by name.  Everything else — any function,
-#: any other class — is rejected before the unpickler can construct it,
-#: which is what makes a hostile blob inert rather than remote code
-#: execution.
+#: The only globals a fabric blob may reference: the task, the result
+#: and the report inside it — three flat records of strings, numbers,
+#: lists of them and (a result's object code) bytes, none of which
+#: pickle resolves by name.  Everything else — any function, any other
+#: class — is rejected before the unpickler can construct it, which is
+#: what makes a hostile blob inert rather than remote code execution.
 ALLOWED_PICKLE_GLOBALS: Dict[Tuple[str, str], type] = pickled.allowed_globals(
-    FunctionTask,
-    FunctionTaskResult,
-    FunctionReport,
-    ObjectFunction,
-    AssembledFunction,
-    ScheduledBlock,
-    Bundle,
-    MachineOp,
-    CodegenInfo,
-    Opcode,
-    FUClass,
-    PhysReg,
-    set,
-    frozenset,
-    complex,
-    bytearray,
-    range,
-    slice,
+    FunctionTask, FunctionTaskResult, FunctionReport
 )
 
 
@@ -318,14 +292,14 @@ def encode_result(result: FunctionTaskResult, task_id: str) -> dict:
 def decode_result(frame: dict) -> FunctionTaskResult:
     """Decode a result frame and validate its sealed payload digest.
 
-    The blob digest catches transport corruption; re-deriving the
-    payload digest additionally catches a worker that pickled garbage —
-    the same check the supervisor applies, enforced at the wire so a
-    corrupt result never even enters the scheduler.
+    The blob digest catches transport corruption; re-hashing the
+    result's code against its payload digest additionally catches a
+    worker that pickled garbage — the same check the supervisor applies,
+    enforced at the wire so a corrupt result never even enters the
+    scheduler.
     """
     result = unpack_blob(frame, FunctionTaskResult)
-    sealed = result.payload_digest
-    if sealed is not None and result_payload_digest(result) != sealed:
+    if result_payload_digest(result) != result.payload_digest:
         raise WireCorruption(
             f"result {result.section_name}.{result.function_name} fails "
             "payload-digest validation"

@@ -552,10 +552,9 @@ class DifferentialOracle:
     def _compile_phase4_variant(self, source: str, *, array, opt_level):
         """Link-cache-cold phase 4, then a fully-warm recompile.
 
-        The cold run links every section over pre-assembled payloads;
-        the warm run serves phases 2/3 from
-        the artifact cache and must skip phase 4 via the whole-module
-        tier.  Digests must match across the pair, and — combined with
+        The cold run links every section as it is recombined; the warm
+        run serves phases 2/3 from the artifact cache and must skip
+        phase 4 via the whole-module tier.  Digests must match across the pair, and — combined with
         the generic digest check against the sequential baseline — that
         pins sequential == parallel == cached phase-4 output."""
         with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-link-") as tmp:

@@ -24,6 +24,7 @@ third-try result, and the final download module stays bit-identical.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Iterator, List, Optional, Tuple
 
 from ..driver.function_master import FunctionTask, FunctionTaskResult
@@ -78,14 +79,10 @@ class ChaosBackend:
       compiling — an overloaded or wedged workstation.  The result still
       arrives, just late, which is exactly what deadline enforcement and
       straggler hedging must absorb;
-    - **corrupt** (``corrupt_rate``): the attempt succeeds but its
-      payload is scribbled on *after* the function master sealed its
-      payload digest — a damaged IPC message;
-    - **corrupt assembly** (``corrupt_assembly_rate``): the attempt
-      succeeds but the *pre-assembled* payload (distributed assembly)
-      is scribbled on after the digest was sealed — the object function
-      is intact, so only validation of the assembled half can catch it
-      before the linker lays out a frame size that was never compiled;
+    - **corrupt** (``corrupt_rate``): the attempt succeeds but one byte
+      of its ``code`` flips *after* the function master sealed its
+      payload digest — a damaged IPC message.  Like a result that
+      really crossed a boundary, the damaged one holds no object graph;
     - **worker death** (``dead_workers``): every attempt assigned to a
       dead worker fails — a rebooted host.  Combined with the
       supervisor's quarantine this exercises graceful degradation;
@@ -108,7 +105,6 @@ class ChaosBackend:
         hang_rate: float = 0.0,
         hang_delay: float = 0.25,
         corrupt_rate: float = 0.0,
-        corrupt_assembly_rate: float = 0.0,
         dead_workers: Tuple[str, ...] = (),
         poison: Tuple[Tuple[str, Optional[str]], ...] = (),
         max_failures_per_task: Optional[int] = None,
@@ -122,7 +118,6 @@ class ChaosBackend:
             ("crash_rate", crash_rate),
             ("hang_rate", hang_rate),
             ("corrupt_rate", corrupt_rate),
-            ("corrupt_assembly_rate", corrupt_assembly_rate),
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -133,7 +128,6 @@ class ChaosBackend:
         self.hang_rate = hang_rate
         self.hang_delay = hang_delay
         self.corrupt_rate = corrupt_rate
-        self.corrupt_assembly_rate = corrupt_assembly_rate
         self.dead_workers = frozenset(dead_workers)
         self.poison = frozenset(poison)
         self.max_failures_per_task = max_failures_per_task
@@ -145,7 +139,6 @@ class ChaosBackend:
         self.injected_crashes = 0
         self.injected_hangs = 0
         self.injected_corruptions = 0
-        self.injected_assembly_corruptions = 0
 
     @property
     def worker_count(self) -> int:
@@ -228,28 +221,15 @@ class ChaosBackend:
             )
             if corrupt:
                 self.injected_corruptions += 1
-            corrupt_asm = any(
-                r.assembled is not None for r in results
-            ) and schedule.fires(
-                "corrupt-assembly", key, attempt, self.corrupt_assembly_rate,
-                self.max_corruptions_per_task,
-            )
-            if corrupt_asm:
-                self.injected_assembly_corruptions += 1
             for position, result in enumerate(results):
-                result.worker = worker
                 if corrupt and position == 0:
-                    # Scribble on the payload *after* the digest was
-                    # sealed: the frame size silently changes, which
-                    # would mislink — unless validation catches it.
-                    result.obj.frame_words += 9973
-                if corrupt_asm and result.assembled is not None:
-                    # Scribble only the *pre-assembled* half: the object
-                    # function still matches its own digest text, so a
-                    # validator that ignores the assembled payload would
-                    # happily link a frame size nobody compiled.
-                    result.assembled.frame_words += 7717
-                    corrupt_asm = False  # first assembled result only
+                    # Flip a byte *after* the digest was sealed (the
+                    # copy has the bytes and no graph): different code
+                    # would link — unless validation catches it.
+                    code = bytearray(result.code)
+                    code[len(code) // 2] ^= 0xFF
+                    result = replace(result, code=bytes(code))
+                result.worker = worker
                 yield ("result", result)
 
     def run_tasks_streaming(

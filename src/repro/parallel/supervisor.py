@@ -35,10 +35,11 @@ master the paper wished for, around any execution backend:
    even that fails, the function is surfaced as a stubbed, per-function
    diagnostic while the rest of the module still compiles.
 
-5. **Result validation.**  Function masters seal a payload digest over
-   the object code before it crosses the IPC boundary; the supervisor
-   re-derives it on receipt.  A mismatch is treated as an attempt
-   failure — a corrupted payload is re-run, never linked.
+5. **Result validation.**  Function masters seal a payload digest —
+   the SHA-256 of the encoded object code — before it crosses the IPC
+   boundary; the supervisor re-hashes the bytes on receipt.  A mismatch
+   is treated as an attempt failure — a corrupted payload is re-run,
+   never linked.
 
 The supervisor consumes dispatches through whatever incremental surface
 the inner backend offers (``run_tasks_events``, else streaming),
@@ -59,6 +60,7 @@ from ..asmlink.objformat import ObjectFunction
 from ..driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
+    attach_assembly,
     phase1_cached,
     result_payload_digest,
     run_compile_task,
@@ -493,9 +495,7 @@ class _SupervisedRun:
         state = self.states.get(tkey)
         if state is None:
             return  # a result for a task we never dispatched
-        if result.payload_digest is not None and (
-            result_payload_digest(result) != result.payload_digest
-        ):
+        if result_payload_digest(result) != result.payload_digest:
             self.stats.corrupt_payloads += 1
             yield from self._attempt_failed(
                 dispatch, tkey, result.worker, "corrupt result payload"
@@ -709,7 +709,6 @@ class _SupervisedRun:
                     f"attempt(s) ({reasons}); in-process compile failed:\n"
                     f"{trace}",
                 )
-                result.payload_digest = result_payload_digest(result)
         else:
             for result in results:
                 result.report.poisoned = 1
@@ -719,7 +718,6 @@ class _SupervisedRun:
                     f"isolated after {attempts} failed farm attempt(s) "
                     f"({reasons}); compiled in-process",
                 )
-                result.payload_digest = result_payload_digest(result)
         self._resolve(state, None)
         for result in results:
             rkey = (result.section_name, result.function_name)
@@ -753,11 +751,9 @@ class _SupervisedRun:
         results = []
         for name in names:
             results.append(
-                FunctionTaskResult(
-                    section_name=task.section_name,
-                    function_name=name,
-                    obj=ObjectFunction(name=name, section_name=task.section_name),
-                    report=FunctionReport(
+                attach_assembly(
+                    ObjectFunction(name=name, section_name=task.section_name),
+                    FunctionReport(
                         section_name=task.section_name,
                         name=name,
                         source_lines=0,
@@ -767,6 +763,7 @@ class _SupervisedRun:
                         bundles=0,
                         pipelined_loops=0,
                     ),
+                    [],
                 )
             )
         return results

@@ -219,7 +219,6 @@ class TestCIMatrixCoverage:
             "crash_rate": inner.injected_crashes,
             "hang_rate": inner.injected_hangs,
             "corrupt_rate": inner.injected_corruptions,
-            "corrupt_assembly_rate": inner.injected_assembly_corruptions,
         }
         armed = [name for name, rate in rates.items() if rate > 0]
         assert armed

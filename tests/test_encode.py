@@ -291,14 +291,28 @@ def _round_trip_operand(value):
 
 
 class TestObjectFunctionBlobs:
-    """The artifact tier's body: a pre-assembly function, labels still
-    names, round-trips exactly — accounting and diagnostics included."""
+    """A result's code and the artifact tier's body: a pre-assembly
+    function, labels still names, round-trips exactly — diagnostics
+    included, accounting (``info``) left to the function's report."""
 
     def test_round_trip_is_exact(self, compiled, compiled_multi):
+        from dataclasses import replace
+
+        from repro.asmlink.objformat import CodegenInfo
+
         for result in (compiled, compiled_multi):
             for obj in result.objects:
                 obj.diagnostics = [f"note: {obj.name}"]
-                assert decode_object_function(encode_object_function(obj)) == obj
+                blob = encode_object_function(obj)
+                assert obj.info.work_units > 0
+                assert decode_object_function(blob) == replace(
+                    obj, info=CodegenInfo()
+                )
+                # Same code, more work spent on it: same bytes.
+                busier = replace(
+                    obj, info=replace(obj.info, work_units=obj.info.work_units + 14)
+                )
+                assert encode_object_function(busier) == blob
 
     def test_label_names_are_refused_in_a_download_module(self, compiled):
         from repro.asmlink.objformat import AssembledFunction, CellProgram

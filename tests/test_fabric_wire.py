@@ -1,15 +1,36 @@
 """Fabric wire protocol: bounded framing, digest validation, backoff."""
 
+import hashlib
 import io
 import random
 import socket
 import threading
 import time
 
+from dataclasses import replace
+
 import pytest
 
-from repro.driver.function_master import FunctionTask, run_compile_task
+from repro.cache import ArtifactCache, compiler_salt, module_fingerprints
+from repro.driver.function_master import (
+    FunctionTask,
+    FunctionTaskResult,
+    run_compile_task,
+)
+from repro.driver.master import ParallelCompiler
+from repro.driver.phases import phase1_parse_and_check
+from repro.driver.results import FunctionReport
+from repro.driver.sequential import SequentialCompiler
+from repro.fabric import (
+    CacheServiceServer,
+    FabricHub,
+    NetworkCacheClient,
+    RemoteBackend,
+    TieredCache,
+    WorkerNodeAgent,
+)
 from repro.fabric.wire import (
+    ALLOWED_PICKLE_GLOBALS,
     FABRIC_SECRET_ENV,
     AuthenticationError,
     ProtocolError,
@@ -26,6 +47,9 @@ from repro.fabric.wire import (
     read_frame_line,
     unpack_blob,
 )
+from repro.machine.warp_array import WarpArrayModel
+from repro.parallel.local import SerialBackend
+from repro.parallel.supervisor import SupervisedBackend
 
 SOURCE = """
 module wire_mod
@@ -105,9 +129,11 @@ class TestBlobCodec:
 
     def test_result_roundtrip_preserves_payload_digest(self):
         _, result = _compiled_result()
-        assert result.payload_digest is not None  # sealed by the master
+        # sealed by the function master: the hash of the code
+        assert result.payload_digest == hashlib.sha256(result.code).hexdigest()
         decoded = decode_result(encode_result(result, "w0.0"))
         assert decoded.payload_digest == result.payload_digest
+        assert decoded.code == result.code
         assert decoded.obj.digest_text() == result.obj.digest_text()
 
     def test_blob_digest_mismatch_is_corruption(self):
@@ -134,7 +160,7 @@ class TestBlobCodec:
         """A worker that pickled garbage under a stale seal is caught at
         the wire even though the blob digest (of the garbage) matches."""
         _, result = _compiled_result()
-        result.obj.frame_words += 1  # payload changed, seal left stale
+        result.code = result.code[:-1]  # payload changed, seal left stale
         frame = encode_result(result, "w0.0")
         with pytest.raises(WireCorruption):
             decode_result(frame)
@@ -232,13 +258,116 @@ class TestRestrictedUnpickling:
             unpack_blob(frame, object)
 
     def test_allowlist_admits_the_real_object_graph(self):
-        """The full compiled result — object function, bundles, enums,
-        registers, assembled form — survives the restricted decoder."""
+        """The real graph is three flat records — the allowlist names
+        exactly those — and the full compiled result survives the
+        restricted decoder: its object code travels inside it as bytes."""
+        assert set(ALLOWED_PICKLE_GLOBALS.values()) == {
+            FunctionTask,
+            FunctionTaskResult,
+            FunctionReport,
+        }
         _, result = _compiled_result()
         decoded = decode_result(encode_result(result, "w0.0"))
+        assert decoded == result
         assert decoded.obj.digest_text() == result.obj.digest_text()
-        if result.assembled is not None:
-            assert decoded.assembled.digest_text() == result.assembled.digest_text()
+
+    def test_object_code_classes_are_refused_like_any_foreign_global(self):
+        """No class of the object-code graph is admitted any more: a
+        blob that names one is refused where its global is resolved,
+        before anything of that class is constructed."""
+        _, result = _compiled_result()
+        smuggled = replace(result, code=result.obj)
+        frame = encode_result(smuggled, "w0.0")
+        with pytest.raises(WireCorruption) as excinfo:
+            decode_result(frame)
+        assert "repro.asmlink.objformat.ObjectFunction" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# One hostile result, every validator.  A result that does not hash to
+# its seal is refused wherever results are taken in — counted, re-run or
+# missed — and the module that comes out is the sequential compiler's.
+# ---------------------------------------------------------------------------
+
+
+def _flip(code: bytes) -> bytes:
+    return code[:7] + bytes([code[7] ^ 1]) + code[8:]
+
+
+HOSTILE = {
+    "digest_removed": lambda r: replace(r, payload_digest=None),
+    "digest_of_other_bytes": lambda r: replace(
+        r, payload_digest=hashlib.sha256(b"other bytes").hexdigest()
+    ),
+    "flipped_byte": lambda r: replace(r, code=_flip(r.code)),
+    "truncated_code": lambda r: replace(r, code=r.code[:-9]),
+}
+
+
+class _HostileOnce(SerialBackend):
+    """A worker whose first result is hostile and every later one clean."""
+
+    def __init__(self, mangle):
+        self.mangle = mangle
+        self.served = 0
+
+    def run_tasks_streaming(self, tasks):
+        for result in super().run_tasks_streaming(tasks):
+            self.served += 1
+            yield self.mangle(result) if self.served == 1 else result
+
+
+def _through_the_supervisor(mangle, tmp_path):
+    backend = SupervisedBackend(_HostileOnce(mangle), hedge_after=None)
+    digest = ParallelCompiler(backend=backend).compile(SOURCE).digest
+    return digest, backend.supervision.corrupt_payloads
+
+
+def _through_the_wire(mangle, tmp_path):
+    with FabricHub(lease_ttl=5.0, heartbeat_interval=0.2) as hub:
+        agent = WorkerNodeAgent(
+            hub.address, _HostileOnce(mangle), node_id="hostile"
+        ).start()
+        try:
+            assert hub.wait_for_nodes(1, timeout=10.0)
+            compiler = ParallelCompiler(backend=RemoteBackend(hub))
+            return compiler.compile(SOURCE).digest, hub.stats.corrupt_frames
+        finally:
+            agent.stop()
+
+
+def _through_the_network_tier(mangle, tmp_path):
+    _, result = _compiled_result()
+    fingerprints = module_fingerprints(
+        phase1_parse_and_check(SOURCE).module,
+        opt_level=2,
+        cell_count=WarpArrayModel().cell_count,
+        salt=compiler_salt(),
+    )
+    with CacheServiceServer(tmp_path / "server") as server:
+        client = NetworkCacheClient(server.address)
+        cache = TieredCache(ArtifactCache(tmp_path / "local"), client)
+        try:
+            assert client.put(fingerprints[("s", "main")], mangle(result))
+            digest = ParallelCompiler(cache=cache).compile(SOURCE).digest
+            assert client.remote_hits == 0 and client.remote_misses == 1
+            return digest, client.corrupt_responses
+        finally:
+            cache.close()
+
+
+@pytest.mark.parametrize("hostility", sorted(HOSTILE))
+@pytest.mark.parametrize(
+    "validator",
+    (_through_the_supervisor, _through_the_wire, _through_the_network_tier),
+    ids=("supervisor", "wire", "network_tier"),
+)
+def test_a_result_that_does_not_verify_is_refused_at_every_boundary(
+    validator, hostility, tmp_path
+):
+    digest, counted = validator(HOSTILE[hostility], tmp_path)
+    assert counted == 1
+    assert digest == SequentialCompiler().compile(SOURCE).digest
 
 
 class TestAuthentication:

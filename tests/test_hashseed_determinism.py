@@ -6,6 +6,7 @@ code generation would show up as a digest or work-unit difference between
 interpreters started with different ``PYTHONHASHSEED`` values.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -15,8 +16,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
-import hashlib, json
-from repro import SequentialCompiler
+import hashlib, json, tempfile
+from repro import ParallelCompiler, SequentialCompiler
+from repro.cache import ArtifactCache
+from repro.driver.phases import phase1_parse_and_check
+from repro.parallel import SerialBackend, WarmPoolBackend
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.workloads.synthetic import synthetic_program
 from repro.workloads.user_program import user_program
@@ -37,11 +41,32 @@ for name, source in programs.items():
             for f in result.profile.functions
         ],
     }
+
+# Payload digests key the link tier: one that moved with the hash seed, or
+# with who handed the result over, would turn link hits into silent misses.
+def payload_digests(results):
+    return sorted([r.section_name, r.function_name, r.payload_digest] for r in results)
+
+with WarmPoolBackend(2) as pool, tempfile.TemporaryDirectory() as tmp:
+    for name in ("s2_medium", "user_program"):
+        tasks = ParallelCompiler()._build_tasks(
+            phase1_parse_and_check(programs[name]), programs[name], name + ".w2"
+        )
+        serial = list(SerialBackend().run_tasks_streaming(tasks))
+        for index, result in enumerate(serial):
+            ArtifactCache(tmp).put(f"{index:064x}", result)
+        served = [ArtifactCache(tmp).get(f"{index:064x}") for index in range(len(serial))]
+        digests = payload_digests(serial)
+        assert len(digests) == len(tasks)
+        assert digests == payload_digests(pool.run_tasks_streaming(tasks))
+        assert digests == payload_digests(served)
+        out[name]["payload_digests"] = digests
 print(json.dumps(out, sort_keys=True))
 """
 
 
-def test_digests_and_work_units_equal_across_hash_seeds():
+@functools.lru_cache(maxsize=None)
+def outputs_per_seed():
     runs = []
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
@@ -59,6 +84,21 @@ def test_digests_and_work_units_equal_across_hash_seeds():
         stdout, stderr = run.communicate(timeout=120)
         assert run.returncode == 0, stderr
         outputs.append(json.loads(stdout))
+    return outputs
+
+
+def test_digests_and_work_units_equal_across_hash_seeds():
+    outputs = outputs_per_seed()
     assert set(outputs[0]) == {"s2_medium", "user_program", "fz3", "fz9"}
     assert all(fns["work_units"] for fns in outputs[0].values())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_payload_digests_equal_across_hash_seeds_and_origins():
+    """Within each interpreter the script has already held serial,
+    warm-pool and cache-served results to one digest per function."""
+    outputs = outputs_per_seed()
+    for name in ("s2_medium", "user_program"):
+        per_seed = [output[name]["payload_digests"] for output in outputs]
+        assert per_seed[0] and per_seed[0] == per_seed[1] == per_seed[2]
+        assert all(len(digest) == 64 for _, _, digest in per_seed[0])

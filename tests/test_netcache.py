@@ -250,8 +250,7 @@ class TestHostileEntries:
 
     def test_entry_with_mangled_internals_degrades_to_miss(self, client):
         fp, result = _artifact()
-        result.obj = None  # payload-digest derivation would raise on this
-        assert result.payload_digest is not None
+        result.code = None  # payload-digest derivation would raise on this
         assert client.put(fp, result)
         assert client.get(fp) is None  # degraded to a recompile, no error
         assert client.corrupt_responses == 1

@@ -12,13 +12,18 @@ canonical diagnostics via wholesale fallback, and a 1-function edit on
 a warm link cache re-links exactly one section.
 """
 
+import pickle
 import tempfile
 
 import pytest
 
 from repro.asmlink.download import module_digest
 from repro.cache import ArtifactCache, LinkCache
-from repro.driver.function_master import FunctionTask, run_compile_task
+from repro.driver.function_master import (
+    FunctionTask,
+    PayloadCorruption,
+    run_compile_task,
+)
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import (
     Phase4Runner,
@@ -233,15 +238,17 @@ def test_diagnostics_text_keys_the_module_tier():
 
 
 def test_stripped_assembly_still_links_identically():
-    """Results without distributed-assembly payloads (old workers, or a
-    master that failed to assemble) link to the same bits — the link
-    job just assembles in place."""
+    """Results stripped to what crosses a boundary — their bytes: no
+    object graph, nothing assembled — link to the same bits; the link
+    job decodes and assembles in place."""
     parsed, combined = _combined_for(SOURCE)
     want = module_digest(
         phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
     )
-    for section in combined.values():
-        section.assembled.clear()
+    for section in parsed.module.sections:
+        stripped = pickle.loads(pickle.dumps(combined[section.name].results))
+        assert not any("_obj" in vars(result) for result in stripped)
+        combined[section.name] = combine_section_results(section, stripped)
     stats = Phase4Stats()
     module, _, _ = run_phase4(
         parsed, combined, ARRAY, stats=stats
@@ -251,16 +258,20 @@ def test_stripped_assembly_still_links_identically():
 
 
 def test_mismatched_assembly_payload_is_reassembled():
-    """A pre-assembled payload that does not match its object function
-    (corruption the supervisor never saw) is discarded, not linked."""
+    """No assembly is shipped any more, so none can mismatch; what can
+    is a result's code and its payload digest (corruption the
+    supervisor never saw).  Such a result is not linked: reading its
+    object code raises, in the runner and again in the fallback."""
     parsed, combined = _combined_for(SOURCE)
-    want = module_digest(
-        phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
-    )
-    victim = combined["a"].assembled["a1"]
-    victim.frame_words += 7717
-    module, _, _ = run_phase4(parsed, combined, ARRAY)
-    assert module_digest(module) == want
+    section = parsed.module.section_named("a")
+    results = pickle.loads(pickle.dumps(combined["a"].results))
+    results[1].code = results[1].code[:40] + b"\xff" + results[1].code[41:]
+    combined["a"] = combine_section_results(section, results)
+    stats = Phase4Stats()
+    with pytest.raises(PayloadCorruption, match=r"a\.a2"):
+        run_phase4(parsed, combined, ARRAY, stats=stats)
+    assert stats.mode == "fallback"
+    assert "PayloadCorruption" in stats.fallback_reason
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +468,17 @@ def test_compile_starts_no_thread(with_caches, monkeypatch):
 
 
 def test_unsupervised_corrupt_assembly_still_links_identically():
-    """The runner consumes shipped assembly on every compile now, so a
-    scribbled pre-assembled payload nobody validated must be discarded
-    at link time — with no supervisor in front to catch it."""
+    """What is linked is what was validated, with no supervisor in
+    front to re-run it too: a result corrupted after it was sealed
+    fails the compile — it links neither identically nor differently."""
     from repro.parallel.fault_tolerance import ChaosBackend
 
-    backend = ChaosBackend(SerialBackend(), corrupt_assembly_rate=1.0)
+    backend = ChaosBackend(SerialBackend(), corrupt_rate=1.0)
     compiler = ParallelCompiler(backend=backend)
-    par = compiler.compile(SOURCE)
-    assert backend.injected_assembly_corruptions == 5  # every function
-    assert par.digest == SequentialCompiler().compile(SOURCE).digest
-    assert compiler.last_phase4_stats.mode == "parallel"
+    with pytest.raises(PayloadCorruption):
+        compiler.compile(SOURCE)
+    assert backend.injected_corruptions == 5  # every function
+    assert compiler.last_phase4_stats.mode == "fallback"
 
 
 def test_compile_cli_json_reports_link_cache(tmp_path, capsys):

@@ -341,27 +341,11 @@ class TestResultValidation:
     def test_corrupt_payload_is_detected_and_rerun(self):
         inner = chaos(seed=2, corrupt_rate=1.0, max_corruptions_per_task=1)
         backend = supervised(inner, max_attempts=3, hedge_after=None)
-        par = ParallelCompiler(backend=backend).compile(SOURCE)
-        seq = SequentialCompiler().compile(SOURCE)
-        assert par.digest == seq.digest
-        assert inner.injected_corruptions == 6
-        assert backend.supervision.corrupt_payloads == 6
-        assert par.profile.supervisor_corrupt_payloads == 6
-
-    def test_corrupt_assembled_payload_is_detected_and_rerun(self):
-        """A scribbled AssembledFunction must be re-run, never linked:
-        the payload digest covers the pre-assembled half too, so the
-        supervisor rejects the result even though the ObjectFunction
-        beside it is pristine."""
-        inner = chaos(
-            seed=2, corrupt_assembly_rate=1.0, max_corruptions_per_task=1
-        )
-        backend = supervised(inner, max_attempts=3, hedge_after=None)
         compiler = ParallelCompiler(backend=backend)
         par = compiler.compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert inner.injected_assembly_corruptions == 6
+        assert inner.injected_corruptions == 6
         assert backend.supervision.corrupt_payloads == 6
         assert par.profile.supervisor_corrupt_payloads == 6
         # The retried results linked through the runner, not a
@@ -369,6 +353,8 @@ class TestResultValidation:
         assert compiler.last_phase4_stats.mode == "parallel"
 
     def test_payload_digest_travels_with_results(self):
+        import hashlib
+
         from repro.driver.function_master import (
             FunctionTask,
             result_payload_digest,
@@ -376,7 +362,10 @@ class TestResultValidation:
 
         results = run_compile_task(FunctionTask(SOURCE, "<t>", "s", "f0"))
         assert results[0].payload_digest == result_payload_digest(results[0])
-        assert results[0].assembled is not None
+        assert (
+            results[0].payload_digest
+            == hashlib.sha256(results[0].code).hexdigest()
+        )
 
 
 class TestSectionGranularity:
@@ -404,7 +393,6 @@ class TestSeededChaosEndToEnd:
             "crash_rate": 0.0,
             "hang_rate": 0.0,
             "corrupt_rate": 0.0,
-            "corrupt_assembly_rate": 0.0,
         }
         if fault in ("crash", "mixed"):
             rates["crash_rate"] = 0.3
@@ -412,9 +400,6 @@ class TestSeededChaosEndToEnd:
             rates["hang_rate"] = 0.3
         if fault in ("corrupt", "mixed"):
             rates["corrupt_rate"] = 0.25
-        # Its own matrix leg, not part of "mixed".
-        if fault == "corrupt-assembly":
-            rates["corrupt_assembly_rate"] = 0.25
         return rates
 
     @classmethod

@@ -10,15 +10,23 @@ What these tests pin, each meaningless before the change:
   unpickles nothing outside ``parse/``;
 - corruption in any tier is counted, quarantined and recompiled;
 - the laziness is invisible: whatever is read off a warm result is what
-  a cold compile gives.
+  a cold compile gives;
+- a compiled function has one form, and it is bytes: one result class,
+  one payload digest (the hash of the code, which is also the cache
+  entry's), nothing but bytes in a result that crossed a boundary, and
+  assembly in the linker only.
 """
 
+import ast
 import functools
 import hashlib
 import json
 import os
 import pickle
+import pickletools
 import re
+import struct
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,11 +39,17 @@ from repro.asmlink.download import (
     module_listing,
     module_size_words,
 )
-from repro.asmlink.encode import decode_module, encode_module
-from repro.asmlink.objformat import CellProgram, DownloadModule
+from repro.asmlink import linker
+from repro.asmlink.encode import (
+    decode_module,
+    decode_object_function,
+    encode_module,
+)
+from repro.asmlink.objformat import CellProgram, CodegenInfo, DownloadModule
 from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
-from repro.cache.store import Store, StoredResult
+from repro.cache.store import Store
 from repro.cli import main
+from repro.driver import function_master
 from repro.driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
@@ -44,12 +58,15 @@ from repro.driver.function_master import (
     run_compile_task,
 )
 from repro.driver.master import ParallelCompiler
+from repro.driver.phases import phase1_parse_and_check, phase4_link_and_download
 from repro.driver.sequential import SequentialCompiler
-from repro.fabric.wire import restricted_loads
+from repro.fabric.wire import decode_result, encode_result, restricted_loads
 from repro.fuzz import config_for_size_class, generate_program
 from repro.ir.instructions import Opcode
 from repro.machine.resources import FUClass, PhysReg
+from repro.machine.warp_array import WarpArrayModel
 from repro.parallel.local import SerialBackend
+from repro.parallel.warm_pool import WarmPoolBackend
 from repro.service import CompileService, EditSessionSpec, plan_edit_session
 from repro.warpsim.array_runner import run_module
 from repro.workloads import synthetic_program, user_program
@@ -358,6 +375,9 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
 
     for name in ("decode_program", "decode_object_function", "decode_module"):
         monkeypatch.setattr(encode, name, refuse(name))
+    monkeypatch.setattr(
+        function_master, "decode_object_function", refuse("obj")
+    )
     for name in ("bundles", "_decode_bundle", "string_table"):
         monkeypatch.setattr(encode._Reader, name, refuse(name))
     monkeypatch.setattr(pickle, "loads", refuse("pickle.loads"))
@@ -400,7 +420,15 @@ def test_a_one_edit_compile_builds_its_module_from_bytes(tmp_path, monkeypatch):
 
     for name in ("decode_program", "decode_object_function", "encode_program"):
         monkeypatch.setattr(encode, name, boom)
+    monkeypatch.setattr(function_master, "decode_object_function", boom)
+    sealed = []
+    seal = function_master.encode_object_function
+    monkeypatch.setattr(
+        function_master, "encode_object_function",
+        lambda obj: sealed.append(obj.name) or seal(obj),
+    )
     result, compiler = cached_compile(tmp_path, SESSION[1].source)
+    assert len(sealed) == 1  # by its function master; put writes those bytes
     stats = compiler.last_phase4_stats
     assert (stats.mode, stats.link_cache_hits, stats.link_cache_misses) == (
         "parallel", 1, 0,
@@ -575,23 +603,30 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
     cache = ArtifactCache(tmp_path)
     for path in entries_of(tmp_path, "objects"):
         served = cache.get(path.stem)
-        assert isinstance(served, StoredResult)
+        assert type(served) is FunctionTaskResult
         want = fresh[served.function_name]
-        # What the header states is there before anything is decoded...
-        assert served.__dict__["_obj"] is None
-        assert served.payload_digest == want.payload_digest
-        assert served.assembly_work == want.assembly_work
+        # It is the result its function master sealed, field for field
+        # (but for the per-run state the master strips before writing),
+        # and nothing of it has been decoded...
+        assert served == replace(
+            want,
+            diagnostics=[],
+            report=replace(
+                want.report, phase1_cache_hits=0, phase1_cache_misses=0
+            ),
+        )
+        assert "_obj" not in vars(served)
         assert served.report.bundles == want.obj.bundle_count()
-        # ...the sealed digest still checks out against the decoded code...
-        assert result_payload_digest(served) == served.payload_digest
-        assert served.obj == want.obj
-        assert served.assembled.digest_text() == want.assembled.digest_text()
-        # ...and over the wire it is the dataclass it stands for.
+        # ...what it decodes to is the code that was compiled (the
+        # accounting is in the report)...
+        assert served.obj == replace(want.obj, info=CodegenInfo())
+        assert served.report.work_units == want.obj.info.work_units
+        assert served.obj is served.obj  # once
+        # ...and it pickles as its fields and its code, never as a graph,
+        # whether or not it has been decoded.
         revived = restricted_loads(pickle.dumps(served))
-        assert type(revived) is FunctionTaskResult
-        assert revived.obj == want.obj
-        assert result_payload_digest(revived) == want.payload_digest
-        assert revived.report == served.report
+        assert revived == served and "_obj" not in vars(revived)
+        assert pickle.dumps(served) == pickle.dumps(revived)
 
 
 def test_a_stored_program_decodes_on_first_read_only(tmp_path):
@@ -613,3 +648,204 @@ def test_a_stored_program_decodes_on_first_read_only(tmp_path):
     assert isinstance(warm.download, DownloadModule)
     with pytest.raises(AttributeError):
         program.no_such_attribute
+
+
+# ---------------------------------------------------------------------------
+# (f) a compiled function is its bytes: one form, one digest
+# ---------------------------------------------------------------------------
+
+
+def tasks_of(source, filename="<input>"):
+    return ParallelCompiler()._build_tasks(
+        phase1_parse_and_check(source), source, filename
+    )
+
+
+def entry_header(path) -> dict:
+    data = path.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 4)
+    return json.loads(data[40 : 40 + size])
+
+
+@pytest.fixture(scope="module")
+def warm_pool():
+    with WarmPoolBackend(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_the_payload_digest_is_the_hash_of_the_code(name, tmp_path, warm_pool):
+    """One digest, whoever hands the result over: the seal, the function
+    of a result, the hash of its bytes and the hash in its cache entry's
+    header are one value — and the bytes are the function."""
+    source = PROGRAMS[name]
+    tasks = tasks_of(source)
+    cache = ArtifactCache(tmp_path)
+    sources = {"serial": list(SerialBackend().run_tasks_streaming(tasks))}
+    sources["warm_pool"] = list(warm_pool.run_tasks_streaming(tasks))
+    sources["wire"] = [
+        decode_result(encode_result(result, "w0.0"))
+        for result in sources["serial"]
+    ]
+    for index, result in enumerate(sources["serial"]):
+        cache.put(f"{index:064x}", result)
+    sources["cache"] = [
+        ArtifactCache(tmp_path).get(f"{index:064x}")
+        for index in range(len(tasks))
+    ]
+    headers = {
+        (header["section_name"], header["function_name"]): header
+        for header in map(entry_header, entries_of(tmp_path, "objects"))
+    }
+
+    parsed = phase1_parse_and_check(source)
+    order = [
+        (section.name, function.name)
+        for section in parsed.module.sections
+        for function in section.functions
+    ]
+    for origin, results in sources.items():
+        by_key = {(r.section_name, r.function_name): r for r in results}
+        assert sorted(by_key) == sorted(order), origin
+        objects = {section.name: [] for section in parsed.module.sections}
+        for key in order:
+            result = by_key[key]
+            assert (
+                result.payload_digest
+                == sha256(result.code)
+                == result_payload_digest(result)
+                == headers[key]["sha256"]
+            ), (origin, key)
+            assert "payload_digest" not in headers[key]  # stored once
+            assert result.assembly_work == headers[key]["assembly_work"]
+            objects[key[0]].append(decode_object_function(result.code))
+        module, _, _ = phase4_link_and_download(
+            parsed, objects, WarpArrayModel(), parsed.sink.render()
+        )
+        assert module_digest(module) == sequential(source).digest, origin
+
+
+def test_a_result_crosses_a_process_boundary_as_bytes(monkeypatch, warm_pool):
+    """The count guard, host-independent.  From another process a result
+    arrives holding no graph, its pickle names nothing of the object
+    code's classes, and the master decodes it once, to link it; in
+    process nothing is decoded, and either way each function is
+    assembled once — by the linker."""
+    source = PROGRAMS["s2_medium"]
+    functions = len(sequential(source).profile.functions)
+
+    decoded, assembled, received = [], [], []
+    decode = function_master.decode_object_function
+    assemble = linker.assemble_function
+
+    def counting_decode(blob):
+        callers = [frame.name for frame in traceback.extract_stack()]
+        decoded.append("_link_one" in callers)
+        return decode(blob)
+
+    monkeypatch.setattr(
+        function_master, "decode_object_function", counting_decode
+    )
+    monkeypatch.setattr(
+        linker, "assemble_function",
+        lambda obj: assembled.append(obj.name) or assemble(obj),
+    )
+
+    class Receiving:
+        """The pool, with a look at each result as the master gets it."""
+
+        effective_worker_count = 2
+
+        def run_tasks_streaming(self, tasks):
+            for result in warm_pool.run_tasks_streaming(tasks):
+                received.append((pickle.dumps(result), "_obj" in vars(result)))
+                yield result
+
+    result = ParallelCompiler(backend=Receiving()).compile(source)
+    assert result.digest == sequential(source).digest
+    assert decoded == [True] * functions  # once each, at link time
+    assert len(assembled) == functions
+    assert len(received) == functions
+    for blob, held_a_graph in received:
+        assert not held_a_graph
+        assert len(blob) < 25_000
+        # Globals are named by strings (an argument of GLOBAL, or pushed
+        # for STACK_GLOBAL): none of them names an object-code module.
+        strings = {
+            arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)
+        }
+        assert "repro.driver.function_master" in strings
+        assert not any(
+            string.startswith(("repro.asmlink", "repro.machine", "repro.ir"))
+            for string in strings
+        )
+
+    del decoded[:], assembled[:]
+    result = ParallelCompiler(backend=SerialBackend()).compile(source)
+    assert result.digest == sequential(source).digest
+    assert decoded == []
+    assert len(assembled) == functions
+    assert not hasattr(function_master, "assemble_function")
+
+
+def test_there_is_one_form_of_a_compiled_function():
+    """An AST walk over ``src/``: nothing subclasses the result type,
+    nothing reads or declares a shipped assembly, the linker takes none,
+    and only the linker (and the Katseff comparison) assembles."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    assemblers = set()
+    for path in sorted(root.rglob("*.py")):
+        where = str(path.relative_to(root))
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {
+                    getattr(base, "id", getattr(base, "attr", None))
+                    for base in node.bases
+                }
+                assert "FunctionTaskResult" not in bases, (where, node.name)
+                if node.name in ("FunctionTaskResult", "CombinedSection"):
+                    declared = {
+                        getattr(getattr(item, "target", item), "id", None)
+                        or getattr(item, "name", None)
+                        for item in node.body
+                    }
+                    assert "assembled" not in declared, (where, node.name)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "assembled", (where, node.lineno)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                assert node.arg != "preassembled", (where, node.lineno)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == "assemble_function":
+                    assemblers.add(where)
+    assert assemblers == {"asmlink/linker.py", "asmlink/parallel_assembler.py"}
+
+
+def test_a_report_has_one_dict_form(tmp_path):
+    """``to_dict`` is the fields (a cache entry's header holds the same
+    dict, the section under its field name) plus the computed sums, so a
+    new field reaches ``--json`` without being listed a second time."""
+    from dataclasses import asdict, fields
+
+    result, _ = cached_compile(tmp_path, PROGRAMS["generated_11"])
+    profile = result.profile
+    report = profile.functions[0]
+    as_fields = asdict(report)
+    assert report.to_dict() == {
+        "section": as_fields.pop("section_name"), **as_fields
+    }
+    header = entry_header(entries_of(tmp_path, "objects")[0])
+    assert set(header["report"]) == {field.name for field in fields(report)}
+    document = profile.to_dict()
+    computed = {
+        "total_work", "function_work", "phase1_cache_hits",
+        "phase1_cache_misses", "artifact_cache_hits", "artifact_cache_misses",
+    }
+    assert set(document) == {field.name for field in fields(profile)} | computed
+    assert document["functions"] == [f.to_dict() for f in profile.functions]
+    assert document["artifact_cache_misses"] == len(profile.functions)
+    assert "phase4_assembly_ms" not in document
+    json.dumps(result.to_dict())  # and all of it is JSON
