@@ -11,8 +11,8 @@ code.  Parallel compilation is what makes the -O2 column affordable.
 """
 
 from figures_common import write_figure
+from repro import CompileOptions
 from repro.driver.sequential import SequentialCompiler
-from repro.machine.warp_array import WarpArrayModel
 from repro.metrics.series import Figure
 from repro.warpsim.array_runner import run_module
 
@@ -54,7 +54,7 @@ def build_figure() -> Figure:
     outputs = None
     for level in (0, 1, 2):
         compiler = SequentialCompiler(
-            array=WarpArrayModel(cell_count=1), opt_level=level
+            CompileOptions(opt_level=level, cell_count=1)
         )
         result = compiler.compile(KERNEL)
         run = run_module(result.download, list(INPUTS))

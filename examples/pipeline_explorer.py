@@ -8,8 +8,7 @@ at very different cycle counts.
 Run:  python examples/pipeline_explorer.py
 """
 
-from repro import SequentialCompiler, run_module
-from repro.machine import WarpArrayModel
+from repro import CompileOptions, SequentialCompiler, run_module
 
 SOURCE = """
 module explorer
@@ -38,7 +37,7 @@ INPUTS = [1.0, 2.0, 3.0, 4.0]
 
 def compile_at(opt_level: int):
     compiler = SequentialCompiler(
-        array=WarpArrayModel(cell_count=1), opt_level=opt_level
+        CompileOptions(opt_level=opt_level, cell_count=1)
     )
     return compiler.compile(SOURCE)
 

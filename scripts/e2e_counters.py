@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Host-free counter guards over the end-to-end smoke run.
+
+    python scripts/e2e_counters.py [benchmarks/out/e2e/smoke/e2e.seed7.json]
+
+Counts from the smoke run's traced legs (``python -m pytest
+benchmarks/e2e/test_smoke.py`` writes the file), so they do not depend
+on the runner's speed.  The II search starts at the recurrence bound: 13
+of cold_loopnest's 43 attempts succeed (0.30; a climb from ResMII read
+0.019), and no workload may take a fallback.  warm_edit's leg makes 54
+cache lookups of which 41 hit — which lookups happen is part of the
+design, so the share is pinned exactly — and leaves 152,780 bytes on
+disk (pickled entries: 378,352), held under a ceiling.  serve_mix's 26
+tasks send back 97,894 bytes of results — a result is its encoded code
+and a few flat fields (as pickled object graphs: 539,834) — also held
+under a ceiling.  Exit status 1 when any guard fails.
+"""
+
+import json
+import sys
+
+SMOKE = "benchmarks/out/e2e/smoke/e2e.seed7.json"
+
+
+def main(path: str = SMOKE) -> int:
+    with open(path) as handle:
+        workloads = json.load(handle)["workloads"]
+    layer = lambda name, metric: workloads[name]["per_layer"][metric]["value"]
+    share = layer("cold_loopnest", "codegen.modulo_success_share")
+    fallbacks = {name: layer(name, "driver.fallbacks") for name in workloads}
+    print(f"cold_loopnest codegen.modulo_success_share = {share:.3f} (floor 0.20)")
+    print(f"driver.fallbacks = {fallbacks}")
+    hit_share = layer("warm_edit", "cache.hit_share")
+    on_disk = layer("warm_edit", "cache.bytes_on_disk")
+    print(f"warm_edit cache.hit_share = {hit_share!r} (exactly 41/54)")
+    print(f"warm_edit cache.bytes_on_disk = {on_disk:.0f} (ceiling 200000)")
+    result_bytes = layer("serve_mix", "parallel.result_bytes")
+    print(f"serve_mix parallel.result_bytes = {result_bytes:.0f} (ceiling 135000)")
+    return int(
+        share < 0.20
+        or any(fallbacks.values())
+        or hit_share != 41 / 54
+        or on_disk > 200_000
+        or result_bytes > 135_000
+    )
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:2]))

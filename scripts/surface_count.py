@@ -20,8 +20,11 @@ The counts, all over ``src/**/*.py``:
 ``socket_servers``      classes deriving from a ``socketserver`` class
 ``socket_clients``      modules that open a socket themselves (call
                         ``socket.create_connection`` or ``.makefile(``)
-``wire_pickle_globals`` classes a fabric blob may name: arguments of the
-                        ``allowed_globals(...)`` call in ``fabric/wire.py``
+``wire_pickle_globals`` classes a fabric blob may name: arguments of any
+                        ``PickleCodec(...)`` / ``allowed_globals(...)``
+                        call under ``fabric/`` (0: the wire sends entries)
+``pickle_codecs``       ``PickleCodec(...)`` calls: tiers that pickle
+``disk_tiers``          classes with a non-empty ``SUBDIR``
 
 Every count is an AST walk — none depends on how a name is spelled, so
 no grep for a deleted name can trip (or satisfy) one.
@@ -88,18 +91,33 @@ def _opens_a_socket(node: ast.AST) -> bool:
     )
 
 
+def _calls(node: ast.AST, *names: str) -> bool:
+    return isinstance(node, ast.Call) and bool(
+        {getattr(node.func, "id", ""), getattr(node.func, "attr", "")}
+        & set(names)
+    )
+
+
 def _wire_pickle_globals(path: Path, node: ast.AST) -> int:
-    if not (
-        path == SRC / "repro" / "fabric" / "wire.py"
-        and isinstance(node, ast.Call)
-        and getattr(node.func, "attr", "") == "allowed_globals"
+    if path.parent.name == "fabric" and _calls(
+        node, "PickleCodec", "allowed_globals"
     ):
-        return 0
-    return len(node.args)
+        return len(node.args)
+    return 0
+
+
+def _names_a_tier(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(item, ast.Assign)
+        and getattr(item.targets[0], "id", "") == "SUBDIR"
+        and bool(getattr(item.value, "value", ""))
+        for item in node.body
+    )
 
 
 def count_surface() -> dict:
     lines = flags = backends = stats = servers = clients = wire_globals = 0
+    pickle_codecs = tiers = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -110,6 +128,7 @@ def count_surface() -> dict:
         clients += any(_opens_a_socket(node) for node in nodes)
         for node in nodes:
             wire_globals += _wire_pickle_globals(path, node)
+            pickle_codecs += _calls(node, "PickleCodec")
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -126,6 +145,7 @@ def count_surface() -> dict:
                     if isinstance(item, ast.FunctionDef)
                 ]
                 servers += _derives_from_socketserver(node)
+                tiers += _names_a_tier(node)
                 if node.name.endswith("Stats") and _is_dataclass(node):
                     stats += 1
                 if _is_protocol(node) or "run_tasks_streaming" not in {
@@ -146,6 +166,8 @@ def count_surface() -> dict:
         "socket_servers": servers,
         "socket_clients": clients,
         "wire_pickle_globals": wire_globals,
+        "pickle_codecs": pickle_codecs,
+        "disk_tiers": tiers,
     }
 
 

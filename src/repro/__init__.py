@@ -8,6 +8,7 @@ A full reimplementation of the Gross/Zobel/Zolg parallel Warp compiler:
 - :mod:`repro.asmlink` — assembler, linker, download modules (phase 4)
 - :mod:`repro.warpsim` — functional simulator for the Warp array
 - :mod:`repro.driver` — sequential and parallel compiler drivers
+  (both take one :class:`~repro.options.CompileOptions`)
 - :mod:`repro.parallel` — execution backends (serial, multiprocessing)
 - :mod:`repro.cache` — persistent function-level artifact cache
 - :mod:`repro.cluster` — discrete-event workstation-network simulator
@@ -23,6 +24,7 @@ Quick start::
 from .cluster import ClusterSimulation, ClusterCostModel
 from .driver import ParallelCompiler, SequentialCompiler
 from .machine import WarpArrayModel, WarpCellModel
+from .options import CompileOptions
 from .warpsim import run_module
 
 __version__ = "1.0.0"
@@ -33,6 +35,7 @@ __all__ = [
     "ArtifactCache",
     "ClusterSimulation",
     "ClusterCostModel",
+    "CompileOptions",
     "ParallelCompiler",
     "SequentialCompiler",
     "WarpArrayModel",

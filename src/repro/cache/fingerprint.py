@@ -15,8 +15,8 @@ fingerprint must cover *exactly* the inputs those phases read — no more
   bodies: the compiler "performs only minimal inter-procedural
   optimizations" (§3.1), which is the very fact that makes per-function
   caching sound;
-- the section's identity and cell range, the optimization level, the
-  target array's cell count, and the task granularity;
+- the section's identity and cell range, and every field of the
+  compile's :class:`~repro.options.CompileOptions`;
 - a compiler-version salt, so upgrading the compiler never serves
   artifacts produced by old code.
 """
@@ -24,9 +24,11 @@ fingerprint must cover *exactly* the inputs those phases read — no more
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 from ..lang import ast_nodes as ast
+from ..options import CompileOptions
 
 #: Bump whenever the artifact format or the meaning of a fingerprint
 #: changes; old entries become unreachable rather than wrong.
@@ -40,7 +42,9 @@ from ..lang import ast_nodes as ast
 #: 5: a result's payload digest is the SHA-256 of its encoded object
 #: function (it was a hash of two text renders), and an ``objects/``
 #: entry's own ``sha256`` is that digest.
-CACHE_SCHEMA_VERSION = 5
+#: 6: a fingerprint hashes the fields of a ``CompileOptions`` by name,
+#: in their order.
+CACHE_SCHEMA_VERSION = 6
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 
@@ -154,33 +158,21 @@ def _feed_function(h: _Hasher, fn: ast.Function) -> None:
 def function_fingerprint(
     section: ast.Section,
     function: ast.Function,
-    *,
-    opt_level: int,
-    cell_count: int,
-    granularity: str = "function",
+    options: CompileOptions,
     salt: Optional[str] = None,
-    unroll_budget: int = 0,
-    ii_budget: int = 0,
 ) -> str:
     """Content fingerprint for one function's phase-2/3 artifact.
 
-    ``unroll_budget``/``ii_budget`` are the variant-search codegen knobs
-    (:mod:`repro.search.space`); the defaults (0, 0) are the standard
-    pipeline, so ordinary compiles and variant compiles can never serve
-    each other's artifacts.
+    Every field of ``options`` is hashed, by name — ordinary compiles
+    and variant compiles can never serve each other's artifacts, and a
+    field added to :class:`~repro.options.CompileOptions` is part of
+    the key the day it is added.
     """
     h = _Hasher()
-    h.feed(
-        salt if salt is not None else compiler_salt(),
-        opt_level,
-        unroll_budget,
-        ii_budget,
-        cell_count,
-        granularity,
-        section.name,
-        section.first_cell,
-        section.last_cell,
-    )
+    h.feed(salt if salt is not None else compiler_salt())
+    for option in fields(options):
+        h.feed(option.name, getattr(options, option.name))
+    h.feed(section.name, section.first_cell, section.last_cell)
     # Sibling signatures, in source order (order is part of the section's
     # identity; lowering's callee table is name-keyed but a reordering
     # also reorders spans, which we deliberately do not hash).
@@ -192,27 +184,13 @@ def function_fingerprint(
 
 
 def module_fingerprints(
-    module: ast.Module,
-    *,
-    opt_level: int,
-    cell_count: int,
-    granularity: str = "function",
-    salt: Optional[str] = None,
-    unroll_budget: int = 0,
-    ii_budget: int = 0,
+    module: ast.Module, options: CompileOptions, salt: Optional[str] = None
 ) -> Dict[Tuple[str, str], str]:
     """``(section name, function name) -> fingerprint`` for a module."""
-    fingerprints: Dict[Tuple[str, str], str] = {}
-    for section in module.sections:
-        for function in section.functions:
-            fingerprints[(section.name, function.name)] = function_fingerprint(
-                section,
-                function,
-                opt_level=opt_level,
-                cell_count=cell_count,
-                granularity=granularity,
-                salt=salt,
-                unroll_budget=unroll_budget,
-                ii_budget=ii_budget,
-            )
-    return fingerprints
+    return {
+        (section.name, function.name): function_fingerprint(
+            section, function, options, salt
+        )
+        for section in module.sections
+        for function in section.functions
+    }

@@ -1,6 +1,6 @@
-"""Pickle behind a closed allowlist: the codec of the tiers that still
-hold object graphs (``parse/``, ``variants/``, ``observe/``) and the one
-restricted unpickler, which the fabric's wire codec shares.
+"""Pickle behind a closed allowlist: the codec of the one tier that
+still holds an object graph (``parse/``, checked ASTs) and its
+restricted unpickler.  Nothing else in the tree unpickles what it reads.
 
 A cache directory may be shared — the paper's NFS setup — so bytes read
 from it are no more trusted than bytes read from a socket: every load
@@ -17,16 +17,11 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from ..gcpause import collector_paused
 
 Globals = Mapping[Tuple[str, str], type]
-
-
-def allowed_globals(*classes: type) -> Dict[Tuple[str, str], type]:
-    """The allowlist naming exactly ``classes``."""
-    return {(cls.__module__, cls.__qualname__): cls for cls in classes}
 
 
 class _RestrictedUnpickler(pickle.Unpickler):
@@ -58,7 +53,10 @@ class PickleCodec:
 
     def __init__(self, payload_type: type, *classes: type):
         self.payload_type = payload_type
-        self.allowed = allowed_globals(payload_type, *classes)
+        self.allowed = {
+            (cls.__module__, cls.__qualname__): cls
+            for cls in (payload_type, *classes)
+        }
 
     def pack(self, payload) -> Tuple[dict, bytes]:
         return {}, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

@@ -6,12 +6,16 @@ checked header and a verified body::
     "WCE1" | u32 header length | SHA-256 of the header | header (JSON) | body
 
 The header names the tier and its schema, carries the body's SHA-256
-(for ``modules/`` that is the module digest), and holds whatever facts
-the tier wants readable without touching the body; :meth:`Store.get`
-re-hashes both on every read.  A hash mismatch, a truncated file, a
-header of another tier or schema, a body its codec rejects — any of it —
-is a corrupt entry: deleted, counted, reported as a miss.  Corruption
-can cost a recompile, never a wrong artifact and never an exception.
+(for ``modules/`` the module digest, for ``objects/`` a result's payload
+digest), and holds whatever facts the tier wants readable without
+touching the body.  :func:`seal_entry` and :func:`open_entry` are the
+only definition of that framing: a :class:`Store` is the two plus a
+path, the fabric's frames carry sealed entries, and the cache server
+holds an ``objects/`` directory.  Opening re-hashes header and body.  A
+hash mismatch, a truncated file, another tier or schema, a mistyped fact
+or a body its codec rejects is a corrupt entry: deleted, counted,
+reported as a miss.  Corruption can cost a recompile, never a wrong
+artifact and never an exception.
 
 Writes go through a temporary file in the same directory followed by
 ``os.replace``, which is atomic on POSIX and Windows — two compilers
@@ -31,8 +35,9 @@ subdirectory, a schema number and a *codec* — how a payload becomes
 (``objects/`` here, ``link/`` and ``modules/`` in
 :mod:`repro.cache.link_store`) keep it in the serial form of
 :mod:`repro.asmlink.encode`, with what a warm compile reads in the
-header; the tiers that hold object graphs pickle them behind a closed
-allowlist (:mod:`repro.cache.pickled`).
+header; ``variants/`` and ``observe/`` hold one small record each as
+header facts with no body (:class:`FactsCodec`); ``parse/`` alone holds
+an object graph, pickled behind a closed allowlist (:mod:`.pickled`).
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ import tempfile
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from ..driver.function_master import FunctionTaskResult
-from ..driver.results import FunctionReport
+from ..driver.function_master import result_facts, result_from_facts
+from ..facts import from_facts
 from .fingerprint import CACHE_SCHEMA_VERSION
 
 #: Default size bound: plenty for thousands of functions, small enough
@@ -81,6 +87,39 @@ class CacheStats:
 
     def copy(self) -> "CacheStats":
         return CacheStats(self.hits, self.misses, self.evictions, self.corrupt)
+
+
+def seal_entry(tier: str, schema: int, facts: dict, body: bytes) -> bytes:
+    """One entry's bytes.  ``facts`` may state the body's ``sha256`` (a
+    payload that is sealed does); otherwise it is hashed here."""
+    header = dict(facts, tier=tier, schema=schema)
+    if "sha256" not in header:
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = _PREFIX.pack(
+        ENTRY_MAGIC, len(raw_header), hashlib.sha256(raw_header).digest()
+    )
+    return b"".join((prefix, raw_header, body))
+
+
+def open_entry(data: bytes, tier: str, schema: int) -> Tuple[dict, bytes]:
+    """``(facts, body)`` of an entry of ``tier`` / ``schema`` whose two
+    hashes hold (the facts keep ``sha256``, the body's); raises on any
+    flaw."""
+    magic, header_size, header_hash = _PREFIX.unpack_from(data)
+    body_at = _PREFIX.size + header_size
+    raw_header = data[_PREFIX.size : body_at]
+    if magic != ENTRY_MAGIC or len(raw_header) != header_size:
+        raise ValueError("not a cache entry")
+    if hashlib.sha256(raw_header).digest() != header_hash:
+        raise ValueError("entry header does not match its hash")
+    facts = json.loads(raw_header)
+    if (facts.pop("tier"), facts.pop("schema")) != (tier, schema):
+        raise ValueError("entry of another tier or schema")
+    body = data[body_at:]
+    if hashlib.sha256(body).hexdigest() != facts["sha256"]:
+        raise ValueError("entry body does not match its hash")
+    return facts, body
 
 
 class Store:
@@ -121,9 +160,31 @@ class Store:
     def _entry_path(self, fingerprint: str) -> Path:
         return self._objects / fingerprint[:2] / f"{fingerprint}.entry"
 
+    @classmethod
+    def seal(cls, payload) -> bytes:
+        """``payload`` as one entry of this tier."""
+        return seal_entry(cls.SUBDIR, cls.SCHEMA, *cls.codec.pack(payload))
+
+    @classmethod
+    def open(cls, data: bytes):
+        """The payload of one entry of this tier; raises on any flaw."""
+        return cls.codec.unpack(*open_entry(data, cls.SUBDIR, cls.SCHEMA))
+
     def get(self, fingerprint: str):
         """The cached payload, or None (miss).  Corrupt entries are
         deleted, counted, and reported as misses."""
+        return self._read(fingerprint, self.open)
+
+    def get_bytes(self, fingerprint: str) -> Optional[bytes]:
+        """:meth:`get`, for the entry's bytes as they are stored: framing
+        checked, the body's codec not run (what a cache server serves)."""
+        return self._read(fingerprint, self._framed)
+
+    def _framed(self, data: bytes) -> bytes:
+        open_entry(data, self.SUBDIR, self.SCHEMA)
+        return data
+
+    def _read(self, fingerprint: str, check):
         path = self._entry_path(fingerprint)
         try:
             data = path.read_bytes()
@@ -131,7 +192,7 @@ class Store:
             self.stats.misses += 1
             return None
         try:
-            payload = self._open(data)
+            payload = check(data)
         except Exception:  # noqa: BLE001 - whatever is wrong, it is the entry
             self.stats.corrupt += 1
             self.stats.misses += 1
@@ -144,49 +205,24 @@ class Store:
         self.stats.hits += 1
         return payload
 
-    def _open(self, data: bytes):
-        """Check one entry's bytes and hand its payload back; raises on
-        any flaw."""
-        magic, header_size, header_hash = _PREFIX.unpack_from(data)
-        body_at = _PREFIX.size + header_size
-        raw_header = data[_PREFIX.size : body_at]
-        if magic != ENTRY_MAGIC or len(raw_header) != header_size:
-            raise ValueError("not a cache entry")
-        if hashlib.sha256(raw_header).digest() != header_hash:
-            raise ValueError("entry header does not match its hash")
-        header = json.loads(raw_header)
-        if (header["tier"], header["schema"]) != (self.SUBDIR, self.SCHEMA):
-            raise ValueError("entry of another tier or schema")
-        body = data[body_at:]
-        if hashlib.sha256(body).hexdigest() != header["sha256"]:
-            raise ValueError("entry body does not match its hash")
-        return self.codec.unpack(header, body)
-
     # -- insertion -----------------------------------------------------
 
     def put(self, fingerprint: str, payload) -> None:
         """Store ``payload`` atomically, then enforce the size bound."""
-        facts, body = self.codec.pack(payload)
-        if "sha256" not in facts:  # stated by a payload that is sealed
-            facts["sha256"] = hashlib.sha256(body).hexdigest()
-        header = json.dumps(
-            dict(facts, tier=self.SUBDIR, schema=self.SCHEMA),
-            sort_keys=True,
-        ).encode("utf-8")
+        self._write(fingerprint, self.seal(payload))
+
+    def put_bytes(self, fingerprint: str, data: bytes) -> None:
+        """:meth:`put`, for bytes that are already an entry of this tier
+        (raises if they do not open as one); written verbatim."""
+        self._write(fingerprint, self._framed(data))
+
+    def _write(self, fingerprint: str, data: bytes) -> None:
         path = self._entry_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(
-                    _PREFIX.pack(
-                        ENTRY_MAGIC,
-                        len(header),
-                        hashlib.sha256(header).digest(),
-                    )
-                )
-                handle.write(header)
-                handle.write(body)
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             self._remove(Path(tmp_name))
@@ -195,7 +231,7 @@ class Store:
             if self._bytes is None:
                 self._bytes = self.size_bytes()  # counts the entry just written
             else:
-                self._bytes += _PREFIX.size + len(header) + len(body)
+                self._bytes += len(data)
             if self._bytes > self.max_bytes:
                 self._evict(keep=path)
 
@@ -262,44 +298,28 @@ class Store:
         return removed
 
 
-# ---------------------------------------------------------------------------
-# objects/: compiled function artifacts (phases 2-3)
-# ---------------------------------------------------------------------------
+class FactsCodec:
+    """A small all-scalar dataclass as header facts, with an empty body
+    (``variants/``, ``observe/``): ``asdict`` out, type-checked in."""
 
+    def __init__(self, record_type: type):
+        self.record_type = record_type
 
-class ArtifactCodec:
-    """A :class:`FunctionTaskResult` as an entry.  Body: its ``code``,
-    verbatim.  Header: its other fields (but ``worker``, which belongs
-    to the run that compiled it), the ``payload_digest`` as the entry's
-    ``sha256`` — as sealed, not re-derived, so a result damaged between
-    seal and write makes an entry that fails its check when read."""
+    def pack(self, record) -> Tuple[dict, bytes]:
+        return asdict(record), b""
 
-    def pack(self, result: FunctionTaskResult) -> Tuple[dict, bytes]:
-        facts = dict(
-            section_name=result.section_name,
-            function_name=result.function_name,
-            report=asdict(result.report),
-            diagnostics=result.diagnostics,
-            assembly_work=result.assembly_work,
-            sha256=result.payload_digest,
-        )
-        return facts, result.code
-
-    def unpack(self, facts: dict, body: bytes) -> FunctionTaskResult:
-        return FunctionTaskResult(
-            section_name=facts["section_name"],
-            function_name=facts["function_name"],
-            code=body,
-            report=FunctionReport(**facts["report"]),
-            payload_digest=facts["sha256"],
-            assembly_work=facts["assembly_work"],
-            diagnostics=facts["diagnostics"],
-        )
+    def unpack(self, facts: dict, body: bytes):
+        if body:
+            raise ValueError("a facts entry has no body")
+        del facts["sha256"]  # the empty body's, checked by whoever opened
+        return from_facts(self.record_type, facts)
 
 
 class ArtifactCache(Store):
-    """Persistent store of compiled function artifacts (phases 2-3)."""
+    """Persistent store of compiled function artifacts (phases 2-3): a
+    :class:`~repro.driver.function_master.FunctionTaskResult` is its
+    facts as the header and its ``code`` as the body."""
 
     SUBDIR = "objects"
     SCHEMA = CACHE_SCHEMA_VERSION
-    codec = ArtifactCodec()
+    codec = SimpleNamespace(pack=result_facts, unpack=result_from_facts)

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .fingerprint import compiler_salt
-from .pickled import PickleCodec
-from .store import Store
+from .store import FactsCodec, Store
 
 Number = Union[int, float]
 
@@ -74,7 +73,9 @@ class VariantScore:
 
 class VariantStore(Store):
     """Persistent store of variant scores (``variants/`` tier); a score
-    is numbers, strings and tuples, so its pickles name no other class."""
+    is numbers, strings and tuples of numbers, so an entry is its header
+    (``outputs`` come back as tuples, ints and floats kept apart)."""
 
     SUBDIR = "variants"
-    codec = PickleCodec(VariantScore)
+    SCHEMA = 2  # 2: header facts with an empty body (1 was a pickle)
+    codec = FactsCodec(VariantScore)

@@ -13,7 +13,6 @@ import sys
 from ..driver.master import ParallelCompiler
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
-from ..machine.warp_array import WarpArrayModel
 from . import options, stack
 
 
@@ -74,7 +73,7 @@ def report_compile_error(error: CompileError, as_json: bool) -> int:
 
 def run_compile(args) -> int:
     source = options.read_source(args.file)
-    array = WarpArrayModel(cell_count=args.cells)
+    compile_options = options.compile_options(args)
     supervised = args.supervised or args.chaos is not None
     # Supervision wraps the parallel backend, and --parallel with
     # --cache-dir / --no-cache is the one switch for the on-disk tiers.
@@ -94,16 +93,16 @@ def run_compile(args) -> int:
                     poison_threshold=args.poison_threshold,
                 )
             with ParallelCompiler(
-                backend=backend, array=array, opt_level=args.opt_level,
+                backend, compile_options,
                 cache=caches.get("artifact cache"), owns_backend=True,
                 parse_cache=caches.get("parse cache"),
                 link_cache=caches.get("link cache"),
             ) as compiler:
                 result = compiler.compile(source, filename=args.file)
         else:
-            result = SequentialCompiler(
-                array=array, opt_level=args.opt_level
-            ).compile(source, filename=args.file)
+            result = SequentialCompiler(compile_options).compile(
+                source, filename=args.file
+            )
     except CompileError as error:
         return report_compile_error(error, args.json)
     finally:
@@ -217,7 +216,6 @@ def run_search(args) -> int:
     from ..warpsim.scoring import seeded_input_sets
 
     source = options.read_source(args.file)
-    array = WarpArrayModel(cell_count=args.cells)
     try:
         space = (
             VariantSpace.parse(args.space)
@@ -243,7 +241,7 @@ def run_search(args) -> int:
             filename=args.file,
             space=space,
             input_sets=input_sets,
-            array=array,
+            options=options.compile_options(args),
             backend=backend,
             cache=caches.get("artifact cache"),
             variant_store=caches.get("variant store"),

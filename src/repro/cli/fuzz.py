@@ -80,8 +80,7 @@ def run(args) -> int:
             part.strip() for part in args.pipelines.split(",") if part.strip()
         )
     config_kwargs = dict(
-        opt_level=args.opt_level,
-        cell_count=args.cells,
+        options=options.compile_options(args),
         check_semantics=not args.no_semantics,
         inject_miscompile=args.inject_miscompile,
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from ..options import CompileOptions
+
 
 def target(parser, opt_level: bool = True) -> None:
     """What to compile for: ``-O/--opt-level`` and ``--cells``."""
@@ -23,6 +25,14 @@ def target(parser, opt_level: bool = True) -> None:
     parser.add_argument(
         "--cells", type=int, default=10,
         help="cells in the target array (default 10)",
+    )
+
+
+def compile_options(args) -> CompileOptions:
+    """What the ``target`` flags said, as the compile's options (a verb
+    without ``-O`` compiles at the default level)."""
+    return CompileOptions(
+        opt_level=getattr(args, "opt_level", 2), cell_count=args.cells
     )
 
 

@@ -52,7 +52,7 @@ def run_simulation(args) -> int:
         source = options.read_source(args.file)
         try:
             result = SequentialCompiler(
-                array=array, opt_level=args.opt_level
+                options.compile_options(args)
             ).compile(source, filename=args.file)
         except CompileError as error:
             return report_compile_error(error, as_json=False)

@@ -88,7 +88,7 @@ def open_caches(args, *tiers: str) -> Dict[str, object]:
             from ..fabric import NetworkCacheClient, TieredCache
 
             caches["artifact cache"] = TieredCache(
-                caches["artifact cache"], NetworkCacheClient(url)
+                args.cache_dir, NetworkCacheClient(url)
             )
     return caches
 

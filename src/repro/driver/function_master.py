@@ -22,13 +22,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 from ..asmlink.assembler import assembly_work_units
 from ..asmlink.encode import decode_object_function, encode_object_function
 from ..asmlink.objformat import ObjectFunction
-from ..machine.warp_array import WarpArrayModel
+from ..facts import from_facts
+from ..options import CompileOptions
 from .phases import (
     ParsedProgram,
     compile_one_function,
@@ -39,7 +40,8 @@ from .results import FunctionReport
 
 @dataclass
 class FunctionTask:
-    """Everything a function master needs, cheap to pickle.
+    """Everything a function master needs, cheap to pickle; on the
+    fabric wire a header-only entry of exactly these fields.
 
     ``function_name`` of None makes this a *section-level* task: one
     worker compiles every function of the section.  That was the paper's
@@ -52,17 +54,11 @@ class FunctionTask:
     filename: str
     section_name: str
     function_name: Optional[str] = None
-    opt_level: int = 2
-    cell_count: int = 10
     #: pre-compilation cost estimate (§4.3 lines + loop nesting), filled
     #: in by the master from the parse; drives size-aware batching.
     cost_hint: float = 1.0
-    #: variant-search codegen knobs (both 0 = the standard pipeline):
-    #: full-unroll budget for constant-trip loops, and a cap on the
-    #: modulo scheduler's initiation-interval search (1 disables
-    #: pipelining).  Part of the cache fingerprint.
-    unroll_budget: int = 0
-    ii_budget: int = 0
+    #: the compile's options, whole — what the cache fingerprint hashes
+    options: CompileOptions = CompileOptions()
 
 
 class PayloadCorruption(Exception):
@@ -74,10 +70,10 @@ class FunctionTaskResult:
     """What a function master sends back to its section master: the
     compiled function as bytes, and the facts read without them.
 
-    This is the one form of a compiled function — over IPC, the fabric
-    wire and the network tier it pickles as these fields, and an
-    ``objects/`` cache entry is the same fields as a header with
-    ``code`` as its body.  :attr:`obj` is the graph behind the bytes.
+    This is the one form of a compiled function.  Outside the process
+    it is one entry — :func:`result_facts` as the header, ``code`` as
+    the body — on disk, in a fabric frame and in the cache server; only
+    the pool's own IPC pickles it.  :attr:`obj` is the graph behind it.
     """
 
     section_name: str
@@ -129,6 +125,26 @@ def result_payload_digest(result: FunctionTaskResult) -> str:
     diagnostics or telemetry, which the master legitimately rewrites
     on cache hits."""
     return hashlib.sha256(result.code).hexdigest()
+
+
+def result_facts(result: FunctionTaskResult) -> Tuple[dict, bytes]:
+    """A result as ``(header facts, body)``: the body is ``code``,
+    verbatim; the facts are its other fields but ``worker`` (it belongs
+    to the run that compiled it), the ``payload_digest`` as the entry's
+    ``sha256`` — as sealed, not re-derived, so a result damaged between
+    seal and write makes an entry that fails its check."""
+    facts = asdict(result)
+    del facts["worker"]
+    facts["sha256"] = facts.pop("payload_digest")
+    return facts, facts.pop("code")
+
+
+def result_from_facts(facts: dict, code: bytes) -> FunctionTaskResult:
+    """The way back: exact field set and every type checked, the
+    report's included; whoever opened the entry hashed ``code``."""
+    fields = dict(facts, code=code, worker=None)
+    fields["payload_digest"] = fields.pop("sha256")
+    return from_facts(FunctionTaskResult, fields)
 
 
 def attach_assembly(
@@ -239,15 +255,8 @@ def run_function_master(task: FunctionTask) -> FunctionTaskResult:
             "section-level tasks must go through run_compile_task"
         )
     parsed, hit = phase1_cached(task.source_text, task.filename)
-    array = WarpArrayModel(cell_count=task.cell_count)
     obj, report = compile_one_function(
-        parsed,
-        task.section_name,
-        task.function_name,
-        array,
-        task.opt_level,
-        unroll_budget=task.unroll_budget,
-        ii_budget=task.ii_budget,
+        parsed, task.section_name, task.function_name, task.options
     )
     _record_cache_outcome(report, hit)
     return attach_assembly(
@@ -270,18 +279,11 @@ def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:
     section = parsed.module.section_named(task.section_name)
     if section is None:
         raise KeyError(f"no section named {task.section_name!r}")
-    array = WarpArrayModel(cell_count=task.cell_count)
     rendered = [d.render() for d in parsed.sink.diagnostics]
     results: List[FunctionTaskResult] = []
     for position, function in enumerate(section.functions):
         obj, report = compile_one_function(
-            parsed,
-            task.section_name,
-            function.name,
-            array,
-            task.opt_level,
-            unroll_budget=task.unroll_budget,
-            ii_budget=task.ii_budget,
+            parsed, task.section_name, function.name, task.options
         )
         if position == 0:
             _record_cache_outcome(report, hit)

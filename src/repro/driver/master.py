@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.download import module_digest, module_size_words
 from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from ..parallel.backend import ExecutionBackend, stream_task_results
 from ..parallel.local import SerialBackend
 from ..parallel.schedule import ast_cost_hint
@@ -55,28 +56,16 @@ class ParallelCompiler:
     def __init__(
         self,
         backend: Optional[ExecutionBackend] = None,
-        array: Optional[WarpArrayModel] = None,
-        opt_level: int = 2,
-        granularity: str = "function",
+        options: CompileOptions = CompileOptions(),
         cache=None,
-        owns_backend: bool = False,
         parse_cache=None,
         link_cache=None,
-        unroll_budget: int = 0,
-        ii_budget: int = 0,
+        owns_backend: bool = False,
     ):
-        if granularity not in ("function", "section"):
-            raise ValueError(
-                f"granularity must be 'function' or 'section', "
-                f"got {granularity!r}"
-            )
         self.backend = backend if backend is not None else SerialBackend()
-        self.array = array or WarpArrayModel()
-        self.opt_level = opt_level
-        #: "function" (the paper's final design) or "section" (its
-        #: original plan, §3.1) — section granularity is coarser: one
-        #: worker per section program.
-        self.granularity = granularity
+        #: what every task carries and every fingerprint hashes
+        self.options = options
+        self.array = WarpArrayModel(cell_count=options.cell_count)
         #: optional :class:`repro.cache.ArtifactCache`: phase-2/3 results
         #: are served from / written back to it, keyed per function.
         self.cache = cache
@@ -101,10 +90,6 @@ class ParallelCompiler:
         #: :class:`~repro.driver.phases.Phase4Stats` of the most recent
         #: :meth:`compile`.
         self.last_phase4_stats: Optional[Phase4Stats] = None
-        #: variant-search codegen knobs, threaded into every task and
-        #: into the cache fingerprints (both 0 = the standard pipeline).
-        self.unroll_budget = unroll_budget
-        self.ii_budget = ii_budget
 
     def close(self) -> None:
         """Release owned resources.  A borrowed backend is untouched;
@@ -295,13 +280,7 @@ class ParallelCompiler:
         from ..cache import compiler_salt, module_fingerprints
 
         fingerprints = module_fingerprints(
-            parsed.module,
-            opt_level=self.opt_level,
-            cell_count=self.array.cell_count,
-            granularity=self.granularity,
-            salt=compiler_salt(),
-            unroll_budget=self.unroll_budget,
-            ii_budget=self.ii_budget,
+            parsed.module, self.options, salt=compiler_salt()
         )
         rendered = [d.render() for d in parsed.sink.diagnostics]
         misses: List[FunctionTask] = []
@@ -378,35 +357,22 @@ class ParallelCompiler:
     ) -> List[FunctionTask]:
         tasks: List[FunctionTask] = []
         for section in parsed.module.sections:
-            if self.granularity == "section":
+            if self.options.granularity == "section":
+                units = [(None, sum(map(ast_cost_hint, section.functions)))]
+            else:
+                units = [
+                    (function.name, ast_cost_hint(function))
+                    for function in section.functions
+                ]
+            for function_name, cost_hint in units:
                 tasks.append(
                     FunctionTask(
-                        source_text=source_text,
-                        filename=filename,
-                        section_name=section.name,
-                        function_name=None,
-                        opt_level=self.opt_level,
-                        cell_count=self.array.cell_count,
-                        cost_hint=sum(
-                            ast_cost_hint(fn) for fn in section.functions
-                        ),
-                        unroll_budget=self.unroll_budget,
-                        ii_budget=self.ii_budget,
-                    )
-                )
-                continue
-            for function in section.functions:
-                tasks.append(
-                    FunctionTask(
-                        source_text=source_text,
-                        filename=filename,
-                        section_name=section.name,
-                        function_name=function.name,
-                        opt_level=self.opt_level,
-                        cell_count=self.array.cell_count,
-                        cost_hint=ast_cost_hint(function),
-                        unroll_budget=self.unroll_budget,
-                        ii_budget=self.ii_budget,
+                        source_text,
+                        filename,
+                        section.name,
+                        function_name,
+                        cost_hint=cost_hint,
+                        options=self.options,
                     )
                 )
         return tasks

@@ -59,6 +59,7 @@ from ..lang.sema import (
 from ..lang.source import SourceFile, Span, WindowedSource
 from ..lang.tokens import Token, TokenKind
 from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from .results import FunctionReport
 
 
@@ -461,17 +462,9 @@ def compile_one_function(
     parsed: ParsedProgram,
     section_name: str,
     function_name: str,
-    array: WarpArrayModel,
-    opt_level: int = 2,
-    unroll_budget: int = 0,
-    ii_budget: int = 0,
+    options: CompileOptions,
 ) -> Tuple[ObjectFunction, FunctionReport]:
-    """Phases 2+3 for exactly one function (a function master's job).
-
-    ``unroll_budget``/``ii_budget`` are the variant-search codegen knobs
-    (see :func:`repro.codegen.compiler.compile_function`); the defaults
-    are the standard pipeline.
-    """
+    """Phases 2+3 for exactly one function (a function master's job)."""
     section = parsed.module.section_named(section_name)
     if section is None:
         raise KeyError(f"no section named {section_name!r}")
@@ -485,10 +478,10 @@ def compile_one_function(
     weight = loop_nest_weight(fn_ir)
     obj = compile_function(
         fn_ir,
-        array.cell,
-        opt_level=opt_level,
-        unroll_budget=unroll_budget,
-        ii_budget=ii_budget,
+        WarpArrayModel(cell_count=options.cell_count).cell,
+        opt_level=options.opt_level,
+        unroll_budget=options.unroll_budget,
+        ii_budget=options.ii_budget,
     )
     report = FunctionReport(
         section_name=section_name,

@@ -7,11 +7,12 @@ produce exactly the same download module and diagnostics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..asmlink.download import module_digest, module_size_words
 from ..asmlink.objformat import ObjectFunction
 from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from .phases import (
     ParsedProgram,
     compile_one_function,
@@ -24,13 +25,9 @@ from .results import CompilationResult, WorkProfile
 class SequentialCompiler:
     """Compile modules one function at a time, in source order."""
 
-    def __init__(
-        self,
-        array: Optional[WarpArrayModel] = None,
-        opt_level: int = 2,
-    ):
-        self.array = array or WarpArrayModel()
-        self.opt_level = opt_level
+    def __init__(self, options: CompileOptions = CompileOptions()):
+        self.options = options
+        self.array = WarpArrayModel(cell_count=options.cell_count)
 
     def compile(
         self, source_text: str, filename: str = "<input>"
@@ -50,11 +47,7 @@ class SequentialCompiler:
             section_objects: List[ObjectFunction] = []
             for function in section.functions:
                 obj, report = compile_one_function(
-                    parsed,
-                    section.name,
-                    function.name,
-                    self.array,
-                    self.opt_level,
+                    parsed, section.name, function.name, self.options
                 )
                 section_objects.append(obj)
                 all_objects.append(obj)

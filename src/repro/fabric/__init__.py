@@ -16,31 +16,27 @@ Robustness model (see INTERNALS.md §Distributed fabric):
   node's lease expires and its unacknowledged tasks are re-queued;
 - results are deduplicated by task key — first result wins, exactly the
   hedging rule the supervisor already applies;
-- every task and result crossing the wire carries a content digest, and
-  a result's code is additionally re-hashed against its sealed
+- every task and result crosses the wire as a sealed entry under a
+  content digest, and a result's code is re-hashed against its sealed
   ``payload_digest`` before the hub will route it;
 - zero live nodes degrades gracefully to the local fallback pool;
 - the two-tier artifact cache (:mod:`repro.fabric.netcache`) treats
   every network-tier failure as a miss — cache trouble can cost a
   recompile, never a wrong artifact and never a failed compile.
 
-Security model: pickled payloads are only ever decoded through a
-closed-allowlist unpickler, and setting ``WARPCC_FABRIC_SECRET`` on
-every hub, worker, and cache process additionally authenticates node
-registration (challenge-response) and every blob (HMAC-SHA256,
-constant-time compared before unpickling).  Without the secret the
+Security model: nothing read from a socket is unpickled — a blob is a
+hashed entry whose JSON header must name exactly a record's typed
+fields — and setting ``WARPCC_FABRIC_SECRET`` on every hub, worker, and
+cache process additionally authenticates node registration
+(challenge-response) and every blob (HMAC-SHA256, constant-time
+compared before anything is parsed).  Without the secret the
 ports are unauthenticated and must only be exposed on trusted networks
 — the defaults bind 127.0.0.1.
 """
 
 from .chaos import CacheChaos, FabricChaos
 from .hub import FabricHub, FabricStats, RemoteBackend
-from .netcache import (
-    CacheServiceServer,
-    NetworkBlobStore,
-    NetworkCacheClient,
-    TieredCache,
-)
+from .netcache import CacheServiceServer, NetworkCacheClient, TieredCache
 from .node import WorkerNodeAgent
 from .wire import (
     FABRIC_SECRET_ENV,
@@ -63,7 +59,6 @@ __all__ = [
     "FabricChaos",
     "FabricHub",
     "FabricStats",
-    "NetworkBlobStore",
     "NetworkCacheClient",
     "ProtocolError",
     "RemoteBackend",

@@ -2,16 +2,20 @@
 
 Bazel-style content-addressed cache service: keys are the existing
 artifact fingerprints (already salted with the compiler version), values
-are pickled :class:`FunctionTaskResult` blobs.  One tenant's compile
-warms every node that shares the cache service.
+are ``objects/`` entries — the server is an
+:class:`~repro.cache.store.ArtifactCache` directory behind a socket, and
+what crosses is the bytes of the file.  One tenant's compile warms every
+node that shares the cache service.
 
 Tiering rules (INTERNALS.md §Distributed fabric):
 
 - **read-through** — a local miss consults the network tier; a network
-  hit is digest-validated, then written into the local store so the
-  next lookup never leaves the machine;
+  hit is checked exactly as a local read checks a file, then written
+  into the local store verbatim so the next lookup never leaves the
+  machine;
 - **write-behind** — local puts return immediately; a background thread
-  pushes the blob to the network tier, and a full queue drops the push
+  pushes the bytes just written to the network tier, and a full queue
+  drops the push
   (the artifact is still cached locally — the network tier is an
   accelerator, not a system of record);
 - **degradation** — *every* network-tier failure (refused connection,
@@ -26,50 +30,30 @@ from __future__ import annotations
 import queue
 import threading
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from ..cache.store import DEFAULT_MAX_BYTES, Store
-from ..driver.function_master import FunctionTaskResult, result_payload_digest
+from ..cache.store import DEFAULT_MAX_BYTES, ArtifactCache
+from ..driver.function_master import FunctionTaskResult
 from .chaos import CacheChaos
 from .wire import (
     Connection,
     LineServer,
     ProtocolError,
     connect_with_backoff,
-    pack_blob,
     pack_bytes,
     parse_address,
     refusal,
     serve_requests,
-    unpack_blob,
     unpack_bytes,
 )
 
 
-class _BlobCodec:
-    """Entry body = the client's bytes, as they came."""
-
-    def pack(self, blob: bytes):
-        return {}, blob
-
-    def unpack(self, facts: dict, body: bytes) -> bytes:
-        return body
-
-
-class NetworkBlobStore(Store):
-    """Server-side storage: raw pickled-result blobs, content-addressed.
-
-    Reuses the store machinery wholesale — atomic tmp+rename writes,
-    LRU eviction, quarantine-on-corrupt — with ``bytes`` payloads, so
-    the server never unpickles (or trusts) what clients store.
-    """
-
-    SUBDIR = "netblobs"
-    codec = _BlobCodec()
-
-
 class CacheServiceServer:
-    """The network cache tier: a tiny content-addressed blob service.
+    """The network cache tier: an ``objects/`` directory behind a socket
+    (``self.store`` is a plain :class:`ArtifactCache`, readable by any
+    other opened on its directory).  The server checks an entry's
+    framing — both hashes, tier, schema — before it stores it and again
+    before it serves it, and never runs the body's codec.
 
     Protocol (JSON lines, many requests per connection):
 
@@ -77,8 +61,8 @@ class CacheServiceServer:
       ``{"ok": true, "hit": true, "blob": ..., "sha256": ...}`` or
       ``{"ok": true, "hit": false}``
     - ``{"op": "cache-put", "key": fp, "blob": ..., "sha256": ...}`` →
-      ``{"ok": true, "stored": true}`` (digest-mismatched puts are
-      refused, not stored)
+      ``{"ok": true, "stored": true}`` (a put whose digest does not
+      match, or whose blob is not an ``objects/`` entry, is refused)
     - ``{"op": "ping"}`` → ``{"ok": true, "entries": N}``
 
     ``chaos`` (tests/CI only) deterministically corrupts response blobs
@@ -94,7 +78,7 @@ class CacheServiceServer:
         max_bytes: int = DEFAULT_MAX_BYTES,
         chaos: Optional[CacheChaos] = None,
     ):
-        self.store = NetworkBlobStore(cache_dir, max_bytes=max_bytes)
+        self.store = ArtifactCache(cache_dir, max_bytes=max_bytes)
         self.chaos = chaos
         self.verbs = {
             "ping": self._ping,
@@ -140,7 +124,7 @@ class CacheServiceServer:
         return verb
 
     def _get(self, key: str, frame: dict) -> dict:
-        blob = self.store.get(key)
+        blob = self.store.get_bytes(key)  # a rotted entry is deleted here
         if blob is None:
             return {"ok": True, "hit": False}
         if self.chaos is not None:
@@ -150,7 +134,7 @@ class CacheServiceServer:
         return reply
 
     def _put(self, key: str, frame: dict) -> dict:
-        self.store.put(key, unpack_bytes(frame))
+        self.store.put_bytes(key, unpack_bytes(frame))  # raises: refused
         return {"ok": True, "stored": True}
 
 
@@ -217,7 +201,11 @@ class NetworkCacheClient:
 
     # -- cache surface -------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[FunctionTaskResult]:
+    def get(
+        self, fingerprint: str
+    ) -> Optional[Tuple[FunctionTaskResult, bytes]]:
+        """A network hit as ``(result, its entry's bytes)``, checked
+        exactly as :meth:`ArtifactCache.get` checks a file; else None."""
         reply = self._request({"op": "cache-get", "key": fingerprint})
         if reply is None or not reply.get("ok"):
             if reply is not None:
@@ -227,46 +215,44 @@ class NetworkCacheClient:
             self.remote_misses += 1
             return None
         try:
-            result = unpack_blob(reply, FunctionTaskResult)
-            if result_payload_digest(result) != result.payload_digest:
-                raise ProtocolError("cache entry fails payload-digest validation")
+            entry = unpack_bytes(reply)
+            result = ArtifactCache.open(entry)
         except Exception:  # noqa: BLE001 - cache trouble must never fail a compile
             # A corrupt network-tier entry is a miss, never an artifact
-            # and never an error: even a blob that unpickles into a
-            # FunctionTaskResult with mangled internals (something other
-            # than bytes where its code should be) degrades to a
+            # and never an error: hashes that do not hold, or facts of
+            # the wrong type behind hashes that do, degrade to a
             # recompile.
             self.corrupt_responses += 1
             self.remote_misses += 1
             return None
         self.remote_hits += 1
-        return result
+        return result, entry
 
-    def put(self, fingerprint: str, result: FunctionTaskResult) -> bool:
-        payload = {"op": "cache-put", "key": fingerprint}
-        payload.update(pack_blob(result))
-        reply = self._request(payload)
+    def put(self, fingerprint: str, entry: bytes) -> bool:
+        reply = self._request(
+            {"op": "cache-put", "key": fingerprint, **pack_bytes(entry)}
+        )
         return bool(reply and reply.get("ok"))
 
 
-class TieredCache:
-    """Local artifact store in front of a network cache tier.
-
-    Implements exactly the surface :class:`repro.driver.master.
-    ParallelCompiler` consumes — ``get``/``put``/``stats``/
-    ``size_bytes``/``entry_count`` — so it drops in anywhere an
-    :class:`~repro.cache.store.ArtifactCache` does.
+class TieredCache(ArtifactCache):
+    """An artifact cache whose miss path asks a network cache tier, and
+    whose puts reach it too; drops in anywhere an
+    :class:`~repro.cache.store.ArtifactCache` does.  ``stats`` are the
+    local tier's — the counters that decide recompiles; the network
+    tier's ride alongside on ``remote``.
     """
 
     def __init__(
         self,
-        local,
+        cache_dir,
         remote: NetworkCacheClient,
         *,
+        max_bytes: int = DEFAULT_MAX_BYTES,
         write_behind: bool = True,
         queue_depth: int = 256,
     ):
-        self.local = local
+        super().__init__(cache_dir, max_bytes)
         self.remote = remote
         self.write_behind = write_behind
         self.writes_dropped = 0
@@ -279,38 +265,25 @@ class TieredCache:
             )
             self._writer.start()
 
-    # The master reads ``cache.stats`` for its report; the local tier's
-    # counters are the ones that decide recompiles, so they are the ones
-    # surfaced.  Network-tier counters ride alongside on ``remote``.
-    @property
-    def stats(self):
-        return self.local.stats
-
-    @property
-    def max_bytes(self) -> int:
-        return self.local.max_bytes
-
-    @property
-    def cache_dir(self):
-        return self.local.cache_dir
-
     def get(self, fingerprint: str) -> Optional[FunctionTaskResult]:
-        result = self.local.get(fingerprint)
-        if result is not None:
-            return result
-        result = self.remote.get(fingerprint)
-        if result is not None:
-            # Read-through: the next lookup never leaves the machine.
-            self.local.put(fingerprint, result)
+        result = super().get(fingerprint)
+        if result is None:
+            found = self.remote.get(fingerprint)
+            if found is not None:
+                # Read-through, verbatim: the next lookup never leaves
+                # the machine.
+                result, entry = found
+                self._write(fingerprint, entry)
         return result
 
     def put(self, fingerprint: str, result: FunctionTaskResult) -> None:
-        self.local.put(fingerprint, result)
+        entry = self.seal(result)
+        self._write(fingerprint, entry)
         if self._queue is None:
-            self.remote.put(fingerprint, result)
+            self.remote.put(fingerprint, entry)
             return
         try:
-            self._queue.put_nowait((fingerprint, result))
+            self._queue.put_nowait((fingerprint, entry))
         except queue.Full:
             self.writes_dropped += 1  # local store still has it
 
@@ -320,9 +293,8 @@ class TieredCache:
             item = self._queue.get()
             if item is None:
                 return
-            fingerprint, result = item
             try:
-                self.remote.put(fingerprint, result)
+                self.remote.put(*item)
             except Exception:  # noqa: BLE001 - the tier must never raise
                 pass
             finally:
@@ -341,14 +313,3 @@ class TieredCache:
             self.flush()
             self._queue.put(None)
         self.remote.close()
-
-    # -- maintenance passthroughs -------------------------------------
-
-    def size_bytes(self) -> int:
-        return self.local.size_bytes()
-
-    def entry_count(self) -> int:
-        return self.local.entry_count()
-
-    def clear(self) -> int:
-        return self.local.clear()

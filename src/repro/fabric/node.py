@@ -234,8 +234,6 @@ class WorkerNodeAgent:
             return
         try:
             for result in results:
-                if result.worker is None:
-                    result.worker = f"node:{self.node_id}"
                 conn.send(encode_result(result, task_id))
             conn.send({"op": "task-done", "id": task_id})
         except (OSError, ConnectionError, ProtocolError):

@@ -19,30 +19,27 @@ above the framing: a failed authentication, a digest that does not
 match).  Blank lines are skipped.  An unknown op or any other handler
 exception gets the same reply shape and the connection stays.
 
-Tasks and results are pickled, base64'd, and wrapped in a frame that
-carries the blob's sha256.  Decoding re-hashes the blob before
-unpickling, and results are additionally re-validated against their
-sealed ``payload_digest`` (:func:`result_payload_digest`) — so a frame
-that was truncated, duplicated-and-spliced, or corrupted anywhere along
-the path is rejected at the crossing, never linked.
+Tasks and results cross as sealed entries (:mod:`repro.cache.store`'s
+``WCE1`` framing, the one serial form): a result is the very bytes an
+``objects/`` directory holds for it, a task a header-only entry.  The
+entry is base64'd into a frame that carries its sha256, and decoding
+passes four checks in order, constructing nothing before the last:
 
-The sha256 only catches *accidental* corruption — a peer computes it
-over its own blob, so it proves nothing about who sent the frame.  Two
-mechanisms defend the unpickling boundary against a hostile peer:
-
-- every blob is decoded by a **restricted unpickler** whose global
-  table is a closed allowlist of the task, result and report records
-  (:data:`ALLOWED_PICKLE_GLOBALS` — object code travels inside a result
-  as encoded bytes, not as classes); a blob referencing any
-  other callable — ``os.system``, ``subprocess.Popen``, anything — is
-  rejected before it can construct, so a pickle can never be turned
-  into code execution;
-- when a shared secret is configured (``WARPCC_FABRIC_SECRET``, read by
-  :func:`fabric_secret`), every blob additionally carries an HMAC-SHA256
-  tag keyed on that secret, compared in constant time *before*
-  unpickling, and hub registration requires a challenge–response proof
-  of the secret before a lease (and therefore any task payload) is
-  granted.
+- with a shared secret configured (``WARPCC_FABRIC_SECRET``, read by
+  :func:`fabric_secret`), the frame's **HMAC-SHA256** tag keyed on it,
+  compared in constant time before anything is parsed (hub registration
+  likewise demands a challenge–response proof of the secret before a
+  lease, and so any task payload, is granted);
+- the **transit digest** — it catches accidents only: a peer computes it
+  over its own bytes, so it proves nothing about the sender;
+- the **entry's own hashes**, of header and body — a result's body hash
+  is its sealed ``payload_digest``, so a frame truncated, spliced or
+  corrupted on the way, or a worker that sealed garbage, is refused at
+  the crossing, never linked;
+- the **typed facts**: a record is built from the JSON header only if it
+  names exactly the record's fields with exactly their types
+  (:mod:`repro.facts`).  Nothing a frame holds is unpickled, so there is
+  no allowlist: there is nothing to allow.
 
 Without a secret the fabric is unauthenticated and its ports must only
 be exposed on trusted networks (the defaults bind 127.0.0.1); see
@@ -56,7 +53,6 @@ import hashlib
 import hmac
 import json
 import os
-import pickle
 import random
 import socket
 import socketserver
@@ -64,13 +60,8 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from ..cache import pickled
-from ..driver.function_master import (
-    FunctionTask,
-    FunctionTaskResult,
-    result_payload_digest,
-)
-from ..driver.results import FunctionReport
+from ..cache.store import ArtifactCache, FactsCodec, open_entry, seal_entry
+from ..driver.function_master import FunctionTask, FunctionTaskResult
 
 #: Protocol revision; bumped on incompatible frame changes.
 PROTOCOL_VERSION = 1
@@ -130,10 +121,6 @@ def hmac_tag(data: bytes, key: bytes) -> str:
     return hmac.new(key, data, hashlib.sha256).hexdigest()
 
 
-#: Sentinel: "resolve the secret from the environment at call time".
-_ENV_SECRET = object()
-
-
 def read_frame_line(rfile, max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> Optional[bytes]:
     """One newline-terminated line from a binary file object.
 
@@ -175,38 +162,21 @@ def encode_frame(frame: dict) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Blob codec: pickle + base64 + sha256 (+ HMAC when a secret is set),
-# decoded through a closed-allowlist unpickler on every crossing.
+# Blob envelope: base64 + sha256 (+ HMAC when a secret is set) around the
+# bytes of a sealed entry.
 # ---------------------------------------------------------------------------
-
-#: The only globals a fabric blob may reference: the task, the result
-#: and the report inside it — three flat records of strings, numbers,
-#: lists of them and (a result's object code) bytes, none of which
-#: pickle resolves by name.  Everything else — any function, any other
-#: class — is rejected before the unpickler can construct it, which is
-#: what makes a hostile blob inert rather than remote code execution.
-ALLOWED_PICKLE_GLOBALS: Dict[Tuple[str, str], type] = pickled.allowed_globals(
-    FunctionTask, FunctionTaskResult, FunctionReport
-)
-
-
-def restricted_loads(blob: bytes):
-    """``pickle.loads`` through the fabric's closed global allowlist
-    (the unpickler itself is :mod:`repro.cache.pickled`'s, shared with
-    the disk tiers that still pickle)."""
-    return pickled.restricted_loads(blob, ALLOWED_PICKLE_GLOBALS)
 
 
 def _blob_digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def pack_bytes(blob: bytes, secret=_ENV_SECRET) -> dict:
+def pack_bytes(blob: bytes) -> dict:
     """Fields carrying raw bytes plus their digest.
 
     With a shared secret configured the fields also carry an HMAC tag
     keyed on it, proving the bytes were produced by a secret holder."""
-    key = fabric_secret() if secret is _ENV_SECRET else secret
+    key = fabric_secret()
     fields = {
         "blob": base64.b64encode(blob).decode("ascii"),
         "sha256": _blob_digest(blob),
@@ -216,7 +186,7 @@ def pack_bytes(blob: bytes, secret=_ENV_SECRET) -> dict:
     return fields
 
 
-def unpack_bytes(frame: dict, secret=_ENV_SECRET) -> bytes:
+def unpack_bytes(frame: dict) -> bytes:
     """Decode, authenticate, and digest-check packed bytes.
 
     When a shared secret is configured the frame's HMAC is compared in
@@ -227,7 +197,7 @@ def unpack_bytes(frame: dict, secret=_ENV_SECRET) -> bytes:
         blob = base64.b64decode(frame["blob"].encode("ascii"), validate=True)
     except Exception as exc:  # noqa: BLE001 - anything here is corruption
         raise WireCorruption(f"undecodable blob: {exc}")
-    key = fabric_secret() if secret is _ENV_SECRET else secret
+    key = fabric_secret()
     if key is not None:
         tag = frame.get("hmac")
         if not isinstance(tag, str) or not hmac.compare_digest(
@@ -245,66 +215,46 @@ def unpack_bytes(frame: dict, secret=_ENV_SECRET) -> bytes:
     return blob
 
 
-def pack_blob(payload, secret=_ENV_SECRET) -> dict:
-    """:func:`pack_bytes` over an arbitrary picklable payload."""
-    return pack_bytes(
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), secret
-    )
+#: a task is a header-only entry of a tier no directory holds
+TASK_TIER = "task"
+_TASK_CODEC = FactsCodec(FunctionTask)
 
 
-def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
-    """:func:`unpack_bytes`, then unpickle and type-check the payload.
+def _open_task(entry: bytes) -> FunctionTask:
+    return _TASK_CODEC.unpack(*open_entry(entry, TASK_TIER, PROTOCOL_VERSION))
 
-    Unpickling goes through :func:`restricted_loads`, and only after
-    the bytes were authenticated and digest-checked.
-    """
-    blob = unpack_bytes(frame, secret)
+
+def _record_in(frame: dict, opener: Callable, what: str):
+    """The record in a frame's blob: :func:`unpack_bytes`, then
+    ``opener`` on the entry — whatever that raises is the frame's fault."""
+    entry = unpack_bytes(frame)
     try:
-        payload = restricted_loads(blob)
-    except WireCorruption:
-        raise
+        return opener(entry)
     except Exception as exc:  # noqa: BLE001
-        raise WireCorruption(f"blob does not unpickle: {exc}")
-    if not isinstance(payload, expected_type):
-        raise WireCorruption(
-            f"blob holds {type(payload).__name__}, "
-            f"expected {expected_type.__name__}"
-        )
-    return payload
+        raise WireCorruption(f"blob is not a {what} entry: {exc}")
 
 
 def encode_task(task: FunctionTask, task_id: str) -> dict:
-    frame = {"op": "task", "id": task_id}
-    frame.update(pack_blob(task))
-    return frame
+    entry = seal_entry(TASK_TIER, PROTOCOL_VERSION, *_TASK_CODEC.pack(task))
+    return {"op": "task", "id": task_id, **pack_bytes(entry)}
 
 
 def decode_task(frame: dict) -> FunctionTask:
-    return unpack_blob(frame, FunctionTask)
+    return _record_in(frame, _open_task, "task")
 
 
 def encode_result(result: FunctionTaskResult, task_id: str) -> dict:
-    frame = {"op": "result", "id": task_id}
-    frame.update(pack_blob(result))
-    return frame
+    """A result frame; its blob is the result's ``objects/`` entry."""
+    return {"op": "result", "id": task_id, **pack_bytes(ArtifactCache.seal(result))}
 
 
 def decode_result(frame: dict) -> FunctionTaskResult:
-    """Decode a result frame and validate its sealed payload digest.
-
-    The blob digest catches transport corruption; re-hashing the
-    result's code against its payload digest additionally catches a
-    worker that pickled garbage — the same check the supervisor applies,
-    enforced at the wire so a corrupt result never even enters the
-    scheduler.
+    """Decode a result frame: the blob must open as an ``objects/``
+    entry, which re-hashes its code against the sealed payload digest
+    (what the supervisor checks too, enforced at the wire so a corrupt
+    result never even enters the scheduler) and type-checks every fact.
     """
-    result = unpack_blob(frame, FunctionTaskResult)
-    if result_payload_digest(result) != result.payload_digest:
-        raise WireCorruption(
-            f"result {result.section_name}.{result.function_name} fails "
-            "payload-digest validation"
-        )
-    return result
+    return _record_in(frame, ArtifactCache.open, "result")
 
 
 # ---------------------------------------------------------------------------

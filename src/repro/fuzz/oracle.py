@@ -56,7 +56,7 @@ from __future__ import annotations
 import importlib.util
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,6 +68,7 @@ from ..lang.diagnostics import CompileError, DiagnosticSink
 from ..lang.parser import parse_text
 from ..lang.sema import check_module
 from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from ..parallel.local import SerialBackend
 from ..warpsim.array_runner import run_module
 from .generator import GeneratedProgram, config_for_size_class, generate_program
@@ -152,8 +153,7 @@ class OracleReport:
 @dataclass
 class OracleConfig:
     pipelines: Sequence[str] = DEFAULT_PIPELINES
-    opt_level: int = 2
-    cell_count: int = 10
+    options: CompileOptions = CompileOptions()
     #: semantic check: execute on warpsim vs the reference interpreter
     #: (tests/reference_interp.py); silently skipped if unavailable.
     check_semantics: bool = True
@@ -270,48 +270,41 @@ class DifferentialOracle:
     # -- compilation legs ---------------------------------------------
 
     def _array(self) -> WarpArrayModel:
-        return WarpArrayModel(cell_count=self.config.cell_count)
+        return WarpArrayModel(cell_count=self.config.options.cell_count)
 
     def _compile_sequential(self, source: str):
-        return SequentialCompiler(
-            array=self._array(), opt_level=self.config.opt_level
-        ).compile(source)
+        return SequentialCompiler(self.config.options).compile(source)
 
     def _compile_variant(self, name: str, source: str, seed: int):
         """One ParallelCompiler run for pipeline ``name``; returns the
         CompilationResult (the ``cache`` variant returns the warm run)."""
-        kwargs = dict(array=self._array(), opt_level=self.config.opt_level)
-        if name == "parallel":
-            return ParallelCompiler(backend=SerialBackend(), **kwargs).compile(
-                source
-            )
+        options = self.config.options
         if name == "section":
             return ParallelCompiler(
-                backend=SerialBackend(), granularity="section", **kwargs
+                SerialBackend(), replace(options, granularity="section")
             ).compile(source)
-        if name == "warm-pool":
-            return ParallelCompiler(
-                backend=self._warm_backend(), **kwargs
-            ).compile(source)
-        if name == "fabric":
-            return ParallelCompiler(
-                backend=self._fabric_backend(), **kwargs
-            ).compile(source)
+        backends = {
+            "parallel": SerialBackend,
+            "warm-pool": self._warm_backend,
+            "fabric": self._fabric_backend,
+        }
+        if name in backends:
+            return ParallelCompiler(backends[name](), options).compile(source)
         if name == "cache":
-            return self._compile_cache_variant(source, **kwargs)
+            return self._compile_cache_variant(source, options)
         if name == "search":
-            return self._compile_search_variant(source, seed, **kwargs)
+            return self._compile_search_variant(source, seed, options)
         if name == "predict":
-            return self._compile_predict_variant(source, **kwargs)
+            return self._compile_predict_variant(source, options)
         if name == "phase1":
-            return self._compile_phase1_variant(source, **kwargs)
+            return self._compile_phase1_variant(source, options)
         if name == "phase4":
-            return self._compile_phase4_variant(source, **kwargs)
+            return self._compile_phase4_variant(source, options)
         if name == "supervised":
             from ..parallel.supervisor import SupervisedBackend
 
             backend = SupervisedBackend(SerialBackend(), hedge_after=None)
-            return ParallelCompiler(backend=backend, **kwargs).compile(source)
+            return ParallelCompiler(backend, options).compile(source)
         if name == "chaos":
             from ..parallel.fault_tolerance import ChaosBackend
             from ..parallel.supervisor import SupervisedBackend
@@ -335,20 +328,15 @@ class DifferentialOracle:
                 max_attempts=6,
                 poison_threshold=6,
             )
-            return ParallelCompiler(backend=backend, **kwargs).compile(source)
+            return ParallelCompiler(backend, options).compile(source)
         raise ValueError(f"unknown pipeline {name!r}")
 
-    def _compile_cache_variant(self, source: str, *, array, opt_level):
+    def _compile_cache_variant(self, source: str, options):
         """Cold compile, warm recompile, digest from the warm run; plus
         the cross-version salt isolation assertion."""
         with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-cache-") as tmp:
             cache = ArtifactCache(tmp)
-            compiler = ParallelCompiler(
-                backend=SerialBackend(),
-                array=array,
-                opt_level=opt_level,
-                cache=cache,
-            )
+            compiler = ParallelCompiler(SerialBackend(), options, cache=cache)
             cold = compiler.compile(source)
             warm = compiler.compile(source)
             if cold.digest != warm.digest:
@@ -360,10 +348,10 @@ class DifferentialOracle:
                 raise OracleInvariantError(
                     "warm recompile served no artifact-cache hits"
                 )
-            self._assert_salt_isolation(source, cache, array, opt_level)
+            self._assert_salt_isolation(source, cache, options)
             return warm
 
-    def _compile_search_variant(self, source: str, seed: int, *, array, opt_level):
+    def _compile_search_variant(self, source: str, seed: int, options):
         """The variant-search leg, checked four ways:
 
         1. **determinism** — a cold search and a warm search (shared
@@ -391,11 +379,12 @@ class DifferentialOracle:
         from ..warpsim.scoring import score_module, seeded_input_sets
 
         input_sets = seeded_input_sets(seed & 0xFFFF)
+        array = self._array()
         with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-search-") as tmp:
             store = VariantStore(tmp)
             common = dict(
                 input_sets=input_sets,
-                array=array,
+                options=options,
                 variant_store=store,
                 max_cycles=self.config.max_cycles,
             )
@@ -426,15 +415,11 @@ class DifferentialOracle:
                     key = outcome.winners.get(
                         (section.name, fn.name), reference_key
                     )
-                    config = VariantConfig.from_key(key)
                     obj, _ = compile_one_function(
                         parsed,
                         section.name,
                         fn.name,
-                        array,
-                        config.opt_level,
-                        unroll_budget=config.unroll_budget,
-                        ii_budget=config.ii_budget,
+                        VariantConfig.from_key(key).options(options),
                     )
                     objs.append(obj)
                 rebuilt_objects[section.name] = objs
@@ -468,7 +453,7 @@ class DifferentialOracle:
                     )
         return outcome.baseline
 
-    def _compile_predict_variant(self, source: str, *, array, opt_level):
+    def _compile_predict_variant(self, source: str, options):
         """Watch-mode speculation leg: a predict-enabled compile service
         speculatively compiles the module off a watch update, then an
         in-process compile *sharing its artifact cache* must be served
@@ -489,18 +474,14 @@ class DifferentialOracle:
                 speculation=True,
             ) as service:
                 outcome = service.watch_update(
-                    source, watch="oracle", opt_level=opt_level,
-                    cells=array.cell_count,
+                    source, watch="oracle", options=options
                 )
                 if outcome["job"] is not None:
                     job = service.wait(outcome["job"], timeout=120.0)
                     speculated = job.state == "done"
             hits_before = cache.stats.hits
             result = ParallelCompiler(
-                backend=SerialBackend(),
-                array=array,
-                opt_level=opt_level,
-                cache=cache,
+                SerialBackend(), options, cache=cache
             ).compile(source)
             if speculated and cache.stats.hits == hits_before:
                 raise OracleInvariantError(
@@ -508,7 +489,7 @@ class DifferentialOracle:
                 )
             return result
 
-    def _compile_phase1_variant(self, source: str, *, array, opt_level):
+    def _compile_phase1_variant(self, source: str, options):
         """Parse-cache-cold compile, then a warm recompile of the same
         source; both through the incremental front end.
         Digest must match across the cold/warm pair (a rebased cache
@@ -521,10 +502,7 @@ class DifferentialOracle:
 
             parse_cache = ParseCache(tmp)
             compiler = ParallelCompiler(
-                backend=SerialBackend(),
-                array=array,
-                opt_level=opt_level,
-                parse_cache=parse_cache,
+                SerialBackend(), options, parse_cache=parse_cache
             )
             # Drop the whole-module memo before each compile (earlier
             # legs of this check parsed the same source): both runs must
@@ -549,7 +527,7 @@ class DifferentialOracle:
                 )
             return warm
 
-    def _compile_phase4_variant(self, source: str, *, array, opt_level):
+    def _compile_phase4_variant(self, source: str, options):
         """Link-cache-cold phase 4, then a fully-warm recompile.
 
         The cold run links every section as it is recombined; the warm
@@ -561,9 +539,8 @@ class DifferentialOracle:
             from ..cache import LinkCache
 
             compiler = ParallelCompiler(
-                backend=SerialBackend(),
-                array=array,
-                opt_level=opt_level,
+                SerialBackend(),
+                options,
                 cache=ArtifactCache(tmp),
                 link_cache=LinkCache(tmp),
             )
@@ -588,7 +565,7 @@ class DifferentialOracle:
                 )
             return warm
 
-    def _assert_salt_isolation(self, source, cache, array, opt_level) -> None:
+    def _assert_salt_isolation(self, source, cache, options) -> None:
         """A salted cache must never serve cross-version entries: the
         same module fingerprinted under a bumped compiler salt must miss
         on every function."""
@@ -597,11 +574,7 @@ class DifferentialOracle:
         if sink.has_errors:
             return
         bumped = module_fingerprints(
-            module,
-            opt_level=opt_level,
-            cell_count=array.cell_count,
-            granularity="function",
-            salt=compiler_salt() + "+next-version",
+            module, options, salt=compiler_salt() + "+next-version"
         )
         for key, fingerprint in bumped.items():
             if cache.get(fingerprint) is not None:
@@ -817,8 +790,7 @@ def narrowed_config(
     )
     return OracleConfig(
         pipelines=pipelines,
-        opt_level=config.opt_level,
-        cell_count=config.cell_count,
+        options=config.options,
         check_semantics=config.check_semantics and semantic,
         max_cycles=min(config.max_cycles, 200_000),
         reference_max_steps=min(config.reference_max_steps, 50_000),

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cache.fingerprint import function_fingerprint
-from ..cache.pickled import PickleCodec
-from ..cache.store import Store
+from ..cache.store import FactsCodec, Store
 from ..driver.function_master import FunctionTask, phase1_cached
 
 #: recent samples kept per fingerprint (enough for a stable p90 without
@@ -73,7 +72,8 @@ class ObservationStore(Store):
     """Persistent per-fingerprint compile-time observations (``observe/``)."""
 
     SUBDIR = "observe"
-    codec = PickleCodec(CostObservation)
+    SCHEMA = 2  # 2: header facts with an empty body (1 was a pickle)
+    codec = FactsCodec(CostObservation)
 
 
 def task_fingerprint(task: FunctionTask) -> Optional[str]:
@@ -91,20 +91,10 @@ def task_fingerprint(task: FunctionTask) -> Optional[str]:
         section = parsed.module.section_named(task.section_name)
         if section is None:
             return None
-        function = next(
-            (f for f in section.functions if f.name == task.function_name),
-            None,
-        )
+        function = section.function_named(task.function_name)
         if function is None:
             return None
-        return function_fingerprint(
-            section,
-            function,
-            opt_level=task.opt_level,
-            cell_count=task.cell_count,
-            unroll_budget=task.unroll_budget,
-            ii_budget=task.ii_budget,
-        )
+        return function_fingerprint(section, function, task.options)
     except Exception:
         return None
 

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cache.fingerprint import module_fingerprints
 from ..driver.function_master import phase1_cached
+from ..options import CompileOptions
 
 #: tenant all speculative jobs run under (fair-share isolates it; the
 #: per-tenant inflight cap applies to it like anyone else)
@@ -101,8 +102,7 @@ class SpeculationManager:
         *,
         watch: str = "default",
         filename: str = "<watch>",
-        opt_level: int = 2,
-        cells: int = 10,
+        options: CompileOptions = CompileOptions(),
     ) -> dict:
         """Process one edit; returns the outcome document the protocol
         replies with.  Never raises for speculation-side failures."""
@@ -119,9 +119,7 @@ class SpeculationManager:
             self.updates += 1
         try:
             parsed, _ = phase1_cached(source, filename)
-            fingerprints = module_fingerprints(
-                parsed.module, opt_level=opt_level, cell_count=cells
-            )
+            fingerprints = module_fingerprints(parsed.module, options)
         except Exception:
             # A broken intermediate edit state: skip, keep the previous
             # snapshot (and any job speculating on it) untouched.
@@ -173,8 +171,7 @@ class SpeculationManager:
                 tenant=SPECULATION_TENANT,
                 filename=filename,
                 priority="batch",
-                opt_level=opt_level,
-                cells=cells,
+                options=options,
             )
         except AdmissionError as error:
             with self._lock:

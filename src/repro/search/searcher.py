@@ -48,6 +48,7 @@ from ..driver.master import ParallelCompiler
 from ..driver.phases import ParsedProgram, phase4_link_and_download
 from ..driver.results import CompilationResult
 from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from ..warpsim.scoring import (
     DEFAULT_SCORE_MAX_CYCLES,
     ModuleScore,
@@ -136,43 +137,18 @@ def _link(
     return module
 
 
-def _default_factory(
-    backend,
-    array: WarpArrayModel,
-    cache,
-    parse_cache,
-    link_cache,
-    granularity: str,
-) -> CompilerFactory:
-    def factory(config: VariantConfig) -> ParallelCompiler:
-        return ParallelCompiler(
-            backend=backend,
-            array=array,
-            opt_level=config.opt_level,
-            granularity=granularity,
-            cache=cache,
-            parse_cache=parse_cache,
-            link_cache=link_cache,
-            unroll_budget=config.unroll_budget,
-            ii_budget=config.ii_budget,
-        )
-
-    return factory
-
-
 def search_module(
     source_text: str,
     filename: str = "<input>",
     space: Optional[VariantSpace] = None,
     input_sets: Optional[Sequence[Sequence[Number]]] = None,
     input_seed: int = 0,
-    array: Optional[WarpArrayModel] = None,
+    options: CompileOptions = CompileOptions(),
     backend=None,
     cache=None,
     parse_cache=None,
     link_cache=None,
     variant_store: Optional[VariantStore] = None,
-    granularity: str = "function",
     max_cycles: int = DEFAULT_SCORE_MAX_CYCLES,
     compiler_factory: Optional[CompilerFactory] = None,
 ) -> SearchOutcome:
@@ -181,17 +157,26 @@ def search_module(
 
     ``input_sets`` are the recorded scoring inputs; when None, a
     deterministic synthetic set derived from ``input_seed`` is used.
+    ``options`` are the base every config of the space is applied to
+    (cell count, granularity).
     The shipped module's digest is a pure function of (source, space,
     inputs): independent of backend, submission order, and cache state.
     """
     space = space if space is not None else default_space()
-    array = array or WarpArrayModel()
+    array = WarpArrayModel(cell_count=options.cell_count)
     if input_sets is None:
         input_sets = seeded_input_sets(input_seed)
     input_sets = [list(s) for s in input_sets]
     input_digest = input_set_digest(input_sets)
-    factory = compiler_factory or _default_factory(
-        backend, array, cache, parse_cache, link_cache, granularity
+    # By default every config shares the caller's backend and cache tiers.
+    factory = compiler_factory or (
+        lambda config: ParallelCompiler(
+            backend,
+            config.options(options),
+            cache=cache,
+            parse_cache=parse_cache,
+            link_cache=link_cache,
+        )
     )
 
     # One compile wave per config.  The fabric hub dedups first-result-
@@ -229,11 +214,7 @@ def search_module(
     # Reference-config fingerprints identify the function *body*; the
     # config under measurement is a separate key component.
     base_fps = module_fingerprints(
-        parsed.module,
-        opt_level=space.reference.opt_level,
-        cell_count=array.cell_count,
-        granularity=granularity,
-        salt=compiler_salt(),
+        parsed.module, space.reference.options(options), salt=compiler_salt()
     )
 
     obj_index: Dict[str, Dict[FnKey, ObjectFunction]] = {}

@@ -19,8 +19,10 @@ reports, ``--space`` command lines, and JSON output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, List, Sequence, Tuple
+
+from ..options import CompileOptions
 
 #: The standard pipeline: what ``warpcc compile`` produces today.
 REFERENCE_KEY = "o2u0i0"
@@ -30,20 +32,19 @@ _KEY_RE = re.compile(r"^o(\d+)u(\d+)i(\d+)$")
 
 @dataclass(frozen=True, order=True)
 class VariantConfig:
-    """One compiler configuration the search may try."""
+    """One compiler configuration the search may try: a point in three
+    of the five fields of :class:`~repro.options.CompileOptions`."""
 
     opt_level: int = 2
     unroll_budget: int = 0
     ii_budget: int = 0
 
     def __post_init__(self):
-        if self.opt_level not in (0, 1, 2):
-            raise ValueError(f"opt_level must be 0..2, got {self.opt_level}")
-        if self.unroll_budget < 0 or self.ii_budget < 0:
-            raise ValueError(
-                f"budgets must be >= 0, got unroll={self.unroll_budget} "
-                f"ii={self.ii_budget}"
-            )
+        self.options(CompileOptions())  # the range checks live there
+
+    def options(self, base: CompileOptions) -> CompileOptions:
+        """``base`` moved to this point of the space."""
+        return replace(base, **asdict(self))
 
     def key(self) -> str:
         return f"o{self.opt_level}u{self.unroll_budget}i{self.ii_budget}"

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..options import CompileOptions
 from ..workloads.kernels import synthetic_function
 from ..workloads.sizes import SIZE_CLASSES, lines_for
 from ..workloads.synthetic import synthetic_program
@@ -56,8 +57,7 @@ class LoadSpec:
     priority_mix: Dict[str, float] = field(
         default_factory=lambda: {"normal": 1.0}
     )
-    opt_level: int = 2
-    cells: int = 10
+    options: CompileOptions = CompileOptions()
 
     def validate(self) -> None:
         if self.jobs < 1:
@@ -201,8 +201,7 @@ def run_load(
                 tenant=planned.tenant,
                 filename=f"{planned.module_name}.w2",
                 priority=planned.priority,
-                opt_level=spec.opt_level,
-                cells=spec.cells,
+                options=spec.options,
             )
         except AdmissionError:
             rejected += 1
@@ -268,8 +267,7 @@ class EditSessionSpec:
     edits: int = 8
     functions: int = 4
     size_class: str = "small"
-    opt_level: int = 2
-    cells: int = 10
+    options: CompileOptions = CompileOptions()
     module_name: Optional[str] = None
 
     def validate(self) -> None:
@@ -406,8 +404,7 @@ def replay_edit_session(
                 step.source,
                 watch=spec.name,
                 filename=filename,
-                opt_level=spec.opt_level,
-                cells=spec.cells,
+                options=spec.options,
             )
             job_id = outcome.get("job")
             if job_id is not None:
@@ -421,8 +418,7 @@ def replay_edit_session(
                 tenant=tenant,
                 filename=filename,
                 priority="interactive",
-                opt_level=spec.opt_level,
-                cells=spec.cells,
+                options=spec.options,
             )
         except AdmissionError:
             failed += 1

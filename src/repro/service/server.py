@@ -51,7 +51,7 @@ from ..driver.function_master import FunctionTask, FunctionTaskResult
 from ..driver.master import ParallelCompiler
 from ..fabric.wire import LineServer, refusal, serve_requests
 from ..lang.diagnostics import CompileError
-from ..machine.warp_array import WarpArrayModel
+from ..options import CompileOptions
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
 from ..parallel.backend import stream_task_results
 from .queue import (
@@ -100,8 +100,7 @@ class JobRecord:
     priority: str
     source: str
     filename: str
-    opt_level: int
-    cell_count: int
+    options: CompileOptions
     submit_seq: int
     state: str = "queued"
     submitted_at: float = 0.0  # monotonic, relative to service start
@@ -332,8 +331,7 @@ class CompileService:
         tenant: str = "default",
         filename: str = "<input>",
         priority: str = "normal",
-        opt_level: int = 2,
-        cells: int = 10,
+        options: CompileOptions = CompileOptions(),
     ) -> str:
         """Admit one compile job; returns its id or raises
         :class:`AdmissionError` (explicit backpressure, never buffering
@@ -372,8 +370,7 @@ class CompileService:
                 priority=priority,
                 source=source,
                 filename=filename,
-                opt_level=opt_level,
-                cell_count=cells,
+                options=options,
                 submit_seq=next(self._submit_seq),
                 submitted_at=self._now(),
             )
@@ -430,10 +427,7 @@ class CompileService:
 
     def _run_job(self, job: JobRecord) -> None:
         compiler = ParallelCompiler(
-            backend=_JobBackend(self, job),
-            array=WarpArrayModel(cell_count=job.cell_count),
-            opt_level=job.opt_level,
-            cache=self._cache,
+            _JobBackend(self, job), job.options, cache=self._cache
         )
         try:
             result = compiler.compile(job.source, filename=job.filename)
@@ -694,8 +688,7 @@ class CompileService:
         *,
         watch: str = "default",
         filename: str = "<watch>",
-        opt_level: int = 2,
-        cells: int = 10,
+        options: CompileOptions = CompileOptions(),
     ) -> dict:
         """One watch-mode edit: fingerprint-diff the module against the
         watch key's previous snapshot and (maybe) launch a speculative
@@ -712,11 +705,7 @@ class CompileService:
                 "reason": "speculation-disabled",
             }
         return self._speculation.update(
-            source,
-            watch=watch,
-            filename=filename,
-            opt_level=opt_level,
-            cells=cells,
+            source, watch=watch, filename=filename, options=options
         )
 
     def service_stats(self) -> dict:
@@ -846,6 +835,14 @@ class CompileService:
 PROTOCOL_VERSION = 1
 
 
+def _request_options(request: dict) -> CompileOptions:
+    """A request's ``opt_level`` / ``cells`` as the options its job keeps."""
+    return CompileOptions(
+        opt_level=int(request.get("opt_level", 2)),
+        cell_count=int(request.get("cells", 10)),
+    )
+
+
 class ServiceSocketServer:
     """``warpcc serve``: the service's verbs behind the JSON-lines
     endpoint (:class:`~repro.fabric.wire.LineServer`).
@@ -909,8 +906,7 @@ class ServiceSocketServer:
                 tenant=request.get("tenant", "default"),
                 filename=request.get("filename", "<input>"),
                 priority=request.get("priority", "normal"),
-                opt_level=int(request.get("opt_level", 2)),
-                cells=int(request.get("cells", 10)),
+                options=_request_options(request),
             )
         except AdmissionError as error:
             return refusal(error, error.reason)
@@ -972,8 +968,7 @@ class ServiceSocketServer:
             source,
             watch=str(request.get("watch", "default")),
             filename=request.get("filename", "<watch>"),
-            opt_level=int(request.get("opt_level", 2)),
-            cells=int(request.get("cells", 10)),
+            options=_request_options(request),
         )
         return {"ok": True, **outcome}
 

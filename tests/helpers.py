@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
+from repro import CompileOptions
 from repro.driver.sequential import SequentialCompiler
 from repro.ir.cfg import FunctionIR, ModuleIR
 from repro.ir.lowering import lower_module
@@ -85,7 +86,7 @@ def compile_and_run(
 ) -> RunResult:
     """Compile with the sequential compiler and execute on the simulator."""
     compiler = SequentialCompiler(
-        array=WarpArrayModel(cell_count=cell_count), opt_level=opt_level
+        CompileOptions(opt_level=opt_level, cell_count=cell_count)
     )
     result = compiler.compile(source)
     return run_module(result.download, inputs, max_cycles=max_cycles)

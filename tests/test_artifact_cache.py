@@ -6,10 +6,12 @@ must be bit-identical to a from-scratch compile of the mutated source,
 and exactly one function may pay phase-2/3 work (one cache miss).
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro import CompileOptions
 from repro.cache import ArtifactCache, function_fingerprint, module_fingerprints
 from repro.cache.store import default_cache_dir
 from repro.driver.master import ParallelCompiler
@@ -55,10 +57,29 @@ def cached_compiler(cache, **kwargs):
     return ParallelCompiler(backend=SerialBackend(), cache=cache, **kwargs)
 
 
+def another_value(options, name):
+    """A valid value for field ``name`` other than the one it has."""
+    value = getattr(options, name)
+    if isinstance(value, str):
+        candidates = ["section", "function"]
+    elif isinstance(value, bool):
+        candidates = [not value]
+    else:
+        candidates = [value + 1, value - 1]
+    for candidate in candidates:
+        try:
+            if candidate != value:
+                dataclasses.replace(options, **{name: candidate})
+                return candidate
+        except ValueError:
+            continue
+    raise AssertionError(f"no other valid value for {name}")
+
+
 class TestFingerprint:
     def test_editing_one_function_changes_only_its_fingerprint(self):
-        before = module_fingerprints(parse(SOURCE), opt_level=2, cell_count=10)
-        after = module_fingerprints(parse(MUTATED), opt_level=2, cell_count=10)
+        before = module_fingerprints(parse(SOURCE), CompileOptions())
+        after = module_fingerprints(parse(MUTATED), CompileOptions())
         changed = [key for key in before if before[key] != after[key]]
         assert changed == [("a", "a2")]
 
@@ -69,27 +90,42 @@ class TestFingerprint:
         shifted = SOURCE.replace(
             "section b", "\nsection b"
         )
-        before = module_fingerprints(parse(SOURCE), opt_level=2, cell_count=10)
-        after = module_fingerprints(parse(shifted), opt_level=2, cell_count=10)
+        before = module_fingerprints(parse(SOURCE), CompileOptions())
+        after = module_fingerprints(parse(shifted), CompileOptions())
         assert before == after
 
     def test_opt_level_cells_and_granularity_are_part_of_the_key(self):
         module = parse(SOURCE)
         section = module.sections[0]
         fn = section.functions[0]
-        base = function_fingerprint(section, fn, opt_level=2, cell_count=10)
+        options = CompileOptions()
+        base = function_fingerprint(section, fn, options)
+        assert function_fingerprint(section, fn, CompileOptions()) == base
         assert function_fingerprint(
-            section, fn, opt_level=1, cell_count=10
+            section, fn, options, salt="other-compiler"
         ) != base
-        assert function_fingerprint(
-            section, fn, opt_level=2, cell_count=4
-        ) != base
-        assert function_fingerprint(
-            section, fn, opt_level=2, cell_count=10, granularity="section"
-        ) != base
-        assert function_fingerprint(
-            section, fn, opt_level=2, cell_count=10, salt="other-compiler"
-        ) != base
+        # Every option is part of the key — whatever options there are:
+        # a field added tomorrow is flipped here the day it is added.
+        names = [field.name for field in dataclasses.fields(CompileOptions)]
+        assert set(names) >= {"opt_level", "cell_count", "granularity"}
+        flipped = {
+            name: function_fingerprint(
+                section, fn, dataclasses.replace(options, **{name: other})
+            )
+            for name in names
+            for other in [another_value(options, name)]
+        }
+        assert base not in flipped.values()
+        assert len(set(flipped.values())) == len(names)
+        for name in names:  # ... and of every function's key
+            changed = module_fingerprints(
+                module,
+                dataclasses.replace(
+                    options, **{name: another_value(options, name)}
+                ),
+            )
+            unchanged = module_fingerprints(module, options)
+            assert all(changed[key] != unchanged[key] for key in unchanged)
 
     def test_sibling_signature_change_invalidates_the_section(self):
         # Lowering resolves calls against sibling signatures, so changing
@@ -98,8 +134,8 @@ class TestFingerprint:
             "function a1(x: float) : float begin return x + 1.0; end",
             "function a1(x: float) : int begin return 1; end",
         )
-        before = module_fingerprints(parse(SOURCE), opt_level=2, cell_count=10)
-        after = module_fingerprints(parse(retyped), opt_level=2, cell_count=10)
+        before = module_fingerprints(parse(SOURCE), CompileOptions())
+        after = module_fingerprints(parse(retyped), CompileOptions())
         assert before[("a", "a2")] != after[("a", "a2")]
         # ...but the other section is untouched.
         assert before[("b", "b1")] == after[("b", "b1")]
@@ -161,7 +197,9 @@ class TestDifferential:
         assert result.profile.artifact_cache_misses() == 0
 
     def test_section_granularity_hits_only_when_whole_section_hits(self, cache):
-        compiler = cached_compiler(cache, granularity="section")
+        compiler = cached_compiler(
+            cache, options=CompileOptions(granularity="section")
+        )
         cold = compiler.compile(SOURCE)
         assert cold.profile.artifact_cache_misses() == 4
         warm = compiler.compile(SOURCE)

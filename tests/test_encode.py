@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import CompileOptions
 from repro.asmlink.download import module_digest, module_listing
 from repro.asmlink.encode import (
     FormatError,
@@ -181,7 +182,7 @@ def _pipelines(tmp_path):
     return [
         ("sequential", SequentialCompiler()),
         ("parallel", ParallelCompiler()),
-        ("section", ParallelCompiler(granularity="section")),
+        ("section", ParallelCompiler(options=CompileOptions(granularity="section"))),
         ("cache fill", cached()),
         ("cache warm", cached()),
     ]

@@ -156,6 +156,51 @@ class TestServerSide:
         assert refused(peer.ask(crashing), "bad-request")
         assert peer.ask(healthy)["ok"] is True
 
+    def test_a_pickle_in_a_frame_is_never_unpickled(
+        self, endpoint, tmp_path, monkeypatch
+    ):
+        """Whatever verb carries it, on whichever endpoint: a blob that
+        is a pickle is refused (or not looked at), no unpickler is
+        entered, nothing it names runs, and the server keeps serving."""
+        import base64
+        import hashlib
+        import os
+        import pickle
+
+        from repro.cache import pickled
+
+        canary = tmp_path / "pwned"
+
+        class Evil:
+            def __reduce__(self):
+                return (os.system, (f"touch {canary}",))
+
+        blob = pickle.dumps(Evil())
+        entered = []
+        for module, name in (
+            (pickle, "loads"), (pickle, "load"), (pickle, "Unpickler"),
+            (pickled, "restricted_loads"), (pickled, "_RestrictedUnpickler"),
+        ):
+            monkeypatch.setattr(
+                module, name, lambda *a, _name=name, **k: entered.append(_name)
+            )
+        server, healthy, _ = endpoint
+        for op in ("cache-put", "cache-get", "result", "task", "submit", "watch"):
+            peer = Peer(server.address)
+            reply = peer.ask(
+                {
+                    "op": op, "key": "ab" * 32, "id": "w0.0", "node": "n",
+                    "blob": base64.b64encode(blob).decode("ascii"),
+                    "sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+            assert reply["ok"] is False or reply.get("hit") is False, (op, reply)
+            peer.close()
+        assert entered == [] and not canary.exists()
+        fresh = Peer(server.address)
+        assert fresh.ask(healthy)["ok"] is True
+        fresh.close()
+
     def test_only_a_protocol_error_names_its_own_wire_reason(self):
         """Any exception may happen to carry a ``reason`` attribute
         (here 'surrogates not allowed'); it must not leak as the code."""

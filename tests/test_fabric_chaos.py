@@ -29,7 +29,6 @@ from repro.fabric import (
 )
 from repro.fuzz import config_for_size_class, generate_program
 from repro.parallel.local import SerialBackend
-from repro.cache.store import ArtifactCache
 
 FAULT_PROFILES = {
     "node-kill": {"kill_rate": 0.35},
@@ -119,9 +118,7 @@ class TestDigestIdentity:
         # Cache tier down: a client pointed at a dead endpoint must
         # degrade to local-only caching, not fail the compile.
         dead_client = NetworkCacheClient("127.0.0.1:1", timeout=0.2)
-        cache = TieredCache(
-            ArtifactCache(cache_dir=tmp_path / "cache"), dead_client
-        )
+        cache = TieredCache(tmp_path / "cache", dead_client)
         try:
             cached = ParallelCompiler(cache=cache).compile(source)
         finally:
@@ -136,9 +133,7 @@ class TestDigestIdentity:
         with CacheServiceServer(tmp_path / "server", chaos=chaos) as server:
             # Warm the remote tier with real artifacts first.
             warm_client = NetworkCacheClient(server.address)
-            warm = TieredCache(
-                ArtifactCache(cache_dir=tmp_path / "warm"), warm_client
-            )
+            warm = TieredCache(tmp_path / "warm", warm_client)
             try:
                 assert ParallelCompiler(cache=warm).compile(source).digest == reference
                 warm.flush()
@@ -149,9 +144,7 @@ class TestDigestIdentity:
             # be rejected by payload-digest validation and fall through
             # to a real compile with the right answer.
             client = NetworkCacheClient(server.address)
-            cache = TieredCache(
-                ArtifactCache(cache_dir=tmp_path / "cold"), client
-            )
+            cache = TieredCache(tmp_path / "cold", client)
             try:
                 result = ParallelCompiler(cache=cache).compile(source)
             finally:

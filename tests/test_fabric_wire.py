@@ -1,7 +1,10 @@
 """Fabric wire protocol: bounded framing, digest validation, backoff."""
 
+import base64
 import hashlib
 import io
+import json
+import pickle
 import random
 import socket
 import threading
@@ -11,15 +14,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cache import ArtifactCache, compiler_salt, module_fingerprints
-from repro.driver.function_master import (
-    FunctionTask,
-    FunctionTaskResult,
-    run_compile_task,
-)
+from repro import CompileOptions
+from repro.cache import ArtifactCache, compiler_salt, module_fingerprints, pickled
+from repro.cache.store import open_entry, seal_entry
+from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
-from repro.driver.results import FunctionReport
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric import (
     CacheServiceServer,
@@ -30,8 +30,9 @@ from repro.fabric import (
     WorkerNodeAgent,
 )
 from repro.fabric.wire import (
-    ALLOWED_PICKLE_GLOBALS,
     FABRIC_SECRET_ENV,
+    PROTOCOL_VERSION,
+    TASK_TIER,
     AuthenticationError,
     ProtocolError,
     WireCorruption,
@@ -43,11 +44,10 @@ from repro.fabric.wire import (
     encode_frame,
     encode_result,
     encode_task,
-    pack_blob,
+    pack_bytes,
     read_frame_line,
-    unpack_blob,
+    unpack_bytes,
 )
-from repro.machine.warp_array import WarpArrayModel
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
@@ -151,13 +151,35 @@ class TestBlobCodec:
         with pytest.raises(WireCorruption):
             decode_task(frame)
 
+    def test_the_blob_is_a_sealed_entry(self):
+        """What a frame carries is the one serial form: a result's blob
+        is its ``objects/`` entry, a task's a header-only entry whose
+        facts are the task's fields, options nested."""
+        task, result = _compiled_result()
+        assert unpack_bytes(encode_result(result, "w0.0")) == ArtifactCache.seal(
+            result
+        )
+        facts, body = open_entry(
+            unpack_bytes(encode_task(task, "w0.0")), TASK_TIER, PROTOCOL_VERSION
+        )
+        assert body == b""
+        assert facts["options"] == {
+            "opt_level": 2, "cell_count": 10, "granularity": "function",
+            "unroll_budget": 0, "ii_budget": 0,
+        }
+        assert decode_task(encode_task(task, "w0.0")) == task
+
     def test_wrong_payload_type_is_corruption(self):
-        frame = pack_blob({"not": "a task"})
+        task, result = _compiled_result()
+        with pytest.raises(WireCorruption):  # an entry of the other kind
+            decode_task(encode_result(result, "w0.0"))
         with pytest.raises(WireCorruption):
-            unpack_blob(frame, FunctionTask)
+            decode_result(encode_task(task, "w0.0"))
+        with pytest.raises(WireCorruption):  # no entry at all
+            decode_task(pack_bytes(json.dumps({"not": "a task"}).encode()))
 
     def test_result_failing_sealed_digest_is_corruption(self):
-        """A worker that pickled garbage under a stale seal is caught at
+        """A worker that sealed garbage under a stale digest is caught at
         the wire even though the blob digest (of the garbage) matches."""
         _, result = _compiled_result()
         result.code = result.code[:-1]  # payload changed, seal left stale
@@ -222,16 +244,49 @@ class TestBackoff:
             )
 
 
-class TestRestrictedUnpickling:
-    """A blob is decoded through a closed global allowlist: whatever a
-    hostile peer pickles, nothing outside the task/result object graph
-    can ever be constructed — let alone called."""
+@pytest.fixture
+def unpicklers_entered(monkeypatch):
+    """Every way into an unpickler, trapped: the list names each one a
+    test entered.  (The decoders turn any exception into WireCorruption,
+    so the trap records as well as raises.)"""
+    entered = []
 
-    def test_hostile_blob_is_rejected_not_executed(self, tmp_path):
-        import base64
-        import hashlib
+    def trap(name):
+        def trapped(*args, **kwargs):
+            entered.append(name)
+            raise AssertionError(f"{name} entered on the wire path")
+
+        return trapped
+
+    for module, name in (
+        (pickle, "loads"),
+        (pickle, "load"),
+        (pickle, "Unpickler"),
+        (pickled, "restricted_loads"),
+        (pickled, "_RestrictedUnpickler"),
+    ):
+        monkeypatch.setattr(module, name, trap(f"{module.__name__}.{name}"))
+    return entered
+
+
+def _frame_around(blob: bytes, op: str = "result") -> dict:
+    return {
+        "op": op,
+        "id": "w0.0",
+        "blob": base64.b64encode(blob).decode("ascii"),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+class TestRestrictedUnpickling:
+    """Nothing a frame holds is unpickled.  A blob that *is* a pickle —
+    of anything, however well formed — is not an entry: WireCorruption,
+    before an unpickler is entered or anything is constructed."""
+
+    def test_hostile_blob_is_rejected_not_executed(
+        self, tmp_path, unpicklers_entered
+    ):
         import os
-        import pickle
 
         canary = tmp_path / "pwned"
 
@@ -240,47 +295,53 @@ class TestRestrictedUnpickling:
                 return (os.system, (f"touch {canary}",))
 
         blob = pickle.dumps(Evil(), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = {
-            "op": "result",
-            "id": "w0.0",
-            "blob": base64.b64encode(blob).decode("ascii"),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        with pytest.raises(WireCorruption):
-            decode_result(frame)
-        assert not canary.exists(), "restricted unpickler executed a payload"
+        for decode in (decode_result, decode_task):
+            with pytest.raises(WireCorruption):
+                decode(_frame_around(blob))
+        assert not canary.exists(), "a pickled payload was executed"
+        assert unpicklers_entered == []
 
-    def test_blob_referencing_foreign_class_is_corruption(self):
+    def test_blob_referencing_foreign_class_is_corruption(
+        self, unpicklers_entered
+    ):
         from fractions import Fraction
 
-        frame = pack_blob(Fraction(1, 2))
+        blob = pickle.dumps(Fraction(1, 2))
         with pytest.raises(WireCorruption):
-            unpack_blob(frame, object)
+            decode_result(_frame_around(blob))
+        assert unpicklers_entered == []
 
-    def test_allowlist_admits_the_real_object_graph(self):
-        """The real graph is three flat records — the allowlist names
-        exactly those — and the full compiled result survives the
-        restricted decoder: its object code travels inside it as bytes."""
-        assert set(ALLOWED_PICKLE_GLOBALS.values()) == {
-            FunctionTask,
-            FunctionTaskResult,
-            FunctionReport,
-        }
-        _, result = _compiled_result()
+    def test_allowlist_admits_the_real_object_graph(self, unpicklers_entered):
+        """There is no allowlist: the pickle of a well-formed result —
+        what the parent's wire carried — is refused like any other, and
+        the real result crosses as its entry, whole."""
+        task, result = _compiled_result()
+        for payload, decode in ((result, decode_result), (task, decode_task)):
+            with pytest.raises(WireCorruption):
+                decode(_frame_around(pickle.dumps(payload)))
         decoded = decode_result(encode_result(result, "w0.0"))
+        assert unpicklers_entered == []
         assert decoded == result
         assert decoded.obj.digest_text() == result.obj.digest_text()
 
-    def test_object_code_classes_are_refused_like_any_foreign_global(self):
-        """No class of the object-code graph is admitted any more: a
-        blob that names one is refused where its global is resolved,
-        before anything of that class is constructed."""
+    def test_object_code_classes_are_refused_like_any_foreign_global(
+        self, unpicklers_entered
+    ):
+        """A pickled object-code graph is refused where the entry's magic
+        is read; a result cannot even be sealed around one."""
         _, result = _compiled_result()
-        smuggled = replace(result, code=result.obj)
-        frame = encode_result(smuggled, "w0.0")
-        with pytest.raises(WireCorruption) as excinfo:
-            decode_result(frame)
-        assert "repro.asmlink.objformat.ObjectFunction" in str(excinfo.value)
+        with pytest.raises(WireCorruption):
+            decode_result(_frame_around(pickle.dumps(result.obj)))
+        assert unpicklers_entered == []
+        with pytest.raises(TypeError):
+            encode_result(replace(result, code=result.obj), "w0.0")
+
+    def test_the_wire_does_not_know_pickle(self):
+        import repro.fabric.wire as wire
+
+        for name in ("pickle", "pickled", "pack_blob", "unpack_blob",
+                     "restricted_loads", "ALLOWED_PICKLE_GLOBALS"):
+            assert not hasattr(wire, name)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +397,37 @@ def _through_the_wire(mangle, tmp_path):
             agent.stop()
 
 
-def _through_the_network_tier(mangle, tmp_path):
-    _, result = _compiled_result()
-    fingerprints = module_fingerprints(
+def _main_fingerprint() -> str:
+    return module_fingerprints(
         phase1_parse_and_check(SOURCE).module,
-        opt_level=2,
-        cell_count=WarpArrayModel().cell_count,
+        CompileOptions(),
         salt=compiler_salt(),
-    )
+    )[("s", "main")]
+
+
+def _through_the_network_tier(mangle, tmp_path):
+    """The server refuses a put that does not verify, so the entry is
+    planted in its directory — a disk that rotted — where the server
+    finds it, deletes it and answers a miss."""
+    _, result = _compiled_result()
+    fingerprint = _main_fingerprint()
     with CacheServiceServer(tmp_path / "server") as server:
         client = NetworkCacheClient(server.address)
-        cache = TieredCache(ArtifactCache(tmp_path / "local"), client)
+        cache = TieredCache(tmp_path / "local", client)
         try:
-            assert client.put(fingerprints[("s", "main")], mangle(result))
+            hostile = ArtifactCache.seal(mangle(result))
+            refused = NetworkCacheClient(server.address)
+            assert not refused.put(fingerprint, hostile)
+            refused.close()
+            assert server.store.entry_count() == 0
+            path = server.store._entry_path(fingerprint)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(hostile)
             digest = ParallelCompiler(cache=cache).compile(SOURCE).digest
+            cache.flush()  # ... and write-behind replaces it with a sound one
+            assert path.read_bytes() == cache._entry_path(fingerprint).read_bytes()
             assert client.remote_hits == 0 and client.remote_misses == 1
-            return digest, client.corrupt_responses
+            return digest, server.store.stats.corrupt
         finally:
             cache.close()
 
@@ -370,9 +446,155 @@ def test_a_result_that_does_not_verify_is_refused_at_every_boundary(
     assert digest == SequentialCompiler().compile(SOURCE).digest
 
 
+# ---------------------------------------------------------------------------
+# Hashes that hold are not enough.  An entry's hashes are unkeyed, so a
+# buggy or hostile writer can seal facts of the wrong type behind hashes
+# that verify; every reader type-checks the facts before it builds a
+# record, counts what it refuses and raises nothing past its boundary.
+# ---------------------------------------------------------------------------
+
+
+def _set(path, value):
+    def mangle(facts):
+        *parents, last = path
+        for key in parents:
+            facts = facts[key]
+        facts[last] = value
+
+    return mangle
+
+
+def _drop_report_field(facts):
+    del facts["report"]["bundles"]
+
+
+HOSTILE_FACTS = {
+    "assembly_work_null": _set(("assembly_work",), None),
+    "work_units_a_string": _set(("report", "work_units"), "12"),
+    "report_field_missing": _drop_report_field,
+    "report_field_extra": _set(("report", "surprise"), 1),
+    "diagnostics_a_string": _set(("diagnostics",), "x"),
+    "bool_for_an_int": _set(("report", "bundles"), True),
+    "unknown_fact": _set(("shipped_by",), "mallory"),
+}
+
+
+def _resealed(entry: bytes, tier: str, schema: int, mangle) -> bytes:
+    """``entry`` with its facts mangled and both hashes recomputed."""
+    facts, body = open_entry(entry, tier, schema)
+    mangle(facts)
+    return seal_entry(tier, schema, facts, body)
+
+
+def _hostile_result_entry(mangle) -> bytes:
+    _, result = _compiled_result()
+    return _resealed(
+        ArtifactCache.seal(result), ArtifactCache.SUBDIR, ArtifactCache.SCHEMA,
+        mangle,
+    )
+
+
+def _read_by_the_store(entry, tmp_path):
+    cache = ArtifactCache(tmp_path / "local")
+    path = cache._entry_path(_main_fingerprint())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(entry)
+    compiler = ParallelCompiler(cache=cache)
+    digest = compiler.compile(SOURCE).digest
+    assert cache.stats.hits == 0
+    assert cache.get(_main_fingerprint()) is not None  # recompiled, rewritten
+    return digest, cache.stats.corrupt
+
+
+def _read_by_the_wire(entry, tmp_path):
+    with pytest.raises(WireCorruption):
+        decode_result(_frame_around(entry))
+    return None, 1
+
+
+def _read_by_the_network_tier(entry, tmp_path):
+    """The server checks framing only, so it takes the entry; the
+    client is the one that builds a record, and refuses to."""
+    with CacheServiceServer(tmp_path / "server") as server:
+        client = NetworkCacheClient(server.address)
+        cache = TieredCache(tmp_path / "local", client)
+        try:
+            assert client.put(_main_fingerprint(), entry)
+            digest = ParallelCompiler(cache=cache).compile(SOURCE).digest
+            assert client.remote_hits == 0 and cache.stats.corrupt == 0
+            return digest, client.corrupt_responses
+        finally:
+            cache.close()
+
+
+@pytest.mark.parametrize("hostility", sorted(HOSTILE_FACTS))
+@pytest.mark.parametrize(
+    "reader",
+    (_read_by_the_store, _read_by_the_wire, _read_by_the_network_tier),
+    ids=("store", "wire", "network_tier"),
+)
+def test_well_hashed_facts_of_the_wrong_type_are_refused_by_every_reader(
+    reader, hostility, tmp_path
+):
+    entry = _hostile_result_entry(HOSTILE_FACTS[hostility])
+    # the hashes do hold: this is not the corruption a checksum catches
+    open_entry(entry, ArtifactCache.SUBDIR, ArtifactCache.SCHEMA)
+    digest, counted = reader(entry, tmp_path)
+    assert counted == 1
+    if digest is not None:
+        assert digest == SequentialCompiler().compile(SOURCE).digest
+
+
+HOSTILE_TASKS = {
+    "opt_level_a_string": _set(("options", "opt_level"), "2"),
+    "opt_level_out_of_range": _set(("options", "opt_level"), 3),
+    "granularity_unknown": _set(("options", "granularity"), "module"),
+    "no_cells": _set(("options", "cell_count"), 0),
+    "unknown_option": _set(("options", "inline_budget"), 4),
+    "unknown_key": _set(("run_as",), "root"),
+    "options_missing": lambda facts: facts.pop("options"),
+    "source_not_text": _set(("source_text",), ["module", "x"]),
+    "cost_hint_a_bool": _set(("cost_hint",), True),
+}
+
+
+@pytest.mark.parametrize("hostility", sorted(HOSTILE_TASKS))
+def test_a_well_hashed_task_of_the_wrong_shape_is_refused(hostility):
+    task, _ = _compiled_result()
+    entry = _resealed(
+        unpack_bytes(encode_task(task, "w0.0")), TASK_TIER, PROTOCOL_VERSION,
+        HOSTILE_TASKS[hostility],
+    )
+    with pytest.raises(WireCorruption):
+        decode_task(_frame_around(entry, op="task"))
+
+
+def test_a_node_reports_a_hostile_task_and_keeps_serving():
+    """Through the node's boundary: the refused task is counted and
+    answered with task-failed; nothing raises into the session."""
+
+    class Conn:
+        sent = []
+
+        def send(self, frame):
+            self.sent.append(frame)
+
+    task, _ = _compiled_result()
+    entry = _resealed(
+        unpack_bytes(encode_task(task, "w0.0")), TASK_TIER, PROTOCOL_VERSION,
+        HOSTILE_TASKS["opt_level_a_string"],
+    )
+    agent = WorkerNodeAgent("127.0.0.1:1", SerialBackend(), node_id="n")
+    conn = Conn()
+    agent._run_task(conn, _frame_around(entry, op="task"))
+    assert agent.tasks_failed == 1 and agent.tasks_completed == 0
+    assert [frame["op"] for frame in conn.sent] == ["task-failed"]
+
+
 class TestAuthentication:
     """With WARPCC_FABRIC_SECRET set, every blob carries an HMAC keyed
-    on the shared secret, compared in constant time before unpickling."""
+    on the shared secret, compared in constant time before anything is
+    parsed."""
 
     def test_round_trip_under_a_shared_secret(self, monkeypatch):
         monkeypatch.setenv(FABRIC_SECRET_ENV, "fleet-secret")
@@ -404,20 +626,11 @@ class TestAuthentication:
     def test_resealed_sha_does_not_forge_authenticity(self, monkeypatch):
         """An attacker can recompute the sha256 over a tampered blob —
         but not the HMAC, so the tamper is still caught."""
-        import base64
-        import hashlib
-        import pickle
-
         monkeypatch.setenv(FABRIC_SECRET_ENV, "fleet-secret")
         task, _ = _compiled_result()
         frame = encode_task(task, "w0.0")
-        evil = pickle.dumps(
-            FunctionTask(
-                source_text="module stolen end",
-                filename="x.w2",
-                section_name="s",
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        evil = unpack_bytes(
+            encode_task(replace(task, source_text="module stolen end"), "w0.0")
         )
         frame["blob"] = base64.b64encode(evil).decode("ascii")
         frame["sha256"] = hashlib.sha256(evil).hexdigest()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import CompileOptions
 from repro.cache import ArtifactCache, compiler_salt, module_fingerprints
 from repro.fuzz import config_for_size_class, generate_program
 from repro.fuzz.oracle import (
@@ -102,11 +103,7 @@ class TestSaltIsolation:
         leg must flag it as a digest-class mismatch."""
         module, _ = parse_ok(CLEAN)
         bumped = module_fingerprints(
-            module,
-            opt_level=2,
-            cell_count=10,
-            granularity="function",
-            salt=compiler_salt() + "+next-version",
+            module, CompileOptions(), salt=compiler_salt() + "+next-version"
         )
         from repro.driver.master import ParallelCompiler
         from repro.parallel.local import SerialBackend
@@ -119,16 +116,10 @@ class TestSaltIsolation:
             assert oracle.check(CLEAN, inputs=[], seed=0).ok
             # Populate real artifacts under the *current* salt…
             ParallelCompiler(
-                backend=SerialBackend(),
-                array=oracle._array(),
-                cache=cache,
+                SerialBackend(), oracle.config.options, cache=cache
             ).compile(CLEAN)
             current = module_fingerprints(
-                module,
-                opt_level=2,
-                cell_count=oracle._array().cell_count,
-                granularity="function",
-                salt=compiler_salt(),
+                module, oracle.config.options, salt=compiler_salt()
             )
             # …then republish them under next-version keys: exactly the
             # cross-version leak the assertion exists to catch.
@@ -138,19 +129,16 @@ class TestSaltIsolation:
                 cache.put(fingerprint, artifact)
             with pytest.raises(AssertionError):
                 oracle._assert_salt_isolation(
-                    CLEAN, cache, oracle._array(), 2
+                    CLEAN, cache, oracle.config.options
                 )
 
     def test_current_salt_differs_from_bumped(self):
         module, _ = parse_ok(CLEAN)
         current = module_fingerprints(
-            module, opt_level=2, cell_count=10, salt=compiler_salt()
+            module, CompileOptions(), salt=compiler_salt()
         )
         bumped = module_fingerprints(
-            module,
-            opt_level=2,
-            cell_count=10,
-            salt=compiler_salt() + "+next-version",
+            module, CompileOptions(), salt=compiler_salt() + "+next-version"
         )
         assert set(current.values()).isdisjoint(bumped.values())
 

@@ -9,6 +9,7 @@ same section as well."
 
 import pytest
 
+from repro import CompileOptions
 from repro.driver.function_master import FunctionTask, run_compile_task, run_function_master
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
@@ -17,6 +18,8 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
 from helpers import plain_retry, wrap_function
+
+SECTION = CompileOptions(granularity="section")
 
 SOURCE = """
 module grains
@@ -54,12 +57,12 @@ class TestSectionTasks:
 class TestGranularityOption:
     def test_invalid_granularity_rejected(self):
         with pytest.raises(ValueError, match="granularity"):
-            ParallelCompiler(granularity="module")
+            ParallelCompiler(options=CompileOptions(granularity="module"))
 
     def test_section_granularity_builds_one_task_per_section(self):
         from repro.driver.phases import phase1_parse_and_check
 
-        compiler = ParallelCompiler(granularity="section")
+        compiler = ParallelCompiler(options=SECTION)
         tasks = compiler._build_tasks(
             phase1_parse_and_check(SOURCE), SOURCE, "<t>"
         )
@@ -71,10 +74,10 @@ class TestGranularityOption:
     def test_both_granularities_produce_identical_output(self):
         sequential = SequentialCompiler().compile(SOURCE)
         by_function = ParallelCompiler(
-            backend=SerialBackend(), granularity="function"
+            backend=SerialBackend(), options=CompileOptions(granularity="function")
         ).compile(SOURCE)
         by_section = ParallelCompiler(
-            backend=SerialBackend(), granularity="section"
+            backend=SerialBackend(), options=SECTION
         ).compile(SOURCE)
         assert by_function.digest == sequential.digest
         assert by_section.digest == sequential.digest
@@ -83,7 +86,7 @@ class TestGranularityOption:
         sequential = SequentialCompiler().compile(SOURCE)
         with ParallelCompiler(
             backend=WarmPoolBackend(max_workers=2),
-            granularity="section",
+            options=SECTION,
             owns_backend=True,
         ) as compiler:
             parallel = compiler.compile(SOURCE)
@@ -98,7 +101,7 @@ class TestSectionGranularityBackends:
         sequential = SequentialCompiler().compile(SOURCE)
         with WarmPoolBackend(max_workers=2) as backend:
             compiler = ParallelCompiler(
-                backend=backend, granularity="section"
+                backend=backend, options=SECTION
             )
             first = compiler.compile(SOURCE)
             second = compiler.compile(SOURCE)  # warm workers, cached parse
@@ -112,7 +115,7 @@ class TestSectionGranularityBackends:
         )
         backend = plain_retry(flaky, max_attempts=4)
         parallel = ParallelCompiler(
-            backend=backend, granularity="section"
+            backend=backend, options=SECTION
         ).compile(SOURCE)
         sequential = SequentialCompiler().compile(SOURCE)
         assert parallel.digest == sequential.digest
@@ -126,7 +129,7 @@ class TestSectionGranularityBackends:
         flaky = ChaosBackend(SerialBackend(), crash_rate=1.0, seed=1)
         backend = plain_retry(flaky, max_attempts=2)
         parallel = ParallelCompiler(
-            backend=backend, granularity="section"
+            backend=backend, options=SECTION
         ).compile(SOURCE)
         sections = len({f.section_name for f in parallel.profile.functions})
         assert flaky.injected_crashes == 2 * sections

@@ -17,8 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import hashlib, json, tempfile
-from repro import ParallelCompiler, SequentialCompiler
-from repro.cache import ArtifactCache
+from repro import CompileOptions, ParallelCompiler, SequentialCompiler
+from repro.cache import ArtifactCache, module_fingerprints
+from repro.fabric.wire import decode_result, encode_result
 from repro.driver.phases import phase1_parse_and_check
 from repro.parallel import SerialBackend, WarmPoolBackend
 from repro.fuzz.generator import config_for_size_class, generate_program
@@ -49,8 +50,9 @@ def payload_digests(results):
 
 with WarmPoolBackend(2) as pool, tempfile.TemporaryDirectory() as tmp:
     for name in ("s2_medium", "user_program"):
+        parsed = phase1_parse_and_check(programs[name])
         tasks = ParallelCompiler()._build_tasks(
-            phase1_parse_and_check(programs[name]), programs[name], name + ".w2"
+            parsed, programs[name], name + ".w2"
         )
         serial = list(SerialBackend().run_tasks_streaming(tasks))
         for index, result in enumerate(serial):
@@ -60,7 +62,19 @@ with WarmPoolBackend(2) as pool, tempfile.TemporaryDirectory() as tmp:
         assert len(digests) == len(tasks)
         assert digests == payload_digests(pool.run_tasks_streaming(tasks))
         assert digests == payload_digests(served)
+        assert digests == payload_digests(
+            decode_result(encode_result(r, "w0.0")) for r in serial
+        )
         out[name]["payload_digests"] = digests
+        # Fingerprints key the artifact tier; their input is an options
+        # value hashed field by field, which must not move with the seed.
+        out[name]["fingerprints"] = [
+            sorted(module_fingerprints(parsed.module, options).values())
+            for options in (
+                CompileOptions(),
+                CompileOptions(opt_level=1, cell_count=4, ii_budget=1),
+            )
+        ]
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -96,9 +110,12 @@ def test_digests_and_work_units_equal_across_hash_seeds():
 
 def test_payload_digests_equal_across_hash_seeds_and_origins():
     """Within each interpreter the script has already held serial,
-    warm-pool and cache-served results to one digest per function."""
+    warm-pool, cache-served and wire-round-tripped results to one digest
+    per function."""
     outputs = outputs_per_seed()
     for name in ("s2_medium", "user_program"):
         per_seed = [output[name]["payload_digests"] for output in outputs]
         assert per_seed[0] and per_seed[0] == per_seed[1] == per_seed[2]
         assert all(len(digest) == 64 for _, _, digest in per_seed[0])
+        default, other = outputs[0][name]["fingerprints"]
+        assert len(set(default)) == len(default) and not set(default) & set(other)

@@ -3,6 +3,7 @@ execution, DES partial runs, phase-4 error paths, stats plumbing."""
 
 import pytest
 
+from repro import CompileOptions
 from repro.asmlink.download import build_download_module
 from repro.asmlink.iodriver import build_io_driver
 from repro.cluster.events import Simulator
@@ -76,7 +77,7 @@ end
 """
         cell = WarpCellModel(queue_capacity=1)
         array = WarpArrayModel(cell_count=2, cell=cell)
-        result = SequentialCompiler(array=array).compile(source)
+        result = SequentialCompiler(CompileOptions(cell_count=2)).compile(source)
         outcome = run_module(result.download, [float(i) for i in range(6)],
                              array=array)
         assert outcome.output_floats() == [float(i) + 2.0 for i in range(6)]

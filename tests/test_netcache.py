@@ -1,11 +1,12 @@
 """Two-tier network artifact cache: read-through, write-behind, degradation."""
 
+import dataclasses
 import pickle
 import socket
 
 import pytest
 
-from repro.cache.store import ArtifactCache
+from repro.cache.store import ArtifactCache, open_entry, seal_entry
 from repro.driver.function_master import (
     FunctionTask,
     result_payload_digest,
@@ -17,7 +18,7 @@ from repro.fabric import (
     NetworkCacheClient,
     TieredCache,
 )
-from repro.fabric.wire import pack_bytes
+from repro.fabric.wire import encode_result, pack_bytes, unpack_bytes
 
 SOURCE = """
 module net_mod
@@ -45,6 +46,11 @@ def _artifact():
     return "f" * 64, result
 
 
+def _entry(result) -> bytes:
+    """What crosses to and from the tier: the result's objects/ entry."""
+    return ArtifactCache.seal(result)
+
+
 @pytest.fixture
 def server(tmp_path):
     with CacheServiceServer(tmp_path / "server") as srv:
@@ -63,16 +69,16 @@ class TestClientServer:
         fp, result = _artifact()
         assert client.get(fp) is None
         assert client.remote_misses == 1
-        assert client.put(fp, result)
-        fetched = client.get(fp)
-        assert fetched is not None
+        assert client.put(fp, _entry(result))
+        fetched, entry = client.get(fp)
+        assert entry == _entry(result)
         assert fetched.payload_digest == result.payload_digest
         assert fetched.obj.digest_text() == result.obj.digest_text()
         assert client.remote_hits == 1
 
     def test_many_requests_share_one_connection(self, client):
         fp, result = _artifact()
-        client.put(fp, result)
+        client.put(fp, _entry(result))
         for _ in range(5):
             assert client.get(fp) is not None
         assert client.remote_hits == 5
@@ -80,15 +86,68 @@ class TestClientServer:
 
     def test_digest_mismatched_put_is_refused(self, server, client):
         fp, result = _artifact()
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {"op": "cache-put", "key": fp}
-        payload.update(pack_bytes(blob))
+        payload.update(pack_bytes(_entry(result)))
         payload["sha256"] = "0" * 64
         reply = client._request(payload)
         assert reply is not None and not reply.get("ok")
         assert reply.get("reason") == "corrupt-payload"
         # Nothing was stored; the server-side store is still empty.
         assert server.store.entry_count() == 0
+
+    @pytest.mark.parametrize(
+        "blob",
+        (
+            lambda result: pickle.dumps(result),  # the parent's form
+            lambda result: _entry(result)[:-3],
+            lambda result: seal_entry("link", 3, {}, result.code),
+            lambda result: b"",
+        ),
+        ids=("a_pickle", "truncated", "another_tier", "empty"),
+    )
+    def test_a_put_that_is_not_an_objects_entry_is_refused(
+        self, server, blob
+    ):
+        """The server opens what it is sent before it stores it."""
+        fp, result = _artifact()
+        client = NetworkCacheClient(server.address)
+        assert client.put(fp, blob(result)) is False
+        client.close()
+        assert server.store.entry_count() == 0
+
+    def test_a_rotted_entry_is_deleted_server_side_not_served(
+        self, server, client
+    ):
+        fp, result = _artifact()
+        assert client.put(fp, _entry(result))
+        path = server.store._entry_path(fp)
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 1
+        path.write_bytes(bytes(data))
+        assert client.get(fp) is None
+        assert client.remote_misses == 1 and client.corrupt_responses == 0
+        assert server.store.stats.corrupt == 1 and not path.exists()
+
+    def test_the_server_is_an_objects_directory(self, server, client, tmp_path):
+        """One form, three places: the blob in a result frame, the bytes
+        cache-get returns and the objects/ file are the same bytes, and a
+        plain ArtifactCache opened on the server's directory is served
+        by what the server was sent (and the reverse)."""
+        fp, result = _artifact()
+        assert client.put(fp, _entry(result))
+        on_server = server.store._entry_path(fp).read_bytes()
+        _, fetched = client.get(fp)
+        local = ArtifactCache(tmp_path / "local")
+        local.put(fp, result)
+        on_disk = local._entry_path(fp).read_bytes()
+        in_frame = unpack_bytes(encode_result(result, "w0.0"))
+        assert on_server == fetched == on_disk == in_frame
+        beside = ArtifactCache(server.store.cache_dir)
+        assert beside.get(fp) == dataclasses.replace(result)
+        assert beside.stats.hits == 1
+        other = "e" * 64
+        beside.put(other, result)
+        assert client.get(other)[1] == on_disk
 
     def test_request_without_key_drops_connection_not_server(self, server, client):
         reply = client._request({"op": "cache-get"})
@@ -97,7 +156,7 @@ class TestClientServer:
         # The server dropped that connection; a fresh client still works.
         fresh = NetworkCacheClient(server.address)
         fp, result = _artifact()
-        assert fresh.put(fp, result)
+        assert fresh.put(fp, _entry(result))
         fresh.close()
 
     def test_raw_garbage_line_does_not_kill_the_server(self, server):
@@ -126,13 +185,13 @@ class TestDegradation:
         assert client.disabled
         # Disabled tier short-circuits: no more timeouts paid.
         assert client.remote_errors == 3
-        assert client.put(fp, result) is False
+        assert client.put(fp, _entry(result)) is False
 
     def test_server_vanishing_mid_session_degrades(self, tmp_path):
         server = CacheServiceServer(tmp_path / "s")
         client = NetworkCacheClient(server.address, timeout=1.0, fail_threshold=2)
         fp, result = _artifact()
-        assert client.put(fp, result)
+        assert client.put(fp, _entry(result))
         server.close()
         # Drop the live connection so the next request has to reconnect
         # to the now-dead endpoint (shutdown only stops the acceptor).
@@ -147,7 +206,7 @@ class TestDegradation:
         with CacheServiceServer(tmp_path / "s", chaos=chaos) as server:
             client = NetworkCacheClient(server.address)
             fp, result = _artifact()
-            assert client.put(fp, result)
+            assert client.put(fp, _entry(result))
             assert client.get(fp) is None  # corrupt → miss, not an artifact
             assert client.corrupt_responses == 1
             assert client.remote_hits == 0
@@ -158,7 +217,7 @@ class TestDegradation:
         with CacheServiceServer(tmp_path / "s", chaos=chaos) as server:
             client = NetworkCacheClient(server.address, fail_threshold=3)
             fp, result = _artifact()
-            assert client.put(fp, result) is False
+            assert client.put(fp, _entry(result)) is False
             assert client.get(fp) is None
             # Soft failures (the server answered) never disable the tier.
             assert not client.disabled
@@ -170,19 +229,23 @@ class TestTieredCache:
         fp, result = _artifact()
         # Machine 1 publishes.
         seeder = NetworkCacheClient(server.address)
-        assert seeder.put(fp, result)
+        assert seeder.put(fp, _entry(result))
         seeder.close()
 
         # Machine 2 is cold locally, warm remotely.
-        local = ArtifactCache(cache_dir=tmp_path / "m2")
         client = NetworkCacheClient(server.address)
-        tiered = TieredCache(local, client)
+        tiered = TieredCache(tmp_path / "m2", client)
         try:
             first = tiered.get(fp)
             assert first is not None
             assert client.remote_hits == 1
-            # Read-through landed it locally: second get never leaves.
-            assert local.get(fp) is not None
+            # Read-through landed it locally, verbatim: second get never
+            # leaves, and the local file is the server's file.
+            assert ArtifactCache(tmp_path / "m2").get(fp) is not None
+            assert (
+                tiered._entry_path(fp).read_bytes()
+                == server.store._entry_path(fp).read_bytes()
+            )
             tiered.get(fp)
             assert client.remote_hits == 1
         finally:
@@ -190,13 +253,15 @@ class TestTieredCache:
 
     def test_write_behind_reaches_the_network_tier(self, server, tmp_path):
         fp, result = _artifact()
-        tiered = TieredCache(
-            ArtifactCache(cache_dir=tmp_path / "m1"),
-            NetworkCacheClient(server.address),
-        )
+        tiered = TieredCache(tmp_path / "m1", NetworkCacheClient(server.address))
         try:
             tiered.put(fp, result)
             tiered.flush()
+            # Write-behind moved the bytes it wrote, verbatim.
+            assert (
+                server.store._entry_path(fp).read_bytes()
+                == tiered._entry_path(fp).read_bytes()
+            )
         finally:
             tiered.close()
         probe = NetworkCacheClient(server.address)
@@ -206,7 +271,7 @@ class TestTieredCache:
     def test_synchronous_writes_when_write_behind_off(self, server, tmp_path):
         fp, result = _artifact()
         tiered = TieredCache(
-            ArtifactCache(cache_dir=tmp_path / "m1"),
+            tmp_path / "m1",
             NetworkCacheClient(server.address),
             write_behind=False,
         )
@@ -217,23 +282,35 @@ class TestTieredCache:
         assert server.store.entry_count() == 1
 
     def test_local_tier_is_authoritative_for_stats(self, server, tmp_path):
-        local = ArtifactCache(cache_dir=tmp_path / "m1")
-        tiered = TieredCache(local, NetworkCacheClient(server.address))
+        """A tiered cache *is* the local store: stats, bounds and
+        maintenance are inherited, none forwarded; the network tier's
+        counters ride on ``remote``."""
+        tiered = TieredCache(
+            tmp_path / "m1", NetworkCacheClient(server.address), max_bytes=1 << 20
+        )
         try:
-            assert tiered.stats is local.stats
-            assert tiered.cache_dir == local.cache_dir
-            assert tiered.max_bytes == local.max_bytes
+            assert isinstance(tiered, ArtifactCache)
+            for member in ("stats", "max_bytes", "cache_dir", "size_bytes",
+                           "entry_count", "clear"):
+                assert member not in vars(TieredCache)
+            assert tiered.cache_dir == tmp_path / "m1"
+            assert tiered.max_bytes == 1 << 20
             fp, result = _artifact()
+            assert tiered.get(fp) is None
             tiered.put(fp, result)
+            assert tiered.get(fp) is not None
+            assert (tiered.stats.hits, tiered.stats.misses) == (1, 1)
+            assert tiered.remote.remote_misses == 1
             assert tiered.entry_count() == 1
             assert tiered.size_bytes() > 0
+            assert tiered.clear() == 1
         finally:
             tiered.close()
 
     def test_dead_tier_still_serves_local_artifacts(self, tmp_path):
         fp, result = _artifact()
         client = NetworkCacheClient("127.0.0.1:1", timeout=0.2)
-        tiered = TieredCache(ArtifactCache(cache_dir=tmp_path / "m1"), client)
+        tiered = TieredCache(tmp_path / "m1", client)
         try:
             tiered.put(fp, result)
             fetched = tiered.get(fp)
@@ -244,19 +321,21 @@ class TestTieredCache:
 
 
 class TestHostileEntries:
-    """Cache trouble must never fail a compile — including entries that
-    unpickle cleanly but are internally mangled, and (with a shared
-    secret) entries from peers that don't hold it."""
+    """Cache trouble must never fail a compile — including entries whose
+    hashes hold but whose facts are mangled, and (with a shared secret)
+    entries from peers that don't hold it."""
 
     def test_entry_with_mangled_internals_degrades_to_miss(self, client):
         fp, result = _artifact()
-        result.code = None  # payload-digest derivation would raise on this
-        assert client.put(fp, result)
+        facts, body = open_entry(_entry(result), "objects", ArtifactCache.SCHEMA)
+        facts["report"] = None  # building a result from this would raise
+        mangled = seal_entry("objects", ArtifactCache.SCHEMA, facts, body)
+        assert client.put(fp, mangled)  # well framed: the server takes it
         assert client.get(fp) is None  # degraded to a recompile, no error
         assert client.corrupt_responses == 1
         # The tier stays usable afterwards.
         _, good = _artifact()
-        assert client.put("a" * 64, good)
+        assert client.put("a" * 64, _entry(good))
         assert client.get("a" * 64) is not None
 
     def test_shared_secret_round_trips(self, tmp_path, monkeypatch):
@@ -266,9 +345,8 @@ class TestHostileEntries:
         with CacheServiceServer(tmp_path / "srv") as server:
             client = NetworkCacheClient(server.address)
             fp, result = _artifact()
-            assert client.put(fp, result)
-            fetched = client.get(fp)
-            assert fetched is not None
+            assert client.put(fp, _entry(result))
+            fetched, _ = client.get(fp)
             assert fetched.payload_digest == result.payload_digest
             client.close()
 
@@ -281,7 +359,7 @@ class TestHostileEntries:
         from repro.fabric.wire import FABRIC_SECRET_ENV
 
         fp, result = _artifact()
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = _entry(result)
         payload = {
             "op": "cache-put",
             "key": fp,

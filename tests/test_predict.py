@@ -7,11 +7,13 @@ never change a compile result.  Digests with the model on must be
 bit-identical to digests with it off, across every seed we can afford.
 """
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
+from repro import CompileOptions
 from repro.cache import ArtifactCache
 from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.master import ParallelCompiler
@@ -23,6 +25,7 @@ from repro.parallel.schedule import provided_task_costs
 from repro.parallel.supervisor import SupervisedBackend
 from repro.predict import (
     SPECULATION_TENANT,
+    CostObservation,
     LearnedCostModel,
     ObservationStore,
     SpeculationManager,
@@ -223,6 +226,84 @@ class TestCostModel:
 # ---------------------------------------------------------------------------
 # the pluggable cost-provider seam (satellite: refactor of ast_cost_hint
 # consumers)
+
+
+class TestTaskFingerprint:
+    @pytest.mark.parametrize(
+        "options",
+        (
+            CompileOptions(),
+            CompileOptions(opt_level=1, cell_count=4),
+            CompileOptions(unroll_budget=8, ii_budget=1),
+        ),
+        ids=("default", "o1_cells4", "u8_i1"),
+    )
+    def test_it_is_the_key_the_master_serves_under(self, tmp_path, options):
+        """An observation is keyed by what the artifact is cached under:
+        the task's own options, whole — nothing is guessed."""
+        from repro.driver.phases import phase1_parse_and_check
+        from repro.driver.section_master import StreamingSectionCombiner
+
+        source = synthetic_program("medium", 2)
+        cache = ArtifactCache(tmp_path)
+        compiler = ParallelCompiler(options=options, cache=cache)
+        compiler.compile(source, "s2.w2")
+        parsed = phase1_parse_and_check(source, "s2.w2")
+        tasks = compiler._build_tasks(parsed, source, "s2.w2")
+        _, served_under = compiler._serve_from_cache(
+            parsed, tasks, StreamingSectionCombiner(parsed.module.sections)
+        )
+        assert len(tasks) == 2 and all(t.options is options for t in tasks)
+        for task in tasks:
+            key = served_under[(task.section_name, task.function_name)]
+            assert task_fingerprint(task) == key
+            assert cache._entry_path(key).exists()
+        others = {
+            task_fingerprint(dataclasses.replace(t, options=CompileOptions(cell_count=7)))
+            for t in tasks
+        }
+        assert not others & set(served_under.values())
+
+
+class TestObservationStoreForm:
+    """An observation is facts — a JSON header, no body, no pickle."""
+
+    def test_observations_round_trip_bit_for_bit(self, tmp_path):
+        obs = CostObservation(
+            fingerprint="f" * 64, count=3, ewma_s=0.1 + 0.2, last_s=1e-6,
+            max_s=2.5, hint=7.0, samples=[0.30000000000000004, 1e-6, 2.5],
+        )
+        ObservationStore(tmp_path).put(obs.fingerprint, obs)
+        back = ObservationStore(tmp_path).get(obs.fingerprint)
+        assert back == obs and type(back.samples) is list
+        assert [type(v) for v in back.samples] == [float] * 3
+        data = ObservationStore(tmp_path)._entry_path(obs.fingerprint).read_bytes()
+        assert b'"tier": "observe"' in data and b"ewma_s" in data
+
+    def test_a_pickled_or_mistyped_entry_is_a_counted_miss(self, tmp_path):
+        import pickle
+
+        from repro.cache.store import seal_entry
+
+        store = ObservationStore(tmp_path)
+        obs = CostObservation(fingerprint="f" * 64, count=1, samples=[0.5])
+        good = dataclasses.asdict(obs)
+        for index, data in enumerate(
+            (
+                seal_entry("observe", 1, {}, pickle.dumps(obs)),  # the parent's
+                seal_entry("observe", 2, dict(good, count="1"), b""),
+                seal_entry("observe", 2, dict(good, samples=[0.5, None]), b""),
+                seal_entry("observe", 2, dict(good, surprise=0), b""),
+            ),
+            start=1,
+        ):
+            store._write(obs.fingerprint, data)
+            assert store.get(obs.fingerprint) is None
+            assert store.stats.corrupt == index
+        # ... and the model carries on from nothing, as for any miss
+        model = LearnedCostModel(store)
+        store._write(obs.fingerprint, seal_entry("observe", 2, dict(good, count=None), b""))
+        assert model.observe(obs.fingerprint, 0.25).count == 1
 
 
 class TestCostProviderSeam:

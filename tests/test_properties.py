@@ -9,6 +9,7 @@ processor-sharing resource, and scheduling invariants.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import CompileOptions
 from repro.cluster.events import Simulator
 from repro.cluster.network import SharedResource
 from repro.driver.sequential import SequentialCompiler
@@ -145,7 +146,7 @@ def test_compiled_output_matches_reference_interpreter(source, inputs):
     module, _sema = parse_ok(source)
     expected = interpret_module(module, list(inputs))
     for opt_level in (0, 1, 2):
-        compiler = SequentialCompiler(opt_level=opt_level)
+        compiler = SequentialCompiler(CompileOptions(opt_level=opt_level))
         result = compiler.compile(source)
         outputs = run_module(result.download, list(inputs)).outputs
         assert outputs == expected, (

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 
 import pytest
 
 from helpers import echo_module, wrap_function
+from repro import CompileOptions
 from repro.cache import (
     ArtifactCache,
     VariantScore,
@@ -215,10 +217,7 @@ class TestBackendIndependence:
 
         def reversed_factory(config):
             return ParallelCompiler(
-                backend=ReversedBackend(),
-                opt_level=config.opt_level,
-                unroll_budget=config.unroll_budget,
-                ii_budget=config.ii_budget,
+                ReversedBackend(), config.options(CompileOptions())
             )
 
         clear_phase1_cache()
@@ -315,6 +314,87 @@ class TestVariantStoreIncrementality:
         assert a.result.digest == b.result.digest
 
 
+class TestVariantStoreForm:
+    """A score is facts: a JSON header with an empty body, read back
+    through a type check — no pickle in ``variants/``."""
+
+    SCORES = [
+        VariantScore("o2u8i0", 1234, ((1, 2.0, -0.0), (), (3,)), None),
+        VariantScore(
+            "o2u0i1", 7, ((float("inf"), float("-inf"), 1e-320, 2**70),), None
+        ),
+        VariantScore("o2u64i0", None, None, "link: KeyError('f')"),
+    ]
+
+    def test_scores_round_trip_with_types_intact(self, tmp_path):
+        store = VariantStore(tmp_path)
+        for index, score in enumerate(self.SCORES):
+            store.put(f"{index:064x}", score)
+        for index, score in enumerate(self.SCORES):
+            back = VariantStore(tmp_path).get(f"{index:064x}")
+            assert back == score and back.ok == score.ok
+            if score.outputs is None:
+                continue
+            assert type(back.outputs) is tuple
+            for row, want in zip(back.outputs, score.outputs):
+                assert type(row) is tuple
+                # int stays int, float stays float, bit for bit (-0.0, a
+                # denormal, the infinities) — the search compares with !=
+                assert [type(v) for v in row] == [type(v) for v in want]
+                assert [struct.pack("<d", v) for v in row if type(v) is float] == [
+                    struct.pack("<d", v) for v in want if type(v) is float
+                ]
+
+    def test_a_nan_output_comes_back_a_nan(self, tmp_path):
+        import math
+
+        store = VariantStore(tmp_path)
+        store.put("a" * 64, VariantScore("o2u8i0", 5, ((float("nan"), 1),), None))
+        back = store.get("a" * 64)
+        assert math.isnan(back.outputs[0][0]) and back.outputs[0][1] == 1
+        assert back.outputs != ((float("nan"), 1),)  # as a fresh run's would be
+
+    def test_an_entry_is_its_header(self, tmp_path):
+        store = VariantStore(tmp_path)
+        store.put("a" * 64, self.SCORES[0])
+        data = store._entry_path("a" * 64).read_bytes()
+        (size,) = struct.unpack_from("<I", data, 4)
+        assert len(data) == 40 + size  # no body
+        header = json.loads(data[40:])
+        assert header["tier"] == "variants" and header["schema"] == 2
+        assert header["outputs"] == [[1, 2.0, -0.0], [], [3]]
+
+    def test_mistyped_or_pickled_entries_are_counted_misses(self, tmp_path):
+        """A pickled entry left by the parent's code, and well-hashed
+        facts of the wrong type, are corrupt — never an exception."""
+        import pickle
+
+        from repro.cache.store import seal_entry
+
+        store = VariantStore(tmp_path)
+        good = dict(config_key="o2u8i0", cycles=5, outputs=[[1]], error=None)
+        hostile = [
+            seal_entry("variants", 1, {}, pickle.dumps(self.SCORES[0])),
+            seal_entry("variants", 2, {}, pickle.dumps(self.SCORES[0])),
+            pickle.dumps(self.SCORES[0]),
+            seal_entry("variants", 2, dict(good, cycles="5"), b""),
+            seal_entry("variants", 2, dict(good, cycles=True), b""),
+            seal_entry("variants", 2, dict(good, outputs=[[1, "2"]]), b""),
+            seal_entry("variants", 2, dict(good, outputs=[1]), b""),
+            seal_entry("variants", 2, dict(good, extra=1), b""),
+            seal_entry("variants", 2, {"config_key": "o2u8i0"}, b""),
+            seal_entry("variants", 2, good, b"body"),
+        ]
+        for index, data in enumerate(hostile, start=1):
+            path = store._entry_path("b" * 64)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+            assert store.get("b" * 64) is None
+            assert store.stats.corrupt == index and not path.exists()
+        store._write("b" * 64, seal_entry("variants", 2, good, b""))
+        assert store.get("b" * 64) == VariantScore("o2u8i0", 5, ((1,),), None)
+
+
 class TestSafetyGates:
     def test_miscompiled_faster_variant_is_disqualified(self):
         """A variant config whose compiler miscompiles (different
@@ -323,10 +403,7 @@ class TestSafetyGates:
 
         def tampering_factory(config):
             compiler = ParallelCompiler(
-                backend=SerialBackend(),
-                opt_level=config.opt_level,
-                unroll_budget=config.unroll_budget,
-                ii_budget=config.ii_budget,
+                SerialBackend(), config.options(CompileOptions())
             )
             if config.key() == "o2u16i0":
                 return _TamperedCompiler(compiler)
@@ -386,8 +463,7 @@ class TestSafetyGates:
 
         module, _ = parse_ok(source)
         fps = module_fingerprints(
-            module, opt_level=2, cell_count=WarpArrayModel().cell_count,
-            granularity="function", salt=compiler_salt(),
+            module, CompileOptions(), salt=compiler_salt()
         )
         array = WarpArrayModel()
         base = score_module(honest.baseline.download, [[], []], array)

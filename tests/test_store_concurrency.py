@@ -18,9 +18,26 @@ import pytest
 
 from repro.cache.pickled import PickleCodec
 from repro.cache.store import Store
-from repro.fabric.netcache import NetworkBlobStore
 
 KEYS = [f"{i:02x}" * 32 for i in range(8)]
+
+
+class _BytesCodec:
+    """Entry body = the payload, which is bytes; no facts."""
+
+    def pack(self, blob: bytes):
+        return {}, blob
+
+    def unpack(self, facts: dict, body: bytes) -> bytes:
+        return body
+
+
+class _BlobStore(Store):
+    """A tier of raw bytes for these tests: the store machinery with
+    the least codec there can be."""
+
+    SUBDIR = "blobs"
+    codec = _BytesCodec()
 
 
 def _value_for(key: str, round_no: int) -> bytes:
@@ -32,7 +49,7 @@ def _value_for(key: str, round_no: int) -> bytes:
 def _writer(args):
     """Worker process: write every key many times into a shared store."""
     cache_dir, worker_id, rounds = args
-    store = NetworkBlobStore(cache_dir)
+    store = _BlobStore(cache_dir)
     for round_no in range(rounds):
         for key in KEYS:
             store.put(key, _value_for(key, round_no))
@@ -42,7 +59,7 @@ def _writer(args):
 def _reader(args):
     """Worker process: read every key continuously; return violations."""
     cache_dir, rounds = args
-    store = NetworkBlobStore(cache_dir)
+    store = _BlobStore(cache_dir)
     violations = []
     for _ in range(rounds):
         for key in KEYS:
@@ -75,7 +92,7 @@ class TestConcurrentWriters:
                 assert corrupt == 0
 
         # The store converged: every key holds some writer's final round.
-        store = NetworkBlobStore(cache_dir)
+        store = _BlobStore(cache_dir)
         for key in KEYS:
             blob = store.get(key)
             assert blob is not None
@@ -83,7 +100,7 @@ class TestConcurrentWriters:
 
     def test_last_writer_wins_per_key(self, tmp_path):
         cache_dir = str(tmp_path / "shared")
-        store = NetworkBlobStore(cache_dir)
+        store = _BlobStore(cache_dir)
         store.put(KEYS[0], _value_for(KEYS[0], 0))
         store.put(KEYS[0], _value_for(KEYS[0], 1))
         assert store.get(KEYS[0]) == _value_for(KEYS[0], 1)
@@ -92,7 +109,7 @@ class TestConcurrentWriters:
 
 class TestQuarantine:
     def test_garbage_entry_is_deleted_and_counted(self, tmp_path):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _BlobStore(tmp_path / "s")
         key = KEYS[0]
         store.put(key, _value_for(key, 0))
         path = store._entry_path(key)
@@ -105,7 +122,7 @@ class TestQuarantine:
         assert store.get(key) == _value_for(key, 1)
 
     def test_truncated_entry_is_quarantined(self, tmp_path):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _BlobStore(tmp_path / "s")
         key = KEYS[1]
         store.put(key, _value_for(key, 0))
         path = store._entry_path(key)
@@ -129,7 +146,7 @@ class TestQuarantine:
     def test_entry_of_another_tier_is_quarantined(self, tmp_path):
         """Tier confusion: a sound entry, moved under another tier's
         directory, names the tier it was written for."""
-        blobs = NetworkBlobStore(tmp_path / "s")
+        blobs = _BlobStore(tmp_path / "s")
         numbers = _PickledNumbers(tmp_path / "s")
         key = KEYS[2]
         numbers.put(key, 7)
@@ -141,7 +158,7 @@ class TestQuarantine:
         assert not target.exists()
 
     def test_flipped_header_or_body_byte_is_quarantined(self, tmp_path):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _BlobStore(tmp_path / "s")
         key = KEYS[4]
         store.put(key, _value_for(key, 0))
         path = store._entry_path(key)
@@ -173,7 +190,7 @@ class TestQuarantine:
         assert not canary.exists(), "restricted unpickler executed a payload"
 
     def test_tmp_files_never_count_as_entries(self, tmp_path):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _BlobStore(tmp_path / "s")
         key = KEYS[3]
         store.put(key, _value_for(key, 0))
         shard = store._entry_path(key).parent
@@ -198,7 +215,7 @@ class TestSizeBound:
     def test_puts_under_the_bound_scan_the_tier_once(
         self, tmp_path, monkeypatch
     ):
-        store = NetworkBlobStore(tmp_path / "s")
+        store = _BlobStore(tmp_path / "s")
         scans = self._count_scans(store, monkeypatch)
         for round_no in range(5):
             for key in KEYS:
@@ -208,7 +225,7 @@ class TestSizeBound:
 
     def test_crossing_the_bound_rescans_and_evicts(self, tmp_path, monkeypatch):
         entry = len(_value_for(KEYS[0], 0)) + 256  # body + header, roughly
-        store = NetworkBlobStore(tmp_path / "s", max_bytes=3 * entry)
+        store = _BlobStore(tmp_path / "s", max_bytes=3 * entry)
         scans = self._count_scans(store, monkeypatch)
         for key in KEYS:
             store.put(key, _value_for(key, 0))
@@ -222,8 +239,8 @@ class TestSizeBound:
         """Each handle counts only its own puts, but the scan a crossing
         triggers reads the disk: whoever crosses evicts for both."""
         entry = len(_value_for(KEYS[0], 0)) + 256
-        first = NetworkBlobStore(tmp_path / "s", max_bytes=4 * entry)
-        second = NetworkBlobStore(tmp_path / "s", max_bytes=4 * entry)
+        first = _BlobStore(tmp_path / "s", max_bytes=4 * entry)
+        second = _BlobStore(tmp_path / "s", max_bytes=4 * entry)
         for round_no in range(4):
             for index, key in enumerate(KEYS):
                 writer = first if index % 2 else second
@@ -235,7 +252,7 @@ class TestSizeBound:
         """Every file of the tier counts toward the bound and is evicted
         oldest-first, whatever wrote it — a pre-bump ``.pkl`` included."""
         entry = len(_value_for(KEYS[0], 0)) + 256
-        store = NetworkBlobStore(tmp_path / "s", max_bytes=2 * entry)
+        store = _BlobStore(tmp_path / "s", max_bytes=2 * entry)
         store.put(KEYS[0], _value_for(KEYS[0], 0))
         shard = store._entry_path(KEYS[0]).parent
         old = shard / (KEYS[0] + ".pkl")
@@ -244,7 +261,7 @@ class TestSizeBound:
         assert store.entry_count() == 2
         assert store.size_bytes() > 2 * entry
         # The next process to write sees it in its first scan.
-        NetworkBlobStore(tmp_path / "s", max_bytes=2 * entry).put(
+        _BlobStore(tmp_path / "s", max_bytes=2 * entry).put(
             KEYS[1], _value_for(KEYS[1], 0)
         )
         assert not old.exists()

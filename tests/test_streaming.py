@@ -9,6 +9,7 @@ each section the moment its last function lands.
 
 import pytest
 
+from repro import CompileOptions
 from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
@@ -39,7 +40,7 @@ end
 
 
 def build_tasks(granularity="function"):
-    compiler = ParallelCompiler(granularity=granularity)
+    compiler = ParallelCompiler(options=CompileOptions(granularity=granularity))
     return compiler._build_tasks(
         phase1_parse_and_check(SOURCE), SOURCE, "<t>"
     )

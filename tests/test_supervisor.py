@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import CompileOptions
 from repro.driver.function_master import run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
@@ -373,7 +374,7 @@ class TestSectionGranularity:
         inner = chaos(seed=4, crash_rate=0.4)
         backend = supervised(inner, max_attempts=6, hedge_after=None)
         par = ParallelCompiler(
-            backend=backend, granularity="section"
+            backend, CompileOptions(granularity="section")
         ).compile(TWO_SECTIONS)
         seq = SequentialCompiler().compile(TWO_SECTIONS)
         assert par.digest == seq.digest

@@ -46,8 +46,9 @@ from repro.asmlink.encode import (
     encode_module,
 )
 from repro.asmlink.objformat import CellProgram, CodegenInfo, DownloadModule
+from repro import CompileOptions
 from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
-from repro.cache.store import Store
+from repro.cache import store as store_module
 from repro.cli import main
 from repro.driver import function_master
 from repro.driver.function_master import (
@@ -60,7 +61,7 @@ from repro.driver.function_master import (
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check, phase4_link_and_download
 from repro.driver.sequential import SequentialCompiler
-from repro.fabric.wire import decode_result, encode_result, restricted_loads
+from repro.fabric.wire import decode_result, encode_result
 from repro.fuzz import config_for_size_class, generate_program
 from repro.ir.instructions import Opcode
 from repro.machine.resources import FUClass, PhysReg
@@ -177,10 +178,10 @@ def test_digests_are_equal_exactly_when_listings_are():
     seen = set()
     for source in sources:
         for compiler in (
-            SequentialCompiler(opt_level=1),
-            SequentialCompiler(opt_level=2),
-            ParallelCompiler(opt_level=1),
-            ParallelCompiler(granularity="section"),
+            SequentialCompiler(CompileOptions(opt_level=1)),
+            SequentialCompiler(CompileOptions(opt_level=2)),
+            ParallelCompiler(options=CompileOptions(opt_level=1)),
+            ParallelCompiler(options=CompileOptions(granularity="section")),
         ):
             result = compiler.compile(source)
             seen.add((result.digest, module_listing(result.download)))
@@ -388,10 +389,11 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
         lambda blob, allowed: unpickled.append(allowed) or loads(blob, allowed),
     )
     opened = []
-    open_entry = Store._open
+    open_entry = store_module.open_entry
     monkeypatch.setattr(
-        Store, "_open",
-        lambda self, data: opened.append(self.SUBDIR) or open_entry(self, data),
+        store_module, "open_entry",
+        lambda data, tier, schema: opened.append(tier)
+        or open_entry(data, tier, schema),
     )
 
     warm, compiler = cached_compile(tmp_path, source)
@@ -562,6 +564,42 @@ def test_no_pickle_on_the_object_code_path():
         assert not {"pickle", "pickled", "marshal", "shelve"} & imported, module
 
 
+def test_pickle_is_left_in_parse_alone():
+    """An AST walk over ``src/``, not a grep: nothing under ``fabric/``
+    imports pickle (or the cache's restricted unpickler), exactly one
+    ``PickleCodec(...)`` is constructed — the parse tier's — and no tier
+    is named ``netblobs``."""
+    import ast
+    import repro
+
+    src = Path(repro.__file__).parent
+    codecs, tiers = [], []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+                names.add((getattr(node, "module", None) or "").split(".")[-1])
+                if path.parent.name == "fabric":
+                    assert not {"pickle", "pickled", "marshal"} & names, path
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if callee == "PickleCodec":
+                    codecs.append(path.name)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.Assign)
+                        and getattr(item.targets[0], "id", "") == "SUBDIR"
+                        and getattr(item.value, "value", "")
+                    ):
+                        tiers.append(item.value.value)
+    assert codecs == ["parse_store.py"]
+    assert sorted(tiers) == [
+        "link", "modules", "objects", "observe", "parse", "variants",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # (e) the laziness is invisible
 # ---------------------------------------------------------------------------
@@ -622,11 +660,14 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
         assert served.obj == replace(want.obj, info=CodegenInfo())
         assert served.report.work_units == want.obj.info.work_units
         assert served.obj is served.obj  # once
-        # ...and it pickles as its fields and its code, never as a graph,
-        # whether or not it has been decoded.
-        revived = restricted_loads(pickle.dumps(served))
+        # ...and the pool's IPC pickles it as its fields and its code,
+        # never as a graph, whether or not it has been decoded; what
+        # crosses the wire is the entry it was read from.
+        revived = pickle.loads(pickle.dumps(served))
         assert revived == served and "_obj" not in vars(revived)
         assert pickle.dumps(served) == pickle.dumps(revived)
+        assert ArtifactCache.seal(served) == path.read_bytes()
+        assert decode_result(encode_result(served, "w0.0")) == served
 
 
 def test_a_stored_program_decodes_on_first_read_only(tmp_path):

@@ -13,6 +13,7 @@ every cached variant score) in the same commit.
 from __future__ import annotations
 
 from helpers import echo_module, wrap_function
+from repro import CompileOptions
 from repro.driver.phases import (
     compile_one_function,
     phase1_parse_and_check,
@@ -58,7 +59,7 @@ ECHO3 = echo_module(
 
 def _score_sequential(source, inputs):
     array = WarpArrayModel()
-    result = SequentialCompiler(array=array).compile(source)
+    result = SequentialCompiler().compile(source)
     return score_module(result.download, [inputs], array)
 
 
@@ -68,8 +69,8 @@ def _score_config(source, unroll_budget, ii_budget):
     parsed = phase1_parse_and_check(source)
     array = WarpArrayModel()
     obj, report = compile_one_function(
-        parsed, "s", "f", array, 2,
-        unroll_budget=unroll_budget, ii_budget=ii_budget,
+        parsed, "s", "f",
+        CompileOptions(unroll_budget=unroll_budget, ii_budget=ii_budget),
     )
     module, _, _ = phase4_link_and_download(parsed, {"s": [obj]}, array)
     return score_module(module, [[]], array), report
@@ -128,7 +129,7 @@ class TestPinnedVariantCycleCounts:
 class TestScoreModuleClassification:
     def test_deadlock_is_classified_not_raised(self):
         array = WarpArrayModel()
-        result = SequentialCompiler(array=array).compile(ECHO3)
+        result = SequentialCompiler().compile(ECHO3)
         score = score_module(result.download, [[1.0]], array)  # starved
         assert not score.ok
         assert score.cycles is None and score.outputs is None
@@ -136,14 +137,14 @@ class TestScoreModuleClassification:
 
     def test_cycle_budget_exhaustion_is_classified(self):
         array = WarpArrayModel()
-        result = SequentialCompiler(array=array).compile(LOOP8)
+        result = SequentialCompiler().compile(LOOP8)
         score = score_module(result.download, [[]], array, max_cycles=10)
         assert not score.ok
         assert score.error
 
     def test_cycles_sum_across_input_sets(self):
         array = WarpArrayModel()
-        result = SequentialCompiler(array=array).compile(LOOP8)
+        result = SequentialCompiler().compile(LOOP8)
         one = score_module(result.download, [[]], array)
         two = score_module(result.download, [[], []], array)
         assert two.cycles == 2 * one.cycles
