@@ -22,7 +22,7 @@ import statistics
 import time
 
 from repro.cache import LinkCache
-from repro.driver.function_master import FunctionTask, run_compile_task
+from repro.driver.function_master import FunctionTask, run_function_master
 from repro.driver.phases import (
     Phase4Runner,
     Phase4Stats,
@@ -70,9 +70,12 @@ def _combined_for(source):
     parsed = phase1_parse_and_check(source)
     combined = {}
     for section in parsed.module.sections:
-        results = run_compile_task(
-            FunctionTask(source, "<bench>", section.name, None)
-        )
+        results = [
+            run_function_master(
+                FunctionTask(source, "<bench>", section.name, function.name)
+            )
+            for function in section.functions
+        ]
         combined[section.name] = combine_section_results(section, results)
     return parsed, combined
 

@@ -25,6 +25,8 @@ The counts, all over ``src/**/*.py``:
                         call under ``fabric/`` (0: the wire sends entries)
 ``pickle_codecs``       ``PickleCodec(...)`` calls: tiers that pickle
 ``disk_tiers``          classes with a non-empty ``SUBDIR``
+``option_fields``       fields of the ``CompileOptions`` dataclass: each
+                        is a value every compile can be asked to vary
 
 Every count is an AST walk — none depends on how a name is spelled, so
 no grep for a deleted name can trip (or satisfy) one.
@@ -117,7 +119,7 @@ def _names_a_tier(node: ast.ClassDef) -> bool:
 
 def count_surface() -> dict:
     lines = flags = backends = stats = servers = clients = wire_globals = 0
-    pickle_codecs = tiers = 0
+    pickle_codecs = tiers = option_fields = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -146,6 +148,10 @@ def count_surface() -> dict:
                 ]
                 servers += _derives_from_socketserver(node)
                 tiers += _names_a_tier(node)
+                if node.name == "CompileOptions" and _is_dataclass(node):
+                    option_fields += sum(
+                        isinstance(item, ast.AnnAssign) for item in node.body
+                    )
                 if node.name.endswith("Stats") and _is_dataclass(node):
                     stats += 1
                 if _is_protocol(node) or "run_tasks_streaming" not in {
@@ -168,6 +174,7 @@ def count_surface() -> dict:
         "wire_pickle_globals": wire_globals,
         "pickle_codecs": pickle_codecs,
         "disk_tiers": tiers,
+        "option_fields": option_fields,
     }
 
 

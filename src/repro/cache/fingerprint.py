@@ -44,7 +44,8 @@ from ..options import CompileOptions
 #: entry's own ``sha256`` is that digest.
 #: 6: a fingerprint hashes the fields of a ``CompileOptions`` by name,
 #: in their order.
-CACHE_SCHEMA_VERSION = 6
+#: 7: four hashed fields — the unit of dispatch is no option (§3.1).
+CACHE_SCHEMA_VERSION = 7
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

@@ -7,8 +7,10 @@ count in warpsim, ship the verified per-function winners."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
+from typing import Tuple
 
 from ..driver.master import ParallelCompiler
 from ..driver.sequential import SequentialCompiler
@@ -43,6 +45,7 @@ def register_compile(sub):
     )
     parser.add_argument(
         "--chaos-poison", default=None, metavar="SECTION.FUNCTION",
+        type=_task_key,
         help="with --chaos: make this task crash on every worker",
     )
     parser.add_argument(
@@ -58,6 +61,15 @@ def register_compile(sub):
     )
     parser.set_defaults(run=run_compile)
     return parser
+
+
+def _task_key(text: str) -> Tuple[str, str]:
+    section, _, function = text.partition(".")
+    if not (section and function):
+        raise argparse.ArgumentTypeError(
+            f"a task is named SECTION.FUNCTION, got {text!r}"
+        )
+    return (section, function)
 
 
 def report_compile_error(error: CompileError, as_json: bool) -> int:

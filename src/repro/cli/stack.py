@@ -32,13 +32,10 @@ def build_backend(args, chaos_seed=None, chaos_poison=None):
     whose documented default is serial sets the flag's default to 1).
 
     ``compile --chaos SEED`` replaces it with a simulated flaky farm
-    around an in-process executor: deterministic under the seed.
+    around an in-process executor: deterministic under the seed;
+    ``chaos_poison`` is the key of the task that crashes everywhere.
     """
     if chaos_seed is not None:
-        poison = ()
-        if chaos_poison:
-            section, _, function = chaos_poison.partition(".")
-            poison = ((section, function or None),)
         return ChaosBackend(
             SerialBackend(),
             workers=4,
@@ -47,7 +44,7 @@ def build_backend(args, chaos_seed=None, chaos_poison=None):
             hang_rate=0.2,
             hang_delay=0.2,
             corrupt_rate=0.1,
-            poison=poison,
+            poison=(chaos_poison,) if chaos_poison else (),
         )
     if args.workers is None or args.workers > 1:
         return WarmPoolBackend(args.workers)

@@ -7,7 +7,7 @@ of the compiler" (§3.2).
 
 Our function masters are Python processes (or in-process calls for the
 serial backend).  Each worker receives a small, picklable
-:class:`FunctionTask` and compiles one function (or one section) to
+:class:`FunctionTask` and compiles its one function to
 object code.  Phase-1 state is re-derived from the source text — the
 moral equivalent of a fresh Lisp process interpreting its initializing
 information — but memoized per worker process: a warm worker that
@@ -40,25 +40,25 @@ from .results import FunctionReport
 
 @dataclass
 class FunctionTask:
-    """Everything a function master needs, cheap to pickle; on the
-    fabric wire a header-only entry of exactly these fields.
-
-    ``function_name`` of None makes this a *section-level* task: one
-    worker compiles every function of the section.  That was the paper's
-    original plan ("to parallelize only the compilation of programs for
-    different sections", §3.1) before the authors realized functions
-    could be compiled independently too.
+    """Everything a function master needs to compile one function,
+    cheap to pickle; on the fabric wire a header-only entry of exactly
+    these fields.  (The paper's original plan, one worker per section
+    program, §3.1, lives on the simulated cluster only.)
     """
 
     source_text: str
     filename: str
     section_name: str
-    function_name: Optional[str] = None
+    function_name: str
     #: pre-compilation cost estimate (§4.3 lines + loop nesting), filled
     #: in by the master from the parse; drives size-aware batching.
     cost_hint: float = 1.0
     #: the compile's options, whole — what the cache fingerprint hashes
     options: CompileOptions = CompileOptions()
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        return (self.section_name, self.function_name)
 
 
 class PayloadCorruption(Exception):
@@ -96,6 +96,11 @@ class FunctionTaskResult:
     #: fault-injection suite's simulated workers report it; real pools
     #: leave it None).  Drives the supervisor's health tracking.
     worker: Optional[str] = None
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        """The key of the task this answers."""
+        return (self.section_name, self.function_name)
 
     @property
     def obj(self) -> ObjectFunction:
@@ -250,10 +255,6 @@ def _record_cache_outcome(report: FunctionReport, hit: bool) -> None:
 
 def run_function_master(task: FunctionTask) -> FunctionTaskResult:
     """Entry point of one function master (picklable module-level fn)."""
-    if task.function_name is None:
-        raise ValueError(
-            "section-level tasks must go through run_compile_task"
-        )
     parsed, hit = phase1_cached(task.source_text, task.filename)
     obj, report = compile_one_function(
         parsed, task.section_name, task.function_name, task.options
@@ -265,32 +266,11 @@ def run_function_master(task: FunctionTask) -> FunctionTaskResult:
 
 
 def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:
-    """Worker entry point for both granularities.
-
-    A function-level task yields one result; a section-level task
-    (``function_name is None``) compiles every function of its section in
-    source order within one worker process.  The module's diagnostics are
-    rendered once per *task* and attached to the task's first result, so
-    the section master's recombined output carries each diagnostic once.
-    """
-    if task.function_name is not None:
-        return [run_function_master(task)]
-    parsed, hit = phase1_cached(task.source_text, task.filename)
-    section = parsed.module.section_named(task.section_name)
-    if section is None:
-        raise KeyError(f"no section named {task.section_name!r}")
-    rendered = [d.render() for d in parsed.sink.diagnostics]
-    results: List[FunctionTaskResult] = []
-    for position, function in enumerate(section.functions):
-        obj, report = compile_one_function(
-            parsed, task.section_name, function.name, task.options
-        )
-        if position == 0:
-            _record_cache_outcome(report, hit)
-        results.append(
-            attach_assembly(obj, report, rendered if position == 0 else [])
-        )
-    return results
+    """Worker entry point: :func:`run_function_master`, its one result
+    in a list.  (``benchmarks/e2e/tracing.py`` binds this name and sizes
+    what it returns, once per task; every backend enters a task through
+    it.  The list goes with the next benchmark change.)"""
+    return [run_function_master(task)]
 
 
 def run_compile_batch(tasks: List[FunctionTask]) -> List[FunctionTaskResult]:

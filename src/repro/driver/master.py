@@ -285,34 +285,19 @@ class ParallelCompiler:
         rendered = [d.render() for d in parsed.sink.diagnostics]
         misses: List[FunctionTask] = []
         for task in tasks:
-            section = parsed.module.section_named(task.section_name)
-            if task.function_name is not None:
-                names = [task.function_name]
-            else:
-                # A section-level task is one unit of dispatch: it is
-                # served from cache only when *every* function hits.
-                names = [fn.name for fn in section.functions]
-            hits: List[FunctionTaskResult] = []
-            for name in names:
-                cached = self.cache.get(
-                    fingerprints[(task.section_name, name)]
-                )
-                if cached is None:
-                    break
-                hits.append(cached)
-            if len(hits) < len(names):
+            result = self.cache.get(fingerprints[task.key])
+            if result is None:
                 misses.append(task)
                 continue
-            for position, result in enumerate(hits):
-                # Reconstruct what a live function master would have
-                # sent: current diagnostics (once per task) and fresh
-                # telemetry — the cached run's counters do not apply.
-                result.diagnostics = list(rendered) if position == 0 else []
-                result.report.phase1_cache_hits = 0
-                result.report.phase1_cache_misses = 0
-                result.report.artifact_cache_hits = 1
-                result.report.artifact_cache_misses = 0
-                combiner.add(result)
+            # Reconstruct what a live function master would have sent:
+            # current diagnostics and fresh telemetry — the cached
+            # run's counters do not apply.
+            result.diagnostics = list(rendered)
+            result.report.phase1_cache_hits = 0
+            result.report.phase1_cache_misses = 0
+            result.report.artifact_cache_hits = 1
+            result.report.artifact_cache_misses = 0
+            combiner.add(result)
         return misses, fingerprints
 
     def _write_back(
@@ -330,9 +315,7 @@ class ParallelCompiler:
         """
         if result.report.poisoned or result.report.failed:
             return
-        fingerprint = fingerprints.get(
-            (result.section_name, result.function_name)
-        )
+        fingerprint = fingerprints.get(result.key)
         if fingerprint is not None:
             # Strip per-run state before storing: diagnostics belong to
             # the module that *reads* the cache, and telemetry counters
@@ -355,24 +338,15 @@ class ParallelCompiler:
     def _build_tasks(
         self, parsed: ParsedProgram, source_text: str, filename: str
     ) -> List[FunctionTask]:
-        tasks: List[FunctionTask] = []
-        for section in parsed.module.sections:
-            if self.options.granularity == "section":
-                units = [(None, sum(map(ast_cost_hint, section.functions)))]
-            else:
-                units = [
-                    (function.name, ast_cost_hint(function))
-                    for function in section.functions
-                ]
-            for function_name, cost_hint in units:
-                tasks.append(
-                    FunctionTask(
-                        source_text,
-                        filename,
-                        section.name,
-                        function_name,
-                        cost_hint=cost_hint,
-                        options=self.options,
-                    )
-                )
-        return tasks
+        return [
+            FunctionTask(
+                source_text,
+                filename,
+                section.name,
+                function.name,
+                cost_hint=ast_cost_hint(function),
+                options=self.options,
+            )
+            for section in parsed.module.sections
+            for function in section.functions
+        ]

@@ -36,8 +36,7 @@ class FunctionReport:
     winner_config: Optional[str] = None
     simulated_cycles: Optional[int] = None
     #: phase-1 cache telemetry: whether this report's task found its
-    #: module already parsed in the worker's cache (0/1 each; a
-    #: section-level task records on its first function's report only).
+    #: module already parsed in the worker's cache (0/1 each).
     phase1_cache_hits: int = 0
     phase1_cache_misses: int = 0
     #: artifact-cache telemetry: whether this function's phase-2/3 result

@@ -6,14 +6,17 @@ hub assigns function-master tasks to the least-loaded live node and
 tracks, per node, exactly which tasks are in flight.  The failure rules
 are few and absolute:
 
+- a task is complete when a result frame for it opens, verifies and is
+  keyed for that task's function — the result is the completion;
 - a node whose connection drops, whose frames stop parsing, or whose
-  lease expires is *lost*: every unacknowledged task it held is
-  re-queued, once each, onto the surviving fleet;
-- results are deduplicated by task key — first result wins, identical
-  to the supervisor's hedging rule, so a "lost" node that was merely
-  slow can never double-link a function;
-- a result failing digest validation is dropped, counted, and its task
-  re-queued — corruption costs a retry, never a wrong artifact;
+  lease expires is *lost*: every task it held with no accepted result
+  is re-queued, once each, onto the surviving fleet;
+- first result per task wins, identical to the supervisor's hedging
+  rule, so a "lost" node that was merely slow can never double-link a
+  function;
+- a result failing digest validation, or keyed for another function, is
+  dropped, counted, and its task re-queued — corruption costs a retry,
+  never a wrong artifact;
 - a task that keeps bouncing (re-queue budget exhausted, or a compile
   error on the node) is executed on the hub's *local fallback* backend,
   which is authoritative: its result — or its exception — is final;
@@ -50,6 +53,7 @@ from .wire import (
     encode_task,
     fabric_secret,
     hmac_tag,
+    refusal,
     replies_to,
 )
 
@@ -91,7 +95,6 @@ class _Wave:
     def __init__(self, wave_id: int, task_ids: Set[str]):
         self.id = wave_id
         self.open_tasks: Set[str] = set(task_ids)
-        self.yielded_keys: Set[Tuple[str, Optional[str]]] = set()
         self.queue: "queue.Queue" = queue.Queue()
 
 
@@ -109,9 +112,7 @@ class _TaskState:
 
 
 class _Node:
-    __slots__ = (
-        "node_id", "conn", "workers", "expires_at", "inflight", "alive", "refused"
-    )
+    __slots__ = ("node_id", "conn", "workers", "expires_at", "inflight", "alive")
 
     def __init__(self, node_id: str, conn, workers: int, expires_at: float):
         self.node_id = node_id
@@ -120,9 +121,6 @@ class _Node:
         self.expires_at = expires_at
         self.inflight: Dict[str, _TaskState] = {}
         self.alive = True
-        #: tasks of which this node sent a result that was refused: the
-        #: ack that follows it on the connection completes nothing
-        self.refused: Set[str] = set()
 
 
 class FabricHub:
@@ -245,6 +243,13 @@ class FabricHub:
 
         def register(frame: dict) -> dict:
             nonlocal node
+            if frame.get("protocol") != PROTOCOL_VERSION:
+                # Its task entries would not open here, nor ours there.
+                return refusal(
+                    f"hub speaks fabric protocol {PROTOCOL_VERSION}, "
+                    f"peer {frame.get('protocol')!r}",
+                    "protocol-mismatch",
+                )
             self._authenticate(conn)
             node = self._register(conn, frame)
             return {
@@ -275,12 +280,6 @@ class FabricHub:
                     continue
                 if op == "result":
                     self._on_result(node, frame)
-                elif op == "task-done":
-                    task_id = str(frame.get("id", ""))
-                    if task_id in node.refused:
-                        node.refused.discard(task_id)
-                    else:
-                        self._complete_task(task_id)
                 elif op == "task-failed":
                     self._on_task_failed(frame)
                 elif op == "goodbye":
@@ -332,7 +331,7 @@ class FabricHub:
         if stale is not None:
             # A reconnecting agent beat the hub to noticing its old
             # connection died; the old lease is superseded, its
-            # unacknowledged tasks re-queue now.
+            # unfinished tasks re-queue now.
             self._lose_node(node_id, "superseded", expect=stale)
         with self._fleet_changed:
             node = _Node(
@@ -348,7 +347,7 @@ class FabricHub:
             node.expires_at = time.monotonic() + self.lease_ttl
 
     def _lose_node(self, node_id: str, reason: str, expect: Optional[_Node] = None) -> None:
-        """Expire a node's lease and re-queue its unacknowledged tasks."""
+        """Expire a node's lease and re-queue its unfinished tasks."""
         with self._fleet_changed:
             node = self._nodes.get(node_id)
             if node is None or (expect is not None and node is not expect):
@@ -372,55 +371,53 @@ class FabricHub:
 
     def _on_result(self, node: _Node, frame: dict) -> None:
         task_id = str(frame.get("id", ""))
+        with self._lock:
+            state = self._tasks.get(task_id)
         try:
             result = decode_result(frame)
+            if state is not None and result.key != state.task.key:
+                raise WireCorruption(
+                    f"task {task_id} is {state.task.key}, "
+                    f"its result is keyed {result.key}"
+                )
         except WireCorruption:
-            # Validated at the crossing: a corrupt result costs this
-            # attempt, never a wrong artifact.  Re-queue the task.
+            # Validated at the crossing: a corrupt or mis-keyed result
+            # costs this attempt, never a wrong artifact.  Re-queue the
+            # task.
             with self._lock:
                 self.stats.corrupt_frames += 1
-            node.refused.add(task_id)
             self._requeue_task(task_id)
             return
-        self._route_result(task_id, result, worker=f"node:{node.node_id}")
+        self._complete_task(task_id, result, worker=f"node:{node.node_id}")
 
-    def _route_result(
-        self, task_id: str, result: FunctionTaskResult, worker: Optional[str]
+    def _complete_task(
+        self, task_id: str, result: FunctionTaskResult, worker: str
     ) -> None:
+        """The result is the completion: hand it to the wave, free the
+        task's slot, close the wave when it was the last."""
         with self._lock:
             state = self._tasks.get(task_id)
             if state is None:
                 return  # wave already finished or task unknown
-            wave = state.wave
-            rkey = (result.section_name, result.function_name)
-            if rkey in wave.yielded_keys:
+            if state.done:
                 # First result won already (a re-queued task's original
                 # owner turned out to be slow, not dead).
                 self.stats.results_deduped += 1
                 return
-            wave.yielded_keys.add(rkey)
-            if worker is not None and result.worker is None:
-                result.worker = worker
-        wave.queue.put(("result", result))
-
-    def _complete_task(self, task_id: str) -> None:
-        finished_wave = None
-        with self._lock:
-            state = self._tasks.get(task_id)
-            if state is None or state.done:
-                return
             state.done = True
+            if result.worker is None:
+                result.worker = worker
             for node in self._nodes.values():
                 node.inflight.pop(task_id, None)
             wave = state.wave
+            # Queued under the lock: "done" must not overtake a result.
+            wave.queue.put(("result", result))
             wave.open_tasks.discard(task_id)
             if not wave.open_tasks:
-                finished_wave = wave
                 for tid in list(self._tasks):
                     if self._tasks[tid].wave is wave:
                         del self._tasks[tid]
-        if finished_wave is not None:
-            finished_wave.queue.put(("done", None))
+                wave.queue.put(("done", None))
         self._pump()
 
     def _on_task_failed(self, frame: dict) -> None:
@@ -523,9 +520,7 @@ class FabricHub:
             if state.done:
                 continue
             try:
-                results = list(
-                    stream_task_results(self.fallback, [state.task])
-                )
+                (result,) = stream_task_results(self.fallback, [state.task])
             except Exception as exc:  # noqa: BLE001 - authoritative failure
                 wave = state.wave
                 with self._lock:
@@ -540,9 +535,7 @@ class FabricHub:
                                 del self._tasks[tid]
                 wave.queue.put(("error", exc))
                 continue
-            for result in results:
-                self._route_result(state.task_id, result, worker="local-fallback")
-            self._complete_task(state.task_id)
+            self._complete_task(state.task_id, result, worker="local-fallback")
 
     # -- lease monitor -------------------------------------------------
 
@@ -581,7 +574,7 @@ class RemoteBackend:
 
     Degrades gracefully: a wave submitted while zero nodes hold live
     leases runs entirely on the hub's local fallback backend, and nodes
-    lost mid-wave shed their unacknowledged tasks back through the hub.
+    lost mid-wave shed their unfinished tasks back through the hub.
     """
 
     def __init__(self, hub: FabricHub, progress_timeout: float = 300.0):

@@ -4,9 +4,9 @@
 connects with capped exponential backoff + jitter (a fleet restarting
 together must not stampede the hub), registers its local backend's
 worker count, then serves tasks: each incoming task frame is decoded —
-digest-checked — executed on the local backend, and its results are
-streamed back followed by a ``task-done`` acknowledgement.  Heartbeats
-ride a dedicated thread so a node busy compiling still renews its lease.
+digest-checked — executed on the local backend, and its result sent
+back: the result frame is the completion.  Heartbeats ride a dedicated
+thread so a node busy compiling still renews its lease.
 
 The agent is deliberately stateless between connections: if the hub
 drops it (lease expiry, protocol error, hub restart — including the
@@ -14,10 +14,9 @@ hub's own ``shutdown`` frame, which just ends the session) it simply
 reconnects and re-registers, so restarting ``warpcc serve`` never
 requires touching the fleet.  Only a ``shutdown`` frame flagged
 ``retire`` (``FabricHub.close(retire_fleet=True)``) makes the agent
-exit for good.  Any task whose acknowledgement didn't reach the hub
-will be re-queued by the hub's lease machinery — the agent never
-tracks that, which is what keeps the failure model simple enough to
-trust.
+exit for good.  Any task whose result didn't reach the hub will be
+re-queued by the hub's lease machinery — the agent never tracks that,
+which is what keeps the failure model simple enough to trust.
 
 When the hub requires a shared secret (``WARPCC_FABRIC_SECRET``), it
 answers registration with a ``challenge`` frame; the agent proves the
@@ -168,8 +167,9 @@ class WorkerNodeAgent:
             welcome = conn.recv()
         if welcome is None or not welcome.get("ok"):
             if welcome is not None:
-                # Explicit rejection (failed auth, bad register):
-                # retrying immediately can't help, so don't spin.
+                # Explicit rejection (failed auth, bad register, another
+                # protocol): retrying immediately can't help, so don't
+                # spin.
                 self._stop.wait(self.connect_cap)
             return
         interval = float(welcome.get("heartbeat_interval", 2.0))
@@ -225,7 +225,7 @@ class WorkerNodeAgent:
             )
             return
         try:
-            results = list(stream_task_results(self.backend, [task]))
+            (result,) = stream_task_results(self.backend, [task])
         except Exception as exc:  # noqa: BLE001 - report, don't die
             self.tasks_failed += 1
             self._send_quietly(
@@ -233,11 +233,9 @@ class WorkerNodeAgent:
             )
             return
         try:
-            for result in results:
-                conn.send(encode_result(result, task_id))
-            conn.send({"op": "task-done", "id": task_id})
+            conn.send(encode_result(result, task_id))
         except (OSError, ConnectionError, ProtocolError):
-            # Link died before the ack: the hub re-queues this task.
+            # Link died under the result: the hub re-queues this task.
             return
         self.tasks_completed += 1
 

@@ -63,8 +63,10 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from ..cache.store import ArtifactCache, FactsCodec, open_entry, seal_entry
 from ..driver.function_master import FunctionTask, FunctionTaskResult
 
-#: Protocol revision; bumped on incompatible frame changes.
-PROTOCOL_VERSION = 1
+#: Protocol revision; bumped on incompatible frame changes, and the
+#: schema of a task entry: a peer of another revision cannot open one.
+#: 2: a task names one function, a result frame completes its task.
+PROTOCOL_VERSION = 2
 
 #: Hard bound on one frame.  Object code for a function is a few KB;
 #: whole-module sources top out far below this.  Anything larger is a

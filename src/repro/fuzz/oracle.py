@@ -17,7 +17,6 @@ Pipeline variants (the matrix):
 ========================  ==================================================
 ``sequential``            :class:`~repro.driver.sequential.SequentialCompiler`
 ``parallel``              master/section/function hierarchy, in-process
-``section``               section-granularity dispatch (§3.1's original plan)
 ``warm-pool``             persistent multiprocess warm-worker farm
 ``fabric``                distributed fabric: a loopback hub plus two
                           in-process worker-node agents behind
@@ -56,12 +55,19 @@ from __future__ import annotations
 import importlib.util
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..asmlink.download import listing_difference, module_digest
-from ..cache import ArtifactCache, compiler_salt, module_fingerprints
+from ..cache import (
+    ArtifactCache,
+    LinkCache,
+    ParseCache,
+    compiler_salt,
+    module_fingerprints,
+)
+from ..driver.function_master import clear_phase1_cache
 from ..driver.master import ParallelCompiler
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError, DiagnosticSink
@@ -69,7 +75,9 @@ from ..lang.parser import parse_text
 from ..lang.sema import check_module
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
+from ..parallel.fault_tolerance import ChaosBackend
 from ..parallel.local import SerialBackend
+from ..parallel.supervisor import SupervisedBackend
 from ..warpsim.array_runner import run_module
 from .generator import GeneratedProgram, config_for_size_class, generate_program
 
@@ -77,7 +85,6 @@ from .generator import GeneratedProgram, config_for_size_class, generate_program
 ALL_PIPELINES: Tuple[str, ...] = (
     "sequential",
     "parallel",
-    "section",
     "warm-pool",
     "fabric",
     "cache",
@@ -276,80 +283,135 @@ class DifferentialOracle:
         return SequentialCompiler(self.config.options).compile(source)
 
     def _compile_variant(self, name: str, source: str, seed: int):
-        """One ParallelCompiler run for pipeline ``name``; returns the
-        CompilationResult (the ``cache`` variant returns the warm run)."""
+        """One run of pipeline ``name``; returns the CompilationResult (a
+        cold-then-warm leg returns the warm run)."""
         options = self.config.options
-        if name == "section":
-            return ParallelCompiler(
-                SerialBackend(), replace(options, granularity="section")
-            ).compile(source)
-        backends = {
-            "parallel": SerialBackend,
-            "warm-pool": self._warm_backend,
-            "fabric": self._fabric_backend,
+
+        def over(make_backend):
+            return lambda: ParallelCompiler(make_backend(), options).compile(
+                source
+            )
+
+        def cold_then_warm(*row):
+            return lambda: self._cold_then_warm(source, *row)
+
+        # A cold-then-warm row: the tiers the compiler opens, how a
+        # digest divergence names the pair, what runs before each
+        # compile, what the warm run must show.
+        builders = {
+            "parallel": over(SerialBackend),
+            "warm-pool": over(self._warm_backend),
+            "fabric": over(self._fabric_backend),
+            "cache": cold_then_warm(
+                {"cache": ArtifactCache},
+                "cache-warm digest diverged from cache-cold: ",
+                None,
+                self._warm_artifacts,
+            ),
+            # Drop the whole-module memo before each compile (earlier
+            # legs of this check parsed the same source): both runs must
+            # exercise the span-hash tier, not short-circuit above it.
+            "phase1": cold_then_warm(
+                {"parse_cache": ParseCache},
+                "parse-cache-warm digest diverged from cold: ",
+                clear_phase1_cache,
+                self._warm_parse,
+            ),
+            "phase4": cold_then_warm(
+                {"cache": ArtifactCache, "link_cache": LinkCache},
+                "link-cache-warm digest diverged from cold: ",
+                None,
+                self._warm_module,
+            ),
+            "supervised": over(
+                lambda: SupervisedBackend(SerialBackend(), hedge_after=None)
+            ),
+            "chaos": over(lambda: self._chaos_backend(seed)),
+            "search": lambda: self._compile_search_variant(
+                source, seed, options
+            ),
+            "predict": lambda: self._compile_predict_variant(source, options),
         }
-        if name in backends:
-            return ParallelCompiler(backends[name](), options).compile(source)
-        if name == "cache":
-            return self._compile_cache_variant(source, options)
-        if name == "search":
-            return self._compile_search_variant(source, seed, options)
-        if name == "predict":
-            return self._compile_predict_variant(source, options)
-        if name == "phase1":
-            return self._compile_phase1_variant(source, options)
-        if name == "phase4":
-            return self._compile_phase4_variant(source, options)
-        if name == "supervised":
-            from ..parallel.supervisor import SupervisedBackend
+        return builders[name]()
 
-            backend = SupervisedBackend(SerialBackend(), hedge_after=None)
-            return ParallelCompiler(backend, options).compile(source)
-        if name == "chaos":
-            from ..parallel.fault_tolerance import ChaosBackend
-            from ..parallel.supervisor import SupervisedBackend
+    def _chaos_backend(self, seed: int):
+        chaos = ChaosBackend(
+            SerialBackend(),
+            workers=3,
+            seed=self.config.chaos_seed ^ seed,
+            crash_rate=0.25,
+            hang_rate=0.15,
+            hang_delay=0.005,
+            corrupt_rate=0.15,
+            max_failures_per_task=2,
+        )
+        # Deadlines off: under CI load a wall-clock deadline expiry
+        # would add retries, making the fault replay timing-dependent.
+        return SupervisedBackend(
+            chaos,
+            task_timeout=0,
+            hedge_after=None,
+            max_attempts=6,
+            poison_threshold=6,
+        )
 
-            chaos = ChaosBackend(
+    def _cold_then_warm(self, source, tiers, diverged, before, warm_must):
+        """A compiler over ``tiers`` (``ParallelCompiler`` keyword ->
+        store class) in a fresh directory compiles ``source`` cold, then
+        warm, ``before`` running ahead of each compile.  The two digests
+        must agree — a served entry must be indistinguishable from fresh
+        work, which with the generic check against the sequential
+        baseline pins sequential == parallel == cached — and
+        ``warm_must`` then raises unless the warm run shows what the leg
+        is for.  Returns the warm run."""
+        with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-") as tmp:
+            compiler = ParallelCompiler(
                 SerialBackend(),
-                workers=3,
-                seed=self.config.chaos_seed ^ seed,
-                crash_rate=0.25,
-                hang_rate=0.15,
-                hang_delay=0.005,
-                corrupt_rate=0.15,
-                max_failures_per_task=2,
+                self.config.options,
+                **{keyword: store(tmp) for keyword, store in tiers.items()},
             )
-            # Deadlines off: under CI load a wall-clock deadline expiry
-            # would add retries, making the fault replay timing-dependent.
-            backend = SupervisedBackend(
-                chaos,
-                task_timeout=0,
-                hedge_after=None,
-                max_attempts=6,
-                poison_threshold=6,
-            )
-            return ParallelCompiler(backend, options).compile(source)
-        raise ValueError(f"unknown pipeline {name!r}")
-
-    def _compile_cache_variant(self, source: str, options):
-        """Cold compile, warm recompile, digest from the warm run; plus
-        the cross-version salt isolation assertion."""
-        with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-cache-") as tmp:
-            cache = ArtifactCache(tmp)
-            compiler = ParallelCompiler(SerialBackend(), options, cache=cache)
+            if before is not None:
+                before()
             cold = compiler.compile(source)
+            cold_phase4 = compiler.last_phase4_stats
+            if before is not None:
+                before()
             warm = compiler.compile(source)
             if cold.digest != warm.digest:
                 raise OracleInvariantError(
-                    "cache-warm digest diverged from cache-cold: "
-                    + listing_difference(warm.download, cold.download)
+                    diverged + listing_difference(warm.download, cold.download)
                 )
-            if cache.stats.hits == 0:
-                raise OracleInvariantError(
-                    "warm recompile served no artifact-cache hits"
-                )
-            self._assert_salt_isolation(source, cache, options)
+            warm_must(source, compiler, cold_phase4)
             return warm
+
+    def _warm_artifacts(self, source, compiler, cold_phase4) -> None:
+        """The warm run hits the artifact cache, and the cache serves
+        nothing under another compiler salt."""
+        if compiler.cache.stats.hits == 0:
+            raise OracleInvariantError(
+                "warm recompile served no artifact-cache hits"
+            )
+        self._assert_salt_isolation(source, compiler.cache, compiler.options)
+
+    def _warm_parse(self, source, compiler, cold_phase4) -> None:
+        """When the incremental front end ran, the warm run hit the
+        parse cache."""
+        stats = compiler.last_phase1_stats
+        if stats.mode == "parallel" and stats.cache_hits == 0:
+            raise OracleInvariantError(
+                "warm recompile served no parse-cache hits"
+            )
+
+    def _warm_module(self, source, compiler, cold_phase4) -> None:
+        """The cold run linked every section as it was recombined; the
+        warm run serves phases 2/3 from the artifact cache and must skip
+        phase 4 via the whole-module tier."""
+        warm_mode = compiler.last_phase4_stats.mode
+        if cold_phase4.mode == "parallel" and warm_mode != "cached":
+            raise OracleInvariantError(
+                "fully-warm recompile did not hit the module cache "
+                f"(mode {warm_mode!r})"
+            )
 
     def _compile_search_variant(self, source: str, seed: int, options):
         """The variant-search leg, checked four ways:
@@ -488,82 +550,6 @@ class DifferentialOracle:
                     "compile after speculation served no cache hits"
                 )
             return result
-
-    def _compile_phase1_variant(self, source: str, options):
-        """Parse-cache-cold compile, then a warm recompile of the same
-        source; both through the incremental front end.
-        Digest must match across the cold/warm pair (a rebased cache
-        entry must be indistinguishable from a fresh parse) and, when
-        the fast path ran, the warm run must actually hit the cache."""
-        from ..driver.function_master import clear_phase1_cache
-
-        with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-parse-") as tmp:
-            from ..cache import ParseCache
-
-            parse_cache = ParseCache(tmp)
-            compiler = ParallelCompiler(
-                SerialBackend(), options, parse_cache=parse_cache
-            )
-            # Drop the whole-module memo before each compile (earlier
-            # legs of this check parsed the same source): both runs must
-            # exercise the span-hash tier, not short-circuit above it.
-            clear_phase1_cache()
-            cold = compiler.compile(source)
-            clear_phase1_cache()
-            warm = compiler.compile(source)
-            if cold.digest != warm.digest:
-                raise OracleInvariantError(
-                    "parse-cache-warm digest diverged from cold: "
-                    + listing_difference(warm.download, cold.download)
-                )
-            stats = compiler.last_phase1_stats
-            if (
-                stats is not None
-                and stats.mode == "parallel"
-                and stats.cache_hits == 0
-            ):
-                raise OracleInvariantError(
-                    "warm recompile served no parse-cache hits"
-                )
-            return warm
-
-    def _compile_phase4_variant(self, source: str, options):
-        """Link-cache-cold phase 4, then a fully-warm recompile.
-
-        The cold run links every section as it is recombined; the warm
-        run serves phases 2/3 from the artifact cache and must skip
-        phase 4 via the whole-module tier.  Digests must match across the pair, and — combined with
-        the generic digest check against the sequential baseline — that
-        pins sequential == parallel == cached phase-4 output."""
-        with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-link-") as tmp:
-            from ..cache import LinkCache
-
-            compiler = ParallelCompiler(
-                SerialBackend(),
-                options,
-                cache=ArtifactCache(tmp),
-                link_cache=LinkCache(tmp),
-            )
-            cold = compiler.compile(source)
-            cold_stats = compiler.last_phase4_stats
-            warm = compiler.compile(source)
-            warm_stats = compiler.last_phase4_stats
-            if cold.digest != warm.digest:
-                raise OracleInvariantError(
-                    "link-cache-warm digest diverged from cold: "
-                    + listing_difference(warm.download, cold.download)
-                )
-            if (
-                cold_stats is not None
-                and cold_stats.mode == "parallel"
-                and warm_stats is not None
-                and warm_stats.mode != "cached"
-            ):
-                raise OracleInvariantError(
-                    "fully-warm recompile did not hit the module cache "
-                    f"(mode {warm_stats.mode!r})"
-                )
-            return warm
 
     def _assert_salt_isolation(self, source, cache, options) -> None:
         """A salted cache must never serve cross-version entries: the

@@ -15,9 +15,6 @@ class CompileOptions:
     opt_level: int = 2
     #: cells in the target array
     cell_count: int = 10
-    #: "function" (the paper's final design) or "section" (its original
-    #: plan, §3.1): one worker per section program
-    granularity: str = "function"
     #: variant-search codegen knobs (both 0 = the standard pipeline):
     #: full-unroll budget for constant-trip loops, and a cap on the
     #: modulo scheduler's initiation-interval search (1 disables
@@ -30,11 +27,6 @@ class CompileOptions:
             raise ValueError(f"opt_level must be 0..2, got {self.opt_level}")
         if self.cell_count < 1:
             raise ValueError(f"need at least one cell, got {self.cell_count}")
-        if self.granularity not in ("function", "section"):
-            raise ValueError(
-                f"granularity must be 'function' or 'section', "
-                f"got {self.granularity!r}"
-            )
         if self.unroll_budget < 0 or self.ii_budget < 0:
             raise ValueError(
                 f"budgets must be >= 0, got unroll={self.unroll_budget} "

@@ -54,10 +54,6 @@ class FunctionMasterFailure(Exception):
         )
 
 
-def _task_key(task: FunctionTask) -> Tuple[str, Optional[str]]:
-    return (task.section_name, task.function_name)
-
-
 class ChaosBackend:
     """The full fault suite: crashes, hangs, corruption, death, poison.
 
@@ -106,7 +102,7 @@ class ChaosBackend:
         hang_delay: float = 0.25,
         corrupt_rate: float = 0.0,
         dead_workers: Tuple[str, ...] = (),
-        poison: Tuple[Tuple[str, Optional[str]], ...] = (),
+        poison: Tuple[Tuple[str, str], ...] = (),
         max_failures_per_task: Optional[int] = None,
         max_hangs_per_task: int = 1,
         max_corruptions_per_task: int = 1,
@@ -175,14 +171,13 @@ class ChaosBackend:
         queueing in front of it."""
         schedule = self.schedule
         for task in tasks:
-            task_key = _task_key(task)
-            key = f"{task_key[0]}.{task_key[1]}"
+            key = f"{task.section_name}.{task.function_name}"
             attempt = schedule.take("attempt", key)
             worker = self._assign_worker(key, attempt)
             yield ("start", task)
 
             crash = None  # why this attempt dies before it starts
-            if task_key in self.poison:
+            if task.key in self.poison:
                 crash = f"poison task crashed (attempt {attempt + 1})"
             elif worker in self.dead_workers:
                 crash = f"worker {worker} is dead"
@@ -221,8 +216,8 @@ class ChaosBackend:
             )
             if corrupt:
                 self.injected_corruptions += 1
-            for position, result in enumerate(results):
-                if corrupt and position == 0:
+            for result in results:
+                if corrupt:
                     # Flip a byte *after* the digest was sealed (the
                     # copy has the bytes and no graph): different code
                     # would link — unless validation catches it.

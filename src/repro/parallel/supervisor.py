@@ -61,13 +61,12 @@ from ..driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
     attach_assembly,
-    phase1_cached,
     result_payload_digest,
-    run_compile_task,
+    run_function_master,
 )
 from ..driver.results import FunctionReport
 from .backend import stream_task_results
-from .fault_tolerance import FunctionMasterFailure, _task_key
+from .fault_tolerance import FunctionMasterFailure
 from .local import SerialBackend
 
 #: pseudo-worker for failures the backend can't attribute to a host —
@@ -196,7 +195,7 @@ class SupervisedBackend:
         in-process :class:`SerialBackend`).
     isolation_runner:
         Callable used to compile a poison task in-process (default:
-        :func:`run_compile_task`); injectable for tests.
+        :func:`run_function_master`); injectable for tests.
     clock:
         Monotonic time source; injectable for tests.
 
@@ -244,7 +243,9 @@ class SupervisedBackend:
         self.poison_threshold = poison_threshold
         self.fallback = fallback if fallback is not None else SerialBackend()
         self.isolation_runner = (
-            isolation_runner if isolation_runner is not None else run_compile_task
+            isolation_runner
+            if isolation_runner is not None
+            else run_function_master
         )
         self.clock = clock
         #: pluggable cost seam: estimates in §4.3 hint units feed the
@@ -330,7 +331,6 @@ class _Dispatch:
     keys: Set[tuple]
     abandoned: Set[tuple] = field(default_factory=set)
     failed: Set[tuple] = field(default_factory=set)
-    delivered: Dict[tuple, int] = field(default_factory=dict)
     #: keys whose attempt the backend reported as actually started
     started: Set[tuple] = field(default_factory=set)
     #: deadlines armed on the backend's "start" event instead of at
@@ -350,11 +350,10 @@ class _SupervisedRun:
         self.health = sup.health
         self.tasks = tasks
         self.states: Dict[tuple, _TaskState] = {
-            _task_key(task): _TaskState(task=task) for task in tasks
+            task.key: _TaskState(task=task) for task in tasks
         }
         self.dispatches: Dict[int, _Dispatch] = {}
         self.events: "queue.Queue" = queue.Queue()
-        self.yielded: Set[tuple] = set()
         self._next_id = 0
 
     # -- dispatch side ------------------------------------------------
@@ -391,7 +390,7 @@ class _SupervisedRun:
             if exclude is not None:
                 exclude(self.health.quarantined(now) - {FARM})
         dispatch = _Dispatch(
-            id=self._next_id, kind=kind, keys={_task_key(t) for t in tasks}
+            id=self._next_id, kind=kind, keys={t.key for t in tasks}
         )
         dispatch.arm_on_start = kind != "fallback" and hasattr(
             backend, "run_tasks_events"
@@ -399,7 +398,7 @@ class _SupervisedRun:
         self._next_id += 1
         self.dispatches[dispatch.id] = dispatch
         for task in tasks:
-            state = self.states[_task_key(task)]
+            state = self.states[task.key]
             state.attempts += 1
             if kind == "fallback" or dispatch.arm_on_start:
                 # fallback: the last resort must be allowed to finish.
@@ -474,9 +473,8 @@ class _SupervisedRun:
         """The backend reports an attempt actually began: arm the real
         per-attempt deadline now (arm-on-start dispatches launch with no
         deadline so queueing doesn't eat the budget)."""
-        tkey = _task_key(task)
-        dispatch.started.add(tkey)
-        state = self.states.get(tkey)
+        dispatch.started.add(task.key)
+        state = self.states.get(task.key)
         if state is None or state.resolved:
             return
         if dispatch.kind != "fallback" and dispatch.id in state.active:
@@ -490,29 +488,24 @@ class _SupervisedRun:
     def _on_result(
         self, dispatch: _Dispatch, result: FunctionTaskResult
     ) -> Iterator[FunctionTaskResult]:
-        rkey = (result.section_name, result.function_name)
-        tkey = rkey if rkey in self.states else (result.section_name, None)
-        state = self.states.get(tkey)
+        state = self.states.get(result.key)
         if state is None:
             return  # a result for a task we never dispatched
         if result_payload_digest(result) != result.payload_digest:
             self.stats.corrupt_payloads += 1
             yield from self._attempt_failed(
-                dispatch, tkey, result.worker, "corrupt result payload"
+                dispatch, result.key, result.worker, "corrupt result payload"
             )
             return
         if dispatch.kind != "fallback":
             if result.worker:
                 self.health.record_success(result.worker)
             self.health.record_success(FARM)
-        dispatch.delivered[tkey] = dispatch.delivered.get(tkey, 0) + 1
-        if tkey[1] is not None and not state.resolved:
-            self._observe(state, dispatch)
-            self._resolve(state, dispatch)
-        if rkey in self.yielded:
+        if state.resolved:  # first result won already
             self.stats.late_duplicates += 1
             return
-        self.yielded.add(rkey)
+        self._observe(state, dispatch)
+        self._resolve(state, dispatch)
         yield result
 
     def _observe(self, state: _TaskState, dispatch: _Dispatch) -> None:
@@ -543,7 +536,7 @@ class _SupervisedRun:
         self, dispatch: _Dispatch, failure: FunctionMasterFailure
     ) -> Iterator[FunctionTaskResult]:
         yield from self._attempt_failed(
-            dispatch, _task_key(failure.task), failure.worker, failure.reason
+            dispatch, failure.task.key, failure.worker, failure.reason
         )
 
     def _attempt_failed(
@@ -586,11 +579,6 @@ class _SupervisedRun:
             if state is None or state.resolved:
                 continue
             if tkey in dispatch.failed or tkey in dispatch.abandoned:
-                continue
-            if tkey[1] is None and dispatch.delivered.get(tkey, 0) > 0:
-                # section-level task: the stream finished and delivered
-                # results for this section, so it is complete
-                self._resolve(state, dispatch)
                 continue
             if dispatch.id in state.active:
                 reason = "dispatch finished without a result"
@@ -689,81 +677,49 @@ class _SupervisedRun:
         state.isolating = True
         self.stats.poisoned_tasks += 1
         task = state.task
-        name = f"{task.section_name}.{task.function_name or '*'}"
+        name = f"{task.section_name}.{task.function_name}"
         attempts = len(state.failures)
         reasons = "; ".join(
             dict.fromkeys(reason for _, reason in state.failures)
         )
         try:
-            results = self.sup.isolation_runner(task)
+            result = self.sup.isolation_runner(task)
         except BaseException:
             trace = traceback.format_exc().rstrip()
-            results = self._stub_results(task)
-            for result in results:
-                result.report.poisoned = 1
-                result.report.failed = 1
-                result.diagnostics.insert(
-                    0,
-                    f"error: {task.section_name}.{result.function_name}: "
-                    f"poison task isolated after {attempts} failed farm "
-                    f"attempt(s) ({reasons}); in-process compile failed:\n"
-                    f"{trace}",
-                )
+            result = self._stub_result(task)
+            result.report.failed = 1
+            message = (
+                f"error: {name}: poison task isolated after {attempts} "
+                f"failed farm attempt(s) ({reasons}); in-process compile "
+                f"failed:\n{trace}"
+            )
         else:
-            for result in results:
-                result.report.poisoned = 1
-                result.diagnostics.insert(
-                    0,
-                    f"warning: {task.section_name}.{result.function_name}: "
-                    f"isolated after {attempts} failed farm attempt(s) "
-                    f"({reasons}); compiled in-process",
-                )
+            message = (
+                f"warning: {name}: isolated after {attempts} failed farm "
+                f"attempt(s) ({reasons}); compiled in-process"
+            )
+        result.report.poisoned = 1
+        result.diagnostics.insert(0, message)
         self._resolve(state, None)
-        for result in results:
-            rkey = (result.section_name, result.function_name)
-            if rkey in self.yielded:
-                self.stats.late_duplicates += 1
-                continue
-            self.yielded.add(rkey)
-            yield result
-        if not results:  # pragma: no cover - defensive
-            raise FunctionMasterFailure(
-                task, f"isolation of {name} produced no results"
-            )
+        yield result
 
-    def _stub_results(self, task: FunctionTask) -> List[FunctionTaskResult]:
-        """Placeholder results for a task whose in-process compile failed:
-        empty object code plus a zeroed report per function, so the
-        section still recombines and the rest of the module links."""
-        names: List[str] = []
-        if task.function_name is not None:
-            names = [task.function_name]
-        else:
-            try:
-                parsed, _ = phase1_cached(task.source_text, task.filename)
-                section = parsed.module.section_named(task.section_name)
-                if section is not None:
-                    names = [function.name for function in section.functions]
-            except Exception:
-                names = []
-        if not names:  # pragma: no cover - unparseable section-level source
-            names = [task.function_name or "<unknown>"]
-        results = []
-        for name in names:
-            results.append(
-                attach_assembly(
-                    ObjectFunction(name=name, section_name=task.section_name),
-                    FunctionReport(
-                        section_name=task.section_name,
-                        name=name,
-                        source_lines=0,
-                        ir_instructions=0,
-                        loop_weight=0,
-                        work_units=0,
-                        bundles=0,
-                        pipelined_loops=0,
-                    ),
-                    [],
-                )
-            )
-        return results
+    def _stub_result(self, task: FunctionTask) -> FunctionTaskResult:
+        """Placeholder result for a task whose in-process compile failed:
+        empty object code plus a zeroed report, so the section still
+        recombines and the rest of the module links."""
+        return attach_assembly(
+            ObjectFunction(
+                name=task.function_name, section_name=task.section_name
+            ),
+            FunctionReport(
+                section_name=task.section_name,
+                name=task.function_name,
+                source_lines=0,
+                ir_instructions=0,
+                loop_weight=0,
+                work_units=0,
+                bundles=0,
+                pipelined_loops=0,
+            ),
+            [],
+        )

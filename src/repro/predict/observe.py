@@ -81,11 +81,9 @@ def task_fingerprint(task: FunctionTask) -> Optional[str]:
 
     Observations must key on *content*, not names, so a renamed file or
     a different module with the same function bodies shares history.
-    Section-level tasks and unparseable sources return None — callers
-    fall back to the static hint.
+    Unparseable sources return None — callers fall back to the static
+    hint.
     """
-    if task.function_name is None:
-        return None
     try:
         parsed, _ = phase1_cached(task.source_text, task.filename)
         section = parsed.module.section_named(task.section_name)

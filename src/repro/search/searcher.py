@@ -158,7 +158,7 @@ def search_module(
     ``input_sets`` are the recorded scoring inputs; when None, a
     deterministic synthetic set derived from ``input_seed`` is used.
     ``options`` are the base every config of the space is applied to
-    (cell count, granularity).
+    (the cell count).
     The shipped module's digest is a pure function of (source, space,
     inputs): independent of backend, submission order, and cache state.
     """

@@ -9,12 +9,7 @@ one — the paper's small/medium/large load-balancing observation (§4.3)
 replayed at the job level.
 """
 
-from .queue import (
-    PRIORITY_CLASSES,
-    FairShareQueue,
-    QueuedTask,
-    result_keys_for_task,
-)
+from .queue import PRIORITY_CLASSES, FairShareQueue, QueuedTask
 from .server import (
     AdmissionError,
     CompileService,
@@ -53,6 +48,5 @@ __all__ = [
     "plan_load",
     "replay_edit_session",
     "resolve_address",
-    "result_keys_for_task",
     "run_load",
 ]

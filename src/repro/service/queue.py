@@ -38,14 +38,10 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..driver.function_master import FunctionTask, phase1_cached
+from ..driver.function_master import FunctionTask
 
 #: Strict-priority classes, most urgent first.
 PRIORITY_CLASSES: Tuple[str, ...] = ("interactive", "normal", "batch")
-
-#: (section, function) pairs a task's results will carry — the routing
-#: key between the shared dispatcher and the job that owns the task.
-ResultKey = Tuple[str, str]
 
 
 def priority_index(priority: str) -> int:
@@ -59,23 +55,6 @@ def priority_index(priority: str) -> int:
         ) from None
 
 
-def result_keys_for_task(task: FunctionTask) -> Tuple[ResultKey, ...]:
-    """The (section, function) result keys ``task`` will produce.
-
-    A function-level task yields exactly one result; a section-level
-    task (``function_name is None``) yields one per function of the
-    section.  The parse comes from the process-wide phase-1 cache — the
-    job's master parsed the same source moments ago, so this is a hit.
-    """
-    if task.function_name is not None:
-        return ((task.section_name, task.function_name),)
-    parsed, _ = phase1_cached(task.source_text, task.filename)
-    section = parsed.module.section_named(task.section_name)
-    if section is None:  # pragma: no cover - master validated earlier
-        raise KeyError(f"no section named {task.section_name!r}")
-    return tuple((task.section_name, fn.name) for fn in section.functions)
-
-
 @dataclass(frozen=True)
 class QueuedTask:
     """One function task waiting for a pool slot."""
@@ -86,7 +65,6 @@ class QueuedTask:
     task: FunctionTask
     cost: float
     seq: int  # global arrival order (tie-break and determinism anchor)
-    result_keys: Tuple[ResultKey, ...]
 
 
 class _JobQueue:
@@ -179,7 +157,7 @@ class FairShareQueue:
         job_id: str,
         tenant: str,
         priority: int,
-        tasks: Sequence[Tuple[FunctionTask, Tuple[ResultKey, ...]]],
+        tasks: Sequence[FunctionTask],
     ) -> int:
         """Add a job's tasks (in compile order); returns tasks queued."""
         if not 0 <= priority < len(PRIORITY_CLASSES):
@@ -201,7 +179,7 @@ class FairShareQueue:
                     f"{job.tenant!r}, not {tenant!r}"
                 )
             count = 0
-            for task, keys in tasks:
+            for task in tasks:
                 job.tasks.append(
                     QueuedTask(
                         job_id=job_id,
@@ -210,7 +188,6 @@ class FairShareQueue:
                         task=task,
                         cost=self.task_cost(task),
                         seq=self._seq,
-                        result_keys=tuple(keys),
                     )
                 )
                 self._seq += 1
@@ -227,7 +204,7 @@ class FairShareQueue:
         Selection repeats: take the best-priority class with pending
         tasks, the least-virtual-time tenant in it, that tenant's
         least-virtual-time job, and the job's next task in compile
-        order.  Result keys are unique within the wave — a task whose
+        order.  Task keys are unique within the wave — a task whose
         key collides with one already selected stays queued (its whole
         job is deferred to the next wave, preserving per-job task
         order), because the shared pool routes results back to jobs by
@@ -245,12 +222,12 @@ class FairShareQueue:
                     break
                 job_id, job = choice
                 head = job.tasks[0]
-                if any(key in used_keys for key in head.result_keys):
+                if head.task.key in used_keys:
                     blocked.add(job_id)
                     continue
                 job.tasks.popleft()
                 wave.append(head)
-                used_keys.update(head.result_keys)
+                used_keys.add(head.task.key)
                 weight = self._weights.get(
                     job.tenant, self._default_weight
                 )

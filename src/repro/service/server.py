@@ -54,12 +54,7 @@ from ..lang.diagnostics import CompileError
 from ..options import CompileOptions
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
 from ..parallel.backend import stream_task_results
-from .queue import (
-    FairShareQueue,
-    QueuedTask,
-    priority_index,
-    result_keys_for_task,
-)
+from .queue import FairShareQueue, QueuedTask, priority_index
 
 #: job lifecycle states (terminal: done/failed/cancelled)
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -172,12 +167,10 @@ class _JobBackend:
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
     ) -> Iterator[FunctionTaskResult]:
-        keyed = [(task, result_keys_for_task(task)) for task in tasks]
-        expected = sum(len(keys) for _, keys in keyed)
         self.effective_worker_count = min(self.worker_count, len(tasks))
-        self._service._submit_tasks(self._job, keyed, expected)
+        self._service._submit_tasks(self._job, tasks)
         received = 0
-        while received < expected:
+        while received < len(tasks):
             kind, payload = self._job.inbox.get()
             if kind == "result":
                 received += 1
@@ -483,19 +476,19 @@ class CompileService:
 
     # -- shared-pool dispatcher ----------------------------------------
 
-    def _submit_tasks(self, job: JobRecord, keyed, expected: int) -> None:
+    def _submit_tasks(self, job: JobRecord, tasks: List[FunctionTask]) -> None:
         """Called from a job thread: feed its tasks to the fair queue."""
         with self._cond:
             if job.cancel_requested:
                 raise JobCancelled(job.job_id)
-            job.tasks_total = expected
+            job.tasks_total = len(tasks)
             self.fair_queue.enqueue(
                 job.job_id,
                 job.tenant,
                 priority_index(job.priority),
-                keyed,
+                tasks,
             )
-            self._event(job, "tasks_queued", tasks=expected)
+            self._event(job, "tasks_queued", tasks=len(tasks))
             self._cond.notify_all()
 
     def _dispatch_loop(self) -> None:
@@ -514,10 +507,9 @@ class CompileService:
 
     def _run_wave(self, wave: List[QueuedTask]) -> None:
         tasks = [queued.task for queued in wave]
-        route: Dict[Tuple[str, str], Tuple[str, QueuedTask]] = {}
-        for queued in wave:
-            for key in queued.result_keys:
-                route[key] = (queued.job_id, queued)
+        route: Dict[Tuple[str, str], QueuedTask] = {
+            queued.task.key: queued for queued in wave
+        }
         wave_start = self._now()
         error: Optional[BaseException] = None
         try:
@@ -540,7 +532,7 @@ class CompileService:
                     if error is not None
                     else f"backend returned no result for {sorted(route)}"
                 )
-                for job_id in {job_id for job_id, _ in route.values()}:
+                for job_id in {queued.job_id for queued in route.values()}:
                     job = self._jobs.get(job_id)
                     if job is not None and not job.terminal:
                         job.inbox.put(("error", message))
@@ -548,23 +540,20 @@ class CompileService:
 
     def _route_result(
         self,
-        route: Dict[Tuple[str, str], Tuple[str, QueuedTask]],
+        route: Dict[Tuple[str, str], QueuedTask],
         result: FunctionTaskResult,
         wave_start: float,
     ) -> None:
-        key = (result.section_name, result.function_name)
+        key = result.key
         now = self._now()
         observed: Optional[FunctionTask] = None
         try:
             with self._cond:
-                entry = route.pop(key, None)
-                if entry is None:
+                queued = route.pop(key, None)
+                if queued is None:
                     return  # late duplicate or unknown — drop
-                job_id, queued = entry
-                if (
-                    self._observe_spans
-                    and queued.task.function_name is not None
-                ):
+                job_id = queued.job_id
+                if self._observe_spans:
                     observed = queued.task
                 job = self._jobs.get(job_id)
                 if job is None or job.terminal:

@@ -60,9 +60,7 @@ def cached_compiler(cache, **kwargs):
 def another_value(options, name):
     """A valid value for field ``name`` other than the one it has."""
     value = getattr(options, name)
-    if isinstance(value, str):
-        candidates = ["section", "function"]
-    elif isinstance(value, bool):
+    if isinstance(value, bool):
         candidates = [not value]
     else:
         candidates = [value + 1, value - 1]
@@ -107,7 +105,10 @@ class TestFingerprint:
         # Every option is part of the key — whatever options there are:
         # a field added tomorrow is flipped here the day it is added.
         names = [field.name for field in dataclasses.fields(CompileOptions)]
-        assert set(names) >= {"opt_level", "cell_count", "granularity"}
+        assert set(names) >= {
+            "opt_level", "cell_count", "unroll_budget", "ii_budget"
+        }
+        assert "granularity" not in names  # one unit of dispatch: no option
         flipped = {
             name: function_fingerprint(
                 section, fn, dataclasses.replace(options, **{name: other})
@@ -195,22 +196,6 @@ class TestDifferential:
         result = ParallelCompiler(backend=SerialBackend()).compile(SOURCE)
         assert result.profile.artifact_cache_hits() == 0
         assert result.profile.artifact_cache_misses() == 0
-
-    def test_section_granularity_hits_only_when_whole_section_hits(self, cache):
-        compiler = cached_compiler(
-            cache, options=CompileOptions(granularity="section")
-        )
-        cold = compiler.compile(SOURCE)
-        assert cold.profile.artifact_cache_misses() == 4
-        warm = compiler.compile(SOURCE)
-        assert warm.profile.artifact_cache_hits() == 4
-        assert warm.digest == cold.digest
-        # Editing a2 re-dispatches all of section a (one task), so both
-        # of its functions report misses; section b stays cached.
-        mutated = compiler.compile(MUTATED)
-        assert mutated.profile.artifact_cache_misses() == 2
-        assert mutated.profile.artifact_cache_hits() == 2
-        assert mutated.digest == SequentialCompiler().compile(MUTATED).digest
 
 
 class TestStoreRobustness:

@@ -387,6 +387,15 @@ class TestOneDefinitionPerFlag:
         assert excinfo.value.code == 2
         assert "at least 1 byte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["s", "s.", ".main"])
+    def test_chaos_poison_names_a_task_by_both_names(self, good_file, value, capsys):
+        """A task is one function: ``SECTION`` alone keys no task, and
+        poisoning nothing silently is not what was asked for."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", good_file, "--chaos", "1", "--chaos-poison", value])
+        assert excinfo.value.code == 2
+        assert "SECTION.FUNCTION" in capsys.readouterr().err
+
     def test_verb_without_a_handler_fails_when_the_parser_is_built(
         self, monkeypatch
     ):

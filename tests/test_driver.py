@@ -108,6 +108,10 @@ class TestFunctionMaster:
         with pytest.raises(KeyError):
             run_function_master(task)
 
+    def test_unknown_section_rejected(self):
+        with pytest.raises(KeyError, match="no section named 'zz'"):
+            run_function_master(FunctionTask(MULTI_SECTION, "<t>", "zz", "work"))
+
 
 class TestSectionMaster:
     def _results(self):

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import CompileOptions
 from repro.asmlink.download import module_digest, module_listing
 from repro.asmlink.encode import (
     FormatError,
@@ -182,7 +181,6 @@ def _pipelines(tmp_path):
     return [
         ("sequential", SequentialCompiler()),
         ("parallel", ParallelCompiler()),
-        ("section", ParallelCompiler(options=CompileOptions(granularity="section"))),
         ("cache fill", cached()),
         ("cache warm", cached()),
     ]

@@ -22,7 +22,12 @@ import pytest
 
 from repro.cli import main
 from repro.fabric import CacheServiceServer, FabricHub
-from repro.fabric.wire import DEFAULT_MAX_FRAME_BYTES, ProtocolError, error_reply
+from repro.fabric.wire import (
+    DEFAULT_MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    error_reply,
+)
 from repro.parallel.local import SerialBackend
 from repro.service import (
     CompileService,
@@ -88,8 +93,11 @@ def hub_endpoint(tmp_path):
         # before it registers, `register` is the one verb a peer has
         yield (
             hub.endpoint,
-            {"op": "register", "node": "conformance", "workers": 1},
-            {"op": "register", "workers": "many"},
+            {
+                "op": "register", "node": "conformance", "workers": 1,
+                "protocol": PROTOCOL_VERSION,
+            },
+            {"op": "register", "workers": "many", "protocol": PROTOCOL_VERSION},
         )
 
 
@@ -200,6 +208,18 @@ class TestServerSide:
         fresh = Peer(server.address)
         assert fresh.ask(healthy)["ok"] is True
         fresh.close()
+
+    def test_a_register_of_another_protocol_is_refused_by_the_hub(self, tmp_path):
+        """The hub's one verb reads what both peers send: a peer of
+        another protocol, or of none, gets the refusal shape under its
+        own reason, no lease, and the connection stays."""
+        with hub_endpoint(tmp_path) as (server, healthy, _):
+            peer = Peer(server.address)
+            unversioned = {k: v for k, v in healthy.items() if k != "protocol"}
+            for request in (dict(healthy, protocol=99), unversioned):
+                assert refused(peer.ask(request), "protocol-mismatch")
+            assert peer.ask(healthy)["ok"] is True
+            peer.close()
 
     def test_only_a_protocol_error_names_its_own_wire_reason(self):
         """Any exception may happen to carry a ``reason`` attribute

@@ -6,11 +6,17 @@ import time
 
 import pytest
 
-from repro.driver.function_master import FunctionTask
+from repro.driver.function_master import FunctionTask, run_function_master
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric import FabricHub, RemoteBackend, WorkerNodeAgent
-from repro.fabric.wire import FABRIC_SECRET_ENV, Connection
+from repro.fabric.wire import (
+    FABRIC_SECRET_ENV,
+    PROTOCOL_VERSION,
+    Connection,
+    decode_task,
+    encode_result,
+)
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 from repro.service import CompileService
@@ -56,6 +62,18 @@ def _sequential_digest():
     return SequentialCompiler().compile(SOURCE).digest
 
 
+def _consume(backend):
+    """Run the three tasks through ``backend`` on a thread; returns the
+    list its results land in, and the thread."""
+    results = []
+    consumer = threading.Thread(
+        target=lambda: results.extend(backend.run_tasks_streaming(_tasks())),
+        daemon=True,
+    )
+    consumer.start()
+    return results, consumer
+
+
 class FakeNode:
     """A scripted peer speaking the node protocol — the test decides
     exactly which frames to send and when to vanish."""
@@ -66,7 +84,10 @@ class FakeNode:
         sock.settimeout(timeout)
         self.conn = Connection(sock)
         self.conn.send(
-            {"op": "register", "node": node_id, "workers": workers}
+            {
+                "op": "register", "node": node_id, "workers": workers,
+                "protocol": PROTOCOL_VERSION,
+            }
         )
         welcome = self.conn.recv()
         assert welcome and welcome.get("ok"), welcome
@@ -83,8 +104,16 @@ class FakeNode:
     def heartbeat(self):
         self.conn.send({"op": "heartbeat"})
 
+    def answer(self, frame, function_name=None):
+        """Send a sealed result for task ``frame`` — of the function it
+        names, or of ``function_name`` whatever the task was."""
+        task = decode_task(frame)
+        if function_name is not None:
+            task.function_name = function_name
+        self.conn.send(encode_result(run_function_master(task), frame["id"]))
+
     def vanish(self):
-        """Die abruptly: no goodbye, no acks — the crash case."""
+        """Die abruptly: no goodbye — the crash case."""
         self.conn.close()
 
 
@@ -145,6 +174,39 @@ class TestRegistration:
         second.vanish()
 
 
+    @pytest.mark.parametrize("spoken", [{"protocol": 99}, {}])
+    def test_a_register_of_another_protocol_gets_no_lease(self, hub, spoken):
+        """Its task entries would not open on either side: refused
+        before a lease, so no task frame ever reaches it."""
+        host, _, port = hub.address.rpartition(":")
+        sock = socket.create_connection((host, int(port)), timeout=10.0)
+        sock.settimeout(0.5)
+        conn = Connection(sock)
+        conn.send({"op": "register", "node": "stale", "workers": 4, **spoken})
+        refusal = conn.recv()
+        assert refusal["ok"] is False
+        assert refusal["reason"] == "protocol-mismatch"
+        result = ParallelCompiler(backend=RemoteBackend(hub)).compile(SOURCE)
+        assert result.digest == _sequential_digest()
+        assert hub.stats.nodes_registered == 0
+        assert hub.stats.tasks_dispatched == 0
+        with pytest.raises(socket.timeout):  # nothing was sent its way
+            conn.recv()
+        conn.close()
+
+    def test_a_refused_agent_pauses_instead_of_spinning(self, hub, monkeypatch):
+        monkeypatch.setattr("repro.fabric.node.PROTOCOL_VERSION", 99)
+        agent = WorkerNodeAgent(
+            hub.address, SerialBackend(), node_id="stale", connect_cap=0.4
+        ).start()
+        try:
+            time.sleep(1.0)
+            assert 1 <= agent.sessions <= 4  # one try per connect_cap
+            assert hub.stats.nodes_registered == 0
+        finally:
+            agent.stop()
+
+
 class TestSchedulingAndFailure:
     def test_remote_compile_matches_sequential(self, hub):
         agents = [
@@ -166,50 +228,84 @@ class TestSchedulingAndFailure:
                 agent.stop()
 
     def test_dead_node_requeues_exactly_its_unacked_tasks(self, hub):
-        """The acceptance invariant: a node that vanishes re-queues each
-        unacknowledged task exactly once, and a result it managed to
-        send before dying still wins (no lost, no duplicated results)."""
+        """The acceptance invariant: the accepted result is the
+        completion.  A node that vanishes re-queues each task it had
+        not answered exactly once, and every result it managed to send
+        before dying completed its task (no lost, no duplicated
+        results)."""
         fake = FakeNode(hub.address, node_id="doomed", workers=4)
         assert hub.wait_for_nodes(1, timeout=10.0)
-
-        backend = RemoteBackend(hub)
-        results = []
-        consumer = threading.Thread(
-            target=lambda: results.extend(
-                backend.run_tasks_streaming(_tasks())
-            ),
-            daemon=True,
-        )
-        consumer.start()
+        results, consumer = _consume(RemoteBackend(hub))
 
         frames = [fake.recv_task() for _ in range(3)]
         assert {f["id"] for f in frames} == {"w0.0", "w0.1", "w0.2"}
-        # Complete ONE task for real (result + ack), send the result of a
-        # SECOND without the ack, then crash.
-        from repro.driver.function_master import run_compile_task
-        from repro.fabric.wire import decode_task, encode_result
-
-        done_frame, unacked_frame, untouched_frame = frames
-        done_result = run_compile_task(decode_task(done_frame))[0]
-        fake.conn.send(encode_result(done_result, done_frame["id"]))
-        fake.conn.send({"op": "task-done", "id": done_frame["id"]})
-        unacked_result = run_compile_task(decode_task(unacked_frame))[0]
-        fake.conn.send(encode_result(unacked_result, unacked_frame["id"]))
-        fake.vanish()  # no ack for task 2, nothing at all for task 3
+        # Answer two tasks, then crash with the third untouched.
+        fake.answer(frames[0])
+        fake.answer(frames[1])
+        fake.vanish()
 
         consumer.join(timeout=60.0)
         assert not consumer.is_alive(), "wave never completed"
         # Exactly one result per function: nothing lost, nothing doubled.
-        keys = sorted(r.function_name for r in results)
-        assert keys == sorted(FUNCTIONS)
-        # Exactly the two unacknowledged tasks were re-queued; the acked
-        # one was not.
-        assert hub.stats.tasks_requeued == 2
-        # No other fleet: both re-queued tasks fell back locally, and the
-        # re-run of the already-yielded result was deduplicated.
-        assert hub.stats.tasks_local_fallback == 2
-        assert hub.stats.results_deduped == 1
+        assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
+        # Exactly the unanswered task was re-queued, and — no other
+        # fleet — fell back locally; nothing was compiled twice.
+        assert hub.stats.tasks_requeued == 1
+        assert hub.stats.tasks_local_fallback == 1
+        assert hub.stats.results_deduped == 0
         assert hub.stats.nodes_lost == 1
+
+    def test_slow_node_answering_a_requeued_task_is_deduplicated(self):
+        """Slow, not dead: two tasks outlive the hub's task timeout and
+        are re-run locally while the node's third is still open; the
+        node's late answer to one of them must not be linked twice."""
+        with FabricHub(
+            lease_ttl=30.0, heartbeat_interval=0.2, task_timeout=0.5,
+            max_requeues=0,
+        ) as hub:
+            # one worker: two tasks in flight, the third waits its turn
+            fake = FakeNode(hub.address, node_id="slow", workers=1)
+            assert hub.wait_for_nodes(1, timeout=10.0)
+            results, consumer = _consume(RemoteBackend(hub))
+
+            held = [fake.recv_task(), fake.recv_task()]
+            last = fake.recv_task()  # sent once the held ones timed out
+            assert {f["id"] for f in held} == {"w0.0", "w0.1"}
+            fake.answer(held[0])  # late: first result wins, either way
+            fake.answer(last)
+
+            consumer.join(timeout=60.0)
+            assert not consumer.is_alive(), "wave never completed"
+            assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
+            assert hub.stats.tasks_requeued == 2
+            assert hub.stats.tasks_local_fallback == 2
+            assert hub.stats.results_deduped == 1
+            assert hub.stats.nodes_lost == 0
+            fake.vanish()
+
+    def test_a_result_keyed_for_another_function_completes_nothing(self, hub):
+        """A node answers every task with a well-sealed result of the
+        first function, and with protocol 1's ack: each mis-keyed result
+        is a counted corrupt frame and a re-queue, the ack is no verb,
+        and the module is the sequential compiler's."""
+        fake = FakeNode(hub.address, node_id="confused", workers=4)
+        assert hub.wait_for_nodes(1, timeout=10.0)
+
+        def serve():
+            for frame in iter(fake.conn.recv, None):
+                if frame.get("op") == "task":
+                    fake.answer(frame, function_name=FUNCTIONS[0])
+                    fake.conn.send({"op": "task-done", "id": frame["id"]})
+
+        threading.Thread(target=serve, daemon=True).start()
+        result = ParallelCompiler(backend=RemoteBackend(hub)).compile(SOURCE)
+        assert result.digest == _sequential_digest()
+        # two tasks, refused on the fleet until their re-queue budget ran out
+        assert hub.stats.corrupt_frames == 2 * (hub.max_requeues + 1)
+        assert hub.stats.tasks_requeued == hub.stats.corrupt_frames
+        assert hub.stats.tasks_local_fallback == 2
+        assert hub.stats.results_deduped == 0
+        fake.vanish()
 
     def test_zero_nodes_degrades_to_the_local_pool(self, hub):
         backend = RemoteBackend(hub)
@@ -298,7 +394,12 @@ class TestAuthentication:
             sock = socket.create_connection((host, int(port)), timeout=10.0)
             sock.settimeout(10.0)
             conn = Connection(sock)
-            conn.send({"op": "register", "node": "intruder", "workers": 4})
+            conn.send(
+                {
+                    "op": "register", "node": "intruder", "workers": 4,
+                    "protocol": PROTOCOL_VERSION,
+                }
+            )
             challenge = conn.recv()
             assert challenge is not None
             assert challenge.get("op") == "challenge"  # not a welcome

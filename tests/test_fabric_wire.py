@@ -164,8 +164,7 @@ class TestBlobCodec:
         )
         assert body == b""
         assert facts["options"] == {
-            "opt_level": 2, "cell_count": 10, "granularity": "function",
-            "unroll_budget": 0, "ii_budget": 0,
+            "opt_level": 2, "cell_count": 10, "unroll_budget": 0, "ii_budget": 0,
         }
         assert decode_task(encode_task(task, "w0.0")) == task
 
@@ -548,7 +547,10 @@ def test_well_hashed_facts_of_the_wrong_type_are_refused_by_every_reader(
 HOSTILE_TASKS = {
     "opt_level_a_string": _set(("options", "opt_level"), "2"),
     "opt_level_out_of_range": _set(("options", "opt_level"), 3),
-    "granularity_unknown": _set(("options", "granularity"), "module"),
+    # protocol 1's option, left over: a task is one function, always
+    "granularity_unknown": _set(("options", "granularity"), "function"),
+    "function_name_null": _set(("function_name",), None),
+    "function_name_missing": lambda facts: facts.pop("function_name"),
     "no_cells": _set(("options", "cell_count"), 0),
     "unknown_option": _set(("options", "inline_budget"), 4),
     "unknown_key": _set(("run_as",), "root"),
@@ -582,7 +584,7 @@ def test_a_node_reports_a_hostile_task_and_keeps_serving():
     task, _ = _compiled_result()
     entry = _resealed(
         unpack_bytes(encode_task(task, "w0.0")), TASK_TIER, PROTOCOL_VERSION,
-        HOSTILE_TASKS["opt_level_a_string"],
+        HOSTILE_TASKS["function_name_null"],
     )
     agent = WorkerNodeAgent("127.0.0.1:1", SerialBackend(), node_id="n")
     conn = Conn()

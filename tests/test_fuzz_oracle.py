@@ -151,7 +151,7 @@ class TestMiscompileWorkflow:
         program = generate_program(4, config_for_size_class("small"))
         target = [n for n in program.function_names if n != "main"][0]
         config = OracleConfig(
-            pipelines=("sequential", "parallel", "section"),
+            pipelines=("sequential", "parallel"),
             inject_miscompile=f"parallel:{target}",
         )
         with DifferentialOracle(config) as oracle:

@@ -17,7 +17,6 @@ from repro.driver.function_master import (
     run_compile_task,
 )
 from repro.driver.master import ParallelCompiler
-from repro.driver.section_master import combine_section_results
 from repro.driver.sequential import SequentialCompiler
 from repro.lang.diagnostics import CompileError
 from repro.parallel.local import SerialBackend
@@ -117,8 +116,14 @@ class TestCacheTelemetry:
         )
 
     def test_section_task_records_on_first_report_only(self):
-        results = run_compile_task(FunctionTask(SOURCE_A, "<t>", "s", None))
+        """A section's tasks in one cold worker: the first pays the
+        parse, and each records on its own report."""
+        results = [
+            run_compile_task(FunctionTask(SOURCE_A, "<t>", "s", name))[0]
+            for name in ("f", "g")
+        ]
         assert [r.report.phase1_cache_misses for r in results] == [1, 0]
+        assert [r.report.phase1_cache_hits for r in results] == [0, 1]
 
 
 class TestCachedOutputIdentity:
@@ -136,16 +141,13 @@ class TestSectionDiagnosticsRenderedOnce:
     def test_section_task_attaches_diagnostics_once(self):
         parsed, _ = phase1_cached(SOURCE_A, "<d>")
         parsed.sink.warning("synthetic warning for the dedup test")
-        results = run_compile_task(FunctionTask(SOURCE_A, "<d>", "s", None))
-        assert len(results) == 2
-        assert len(results[0].diagnostics) == 1
-        assert "synthetic warning" in results[0].diagnostics[0]
-        assert results[1].diagnostics == []
+        for name in ("f", "g"):  # every task renders the module's sink
+            (result,) = run_compile_task(FunctionTask(SOURCE_A, "<d>", "s", name))
+            assert len(result.diagnostics) == 1
+            assert "synthetic warning" in result.diagnostics[0]
 
     def test_recombined_section_has_no_duplicates(self):
         parsed, _ = phase1_cached(SOURCE_A, "<d>")
         parsed.sink.warning("synthetic warning for the dedup test")
-        section = parsed.module.section_named("s")
-        results = run_compile_task(FunctionTask(SOURCE_A, "<d>", "s", None))
-        combined = combine_section_results(section, results)
-        assert len(combined.diagnostics) == 1
+        compiled = ParallelCompiler().compile(SOURCE_A, "<d>")  # memo hit
+        assert compiled.diagnostics_text.count("synthetic warning") == 1

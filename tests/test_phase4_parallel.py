@@ -22,7 +22,7 @@ from repro.cache import ArtifactCache, LinkCache
 from repro.driver.function_master import (
     FunctionTask,
     PayloadCorruption,
-    run_compile_task,
+    run_function_master,
 )
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import (
@@ -44,9 +44,12 @@ def _combined_for(source, array=None):
     parsed = phase1_parse_and_check(source)
     combined = {}
     for section in parsed.module.sections:
-        results = run_compile_task(
-            FunctionTask(source, "<t>", section.name, None)
-        )
+        results = [
+            run_function_master(
+                FunctionTask(source, "<t>", section.name, function.name)
+            )
+            for function in section.functions
+        ]
         combined[section.name] = combine_section_results(section, results)
     return parsed, combined
 
@@ -338,10 +341,7 @@ def test_duplicate_section_delivery_taints():
 
 def test_unknown_section_taints():
     parsed, combined = _combined_for(SOURCE)
-    stray = combine_section_results(
-        phase1_parse_and_check(SOURCE).module.section_named("a"),
-        run_compile_task(FunctionTask(SOURCE, "<t>", "a", None)),
-    )
+    stray = _combined_for(SOURCE)[1]["a"]
     stray.section_name = "ghost"
     for obj in stray.objects:
         obj.section_name = "ghost"

@@ -163,10 +163,7 @@ class TestCostModel:
         bogus = FunctionTask("not a module", "<t>", "s", "f", cost_hint=7.5)
         assert model.cost_for(bogus) == 7.5
         assert model.fallbacks == 1
-        # section-level task (function_name None): observation is a no-op
-        model.observe_task(
-            FunctionTask("", "<t>", "s", None, cost_hint=3.0), 1.0
-        )
+        model.observe_task(bogus, 1.0)  # ... and observing it is a no-op
         assert model.recorded == 0
 
     def test_learned_cost_is_in_hint_units(self, tmp_path):

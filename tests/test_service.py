@@ -127,6 +127,25 @@ class TestConcurrentJobs:
         assert second.digest == first.digest
         assert second.cache_served >= 1
 
+    def test_a_job_queues_one_task_per_cache_miss(self, tmp_path):
+        """One task, one function, one result: what a job hands the fair
+        queue — ``tasks_total``, and the results it waits for — is the
+        functions the cache could not serve."""
+        source = synthetic_program("tiny", 3)
+        edited = source.replace("x * 2.0", "x * 3.0", 1)  # f1 only
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        with CompileService(SerialBackend(), cache) as service:
+            cold, warm, one_edit = (
+                service.wait(service.submit(text), timeout=60.0)
+                for text in (source, source, edited)
+            )
+        assert [job.state for job in (cold, warm, one_edit)] == ["done"] * 3
+        assert (cold.tasks_total, cold.cache_served) == (3, 0)
+        assert (warm.tasks_total, warm.cache_served) == (0, 3)
+        assert (one_edit.tasks_total, one_edit.cache_served) == (1, 2)
+        assert one_edit.tasks_done == 1
+        assert one_edit.digest == SequentialCompiler().compile(edited).digest
+
     def test_supervised_backend_composes_unchanged(self):
         source = _module("supervised_mod")
         expected = SequentialCompiler().compile(source).digest

@@ -7,7 +7,6 @@ from repro.service.queue import (
     PRIORITY_CLASSES,
     FairShareQueue,
     priority_index,
-    result_keys_for_task,
 )
 
 
@@ -19,10 +18,6 @@ def _task(section, function, cost=1.0):
         function_name=function,
         cost_hint=cost,
     )
-
-
-def _keyed(*tasks):
-    return [(task, result_keys_for_task(task)) for task in tasks]
 
 
 def _names(wave):
@@ -41,7 +36,7 @@ class TestPriorityIndex:
 class TestFairShare:
     def test_single_job_is_fifo(self):
         q = FairShareQueue()
-        q.enqueue("j1", "a", 1, _keyed(*[_task("s", f"f{i}") for i in range(4)]))
+        q.enqueue("j1", "a", 1, [_task("s", f"f{i}") for i in range(4)])
         wave = q.next_wave(10)
         assert [t.task.function_name for t in wave] == ["f0", "f1", "f2", "f3"]
         assert not q.has_pending()
@@ -53,9 +48,9 @@ class TestFairShare:
         q = FairShareQueue()
         q.enqueue(
             "huge", "a", 1,
-            _keyed(*[_task("s", f"big{i}", cost=50.0) for i in range(10)]),
+            [_task("s", f"big{i}", cost=50.0) for i in range(10)],
         )
-        q.enqueue("tiny", "b", 1, _keyed(_task("t", "t0"), _task("t", "t1")))
+        q.enqueue("tiny", "b", 1, [_task("t", "t0"), _task("t", "t1")])
         wave = q.next_wave(4)
         jobs = [t.job_id for t in wave]
         # both tiny tasks dispatched in the first wave of four
@@ -67,11 +62,11 @@ class TestFairShare:
         q = FairShareQueue()
         q.enqueue(
             "huge", "a", 1,
-            _keyed(*[_task("s", f"big{i}", cost=20.0) for i in range(20)]),
+            [_task("s", f"big{i}", cost=20.0) for i in range(20)],
         )
         q.enqueue(
             "small", "b", 1,
-            _keyed(*[_task("t", f"sm{i}", cost=1.0) for i in range(20)]),
+            [_task("t", f"sm{i}", cost=1.0) for i in range(20)],
         )
         # cost-weighted stride: each huge task (cost 20) pushes the huge
         # tenant 20 units of virtual time ahead, so while small work is
@@ -87,8 +82,8 @@ class TestFairShare:
 
     def test_weighted_tenants_split_proportionally(self):
         q = FairShareQueue(tenant_weights={"a": 3.0, "b": 1.0})
-        q.enqueue("ja", "a", 1, _keyed(*[_task("s", f"a{i}") for i in range(12)]))
-        q.enqueue("jb", "b", 1, _keyed(*[_task("t", f"b{i}") for i in range(12)]))
+        q.enqueue("ja", "a", 1, [_task("s", f"a{i}") for i in range(12)])
+        q.enqueue("jb", "b", 1, [_task("t", f"b{i}") for i in range(12)])
         wave = q.next_wave(8)
         jobs = [t.job_id for t in wave]
         assert jobs.count("ja") == 6
@@ -100,9 +95,9 @@ class TestFairShare:
         q = FairShareQueue()
         q.enqueue(
             "huge", "a", 1,
-            _keyed(*[_task("s", f"big{i}", cost=30.0) for i in range(6)]),
+            [_task("s", f"big{i}", cost=30.0) for i in range(6)],
         )
-        q.enqueue("tiny", "a", 1, _keyed(_task("t", "t0", cost=1.0)))
+        q.enqueue("tiny", "a", 1, [_task("t", "t0", cost=1.0)])
         first = q.next_wave(1)[0]
         second = q.next_wave(1)[0]
         # huge was first in line, but right after its first task the
@@ -113,9 +108,9 @@ class TestFairShare:
     def test_strict_priority_preempts_fair_share(self):
         q = FairShareQueue()
         q.enqueue("batch", "a", priority_index("batch"),
-                  _keyed(*[_task("s", f"f{i}") for i in range(3)]))
+                  [_task("s", f"f{i}") for i in range(3)])
         q.enqueue("inter", "b", priority_index("interactive"),
-                  _keyed(_task("t", "t0")))
+                  [_task("t", "t0")])
         wave = q.next_wave(2)
         assert _names(wave)[0] == ("inter", "t0")
 
@@ -123,10 +118,10 @@ class TestFairShare:
         def build():
             q = FairShareQueue(tenant_weights={"a": 2.0})
             q.enqueue("j1", "a", 1,
-                      _keyed(*[_task("s", f"x{i}", cost=3.0) for i in range(5)]))
+                      [_task("s", f"x{i}", cost=3.0) for i in range(5)])
             q.enqueue("j2", "b", 1,
-                      _keyed(*[_task("t", f"y{i}", cost=1.0) for i in range(5)]))
-            q.enqueue("j3", "b", 0, _keyed(_task("u", "z0")))
+                      [_task("t", f"y{i}", cost=1.0) for i in range(5)])
+            q.enqueue("j3", "b", 0, [_task("u", "z0")])
             order = []
             while q.has_pending():
                 order.extend(_names(q.next_wave(3)))
@@ -138,8 +133,8 @@ class TestFairShare:
         """Two jobs compiling the same (section, function): one wave
         never carries both (the pool routes results by that key)."""
         q = FairShareQueue()
-        q.enqueue("j1", "a", 1, _keyed(_task("s", "main")))
-        q.enqueue("j2", "b", 1, _keyed(_task("s", "main")))
+        q.enqueue("j1", "a", 1, [_task("s", "main")])
+        q.enqueue("j2", "b", 1, [_task("s", "main")])
         first = q.next_wave(8)
         second = q.next_wave(8)
         assert len(first) == 1 and len(second) == 1
@@ -152,11 +147,11 @@ class TestFairShare:
         punished for having been idle either."""
         q = FairShareQueue()
         q.enqueue("ja", "a", 1,
-                  _keyed(*[_task("s", f"a{i}", cost=10.0) for i in range(4)]))
+                  [_task("s", f"a{i}", cost=10.0) for i in range(4)])
         q.next_wave(4)  # tenant a's vtime is now 40
-        q.enqueue("ja2", "a", 1, _keyed(_task("s", "a4", cost=10.0)))
+        q.enqueue("ja2", "a", 1, [_task("s", "a4", cost=10.0)])
         q.enqueue("jb", "b", 1,
-                  _keyed(*[_task("t", f"b{i}", cost=10.0) for i in range(2)]))
+                  [_task("t", f"b{i}", cost=10.0) for i in range(2)])
         wave = q.next_wave(3)
         jobs = [t.job_id for t in wave]
         # b activates at the floor (a's 40), so they alternate instead
@@ -166,7 +161,7 @@ class TestFairShare:
 
     def test_discard_job_drops_pending_tasks(self):
         q = FairShareQueue()
-        q.enqueue("j1", "a", 1, _keyed(*[_task("s", f"f{i}") for i in range(3)]))
+        q.enqueue("j1", "a", 1, [_task("s", f"f{i}") for i in range(3)])
         assert q.pending_for("j1") == 3
         assert q.discard_job("j1") == 3
         assert not q.has_pending()
@@ -174,7 +169,7 @@ class TestFairShare:
 
     def test_cost_floor_applies(self):
         q = FairShareQueue(min_cost=2.0)
-        q.enqueue("j1", "a", 1, _keyed(_task("s", "f", cost=0.001)))
+        q.enqueue("j1", "a", 1, [_task("s", "f", cost=0.001)])
         assert q.next_wave(1)[0].cost == 2.0
 
     def test_rejects_bad_weights(self):
@@ -187,19 +182,8 @@ class TestFairShare:
 
 class TestResultKeys:
     def test_function_task_has_one_key(self):
-        assert result_keys_for_task(_task("s", "main")) == (("s", "main"),)
-
-    def test_section_task_expands_to_member_functions(self):
-        source = (
-            "module m\nsection s (cells 0..0)\n"
-            "function f() begin send(1.0); end\n"
-            "function g() begin send(2.0); end\n"
-            "end\nend\n"
-        )
-        task = FunctionTask(
-            source_text=source,
-            filename="m.w2",
-            section_name="s",
-            function_name=None,
-        )
-        assert result_keys_for_task(task) == (("s", "f"), ("s", "g"))
+        """A queued task routes by its task's key — its result's key."""
+        q = FairShareQueue()
+        q.enqueue("j1", "a", 1, [_task("s", "main")])
+        (queued,) = q.next_wave(4)
+        assert queued.task.key == ("s", "main")

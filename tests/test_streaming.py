@@ -9,7 +9,6 @@ each section the moment its last function lands.
 
 import pytest
 
-from repro import CompileOptions
 from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
@@ -39,9 +38,8 @@ end
 """
 
 
-def build_tasks(granularity="function"):
-    compiler = ParallelCompiler(options=CompileOptions(granularity=granularity))
-    return compiler._build_tasks(
+def build_tasks():
+    return ParallelCompiler()._build_tasks(
         phase1_parse_and_check(SOURCE), SOURCE, "<t>"
     )
 

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro import CompileOptions
 from repro.driver.function_master import run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
@@ -202,6 +201,24 @@ class TestHedging:
         assert backend.supervision.hedges_launched == 0
         assert inner.attempts["f5"] == 1
 
+    def test_second_result_for_a_resolved_task_is_counted_never_yielded(self):
+        """One task, one result: whatever else arrives under a resolved
+        task's key is a late duplicate.  (The combiner raises on a
+        duplicate, so a clean compile proves none was yielded.)"""
+
+        class Twice(SerialBackend):
+            def run_tasks_streaming(self, tasks):
+                for task in tasks:
+                    yield from run_compile_task(task) * 2
+
+        backend = supervised(
+            ChaosBackend(Twice(), workers=2, seed=0), hedge_after=None
+        )
+        par = ParallelCompiler(backend=backend).compile(SOURCE)
+        assert par.digest == SequentialCompiler().compile(SOURCE).digest
+        # all six were doubled; the run ends at the last task's first result
+        assert backend.supervision.late_duplicates == 5
+
 
 class TestHealthTracker:
     def test_quarantine_after_consecutive_failures(self):
@@ -304,7 +321,7 @@ class TestPoisonIsolation:
         def isolation(task):
             if task.function_name == "f2":
                 raise RuntimeError("genuinely broken function")
-            return run_compile_task(task)
+            return run_compile_task(task)[0]
 
         inner = chaos(workers=4, seed=0, poison=(("s", "f2"),))
         backend = supervised(
@@ -369,17 +386,6 @@ class TestResultValidation:
         )
 
 
-class TestSectionGranularity:
-    def test_supervised_section_tasks_resolve_and_match(self):
-        inner = chaos(seed=4, crash_rate=0.4)
-        backend = supervised(inner, max_attempts=6, hedge_after=None)
-        par = ParallelCompiler(
-            backend, CompileOptions(granularity="section")
-        ).compile(TWO_SECTIONS)
-        seq = SequentialCompiler().compile(TWO_SECTIONS)
-        assert par.digest == seq.digest
-
-
 class TestSeededChaosEndToEnd:
     """The acceptance scenario: crashes + hangs + corruption + one poison
     function, all seeded.  Healthy functions stay bit-identical to the
@@ -414,7 +420,7 @@ class TestSeededChaosEndToEnd:
         def isolation(task):
             if task.function_name == "a3":
                 raise RuntimeError("poison function is genuinely broken")
-            return run_compile_task(task)
+            return run_compile_task(task)[0]
 
         inner = chaos(
             workers=4,

@@ -52,11 +52,9 @@ from repro.cache import store as store_module
 from repro.cli import main
 from repro.driver import function_master
 from repro.driver.function_master import (
-    FunctionTask,
     FunctionTaskResult,
     clear_phase1_cache,
     result_payload_digest,
-    run_compile_task,
 )
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check, phase4_link_and_download
@@ -181,7 +179,6 @@ def test_digests_are_equal_exactly_when_listings_are():
             SequentialCompiler(CompileOptions(opt_level=1)),
             SequentialCompiler(CompileOptions(opt_level=2)),
             ParallelCompiler(options=CompileOptions(opt_level=1)),
-            ParallelCompiler(options=CompileOptions(granularity="section")),
         ):
             result = compiler.compile(source)
             seen.add((result.digest, module_listing(result.download)))
@@ -600,6 +597,31 @@ def test_pickle_is_left_in_parse_alone():
     ]
 
 
+def test_one_unit_of_dispatch_is_a_fact_of_the_types():
+    """The same kind of walk: nothing under ``src/`` compares a
+    ``function_name`` with ``None`` — a task names its function, so no
+    layer has a section-level case to test for — and ``granularity`` is
+    no field, parameter, attribute or keyword."""
+    import ast
+    import repro
+
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                names = {getattr(side, "attr", None) for side in sides}
+                nones = [
+                    side for side in sides
+                    if isinstance(side, ast.Constant) and side.value is None
+                ]
+                assert not ("function_name" in names and nones), (path, node.lineno)
+            named = (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None),
+            )
+            assert "granularity" not in named, (path, node.lineno)
+
+
 # ---------------------------------------------------------------------------
 # (e) the laziness is invisible
 # ---------------------------------------------------------------------------
@@ -633,8 +655,10 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
     ParallelCompiler(cache=ArtifactCache(tmp_path)).compile(source)
     fresh = {
         result.function_name: result
-        for result in run_compile_task(
-            FunctionTask(source, "<input>", "sec1", None)
+        for result in SerialBackend().run_tasks_streaming(
+            ParallelCompiler()._build_tasks(
+                phase1_parse_and_check(source), source, "<input>"
+            )
         )
     }
 

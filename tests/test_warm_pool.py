@@ -113,7 +113,7 @@ class TestPoolPersistence:
 
     def test_task_errors_propagate_without_retry(self):
         with WarmPoolBackend(max_workers=1, crash_retries=1) as backend:
-            task = FunctionTask(SMALL, "<t>", "nope", None)
+            task = FunctionTask(SMALL, "<t>", "nope", "main")
             with pytest.raises(KeyError):
                 list(backend.run_tasks_streaming([task]))
             assert backend.crash_recoveries == 0
