@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .instructions import Instr, Opcode
+from .instructions import TERMINATORS, Instr, Opcode
 from .values import FrameArray, IR_FLOAT, IR_INT, VReg
 
 
@@ -23,8 +23,9 @@ class BasicBlock:
 
     @property
     def terminator(self) -> Optional[Instr]:
-        if self.instructions and self.instructions[-1].is_terminator():
-            return self.instructions[-1]
+        instructions = self.instructions
+        if instructions and instructions[-1].op in TERMINATORS:
+            return instructions[-1]
         return None
 
     @property
@@ -35,10 +36,10 @@ class BasicBlock:
         return list(self.instructions)
 
     def successors(self) -> Tuple[str, ...]:
-        term = self.terminator
-        if term is None:
-            return ()
-        return term.labels
+        instructions = self.instructions
+        if instructions and instructions[-1].op in TERMINATORS:
+            return instructions[-1].labels
+        return ()
 
     def __str__(self) -> str:
         lines = [f"{self.name}:"]

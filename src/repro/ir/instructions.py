@@ -9,7 +9,7 @@ only as the last instruction of a basic block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .values import Const, FrameArray, IR_FLOAT, IR_INT, Value, VReg
@@ -106,10 +106,12 @@ class Instr:
 
     def uses(self) -> List[VReg]:
         """Virtual registers read by this instruction."""
-        return [v for v in self.operands if isinstance(v, VReg)]
+        return [v for v in self.operands if v.__class__ is VReg]
 
     def with_operands(self, operands: Tuple[Value, ...]) -> "Instr":
-        return replace(self, operands=operands)
+        return Instr(
+            self.op, self.dest, operands, self.array, self.labels, self.callee
+        )
 
     def __str__(self) -> str:
         parts: List[str] = []
@@ -134,6 +136,8 @@ def evaluate_constant(op: Opcode, values: List) -> Optional[object]:
     fail at simulation time exactly as the hardware would.
     """
     try:
+        if op is Opcode.LI or op is Opcode.MOV:  # the commonest: first
+            return values[0]
         if op is Opcode.ADD:
             return values[0] + values[1]
         if op is Opcode.SUB:
@@ -186,8 +190,6 @@ def evaluate_constant(op: Opcode, values: List) -> Optional[object]:
             return float(values[0])
         if op is Opcode.FTOI:
             return int(values[0])
-        if op in (Opcode.MOV, Opcode.LI):
-            return values[0]
     except (OverflowError, ValueError):
         return None
     return None

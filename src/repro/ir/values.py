@@ -23,6 +23,11 @@ class VReg:
     id: int
     type: str  # IR_INT or IR_FLOAT
 
+    def __hash__(self) -> int:
+        # Registers are dict and set keys in every pass: hash by the id
+        # (equal registers have equal ids), not through a (id, type) tuple.
+        return self.id
+
     def __str__(self) -> str:
         return f"%{self.type}{self.id}"
 

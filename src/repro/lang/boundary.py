@@ -3,10 +3,10 @@
 The incremental front end needs to know *where* each function's text
 lives before it can parse the functions one by one — but deriving that
 from a full parse would defeat the point.  This scanner is the answer for a
-block-structured grammar: a single character-level skim that replicates
-the lexer's trivia/word/number rules exactly (so a ``function`` inside a
-``--`` comment or glued to a float literal is never mistaken for a
-keyword) and tracks block depth through ``begin``/``if``/``for``/
+block-structured grammar: a single skim built from the lexer's own
+comment, number and word classes (so a ``function`` inside a ``--``
+comment or glued to a float literal is never mistaken for a keyword)
+that tracks block depth through ``begin``/``if``/``for``/
 ``while``/``end``.  It never builds tokens or an AST; its output is one
 half-open byte window per function plus the offset where the header ends
 (the ``begin`` keyword), which is all the window parser and the
@@ -23,8 +23,11 @@ to the word skim, but it always lands either inside a function window
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
+
+from .lexer import COMMENT, FLOAT, WORD
 
 #: keywords that open a nested ``... end`` block inside a function body
 _BLOCK_OPENERS = frozenset({"if", "for", "while"})
@@ -65,55 +68,26 @@ class ModuleBoundaries:
         return sum(len(sec.function_windows) for sec in self.sections)
 
 
+#: Everything up to the next word — skipped inside the regex engine — and
+#: that word: runs of characters no word contains, the lexer's numbers and
+#: comments (neither may hide or fake a keyword), a lone ``-``.
+_SKIM = re.compile(rf"(?:[^\w-]+|{FLOAT}|\d+|{COMMENT}|-)*({WORD})?")
+
+
 def _words(text: str) -> Iterator[Tuple[str, int, int]]:
-    """Yield ``(word, start, end)`` for every identifier/keyword word,
-    skipping trivia and numbers with the lexer's exact rules.
+    """Yield ``(word, start, end)`` for every identifier/keyword word, by
+    the lexer's own classes.
 
     Fidelity matters: ``1e5end`` lexes as FLOAT_LIT then ``end`` (the
-    exponent rule stops before the ``e`` of a second word), and a naive
-    regex scan would disagree.  Operators are skipped one character at a
-    time — none of them contains a word character, so they can never
-    absorb the start of a keyword.
+    exponent rule stops before the ``e`` of a second word), and a scan
+    with rules of its own would disagree.  The one place this scan parts
+    from the lexer is a character that is ``\\w`` without starting a word
+    (``½``): it is an error in whichever gap or window holds it, and any
+    error sends the caller back to the sequential front end.
     """
-    pos, n = 0, len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "-" and text.startswith("--", pos):
-            newline = text.find("\n", pos)
-            pos = n if newline < 0 else newline + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            yield text[pos:end], pos, end
-            pos = end
-            continue
-        if ch.isdigit():
-            # Mirror Lexer._lex_number: digits, optional fraction (a '.'
-            # only when not the '..' range operator), optional exponent
-            # only when a digit actually follows the sign.
-            end = pos
-            while end < n and text[end].isdigit():
-                end += 1
-            if end < n and text[end] == "." and not text.startswith("..", end):
-                end += 1
-                while end < n and text[end].isdigit():
-                    end += 1
-            if end < n and text[end] in "eE":
-                exp_end = end + 1
-                if exp_end < n and text[exp_end] in "+-":
-                    exp_end += 1
-                if exp_end < n and text[exp_end].isdigit():
-                    end = exp_end
-                    while end < n and text[end].isdigit():
-                        end += 1
-            pos = end
-            continue
-        pos += 1
+    for match in _SKIM.finditer(text):
+        if match.lastindex:
+            yield (match[1], *match.span(1))
 
 
 def scan_boundaries(text: str) -> Optional[ModuleBoundaries]:

@@ -1,16 +1,28 @@
-"""Hand-written lexer for the W2-like Warp source language.
+"""Lexer for the W2-like Warp source language: one master pattern.
 
-Comments run from ``--`` to end of line.  Identifiers are ASCII letters,
-digits and underscores, starting with a letter or underscore.  Numbers are
-decimal; a number containing ``.`` or an exponent is a float literal.
+Comments run from ``--`` to end of line.  A word starts at a letter
+(``str.isalpha``) or underscore and continues over letters, digits and
+underscores (``\\w``); keywords are ASCII.  Numbers are decimal digits
+(``\\d``, exactly what ``int`` and ``float`` accept); a number with a
+fraction (a ``.`` that is not the ``..`` range operator) or an exponent
+(an ``e`` that a digit actually follows) is a float literal.
+
+A source is anything with ``text``, ``filename`` and a ``position_at``
+that answers for offset 0.  The lexer asks for that one position and
+carries line and column forward from it: a token never contains a
+newline, so only trivia advances the line, and offsets only grow, so no
+token needs a lookup.  A whole file and a window into one are therefore
+the same case — the first line's columns start at the base column,
+every later line's at 1.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .diagnostics import DiagnosticSink
-from .source import SourceFile, Span
+from .source import Position, SourceFile, Span
 from .tokens import (
     KEYWORDS,
     MULTI_CHAR_OPERATORS,
@@ -19,113 +31,89 @@ from .tokens import (
     TokenKind,
 )
 
+_OPERATORS = {**dict(MULTI_CHAR_OPERATORS), **SINGLE_CHAR_OPERATORS}
+
+#: Lexeme classes.  ``WORD`` also matches at the characters that are
+#: ``\w`` without being letters or decimal digits (``²``, ``½``): no word
+#: starts there, which ``tokens`` checks on an identifier's first character.
+COMMENT = r"--[^\n]*\n?"
+WORD = r"[^\W\d]\w*"
+FLOAT = r"\d+(?:\.(?!\.)\d*(?:[eE][+-]?\d+)?|[eE][+-]?\d+)"
+
+#: Every lexeme class, tried in this order at each offset.
+MASTER = re.compile(
+    rf"(?P<trivia>(?:[ \t\r\n]+|{COMMENT})+)|(?P<word>{WORD})"
+    rf"|(?P<float>{FLOAT})|(?P<int>\d+)|(?P<op>%s|[%s])|(?P<other>.)"
+    % (
+        "|".join(re.escape(lexeme) for lexeme, _ in MULTI_CHAR_OPERATORS),
+        "".join(re.escape(ch) for ch in SINGLE_CHAR_OPERATORS),
+    ),
+    re.DOTALL,
+)
+
 
 class Lexer:
-    """Converts a :class:`SourceFile` into a token stream."""
+    """Converts a source (see the module docstring) into a token stream."""
 
     def __init__(self, source: SourceFile, sink: DiagnosticSink):
         self._source = source
-        self._text = source.text
         self._sink = sink
-        self._pos = 0
 
     def tokens(self) -> List[Token]:
-        """Lex the whole file, ending with exactly one EOF token."""
-        result = list(self._iter_tokens())
-        result.append(self._make_token(TokenKind.EOF, self._pos, self._pos))
+        """Lex the whole text, ending with exactly one EOF token."""
+        text = self._source.text
+        filename = self._source.filename
+        base = self._source.position_at(0)
+        # The token at offset o sits at column o - margin of ``line`` and
+        # at absolute offset o + shift.
+        line, margin, shift = base.line, -base.column, base.offset
+        result: List[Token] = []
+        emit = result.append
+        pos = 0
+        while pos is not None:
+            matches = MASTER.finditer(text, pos)
+            pos = None
+            for match in matches:
+                group = match.lastgroup
+                start, end = match.span()
+                if group == "trivia":
+                    newlines = text.count("\n", start, end)
+                    if newlines:
+                        line += newlines
+                        margin = text.rfind("\n", start, end)
+                    continue
+                lexeme = match.group()
+                kind = value = None  # no kind: an unexpected character
+                if group == "word":
+                    kind = KEYWORDS.get(lexeme)
+                    if kind is None:
+                        first = lexeme[0]
+                        if first.isalpha() or first == "_":
+                            kind, value = TokenKind.IDENT, lexeme
+                        else:
+                            # No word starts here: resume behind it.
+                            pos = end = start + 1
+                elif group == "op":
+                    kind = _OPERATORS[lexeme]
+                elif group == "int":
+                    kind, value = TokenKind.INT_LIT, int(lexeme)
+                elif group == "float":
+                    kind, value = TokenKind.FLOAT_LIT, float(lexeme)
+                span = Span(
+                    filename,
+                    Position(line, start - margin, start + shift),
+                    Position(line, end - margin, end + shift),
+                )
+                if kind is not None:
+                    emit(Token(kind, lexeme, span, value))
+                    continue
+                self._sink.error(f"unexpected character {text[start]!r}", span)
+                if pos is not None:
+                    break
+        end = len(text)
+        eof = Position(line, end - margin, end + shift)
+        emit(Token(TokenKind.EOF, "", Span(filename, eof, eof), None))
         return result
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self._pos >= len(self._text):
-                return
-            start = self._pos
-            ch = self._text[start]
-            if ch.isalpha() or ch == "_":
-                yield self._lex_word(start)
-            elif ch.isdigit():
-                yield self._lex_number(start)
-            else:
-                token = self._lex_operator(start)
-                if token is not None:
-                    yield token
-
-    def _skip_trivia(self) -> None:
-        """Advance past whitespace and ``--`` comments."""
-        text = self._text
-        while self._pos < len(text):
-            ch = text[self._pos]
-            if ch in " \t\r\n":
-                self._pos += 1
-            elif text.startswith("--", self._pos):
-                newline = text.find("\n", self._pos)
-                self._pos = len(text) if newline < 0 else newline + 1
-            else:
-                return
-
-    def _lex_word(self, start: int) -> Token:
-        text = self._text
-        end = start
-        while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-            end += 1
-        self._pos = end
-        word = text[start:end]
-        kind = KEYWORDS.get(word, TokenKind.IDENT)
-        value = word if kind is TokenKind.IDENT else None
-        return self._make_token(kind, start, end, value)
-
-    def _lex_number(self, start: int) -> Token:
-        text = self._text
-        end = start
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        is_float = False
-        # A '.' starts a fraction only if not the '..' range operator.
-        if end < len(text) and text[end] == "." and not text.startswith("..", end):
-            is_float = True
-            end += 1
-            while end < len(text) and text[end].isdigit():
-                end += 1
-        if end < len(text) and text[end] in "eE":
-            exp_end = end + 1
-            if exp_end < len(text) and text[exp_end] in "+-":
-                exp_end += 1
-            if exp_end < len(text) and text[exp_end].isdigit():
-                is_float = True
-                end = exp_end
-                while end < len(text) and text[end].isdigit():
-                    end += 1
-        self._pos = end
-        lexeme = text[start:end]
-        if is_float:
-            return self._make_token(TokenKind.FLOAT_LIT, start, end, float(lexeme))
-        return self._make_token(TokenKind.INT_LIT, start, end, int(lexeme))
-
-    def _lex_operator(self, start: int):
-        text = self._text
-        for lexeme, kind in MULTI_CHAR_OPERATORS:
-            if text.startswith(lexeme, start):
-                self._pos = start + len(lexeme)
-                return self._make_token(kind, start, self._pos)
-        ch = text[start]
-        kind = SINGLE_CHAR_OPERATORS.get(ch)
-        self._pos = start + 1
-        if kind is None:
-            span = self._span(start, self._pos)
-            self._sink.error(f"unexpected character {ch!r}", span)
-            return None
-        return self._make_token(kind, start, self._pos)
-
-    def _span(self, start: int, end: int) -> Span:
-        return Span(
-            self._source.filename,
-            self._source.position_at(start),
-            self._source.position_at(end),
-        )
-
-    def _make_token(self, kind: TokenKind, start: int, end: int, value=None) -> Token:
-        return Token(kind, self._text[start:end], self._span(start, end), value)
 
 
 def tokenize(source: SourceFile, sink: DiagnosticSink) -> List[Token]:

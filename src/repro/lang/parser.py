@@ -86,10 +86,10 @@ class Parser:
         return self._tokens[self._index]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._current.kind is kind
+        return self._tokens[self._index].kind is kind
 
     def _advance(self) -> Token:
-        token = self._current
+        token = self._tokens[self._index]
         if token.kind is not TokenKind.EOF:
             self._index += 1
         return token

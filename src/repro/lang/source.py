@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -63,9 +64,11 @@ class SourceFile:
         """Offsets at which each line begins (computed once)."""
         if not self._line_starts:
             starts = [0]
-            for i, ch in enumerate(self.text):
-                if ch == "\n":
-                    starts.append(i + 1)
+            find = self.text.find
+            newline = find("\n")
+            while newline >= 0:
+                starts.append(newline + 1)
+                newline = find("\n", newline + 1)
             self._line_starts = starts
         return self._line_starts
 
@@ -74,14 +77,8 @@ class SourceFile:
         if offset < 0 or offset > len(self.text):
             raise ValueError(f"offset {offset} out of range for {self.filename!r}")
         starts = self.line_starts()
-        lo, hi = 0, len(starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return Position(line=lo + 1, column=offset - starts[lo] + 1, offset=offset)
+        line = bisect_right(starts, offset)
+        return Position(line, offset - starts[line - 1] + 1, offset)
 
     def line_text(self, line: int) -> str:
         """The text of the given 1-based line, without the newline."""
@@ -101,33 +98,32 @@ class WindowedSource:
     """A slice of a larger source file that reports *absolute* positions.
 
     The incremental front end lexes each function's byte window (and the
-    skeleton gaps between windows) independently; the lexer only ever
-    touches ``.text``, ``.filename`` and :meth:`position_at`, so a
-    windowed view that translates slice-relative offsets back into
-    whole-file positions makes every token and span come out identical
-    to a sequential lex of the full text — which is what keeps its
-    diagnostics and AST spans bit-identical to the sequential parse.
+    skeleton gaps between windows) independently.  A source owes the
+    lexer its ``text``, its ``filename`` and the position of offset 0 —
+    here ``base``, the window's place in the whole file — and the lexer
+    carries line and column forward from there, so every token and span
+    comes out identical to a sequential lex of the full text: which is
+    what keeps the window's diagnostics and AST spans bit-identical to
+    the sequential parse.
     """
 
     def __init__(self, filename: str, text: str, base: Position):
         self.filename = filename
         self.text = text
         self.base = base
-        self._inner = SourceFile(filename, text)
 
     def position_at(self, offset: int) -> Position:
         """Absolute position of slice-relative ``offset``."""
-        rel = self._inner.position_at(offset)
-        if rel.line == 1:
-            # Still on the window's first line: columns shift by the
-            # base column (both are 1-based).
-            return Position(
-                line=self.base.line,
-                column=self.base.column + rel.column - 1,
-                offset=self.base.offset + offset,
-            )
+        if offset < 0 or offset > len(self.text):
+            raise ValueError(f"offset {offset} out of range for {self.filename!r}")
+        base = self.base
+        newline = self.text.rfind("\n", 0, offset)
+        if newline < 0:
+            # Still on the window's first line: columns continue from the
+            # base column.
+            return Position(base.line, base.column + offset, base.offset + offset)
         return Position(
-            line=self.base.line + rel.line - 1,
-            column=rel.column,
-            offset=self.base.offset + offset,
+            base.line + self.text.count("\n", 0, offset),
+            offset - newline,
+            base.offset + offset,
         )

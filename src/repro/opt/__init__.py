@@ -32,7 +32,7 @@ from .fold import fold_constants
 from .gconst import propagate_constants_globally
 from .inline import inline_calls_in_function, inline_calls_in_module
 from .licm import hoist_loop_invariants
-from .liveness import block_use_def, iterate_live_out, live_variables
+from .liveness import block_use_def, live_variables
 from .pass_manager import PassManager, PassStats
 from .reaching import ReachingDefinitions, reaching_definitions
 from .simplify import simplify_control_flow
@@ -62,7 +62,6 @@ __all__ = [
     "hoist_loop_invariants",
     "inline_calls_in_function",
     "inline_calls_in_module",
-    "iterate_live_out",
     "live_variables",
     "mask_of",
     "propagate_constants_globally",

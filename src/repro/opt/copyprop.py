@@ -46,15 +46,18 @@ def _propagate_block(instructions) -> int:
     changes = 0
     for index, instr in enumerate(instructions):
         # Rewrite uses first (the instruction reads old values).
-        if instr.operands:
-            new_operands = tuple(
-                copies.get(v, v) if isinstance(v, VReg) else v
-                for v in instr.operands
-            )
-            if new_operands != instr.operands:
-                instr = instr.with_operands(new_operands)
-                instructions[index] = instr
+        for operand in instr.operands:
+            # A copy fact never maps a register to itself, so one operand
+            # with a fact is a change.
+            if operand.__class__ is VReg and operand in copies:
+                instr = instructions[index] = instr.with_operands(
+                    tuple(
+                        copies.get(v, v) if v.__class__ is VReg else v
+                        for v in instr.operands
+                    )
+                )
                 changes += 1
+                break
         # Then update the copy map for the definition.
         dest = instr.dest
         if dest is not None:

@@ -1,42 +1,65 @@
 """Global dead-code elimination driven by liveness.
 
 An instruction is dead if it has no side effects and its destination is
-not live immediately after it.  Runs to a fixpoint (removing one layer of
-dead code exposes the next).
+not live immediately after it.  Removing one exposes the next — its
+operands may have had no other reader — so the pass runs to a fixpoint,
+on the liveness bitsets themselves: registers are numbered once, each
+block is swept backwards once per solve, and a dead instruction's
+operands never enter the live set, so a dead chain inside a block goes
+in one sweep and only a chain that crosses blocks costs another solve.
 """
 
 from __future__ import annotations
 
 from ..ir.cfg import FunctionIR
-from .liveness import iterate_live_out, live_variables
+from ..ir.instructions import SIDE_EFFECTS, TERMINATORS
+from ..ir.values import VReg
+from .dataflow import solve_backward_masks
+from .liveness import liveness_masks
+
+_PINNED = SIDE_EFFECTS | TERMINATORS
 
 
 def eliminate_dead_code(function: FunctionIR) -> int:
-    """Remove dead instructions; returns total removed across all rounds."""
-    total = 0
-    while True:
-        removed = _one_round(function)
-        total += removed
-        if removed == 0:
-            return total
-
-
-def _one_round(function: FunctionIR) -> int:
-    facts = live_variables(function)
+    """Remove dead instructions; returns how many were removed."""
+    index, gen, kill = liveness_masks(function)
+    bit_of = {reg: 1 << bit for reg, bit in index.items()}
     removed = 0
-    for block in function.blocks:
-        keep = []
-        for instr, live_after in iterate_live_out(block, facts.exit[block.name]):
-            is_dead = (
-                instr.dest is not None
-                and instr.dest not in live_after
-                and not instr.has_side_effects()
-                and not instr.is_terminator()
-            )
-            if is_dead:
-                removed += 1
-            else:
+    stale = True
+    while stale:
+        # The sweep below leaves every block's gen/kill those of the
+        # instructions it kept.  With no gen changed the solution still
+        # holds and everything dead under it is gone.  (A block's live-in
+        # is the wrong test: a dead use in a loop keeps its register in
+        # the block's own live-out through the back edge, so live-in
+        # stands still while the true solution shrinks.)
+        stale = False
+        _, live_out = solve_backward_masks(function, gen, kill)
+        for block in function.blocks:
+            out = live_out[block.name]
+            block_gen = block_kill = 0
+            keep = []
+            for instr in reversed(block.instructions):
+                dest = instr.dest
+                if dest is not None:
+                    bit = bit_of[dest]
+                    if (
+                        not (block_gen | out & ~block_kill) & bit
+                        and instr.op not in _PINNED
+                    ):
+                        continue
+                    block_gen &= ~bit
+                    block_kill |= bit
+                for operand in instr.operands:
+                    if operand.__class__ is VReg:
+                        block_gen |= bit_of[operand]
                 keep.append(instr)
-        keep.reverse()
-        block.instructions = keep
+            if len(keep) != len(block.instructions):
+                removed += len(block.instructions) - len(keep)
+                keep.reverse()
+                block.instructions = keep
+            if block_gen != gen[block.name]:
+                gen[block.name] = block_gen
+                stale = True
+            kill[block.name] = block_kill
     return removed

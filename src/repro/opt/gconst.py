@@ -10,10 +10,10 @@ optimizations" (§6) the parallel compiler makes affordable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir.cfg import BasicBlock, FunctionIR
-from ..ir.instructions import Instr, Opcode, evaluate_constant
+from ..ir.instructions import Opcode, evaluate_constant
 from ..ir.values import Const, IR_INT, VReg
 
 Number = Union[int, float]
@@ -48,38 +48,56 @@ _EVALUATABLE = {
 }
 
 
+#: One instruction as the fixpoint sees it: the register written (if any),
+#: the opcode when its result is computable from known operands (else
+#: None), and the operands with constants unwrapped to their values.
+Row = Tuple[Optional[VReg], Optional[Opcode], Tuple[Union[VReg, Number], ...]]
+
+
 def propagate_constants_globally(function: FunctionIR) -> int:
     """Rewrite register uses that are provably constant; returns changes."""
-    in_states = _solve(function)
+    in_states, decoded = _solve(function)
     changes = 0
     for block in function.blocks:
         state = dict(in_states.get(block.name, {}))
-        for index, instr in enumerate(block.instructions):
-            new_operands = tuple(
-                Const(state[v], v.type)
-                if isinstance(v, VReg) and v in state
-                else v
-                for v in instr.operands
-            )
-            if new_operands != instr.operands:
-                block.instructions[index] = instr.with_operands(new_operands)
-                instr = block.instructions[index]
-                changes += 1
-            _transfer(instr, state)
+        rows = decoded.get(block.name)
+        if rows is None:  # unreachable: the fixpoint never came here
+            rows = _decode(block)
+        for index, row in enumerate(rows):
+            for operand in row[2]:
+                if operand.__class__ is VReg and operand in state:
+                    instr = block.instructions[index]
+                    block.instructions[index] = instr.with_operands(
+                        tuple(
+                            Const(state[v], v.type)
+                            if v.__class__ is VReg and v in state
+                            else v
+                            for v in instr.operands
+                        )
+                    )
+                    changes += 1
+                    break
+            # A rewritten operand has the value the row would look up.
+            _transfer((row,), state)
     return changes
 
 
-def _solve(function: FunctionIR) -> Dict[str, State]:
-    """Fixpoint of per-block entry states.
+def _solve(
+    function: FunctionIR,
+) -> Tuple[Dict[str, State], Dict[str, List[Row]]]:
+    """Fixpoint of per-block entry states, and the blocks as it decoded them.
 
     Entry block starts with nothing known (parameters vary).  A block's
     entry state is the agreement (intersection on equal values) of every
     *visited* predecessor's exit state; unvisited predecessors are
     optimistically ignored until they get an exit state, and the worklist
-    re-runs successors whenever an exit state shrinks.
+    re-runs successors whenever an exit state shrinks.  A block is
+    revisited as the states around a loop descend, so it is decoded once,
+    on its first visit, and every visit runs over the rows.
     """
     preds = function.predecessors()
     block_map = function.block_map()
+    rows: Dict[str, List[Row]] = {}
     in_states: Dict[str, State] = {function.entry.name: {}}
     out_states: Dict[str, State] = {}
 
@@ -100,16 +118,17 @@ def _solve(function: FunctionIR) -> Dict[str, State]:
             in_states[name] = _meet(
                 [out_states[p] for p in preds[name] if p in out_states]
             )
+        if name not in rows:
+            rows[name] = _decode(block)
         state = dict(in_states[name])
-        for instr in block.instructions:
-            _transfer(instr, state)
+        _transfer(rows[name], state)
         if out_states.get(name) != state:
             out_states[name] = state
             for succ in block.successors():
                 if succ not in queued:
                     worklist.append(succ)
                     queued.add(succ)
-    return in_states
+    return in_states, rows
 
 
 def _meet(states: List[State]) -> State:
@@ -123,27 +142,37 @@ def _meet(states: List[State]) -> State:
     return merged
 
 
-def _transfer(instr: Instr, state: State) -> None:
-    """Update ``state`` across one instruction."""
-    dest = instr.dest
-    if dest is None:
-        return
-    if instr.op in _EVALUATABLE:
-        values = []
-        known = True
-        for operand in instr.operands:
-            if isinstance(operand, Const):
-                values.append(operand.value)
-            elif isinstance(operand, VReg) and operand in state:
-                values.append(state[operand])
+def _decode(block: BasicBlock) -> List[Row]:
+    return [
+        (
+            instr.dest,
+            instr.op if instr.op in _EVALUATABLE else None,
+            tuple(
+                v.value if v.__class__ is Const else v for v in instr.operands
+            ),
+        )
+        for instr in block.instructions
+    ]
+
+
+def _transfer(rows: List[Row], state: State) -> None:
+    """Update ``state`` across the decoded instructions, in order."""
+    for dest, op, operands in rows:
+        if dest is None:
+            continue
+        if op is not None:
+            values = []
+            for operand in operands:
+                if operand.__class__ is VReg:
+                    operand = state.get(operand)
+                    if operand is None:
+                        break
+                values.append(operand)
             else:
-                known = False
-                break
-        if known:
-            result = evaluate_constant(instr.op, values)
-            if result is not None:
-                state[dest] = (
-                    int(result) if dest.type == IR_INT else float(result)
-                )
-                return
-    state.pop(dest, None)
+                result = evaluate_constant(op, values)
+                if result is not None:
+                    state[dest] = (
+                        int(result) if dest.type == IR_INT else float(result)
+                    )
+                    continue
+        state.pop(dest, None)

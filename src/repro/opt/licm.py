@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set
 from ..ir.cfg import BasicBlock, FunctionIR
 from ..ir.instructions import Instr, Opcode
 from ..ir.loops import Loop, find_loops
-from ..ir.values import Const, VReg
+from ..ir.values import VReg
 
 #: Pure AND non-trapping: safe to execute speculatively in the preheader.
 _HOISTABLE = {
@@ -69,6 +69,8 @@ def hoist_loop_invariants(function: FunctionIR) -> int:
 
 def _one_round(function: FunctionIR) -> int:
     nest = find_loops(function)
+    if not nest.roots:
+        return 0
     defs_count = _definition_counts(function)
     uses_outside: Dict[VReg, Set[str]] = _use_blocks(function)
     # Hoisting moves no terminator: one predecessor and block map per round.
@@ -125,58 +127,56 @@ def _hoist_from_loop(
     uses_outside: Dict[VReg, Set[str]],
 ) -> int:
     loop_blocks = [block_map[name] for name in sorted(loop.blocks)]
+    # The static half of the test — a hoistable opcode, a single
+    # definition, every use inside the loop (the hoisted def still
+    # dominates them via the preheader) — cannot change while this loop is
+    # worked on, so it is decided once; the rescans then look only at the
+    # operands of these candidates, in block order.
+    candidates = [
+        (
+            block,
+            [
+                instr for instr in block.instructions
+                if instr.op in _HOISTABLE
+                and defs_count.get(instr.dest) == 1
+                and uses_outside.get(instr.dest, loop.blocks) <= loop.blocks
+            ],
+        )
+        for block in loop_blocks
+    ]
+    if not any(pending for _, pending in candidates):
+        return 0
     defined_in_loop: Set[VReg] = set()
     for block in loop_blocks:
         for instr in block.instructions:
             if instr.dest is not None:
                 defined_in_loop.add(instr.dest)
 
-    hoisted: Set[VReg] = set()
     moved = 0
     changed = True
     while changed:
         changed = False
-        for block in loop_blocks:
-            for index, instr in enumerate(block.instructions):
-                if not _can_hoist(
-                    instr, loop, defined_in_loop, hoisted, defs_count,
-                    uses_outside,
-                ):
-                    continue
-                del block.instructions[index]
-                preheader.instructions.insert(
-                    len(preheader.instructions) - 1, instr
-                )
-                hoisted.add(instr.dest)
-                defined_in_loop.discard(instr.dest)
-                moved += 1
-                changed = True
-                break  # indices shifted; rescan this block
+        for block, pending in candidates:
+            for position, instr in enumerate(pending):
+                for operand in instr.operands:
+                    if operand.__class__ is VReg and operand in defined_in_loop:
+                        break
+                else:
+                    del pending[position]
+                    del block.instructions[_index_of(block, instr)]
+                    preheader.instructions.insert(
+                        len(preheader.instructions) - 1, instr
+                    )
+                    # Its only definition has left the loop.
+                    defined_in_loop.discard(instr.dest)
+                    moved += 1
+                    changed = True
+                    break  # at most one hoist per block per scan
     return moved
 
 
-def _can_hoist(
-    instr: Instr,
-    loop: Loop,
-    defined_in_loop: Set[VReg],
-    hoisted: Set[VReg],
-    defs_count: Dict[VReg, int],
-    uses_outside: Dict[VReg, Set[str]],
-) -> bool:
-    if instr.op not in _HOISTABLE or instr.dest is None:
-        return False
-    if defs_count.get(instr.dest, 0) != 1:
-        return False
-    # All uses must stay within the loop (the hoisted def still
-    # dominates them via the preheader).
-    use_blocks = uses_outside.get(instr.dest, set())
-    if any(name not in loop.blocks for name in use_blocks):
-        return False
-    for operand in instr.operands:
-        if isinstance(operand, Const):
-            continue
-        if operand in hoisted:
-            continue
-        if operand in defined_in_loop:
-            return False
-    return True
+def _index_of(block: BasicBlock, instr: Instr) -> int:
+    for index, other in enumerate(block.instructions):
+        if other is instr:
+            return index
+    raise ValueError(f"{instr} is not in block {block.name!r}")

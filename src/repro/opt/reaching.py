@@ -1,9 +1,9 @@
 """Reaching-definitions analysis.
 
 A definition is identified by ``(block name, index, register)``.  The
-solution says, for each block entry, which definitions may reach it.  Used
-by tests and by the dependence analysis to find loop-carried register
-flows.
+solution says, for each block entry, which definitions may reach it.  It
+is one of the analyses the paper lists for phase 2; no pass in ``src/``
+consumes it today — the tests exercise it.
 """
 
 from __future__ import annotations

@@ -163,6 +163,18 @@ class TestCompile:
         err = capsys.readouterr().err
         assert "undeclared" in err
 
+    def test_superscript_digit_is_a_diagnostic_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        # str.isdigit() is true for '²' and int("1²") raises: this used
+        # to end the compile in a ValueError out of the lexer.
+        path = tmp_path / "squared.w2"
+        path.write_text(GOOD.replace("v * 2.0", "v * 1²"))
+        assert main(["compile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "squared.w2:7:46: error: unexpected character '²'" in err
+        assert "Traceback" not in err
+
     def test_parallel_serial_fallback(self, good_file, capsys):
         assert main(
             ["compile", good_file, "--parallel", "--jobs", "1"]

@@ -150,6 +150,71 @@ class TestCommentsAndErrors:
         ]
 
 
+class TestNonDecimalDigits:
+    """``str.isdigit`` is true for ``²`` and ``int("1²")`` is not a number:
+    such a character is neither a digit of a literal nor a word start."""
+
+    def errors(self, text):
+        tokens, sink = lex(text)
+        return tokens, [
+            (d.message, d.span.start.column, d.span.end.column)
+            for d in sink.merged_in_source_order()
+        ]
+
+    def test_bare_superscript_is_an_unexpected_character(self):
+        tokens, errors = self.errors("x ² y")
+        assert errors == [("unexpected character '²'", 3, 4)]
+        assert [t.text for t in tokens] == ["x", "y", ""]
+
+    def test_superscript_after_a_digit_ends_the_literal(self):
+        tokens, errors = self.errors("return 1²;")
+        assert errors == [("unexpected character '²'", 9, 10)]
+        assert [(t.kind, t.value) for t in tokens[:3]] == [
+            (TokenKind.RETURN, None),
+            (TokenKind.INT_LIT, 1),
+            (TokenKind.SEMICOLON, None),
+        ]
+
+    def test_superscript_inside_a_word_stays_an_identifier(self):
+        tokens, errors = self.errors("x²")
+        assert errors == []
+        assert (tokens[0].kind, tokens[0].value) == (TokenKind.IDENT, "x²")
+
+    def test_numeric_that_is_no_letter_starts_no_word(self):
+        # '½' is \w but neither a letter nor a digit: lexing resumes
+        # right behind it, as it always has.
+        tokens, errors = self.errors("½abc ²x")
+        assert [message for message, _, _ in errors] == [
+            "unexpected character '½'",
+            "unexpected character '²'",
+        ]
+        assert [t.value for t in tokens[:-1]] == ["abc", "x"]
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        tokens, errors = self.errors("٣ ٣.٥")
+        assert errors == []
+        assert [t.value for t in tokens[:-1]] == [3, 3.5]
+
+
+class TestNumberEdges:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1..2", [("1", 1), ("..", None), ("2", 2)]),
+            ("2..", [("2", 2), ("..", None)]),
+            ("1.e5", [("1.e5", 100000.0)]),
+            ("1.", [("1.", 1.0)]),
+            ("1e", [("1", 1), ("e", "e")]),
+            ("1e+", [("1", 1), ("e", "e"), ("+", None)]),
+            ("1e5end", [("1e5", 100000.0), ("end", None)]),
+        ],
+    )
+    def test_number_edges(self, text, expected):
+        tokens, sink = lex(text)
+        assert not sink.has_errors
+        assert [(t.text, t.value) for t in tokens[:-1]] == expected
+
+
 class TestSpans:
     def test_token_positions(self):
         tokens, _ = lex("ab\ncd")

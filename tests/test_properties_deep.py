@@ -11,7 +11,7 @@ from repro.ir.instructions import Opcode
 from repro.ir.loops import find_loops
 from repro.ir.values import IR_INT
 from repro.machine.warp_cell import WarpCellModel
-from repro.opt.liveness import iterate_live_out, live_variables
+from repro.opt.liveness import live_variables
 from repro.opt.pass_manager import PassManager
 
 from helpers import parse_ok, single_function_ir
@@ -35,14 +35,17 @@ def test_allocator_never_aliases_live_values(source):
         allocation = allocate_registers(fn, WarpCellModel())
         facts = live_variables(fn)
         for block in fn.blocks:
-            for _instr, live_after in iterate_live_out(
-                block, facts.exit[block.name]
-            ):
+            # Walk backwards: ``live_after`` is what is live after ``instr``.
+            live_after = set(facts.exit[block.name])
+            for instr in reversed(block.instructions):
                 live = [r for r in live_after if r in allocation.assignment]
                 mapped = {allocation.assignment[r] for r in live}
                 assert len(mapped) == len(live), (
                     f"aliased registers in {fn.name} at block {block.name}"
                 )
+                if instr.dest is not None:
+                    live_after.discard(instr.dest)
+                live_after.update(instr.uses())
 
 
 @settings(max_examples=15, deadline=None)
