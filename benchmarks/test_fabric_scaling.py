@@ -102,7 +102,8 @@ def test_fabric_scaling_and_node_kill(results_dir):
         ]
         try:
             assert hub.wait_for_nodes(2, timeout=60.0)
-            compiler = ParallelCompiler(backend=RemoteBackend(hub))
+            backend = RemoteBackend(hub)
+            compiler = ParallelCompiler(backend=backend)
             compiler.compile(SOURCE)  # warm
             killer = threading.Timer(
                 0.1, workers[0].send_signal, [signal.SIGKILL]
@@ -113,7 +114,8 @@ def test_fabric_scaling_and_node_kill(results_dir):
             kill_wall = time.perf_counter() - start
             killer.join()
             assert result.digest == reference
-            kill_stats = hub.stats.copy()
+            kill_nodes_lost = hub.stats.nodes_lost
+            kill_retries = backend.supervision.retries
         finally:
             _stop_workers(workers)
 
@@ -131,8 +133,8 @@ def test_fabric_scaling_and_node_kill(results_dir):
         "speedup_2_over_1": round(one_median / two_median, 4),
         "node_kill_completed": True,
         "node_kill_wall_s": round(kill_wall, 6),
-        "node_kill_nodes_lost": kill_stats.nodes_lost,
-        "node_kill_tasks_requeued": kill_stats.tasks_requeued,
+        "node_kill_nodes_lost": kill_nodes_lost,
+        "node_kill_retries": kill_retries,
     }
     (results_dir / "BENCH_fabric.json").write_text(
         json.dumps(summary, indent=2) + "\n"
@@ -141,9 +143,9 @@ def test_fabric_scaling_and_node_kill(results_dir):
         f"\nfabric scaling: 1 node {one_median:.3f}s, 2 nodes "
         f"{two_median:.3f}s ({summary['speedup_2_over_1']:.2f}x); "
         f"node-kill round {kill_wall:.3f}s "
-        f"({kill_stats.tasks_requeued} task(s) requeued)"
+        f"({kill_retries} task(s) retried)"
     )
-    assert kill_stats.nodes_lost >= 1
+    assert kill_nodes_lost >= 1
     # The scaling guard needs real cores: worker nodes are separate
     # processes, so on a multicore host the second node must buy
     # wall-clock.  On a 1-2 core box parallel processes just time-slice;

@@ -135,8 +135,9 @@ def render_fabric(doc: dict) -> list[str]:
         (
             "node-kill round",
             _fmt_s(doc.get("node_kill_wall_s", 0.0))
-            + f" ({doc.get('node_kill_tasks_requeued', '?')} task(s) "
-            f"requeued, digest identical)",
+            # (points before PR 24 recorded the hub's own re-queue count)
+            + f" ({doc.get('node_kill_retries', doc.get('node_kill_tasks_requeued', '?'))}"
+            f" task(s) retried, digest identical)",
         ),
     ]
     return ["| metric | value |", "|---|---|"] + [

@@ -85,7 +85,7 @@ def main() -> int:
             for name, source in modules:
                 result = ParallelCompiler(backend=backend).compile(source)
                 check(name, result.digest, expected[name])
-            if hub.stats.degraded_waves:
+            if backend.supervision.degradations:
                 print("FAIL: healthy pass ran degraded")
                 return 1
 
@@ -107,12 +107,12 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 print("FAIL: victim survived SIGKILL?")
                 return 1
-            stats = hub.stats
+            stats, supervision = hub.stats, backend.supervision
             print(
                 f"hub stats: lost={stats.nodes_lost} "
-                f"requeued={stats.tasks_requeued} "
-                f"deduped={stats.results_deduped} "
-                f"local-fallback={stats.tasks_local_fallback}"
+                f"retried={supervision.retries} "
+                f"late-duplicates={supervision.late_duplicates} "
+                f"in-process={supervision.poisoned_tasks}"
             )
             if stats.nodes_lost < 1:
                 print("FAIL: the killed worker was never declared lost")

@@ -277,6 +277,17 @@ def run_status(args) -> int:
             f"utilization {stats['utilization']:.0%} "
             f"over {stats['workers']} worker(s)"
         )
+        # what the shared backend did about failures, when it says
+        recovery = "; ".join(
+            f"{name}: " + ", ".join(
+                f"{count} {counter.replace('_', ' ')}"
+                for counter, count in stats[name].items()
+            )
+            for name in ("supervision", "fabric")
+            if name in stats
+        )
+        if recovery:
+            print(recovery)
         for job in reply["jobs"]:
             print(f"  {job['job']}: {job['state']:9s} "
                   f"tenant={job['tenant']} "

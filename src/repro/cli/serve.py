@@ -108,8 +108,8 @@ def run_serve(args) -> int:
     if args.fabric_port is not None:
         from ..fabric import FabricHub, RemoteBackend
 
-        # The local pool doubles as the hub's fallback: zero live
-        # worker nodes degrades to exactly the single-machine service.
+        # The local pool is where the fleet's supervisor degrades to:
+        # zero live worker nodes is exactly the single-machine service.
         hub = FabricHub(
             host=args.host, port=args.fabric_port, fallback=pool
         )

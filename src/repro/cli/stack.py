@@ -54,13 +54,16 @@ def build_backend(args, chaos_seed=None, chaos_poison=None):
 def supervise(args, backend, **tuning):
     """``backend`` under the supervision layer, tuned by the verb's
     ``--task-timeout`` / ``--hedge-after`` (``tuning``: what else the
-    verb has flags for)."""
-    return SupervisedBackend(
-        backend,
+    verb has flags for).  A fleet is born supervised
+    (``RemoteBackend``): the flags tune that supervisor, not a second."""
+    tuning.update(
         task_timeout=args.task_timeout,
         hedge_after=args.hedge_after if args.hedge_after > 0 else None,
-        **tuning,
     )
+    if isinstance(backend, SupervisedBackend):
+        vars(backend).update(tuning)
+        return backend
+    return SupervisedBackend(backend, **tuning)
 
 
 def shutdown_backend(backend) -> None:

@@ -6,23 +6,19 @@ package puts the network back: a central :class:`~repro.fabric.hub.FabricHub`
 schedules function-master tasks onto worker-node agents
 (:class:`~repro.fabric.node.WorkerNodeAgent`, ``warpcc worker``) that each
 front a machine's warm pool, and :class:`~repro.fabric.hub.RemoteBackend`
+— :class:`~repro.parallel.supervisor.SupervisedBackend` over the hub —
 exposes the fleet through the standard ``run_tasks_streaming`` surface so
-the driver, :class:`~repro.parallel.supervisor.SupervisedBackend`, the
-compile service, and the fuzz oracle compose unchanged.
+the driver, the compile service, and the fuzz oracle compose unchanged.
 
-Robustness model (see INTERNALS.md §Distributed fabric):
-
-- node registration grants a *lease* renewed by heartbeats; a silent
-  node's lease expires and its unacknowledged tasks are re-queued;
-- results are deduplicated by task key — first result wins, exactly the
-  hedging rule the supervisor already applies;
-- every task and result crosses the wire as a sealed entry under a
-  content digest, and a result's code is re-hashed against its sealed
-  ``payload_digest`` before the hub will route it;
-- zero live nodes degrades gracefully to the local fallback pool;
-- the two-tier artifact cache (:mod:`repro.fabric.netcache`) treats
-  every network-tier failure as a miss — cache trouble can cost a
-  recompile, never a wrong artifact and never a failed compile.
+Robustness model (INTERNALS.md §Distributed fabric): the hub reports —
+a node's lease expired, a result frame that does not verify — and the
+supervisor decides, by the one policy a local pool has: lost tasks are
+retried under one attempt budget, first result per task wins, zero live
+nodes degrades to the local fallback pool.  Every task and result
+crosses the wire as a sealed entry under a content digest, and the
+two-tier artifact cache (:mod:`repro.fabric.netcache`) treats every
+network-tier failure as a miss — trouble can cost a recompile, never a
+wrong artifact and never a failed compile.
 
 Security model: nothing read from a socket is unpickled — a blob is a
 hashed entry whose JSON header must name exactly a record's typed

@@ -9,10 +9,12 @@ failing seed from CI replays locally, exactly.
 :class:`FabricChaos` is the persistent *plan*: it owns the per-task
 attempt counters and per-fault budgets, and wraps each (re)connection a
 :class:`~repro.fabric.node.WorkerNodeAgent` makes in a
-:class:`ChaosTransport`.  Budgets persist across reconnects — a task
-whose result send killed the connection once is allowed through on the
-retry, so seeded kills exercise the re-queue path without livelocking
-the fleet.
+:class:`ChaosTransport`.  Both are keyed by the task's *identity* — the
+part of the hub's id before ``#``, the same for every attempt at a task
+— and persist across reconnects: a task whose result send killed the
+connection once is allowed through on the retry (a new wave, a new
+serial, the same identity), so seeded kills exercise the retry path
+without livelocking the fleet.
 
 :class:`CacheChaos` does the same for the network cache tier: corrupt
 response blobs and transport failures, which the client must convert to
@@ -105,7 +107,7 @@ class ChaosTransport:
             self._conn.send(frame)
             return
 
-        key = str(frame.get("id", "?"))
+        key = str(frame.get("id", "?")).partition("#")[0]
         with plan._lock:
             attempt = schedule.take("attempt", key)
             kill = schedule.fires(
@@ -125,8 +127,8 @@ class ChaosTransport:
             )
 
         if kill:
-            # Node dies before the result is acknowledged: drop the
-            # connection without sending.  The hub re-queues the task.
+            # Node dies before the result is sent: drop the connection
+            # without sending.  The hub reports the task lost.
             self._conn.close()
             raise ConnectionResetError(f"chaos: node killed before {key}")
         if truncate:

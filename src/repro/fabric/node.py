@@ -14,9 +14,10 @@ hub's own ``shutdown`` frame, which just ends the session) it simply
 reconnects and re-registers, so restarting ``warpcc serve`` never
 requires touching the fleet.  Only a ``shutdown`` frame flagged
 ``retire`` (``FabricHub.close(retire_fleet=True)``) makes the agent
-exit for good.  Any task whose result didn't reach the hub will be
-re-queued by the hub's lease machinery — the agent never tracks that,
-which is what keeps the failure model simple enough to trust.
+exit for good.  Any task whose result didn't reach the hub is reported
+lost by the hub's lease machinery and re-run by its supervisor — the
+agent never tracks that, which is what keeps the failure model simple
+enough to trust.
 
 When the hub requires a shared secret (``WARPCC_FABRIC_SECRET``), it
 answers registration with a ``challenge`` frame; the agent proves the
@@ -38,7 +39,6 @@ from .wire import (
     PROTOCOL_VERSION,
     Connection,
     ProtocolError,
-    WireCorruption,
     connect_with_backoff,
     decode_task,
     encode_result,
@@ -75,8 +75,10 @@ class WorkerNodeAgent:
         self.connect_cap = connect_cap
         self.reconnect = reconnect
         self.chaos = chaos
+        #: bumped from the session's pool threads, under ``_counts``
         self.tasks_completed = 0
         self.tasks_failed = 0
+        self._counts = threading.Lock()
         self.sessions = 0
         self._stop = threading.Event()
         self._conn: Optional[Connection] = None
@@ -217,31 +219,22 @@ class WorkerNodeAgent:
     def _run_task(self, conn, frame: dict) -> None:
         task_id = str(frame.get("id", ""))
         try:
-            task = decode_task(frame)
-        except WireCorruption as exc:
-            self.tasks_failed += 1
-            self._send_quietly(
-                conn, {"op": "task-failed", "id": task_id, "error": str(exc)}
-            )
-            return
-        try:
-            (result,) = stream_task_results(self.backend, [task])
+            (result,) = stream_task_results(self.backend, [decode_task(frame)])
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            self.tasks_failed += 1
-            self._send_quietly(
-                conn, {"op": "task-failed", "id": task_id, "error": repr(exc)}
-            )
+            # A task that does not open (WireCorruption) or does not
+            # compile: the hub's supervisor decides what that costs.
+            with self._counts:
+                self.tasks_failed += 1
+            failed = {"op": "task-failed", "id": task_id, "error": repr(exc)}
+            try:
+                conn.send(failed)
+            except Exception:  # noqa: BLE001 - the lease machinery covers it
+                pass
             return
         try:
             conn.send(encode_result(result, task_id))
         except (OSError, ConnectionError, ProtocolError):
-            # Link died under the result: the hub re-queues this task.
+            # Link died under the result: the hub reports the task lost.
             return
-        self.tasks_completed += 1
-
-    @staticmethod
-    def _send_quietly(conn, frame: dict) -> None:
-        try:
-            conn.send(frame)
-        except Exception:  # noqa: BLE001
-            pass
+        with self._counts:
+            self.tasks_completed += 1

@@ -12,9 +12,11 @@ master the paper wished for, around any execution backend:
    ``task_timeout``).  Backends that emit ``("start", task)`` events have
    the deadline armed when the attempt actually begins, so queueing
    behind other tasks never counts against it; other backends measure
-   from dispatch.  An attempt that misses its deadline is abandoned and
-   resubmitted; if its late result shows up anyway, first-result-wins
-   applies and the duplicate is dropped.
+   from dispatch.  An attempt that misses its deadline is abandoned
+   (an event stream offering ``abandon(task)`` is told: it frees what
+   the attempt held and names who held it) and resubmitted; if its late
+   result shows up anyway, first-result-wins applies and the duplicate
+   is dropped.
 
 2. **Straggler hedging.**  Once ``hedge_after`` of the wave has resolved,
    laggards get a duplicate attempt launched alongside the original.
@@ -25,9 +27,11 @@ master the paper wished for, around any execution backend:
    worker that produced them (or to the farm as a whole when the backend
    can't say).  ``quarantine_after`` consecutive failures put a worker in
    timed quarantine with exponentially backed-off re-admission.  When
-   *every* worker is quarantined, dispatch gracefully degrades to the
-   in-process fallback (a :class:`~repro.parallel.local.SerialBackend`)
-   instead of failing the build.
+   *every* worker the backend names (``worker_names``) is quarantined —
+   or it names none: a fleet with no live node — dispatch gracefully
+   degrades to the fallback (default: an in-process
+   :class:`~repro.parallel.local.SerialBackend`) instead of failing the
+   build.
 
 4. **Poison-task isolation.**  A task that fails on ``poison_threshold``
    distinct workers (or exhausts ``max_attempts``) is pulled out of the
@@ -44,7 +48,12 @@ master the paper wished for, around any execution backend:
 The supervisor consumes dispatches through whatever incremental surface
 the inner backend offers (``run_tasks_events``, else streaming),
 feeding an event queue from daemon dispatch threads so the consuming
-section master keeps recombining while stragglers are hedged.
+section master keeps recombining while stragglers are hedged.  It is
+the one recovery policy: a backend reports what happened to a task, the
+supervisor decides — a pool's faults and a fleet's
+(:class:`~repro.fabric.hub.FabricHub` reports them as events;
+``RemoteBackend`` is this class over a hub) take the same path, and
+INTERNALS.md §Supervision tabulates event → decision → counter.
 """
 
 from __future__ import annotations
@@ -157,15 +166,13 @@ class WorkerHealthTracker:
             if health.quarantined_until > now
         )
 
-    def all_quarantined(self, now: float, capacity: int) -> bool:
-        """True when no worker is admissible: either the farm pseudo-worker
-        is quarantined (unattributed failures piled up) or every named
-        worker slot is benched."""
+    def all_quarantined(self, now: float, workers) -> bool:
+        """True when none of ``workers`` — the names health is recorded
+        against — is admissible: every one is benched, there are none
+        (the backend has no capacity), or the farm pseudo-worker is
+        quarantined (unattributed failures piled up)."""
         benched = self.quarantined(now)
-        if FARM in benched:
-            return True
-        named = len(benched - {FARM})
-        return capacity > 0 and named >= capacity
+        return FARM in benched or not set(workers) - benched
 
 
 class SupervisedBackend:
@@ -199,7 +206,8 @@ class SupervisedBackend:
     clock:
         Monotonic time source; injectable for tests.
 
-    The wrapper is transparent: unknown attributes delegate to the inner
+    The wrapper is transparent: unknown attributes (``worker_count``
+    and ``effective_worker_count`` among them) delegate to the inner
     backend, and ``self.supervision`` / ``self.health`` persist across
     compiles so the driver can snapshot per-compile deltas.
     """
@@ -273,14 +281,6 @@ class SupervisedBackend:
             raise AttributeError(name)
         return getattr(inner, name)
 
-    @property
-    def worker_count(self) -> int:
-        return self.inner.worker_count
-
-    @property
-    def effective_worker_count(self) -> int:
-        return self.inner.effective_worker_count
-
     def cost_for(self, task: FunctionTask) -> float:
         """Cost in §4.3 hint units: the pluggable provider's estimate
         when one is set (static hint on any error), else the hint."""
@@ -336,6 +336,9 @@ class _Dispatch:
     #: deadlines armed on the backend's "start" event instead of at
     #: dispatch, so queueing behind other tasks doesn't count
     arm_on_start: bool = False
+    #: the backend's event stream; one that offers ``abandon(task)``
+    #: frees what an expired attempt holds and names who held it
+    stream: object = None
     error: Optional[BaseException] = None
 
 
@@ -363,7 +366,8 @@ class _SupervisedRun:
         try:
             events = getattr(backend, "run_tasks_events", None)
             if events is not None:
-                for kind, payload in events(tasks):
+                dispatch.stream = events(tasks)
+                for kind, payload in dispatch.stream:
                     put((dispatch.id, kind, payload))
             else:
                 for result in stream_task_results(backend, tasks):
@@ -378,8 +382,9 @@ class _SupervisedRun:
     def _launch(self, tasks: List[FunctionTask], kind: str) -> None:
         now = self.sup.clock()
         if kind != "fallback":
-            capacity = self.sup.inner.worker_count
-            if self.health.all_quarantined(now, capacity):
+            # A backend that names no workers has the farm as its one.
+            workers = getattr(self.sup.inner, "worker_names", (FARM,))
+            if self.health.all_quarantined(now, workers):
                 kind = "fallback"
                 self.stats.degradations += 1
         if kind == "fallback":
@@ -601,13 +606,17 @@ class _SupervisedRun:
             for dispatch_id in expired:
                 state.active.pop(dispatch_id, None)
                 dispatch = self.dispatches.get(dispatch_id)
+                worker = None
                 if dispatch is not None:
                     dispatch.abandoned.add(tkey)
                     suspects.add(dispatch_id)
+                    abandon = getattr(dispatch.stream, "abandon", None)
+                    if abandon is not None:
+                        worker = abandon(state.task)
                 self.stats.timeouts += 1
-                state.failures.append((None, "deadline expired"))
+                state.failures.append((worker, "deadline expired"))
                 if dispatch is None or dispatch.kind != "fallback":
-                    if self.health.record_failure(FARM, now):
+                    if self.health.record_failure(worker or FARM, now):
                         self.stats.quarantines += 1
             yield from self._next_move(state)
         for dispatch_id in suspects:

@@ -718,6 +718,13 @@ class CompileService:
                     "accepting": self._accepting,
                 }
             )
+            # what the shared backend did about failures, when it says
+            supervision = getattr(self._backend, "supervision", None)
+            if supervision is not None:
+                stats["supervision"] = dict(vars(supervision))
+            fleet_stats = getattr(self._backend, "fleet_stats", None)
+            if fleet_stats is not None:
+                stats["fabric"] = fleet_stats()
             if self._speculation is not None:
                 stats["speculation"] = self._speculation.stats()
             if self.cost_model is not None:

@@ -1,4 +1,5 @@
-"""ChaosBackend fault schedules are a pure function of the seed.
+"""Fault schedules — ChaosBackend's and the fabric transport's — are a
+pure function of the seed.
 
 Every fault decision is drawn from an RNG derived from ``(seed, task
 key, attempt)`` — sha256-hashed, so the schedule cannot depend on how a
@@ -9,6 +10,7 @@ result stream (``run_tasks_streaming``), and regardless of task
 submission order.
 """
 
+import itertools
 import pathlib
 import re
 
@@ -17,6 +19,7 @@ import pytest
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
+from repro.fabric import FabricChaos
 from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
@@ -180,6 +183,55 @@ class TestSupervisedReplay:
         assert digest_a == digest_b
         assert faults_a == faults_b
         assert digest_a == SequentialCompiler().compile(SOURCE).digest
+
+
+class TestFabricPlanDeterminism:
+    """The transport plan numbers a task's result sends by the task's
+    identity — the part of the hub's id before ``#`` — so a retry that
+    rides in a later wave, under a new serial, is still attempt n+1 of
+    the same task."""
+
+    IDENTITIES = [f"s.f{i}@{i:08x}" for i in range(12)]
+
+    class Link:
+        def send(self, frame):
+            pass
+
+        def close(self):
+            pass
+
+    def kills(self, seed, order, first_serial):
+        """(identity, attempt) of every send the plan kills when each
+        entry of ``order`` is one result send, under serials that
+        depend on the interleaving."""
+        plan = FabricChaos(seed, kill_rate=0.5)
+        serial = itertools.count(first_serial)
+        attempts, killed = {}, []
+        for identity in order:
+            attempt = attempts[identity] = attempts.get(identity, -1) + 1
+            frame = {"op": "result", "id": f"{identity}#{next(serial)}"}
+            try:
+                plan.wrap(self.Link()).send(frame)  # a fresh connection
+            except ConnectionResetError:
+                killed.append((identity, attempt))
+        assert plan.kills_injected == len(killed)
+        return sorted(killed)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_same_seed_same_kills_whatever_the_interleaving(self, seed):
+        grouped = [i for i in self.IDENTITIES for _ in range(3)]
+        woven = list(reversed(self.IDENTITIES)) * 3
+        kills = self.kills(seed, grouped, first_serial=0)
+        assert kills == self.kills(seed, woven, first_serial=700)
+        assert kills, "the seed kills nothing"
+        # the budget bounds kills per *task*: one each, however many
+        # waves (serials) its attempts were spread over
+        identities = [identity for identity, _ in kills]
+        assert len(identities) == len(set(identities))
+
+    def test_different_seeds_kill_differently(self):
+        order = self.IDENTITIES * 3
+        assert self.kills(1, order, 0) != self.kills(2, order, 0)
 
 
 def ci_chaos_matrix():

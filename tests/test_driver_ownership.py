@@ -97,7 +97,7 @@ class TestOneTaskSurface:
 
     BACKENDS = {
         "SerialBackend", "WarmPoolBackend", "SupervisedBackend",
-        "ChaosBackend", "RemoteBackend", "_JobBackend",
+        "ChaosBackend", "_JobBackend",
     }
 
     @staticmethod
@@ -136,9 +136,28 @@ class TestOneTaskSurface:
 
     def test_cold_pool_class_is_gone(self):
         assert set(self.task_surfaces()) == self.BACKENDS
-        assert self.BACKENDS - {"RemoteBackend", "_JobBackend"} <= set(
-            repro.parallel.__all__
-        )
+        assert self.BACKENDS - {"_JobBackend"} <= set(repro.parallel.__all__)
+
+    def test_the_fleet_backend_is_the_supervisor(self):
+        """One recovery policy: ``RemoteBackend`` adds no surface and no
+        knob to ``SupervisedBackend``, and the hub it supervises cannot
+        be told to retry, time out or run a task — it streams events."""
+        from repro.fabric import FabricHub, RemoteBackend
+        from repro.parallel import SupervisedBackend
+
+        assert issubclass(RemoteBackend, SupervisedBackend)
+        assert set(vars(RemoteBackend)) <= {
+            "__module__", "__doc__", "__init__",
+        }
+        assert list(inspect.signature(RemoteBackend.__init__).parameters) == [
+            "self", "hub",
+        ]
+        assert list(inspect.signature(FabricHub.__init__).parameters) == [
+            "self", "host", "port", "fallback", "lease_ttl",
+            "heartbeat_interval",
+        ]
+        assert not hasattr(FabricHub, "run_tasks_streaming")
+        assert hasattr(FabricHub, "run_tasks_events")
 
     def test_no_class_defines_a_barrier_or_partial_surface(self):
         surfaces = self.task_surfaces()

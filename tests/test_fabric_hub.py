@@ -1,8 +1,12 @@
-"""Fabric hub: leases, heartbeats, exact re-queue, dedup, degradation."""
+"""Fabric hub: leases, heartbeats, and exact reports of what happened to
+each task — with every recovery decision read off the one counter set,
+``RemoteBackend(hub).supervision``."""
 
 import socket
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,9 +20,14 @@ from repro.fabric.wire import (
     Connection,
     decode_task,
     encode_result,
+    encode_task,
 )
 from repro.parallel.local import SerialBackend
-from repro.parallel.supervisor import SupervisedBackend
+from repro.parallel.supervisor import (
+    SupervisedBackend,
+    SupervisionStats,
+    WorkerHealthTracker,
+)
 from repro.service import CompileService
 
 SOURCE = """
@@ -207,6 +216,27 @@ class TestRegistration:
             agent.stop()
 
 
+def _serve(fake, behave):
+    """Answer ``fake``'s task frames with ``behave(frame)`` on a thread;
+    returns the list the frames are recorded in."""
+    received = []
+
+    def loop():
+        for frame in iter(fake.conn.recv, None):
+            if frame.get("op") == "task":
+                received.append(frame)
+                behave(frame)
+
+    threading.Thread(target=loop, daemon=True).start()
+    return received
+
+
+def _bounce(fake):
+    return lambda frame: fake.conn.send(
+        {"op": "task-failed", "id": frame["id"], "error": "boom"}
+    )
+
+
 class TestSchedulingAndFailure:
     def test_remote_compile_matches_sequential(self, hub):
         agents = [
@@ -217,28 +247,31 @@ class TestSchedulingAndFailure:
         ]
         try:
             assert hub.wait_for_nodes(2, timeout=10.0)
-            result = ParallelCompiler(backend=RemoteBackend(hub)).compile(
-                SOURCE
-            )
+            backend = RemoteBackend(hub)
+            result = ParallelCompiler(backend=backend).compile(SOURCE)
             assert result.digest == _sequential_digest()
             assert hub.stats.tasks_dispatched == len(FUNCTIONS)
-            assert hub.stats.degraded_waves == 0
+            assert backend.supervision == SupervisionStats()
         finally:
             for agent in agents:
                 agent.stop()
 
     def test_dead_node_requeues_exactly_its_unacked_tasks(self, hub):
         """The acceptance invariant: the accepted result is the
-        completion.  A node that vanishes re-queues each task it had
-        not answered exactly once, and every result it managed to send
-        before dying completed its task (no lost, no duplicated
-        results)."""
+        completion.  A node that vanishes has each task it had not
+        answered reported failed and re-run exactly once, and every
+        result it managed to send before dying completed its task (no
+        lost, no duplicated results)."""
         fake = FakeNode(hub.address, node_id="doomed", workers=4)
         assert hub.wait_for_nodes(1, timeout=10.0)
-        results, consumer = _consume(RemoteBackend(hub))
+        backend = RemoteBackend(hub)
+        results, consumer = _consume(backend)
 
         frames = [fake.recv_task() for _ in range(3)]
-        assert {f["id"] for f in frames} == {"w0.0", "w0.1", "w0.2"}
+        # one identity per task, whatever the attempt: name@digest#serial
+        assert {f["id"].partition("@")[0] for f in frames} == {
+            f"s.{name}" for name in FUNCTIONS
+        }
         # Answer two tasks, then crash with the third untouched.
         fake.answer(frames[0])
         fake.answer(frames[1])
@@ -248,71 +281,209 @@ class TestSchedulingAndFailure:
         assert not consumer.is_alive(), "wave never completed"
         # Exactly one result per function: nothing lost, nothing doubled.
         assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
-        # Exactly the unanswered task was re-queued, and — no other
-        # fleet — fell back locally; nothing was compiled twice.
-        assert hub.stats.tasks_requeued == 1
-        assert hub.stats.tasks_local_fallback == 1
-        assert hub.stats.results_deduped == 0
+        assert sorted(str(r.worker) for r in results) == [
+            "None", "node:doomed", "node:doomed",
+        ]
+        # Exactly the unanswered task was retried, and — no other fleet
+        # — on the local fallback; nothing was compiled twice.
+        assert backend.supervision == SupervisionStats(
+            retries=1, degradations=1
+        )
+        assert hub.stats.tasks_dispatched == 3
         assert hub.stats.nodes_lost == 1
 
     def test_slow_node_answering_a_requeued_task_is_deduplicated(self):
-        """Slow, not dead: two tasks outlive the hub's task timeout and
-        are re-run locally while the node's third is still open; the
-        node's late answer to one of them must not be linked twice."""
-        with FabricHub(
-            lease_ttl=30.0, heartbeat_interval=0.2, task_timeout=0.5,
-            max_requeues=0,
-        ) as hub:
+        """Slow, not dead: two tasks outlive their deadline and are
+        re-run locally while the node's third is still open; the node's
+        late answer to one of them must not be linked twice."""
+        with FabricHub(lease_ttl=30.0, heartbeat_interval=0.2) as hub:
             # one worker: two tasks in flight, the third waits its turn
             fake = FakeNode(hub.address, node_id="slow", workers=1)
             assert hub.wait_for_nodes(1, timeout=10.0)
-            results, consumer = _consume(RemoteBackend(hub))
+            backend = RemoteBackend(hub)
+            backend.timeout_floor = 1.0
+            backend.health = WorkerHealthTracker(
+                quarantine_after=1, backoff_base=30.0
+            )
+            results, consumer = _consume(backend)
 
             held = [fake.recv_task(), fake.recv_task()]
-            last = fake.recv_task()  # sent once the held ones timed out
-            assert {f["id"] for f in held} == {"w0.0", "w0.1"}
-            fake.answer(held[0])  # late: first result wins, either way
+            last = fake.recv_task()  # sent once a held one was taken back
+            deadline = time.monotonic() + 30.0
+            while len(results) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)  # both held tasks re-run locally
+            fake.answer(held[0])  # late: the first result won already
             fake.answer(last)
 
             consumer.join(timeout=60.0)
             assert not consumer.is_alive(), "wave never completed"
             assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
-            assert hub.stats.tasks_requeued == 2
-            assert hub.stats.tasks_local_fallback == 2
-            assert hub.stats.results_deduped == 1
+            assert backend.supervision == SupervisionStats(
+                timeouts=2, retries=2, quarantines=1, degradations=2,
+                late_duplicates=1,
+            )
+            assert hub.stats.tasks_dispatched == 3
             assert hub.stats.nodes_lost == 0
             fake.vanish()
 
     def test_a_result_keyed_for_another_function_completes_nothing(self, hub):
         """A node answers every task with a well-sealed result of the
         first function, and with protocol 1's ack: each mis-keyed result
-        is a counted corrupt frame and a re-queue, the ack is no verb,
-        and the module is the sequential compiler's."""
+        is a counted corrupt frame and a failed attempt, the ack is no
+        verb, a task out of attempts is compiled in-process, and the
+        module is the sequential compiler's."""
         fake = FakeNode(hub.address, node_id="confused", workers=4)
         assert hub.wait_for_nodes(1, timeout=10.0)
 
-        def serve():
-            for frame in iter(fake.conn.recv, None):
-                if frame.get("op") == "task":
-                    fake.answer(frame, function_name=FUNCTIONS[0])
-                    fake.conn.send({"op": "task-done", "id": frame["id"]})
+        def misanswer(frame):
+            fake.answer(frame, function_name=FUNCTIONS[0])
+            fake.conn.send({"op": "task-done", "id": frame["id"]})
 
-        threading.Thread(target=serve, daemon=True).start()
-        result = ParallelCompiler(backend=RemoteBackend(hub)).compile(SOURCE)
+        _serve(fake, misanswer)
+        backend = RemoteBackend(hub)
+        backend.health.quarantine_after = 100  # the attempt budget alone
+        result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == _sequential_digest()
-        # two tasks, refused on the fleet until their re-queue budget ran out
-        assert hub.stats.corrupt_frames == 2 * (hub.max_requeues + 1)
-        assert hub.stats.tasks_requeued == hub.stats.corrupt_frames
-        assert hub.stats.tasks_local_fallback == 2
-        assert hub.stats.results_deduped == 0
+        # two tasks, refused on the fleet until their attempts ran out
+        assert hub.stats.corrupt_frames == 2 * backend.max_attempts
+        assert backend.supervision == SupervisionStats(
+            retries=2 * (backend.max_attempts - 1), poisoned_tasks=2
+        )
+        assert sorted(
+            report.name for report in result.profile.functions
+            if report.poisoned
+        ) == sorted(FUNCTIONS[1:])
         fake.vanish()
 
     def test_zero_nodes_degrades_to_the_local_pool(self, hub):
         backend = RemoteBackend(hub)
         result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == _sequential_digest()
-        assert hub.stats.degraded_waves == 1
+        assert backend.supervision == SupervisionStats(degradations=1)
         assert hub.stats.tasks_dispatched == 0
+
+    def test_a_node_that_fails_twice_is_quarantined_until_readmission(self):
+        """Two consecutive failures bench a node: while the spell lasts
+        it is sent no task frame (the healthy node takes the fleet's
+        work), and after it the node is sent work again."""
+        with FabricHub(lease_ttl=30.0, heartbeat_interval=0.2) as hub:
+            flaky = FakeNode(hub.address, node_id="flaky", workers=4)
+            behave = [_bounce(flaky)]
+            received = _serve(flaky, lambda frame: behave[0](frame))
+            steady = WorkerNodeAgent(
+                hub.address, SerialBackend(), node_id="steady"
+            ).start()
+            try:
+                assert hub.wait_for_nodes(2, timeout=10.0)
+                backend = RemoteBackend(hub)
+                backend.health = WorkerHealthTracker(
+                    quarantine_after=2, backoff_base=1.5
+                )
+                compiler = ParallelCompiler(backend=backend)
+                assert compiler.compile(SOURCE).digest == _sequential_digest()
+                bounced = len(received)
+                assert bounced >= 2
+                assert backend.supervision == SupervisionStats(
+                    retries=bounced, quarantines=1
+                )
+                dispatched = hub.stats.tasks_dispatched
+
+                # benched: the whole next compile goes to the other node
+                assert compiler.compile(SOURCE).digest == _sequential_digest()
+                assert len(received) == bounced
+                assert hub.stats.tasks_dispatched == dispatched + len(FUNCTIONS)
+
+                # re-admitted (and mended): it is sent work again
+                behave[0] = flaky.answer
+                time.sleep(1.6)
+                assert compiler.compile(SOURCE).digest == _sequential_digest()
+                assert len(received) > bounced
+                assert backend.supervision == SupervisionStats(
+                    retries=bounced, quarantines=1
+                )
+                assert hub.stats.nodes_lost == 0
+            finally:
+                steady.stop()
+                flaky.vanish()
+
+    def test_a_heartbeating_node_that_never_answers_loses_its_tasks(self, hub):
+        """Wedged but alive: the lease never expires, and no timeout is
+        configured — the deadline derived from each task's cost takes
+        the tasks back, frees the node's slots and blames the node."""
+        fake = FakeNode(hub.address, node_id="wedged", workers=4)
+        beating = threading.Event()
+
+        def beat():
+            while not beating.wait(0.2):
+                fake.heartbeat()
+
+        threading.Thread(target=beat, daemon=True).start()
+        try:
+            assert hub.wait_for_nodes(1, timeout=10.0)
+            backend = RemoteBackend(hub)
+            assert backend.task_timeout is None
+            backend.timeout_floor = 0.5  # the derived deadline, sooner
+            backend.health = WorkerHealthTracker(
+                quarantine_after=1, backoff_base=30.0
+            )
+            result = ParallelCompiler(backend=backend).compile(SOURCE)
+            assert result.digest == _sequential_digest()
+            assert backend.supervision == SupervisionStats(
+                timeouts=3, retries=3, quarantines=1, degradations=3
+            )
+            assert backend.health.quarantined(time.monotonic()) == {
+                "node:wedged"
+            }
+            assert hub.stats.nodes_lost == 0
+            assert hub.live_node_count() == 1
+            assert hub._nodes["wedged"].inflight == {}
+        finally:
+            beating.set()
+            fake.vanish()
+
+    def test_losing_every_node_mid_wave_finishes_on_the_pool_in_parallel(self):
+        """The fleet dies holding the wave: what it held, and what was
+        still waiting for a slot, is rescued on the local pool by as
+        many dispatches as there are tasks — a pool of two runs two at
+        once (the hub used to rescue one task at a time)."""
+
+        class Pool:
+            worker_count = effective_worker_count = 2
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.running = self.peak = 0
+
+            def run_tasks_streaming(self, tasks):
+                with self.lock:
+                    self.running += 1
+                    self.peak = max(self.peak, self.running)
+                time.sleep(0.3)  # hold the slot long enough to be seen
+                yield from SerialBackend().run_tasks_streaming(tasks)
+                with self.lock:
+                    self.running -= 1
+
+        pool = Pool()
+        with FabricHub(
+            lease_ttl=1.0, heartbeat_interval=0.2, fallback=pool
+        ) as hub:
+            # one worker: two tasks in flight, the third never sent
+            fake = FakeNode(hub.address, node_id="gone", workers=1)
+            assert hub.wait_for_nodes(1, timeout=10.0)
+            backend = RemoteBackend(hub)
+            results, consumer = _consume(backend)
+            fake.recv_task(), fake.recv_task()
+            fake.vanish()
+            consumer.join(timeout=60.0)
+            assert not consumer.is_alive(), "wave never completed"
+            assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
+            assert pool.peak >= 2
+            # two failures blamed on the node (benched, moot), the
+            # unsent task's on the farm
+            assert backend.supervision == SupervisionStats(
+                retries=3, quarantines=1, degradations=3
+            )
+            assert hub.stats.tasks_dispatched == 2
 
     def test_node_joining_mid_stream_is_used_next_wave(self, hub):
         backend = RemoteBackend(hub)
@@ -330,6 +501,43 @@ class TestSchedulingAndFailure:
 
     def test_empty_wave_is_a_noop(self, hub):
         assert list(RemoteBackend(hub).run_tasks_streaming([])) == []
+
+
+class TestNodeAgent:
+    def test_concurrent_tasks_are_each_counted_once(self):
+        """The agent's counters are bumped from its session's pool
+        threads: N tasks through one agent, eight at a time, read
+        exactly N — completed and failed alike."""
+
+        class Link:
+            def send(self, frame):
+                pass
+
+        class Canned:
+            worker_count = 8
+
+            def __init__(self, result):
+                self.result = result
+
+            def run_tasks_streaming(self, tasks):
+                return [self.result]
+
+        task = _tasks()[0]
+        agent = WorkerNodeAgent(
+            "127.0.0.1:1", Canned(run_function_master(task)), node_id="n"
+        )
+        good = encode_task(task, "s.main@0#0")
+        unopenable = dict(good, sha256="0" * 64)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt between any two bytecodes
+        try:
+            with ThreadPoolExecutor(Canned.worker_count) as pool:
+                for i in range(300):
+                    frame = unopenable if i % 3 == 0 else good
+                    pool.submit(agent._run_task, Link(), frame)
+        finally:
+            sys.setswitchinterval(switch)
+        assert (agent.tasks_completed, agent.tasks_failed) == (200, 100)
 
 
 class TestComposition:
@@ -350,6 +558,29 @@ class TestComposition:
         finally:
             for agent in agents:
                 agent.stop()
+
+    def test_serve_supervised_tunes_the_fleets_one_supervisor(self, hub):
+        """``serve --fabric-port --supervised``: the flags land on the
+        supervisor the fleet already has — nothing is stacked on it —
+        and it still degrades to the hub's fallback."""
+        from repro.cli import build_parser, stack
+
+        args = build_parser().parse_args(
+            ["serve", "--supervised", "--task-timeout", "7",
+             "--hedge-after", "0.5"]
+        )
+        fleet = RemoteBackend(hub)
+        assert (fleet.task_timeout, fleet.hedge_after) == (None, None)
+        backend = stack.supervise(args, fleet)
+        assert backend is fleet and backend.inner is hub
+        assert (backend.task_timeout, backend.hedge_after) == (7.0, 0.5)
+        result = ParallelCompiler(backend=backend).compile(SOURCE)
+        assert result.digest == _sequential_digest()
+        assert backend.supervision == SupervisionStats(degradations=1)
+        # a pool is wrapped, as before
+        pool = SerialBackend()
+        wrapped = stack.supervise(args, pool)
+        assert wrapped.inner is pool and wrapped.task_timeout == 7.0
 
     def test_compile_service_composes_unchanged(self, hub):
         agent = WorkerNodeAgent(
@@ -379,11 +610,10 @@ class TestAuthentication:
             ).start()
             try:
                 assert hub.wait_for_nodes(1, timeout=10.0)
-                result = ParallelCompiler(backend=RemoteBackend(hub)).compile(
-                    SOURCE
-                )
+                backend = RemoteBackend(hub)
+                result = ParallelCompiler(backend=backend).compile(SOURCE)
                 assert result.digest == _sequential_digest()
-                assert hub.stats.degraded_waves == 0
+                assert backend.supervision.degradations == 0
             finally:
                 agent.stop()
 
@@ -458,11 +688,15 @@ class TestHubRestart:
 
 class TestWaveCleanup:
     def test_authoritative_error_purges_the_wave_state(self, hub):
-        """A compile error on the wave's last open task must sweep the
-        wave's task states out of the hub (a long-running serve process
-        would otherwise leak one wave per failed compile)."""
+        """A task nothing can compile is bounded: the node bounces it
+        until its attempts run out, the in-process compile's error is
+        the authoritative one (the function is stubbed around its
+        traceback), and the hub holds no attempt of the finished wave (a
+        long-running serve process would otherwise leak one per failed
+        compile)."""
         fake = FakeNode(hub.address, node_id="bouncer")
         assert hub.wait_for_nodes(1, timeout=10.0)
+        received = _serve(fake, _bounce(fake))
         bad = FunctionTask(
             source_text="this is not a module",
             filename="bad.w2",
@@ -470,22 +704,15 @@ class TestWaveCleanup:
             function_name="main",
         )
         backend = RemoteBackend(hub)
-        errors = []
-
-        def consume():
-            try:
-                list(backend.run_tasks_streaming([bad]))
-            except Exception as exc:  # noqa: BLE001 - the point of the test
-                errors.append(exc)
-
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        frame = fake.recv_task()
-        # The node bounces the task; the local fallback reproduces the
-        # canonical compile error, which ends the wave.
-        fake.conn.send({"op": "task-failed", "id": frame["id"], "error": "boom"})
-        consumer.join(timeout=60.0)
-        assert not consumer.is_alive(), "wave never surfaced the error"
-        assert errors, "compile error was swallowed"
-        assert hub._tasks == {}, "failed wave leaked its task states"
+        backend.health.quarantine_after = 100
+        (result,) = backend.run_tasks_streaming([bad])
+        assert len(received) == backend.max_attempts
+        assert result.report.failed == 1 and result.report.poisoned == 1
+        assert "in-process compile failed" in result.diagnostics[0]
+        assert "node reported: boom" in result.diagnostics[0]
+        assert backend.supervision == SupervisionStats(
+            retries=backend.max_attempts - 1, poisoned_tasks=1
+        )
+        assert hub._attempts == {}, "finished wave leaked its attempts"
+        assert not hub._pending
         fake.vanish()

@@ -132,6 +132,49 @@ class TestProtocol:
         assert detail["report"] == waited[0]["report"]
         assert detail["diagnostics"] == waited[0]["diagnostics"]
 
+    def test_status_reports_what_the_backend_did_about_failures(
+        self, endpoint, capsys
+    ):
+        """A server over a fleet answers "how many tasks did you retry?":
+        the shared backend's supervision counters and the hub's, in
+        ``status --json`` and on one line of the text report.  A plain
+        pool has neither to report."""
+        from repro.cli import main
+        from repro.fabric import FabricHub, RemoteBackend
+
+        address, _ = endpoint
+        assert not {"supervision", "fabric"} & set(
+            ServiceClient(address).status()["stats"]
+        )
+        with FabricHub(lease_ttl=1.0, heartbeat_interval=0.2) as hub:
+            fleet = ServiceSocketServer(CompileService(RemoteBackend(hub)))
+            thread = threading.Thread(
+                target=fleet.serve_until_shutdown, daemon=True
+            )
+            thread.start()
+            try:
+                client = ServiceClient(fleet.address)
+                client.submit_and_wait(SOURCE, timeout=60.0)
+                stats = client.status()["stats"]
+                # no node ever registered: the one wave ran locally
+                assert stats["supervision"]["degradations"] == 1
+                assert stats["supervision"]["retries"] == 0
+                assert stats["fabric"] == {
+                    "live_nodes": 0, "nodes_registered": 0, "nodes_lost": 0,
+                    "waves": 0, "tasks_dispatched": 0, "corrupt_frames": 0,
+                }
+                assert main(["status", "--connect", fleet.address]) == 0
+                (line,) = [
+                    line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("supervision: ")
+                ]
+                assert ", 1 degradations, " in line
+                assert ", 0 retries, " in line
+                assert "; fabric: 0 corrupt frames, 0 live nodes, " in line
+            finally:
+                fleet.request_shutdown(drain=False)
+                thread.join(timeout=30.0)
+
     def test_unknown_job_is_a_protocol_error(self, endpoint):
         address, _ = endpoint
         client = ServiceClient(address)

@@ -251,12 +251,16 @@ class TestHealthTracker:
     def test_all_quarantined_by_capacity_or_farm(self):
         tracker = WorkerHealthTracker(quarantine_after=1, backoff_base=10.0)
         tracker.record_failure("w0", now=0.0)
-        assert tracker.all_quarantined(now=1.0, capacity=2) is False
+        assert tracker.all_quarantined(1.0, ("w0", "w1")) is False
         tracker.record_failure("w1", now=0.0)
-        assert tracker.all_quarantined(now=1.0, capacity=2) is True
+        assert tracker.all_quarantined(1.0, ("w0", "w1")) is True
+        # a benched name that left the farm bounds nothing ...
+        assert tracker.all_quarantined(1.0, ("w1", "w2")) is False
+        # ... and a farm with no worker at all has no capacity
+        assert tracker.all_quarantined(1.0, ()) is True
         farm_only = WorkerHealthTracker(quarantine_after=1, backoff_base=10.0)
         farm_only.record_failure(FARM, now=0.0)
-        assert farm_only.all_quarantined(now=1.0, capacity=99) is True
+        assert farm_only.all_quarantined(1.0, ("w0", "w1")) is True
 
 
 class TestQuarantineAndDegradation:
