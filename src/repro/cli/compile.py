@@ -40,8 +40,9 @@ def register_compile(sub):
     )
     parser.add_argument(
         "--chaos", type=int, default=None, metavar="SEED",
-        help="inject deterministic faults (crashes, hangs, corrupt "
-        "payloads) seeded by SEED; implies --supervised and --parallel",
+        help="compile on a simulated flaky farm: deterministic faults "
+        "(crashes, hangs, corrupt payloads) seeded by SEED; implies "
+        "--parallel",
     )
     parser.add_argument(
         "--chaos-poison", default=None, metavar="SECTION.FUNCTION",
@@ -86,24 +87,20 @@ def report_compile_error(error: CompileError, as_json: bool) -> int:
 def run_compile(args) -> int:
     source = options.read_source(args.file)
     compile_options = options.compile_options(args)
-    supervised = args.supervised or args.chaos is not None
-    # Supervision wraps the parallel backend, and --parallel with
-    # --cache-dir / --no-cache is the one switch for the on-disk tiers.
-    parallel = args.parallel or supervised
     caches = {}
     try:
-        if parallel:
+        # --parallel with --cache-dir / --no-cache is the one switch for
+        # the on-disk tiers.
+        if args.parallel or args.chaos is not None:
             caches = stack.open_caches(
                 args, "artifact cache", "parse cache", "link cache"
             )
             # Owned by this one compile and shut down with it: a warm
             # pool used once is the cold pool.
-            backend = stack.build_backend(args, args.chaos, args.chaos_poison)
-            if supervised:
-                backend = stack.supervise(
-                    args, backend, max_attempts=args.max_attempts,
-                    poison_threshold=args.poison_threshold,
-                )
+            farm = None
+            if args.chaos is not None:
+                farm = stack.chaos_farm(args.chaos, args.chaos_poison)
+            backend = stack.build_backend(args, farm)
             with ParallelCompiler(
                 backend, compile_options,
                 cache=caches.get("artifact cache"), owns_backend=True,

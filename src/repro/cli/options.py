@@ -62,17 +62,14 @@ def caches(parser, no_cache: bool = True, cache_url: bool = False) -> None:
 
 
 def supervision(parser) -> None:
-    """``--supervised`` and its two tuning flags."""
-    parser.add_argument(
-        "--supervised", action="store_true",
-        help="wrap the backend in the supervision layer (deadlines, "
-        "straggler hedging, worker quarantine, poison-task isolation); "
-        "on compile it implies --parallel",
-    )
+    """The two flags that tune the supervisor every farm runs under
+    (deadlines, straggler hedging, worker quarantine, poison-task
+    isolation)."""
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="fixed per-attempt deadline for --supervised (default: "
-        "derived from each task's cost estimate; 0 disables deadlines)",
+        help="fixed per-attempt deadline of the farm's supervisor "
+        "(default: derived from each task's cost estimate; 0 disables "
+        "deadlines)",
     )
     parser.add_argument(
         "--hedge-after", type=float, default=0.75, metavar="FRACTION",

@@ -59,22 +59,13 @@ def register_serve(sub):
         "--predict", action="store_true",
         help="learn per-function compile costs from observed wall-clock "
         "(persistent observation store under --cache-dir) and use them "
-        "for fair-share ordering, LPT batch packing, and supervised "
-        "deadlines; scheduling only — results are unchanged",
+        "for fair-share ordering, LPT batch packing, and the "
+        "supervisor's deadlines; scheduling only — results are unchanged",
     )
     parser.add_argument(
         "--no-speculation", action="store_true",
         help="with --predict: keep the learned cost model but refuse "
         "'warpcc watch' speculative precompiles",
-    )
-    parser.add_argument(
-        "--speculation-inflight", type=int, default=2, metavar="N",
-        help="concurrent speculative watch jobs (default 2)",
-    )
-    parser.add_argument(
-        "--speculation-headroom", type=int, default=2, metavar="N",
-        help="refuse speculation unless the admission queue has at "
-        "least this much free depth (default 2)",
     )
     parser.set_defaults(run=run_serve)
     return parser
@@ -102,8 +93,8 @@ def run_serve(args) -> int:
         print(f"warpcc: {error}", file=sys.stderr)
         return 2
 
-    pool = stack.build_backend(args)
-    backend = pool
+    pool = stack.build_pool(args)
+    farm = pool
     hub = None
     if args.fabric_port is not None:
         from ..fabric import FabricHub, RemoteBackend
@@ -113,9 +104,8 @@ def run_serve(args) -> int:
         hub = FabricHub(
             host=args.host, port=args.fabric_port, fallback=pool
         )
-        backend = RemoteBackend(hub)
-    if args.supervised:
-        backend = stack.supervise(args, backend)
+        farm = RemoteBackend(hub)
+    backend = stack.build_backend(args, farm)
     cost_model = None
     if args.predict:
         from ..predict import LearnedCostModel, ObservationStore
@@ -135,8 +125,6 @@ def run_serve(args) -> int:
             tenant_weights=weights,
             cost_model=cost_model,
             speculation=args.predict and not args.no_speculation,
-            speculation_inflight=args.speculation_inflight,
-            speculation_headroom=args.speculation_headroom,
         )
         server = ServiceSocketServer(
             service, host=args.host, port=args.port
@@ -228,7 +216,7 @@ def register_worker(sub):
 def run_worker(args) -> int:
     from ..fabric import FabricChaos, WorkerNodeAgent
 
-    backend = stack.build_backend(args)
+    backend = stack.build_pool(args)
     chaos = None
     if args.chaos is not None:
         chaos = FabricChaos(args.chaos, **_CHAOS_FAULTS[args.chaos_fault])

@@ -1,8 +1,9 @@
 """What a verb's flags build: the execution backend and the cache tiers.
 
 This is the only module under :mod:`repro.cli` that constructs a
-backend or opens a cache; compile, search, bench, serve and worker all
-come through :func:`build_backend` and :func:`open_caches`.
+backend or opens a cache; compile, search, bench and serve get a
+supervised farm from :func:`build_backend`, worker its bare pool from
+:func:`build_pool`, and every verb its tiers from :func:`open_caches`.
 """
 
 from __future__ import annotations
@@ -25,45 +26,55 @@ TIERS = {
 }
 
 
-def build_backend(args, chaos_seed=None, chaos_poison=None):
-    """The backend ``args.workers`` asks for — the one rule behind
+def build_pool(args):
+    """The bare farm ``args.workers`` asks for — the one rule behind
     ``--jobs`` and ``--workers``: N>1 is a warm pool of N this command
     owns, 1 is in-process serial, unset is a pool of cores-1 (a verb
     whose documented default is serial sets the flag's default to 1).
-
-    ``compile --chaos SEED`` replaces it with a simulated flaky farm
-    around an in-process executor: deterministic under the seed;
-    ``chaos_poison`` is the key of the task that crashes everywhere.
-    """
-    if chaos_seed is not None:
-        return ChaosBackend(
-            SerialBackend(),
-            workers=4,
-            seed=chaos_seed,
-            crash_rate=0.2,
-            hang_rate=0.2,
-            hang_delay=0.2,
-            corrupt_rate=0.1,
-            poison=(chaos_poison,) if chaos_poison else (),
-        )
+    Only ``worker`` runs it bare: the hub's supervisor is a node's
+    policy."""
     if args.workers is None or args.workers > 1:
         return WarmPoolBackend(args.workers)
     return SerialBackend()
 
 
-def supervise(args, backend, **tuning):
-    """``backend`` under the supervision layer, tuned by the verb's
-    ``--task-timeout`` / ``--hedge-after`` (``tuning``: what else the
-    verb has flags for).  A fleet is born supervised
-    (``RemoteBackend``): the flags tune that supervisor, not a second."""
-    tuning.update(
-        task_timeout=args.task_timeout,
-        hedge_after=args.hedge_after if args.hedge_after > 0 else None,
+def chaos_farm(seed, poison=None):
+    """``compile --chaos SEED``'s farm: a simulated flaky farm around an
+    in-process executor, deterministic under the seed; ``poison`` is the
+    key of the task that crashes everywhere."""
+    return ChaosBackend(
+        SerialBackend(),
+        workers=4,
+        seed=seed,
+        crash_rate=0.2,
+        hang_rate=0.2,
+        hang_delay=0.2,
+        corrupt_rate=0.1,
+        poison=(poison,) if poison else (),
     )
-    if isinstance(backend, SupervisedBackend):
-        vars(backend).update(tuning)
-        return backend
-    return SupervisedBackend(backend, **tuning)
+
+
+def build_backend(args, farm=None):
+    """``farm`` (default: :func:`build_pool`) under the one supervisor,
+    tuned by whichever of ``--task-timeout`` / ``--hedge-after`` /
+    ``--max-attempts`` / ``--poison-threshold`` the verb has (the
+    supervisor's defaults for the rest).  A fleet is born supervised
+    (``RemoteBackend``): the flags tune that supervisor, not a second."""
+    if farm is None:
+        farm = build_pool(args)
+    given = vars(args)
+    tuning = {
+        name: given[name]
+        for name in ("task_timeout", "max_attempts", "poison_threshold")
+        if name in given
+    }
+    hedge = given.get("hedge_after")
+    if hedge is not None:
+        tuning["hedge_after"] = hedge if hedge > 0 else None
+    if isinstance(farm, SupervisedBackend):
+        vars(farm).update(tuning)
+        return farm
+    return SupervisedBackend(farm, **tuning)
 
 
 def shutdown_backend(backend) -> None:

@@ -195,26 +195,11 @@ class ParallelCompiler:
             )
         if supervision_before is not None:
             # The supervisor's counters are cumulative across compiles;
-            # the profile records this compile's delta.
-            profile.supervised = True
-            profile.supervisor_timeouts = (
-                supervision.timeouts - supervision_before.timeouts
-            )
-            profile.supervisor_hedges_won = (
-                supervision.hedges_won - supervision_before.hedges_won
-            )
-            profile.supervisor_quarantines = (
-                supervision.quarantines - supervision_before.quarantines
-            )
-            profile.supervisor_poisoned_tasks = (
-                supervision.poisoned_tasks - supervision_before.poisoned_tasks
-            )
-            profile.supervisor_degradations = (
-                supervision.degradations - supervision_before.degradations
-            )
-            profile.supervisor_corrupt_payloads = (
-                supervision.corrupt_payloads - supervision_before.corrupt_payloads
-            )
+            # the profile records this compile's delta of each.
+            profile.supervision = {
+                name: count - getattr(supervision_before, name)
+                for name, count in vars(supervision).items()
+            }
         results: List[FunctionTaskResult] = []
         diagnostics: List[str] = []
         for section in parsed.module.sections:

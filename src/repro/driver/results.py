@@ -109,16 +109,11 @@ class WorkProfile:
     #: counts live on the per-function reports.
     artifact_cache_evictions: int = 0
     artifact_cache_corrupt: int = 0
-    #: supervision counters for this compile (all 0 unless the backend
-    #: was wrapped in :class:`repro.parallel.supervisor.SupervisedBackend`;
-    #: ``supervised`` records whether a supervisor was present at all).
-    supervised: bool = False
-    supervisor_timeouts: int = 0
-    supervisor_hedges_won: int = 0
-    supervisor_quarantines: int = 0
-    supervisor_poisoned_tasks: int = 0
-    supervisor_degradations: int = 0
-    supervisor_corrupt_payloads: int = 0
+    #: this compile's delta of every
+    #: :class:`~repro.parallel.supervisor.SupervisionStats` counter —
+    #: retries, timeouts, hedges, quarantines, poisoned tasks, … (empty
+    #: when the backend has no supervisor of its own)
+    supervision: Dict[str, int] = field(default_factory=dict)
     #: variant-search counters (all zero / empty outside ``warpcc
     #: search``).  ``search_wins`` maps a config key ("o2u64i0") to how
     #: many functions it won; cycle counts are whole-module simulated
@@ -262,15 +257,13 @@ class CompilationResult:
                 f"{self.profile.search_variants_disqualified} disqualified"
                 + (f"; wins: {wins}" if wins else "")
             )
-        if self.profile.supervised:
-            lines.append(
-                f"supervision: {self.profile.supervisor_timeouts} timeout(s), "
-                f"{self.profile.supervisor_hedges_won} hedge(s) won, "
-                f"{self.profile.supervisor_quarantines} quarantine(s), "
-                f"{self.profile.supervisor_poisoned_tasks} poisoned task(s), "
-                f"{self.profile.supervisor_degradations} degradation(s), "
-                f"{self.profile.supervisor_corrupt_payloads} corrupt payload(s)"
-            )
+        happened = ", ".join(
+            f"{count} {name.replace('_', ' ')}"
+            for name, count in self.profile.supervision.items()
+            if count
+        )
+        if happened:
+            lines.append(f"supervision: {happened}")
         return lines
 
     def to_dict(self) -> Dict:

@@ -541,8 +541,10 @@ class FabricHub:
 class RemoteBackend(SupervisedBackend):
     """The fleet behind the standard execution-backend surface: the
     supervisor's run loop over the hub's events, degrading to
-    ``hub.fallback`` (under ``warpcc serve``, the local pool); hedging
-    is off until a caller tunes it on (``serve --supervised``)."""
+    ``hub.fallback`` (under ``warpcc serve``, the local pool).  Hedging
+    is off until a caller tunes it on — ``warpcc serve`` does, with its
+    ``--hedge-after``; a worker node's own pool runs bare, so this is
+    the one policy for every task the fleet runs."""
 
     def __init__(self, hub: FabricHub):
         super().__init__(hub, hedge_after=None, fallback=hub.fallback)

@@ -25,7 +25,8 @@ master the paper wished for, around any execution backend:
 
 3. **Worker health and quarantine.**  Failures are attributed to the
    worker that produced them (or to the farm as a whole when the backend
-   can't say).  ``quarantine_after`` consecutive failures put a worker in
+   can't say — once for a dispatch whose stream dies, however many tasks
+   it held).  ``quarantine_after`` consecutive failures put a worker in
    timed quarantine with exponentially backed-off re-admission.  When
    *every* worker the backend names (``worker_names``) is quarantined —
    or it names none: a fleet with no live node — dispatch gracefully
@@ -550,6 +551,7 @@ class _SupervisedRun:
         tkey: tuple,
         worker: Optional[str],
         reason: str,
+        blame: bool = True,
     ) -> Iterator[FunctionTaskResult]:
         state = self.states.get(tkey)
         if state is None or state.resolved or tkey in dispatch.failed:
@@ -558,7 +560,7 @@ class _SupervisedRun:
         state.active.pop(dispatch.id, None)
         state.failures.append((worker, reason))
         state.distinct_workers.add(worker or f"?{len(state.failures)}")
-        if dispatch.kind != "fallback":
+        if blame and dispatch.kind != "fallback":
             if self.health.record_failure(worker or FARM, self.sup.clock()):
                 self.stats.quarantines += 1
         yield from self._next_move(state)
@@ -578,7 +580,16 @@ class _SupervisedRun:
             self._launch([state.task], "retry")
 
     def _on_done(self, dispatch: _Dispatch) -> Iterator[FunctionTaskResult]:
+        """A dispatch's stream ended.  Each task it still held spends the
+        attempt it was launched with, but the farm is blamed once for the
+        whole stream, however many tasks it held: one worker crash takes
+        a pool's executor and every task on it, and must not bench the
+        farm on its own."""
         self.dispatches.pop(dispatch.id, None)
+        reason = "dispatch finished without a result"
+        if dispatch.error is not None:
+            reason = f"dispatch crashed: {dispatch.error!r}"
+        blame = True
         for tkey in dispatch.keys:
             state = self.states.get(tkey)
             if state is None or state.resolved:
@@ -586,10 +597,10 @@ class _SupervisedRun:
             if tkey in dispatch.failed or tkey in dispatch.abandoned:
                 continue
             if dispatch.id in state.active:
-                reason = "dispatch finished without a result"
-                if dispatch.error is not None:
-                    reason = f"dispatch crashed: {dispatch.error!r}"
-                yield from self._attempt_failed(dispatch, tkey, None, reason)
+                yield from self._attempt_failed(
+                    dispatch, tkey, None, reason, blame
+                )
+                blame = False
 
     def _expire(self, now: float) -> Iterator[FunctionTaskResult]:
         suspects: Set[int] = set()

@@ -18,9 +18,10 @@ re-parse in every worker.
 - tasks are dispatched in §4.3 cost-balanced batches
   (:func:`repro.parallel.schedule.batch_tasks_by_cost`), so tiny
   functions share one IPC round-trip instead of paying one each;
-- a crashed worker (``BrokenProcessPool``) is survivable: the broken
-  pool is discarded and the batch re-run on a fresh one — safe because
-  function masters are pure (same task, same object code).
+- a crashed worker (``BrokenProcessPool``) costs only the executor it
+  broke: that one is discarded and the next dispatch starts a fresh
+  one.  Which tasks run again is not the pool's decision but the
+  supervisor's (:mod:`repro.parallel.supervisor`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class WarmPoolBackend:
         self,
         max_workers: Optional[int] = None,
         batches_per_worker: int = 2,
-        crash_retries: int = 1,
     ):
         if max_workers is None:
             max_workers = max(1, (os.cpu_count() or 2) - 1)
@@ -56,13 +56,8 @@ class WarmPoolBackend:
             raise ValueError(
                 f"need at least one batch per worker, got {batches_per_worker}"
             )
-        if crash_retries < 0:
-            raise ValueError(
-                f"crash retries must be non-negative, got {crash_retries}"
-            )
         self._max_workers = max_workers
         self._batches_per_worker = batches_per_worker
-        self._crash_retries = crash_retries
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         #: guards pool creation/teardown — the compile service may reach
         #: the farm from several threads (dispatcher, drain, telemetry);
@@ -73,9 +68,8 @@ class WarmPoolBackend:
         #: pluggable LPT cost seam; None packs batches by the static
         #: §4.3 hint (see schedule.provided_task_costs)
         self.cost_provider = None
-        #: telemetry: completed dispatches / pools rebuilt after crash
+        #: telemetry: completed dispatches
         self.dispatches = 0
-        self.crash_recoveries = 0
 
     # -- ExecutionBackend protocol ------------------------------------
 
@@ -94,10 +88,10 @@ class WarmPoolBackend:
     ) -> Iterator[FunctionTaskResult]:
         """Yield results batch-by-batch as the farm completes them.
 
-        Crash recovery is batch-granular: after a ``BrokenProcessPool``
-        only batches whose results have not yet been yielded are rerun on
-        the fresh pool (function masters are pure, so a rerun is safe; a
-        yielded batch is never rerun, so the consumer sees no duplicates).
+        A worker that dies raises ``BrokenProcessPool`` here, after the
+        executor it broke has been discarded (the next dispatch starts a
+        fresh one).  Whatever this dispatch had not yielded yet is lost
+        to it; the supervisor decides what runs again.
         """
         if not tasks:
             return
@@ -105,34 +99,21 @@ class WarmPoolBackend:
             provided_task_costs(tasks, self.cost_provider),
             min(len(tasks), self._max_workers * self._batches_per_worker),
         )
-        batches = [[tasks[i] for i in chunk] for chunk in chunks]
-        self._last_effective_workers = min(self._max_workers, len(batches))
-        pending = list(range(len(batches)))
-        for attempt in range(self._crash_retries + 1):
-            pool = self._ensure_pool()
-            completed: List[int] = []
-            try:
-                # submit itself raises BrokenProcessPool when the pool
-                # died between calls (e.g. a worker crashed while idle).
-                futures = {
-                    pool.submit(run_compile_batch, batches[index]): index
-                    for index in pending
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    results = future.result()
-                    completed.append(futures[future])
-                    yield from results
-                self.dispatches += 1
-                return
-            except BrokenProcessPool:
-                # A worker died mid-batch.  Discard the broken pool and
-                # retry whatever had not completed.
-                self.crash_recoveries += 1
-                self._discard_pool()
-                pending = [i for i in pending if i not in completed]
-                if attempt == self._crash_retries:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+        self._last_effective_workers = min(self._max_workers, len(chunks))
+        pool = self._ensure_pool()
+        try:
+            # submit itself raises BrokenProcessPool when the pool died
+            # between calls (e.g. a worker crashed while idle).
+            futures = [
+                pool.submit(run_compile_batch, [tasks[i] for i in chunk])
+                for chunk in chunks
+            ]
+            for future in concurrent.futures.as_completed(futures):
+                yield from future.result()
+        except BrokenProcessPool:
+            self._discard_pool(pool)
+            raise
+        self.dispatches += 1
 
     # -- pool lifecycle -----------------------------------------------
 
@@ -149,11 +130,14 @@ class WarmPoolBackend:
                 )
             return self._pool
 
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, broken) -> None:
+        """Drop the executor ``broken``.  Dispatches on several threads
+        share one executor, and one that sees the crash late must not
+        tear down the fresh executor another has started since."""
         with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if self._pool is broken:
+                self._pool = None
+        broken.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the farm.  The next dispatch lazily restarts it."""

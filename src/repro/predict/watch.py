@@ -20,9 +20,9 @@ Safety rules (speculation must never hurt a real tenant):
   donated only when otherwise idle;
 - a newer edit for the same watch key cancels the previous speculative
   job (supersession) before submitting the next one;
-- hard caps: at most ``max_inflight`` live speculative jobs across all
-  watches, and no submission when fewer than ``queue_headroom`` job
-  slots remain — speculation can never push a real tenant into
+- hard caps: at most :data:`MAX_INFLIGHT` live speculative jobs across
+  all watches, and no submission when fewer than :data:`QUEUE_HEADROOM`
+  job slots remain — speculation can never push a real tenant into
   backpressure;
 - admission rejections are swallowed (speculation is best-effort), and
   a source that does not parse is skipped without disturbing the
@@ -46,6 +46,12 @@ from ..options import CompileOptions
 #: per-tenant inflight cap applies to it like anyone else)
 SPECULATION_TENANT = "speculation"
 
+#: live speculative jobs allowed across all watches
+MAX_INFLIGHT = 2
+
+#: free admission-queue depth a speculative submit leaves untouched
+QUEUE_HEADROOM = 2
+
 
 @dataclass
 class _WatchState:
@@ -65,24 +71,10 @@ class SpeculationManager:
     the other order would deadlock.
     """
 
-    def __init__(
-        self,
-        service,
-        *,
-        max_inflight: int = 2,
-        queue_headroom: int = 2,
-    ):
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be positive, got {max_inflight}"
-            )
-        if queue_headroom < 0:
-            raise ValueError(
-                f"queue_headroom must be non-negative, got {queue_headroom}"
-            )
+    def __init__(self, service):
         self._service = service
-        self.max_inflight = max_inflight
-        self.queue_headroom = queue_headroom
+        self.max_inflight = MAX_INFLIGHT
+        self.queue_headroom = QUEUE_HEADROOM
         self._lock = threading.Lock()
         self._watches: Dict[str, _WatchState] = {}
         #: counters (ints; read without the lock by service_stats)

@@ -11,11 +11,11 @@ Architecture (one process, many threads)::
                                            │ cache-miss tasks
                                            ▼
                                   FairShareQueue (tenant/job stride)
-                                           │ waves of ≤ wave_size
+                                           │ waves of ≤ 2 × workers
                                            ▼
                                   dispatcher thread ─▶ ONE shared
-                                  backend (warm pool, possibly
-                                  supervised) ─▶ results routed back
+                                  supervised farm (warm pool or
+                                  fleet) ─▶ results routed back
                                   to their jobs by (section, function)
 
 Every job is an ordinary :class:`~repro.driver.master.ParallelCompiler`
@@ -23,12 +23,13 @@ compile, run in a runner thread over a per-job backend that detours its
 cache-miss tasks through the shared fair-share queue instead of a
 private pool.  Per-job state (WorkProfile, combiner, diagnostics)
 therefore stays isolated by construction; only pool slots and the
-artifact cache are shared.  The pool backend is used exclusively by the
-dispatcher thread, one wave at a time, through the same
-``run_tasks_streaming`` surface every other caller uses — wrapping the
-pool in :class:`~repro.parallel.supervisor.SupervisedBackend` works
-unchanged, and supervision (deadlines, hedging, quarantine) then applies
-per wave across all tenants' tasks.
+artifact cache are shared.  The shared backend is used exclusively by
+the dispatcher thread, one wave at a time, through the same
+``run_tasks_streaming`` surface every other caller uses, and it always
+runs under :class:`~repro.parallel.supervisor.SupervisedBackend`:
+supervision (retries, deadlines, hedging, quarantine) applies per wave
+across all tenants' tasks.  A wave is twice the workers the backend has
+*now* — a fleet's count moves as nodes come and go.
 
 Backpressure is explicit: a full queue or a tenant over its in-flight
 cap raises :class:`AdmissionError` (the socket protocol maps it to an
@@ -54,6 +55,7 @@ from ..lang.diagnostics import CompileError
 from ..options import CompileOptions
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
 from ..parallel.backend import stream_task_results
+from ..parallel.supervisor import SupervisedBackend
 from .queue import FairShareQueue, QueuedTask, priority_index
 
 #: job lifecycle states (terminal: done/failed/cancelled)
@@ -158,11 +160,15 @@ class _JobBackend:
     as the dispatcher routes them back.  It exposes no ``supervision``:
     the shared pool's counters aggregate every tenant's jobs."""
 
+    effective_worker_count = 1
+
     def __init__(self, service: "CompileService", job: JobRecord):
         self._service = service
         self._job = job
-        self.worker_count = service.worker_count
-        self.effective_worker_count = service.worker_count
+
+    @property
+    def worker_count(self) -> int:
+        return self._service.worker_count
 
     def run_tasks_streaming(
         self, tasks: List[FunctionTask]
@@ -186,8 +192,10 @@ class CompileService:
 
     ``backend`` may be any :class:`~repro.parallel.backend
     .ExecutionBackend` — typically a
-    :class:`~repro.parallel.warm_pool.WarmPoolBackend`, optionally
-    wrapped in :class:`~repro.parallel.supervisor.SupervisedBackend`.
+    :class:`~repro.parallel.warm_pool.WarmPoolBackend` or a fleet's
+    ``RemoteBackend``; one that is not already a
+    :class:`~repro.parallel.supervisor.SupervisedBackend` runs under a
+    fresh one, the service's one recovery policy and cost observer.
     A caller-provided backend (and cache) is *borrowed*: the service
     never shuts it down.  With ``backend=None`` the service builds and
     owns a warm pool of ``max_workers``.
@@ -203,11 +211,8 @@ class CompileService:
         max_running: int = 4,
         per_tenant_inflight: int = 8,
         tenant_weights: Optional[Dict[str, float]] = None,
-        wave_size: Optional[int] = None,
         cost_model=None,
         speculation: bool = False,
-        speculation_inflight: int = 2,
-        speculation_headroom: int = 2,
     ):
         if max_queued < 1:
             raise ValueError(f"max_queued must be positive, got {max_queued}")
@@ -225,15 +230,9 @@ class CompileService:
             from ..parallel.warm_pool import WarmPoolBackend
 
             backend = WarmPoolBackend(max_workers=max_workers)
+        if not isinstance(backend, SupervisedBackend):
+            backend = SupervisedBackend(backend)
         self._backend = backend
-        self.worker_count = max(1, backend.worker_count)
-        self.wave_size = (
-            wave_size if wave_size is not None else self.worker_count * 2
-        )
-        if self.wave_size < 1:
-            raise ValueError(
-                f"wave_size must be positive, got {self.wave_size}"
-            )
         self._cache = cache
         self.max_queued = max_queued
         self.max_running = max_running
@@ -242,24 +241,16 @@ class CompileService:
         #: learned cost model (repro.predict.observe.LearnedCostModel) or None
         #: for the static §4.3 hints everywhere.  When set it becomes
         #: the cost provider for the fair queue and for every backend in
-        #: the wrapper chain that exposes the seam, and it is fed
-        #: observations: by the supervisor (winning attempt only) when
-        #: one is in the chain, else from wave spans here.
+        #: the wrapper chain that exposes the seam, and the supervisor
+        #: feeds it each task's winning attempt.
         self.cost_model = cost_model
-        self._observe_spans = False
         if cost_model is not None:
-            self._observe_spans = True
-            node, seen = backend, set()
-            while node is not None and id(node) not in seen:
-                seen.add(id(node))
+            backend.cost_observer = cost_model.observe_task
+            node = backend
+            while node is not None:
                 own = getattr(node, "__dict__", {})
                 if "cost_provider" in own:
                     node.cost_provider = cost_model
-                if "cost_observer" in own:
-                    node.cost_observer = cost_model.observe_task
-                    # the supervisor measures the winning attempt
-                    # precisely; span-based recording would double count
-                    self._observe_spans = False
                 node = own.get("inner")
 
         self.fair_queue = FairShareQueue(
@@ -289,11 +280,7 @@ class CompileService:
         if speculation:
             from ..predict.watch import SpeculationManager
 
-            self._speculation = SpeculationManager(
-                self,
-                max_inflight=speculation_inflight,
-                queue_headroom=speculation_headroom,
-            )
+            self._speculation = SpeculationManager(self)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="warpcc-dispatcher", daemon=True
         )
@@ -308,6 +295,13 @@ class CompileService:
         self._dispatcher.start()
         for runner in self._runners:
             runner.start()
+
+    @property
+    def worker_count(self) -> int:
+        """Workers behind the shared backend now (a fleet's count moves
+        as nodes come and go): what sizes a wave, a job's effective
+        workers, the busy-time bill and ``status``."""
+        return max(1, self._backend.worker_count)
 
     # -- clock ---------------------------------------------------------
 
@@ -501,11 +495,12 @@ class CompileService:
                     if self._closing and not active:
                         return
                     self._cond.wait()
-                wave = self.fair_queue.next_wave(self.wave_size)
+                workers = self.worker_count
+                wave = self.fair_queue.next_wave(2 * workers)
             if wave:
-                self._run_wave(wave)
+                self._run_wave(wave, workers)
 
-    def _run_wave(self, wave: List[QueuedTask]) -> None:
+    def _run_wave(self, wave: List[QueuedTask], workers: int) -> None:
         tasks = [queued.task for queued in wave]
         route: Dict[Tuple[str, str], QueuedTask] = {
             queued.task.key: queued for queued in wave
@@ -523,7 +518,7 @@ class CompileService:
             self.stats["tasks_dispatched"] += len(tasks)
             self.stats["busy_worker_seconds"] += (
                 wave_end - wave_start
-            ) * min(len(tasks), self.worker_count)
+            ) * min(len(tasks), workers)
             if route:
                 # Keys never routed: the wave died (pool failure) or the
                 # backend under-delivered.  Fail every involved job.
@@ -546,46 +541,27 @@ class CompileService:
     ) -> None:
         key = result.key
         now = self._now()
-        observed: Optional[FunctionTask] = None
-        try:
-            with self._cond:
-                queued = route.pop(key, None)
-                if queued is None:
-                    return  # late duplicate or unknown — drop
-                job_id = queued.job_id
-                if self._observe_spans:
-                    observed = queued.task
-                job = self._jobs.get(job_id)
-                if job is None or job.terminal:
-                    return
-                self.spans.append(
-                    TaskSpan(
-                        job_id=job_id,
-                        label=f"{key[0]}.{key[1]}",
-                        start=wave_start,
-                        end=now,
-                    )
+        with self._cond:
+            queued = route.pop(key, None)
+            if queued is None:
+                return  # late duplicate or unknown — drop
+            job = self._jobs.get(queued.job_id)
+            if job is None or job.terminal:
+                return
+            self.spans.append(
+                TaskSpan(
+                    job_id=job.job_id,
+                    label=f"{key[0]}.{key[1]}",
+                    start=wave_start,
+                    end=now,
                 )
-                if job.cancel_requested:
-                    return  # the cancel sentinel is already in the inbox
-                job.tasks_done += 1
-                self._event(
-                    job, "function_done", function=f"{key[0]}.{key[1]}"
-                )
-                job.inbox.put(("result", result))
-                self._cond.notify_all()
-        finally:
-            # Feed the learned cost model outside the lock (it hits
-            # disk).  Span timing starts at the wave, so queueing within
-            # the wave is included — an upper bound; a supervised
-            # backend replaces this with exact winning-attempt timing.
-            if observed is not None and self.cost_model is not None:
-                try:
-                    self.cost_model.observe_task(
-                        observed, max(now - wave_start, 0.0)
-                    )
-                except Exception:
-                    pass
+            )
+            if job.cancel_requested:
+                return  # the cancel sentinel is already in the inbox
+            job.tasks_done += 1
+            self._event(job, "function_done", function=f"{key[0]}.{key[1]}")
+            job.inbox.put(("result", result))
+            self._cond.notify_all()
 
     # -- queries -------------------------------------------------------
 
@@ -711,17 +687,14 @@ class CompileService:
                 {
                     "elapsed": round(elapsed, 6),
                     "workers": self.worker_count,
-                    "wave_size": self.wave_size,
                     "jobs": counts,
                     "pending_tasks": self.fair_queue.pending_tasks(),
                     "utilization": round(self.pool_utilization(), 4),
                     "accepting": self._accepting,
                 }
             )
-            # what the shared backend did about failures, when it says
-            supervision = getattr(self._backend, "supervision", None)
-            if supervision is not None:
-                stats["supervision"] = dict(vars(supervision))
+            # what the shared backend's supervisor did about failures
+            stats["supervision"] = dict(vars(self._backend.supervision))
             fleet_stats = getattr(self._backend, "fleet_stats", None)
             if fleet_stats is not None:
                 stats["fabric"] = fleet_stats()

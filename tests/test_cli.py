@@ -371,9 +371,20 @@ class TestOneDefinitionPerFlag:
         import os
 
         from repro.cli import build_parser, stack
-        from repro.parallel import SerialBackend, WarmPoolBackend
+        from repro.parallel import (
+            SerialBackend,
+            SupervisedBackend,
+            WarmPoolBackend,
+        )
 
-        backend = stack.build_backend(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        if argv[0] == "worker":
+            # a node's pool runs bare: the hub's supervisor is its policy
+            backend = stack.build_pool(args)
+        else:
+            supervised = stack.build_backend(args)
+            assert isinstance(supervised, SupervisedBackend)
+            backend = supervised.inner
         if expected == "serial":
             assert isinstance(backend, SerialBackend)
             return

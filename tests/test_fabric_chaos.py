@@ -48,6 +48,12 @@ FAULT_PROFILES = {
     "corrupt-cache-response": {},
 }
 
+#: (lease TTL, heartbeat interval) of the test hub.  Heartbeat-drop
+#: beats faster than one compile takes, so every block sends — and, on
+#: the schedule, drops — heartbeats however quickly its programs
+#: compile; the lease still spans five beats, as everywhere else.
+HUB_TIMING = {"heartbeat-drop": (0.25, 0.05)}
+
 ENV_FAULT = os.environ.get("WARPCC_FABRIC_FAULT", "mixed")
 ENV_SEED = int(os.environ.get("WARPCC_FABRIC_SEED", "0"))
 
@@ -66,7 +72,8 @@ class _Fleet:
 
     def __init__(self, fault: str, seed: int):
         profile = FAULT_PROFILES[fault]
-        self.hub = FabricHub(lease_ttl=2.0, heartbeat_interval=0.4)
+        ttl, interval = HUB_TIMING.get(fault, (2.0, 0.4))
+        self.hub = FabricHub(lease_ttl=ttl, heartbeat_interval=interval)
         self.chaos = FabricChaos(seed=seed, **profile) if profile else None
         self.agents = [
             WorkerNodeAgent(

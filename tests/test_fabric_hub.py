@@ -560,18 +560,17 @@ class TestComposition:
                 agent.stop()
 
     def test_serve_supervised_tunes_the_fleets_one_supervisor(self, hub):
-        """``serve --fabric-port --supervised``: the flags land on the
+        """``serve --fabric-port``: its supervision flags land on the
         supervisor the fleet already has — nothing is stacked on it —
         and it still degrades to the hub's fallback."""
         from repro.cli import build_parser, stack
 
         args = build_parser().parse_args(
-            ["serve", "--supervised", "--task-timeout", "7",
-             "--hedge-after", "0.5"]
+            ["serve", "--task-timeout", "7", "--hedge-after", "0.5"]
         )
         fleet = RemoteBackend(hub)
         assert (fleet.task_timeout, fleet.hedge_after) == (None, None)
-        backend = stack.supervise(args, fleet)
+        backend = stack.build_backend(args, fleet)
         assert backend is fleet and backend.inner is hub
         assert (backend.task_timeout, backend.hedge_after) == (7.0, 0.5)
         result = ParallelCompiler(backend=backend).compile(SOURCE)
@@ -579,7 +578,7 @@ class TestComposition:
         assert backend.supervision == SupervisionStats(degradations=1)
         # a pool is wrapped, as before
         pool = SerialBackend()
-        wrapped = stack.supervise(args, pool)
+        wrapped = stack.build_backend(args, pool)
         assert wrapped.inner is pool and wrapped.task_timeout == 7.0
 
     def test_compile_service_composes_unchanged(self, hub):

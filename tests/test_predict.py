@@ -509,9 +509,8 @@ class TestWatchSpeculation:
 
     def test_inflight_cap_suppresses(self, tmp_path):
         backend = GateBackend()
-        service = CompileService(
-            backend, speculation=True, speculation_inflight=1
-        )
+        service = CompileService(backend, speculation=True)
+        service.speculation.max_inflight = 1
         try:
             a = service.watch_update(
                 synthetic_program("tiny", 2, module_name="w_cap_a"),
@@ -531,12 +530,9 @@ class TestWatchSpeculation:
     def test_queue_headroom_protects_admission(self, tmp_path):
         backend = GateBackend()
         service = CompileService(
-            backend,
-            max_queued=2,
-            max_running=1,
-            speculation=True,
-            speculation_headroom=2,
+            backend, max_queued=2, max_running=1, speculation=True
         )
+        assert service.speculation.queue_headroom == 2
         try:
             running = service.submit(
                 synthetic_program("tiny", 1, module_name="w_hr_run"),
@@ -574,9 +570,7 @@ class TestWatchSpeculation:
         queue their tasks; batch priority means every real task must
         dispatch before any speculative one once the gate opens."""
         backend = GateBackend()
-        service = CompileService(
-            backend, max_running=4, wave_size=1, speculation=True
-        )
+        service = CompileService(backend, max_running=4, speculation=True)
         try:
             real = service.submit(
                 synthetic_program("tiny", 3, module_name="w_starve_real"),

@@ -156,6 +156,37 @@ class TestConcurrentJobs:
         assert job.digest == expected
 
 
+class TestWaveSizing:
+    def test_waves_follow_a_fleet_that_grows(self):
+        """``serve --fabric-port`` starts before its nodes: the service
+        reads the backend's worker count at every wave, so once a node
+        of three workers joins, waves hold six tasks — and status, the
+        busy-time bill and a job's effective workers count three."""
+        from repro.fabric import FabricHub, RemoteBackend, WorkerNodeAgent
+
+        class ThreeWorkers(SerialBackend):
+            worker_count = 3
+
+        source = synthetic_program("tiny", 8, module_name="grow")
+        with FabricHub(lease_ttl=5.0, heartbeat_interval=0.5) as hub:
+            with CompileService(RemoteBackend(hub)) as service:
+                assert service.service_stats()["workers"] == 1
+                agent = WorkerNodeAgent(
+                    hub.address, ThreeWorkers(), node_id="late"
+                ).start()
+                try:
+                    assert hub.wait_for_nodes(1, timeout=10.0)
+                    assert service.service_stats()["workers"] == 3
+                    job = service.wait(service.submit(source), timeout=60.0)
+                    stats = service.service_stats()
+                finally:
+                    agent.stop()
+        assert job.state == "done", job.error
+        assert job.digest == SequentialCompiler().compile(source).digest
+        assert job.report["profile"]["workers_used"] == 3
+        assert (stats["waves"], stats["tasks_dispatched"]) == (2, 8)
+
+
 class TestAdmission:
     def test_backpressure_rejects_when_queue_full(self):
         backend = GateBackend()

@@ -135,17 +135,18 @@ class TestProtocol:
     def test_status_reports_what_the_backend_did_about_failures(
         self, endpoint, capsys
     ):
-        """A server over a fleet answers "how many tasks did you retry?":
-        the shared backend's supervision counters and the hub's, in
-        ``status --json`` and on one line of the text report.  A plain
-        pool has neither to report."""
+        """A server answers "how many tasks did you retry?": the shared
+        backend's supervision counters — every farm has them — and, over
+        a fleet, the hub's, in ``status --json`` and on one line of the
+        text report."""
         from repro.cli import main
         from repro.fabric import FabricHub, RemoteBackend
+        from repro.parallel import SupervisionStats
 
         address, _ = endpoint
-        assert not {"supervision", "fabric"} & set(
-            ServiceClient(address).status()["stats"]
-        )
+        stats = ServiceClient(address).status()["stats"]
+        assert stats["supervision"] == vars(SupervisionStats())
+        assert "fabric" not in stats
         with FabricHub(lease_ttl=1.0, heartbeat_interval=0.2) as hub:
             fleet = ServiceSocketServer(CompileService(RemoteBackend(hub)))
             thread = threading.Thread(

@@ -22,6 +22,7 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import (
     FARM,
     SupervisedBackend,
+    SupervisionStats,
     WorkerHealthTracker,
 )
 from repro.parallel.warm_pool import WarmPoolBackend
@@ -87,26 +88,35 @@ class TestTransparency:
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert par.profile.supervised is True
-        assert par.profile.supervisor_timeouts == 0
-        assert par.profile.supervisor_poisoned_tasks == 0
-        assert par.profile.supervisor_degradations == 0
-        assert par.profile.supervisor_corrupt_payloads == 0
+        # every counter, each this compile's delta, all zero
+        assert par.profile.supervision == vars(SupervisionStats())
+        assert "supervision:" not in "\n".join(par.report_lines())
 
     def test_unsupervised_profile_not_marked(self):
         par = ParallelCompiler(backend=SerialBackend()).compile(SOURCE)
-        assert par.profile.supervised is False
+        assert par.profile.supervision == {}
         assert "supervision:" not in "\n".join(par.report_lines())
 
     def test_report_line_carries_counters(self):
-        backend = supervised()
-        par = ParallelCompiler(backend=backend).compile(SOURCE)
-        supervision_lines = [
-            line for line in par.report_lines() if line.startswith("supervision:")
+        """Per compile, not per supervisor lifetime, and only what
+        happened: each task's one corruption is spent by the first
+        compile, so the second over the same supervisor reports none."""
+        backend = supervised(
+            chaos(seed=2, corrupt_rate=1.0), hedge_after=None
+        )
+        compiler = ParallelCompiler(backend=backend)
+        first = compiler.compile(SOURCE)
+        second = compiler.compile(SOURCE)
+        assert first.profile.supervision == vars(backend.supervision)
+        assert first.profile.supervision["corrupt_payloads"] == 6
+        (line,) = [
+            line for line in first.report_lines()
+            if line.startswith("supervision:")
         ]
-        assert len(supervision_lines) == 1
-        assert "timeout(s)" in supervision_lines[0]
-        assert "poisoned task(s)" in supervision_lines[0]
+        assert "6 retries" in line and line.endswith(", 6 corrupt payloads")
+        assert " 0 " not in line  # the nonzero counters only
+        assert second.profile.supervision == vars(SupervisionStats())
+        assert "supervision:" not in "\n".join(second.report_lines())
 
     def test_delegates_inner_attributes(self):
         inner = WarmPoolBackend(max_workers=1)
@@ -283,7 +293,7 @@ class TestQuarantineAndDegradation:
         assert par.digest == seq.digest
         assert backend.supervision.quarantines >= 2
         assert backend.supervision.degradations >= 1
-        assert par.profile.supervisor_degradations >= 1
+        assert par.profile.supervision["degradations"] >= 1
 
     def test_quarantined_workers_are_excluded_from_dispatch(self):
         inner = chaos(workers=3, seed=0, dead_workers=("w1",))
@@ -369,7 +379,7 @@ class TestResultValidation:
         assert par.digest == seq.digest
         assert inner.injected_corruptions == 6
         assert backend.supervision.corrupt_payloads == 6
-        assert par.profile.supervisor_corrupt_payloads == 6
+        assert par.profile.supervision["corrupt_payloads"] == 6
         # The retried results linked through the runner, not a
         # fallback: every section was clean by the time it combined.
         assert compiler.last_phase4_stats.mode == "parallel"
@@ -459,7 +469,7 @@ class TestSeededChaosEndToEnd:
         supervision_line = [
             line for line in par.report_lines() if line.startswith("supervision:")
         ]
-        assert supervision_line and "1 poisoned task(s)" in supervision_line[0]
+        assert supervision_line and "1 poisoned tasks" in supervision_line[0]
 
     def test_chaos_injection_is_deterministic_under_a_seed(self):
         seed, rates = self._config()
@@ -515,22 +525,31 @@ class TestChaosCli:
         assert "[poisoned: isolated in-process]" in out
         assert "supervision:" in out
 
-    def test_supervised_flag_prints_counters(self, tmp_path, capsys):
+    def test_plain_parallel_compile_isolates_and_counts_poison(
+        self, tmp_path, capsys
+    ):
+        """No switch turns supervision on: ``compile --parallel`` is
+        supervised, and its ``--json`` report carries the compile's
+        supervision counters, the isolated poison task among them."""
+        import json
+
         from repro.cli import main
 
         path = tmp_path / "mod.w"
         path.write_text(TWO_SECTIONS)
         code = main(
             [
-                "compile",
-                str(path),
-                "--parallel",
-                "--jobs",
-                "1",
-                "--no-cache",
-                "--supervised",
+                "compile", str(path), "--parallel", "--jobs", "1",
+                "--no-cache", "--chaos", "5", "--chaos-poison", "a.a3",
+                "--json",
             ]
         )
-        out = capsys.readouterr().out
+        profile = json.loads(capsys.readouterr().out)["profile"]
         assert code == 0
-        assert "supervision: 0 timeout(s)" in out
+        assert profile["supervision"]["poisoned_tasks"] == 1
+        assert profile["supervision"]["retries"] >= 2
+        assert [f["name"] for f in profile["functions"] if f["poisoned"]] == [
+            "a3"
+        ]
+        with pytest.raises(SystemExit):
+            main(["compile", str(path), "--parallel", "--supervised"])
