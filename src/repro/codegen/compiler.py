@@ -21,7 +21,7 @@ from ..asmlink.objformat import (
 )
 from ..ir.cfg import FunctionIR
 from ..ir.instructions import Opcode
-from ..ir.loops import Loop, find_loops, is_pipelinable
+from ..ir.loops import Loop, LoopNest, find_loops, is_pipelinable
 from ..ir.values import Const, VReg
 from ..machine.resources import FUClass, PhysReg
 from ..machine.warp_cell import WarpCellModel
@@ -36,7 +36,7 @@ from .modulo import (
     machine_schedule_edges,
 )
 from .regalloc import allocate_registers
-from .schedule import schedule_block
+from .schedule import ScheduleResult, schedule_block
 from .select import SelectedBlock, select_function
 
 #: How many integer registers are held back from the allocator for the
@@ -79,13 +79,16 @@ def compile_function(
 
     selected = select_function(function, allocation, cell)
 
+    nest = find_loops(function)
     pipelined: Dict[str, PipelinedLoop] = {}
+    baselines: Dict[str, ScheduleResult] = {}
     if opt_level >= 2:
         pipelined = _pipeline_loops(
-            function, selected, allocation, cell, info, ii_budget
+            function, nest, selected, allocation, cell, info, baselines,
+            ii_budget,
         )
 
-    blocks = _schedule_and_splice(function, selected, pipelined, info)
+    blocks = _schedule_and_splice(nest, selected, pipelined, baselines, info)
 
     return_bank = function.return_type
     return ObjectFunction(
@@ -117,21 +120,24 @@ def replace_int_registers(cell: WarpCellModel, count: int) -> WarpCellModel:
 
 def _pipeline_loops(
     function: FunctionIR,
+    nest: LoopNest,
     selected: List[SelectedBlock],
     allocation,
     cell: WarpCellModel,
     info: CodegenInfo,
+    baselines: Dict[str, ScheduleResult],
     ii_budget: int = 0,
 ) -> Dict[str, PipelinedLoop]:
-    """Try to pipeline each eligible loop; returns {header label: loop}."""
+    """Try to pipeline each eligible loop; returns {header label: loop}
+    and leaves each body it list-schedules in ``baselines`` by label."""
     by_label = {block.label: block for block in selected}
     results: Dict[str, PipelinedLoop] = {}
-    nest = find_loops(function)
     for loop in nest.innermost_loops():
         if not is_pipelinable(function, loop):
             continue
         result = _pipeline_one(
-            function, loop, by_label, allocation, cell, info, ii_budget
+            function, loop, by_label, allocation, cell, info, baselines,
+            ii_budget,
         )
         if result is not None:
             results[loop.header] = result
@@ -145,6 +151,7 @@ def _pipeline_one(
     allocation,
     cell: WarpCellModel,
     info: CodegenInfo,
+    baselines: Dict[str, ScheduleResult],
     ii_budget: int = 0,
 ) -> Optional[PipelinedLoop]:
     header_ir = function.block_named(loop.header)
@@ -177,7 +184,7 @@ def _pipeline_one(
     edges = machine_schedule_edges(ops, ir_graph)
 
     # Pipelining must beat the list-scheduled body to be worth the guard.
-    baseline = schedule_block(body_block)
+    baseline = baselines[body_label] = schedule_block(body_block)
     info.work_units += baseline.work_units
     max_ii = baseline.block.cycle_count - 1
     if ii_budget > 0:
@@ -239,15 +246,18 @@ def _scratch_registers(cell: WarpCellModel) -> Tuple[PhysReg, PhysReg]:
 
 
 def _schedule_and_splice(
-    function: FunctionIR,
+    nest: LoopNest,
     selected: List[SelectedBlock],
     pipelined: Dict[str, PipelinedLoop],
+    baselines: Dict[str, ScheduleResult],
     info: CodegenInfo,
 ) -> List[ScheduledBlock]:
-    """List-schedule ordinary blocks and weave pipelined regions in."""
+    """List-schedule ordinary blocks and weave pipelined regions in.
+
+    A body in ``baselines`` is not scheduled again, but is charged again.
+    """
     # Map: header label -> name of its loop's body block (skipped preds).
     body_of_header: Dict[str, str] = {}
-    nest = find_loops(function)
     for loop in nest.all_loops():
         if loop.header in pipelined:
             body_of_header[loop.header] = next(
@@ -258,7 +268,7 @@ def _schedule_and_splice(
 
     blocks: List[ScheduledBlock] = []
     for sel in selected:
-        result = schedule_block(sel)
+        result = baselines.get(sel.label) or schedule_block(sel)
         info.work_units += result.work_units
         scheduled = result.block
         # Entry edges into a pipelined loop go through its guard; the

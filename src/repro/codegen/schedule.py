@@ -9,13 +9,16 @@ Classic critical-path list scheduling under two kinds of constraints:
   block terminator drains — every result lands before control leaves the
   block, so blocks compose without cross-block hazard tracking.
 
-The scheduler also counts its own work (DAG edges + placement attempts),
-which feeds the compile-cost model of the cluster simulator.
+The scheduler also counts its own work, which feeds the compile-cost
+model of the cluster simulator: one unit per DAG edge, plus one per
+candidate per cycle — an op that is ready and whose earliest cycle has
+come is counted on every cycle it waits, whether or not its unit is free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.objformat import Bundle, MachineOp, ScheduledBlock
@@ -113,7 +116,14 @@ def _build_edges(ops: List[MachineOp]) -> List[Tuple[int, int, int]]:
 def _list_schedule(
     ops: List[MachineOp], edges: List[Tuple[int, int, int]]
 ) -> Tuple[List[int], int]:
-    """Returns (cycle per op, work units)."""
+    """Returns (cycle per op, work units).
+
+    Each cycle the candidates are the ops whose predecessors were all
+    placed in earlier cycles and whose earliest cycle has come; each unit
+    takes its highest candidate (ties by program order).  The work is the
+    number of candidates, summed over the cycles: every one of them is
+    examined once per cycle it waits.
+    """
     n = len(ops)
     succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     preds_left = [0] * n
@@ -128,9 +138,14 @@ def _list_schedule(
         for dst, delay in succs[i]:
             height[i] = max(height[i], delay + height[dst])
 
-    ready = [i for i in range(n) if preds_left[i] == 0]
+    # Ready ops wait in ``pending`` by earliest cycle, and enter their
+    # unit's queue (highest first) at the start of a cycle, never the one
+    # in which they became ready.
+    pending = [(0, i) for i in range(n) if preds_left[i] == 0]
+    queues: Dict[FUClass, List[Tuple[int, int]]] = {}
     placed: List[Optional[int]] = [None] * n
     remaining = n
+    waiting = 0
     cycle = 0
     work = 0
     guard = 0
@@ -138,25 +153,24 @@ def _list_schedule(
         guard += 1
         if guard > 100000:
             raise RuntimeError("list scheduler failed to converge")
-        used_slots = set()
-        # Highest first; ties broken by program order for determinism.
-        candidates = sorted(
-            (i for i in ready if earliest[i] <= cycle),
-            key=lambda i: (-height[i], i),
-        )
-        for i in candidates:
-            work += 1
-            if ops[i].fu in used_slots:
+        while pending and pending[0][0] <= cycle:
+            i = heappop(pending)[1]
+            heappush(queues.setdefault(ops[i].fu, []), (-height[i], i))
+            waiting += 1
+        work += waiting
+        for queue in queues.values():
+            if not queue:
                 continue
-            used_slots.add(ops[i].fu)
+            i = heappop(queue)[1]
+            waiting -= 1
             placed[i] = cycle
-            ready.remove(i)
             remaining -= 1
             for dst, delay in succs[i]:
-                earliest[dst] = max(earliest[dst], cycle + delay)
+                if cycle + delay > earliest[dst]:
+                    earliest[dst] = cycle + delay
                 preds_left[dst] -= 1
                 if preds_left[dst] == 0:
-                    ready.append(dst)
+                    heappush(pending, (earliest[dst], dst))
         cycle += 1
     return placed, work
 

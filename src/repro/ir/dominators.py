@@ -22,13 +22,15 @@ class DominatorTree:
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b`` (reflexive)."""
+        entry = self._function.entry.name
+        idom = self.idom
         node: Optional[str] = b
         while node is not None:
             if node == a:
                 return True
-            if node == self._function.entry.name:
+            if node == entry:
                 return False
-            node = self.idom[node]
+            node = idom[node]
         return False
 
     def dominators_of(self, name: str) -> List[str]:

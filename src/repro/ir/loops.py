@@ -66,14 +66,6 @@ class LoopNest:
     def max_depth(self) -> int:
         return max((loop.depth for loop in self.all_loops()), default=0)
 
-    def loop_of_block(self, name: str) -> Optional[Loop]:
-        """The innermost loop containing ``name``, or None."""
-        best: Optional[Loop] = None
-        for loop in self.all_loops():
-            if name in loop and (best is None or loop.depth > best.depth):
-                best = loop
-        return best
-
 
 def find_loops(function: FunctionIR, dom: Optional[DominatorTree] = None) -> LoopNest:
     """Detect natural loops from back edges and nest them by inclusion."""
@@ -154,10 +146,11 @@ def loop_nest_weight(function: FunctionIR) -> int:
     optimizer and how much the pipeliner will chew on it.  Used by the
     load-balancing heuristic (paper §4.3).
     """
-    nest = find_loops(function)
+    # A block's depth is its deepest loop's: shallow loops go first.
+    depth_of: Dict[str, int] = {}
+    for loop in sorted(find_loops(function).all_loops(), key=lambda l: l.depth):
+        depth_of.update(dict.fromkeys(loop.blocks, loop.depth))
     weight = 0
     for block in function.blocks:
-        loop = nest.loop_of_block(block.name)
-        depth = loop.depth if loop is not None else 0
-        weight += len(block.instructions) * (4 ** depth)
+        weight += len(block.instructions) * (4 ** depth_of.get(block.name, 0))
     return weight

@@ -55,5 +55,10 @@ class PhysReg:
     bank: str
     index: int
 
+    def __hash__(self) -> int:
+        # Equal registers have equal indexes: hash by the index, not
+        # through a (bank, index) tuple, in the schedulers' edge builders.
+        return self.index
+
     def __str__(self) -> str:
         return f"{self.bank}r{self.index}"

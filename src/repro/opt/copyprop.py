@@ -9,7 +9,7 @@ shared subexpressions to CSE.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..ir.cfg import FunctionIR
 from ..ir.instructions import Instr, Opcode
@@ -43,6 +43,9 @@ def _remove_self_moves(block) -> int:
 def _propagate_block(instructions) -> int:
     #: register -> the value it currently equals (Const or VReg)
     copies: Dict[VReg, Value] = {}
+    #: register -> registers recorded as its copies; one may since have
+    #: lost the fact or been given another source
+    copied_to: Dict[VReg, List[VReg]] = {}
     changes = 0
     for index, instr in enumerate(instructions):
         # Rewrite uses first (the instruction reads old values).
@@ -58,22 +61,20 @@ def _propagate_block(instructions) -> int:
                 )
                 changes += 1
                 break
-        # Then update the copy map for the definition.
+        # Then update the copy map for the definition: drop the facts
+        # about ``dest`` and the facts that name it as their source.
         dest = instr.dest
         if dest is not None:
-            _invalidate(copies, dest)
+            copies.pop(dest, None)
+            for copy in copied_to.pop(dest, ()):
+                if copies.get(copy) == dest:
+                    del copies[copy]
             if instr.op is Opcode.MOV:
                 source = instr.operands[0]
                 if source != dest:
                     copies[dest] = source
+                    if source.__class__ is VReg:
+                        copied_to.setdefault(source, []).append(dest)
             elif instr.op is Opcode.LI:
                 copies[dest] = instr.operands[0]
     return changes
-
-
-def _invalidate(copies: Dict[VReg, Value], reg: VReg) -> None:
-    """Remove facts about ``reg`` and facts that mention it as a source."""
-    copies.pop(reg, None)
-    stale = [dest for dest, value in copies.items() if value == reg]
-    for dest in stale:
-        del copies[dest]

@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from ..ir.cfg import FunctionIR
 from ..ir.instructions import COMMUTATIVE, Instr, Opcode
-from ..ir.values import Const, VReg
+from ..ir.values import IR_FLOAT, VReg
 
 _PURE = {
     Opcode.ADD,
@@ -48,8 +48,12 @@ def eliminate_common_subexpressions(function: FunctionIR) -> int:
 
 
 def _operand_key(value):
-    if isinstance(value, VReg):
+    if value.__class__ is VReg:
         return ("r", value.type, value.id)
+    if value.type == IR_FLOAT:
+        # 0.0 == -0.0, but x * 0.0 and x * -0.0 differ: the key also says
+        # which zero it is, as the encoder's does.
+        return ("c", value.type, value.value, float(value.value).hex())
     return ("c", value.type, value.value)
 
 
@@ -65,30 +69,32 @@ def _cse_block(instructions: List[Instr]) -> int:
     available: Dict[tuple, VReg] = {}
     #: register -> expression keys that mention it (for invalidation)
     mentioned_by: Dict[VReg, List[tuple]] = {}
+    #: register -> expression keys recorded with it as their value; a key
+    #: may since have left ``available`` or come back with another value
+    held_by: Dict[VReg, List[tuple]] = {}
+    #: array name -> load keys recorded against it
+    loads_of: Dict[str, List[tuple]] = {}
     changes = 0
 
     def invalidate_register(reg: VReg) -> None:
-        for key in mentioned_by.pop(reg, []):
+        for key in mentioned_by.pop(reg, ()):
             available.pop(key, None)
-        stale = [k for k, v in available.items() if v == reg]
-        for k in stale:
-            available.pop(k, None)
+        for key in held_by.pop(reg, ()):
+            if available.get(key) == reg:
+                del available[key]
 
-    def invalidate_loads(array_name=None) -> None:
-        stale = [
-            k
-            for k in available
-            if k[0] is Opcode.LOAD and (array_name is None or k[2] == array_name)
-        ]
-        for k in stale:
-            available.pop(k, None)
+    def invalidate_loads(keys) -> None:
+        for key in keys:
+            available.pop(key, None)
 
     for index, instr in enumerate(instructions):
         if instr.op is Opcode.STORE:
-            invalidate_loads(instr.array.name)
+            invalidate_loads(loads_of.pop(instr.array.name, ()))
             continue
         if instr.op is Opcode.CALL:
-            invalidate_loads()
+            for keys in loads_of.values():
+                invalidate_loads(keys)
+            loads_of.clear()
             if instr.dest is not None:
                 invalidate_register(instr.dest)
             continue
@@ -113,6 +119,9 @@ def _cse_block(instructions: List[Instr]) -> int:
         if new_fact is not None:
             key, producer = new_fact
             available[key] = producer.dest
+            held_by.setdefault(producer.dest, []).append(key)
+            if producer.op is Opcode.LOAD:
+                loads_of.setdefault(key[2], []).append(key)
             for reg in producer.uses():
                 mentioned_by.setdefault(reg, []).append(key)
     return changes

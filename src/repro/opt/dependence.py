@@ -52,13 +52,15 @@ class DependenceGraph:
     edges: List[DependenceEdge] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._seen = set(self.edges)
+        self._seen = {
+            (e.source, e.sink, e.kind, e.distance) for e in self.edges
+        }
 
     def add(self, source: int, sink: int, kind: str, distance: int) -> None:
-        edge = DependenceEdge(source, sink, kind, distance)
-        if edge not in self._seen:
-            self._seen.add(edge)
-            self.edges.append(edge)
+        key = (source, sink, kind, distance)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.edges.append(DependenceEdge(source, sink, kind, distance))
 
 
 @dataclass(frozen=True)
@@ -141,14 +143,15 @@ def classify_subscript(
         return Subscript(kind="unknown")
     if induction is not None and index_value == induction:
         return Subscript(kind="affine", offset=0)
-    defining = _single_definition(body, index_value)
-    if defining is None:
+    definitions = [i for i in body.instructions if i.dest == index_value]
+    if len(definitions) != 1:
         # Defined outside the body (and not redefined inside): invariant.
-        if not _defined_in(body, index_value):
+        if not definitions:
             return Subscript(kind="invariant", reg=index_value)
         return Subscript(kind="unknown")
     if induction is None:
         return Subscript(kind="unknown")
+    defining = definitions[0]
     if defining.op is Opcode.ADD and len(defining.operands) == 2:
         a, b = defining.operands
         if a == induction and isinstance(b, Const):
@@ -160,20 +163,6 @@ def classify_subscript(
         if a == induction and isinstance(b, Const):
             return Subscript(kind="affine", offset=-int(b.value))
     return Subscript(kind="unknown")
-
-
-def _single_definition(body: BasicBlock, reg: VReg) -> Optional[Instr]:
-    found = None
-    for instr in body.instructions:
-        if instr.dest == reg:
-            if found is not None:
-                return None
-            found = instr
-    return found
-
-
-def _defined_in(body: BasicBlock, reg: VReg) -> bool:
-    return any(instr.dest == reg for instr in body.instructions)
 
 
 def build_dependence_graph(
@@ -240,37 +229,31 @@ def _memory_dependences(
     induction: Optional[VReg],
     step: int,
 ) -> None:
+    # Each subscript is classified once, not once per pair it is in.
     accesses = [
-        (i, instr)
+        (i, instr, classify_subscript(body, instr.operands[0], induction))
         for i, instr in enumerate(instructions)
         if instr.op in (Opcode.LOAD, Opcode.STORE)
     ]
     for x in range(len(accesses)):
-        for y in range(x, len(accesses)):
-            i, a = accesses[x]
-            j, b = accesses[y]
-            if i == j:
-                continue
+        i, a, sub_a = accesses[x]
+        for y in range(x + 1, len(accesses)):
+            j, b, sub_b = accesses[y]
             if a.op is Opcode.LOAD and b.op is Opcode.LOAD:
                 continue
             if a.array.name != b.array.name:
                 continue
-            _memory_pair(graph, body, induction, step, i, a, j, b)
+            _memory_pair(graph, step, i, sub_a, j, sub_b)
 
 
 def _memory_pair(
     graph: DependenceGraph,
-    body: BasicBlock,
-    induction: Optional[VReg],
     step: int,
     i: int,
-    a: Instr,
+    sub_a: Subscript,
     j: int,
-    b: Instr,
+    sub_b: Subscript,
 ) -> None:
-    sub_a = classify_subscript(body, a.operands[0], induction)
-    sub_b = classify_subscript(body, b.operands[0], induction)
-
     if sub_a.kind == "affine" and sub_b.kind == "affine" and step != 0:
         delta = sub_a.offset - sub_b.offset  # a touches what b touches later
         if delta % step != 0:

@@ -2,9 +2,10 @@
 
 Instructions whose operands are all constants are folded into ``li``;
 identity operations (``x+0``, ``x*1``, ``x-0``, ``x/1``) become moves.
-``x*0`` folds to 0 for integers only — for floats that identity is unsound
-in the presence of NaN and signed zero, and this compiler keeps
-floating-point evaluation exact.
+``x*0`` folds to 0 for integers only: for floats NaN and signed zero make
+it unsound.  Two of the float moves are unsound too, and still made (a
+known defect, pinned in ``tests/test_signed_zero.py``): for ``x = -0.0``,
+``x + 0.0`` and ``x - (-0.0)`` are ``0.0``, not ``x``.
 """
 
 from __future__ import annotations

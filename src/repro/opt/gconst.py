@@ -59,26 +59,10 @@ def propagate_constants_globally(function: FunctionIR) -> int:
     in_states, decoded = _solve(function)
     changes = 0
     for block in function.blocks:
-        state = dict(in_states.get(block.name, {}))
         rows = decoded.get(block.name)
         if rows is None:  # unreachable: the fixpoint never came here
             rows = _decode(block)
-        for index, row in enumerate(rows):
-            for operand in row[2]:
-                if operand.__class__ is VReg and operand in state:
-                    instr = block.instructions[index]
-                    block.instructions[index] = instr.with_operands(
-                        tuple(
-                            Const(state[v], v.type)
-                            if v.__class__ is VReg and v in state
-                            else v
-                            for v in instr.operands
-                        )
-                    )
-                    changes += 1
-                    break
-            # A rewritten operand has the value the row would look up.
-            _transfer((row,), state)
+        changes += _transfer(rows, dict(in_states.get(block.name, {})), block)
     return changes
 
 
@@ -93,15 +77,17 @@ def _solve(
     optimistically ignored until they get an exit state, and the worklist
     re-runs successors whenever an exit state shrinks.  A block is
     revisited as the states around a loop descend, so it is decoded once,
-    on its first visit, and every visit runs over the rows.
+    on its first visit, and every visit whose entry state changed runs
+    over the rows (an unchanged entry state cannot change the exit state).
     """
     preds = function.predecessors()
     block_map = function.block_map()
+    entry = function.entry.name
     rows: Dict[str, List[Row]] = {}
-    in_states: Dict[str, State] = {function.entry.name: {}}
+    in_states: Dict[str, State] = {entry: {}}
     out_states: Dict[str, State] = {}
 
-    worklist: List[str] = [function.entry.name]
+    worklist: List[str] = [entry]
     queued = set(worklist)
     guard = 0
     guard_limit = 40 * max(1, len(function.blocks)) * (
@@ -113,18 +99,22 @@ def _solve(
             raise RuntimeError("constant propagation failed to converge")
         name = worklist.pop(0)
         queued.discard(name)
-        block = block_map[name]
-        if name != function.entry.name:
-            in_states[name] = _meet(
+        if name == entry:
+            state = in_states[name]
+        else:
+            state = _meet(
                 [out_states[p] for p in preds[name] if p in out_states]
             )
+        if name in out_states and state == in_states[name]:
+            continue
+        in_states[name] = state
         if name not in rows:
-            rows[name] = _decode(block)
-        state = dict(in_states[name])
+            rows[name] = _decode(block_map[name])
+        state = dict(state)
         _transfer(rows[name], state)
         if out_states.get(name) != state:
             out_states[name] = state
-            for succ in block.successors():
+            for succ in block_map[name].successors():
                 if succ not in queued:
                     worklist.append(succ)
                     queued.add(succ)
@@ -137,9 +127,15 @@ def _meet(states: List[State]) -> State:
     merged = dict(states[0])
     for state in states[1:]:
         for reg in list(merged):
-            if reg not in state or state[reg] != merged[reg]:
+            if reg not in state or not _same(state[reg], merged[reg]):
                 del merged[reg]
     return merged
+
+
+def _same(a: Number, b: Number) -> bool:
+    """One constant: 0.0 == -0.0, but they are told apart by their bits,
+    as the encoder does."""
+    return a == b and (a.__class__ is not float or a.hex() == b.hex())
 
 
 def _decode(block: BasicBlock) -> List[Row]:
@@ -155,9 +151,32 @@ def _decode(block: BasicBlock) -> List[Row]:
     ]
 
 
-def _transfer(rows: List[Row], state: State) -> None:
-    """Update ``state`` across the decoded instructions, in order."""
-    for dest, op, operands in rows:
+def _transfer(
+    rows: List[Row], state: State, rewrite: Optional[BasicBlock] = None
+) -> int:
+    """Update ``state`` across the decoded instructions, in order.
+
+    With ``rewrite`` (the block the rows were decoded from), each of its
+    instructions that reads a register known before it is rewritten to
+    read the constant instead; returns how many were.
+    """
+    changes = 0
+    for index, (dest, op, operands) in enumerate(rows):
+        if rewrite is not None and state:
+            for operand in operands:
+                if operand.__class__ is VReg and operand in state:
+                    instr = rewrite.instructions[index]
+                    rewrite.instructions[index] = instr.with_operands(
+                        tuple(
+                            Const(state[v], v.type)
+                            if v.__class__ is VReg and v in state
+                            else v
+                            for v in instr.operands
+                        )
+                    )
+                    changes += 1
+                    break
+        # A rewritten operand has the value the row looks up.
         if dest is None:
             continue
         if op is not None:
@@ -176,3 +195,4 @@ def _transfer(rows: List[Row], state: State) -> None:
                     )
                     continue
         state.pop(dest, None)
+    return changes

@@ -56,37 +56,37 @@ _HOISTABLE = {
 
 def hoist_loop_invariants(function: FunctionIR) -> int:
     """Hoist invariant computations out of every loop; returns count."""
+    # Facts for the whole pass: hoisting moves no terminator and adds or
+    # removes no definition, so the loops, their preheaders and the
+    # definition counts are found once.
+    loops = find_loops(function).all_loops()
+    if not loops:
+        return 0
+    preds = function.predecessors()
+    block_map = function.block_map()
+    # Innermost first: their invariants may bubble outward next round.
+    headed = [
+        (loop, preheader)
+        for loop in sorted(loops, key=lambda l: -l.depth)
+        if (preheader := _preheader_of(preds, block_map, loop)) is not None
+    ]
+    defs_count = _definition_counts(function)
     total = 0
-    # Re-detect loops after each changed loop: hoisting into an outer
-    # loop's body can expose more motion for the outer loop.
+    # More rounds: hoisting into an outer loop's body can expose more
+    # motion for the outer loop.
     for _ in range(10):
-        moved = _one_round(function)
+        # A fact for one round: hoisting moves uses between blocks.
+        uses_outside = _use_blocks(function)
+        moved = sum(
+            _hoist_from_loop(
+                block_map, loop, preheader, defs_count, uses_outside
+            )
+            for loop, preheader in headed
+        )
         if moved == 0:
             break
         total += moved
     return total
-
-
-def _one_round(function: FunctionIR) -> int:
-    nest = find_loops(function)
-    if not nest.roots:
-        return 0
-    defs_count = _definition_counts(function)
-    uses_outside: Dict[VReg, Set[str]] = _use_blocks(function)
-    # Hoisting moves no terminator: one predecessor and block map per round.
-    preds = function.predecessors()
-    block_map = function.block_map()
-    moved = 0
-    # Innermost first: their invariants may bubble outward next round.
-    loops = sorted(nest.all_loops(), key=lambda l: -l.depth)
-    for loop in loops:
-        preheader = _preheader_of(preds, block_map, loop)
-        if preheader is None:
-            continue
-        moved += _hoist_from_loop(
-            block_map, loop, preheader, defs_count, uses_outside
-        )
-    return moved
 
 
 def _definition_counts(function: FunctionIR) -> Dict[VReg, int]:
