@@ -27,6 +27,10 @@ The counts, all over ``src/**/*.py``:
 ``disk_tiers``          classes with a non-empty ``SUBDIR``
 ``option_fields``       fields of the ``CompileOptions`` dataclass: each
                         is a value every compile can be asked to vary
+``init_params``         parameters, other than ``self``, of every
+                        ``__init__`` a class defines itself (``*args``
+                        and ``**kwargs`` one each): every value a caller
+                        can set when it builds an object
 
 Every count is an AST walk — none depends on how a name is spelled, so
 no grep for a deleted name can trip (or satisfy) one.
@@ -117,9 +121,23 @@ def _names_a_tier(node: ast.ClassDef) -> bool:
     )
 
 
+def _init_params(methods) -> int:
+    for method in methods:
+        if method.name == "__init__":
+            args = method.args
+            named = len(args.posonlyargs) + len(args.args) - 1  # self
+            return (
+                named
+                + len(args.kwonlyargs)
+                + (args.vararg is not None)
+                + (args.kwarg is not None)
+            )
+    return 0
+
+
 def count_surface() -> dict:
     lines = flags = backends = stats = servers = clients = wire_globals = 0
-    pickle_codecs = tiers = option_fields = 0
+    pickle_codecs = tiers = option_fields = init_params = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -148,6 +166,7 @@ def count_surface() -> dict:
                 ]
                 servers += _derives_from_socketserver(node)
                 tiers += _names_a_tier(node)
+                init_params += _init_params(methods)
                 if node.name == "CompileOptions" and _is_dataclass(node):
                     option_fields += sum(
                         isinstance(item, ast.AnnAssign) for item in node.body
@@ -175,6 +194,7 @@ def count_surface() -> dict:
         "pickle_codecs": pickle_codecs,
         "disk_tiers": tiers,
         "option_fields": option_fields,
+        "init_params": init_params,
     }
 
 

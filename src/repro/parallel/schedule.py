@@ -85,25 +85,6 @@ def ast_cost_hint(function: ast.Function) -> float:
     return function.line_count() + 0.05 * _ast_loop_weight(function.body)
 
 
-def provided_task_costs(tasks: Sequence, provider) -> List[float]:
-    """Per-task costs from a pluggable cost provider.
-
-    ``provider`` is any ``Callable[[FunctionTask], float]`` (e.g. a
-    learned :class:`~repro.predict.observe.LearnedCostModel`); ``None`` — and
-    any provider error — yields the task's static §4.3 ``cost_hint``,
-    so a broken model can only cost scheduling quality, never a build.
-    """
-    if provider is None:
-        return [float(task.cost_hint) for task in tasks]
-    costs: List[float] = []
-    for task in tasks:
-        try:
-            costs.append(float(provider(task)))
-        except Exception:
-            costs.append(float(task.cost_hint))
-    return costs
-
-
 def batch_tasks_by_cost(
     costs: Sequence[float], batches: int
 ) -> List[List[int]]:

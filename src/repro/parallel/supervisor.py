@@ -121,25 +121,28 @@ class WorkerHealthTracker:
     ``backoff_base * 2**(spells-1)`` seconds (capped at ``backoff_cap``) —
     a worker that keeps misbehaving after re-admission is benched for
     exponentially longer.  Any success resets the consecutive count.
+
+    The three are class constants; a test that needs another value sets
+    it on the instance (``backend.health.quarantine_after = 100``).
     """
 
-    def __init__(
-        self,
-        quarantine_after: int = 2,
-        backoff_base: float = 0.25,
-        backoff_cap: float = 30.0,
-    ):
-        if quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be positive, got {quarantine_after}"
-            )
-        self.quarantine_after = quarantine_after
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+    quarantine_after: int = 2
+    backoff_base: float = 0.25
+    backoff_cap: float = 30.0
+
+    def __init__(self):
         self._workers: Dict[str, _WorkerHealth] = {}
 
     def record_success(self, worker: str) -> None:
-        self._workers.setdefault(worker, _WorkerHealth()).consecutive_failures = 0
+        health = self._workers.get(worker)
+        if health is None:
+            return
+        if health.spells:
+            health.consecutive_failures = 0
+        else:
+            # Never benched: reset, the entry equals a fresh one, so it
+            # goes — a fleet's churned node names do not pile up.
+            self._workers.pop(worker, None)
 
     def record_failure(self, worker: str, now: float) -> bool:
         """Record one failure; returns True when this failure *starts* a
@@ -189,15 +192,10 @@ class SupervisedBackend:
     hedge_after:
         Fraction of the wave that must be resolved before laggards get
         duplicate attempts.  ``None`` disables hedging.
-    hedge_min_age:
-        Minimum seconds an attempt must have been running before it is
-        hedged — keeps the no-fault overhead at zero for fast waves.
     max_attempts:
         Farm attempts per task (including hedges) before isolation.
     poison_threshold:
         Failures on this many *distinct* workers flag a task as poison.
-    quarantine_after / quarantine_backoff / quarantine_cap:
-        Health-tracker knobs (see :class:`WorkerHealthTracker`).
     fallback:
         Backend used once every worker is quarantined (default: a fresh
         in-process :class:`SerialBackend`).
@@ -211,26 +209,37 @@ class SupervisedBackend:
     and ``effective_worker_count`` among them) delegate to the inner
     backend, and ``self.supervision`` / ``self.health`` persist across
     compiles so the driver can snapshot per-compile deltas.
+
+    The class constants below are values no caller varies; a test that
+    needs another sets it on the instance (``backend.timeout_floor =
+    1.0``), as it does the health tracker's.
     """
+
+    #: derived deadline: ``max(timeout_floor, timeout_multiplier *
+    #: cost_hint)`` seconds
+    timeout_floor: float = 10.0
+    timeout_multiplier: float = 0.05
+    #: seconds an attempt must have run before it is hedged — keeps the
+    #: no-fault overhead at zero for fast waves
+    hedge_min_age: float = 1.0
+    #: Callable[[FunctionTask, float], None] told each task's measured
+    #: wall clock — exactly once, for the attempt that won (the original
+    #: on a clean run, the hedge when the hedge wins, the retry after a
+    #: failure) — so supervision noise (abandoned deadlines, lost hedges,
+    #: queue time) never poisons a learned cost model.  Isolated (poison)
+    #: tasks are never reported.  The compile service assigns it.
+    cost_observer = None
 
     def __init__(
         self,
         inner,
         task_timeout: Optional[float] = None,
-        timeout_floor: float = 10.0,
-        timeout_multiplier: float = 0.05,
         hedge_after: Optional[float] = 0.75,
-        hedge_min_age: float = 1.0,
         max_attempts: int = 3,
         poison_threshold: int = 3,
-        quarantine_after: int = 2,
-        quarantine_backoff: float = 0.25,
-        quarantine_cap: float = 30.0,
         fallback=None,
         isolation_runner=None,
         clock=time.monotonic,
-        cost_provider=None,
-        cost_observer=None,
     ):
         if max_attempts < 1:
             raise ValueError(f"need at least one attempt, got {max_attempts}")
@@ -244,10 +253,7 @@ class SupervisedBackend:
             )
         self.inner = inner
         self.task_timeout = task_timeout
-        self.timeout_floor = timeout_floor
-        self.timeout_multiplier = timeout_multiplier
         self.hedge_after = hedge_after
-        self.hedge_min_age = hedge_min_age
         self.max_attempts = max_attempts
         self.poison_threshold = poison_threshold
         self.fallback = fallback if fallback is not None else SerialBackend()
@@ -257,22 +263,8 @@ class SupervisedBackend:
             else run_function_master
         )
         self.clock = clock
-        #: pluggable cost seam: estimates in §4.3 hint units feed the
-        #: per-attempt deadline; None means the static task hint.
-        self.cost_provider = cost_provider
-        #: Callable[[FunctionTask, float], None] told each task's
-        #: measured wall clock — exactly once, for the attempt that won
-        #: (the original on a clean run, the hedge when the hedge wins,
-        #: the retry after a failure) — so supervision noise (abandoned
-        #: deadlines, lost hedges, queue time) never poisons a learned
-        #: cost model.  Isolated (poison) tasks are never reported.
-        self.cost_observer = cost_observer
         self.supervision = SupervisionStats()
-        self.health = WorkerHealthTracker(
-            quarantine_after=quarantine_after,
-            backoff_base=quarantine_backoff,
-            backoff_cap=quarantine_cap,
-        )
+        self.health = WorkerHealthTracker()
 
     def __getattr__(self, name: str):
         # Only reached for attributes SupervisedBackend itself lacks; the
@@ -282,23 +274,13 @@ class SupervisedBackend:
             raise AttributeError(name)
         return getattr(inner, name)
 
-    def cost_for(self, task: FunctionTask) -> float:
-        """Cost in §4.3 hint units: the pluggable provider's estimate
-        when one is set (static hint on any error), else the hint."""
-        if self.cost_provider is not None:
-            try:
-                return float(self.cost_provider(task))
-            except Exception:
-                pass
-        return float(task.cost_hint)
-
     def timeout_for(self, task: FunctionTask) -> Optional[float]:
         """Seconds this task's attempts may run, or None for no deadline."""
         if self.task_timeout is not None:
             return self.task_timeout if self.task_timeout > 0 else None
         return max(
             self.timeout_floor,
-            self.timeout_multiplier * max(self.cost_for(task), 1.0),
+            self.timeout_multiplier * max(float(task.cost_hint), 1.0),
         )
 
     def run_tasks_streaming(

@@ -37,27 +37,22 @@ from ..driver.function_master import (
     FunctionTaskResult,
     run_compile_batch,
 )
-from .schedule import batch_tasks_by_cost, provided_task_costs
+from .schedule import batch_tasks_by_cost
 
 
 class WarmPoolBackend:
     """A persistent multiprocessing farm satisfying ``ExecutionBackend``."""
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        batches_per_worker: int = 2,
-    ):
+    #: LPT batches per worker a dispatch is packed into, balanced by
+    #: each task's ``cost_hint``
+    batches_per_worker = 2
+
+    def __init__(self, max_workers: Optional[int] = None):
         if max_workers is None:
             max_workers = max(1, (os.cpu_count() or 2) - 1)
         if max_workers < 1:
             raise ValueError(f"need at least one worker, got {max_workers}")
-        if batches_per_worker < 1:
-            raise ValueError(
-                f"need at least one batch per worker, got {batches_per_worker}"
-            )
         self._max_workers = max_workers
-        self._batches_per_worker = batches_per_worker
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         #: guards pool creation/teardown — the compile service may reach
         #: the farm from several threads (dispatcher, drain, telemetry);
@@ -65,9 +60,6 @@ class WarmPoolBackend:
         #: spawn an executor and leak one.
         self._pool_lock = threading.Lock()
         self._last_effective_workers: Optional[int] = None
-        #: pluggable LPT cost seam; None packs batches by the static
-        #: §4.3 hint (see schedule.provided_task_costs)
-        self.cost_provider = None
         #: telemetry: completed dispatches
         self.dispatches = 0
 
@@ -96,8 +88,8 @@ class WarmPoolBackend:
         if not tasks:
             return
         chunks = batch_tasks_by_cost(
-            provided_task_costs(tasks, self.cost_provider),
-            min(len(tasks), self._max_workers * self._batches_per_worker),
+            [task.cost_hint for task in tasks],
+            min(len(tasks), self._max_workers * self.batches_per_worker),
         )
         self._last_effective_workers = min(self._max_workers, len(chunks))
         pool = self._ensure_pool()

@@ -3,11 +3,13 @@
 Two halves, both feeding the compile service:
 
 - :mod:`repro.predict.observe` — a persistent per-fingerprint store of
-  observed compile times (a fifth :class:`~repro.cache.store.PickleStore`
-  tier) and :class:`LearnedCostModel`, an EWMA/percentile estimator that plugs
-  into every seam that previously consumed the static §4.3
-  ``ast_cost_hint`` (fair-share queue, supervision deadlines, LPT batch
-  packing) and falls back to the static hint for unseen fingerprints.
+  observed compile times (a fifth :class:`~repro.cache.store.Store`
+  tier) and :class:`LearnedCostModel`, an EWMA/percentile estimator the
+  compile service asks once per task, as the task enters its queue; the
+  answer replaces the static §4.3 ``ast_cost_hint`` in the task's
+  ``cost_hint``, which the fair-share queue, the LPT batch packer and
+  the supervision deadlines read.  Unseen fingerprints keep the static
+  hint.
 - :mod:`repro.predict.watch` — watch-mode speculation: clients stream
   edited sources, the server fingerprints the module, diffs it against
   the previous snapshot, and precompiles the changed functions as

@@ -11,12 +11,14 @@ loop:
   static hint it was observed under).  Same Store machinery as
   the artifact/parse/link/variant tiers: atomic writes, LRU eviction,
   corrupt entries deleted and counted.
-- :class:`LearnedCostModel` is the pluggable cost provider: called with a
-  :class:`~repro.driver.function_master.FunctionTask`, it returns a
-  cost **in static-hint units** so learned and unseen tasks stay
-  comparable inside one fair-share queue.  Unit conversion uses a
-  calibration record — an EWMA of observed ``hint / seconds`` — so
-  ``cost = predicted_seconds * hints_per_second``.
+- :class:`LearnedCostModel` estimates a
+  :class:`~repro.driver.function_master.FunctionTask`'s cost **in
+  static-hint units** so learned and unseen tasks stay comparable
+  inside one fair-share queue.  Unit conversion uses a calibration
+  record — an EWMA of observed ``static hint / seconds`` — so ``cost =
+  predicted_seconds * hints_per_second``.  The compile service asks it
+  once per task and writes the answer into the task's ``cost_hint``,
+  which the queue, the LPT packer and the supervisor's deadlines read.
 
 Fallback rules keep the model harmless: unseen fingerprint, too few
 samples, missing calibration, unparseable source, any internal error —
@@ -28,12 +30,14 @@ routed by (section, function) key, not by cost).
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..cache.fingerprint import function_fingerprint
 from ..cache.store import FactsCodec, Store
 from ..driver.function_master import FunctionTask, phase1_cached
+from ..parallel.schedule import ast_cost_hint
 
 #: recent samples kept per fingerprint (enough for a stable p90 without
 #: letting one hot function grow its entry unboundedly)
@@ -76,14 +80,10 @@ class ObservationStore(Store):
     codec = FactsCodec(CostObservation)
 
 
-def task_fingerprint(task: FunctionTask) -> Optional[str]:
-    """The content fingerprint a task's artifact is cached under.
-
-    Observations must key on *content*, not names, so a renamed file or
-    a different module with the same function bodies shares history.
-    Unparseable sources return None — callers fall back to the static
-    hint.
-    """
+def _resolve(task: FunctionTask) -> Optional[Tuple[str, float]]:
+    """``(content fingerprint, static §4.3 hint)`` of the function a
+    task names, from the parse; None when the source does not resolve
+    to it."""
     try:
         parsed, _ = phase1_cached(task.source_text, task.filename)
         section = parsed.module.section_named(task.section_name)
@@ -92,44 +92,50 @@ def task_fingerprint(task: FunctionTask) -> Optional[str]:
         function = section.function_named(task.function_name)
         if function is None:
             return None
-        return function_fingerprint(section, function, task.options)
+        fingerprint = function_fingerprint(section, function, task.options)
+        return fingerprint, ast_cost_hint(function)
     except Exception:
         return None
+
+
+def task_fingerprint(task: FunctionTask) -> Optional[str]:
+    """The content fingerprint a task's artifact is cached under.
+
+    Observations must key on *content*, not names, so a renamed file or
+    a different module with the same function bodies shares history.
+    Unparseable sources return None — callers fall back to the static
+    hint.
+    """
+    resolved = _resolve(task)
+    return None if resolved is None else resolved[0]
 
 
 class LearnedCostModel:
     """EWMA/percentile cost estimator over an :class:`ObservationStore`.
 
-    Instances are callable — ``model(task)`` returns the estimated cost
-    in static-hint units — so a model *is* a cost provider for the
-    fair-share queue, the supervisor, and the LPT batchers.  All state
-    is guarded by one lock; the store's atomic writes make concurrent
-    processes last-writer-wins, which is fine for advisory data.
+    :meth:`cost_for` returns a task's estimated cost in static-hint
+    units.  All state is guarded by one lock; the store's atomic writes
+    make concurrent processes last-writer-wins, which is fine for
+    advisory data.  The class constants are values no caller varies; a
+    test that needs another sets it on the instance.
     """
 
-    def __init__(
-        self,
-        store: ObservationStore,
-        *,
-        alpha: float = 0.25,
-        window: int = SAMPLE_WINDOW,
-        min_samples: int = 2,
-    ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if window < 1:
-            raise ValueError(f"window must be positive, got {window}")
-        if min_samples < 1:
-            raise ValueError(
-                f"min_samples must be positive, got {min_samples}"
-            )
+    #: EWMA weight of the newest sample
+    alpha: float = 0.25
+    #: recent samples kept per fingerprint
+    window: int = SAMPLE_WINDOW
+    #: observations a fingerprint (and the calibration) needs before its
+    #: estimate is trusted
+    min_samples: int = 2
+    #: observations the in-memory memo holds, least recently used
+    #: evicted first; the store stays the record
+    memo_entries: int = 4096
+
+    def __init__(self, store: ObservationStore):
         self.store = store
-        self.alpha = alpha
-        self.window = window
-        self.min_samples = min_samples
         self._lock = threading.Lock()
-        #: write-through memo so the hot estimate path stays off disk
-        self._memo: Dict[str, CostObservation] = {}
+        #: write-through LRU memo so the hot estimate path stays off disk
+        self._memo: "OrderedDict[str, CostObservation]" = OrderedDict()
         #: telemetry: observations recorded / learned estimates served /
         #: static-hint fallbacks
         self.recorded = 0
@@ -140,11 +146,14 @@ class LearnedCostModel:
 
     def observe_task(self, task: FunctionTask, seconds: float) -> None:
         """Record one task's measured wall clock (no-op when the task
-        has no content fingerprint)."""
-        fingerprint = task_fingerprint(task)
-        if fingerprint is None:
-            return
-        self.observe(fingerprint, seconds, hint=float(task.cost_hint))
+        has no content fingerprint).  The calibration pairs it with the
+        function's static §4.3 hint, never ``task.cost_hint``: that may
+        be this model's own estimate, which must not feed its own
+        calibration."""
+        resolved = _resolve(task)
+        if resolved is not None:
+            fingerprint, hint = resolved
+            self.observe(fingerprint, seconds, hint=hint)
 
     def observe(
         self, fingerprint: str, seconds: float, hint: float = 1.0
@@ -177,7 +186,7 @@ class LearnedCostModel:
         obs.max_s = max(obs.max_s, value)
         obs.hint = hint
         obs.samples = (obs.samples + [value])[-self.window:]
-        self._memo[fingerprint] = obs
+        self._remember(fingerprint, obs)
         try:
             self.store.put(fingerprint, obs)
         except OSError:
@@ -189,8 +198,16 @@ class LearnedCostModel:
         if obs is None:
             obs = self.store.get(fingerprint)
             if obs is not None:
-                self._memo[fingerprint] = obs
+                self._remember(fingerprint, obs)
+        else:
+            self._memo.move_to_end(fingerprint)
         return obs
+
+    def _remember(self, fingerprint: str, obs: CostObservation) -> None:
+        self._memo[fingerprint] = obs
+        self._memo.move_to_end(fingerprint)
+        if len(self._memo) > self.memo_entries:
+            self._memo.popitem(last=False)
 
     # -- estimation ----------------------------------------------------
 
@@ -222,10 +239,10 @@ class LearnedCostModel:
         return calibration.ewma_s
 
     def cost_for(self, task: FunctionTask) -> float:
-        """Estimated cost in static-hint units (the provider seam).
+        """Estimated cost in static-hint units.
 
         Never raises; anything short of solid evidence returns the
-        static §4.3 hint unchanged.
+        task's ``cost_hint`` unchanged.
         """
         try:
             fingerprint = task_fingerprint(task)
@@ -244,8 +261,6 @@ class LearnedCostModel:
             pass
         self.fallbacks += 1
         return float(task.cost_hint)
-
-    __call__ = cost_for
 
     # -- telemetry -----------------------------------------------------
 

@@ -6,15 +6,13 @@ interleaved onto the shared pool so one huge module cannot monopolize
 the farm — the paper's §4.3 observation that small functions should
 share processors, replayed across whole jobs.  The interleaving is
 driven by the same cost estimate the paper's scheduler uses ("lines of
-code and loop nesting", §4.3): every task carries its
-:func:`~repro.parallel.schedule.ast_cost_hint`, and dispatching a task
-advances its tenant's *virtual time* by ``cost / weight`` (stride
-scheduling).  The estimate itself is a pluggable seam: construct the
-queue with a ``cost_provider`` (e.g. the learned
-:class:`~repro.predict.observe.LearnedCostModel`) to account tasks at observed
-compile times instead of the static hint — only the dispatch *order*
-changes, never any result.  The next task always comes from the tenant with the least
-virtual time, so:
+code and loop nesting", §4.3): every task carries its ``cost_hint`` —
+the static :func:`~repro.parallel.schedule.ast_cost_hint`, or the
+estimate a service with a learned cost model wrote onto it once,
+before enqueueing — and dispatching a task advances its tenant's
+*virtual time* by ``cost / weight`` (stride scheduling).  Only the
+dispatch *order* depends on the cost, never any result.  The next task
+always comes from the tenant with the least virtual time, so:
 
 - tenants receive pool share proportional to their weights;
 - a tenant burning huge tasks accumulates virtual time quickly and
@@ -88,31 +86,20 @@ class FairShareQueue:
     names and arrival sequence numbers, never on wall clock or hashing.
     """
 
-    def __init__(
-        self,
-        tenant_weights: Optional[Dict[str, float]] = None,
-        default_weight: float = 1.0,
-        min_cost: float = 1.0,
-        cost_provider=None,
-    ):
-        if default_weight <= 0:
-            raise ValueError(
-                f"default weight must be positive, got {default_weight}"
-            )
-        if min_cost <= 0:
-            raise ValueError(f"min cost must be positive, got {min_cost}")
+    #: weight of a tenant ``tenant_weights`` does not name
+    default_weight: float = 1.0
+    #: floor of a task's cost, so no task advances virtual time by ~0
+    min_cost: float = 1.0
+
+    def __init__(self, tenant_weights: Optional[Dict[str, float]] = None):
         self._lock = threading.Lock()
-        self._weights: Dict[str, float] = {}
-        for tenant, weight in (tenant_weights or {}).items():
-            self._check_weight(weight)
-            self._weights[tenant] = weight
-        self._default_weight = default_weight
-        self._min_cost = min_cost
-        #: pluggable cost seam: Callable[[FunctionTask], float] or None
-        #: for the static §4.3 hint.  A provider only changes dispatch
-        #: *order* — results route by (section, function), so digests
-        #: are identical under any provider.
-        self._cost_provider = cost_provider
+        #: the configured weights (``--tenant-weight``), nothing else
+        self._weights: Dict[str, float] = dict(tenant_weights or {})
+        for weight in self._weights.values():
+            if weight <= 0:
+                raise ValueError(
+                    f"tenant weight must be positive, got {weight}"
+                )
         #: insertion-ordered so iteration (and thus selection scans) are
         #: reproducible regardless of string hash randomization.
         self._jobs: "OrderedDict[str, _JobQueue]" = OrderedDict()
@@ -124,31 +111,6 @@ class FairShareQueue:
         self._seq = 0
         #: total tasks dispatched (telemetry)
         self.dispatched = 0
-
-    @staticmethod
-    def _check_weight(weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be positive, got {weight}")
-
-    def set_weight(self, tenant: str, weight: float) -> None:
-        self._check_weight(weight)
-        with self._lock:
-            self._weights[tenant] = weight
-
-    def weight_of(self, tenant: str) -> float:
-        with self._lock:
-            return self._weights.get(tenant, self._default_weight)
-
-    def task_cost(self, task: FunctionTask) -> float:
-        """The cost a task is accounted at: the provider's estimate when
-        one is set (falling back to the static hint on any error),
-        floored at ``min_cost``."""
-        if self._cost_provider is not None:
-            try:
-                return max(float(self._cost_provider(task)), self._min_cost)
-            except Exception:
-                pass
-        return max(float(task.cost_hint), self._min_cost)
 
     # -- enqueue -------------------------------------------------------
 
@@ -186,7 +148,7 @@ class FairShareQueue:
                         tenant=tenant,
                         priority=priority,
                         task=task,
-                        cost=self.task_cost(task),
+                        cost=max(float(task.cost_hint), self.min_cost),
                         seq=self._seq,
                     )
                 )
@@ -228,9 +190,7 @@ class FairShareQueue:
                 job.tasks.popleft()
                 wave.append(head)
                 used_keys.add(head.task.key)
-                weight = self._weights.get(
-                    job.tenant, self._default_weight
-                )
+                weight = self._weights.get(job.tenant, self.default_weight)
                 self._vfloor = self._tenant_vtime[job.tenant]
                 self._tenant_vtime[job.tenant] += head.cost / weight
                 job.vtime += head.cost
@@ -285,8 +245,3 @@ class FairShareQueue:
     def pending_tasks(self) -> int:
         with self._lock:
             return sum(len(job.tasks) for job in self._jobs.values())
-
-    def pending_for(self, job_id: str) -> int:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            return len(job.tasks) if job is not None else 0

@@ -44,7 +44,7 @@ import queue as queue_mod
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -196,17 +196,15 @@ class CompileService:
     ``RemoteBackend``; one that is not already a
     :class:`~repro.parallel.supervisor.SupervisedBackend` runs under a
     fresh one, the service's one recovery policy and cost observer.
-    A caller-provided backend (and cache) is *borrowed*: the service
-    never shuts it down.  With ``backend=None`` the service builds and
-    owns a warm pool of ``max_workers``.
+    The backend (and cache) is *borrowed*: the service never shuts it
+    down.
     """
 
     def __init__(
         self,
-        backend=None,
+        backend,
         cache=None,
         *,
-        max_workers: Optional[int] = None,
         max_queued: int = 32,
         max_running: int = 4,
         per_tenant_inflight: int = 8,
@@ -225,11 +223,6 @@ class CompileService:
                 "per_tenant_inflight must be positive, "
                 f"got {per_tenant_inflight}"
             )
-        self.owns_backend = backend is None
-        if backend is None:
-            from ..parallel.warm_pool import WarmPoolBackend
-
-            backend = WarmPoolBackend(max_workers=max_workers)
         if not isinstance(backend, SupervisedBackend):
             backend = SupervisedBackend(backend)
         self._backend = backend
@@ -238,24 +231,15 @@ class CompileService:
         self.max_running = max_running
         self.per_tenant_inflight = per_tenant_inflight
 
-        #: learned cost model (repro.predict.observe.LearnedCostModel) or None
-        #: for the static §4.3 hints everywhere.  When set it becomes
-        #: the cost provider for the fair queue and for every backend in
-        #: the wrapper chain that exposes the seam, and the supervisor
-        #: feeds it each task's winning attempt.
+        #: learned cost model (repro.predict.observe.LearnedCostModel) or
+        #: None for the static §4.3 hints.  When set, each cache-miss
+        #: task's ``cost_hint`` is its estimate (see _submit_tasks), and
+        #: the supervisor feeds it each task's winning attempt.
         self.cost_model = cost_model
         if cost_model is not None:
             backend.cost_observer = cost_model.observe_task
-            node = backend
-            while node is not None:
-                own = getattr(node, "__dict__", {})
-                if "cost_provider" in own:
-                    node.cost_provider = cost_model
-                node = own.get("inner")
 
-        self.fair_queue = FairShareQueue(
-            tenant_weights, cost_provider=cost_model
-        )
+        self.fair_queue = FairShareQueue(tenant_weights)
         self._cond = threading.Condition()
         self._jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._job_ids = itertools.count(1)
@@ -471,7 +455,17 @@ class CompileService:
     # -- shared-pool dispatcher ----------------------------------------
 
     def _submit_tasks(self, job: JobRecord, tasks: List[FunctionTask]) -> None:
-        """Called from a job thread: feed its tasks to the fair queue."""
+        """Called from a job thread: feed its tasks to the fair queue.
+
+        With a cost model, each task's one estimate is written into its
+        ``cost_hint`` here, before the queue sees it: the queue's order,
+        the pool's LPT packing and the supervisor's deadlines — on a
+        fleet node or the degraded fallback as well — all read that."""
+        if self.cost_model is not None:
+            tasks = [
+                replace(task, cost_hint=self.cost_model.cost_for(task))
+                for task in tasks
+            ]
         with self._cond:
             if job.cancel_requested:
                 raise JobCancelled(job.job_id)
@@ -755,8 +749,8 @@ class CompileService:
                 self._cond.wait(remaining)
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful shutdown: optionally drain, stop the worker threads,
-        and shut the backend down only if this service owns it."""
+        """Graceful shutdown: optionally drain and stop the worker
+        threads; the borrowed backend keeps running."""
         if self._closed:
             return
         with self._cond:
@@ -779,10 +773,6 @@ class CompileService:
         for runner in self._runners:
             runner.join(timeout=10)
         self._closed = True
-        if self.owns_backend:
-            shutdown = getattr(self._backend, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
 
     def __enter__(self) -> "CompileService":
         return self

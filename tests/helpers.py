@@ -61,8 +61,9 @@ def plain_retry(inner, max_attempts: int = 3, **kwargs):
 
     kwargs.setdefault("hedge_after", None)
     kwargs.setdefault("poison_threshold", 100)
-    kwargs.setdefault("quarantine_after", 100)
-    return SupervisedBackend(inner, max_attempts=max_attempts, **kwargs)
+    backend = SupervisedBackend(inner, max_attempts=max_attempts, **kwargs)
+    backend.health.quarantine_after = 100
+    return backend
 
 
 def collect_events(backend, tasks):

@@ -281,9 +281,8 @@ class TestWriteBackUnderFailure:
         flaky = ChaosBackend(
             SerialBackend(), crash_rate=1.0, seed=1, max_failures_per_task=1
         )
-        backend = SupervisedBackend(
-            flaky, max_attempts=3, hedge_after=None, quarantine_after=100
-        )
+        backend = SupervisedBackend(flaky, max_attempts=3, hedge_after=None)
+        backend.health.quarantine_after = 100
         cold = ParallelCompiler(backend=backend, cache=cache).compile(SOURCE)
         assert flaky.injected_crashes == 4  # all four tasks were retried
         assert not cold.profile.poisoned_functions()

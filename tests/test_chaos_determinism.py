@@ -169,8 +169,8 @@ class TestSupervisedReplay:
                 hedge_after=None,
                 max_attempts=6,
                 poison_threshold=6,
-                quarantine_after=100,
             )
+            backend.health.quarantine_after = 100
             result = ParallelCompiler(backend=backend).compile(SOURCE)
             return result.digest, (
                 inner.injected_crashes,

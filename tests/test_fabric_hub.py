@@ -23,11 +23,7 @@ from repro.fabric.wire import (
     encode_task,
 )
 from repro.parallel.local import SerialBackend
-from repro.parallel.supervisor import (
-    SupervisedBackend,
-    SupervisionStats,
-    WorkerHealthTracker,
-)
+from repro.parallel.supervisor import SupervisedBackend, SupervisionStats
 from repro.service import CompileService
 
 SOURCE = """
@@ -302,9 +298,8 @@ class TestSchedulingAndFailure:
             assert hub.wait_for_nodes(1, timeout=10.0)
             backend = RemoteBackend(hub)
             backend.timeout_floor = 1.0
-            backend.health = WorkerHealthTracker(
-                quarantine_after=1, backoff_base=30.0
-            )
+            backend.health.quarantine_after = 1
+            backend.health.backoff_base = 30.0
             results, consumer = _consume(backend)
 
             held = [fake.recv_task(), fake.recv_task()]
@@ -376,9 +371,8 @@ class TestSchedulingAndFailure:
             try:
                 assert hub.wait_for_nodes(2, timeout=10.0)
                 backend = RemoteBackend(hub)
-                backend.health = WorkerHealthTracker(
-                    quarantine_after=2, backoff_base=1.5
-                )
+                backend.health.quarantine_after = 2
+                backend.health.backoff_base = 1.5
                 compiler = ParallelCompiler(backend=backend)
                 assert compiler.compile(SOURCE).digest == _sequential_digest()
                 bounced = len(received)
@@ -423,9 +417,8 @@ class TestSchedulingAndFailure:
             backend = RemoteBackend(hub)
             assert backend.task_timeout is None
             backend.timeout_floor = 0.5  # the derived deadline, sooner
-            backend.health = WorkerHealthTracker(
-                quarantine_after=1, backoff_base=30.0
-            )
+            backend.health.quarantine_after = 1
+            backend.health.backoff_base = 30.0
             result = ParallelCompiler(backend=backend).compile(SOURCE)
             assert result.digest == _sequential_digest()
             assert backend.supervision == SupervisionStats(

@@ -126,8 +126,6 @@ class TestRetryingBackend:
     def test_invalid_attempts_rejected(self):
         with pytest.raises(ValueError):
             SupervisedBackend(SerialBackend(), max_attempts=-1)
-        with pytest.raises(ValueError):
-            SupervisedBackend(SerialBackend(), quarantine_after=0)
 
     def test_retried_results_arrive_in_any_order_but_combine_correctly(self):
         inner = flaky(0.6, seed=5, max_failures_per_task=1)

@@ -1,5 +1,5 @@
-"""Predictive compilation: the learned cost model, the pluggable cost
-seam, winning-attempt observation, and watch-mode speculation.
+"""Predictive compilation: the learned cost model, the one estimate a
+task carries, winning-attempt observation, and watch-mode speculation.
 
 The invariant every test here circles: prediction reorders *scheduling*
 (dispatch order, batch packing, deadlines) and warms caches, but can
@@ -7,6 +7,7 @@ never change a compile result.  Digests with the model on must be
 bit-identical to digests with it off, across every seed we can afford.
 """
 
+import copy
 import dataclasses
 import threading
 import time
@@ -20,8 +21,8 @@ from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.parallel.backend import stream_task_results
+from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
-from repro.parallel.schedule import provided_task_costs
 from repro.parallel.supervisor import SupervisedBackend
 from repro.predict import (
     SPECULATION_TENANT,
@@ -31,6 +32,7 @@ from repro.predict import (
     SpeculationManager,
     task_fingerprint,
 )
+from repro.predict.observe import CALIBRATION_KEY
 from repro.service import CompileService, FairShareQueue
 from repro.workloads.synthetic import synthetic_program
 
@@ -121,9 +123,8 @@ def _recorded_tasks(source=SOURCE):
 
 class TestCostModel:
     def test_ewma_folds_and_window_trims(self, tmp_path):
-        model = LearnedCostModel(
-            ObservationStore(str(tmp_path)), alpha=0.5, window=3
-        )
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
+        model.alpha, model.window = 0.5, 3
         obs = None
         for value in (1.0, 2.0, 3.0, 4.0):
             obs = model.observe("fp", value)
@@ -141,7 +142,8 @@ class TestCostModel:
         assert second.estimate_seconds("fp") == pytest.approx(2.0)
 
     def test_min_samples_gates_estimates(self, tmp_path):
-        model = LearnedCostModel(ObservationStore(str(tmp_path)), min_samples=2)
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
+        assert model.min_samples == 2
         model.observe("fp", 1.0)
         assert model.estimate_seconds("fp") is None
         model.observe("fp", 1.0)
@@ -149,9 +151,8 @@ class TestCostModel:
         assert model.estimate_seconds("never-seen") is None
 
     def test_percentile_is_nearest_rank(self, tmp_path):
-        model = LearnedCostModel(
-            ObservationStore(str(tmp_path)), min_samples=1, window=10
-        )
+        model = LearnedCostModel(ObservationStore(str(tmp_path)))
+        model.min_samples, model.window = 1, 10
         for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
             model.observe("fp", value)
         assert model.percentile_seconds("fp", 0.9) == pytest.approx(9.0)
@@ -202,15 +203,6 @@ class TestCostModel:
         )
         assert fp_a is not None and fp_a == fp_b
 
-    def test_invalid_knobs_rejected(self, tmp_path):
-        store = ObservationStore(str(tmp_path))
-        with pytest.raises(ValueError):
-            LearnedCostModel(store, alpha=0.0)
-        with pytest.raises(ValueError):
-            LearnedCostModel(store, window=0)
-        with pytest.raises(ValueError):
-            LearnedCostModel(store, min_samples=0)
-
     def test_snapshot_reports_calibration(self, tmp_path):
         model = LearnedCostModel(ObservationStore(str(tmp_path)))
         model.observe("fp", 0.5, hint=10.0)
@@ -219,10 +211,46 @@ class TestCostModel:
         assert snap["recorded"] == 2
         assert snap["hints_per_second"] == pytest.approx(20.0)
 
+    def test_memo_is_bounded_and_the_store_stays_the_record(self):
+        """A days-long server observes ever new fingerprints: the memo
+        stays at its cap, and what it forgot is read back from the
+        store, so every estimate is a fresh model's."""
+        store = DictStore()
+        model = LearnedCostModel(store)
+        fingerprints = [f"{i:064x}" for i in range(10_000)]
+        for i, fingerprint in enumerate(fingerprints):
+            model.observe(fingerprint, 0.001 * (i % 7 + 1), hint=i % 5 + 1)
+            if i % 3 == 0:
+                model.observe(fingerprint, 0.002, hint=i % 5 + 1)
+        assert len(model._memo) == LearnedCostModel.memo_entries
+        fresh = LearnedCostModel(store)
+        for fingerprint in fingerprints:
+            assert model.estimate_seconds(fingerprint) == (
+                fresh.estimate_seconds(fingerprint)
+            )
+            assert model.percentile_seconds(fingerprint) == (
+                fresh.percentile_seconds(fingerprint)
+            )
+        assert model._hints_per_second() == fresh._hints_per_second()
+        assert len(model._memo) == LearnedCostModel.memo_entries
+
+
+class DictStore:
+    """The two calls the model makes of its store, over a dict of
+    copies: ten thousand entries on disk would take seconds."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def get(self, fingerprint):
+        return copy.deepcopy(self.entries.get(fingerprint))
+
+    def put(self, fingerprint, obs):
+        self.entries[fingerprint] = copy.deepcopy(obs)
+
 
 # ---------------------------------------------------------------------------
-# the pluggable cost-provider seam (satellite: refactor of ast_cost_hint
-# consumers)
+# a task's fingerprint, and the one cost it carries
 
 
 class TestTaskFingerprint:
@@ -304,62 +332,163 @@ class TestObservationStoreForm:
 
 
 class TestCostProviderSeam:
-    def test_none_provider_is_the_static_hint(self):
-        tasks = _recorded_tasks()
-        assert provided_task_costs(tasks, None) == [
-            float(t.cost_hint) for t in tasks
-        ]
-
-    def test_provider_values_used_and_errors_fall_back(self):
-        tasks = _recorded_tasks()
-
-        def flaky(task):
-            if task.function_name == tasks[0].function_name:
-                raise RuntimeError("no estimate")
-            return 42.0
-
-        costs = provided_task_costs(tasks, flaky)
-        assert costs[0] == float(tasks[0].cost_hint)
-        assert all(c == 42.0 for c in costs[1:])
+    """Every scheduler reads the one cost a task carries: ``cost_hint``,
+    the static hint or the estimate written in before enqueueing."""
 
     def test_queue_task_cost_provider_and_floor(self):
-        task = FunctionTask("", "<t>", "s", "f", cost_hint=5.0)
-        assert FairShareQueue().task_cost(task) == 5.0
-        provided = FairShareQueue(cost_provider=lambda t: 9.0)
-        assert provided.task_cost(task) == 9.0
-        floored = FairShareQueue(cost_provider=lambda t: 0.0)
-        assert floored.task_cost(task) == 1.0  # min_cost floor
-        broken = FairShareQueue(
-            cost_provider=lambda t: (_ for _ in ()).throw(ValueError())
-        )
-        assert broken.task_cost(task) == 5.0
+        def queued_cost(hint):
+            queue = FairShareQueue()
+            queue.enqueue("j", "t", 1, [FunctionTask("", "<t>", "s", "f", hint)])
+            return queue.next_wave(1)[0].cost
+
+        assert queued_cost(5.0) == 5.0
+        assert queued_cost(9.0) == 9.0
+        assert queued_cost(0.0) == 1.0  # the min_cost floor
 
     def test_supervisor_timeout_uses_provider(self):
-        task = FunctionTask("", "<t>", "s", "f", cost_hint=100.0)
-        plain = SupervisedBackend(
-            SerialBackend(), timeout_floor=1.0, timeout_multiplier=0.01
-        )
-        assert plain.timeout_for(task) == pytest.approx(1.0)
-        informed = SupervisedBackend(
-            SerialBackend(),
-            timeout_floor=1.0,
-            timeout_multiplier=0.01,
-            cost_provider=lambda t: 1000.0,
-        )
-        assert informed.timeout_for(task) == pytest.approx(10.0)
+        backend = SupervisedBackend(SerialBackend())
+        backend.timeout_floor, backend.timeout_multiplier = 1.0, 0.01
+        plain = FunctionTask("", "<t>", "s", "f", cost_hint=100.0)
+        assert backend.timeout_for(plain) == pytest.approx(1.0)
+        informed = dataclasses.replace(plain, cost_hint=1000.0)
+        assert backend.timeout_for(informed) == pytest.approx(10.0)
 
     def test_backend_digests_unchanged_by_provider(self):
         """Costs reorder batches; results must be bit-identical."""
         from repro.parallel.warm_pool import WarmPoolBackend
 
         expected = SequentialCompiler().compile(SOURCE).digest
-        with WarmPoolBackend(max_workers=2) as backend:
-            # reverse the relative order the packer sees
-            backend.cost_provider = lambda task: 1.0 / max(
-                task.cost_hint, 1.0
-            )
-            result = ParallelCompiler(backend=backend).compile(SOURCE)
+        with WarmPoolBackend(max_workers=2) as pool:
+
+            class Reversed:
+                """Reverses the relative order the packer sees."""
+
+                worker_count = effective_worker_count = 2
+
+                def run_tasks_streaming(self, tasks):
+                    return pool.run_tasks_streaming([
+                        dataclasses.replace(
+                            task, cost_hint=1.0 / max(task.cost_hint, 1.0)
+                        )
+                        for task in tasks
+                    ])
+
+            result = ParallelCompiler(backend=Reversed()).compile(SOURCE)
         assert result.digest == expected
+
+
+class CountingModel(LearnedCostModel):
+    """A model whose estimate of ``f<i>`` is ``100 + i``, counting how
+    often each task is asked about."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.asked = {}
+
+    def cost_for(self, task):
+        self.asked[task.key] = self.asked.get(task.key, 0) + 1
+        return 100.0 + int(task.function_name[1:])
+
+    __call__ = cost_for  # counted however the model is asked
+
+
+class SpyFarm:
+    """An in-process farm that keeps every task it was handed."""
+
+    worker_count = effective_worker_count = 1
+
+    def __init__(self):
+        self.tasks = []
+
+    def run_tasks_streaming(self, tasks):
+        self.tasks.extend(tasks)
+        return SerialBackend().run_tasks_streaming(tasks)
+
+
+class TestOneEstimatePerTask:
+    """A task's cost is a fact of the task: the service asks its model
+    once, where the task enters the queue, and every scheduler below
+    reads the estimate it carries."""
+
+    ESTIMATES = {("s", f"f{i}"): 100.0 + i for i in range(4)}
+
+    def _compile(self, tmp_path, backend):
+        """Compile SOURCE through a service over ``backend``; returns the
+        model and every deadline the supervisor derived, as
+        ``(task key, cost_hint, seconds)``."""
+        model = CountingModel(ObservationStore(str(tmp_path / "obs")))
+        deadlines = []
+        with CompileService(backend, cost_model=model) as service:
+            supervisor = service._backend
+            supervisor.timeout_floor = 1.0  # below every estimate's share
+            supervisor.health.quarantine_after = 100  # retries stay on it
+            derive = supervisor.timeout_for
+
+            def timeout_for(task):
+                deadlines.append((task.key, task.cost_hint, derive(task)))
+                return deadlines[-1][2]
+
+            supervisor.timeout_for = timeout_for
+            job = service.wait(service.submit(SOURCE), timeout=60.0)
+        assert job.state == "done", job.error
+        assert job.digest == SequentialCompiler().compile(SOURCE).digest
+        return model, deadlines
+
+    def test_one_estimate_reaches_the_farm_and_the_deadline(self, tmp_path):
+        farm = SpyFarm()
+        model, deadlines = self._compile(tmp_path, farm)
+        assert model.asked == {key: 1 for key in self.ESTIMATES}
+        assert len(farm.tasks) == 4
+        assert {t.key: t.cost_hint for t in farm.tasks} == self.ESTIMATES
+        assert sorted(key for key, _, _ in deadlines) == sorted(self.ESTIMATES)
+        for key, hint, seconds in deadlines:
+            assert hint == self.ESTIMATES[key]
+            assert seconds == pytest.approx(0.05 * hint)
+
+    def test_once_however_many_attempts(self, tmp_path):
+        """Every task crashes once and is retried: still one estimate
+        each, and the retry carries it too."""
+        farm = ChaosBackend(
+            SpyFarm(), seed=1, crash_rate=1.0, max_failures_per_task=1
+        )
+        model, deadlines = self._compile(tmp_path, farm)
+        assert farm.injected_crashes == 4
+        assert model.asked == {key: 1 for key in self.ESTIMATES}
+        assert {t.key: t.cost_hint for t in farm.inner.tasks} == self.ESTIMATES
+        for key in self.ESTIMATES:
+            assert [hint for k, hint, _ in deadlines if k == key] == [
+                self.ESTIMATES[key]
+            ] * 2
+
+    def test_a_zero_node_fleet_degrades_with_the_estimates(self, tmp_path):
+        from repro.fabric import FabricHub, RemoteBackend
+
+        fallback = SpyFarm()
+        with FabricHub(fallback=fallback) as hub:
+            backend = RemoteBackend(hub)
+            model, _ = self._compile(tmp_path, backend)
+        assert backend.supervision.degradations >= 1
+        assert model.asked == {key: 1 for key in self.ESTIMATES}
+        assert {t.key: t.cost_hint for t in fallback.tasks} == self.ESTIMATES
+
+    def test_an_estimate_never_feeds_its_own_calibration(self, tmp_path):
+        task = _recorded_tasks()[0]
+        estimated = dataclasses.replace(task, cost_hint=1e6)
+        records = []
+        for name, observed in (("plain", task), ("estimated", estimated)):
+            store = ObservationStore(str(tmp_path / name))
+            model = LearnedCostModel(store)
+            model.observe_task(observed, 0.01)
+            model.observe_task(observed, 0.02)
+            records.append(
+                (store.get(CALIBRATION_KEY), store.get(task_fingerprint(task)))
+            )
+        assert records[0] == records[1]
+        # the calibration pairs the seconds with the static hint
+        assert records[1][1].hint == max(task.cost_hint, 1.0)
+        assert records[1][0].ewma_s == pytest.approx(
+            records[1][1].hint * (0.75 / 0.01 + 0.25 / 0.02)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +499,9 @@ class TestCostProviderSeam:
 class TestWinningAttemptObservation:
     def test_exactly_one_observation_per_task(self):
         observed = []
-        backend = SupervisedBackend(
-            SerialBackend(),
-            cost_observer=lambda task, s: observed.append(
-                (task.function_name, s)
-            ),
+        backend = SupervisedBackend(SerialBackend())
+        backend.cost_observer = lambda task, s: observed.append(
+            (task.function_name, s)
         )
         ParallelCompiler(backend=backend).compile(SOURCE)
         names = [name for name, _ in observed]
@@ -387,14 +514,11 @@ class TestWinningAttemptObservation:
         observed = {}
         inner = SlowOnce("f3", delay=1.2)
         backend = SupervisedBackend(
-            inner,
-            task_timeout=0.2,
-            hedge_after=None,
-            max_attempts=3,
-            cost_observer=lambda task, s: observed.setdefault(
-                task.function_name, []
-            ).append(s),
+            inner, task_timeout=0.2, hedge_after=None, max_attempts=3
         )
+        backend.cost_observer = lambda task, s: observed.setdefault(
+            task.function_name, []
+        ).append(s)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
         assert inner.attempts["f3"] == 2
@@ -407,8 +531,9 @@ class TestWinningAttemptObservation:
         def explode(task, seconds):
             raise RuntimeError("observer bug")
 
-        backend = SupervisedBackend(SerialBackend(), cost_observer=explode)
-        par = ParallelCompiler(backend=backend).compile(SOURCE)
+        backend = SupervisedBackend(SerialBackend())
+        backend.cost_observer = explode
+        par =ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
 
     def test_service_records_observations_end_to_end(self, tmp_path):

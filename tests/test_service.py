@@ -291,7 +291,6 @@ class TestLifecycle:
         service = CompileService(backend)
         service.wait(service.submit(_module("borrowed")), timeout=60.0)
         service.close()
-        assert service.owns_backend is False
         assert backend.shutdowns == 0
 
     def test_events_trace_job_lifecycle(self):

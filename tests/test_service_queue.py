@@ -162,22 +162,25 @@ class TestFairShare:
     def test_discard_job_drops_pending_tasks(self):
         q = FairShareQueue()
         q.enqueue("j1", "a", 1, [_task("s", f"f{i}") for i in range(3)])
-        assert q.pending_for("j1") == 3
+        q.enqueue("j2", "b", 1, [_task("t", "g")])
+        assert q.pending_tasks() == 4
         assert q.discard_job("j1") == 3
+        assert q.pending_tasks() == 1
+        assert q.discard_job("j2") == 1
         assert not q.has_pending()
         assert q.discard_job("j1") == 0
 
     def test_cost_floor_applies(self):
-        q = FairShareQueue(min_cost=2.0)
+        q = FairShareQueue()
+        q.min_cost = 2.0
         q.enqueue("j1", "a", 1, [_task("s", "f", cost=0.001)])
         assert q.next_wave(1)[0].cost == 2.0
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             FairShareQueue(tenant_weights={"a": 0.0})
-        q = FairShareQueue()
         with pytest.raises(ValueError):
-            q.set_weight("a", -1.0)
+            FairShareQueue(tenant_weights={"a": 1.0, "b": -1.0})
 
 
 class TestResultKeys:

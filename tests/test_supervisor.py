@@ -61,6 +61,13 @@ def supervised(inner=None, **kwargs) -> SupervisedBackend:
     )
 
 
+def tracker(**constants) -> WorkerHealthTracker:
+    """A health tracker with some class constants overridden."""
+    health = WorkerHealthTracker()
+    vars(health).update(constants)
+    return health
+
+
 class SlowOnce:
     """Serial backend whose *first* attempt at ``slow_name`` sleeps —
     a single wedged workstation, deterministic and per-test."""
@@ -141,14 +148,11 @@ class TestTransparency:
         task = FunctionTask("", "<t>", "s", "f", cost_hint=1000.0)
         assert supervised(task_timeout=2.5).timeout_for(task) == 2.5
         assert supervised(task_timeout=0).timeout_for(task) is None
-        derived = supervised(
-            timeout_floor=1.0, timeout_multiplier=0.01
-        ).timeout_for(task)
-        assert derived == pytest.approx(10.0)
-        floored = supervised(
-            timeout_floor=60.0, timeout_multiplier=0.01
-        ).timeout_for(task)
-        assert floored == pytest.approx(60.0)
+        backend = supervised()
+        backend.timeout_floor, backend.timeout_multiplier = 1.0, 0.01
+        assert backend.timeout_for(task) == pytest.approx(10.0)
+        backend.timeout_floor = 60.0
+        assert backend.timeout_for(task) == pytest.approx(60.0)
 
 
 class TestDeadlines:
@@ -188,9 +192,9 @@ class TestHedging:
             inner,
             task_timeout=0,  # deadlines off: hedging alone must save us
             hedge_after=0.5,
-            hedge_min_age=0.0,
             max_attempts=3,
         )
+        backend.hedge_min_age = 0.0
         start = time.monotonic()
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         wall = time.monotonic() - start
@@ -232,43 +236,60 @@ class TestHedging:
 
 class TestHealthTracker:
     def test_quarantine_after_consecutive_failures(self):
-        tracker = WorkerHealthTracker(quarantine_after=2, backoff_base=10.0)
-        assert tracker.record_failure("w0", now=0.0) is False
-        assert tracker.record_failure("w0", now=1.0) is True
-        assert tracker.quarantined(now=5.0) == {"w0"}
-        assert tracker.quarantined(now=20.0) == frozenset()
+        health = tracker(quarantine_after=2, backoff_base=10.0)
+        assert health.record_failure("w0", now=0.0) is False
+        assert health.record_failure("w0", now=1.0) is True
+        assert health.quarantined(now=5.0) == {"w0"}
+        assert health.quarantined(now=20.0) == frozenset()
 
     def test_success_resets_consecutive_count(self):
-        tracker = WorkerHealthTracker(quarantine_after=2)
-        tracker.record_failure("w0", now=0.0)
-        tracker.record_success("w0")
-        assert tracker.record_failure("w0", now=1.0) is False
+        health = tracker(quarantine_after=2)
+        health.record_failure("w0", now=0.0)
+        health.record_success("w0")
+        assert health.record_failure("w0", now=1.0) is False
 
     def test_backoff_doubles_per_spell_and_caps(self):
-        tracker = WorkerHealthTracker(
-            quarantine_after=1, backoff_base=1.0, backoff_cap=3.0
-        )
-        assert tracker.record_failure("w0", now=0.0) is True
-        assert tracker.quarantined(now=0.5) == {"w0"}
+        health = tracker(quarantine_after=1, backoff_base=1.0, backoff_cap=3.0)
+        assert health.record_failure("w0", now=0.0) is True
+        assert health.quarantined(now=0.5) == {"w0"}
         # re-admitted at t=1; second spell lasts 2s
-        assert tracker.record_failure("w0", now=1.5) is True
-        assert tracker.quarantined(now=3.0) == {"w0"}
+        assert health.record_failure("w0", now=1.5) is True
+        assert health.quarantined(now=3.0) == {"w0"}
         # third spell would be 4s but caps at 3
-        assert tracker.record_failure("w0", now=4.0) is True
-        assert tracker.quarantined(now=6.5) == {"w0"}
-        assert tracker.quarantined(now=7.5) == frozenset()
+        assert health.record_failure("w0", now=4.0) is True
+        assert health.quarantined(now=6.5) == {"w0"}
+        assert health.quarantined(now=7.5) == frozenset()
+
+    def test_backoff_survives_a_success_between_spells(self):
+        """A worker once benched keeps its spell count through a
+        success: its next quarantine still doubles."""
+        health = tracker(quarantine_after=1, backoff_base=1.0)
+        assert health.record_failure("w0", now=0.0) is True
+        health.record_success("w0")
+        assert health.record_failure("w0", now=2.0) is True
+        assert health.quarantined(now=3.5) == {"w0"}  # a 2s spell
+        assert health.quarantined(now=4.5) == frozenset()
+
+    def test_successes_of_churned_workers_leave_no_entries(self):
+        """A fleet's node names churn; a never-benched worker's entry
+        after a success equals a fresh one, so none is kept."""
+        health = tracker()
+        for i in range(10_000):
+            health.record_failure(f"node:{i}", now=0.0)
+            health.record_success(f"node:{i}")
+        assert health._workers == {}
 
     def test_all_quarantined_by_capacity_or_farm(self):
-        tracker = WorkerHealthTracker(quarantine_after=1, backoff_base=10.0)
-        tracker.record_failure("w0", now=0.0)
-        assert tracker.all_quarantined(1.0, ("w0", "w1")) is False
-        tracker.record_failure("w1", now=0.0)
-        assert tracker.all_quarantined(1.0, ("w0", "w1")) is True
+        health = tracker(quarantine_after=1, backoff_base=10.0)
+        health.record_failure("w0", now=0.0)
+        assert health.all_quarantined(1.0, ("w0", "w1")) is False
+        health.record_failure("w1", now=0.0)
+        assert health.all_quarantined(1.0, ("w0", "w1")) is True
         # a benched name that left the farm bounds nothing ...
-        assert tracker.all_quarantined(1.0, ("w1", "w2")) is False
+        assert health.all_quarantined(1.0, ("w1", "w2")) is False
         # ... and a farm with no worker at all has no capacity
-        assert tracker.all_quarantined(1.0, ()) is True
-        farm_only = WorkerHealthTracker(quarantine_after=1, backoff_base=10.0)
+        assert health.all_quarantined(1.0, ()) is True
+        farm_only = tracker(quarantine_after=1, backoff_base=10.0)
         farm_only.record_failure(FARM, now=0.0)
         assert farm_only.all_quarantined(1.0, ("w0", "w1")) is True
 
@@ -281,14 +302,10 @@ class TestQuarantineAndDegradation:
         # ladder's bottom rung is a correct compiler, not an error).
         inner = chaos(workers=2, seed=0, dead_workers=("w0", "w1"))
         backend = supervised(
-            inner,
-            quarantine_after=1,
-            quarantine_backoff=30.0,
-            max_attempts=4,
-            poison_threshold=5,
-            hedge_after=None,
+            inner, max_attempts=4, poison_threshold=5, hedge_after=None
         )
-        par = ParallelCompiler(backend=backend).compile(SOURCE)
+        backend.health = tracker(quarantine_after=1, backoff_base=30.0)
+        par =ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
         assert backend.supervision.quarantines >= 2
@@ -297,14 +314,9 @@ class TestQuarantineAndDegradation:
 
     def test_quarantined_workers_are_excluded_from_dispatch(self):
         inner = chaos(workers=3, seed=0, dead_workers=("w1",))
-        backend = supervised(
-            inner,
-            quarantine_after=1,
-            quarantine_backoff=30.0,
-            max_attempts=4,
-            hedge_after=None,
-        )
-        par = ParallelCompiler(backend=backend).compile(SOURCE)
+        backend = supervised(inner, max_attempts=4, hedge_after=None)
+        backend.health = tracker(quarantine_after=1, backoff_base=30.0)
+        par =ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
         # once w1 got quarantined the supervisor told the backend
         assert "w1" in inner._excluded

@@ -183,8 +183,6 @@ class TestPoolPersistence:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             WarmPoolBackend(max_workers=0)
-        with pytest.raises(ValueError):
-            WarmPoolBackend(batches_per_worker=0)
 
     @needs_fork
     def test_a_late_crash_report_spares_the_fresh_executor(self, monkeypatch):
@@ -298,7 +296,8 @@ class TestWorkerCrashMidCompile:
         from repro.service import CompileService
 
         crash_workers(monkeypatch, "f1", marker=tmp_path / "crashed")
-        with CompileService(max_workers=2) as service:
+        with WarmPoolBackend(max_workers=2) as pool, \
+                CompileService(pool) as service:
             job = service.wait(service.submit(SIX), timeout=60.0)
             supervision = service.service_stats()["supervision"]
         assert (tmp_path / "crashed").exists()
