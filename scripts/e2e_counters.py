@@ -7,10 +7,21 @@ Counts from the smoke run's traced legs (``python -m pytest
 benchmarks/e2e/test_smoke.py`` writes the file), so they do not depend
 on the runner's speed.  The II search starts at the recurrence bound: 13
 of cold_loopnest's 43 attempts succeed (0.30; a climb from ResMII read
-0.019), and no workload may take a fallback.  warm_edit's leg makes 54
-cache lookups of which 41 hit — which lookups happen is part of the
-design, so the share is pinned exactly — and leaves 152,780 bytes on
-disk (pickled entries: 378,352), held under a ceiling.  serve_mix's 26
+0.019), and no workload may take a fallback.  warm_edit's leg makes 36
+cache lookups of which 20 hit — which lookups happen is part of the
+design, so the share is pinned exactly.  The leg is a fill, two
+one-edit compiles and three no-edit compiles of a 4-function,
+1-section module.  The fill misses 10 times: the module record, 4
+parse entries, 4 artifacts, 1 section program.  A one-edit compile
+makes the same 10 lookups and hits 7: its record misses, 3 of each 4
+parse entries and artifacts hit, and so does the section program (the
+session's edits leave the object code as it was).  A no-edit compile
+is 2 lookups, both hits: the record and its one section program (it
+was 17 before the module record was keyed by the source text: 8 parse
+entries, 8 artifacts, the module).  Hits 2*7 + 3*2 = 20 of
+10 + 2*10 + 3*2 = 36.  The leg leaves 144,480 bytes on disk (152,780
+while the module tier stored whole modules; pickled entries: 378,352),
+held under a ceiling.  serve_mix's 26
 tasks send back 97,894 bytes of results — a result is its encoded code
 and a few flat fields (as pickled object graphs: 539,834) — also held
 under a ceiling.
@@ -75,8 +86,8 @@ def main(path: str = SMOKE) -> int:
     print(f"driver.fallbacks = {fallbacks}")
     hit_share = layer("warm_edit", "cache.hit_share")
     on_disk = layer("warm_edit", "cache.bytes_on_disk")
-    print(f"warm_edit cache.hit_share = {hit_share!r} (exactly 41/54)")
-    print(f"warm_edit cache.bytes_on_disk = {on_disk:.0f} (ceiling 200000)")
+    print(f"warm_edit cache.hit_share = {hit_share!r} (exactly 20/36)")
+    print(f"warm_edit cache.bytes_on_disk = {on_disk:.0f} (ceiling 191700)")
     result_bytes = layer("serve_mix", "parallel.result_bytes")
     print(f"serve_mix parallel.result_bytes = {result_bytes:.0f} (ceiling 135000)")
     moved = [
@@ -90,8 +101,8 @@ def main(path: str = SMOKE) -> int:
         bool(moved)
         or share < 0.20
         or any(fallbacks.values())
-        or hit_share != 41 / 54
-        or on_disk > 200_000
+        or hit_share != 20 / 36
+        or on_disk > 191_700
         or result_bytes > 135_000
     )
 

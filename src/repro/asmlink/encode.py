@@ -5,10 +5,10 @@ modules" — the artifact shipped to the Warp interface unit.  This module
 defines that format, and everything that holds object code as bytes
 holds it in this format:
 
-- a **download module** (the ``.warp`` file, and the body of a module
-  cache entry) is ``MAGIC, VERSION, name, diagnostics``, then each
-  distinct program's blob behind its length, then the cell table.  Its
-  SHA-256 is the module digest (:func:`repro.asmlink.download.module_digest`);
+- a **download module** (the ``.warp`` file) is ``MAGIC, VERSION, name,
+  diagnostics``, then each distinct program's blob behind its length,
+  then the cell table.  Its SHA-256 is the module digest
+  (:func:`repro.asmlink.download.module_digest`);
 - a **program blob** (one :class:`CellProgram`; the body of a section
   cache entry) is self-contained — ``section, entry, data words, size in
   words``, its own string table, its functions in name order — so a
@@ -40,7 +40,7 @@ raises :class:`FormatError` and nothing but.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..gcpause import collector_paused
 from ..ir.instructions import Opcode
@@ -553,9 +553,8 @@ def decode_object_function(blob: bytes) -> ObjectFunction:
     return ObjectFunction(blocks=blocks, diagnostics=diagnostics, **signature)
 
 
-def _decode_module(
-    data: bytes, program_of: Callable[[bytes], CellProgram]
-) -> DownloadModule:
+def decode_module(data: bytes) -> DownloadModule:
+    """Reconstruct a download module from its wire format."""
     if data[:4] != MAGIC:
         raise FormatError("not a Warp download module (bad magic)")
     reader = _Reader(data, "download module")
@@ -569,7 +568,8 @@ def _decode_module(
         module_name=reader.text(), diagnostics_text=reader.text()
     )
     programs = [
-        program_of(reader.take(reader.uint())) for _ in range(reader.uint())
+        decode_program(reader.take(reader.uint()))
+        for _ in range(reader.uint())
     ]
     for _ in range(reader.uint()):
         cell, index = reader.uint(), reader.uint()
@@ -579,21 +579,6 @@ def _decode_module(
             raise FormatError(f"cell {cell} appears twice")
         module.cell_programs[cell] = programs[index]
     reader.finish()
-    return module
-
-
-def decode_module(data: bytes) -> DownloadModule:
-    """Reconstruct a download module from its wire format."""
-    return _decode_module(data, decode_program)
-
-
-def stored_module(data: bytes) -> DownloadModule:
-    """The module whose encoding ``data`` is known to be (bytes this
-    encoder wrote, checked against their hash by the cache tier that
-    kept them): it keeps them as its encoding, and each program decodes
-    when its code is first read."""
-    module = _decode_module(data, CellProgram.from_encoded)
-    module._encoded = data
     return module
 
 

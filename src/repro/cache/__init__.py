@@ -19,9 +19,9 @@ that function too.
 
 A third tier (:mod:`repro.cache.link_store`) does the same for phase
 4: per-section linked cell programs keyed by the ordered payload
-digests of their object functions, plus whole download modules keyed
-by the module fingerprint, so editing one function re-*links* exactly
-one section and a fully-warm recompile skips phase 4 entirely.
+digests of their object functions, plus one record per clean compile
+keyed by its source text, so editing one function re-*links* exactly
+one section and a no-edit recompile parses and links nothing.
 
 A fourth tier (:mod:`repro.cache.variant_store`) memoizes the variant
 search's simulated scores: per-(function, config, input set) cycle

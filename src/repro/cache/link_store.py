@@ -9,49 +9,48 @@ of the linked programs, the sections' cell ranges, and the module's
 diagnostics text.  That purity makes the linked tail cacheable the same
 way phases 2-3 are:
 
-- **section tier** — one :class:`~repro.asmlink.objformat.CellProgram`
-  per section, keyed by the link salt, the section's identity and cell
-  range, the *ordered* payload digests of its object functions (the
-  same sha256 the supervisor validates results against, so the key is
-  free at link time), and the cell's data-memory size.  A 1-function
-  edit changes exactly one section's digest list, so a warm recompile
-  re-links exactly that section;
-- **module tier** — the whole
-  :class:`~repro.asmlink.objformat.DownloadModule`, keyed by the module
-  fingerprint (every section's key material plus the array's cell count
-  and the diagnostics text the module embeds).  A fully-warm recompile
-  skips phase 4 entirely.
+- **section tier** (``link/``) — one
+  :class:`~repro.asmlink.objformat.CellProgram` per section, keyed by
+  the link salt, the section's identity and cell range, the *ordered*
+  payload digests of its object functions (the same sha256 the
+  supervisor validates results against, so the key is free at link
+  time), and the cell's data-memory size.  A 1-function edit changes
+  exactly one section's digest list, so a warm recompile re-links
+  exactly that section.  The body is the program's blob, decoded only
+  if someone executes, links or prints it;
+- **module tier** (``modules/``) — one :class:`ModuleRecord` per clean
+  compile, keyed by what the user hands in (:func:`module_link_key`).
+  It holds no code: it names each section's ``link/`` entry and keeps
+  the module digest, the diagnostics and the profile's stable facts, so
+  a no-edit recompile reads the record and its sections and parses
+  nothing.  The module rebuilt from them must hash to the digest.
 
-Invalidation: any object function's content changed (payload digest),
-a section's cell range or the cell/array geometry changed, diagnostics
-changed (module tier), or the compiler/link schema version bumped (the
-salt).  Both tiers ride :class:`~repro.cache.store.Store` — atomic
-writes, hashed headers and bodies, corrupt-entry quarantine,
-LRU-by-mtime size bound — and hold their payload in the serial form of
-:mod:`repro.asmlink.encode`: a section entry's body is the program's
-blob, a module entry's body is the ``.warp`` file, whose hash (the
-entry's ``sha256``) is the module digest.  What a cached link reads of
-either — names, entry, data and code size — sits in the blob's fixed
-head, so a hit hands back a program or a module whose instructions are
-decoded only if someone executes, links or prints them.
+Invalidation: an object function's content changed (payload digest),
+a section's cell range or the cell geometry changed, the source,
+filename or options changed (module tier), or the compiler/link schema
+bumped (the salt).  Both tiers ride :class:`~repro.cache.store.Store`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import List, Optional, Sequence
 
-from ..asmlink.encode import stored_module
 from ..asmlink.objformat import CellProgram
+from ..driver.results import FunctionReport
+from ..machine.warp_cell import WarpCellModel
+from ..options import CompileOptions
 from .fingerprint import _Hasher, compiler_salt
-from .store import DEFAULT_MAX_BYTES, CacheStats, Store
+from .store import DEFAULT_MAX_BYTES, CacheStats, FactsCodec, Store
 
 #: Bump whenever the entry format or the meaning of a link key changes;
 #: old entries become unreachable rather than wrong.
 #: 2: entries are encoded bytes behind a checked header, not pickles.
 #: 3: the payload digests in a key are hashes of the encoded functions.
-LINK_SCHEMA_VERSION = 3
+#: 4: a module entry is a record keyed by the source text, not the module.
+LINK_SCHEMA_VERSION = 4
 
 
 def link_salt() -> str:
@@ -89,64 +88,83 @@ def section_link_key(
 
 
 def module_link_key(
-    module_name: str,
-    sections: Iterable[Tuple[str, int, int, Sequence[str]]],
-    diagnostics_text: str,
-    data_memory_words: int,
-    cell_count: int,
-    *,
+    source_text: str, filename: str, options: CompileOptions, *,
     salt: Optional[str] = None,
 ) -> str:
-    """Cache key for a whole :class:`DownloadModule`.
-
-    ``sections`` iterates ``(name, first_cell, last_cell, digests)`` in
-    module order.  The diagnostics text is hashed in because the module
-    embeds it verbatim; the array's cell count is hashed in because the
-    sections' cell ranges were validated against it.
-    """
+    """Cache key for a compile's :class:`ModuleRecord`: everything the
+    module is a function of.  Every field of ``options`` is hashed by
+    name, as :func:`~repro.cache.fingerprint.function_fingerprint` does;
+    the filename because diagnostics render it."""
     h = _Hasher()
-    h.feed(
-        salt if salt is not None else link_salt(),
-        module_name,
-        hashlib.sha256(diagnostics_text.encode("utf-8")).hexdigest(),
-        data_memory_words,
-        cell_count,
-    )
-    for name, first_cell, last_cell, digests in sections:
-        h.feed(name, first_cell, last_cell, len(digests))
-        for digest in digests:
-            h.feed(digest)
+    h.feed(salt if salt is not None else link_salt())
+    for option in fields(options):
+        h.feed(option.name, getattr(options, option.name))
+    h.feed(WarpCellModel.data_memory_words, len(filename), filename)
+    h.feed(len(source_text), source_text)
     return h.hexdigest()
 
 
-class _EncodedCodec:
-    """Body: the payload's own encoding, which it keeps; no facts in the
-    header — a program's and a module's are in the body's head."""
+@dataclass
+class SectionRecord:
+    """One section of a :class:`ModuleRecord`: its cells and the key of
+    its linked program in ``link/``."""
 
-    def __init__(self, from_encoded):
-        self.from_encoded = from_encoded
+    name: str
+    first_cell: int
+    last_cell: int
+    link_key: str
 
-    def pack(self, payload) -> Tuple[dict, bytes]:
-        return {}, payload.encoded()
 
-    def unpack(self, facts: dict, body: bytes):
-        return self.from_encoded(body)
+@dataclass
+class ModuleRecord:
+    """What a no-edit recompile needs besides the section programs: the
+    module's name, sections, diagnostics and digest, and the stable
+    facts of its work profile."""
+
+    module_name: str
+    sections: List[SectionRecord]
+    diagnostics_text: str
+    digest: str
+    parse_work: int
+    sema_work: int
+    source_lines: int
+    assembly_work: int
+    link_work: int
+    functions: List[FunctionReport]
+
+    #: the fields a WorkProfile has under the same names
+    profile_facts = (
+        "parse_work", "sema_work", "source_lines", "assembly_work",
+        "link_work", "functions",
+    )
 
 
 class SectionLinkStore(Store):
-    """Disk tier for per-section linked cell programs."""
+    """Disk tier for per-section linked cell programs: the body is the
+    program's blob, which it keeps; no header facts — its names and
+    sizes are in the blob's head."""
 
     SUBDIR = "link"
     SCHEMA = LINK_SCHEMA_VERSION
-    codec = _EncodedCodec(CellProgram.from_encoded)
+    codec = SimpleNamespace(
+        pack=lambda program: ({}, program.encoded()),
+        unpack=lambda facts, body: CellProgram.from_encoded(body),
+    )
 
 
 class ModuleStore(Store):
-    """Disk tier for whole download modules."""
+    """Disk tier for module records (header facts, no body)."""
 
     SUBDIR = "modules"
     SCHEMA = LINK_SCHEMA_VERSION
-    codec = _EncodedCodec(stored_module)
+    codec = FactsCodec(ModuleRecord)
+
+    def reject(self, fingerprint: str) -> None:
+        """Take back the hit just served: a corrupt entry, deleted."""
+        self.stats.hits -= 1
+        self.stats.misses += 1
+        self.stats.corrupt += 1
+        self._remove(self._entry_path(fingerprint))
 
 
 class LinkCache:
@@ -169,13 +187,9 @@ class LinkCache:
     @property
     def stats(self) -> CacheStats:
         """Combined counters across both tiers (for the stats line)."""
-        merged = CacheStats()
-        for store in (self.sections, self.modules):
-            merged.hits += store.stats.hits
-            merged.misses += store.stats.misses
-            merged.evictions += store.stats.evictions
-            merged.corrupt += store.stats.corrupt
-        return merged
+        pairs = zip(vars(self.sections.stats).values(),
+                    vars(self.modules.stats).values())
+        return CacheStats(*(ours + theirs for ours, theirs in pairs))
 
     def entry_count(self) -> int:
         return self.sections.entry_count() + self.modules.entry_count()

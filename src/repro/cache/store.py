@@ -6,16 +6,15 @@ checked header and a verified body::
     "WCE1" | u32 header length | SHA-256 of the header | header (JSON) | body
 
 The header names the tier and its schema, carries the body's SHA-256
-(for ``modules/`` the module digest, for ``objects/`` a result's payload
-digest), and holds whatever facts the tier wants readable without
-touching the body.  :func:`seal_entry` and :func:`open_entry` are the
-only definition of that framing: a :class:`Store` is the two plus a
-path, the fabric's frames carry sealed entries, and the cache server
-holds an ``objects/`` directory.  Opening re-hashes header and body.  A
-hash mismatch, a truncated file, another tier or schema, a mistyped fact
-or a body its codec rejects is a corrupt entry: deleted, counted,
-reported as a miss.  Corruption can cost a recompile, never a wrong
-artifact and never an exception.
+(for ``objects/`` a result's payload digest), and holds whatever facts
+the tier wants readable without touching the body.  :func:`seal_entry`
+and :func:`open_entry` are the only definition of that framing: a
+:class:`Store` is the two plus a path, the fabric's frames carry sealed
+entries, and the cache server holds an ``objects/`` directory.
+Opening re-hashes header and body.  A hash mismatch, a truncated file,
+another tier or schema, a mistyped fact or a body its codec rejects is
+a corrupt entry: deleted, counted, reported as a miss.  Corruption can
+cost a recompile, never a wrong artifact and never an exception.
 
 Writes go through a temporary file in the same directory followed by
 ``os.replace``, which is atomic on POSIX and Windows — two compilers
@@ -32,12 +31,12 @@ disk, so handles in different processes still converge on the bound.
 :class:`Store` owns all of that for every tier.  A tier is a
 subdirectory, a schema number and a *codec* — how a payload becomes
 ``(header facts, body)`` and back.  The tiers that hold object code
-(``objects/`` here, ``link/`` and ``modules/`` in
-:mod:`repro.cache.link_store`) keep it in the serial form of
-:mod:`repro.asmlink.encode`, with what a warm compile reads in the
-header; ``variants/`` and ``observe/`` hold one small record each as
-header facts with no body (:class:`FactsCodec`); ``parse/`` alone holds
-an object graph, pickled behind a closed allowlist (:mod:`.pickled`).
+(``objects/`` here, ``link/`` in :mod:`repro.cache.link_store`) keep
+it in the serial form of :mod:`repro.asmlink.encode`, with what a warm
+compile reads in the header; ``variants/``, ``observe/`` and
+``modules/`` hold one small record each as header facts with no body
+(:class:`FactsCodec`); ``parse/`` alone holds an object graph, pickled
+behind a closed allowlist (:mod:`.pickled`).
 """
 
 from __future__ import annotations
@@ -299,8 +298,8 @@ class Store:
 
 
 class FactsCodec:
-    """A small all-scalar dataclass as header facts, with an empty body
-    (``variants/``, ``observe/``): ``asdict`` out, type-checked in."""
+    """A small dataclass as header facts, with an empty body (``variants/``,
+    ``observe/``, ``modules/``): ``asdict`` out, type-checked in."""
 
     def __init__(self, record_type: type):
         self.record_type = record_type

@@ -7,15 +7,18 @@ parallel compilation.  Thus, the master knows the structure of the
 program and therefore the total number of processes involved in one
 compilation" (§3.2).
 
-Our master: parses and checks once (aborting on errors), builds one
+Our master first asks the module tier for the record of a clean
+compile of this very input, and given one rebuilds the module from the
+section programs it names, parsing nothing.  Otherwise it parses and
+checks once (aborting on errors), builds one
 :class:`FunctionTask` per function, consults the persistent artifact
 cache (functions whose fingerprints hit never cross the process
 boundary), streams the remaining tasks through an execution backend while
 section masters recombine results as they arrive, and runs phase 4
 through :class:`~repro.driver.phases.Phase4Runner`: each section is
 linked the moment its streaming recombiner completes, behind the
-optional link cache.  The output is bit-identical to the sequential
-compiler's.
+optional link cache, and a clean compile leaves its record behind.
+The output is bit-identical to the sequential compiler's.
 
 Ownership: a compile never shuts down or reconfigures the backend or
 cache it was given — both may be shared with other compilers (the
@@ -84,8 +87,8 @@ class ParallelCompiler:
         #: :meth:`compile` — telemetry for reports and benchmarks.
         self.last_phase1_stats: Optional[Phase1Stats] = None
         #: optional :class:`repro.cache.LinkCache`: per-section linked
-        #: programs and whole download modules are served from / written
-        #: back to it.
+        #: programs and the records of clean compiles are served from /
+        #: written back to it.
         self.link_cache = link_cache
         #: :class:`~repro.driver.phases.Phase4Stats` of the most recent
         #: :meth:`compile`.
@@ -110,6 +113,48 @@ class ParallelCompiler:
     def compile(
         self, source_text: str, filename: str = "<input>"
     ) -> CompilationResult:
+        key = None
+        if self.link_cache is not None:
+            from ..cache.link_store import module_link_key
+
+            key = module_link_key(source_text, filename, self.options)
+            served = Phase4Runner.lookup_module(
+                self.link_cache, key, self.array
+            )
+            if served is not None:
+                return self._served(source_text, filename, *served)
+        return self._compile(source_text, filename, key)
+
+    def _served(self, source_text, filename, record, module):
+        """The compile the module tier answered: the record's facts and
+        the module rebuilt from its sections.  The object code, which
+        only search reads, comes from the ordinary warm path on demand."""
+        self.last_phase1_stats = Phase1Stats(mode="cached")
+        self.last_phase4_stats = Phase4Stats(
+            mode="cached", link_cache_hits=len(record.sections)
+        )
+        # Nothing was dispatched: a supervisor's counters all stay 0.
+        supervision = getattr(self.backend, "supervision", None)
+        profile = WorkProfile(
+            **{name: getattr(record, name) for name in record.profile_facts},
+            phase1_mode="cached",
+            phase4_mode="cached",
+            link_cache_hits=len(record.sections),
+            download_words=module_size_words(module),
+            supervision=dict.fromkeys(getattr(supervision, "__dict__", ()), 0),
+        )
+        return CompilationResult(
+            module_name=record.module_name,
+            download=module,
+            digest=record.digest,
+            diagnostics_text=record.diagnostics_text,
+            profile=profile,
+            objects=lambda: self._compile(source_text, filename, None).objects,
+        )
+
+    def _compile(self, source_text, filename, key) -> CompilationResult:
+        """Phases 1-4; leaves a record under ``key`` if the compile was
+        clean."""
         # Master: one extra parse of the whole program to determine the
         # partitioning; syntax/semantic errors abort here.  The parse
         # goes through the phase-1 cache so in-process workers (and, with
@@ -152,14 +197,8 @@ class ParallelCompiler:
             parsed, self.array, diagnostics_text, link_cache=self.link_cache
         )
         phase4_stats = self.last_phase4_stats = runner.stats
-        cached_module = None
-        if not misses:
-            # Fully warm in phases 2/3: probe the whole-module tier
-            # before linking anything.
-            cached_module = runner.lookup_module(combiner.finalize())
-        if cached_module is None:
-            for ready in combiner.combined_sections():
-                runner.section_ready(ready)
+        for ready in combiner.combined_sections():
+            runner.section_ready(ready)
 
         for result in stream_task_results(self.backend, misses):
             if self.cache is not None:
@@ -208,9 +247,7 @@ class ParallelCompiler:
             profile.functions.extend(section_result.reports)
             diagnostics.extend(section_result.diagnostics)
 
-        module, assembly_work, link_work = runner.finish(
-            combined, cached_module=cached_module
-        )
+        module, assembly_work, link_work = runner.finish(combined)
         profile.phase4_link_ms = round(phase4_stats.link_ms, 3)
         profile.phase4_mode = phase4_stats.mode
         profile.link_cache_hits = phase4_stats.link_cache_hits
@@ -234,11 +271,42 @@ class ParallelCompiler:
         profile.assembly_work = assembly_work
         profile.link_work = link_work
         profile.download_words = module_size_words(module)
+        digest = module_digest(module)
+        # Clean: every section's program is in link/ (phase 4 ran
+        # parallel, which no poisoned or failed report does) and the
+        # module's diagnostics are all there is to say.
+        if key is not None and phase4_stats.mode == "parallel" and not extra:
+            from ..cache.link_store import ModuleRecord, SectionRecord
+
+            facts = {
+                name: getattr(profile, name)
+                for name in ModuleRecord.profile_facts
+            }
+            # What a warm compile's reports say of themselves.
+            facts["functions"] = [
+                replace(
+                    report, phase1_cache_hits=0, phase1_cache_misses=0,
+                    artifact_cache_hits=int(self.cache is not None),
+                    artifact_cache_misses=0,
+                )
+                for report in profile.functions
+            ]
+            sections = [
+                SectionRecord(
+                    section.name, section.first_cell, section.last_cell,
+                    runner.link_keys[section.name],
+                )
+                for section in parsed.module.sections
+            ]
+            self.link_cache.modules.put(key, ModuleRecord(
+                parsed.module.name, sections, diagnostics_text, digest,
+                **facts,
+            ))
 
         return CompilationResult(
             module_name=parsed.module.name,
             download=module,
-            digest=module_digest(module),
+            digest=digest,
             diagnostics_text=diagnostics_text,
             profile=profile,
             # On demand: a function that came as bytes (from the cache,

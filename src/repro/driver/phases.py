@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..cache.link_store import LinkCache
+    from ..cache.link_store import LinkCache, ModuleRecord
     from .section_master import CombinedSection
 
-from ..asmlink.download import build_download_module, module_size_words
+from ..asmlink.download import build_download_module, module_digest
 from ..asmlink.linker import link_section, link_work_units
 from ..asmlink.assembler import assembly_work_units
 from ..asmlink.objformat import CellProgram, DownloadModule, ObjectFunction
@@ -560,7 +560,6 @@ class Phase4Stats:
     link_ms: float = 0.0
     link_cache_hits: int = 0
     link_cache_misses: int = 0
-    module_cache_hit: bool = False
     fallback_reason: Optional[str] = None
 
 
@@ -572,8 +571,8 @@ class Phase4Runner:
     the section is linked there and then, in the master — then calls
     :meth:`finish` to build the download module.  With a
     :class:`~repro.cache.link_store.LinkCache`, each link first consults
-    the section tier, and :meth:`lookup_module` can skip phase 4
-    entirely on a fully-warm recompile.
+    the section tier and records its key in :attr:`link_keys`; the
+    module tier answers whole compiles first (:meth:`lookup_module`).
 
     Any irregularity — a poisoned or failed function, a range-validation
     error, a duplicate delivery, an exception while linking — taints
@@ -599,6 +598,8 @@ class Phase4Runner:
         self._sections = {s.name: s for s in parsed.module.sections}
         #: section name -> (program, cache hit, link s)
         self._linked: Dict[str, Tuple[CellProgram, bool, float]] = {}
+        #: section name -> key of its program in the section tier
+        self.link_keys: Dict[str, str] = {}
         self._taint_reason: Optional[str] = None
 
     # -- irregularity handling ----------------------------------------
@@ -615,54 +616,35 @@ class Phase4Runner:
 
     # -- module tier ---------------------------------------------------
 
-    def _module_key(self, combined: Dict[str, "CombinedSection"]) -> str:
-        from ..cache.link_store import module_link_key
-
-        material = [
-            (
-                section.name,
-                section.first_cell,
-                section.last_cell,
-                combined[section.name].payload_digests,
-            )
-            for section in self.parsed.module.sections
-        ]
-        return module_link_key(
-            self.parsed.module.name,
-            material,
-            self.diagnostics_text,
-            self.array.cell.data_memory_words,
-            self.array.cell_count,
-        )
-
+    @staticmethod
     def lookup_module(
-        self, combined: Dict[str, "CombinedSection"]
-    ) -> Optional[DownloadModule]:
-        """Whole-module cache probe; requires every section combined.
-
-        Only clean modules are eligible: anything touched by poison
-        isolation goes through the sequential oracle instead.
-        """
-        if self.link_cache is None:
+        link_cache: "LinkCache", key: str, array: WarpArrayModel
+    ) -> Optional[Tuple["ModuleRecord", DownloadModule]]:
+        """The record under ``key`` and the module rebuilt from its
+        sections' programs, or None.  A missing program is the section
+        tier's counted miss; a record whose cells fall outside ``array``
+        or whose module hashes to another digest is a corrupt entry."""
+        record = link_cache.modules.get(key)
+        if record is None:
             return None
+        cells, programs = {}, {}
         try:
-            for section in self.parsed.module.sections:
-                if section.name not in combined:
+            for section in record.sections:
+                cells[section.name] = (section.first_cell, section.last_cell)
+                array.validate_section_range(*cells[section.name])
+                program = link_cache.sections.get(section.link_key)
+                if program is None:
                     return None
-                if not self._combined_clean(combined[section.name]):
-                    return None
-                self.array.validate_section_range(
-                    section.first_cell, section.last_cell
-                )
-            module = self.link_cache.modules.get(self._module_key(combined))
-        except Exception as exc:  # noqa: BLE001 - probe must never fail
-            self._taint(f"module cache probe failed: {exc!r}")
-            return None
-        if module is None:
-            return None
-        self.stats.mode = "cached"
-        self.stats.module_cache_hit = True
-        return module
+                programs[section.name] = program
+            module = build_download_module(
+                record.module_name, cells, programs, record.diagnostics_text
+            )
+            if module_digest(module) == record.digest:
+                return record, module
+        except Exception:  # noqa: BLE001 - a flawed record is a miss
+            pass
+        link_cache.modules.reject(key)
+        return None
 
     # -- section tier --------------------------------------------------
 
@@ -710,6 +692,7 @@ class Phase4Runner:
                 combined.payload_digests,
                 self.array.cell.data_memory_words,
             )
+            self.link_keys[section.name] = key
             program = self.link_cache.sections.get(key)
             if program is not None:
                 return program, True, 0.0
@@ -725,9 +708,7 @@ class Phase4Runner:
     # -- completion ----------------------------------------------------
 
     def finish(
-        self,
-        combined: Dict[str, "CombinedSection"],
-        cached_module: Optional[DownloadModule] = None,
+        self, combined: Dict[str, "CombinedSection"]
     ) -> Tuple[DownloadModule, int, int]:
         """Build the module from the linked sections; returns the same
         ``(module, assembly_work, link_work)`` triple as the sequential
@@ -740,14 +721,11 @@ class Phase4Runner:
             for result in combined[section.name].results:
                 assembly_work += result.assembly_work
                 link_work += result.report.bundles + 1
-        if cached_module is not None:
-            return cached_module, assembly_work, link_work
         reason = self._taint_reason
         if reason is None:
             try:
                 module = self._gather(combined)
-                if self.stats.mode != "cached":
-                    self.stats.mode = "parallel"
+                self.stats.mode = "parallel"
                 return module, assembly_work, link_work
             except Exception as exc:  # noqa: BLE001 - fall back wholesale
                 reason = f"{type(exc).__name__}: {exc}"
@@ -765,7 +743,6 @@ class Phase4Runner:
     def _gather(self, combined: Dict[str, "CombinedSection"]) -> DownloadModule:
         section_cells: Dict[str, Tuple[int, int]] = {}
         programs: Dict[str, CellProgram] = {}
-        clean = True
         for section in self.parsed.module.sections:
             self.array.validate_section_range(
                 section.first_cell, section.last_cell
@@ -782,7 +759,6 @@ class Phase4Runner:
                     raise SectionTaintedError(section.name)
                 outcome = self._link_one(section, combined[section.name])
             program, hit, link_s = outcome
-            clean = clean and self._combined_clean(combined[section.name])
             if hit:
                 self.stats.link_cache_hits += 1
             else:
@@ -794,11 +770,6 @@ class Phase4Runner:
             self.diagnostics_text,
         )
         _require_cells(module)
-        if self.link_cache is not None and clean:
-            try:
-                self.link_cache.modules.put(self._module_key(combined), module)
-            except Exception:  # noqa: BLE001 - cache write is best-effort
-                pass
         return module
 
 

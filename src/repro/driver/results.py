@@ -72,8 +72,9 @@ class WorkProfile:
     sema_work: int = 0
     #: wall-time telemetry for the master's own phase-1 run and which
     #: front end ran: ``sequential``, ``parallel`` (the incremental,
-    #: window-split one), ``fallback`` (it bailed to sequential), or
-    #: ``memo`` (whole-module LRU hit, no parse).
+    #: window-split one), ``fallback`` (it bailed to sequential),
+    #: ``memo`` (whole-module LRU hit, no parse), or ``cached`` (a module
+    #: record answered the compile: no phase 1 at all).
     phase1_parse_ms: float = 0.0
     phase1_sema_ms: float = 0.0
     phase1_mode: str = "sequential"
@@ -85,13 +86,14 @@ class WorkProfile:
     #: wall-time telemetry for phase 4 (the section links, assembly
     #: included) and which back end ran: ``sequential``
     #: (SequentialCompiler's tail), ``parallel`` (the per-section
-    #: runner), ``cached`` (whole-module cache hit, phase 4 skipped), or
-    #: ``fallback`` (the runner bailed to sequential).
+    #: runner), ``cached`` (a module record answered the compile: its
+    #: sections' programs, no link), or ``fallback`` (the runner bailed
+    #: to sequential).
     phase4_link_ms: float = 0.0
     phase4_mode: str = "sequential"
     #: link-cache counters for this compile's phase 4 (per-section
-    #: CellProgram tier; a whole-module hit reports mode ``cached``
-    #: with zero section probes).
+    #: CellProgram tier; a module record's hit counts the programs it
+    #: read).
     link_cache_hits: int = 0
     link_cache_misses: int = 0
     functions: List[FunctionReport] = field(default_factory=list)

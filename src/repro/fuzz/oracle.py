@@ -403,14 +403,14 @@ class DifferentialOracle:
             )
 
     def _warm_module(self, source, compiler, cold_phase4) -> None:
-        """The cold run linked every section as it was recombined; the
-        warm run serves phases 2/3 from the artifact cache and must skip
-        phase 4 via the whole-module tier."""
-        warm_mode = compiler.last_phase4_stats.mode
+        """The cold run linked every section as it was recombined, so it
+        was clean and left a record: the warm run must be served by it,
+        with no phase 1 and no link."""
+        warm_mode = compiler.last_phase1_stats.mode
         if cold_phase4.mode == "parallel" and warm_mode != "cached":
             raise OracleInvariantError(
-                "fully-warm recompile did not hit the module cache "
-                f"(mode {warm_mode!r})"
+                "fully-warm recompile was not served by the module record "
+                f"(phase 1 mode {warm_mode!r})"
             )
 
     def _compile_search_variant(self, source: str, seed: int, options):

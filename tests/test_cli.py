@@ -94,11 +94,10 @@ end
 
         warm = self.compile_json(path, cache_dir, capsys)
         assert warm["digest"] == want
-        for tier in ("artifact_cache", "parse_cache"):
-            assert (warm[tier]["hits"], warm[tier]["misses"]) == (
-                self.FUNCTIONS, 0,
-            )
-        assert warm["link_cache"]["hits"] == 1  # the whole module
+        for tier in ("artifact_cache", "parse_cache"):  # neither is read
+            assert (warm[tier]["hits"], warm[tier]["misses"]) == (0, 0)
+        # The module record, then each section's program.
+        assert warm["link_cache"]["hits"] == 1 + self.SECTIONS
         assert warm["profile"]["phase4_mode"] == "cached"
 
         edited = self.SOURCE.replace("return 12;", "return 1200;")

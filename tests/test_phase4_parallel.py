@@ -4,12 +4,13 @@ the link/module cache's invalidation contract.
 The headline property mirrors the paper's own correctness requirement
 (recombined parallel output must be bit-identical to sequential, §3.2)
 at the back end: over 200 generator seeds across size classes, the
-download module produced by :class:`Phase4Runner` — cold, warm
-(section tier), and fully warm (module tier) — has the same
+download module produced by :class:`Phase4Runner` — cold and warm
+(every section from the section tier) — has the same
 :func:`module_digest` as the sequential
 :func:`phase4_link_and_download`.  Error paths raise the identical
-canonical diagnostics via wholesale fallback, and a 1-function edit on
-a warm link cache re-links exactly one section.
+canonical diagnostics via wholesale fallback, a 1-function edit on a
+warm link cache re-links exactly one section, and only a clean compile
+leaves a module record behind.
 """
 
 import pickle
@@ -58,15 +59,13 @@ def run_phase4(
     parsed, combined, array, diagnostics_text="", link_cache=None, stats=None
 ):
     """Drive the runner the way the master does once every section is
-    combined: probe the module tier, else announce each section."""
+    combined: announce each section, then finish."""
     runner = Phase4Runner(
         parsed, array, diagnostics_text, link_cache=link_cache, stats=stats
     )
-    cached = runner.lookup_module(combined)
-    if cached is None:
-        for section in parsed.module.sections:
-            runner.section_ready(combined[section.name])
-    return runner.finish(combined, cached_module=cached)
+    for section in parsed.module.sections:
+        runner.section_ready(combined[section.name])
+    return runner.finish(combined)
 
 
 def _objects(combined):
@@ -84,7 +83,7 @@ ARRAY = WarpArrayModel(cell_count=10)
 @pytest.mark.parametrize("block", range(4))
 def test_parallel_phase4_matches_sequential_across_seeds(block):
     """200 consecutive seeds (50 per block): the parallel back end —
-    cold, section-tier warm, and module-tier warm — produces a module
+    plain, cold through the link cache, and warm — produces a module
     digest bit-identical to the sequential tail."""
     size_class = ("tiny", "small", "medium", "small")[block]
     config = config_for_size_class(size_class)
@@ -117,14 +116,16 @@ def test_parallel_phase4_matches_sequential_across_seeds(block):
             assert module_digest(cold_module) == want
             assert cold.link_cache_misses == len(parsed.module.sections)
             assert cold.link_cache_hits == 0
-            # Fully warm: the module tier answers, phase 4 is skipped.
+            # Warm: every section's program comes from the section tier.
             warm = Phase4Stats()
             warm_module, _, _ = run_phase4(
                 parsed, combined, ARRAY, link_cache=cache, stats=warm
             )
             assert module_digest(warm_module) == want
-            assert warm.mode == "cached"
-            assert warm.module_cache_hit
+            assert warm.mode == "parallel"
+            assert (warm.link_cache_hits, warm.link_cache_misses) == (
+                len(parsed.module.sections), 0,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,8 @@ EDITED = SOURCE.replace("return 12;", "return 1200;")
 
 
 def test_link_cache_cold_then_warm_section_tier():
-    """Without the module tier in play (different diagnostics text per
-    run would also do it, here we just bypass lookup), the section tier
-    alone serves every section on the second run."""
+    """The section tier alone serves every section on the second run,
+    also for a runner nobody announced a section to."""
     parsed, combined = _combined_for(SOURCE)
     want = module_digest(
         phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
@@ -164,7 +164,7 @@ def test_link_cache_cold_then_warm_section_tier():
         runner = Phase4Runner(
             parsed, ARRAY, link_cache=cache, stats=cold
         )
-        module, _, _ = runner.finish(combined)  # no lookup_module probe
+        module, _, _ = runner.finish(combined)  # no section announced
         assert module_digest(module) == want
         assert (cold.link_cache_hits, cold.link_cache_misses) == (0, SECTIONS)
         warm = Phase4Stats()
@@ -174,7 +174,7 @@ def test_link_cache_cold_then_warm_section_tier():
         module, _, _ = runner.finish(combined)
         assert module_digest(module) == want
         assert (warm.link_cache_hits, warm.link_cache_misses) == (SECTIONS, 0)
-        assert warm.mode == "parallel"  # section tier, not module tier
+        assert warm.mode == "parallel"
 
 
 def test_one_function_edit_relinks_exactly_one_section():
@@ -189,7 +189,7 @@ def test_one_function_edit_relinks_exactly_one_section():
         module, _, _ = run_phase4(
             parsed2, combined2, ARRAY, link_cache=cache, stats=stats
         )
-        assert stats.mode == "parallel"  # module tier must miss
+        assert stats.mode == "parallel"
         assert (stats.link_cache_hits, stats.link_cache_misses) == (
             SECTIONS - 1,
             1,
@@ -221,23 +221,21 @@ def test_geometry_change_invalidates_section_entries():
         assert module_digest(module) == want
 
 
-def test_diagnostics_text_keys_the_module_tier():
-    """Module-tier entries embed the diagnostics text; a different text
-    must miss (and the relinked module carries the new text)."""
-    parsed, combined = _combined_for(SOURCE)
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = LinkCache(tmp)
-        run_phase4(
-            parsed, combined, ARRAY, diagnostics_text="warn: a",
-            link_cache=cache,
-        )
-        stats = Phase4Stats()
-        module, _, _ = run_phase4(
-            parsed, combined, ARRAY, diagnostics_text="warn: b",
-            link_cache=cache, stats=stats,
-        )
-        assert not stats.module_cache_hit
-        assert module.diagnostics_text == "warn: b"
+def test_diagnostics_text_keys_the_module_tier(tmp_path):
+    """The module embeds its diagnostics, which render the filename: a
+    record is keyed by the filename too, so another name misses it (and
+    links nothing: every section's program is the same)."""
+    compiler = ParallelCompiler(
+        backend=SerialBackend(),
+        cache=ArtifactCache(tmp_path / "c"),
+        link_cache=LinkCache(tmp_path / "c"),
+    )
+    compiler.compile(SOURCE, "a.w2")
+    assert compiler.compile(SOURCE, "a.w2").profile.phase4_mode == "cached"
+    other = compiler.compile(SOURCE, "b.w2")
+    assert other.profile.phase4_mode == "parallel"
+    assert other.profile.link_cache_hits == SECTIONS
+    assert compiler.link_cache.modules.entry_count() == 2
 
 
 def test_stripped_assembly_still_links_identically():
@@ -310,18 +308,53 @@ def test_poisoned_section_falls_back_to_sequential():
     assert module_digest(module) == want
 
 
-def test_poisoned_section_never_served_from_module_cache():
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = LinkCache(tmp)
-        parsed, combined = _combined_for(SOURCE)
-        run_phase4(parsed, combined, ARRAY, link_cache=cache)
-        combined["a"].reports[0].poisoned = 1
-        stats = Phase4Stats()
-        runner = Phase4Runner(
-            parsed, ARRAY, link_cache=cache, stats=stats
-        )
-        assert runner.lookup_module(combined) is None
-        assert not stats.module_cache_hit
+def test_poisoned_section_never_served_from_module_cache(tmp_path):
+    """A compile with a poisoned task writes no record, so nothing the
+    isolation produced is ever served as the module."""
+    from repro.parallel.fault_tolerance import ChaosBackend
+    from repro.parallel.supervisor import SupervisedBackend
+
+    chaos = ChaosBackend(
+        SerialBackend(), workers=4, seed=0, poison=(("a", "a2"),)
+    )
+    backend = SupervisedBackend(
+        chaos, max_attempts=5, poison_threshold=3, hedge_after=None
+    )
+    compiler = ParallelCompiler(
+        backend=backend, link_cache=LinkCache(tmp_path)
+    )
+    result = compiler.compile(SOURCE)
+    assert [f.name for f in result.profile.poisoned_functions()] == ["a2"]
+    assert compiler.last_phase4_stats.mode == "fallback"
+    assert compiler.link_cache.modules.entry_count() == 0
+    assert result.digest == SequentialCompiler().compile(SOURCE).digest
+
+
+def test_a_phase4_fallback_leaves_no_record(tmp_path, monkeypatch):
+    """A link that fails in the runner sends phase 4 to the sequential
+    tail; such a compile is not clean and writes no record."""
+    from repro.driver import phases
+
+    link_section = phases.link_section
+    calls = []
+
+    def first_link_fails(*args):
+        calls.append(args[0])
+        if len(calls) == 1:
+            raise RuntimeError("link failed")
+        return link_section(*args)
+
+    monkeypatch.setattr(phases, "link_section", first_link_fails)
+    compiler = ParallelCompiler(
+        backend=SerialBackend(), link_cache=LinkCache(tmp_path)
+    )
+    result = compiler.compile(SOURCE)
+    assert compiler.last_phase4_stats.mode == "fallback"
+    assert compiler.link_cache.modules.entry_count() == 0
+    assert result.digest == SequentialCompiler().compile(SOURCE).digest
+    monkeypatch.setattr(phases, "link_section", link_section)
+    compiler.compile(SOURCE)  # clean: now it leaves one
+    assert compiler.link_cache.modules.entry_count() == 1
 
 
 def test_duplicate_section_delivery_taints():
@@ -379,7 +412,8 @@ def test_error_modules_identical_diagnostics_end_to_end(source):
 
 def test_runner_fills_work_model_on_every_path():
     """The (assembly work, link work) pair is the sequential tail's on
-    the cold, section-warm, module-cached and fallback paths alike."""
+    the cold, section-warm and fallback paths alike, and a record
+    serves it as the compile that wrote it computed it."""
     parsed, combined = _combined_for(SOURCE)
     _, want_aw, want_lw = phase4_link_and_download(
         parsed, _objects(combined), ARRAY
@@ -398,8 +432,18 @@ def test_runner_fills_work_model_on_every_path():
     _, aw, lw = run_phase4(parsed, combined, ARRAY, stats=stats)
     assert (aw, lw) == (want_aw, want_lw)
     assert modes + [stats.mode] == [
-        "parallel", "parallel", "cached", "fallback",
+        "parallel", "parallel", "parallel", "fallback",
     ]
+    compiler = ParallelCompiler(
+        backend=SerialBackend(), link_cache=LinkCache(tempfile.mkdtemp())
+    )
+    cold = compiler.compile(SOURCE)
+    warm = compiler.compile(SOURCE)
+    assert warm.profile.phase4_mode == "cached"
+    for result in (cold, warm):
+        assert (result.profile.assembly_work, result.profile.link_work) == (
+            want_aw, want_lw,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +464,7 @@ def test_compiler_with_parallel_back_end_is_bit_identical():
         assert cold.profile.phase4_mode == "parallel"
         assert cold.profile.link_cache_misses == SECTIONS
         assert cold.profile.link_cache_hits == 0
-        # Fully warm: artifacts and module tier both answer.
+        # No edit: the module record answers.
         warm = compiler.compile(SOURCE)
         assert warm.digest == seq.digest
         assert warm.profile.phase4_mode == "cached"

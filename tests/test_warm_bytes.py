@@ -6,8 +6,9 @@ What these tests pin, each meaningless before the change:
   way of getting a module (compilers cold / one-edit / warm, the
   service, the CLI);
 - the hash discriminates at least as well as the listing it replaced;
-- a fully warm compile reads headers: it decodes no instruction and
-  unpickles nothing outside ``parse/``;
+- a no-edit compile reads one record and its sections: it lexes,
+  parses, unpickles and decodes nothing, and anything wrong with the
+  record is a counted miss;
 - corruption in any tier is counted, quarantined and recompiled;
 - the laziness is invisible: whatever is read off a warm result is what
   a cold compile gives;
@@ -18,6 +19,7 @@ What these tests pin, each meaningless before the change:
 """
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import json
@@ -49,6 +51,7 @@ from repro.asmlink.objformat import CellProgram, CodegenInfo, DownloadModule
 from repro import CompileOptions
 from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
 from repro.cache import store as store_module
+from repro.cache.link_store import ModuleStore
 from repro.cli import main
 from repro.driver import function_master
 from repro.driver.function_master import (
@@ -57,11 +60,13 @@ from repro.driver.function_master import (
     result_payload_digest,
 )
 from repro.driver.master import ParallelCompiler
+from repro.driver import phases
 from repro.driver.phases import phase1_parse_and_check, phase4_link_and_download
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric.wire import decode_result, encode_result
 from repro.fuzz import config_for_size_class, generate_program
 from repro.ir.instructions import Opcode
+from repro.lang import lexer
 from repro.machine.resources import FUClass, PhysReg
 from repro.machine.warp_array import WarpArrayModel
 from repro.parallel.local import SerialBackend
@@ -77,11 +82,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cached_compile(root, source, filename="<input>"):
+def cached_compile(root, source, filename="<input>", options=CompileOptions()):
     """One ``warpcc compile`` per call: fresh handles on ``root``, a new
     compiler, no in-process memo.  Returns (result, compiler)."""
     clear_phase1_cache()
     compiler = ParallelCompiler(
+        options=options,
         cache=ArtifactCache(root),
         parse_cache=ParseCache(root),
         link_cache=LinkCache(root),
@@ -151,7 +157,7 @@ def test_the_digest_is_the_hash_of_the_encoded_module(name, tmp_path):
     path = tmp_path / f"{name}.w2"
     path.write_text(source)
     out = tmp_path / f"{name}.warp"
-    for _ in range(2):  # cold, then the module tier's own bytes
+    for _ in range(2):  # cold, then the module a record rebuilds
         assert main([
             "compile", str(path), "--parallel", "--cache-dir",
             str(tmp_path / "cli"), "--emit", "binary", "-o", str(out),
@@ -326,7 +332,7 @@ def test_a_mismatch_names_the_first_differing_listing_line(two_section_module):
 
 
 # ---------------------------------------------------------------------------
-# (c) a fully warm compile reads headers
+# (c) a no-edit compile reads one record and its sections
 # ---------------------------------------------------------------------------
 
 SESSION = plan_edit_session(
@@ -361,21 +367,34 @@ def stable_view(document: dict) -> dict:
     }
 
 
+def refuse(what):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"a warm compile called {what}")
+    return boom
+
+
+def refuse_everywhere(monkeypatch, original, what):
+    """Rebind ``original`` to a function that fails the test, in every
+    ``repro`` module that imported it."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "repro":
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, refuse(what))
+
+
 def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
+    """One record and its section programs: no lex, no parse, no
+    unpickle, no decoded instruction, no artifact read."""
     source = SESSION[0].source
     cold, _ = cached_compile(tmp_path, source)
     assert cold.profile.artifact_cache_misses() == 8
 
-    def refuse(what):
-        def boom(*args, **kwargs):
-            raise AssertionError(f"a warm compile called {what}")
-        return boom
-
+    refuse_everywhere(monkeypatch, lexer.tokenize, "tokenize")
     for name in ("decode_program", "decode_object_function", "decode_module"):
-        monkeypatch.setattr(encode, name, refuse(name))
-    monkeypatch.setattr(
-        function_master, "decode_object_function", refuse("obj")
-    )
+        refuse_everywhere(monkeypatch, getattr(encode, name), name)
     for name in ("bundles", "_decode_bundle", "string_table"):
         monkeypatch.setattr(encode._Reader, name, refuse(name))
     monkeypatch.setattr(pickle, "loads", refuse("pickle.loads"))
@@ -395,16 +414,144 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
 
     warm, compiler = cached_compile(tmp_path, source)
 
-    assert sorted(opened) == ["modules"] + ["objects"] * 8 + ["parse"] * 8
-    assert unpickled == [ParseCache.codec.allowed] * 8
+    assert sorted(opened) == ["link", "modules"]
+    assert unpickled == []
+    assert compiler.cache.stats.hits + compiler.cache.stats.misses == 0
     assert warm.profile.artifact_cache_hits() == 8
     assert warm.profile.artifact_cache_misses() == 0
-    assert warm.profile.phase4_mode == "cached"
+    assert (warm.profile.phase1_mode, warm.profile.phase4_mode) == (
+        "cached", "cached",
+    )
     assert compiler.last_phase4_stats.mode == "cached"
+    assert warm.digest == cold.digest == sha256(warm.download.encoded())
     assert warm.profile.download_words == cold.profile.download_words
     assert module_size_words(warm.download) == cold.profile.download_words
     assert stable_view(warm.to_dict()) == stable_view(cold.to_dict())
     assert warm.report_lines() == cold.report_lines()
+
+
+def test_the_record_is_keyed_by_what_the_user_hands_in(tmp_path):
+    """A changed filename, any option flipped, one more whitespace byte:
+    each misses the record — and compiles to the sequential digest."""
+    from test_artifact_cache import another_value
+
+    source, filename = PROGRAMS["generated_11"], "m.w2"
+    cached_compile(tmp_path, source, filename)
+    base = CompileOptions()
+    variants = [
+        (source, "n.w2", base),
+        (source + " ", filename, base),
+        (" " + source, filename, base),
+    ] + [
+        (source, filename, dataclasses.replace(
+            base, **{field.name: another_value(base, field.name)}
+        ))
+        for field in dataclasses.fields(base)
+    ]
+    assert len(variants) == 3 + 4
+    for text, name, options in variants:
+        result, compiler = cached_compile(tmp_path, text, name, options)
+        assert compiler.link_cache.modules.stats.misses == 1, (name, options)
+        assert compiler.last_phase1_stats.mode != "cached"
+        want = SequentialCompiler(options).compile(text, name).digest
+        assert result.digest == want
+    # ...and each of them left a record of its own.
+    assert len(entries_of(tmp_path, "modules")) == 1 + len(variants)
+
+
+def test_a_warning_served_from_the_record_is_byte_identical(
+    tmp_path, monkeypatch
+):
+    """The module embeds the master's diagnostics; a record serves the
+    same text, with the filename it renders, and the same digest."""
+    check_module = phases.check_module
+
+    def warning_check(module, sink):
+        sema = check_module(module, sink)
+        sink.warning("unused result", module.sections[0].functions[0].span)
+        return sema
+
+    monkeypatch.setattr(phases, "check_module", warning_check)
+    source = PROGRAMS["s2_medium"]
+    want = SequentialCompiler().compile(source, "warn.w2")
+    assert "warn.w2" in want.diagnostics_text
+    assert "warning: unused result" in want.diagnostics_text
+
+    def compile_once():
+        clear_phase1_cache()
+        compiler = ParallelCompiler(
+            cache=ArtifactCache(tmp_path), link_cache=LinkCache(tmp_path)
+        )
+        return compiler.compile(source, "warn.w2"), compiler
+
+    cold, _ = compile_once()
+    monkeypatch.setattr(phases, "check_module", lambda *a: pytest.fail("sema"))
+    warm, compiler = compile_once()
+    assert compiler.last_phase1_stats.mode == "cached"
+    for result in (cold, warm):
+        assert result.diagnostics_text == want.diagnostics_text
+        assert result.download.diagnostics_text == want.diagnostics_text
+        assert result.digest == want.digest
+
+
+def reseal_record(root, change):
+    """Rewrite the one record under ``root`` with ``change(facts)``
+    applied, well sealed: only what the record says is wrong."""
+    (path,) = entries_of(root, "modules")
+    facts, body = store_module.open_entry(
+        path.read_bytes(), "modules", ModuleStore.SCHEMA
+    )
+    del facts["sha256"]
+    change(facts)
+    path.write_bytes(
+        store_module.seal_entry("modules", ModuleStore.SCHEMA, facts, body)
+    )
+
+
+def mistyped_fact(root):
+    reseal_record(root, lambda facts: facts.update(parse_work="many"))
+
+
+def missing_link_entry(root):
+    for path in entries_of(root, "link"):
+        path.unlink()
+
+
+def another_digest(root):
+    reseal_record(root, lambda facts: facts.update(digest="0" * 64))
+
+
+def cells_out_of_range(root):
+    reseal_record(
+        root, lambda facts: facts["sections"][0].update(last_cell=99)
+    )
+
+
+@pytest.mark.parametrize(
+    "flaw",
+    [mistyped_fact, missing_link_entry, another_digest, cells_out_of_range],
+)
+def test_a_flawed_record_is_a_counted_miss(flaw, tmp_path):
+    source = PROGRAMS["generated_11"]
+    cached_compile(tmp_path, source)
+    flaw(tmp_path)
+
+    result, compiler = cached_compile(tmp_path, source)
+
+    assert result.digest == sequential(source).digest
+    assert compiler.last_phase1_stats.mode != "cached"
+    assert compiler.last_phase4_stats.mode == "parallel"
+    modules, sections = compiler.link_cache.modules, compiler.link_cache.sections
+    if flaw is missing_link_entry:
+        linked = len(phase1_parse_and_check(source).module.sections)
+        assert (modules.stats.hits, sections.stats.misses) == (1, 1 + linked)
+    else:
+        assert (modules.stats.hits, modules.stats.misses) == (0, 1)
+        assert modules.stats.corrupt == 1
+    # The ordinary path wrote a good record back: the next one is served.
+    again, compiler = cached_compile(tmp_path, source)
+    assert compiler.last_phase1_stats.mode == "cached"
+    assert again.digest == result.digest
 
 
 def test_a_one_edit_compile_builds_its_module_from_bytes(tmp_path, monkeypatch):
@@ -445,6 +592,13 @@ def entries_of(root, tier):
     return sorted((Path(root) / tier).glob("*/*.entry"))
 
 
+def drop_records(root):
+    """Delete the module tier's records: the other tiers are read only
+    when the record misses."""
+    for path in entries_of(root, "modules"):
+        path.unlink()
+
+
 def flip_body_byte(path, other):
     data = bytearray(path.read_bytes())
     data[-1] ^= 0x40
@@ -479,10 +633,8 @@ def test_a_damaged_entry_is_counted_quarantined_and_recompiled(
     source = PROGRAMS["generated_11"]
     want = sequential(source).digest
     cached_compile(tmp_path, source)
-    if tier == "link":
-        # The section tier is read only when the module tier misses.
-        for path in entries_of(tmp_path, "modules"):
-            path.unlink()
+    if tier != "modules":
+        drop_records(tmp_path)
     victim = entries_of(tmp_path, tier)[0]
     other_tier = "parse" if tier != "parse" else "objects"
     other = entries_of(tmp_path, other_tier)[0]
@@ -526,6 +678,7 @@ def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
         def __reduce__(self):
             return (os.system, (f"touch {canary}",))
 
+    drop_records(tmp_path)
     victim = entries_of(tmp_path, "parse")[0]
     ParseCache(tmp_path).put(victim.stem, Evil())
     result, compiler = cached_compile(tmp_path, source)
