@@ -13,9 +13,9 @@ before dispatching tasks to a backend, so editing one function of a
 module re-runs phases 2-3 for exactly that function.
 
 A second tier (:mod:`repro.cache.parse_store`) does the same for phase
-1: per-function parse+sema results keyed by span hash, start column,
-and sibling signatures, so editing one function re-*parses* exactly
-that function too.
+1: per-function parse+sema results keyed by span hash and sibling
+signatures, so editing one function re-*parses* exactly that function
+too.
 
 A third tier (:mod:`repro.cache.link_store`) does the same for phase
 4: per-section linked cell programs keyed by the ordered payload

@@ -4,11 +4,11 @@
    the sequential front end and the canonical oracle.
    :func:`phase1_parallel` is its *incremental* twin: a boundary scan
    splits the module at function heads, each function window is parsed
-   and checked on its own against a shared signature table, and
+   from its own text and checked against a shared signature table, and
    per-function results are reused across runs through the span-hash
-   parse cache (:mod:`repro.cache.parse_store`).  It is bit-identical
-   to the sequential front end, to which it falls back on any deviation
-   (or any diagnostic);
+   parse cache (:mod:`repro.cache.parse_store`).  Everything a later
+   phase reads of it is the sequential front end's, to which it falls
+   back on any deviation (or any diagnostic);
 2. flowgraph construction, local optimization, global dependencies;
 3. software pipelining and code generation;
 4. I/O driver generation, assembly, and post-processing (linking,
@@ -49,6 +49,7 @@ from ..lang.lexer import tokenize
 from ..lang.parser import Parser
 from ..lang.sema import (
     FunctionChecker,
+    FunctionScope,
     SemaResult,
     check_module,
     check_module_structure,
@@ -56,8 +57,8 @@ from ..lang.sema import (
     function_call_sites,
     section_function_table,
 )
-from ..lang.source import SourceFile, Span, WindowedSource
-from ..lang.tokens import Token, TokenKind
+from ..lang.source import SourceFile, Span
+from ..lang.tokens import Token
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
 from .results import FunctionReport
@@ -158,82 +159,65 @@ def _lex_skeleton(
     source: SourceFile, windows, sink: DiagnosticSink
 ) -> List[Token]:
     """Lex the text *between* function windows (module/section headers
-    and closing ``end``s) into one token stream, EOF-terminated at the
-    file's true end.  Token spans are absolute, so the skeleton parse
-    yields module/section nodes with sequential-identical spans."""
-    text = source.text
-    gaps: List[Tuple[int, int]] = []
-    pos = 0
-    for w in windows:
-        gaps.append((pos, w.start))
-        pos = w.end
-    gaps.append((pos, len(text)))
+    and closing ``end``s) in place, as ranges of the file, into one
+    token stream whose EOF is the last gap's: the file's.  Positions are
+    absolute, so the skeleton parse yields module/section nodes with the
+    sequential parse's spans."""
     tokens: List[Token] = []
-    for start, end in gaps:
-        if start >= end:
-            continue
-        view = WindowedSource(
-            source.filename, text[start:end], source.position_at(start)
-        )
-        tokens.extend(tokenize(view, sink)[:-1])  # strip the gap's EOF
-    eof_pos = source.position_at(len(text))
-    tokens.append(
-        Token(
-            TokenKind.EOF,
-            "",
-            Span(source.filename, eof_pos, eof_pos),
-            None,
-        )
-    )
-    return tokens
+    start = 0
+    for window in windows:
+        tokens += tokenize(source, sink, start, window.start)[:-1]
+        start = window.end
+    return tokens + tokenize(source, sink, start)
 
 
 def _parse_signature_stub(
     source: SourceFile, window
 ) -> Optional[ast.Function]:
-    """Header-only parse of one window (name, params, return type)."""
+    """Header-only parse of one window (name, params, return type),
+    lexed in place."""
     sink = DiagnosticSink()
-    view = WindowedSource(
-        source.filename,
-        source.text[window.start : window.header_end],
-        source.position_at(window.start),
-    )
-    tokens = tokenize(view, sink)
+    tokens = tokenize(source, sink, window.start, window.header_end)
     stub = Parser(tokens, sink).parse_function_signature()
     if stub is None or sink.has_errors:
         return None
     return stub
 
 
-def _parse_and_check_window(
-    source: SourceFile,
-    window,
-    table: Dict[str, ast.Function],
-) -> Tuple[ast.Function, object, List[Tuple[str, Span]], int, float, float]:
-    """Lex, parse, and check a single function window.
+@dataclass
+class ParseEntry:
+    """One function window's checked parse, in window coordinates: what
+    a miss builds and what the parse cache serves on a hit."""
 
-    Returns ``(fn, scope, calls, token_count, parse_s, sema_s)``; raises
-    :class:`_WindowProblem` on any diagnostic (the fallback re-derives
-    the canonical error report sequentially).
+    function: ast.Function
+    scope: FunctionScope
+    calls: List[Tuple[str, Span]]
+    token_count: int
+
+
+def _parse_and_check_window(
+    text: str, table: Dict[str, ast.Function], spent: List[float]
+) -> ParseEntry:
+    """Lex, parse, and check one function window from its own text —
+    offsets from 0, lines from 1, no filename — adding the parse and the
+    check seconds to ``spent``.
+
+    Raises :class:`_WindowProblem` on any diagnostic (the fallback
+    re-derives the canonical error report sequentially).
     """
     sink = DiagnosticSink()
-    base = source.position_at(window.start)
-    view = WindowedSource(
-        source.filename, source.text[window.start : window.end], base
-    )
     t0 = time.perf_counter()
-    tokens = tokenize(view, sink)
+    tokens = tokenize(SourceFile("", text), sink)
     fn = Parser(tokens, sink).parse_function()
-    parse_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    spent[0] += t1 - t0
     if fn is None or sink.has_errors:
         raise _WindowProblem("window parse error")
-    t1 = time.perf_counter()
     scope = FunctionChecker(table, sink).check(fn)
-    sema_s = time.perf_counter() - t1
+    spent[1] += time.perf_counter() - t1
     if sink.has_errors:
         raise _WindowProblem("window sema error")
-    calls = function_call_sites(fn)
-    return fn, scope, calls, len(tokens) - 1, parse_s, sema_s
+    return ParseEntry(fn, scope, function_call_sites(fn), len(tokens) - 1)
 
 
 def phase1_parallel(
@@ -242,18 +226,26 @@ def phase1_parallel(
     parse_cache=None,
     stats: Optional[Phase1Stats] = None,
 ) -> ParsedProgram:
-    """Incremental phase 1; bit-identical to the sequential front end,
-    to which it falls back on *any* irregularity.
+    """Incremental phase 1; falls back to the sequential front end on
+    *any* irregularity.
 
     Pipeline: boundary-scan the text into per-function byte windows;
-    parse the skeleton (everything between windows); parse each function
-    *header* to build the per-section signature table; then parse+check
-    every function body against that read-only table — or serve it from
-    ``parse_cache`` (a :class:`~repro.cache.parse_store.ParseCache`),
-    span-rebased to its current location.  A final structure pass
-    re-checks the whole-module properties (duplicate names, cell ranges,
-    call cycles).  The name records the window split's origin, not
-    threads: the windows are independent, and are parsed in a loop.
+    lex the skeleton (everything between windows) and each function
+    *header* in place, as ranges of the file, and parse them — the
+    module shell with absolute spans, and the per-section signature
+    table; then parse+check every function window from its own text
+    against that read-only table — or serve it from ``parse_cache`` (a
+    :class:`~repro.cache.parse_store.ParseCache`), which holds exactly
+    what the parse builds.  A final structure pass re-checks the
+    whole-module properties (duplicate names, cell ranges, call cycles).
+    The name records the window split's origin, not threads: the
+    windows are independent, and are parsed in a loop.
+
+    The result is the sequential front end's in module and section
+    spans, structure, scopes and work counts; only a function subtree's
+    positions are measured from its window (offset 0, line 1, no
+    filename).  Nothing after phase 1 reads a position but
+    :meth:`~repro.lang.ast_nodes.Function.line_count`, a difference.
 
     Any diagnostic anywhere aborts the fast path and re-runs
     :func:`phase1_parse_and_check`, whose error report is canonical —
@@ -317,88 +309,46 @@ def phase1_parallel(
             section_hashes.append(None)
     signature_s = time.perf_counter() - t_sig
 
-    # -- per-function pass: cache hits, then parse+check the misses -----
-    indexed: List[Tuple[int, int, object]] = [  # (sec idx, win idx, window)
-        (sec_idx, win_idx, window)
-        for sec_idx, sec_bounds in enumerate(boundaries.sections)
-        for win_idx, window in enumerate(sec_bounds.function_windows)
-    ]
-
-    results: Dict[Tuple[int, int], tuple] = {}
-    keys: Dict[Tuple[int, int], str] = {}
-    misses: List[Tuple[int, int, object]] = []
-    cache_hits = cache_misses = 0
+    # -- per-function pass: a cache hit, or a parse of the window --------
     if parse_cache is not None:
         from ..cache.parse_store import window_key
 
-        for sec_idx, win_idx, window in indexed:
-            base = source.position_at(window.start)
-            key = window_key(
-                source_text[window.start : window.end],
-                base.column,
-                section_hashes[sec_idx],
-            )
-            keys[(sec_idx, win_idx)] = key
-            entry = parse_cache.get(key, base=base, filename=filename)
-            if entry is not None:
-                cache_hits += 1
-                results[(sec_idx, win_idx)] = (
-                    entry.function,
-                    entry.scope,
-                    entry.calls,
-                    entry.token_count,
-                    0.0,
-                    0.0,
-                )
-            else:
-                cache_misses += 1
-                misses.append((sec_idx, win_idx, window))
-    else:
-        misses = indexed
-
+    entries: List[List[ParseEntry]] = []
+    spent = [0.0, 0.0]  # parse s, check s of the windows parsed here
+    cache_hits = cache_misses = 0
     try:
-        for sec_idx, win_idx, window in misses:
-            results[(sec_idx, win_idx)] = _parse_and_check_window(
-                source, window, section_tables[sec_idx]
-            )
+        for table, signatures, sec_bounds in zip(
+            section_tables, section_hashes, boundaries.sections
+        ):
+            section_entries = []
+            for window in sec_bounds.function_windows:
+                text = source_text[window.start : window.end]
+                if parse_cache is None:
+                    entry = _parse_and_check_window(text, table, spent)
+                else:
+                    key = window_key(text, signatures)
+                    entry = parse_cache.get(key)
+                    if entry is not None:
+                        cache_hits += 1
+                    else:
+                        cache_misses += 1
+                        entry = _parse_and_check_window(text, table, spent)
+                        parse_cache.put(key, entry)
+                section_entries.append(entry)
+            entries.append(section_entries)
     except _WindowProblem as problem:
         return _phase1_fallback(source_text, filename, stats, problem.reason)
 
-    if parse_cache is not None and misses:
-        from ..cache.parse_store import ParseEntry
-
-        for sec_idx, win_idx, window in misses:
-            fn, scope, calls, token_count, _, _ = results[(sec_idx, win_idx)]
-            parse_cache.put(
-                keys[(sec_idx, win_idx)],
-                ParseEntry(
-                    function=fn,
-                    scope=scope,
-                    calls=calls,
-                    token_count=token_count,
-                    base=source.position_at(window.start),
-                    filename=filename,
-                ),
-            )
-
     # -- splice + structure pass ----------------------------------------
-    for sec_idx, (sec_node, sec_bounds) in enumerate(
-        zip(module.sections, boundaries.sections)
-    ):
-        sec_node.functions = [
-            results[(sec_idx, win_idx)][0]
-            for win_idx in range(len(sec_bounds.function_windows))
-        ]
+    for sec_node, section_entries in zip(module.sections, entries):
+        sec_node.functions = [entry.function for entry in section_entries]
     t_struct = time.perf_counter()
     structure_sink = DiagnosticSink()
     check_module_structure(module, structure_sink)
     for sec_node in module.sections:
         section_function_table(sec_node, structure_sink)
-    for sec_idx, sec_node in enumerate(module.sections):
-        calls = {}
-        for win_idx in range(len(sec_node.functions)):
-            fn, _scope, fn_calls, *_ = results[(sec_idx, win_idx)]
-            calls[fn.name] = fn_calls
+    for sec_node, section_entries in zip(module.sections, entries):
+        calls = {entry.function.name: entry.calls for entry in section_entries}
         detect_call_cycles(sec_node.name, calls, structure_sink)
     structure_s = time.perf_counter() - t_struct
     if structure_sink.has_errors:
@@ -408,23 +358,17 @@ def phase1_parallel(
 
     sema = SemaResult(module)
     window_tokens = 0
-    parse_s_total = sema_s_total = 0.0
-    for sec_idx, sec_node in enumerate(module.sections):
-        for win_idx, fn in enumerate(sec_node.functions):
-            _fn, scope, _calls, token_count, parse_s, sema_s = results[
-                (sec_idx, win_idx)
-            ]
-            sema.scopes[(sec_node.name, fn.name)] = scope
-            window_tokens += token_count
-            parse_s_total += parse_s
-            sema_s_total += sema_s
+    for sec_node, section_entries in zip(module.sections, entries):
+        for entry in section_entries:
+            sema.scopes[(sec_node.name, entry.function.name)] = entry.scope
+            window_tokens += entry.token_count
 
     if stats is not None:
         stats.mode = "parallel"
         stats.cache_hits = cache_hits
         stats.cache_misses = cache_misses
-        stats.parse_ms += (skeleton_s + signature_s + parse_s_total) * 1000.0
-        stats.sema_ms += (structure_s + sema_s_total) * 1000.0
+        stats.parse_ms += (skeleton_s + signature_s + spent[0]) * 1000.0
+        stats.sema_ms += (structure_s + spent[1]) * 1000.0
 
     # Token identity: sequential lexing sees every skeleton token, every
     # window token, and one EOF — exactly what the two counts sum to.

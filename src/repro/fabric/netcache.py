@@ -139,18 +139,17 @@ class CacheServiceServer:
 
 
 class NetworkCacheClient:
-    """Client side of the cache tier; swallows every failure, counted."""
+    """Client side of the cache tier; swallows every failure, counted.
+    Its two limits are class constants; a test sets them on the
+    instance."""
 
-    def __init__(
-        self,
-        address: str,
-        *,
-        timeout: float = 5.0,
-        fail_threshold: int = 3,
-    ):
+    #: seconds a connect or a reply may take
+    timeout: float = 5.0
+    #: consecutive transport failures that disable the tier
+    fail_threshold: int = 3
+
+    def __init__(self, address: str):
         self.host, self.port = parse_address(address, "cache")
-        self.timeout = timeout
-        self.fail_threshold = fail_threshold
         self.disabled = False
         self.remote_hits = 0
         self.remote_misses = 0
@@ -243,27 +242,24 @@ class TieredCache(ArtifactCache):
     tier's ride alongside on ``remote``.
     """
 
+    #: pushes waiting for the writer before a put's push is dropped
+    queue_depth: int = 256
+
     def __init__(
         self,
         cache_dir,
         remote: NetworkCacheClient,
         *,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        write_behind: bool = True,
-        queue_depth: int = 256,
     ):
         super().__init__(cache_dir, max_bytes)
         self.remote = remote
-        self.write_behind = write_behind
         self.writes_dropped = 0
-        self._queue: Optional["queue.Queue"] = None
-        self._writer: Optional[threading.Thread] = None
-        if write_behind:
-            self._queue = queue.Queue(maxsize=queue_depth)
-            self._writer = threading.Thread(
-                target=self._writer_loop, name="fabric-cache-writer", daemon=True
-            )
-            self._writer.start()
+        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
+        self._writer = threading.Thread(
+            target=self._writer_loop, name="fabric-cache-writer", daemon=True
+        )
+        self._writer.start()
 
     def get(self, fingerprint: str) -> Optional[FunctionTaskResult]:
         result = super().get(fingerprint)
@@ -279,16 +275,12 @@ class TieredCache(ArtifactCache):
     def put(self, fingerprint: str, result: FunctionTaskResult) -> None:
         entry = self.seal(result)
         self._write(fingerprint, entry)
-        if self._queue is None:
-            self.remote.put(fingerprint, entry)
-            return
         try:
             self._queue.put_nowait((fingerprint, entry))
         except queue.Full:
             self.writes_dropped += 1  # local store still has it
 
     def _writer_loop(self) -> None:
-        assert self._queue is not None
         while True:
             item = self._queue.get()
             if item is None:
@@ -302,14 +294,11 @@ class TieredCache(ArtifactCache):
 
     def flush(self, timeout: float = 10.0) -> None:
         """Block until queued write-behinds have drained (tests)."""
-        if self._queue is None:
-            return
         joiner = threading.Thread(target=self._queue.join, daemon=True)
         joiner.start()
         joiner.join(timeout)
 
     def close(self) -> None:
-        if self._queue is not None:
-            self.flush()
-            self._queue.put(None)
+        self.flush()
+        self._queue.put(None)
         self.remote.close()

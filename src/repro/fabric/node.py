@@ -53,7 +53,20 @@ def default_node_id() -> str:
 
 
 class WorkerNodeAgent:
-    """Registers a local execution backend with a fabric hub."""
+    """Registers a local execution backend with a fabric hub.
+
+    The connect policy is class constants no caller varies; a test sets
+    one on the instance before :meth:`start`.
+    """
+
+    #: connects tried per round before the agent pauses and retries
+    connect_attempts: int = 8
+    #: first backoff step and its cap, seconds; the cap is also the
+    #: pause after a failed round or an explicit rejection
+    connect_base: float = 0.05
+    connect_cap: float = 2.0
+    #: serve again after a session ends (only a retirement stops it)
+    reconnect: bool = True
 
     def __init__(
         self,
@@ -61,19 +74,11 @@ class WorkerNodeAgent:
         backend=None,
         *,
         node_id: Optional[str] = None,
-        connect_attempts: int = 8,
-        connect_base: float = 0.05,
-        connect_cap: float = 2.0,
-        reconnect: bool = True,
         chaos: Optional[FabricChaos] = None,
     ):
         self.host, self.port = parse_address(address, "hub")
         self.backend = backend if backend is not None else SerialBackend()
         self.node_id = node_id or default_node_id()
-        self.connect_attempts = connect_attempts
-        self.connect_base = connect_base
-        self.connect_cap = connect_cap
-        self.reconnect = reconnect
         self.chaos = chaos
         #: bumped from the session's pool threads, under ``_counts``
         self.tasks_completed = 0

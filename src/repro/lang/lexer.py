@@ -7,19 +7,21 @@ underscores (``\\w``); keywords are ASCII.  Numbers are decimal digits
 fraction (a ``.`` that is not the ``..`` range operator) or an exponent
 (an ``e`` that a digit actually follows) is a float literal.
 
-A source is anything with ``text``, ``filename`` and a ``position_at``
-that answers for offset 0.  The lexer asks for that one position and
-carries line and column forward from it: a token never contains a
-newline, so only trivia advances the line, and offsets only grow, so no
-token needs a lookup.  A whole file and a window into one are therefore
-the same case — the first line's columns start at the base column,
-every later line's at 1.
+The range contract: :func:`tokenize` reads ``[start, end)`` of a source
+(by default all of it) exactly as it would read ``text[start:end]`` —
+the text ends at ``end`` for every pattern — but measures each position
+in the whole source.  It asks :meth:`SourceFile.position_at` for one
+position, ``start``'s, and carries line and column forward from it: a
+token never contains a newline, so only trivia advances the line, and
+a token's offset is its match offset, so no token needs a lookup.  The
+incremental front end lexes the skeleton and the function headers as
+ranges of the file; a function window is a source of its own.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional
 
 from .diagnostics import DiagnosticSink
 from .source import Position, SourceFile, Span
@@ -53,46 +55,47 @@ MASTER = re.compile(
 
 
 class Lexer:
-    """Converts a source (see the module docstring) into a token stream."""
+    """Converts a range of a source (see the module docstring) into a
+    token stream."""
 
     def __init__(self, source: SourceFile, sink: DiagnosticSink):
         self._source = source
         self._sink = sink
 
-    def tokens(self) -> List[Token]:
-        """Lex the whole text, ending with exactly one EOF token."""
+    def tokens(self, start: int = 0, end: Optional[int] = None) -> List[Token]:
+        """Lex ``[start, end)``, ending with exactly one EOF token."""
         text = self._source.text
         filename = self._source.filename
-        base = self._source.position_at(0)
-        # The token at offset o sits at column o - margin of ``line`` and
-        # at absolute offset o + shift.
-        line, margin, shift = base.line, -base.column, base.offset
+        stop = len(text) if end is None else end
+        first = self._source.position_at(start)
+        # The token at offset o sits at column o - margin of ``line``.
+        line, margin = first.line, start - first.column
         result: List[Token] = []
         emit = result.append
-        pos = 0
+        pos = start
         while pos is not None:
-            matches = MASTER.finditer(text, pos)
+            matches = MASTER.finditer(text, pos, stop)
             pos = None
             for match in matches:
                 group = match.lastgroup
-                start, end = match.span()
+                begin, finish = match.span()
                 if group == "trivia":
-                    newlines = text.count("\n", start, end)
+                    newlines = text.count("\n", begin, finish)
                     if newlines:
                         line += newlines
-                        margin = text.rfind("\n", start, end)
+                        margin = text.rfind("\n", begin, finish)
                     continue
                 lexeme = match.group()
                 kind = value = None  # no kind: an unexpected character
                 if group == "word":
                     kind = KEYWORDS.get(lexeme)
                     if kind is None:
-                        first = lexeme[0]
-                        if first.isalpha() or first == "_":
+                        initial = lexeme[0]
+                        if initial.isalpha() or initial == "_":
                             kind, value = TokenKind.IDENT, lexeme
                         else:
                             # No word starts here: resume behind it.
-                            pos = end = start + 1
+                            pos = finish = begin + 1
                 elif group == "op":
                     kind = _OPERATORS[lexeme]
                 elif group == "int":
@@ -101,21 +104,26 @@ class Lexer:
                     kind, value = TokenKind.FLOAT_LIT, float(lexeme)
                 span = Span(
                     filename,
-                    Position(line, start - margin, start + shift),
-                    Position(line, end - margin, end + shift),
+                    Position(line, begin - margin, begin),
+                    Position(line, finish - margin, finish),
                 )
                 if kind is not None:
                     emit(Token(kind, lexeme, span, value))
                     continue
-                self._sink.error(f"unexpected character {text[start]!r}", span)
+                self._sink.error(f"unexpected character {text[begin]!r}", span)
                 if pos is not None:
                     break
-        end = len(text)
-        eof = Position(line, end - margin, end + shift)
+        eof = Position(line, stop - margin, stop)
         emit(Token(TokenKind.EOF, "", Span(filename, eof, eof), None))
         return result
 
 
-def tokenize(source: SourceFile, sink: DiagnosticSink) -> List[Token]:
-    """Convenience wrapper: lex ``source``, reporting problems to ``sink``."""
-    return Lexer(source, sink).tokens()
+def tokenize(
+    source: SourceFile,
+    sink: DiagnosticSink,
+    start: int = 0,
+    end: Optional[int] = None,
+) -> List[Token]:
+    """Lex ``source``, or its range ``[start, end)``, reporting problems
+    to ``sink``."""
+    return Lexer(source, sink).tokens(start, end)

@@ -174,11 +174,12 @@ class Parser:
         """Parse exactly one function, then require EOF.
 
         Entry point for the incremental front end: the token stream is one
-        function's byte window (from the boundary scanner), lexed through
-        a :class:`~repro.lang.source.WindowedSource` so every span is
-        absolute.  Unconsumed tokens mean the window and the grammar
-        disagree — an error, which makes the caller fall back to the
-        sequential parse for canonical diagnostics.
+        function's byte window (from the boundary scanner), lexed from
+        the window's own text, so every span is measured from the window
+        — offset 0, line 1, no filename.  Unconsumed tokens mean the
+        window and the grammar disagree — an error, which makes the
+        caller fall back to the sequential parse for canonical
+        diagnostics.
         """
         fn = self._parse_function()
         if not self._at(TokenKind.EOF):

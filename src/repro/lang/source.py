@@ -6,6 +6,11 @@ parses the whole program once to derive the partitioning, and diagnostics
 produced by the function masters are recombined by the section masters;
 stable, position-carrying diagnostics are what make that recombination
 deterministic.
+
+A position is always measured within one :class:`SourceFile`.  The
+incremental front end makes each function window a ``SourceFile`` of its
+own — its text, no filename — so a window's subtree is measured from the
+window, wherever the function sits in the file.
 """
 
 from __future__ import annotations
@@ -92,38 +97,3 @@ class SourceFile:
     def count_lines(self) -> int:
         """Number of lines in the file (an empty file has one empty line)."""
         return len(self.line_starts())
-
-
-class WindowedSource:
-    """A slice of a larger source file that reports *absolute* positions.
-
-    The incremental front end lexes each function's byte window (and the
-    skeleton gaps between windows) independently.  A source owes the
-    lexer its ``text``, its ``filename`` and the position of offset 0 —
-    here ``base``, the window's place in the whole file — and the lexer
-    carries line and column forward from there, so every token and span
-    comes out identical to a sequential lex of the full text: which is
-    what keeps the window's diagnostics and AST spans bit-identical to
-    the sequential parse.
-    """
-
-    def __init__(self, filename: str, text: str, base: Position):
-        self.filename = filename
-        self.text = text
-        self.base = base
-
-    def position_at(self, offset: int) -> Position:
-        """Absolute position of slice-relative ``offset``."""
-        if offset < 0 or offset > len(self.text):
-            raise ValueError(f"offset {offset} out of range for {self.filename!r}")
-        base = self.base
-        newline = self.text.rfind("\n", 0, offset)
-        if newline < 0:
-            # Still on the window's first line: columns continue from the
-            # base column.
-            return Position(base.line, base.column + offset, base.offset + offset)
-        return Position(
-            base.line + self.text.count("\n", 0, offset),
-            offset - newline,
-            base.offset + offset,
-        )

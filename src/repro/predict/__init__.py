@@ -4,7 +4,7 @@ Two halves, both feeding the compile service:
 
 - :mod:`repro.predict.observe` — a persistent per-fingerprint store of
   observed compile times (a fifth :class:`~repro.cache.store.Store`
-  tier) and :class:`LearnedCostModel`, an EWMA/percentile estimator the
+  tier) and :class:`LearnedCostModel`, an EWMA estimator the
   compile service asks once per task, as the task enters its queue; the
   answer replaces the static §4.3 ``ast_cost_hint`` in the task's
   ``cost_hint``, which the fair-share queue, the LPT batch packer and

@@ -7,8 +7,8 @@ the wall-clock each function actually took.  This module closes the
 loop:
 
 - :class:`ObservationStore` persists one :class:`CostObservation` per
-  content fingerprint (EWMA, a bounded window of recent samples, the
-  static hint it was observed under).  Same Store machinery as
+  content fingerprint (an EWMA, its sample count, the static hint it
+  was observed under).  Same Store machinery as
   the artifact/parse/link/variant tiers: atomic writes, LRU eviction,
   corrupt entries deleted and counted.
 - :class:`LearnedCostModel` estimates a
@@ -31,17 +31,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..cache.fingerprint import function_fingerprint
 from ..cache.store import FactsCodec, Store
 from ..driver.function_master import FunctionTask, phase1_cached
 from ..parallel.schedule import ast_cost_hint
-
-#: recent samples kept per fingerprint (enough for a stable p90 without
-#: letting one hot function grow its entry unboundedly)
-SAMPLE_WINDOW = 32
 
 #: fingerprint of the synthetic calibration record (hint-units-per-second
 #: EWMA; ordinary fingerprints are hex digests so this can't collide)
@@ -55,28 +51,16 @@ class CostObservation:
     fingerprint: str
     count: int = 0
     ewma_s: float = 0.0
-    last_s: float = 0.0
-    max_s: float = 0.0
     #: static §4.3 hint recorded with the last observation — the
     #: calibration pair tying seconds back to hint units
     hint: float = 1.0
-    samples: List[float] = field(default_factory=list)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the retained sample window."""
-        if not self.samples:
-            return self.ewma_s
-        ordered = sorted(self.samples)
-        rank = -(-q * len(ordered) // 1)  # ceil(q * n)
-        rank = min(len(ordered), max(1, int(rank)))
-        return ordered[rank - 1]
 
 
 class ObservationStore(Store):
     """Persistent per-fingerprint compile-time observations (``observe/``)."""
 
     SUBDIR = "observe"
-    SCHEMA = 2  # 2: header facts with an empty body (1 was a pickle)
+    SCHEMA = 3  # 3: no sample window (2 kept one; 1 was a pickle)
     codec = FactsCodec(CostObservation)
 
 
@@ -111,7 +95,7 @@ def task_fingerprint(task: FunctionTask) -> Optional[str]:
 
 
 class LearnedCostModel:
-    """EWMA/percentile cost estimator over an :class:`ObservationStore`.
+    """EWMA cost estimator over an :class:`ObservationStore`.
 
     :meth:`cost_for` returns a task's estimated cost in static-hint
     units.  All state is guarded by one lock; the store's atomic writes
@@ -122,8 +106,6 @@ class LearnedCostModel:
 
     #: EWMA weight of the newest sample
     alpha: float = 0.25
-    #: recent samples kept per fingerprint
-    window: int = SAMPLE_WINDOW
     #: observations a fingerprint (and the calibration) needs before its
     #: estimate is trusted
     min_samples: int = 2
@@ -173,7 +155,7 @@ class LearnedCostModel:
     def _update(
         self, fingerprint: str, value: float, hint: float
     ) -> CostObservation:
-        """EWMA + window update for one entry (caller holds the lock)."""
+        """EWMA update for one entry (caller holds the lock)."""
         obs = self._load(fingerprint)
         if obs is None:
             obs = CostObservation(fingerprint=fingerprint)
@@ -182,10 +164,7 @@ class LearnedCostModel:
         else:
             obs.ewma_s += self.alpha * (value - obs.ewma_s)
         obs.count += 1
-        obs.last_s = value
-        obs.max_s = max(obs.max_s, value)
         obs.hint = hint
-        obs.samples = (obs.samples + [value])[-self.window:]
         self._remember(fingerprint, obs)
         try:
             self.store.put(fingerprint, obs)
@@ -219,16 +198,6 @@ class LearnedCostModel:
             if obs is None or obs.count < self.min_samples:
                 return None
             return obs.ewma_s
-
-    def percentile_seconds(
-        self, fingerprint: str, q: float = 0.9
-    ) -> Optional[float]:
-        """High-percentile wall clock (deadline-style estimate)."""
-        with self._lock:
-            obs = self._load(fingerprint)
-            if obs is None or obs.count < self.min_samples:
-                return None
-            return obs.percentile(q)
 
     def _hints_per_second(self) -> Optional[float]:
         calibration = self._load(CALIBRATION_KEY)

@@ -48,20 +48,18 @@ class ServiceClient:
     its socket (scripted startups, CI), and a connection refused inside
     that window is a timing accident, not an answer.  Only refused/reset
     connects are retried; after the budget the last error propagates
-    unchanged.
+    unchanged.  The budget is a pair of class constants no caller
+    varies; a test sets them on the instance.
     """
 
-    def __init__(
-        self,
-        address: str,
-        timeout: Optional[float] = 30.0,
-        connect_attempts: int = 6,
-        connect_backoff: float = 0.05,
-    ):
+    #: connects tried before the last error propagates
+    connect_attempts: int = 6
+    #: first backoff step, seconds (doubled per attempt, jittered)
+    connect_backoff: float = 0.05
+
+    def __init__(self, address: str, timeout: Optional[float] = 30.0):
         self.host, self.port = parse_address(address)
         self.timeout = timeout
-        self.connect_attempts = max(1, connect_attempts)
-        self.connect_backoff = connect_backoff
 
     # -- wire ----------------------------------------------------------
 

@@ -53,7 +53,7 @@ from ..driver.master import ParallelCompiler
 from ..fabric.wire import LineServer, refusal, serve_requests
 from ..lang.diagnostics import CompileError
 from ..options import CompileOptions
-from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
+from ..metrics.job_gantt import JobSpan, render_job_gantt
 from ..parallel.backend import stream_task_results
 from ..parallel.supervisor import SupervisedBackend
 from .queue import FairShareQueue, QueuedTask, priority_index
@@ -723,12 +723,6 @@ class CompileService:
         return render_job_gantt(
             spans, width=width, slots=self.worker_count
         )
-
-    def slot_utilization(self) -> float:
-        """Utilization derived from the recorded task spans."""
-        with self._cond:
-            spans = list(self.spans)
-        return slot_utilization(spans, slots=self.worker_count)
 
     # -- lifecycle -----------------------------------------------------
 

@@ -124,7 +124,8 @@ class TestDigestIdentity:
 
         # Cache tier down: a client pointed at a dead endpoint must
         # degrade to local-only caching, not fail the compile.
-        dead_client = NetworkCacheClient("127.0.0.1:1", timeout=0.2)
+        dead_client = NetworkCacheClient("127.0.0.1:1")
+        dead_client.timeout = 0.2
         cache = TieredCache(tmp_path / "cache", dead_client)
         try:
             cached = ParallelCompiler(cache=cache).compile(source)

@@ -201,9 +201,9 @@ class TestRegistration:
 
     def test_a_refused_agent_pauses_instead_of_spinning(self, hub, monkeypatch):
         monkeypatch.setattr("repro.fabric.node.PROTOCOL_VERSION", 99)
-        agent = WorkerNodeAgent(
-            hub.address, SerialBackend(), node_id="stale", connect_cap=0.4
-        ).start()
+        agent = WorkerNodeAgent(hub.address, SerialBackend(), node_id="stale")
+        agent.connect_cap = 0.4
+        agent.start()
         try:
             time.sleep(1.0)
             assert 1 <= agent.sessions <= 4  # one try per connect_cap
@@ -644,11 +644,10 @@ class TestHubRestart:
         first = FabricHub(lease_ttl=1.0, heartbeat_interval=0.2)
         port = int(first.address.rpartition(":")[2])
         agent = WorkerNodeAgent(
-            first.address,
-            SerialBackend(),
-            node_id="persistent",
-            connect_attempts=16,
-        ).start()
+            first.address, SerialBackend(), node_id="persistent"
+        )
+        agent.connect_attempts = 16
+        agent.start()
         second = None
         try:
             assert first.wait_for_nodes(1, timeout=10.0)

@@ -5,8 +5,9 @@ looking each token up, so three things are pinned here: the token list of
 every reference input hashes to what the hand-written scanner produced
 (constants written at the parent commit of the rewrite);
 ``SourceFile.position_at`` — the independent offset-to-position map —
-agrees with every carried-forward position; and a window cut anywhere out
-of a file lexes to the whole file's tokens for the same lexemes.
+agrees with every carried-forward position; and a range cut anywhere out
+of a file (``tokenize(source, sink, start, end)``) lexes to the whole
+file's tokens for the same lexemes.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import pytest
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.lang.diagnostics import DiagnosticSink
 from repro.lang.lexer import tokenize
-from repro.lang.source import SourceFile, WindowedSource
+from repro.lang.source import SourceFile
 from repro.workloads.sizes import SIZE_ORDER
 from repro.workloads.synthetic import synthetic_program
 from repro.workloads.user_program import user_program
@@ -119,9 +120,7 @@ def test_a_window_cut_anywhere_lexes_to_the_whole_files_tokens(name):
             i = rng.randrange(len(text) + 1)
             j = min(len(text), i + rng.randrange(160))
             expected = None
-        view = WindowedSource(source.filename, text[i:j], source.position_at(i))
-        assert view.position_at(j - i) == source.position_at(j)
-        tokens = tokenize(view, DiagnosticSink())
+        tokens = tokenize(source, DiagnosticSink(), i, j)
         assert tokens[-1].span.start == source.position_at(j)
         if expected is not None:
             assert tokens[:-1] == expected

@@ -59,7 +59,7 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    c = NetworkCacheClient(server.address, timeout=5.0)
+    c = NetworkCacheClient(server.address)
     yield c
     c.close()
 
@@ -178,7 +178,8 @@ class TestClientServer:
 
 class TestDegradation:
     def test_dead_endpoint_disables_tier_never_raises(self):
-        client = NetworkCacheClient("127.0.0.1:1", timeout=0.2, fail_threshold=3)
+        client = NetworkCacheClient("127.0.0.1:1")
+        client.timeout, client.fail_threshold = 0.2, 3
         fp, result = _artifact()
         for _ in range(5):
             assert client.get(fp) is None
@@ -189,7 +190,8 @@ class TestDegradation:
 
     def test_server_vanishing_mid_session_degrades(self, tmp_path):
         server = CacheServiceServer(tmp_path / "s")
-        client = NetworkCacheClient(server.address, timeout=1.0, fail_threshold=2)
+        client = NetworkCacheClient(server.address)
+        client.timeout, client.fail_threshold = 1.0, 2
         fp, result = _artifact()
         assert client.put(fp, _entry(result))
         server.close()
@@ -215,7 +217,8 @@ class TestDegradation:
     def test_chaos_unavailable_replies_are_soft_errors(self, tmp_path):
         chaos = CacheChaos(seed=2, fail_rate=1.0)
         with CacheServiceServer(tmp_path / "s", chaos=chaos) as server:
-            client = NetworkCacheClient(server.address, fail_threshold=3)
+            client = NetworkCacheClient(server.address)
+            assert client.fail_threshold == 3
             fp, result = _artifact()
             assert client.put(fp, _entry(result)) is False
             assert client.get(fp) is None
@@ -269,17 +272,17 @@ class TestTieredCache:
         probe.close()
 
     def test_synchronous_writes_when_write_behind_off(self, server, tmp_path):
+        """There is one write path, write-behind: a caller that needs
+        the push landed waits on ``flush``."""
         fp, result = _artifact()
-        tiered = TieredCache(
-            tmp_path / "m1",
-            NetworkCacheClient(server.address),
-            write_behind=False,
-        )
+        tiered = TieredCache(tmp_path / "m1", NetworkCacheClient(server.address))
         try:
             tiered.put(fp, result)
+            tiered.flush()
+            assert server.store.entry_count() == 1
+            assert tiered.writes_dropped == 0
         finally:
             tiered.close()
-        assert server.store.entry_count() == 1
 
     def test_local_tier_is_authoritative_for_stats(self, server, tmp_path):
         """A tiered cache *is* the local store: stats, bounds and
@@ -309,7 +312,8 @@ class TestTieredCache:
 
     def test_dead_tier_still_serves_local_artifacts(self, tmp_path):
         fp, result = _artifact()
-        client = NetworkCacheClient("127.0.0.1:1", timeout=0.2)
+        client = NetworkCacheClient("127.0.0.1:1")
+        client.timeout = 0.2
         tiered = TieredCache(tmp_path / "m1", client)
         try:
             tiered.put(fp, result)

@@ -5,9 +5,11 @@ The headline property mirrors the paper's own correctness requirement
 (recombined parallel output must be bit-identical to sequential, §3.2)
 at the front end: over 200 generator seeds across size classes, the
 boundary scanner's split points coincide with the sequential parser's
-function spans, and :func:`phase1_parallel` produces a structurally and
-span-identical AST, identical work counts, identical scopes — and, on
-error modules, identical rendered diagnostics.
+function spans, and :func:`phase1_parallel` produces the sequential
+module and section spans, an identical unparse, identical work counts
+and scopes, and for every function the subtree a fresh parse of its
+window builds (a window parses in its own coordinates) — and, on error
+modules, identical rendered diagnostics.
 """
 
 import tempfile
@@ -25,7 +27,10 @@ from repro.driver.phases import (
 from repro.driver.sequential import SequentialCompiler
 from repro.fuzz import config_for_size_class, generate_program
 from repro.lang.boundary import scan_boundaries
-from repro.lang.diagnostics import CompileError
+from repro.lang.diagnostics import CompileError, DiagnosticSink
+from repro.lang.lexer import tokenize
+from repro.lang.parser import Parser
+from repro.lang.source import SourceFile
 from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
 from repro.workloads.synthetic import synthetic_program
@@ -35,16 +40,26 @@ def _render(error: CompileError) -> str:
     return "\n".join(d.render() for d in error.diagnostics)
 
 
-def _assert_equivalent(source: str, **kwargs):
-    """phase1_parallel(source) must be indistinguishable from
-    phase1_parse_and_check(source) in every observable way."""
-    seq = phase1_parse_and_check(source)
-    stats = Phase1Stats()
-    par = phase1_parallel(source, stats=stats, **kwargs)
-    # Deep structural + span equality (AST dataclasses compare fields;
-    # expression types are excluded from eq but unparse covers shape).
-    assert par.module == seq.module
+def _window_parse(text: str):
+    """A function window parsed from its own text, as a miss parses it."""
+    sink = DiagnosticSink()
+    fn = Parser(tokenize(SourceFile("", text), sink), sink).parse_function()
+    assert fn is not None and not sink.has_errors, sink.render()
+    return fn
+
+
+def _assert_same_module(par, seq, source: str):
+    """phase1_parallel's module is the sequential one in everything a
+    later phase reads; a function subtree is measured from its window."""
+    # Module and section spans are absolute, as in the sequential parse.
+    assert par.module.span == seq.module.span
+    assert [s.span for s in par.module.sections] == [
+        s.span for s in seq.module.sections
+    ]
+    # Structure (AST dataclasses compare fields; expression types are
+    # excluded from eq, unparse covers shape).
     assert unparse_module(par.module) == unparse_module(seq.module)
+    # Scopes and work counts.
     assert par.parse_work == seq.parse_work
     assert par.sema_work == seq.sema_work
     assert par.source_lines == seq.source_lines
@@ -52,6 +67,23 @@ def _assert_equivalent(source: str, **kwargs):
     for key, seq_scope in seq.sema.scopes.items():
         par_scope = par.sema.scopes[key]
         assert par_scope.symbols == seq_scope.symbols, key
+    # Each function subtree is a fresh parse of its window, and spans
+    # the sequential parse's number of lines.
+    windows = scan_boundaries(source).all_windows()
+    pairs = list(zip(par.module.all_functions(), seq.module.all_functions()))
+    assert len(pairs) == len(windows)
+    for window, ((_, fn), (_, seq_fn)) in zip(windows, pairs):
+        assert fn == _window_parse(source[window.start : window.end])
+        assert fn.line_count() == seq_fn.line_count()
+
+
+def _assert_equivalent(source: str, **kwargs):
+    """phase1_parallel(source) must be indistinguishable from
+    phase1_parse_and_check(source) in every way a later phase reads."""
+    seq = phase1_parse_and_check(source)
+    stats = Phase1Stats()
+    par = phase1_parallel(source, stats=stats, **kwargs)
+    _assert_same_module(par, seq, source)
     return stats
 
 
@@ -159,13 +191,13 @@ def test_parse_cache_cold_then_warm():
         warm = Phase1Stats()
         par = phase1_parallel(SOURCE, parse_cache=cache, stats=warm)
         assert (warm.cache_hits, warm.cache_misses) == (FUNCTIONS, 0)
-        assert par.module == phase1_parse_and_check(SOURCE).module
+        _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
 
 
 def test_body_edit_reparses_exactly_one_function():
     """The acceptance criterion: a 1-function edit on a warm cache
     misses once and hits FUNCTIONS-1 times — and the edit *adds lines*,
-    so every later function's cached spans go through the rebase."""
+    so every later function is served at a new line, unchanged."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         phase1_parallel(SOURCE, parse_cache=cache)
@@ -178,11 +210,7 @@ def test_body_edit_reparses_exactly_one_function():
         stats = Phase1Stats()
         par = phase1_parallel(edited, parse_cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS - 1, 1)
-        # Rebased entries must be bit-identical to a fresh parse: spans,
-        # structure, everything.
-        seq = phase1_parse_and_check(edited)
-        assert par.module == seq.module
-        assert unparse_module(par.module) == unparse_module(seq.module)
+        _assert_same_module(par, phase1_parse_and_check(edited), edited)
 
 
 def test_signature_edit_invalidates_whole_section():
@@ -204,7 +232,7 @@ def test_signature_edit_invalidates_whole_section():
 
 def test_comment_only_edit_hits_everything():
     """Edits in the skeleton gaps (here: the module header line) leave
-    every function's window text untouched — all hits, spans rebased."""
+    every function's window text untouched — all hits."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         phase1_parallel(SOURCE, parse_cache=cache)
@@ -214,7 +242,52 @@ def test_comment_only_edit_hits_everything():
         stats = Phase1Stats()
         par = phase1_parallel(edited, parse_cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
-        assert par.module == phase1_parse_and_check(edited).module
+        _assert_same_module(par, phase1_parse_and_check(edited), edited)
+
+
+def test_a_function_moved_right_is_a_hit_with_the_sequential_digest():
+    """Only f1's first line moves right by one column: its window text is
+    the same, and the key holds no column, so it is a hit — and the
+    compile is the sequential compiler's."""
+    moved = SOURCE.replace("function f1(", " function f1(", 1)
+    assert moved != SOURCE
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ParseCache(tmp)
+        phase1_parallel(SOURCE, parse_cache=cache)
+        stats = Phase1Stats()
+        par = phase1_parallel(moved, parse_cache=cache, stats=stats)
+        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        _assert_same_module(par, phase1_parse_and_check(moved), moved)
+        clear_phase1_cache()
+        compiler = ParallelCompiler(backend=SerialBackend(), parse_cache=cache)
+        result = compiler.compile(moved)
+        assert result.profile.parse_cache_hits == FUNCTIONS
+        assert result.digest == SequentialCompiler().compile(moved).digest
+
+
+def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
+    """A window's subtree is a pure function of its text: the entry
+    ``a.w2`` wrote with f1 at line 40 is served to ``b.w2``, where f1
+    sits at line 3, and equals a fresh parse of the window."""
+    header = "section sec1 (cells 0..0)\n"
+    padded = SOURCE.replace(header, header + "-- padding\n" * 37, 1)
+
+    def f1_line(text, filename):
+        module = phase1_parse_and_check(text, filename).module
+        return module.sections[0].functions[0].span.start.line
+
+    assert (f1_line(padded, "a.w2"), f1_line(SOURCE, "b.w2")) == (40, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ParseCache(tmp)
+        phase1_parallel(padded, "a.w2", parse_cache=cache)
+        stats = Phase1Stats()
+        par = phase1_parallel(SOURCE, "b.w2", parse_cache=cache, stats=stats)
+        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        window = scan_boundaries(SOURCE).all_windows()[0]
+        served = par.module.sections[0].functions[0]
+        assert served == _window_parse(SOURCE[window.start : window.end])
+        seq = phase1_parse_and_check(SOURCE, "b.w2")
+        _assert_same_module(par, seq, SOURCE)
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,16 @@ def _recorded_tasks(source=SOURCE):
 
 class TestCostModel:
     def test_ewma_folds_and_window_trims(self, tmp_path):
+        """An observation is its EWMA, its count and its hint — nothing
+        else is kept per sample."""
         model = LearnedCostModel(ObservationStore(str(tmp_path)))
-        model.alpha, model.window = 0.5, 3
+        model.alpha = 0.5
         obs = None
         for value in (1.0, 2.0, 3.0, 4.0):
-            obs = model.observe("fp", value)
+            obs = model.observe("fp", value, hint=3.0)
         # EWMA: 1 -> 1.5 -> 2.25 -> 3.125
-        assert obs.ewma_s == pytest.approx(3.125)
-        assert obs.samples == [2.0, 3.0, 4.0]
-        assert obs.count == 4
-        assert obs.max_s == 4.0
+        assert obs == CostObservation("fp", count=4, ewma_s=3.125, hint=3.0)
+        assert ObservationStore(str(tmp_path)).get("fp") == obs
 
     def test_estimates_persist_across_instances(self, tmp_path):
         first = LearnedCostModel(ObservationStore(str(tmp_path)))
@@ -149,15 +149,6 @@ class TestCostModel:
         model.observe("fp", 1.0)
         assert model.estimate_seconds("fp") == pytest.approx(1.0)
         assert model.estimate_seconds("never-seen") is None
-
-    def test_percentile_is_nearest_rank(self, tmp_path):
-        model = LearnedCostModel(ObservationStore(str(tmp_path)))
-        model.min_samples, model.window = 1, 10
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
-            model.observe("fp", value)
-        assert model.percentile_seconds("fp", 0.9) == pytest.approx(9.0)
-        assert model.percentile_seconds("fp", 0.5) == pytest.approx(5.0)
-        assert model.percentile_seconds("fp", 1.0) == pytest.approx(10.0)
 
     def test_unfingerprintable_task_falls_back_to_hint(self, tmp_path):
         model = LearnedCostModel(ObservationStore(str(tmp_path)))
@@ -228,9 +219,6 @@ class TestCostModel:
             assert model.estimate_seconds(fingerprint) == (
                 fresh.estimate_seconds(fingerprint)
             )
-            assert model.percentile_seconds(fingerprint) == (
-                fresh.percentile_seconds(fingerprint)
-            )
         assert model._hints_per_second() == fresh._hints_per_second()
         assert len(model._memo) == LearnedCostModel.memo_entries
 
@@ -295,13 +283,14 @@ class TestObservationStoreForm:
 
     def test_observations_round_trip_bit_for_bit(self, tmp_path):
         obs = CostObservation(
-            fingerprint="f" * 64, count=3, ewma_s=0.1 + 0.2, last_s=1e-6,
-            max_s=2.5, hint=7.0, samples=[0.30000000000000004, 1e-6, 2.5],
+            fingerprint="f" * 64, count=3, ewma_s=0.1 + 0.2, hint=7.0
         )
         ObservationStore(tmp_path).put(obs.fingerprint, obs)
         back = ObservationStore(tmp_path).get(obs.fingerprint)
-        assert back == obs and type(back.samples) is list
-        assert [type(v) for v in back.samples] == [float] * 3
+        assert back == obs
+        assert [type(v) for v in (back.count, back.ewma_s, back.hint)] == [
+            int, float, float
+        ]
         data = ObservationStore(tmp_path)._entry_path(obs.fingerprint).read_bytes()
         assert b'"tier": "observe"' in data and b"ewma_s" in data
 
@@ -311,14 +300,15 @@ class TestObservationStoreForm:
         from repro.cache.store import seal_entry
 
         store = ObservationStore(tmp_path)
-        obs = CostObservation(fingerprint="f" * 64, count=1, samples=[0.5])
+        obs = CostObservation(fingerprint="f" * 64, count=1, ewma_s=0.5)
         good = dataclasses.asdict(obs)
         for index, data in enumerate(
             (
-                seal_entry("observe", 1, {}, pickle.dumps(obs)),  # the parent's
-                seal_entry("observe", 2, dict(good, count="1"), b""),
-                seal_entry("observe", 2, dict(good, samples=[0.5, None]), b""),
-                seal_entry("observe", 2, dict(good, surprise=0), b""),
+                seal_entry("observe", 1, {}, pickle.dumps(obs)),  # a pickle
+                seal_entry("observe", 2, dict(good, samples=[0.5]), b""),  # windowed
+                seal_entry("observe", 3, dict(good, count="1"), b""),
+                seal_entry("observe", 3, dict(good, ewma_s=None), b""),
+                seal_entry("observe", 3, dict(good, surprise=0), b""),
             ),
             start=1,
         ):
@@ -327,7 +317,7 @@ class TestObservationStoreForm:
             assert store.stats.corrupt == index
         # ... and the model carries on from nothing, as for any miss
         model = LearnedCostModel(store)
-        store._write(obs.fingerprint, seal_entry("observe", 2, dict(good, count=None), b""))
+        store._write(obs.fingerprint, seal_entry("observe", 3, dict(good, count=None), b""))
         assert model.observe(obs.fingerprint, 0.25).count == 1
 
 

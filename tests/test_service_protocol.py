@@ -286,9 +286,8 @@ class TestProtocol:
 
         thread = threading.Thread(target=late_serve, daemon=True)
         thread.start()
-        client = ServiceClient(
-            f"127.0.0.1:{port}", connect_attempts=12, connect_backoff=0.05
-        )
+        client = ServiceClient(f"127.0.0.1:{port}")
+        client.connect_attempts, client.connect_backoff = 12, 0.05
         assert client.ping()["ok"] is True
         assert started.is_set()
         client.shutdown(drain=False)
@@ -299,9 +298,8 @@ class TestProtocol:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        client = ServiceClient(
-            f"127.0.0.1:{port}", connect_attempts=2, connect_backoff=0.01
-        )
+        client = ServiceClient(f"127.0.0.1:{port}")
+        client.connect_attempts, client.connect_backoff = 2, 0.01
         with pytest.raises(ConnectionRefusedError):
             client.ping()
 
