@@ -20,6 +20,7 @@ import time
 from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
+from repro.parallel.fault_schedule import FaultSchedule
 from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
@@ -70,15 +71,10 @@ def test_supervised_no_fault_overhead_within_noise(results_dir):
 
     # One seeded chaos round on an in-process farm: how much wall does
     # *absorbing* crashes, hangs, and corruption cost?
-    chaos = ChaosBackend(
-        SerialBackend(),
-        workers=4,
-        seed=0,
-        crash_rate=0.3,
-        hang_rate=0.3,
-        hang_delay=0.1,
-        corrupt_rate=0.25,
+    faults = FaultSchedule(
+        0, {"crash": 0.3, "hang": 0.3, "corrupt": 0.25}, delay=0.1
     )
+    chaos = ChaosBackend(SerialBackend(), faults, workers=4)
     chaos_backend = SupervisedBackend(
         chaos, task_timeout=1.0, max_attempts=4, hedge_after=None
     )
@@ -102,9 +98,9 @@ def test_supervised_no_fault_overhead_within_noise(results_dir):
         "chaos_round": {
             "seed": 0,
             "wall_s": round(chaos_wall, 6),
-            "injected_crashes": chaos.injected_crashes,
-            "injected_hangs": chaos.injected_hangs,
-            "injected_corruptions": chaos.injected_corruptions,
+            "injected_crashes": faults.fired["crash"],
+            "injected_hangs": faults.fired["hang"],
+            "injected_corruptions": faults.fired["corrupt"],
             "timeouts": chaos_backend.supervision.timeouts,
             "retries": chaos_backend.supervision.retries,
             "corrupt_payloads": chaos_backend.supervision.corrupt_payloads,
@@ -119,8 +115,8 @@ def test_supervised_no_fault_overhead_within_noise(results_dir):
         f"supervised median:       {supervised_median:.3f}s "
         f"({summary['overhead_ratio']:.2f}x)\n"
         f"seeded chaos round:      {chaos_wall:.3f}s "
-        f"({chaos.injected_crashes} crash(es), {chaos.injected_hangs} "
-        f"hang(s), {chaos.injected_corruptions} corruption(s) absorbed)\n"
+        f"({faults.fired['crash']} crash(es), {faults.fired['hang']} "
+        f"hang(s), {faults.fired['corrupt']} corruption(s) absorbed)\n"
     )
     print(
         f"\nsupervision overhead {summary['overhead_ratio']:.2f}x "

@@ -17,7 +17,12 @@ Run:  python examples/unreliable_network.py
 """
 
 from repro import ParallelCompiler, SequentialCompiler
-from repro.parallel import ChaosBackend, SerialBackend, SupervisedBackend
+from repro.parallel import (
+    ChaosBackend,
+    FaultSchedule,
+    SerialBackend,
+    SupervisedBackend,
+)
 from repro.workloads.synthetic import synthetic_program
 
 SOURCE = synthetic_program("small", 6, module_name="flaky_build")
@@ -26,13 +31,14 @@ SOURCE = synthetic_program("small", 6, module_name="flaky_build")
 def crashes_only() -> None:
     """The simple story: clean crashes, absorbed by retry alone."""
     sequential = SequentialCompiler().compile(SOURCE)
-    flaky = ChaosBackend(
-        SerialBackend(), seed=11, crash_rate=0.5, max_failures_per_task=2
+    # Half of all attempts crash, at most twice per function.
+    faults = FaultSchedule(11, {"crash": 0.5}, budgets={"crash": 2})
+    backend = SupervisedBackend(
+        ChaosBackend(SerialBackend(), faults), max_attempts=3, hedge_after=None
     )
-    backend = SupervisedBackend(flaky, max_attempts=3, hedge_after=None)
     result = ParallelCompiler(backend=backend).compile(SOURCE)
     print("-- crashes only --")
-    print(f"injected crashes          : {flaky.injected_crashes}")
+    print(f"injected crashes          : {faults.fired['crash']}")
     print(f"retries performed         : {backend.supervision.retries}")
     print(f"output identical to the sequential compiler:",
           result.digest == sequential.digest)
@@ -42,14 +48,19 @@ def full_chaos() -> None:
     """The real §5.2 weather: crashes, hangs, corruption, and a poison
     task, supervised with deadlines, quarantine, and isolation."""
     sequential = SequentialCompiler().compile(SOURCE)
+    faults = FaultSchedule(
+        3,
+        {
+            "crash": 0.25,      # killed Lisp processes
+            "hang": 0.3,        # wedged workstations, 1.5 s each
+            "corrupt": 0.2,     # damaged IPC payloads
+        },
+        delay=1.5,
+    )
     chaos = ChaosBackend(
         SerialBackend(),
+        faults,
         workers=4,
-        seed=3,
-        crash_rate=0.25,        # killed Lisp processes
-        hang_rate=0.3,          # wedged workstations
-        hang_delay=1.5,
-        corrupt_rate=0.2,       # damaged IPC payloads
         poison=(("sec1", "f3"),),  # crashes on EVERY worker
     )
     backend = SupervisedBackend(
@@ -65,9 +76,9 @@ def full_chaos() -> None:
     stats = backend.supervision
 
     print("\n-- full chaos --")
-    print(f"injected crashes          : {chaos.injected_crashes}")
-    print(f"injected hangs            : {chaos.injected_hangs}")
-    print(f"injected corruptions      : {chaos.injected_corruptions}")
+    print(f"injected crashes          : {faults.fired['crash']}")
+    print(f"injected hangs            : {faults.fired['hang']}")
+    print(f"injected corruptions      : {faults.fired['corrupt']}")
     print(f"deadline timeouts         : {stats.timeouts}")
     print(f"corrupt payloads caught   : {stats.corrupt_payloads}")
     print(f"retries / quarantines     : {stats.retries} / {stats.quarantines}")

@@ -100,8 +100,7 @@ def _run_live(args, source: str) -> int:
             )
         caches = stack.open_caches(args, "artifact cache")
         compiler = ParallelCompiler(
-            backend=backend, cache=caches.get("artifact cache"),
-            owns_backend=True,
+            backend=backend, cache=caches.get("artifact cache")
         )
 
         walls = []
@@ -112,7 +111,7 @@ def _run_live(args, source: str) -> int:
                 result = compiler.compile(source)
                 walls.append(time.perf_counter() - start)
         finally:
-            compiler.close()
+            stack.shutdown_backend(backend)
 
         matches = result.digest == sequential.digest
         print(f"workload: {args.functions} x f_{args.size} "

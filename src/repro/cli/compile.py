@@ -88,6 +88,7 @@ def run_compile(args) -> int:
     source = options.read_source(args.file)
     compile_options = options.compile_options(args)
     caches = {}
+    backend = None
     try:
         # --parallel with --cache-dir / --no-cache is the one switch for
         # the on-disk tiers.
@@ -95,19 +96,16 @@ def run_compile(args) -> int:
             caches = stack.open_caches(
                 args, "artifact cache", "parse cache", "link cache"
             )
-            # Owned by this one compile and shut down with it: a warm
-            # pool used once is the cold pool.
             farm = None
             if args.chaos is not None:
                 farm = stack.chaos_farm(args.chaos, args.chaos_poison)
             backend = stack.build_backend(args, farm)
-            with ParallelCompiler(
+            result = ParallelCompiler(
                 backend, compile_options,
-                cache=caches.get("artifact cache"), owns_backend=True,
+                cache=caches.get("artifact cache"),
                 parse_cache=caches.get("parse cache"),
                 link_cache=caches.get("link cache"),
-            ) as compiler:
-                result = compiler.compile(source, filename=args.file)
+            ).compile(source, filename=args.file)
         else:
             result = SequentialCompiler(compile_options).compile(
                 source, filename=args.file
@@ -115,8 +113,11 @@ def run_compile(args) -> int:
     except CompileError as error:
         return report_compile_error(error, args.json)
     finally:
-        # Flush any write-behind pushes to the network cache tier
-        # before reporting.
+        # This compile built the farm, so it shuts it down (a warm pool
+        # used once is the cold pool), and flushes any write-behind
+        # pushes to the network cache tier before reporting.
+        if backend is not None:
+            stack.shutdown_backend(backend)
         stack.close_caches(caches)
 
     return emit_result(

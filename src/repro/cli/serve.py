@@ -14,6 +14,7 @@ import threading
 from typing import List
 
 from ..cache.store import DEFAULT_MAX_BYTES
+from ..parallel.fault_schedule import FaultSchedule
 from . import options, stack
 
 
@@ -164,22 +165,24 @@ def run_serve(args) -> int:
         stack.shutdown_backend(pool)
 
 
-#: Transport fault rates for each ``--chaos-fault`` family.  Seeded and
-#: deterministic (see repro.fabric.chaos); the CI fabric-chaos matrix
-#: drives these from the command line.
+#: Transport fault rates for each ``--chaos-fault`` family, by kind.
+#: Seeded and deterministic (see repro.fabric.chaos); the CI
+#: fabric-chaos matrix drives these from the command line.
 _CHAOS_FAULTS = {
-    "node-kill": {"kill_rate": 0.4},
-    "heartbeat-drop": {"heartbeat_drop_rate": 0.7},
-    "truncate": {"truncate_rate": 0.4},
-    "delay-dup": {"delay_rate": 0.3, "duplicate_rate": 0.3},
+    "node-kill": {"kill": 0.4},
+    "heartbeat-drop": {"heartbeat-drop": 0.7},
+    "truncate": {"truncate": 0.4},
+    "delay-dup": {"delay": 0.3, "duplicate": 0.3},
     "mixed": {
-        "kill_rate": 0.2,
-        "heartbeat_drop_rate": 0.2,
-        "truncate_rate": 0.15,
-        "delay_rate": 0.15,
-        "duplicate_rate": 0.15,
+        "kill": 0.2,
+        "heartbeat-drop": 0.2,
+        "truncate": 0.15,
+        "delay": 0.15,
+        "duplicate": 0.15,
     },
 }
+#: seconds a delayed result frame waits
+_CHAOS_DELAY = 0.05
 
 
 def register_worker(sub):
@@ -214,12 +217,14 @@ def register_worker(sub):
 
 
 def run_worker(args) -> int:
-    from ..fabric import FabricChaos, WorkerNodeAgent
+    from ..fabric import WorkerNodeAgent
 
     backend = stack.build_pool(args)
     chaos = None
     if args.chaos is not None:
-        chaos = FabricChaos(args.chaos, **_CHAOS_FAULTS[args.chaos_fault])
+        chaos = FaultSchedule(
+            args.chaos, _CHAOS_FAULTS[args.chaos_fault], delay=_CHAOS_DELAY
+        )
     try:
         agent = WorkerNodeAgent(
             args.connect,

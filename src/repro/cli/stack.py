@@ -12,6 +12,7 @@ import os
 from typing import Dict
 
 from ..cache import ArtifactCache, LinkCache, ParseCache, VariantStore
+from ..parallel.fault_schedule import FaultSchedule
 from ..parallel.fault_tolerance import ChaosBackend
 from ..parallel.local import SerialBackend
 from ..parallel.supervisor import SupervisedBackend
@@ -42,15 +43,11 @@ def chaos_farm(seed, poison=None):
     """``compile --chaos SEED``'s farm: a simulated flaky farm around an
     in-process executor, deterministic under the seed; ``poison`` is the
     key of the task that crashes everywhere."""
+    schedule = FaultSchedule(
+        seed, {"crash": 0.2, "hang": 0.2, "corrupt": 0.1}, delay=0.2
+    )
     return ChaosBackend(
-        SerialBackend(),
-        workers=4,
-        seed=seed,
-        crash_rate=0.2,
-        hang_rate=0.2,
-        hang_delay=0.2,
-        corrupt_rate=0.1,
-        poison=(poison,) if poison else (),
+        SerialBackend(), schedule, poison=(poison,) if poison else ()
     )
 
 

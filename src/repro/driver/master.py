@@ -20,13 +20,10 @@ linked the moment its streaming recombiner completes, behind the
 optional link cache, and a clean compile leaves its record behind.
 The output is bit-identical to the sequential compiler's.
 
-Ownership: a compile never shuts down or reconfigures the backend or
-cache it was given — both may be shared with other compilers (the
+A compiler never owns its backend or caches: it never shuts down or
+reconfigures them, because they may be shared with other compilers (the
 compile service multiplexes many concurrent compilations over one warm
-pool and one artifact cache).  Callers that *want* the compiler to tear
-its backend down with it pass ``owns_backend=True`` and use
-:meth:`ParallelCompiler.close` (or the context-manager form); a borrowed
-backend is left exactly as it was found.
+pool and one artifact cache).  Whoever built a farm shuts it down.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class ParallelCompiler:
         cache=None,
         parse_cache=None,
         link_cache=None,
-        owns_backend: bool = False,
     ):
         self.backend = backend if backend is not None else SerialBackend()
         #: what every task carries and every fingerprint hashes
@@ -72,11 +68,6 @@ class ParallelCompiler:
         #: optional :class:`repro.cache.ArtifactCache`: phase-2/3 results
         #: are served from / written back to it, keyed per function.
         self.cache = cache
-        #: whether :meth:`close` may shut the backend down.  False for
-        #: caller-provided (possibly shared, possibly context-managed)
-        #: backends: closing a compiler must never tear down a pool it
-        #: does not own (the double-shutdown footgun).
-        self.owns_backend = owns_backend
         #: optional :class:`repro.cache.ParseCache`: per-function parse+
         #: sema results are served from / written back to it.  Given one,
         #: phase 1 runs the incremental front end
@@ -93,22 +84,6 @@ class ParallelCompiler:
         #: :class:`~repro.driver.phases.Phase4Stats` of the most recent
         #: :meth:`compile`.
         self.last_phase4_stats: Optional[Phase4Stats] = None
-
-    def close(self) -> None:
-        """Release owned resources.  A borrowed backend is untouched;
-        an owned one is shut down (idempotently).  The artifact cache is
-        an on-disk store with no connection state — never closed here."""
-        if self.owns_backend:
-            shutdown = getattr(self.backend, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-
-    def __enter__(self) -> "ParallelCompiler":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        self.close()
-        return False
 
     def compile(
         self, source_text: str, filename: str = "<input>"

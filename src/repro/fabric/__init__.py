@@ -30,7 +30,6 @@ ports are unauthenticated and must only be exposed on trusted networks
 — the defaults bind 127.0.0.1.
 """
 
-from .chaos import CacheChaos, FabricChaos
 from .hub import FabricHub, FabricStats, RemoteBackend
 from .netcache import CacheServiceServer, NetworkCacheClient, TieredCache
 from .node import WorkerNodeAgent
@@ -48,11 +47,9 @@ from .wire import (
 
 __all__ = [
     "AuthenticationError",
-    "CacheChaos",
     "CacheServiceServer",
     "Connection",
     "FABRIC_SECRET_ENV",
-    "FabricChaos",
     "FabricHub",
     "FabricStats",
     "NetworkCacheClient",

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 
 from ..cache.store import DEFAULT_MAX_BYTES, ArtifactCache
 from ..driver.function_master import FunctionTaskResult
-from .chaos import CacheChaos
+from ..parallel.fault_schedule import FaultSchedule
 from .wire import (
     Connection,
     LineServer,
@@ -65,9 +65,16 @@ class CacheServiceServer:
       match, or whose blob is not an ``objects/`` entry, is refused)
     - ``{"op": "ping"}`` → ``{"ok": true, "entries": N}``
 
-    ``chaos`` (tests/CI only) deterministically corrupts response blobs
-    or fails requests, to prove clients degrade instead of dying.
+    A test assigns ``chaos`` a
+    :class:`~repro.parallel.fault_schedule.FaultSchedule`: its
+    ``cache-fail`` faults refuse a request before the store, its
+    ``cache-corrupt`` faults flip a byte of a served blob (a key's n-th
+    corruption is its attempt n), to prove clients degrade instead of
+    dying.
     """
+
+    #: the fault plan of the response hook (None: no faults)
+    chaos: Optional[FaultSchedule] = None
 
     def __init__(
         self,
@@ -76,10 +83,8 @@ class CacheServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        chaos: Optional[CacheChaos] = None,
     ):
         self.store = ArtifactCache(cache_dir, max_bytes=max_bytes)
-        self.chaos = chaos
         self.verbs = {
             "ping": self._ping,
             "cache-get": self._keyed(self._get),
@@ -117,7 +122,9 @@ class CacheServiceServer:
                 raise ProtocolError(
                     "cache request without a key", reason="bad-request"
                 )
-            if self.chaos is not None and self.chaos.should_fail(key):
+            if self.chaos is not None and self.chaos.fires(
+                "cache-fail", key, 0
+            ):
                 return refusal("chaos", "unavailable")
             return handler(key, frame)
 
@@ -127,8 +134,12 @@ class CacheServiceServer:
         blob = self.store.get_bytes(key)  # a rotted entry is deleted here
         if blob is None:
             return {"ok": True, "hit": False}
-        if self.chaos is not None:
-            blob = self.chaos.maybe_corrupt(key, blob)
+        if self.chaos is not None and self.chaos.fires(
+            "cache-corrupt", key, None
+        ):
+            scribbled = bytearray(blob)
+            scribbled[len(scribbled) // 2] ^= 0xFF
+            blob = bytes(scribbled)
         reply = {"ok": True, "hit": True}
         reply.update(pack_bytes(blob))
         return reply

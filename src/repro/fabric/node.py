@@ -33,8 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ..parallel.backend import stream_task_results
+from ..parallel.fault_schedule import FaultSchedule
 from ..parallel.local import SerialBackend
-from .chaos import FabricChaos
+from .chaos import ChaosTransport
 from .wire import (
     PROTOCOL_VERSION,
     Connection,
@@ -74,7 +75,7 @@ class WorkerNodeAgent:
         backend=None,
         *,
         node_id: Optional[str] = None,
-        chaos: Optional[FabricChaos] = None,
+        chaos: Optional[FaultSchedule] = None,
     ):
         self.host, self.port = parse_address(address, "hub")
         self.backend = backend if backend is not None else SerialBackend()
@@ -130,7 +131,7 @@ class WorkerNodeAgent:
                 self._stop.wait(self.connect_cap)
                 continue
             if self.chaos is not None:
-                conn = self.chaos.wrap(conn)
+                conn = ChaosTransport(conn, self.chaos)
             self._conn = conn
             try:
                 self._serve(conn)

@@ -75,6 +75,7 @@ from ..lang.parser import parse_text
 from ..lang.sema import check_module
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
+from ..parallel.fault_schedule import FaultSchedule
 from ..parallel.fault_tolerance import ChaosBackend
 from ..parallel.local import SerialBackend
 from ..parallel.supervisor import SupervisedBackend
@@ -335,16 +336,13 @@ class DifferentialOracle:
         return builders[name]()
 
     def _chaos_backend(self, seed: int):
-        chaos = ChaosBackend(
-            SerialBackend(),
-            workers=3,
-            seed=self.config.chaos_seed ^ seed,
-            crash_rate=0.25,
-            hang_rate=0.15,
-            hang_delay=0.005,
-            corrupt_rate=0.15,
-            max_failures_per_task=2,
+        schedule = FaultSchedule(
+            self.config.chaos_seed ^ seed,
+            {"crash": 0.25, "hang": 0.15, "corrupt": 0.15},
+            budgets={"crash": 2},
+            delay=0.005,
         )
+        chaos = ChaosBackend(SerialBackend(), schedule, workers=3)
         # Deadlines off: under CI load a wall-clock deadline expiry
         # would add retries, making the fault replay timing-dependent.
         return SupervisedBackend(

@@ -1,6 +1,7 @@
 """Parallel execution backends and scheduling strategies."""
 
 from .backend import ExecutionBackend, stream_task_results
+from .fault_schedule import FaultSchedule
 from .fault_tolerance import ChaosBackend, FunctionMasterFailure
 from .local import SerialBackend
 from .parallel_make import (
@@ -29,6 +30,7 @@ from .warm_pool import WarmPoolBackend
 __all__ = [
     "Assignment",
     "ChaosBackend",
+    "FaultSchedule",
     "ExecutionBackend",
     "FunctionMasterFailure",
     "MakeCycleError",

@@ -14,7 +14,9 @@ other half, the faults to be careful about:
   (slow tasks), corrupt result payloads, whole-worker death, and poison
   tasks that crash on every worker — over a set of *simulated named
   workers*, so the supervisor's health tracking and quarantine logic
-  can be exercised end-to-end.
+  can be exercised end-to-end.  Its rates, budgets, hang time and
+  counts live in the one seeded
+  :class:`~repro.parallel.fault_schedule.FaultSchedule` it is given.
 
 Because function masters are pure (same task -> same object code), retry
 is always safe: the section master cannot tell a first-try result from a
@@ -27,7 +29,7 @@ import time
 from dataclasses import replace
 from typing import Iterator, List, Optional, Tuple
 
-from ..driver.function_master import FunctionTask, FunctionTaskResult
+from ..driver.function_master import FunctionTask
 from .backend import ExecutionBackend, stream_task_results
 from .fault_schedule import FaultSchedule
 
@@ -59,26 +61,25 @@ class ChaosBackend:
 
     Wraps an inner backend with a set of *simulated named workers*
     (``w0`` .. ``wN-1``).  Every (task, attempt) pair is assigned a
-    worker and one draw per fault class from the shared
-    :class:`~repro.parallel.fault_schedule.FaultSchedule` — a pure
-    function of ``(seed, class, task key, attempt)``, so the injected
-    pattern is identical no matter how a supervisor interleaves
-    retries, hedges, or timeouts around it, and arming one class never
-    moves another's schedule.
+    worker and one decision per fault kind from ``schedule`` (a
+    :class:`~repro.parallel.fault_schedule.FaultSchedule`, which holds
+    every rate, budget and count) — a pure function of ``(seed, kind,
+    task key, attempt)``, so the injected pattern is identical no matter
+    how a supervisor interleaves retries, hedges, or timeouts around it,
+    and arming one kind never moves another's schedule.
 
-    Fault classes (the §5.2 failure taxonomy):
+    Fault kinds (the §5.2 failure taxonomy):
 
-    - **crash** (``crash_rate``): the attempt raises
-      :class:`FunctionMasterFailure` attributed to its worker — a killed
-      Lisp process;
-    - **hang** (``hang_rate``/``hang_delay``): the attempt sleeps before
-      compiling — an overloaded or wedged workstation.  The result still
-      arrives, just late, which is exactly what deadline enforcement and
+    - **crash**: the attempt raises :class:`FunctionMasterFailure`
+      attributed to its worker — a killed Lisp process;
+    - **hang**: the attempt sleeps ``schedule.delay`` before compiling —
+      an overloaded or wedged workstation.  The result still arrives,
+      just late, which is exactly what deadline enforcement and
       straggler hedging must absorb;
-    - **corrupt** (``corrupt_rate``): the attempt succeeds but one byte
-      of its ``code`` flips *after* the function master sealed its
-      payload digest — a damaged IPC message.  Like a result that
-      really crossed a boundary, the damaged one holds no object graph;
+    - **corrupt**: the attempt succeeds but one byte of its ``code``
+      flips *after* the function master sealed its payload digest — a
+      damaged IPC message.  Like a result that really crossed a
+      boundary, the damaged one holds no object graph;
     - **worker death** (``dead_workers``): every attempt assigned to a
       dead worker fails — a rebooted host.  Combined with the
       supervisor's quarantine this exercises graceful degradation;
@@ -86,55 +87,34 @@ class ChaosBackend:
       the task itself is bad, not the host.  Workers are rotated across
       attempts so distinct-worker poison detection triggers.
 
-    The supervisor may call :meth:`exclude_workers` with its current
+    Death and poison crashes count as ``schedule.fired["crash"]`` too.
+    The one surface is :meth:`run_tasks_events`: like a fabric hub, a
+    farm that reports faults is read by the supervisor alone.  The
+    supervisor may call :meth:`exclude_workers` with its current
     quarantine set; excluded workers receive no further attempts (unless
     every worker is excluded, in which case assignment falls back to the
     full set — mirroring a master with nowhere left to send work).
     """
 
+    #: how a hang waits; a test sets it on the instance
+    sleep = staticmethod(time.sleep)
+
     def __init__(
         self,
         inner: ExecutionBackend,
+        schedule: FaultSchedule,
         workers: int = 4,
-        seed: int = 0,
-        crash_rate: float = 0.0,
-        hang_rate: float = 0.0,
-        hang_delay: float = 0.25,
-        corrupt_rate: float = 0.0,
         dead_workers: Tuple[str, ...] = (),
         poison: Tuple[Tuple[str, str], ...] = (),
-        max_failures_per_task: Optional[int] = None,
-        max_hangs_per_task: int = 1,
-        max_corruptions_per_task: int = 1,
-        sleep=time.sleep,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        for name, rate in (
-            ("crash_rate", crash_rate),
-            ("hang_rate", hang_rate),
-            ("corrupt_rate", corrupt_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         self.inner = inner
+        self.schedule = schedule
         self.worker_names = tuple(f"w{i}" for i in range(workers))
-        self.schedule = FaultSchedule(seed)
-        self.crash_rate = crash_rate
-        self.hang_rate = hang_rate
-        self.hang_delay = hang_delay
-        self.corrupt_rate = corrupt_rate
         self.dead_workers = frozenset(dead_workers)
         self.poison = frozenset(poison)
-        self.max_failures_per_task = max_failures_per_task
-        self.max_hangs_per_task = max_hangs_per_task
-        self.max_corruptions_per_task = max_corruptions_per_task
-        self._sleep = sleep
         self._excluded: frozenset = frozenset()
-        #: telemetry, per fault class
-        self.injected_crashes = 0
-        self.injected_hangs = 0
-        self.injected_corruptions = 0
 
     @property
     def worker_count(self) -> int:
@@ -164,11 +144,9 @@ class ChaosBackend:
     def run_tasks_events(self, tasks: List[FunctionTask]) -> Iterator[tuple]:
         """Incremental event stream: yields ``("start", task)`` when an
         attempt begins, then ``("result", r)`` / ``("failure", f)`` as it
-        plays out, in task order.  This is the supervisor's preferred
-        dispatch surface — failures arrive the moment they happen instead
-        of poisoning the whole stream with an exception, and start events
-        let per-task deadlines measure the attempt itself rather than the
-        queueing in front of it."""
+        plays out, in task order.  Failures arrive the moment they
+        happen, and start events let per-task deadlines measure the
+        attempt itself rather than the queueing in front of it."""
         schedule = self.schedule
         for task in tasks:
             key = f"{task.section_name}.{task.function_name}"
@@ -181,23 +159,18 @@ class ChaosBackend:
                 crash = f"poison task crashed (attempt {attempt + 1})"
             elif worker in self.dead_workers:
                 crash = f"worker {worker} is dead"
-            elif schedule.fires(
-                "crash", key, attempt, self.crash_rate,
-                self.max_failures_per_task,
-            ):
+            if crash is not None:
+                schedule.record("crash")
+            elif schedule.fires("crash", key, attempt):
                 crash = f"injected crash on attempt {attempt + 1}"
             if crash is not None:
-                self.injected_crashes += 1
                 yield (
                     "failure",
                     FunctionMasterFailure(task, crash, worker=worker),
                 )
                 continue
-            if schedule.fires(
-                "hang", key, attempt, self.hang_rate, self.max_hangs_per_task
-            ):
-                self.injected_hangs += 1
-                self._sleep(self.hang_delay)
+            if schedule.fires("hang", key, attempt):
+                self.sleep(schedule.delay)
             try:
                 results = list(stream_task_results(self.inner, [task]))
             except FunctionMasterFailure as failure:
@@ -211,11 +184,8 @@ class ChaosBackend:
                 )
                 continue
             corrupt = bool(results) and schedule.fires(
-                "corrupt", key, attempt, self.corrupt_rate,
-                self.max_corruptions_per_task,
+                "corrupt", key, attempt
             )
-            if corrupt:
-                self.injected_corruptions += 1
             for result in results:
                 if corrupt:
                     # Flip a byte *after* the digest was sealed (the
@@ -226,17 +196,3 @@ class ChaosBackend:
                     result = replace(result, code=bytes(code))
                 result.worker = worker
                 yield ("result", result)
-
-    def run_tasks_streaming(
-        self, tasks: List[FunctionTask]
-    ) -> Iterator[FunctionTaskResult]:
-        """Yield survivors incrementally; raise the first failure at the
-        end of the stream (per-task exception, partial progress kept)."""
-        first_failure: Optional[FunctionMasterFailure] = None
-        for kind, payload in self.run_tasks_events(tasks):
-            if kind == "result":
-                yield payload
-            elif kind == "failure" and first_failure is None:
-                first_failure = payload
-        if first_failure is not None:
-            raise first_failure

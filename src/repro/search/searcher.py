@@ -184,11 +184,7 @@ def search_module(
     # function must never share a wave — whole-module waves guarantee it.
     results: Dict[str, CompilationResult] = {}
     for config in space:
-        compiler = factory(config)
-        try:
-            results[config.key()] = compiler.compile(source_text, filename)
-        finally:
-            compiler.close()
+        results[config.key()] = factory(config).compile(source_text, filename)
     baseline = results[space.reference.key()]
 
     parsed, _ = phase1_cached(source_text, filename)

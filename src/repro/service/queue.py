@@ -26,7 +26,10 @@ Priority classes are strict: while any ``interactive`` task is pending,
 no ``normal`` or ``batch`` task is dispatched (and so on down).  Within
 a class, fair share applies.  All tie-breaks use arrival sequence
 numbers, so the dispatch order is a pure function of the enqueue
-history — seeded tests replay it exactly.
+history — seeded tests replay it exactly.  An idle tenant's virtual
+time is forgotten once it can no longer differ from the floor it would
+re-activate at, so a long-lived service keeps no entry per tenant ever
+seen.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ class FairShareQueue:
         #: insertion-ordered so iteration (and thus selection scans) are
         #: reproducible regardless of string hash randomization.
         self._jobs: "OrderedDict[str, _JobQueue]" = OrderedDict()
+        #: virtual time per tenant with a queued job, or idle above the
+        #: floor; an idle tenant at or under it is forgotten
         self._tenant_vtime: Dict[str, float] = {}
         #: virtual time of the most recent dispatch — the floor newly
         #: activating tenants/jobs start from, so an idle tenant neither
@@ -197,7 +202,30 @@ class FairShareQueue:
                 self.dispatched += 1
                 if not job.tasks:
                     del self._jobs[job_id]
+            self._forget_idle_tenants()
             return wave
+
+    def _forget_idle_tenants(self) -> None:
+        """Drop the vtime of every tenant with no queued job whose vtime
+        is at most ``L = min(floor, every queued tenant's vtime)``.
+
+        Exact: every later floor is some queued tenant's vtime at a
+        dispatch, and every later queued vtime is a present one grown or
+        ``max(v, floor)`` at an activation, so by induction neither goes
+        below ``L`` (strict priority classes may move the floor down,
+        never that far).  A forgotten tenant therefore re-activates at
+        ``max(0, floor) == max(v, floor) == floor``, as a remembered one
+        would.  Runs once per wave, over the jobs and the remembered
+        tenants."""
+        queued = {job.tenant for job in self._jobs.values()}
+        bound = min(
+            [self._vfloor] + [self._tenant_vtime[t] for t in queued]
+        )
+        for tenant in [
+            t for t, v in self._tenant_vtime.items()
+            if v <= bound and t not in queued
+        ]:
+            del self._tenant_vtime[tenant]
 
     def _select(self, blocked: set) -> Optional[Tuple[str, _JobQueue]]:
         """The (job_id, job) the scheduler picks next, or None."""

@@ -274,17 +274,18 @@ class TestWriteBackUnderFailure:
     stub) cannot masquerade as a healthy farm artifact next build."""
 
     def test_retried_then_successful_task_is_written_back(self, cache):
+        from repro.parallel.fault_schedule import FaultSchedule
         from repro.parallel.fault_tolerance import ChaosBackend
         from repro.parallel.supervisor import SupervisedBackend
 
         # Every task fails exactly once, then succeeds on retry.
         flaky = ChaosBackend(
-            SerialBackend(), crash_rate=1.0, seed=1, max_failures_per_task=1
+            SerialBackend(), FaultSchedule(1, {"crash": 1.0}, {"crash": 1})
         )
         backend = SupervisedBackend(flaky, max_attempts=3, hedge_after=None)
         backend.health.quarantine_after = 100
         cold = ParallelCompiler(backend=backend, cache=cache).compile(SOURCE)
-        assert flaky.injected_crashes == 4  # all four tasks were retried
+        assert flaky.schedule.fired["crash"] == 4  # all four were retried
         assert not cold.profile.poisoned_functions()
         assert cold.profile.artifact_cache_misses() == 4
         assert cache.entry_count() == 4
@@ -294,11 +295,12 @@ class TestWriteBackUnderFailure:
         assert warm.digest == cold.digest
 
     def test_poisoned_task_is_never_written_back(self, cache):
+        from repro.parallel.fault_schedule import FaultSchedule
         from repro.parallel.fault_tolerance import ChaosBackend
         from repro.parallel.supervisor import SupervisedBackend
 
         chaos = ChaosBackend(
-            SerialBackend(), workers=4, seed=0, poison=(("a", "a2"),)
+            SerialBackend(), FaultSchedule(), poison=(("a", "a2"),)
         )
         backend = SupervisedBackend(
             chaos, max_attempts=5, poison_threshold=3, hedge_after=None

@@ -4,10 +4,9 @@ pure function of the seed.
 Every fault decision is drawn from an RNG derived from ``(seed, task
 key, attempt)`` — sha256-hashed, so the schedule cannot depend on how a
 caller interleaves dispatch.  These tests pin that contract: the same
-seed must replay the *identical* fault schedule whether the dispatch is
-read as the full event stream (``run_tasks_events``) or as the plain
-result stream (``run_tasks_streaming``), and regardless of task
-submission order.
+seed must replay the *identical* fault schedule on every replay of the
+event stream (``run_tasks_events``), under a supervisor, and regardless
+of task submission order.
 """
 
 import itertools
@@ -19,8 +18,9 @@ import pytest
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
-from repro.fabric import FabricChaos
-from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
+from repro.fabric.chaos import ChaosTransport
+from repro.parallel.fault_schedule import FaultSchedule
+from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
@@ -38,12 +38,17 @@ SOURCE = wrap_function(
 def chaos(seed: int = 13) -> ChaosBackend:
     return ChaosBackend(
         SerialBackend(),
+        FaultSchedule(
+            seed, {"crash": 0.4, "hang": 0.3, "corrupt": 0.3}, delay=0.0
+        ),
         workers=3,
-        seed=seed,
-        crash_rate=0.4,
-        hang_rate=0.3,
-        hang_delay=0.0,
-        corrupt_rate=0.3,
+    )
+
+
+def fired(backend):
+    """(crashes, hangs, corruptions) injected so far."""
+    return tuple(
+        backend.schedule.fired[kind] for kind in ("crash", "hang", "corrupt")
     )
 
 
@@ -60,26 +65,9 @@ def schedule_via_events(backend, tasks):
     return _schedule(backend, results, failures)
 
 
-def schedule_via_streaming(backend, tasks):
-    """Same, driving the incremental streaming surface instead."""
-    results, failures = [], []
-    stream = backend.run_tasks_streaming(tasks)
-    while True:
-        try:
-            results.append(next(stream))
-        except StopIteration:
-            break
-        except FunctionMasterFailure as failure:
-            failures.append(failure)
-            break
-    return _schedule(backend, results, failures)
-
-
 def _schedule(backend, results, failures):
     return {
-        "crashes": backend.injected_crashes,
-        "hangs": backend.injected_hangs,
-        "corruptions": backend.injected_corruptions,
+        "fired": fired(backend),
         "results": sorted(
             (r.section_name, r.function_name, r.worker) for r in results
         ),
@@ -91,18 +79,6 @@ def _schedule(backend, results, failures):
 
 
 class TestScheduleDeterminism:
-    def test_barrier_and_streaming_replay_identical_schedules(self):
-        tasks = build_tasks()
-        events = schedule_via_events(chaos(), list(tasks))
-        streaming = schedule_via_streaming(chaos(), list(tasks))
-        # run_tasks_streaming reports only the first failure (partial
-        # progress model); the survivors and every fault decision must
-        # be the event stream's exactly.
-        assert streaming["failures"] == events["failures"][:1]
-        assert streaming["results"] == events["results"]
-        for counter in ("crashes", "hangs", "corruptions"):
-            assert streaming[counter] == events[counter]
-
     def test_events_replay_is_bitwise_identical(self):
         tasks = build_tasks()
 
@@ -119,11 +95,7 @@ class TestScheduleDeterminism:
                     events.append(
                         ("failure", payload.task.function_name, payload.worker)
                     )
-            return events, (
-                backend.injected_crashes,
-                backend.injected_hangs,
-                backend.injected_corruptions,
-            )
+            return events, fired(backend)
 
         assert trace(chaos()) == trace(chaos())
 
@@ -172,11 +144,7 @@ class TestSupervisedReplay:
             )
             backend.health.quarantine_after = 100
             result = ParallelCompiler(backend=backend).compile(SOURCE)
-            return result.digest, (
-                inner.injected_crashes,
-                inner.injected_hangs,
-                inner.injected_corruptions,
-            )
+            return result.digest, fired(inner)
 
         digest_a, faults_a = compile_once()
         digest_b, faults_b = compile_once()
@@ -204,17 +172,18 @@ class TestFabricPlanDeterminism:
         """(identity, attempt) of every send the plan kills when each
         entry of ``order`` is one result send, under serials that
         depend on the interleaving."""
-        plan = FabricChaos(seed, kill_rate=0.5)
+        schedule = FaultSchedule(seed, {"kill": 0.5})
         serial = itertools.count(first_serial)
         attempts, killed = {}, []
         for identity in order:
             attempt = attempts[identity] = attempts.get(identity, -1) + 1
             frame = {"op": "result", "id": f"{identity}#{next(serial)}"}
             try:
-                plan.wrap(self.Link()).send(frame)  # a fresh connection
+                # a fresh connection each time
+                ChaosTransport(self.Link(), schedule).send(frame)
             except ConnectionResetError:
                 killed.append((identity, attempt))
-        assert plan.kills_injected == len(killed)
+        assert schedule.fired["kill"] == len(killed)
         return sorted(killed)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
@@ -256,26 +225,19 @@ class TestCIMatrixCoverage:
         crashes are unconditional)."""
         rates = TestSeededChaosEndToEnd.rates_for(fault)
         inner = ChaosBackend(
-            SerialBackend(),
-            workers=4,
-            seed=seed,
-            hang_delay=0.0,
-            **rates,
+            SerialBackend(), FaultSchedule(seed, rates, delay=0.0), workers=4
         )
         backend = SupervisedBackend(
             inner, task_timeout=0, hedge_after=None, max_attempts=6
         )
         result = ParallelCompiler(backend=backend).compile(TWO_SECTIONS)
         assert result.digest == SequentialCompiler().compile(TWO_SECTIONS).digest
-        injected = {
-            "crash_rate": inner.injected_crashes,
-            "hang_rate": inner.injected_hangs,
-            "corrupt_rate": inner.injected_corruptions,
-        }
-        armed = [name for name, rate in rates.items() if rate > 0]
+        armed = [kind for kind, rate in rates.items() if rate > 0]
         assert armed
-        for name in armed:
-            assert injected[name] >= 1, f"{fault}/seed {seed}: no {name} fault"
+        for kind in armed:
+            assert inner.schedule.fired[kind] >= 1, (
+                f"{fault}/seed {seed}: no {kind} fault"
+            )
 
     def test_ci_matrix_crashes_some_healthy_task_twice(self):
         """Crashes are unbounded per task in the chaos job, so the
@@ -284,7 +246,7 @@ class TestCIMatrixCoverage:
         repeated = []
         for seed in sorted({seed for _, seed in ci_chaos_matrix()}):
             inner = ChaosBackend(
-                SerialBackend(), workers=4, seed=seed, crash_rate=0.3
+                SerialBackend(), FaultSchedule(seed, {"crash": 0.3})
             )
             failures = collect_events(inner, build_tasks(TWO_SECTIONS))[1]
             retry = [f.task for f in failures]

@@ -179,6 +179,30 @@ class TestCompile:
             ["compile", good_file, "--parallel", "--jobs", "1"]
         ) == 0
 
+    @pytest.mark.parametrize("fixture,code", [("good_file", 0), ("bad_file", 1)])
+    def test_parallel_shuts_its_pool_down_once(
+        self, fixture, code, request, monkeypatch, capsys
+    ):
+        """The verb built the pool, so the verb shuts it down — exactly
+        once, whether or not the source compiles."""
+        from repro.parallel.warm_pool import WarmPoolBackend
+
+        shutdowns = []
+        real = WarmPoolBackend.shutdown
+
+        def counted(self, *args, **kwargs):
+            shutdowns.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WarmPoolBackend, "shutdown", counted)
+        path = request.getfixturevalue(fixture)
+        assert main(
+            ["compile", path, "--parallel", "--jobs", "2", "--no-cache"]
+        ) == code
+        assert len(shutdowns) == 1
+        assert shutdowns[0].worker_count == 2
+        assert not shutdowns[0].is_warm
+
     def test_opt_levels(self, good_file, capsys):
         for level in ("0", "1", "2"):
             assert main(["compile", good_file, "-O", level]) == 0

@@ -159,10 +159,8 @@ class TestParallelEqualsSequential:
 
     def test_process_pool_digest_identical(self):
         seq = SequentialCompiler().compile(MULTI_SECTION)
-        with ParallelCompiler(
-            backend=WarmPoolBackend(max_workers=3), owns_backend=True
-        ) as compiler:
-            par = compiler.compile(MULTI_SECTION)
+        with WarmPoolBackend(max_workers=3) as pool:
+            par = ParallelCompiler(backend=pool).compile(MULTI_SECTION)
         assert par.digest == seq.digest
 
     def test_work_profiles_identical(self):

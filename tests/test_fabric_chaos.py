@@ -18,9 +18,7 @@ import pytest
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric import (
-    CacheChaos,
     CacheServiceServer,
-    FabricChaos,
     FabricHub,
     NetworkCacheClient,
     RemoteBackend,
@@ -28,20 +26,21 @@ from repro.fabric import (
     WorkerNodeAgent,
 )
 from repro.fuzz import config_for_size_class, generate_program
+from repro.parallel.fault_schedule import FaultSchedule
 from repro.parallel.local import SerialBackend
 
+#: transport fault rates by kind; a delayed frame waits 10 ms
 FAULT_PROFILES = {
-    "node-kill": {"kill_rate": 0.35},
-    "heartbeat-drop": {"heartbeat_drop_rate": 0.7},
-    "truncate": {"truncate_rate": 0.35},
-    "delay-dup": {"delay_rate": 0.3, "duplicate_rate": 0.3, "delay_s": 0.01},
+    "node-kill": {"kill": 0.35},
+    "heartbeat-drop": {"heartbeat-drop": 0.7},
+    "truncate": {"truncate": 0.35},
+    "delay-dup": {"delay": 0.3, "duplicate": 0.3},
     "mixed": {
-        "kill_rate": 0.2,
-        "heartbeat_drop_rate": 0.2,
-        "delay_rate": 0.15,
-        "duplicate_rate": 0.15,
-        "truncate_rate": 0.15,
-        "delay_s": 0.01,
+        "kill": 0.2,
+        "heartbeat-drop": 0.2,
+        "delay": 0.15,
+        "duplicate": 0.15,
+        "truncate": 0.15,
     },
     # Cache-tier faults are injected at the cache server, not the hub
     # transport; the fabric itself runs fault-free in that leg.
@@ -74,7 +73,9 @@ class _Fleet:
         profile = FAULT_PROFILES[fault]
         ttl, interval = HUB_TIMING.get(fault, (2.0, 0.4))
         self.hub = FabricHub(lease_ttl=ttl, heartbeat_interval=interval)
-        self.chaos = FabricChaos(seed=seed, **profile) if profile else None
+        self.chaos = (
+            FaultSchedule(seed, profile, delay=0.01) if profile else None
+        )
         self.agents = [
             WorkerNodeAgent(
                 self.hub.address,
@@ -137,8 +138,8 @@ class TestDigestIdentity:
     def test_corrupt_cache_responses_never_poison_a_compile(self, tmp_path):
         source = _sources([self.SEED], "small")[0]
         reference = SequentialCompiler().compile(source).digest
-        chaos = CacheChaos(seed=ENV_SEED, corrupt_rate=1.0)
-        with CacheServiceServer(tmp_path / "server", chaos=chaos) as server:
+        with CacheServiceServer(tmp_path / "server") as server:
+            server.chaos = FaultSchedule(ENV_SEED, {"cache-corrupt": 1.0})
             # Warm the remote tier with real artifacts first.
             warm_client = NetworkCacheClient(server.address)
             warm = TieredCache(tmp_path / "warm", warm_client)
@@ -185,13 +186,7 @@ class TestChaosMatrix:
         # The suite is only meaningful if faults actually fired (the
         # cache-response fault leg injects nothing at the hub transport).
         if fleet.chaos is not None and ENV_FAULT != "corrupt-cache-response":
-            fired = (
-                fleet.chaos.kills_injected
-                + fleet.chaos.heartbeats_dropped
-                + fleet.chaos.frames_delayed
-                + fleet.chaos.frames_duplicated
-                + fleet.chaos.frames_truncated
-            )
+            fired = sum(fleet.chaos.fired.values())
             assert fired > 0, "chaos profile injected nothing"
 
 
@@ -215,7 +210,7 @@ class TestRequeueAccounting:
         finally:
             fleet.close()
         supervision = fleet.backend.supervision
-        kills = fleet.chaos.kills_injected
+        kills = fleet.chaos.fired["kill"]
         # The first kill lands on a live connection; a later one may hit
         # a connection an earlier kill closed (the old session's thread
         # finishing late), so kills bound the losses only from below.

@@ -4,7 +4,8 @@ import pytest
 
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
-from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
+from repro.parallel.fault_schedule import FaultSchedule
+from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
@@ -18,9 +19,13 @@ SOURCE = wrap_function(
 )
 
 
-def flaky(rate: float, seed: int = 7, **kwargs) -> ChaosBackend:
-    """A farm whose only fault is a clean crash."""
-    return ChaosBackend(SerialBackend(), crash_rate=rate, seed=seed, **kwargs)
+def flaky(rate: float, seed: int = 7, crash_budget=None) -> ChaosBackend:
+    """A farm whose only fault is a clean crash, ``crash_budget`` times
+    per task at most (None: unbounded)."""
+    return ChaosBackend(
+        SerialBackend(),
+        FaultSchedule(seed, {"crash": rate}, budgets={"crash": crash_budget}),
+    )
 
 
 def build_tasks(source=SOURCE):
@@ -36,7 +41,8 @@ class TestFlakyBackend:
     cases were written against, so their test ids stay."""
 
     def test_zero_rate_is_transparent(self):
-        par = ParallelCompiler(backend=flaky(0.0)).compile(SOURCE)
+        backend = SupervisedBackend(flaky(0.0))
+        par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
 
@@ -48,20 +54,15 @@ class TestFlakyBackend:
             backend = retrying(inner, max_attempts=8)
             ParallelCompiler(backend=backend).compile(SOURCE)
             counters.append(
-                (inner.injected_crashes, backend.supervision.retries)
+                (inner.schedule.fired["crash"], backend.supervision.retries)
             )
         assert counters[0] == counters[1]
         assert counters[0][0] > 0
 
-    def test_run_tasks_raises_on_injected_failure(self):
-        backend = flaky(1.0, seed=1)
-        with pytest.raises(FunctionMasterFailure):
-            ParallelCompiler(backend=backend).compile(SOURCE)
-
     def test_invalid_rate_rejected(self):
-        for knob in ("crash_rate", "hang_rate", "corrupt_rate"):
+        for kind in ("crash", "hang", "corrupt"):
             with pytest.raises(ValueError):
-                ChaosBackend(SerialBackend(), **{knob: -0.1})
+                ChaosBackend(SerialBackend(), FaultSchedule(0, {kind: -0.1}))
 
 
 class TestRetryingBackend:
@@ -70,13 +71,13 @@ class TestRetryingBackend:
 
     def test_recovers_from_transient_failures(self):
         # Each task fails at most twice; three attempts always suffice.
-        inner = flaky(0.9, seed=11, max_failures_per_task=2)
+        inner = flaky(0.9, seed=11, crash_budget=2)
         backend = retrying(inner, max_attempts=3)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert inner.injected_crashes > 0
-        assert backend.supervision.retries == inner.injected_crashes
+        assert inner.schedule.fired["crash"] > 0
+        assert backend.supervision.retries == inner.schedule.fired["crash"]
         assert backend.supervision.poisoned_tasks == 0
 
     def test_budget_exhaustion_reports_full_attempt_history(self):
@@ -128,21 +129,23 @@ class TestRetryingBackend:
             SupervisedBackend(SerialBackend(), max_attempts=-1)
 
     def test_retried_results_arrive_in_any_order_but_combine_correctly(self):
-        inner = flaky(0.6, seed=5, max_failures_per_task=1)
+        inner = flaky(0.6, seed=5, crash_budget=1)
         backend = retrying(inner, max_attempts=2)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
-        assert inner.injected_crashes > 0
+        assert inner.schedule.fired["crash"] > 0
         names = [f.name for f in par.profile.functions]
         assert names == [f"f{i}" for i in range(6)]  # source order restored
 
 
 class TestChaosBackend:
-    def chaos(self, **kwargs):
-        return ChaosBackend(SerialBackend(), **kwargs)
+    def chaos(self, seed=0, rates=None, delay=0.25, **kwargs):
+        return ChaosBackend(
+            SerialBackend(), FaultSchedule(seed, rates, delay=delay), **kwargs
+        )
 
     def test_decisions_are_a_pure_function_of_the_seed(self):
-        a = self.chaos(workers=4, seed=9, crash_rate=0.4)
-        b = self.chaos(workers=4, seed=9, crash_rate=0.4)
+        a = self.chaos(workers=4, seed=9, rates={"crash": 0.4})
+        b = self.chaos(workers=4, seed=9, rates={"crash": 0.4})
         _, fail_a = collect_events(a, build_tasks())
         _, fail_b = collect_events(b, build_tasks())
         assert [f.task.function_name for f in fail_a] == [
@@ -155,8 +158,8 @@ class TestChaosBackend:
         # shared RNG: reversing submission order must not
         # change which tasks crash — the property that keeps injection
         # deterministic under supervisor retries and hedges.
-        forward = self.chaos(workers=4, seed=9, crash_rate=0.4)
-        backward = self.chaos(workers=4, seed=9, crash_rate=0.4)
+        forward = self.chaos(workers=4, seed=9, rates={"crash": 0.4})
+        backward = self.chaos(workers=4, seed=9, rates={"crash": 0.4})
         _, fail_f = collect_events(forward, build_tasks())
         _, fail_b = collect_events(backward, list(reversed(build_tasks())))
         assert sorted(f.task.function_name for f in fail_f) == sorted(
@@ -194,9 +197,9 @@ class TestChaosBackend:
     def test_corruption_breaks_the_payload_digest(self):
         from repro.driver.function_master import result_payload_digest
 
-        backend = self.chaos(workers=4, seed=0, corrupt_rate=1.0)
+        backend = self.chaos(workers=4, seed=0, rates={"corrupt": 1.0})
         results, _ = collect_events(backend, build_tasks())
-        assert backend.injected_corruptions == 6
+        assert backend.schedule.fired["corrupt"] == 6
         assert all(
             result_payload_digest(r) != r.payload_digest for r in results
         )
@@ -205,21 +208,16 @@ class TestChaosBackend:
 
     def test_hang_delays_but_still_delivers(self):
         naps = []
-        backend = self.chaos(
-            workers=4,
-            seed=0,
-            hang_rate=1.0,
-            hang_delay=0.01,
-            sleep=naps.append,
-        )
+        backend = self.chaos(workers=4, seed=0, rates={"hang": 1.0}, delay=0.01)
+        backend.sleep = naps.append
         results, failures = collect_events(backend, build_tasks())
         assert failures == []
         assert len(results) == 6
         assert naps == [0.01] * 6
-        assert backend.injected_hangs == 6
+        assert backend.schedule.fired["hang"] == 6
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
-            self.chaos(crash_rate=1.5)
+            self.chaos(rates={"crash": 1.5})
         with pytest.raises(ValueError):
             self.chaos(workers=0)

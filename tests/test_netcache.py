@@ -13,12 +13,12 @@ from repro.driver.function_master import (
     run_compile_task,
 )
 from repro.fabric import (
-    CacheChaos,
     CacheServiceServer,
     NetworkCacheClient,
     TieredCache,
 )
 from repro.fabric.wire import encode_result, pack_bytes, unpack_bytes
+from repro.parallel.fault_schedule import FaultSchedule
 
 SOURCE = """
 module net_mod
@@ -204,8 +204,10 @@ class TestDegradation:
         client.close()
 
     def test_corrupt_response_is_a_counted_miss(self, tmp_path):
-        chaos = CacheChaos(seed=1, corrupt_rate=1.0, max_corruptions_per_key=100)
-        with CacheServiceServer(tmp_path / "s", chaos=chaos) as server:
+        with CacheServiceServer(tmp_path / "s") as server:
+            server.chaos = FaultSchedule(
+                1, {"cache-corrupt": 1.0}, budgets={"cache-corrupt": 100}
+            )
             client = NetworkCacheClient(server.address)
             fp, result = _artifact()
             assert client.put(fp, _entry(result))
@@ -215,8 +217,8 @@ class TestDegradation:
             client.close()
 
     def test_chaos_unavailable_replies_are_soft_errors(self, tmp_path):
-        chaos = CacheChaos(seed=2, fail_rate=1.0)
-        with CacheServiceServer(tmp_path / "s", chaos=chaos) as server:
+        with CacheServiceServer(tmp_path / "s") as server:
+            server.chaos = FaultSchedule(2, {"cache-fail": 1.0})
             client = NetworkCacheClient(server.address)
             assert client.fail_threshold == 3
             fp, result = _artifact()

@@ -311,11 +311,12 @@ def test_poisoned_section_falls_back_to_sequential():
 def test_poisoned_section_never_served_from_module_cache(tmp_path):
     """A compile with a poisoned task writes no record, so nothing the
     isolation produced is ever served as the module."""
+    from repro.parallel.fault_schedule import FaultSchedule
     from repro.parallel.fault_tolerance import ChaosBackend
     from repro.parallel.supervisor import SupervisedBackend
 
     chaos = ChaosBackend(
-        SerialBackend(), workers=4, seed=0, poison=(("a", "a2"),)
+        SerialBackend(), FaultSchedule(), poison=(("a", "a2"),)
     )
     backend = SupervisedBackend(
         chaos, max_attempts=5, poison_threshold=3, hedge_after=None
@@ -515,13 +516,26 @@ def test_unsupervised_corrupt_assembly_still_links_identically():
     """What is linked is what was validated, with no supervisor in
     front to re-run it too: a result corrupted after it was sealed
     fails the compile — it links neither identically nor differently."""
-    from repro.parallel.fault_tolerance import ChaosBackend
+    from dataclasses import replace
 
-    backend = ChaosBackend(SerialBackend(), corrupt_rate=1.0)
+    class Corrupting(SerialBackend):
+        """Flips a byte of each result's code after it was sealed, as
+        the fault suite's ``corrupt`` does; the copy has no graph."""
+
+        corrupted = 0
+
+        def run_tasks_streaming(self, tasks):
+            for result in super().run_tasks_streaming(tasks):
+                code = bytearray(result.code)
+                code[len(code) // 2] ^= 0xFF
+                self.corrupted += 1
+                yield replace(result, code=bytes(code))
+
+    backend = Corrupting()
     compiler = ParallelCompiler(backend=backend)
     with pytest.raises(PayloadCorruption):
         compiler.compile(SOURCE)
-    assert backend.injected_corruptions == 5  # every function
+    assert backend.corrupted == 5  # every function
     assert compiler.last_phase4_stats.mode == "fallback"
 
 

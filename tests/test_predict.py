@@ -21,6 +21,7 @@ from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.parallel.backend import stream_task_results
+from repro.parallel.fault_schedule import FaultSchedule
 from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
@@ -439,10 +440,10 @@ class TestOneEstimatePerTask:
         """Every task crashes once and is retried: still one estimate
         each, and the retry carries it too."""
         farm = ChaosBackend(
-            SpyFarm(), seed=1, crash_rate=1.0, max_failures_per_task=1
+            SpyFarm(), FaultSchedule(1, {"crash": 1.0}, {"crash": 1})
         )
         model, deadlines = self._compile(tmp_path, farm)
-        assert farm.injected_crashes == 4
+        assert farm.schedule.fired["crash"] == 4
         assert model.asked == {key: 1 for key in self.ESTIMATES}
         assert {t.key: t.cost_hint for t in farm.inner.tasks} == self.ESTIMATES
         for key in self.ESTIMATES:

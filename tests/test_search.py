@@ -512,9 +512,6 @@ class _TamperedCompiler:
             source.replace("x * 0.5", "x * 0.25"), filename
         )
 
-    def close(self):
-        self._inner.close()
-
 
 class TestResultSurface:
     def test_profile_counters_and_report_lines(self):

@@ -190,3 +190,183 @@ class TestResultKeys:
         q.enqueue("j1", "a", 1, [_task("s", "main")])
         (queued,) = q.next_wave(4)
         assert queued.task.key == ("s", "main")
+
+
+class ReferenceQueue:
+    """The queue as it was before it forgot idle tenants: every tenant
+    ever seen keeps its virtual time.  Kept verbatim (less docstrings
+    and the lock) as the oracle the forgetting queue must equal."""
+
+    default_weight = 1.0
+    min_cost = 1.0
+
+    def __init__(self, tenant_weights=None):
+        from collections import OrderedDict
+
+        self._weights = dict(tenant_weights or {})
+        self._jobs = OrderedDict()
+        self._tenant_vtime = {}
+        self._vfloor = 0.0
+        self._seq = 0
+        self.dispatched = 0
+
+    def enqueue(self, job_id, tenant, priority, tasks):
+        from collections import deque
+        from types import SimpleNamespace
+
+        from repro.service.queue import QueuedTask
+
+        job = self._jobs.get(job_id)
+        if job is None:
+            tenant_vtime = max(
+                self._tenant_vtime.get(tenant, 0.0), self._vfloor
+            )
+            self._tenant_vtime[tenant] = tenant_vtime
+            job = SimpleNamespace(
+                tenant=tenant, priority=priority, seq=self._seq,
+                vtime=tenant_vtime, tasks=deque(),
+            )
+            self._jobs[job_id] = job
+        count = 0
+        for task in tasks:
+            job.tasks.append(
+                QueuedTask(
+                    job_id=job_id, tenant=tenant, priority=priority,
+                    task=task, cost=max(float(task.cost_hint), self.min_cost),
+                    seq=self._seq,
+                )
+            )
+            self._seq += 1
+            count += 1
+        if not job.tasks:
+            del self._jobs[job_id]
+        return count
+
+    def next_wave(self, max_tasks):
+        wave, used_keys, blocked = [], set(), set()
+        while len(wave) < max_tasks:
+            choice = self._select(blocked)
+            if choice is None:
+                break
+            job_id, job = choice
+            head = job.tasks[0]
+            if head.task.key in used_keys:
+                blocked.add(job_id)
+                continue
+            job.tasks.popleft()
+            wave.append(head)
+            used_keys.add(head.task.key)
+            weight = self._weights.get(job.tenant, self.default_weight)
+            self._vfloor = self._tenant_vtime[job.tenant]
+            self._tenant_vtime[job.tenant] += head.cost / weight
+            job.vtime += head.cost
+            self.dispatched += 1
+            if not job.tasks:
+                del self._jobs[job_id]
+        return wave
+
+    def _select(self, blocked):
+        best_priority = None
+        for job_id, job in self._jobs.items():
+            if job_id in blocked or not job.tasks:
+                continue
+            if best_priority is None or job.priority < best_priority:
+                best_priority = job.priority
+        if best_priority is None:
+            return None
+        chosen = chosen_rank = None
+        for job_id, job in self._jobs.items():
+            if job_id in blocked or not job.tasks or job.priority != best_priority:
+                continue
+            rank = (self._tenant_vtime[job.tenant], job.tenant, job.vtime, job.seq)
+            if chosen_rank is None or rank < chosen_rank:
+                chosen, chosen_rank = (job_id, job), rank
+        return chosen
+
+    def discard_job(self, job_id):
+        job = self._jobs.pop(job_id, None)
+        return 0 if job is None else len(job.tasks)
+
+
+class TestForgetIdleTenants:
+    """An idle tenant at or under every queued tenant's vtime and the
+    floor is forgotten, and forgetting changes no dispatch."""
+
+    def test_ten_thousand_drained_tenants_leave_at_most_two_entries(self):
+        q = FairShareQueue()
+        for n in range(10_000):
+            q.enqueue(
+                f"j{n}", f"tenant{n}", n % len(PRIORITY_CLASSES),
+                [_task("s", f"f{i}", cost=1.0 + i) for i in range(3)],
+            )
+            while q.has_pending():
+                q.next_wave(2)
+        assert q.dispatched == 30_000
+        assert len(q._tenant_vtime) <= 2
+
+    @staticmethod
+    def _history(seed):
+        """One seeded mix of enqueues, waves and cancellations over
+        every priority class; yields (operation, arguments)."""
+        import random
+
+        rng = random.Random(seed)
+        tenants = [f"t{i}" for i in range(rng.randint(2, 7))]
+        jobs = []
+        for step in range(rng.randint(20, 80)):
+            roll = rng.random()
+            if roll < 0.45 or not jobs:
+                job_id = (
+                    rng.choice(jobs) if jobs and rng.random() < 0.1
+                    else f"j{step}"
+                )
+                tenant = rng.choice(tenants)
+                tasks = [
+                    _task(
+                        rng.choice("st"), f"f{rng.randint(0, 5)}",
+                        cost=rng.choice((0.5, 1.0, 3.0, rng.uniform(0, 40))),
+                    )
+                    for _ in range(rng.randint(0, 5))
+                ]
+                if job_id not in jobs:
+                    jobs.append(job_id)
+                yield "enqueue", (job_id, tenant, rng.randint(0, 2), tasks)
+            elif roll < 0.9:
+                yield "next_wave", (rng.randint(1, 6),)
+            else:
+                yield "discard_job", (rng.choice(jobs),)
+
+    def _replay(self, seed):
+        """Replay history ``seed`` on both queues, asserting every
+        wave and cancellation agrees; returns the most tenants the
+        forgetting queue was ever short of the reference's."""
+        weights = {"t0": 2.0, "t1": 0.5} if seed % 3 == 0 else None
+        queue, reference = FairShareQueue(weights), ReferenceQueue(weights)
+        forgotten = 0
+        for operation, args in self._history(seed):
+            if operation == "enqueue":
+                job_id, tenant = args[:2]
+                owner = reference._jobs.get(job_id)
+                if owner is not None and owner.tenant != tenant:
+                    continue  # refused by the queue; not a history
+            got = getattr(queue, operation)(*args)
+            want = getattr(reference, operation)(*args)
+            if operation == "next_wave":
+                got, want = _names(got), _names(want)
+            assert got == want, f"seed {seed}: {operation}{args}"
+            forgotten = max(
+                forgotten,
+                len(reference._tenant_vtime) - len(queue._tenant_vtime),
+            )
+        while reference._jobs:
+            assert _names(queue.next_wave(4)) == _names(
+                reference.next_wave(4)
+            ), f"seed {seed}: drain"
+        return forgotten
+
+    def test_two_hundred_seeded_histories_dispatch_as_the_reference(self):
+        for seed in range(200):
+            self._replay(seed)
+
+    def test_the_histories_forget_tenants(self):
+        assert any(self._replay(seed) for seed in range(20))

@@ -18,12 +18,13 @@ from repro.driver.section_master import (
 )
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.backend import stream_task_results
-from repro.parallel.fault_tolerance import ChaosBackend, FunctionMasterFailure
+from repro.parallel.fault_schedule import FaultSchedule
+from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
-from helpers import collect_events, plain_retry
+from helpers import plain_retry
 
 SOURCE = """
 module streams
@@ -41,6 +42,13 @@ end
 def build_tasks():
     return ParallelCompiler()._build_tasks(
         phase1_parse_and_check(SOURCE), SOURCE, "<t>"
+    )
+
+
+def crashing_farm() -> ChaosBackend:
+    """A farm that crashes each task at most twice."""
+    return ChaosBackend(
+        SerialBackend(), FaultSchedule(11, {"crash": 0.6}, {"crash": 2})
     )
 
 
@@ -78,33 +86,14 @@ class TestStreamingBackends:
         assert list(stream_task_results(backend, [])) == []
         assert backend.calls == 1
 
-    def test_flaky_backend_streams_survivors_then_raises(self):
-        # seed chosen so some tasks survive and at least one crashes:
-        # the stream must deliver real partial progress before raising.
-        flaky = ChaosBackend(SerialBackend(), crash_rate=0.5, seed=2)
-        survivors = []
-        with pytest.raises(FunctionMasterFailure) as excinfo:
-            for result in flaky.run_tasks_streaming(build_tasks()):
-                survivors.append(result.function_name)
-        assert survivors  # partial progress was yielded, not discarded
-        assert excinfo.value.task.function_name not in survivors
-        # the crash pattern matches the event stream under the same seed
-        twin = ChaosBackend(SerialBackend(), crash_rate=0.5, seed=2)
-        _, failures = collect_events(twin, build_tasks())
-        assert excinfo.value.task.function_name == (
-            failures[0].task.function_name
-        )
-
     def test_supervised_streaming_over_flaky_backend(self):
-        flaky = ChaosBackend(
-            SerialBackend(), crash_rate=0.6, seed=11, max_failures_per_task=2
-        )
+        flaky = crashing_farm()
         backend = SupervisedBackend(
             flaky, max_attempts=4, hedge_after=None, task_timeout=0
         )
         results = list(backend.run_tasks_streaming(build_tasks()))
         assert sorted(r.function_name for r in results) == ["a1", "a2", "b1"]
-        assert flaky.injected_crashes > 0
+        assert flaky.schedule.fired["crash"] > 0
 
     def test_supervised_warm_pool_streaming_digest(self):
         sequential = SequentialCompiler().compile(SOURCE)
@@ -117,9 +106,7 @@ class TestStreamingBackends:
     def test_retrying_backend_streams_and_retries(self):
         # Every crash costs exactly one retry, and a retried task's
         # result arrives in the same stream as the first-try ones.
-        flaky = ChaosBackend(
-            SerialBackend(), crash_rate=0.6, seed=11, max_failures_per_task=2
-        )
+        flaky = crashing_farm()
         backend = plain_retry(flaky, max_attempts=4)
         stream = backend.run_tasks_streaming(build_tasks())
         first = next(stream)
@@ -127,27 +114,27 @@ class TestStreamingBackends:
         assert sorted(r.function_name for r in [first] + rest) == [
             "a1", "a2", "b1",
         ]
-        assert flaky.injected_crashes > 0
-        assert backend.supervision.retries == flaky.injected_crashes
+        assert flaky.schedule.fired["crash"] > 0
+        assert backend.supervision.retries == flaky.schedule.fired["crash"]
         assert backend.supervision.poisoned_tasks == 0
 
     def test_retrying_backend_delegates_inner_attributes(self):
-        flaky = ChaosBackend(SerialBackend(), workers=3)
+        flaky = ChaosBackend(SerialBackend(), FaultSchedule(), workers=3)
         wrapped = SupervisedBackend(flaky)
         # Not defined on the wrapper: must come from the wrapped farm.
         assert wrapped.worker_names == ("w0", "w1", "w2")
-        assert wrapped.injected_crashes == 0
+        assert wrapped.schedule is flaky.schedule
         assert wrapped.worker_count == 3
         assert wrapped.effective_worker_count == 1  # the serial executor's
         with pytest.raises(AttributeError):
             wrapped.definitely_not_an_attribute
 
     def test_process_pool_streaming_digest(self):
-        # The cold pool: a farm owned by one compile and shut down with it.
+        # The cold pool: a farm built for one compile and shut down by
+        # whoever built it.
         sequential = SequentialCompiler().compile(SOURCE)
-        backend = WarmPoolBackend(max_workers=2)
-        with ParallelCompiler(backend=backend, owns_backend=True) as compiler:
-            parallel = compiler.compile(SOURCE)
+        with WarmPoolBackend(max_workers=2) as backend:
+            parallel = ParallelCompiler(backend=backend).compile(SOURCE)
         assert parallel.digest == sequential.digest
         assert not backend.is_warm
 

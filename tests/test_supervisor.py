@@ -17,6 +17,7 @@ import pytest
 from repro.driver.function_master import run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
+from repro.parallel.fault_schedule import FaultSchedule
 from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import (
@@ -51,8 +52,18 @@ end
 """
 
 
-def chaos(workers=4, seed=0, **kwargs) -> ChaosBackend:
-    return ChaosBackend(SerialBackend(), workers=workers, seed=seed, **kwargs)
+def chaos(
+    workers=4, seed=0, delay=0.25, inner=None, dead_workers=(), poison=(),
+    **rates,
+) -> ChaosBackend:
+    """A simulated farm whose schedule fires ``rates`` (kind -> rate)."""
+    return ChaosBackend(
+        inner if inner is not None else SerialBackend(),
+        FaultSchedule(seed, rates, delay=delay),
+        workers=workers,
+        dead_workers=dead_workers,
+        poison=poison,
+    )
 
 
 def supervised(inner=None, **kwargs) -> SupervisedBackend:
@@ -109,7 +120,7 @@ class TestTransparency:
         happened: each task's one corruption is spent by the first
         compile, so the second over the same supervisor reports none."""
         backend = supervised(
-            chaos(seed=2, corrupt_rate=1.0), hedge_after=None
+            chaos(seed=2, corrupt=1.0), hedge_after=None
         )
         compiler = ParallelCompiler(backend=backend)
         first = compiler.compile(SOURCE)
@@ -174,7 +185,7 @@ class TestDeadlines:
         assert wall < 10.0
 
     def test_hang_injected_by_chaos_is_absorbed(self):
-        inner = chaos(seed=1, hang_rate=1.0, hang_delay=0.8)
+        inner = chaos(seed=1, hang=1.0, delay=0.8)
         backend = supervised(
             inner, task_timeout=0.15, hedge_after=None, max_attempts=4
         )
@@ -182,7 +193,7 @@ class TestDeadlines:
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
         assert backend.supervision.timeouts >= 1
-        assert inner.injected_hangs >= 1
+        assert inner.schedule.fired["hang"] >= 1
 
 
 class TestHedging:
@@ -226,7 +237,7 @@ class TestHedging:
                     yield from run_compile_task(task) * 2
 
         backend = supervised(
-            ChaosBackend(Twice(), workers=2, seed=0), hedge_after=None
+            chaos(workers=2, inner=Twice()), hedge_after=None
         )
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
@@ -383,13 +394,13 @@ class TestPoisonIsolation:
 
 class TestResultValidation:
     def test_corrupt_payload_is_detected_and_rerun(self):
-        inner = chaos(seed=2, corrupt_rate=1.0, max_corruptions_per_task=1)
+        inner = chaos(seed=2, corrupt=1.0)
         backend = supervised(inner, max_attempts=3, hedge_after=None)
         compiler = ParallelCompiler(backend=backend)
         par = compiler.compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert inner.injected_corruptions == 6
+        assert inner.schedule.fired["corrupt"] == 6
         assert backend.supervision.corrupt_payloads == 6
         assert par.profile.supervision["corrupt_payloads"] == 6
         # The retried results linked through the runner, not a
@@ -423,16 +434,16 @@ class TestSeededChaosEndToEnd:
     def rates_for(fault):
         """Fault rates of one WARPCC_CHAOS_FAULT matrix leg."""
         rates = {
-            "crash_rate": 0.0,
-            "hang_rate": 0.0,
-            "corrupt_rate": 0.0,
+            "crash": 0.0,
+            "hang": 0.0,
+            "corrupt": 0.0,
         }
         if fault in ("crash", "mixed"):
-            rates["crash_rate"] = 0.3
+            rates["crash"] = 0.3
         if fault in ("hang", "mixed"):
-            rates["hang_rate"] = 0.3
+            rates["hang"] = 0.3
         if fault in ("corrupt", "mixed"):
-            rates["corrupt_rate"] = 0.25
+            rates["corrupt"] = 0.25
         return rates
 
     @classmethod
@@ -451,7 +462,7 @@ class TestSeededChaosEndToEnd:
         inner = chaos(
             workers=4,
             seed=seed,
-            hang_delay=0.15,
+            delay=0.15,
             poison=(("a", "a3"),),
             **rates,
         )
@@ -487,7 +498,7 @@ class TestSeededChaosEndToEnd:
         seed, rates = self._config()
 
         def run_once():
-            inner = chaos(workers=4, seed=seed, hang_delay=0.05, **rates)
+            inner = chaos(workers=4, seed=seed, delay=0.05, **rates)
             backend = supervised(
                 inner,
                 task_timeout=2.0,
@@ -497,8 +508,8 @@ class TestSeededChaosEndToEnd:
             result = ParallelCompiler(backend=backend).compile(TWO_SECTIONS)
             return (
                 result.digest,
-                inner.injected_crashes,
-                inner.injected_corruptions,
+                inner.schedule.fired["crash"],
+                inner.schedule.fired["corrupt"],
             )
 
         first = run_once()
