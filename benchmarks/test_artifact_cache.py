@@ -57,8 +57,8 @@ def test_warm_cache_recompile_beats_cold_compile(results_dir, tmp_path):
     # Correctness before speed: all-hits output is bit-identical and no
     # function paid phase-2/3 work.
     assert warm_result.digest == sequential_digest
-    assert warm_result.profile.artifact_cache_misses() == 0
-    assert warm_result.profile.artifact_cache_hits() == FUNCTIONS
+    assert "artifact_cache.misses" not in warm_result.profile.counts
+    assert warm_result.profile.counts["artifact_cache.hits"] == FUNCTIONS
 
     diffs = sorted(c - w for c, w in zip(cold_walls, warm_walls))
     median_diff = diffs[rounds // 2]
@@ -119,8 +119,8 @@ def test_one_function_edit_recompiles_incrementally(results_dir, tmp_path):
     incremental_wall = time.perf_counter() - start
 
     assert incremental.digest == SequentialCompiler().compile(edited).digest
-    assert incremental.profile.artifact_cache_misses() == 1
-    assert incremental.profile.artifact_cache_hits() == FUNCTIONS - 1
+    assert incremental.profile.counts["artifact_cache.misses"] == 1
+    assert incremental.profile.counts["artifact_cache.hits"] == FUNCTIONS - 1
     (results_dir / "artifact_cache_incremental.txt").write_text(
         f"one-function edit on {FUNCTIONS} x f_{SIZE}\n"
         f"full recompile:        {full_wall:.3f}s\n"

@@ -63,11 +63,11 @@ def test_supervised_no_fault_overhead_within_noise(results_dir):
 
         # No faults were injected, so no supervision machinery may have
         # triggered — the counters prove the overhead is pure bookkeeping.
-        stats = supervised.supervision
-        assert stats.timeouts == 0
-        assert stats.poisoned_tasks == 0
-        assert stats.degradations == 0
-        assert stats.corrupt_payloads == 0
+        counts = supervised.counts
+        assert counts["timeouts"] == 0
+        assert counts["poisoned_tasks"] == 0
+        assert counts["degradations"] == 0
+        assert counts["corrupt_payloads"] == 0
 
     # One seeded chaos round on an in-process farm: how much wall does
     # *absorbing* crashes, hangs, and corruption cost?
@@ -101,9 +101,9 @@ def test_supervised_no_fault_overhead_within_noise(results_dir):
             "injected_crashes": faults.fired["crash"],
             "injected_hangs": faults.fired["hang"],
             "injected_corruptions": faults.fired["corrupt"],
-            "timeouts": chaos_backend.supervision.timeouts,
-            "retries": chaos_backend.supervision.retries,
-            "corrupt_payloads": chaos_backend.supervision.corrupt_payloads,
+            "timeouts": chaos_backend.counts["timeouts"],
+            "retries": chaos_backend.counts["retries"],
+            "corrupt_payloads": chaos_backend.counts["corrupt_payloads"],
         },
     }
     (results_dir / "BENCH_chaos.json").write_text(

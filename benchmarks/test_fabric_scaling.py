@@ -42,7 +42,7 @@ def _start_worker(address: str, node_id: str) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker",
-            "--connect", address, "--serial", "--node-id", node_id,
+            "--connect", address, "--workers", "1", "--node-id", node_id,
         ],
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
@@ -114,8 +114,8 @@ def test_fabric_scaling_and_node_kill(results_dir):
             kill_wall = time.perf_counter() - start
             killer.join()
             assert result.digest == reference
-            kill_nodes_lost = hub.stats.nodes_lost
-            kill_retries = backend.supervision.retries
+            kill_nodes_lost = hub.counts["nodes_lost"]
+            kill_retries = backend.counts["retries"]
         finally:
             _stop_workers(workers)
 

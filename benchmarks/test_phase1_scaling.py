@@ -20,10 +20,10 @@ import json
 import platform
 import statistics
 import time
+from collections import Counter
 
 from repro.cache import ParseCache
 from repro.driver.phases import (
-    Phase1Stats,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -59,22 +59,21 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
     # Pre-warm the edited variant's one changed window, then time pure
     # warm rounds (all 8 functions served from cache) against full
     # parses — the steady state of an edit-recompile loop.
-    warm_stats = Phase1Stats()
-    phase1_parallel(edited, parse_cache=cache, stats=warm_stats)
-    assert (warm_stats.cache_hits, warm_stats.cache_misses) == (
-        FUNCTIONS - 1,
-        1,
-    )
+    edit_counts = Counter()
+    phase1_parallel(edited, parse_cache=cache, counts=edit_counts)
+    edit_hits = edit_counts["parse_cache.hits"]
+    edit_misses = edit_counts["parse_cache.misses"]
+    assert (edit_hits, edit_misses) == (FUNCTIONS - 1, 1)
 
     rounds = 7
     full_walls, warm_walls = [], []
     for _ in range(rounds):
         full_walls.append(_timed(lambda: phase1_parse_and_check(edited)))
-        stats = Phase1Stats()
+        counts = Counter()
         start = time.perf_counter()
-        parsed = phase1_parallel(edited, parse_cache=cache, stats=stats)
+        parsed = phase1_parallel(edited, parse_cache=cache, counts=counts)
         warm_walls.append(time.perf_counter() - start)
-        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        assert counts == {"parse_cache.hits": FUNCTIONS}
 
     # Correctness before speed: the warm module is the sequential one
     # in structure and in its module and section spans.
@@ -98,8 +97,8 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
         "warm_cache_median_s": round(statistics.median(warm_walls), 6),
         "median_paired_diff_s": round(median_diff, 6),
         "warm_wins": warm_wins,
-        "edit_hits": warm_stats.cache_hits,
-        "edit_misses": warm_stats.cache_misses,
+        "edit_hits": edit_hits,
+        "edit_misses": edit_misses,
         "cache_entries": cache.entry_count(),
         "cache_bytes": cache.size_bytes(),
     }
@@ -112,8 +111,8 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
         f"warm-cache median:   {summary['warm_cache_median_s']:.3f}s\n"
         f"median paired diff:  {median_diff:+.3f}s "
         f"(warm wins {warm_wins}/{rounds} rounds)\n"
-        f"1-function edit:     {warm_stats.cache_misses} miss, "
-        f"{warm_stats.cache_hits} hits\n"
+        f"1-function edit:     {edit_misses} miss, "
+        f"{edit_hits} hits\n"
         f"advantage:           "
         f"{summary['full_parse_median_s'] / summary['warm_cache_median_s']:.2f}x\n"
     )

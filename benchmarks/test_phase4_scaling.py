@@ -90,11 +90,12 @@ def _timed(fn):
 
 
 def _run_phase4(parsed, combined, link_cache, stats=None):
-    """The runner as the master drives it once all sections combined."""
+    """The runner as the master drives it once all sections combined:
+    what it finishes with, and the lookups it counted."""
     runner = Phase4Runner(parsed, ARRAY, link_cache=link_cache, stats=stats)
     for section in parsed.module.sections:
         runner.section_ready(combined[section.name])
-    return runner.finish(combined)
+    return runner.finish(combined), runner.counts
 
 
 def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
@@ -106,11 +107,10 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
     parsed2, combined2 = _combined_for(EDITED)
     # The edit round itself: exactly one section misses.
     edit_stats = Phase4Stats()
-    _run_phase4(parsed2, combined2, cache, stats=edit_stats)
-    assert (edit_stats.link_cache_hits, edit_stats.link_cache_misses) == (
-        len(SECTION_SIZES) - 1,
-        1,
-    )
+    _, edit_counts = _run_phase4(parsed2, combined2, cache, stats=edit_stats)
+    edit_hits = edit_counts["link_cache.hits"]
+    edit_misses = edit_counts["link_cache.misses"]
+    assert (edit_hits, edit_misses) == (len(SECTION_SIZES) - 1, 1)
     assert edit_stats.mode == "parallel"
 
     # Steady state of the edit-recompile loop: every section served by
@@ -127,12 +127,12 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
         )
         stats = Phase4Stats()
         start = time.perf_counter()
-        module, _, _ = _run_phase4(parsed2, combined2, cache, stats=stats)
+        (module, _, _), counts = _run_phase4(
+            parsed2, combined2, cache, stats=stats
+        )
         warm_walls.append(time.perf_counter() - start)
         assert stats.mode == "parallel"
-        assert (stats.link_cache_hits, stats.link_cache_misses) == (
-            len(SECTION_SIZES), 0,
-        )
+        assert counts == {"link_cache.hits": len(SECTION_SIZES)}
 
     # Correctness before speed: the warm module is bit-identical.
     from repro.asmlink.download import module_digest
@@ -157,8 +157,8 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
         "warm_cache_median_s": round(statistics.median(warm_walls), 6),
         "median_paired_diff_s": round(median_diff, 6),
         "warm_wins": warm_wins,
-        "edit_hits": edit_stats.link_cache_hits,
-        "edit_misses": edit_stats.link_cache_misses,
+        "edit_hits": edit_hits,
+        "edit_misses": edit_misses,
         "cache_entries": cache.entry_count(),
         "cache_bytes": cache.size_bytes(),
     }
@@ -171,8 +171,8 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
         f"warm-cache median:   {summary['warm_cache_median_s']:.4f}s\n"
         f"median paired diff:  {median_diff:+.4f}s "
         f"(warm wins {warm_wins}/{rounds} rounds)\n"
-        f"1-function edit:     {edit_stats.link_cache_misses} miss, "
-        f"{edit_stats.link_cache_hits} hits\n"
+        f"1-function edit:     {edit_misses} miss, "
+        f"{edit_hits} hits\n"
         f"advantage:           "
         f"{summary['full_relink_median_s'] / summary['warm_cache_median_s']:.2f}x\n"
     )

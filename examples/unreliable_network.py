@@ -39,7 +39,7 @@ def crashes_only() -> None:
     result = ParallelCompiler(backend=backend).compile(SOURCE)
     print("-- crashes only --")
     print(f"injected crashes          : {faults.fired['crash']}")
-    print(f"retries performed         : {backend.supervision.retries}")
+    print(f"retries performed         : {backend.counts['retries']}")
     print(f"output identical to the sequential compiler:",
           result.digest == sequential.digest)
 
@@ -73,16 +73,17 @@ def full_chaos() -> None:
         poison_threshold=3,     # 3 distinct workers -> isolate in-process
     )
     result = ParallelCompiler(backend=backend).compile(SOURCE)
-    stats = backend.supervision
+    counts = backend.counts
 
     print("\n-- full chaos --")
     print(f"injected crashes          : {faults.fired['crash']}")
     print(f"injected hangs            : {faults.fired['hang']}")
     print(f"injected corruptions      : {faults.fired['corrupt']}")
-    print(f"deadline timeouts         : {stats.timeouts}")
-    print(f"corrupt payloads caught   : {stats.corrupt_payloads}")
-    print(f"retries / quarantines     : {stats.retries} / {stats.quarantines}")
-    print(f"poison tasks isolated     : {stats.poisoned_tasks}")
+    print(f"deadline timeouts         : {counts['timeouts']}")
+    print(f"corrupt payloads caught   : {counts['corrupt_payloads']}")
+    print(f"retries / quarantines     : {counts['retries']} / "
+          f"{counts['quarantines']}")
+    print(f"poison tasks isolated     : {counts['poisoned_tasks']}")
     poisoned = [f.name for f in result.profile.poisoned_functions()]
     print(f"poisoned functions        : {poisoned}")
     # f3 crashed on three distinct workers, got pulled out of the farm,

@@ -37,7 +37,7 @@ def start_worker(address: str, node_id: str) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker",
-            "--connect", address, "--serial", "--node-id", node_id,
+            "--connect", address, "--workers", "1", "--node-id", node_id,
         ],
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
@@ -85,7 +85,7 @@ def main() -> int:
             for name, source in modules:
                 result = ParallelCompiler(backend=backend).compile(source)
                 check(name, result.digest, expected[name])
-            if backend.supervision.degradations:
+            if backend.counts["degradations"]:
                 print("FAIL: healthy pass ran degraded")
                 return 1
 
@@ -107,14 +107,14 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 print("FAIL: victim survived SIGKILL?")
                 return 1
-            stats, supervision = hub.stats, backend.supervision
+            lost, supervision = hub.counts["nodes_lost"], backend.counts
             print(
-                f"hub stats: lost={stats.nodes_lost} "
-                f"retried={supervision.retries} "
-                f"late-duplicates={supervision.late_duplicates} "
-                f"in-process={supervision.poisoned_tasks}"
+                f"hub stats: lost={lost} "
+                f"retried={supervision['retries']} "
+                f"late-duplicates={supervision['late_duplicates']} "
+                f"in-process={supervision['poisoned_tasks']}"
             )
-            if stats.nodes_lost < 1:
+            if lost < 1:
                 print("FAIL: the killed worker was never declared lost")
                 return 1
         finally:

@@ -119,13 +119,13 @@ def main() -> int:
                     )
 
             status = client.watch_status()
-            stats = status["stats"]
+            stats = status["stats"]  # a count that never fired is absent
             print(
-                f"speculation: {stats['launched']} launched / "
-                f"{stats['updates']} updates, "
-                f"{stats['superseded']} superseded"
+                f"speculation: {stats.get('launched', 0)} launched / "
+                f"{stats.get('updates', 0)} updates, "
+                f"{stats.get('superseded', 0)} superseded"
             )
-            if stats["launched"] < 1:
+            if stats.get("launched", 0) < 1:
                 print("no speculative job ever launched", file=sys.stderr)
                 failures += 1
             if cache_served_total < 1:

@@ -57,7 +57,7 @@ from .parse_store import (
     signature_table_hash,
     window_key,
 )
-from .store import ArtifactCache, CacheStats, default_cache_dir
+from .store import ArtifactCache, default_cache_dir
 from .variant_store import (
     VariantScore,
     VariantStore,
@@ -67,7 +67,6 @@ from .variant_store import (
 
 __all__ = [
     "ArtifactCache",
-    "CacheStats",
     "CACHE_SCHEMA_VERSION",
     "LINK_SCHEMA_VERSION",
     "LinkCache",

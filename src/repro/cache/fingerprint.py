@@ -45,7 +45,8 @@ from ..options import CompileOptions
 #: 6: a fingerprint hashes the fields of a ``CompileOptions`` by name,
 #: in their order.
 #: 7: four hashed fields — the unit of dispatch is no option (§3.1).
-CACHE_SCHEMA_VERSION = 7
+#: 8: a result's report carries no cache telemetry.
+CACHE_SCHEMA_VERSION = 8
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

@@ -34,6 +34,7 @@ bumped (the salt).  Both tiers ride :class:`~repro.cache.store.Store`.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import List, Optional, Sequence
@@ -43,14 +44,15 @@ from ..driver.results import FunctionReport
 from ..machine.warp_cell import WarpCellModel
 from ..options import CompileOptions
 from .fingerprint import _Hasher, compiler_salt
-from .store import DEFAULT_MAX_BYTES, CacheStats, FactsCodec, Store
+from .store import DEFAULT_MAX_BYTES, FactsCodec, Store
 
 #: Bump whenever the entry format or the meaning of a link key changes;
 #: old entries become unreachable rather than wrong.
 #: 2: entries are encoded bytes behind a checked header, not pickles.
 #: 3: the payload digests in a key are hashes of the encoded functions.
 #: 4: a module entry is a record keyed by the source text, not the module.
-LINK_SCHEMA_VERSION = 4
+#: 5: a record's reports carry no cache telemetry.
+LINK_SCHEMA_VERSION = 5
 
 
 def link_salt() -> str:
@@ -161,9 +163,7 @@ class ModuleStore(Store):
 
     def reject(self, fingerprint: str) -> None:
         """Take back the hit just served: a corrupt entry, deleted."""
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        self.stats.corrupt += 1
+        self.counts.update({"hits": -1, "misses": 1, "corrupt": 1})
         self._remove(self._entry_path(fingerprint))
 
 
@@ -185,11 +185,9 @@ class LinkCache:
         self.cache_dir = self.sections.cache_dir
 
     @property
-    def stats(self) -> CacheStats:
-        """Combined counters across both tiers (for the stats line)."""
-        pairs = zip(vars(self.sections.stats).values(),
-                    vars(self.modules.stats).values())
-        return CacheStats(*(ours + theirs for ours, theirs in pairs))
+    def counts(self) -> Counter:
+        """Both tiers' counts, summed (for the stats line)."""
+        return self.sections.counts + self.modules.counts
 
     def entry_count(self) -> int:
         return self.sections.entry_count() + self.modules.entry_count()

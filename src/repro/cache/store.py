@@ -47,7 +47,8 @@ import os
 import struct
 import tempfile
 import threading
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
@@ -73,19 +74,6 @@ def default_cache_dir() -> Path:
     if xdg:
         return Path(xdg) / "warpcc"
     return Path.home() / ".cache" / "warpcc"
-
-
-@dataclass
-class CacheStats:
-    """Counters for one store instance's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.corrupt)
 
 
 def seal_entry(tier: str, schema: int, facts: dict, body: bytes) -> bytes:
@@ -147,7 +135,9 @@ class Store:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.max_bytes = max_bytes
-        self.stats = CacheStats()
+        #: this handle's lifetime ``hits`` / ``misses`` / ``evictions`` /
+        #: ``corrupt`` — whichever compile caused them
+        self.counts: Counter = Counter()
         self._objects = self.cache_dir / self.SUBDIR
         #: this handle's running total of the tier's bytes (None until
         #: its first put scans the directory)
@@ -188,20 +178,19 @@ class Store:
         try:
             data = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
+            self.counts["misses"] += 1
             return None
         try:
             payload = check(data)
         except Exception:  # noqa: BLE001 - whatever is wrong, it is the entry
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+            self.counts.update(("corrupt", "misses"))
             self._remove(path)
             return None
         try:
             os.utime(path)  # LRU touch
         except OSError:  # pragma: no cover - entry raced away; still a hit
             pass
-        self.stats.hits += 1
+        self.counts["hits"] += 1
         return payload
 
     # -- insertion -----------------------------------------------------
@@ -273,7 +262,7 @@ class Store:
             if path == keep:
                 continue
             if self._remove(path):
-                self.stats.evictions += 1
+                self.counts["evictions"] += 1
                 total -= size
         self._bytes = total
 

@@ -12,6 +12,7 @@ import time
 
 from ..cluster.cluster import ClusterSimulation
 from ..driver.master import ParallelCompiler
+from ..driver.results import render_counts
 from ..driver.sequential import SequentialCompiler
 from ..metrics.overhead import compute_overhead
 from ..parallel.schedule import fcfs_assignment, one_function_per_processor
@@ -122,10 +123,11 @@ def _run_live(args, source: str) -> int:
             print(f"parallel wall #{round_no}:  {wall:10.3f} s")
         best = min(walls)
         print(f"best speedup:       {sequential_wall / best:10.2f}x")
-        hits = result.profile.phase1_cache_hits()
-        print(f"phase-1 cache hits: {hits:10d} "
-              f"(saved {result.profile.redundant_parse_work_saved()} work units)")
+        profile = result.profile
+        hits = profile.counts.get("phase1_memo.hits", 0)
+        saved = (profile.parse_work + profile.sema_work) * hits
+        print(f"phase-1 cache hits: {hits:10d} (saved {saved} work units)")
         for label, store in caches.items():
-            print(stack.tier_stats_line(label, store))
+            print(f"{label}: {render_counts(stack.cache_counts(store))}")
         print(f"download identical to sequential: {'yes' if matches else 'NO'}")
         return 0 if matches else 1

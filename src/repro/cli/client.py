@@ -15,6 +15,7 @@ import sys
 import time
 from typing import Iterator, Optional
 
+from ..driver.results import render_counts
 from . import options
 
 
@@ -278,13 +279,12 @@ def run_status(args) -> int:
             f"over {stats['workers']} worker(s)"
         )
         # what the shared backend did about failures, when it says
-        recovery = "; ".join(
-            f"{name}: " + ", ".join(
-                f"{count} {counter.replace('_', ' ')}"
-                for counter, count in stats[name].items()
-            )
+        said = {
+            name: render_counts(stats.get(name, {}))
             for name in ("supervision", "fabric")
-            if name in stats
+        }
+        recovery = "; ".join(
+            f"{name}: {text}" for name, text in said.items() if text
         )
         if recovery:
             print(recovery)

@@ -13,6 +13,7 @@ import sys
 from typing import Tuple
 
 from ..driver.master import ParallelCompiler
+from ..driver.results import render_counts
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
 from . import options, stack
@@ -120,32 +121,27 @@ def run_compile(args) -> int:
             stack.shutdown_backend(backend)
         stack.close_caches(caches)
 
-    return emit_result(
-        args,
-        result,
-        caches,
-        {
-            label.replace(" ", "_"): {
-                "hits": store.stats.hits,
-                "misses": store.stats.misses,
-                "bytes_on_disk": store.size_bytes(),
-            }
-            for label, store in caches.items()
-        },
-    )
+    return emit_result(args, result, caches, {})
 
 
 def emit_result(args, result, caches, json_extra, notes=()) -> int:
     """Print one compile's outcome the way ``--json`` / ``--emit`` ask
     (``notes`` go into the text report, ``json_extra`` into the JSON
-    document); the exit code."""
+    document, each cache tier's counts into both); the exit code."""
     # A poison function that could not even be compiled in-process: the
     # module is partial, signal it without hiding the rest.
     failed = 1 if result.profile.failed_functions() else 0
+    tiers = {
+        label: stack.cache_counts(store) for label, store in caches.items()
+    }
     if args.json:
         document = result.to_dict()
         document["ok"] = not failed
         document.update(json_extra)
+        document.update(
+            (label.replace(" ", "_"), counts)
+            for label, counts in tiers.items()
+        )
         print(json.dumps(document, indent=2, sort_keys=True))
         return failed
 
@@ -169,8 +165,8 @@ def emit_result(args, result, caches, json_extra, notes=()) -> int:
             print(line)
         print(f"download module: {result.download.cells_used} cell(s), "
               f"{result.profile.download_words} words")
-        for label, store in caches.items():
-            print(stack.tier_stats_line(label, store))
+        for label, counts in tiers.items():
+            print(f"{label}: {render_counts(counts)}")
     return failed
 
 

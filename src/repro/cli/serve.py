@@ -192,16 +192,10 @@ def register_worker(sub):
         "with a fabric hub and compile the tasks it leases us",
     )
     options.connect(parser, required=True)
-    pool = parser.add_mutually_exclusive_group()
-    options.workers(pool)
+    options.workers(parser)
     parser.add_argument(
         "--node-id", default=None,
         help="stable node identity (default: hostname-pid)",
-    )
-    pool.add_argument(
-        "--serial", action="store_const", const=1, dest="workers",
-        help="compile in-process instead of a warm pool: --workers 1 "
-        "(tests, single-core machines)",
     )
     parser.add_argument(
         "--chaos", type=int, default=None, metavar="SEED",

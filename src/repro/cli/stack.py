@@ -109,18 +109,12 @@ def close_caches(caches: Dict[str, object]) -> None:
             closer()
 
 
-def tier_stats_line(label: str, store) -> str:
-    stats = store.stats
-    line = (
-        f"{label}: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{store.size_bytes()} bytes on disk"
-    )
+def cache_counts(store) -> dict:
+    """One cache tier's counts — a network tier's ride along — and its
+    bytes on disk: what its report line and ``--json`` show."""
     remote = getattr(store, "remote", None)
-    if remote is not None:
-        state = "disabled" if remote.disabled else "live"
-        line += (
-            f"; network tier ({state}): {remote.remote_hits} hit(s), "
-            f"{remote.remote_misses} miss(es), "
-            f"{remote.remote_errors} error(s)"
-        )
-    return line
+    return {
+        **store.counts,
+        **(remote.counts if remote is not None else {}),
+        "bytes_on_disk": store.size_bytes(),
+    }

@@ -96,6 +96,10 @@ class FunctionTaskResult:
     #: fault-injection suite's simulated workers report it; real pools
     #: leave it None).  Drives the supervisor's health tracking.
     worker: Optional[str] = None
+    #: whether the function master found its module in the per-process
+    #: phase-1 memo (None: nobody ran one here — a cached or remote
+    #: result).  Like ``worker``, it belongs to the run, not the result.
+    phase1_memo_hit: Optional[bool] = None
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -134,12 +138,13 @@ def result_payload_digest(result: FunctionTaskResult) -> str:
 
 def result_facts(result: FunctionTaskResult) -> Tuple[dict, bytes]:
     """A result as ``(header facts, body)``: the body is ``code``,
-    verbatim; the facts are its other fields but ``worker`` (it belongs
-    to the run that compiled it), the ``payload_digest`` as the entry's
-    ``sha256`` — as sealed, not re-derived, so a result damaged between
-    seal and write makes an entry that fails its check."""
+    verbatim; the facts are its other fields but ``worker`` and
+    ``phase1_memo_hit`` (they belong to the run that compiled it), the
+    ``payload_digest`` as the entry's ``sha256`` — as sealed, not
+    re-derived, so a result damaged between seal and write makes an
+    entry that fails its check."""
     facts = asdict(result)
-    del facts["worker"]
+    del facts["worker"], facts["phase1_memo_hit"]
     facts["sha256"] = facts.pop("payload_digest")
     return facts, facts.pop("code")
 
@@ -147,7 +152,7 @@ def result_facts(result: FunctionTaskResult) -> Tuple[dict, bytes]:
 def result_from_facts(facts: dict, code: bytes) -> FunctionTaskResult:
     """The way back: exact field set and every type checked, the
     report's included; whoever opened the entry hashed ``code``."""
-    fields = dict(facts, code=code, worker=None)
+    fields = dict(facts, code=code, worker=None, phase1_memo_hit=None)
     fields["payload_digest"] = fields.pop("sha256")
     return from_facts(FunctionTaskResult, fields)
 
@@ -192,25 +197,15 @@ def attach_assembly(
 PHASE1_CACHE_CAPACITY = 8
 
 _phase1_cache: "OrderedDict[Tuple[str, str], ParsedProgram]" = OrderedDict()
-_phase1_hits: int = 0
-_phase1_misses: int = 0
 #: The compile service runs many job threads in one process, all sharing
 #: this cache; LRU bookkeeping (move_to_end + eviction) must not race.
 _phase1_lock = threading.Lock()
 
 
 def clear_phase1_cache() -> None:
-    """Drop all cached parses and reset the hit/miss counters."""
-    global _phase1_hits, _phase1_misses
+    """Drop all cached parses."""
     with _phase1_lock:
         _phase1_cache.clear()
-        _phase1_hits = 0
-        _phase1_misses = 0
-
-
-def phase1_cache_stats() -> Tuple[int, int]:
-    """(hits, misses) seen by this process since the last clear."""
-    return _phase1_hits, _phase1_misses
 
 
 def phase1_cached(
@@ -224,7 +219,6 @@ def phase1_cached(
     runs.  Only successful parses are cached — a module with errors raises
     :class:`~repro.lang.diagnostics.CompileError` every time.
     """
-    global _phase1_hits, _phase1_misses
     key = (
         hashlib.sha256(source_text.encode("utf-8")).hexdigest(),
         filename,
@@ -233,7 +227,6 @@ def phase1_cached(
         cached = _phase1_cache.get(key)
         if cached is not None:
             _phase1_cache.move_to_end(key)
-            _phase1_hits += 1
             return cached, True
     # Parse outside the lock: concurrent job threads parsing *different*
     # modules must not serialize on each other.  Two threads racing the
@@ -241,16 +234,10 @@ def phase1_cached(
     builder = front if front is not None else phase1_parse_and_check
     parsed = builder(source_text, filename)
     with _phase1_lock:
-        _phase1_misses += 1
         _phase1_cache[key] = parsed
         while len(_phase1_cache) > PHASE1_CACHE_CAPACITY:
             _phase1_cache.popitem(last=False)
     return parsed, False
-
-
-def _record_cache_outcome(report: FunctionReport, hit: bool) -> None:
-    report.phase1_cache_hits = 1 if hit else 0
-    report.phase1_cache_misses = 0 if hit else 1
 
 
 def run_function_master(task: FunctionTask) -> FunctionTaskResult:
@@ -259,10 +246,11 @@ def run_function_master(task: FunctionTask) -> FunctionTaskResult:
     obj, report = compile_one_function(
         parsed, task.section_name, task.function_name, task.options
     )
-    _record_cache_outcome(report, hit)
-    return attach_assembly(
+    result = attach_assembly(
         obj, report, [d.render() for d in parsed.sink.diagnostics]
     )
+    result.phase1_memo_hit = hit
+    return result
 
 
 def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:

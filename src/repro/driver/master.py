@@ -28,6 +28,7 @@ pool and one artifact cache).  Whoever built a farm shuts it down.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +38,7 @@ from ..options import CompileOptions
 from ..parallel.backend import ExecutionBackend, stream_task_results
 from ..parallel.local import SerialBackend
 from ..parallel.schedule import ast_cost_hint
+from ..parallel.supervisor import SupervisedBackend
 from .function_master import FunctionTask, FunctionTaskResult, phase1_cached
 from .phases import (
     ParsedProgram,
@@ -46,7 +48,7 @@ from .phases import (
     phase1_parallel,
     phase1_parse_and_check,
 )
-from .results import CompilationResult, WorkProfile
+from .results import CompilationResult, WorkProfile, count_lookup
 from .section_master import StreamingSectionCombiner
 
 
@@ -88,35 +90,33 @@ class ParallelCompiler:
     def compile(
         self, source_text: str, filename: str = "<input>"
     ) -> CompilationResult:
+        # The events this compile causes, and only those: every lookup
+        # is counted by whoever makes it.
+        counts: Counter = Counter()
         key = None
         if self.link_cache is not None:
             from ..cache.link_store import module_link_key
 
             key = module_link_key(source_text, filename, self.options)
             served = Phase4Runner.lookup_module(
-                self.link_cache, key, self.array
+                self.link_cache, key, self.array, counts
             )
             if served is not None:
-                return self._served(source_text, filename, *served)
-        return self._compile(source_text, filename, key)
+                return self._served(source_text, filename, counts, *served)
+        return self._compile(source_text, filename, key, counts)
 
-    def _served(self, source_text, filename, record, module):
+    def _served(self, source_text, filename, counts, record, module):
         """The compile the module tier answered: the record's facts and
         the module rebuilt from its sections.  The object code, which
         only search reads, comes from the ordinary warm path on demand."""
         self.last_phase1_stats = Phase1Stats(mode="cached")
-        self.last_phase4_stats = Phase4Stats(
-            mode="cached", link_cache_hits=len(record.sections)
-        )
-        # Nothing was dispatched: a supervisor's counters all stay 0.
-        supervision = getattr(self.backend, "supervision", None)
+        self.last_phase4_stats = Phase4Stats(mode="cached")
         profile = WorkProfile(
             **{name: getattr(record, name) for name in record.profile_facts},
             phase1_mode="cached",
             phase4_mode="cached",
-            link_cache_hits=len(record.sections),
             download_words=module_size_words(module),
-            supervision=dict.fromkeys(getattr(supervision, "__dict__", ()), 0),
+            counts=dict(sorted((+counts).items())),
         )
         return CompilationResult(
             module_name=record.module_name,
@@ -124,10 +124,14 @@ class ParallelCompiler:
             digest=record.digest,
             diagnostics_text=record.diagnostics_text,
             profile=profile,
-            objects=lambda: self._compile(source_text, filename, None).objects,
+            objects=lambda: self._compile(
+                source_text, filename, None, Counter()
+            ).objects,
         )
 
-    def _compile(self, source_text, filename, key) -> CompilationResult:
+    def _compile(
+        self, source_text, filename, key, counts
+    ) -> CompilationResult:
         """Phases 1-4; leaves a record under ``key`` if the compile was
         clean."""
         # Master: one extra parse of the whole program to determine the
@@ -137,7 +141,7 @@ class ParallelCompiler:
         stats = Phase1Stats()
         if self.parse_cache is not None:
             front = lambda s, f: phase1_parallel(
-                s, f, parse_cache=self.parse_cache, stats=stats
+                s, f, parse_cache=self.parse_cache, stats=stats, counts=counts
             )
         else:
             front = lambda s, f: phase1_parse_and_check(s, f, stats=stats)
@@ -150,17 +154,18 @@ class ParallelCompiler:
         # Section masters combine incrementally: cache hits land first,
         # backend results stream in behind them.
         combiner = StreamingSectionCombiner(parsed.module.sections)
-        stats_before = (
-            self.cache.stats.copy() if self.cache is not None else None
+        # Only a supervisor this compile drives itself has attributable
+        # counters (the service's per-job backend, whose shared pool
+        # aggregates many concurrent jobs, is none): one compile at a
+        # time drives it, so its delta over the compile is this one's.
+        supervisor = (
+            self.backend if isinstance(self.backend, SupervisedBackend)
+            else None
         )
-        # Only a backend this compile drives itself has attributable
-        # supervision counters (the service's per-job backend, whose
-        # shared pool aggregates many concurrent jobs, exposes none).
-        supervision = getattr(self.backend, "supervision", None)
-        supervision_before = (
-            supervision.copy() if supervision is not None else None
+        before = Counter(supervisor.counts) if supervisor is not None else None
+        misses, fingerprints = self._serve_from_cache(
+            parsed, tasks, combiner, counts
         )
-        misses, fingerprints = self._serve_from_cache(parsed, tasks, combiner)
         dispatched = bool(misses)
 
         # Phase 4: each section is linked as its recombiner completes
@@ -176,6 +181,11 @@ class ParallelCompiler:
             runner.section_ready(ready)
 
         for result in stream_task_results(self.backend, misses):
+            if result.phase1_memo_hit is not None:
+                counts[
+                    "phase1_memo.hits" if result.phase1_memo_hit
+                    else "phase1_memo.misses"
+                ] += 1
             if self.cache is not None:
                 self._write_back(fingerprints, result)
             completed = combiner.add(result)
@@ -197,23 +207,12 @@ class ParallelCompiler:
             phase1_parse_ms=round(stats.parse_ms, 3),
             phase1_sema_ms=round(stats.sema_ms, 3),
             phase1_mode=stats.mode,
-            parse_cache_hits=stats.cache_hits,
-            parse_cache_misses=stats.cache_misses,
         )
-        if stats_before is not None:
-            profile.artifact_cache_evictions = (
-                self.cache.stats.evictions - stats_before.evictions
-            )
-            profile.artifact_cache_corrupt = (
-                self.cache.stats.corrupt - stats_before.corrupt
-            )
-        if supervision_before is not None:
-            # The supervisor's counters are cumulative across compiles;
-            # the profile records this compile's delta of each.
-            profile.supervision = {
-                name: count - getattr(supervision_before, name)
-                for name, count in vars(supervision).items()
-            }
+        if supervisor is not None:
+            counts.update({
+                f"supervision.{name}": count
+                for name, count in (supervisor.counts - before).items()
+            })
         results: List[FunctionTaskResult] = []
         diagnostics: List[str] = []
         for section in parsed.module.sections:
@@ -225,8 +224,8 @@ class ParallelCompiler:
         module, assembly_work, link_work = runner.finish(combined)
         profile.phase4_link_ms = round(phase4_stats.link_ms, 3)
         profile.phase4_mode = phase4_stats.mode
-        profile.link_cache_hits = phase4_stats.link_cache_hits
-        profile.link_cache_misses = phase4_stats.link_cache_misses
+        counts.update(runner.counts)
+        profile.counts = dict(sorted((+counts).items()))
         # Result diagnostics normally mirror the master's own sink; any
         # others (the supervisor's poison warnings and isolation
         # tracebacks) exist only on results.  Surface them on the
@@ -257,15 +256,6 @@ class ParallelCompiler:
                 name: getattr(profile, name)
                 for name in ModuleRecord.profile_facts
             }
-            # What a warm compile's reports say of themselves.
-            facts["functions"] = [
-                replace(
-                    report, phase1_cache_hits=0, phase1_cache_misses=0,
-                    artifact_cache_hits=int(self.cache is not None),
-                    artifact_cache_misses=0,
-                )
-                for report in profile.functions
-            ]
             sections = [
                 SectionRecord(
                     section.name, section.first_cell, section.last_cell,
@@ -297,10 +287,11 @@ class ParallelCompiler:
         parsed: ParsedProgram,
         tasks: List[FunctionTask],
         combiner: StreamingSectionCombiner,
+        counts: Counter,
     ) -> Tuple[List[FunctionTask], Dict[Tuple[str, str], str]]:
-        """Feed cache hits straight into the combiner; return the tasks
-        that must go to the backend plus the fingerprint map for
-        write-back."""
+        """Feed cache hits straight into the combiner, counting each get;
+        return the tasks that must go to the backend plus the
+        fingerprint map for write-back."""
         if self.cache is None:
             return tasks, {}
         # The salt comes from the one canonical seam (repro.cache), passed
@@ -313,18 +304,16 @@ class ParallelCompiler:
         rendered = [d.render() for d in parsed.sink.diagnostics]
         misses: List[FunctionTask] = []
         for task in tasks:
-            result = self.cache.get(fingerprints[task.key])
+            fingerprint = fingerprints[task.key]
+            result = count_lookup(
+                counts, "artifact_cache", self.cache.get(fingerprint)
+            )
             if result is None:
                 misses.append(task)
                 continue
-            # Reconstruct what a live function master would have sent:
-            # current diagnostics and fresh telemetry — the cached
-            # run's counters do not apply.
+            # What a live function master would have sent: the current
+            # diagnostics.
             result.diagnostics = list(rendered)
-            result.report.phase1_cache_hits = 0
-            result.report.phase1_cache_misses = 0
-            result.report.artifact_cache_hits = 1
-            result.report.artifact_cache_misses = 0
             combiner.add(result)
         return misses, fingerprints
 
@@ -333,7 +322,7 @@ class ParallelCompiler:
         fingerprints: Dict[Tuple[str, str], str],
         result: FunctionTaskResult,
     ) -> None:
-        """Persist one freshly compiled artifact and mark its report.
+        """Persist one freshly compiled artifact.
 
         Retried-then-successful results are written back like any other
         (the section master cannot tell a third-try result from a
@@ -345,23 +334,8 @@ class ParallelCompiler:
             return
         fingerprint = fingerprints.get(result.key)
         if fingerprint is not None:
-            # Strip per-run state before storing: diagnostics belong to
-            # the module that *reads* the cache, and telemetry counters
-            # are re-derived at hit time.
-            sanitized = replace(
-                result,
-                diagnostics=[],
-                report=replace(
-                    result.report,
-                    phase1_cache_hits=0,
-                    phase1_cache_misses=0,
-                    artifact_cache_hits=0,
-                    artifact_cache_misses=0,
-                ),
-            )
-            self.cache.put(fingerprint, sanitized)
-        result.report.artifact_cache_hits = 0
-        result.report.artifact_cache_misses = 1
+            # Diagnostics belong to the module that *reads* the cache.
+            self.cache.put(fingerprint, replace(result, diagnostics=[]))
 
     def _build_tasks(
         self, parsed: ParsedProgram, source_text: str, filename: str

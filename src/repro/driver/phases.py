@@ -28,6 +28,7 @@ irregularity so diagnostics and digests stay byte-identical.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -61,7 +62,7 @@ from ..lang.source import SourceFile, Span
 from ..lang.tokens import Token
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
-from .results import FunctionReport
+from .results import FunctionReport, count_lookup
 
 
 @dataclass
@@ -83,8 +84,6 @@ class Phase1Stats:
     mode: str = "sequential"  # sequential | parallel | fallback | memo
     parse_ms: float = 0.0
     sema_ms: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     fallback_reason: Optional[str] = None
 
 
@@ -223,8 +222,10 @@ def _parse_and_check_window(
 def phase1_parallel(
     source_text: str,
     filename: str = "<input>",
-    parse_cache=None,
+    *,
+    parse_cache,
     stats: Optional[Phase1Stats] = None,
+    counts: Optional[Counter] = None,
 ) -> ParsedProgram:
     """Incremental phase 1; falls back to the sequential front end on
     *any* irregularity.
@@ -236,8 +237,10 @@ def phase1_parallel(
     table; then parse+check every function window from its own text
     against that read-only table — or serve it from ``parse_cache`` (a
     :class:`~repro.cache.parse_store.ParseCache`), which holds exactly
-    what the parse builds.  A final structure pass re-checks the
-    whole-module properties (duplicate names, cell ranges, call cycles).
+    what the parse builds; each get is counted into ``counts`` as
+    ``parse_cache.hits`` / ``parse_cache.misses``.  A final structure
+    pass re-checks the whole-module properties (duplicate names, cell
+    ranges, call cycles).
     The name records the window split's origin, not threads: the
     windows are independent, and are parsed in a loop.
 
@@ -252,6 +255,10 @@ def phase1_parallel(
     errors abort compilation anyway, so the doubled front-end cost on
     the error path is irrelevant.
     """
+    from ..cache.parse_store import signature_table_hash, window_key
+
+    if counts is None:
+        counts = Counter()
     boundaries = scan_boundaries(source_text)
     if boundaries is None:
         return _phase1_fallback(
@@ -280,7 +287,7 @@ def phase1_parallel(
     # -- signature pass: headers only ------------------------------------
     t_sig = time.perf_counter()
     section_tables: List[Dict[str, ast.Function]] = []
-    section_hashes: List[Optional[str]] = []
+    section_hashes: List[str] = []
     for sec_node, sec_bounds in zip(module.sections, boundaries.sections):
         stubs = []
         for window in sec_bounds.function_windows:
@@ -294,28 +301,16 @@ def phase1_parallel(
         for stub in stubs:  # first definition wins, like sema's table
             table.setdefault(stub.name, stub)
         section_tables.append(table)
-        if parse_cache is not None:
-            from ..cache.parse_store import signature_table_hash
-
-            section_hashes.append(
-                signature_table_hash(
-                    sec_node.name,
-                    sec_node.first_cell,
-                    sec_node.last_cell,
-                    stubs,
-                )
+        section_hashes.append(
+            signature_table_hash(
+                sec_node.name, sec_node.first_cell, sec_node.last_cell, stubs
             )
-        else:
-            section_hashes.append(None)
+        )
     signature_s = time.perf_counter() - t_sig
 
     # -- per-function pass: a cache hit, or a parse of the window --------
-    if parse_cache is not None:
-        from ..cache.parse_store import window_key
-
     entries: List[List[ParseEntry]] = []
     spent = [0.0, 0.0]  # parse s, check s of the windows parsed here
-    cache_hits = cache_misses = 0
     try:
         for table, signatures, sec_bounds in zip(
             section_tables, section_hashes, boundaries.sections
@@ -323,17 +318,13 @@ def phase1_parallel(
             section_entries = []
             for window in sec_bounds.function_windows:
                 text = source_text[window.start : window.end]
-                if parse_cache is None:
+                key = window_key(text, signatures)
+                entry = count_lookup(
+                    counts, "parse_cache", parse_cache.get(key)
+                )
+                if entry is None:
                     entry = _parse_and_check_window(text, table, spent)
-                else:
-                    key = window_key(text, signatures)
-                    entry = parse_cache.get(key)
-                    if entry is not None:
-                        cache_hits += 1
-                    else:
-                        cache_misses += 1
-                        entry = _parse_and_check_window(text, table, spent)
-                        parse_cache.put(key, entry)
+                    parse_cache.put(key, entry)
                 section_entries.append(entry)
             entries.append(section_entries)
     except _WindowProblem as problem:
@@ -365,8 +356,6 @@ def phase1_parallel(
 
     if stats is not None:
         stats.mode = "parallel"
-        stats.cache_hits = cache_hits
-        stats.cache_misses = cache_misses
         stats.parse_ms += (skeleton_s + signature_s + spent[0]) * 1000.0
         stats.sema_ms += (structure_s + spent[1]) * 1000.0
 
@@ -502,8 +491,6 @@ class Phase4Stats:
 
     mode: str = "sequential"  # sequential | parallel | cached | fallback
     link_ms: float = 0.0
-    link_cache_hits: int = 0
-    link_cache_misses: int = 0
     fallback_reason: Optional[str] = None
 
 
@@ -515,8 +502,9 @@ class Phase4Runner:
     the section is linked there and then, in the master — then calls
     :meth:`finish` to build the download module.  With a
     :class:`~repro.cache.link_store.LinkCache`, each link first consults
-    the section tier and records its key in :attr:`link_keys`; the
-    module tier answers whole compiles first (:meth:`lookup_module`).
+    the section tier, counts the get in :attr:`counts` and records its
+    key in :attr:`link_keys`; the module tier answers whole compiles
+    first (:meth:`lookup_module`).
 
     Any irregularity — a poisoned or failed function, a range-validation
     error, a duplicate delivery, an exception while linking — taints
@@ -539,9 +527,11 @@ class Phase4Runner:
         self.diagnostics_text = diagnostics_text
         self.link_cache = link_cache
         self.stats = stats if stats is not None else Phase4Stats()
+        #: ``link_cache.hits`` / ``link_cache.misses`` of this run's gets
+        self.counts: Counter = Counter()
         self._sections = {s.name: s for s in parsed.module.sections}
-        #: section name -> (program, cache hit, link s)
-        self._linked: Dict[str, Tuple[CellProgram, bool, float]] = {}
+        #: section name -> (program, link s)
+        self._linked: Dict[str, Tuple[CellProgram, float]] = {}
         #: section name -> key of its program in the section tier
         self.link_keys: Dict[str, str] = {}
         self._taint_reason: Optional[str] = None
@@ -562,13 +552,18 @@ class Phase4Runner:
 
     @staticmethod
     def lookup_module(
-        link_cache: "LinkCache", key: str, array: WarpArrayModel
+        link_cache: "LinkCache", key: str, array: WarpArrayModel,
+        counts: Counter,
     ) -> Optional[Tuple["ModuleRecord", DownloadModule]]:
         """The record under ``key`` and the module rebuilt from its
-        sections' programs, or None.  A missing program is the section
-        tier's counted miss; a record whose cells fall outside ``array``
-        or whose module hashes to another digest is a corrupt entry."""
-        record = link_cache.modules.get(key)
+        sections' programs, or None; every get is counted into
+        ``counts`` (``module_cache.*``, ``link_cache.*``).  A missing
+        program is the section tier's miss; a record whose cells fall
+        outside ``array`` or whose module hashes to another digest is a
+        corrupt entry, and a miss."""
+        record = count_lookup(
+            counts, "module_cache", link_cache.modules.get(key)
+        )
         if record is None:
             return None
         cells, programs = {}, {}
@@ -576,7 +571,10 @@ class Phase4Runner:
             for section in record.sections:
                 cells[section.name] = (section.first_cell, section.last_cell)
                 array.validate_section_range(*cells[section.name])
-                program = link_cache.sections.get(section.link_key)
+                program = count_lookup(
+                    counts, "link_cache",
+                    link_cache.sections.get(section.link_key),
+                )
                 if program is None:
                     return None
                 programs[section.name] = program
@@ -588,6 +586,7 @@ class Phase4Runner:
         except Exception:  # noqa: BLE001 - a flawed record is a miss
             pass
         link_cache.modules.reject(key)
+        counts.update({"module_cache.hits": -1, "module_cache.misses": 1})
         return None
 
     # -- section tier --------------------------------------------------
@@ -637,9 +636,11 @@ class Phase4Runner:
                 self.array.cell.data_memory_words,
             )
             self.link_keys[section.name] = key
-            program = self.link_cache.sections.get(key)
+            program = count_lookup(
+                self.counts, "link_cache", self.link_cache.sections.get(key)
+            )
             if program is not None:
-                return program, True, 0.0
+                return program, 0.0
         start = time.perf_counter()
         program = link_section(
             section.name, combined.objects, self.array.cell
@@ -647,7 +648,7 @@ class Phase4Runner:
         link_s = time.perf_counter() - start
         if key is not None:
             self.link_cache.sections.put(key, program)
-        return program, False, link_s
+        return program, link_s
 
     # -- completion ----------------------------------------------------
 
@@ -702,11 +703,7 @@ class Phase4Runner:
                 if not self._combined_clean(combined[section.name]):
                     raise SectionTaintedError(section.name)
                 outcome = self._link_one(section, combined[section.name])
-            program, hit, link_s = outcome
-            if hit:
-                self.stats.link_cache_hits += 1
-            else:
-                self.stats.link_cache_misses += 1
+            program, link_s = outcome
             self.stats.link_ms += link_s * 1000.0
             programs[section.name] = program
         module = build_download_module(

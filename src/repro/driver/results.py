@@ -9,10 +9,28 @@ work profiles — what differs is how the work is laid out over processors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from ..asmlink.objformat import DownloadModule, ObjectFunction
+
+
+def render_counts(counts: Mapping[str, int]) -> str:
+    """Every nonzero count as text, in order: ``"2 retries, 1 corrupt
+    payloads"`` — the one way a line of counts is printed."""
+    return ", ".join(
+        f"{count} {name.replace('_', ' ')}"
+        for name, count in counts.items()
+        if count
+    )
+
+
+def count_lookup(counts: Counter, tier: str, payload):
+    """Count one cache get as ``<tier>.hits`` or ``<tier>.misses``
+    (``payload`` None is a miss); returns ``payload``."""
+    counts[f"{tier}.misses" if payload is None else f"{tier}.hits"] += 1
+    return payload
 
 
 @dataclass
@@ -35,15 +53,6 @@ class FunctionReport:
     #: function's winner swapped in (None when never simulated).
     winner_config: Optional[str] = None
     simulated_cycles: Optional[int] = None
-    #: phase-1 cache telemetry: whether this report's task found its
-    #: module already parsed in the worker's cache (0/1 each).
-    phase1_cache_hits: int = 0
-    phase1_cache_misses: int = 0
-    #: artifact-cache telemetry: whether this function's phase-2/3 result
-    #: was served from the persistent cache (hit) or compiled and written
-    #: back (miss).  Both stay 0 when no artifact cache is configured.
-    artifact_cache_hits: int = 0
-    artifact_cache_misses: int = 0
     #: supervision flags (0/1): ``poisoned`` means the task was pulled
     #: out of the farm after repeated failures and compiled in-process;
     #: ``failed`` means even the in-process compile failed, so the
@@ -78,11 +87,6 @@ class WorkProfile:
     phase1_parse_ms: float = 0.0
     phase1_sema_ms: float = 0.0
     phase1_mode: str = "sequential"
-    #: span-hash parse-cache counters for the master's phase-1 run (the
-    #: incremental front end; distinct from the per-worker whole-module
-    #: memo counted on the function reports).
-    parse_cache_hits: int = 0
-    parse_cache_misses: int = 0
     #: wall-time telemetry for phase 4 (the section links, assembly
     #: included) and which back end ran: ``sequential``
     #: (SequentialCompiler's tail), ``parallel`` (the per-section
@@ -91,11 +95,6 @@ class WorkProfile:
     #: to sequential).
     phase4_link_ms: float = 0.0
     phase4_mode: str = "sequential"
-    #: link-cache counters for this compile's phase 4 (per-section
-    #: CellProgram tier; a module record's hit counts the programs it
-    #: read).
-    link_cache_hits: int = 0
-    link_cache_misses: int = 0
     functions: List[FunctionReport] = field(default_factory=list)
     assembly_work: int = 0
     link_work: int = 0
@@ -106,16 +105,12 @@ class WorkProfile:
     #: asked for more workers than tasks caps at the task count; speedup
     #: metrics must divide by this, not the requested pool size)
     workers_used: int = 1
-    #: artifact-cache maintenance events observed during this compile
-    #: (size-bound evictions and corrupt entries discarded); hit/miss
-    #: counts live on the per-function reports.
-    artifact_cache_evictions: int = 0
-    artifact_cache_corrupt: int = 0
-    #: this compile's delta of every
-    #: :class:`~repro.parallel.supervisor.SupervisionStats` counter —
-    #: retries, timeouts, hedges, quarantines, poisoned tasks, … (empty
-    #: when the backend has no supervisor of its own)
-    supervision: Dict[str, int] = field(default_factory=dict)
+    #: the events this compile caused, nonzero only, by dotted name:
+    #: ``<tier>.hits`` / ``<tier>.misses`` for the lookups it made
+    #: (``artifact_cache``, ``parse_cache``, ``link_cache``,
+    #: ``module_cache``), ``phase1_memo.*`` for the workers' whole-module
+    #: memo, ``supervision.<counter>`` for its supervisor's delta
+    counts: Dict[str, int] = field(default_factory=dict)
     #: variant-search counters (all zero / empty outside ``warpcc
     #: search``).  ``search_wins`` maps a config key ("o2u64i0") to how
     #: many functions it won; cycle counts are whole-module simulated
@@ -133,30 +128,6 @@ class WorkProfile:
 
     def function_work(self) -> int:
         return sum(f.work_units for f in self.functions)
-
-    def phase1_cache_hits(self) -> int:
-        """Tasks that skipped parse+sema thanks to a warm worker cache."""
-        return sum(f.phase1_cache_hits for f in self.functions)
-
-    def phase1_cache_misses(self) -> int:
-        return sum(f.phase1_cache_misses for f in self.functions)
-
-    def redundant_parse_work_saved(self) -> int:
-        """Parse+sema work units not re-done because of cache hits."""
-        return (self.parse_work + self.sema_work) * self.phase1_cache_hits()
-
-    def artifact_cache_hits(self) -> int:
-        """Functions whose phase-2/3 work came from the persistent cache."""
-        return sum(f.artifact_cache_hits for f in self.functions)
-
-    def artifact_cache_misses(self) -> int:
-        return sum(f.artifact_cache_misses for f in self.functions)
-
-    def cached_function_work(self) -> int:
-        """Phase-2/3 work units served from the artifact cache."""
-        return sum(
-            f.work_units for f in self.functions if f.artifact_cache_hits
-        )
 
     def total_work(self) -> int:
         return (
@@ -183,17 +154,13 @@ class WorkProfile:
         return sections
 
     def to_dict(self) -> Dict:
-        """JSON-serializable view of the profile and its counters: the
-        fields, plus the sums the reports are read for."""
+        """JSON-serializable view of the profile: the fields, plus the
+        sums the reports are read for."""
         data = asdict(self)
         data.update(
             functions=[f.to_dict() for f in self.functions],
             total_work=self.total_work(),
             function_work=self.function_work(),
-            phase1_cache_hits=self.phase1_cache_hits(),
-            phase1_cache_misses=self.phase1_cache_misses(),
-            artifact_cache_hits=self.artifact_cache_hits(),
-            artifact_cache_misses=self.artifact_cache_misses(),
         )
         return data
 
@@ -259,11 +226,11 @@ class CompilationResult:
                 f"{self.profile.search_variants_disqualified} disqualified"
                 + (f"; wins: {wins}" if wins else "")
             )
-        happened = ", ".join(
-            f"{count} {name.replace('_', ' ')}"
-            for name, count in self.profile.supervision.items()
-            if count
-        )
+        happened = render_counts({
+            name[len("supervision."):]: count
+            for name, count in self.profile.counts.items()
+            if name.startswith("supervision.")
+        })
         if happened:
             lines.append(f"supervision: {happened}")
         return lines

@@ -30,7 +30,7 @@ ports are unauthenticated and must only be exposed on trusted networks
 — the defaults bind 127.0.0.1.
 """
 
-from .hub import FabricHub, FabricStats, RemoteBackend
+from .hub import FabricHub, RemoteBackend
 from .netcache import CacheServiceServer, NetworkCacheClient, TieredCache
 from .node import WorkerNodeAgent
 from .wire import (
@@ -51,7 +51,6 @@ __all__ = [
     "Connection",
     "FABRIC_SECRET_ENV",
     "FabricHub",
-    "FabricStats",
     "NetworkCacheClient",
     "ProtocolError",
     "RemoteBackend",

@@ -8,8 +8,8 @@ happens to a task and decides nothing — no retry budget, no deadline,
 no thread that compiles.  Every decision is
 :class:`~repro.parallel.supervisor.SupervisedBackend`'s, over the
 optional surface :class:`~repro.parallel.fault_tolerance.ChaosBackend`
-exercises (``*``: a :class:`FabricStats` counter, the rest
-``SupervisionStats``; INTERNALS.md §Supervision has the long form):
+exercises (``*``: a key of the hub's ``counts``, the rest of the
+supervisor's; INTERNALS.md §Supervision has the long form):
 
 ====================================  =========================  ===============
 the hub reports                       the supervisor             counter
@@ -43,8 +43,7 @@ import os
 import queue
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..driver.function_master import FunctionTask
@@ -72,21 +71,6 @@ DEFAULT_LEASE_TTL = 7.0
 #: In-flight tasks per node, as a multiple of its worker count; keeps a
 #: node's pipeline full without letting one node hoard the queue.
 INFLIGHT_FACTOR = 2
-
-
-@dataclass
-class FabricStats:
-    """Counters over one hub's lifetime (what was done about any of it
-    is in the supervisor's ``SupervisionStats``)."""
-
-    nodes_registered: int = 0
-    nodes_lost: int = 0
-    waves: int = 0
-    tasks_dispatched: int = 0
-    corrupt_frames: int = 0
-
-    def copy(self) -> "FabricStats":
-        return FabricStats(**self.__dict__)
 
 
 class _Attempt:
@@ -174,7 +158,10 @@ class FabricHub:
         self.fallback = fallback
         self.lease_ttl = lease_ttl
         self.heartbeat_interval = heartbeat_interval
-        self.stats = FabricStats()
+        #: over the hub's lifetime: ``nodes_registered``, ``nodes_lost``,
+        #: ``waves``, ``tasks_dispatched``, ``corrupt_frames`` (what was
+        #: done about any of it is in the supervisor's ``counts``)
+        self.counts: Counter = Counter()
         self.effective_worker_count = 1
 
         self._lock = threading.RLock()
@@ -242,7 +229,7 @@ class FabricHub:
     def fleet_stats(self) -> dict:
         """The counters plus ``live_nodes`` (``warpcc status``)."""
         with self._lock:
-            return {"live_nodes": len(self._nodes), **vars(self.stats)}
+            return {"live_nodes": len(self._nodes), **self.counts}
 
     def wait_for_nodes(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` nodes hold live leases (startup sync)."""
@@ -274,7 +261,7 @@ class FabricHub:
     def run_tasks_events(self, tasks: List[FunctionTask]) -> _Wave:
         wave = _Wave(self, tasks)
         with self._lock:
-            self.stats.waves += 1
+            self.counts["waves"] += 1
             self.effective_worker_count = min(len(tasks), self.worker_count)
             for attempt in wave.attempts.values():
                 self._attempts[attempt.id] = attempt
@@ -345,7 +332,7 @@ class FabricHub:
             # a failed challenge is a refusal, not line noise
             if not isinstance(exc, AuthenticationError):
                 with self._lock:
-                    self.stats.corrupt_frames += 1
+                    self.counts["corrupt_frames"] += 1
             raise
         except OSError:
             reason = "io-error"
@@ -392,7 +379,7 @@ class FabricHub:
                 node_id, conn, workers, time.monotonic() + self.lease_ttl
             )
             self._nodes[node_id] = node
-            self.stats.nodes_registered += 1
+            self.counts["nodes_registered"] += 1
             self._fleet_changed.notify_all()
         return node
 
@@ -403,7 +390,7 @@ class FabricHub:
                 return  # lost already, or superseded by a fresh lease
             del self._nodes[node.node_id]
             if not self._monitor_stop.is_set():  # close() loses no node
-                self.stats.nodes_lost += 1
+                self.counts["nodes_lost"] += 1
             for attempt in list(node.inflight.values()):
                 self._close(
                     attempt, self._failure(attempt, f"node lost: {reason}")
@@ -471,7 +458,7 @@ class FabricHub:
             # Validated at the crossing: a corrupt or mis-keyed result
             # costs this attempt, never a wrong artifact.
             with self._lock:
-                self.stats.corrupt_frames += 1
+                self.counts["corrupt_frames"] += 1
             self._fail(attempt_id, node, f"corrupt result frame: {exc}")
             return
         if attempt is None:
@@ -519,7 +506,7 @@ class FabricHub:
                 node.inflight[attempt.id] = attempt
                 attempt.wave.events.put(("start", attempt.task))
                 to_send.append((node, attempt.frame))
-                self.stats.tasks_dispatched += 1
+                self.counts["tasks_dispatched"] += 1
         for node, frame in to_send:
             try:
                 node.conn.send(frame)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import queue
 import threading
+from collections import Counter
 from functools import partial
 from typing import Callable, Optional, Tuple
 
@@ -150,9 +151,10 @@ class CacheServiceServer:
 
 
 class NetworkCacheClient:
-    """Client side of the cache tier; swallows every failure, counted.
-    Its two limits are class constants; a test sets them on the
-    instance."""
+    """Client side of the cache tier; swallows every failure, counted in
+    ``counts`` (``remote_hits``, ``remote_misses``, ``remote_errors``,
+    ``corrupt_responses``).  Its two limits are class constants; a test
+    sets them on the instance."""
 
     #: seconds a connect or a reply may take
     timeout: float = 5.0
@@ -162,10 +164,7 @@ class NetworkCacheClient:
     def __init__(self, address: str):
         self.host, self.port = parse_address(address, "cache")
         self.disabled = False
-        self.remote_hits = 0
-        self.remote_misses = 0
-        self.remote_errors = 0
-        self.corrupt_responses = 0
+        self.counts: Counter = Counter()
         self._consecutive_failures = 0
         self._lock = threading.Lock()
         self._conn: Optional[Connection] = None
@@ -199,7 +198,7 @@ class NetworkCacheClient:
             self._conn = None
 
     def _note_failure(self, exc: Exception) -> None:
-        self.remote_errors += 1
+        self.counts["remote_errors"] += 1
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.fail_threshold:
             # The tier is gone; stop paying a timeout per lookup.
@@ -219,10 +218,10 @@ class NetworkCacheClient:
         reply = self._request({"op": "cache-get", "key": fingerprint})
         if reply is None or not reply.get("ok"):
             if reply is not None:
-                self.remote_errors += 1
+                self.counts["remote_errors"] += 1
             return None
         if not reply.get("hit"):
-            self.remote_misses += 1
+            self.counts["remote_misses"] += 1
             return None
         try:
             entry = unpack_bytes(reply)
@@ -232,10 +231,9 @@ class NetworkCacheClient:
             # and never an error: hashes that do not hold, or facts of
             # the wrong type behind hashes that do, degrade to a
             # recompile.
-            self.corrupt_responses += 1
-            self.remote_misses += 1
+            self.counts.update(("corrupt_responses", "remote_misses"))
             return None
-        self.remote_hits += 1
+        self.counts["remote_hits"] += 1
         return result, entry
 
     def put(self, fingerprint: str, entry: bytes) -> bool:
@@ -248,9 +246,9 @@ class NetworkCacheClient:
 class TieredCache(ArtifactCache):
     """An artifact cache whose miss path asks a network cache tier, and
     whose puts reach it too; drops in anywhere an
-    :class:`~repro.cache.store.ArtifactCache` does.  ``stats`` are the
-    local tier's — the counters that decide recompiles; the network
-    tier's ride alongside on ``remote``.
+    :class:`~repro.cache.store.ArtifactCache` does.  ``counts`` are the
+    local tier's — the counters that decide recompiles — plus
+    ``writes_dropped``; the network tier's ride alongside on ``remote``.
     """
 
     #: pushes waiting for the writer before a put's push is dropped
@@ -265,7 +263,6 @@ class TieredCache(ArtifactCache):
     ):
         super().__init__(cache_dir, max_bytes)
         self.remote = remote
-        self.writes_dropped = 0
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
         self._writer = threading.Thread(
             target=self._writer_loop, name="fabric-cache-writer", daemon=True
@@ -289,7 +286,7 @@ class TieredCache(ArtifactCache):
         try:
             self._queue.put_nowait((fingerprint, entry))
         except queue.Full:
-            self.writes_dropped += 1  # local store still has it
+            self.counts["writes_dropped"] += 1  # local store still has it
 
     def _writer_loop(self) -> None:
         while True:

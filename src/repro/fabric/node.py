@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -81,11 +82,10 @@ class WorkerNodeAgent:
         self.backend = backend if backend is not None else SerialBackend()
         self.node_id = node_id or default_node_id()
         self.chaos = chaos
-        #: bumped from the session's pool threads, under ``_counts``
-        self.tasks_completed = 0
-        self.tasks_failed = 0
+        #: ``tasks_completed`` / ``tasks_failed``, bumped from the
+        #: session's pool threads under ``_counts``, and ``sessions``
+        self.counts: Counter = Counter()
         self._counts = threading.Lock()
-        self.sessions = 0
         self._stop = threading.Event()
         self._conn: Optional[Connection] = None
         self._thread: Optional[threading.Thread] = None
@@ -146,7 +146,7 @@ class WorkerNodeAgent:
     # -- one connection's session --------------------------------------
 
     def _serve(self, conn) -> None:
-        self.sessions += 1
+        self.counts["sessions"] += 1
         conn.send(
             {
                 "op": "register",
@@ -230,7 +230,7 @@ class WorkerNodeAgent:
             # A task that does not open (WireCorruption) or does not
             # compile: the hub's supervisor decides what that costs.
             with self._counts:
-                self.tasks_failed += 1
+                self.counts["tasks_failed"] += 1
             failed = {"op": "task-failed", "id": task_id, "error": repr(exc)}
             try:
                 conn.send(failed)
@@ -243,4 +243,4 @@ class WorkerNodeAgent:
             # Link died under the result: the hub reports the task lost.
             return
         with self._counts:
-            self.tasks_completed += 1
+            self.counts["tasks_completed"] += 1

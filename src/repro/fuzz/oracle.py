@@ -385,7 +385,7 @@ class DifferentialOracle:
     def _warm_artifacts(self, source, compiler, cold_phase4) -> None:
         """The warm run hits the artifact cache, and the cache serves
         nothing under another compiler salt."""
-        if compiler.cache.stats.hits == 0:
+        if compiler.cache.counts["hits"] == 0:
             raise OracleInvariantError(
                 "warm recompile served no artifact-cache hits"
             )
@@ -394,8 +394,10 @@ class DifferentialOracle:
     def _warm_parse(self, source, compiler, cold_phase4) -> None:
         """When the incremental front end ran, the warm run hit the
         parse cache."""
-        stats = compiler.last_phase1_stats
-        if stats.mode == "parallel" and stats.cache_hits == 0:
+        if (
+            compiler.last_phase1_stats.mode == "parallel"
+            and compiler.parse_cache.counts["hits"] == 0
+        ):
             raise OracleInvariantError(
                 "warm recompile served no parse-cache hits"
             )
@@ -539,11 +541,12 @@ class DifferentialOracle:
                 if outcome["job"] is not None:
                     job = service.wait(outcome["job"], timeout=120.0)
                     speculated = job.state == "done"
-            hits_before = cache.stats.hits
             result = ParallelCompiler(
                 SerialBackend(), options, cache=cache
             ).compile(source)
-            if speculated and cache.stats.hits == hits_before:
+            if speculated and not result.profile.counts.get(
+                "artifact_cache.hits"
+            ):
                 raise OracleInvariantError(
                     "compile after speculation served no cache hits"
                 )

@@ -20,11 +20,7 @@ from .schedule import (
     one_function_per_processor,
     work_units_cost,
 )
-from .supervisor import (
-    SupervisedBackend,
-    SupervisionStats,
-    WorkerHealthTracker,
-)
+from .supervisor import SupervisedBackend, WorkerHealthTracker
 from .warm_pool import WarmPoolBackend
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "FunctionMasterFailure",
     "MakeCycleError",
     "SupervisedBackend",
-    "SupervisionStats",
     "WorkerHealthTracker",
     "MakeResult",
     "MakeTarget",

@@ -63,7 +63,8 @@ import queue
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..asmlink.objformat import ObjectFunction
@@ -85,26 +86,6 @@ FARM = "<farm>"
 
 #: sentinel distinguishing "no entry" from "entry with no deadline yet"
 _MISSING = object()
-
-
-@dataclass
-class SupervisionStats:
-    """Counters for one supervisor's lifetime (cumulative across
-    compiles; the driver snapshots before/after to get per-compile
-    deltas)."""
-
-    timeouts: int = 0
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    retries: int = 0
-    quarantines: int = 0
-    poisoned_tasks: int = 0
-    degradations: int = 0
-    corrupt_payloads: int = 0
-    late_duplicates: int = 0
-
-    def copy(self) -> "SupervisionStats":
-        return replace(self)
 
 
 @dataclass
@@ -207,7 +188,7 @@ class SupervisedBackend:
 
     The wrapper is transparent: unknown attributes (``worker_count``
     and ``effective_worker_count`` among them) delegate to the inner
-    backend, and ``self.supervision`` / ``self.health`` persist across
+    backend, and ``self.counts`` / ``self.health`` persist across
     compiles so the driver can snapshot per-compile deltas.
 
     The class constants below are values no caller varies; a test that
@@ -263,7 +244,11 @@ class SupervisedBackend:
             else run_function_master
         )
         self.clock = clock
-        self.supervision = SupervisionStats()
+        #: over the supervisor's lifetime: ``timeouts``,
+        #: ``hedges_launched``, ``hedges_won``, ``retries``,
+        #: ``quarantines``, ``poisoned_tasks``, ``degradations``,
+        #: ``corrupt_payloads``, ``late_duplicates``
+        self.counts: Counter = Counter()
         self.health = WorkerHealthTracker()
 
     def __getattr__(self, name: str):
@@ -332,7 +317,7 @@ class _SupervisedRun:
 
     def __init__(self, sup: SupervisedBackend, tasks: List[FunctionTask]):
         self.sup = sup
-        self.stats = sup.supervision
+        self.counts = sup.counts
         self.health = sup.health
         self.tasks = tasks
         self.states: Dict[tuple, _TaskState] = {
@@ -369,7 +354,7 @@ class _SupervisedRun:
             workers = getattr(self.sup.inner, "worker_names", (FARM,))
             if self.health.all_quarantined(now, workers):
                 kind = "fallback"
-                self.stats.degradations += 1
+                self.counts["degradations"] += 1
         if kind == "fallback":
             backend = self.sup.fallback
         else:
@@ -480,7 +465,7 @@ class _SupervisedRun:
         if state is None:
             return  # a result for a task we never dispatched
         if result_payload_digest(result) != result.payload_digest:
-            self.stats.corrupt_payloads += 1
+            self.counts["corrupt_payloads"] += 1
             yield from self._attempt_failed(
                 dispatch, result.key, result.worker, "corrupt result payload"
             )
@@ -490,7 +475,7 @@ class _SupervisedRun:
                 self.health.record_success(result.worker)
             self.health.record_success(FARM)
         if state.resolved:  # first result won already
-            self.stats.late_duplicates += 1
+            self.counts["late_duplicates"] += 1
             return
         self._observe(state, dispatch)
         self._resolve(state, dispatch)
@@ -518,7 +503,7 @@ class _SupervisedRun:
         state.resolved = True
         state.active.clear()
         if dispatch is not None and dispatch.kind == "hedge":
-            self.stats.hedges_won += 1
+            self.counts["hedges_won"] += 1
 
     def _on_failure(
         self, dispatch: _Dispatch, failure: FunctionMasterFailure
@@ -544,7 +529,7 @@ class _SupervisedRun:
         state.distinct_workers.add(worker or f"?{len(state.failures)}")
         if blame and dispatch.kind != "fallback":
             if self.health.record_failure(worker or FARM, self.sup.clock()):
-                self.stats.quarantines += 1
+                self.counts["quarantines"] += 1
         yield from self._next_move(state)
 
     def _next_move(self, state: _TaskState) -> Iterator[FunctionTaskResult]:
@@ -558,7 +543,7 @@ class _SupervisedRun:
         ):
             yield from self._isolate(state)
         else:
-            self.stats.retries += 1
+            self.counts["retries"] += 1
             self._launch([state.task], "retry")
 
     def _on_done(self, dispatch: _Dispatch) -> Iterator[FunctionTaskResult]:
@@ -606,11 +591,11 @@ class _SupervisedRun:
                     abandon = getattr(dispatch.stream, "abandon", None)
                     if abandon is not None:
                         worker = abandon(state.task)
-                self.stats.timeouts += 1
+                self.counts["timeouts"] += 1
                 state.failures.append((worker, "deadline expired"))
                 if dispatch is None or dispatch.kind != "fallback":
                     if self.health.record_failure(worker or FARM, now):
-                        self.stats.quarantines += 1
+                        self.counts["quarantines"] += 1
             yield from self._next_move(state)
         for dispatch_id in suspects:
             self._arm_queued(dispatch_id, now)
@@ -670,14 +655,14 @@ class _SupervisedRun:
             return
         for state in laggards:
             state.hedged = True
-        self.stats.hedges_launched += len(laggards)
+        self.counts["hedges_launched"] += len(laggards)
         self._launch([state.task for state in laggards], "hedge")
 
     # -- poison isolation ---------------------------------------------
 
     def _isolate(self, state: _TaskState) -> Iterator[FunctionTaskResult]:
         state.isolating = True
-        self.stats.poisoned_tasks += 1
+        self.counts["poisoned_tasks"] += 1
         task = state.task
         name = f"{task.section_name}.{task.function_name}"
         attempts = len(state.failures)

@@ -60,8 +60,6 @@ class WarmPoolBackend:
         #: spawn an executor and leak one.
         self._pool_lock = threading.Lock()
         self._last_effective_workers: Optional[int] = None
-        #: telemetry: completed dispatches
-        self.dispatches = 0
 
     # -- ExecutionBackend protocol ------------------------------------
 
@@ -105,7 +103,6 @@ class WarmPoolBackend:
         except BrokenProcessPool:
             self._discard_pool(pool)
             raise
-        self.dispatches += 1
 
     # -- pool lifecycle -----------------------------------------------
 

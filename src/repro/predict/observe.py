@@ -30,7 +30,7 @@ routed by (section, function) key, not by cost).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -118,11 +118,9 @@ class LearnedCostModel:
         self._lock = threading.Lock()
         #: write-through LRU memo so the hot estimate path stays off disk
         self._memo: "OrderedDict[str, CostObservation]" = OrderedDict()
-        #: telemetry: observations recorded / learned estimates served /
-        #: static-hint fallbacks
-        self.recorded = 0
-        self.learned = 0
-        self.fallbacks = 0
+        #: ``recorded`` observations, ``learned`` estimates served,
+        #: static-hint ``fallbacks``
+        self.counts: Counter = Counter()
 
     # -- recording -----------------------------------------------------
 
@@ -149,7 +147,7 @@ class LearnedCostModel:
             )
             # Calibration: EWMA of hint/seconds, keyed like any entry.
             self._update(CALIBRATION_KEY, max(hint, 1.0) / seconds, hint=1.0)
-            self.recorded += 1
+            self.counts["recorded"] += 1
             return obs
 
     def _update(
@@ -224,11 +222,11 @@ class LearnedCostModel:
                         and obs.count >= self.min_samples
                         and ratio is not None
                     ):
-                        self.learned += 1
+                        self.counts["learned"] += 1
                         return max(obs.ewma_s * ratio, 1e-6)
         except Exception:
             pass
-        self.fallbacks += 1
+        self.counts["fallbacks"] += 1
         return float(task.cost_hint)
 
     # -- telemetry -----------------------------------------------------
@@ -237,9 +235,7 @@ class LearnedCostModel:
         with self._lock:
             calibration = self._load(CALIBRATION_KEY)
             return {
-                "recorded": self.recorded,
-                "learned": self.learned,
-                "fallbacks": self.fallbacks,
+                **self.counts,
                 "fingerprints": len(self._memo),
                 "hints_per_second": (
                     round(calibration.ewma_s, 6)

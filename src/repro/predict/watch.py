@@ -35,6 +35,7 @@ caches, so speculation on/off cannot change any digest.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,14 +78,10 @@ class SpeculationManager:
         self.queue_headroom = QUEUE_HEADROOM
         self._lock = threading.Lock()
         self._watches: Dict[str, _WatchState] = {}
-        #: counters (ints; read without the lock by service_stats)
-        self.updates = 0
-        self.launched = 0
-        self.superseded = 0
-        self.suppressed = 0
-        self.rejected = 0
-        self.clean = 0
-        self.parse_errors = 0
+        #: ``updates``, ``launched``, ``superseded``, ``suppressed``,
+        #: ``rejected``, ``clean``, ``parse_errors``: bumped under the
+        #: lock, read without it by :meth:`stats`
+        self.counts: Counter = Counter()
 
     # -- the one entry point -------------------------------------------
 
@@ -108,7 +105,7 @@ class SpeculationManager:
             "reason": None,
         }
         with self._lock:
-            self.updates += 1
+            self.counts["updates"] += 1
         try:
             parsed, _ = phase1_cached(source, filename)
             fingerprints = module_fingerprints(parsed.module, options)
@@ -116,7 +113,7 @@ class SpeculationManager:
             # A broken intermediate edit state: skip, keep the previous
             # snapshot (and any job speculating on it) untouched.
             with self._lock:
-                self.parse_errors += 1
+                self.counts["parse_errors"] += 1
             outcome["reason"] = "parse-error"
             return outcome
 
@@ -134,14 +131,14 @@ class SpeculationManager:
         outcome["functions"] = [f"{s}.{f}" for s, f in dirty[:16]]
         if not dirty:
             with self._lock:
-                self.clean += 1
+                self.counts["clean"] += 1
             outcome["reason"] = "clean"
             return outcome
 
         # Supersession: a newer edit invalidates the previous job.
         if previous_job is not None and self._cancel(previous_job):
             with self._lock:
-                self.superseded += 1
+                self.counts["superseded"] += 1
             outcome["superseded"] = True
         with self._lock:
             if state.job_id == previous_job:
@@ -151,7 +148,7 @@ class SpeculationManager:
         reason = self._capacity_block()
         if reason is not None:
             with self._lock:
-                self.suppressed += 1
+                self.counts["suppressed"] += 1
             outcome["reason"] = reason
             return outcome
 
@@ -167,11 +164,11 @@ class SpeculationManager:
             )
         except AdmissionError as error:
             with self._lock:
-                self.rejected += 1
+                self.counts["rejected"] += 1
             outcome["reason"] = f"rejected:{error.reason}"
             return outcome
         with self._lock:
-            self.launched += 1
+            self.counts["launched"] += 1
             state.job_id = job_id
         outcome["job"] = job_id
         outcome["reason"] = "speculating"
@@ -227,15 +224,7 @@ class SpeculationManager:
     # -- telemetry -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Counter snapshot.  Reads plain ints, safe without the
-        manager lock (and callable while the service holds its own)."""
-        return {
-            "updates": self.updates,
-            "launched": self.launched,
-            "superseded": self.superseded,
-            "suppressed": self.suppressed,
-            "rejected": self.rejected,
-            "clean": self.clean,
-            "parse_errors": self.parse_errors,
-            "watches": len(self._watches),
-        }
+        """The counts and ``watches``.  One copy of the counter, safe
+        without the manager lock (and callable while the service holds
+        its own)."""
+        return {**self.counts, "watches": len(self._watches)}

@@ -114,8 +114,6 @@ class FairShareQueue:
         #: banks credit nor gets punished for having been idle.
         self._vfloor = 0.0
         self._seq = 0
-        #: total tasks dispatched (telemetry)
-        self.dispatched = 0
 
     # -- enqueue -------------------------------------------------------
 
@@ -199,7 +197,6 @@ class FairShareQueue:
                 self._vfloor = self._tenant_vtime[job.tenant]
                 self._tenant_vtime[job.tenant] += head.cost / weight
                 job.vtime += head.cost
-                self.dispatched += 1
                 if not job.tasks:
                     del self._jobs[job_id]
             self._forget_idle_tenants()

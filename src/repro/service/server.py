@@ -43,7 +43,7 @@ import itertools
 import queue as queue_mod
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -157,8 +157,8 @@ class JobRecord:
 class _JobBackend:
     """The backend handed to a job's ParallelCompiler: enqueue the
     cache-miss tasks into the shared fair-share queue, then yield results
-    as the dispatcher routes them back.  It exposes no ``supervision``:
-    the shared pool's counters aggregate every tenant's jobs."""
+    as the dispatcher routes them back.  It is no supervisor: the shared
+    pool's counters aggregate every tenant's jobs."""
 
     effective_worker_count = 1
 
@@ -250,16 +250,11 @@ class CompileService:
         self._t0 = time.monotonic()
         #: the most recent completed task spans, for Gantt/utilization
         self.spans: "deque[TaskSpan]" = deque(maxlen=MAX_SPANS)
-        self.stats = {
-            "submitted": 0,
-            "rejected": 0,
-            "done": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "waves": 0,
-            "tasks_dispatched": 0,
-            "busy_worker_seconds": 0.0,
-        }
+        #: seeded, so ``status`` always carries all eight keys
+        self.counts: Counter = Counter(
+            submitted=0, rejected=0, done=0, failed=0, cancelled=0,
+            waves=0, tasks_dispatched=0, busy_worker_seconds=0.0,
+        )
         self._speculation = None
         if speculation:
             from ..predict.watch import SpeculationManager
@@ -317,7 +312,7 @@ class CompileService:
                 1 for job in self._jobs.values() if job.state == "queued"
             )
             if queued >= self.max_queued:
-                self.stats["rejected"] += 1
+                self.counts["rejected"] += 1
                 raise AdmissionError(
                     f"queue full ({queued} job(s) queued, "
                     f"max {self.max_queued}); retry later",
@@ -329,7 +324,7 @@ class CompileService:
                 if job.tenant == tenant and not job.terminal
             )
             if inflight >= self.per_tenant_inflight:
-                self.stats["rejected"] += 1
+                self.counts["rejected"] += 1
                 raise AdmissionError(
                     f"tenant {tenant!r} already has {inflight} job(s) "
                     f"in flight (cap {self.per_tenant_inflight})",
@@ -346,7 +341,7 @@ class CompileService:
                 submitted_at=self._now(),
             )
             self._jobs[job.job_id] = job
-            self.stats["submitted"] += 1
+            self.counts["submitted"] += 1
             self._event(job, "queued")
             self._cond.notify_all()
             return job.job_id
@@ -427,7 +422,9 @@ class CompileService:
                 job.digest = result.digest
                 job.report = report
                 job.diagnostics = result.diagnostics_text
-                job.cache_served = result.profile.artifact_cache_hits()
+                job.cache_served = result.profile.counts.get(
+                    "artifact_cache.hits", 0
+                )
                 self._finish(job, "done", digest=result.digest)
 
     def _finish(self, job: JobRecord, state: str, **extra) -> None:
@@ -437,7 +434,7 @@ class CompileService:
         job.state = state
         job.finished_at = self._now()
         job.source = ""
-        self.stats[state] += 1
+        self.counts[state] += 1
         self._event(job, state, **extra)
         self._evict_finished()
         self._cond.notify_all()
@@ -508,9 +505,9 @@ class CompileService:
             error = exc
         wave_end = self._now()
         with self._cond:
-            self.stats["waves"] += 1
-            self.stats["tasks_dispatched"] += len(tasks)
-            self.stats["busy_worker_seconds"] += (
+            self.counts["waves"] += 1
+            self.counts["tasks_dispatched"] += len(tasks)
+            self.counts["busy_worker_seconds"] += (
                 wave_end - wave_start
             ) * min(len(tasks), workers)
             if route:
@@ -670,7 +667,7 @@ class CompileService:
     def service_stats(self) -> dict:
         with self._cond:
             elapsed = self._now()
-            stats = dict(self.stats)
+            stats = dict(self.counts)
             stats["busy_worker_seconds"] = round(
                 stats["busy_worker_seconds"], 6
             )
@@ -688,7 +685,7 @@ class CompileService:
                 }
             )
             # what the shared backend's supervisor did about failures
-            stats["supervision"] = dict(vars(self._backend.supervision))
+            stats["supervision"] = dict(self._backend.counts)
             fleet_stats = getattr(self._backend, "fleet_stats", None)
             if fleet_stats is not None:
                 stats["fabric"] = fleet_stats()
@@ -705,7 +702,7 @@ class CompileService:
             return 0.0
         return min(
             1.0,
-            self.stats["busy_worker_seconds"]
+            self.counts["busy_worker_seconds"]
             / (self.worker_count * elapsed),
         )
 

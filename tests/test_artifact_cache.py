@@ -57,6 +57,26 @@ def cached_compiler(cache, **kwargs):
     return ParallelCompiler(backend=SerialBackend(), cache=cache, **kwargs)
 
 
+class RecordingBackend(SerialBackend):
+    """Runs in-process and keeps the key of every task it was handed:
+    the functions the cache did not serve."""
+
+    def __init__(self):
+        self.ran = []
+
+    def run_tasks_streaming(self, tasks):
+        self.ran.extend(task.key for task in tasks)
+        return super().run_tasks_streaming(tasks)
+
+
+def artifact_counts(result):
+    """A compile's own ``artifact_cache.*`` counts."""
+    return {
+        name: count for name, count in result.profile.counts.items()
+        if name.startswith("artifact_cache.")
+    }
+
+
 def another_value(options, name):
     """A valid value for field ``name`` other than the one it has."""
     value = getattr(options, name)
@@ -145,32 +165,29 @@ class TestFingerprint:
 
 class TestDifferential:
     def test_one_function_edit_pays_for_exactly_one_function(self, cache):
-        compiler = cached_compiler(cache)
+        backend = RecordingBackend()
+        compiler = ParallelCompiler(backend=backend, cache=cache)
         cold = compiler.compile(SOURCE)
-        assert cold.profile.artifact_cache_misses() == 4
-        assert cold.profile.artifact_cache_hits() == 0
+        assert artifact_counts(cold) == {"artifact_cache.misses": 4}
         assert cold.digest == SequentialCompiler().compile(SOURCE).digest
 
         warm = compiler.compile(SOURCE)
-        assert warm.profile.artifact_cache_misses() == 0
-        assert warm.profile.artifact_cache_hits() == 4
+        assert artifact_counts(warm) == {"artifact_cache.hits": 4}
         assert warm.digest == cold.digest
 
+        backend.ran.clear()
         mutated = compiler.compile(MUTATED)
         from_scratch = SequentialCompiler().compile(MUTATED)
         assert mutated.digest == from_scratch.digest
-        assert mutated.profile.artifact_cache_misses() == 1
-        assert mutated.profile.artifact_cache_hits() == 3
-        missed = [
-            f for f in mutated.profile.functions if f.artifact_cache_misses
-        ]
-        assert [(f.section_name, f.name) for f in missed] == [("a", "a2")]
+        assert artifact_counts(mutated) == {
+            "artifact_cache.hits": 3, "artifact_cache.misses": 1,
+        }
+        assert backend.ran == [("a", "a2")]
 
     def test_cache_shared_across_compiler_instances(self, cache):
         cached_compiler(cache).compile(SOURCE)
         warm = cached_compiler(cache).compile(SOURCE)
-        assert warm.profile.artifact_cache_hits() == 4
-        assert warm.profile.artifact_cache_misses() == 0
+        assert artifact_counts(warm) == {"artifact_cache.hits": 4}
 
     def test_report_and_diagnostics_survive_the_cache(self, cache):
         compiler = cached_compiler(cache)
@@ -186,16 +203,14 @@ class TestDifferential:
         }
         assert cold_reports == warm_reports
         assert warm.diagnostics_text == cold.diagnostics_text
-        # A fully cached compile still reports honest totals.
+        # A fully cached compile still reports honest totals, and the
+        # very reports a fresh compile makes.
         assert warm.profile.total_work() == cold.profile.total_work()
-        assert warm.profile.cached_function_work() == sum(
-            f.work_units for f in cold.profile.functions
-        )
+        assert warm.profile.functions == cold.profile.functions
 
     def test_no_cache_means_no_counters(self):
         result = ParallelCompiler(backend=SerialBackend()).compile(SOURCE)
-        assert result.profile.artifact_cache_hits() == 0
-        assert result.profile.artifact_cache_misses() == 0
+        assert artifact_counts(result) == {}
 
 
 class TestStoreRobustness:
@@ -207,13 +222,14 @@ class TestStoreRobustness:
         entries[0].write_bytes(b"not a pickle")
         warm = compiler.compile(SOURCE)
         assert warm.digest == cold.digest
-        assert warm.profile.artifact_cache_corrupt == 1
-        assert warm.profile.artifact_cache_misses() == 1
-        assert warm.profile.artifact_cache_hits() == 3
+        assert cache.counts["corrupt"] == 1
+        assert artifact_counts(warm) == {
+            "artifact_cache.hits": 3, "artifact_cache.misses": 1,
+        }
         # The corrupt file was replaced by a fresh artifact.
         assert cache.entry_count() == 4
         third = compiler.compile(SOURCE)
-        assert third.profile.artifact_cache_hits() == 4
+        assert artifact_counts(third) == {"artifact_cache.hits": 4}
 
     def test_wrong_type_entry_counts_as_corrupt(self, cache):
         fingerprint = "ab" + "0" * 62
@@ -221,24 +237,19 @@ class TestStoreRobustness:
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"not": "a result"}))
         assert cache.get(fingerprint) is None
-        assert cache.stats.corrupt == 1
+        assert cache.counts["corrupt"] == 1
         assert not path.exists()
 
     def test_eviction_bounds_the_store(self, tmp_path):
         small = ArtifactCache(tmp_path / "small", max_bytes=2000)
         compiler = cached_compiler(small)
         cold = compiler.compile(SOURCE)
-        assert small.stats.evictions > 0
+        assert small.counts["evictions"] > 0
         assert small.size_bytes() <= 2000
         # Evicted functions just recompile; output never changes.
         again = compiler.compile(SOURCE)
         assert again.digest == cold.digest
-        assert again.profile.artifact_cache_evictions >= 0
-        assert (
-            again.profile.artifact_cache_hits()
-            + again.profile.artifact_cache_misses()
-            == 4
-        )
+        assert sum(artifact_counts(again).values()) == 4
 
     def test_put_is_atomic_no_temp_droppings(self, cache):
         cached_compiler(cache).compile(SOURCE)
@@ -287,11 +298,11 @@ class TestWriteBackUnderFailure:
         cold = ParallelCompiler(backend=backend, cache=cache).compile(SOURCE)
         assert flaky.schedule.fired["crash"] == 4  # all four were retried
         assert not cold.profile.poisoned_functions()
-        assert cold.profile.artifact_cache_misses() == 4
+        assert artifact_counts(cold) == {"artifact_cache.misses": 4}
         assert cache.entry_count() == 4
 
         warm = cached_compiler(cache).compile(SOURCE)
-        assert warm.profile.artifact_cache_hits() == 4
+        assert artifact_counts(warm) == {"artifact_cache.hits": 4}
         assert warm.digest == cold.digest
 
     def test_poisoned_task_is_never_written_back(self, cache):
@@ -312,14 +323,49 @@ class TestWriteBackUnderFailure:
 
         # Differential: a later clean compile re-pays exactly the
         # poisoned function and nothing else.
-        warm = cached_compiler(cache).compile(SOURCE)
-        assert warm.profile.artifact_cache_hits() == 3
-        assert warm.profile.artifact_cache_misses() == 1
-        missed = [
-            f for f in warm.profile.functions if f.artifact_cache_misses
-        ]
-        assert [(f.section_name, f.name) for f in missed] == [("a", "a2")]
+        backend = RecordingBackend()
+        warm = ParallelCompiler(backend=backend, cache=cache).compile(SOURCE)
+        assert artifact_counts(warm) == {
+            "artifact_cache.hits": 3, "artifact_cache.misses": 1,
+        }
+        assert backend.ran == [("a", "a2")]
         assert warm.digest == SequentialCompiler().compile(SOURCE).digest
+
+
+class CompilesAnotherFirst(SerialBackend):
+    """Before it runs its own tasks, compiles ``source`` over ``cache``
+    synchronously — another job of a service sharing the store."""
+
+    def __init__(self, cache, source):
+        self.cache, self.source = cache, source
+
+    def run_tasks_streaming(self, tasks):
+        cached_compiler(self.cache).compile(self.source)
+        return super().run_tasks_streaming(tasks)
+
+
+class TestCountsAreTheCompilesOwn:
+    def test_another_compile_on_the_store_leaves_no_count_behind(self, cache):
+        """A counts its own hits and misses and nothing of B's, though B
+        read a corrupt entry of the store they share while A ran; the
+        corruption is the store's count."""
+        cached_compiler(cache).compile(SOURCE)
+        b_a2 = module_fingerprints(parse(SOURCE), CompileOptions())[("a", "a2")]
+        cache._entry_path(b_a2).write_bytes(b"not an entry")
+
+        a = ParallelCompiler(
+            backend=CompilesAnotherFirst(cache, SOURCE), cache=cache
+        ).compile(MUTATED)
+
+        assert a.digest == SequentialCompiler().compile(MUTATED).digest
+        assert artifact_counts(a) == {
+            "artifact_cache.hits": 3, "artifact_cache.misses": 1,
+        }
+        assert not [
+            name for name in a.profile.counts
+            if "corrupt" in name or "evictions" in name
+        ]
+        assert cache.counts["corrupt"] == 1
 
 
 class TestConcurrentSharing:
@@ -330,5 +376,5 @@ class TestConcurrentSharing:
         second = ArtifactCache(tmp_path / "shared")
         cached_compiler(first).compile(SOURCE)
         warm = cached_compiler(second).compile(SOURCE)
-        assert warm.profile.artifact_cache_hits() == 4
-        assert second.stats.hits == 4
+        assert artifact_counts(warm) == {"artifact_cache.hits": 4}
+        assert second.counts["hits"] == 4

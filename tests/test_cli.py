@@ -84,20 +84,24 @@ end
         path.write_text(self.SOURCE)
         want = SequentialCompiler().compile(self.SOURCE).digest
 
+        def lookups(tier):  # a count that never fired is absent
+            return (tier.get("hits", 0), tier.get("misses", 0))
+
         cold = self.compile_json(path, cache_dir, capsys)
         assert cold["digest"] == want
         for tier in ("artifact_cache", "parse_cache"):
-            assert (cold[tier]["hits"], cold[tier]["misses"]) == (
-                0, self.FUNCTIONS,
-            )
-        assert cold["profile"]["link_cache_misses"] == self.SECTIONS
+            assert lookups(cold[tier]) == (0, self.FUNCTIONS)
+        assert cold["profile"]["counts"]["link_cache.misses"] == self.SECTIONS
 
         warm = self.compile_json(path, cache_dir, capsys)
         assert warm["digest"] == want
         for tier in ("artifact_cache", "parse_cache"):  # neither is read
-            assert (warm[tier]["hits"], warm[tier]["misses"]) == (0, 0)
+            assert lookups(warm[tier]) == (0, 0)
         # The module record, then each section's program.
         assert warm["link_cache"]["hits"] == 1 + self.SECTIONS
+        assert warm["profile"]["counts"] == {
+            "link_cache.hits": self.SECTIONS, "module_cache.hits": 1,
+        }
         assert warm["profile"]["phase4_mode"] == "cached"
 
         edited = self.SOURCE.replace("return 12;", "return 1200;")
@@ -105,12 +109,11 @@ end
         edit = self.compile_json(path, cache_dir, capsys)
         assert edit["digest"] == SequentialCompiler().compile(edited).digest
         for tier in ("artifact_cache", "parse_cache"):
-            assert (edit[tier]["hits"], edit[tier]["misses"]) == (
-                self.FUNCTIONS - 1, 1,
-            )
+            assert lookups(edit[tier]) == (self.FUNCTIONS - 1, 1)
         profile = edit["profile"]
         assert profile["phase4_mode"] == "parallel"
-        assert (profile["link_cache_hits"], profile["link_cache_misses"]) == (
+        counts = profile["counts"]
+        assert (counts["link_cache.hits"], counts["link_cache.misses"]) == (
             self.SECTIONS - 1, 1,
         )
 
@@ -388,7 +391,6 @@ class TestOneDefinitionPerFlag:
         (["worker", "--connect", "h:1"], "pool of cores-1"),
         (["worker", "--connect", "h:1", "--workers", "3"], "pool of 3"),
         (["worker", "--connect", "h:1", "--workers", "1"], "serial"),
-        (["worker", "--connect", "h:1", "--serial"], "serial"),
     ])
     def test_worker_count_flags_resolve_through_one_rule(self, argv, expected):
         import os
@@ -416,15 +418,6 @@ class TestOneDefinitionPerFlag:
         assert backend.worker_count == (
             3 if expected == "pool of 3" else cores_minus_one
         )
-
-    def test_worker_serial_and_workers_are_mutually_exclusive(self, capsys):
-        """Both write the one worker count; the last one must not win
-        silently."""
-        for argv in (["--serial", "--workers", "3"], ["--workers", "3", "--serial"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["worker", "--connect", "h:1", *argv])
-            assert excinfo.value.code == 2
-            assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cache_server_size_bound_must_be_positive(self, value, capsys):

@@ -1,6 +1,6 @@
 """Fabric hub: leases, heartbeats, and exact reports of what happened to
 each task — with every recovery decision read off the one counter set,
-``RemoteBackend(hub).supervision``."""
+``RemoteBackend(hub).counts``."""
 
 import socket
 import sys
@@ -23,7 +23,7 @@ from repro.fabric.wire import (
     encode_task,
 )
 from repro.parallel.local import SerialBackend
-from repro.parallel.supervisor import SupervisedBackend, SupervisionStats
+from repro.parallel.supervisor import SupervisedBackend
 from repro.service import CompileService
 
 SOURCE = """
@@ -153,7 +153,7 @@ class TestRegistration:
         while hub.live_node_count() and time.monotonic() < deadline:
             time.sleep(0.05)  # no heartbeats: the lease must expire
         assert hub.live_node_count() == 0
-        assert hub.stats.nodes_lost == 1
+        assert hub.counts["nodes_lost"] == 1
         node.vanish()
 
     def test_heartbeats_keep_a_lease_alive(self, hub):
@@ -163,7 +163,7 @@ class TestRegistration:
             node.heartbeat()
             time.sleep(0.2)
         assert hub.live_node_count() == 1
-        assert hub.stats.nodes_lost == 0
+        assert hub.counts["nodes_lost"] == 0
         node.vanish()
 
     def test_reconnecting_node_supersedes_its_stale_lease(self, hub):
@@ -171,10 +171,13 @@ class TestRegistration:
         assert hub.wait_for_nodes(1, timeout=10.0)
         second = FakeNode(hub.address, node_id="same")
         deadline = time.monotonic() + 10.0
-        while hub.stats.nodes_registered < 2 and time.monotonic() < deadline:
+        while (
+            hub.counts["nodes_registered"] < 2
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.02)
         assert hub.live_node_count() == 1
-        assert hub.stats.nodes_registered == 2
+        assert hub.counts["nodes_registered"] == 2
         first.vanish()
         second.vanish()
 
@@ -193,8 +196,8 @@ class TestRegistration:
         assert refusal["reason"] == "protocol-mismatch"
         result = ParallelCompiler(backend=RemoteBackend(hub)).compile(SOURCE)
         assert result.digest == _sequential_digest()
-        assert hub.stats.nodes_registered == 0
-        assert hub.stats.tasks_dispatched == 0
+        assert hub.counts["nodes_registered"] == 0
+        assert hub.counts["tasks_dispatched"] == 0
         with pytest.raises(socket.timeout):  # nothing was sent its way
             conn.recv()
         conn.close()
@@ -206,8 +209,9 @@ class TestRegistration:
         agent.start()
         try:
             time.sleep(1.0)
-            assert 1 <= agent.sessions <= 4  # one try per connect_cap
-            assert hub.stats.nodes_registered == 0
+            # one try per connect_cap
+            assert 1 <= agent.counts["sessions"] <= 4
+            assert hub.counts["nodes_registered"] == 0
         finally:
             agent.stop()
 
@@ -246,8 +250,8 @@ class TestSchedulingAndFailure:
             backend = RemoteBackend(hub)
             result = ParallelCompiler(backend=backend).compile(SOURCE)
             assert result.digest == _sequential_digest()
-            assert hub.stats.tasks_dispatched == len(FUNCTIONS)
-            assert backend.supervision == SupervisionStats()
+            assert hub.counts["tasks_dispatched"] == len(FUNCTIONS)
+            assert backend.counts == {}
         finally:
             for agent in agents:
                 agent.stop()
@@ -282,11 +286,9 @@ class TestSchedulingAndFailure:
         ]
         # Exactly the unanswered task was retried, and — no other fleet
         # — on the local fallback; nothing was compiled twice.
-        assert backend.supervision == SupervisionStats(
-            retries=1, degradations=1
-        )
-        assert hub.stats.tasks_dispatched == 3
-        assert hub.stats.nodes_lost == 1
+        assert backend.counts == dict(retries=1, degradations=1)
+        assert hub.counts["tasks_dispatched"] == 3
+        assert hub.counts["nodes_lost"] == 1
 
     def test_slow_node_answering_a_requeued_task_is_deduplicated(self):
         """Slow, not dead: two tasks outlive their deadline and are
@@ -313,12 +315,12 @@ class TestSchedulingAndFailure:
             consumer.join(timeout=60.0)
             assert not consumer.is_alive(), "wave never completed"
             assert sorted(r.function_name for r in results) == sorted(FUNCTIONS)
-            assert backend.supervision == SupervisionStats(
+            assert backend.counts == dict(
                 timeouts=2, retries=2, quarantines=1, degradations=2,
                 late_duplicates=1,
             )
-            assert hub.stats.tasks_dispatched == 3
-            assert hub.stats.nodes_lost == 0
+            assert hub.counts["tasks_dispatched"] == 3
+            assert hub.counts["nodes_lost"] == 0
             fake.vanish()
 
     def test_a_result_keyed_for_another_function_completes_nothing(self, hub):
@@ -340,8 +342,8 @@ class TestSchedulingAndFailure:
         result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == _sequential_digest()
         # two tasks, refused on the fleet until their attempts ran out
-        assert hub.stats.corrupt_frames == 2 * backend.max_attempts
-        assert backend.supervision == SupervisionStats(
+        assert hub.counts["corrupt_frames"] == 2 * backend.max_attempts
+        assert backend.counts == dict(
             retries=2 * (backend.max_attempts - 1), poisoned_tasks=2
         )
         assert sorted(
@@ -354,8 +356,8 @@ class TestSchedulingAndFailure:
         backend = RemoteBackend(hub)
         result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == _sequential_digest()
-        assert backend.supervision == SupervisionStats(degradations=1)
-        assert hub.stats.tasks_dispatched == 0
+        assert backend.counts == dict(degradations=1)
+        assert hub.counts["tasks_dispatched"] == 0
 
     def test_a_node_that_fails_twice_is_quarantined_until_readmission(self):
         """Two consecutive failures bench a node: while the spell lasts
@@ -377,25 +379,27 @@ class TestSchedulingAndFailure:
                 assert compiler.compile(SOURCE).digest == _sequential_digest()
                 bounced = len(received)
                 assert bounced >= 2
-                assert backend.supervision == SupervisionStats(
+                assert backend.counts == dict(
                     retries=bounced, quarantines=1
                 )
-                dispatched = hub.stats.tasks_dispatched
+                dispatched = hub.counts["tasks_dispatched"]
 
                 # benched: the whole next compile goes to the other node
                 assert compiler.compile(SOURCE).digest == _sequential_digest()
                 assert len(received) == bounced
-                assert hub.stats.tasks_dispatched == dispatched + len(FUNCTIONS)
+                assert hub.counts["tasks_dispatched"] == (
+                    dispatched + len(FUNCTIONS)
+                )
 
                 # re-admitted (and mended): it is sent work again
                 behave[0] = flaky.answer
                 time.sleep(1.6)
                 assert compiler.compile(SOURCE).digest == _sequential_digest()
                 assert len(received) > bounced
-                assert backend.supervision == SupervisionStats(
+                assert backend.counts == dict(
                     retries=bounced, quarantines=1
                 )
-                assert hub.stats.nodes_lost == 0
+                assert hub.counts["nodes_lost"] == 0
             finally:
                 steady.stop()
                 flaky.vanish()
@@ -421,13 +425,13 @@ class TestSchedulingAndFailure:
             backend.health.backoff_base = 30.0
             result = ParallelCompiler(backend=backend).compile(SOURCE)
             assert result.digest == _sequential_digest()
-            assert backend.supervision == SupervisionStats(
+            assert backend.counts == dict(
                 timeouts=3, retries=3, quarantines=1, degradations=3
             )
             assert backend.health.quarantined(time.monotonic()) == {
                 "node:wedged"
             }
-            assert hub.stats.nodes_lost == 0
+            assert hub.counts["nodes_lost"] == 0
             assert hub.live_node_count() == 1
             assert hub._nodes["wedged"].inflight == {}
         finally:
@@ -473,10 +477,10 @@ class TestSchedulingAndFailure:
             assert pool.peak >= 2
             # two failures blamed on the node (benched, moot), the
             # unsent task's on the farm
-            assert backend.supervision == SupervisionStats(
+            assert backend.counts == dict(
                 retries=3, quarantines=1, degradations=3
             )
-            assert hub.stats.tasks_dispatched == 2
+            assert hub.counts["tasks_dispatched"] == 2
 
     def test_node_joining_mid_stream_is_used_next_wave(self, hub):
         backend = RemoteBackend(hub)
@@ -488,7 +492,7 @@ class TestSchedulingAndFailure:
             assert hub.wait_for_nodes(1, timeout=10.0)
             result = ParallelCompiler(backend=backend).compile(SOURCE)
             assert result.digest == _sequential_digest()
-            assert hub.stats.tasks_dispatched == len(FUNCTIONS)
+            assert hub.counts["tasks_dispatched"] == len(FUNCTIONS)
         finally:
             agent.stop()
 
@@ -530,7 +534,8 @@ class TestNodeAgent:
                     pool.submit(agent._run_task, Link(), frame)
         finally:
             sys.setswitchinterval(switch)
-        assert (agent.tasks_completed, agent.tasks_failed) == (200, 100)
+        assert agent.counts["tasks_completed"] == 200
+        assert agent.counts["tasks_failed"] == 100
 
 
 class TestComposition:
@@ -568,7 +573,7 @@ class TestComposition:
         assert (backend.task_timeout, backend.hedge_after) == (7.0, 0.5)
         result = ParallelCompiler(backend=backend).compile(SOURCE)
         assert result.digest == _sequential_digest()
-        assert backend.supervision == SupervisionStats(degradations=1)
+        assert backend.counts == dict(degradations=1)
         # a pool is wrapped, as before
         pool = SerialBackend()
         wrapped = stack.build_backend(args, pool)
@@ -605,7 +610,7 @@ class TestAuthentication:
                 backend = RemoteBackend(hub)
                 result = ParallelCompiler(backend=backend).compile(SOURCE)
                 assert result.digest == _sequential_digest()
-                assert backend.supervision.degradations == 0
+                assert backend.counts["degradations"] == 0
             finally:
                 agent.stop()
 
@@ -631,8 +636,8 @@ class TestAuthentication:
             assert not rejection.get("ok")
             assert rejection.get("reason") == "unauthenticated"
             assert hub.live_node_count() == 0
-            assert hub.stats.nodes_registered == 0
-            assert hub.stats.corrupt_frames == 0  # a refusal, not noise
+            assert hub.counts["nodes_registered"] == 0
+            assert hub.counts["corrupt_frames"] == 0  # a refusal, not noise
             conn.close()
 
 
@@ -701,7 +706,7 @@ class TestWaveCleanup:
         assert result.report.failed == 1 and result.report.poisoned == 1
         assert "in-process compile failed" in result.diagnostics[0]
         assert "node reported: boom" in result.diagnostics[0]
-        assert backend.supervision == SupervisionStats(
+        assert backend.counts == dict(
             retries=backend.max_attempts - 1, poisoned_tasks=1
         )
         assert hub._attempts == {}, "finished wave leaked its attempts"

@@ -54,7 +54,7 @@ class TestFlakyBackend:
             backend = retrying(inner, max_attempts=8)
             ParallelCompiler(backend=backend).compile(SOURCE)
             counters.append(
-                (inner.schedule.fired["crash"], backend.supervision.retries)
+                (inner.schedule.fired["crash"], backend.counts["retries"])
             )
         assert counters[0] == counters[1]
         assert counters[0][0] > 0
@@ -77,8 +77,8 @@ class TestRetryingBackend:
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
         assert inner.schedule.fired["crash"] > 0
-        assert backend.supervision.retries == inner.schedule.fired["crash"]
-        assert backend.supervision.poisoned_tasks == 0
+        assert backend.counts["retries"] == inner.schedule.fired["crash"]
+        assert backend.counts["poisoned_tasks"] == 0
 
     def test_budget_exhaustion_reports_full_attempt_history(self):
         # A task that used up its farm attempts is compiled in-process;
@@ -86,7 +86,7 @@ class TestRetryingBackend:
         backend = retrying(flaky(1.0, seed=2), max_attempts=3)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
-        assert backend.supervision.poisoned_tasks == 6
+        assert backend.counts["poisoned_tasks"] == 6
         assert all(report.poisoned for report in par.profile.functions)
         f0 = [
             line for line in par.diagnostics_text.splitlines()
@@ -103,7 +103,7 @@ class TestRetryingBackend:
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert backend.supervision.retries == 0
+        assert backend.counts["retries"] == 0
 
     def test_catches_real_exceptions_per_task(self):
         class ExplodingBackend:
@@ -121,7 +121,7 @@ class TestRetryingBackend:
         backend = retrying(ExplodingBackend(), max_attempts=3)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert len(par.profile.functions) == 6
-        assert backend.supervision.retries == 6
+        assert backend.counts["retries"] == 6
         assert not par.profile.failed_functions()
 
     def test_invalid_attempts_rejected(self):

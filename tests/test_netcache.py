@@ -68,21 +68,21 @@ class TestClientServer:
     def test_roundtrip(self, client):
         fp, result = _artifact()
         assert client.get(fp) is None
-        assert client.remote_misses == 1
+        assert client.counts["remote_misses"] == 1
         assert client.put(fp, _entry(result))
         fetched, entry = client.get(fp)
         assert entry == _entry(result)
         assert fetched.payload_digest == result.payload_digest
         assert fetched.obj.digest_text() == result.obj.digest_text()
-        assert client.remote_hits == 1
+        assert client.counts["remote_hits"] == 1
 
     def test_many_requests_share_one_connection(self, client):
         fp, result = _artifact()
         client.put(fp, _entry(result))
         for _ in range(5):
             assert client.get(fp) is not None
-        assert client.remote_hits == 5
-        assert client.remote_errors == 0
+        assert client.counts["remote_hits"] == 5
+        assert client.counts["remote_errors"] == 0
 
     def test_digest_mismatched_put_is_refused(self, server, client):
         fp, result = _artifact()
@@ -125,8 +125,9 @@ class TestClientServer:
         data[-5] ^= 1
         path.write_bytes(bytes(data))
         assert client.get(fp) is None
-        assert client.remote_misses == 1 and client.corrupt_responses == 0
-        assert server.store.stats.corrupt == 1 and not path.exists()
+        assert client.counts["remote_misses"] == 1
+        assert client.counts["corrupt_responses"] == 0
+        assert server.store.counts["corrupt"] == 1 and not path.exists()
 
     def test_the_server_is_an_objects_directory(self, server, client, tmp_path):
         """One form, three places: the blob in a result frame, the bytes
@@ -143,8 +144,8 @@ class TestClientServer:
         in_frame = unpack_bytes(encode_result(result, "w0.0"))
         assert on_server == fetched == on_disk == in_frame
         beside = ArtifactCache(server.store.cache_dir)
-        assert beside.get(fp) == dataclasses.replace(result)
-        assert beside.stats.hits == 1
+        assert beside.get(fp) == dataclasses.replace(result, phase1_memo_hit=None)
+        assert beside.counts["hits"] == 1
         other = "e" * 64
         beside.put(other, result)
         assert client.get(other)[1] == on_disk
@@ -185,7 +186,7 @@ class TestDegradation:
             assert client.get(fp) is None
         assert client.disabled
         # Disabled tier short-circuits: no more timeouts paid.
-        assert client.remote_errors == 3
+        assert client.counts["remote_errors"] == 3
         assert client.put(fp, _entry(result)) is False
 
     def test_server_vanishing_mid_session_degrades(self, tmp_path):
@@ -212,8 +213,8 @@ class TestDegradation:
             fp, result = _artifact()
             assert client.put(fp, _entry(result))
             assert client.get(fp) is None  # corrupt → miss, not an artifact
-            assert client.corrupt_responses == 1
-            assert client.remote_hits == 0
+            assert client.counts["corrupt_responses"] == 1
+            assert client.counts["remote_hits"] == 0
             client.close()
 
     def test_chaos_unavailable_replies_are_soft_errors(self, tmp_path):
@@ -243,7 +244,7 @@ class TestTieredCache:
         try:
             first = tiered.get(fp)
             assert first is not None
-            assert client.remote_hits == 1
+            assert client.counts["remote_hits"] == 1
             # Read-through landed it locally, verbatim: second get never
             # leaves, and the local file is the server's file.
             assert ArtifactCache(tmp_path / "m2").get(fp) is not None
@@ -252,7 +253,7 @@ class TestTieredCache:
                 == server.store._entry_path(fp).read_bytes()
             )
             tiered.get(fp)
-            assert client.remote_hits == 1
+            assert client.counts["remote_hits"] == 1
         finally:
             tiered.close()
 
@@ -282,7 +283,7 @@ class TestTieredCache:
             tiered.put(fp, result)
             tiered.flush()
             assert server.store.entry_count() == 1
-            assert tiered.writes_dropped == 0
+            assert tiered.counts["writes_dropped"] == 0
         finally:
             tiered.close()
 
@@ -304,8 +305,8 @@ class TestTieredCache:
             assert tiered.get(fp) is None
             tiered.put(fp, result)
             assert tiered.get(fp) is not None
-            assert (tiered.stats.hits, tiered.stats.misses) == (1, 1)
-            assert tiered.remote.remote_misses == 1
+            assert (tiered.counts["hits"], tiered.counts["misses"]) == (1, 1)
+            assert tiered.remote.counts["remote_misses"] == 1
             assert tiered.entry_count() == 1
             assert tiered.size_bytes() > 0
             assert tiered.clear() == 1
@@ -338,7 +339,7 @@ class TestHostileEntries:
         mangled = seal_entry("objects", ArtifactCache.SCHEMA, facts, body)
         assert client.put(fp, mangled)  # well framed: the server takes it
         assert client.get(fp) is None  # degraded to a recompile, no error
-        assert client.corrupt_responses == 1
+        assert client.counts["corrupt_responses"] == 1
         # The tier stays usable afterwards.
         _, good = _artifact()
         assert client.put("a" * 64, _entry(good))

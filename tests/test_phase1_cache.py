@@ -12,11 +12,11 @@ from repro.driver.function_master import (
     PHASE1_CACHE_CAPACITY,
     FunctionTask,
     clear_phase1_cache,
-    phase1_cache_stats,
     phase1_cached,
     run_compile_task,
 )
 from repro.driver.master import ParallelCompiler
+from repro.driver.phases import phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
 from repro.lang.diagnostics import CompileError
 from repro.parallel.local import SerialBackend
@@ -54,7 +54,7 @@ class TestCacheSemantics:
         task = FunctionTask(SOURCE_A, "<t>", "s", "f")
         cold = run_compile_task(task)[0]
         warm = run_compile_task(task)[0]
-        assert phase1_cache_stats() == (1, 1)
+        assert (cold.phase1_memo_hit, warm.phase1_memo_hit) == (False, True)
         assert warm.obj.digest_text() == cold.obj.digest_text()
 
     def test_hit_reuses_the_same_parse(self):
@@ -64,10 +64,11 @@ class TestCacheSemantics:
         assert second is first
 
     def test_keyed_by_content_not_filename(self):
-        run_compile_task(FunctionTask(SOURCE_A, "same.w", "s", "f"))
+        first = run_compile_task(FunctionTask(SOURCE_A, "same.w", "s", "f"))
         result = run_compile_task(FunctionTask(SOURCE_B, "same.w", "s", "f"))
-        hits, misses = phase1_cache_stats()
-        assert (hits, misses) == (0, 2)
+        assert (first[0].phase1_memo_hit, result[0].phase1_memo_hit) == (
+            False, False,
+        )
         # The second compile really used SOURCE_B's text (f subtracts).
         assert "sub" in result[0].obj.digest_text()
 
@@ -78,18 +79,24 @@ class TestCacheSemantics:
 
     def test_errors_are_never_cached(self):
         bad = wrap_function("function f() begin y := 1; end")
+        parses = []
+
+        def front(source_text, filename):
+            parses.append(filename)
+            return phase1_parse_and_check(source_text, filename)
+
         for _ in range(2):
             with pytest.raises(CompileError):
-                phase1_cached(bad, "<t>")
-        assert phase1_cache_stats() == (0, 0)
+                phase1_cached(bad, "<t>", front=front)
+        assert parses == ["<t>", "<t>"]  # the second try parsed again
 
     def test_lru_eviction_is_bounded(self):
-        phase1_cached(SOURCE_A, "<t>")
+        hits = [phase1_cached(SOURCE_A, "<t>")[1]]
         for index in range(PHASE1_CACHE_CAPACITY):  # evicts A, the oldest
-            phase1_cached(SOURCE_B, f"<t{index}>")
+            hits.append(phase1_cached(SOURCE_B, f"<t{index}>")[1])
         _parsed, hit = phase1_cached(SOURCE_A, "<t>")
         assert not hit
-        assert phase1_cache_stats() == (0, PHASE1_CACHE_CAPACITY + 2)
+        assert not any(hits)
         # ... while the most recent ones are all still there.
         _parsed, hit = phase1_cached(SOURCE_B, f"<t{PHASE1_CACHE_CAPACITY - 1}>")
         assert hit
@@ -97,23 +104,20 @@ class TestCacheSemantics:
 
 class TestCacheTelemetry:
     def test_counters_surface_in_function_report(self):
+        """The memo outcome rides on the result, beside ``worker``, and
+        never on the report: it is the run's, not the function's."""
         task = FunctionTask(SOURCE_A, "<t>", "s", "g")
         cold = run_compile_task(task)[0]
         warm = run_compile_task(task)[0]
-        assert cold.report.phase1_cache_misses == 1
-        assert cold.report.phase1_cache_hits == 0
-        assert warm.report.phase1_cache_hits == 1
-        assert warm.report.phase1_cache_misses == 0
+        assert (cold.phase1_memo_hit, warm.phase1_memo_hit) == (False, True)
+        assert cold.report == warm.report
 
     def test_serial_backend_tasks_hit_the_masters_parse(self):
         # The master's own parse seeds the cache, so every in-process
         # function-master task is a hit.
         result = ParallelCompiler(backend=SerialBackend()).compile(SOURCE_A)
-        assert result.profile.phase1_cache_hits() == 2
-        assert result.profile.phase1_cache_misses() == 0
-        assert result.profile.redundant_parse_work_saved() == (
-            2 * (result.profile.parse_work + result.profile.sema_work)
-        )
+        assert result.profile.counts["phase1_memo.hits"] == 2
+        assert "phase1_memo.misses" not in result.profile.counts
 
     def test_section_task_records_on_first_report_only(self):
         """A section's tasks in one cold worker: the first pays the
@@ -122,8 +126,7 @@ class TestCacheTelemetry:
             run_compile_task(FunctionTask(SOURCE_A, "<t>", "s", name))[0]
             for name in ("f", "g")
         ]
-        assert [r.report.phase1_cache_misses for r in results] == [1, 0]
-        assert [r.report.phase1_cache_hits for r in results] == [0, 1]
+        assert [r.phase1_memo_hit for r in results] == [False, True]
 
 
 class TestCachedOutputIdentity:

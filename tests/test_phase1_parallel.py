@@ -13,6 +13,7 @@ modules, identical rendered diagnostics.
 """
 
 import tempfile
+from collections import Counter
 
 import pytest
 
@@ -77,12 +78,13 @@ def _assert_same_module(par, seq, source: str):
         assert fn.line_count() == seq_fn.line_count()
 
 
-def _assert_equivalent(source: str, **kwargs):
-    """phase1_parallel(source) must be indistinguishable from
-    phase1_parse_and_check(source) in every way a later phase reads."""
+def _assert_equivalent(source: str, cache_dir):
+    """phase1_parallel(source) over a fresh parse cache in ``cache_dir``
+    must be indistinguishable from phase1_parse_and_check(source) in
+    every way a later phase reads."""
     seq = phase1_parse_and_check(source)
     stats = Phase1Stats()
-    par = phase1_parallel(source, stats=stats, **kwargs)
+    par = phase1_parallel(source, parse_cache=ParseCache(cache_dir), stats=stats)
     _assert_same_module(par, seq, source)
     return stats
 
@@ -93,7 +95,7 @@ def _assert_equivalent(source: str, **kwargs):
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_parallel_phase1_matches_sequential_across_seeds(block):
+def test_parallel_phase1_matches_sequential_across_seeds(block, tmp_path):
     """200 consecutive seeds (50 per block): boundary windows == parser
     spans, and the parallel front end is bit-identical to sequential."""
     size_class = ("tiny", "small", "medium", "small")[block]
@@ -112,15 +114,17 @@ def test_parallel_phase1_matches_sequential_across_seeds(block):
         for window, span in zip(windows, spans):
             assert window.start == span.start.offset
             assert window.end == span.end.offset
-        stats = _assert_equivalent(source)
+        stats = _assert_equivalent(source, tmp_path / str(seed))
         assert stats.mode == "parallel", (
             f"{size_class} seed {seed} fell back: {stats.fallback_reason}"
         )
 
 
-def test_large_and_huge_size_classes():
+def test_large_and_huge_size_classes(tmp_path):
     for size_class, n in (("large", 3), ("huge", 2)):
-        stats = _assert_equivalent(synthetic_program(size_class, n))
+        stats = _assert_equivalent(
+            synthetic_program(size_class, n), tmp_path / size_class
+        )
         assert stats.mode == "parallel"
 
 
@@ -154,11 +158,11 @@ ERROR_MODULES = [
 
 
 @pytest.mark.parametrize("source", ERROR_MODULES)
-def test_error_modules_raise_identical_diagnostics(source):
+def test_error_modules_raise_identical_diagnostics(source, tmp_path):
     with pytest.raises(CompileError) as seq_err:
         phase1_parse_and_check(source)
     with pytest.raises(CompileError) as par_err:
-        phase1_parallel(source)
+        phase1_parallel(source, parse_cache=ParseCache(tmp_path))
     assert _render(par_err.value) == _render(seq_err.value)
 
 
@@ -185,12 +189,12 @@ SOURCE = synthetic_program("small", FUNCTIONS)
 def test_parse_cache_cold_then_warm():
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
-        cold = Phase1Stats()
-        phase1_parallel(SOURCE, parse_cache=cache, stats=cold)
-        assert (cold.cache_hits, cold.cache_misses) == (0, FUNCTIONS)
-        warm = Phase1Stats()
-        par = phase1_parallel(SOURCE, parse_cache=cache, stats=warm)
-        assert (warm.cache_hits, warm.cache_misses) == (FUNCTIONS, 0)
+        cold = Counter()
+        phase1_parallel(SOURCE, parse_cache=cache, counts=cold)
+        assert cold == {"parse_cache.misses": FUNCTIONS}
+        warm = Counter()
+        par = phase1_parallel(SOURCE, parse_cache=cache, counts=warm)
+        assert warm == {"parse_cache.hits": FUNCTIONS}
         _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
 
 
@@ -207,9 +211,11 @@ def test_body_edit_reparses_exactly_one_function():
             1,
         )
         assert edited != SOURCE
-        stats = Phase1Stats()
-        par = phase1_parallel(edited, parse_cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS - 1, 1)
+        counts = Counter()
+        par = phase1_parallel(edited, parse_cache=cache, counts=counts)
+        assert counts == {
+            "parse_cache.hits": FUNCTIONS - 1, "parse_cache.misses": 1,
+        }
         _assert_same_module(par, phase1_parse_and_check(edited), edited)
 
 
@@ -224,10 +230,9 @@ def test_signature_edit_invalidates_whole_section():
             "function f1(x: float, y: float, z: float) : float",
         )
         assert edited != SOURCE
-        stats = Phase1Stats()
-        phase1_parallel(edited, parse_cache=cache, stats=stats)
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == FUNCTIONS
+        counts = Counter()
+        phase1_parallel(edited, parse_cache=cache, counts=counts)
+        assert counts == {"parse_cache.misses": FUNCTIONS}
 
 
 def test_comment_only_edit_hits_everything():
@@ -239,9 +244,9 @@ def test_comment_only_edit_hits_everything():
         edited = SOURCE.replace(
             "module ", "-- a new comment line\nmodule ", 1
         )
-        stats = Phase1Stats()
-        par = phase1_parallel(edited, parse_cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        counts = Counter()
+        par = phase1_parallel(edited, parse_cache=cache, counts=counts)
+        assert counts == {"parse_cache.hits": FUNCTIONS}
         _assert_same_module(par, phase1_parse_and_check(edited), edited)
 
 
@@ -254,14 +259,14 @@ def test_a_function_moved_right_is_a_hit_with_the_sequential_digest():
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         phase1_parallel(SOURCE, parse_cache=cache)
-        stats = Phase1Stats()
-        par = phase1_parallel(moved, parse_cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        counts = Counter()
+        par = phase1_parallel(moved, parse_cache=cache, counts=counts)
+        assert counts == {"parse_cache.hits": FUNCTIONS}
         _assert_same_module(par, phase1_parse_and_check(moved), moved)
         clear_phase1_cache()
         compiler = ParallelCompiler(backend=SerialBackend(), parse_cache=cache)
         result = compiler.compile(moved)
-        assert result.profile.parse_cache_hits == FUNCTIONS
+        assert result.profile.counts["parse_cache.hits"] == FUNCTIONS
         assert result.digest == SequentialCompiler().compile(moved).digest
 
 
@@ -280,9 +285,9 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
     with tempfile.TemporaryDirectory() as tmp:
         cache = ParseCache(tmp)
         phase1_parallel(padded, "a.w2", parse_cache=cache)
-        stats = Phase1Stats()
-        par = phase1_parallel(SOURCE, "b.w2", parse_cache=cache, stats=stats)
-        assert (stats.cache_hits, stats.cache_misses) == (FUNCTIONS, 0)
+        counts = Counter()
+        par = phase1_parallel(SOURCE, "b.w2", parse_cache=cache, counts=counts)
+        assert counts == {"parse_cache.hits": FUNCTIONS}
         window = scan_boundaries(SOURCE).all_windows()[0]
         served = par.module.sections[0].functions[0]
         assert served == _window_parse(SOURCE[window.start : window.end])
@@ -307,13 +312,13 @@ def test_compiler_with_parallel_front_end_is_bit_identical():
         cold = compiler.compile(SOURCE)
         assert cold.digest == seq.digest
         assert cold.profile.phase1_mode == "parallel"
-        assert cold.profile.parse_cache_misses == FUNCTIONS
-        assert cold.profile.parse_cache_hits == 0
+        assert cold.profile.counts["parse_cache.misses"] == FUNCTIONS
+        assert "parse_cache.hits" not in cold.profile.counts
         clear_phase1_cache()
         warm = compiler.compile(SOURCE)
         assert warm.digest == seq.digest
-        assert warm.profile.parse_cache_hits == FUNCTIONS
-        assert warm.profile.parse_cache_misses == 0
+        assert warm.profile.counts["parse_cache.hits"] == FUNCTIONS
+        assert "parse_cache.misses" not in warm.profile.counts
         assert warm.profile.phase1_parse_ms >= 0.0
         assert "phase1_mode" in warm.profile.to_dict()
 
@@ -336,4 +341,4 @@ def test_compile_cli_json_reports_parse_cache(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["parse_cache"]["misses"] == FUNCTIONS
     assert document["profile"]["phase1_mode"] == "parallel"
-    assert document["profile"]["parse_cache_misses"] == FUNCTIONS
+    assert document["profile"]["counts"]["parse_cache.misses"] == FUNCTIONS

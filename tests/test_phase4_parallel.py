@@ -15,6 +15,7 @@ leaves a module record behind.
 
 import pickle
 import tempfile
+from collections import Counter
 
 import pytest
 
@@ -56,16 +57,21 @@ def _combined_for(source, array=None):
 
 
 def run_phase4(
-    parsed, combined, array, diagnostics_text="", link_cache=None, stats=None
+    parsed, combined, array, diagnostics_text="", link_cache=None, stats=None,
+    counts=None,
 ):
     """Drive the runner the way the master does once every section is
-    combined: announce each section, then finish."""
+    combined: announce each section, then finish; its lookups are added
+    to ``counts``."""
     runner = Phase4Runner(
         parsed, array, diagnostics_text, link_cache=link_cache, stats=stats
     )
     for section in parsed.module.sections:
         runner.section_ready(combined[section.name])
-    return runner.finish(combined)
+    finished = runner.finish(combined)
+    if counts is not None:
+        counts.update(runner.counts)
+    return finished
 
 
 def _objects(combined):
@@ -109,23 +115,23 @@ def test_parallel_phase4_matches_sequential_across_seeds(block):
             )
             assert (par_aw, par_lw) == (seq_aw, seq_lw)
             # Cold through the cache: every section is a miss.
-            cold = Phase4Stats()
+            cold = Counter()
             cold_module, _, _ = run_phase4(
-                parsed, combined, ARRAY, link_cache=cache, stats=cold
+                parsed, combined, ARRAY, link_cache=cache, counts=cold
             )
             assert module_digest(cold_module) == want
-            assert cold.link_cache_misses == len(parsed.module.sections)
-            assert cold.link_cache_hits == 0
+            assert cold == {"link_cache.misses": len(parsed.module.sections)}
             # Warm: every section's program comes from the section tier.
-            warm = Phase4Stats()
+            warm, warm_counts = Phase4Stats(), Counter()
             warm_module, _, _ = run_phase4(
-                parsed, combined, ARRAY, link_cache=cache, stats=warm
+                parsed, combined, ARRAY, link_cache=cache, stats=warm,
+                counts=warm_counts,
             )
             assert module_digest(warm_module) == want
             assert warm.mode == "parallel"
-            assert (warm.link_cache_hits, warm.link_cache_misses) == (
-                len(parsed.module.sections), 0,
-            )
+            assert warm_counts == {
+                "link_cache.hits": len(parsed.module.sections)
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +166,17 @@ def test_link_cache_cold_then_warm_section_tier():
     )
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
-        cold = Phase4Stats()
-        runner = Phase4Runner(
-            parsed, ARRAY, link_cache=cache, stats=cold
-        )
+        runner = Phase4Runner(parsed, ARRAY, link_cache=cache)
         module, _, _ = runner.finish(combined)  # no section announced
         assert module_digest(module) == want
-        assert (cold.link_cache_hits, cold.link_cache_misses) == (0, SECTIONS)
+        assert runner.counts == {"link_cache.misses": SECTIONS}
         warm = Phase4Stats()
         runner = Phase4Runner(
             parsed, ARRAY, link_cache=cache, stats=warm
         )
         module, _, _ = runner.finish(combined)
         assert module_digest(module) == want
-        assert (warm.link_cache_hits, warm.link_cache_misses) == (SECTIONS, 0)
+        assert runner.counts == {"link_cache.hits": SECTIONS}
         assert warm.mode == "parallel"
 
 
@@ -185,15 +188,15 @@ def test_one_function_edit_relinks_exactly_one_section():
         parsed, combined = _combined_for(SOURCE)
         run_phase4(parsed, combined, ARRAY, link_cache=cache)
         parsed2, combined2 = _combined_for(EDITED)
-        stats = Phase4Stats()
+        stats, counts = Phase4Stats(), Counter()
         module, _, _ = run_phase4(
-            parsed2, combined2, ARRAY, link_cache=cache, stats=stats
+            parsed2, combined2, ARRAY, link_cache=cache, stats=stats,
+            counts=counts,
         )
         assert stats.mode == "parallel"
-        assert (stats.link_cache_hits, stats.link_cache_misses) == (
-            SECTIONS - 1,
-            1,
-        )
+        assert counts == {
+            "link_cache.hits": SECTIONS - 1, "link_cache.misses": 1,
+        }
         want = module_digest(
             phase4_link_and_download(parsed2, _objects(combined2), ARRAY)[0]
         )
@@ -209,12 +212,11 @@ def test_geometry_change_invalidates_section_entries():
         run_phase4(parsed, combined, ARRAY, link_cache=cache)
         small = WarpArrayModel(cell_count=10)
         small.cell.data_memory_words //= 2
-        stats = Phase4Stats()
+        counts = Counter()
         module, _, _ = run_phase4(
-            parsed, combined, small, link_cache=cache, stats=stats
+            parsed, combined, small, link_cache=cache, counts=counts
         )
-        assert stats.link_cache_hits == 0
-        assert stats.link_cache_misses == SECTIONS
+        assert counts == {"link_cache.misses": SECTIONS}
         want = module_digest(
             phase4_link_and_download(parsed, _objects(combined), small)[0]
         )
@@ -234,7 +236,7 @@ def test_diagnostics_text_keys_the_module_tier(tmp_path):
     assert compiler.compile(SOURCE, "a.w2").profile.phase4_mode == "cached"
     other = compiler.compile(SOURCE, "b.w2")
     assert other.profile.phase4_mode == "parallel"
-    assert other.profile.link_cache_hits == SECTIONS
+    assert other.profile.counts["link_cache.hits"] == SECTIONS
     assert compiler.link_cache.modules.entry_count() == 2
 
 
@@ -463,8 +465,8 @@ def test_compiler_with_parallel_back_end_is_bit_identical():
         cold = compiler.compile(SOURCE)
         assert cold.digest == seq.digest
         assert cold.profile.phase4_mode == "parallel"
-        assert cold.profile.link_cache_misses == SECTIONS
-        assert cold.profile.link_cache_hits == 0
+        assert cold.profile.counts["link_cache.misses"] == SECTIONS
+        assert "link_cache.hits" not in cold.profile.counts
         # No edit: the module record answers.
         warm = compiler.compile(SOURCE)
         assert warm.digest == seq.digest
@@ -473,8 +475,8 @@ def test_compiler_with_parallel_back_end_is_bit_identical():
         edit = compiler.compile(EDITED)
         assert edit.digest == SequentialCompiler().compile(EDITED).digest
         assert edit.profile.phase4_mode == "parallel"
-        assert edit.profile.link_cache_misses == 1
-        assert edit.profile.link_cache_hits == SECTIONS - 1
+        assert edit.profile.counts["link_cache.misses"] == 1
+        assert edit.profile.counts["link_cache.hits"] == SECTIONS - 1
         assert "phase4_mode" in warm.profile.to_dict()
 
 
@@ -555,7 +557,7 @@ def test_compile_cli_json_reports_link_cache(tmp_path, capsys):
     assert main(argv) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["profile"]["phase4_mode"] == "parallel"
-    assert document["profile"]["link_cache_misses"] == SECTIONS
+    assert document["profile"]["counts"]["link_cache.misses"] == SECTIONS
     assert document["link_cache"]["misses"] >= SECTIONS
     assert main(argv) == 0
     warm = json.loads(capsys.readouterr().out)

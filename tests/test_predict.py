@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -155,9 +156,9 @@ class TestCostModel:
         model = LearnedCostModel(ObservationStore(str(tmp_path)))
         bogus = FunctionTask("not a module", "<t>", "s", "f", cost_hint=7.5)
         assert model.cost_for(bogus) == 7.5
-        assert model.fallbacks == 1
+        assert model.counts["fallbacks"] == 1
         model.observe_task(bogus, 1.0)  # ... and observing it is a no-op
-        assert model.recorded == 0
+        assert model.counts["recorded"] == 0
 
     def test_learned_cost_is_in_hint_units(self, tmp_path):
         """After calibration, a task observed at 2x another's seconds
@@ -171,7 +172,7 @@ class TestCostModel:
             model.observe_task(slow, 0.020)
         cost_fast = model.cost_for(fast)
         cost_slow = model.cost_for(slow)
-        assert model.learned >= 2
+        assert model.counts["learned"] >= 2
         assert cost_slow == pytest.approx(2.0 * cost_fast, rel=0.05)
         # unseen tasks still pay their static hint, same currency
         unseen = tasks[2]
@@ -265,7 +266,8 @@ class TestTaskFingerprint:
         parsed = phase1_parse_and_check(source, "s2.w2")
         tasks = compiler._build_tasks(parsed, source, "s2.w2")
         _, served_under = compiler._serve_from_cache(
-            parsed, tasks, StreamingSectionCombiner(parsed.module.sections)
+            parsed, tasks, StreamingSectionCombiner(parsed.module.sections),
+            Counter(),
         )
         assert len(tasks) == 2 and all(t.options is options for t in tasks)
         for task in tasks:
@@ -315,7 +317,7 @@ class TestObservationStoreForm:
         ):
             store._write(obs.fingerprint, data)
             assert store.get(obs.fingerprint) is None
-            assert store.stats.corrupt == index
+            assert store.counts["corrupt"] == index
         # ... and the model carries on from nothing, as for any miss
         model = LearnedCostModel(store)
         store._write(obs.fingerprint, seal_entry("observe", 3, dict(good, count=None), b""))
@@ -458,7 +460,7 @@ class TestOneEstimatePerTask:
         with FabricHub(fallback=fallback) as hub:
             backend = RemoteBackend(hub)
             model, _ = self._compile(tmp_path, backend)
-        assert backend.supervision.degradations >= 1
+        assert backend.counts["degradations"] >= 1
         assert model.asked == {key: 1 for key in self.ESTIMATES}
         assert {t.key: t.cost_hint for t in fallback.tasks} == self.ESTIMATES
 
@@ -534,7 +536,7 @@ class TestWinningAttemptObservation:
                 service.submit(synthetic_program("tiny", 3)), timeout=60.0
             )
         assert job.state == "done"
-        assert model.recorded == 3
+        assert model.counts["recorded"] == 3
         assert service.service_stats()["cost_model"]["recorded"] == 3
 
 

@@ -390,7 +390,7 @@ class TestVariantStoreForm:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
             assert store.get("b" * 64) is None
-            assert store.stats.corrupt == index and not path.exists()
+            assert store.counts["corrupt"] == index and not path.exists()
         store._write("b" * 64, seal_entry("variants", 2, good, b""))
         assert store.get("b" * 64) == VariantScore("o2u8i0", 5, ((1,),), None)
 

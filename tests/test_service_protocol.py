@@ -116,7 +116,7 @@ class TestProtocol:
         client = ServiceClient(address)
         waited = [
             client.submit_and_wait(
-                synthetic_program("small", 4, module_name=f"big{index}"),
+                synthetic_program("small", 5, module_name=f"big{index}"),
                 timeout=60.0,
             )
             for index in range(3)
@@ -141,11 +141,10 @@ class TestProtocol:
         text report."""
         from repro.cli import main
         from repro.fabric import FabricHub, RemoteBackend
-        from repro.parallel import SupervisionStats
 
         address, _ = endpoint
         stats = ServiceClient(address).status()["stats"]
-        assert stats["supervision"] == vars(SupervisionStats())
+        assert stats["supervision"] == {}
         assert "fabric" not in stats
         with FabricHub(lease_ttl=1.0, heartbeat_interval=0.2) as hub:
             fleet = ServiceSocketServer(CompileService(RemoteBackend(hub)))
@@ -158,20 +157,15 @@ class TestProtocol:
                 client.submit_and_wait(SOURCE, timeout=60.0)
                 stats = client.status()["stats"]
                 # no node ever registered: the one wave ran locally
-                assert stats["supervision"]["degradations"] == 1
-                assert stats["supervision"]["retries"] == 0
-                assert stats["fabric"] == {
-                    "live_nodes": 0, "nodes_registered": 0, "nodes_lost": 0,
-                    "waves": 0, "tasks_dispatched": 0, "corrupt_frames": 0,
-                }
+                assert stats["supervision"] == {"degradations": 1}
+                assert stats["fabric"] == {"live_nodes": 0}
                 assert main(["status", "--connect", fleet.address]) == 0
                 (line,) = [
                     line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("supervision: ")
                 ]
-                assert ", 1 degradations, " in line
-                assert ", 0 retries, " in line
-                assert "; fabric: 0 corrupt frames, 0 live nodes, " in line
+                # the nonzero counts only: the idle fleet says nothing
+                assert line == "supervision: 1 degradations"
             finally:
                 fleet.request_shutdown(drain=False)
                 thread.join(timeout=30.0)

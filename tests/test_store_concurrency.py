@@ -69,7 +69,7 @@ def _reader(args):
             text = blob.decode("ascii", errors="replace")
             if not text.startswith(f"{key}:") or not text.endswith("x" * 4096):
                 violations.append((key, text[:64]))
-    return violations, store.stats.corrupt
+    return violations, store.counts["corrupt"]
 
 
 class TestConcurrentWriters:
@@ -115,7 +115,7 @@ class TestQuarantine:
         path = store._entry_path(key)
         path.write_bytes(b"\x00\x01 this is not a pickle")
         assert store.get(key) is None
-        assert store.stats.corrupt == 1
+        assert store.counts["corrupt"] == 1
         assert not path.exists(), "corrupt entry must be quarantined"
         # The slot is reusable immediately.
         store.put(key, _value_for(key, 1))
@@ -129,7 +129,7 @@ class TestQuarantine:
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])  # a crashed writer's stub
         assert store.get(key) is None
-        assert store.stats.corrupt == 1
+        assert store.counts["corrupt"] == 1
         assert not path.exists()
 
     def test_wrong_payload_type_is_quarantined(self, tmp_path):
@@ -140,7 +140,7 @@ class TestQuarantine:
         path = store._entry_path(key)
         assert path.exists()
         assert store.get(key) is None
-        assert store.stats.corrupt == 1
+        assert store.counts["corrupt"] == 1
         assert not path.exists()
 
     def test_entry_of_another_tier_is_quarantined(self, tmp_path):
@@ -154,7 +154,7 @@ class TestQuarantine:
         target.parent.mkdir(parents=True)
         os.replace(numbers._entry_path(key), target)
         assert blobs.get(key) is None
-        assert blobs.stats.corrupt == 1
+        assert blobs.counts["corrupt"] == 1
         assert not target.exists()
 
     def test_flipped_header_or_body_byte_is_quarantined(self, tmp_path):
@@ -169,7 +169,7 @@ class TestQuarantine:
             damaged[position] ^= 0x01
             path.write_bytes(bytes(damaged))
             assert store.get(key) is None
-            assert store.stats.corrupt == corrupt
+            assert store.counts["corrupt"] == corrupt
             assert not path.exists()
 
     def test_pickle_naming_a_foreign_global_never_runs(self, tmp_path):
@@ -185,7 +185,7 @@ class TestQuarantine:
         key = KEYS[5]
         store.put(key, Evil())  # a writer is free to pickle anything
         assert store.get(key) is None
-        assert store.stats.corrupt == 1
+        assert store.counts["corrupt"] == 1
         assert not store._entry_path(key).exists()
         assert not canary.exists(), "restricted unpickler executed a payload"
 
@@ -221,7 +221,7 @@ class TestSizeBound:
             for key in KEYS:
                 store.put(key, _value_for(key, round_no))
         assert len(scans) == 1
-        assert store.stats.evictions == 0
+        assert store.counts["evictions"] == 0
 
     def test_crossing_the_bound_rescans_and_evicts(self, tmp_path, monkeypatch):
         entry = len(_value_for(KEYS[0], 0)) + 256  # body + header, roughly
@@ -230,7 +230,7 @@ class TestSizeBound:
         for key in KEYS:
             store.put(key, _value_for(key, 0))
         assert store.size_bytes() <= 3 * entry
-        assert store.stats.evictions >= len(KEYS) - 3
+        assert store.counts["evictions"] >= len(KEYS) - 3
         assert 1 < len(scans) <= len(KEYS) + 1  # not one per entry evicted
         # The newest entry always survives its own put.
         assert store.get(KEYS[-1]) == _value_for(KEYS[-1], 0)
@@ -246,7 +246,7 @@ class TestSizeBound:
                 writer = first if index % 2 else second
                 writer.put(key, _value_for(key, round_no))
         assert first.size_bytes() <= 4 * entry
-        assert first.stats.evictions + second.stats.evictions > 0
+        assert first.counts["evictions"] + second.counts["evictions"] > 0
 
     def test_entries_of_an_older_format_age_out(self, tmp_path):
         """Every file of the tier counts toward the bound and is evicted
@@ -311,7 +311,7 @@ class TestCollectorPausedAroundUnpickle:
             (gc.enable if before else gc.disable)()
             assert store.get(KEYS[0]) is False  # collector off in the load
             assert gc.isenabled() is before
-        assert store.stats.hits == 2
+        assert store.counts["hits"] == 2
 
     def test_restored_on_miss_and_corrupt_entry(self, tmp_path):
         store = _PickledAnything(tmp_path / "s")
@@ -323,7 +323,7 @@ class TestCollectorPausedAroundUnpickle:
             assert gc.isenabled() is before
         gc.enable()
         assert store.get(KEYS[1]) is None
-        assert store.stats.corrupt == 1
+        assert store.counts["corrupt"] == 1
         assert gc.isenabled()
 
     def test_two_threads_leave_it_as_they_found_it(self, tmp_path):

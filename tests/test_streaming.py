@@ -101,7 +101,7 @@ class TestStreamingBackends:
             backend = SupervisedBackend(inner)
             parallel = ParallelCompiler(backend=backend).compile(SOURCE)
         assert parallel.digest == sequential.digest
-        assert backend.supervision.poisoned_tasks == 0
+        assert backend.counts["poisoned_tasks"] == 0
 
     def test_retrying_backend_streams_and_retries(self):
         # Every crash costs exactly one retry, and a retried task's
@@ -115,8 +115,8 @@ class TestStreamingBackends:
             "a1", "a2", "b1",
         ]
         assert flaky.schedule.fired["crash"] > 0
-        assert backend.supervision.retries == flaky.schedule.fired["crash"]
-        assert backend.supervision.poisoned_tasks == 0
+        assert backend.counts["retries"] == flaky.schedule.fired["crash"]
+        assert backend.counts["poisoned_tasks"] == 0
 
     def test_retrying_backend_delegates_inner_attributes(self):
         flaky = ChaosBackend(SerialBackend(), FaultSchedule(), workers=3)
@@ -143,8 +143,9 @@ class TestStreamingBackends:
         with WarmPoolBackend(max_workers=2) as backend:
             compiler = ParallelCompiler(backend=backend)
             assert compiler.compile(SOURCE).digest == sequential.digest
+            pool = backend._pool
             assert compiler.compile(SOURCE).digest == sequential.digest
-            assert backend.dispatches == 2
+            assert backend._pool is pool
 
 
 class TestStreamingSectionCombiner:

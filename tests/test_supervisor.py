@@ -23,7 +23,6 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import (
     FARM,
     SupervisedBackend,
-    SupervisionStats,
     WorkerHealthTracker,
 )
 from repro.parallel.warm_pool import WarmPoolBackend
@@ -100,19 +99,28 @@ class SlowOnce:
             yield from run_compile_task(task)
 
 
+def supervision_counts(profile):
+    """A profile's ``supervision.*`` counts, under the supervisor's names."""
+    return {
+        name[len("supervision."):]: count
+        for name, count in profile.counts.items()
+        if name.startswith("supervision.")
+    }
+
+
 class TestTransparency:
     def test_no_fault_supervised_is_bit_identical(self):
         backend = supervised()
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        # every counter, each this compile's delta, all zero
-        assert par.profile.supervision == vars(SupervisionStats())
+        # every counter, each this compile's delta, is zero: none shows
+        assert supervision_counts(par.profile) == {}
         assert "supervision:" not in "\n".join(par.report_lines())
 
     def test_unsupervised_profile_not_marked(self):
         par = ParallelCompiler(backend=SerialBackend()).compile(SOURCE)
-        assert par.profile.supervision == {}
+        assert supervision_counts(par.profile) == {}
         assert "supervision:" not in "\n".join(par.report_lines())
 
     def test_report_line_carries_counters(self):
@@ -125,22 +133,23 @@ class TestTransparency:
         compiler = ParallelCompiler(backend=backend)
         first = compiler.compile(SOURCE)
         second = compiler.compile(SOURCE)
-        assert first.profile.supervision == vars(backend.supervision)
-        assert first.profile.supervision["corrupt_payloads"] == 6
+        assert supervision_counts(first.profile) == dict(backend.counts)
+        assert first.profile.counts["supervision.corrupt_payloads"] == 6
         (line,) = [
             line for line in first.report_lines()
             if line.startswith("supervision:")
         ]
-        assert "6 retries" in line and line.endswith(", 6 corrupt payloads")
+        assert line.startswith("supervision: 6 corrupt payloads, ")
+        assert line.endswith(", 6 retries")
         assert " 0 " not in line  # the nonzero counters only
-        assert second.profile.supervision == vars(SupervisionStats())
+        assert supervision_counts(second.profile) == {}
         assert "supervision:" not in "\n".join(second.report_lines())
 
     def test_delegates_inner_attributes(self):
         inner = WarmPoolBackend(max_workers=1)
         wrapped = supervised(inner)
         assert wrapped.is_warm is False
-        assert wrapped.dispatches == 0
+        assert wrapped.worker_count == 1
         wrapped.shutdown()
         with pytest.raises(AttributeError):
             wrapped.definitely_not_an_attribute
@@ -180,7 +189,7 @@ class TestDeadlines:
         wall = time.monotonic() - start
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert backend.supervision.timeouts >= 1
+        assert backend.counts["timeouts"] >= 1
         assert inner.attempts["f5"] == 2
         assert wall < 10.0
 
@@ -192,7 +201,7 @@ class TestDeadlines:
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert backend.supervision.timeouts >= 1
+        assert backend.counts["timeouts"] >= 1
         assert inner.schedule.fired["hang"] >= 1
 
 
@@ -211,8 +220,8 @@ class TestHedging:
         wall = time.monotonic() - start
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert backend.supervision.hedges_launched >= 1
-        assert backend.supervision.hedges_won >= 1
+        assert backend.counts["hedges_launched"] >= 1
+        assert backend.counts["hedges_won"] >= 1
         # the hedge resolved f5 well before the original woke up
         assert wall < 0.8 + 5.0
         # the late original result was deduped, not double-combined
@@ -223,7 +232,7 @@ class TestHedging:
         backend = supervised(inner, task_timeout=0, hedge_after=None)
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
-        assert backend.supervision.hedges_launched == 0
+        assert backend.counts["hedges_launched"] == 0
         assert inner.attempts["f5"] == 1
 
     def test_second_result_for_a_resolved_task_is_counted_never_yielded(self):
@@ -242,7 +251,7 @@ class TestHedging:
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         assert par.digest == SequentialCompiler().compile(SOURCE).digest
         # all six were doubled; the run ends at the last task's first result
-        assert backend.supervision.late_duplicates == 5
+        assert backend.counts["late_duplicates"] == 5
 
 
 class TestHealthTracker:
@@ -319,9 +328,9 @@ class TestQuarantineAndDegradation:
         par =ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
-        assert backend.supervision.quarantines >= 2
-        assert backend.supervision.degradations >= 1
-        assert par.profile.supervision["degradations"] >= 1
+        assert backend.counts["quarantines"] >= 2
+        assert backend.counts["degradations"] >= 1
+        assert par.profile.counts["supervision.degradations"] >= 1
 
     def test_quarantined_workers_are_excluded_from_dispatch(self):
         inner = chaos(workers=3, seed=0, dead_workers=("w1",))
@@ -348,7 +357,7 @@ class TestPoisonIsolation:
         assert par.digest == seq.digest
         assert [f.name for f in par.profile.poisoned_functions()] == ["f2"]
         assert par.profile.failed_functions() == []
-        assert backend.supervision.poisoned_tasks == 1
+        assert backend.counts["poisoned_tasks"] == 1
         assert "[poisoned: isolated in-process]" in "\n".join(
             par.report_lines()
         )
@@ -388,8 +397,8 @@ class TestPoisonIsolation:
         )
         ParallelCompiler(backend=backend).compile(SOURCE)
         # two distinct workers sufficed; no need to burn all 10 attempts
-        assert backend.supervision.poisoned_tasks == 1
-        assert backend.supervision.retries <= 2
+        assert backend.counts["poisoned_tasks"] == 1
+        assert backend.counts["retries"] <= 2
 
 
 class TestResultValidation:
@@ -401,8 +410,8 @@ class TestResultValidation:
         seq = SequentialCompiler().compile(SOURCE)
         assert par.digest == seq.digest
         assert inner.schedule.fired["corrupt"] == 6
-        assert backend.supervision.corrupt_payloads == 6
-        assert par.profile.supervision["corrupt_payloads"] == 6
+        assert backend.counts["corrupt_payloads"] == 6
+        assert par.profile.counts["supervision.corrupt_payloads"] == 6
         # The retried results linked through the runner, not a
         # fallback: every section was clean by the time it combined.
         assert compiler.last_phase4_stats.mode == "parallel"
@@ -487,7 +496,7 @@ class TestSeededChaosEndToEnd:
             if obj.name != "a3":
                 assert obj.digest_text() == seq_objects[obj.name]
         assert [f.name for f in par.profile.failed_functions()] == ["a3"]
-        assert backend.supervision.poisoned_tasks == 1
+        assert backend.counts["poisoned_tasks"] == 1
         assert "poison function is genuinely broken" in par.diagnostics_text
         supervision_line = [
             line for line in par.report_lines() if line.startswith("supervision:")
@@ -569,8 +578,8 @@ class TestChaosCli:
         )
         profile = json.loads(capsys.readouterr().out)["profile"]
         assert code == 0
-        assert profile["supervision"]["poisoned_tasks"] == 1
-        assert profile["supervision"]["retries"] >= 2
+        assert profile["counts"]["supervision.poisoned_tasks"] == 1
+        assert profile["counts"]["supervision.retries"] >= 2
         assert [f["name"] for f in profile["functions"] if f["poisoned"]] == [
             "a3"
         ]

@@ -28,6 +28,7 @@ import pickle
 import pickletools
 import re
 import struct
+import threading
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -136,8 +137,8 @@ def test_the_digest_is_the_hash_of_the_encoded_module(name, tmp_path):
     warm, warm_compiler = cached_compile(tmp_path / "c", source)
     one_edit, edit_compiler = cached_compile(tmp_path / "c", edited)
     assert warm_compiler.last_phase4_stats.mode == "cached"
-    assert one_edit.profile.artifact_cache_hits() > 0
-    assert one_edit.profile.artifact_cache_misses() > 0
+    assert one_edit.profile.counts["artifact_cache.hits"] > 0
+    assert one_edit.profile.counts["artifact_cache.misses"] > 0
     for result, digest in (
         (sequential(source), want),
         (cold, want),
@@ -390,7 +391,8 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
     unpickle, no decoded instruction, no artifact read."""
     source = SESSION[0].source
     cold, _ = cached_compile(tmp_path, source)
-    assert cold.profile.artifact_cache_misses() == 8
+    assert cold.profile.counts["artifact_cache.misses"] == 8
+    sections = len(phase1_parse_and_check(source).module.sections)
 
     refuse_everywhere(monkeypatch, lexer.tokenize, "tokenize")
     for name in ("decode_program", "decode_object_function", "decode_module"):
@@ -416,9 +418,12 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
 
     assert sorted(opened) == ["link", "modules"]
     assert unpickled == []
-    assert compiler.cache.stats.hits + compiler.cache.stats.misses == 0
-    assert warm.profile.artifact_cache_hits() == 8
-    assert warm.profile.artifact_cache_misses() == 0
+    assert compiler.cache.counts["hits"] + compiler.cache.counts["misses"] == 0
+    # what the record answer read: the record and its section programs
+    assert warm.profile.counts == {
+        "module_cache.hits": 1,
+        "link_cache.hits": sections,
+    }
     assert (warm.profile.phase1_mode, warm.profile.phase4_mode) == (
         "cached", "cached",
     )
@@ -451,7 +456,7 @@ def test_the_record_is_keyed_by_what_the_user_hands_in(tmp_path):
     assert len(variants) == 3 + 4
     for text, name, options in variants:
         result, compiler = cached_compile(tmp_path, text, name, options)
-        assert compiler.link_cache.modules.stats.misses == 1, (name, options)
+        assert compiler.link_cache.modules.counts["misses"] == 1, (name, options)
         assert compiler.last_phase1_stats.mode != "cached"
         want = SequentialCompiler(options).compile(text, name).digest
         assert result.digest == want
@@ -544,10 +549,11 @@ def test_a_flawed_record_is_a_counted_miss(flaw, tmp_path):
     modules, sections = compiler.link_cache.modules, compiler.link_cache.sections
     if flaw is missing_link_entry:
         linked = len(phase1_parse_and_check(source).module.sections)
-        assert (modules.stats.hits, sections.stats.misses) == (1, 1 + linked)
+        assert modules.counts["hits"] == 1
+        assert sections.counts["misses"] == 1 + linked
     else:
-        assert (modules.stats.hits, modules.stats.misses) == (0, 1)
-        assert modules.stats.corrupt == 1
+        assert (modules.counts["hits"], modules.counts["misses"]) == (0, 1)
+        assert modules.counts["corrupt"] == 1
     # The ordinary path wrote a good record back: the next one is served.
     again, compiler = cached_compile(tmp_path, source)
     assert compiler.last_phase1_stats.mode == "cached"
@@ -575,11 +581,10 @@ def test_a_one_edit_compile_builds_its_module_from_bytes(tmp_path, monkeypatch):
     )
     result, compiler = cached_compile(tmp_path, SESSION[1].source)
     assert len(sealed) == 1  # by its function master; put writes those bytes
-    stats = compiler.last_phase4_stats
-    assert (stats.mode, stats.link_cache_hits, stats.link_cache_misses) == (
-        "parallel", 1, 0,
-    )
-    assert result.profile.artifact_cache_misses() == 1
+    assert compiler.last_phase4_stats.mode == "parallel"
+    assert result.profile.counts["link_cache.hits"] == 1
+    assert "link_cache.misses" not in result.profile.counts
+    assert result.profile.counts["artifact_cache.misses"] == 1
     assert result.digest == want
 
 
@@ -643,28 +648,28 @@ def test_a_damaged_entry_is_counted_quarantined_and_recompiled(
     result, compiler = cached_compile(tmp_path, source)
 
     assert result.digest == want
-    stats = {
-        "objects": compiler.cache.stats,
-        "parse": compiler.parse_cache.stats,
-        "link": compiler.link_cache.sections.stats,
-        "modules": compiler.link_cache.modules.stats,
+    counts = {
+        "objects": compiler.cache.counts,
+        "parse": compiler.parse_cache.counts,
+        "link": compiler.link_cache.sections.counts,
+        "modules": compiler.link_cache.modules.counts,
     }
-    assert stats[tier].corrupt == 1
+    assert counts[tier]["corrupt"] == 1
     if damage is swap_with_another_tier:
-        assert stats[other_tier].corrupt == 1
-    assert sum(s.corrupt for s in stats.values()) == (
+        assert counts[other_tier]["corrupt"] == 1
+    assert sum(c["corrupt"] for c in counts.values()) == (
         2 if damage is swap_with_another_tier else 1
     )
-    if tier == "objects":
-        assert result.profile.artifact_cache_corrupt == 1
+    # The store counts the damage; the compile counts only its lookups.
+    assert not [name for name in result.profile.counts if "corrupt" in name]
     # Quarantined and written afresh: the next compile is clean and warm.
     again, compiler = cached_compile(tmp_path, source)
     assert again.digest == want
     assert compiler.last_phase4_stats.mode == "cached"
-    assert again.profile.artifact_cache_misses() == 0
-    assert compiler.cache.stats.corrupt == 0
-    assert compiler.parse_cache.stats.corrupt == 0
-    assert compiler.link_cache.stats.corrupt == 0
+    assert "artifact_cache.misses" not in again.profile.counts
+    assert compiler.cache.counts["corrupt"] == 0
+    assert compiler.parse_cache.counts["corrupt"] == 0
+    assert compiler.link_cache.counts["corrupt"] == 0
 
 
 def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
@@ -682,7 +687,7 @@ def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
     victim = entries_of(tmp_path, "parse")[0]
     ParseCache(tmp_path).put(victim.stem, Evil())
     result, compiler = cached_compile(tmp_path, source)
-    assert compiler.parse_cache.stats.corrupt == 1
+    assert compiler.parse_cache.counts["corrupt"] == 1
     assert not canary.exists()
     assert result.digest == want
 
@@ -821,15 +826,9 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
         assert type(served) is FunctionTaskResult
         want = fresh[served.function_name]
         # It is the result its function master sealed, field for field
-        # (but for the per-run state the master strips before writing),
-        # and nothing of it has been decoded...
-        assert served == replace(
-            want,
-            diagnostics=[],
-            report=replace(
-                want.report, phase1_cache_hits=0, phase1_cache_misses=0
-            ),
-        )
+        # (but for the per-run state no entry keeps), and nothing of it
+        # has been decoded...
+        assert served == replace(want, diagnostics=[], phase1_memo_hit=None)
         assert "_obj" not in vars(served)
         assert served.report.bundles == want.obj.bundle_count()
         # ...what it decodes to is the code that was compiled (the
@@ -1058,12 +1057,74 @@ def test_a_report_has_one_dict_form(tmp_path):
     header = entry_header(entries_of(tmp_path, "objects")[0])
     assert set(header["report"]) == {field.name for field in fields(report)}
     document = profile.to_dict()
-    computed = {
-        "total_work", "function_work", "phase1_cache_hits",
-        "phase1_cache_misses", "artifact_cache_hits", "artifact_cache_misses",
-    }
+    computed = {"total_work", "function_work"}
     assert set(document) == {field.name for field in fields(profile)} | computed
     assert document["functions"] == [f.to_dict() for f in profile.functions]
-    assert document["artifact_cache_misses"] == len(profile.functions)
+    assert document["counts"]["artifact_cache.misses"] == len(profile.functions)
     assert "phase4_assembly_ms" not in document
     json.dumps(result.to_dict())  # and all of it is JSON
+
+
+# ---------------------------------------------------------------------------
+# (f) no stored record carries run telemetry; printed counts are events
+# ---------------------------------------------------------------------------
+
+
+def test_no_stored_record_carries_run_telemetry(tmp_path):
+    """What a compile counted is its own, never a fact of what it stored:
+    after a fill and again after a no-edit compile, no ``objects/``
+    header carries a ``*_cache_*`` key, and every report in the
+    ``modules/`` record is the report a fresh compile makes."""
+    source = PROGRAMS["generated_11"]
+    fresh = ParallelCompiler().compile(source).profile.functions
+    for run in ("fill", "no-edit"):
+        cached_compile(tmp_path, source)
+        for path in entries_of(tmp_path, "objects"):
+            header = entry_header(path)
+            keys = [*header, *header["report"]]
+            assert not [key for key in keys if "_cache_" in key], (run, path)
+        (record,) = entries_of(tmp_path, "modules")
+        assert ModuleStore.open(record.read_bytes()).functions == fresh, run
+
+
+def test_printed_counts_are_the_events_that_happened(tmp_path, capsys):
+    """The report's ``supervision:`` line, the tier lines and the
+    ``status`` line print through one renderer: the nonzero counts only."""
+    from repro.parallel import ChaosBackend, FaultSchedule, SupervisedBackend
+    from repro.service import ServiceClient, ServiceSocketServer
+
+    source = PROGRAMS["generated_11"]
+    path = tmp_path / "m.w2"
+    path.write_text(source)
+    compile_argv = ["compile", str(path), "--parallel", "--jobs", "1"]
+    cached = [*compile_argv, "--cache-dir", str(tmp_path / "cache")]
+    for argv in (cached, cached, [*compile_argv, "--no-cache", "--chaos", "5"]):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        counted = [
+            line for line in lines
+            if line.startswith(("supervision:", "artifact cache:",
+                                "parse cache:", "link cache:"))
+        ]
+        assert counted and not [line for line in counted if " 0 " in line]
+    assert counted[0].startswith("supervision: ")  # the chaos compile's
+
+    flaky = ChaosBackend(
+        SerialBackend(), FaultSchedule(1, {"crash": 1.0}, {"crash": 1})
+    )
+    backend = SupervisedBackend(flaky, hedge_after=None)
+    backend.health.quarantine_after = 100
+    server = ServiceSocketServer(CompileService(backend))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    try:
+        ServiceClient(server.address).submit_and_wait(source, timeout=60.0)
+        assert main(["status", "--connect", server.address]) == 0
+    finally:
+        server.request_shutdown(drain=False)
+        thread.join(timeout=30.0)
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("supervision: ")
+    ]
+    assert line == f"supervision: {flaky.schedule.fired['crash']} retries"

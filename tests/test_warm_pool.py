@@ -20,7 +20,7 @@ from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
 from repro.parallel.schedule import ast_cost_hint, batch_tasks_by_cost
-from repro.parallel.supervisor import SupervisedBackend, SupervisionStats
+from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 from repro.workloads.synthetic import synthetic_program
 from repro.workloads.user_program import user_program
@@ -127,15 +127,14 @@ class TestPoolPersistence:
             assert first_pool is not None
             compiler.compile(SMALL)
             assert backend._pool is first_pool
-            assert backend.dispatches == 2
 
     def test_second_compile_is_served_from_worker_caches(self):
         with WarmPoolBackend(max_workers=1) as backend:
             compiler = ParallelCompiler(backend=backend)
             compiler.compile(SMALL)
             second = compiler.compile(SMALL)
-        assert second.profile.phase1_cache_hits() == 3
-        assert second.profile.phase1_cache_misses() == 0
+        assert second.profile.counts["phase1_memo.hits"] == 3
+        assert "phase1_memo.misses" not in second.profile.counts
 
     def test_restart_after_shutdown(self):
         backend = WarmPoolBackend(max_workers=1)
@@ -161,8 +160,8 @@ class TestPoolPersistence:
             result = compiler.compile(SMALL)
             assert backend._pool is not broken
         assert result.digest == SequentialCompiler().compile(SMALL).digest
-        supervision = result.profile.supervision
-        assert (supervision["retries"], supervision["degradations"]) == (3, 0)
+        assert result.profile.counts["supervision.retries"] == 3
+        assert "supervision.degradations" not in result.profile.counts
 
     def test_task_errors_propagate_without_retry(self):
         """A task that raises is not a crash: the pool re-raises it once
@@ -177,8 +176,8 @@ class TestPoolPersistence:
             (stub,) = supervised.run_tasks_streaming([task])
             assert backend._pool is pool
         assert stub.report.failed == 1
-        stats = supervised.supervision
-        assert (stats.retries, stats.poisoned_tasks) == (2, 1)
+        counts = supervised.counts
+        assert (counts["retries"], counts["poisoned_tasks"]) == (2, 1)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
@@ -288,9 +287,9 @@ class TestWorkerCrashMidCompile:
         report = json.loads(capsys.readouterr().out)
         assert (tmp_path / "crashed").exists()
         assert report["digest"] == SequentialCompiler().compile(SIX).digest
-        supervision = report["profile"]["supervision"]
-        assert supervision["retries"] >= 1
-        assert supervision["degradations"] == 0
+        counts = report["profile"]["counts"]
+        assert counts["supervision.retries"] >= 1
+        assert "supervision.degradations" not in counts
 
     def test_serve_job(self, monkeypatch, tmp_path):
         from repro.service import CompileService
@@ -304,7 +303,7 @@ class TestWorkerCrashMidCompile:
         assert job.state == "done", job.error
         assert job.digest == SequentialCompiler().compile(SIX).digest
         assert supervision["retries"] >= 1
-        assert supervision["degradations"] == 0
+        assert "degradations" not in supervision
 
     def test_a_worker_nodes_pool(self, monkeypatch, tmp_path):
         """The node's pool reports the crash instead of re-running the
@@ -322,5 +321,6 @@ class TestWorkerCrashMidCompile:
             finally:
                 agent.stop()
         assert result.digest == SequentialCompiler().compile(SIX).digest
-        assert backend.supervision == SupervisionStats(retries=1)
-        assert (agent.tasks_failed, hub.stats.tasks_dispatched) == (1, 7)
+        assert backend.counts == dict(retries=1)
+        assert agent.counts["tasks_failed"] == 1
+        assert hub.counts["tasks_dispatched"] == 7
