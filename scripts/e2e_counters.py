@@ -19,14 +19,15 @@ session's edits leave the object code as it was).  A no-edit compile
 is 2 lookups, both hits: the record and its one section program (it
 was 17 before the module record was keyed by the source text: 8 parse
 entries, 8 artifacts, the module).  Hits 2*7 + 3*2 = 20 of
-10 + 2*10 + 3*2 = 36.  The leg leaves 142,068 bytes on disk (143,940
-while a function's report carried four cache-telemetry counts; 144,480
+10 + 2*10 + 3*2 = 36.  The leg leaves 141,186 bytes on disk (142,068
+while a function's report carried two variant-search fields; 143,940
+while it also carried four cache-telemetry counts; 144,480
 while a parse entry also stored its window's base position and
 filename; 152,780 while the module tier stored whole modules; pickled
 entries: 378,352), held under a ceiling.  serve_mix's 26
-tasks send back 95,892 bytes of results (97,894 with that telemetry on
-each report) — a result is its encoded code
-and a few flat fields (as pickled object graphs: 539,834) — also held
+tasks send back 94,930 bytes of results (95,892 with the search
+fields on each report, 97,894 with the telemetry too) — a result is
+its encoded code and a few flat fields (as pickled object graphs: 539,834) — also held
 under a ceiling.
 
 The work the two cold workloads do is pinned exactly (``WORK``): tokens

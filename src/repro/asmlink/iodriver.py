@@ -26,15 +26,6 @@ class CellIOProfile:
     static_receives: int = 0
     static_sends: int = 0
 
-    @property
-    def is_source_candidate(self) -> bool:
-        return self.static_receives > 0
-
-    @property
-    def is_sink_candidate(self) -> bool:
-        return self.static_sends > 0
-
-
 @dataclass
 class IODriver:
     """Host-side driver descriptor for a whole download module."""

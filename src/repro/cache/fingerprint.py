@@ -46,7 +46,8 @@ from ..options import CompileOptions
 #: in their order.
 #: 7: four hashed fields — the unit of dispatch is no option (§3.1).
 #: 8: a result's report carries no cache telemetry.
-CACHE_SCHEMA_VERSION = 8
+#: 9: a result's report carries no search fields.
+CACHE_SCHEMA_VERSION = 9
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

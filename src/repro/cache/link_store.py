@@ -52,7 +52,8 @@ from .store import DEFAULT_MAX_BYTES, FactsCodec, Store
 #: 3: the payload digests in a key are hashes of the encoded functions.
 #: 4: a module entry is a record keyed by the source text, not the module.
 #: 5: a record's reports carry no cache telemetry.
-LINK_SCHEMA_VERSION = 5
+#: 6: a record's reports carry no search fields.
+LINK_SCHEMA_VERSION = 6
 
 
 def link_salt() -> str:

@@ -258,30 +258,7 @@ def run_search(args) -> int:
     finally:
         stack.shutdown_backend(backend)
 
-    notes = []
-    if outcome.abstained:
-        notes.append(
-            "search abstained (baseline failed to simulate: "
-            f"{outcome.abstained}); shipping the standard compile"
-        )
-    elif not outcome.verified:
-        notes.append(
-            "search winners failed whole-module verification; "
-            "shipping the baseline"
-        )
-    summary = {
-        "verified": outcome.verified,
-        "abstained": outcome.abstained,
-        "space": outcome.space_keys,
-        "input_digest": outcome.input_digest,
-        "baseline_cycles": outcome.baseline_cycles,
-        "module_cycles": outcome.module_cycles,
-        "cycles_saved": outcome.cycles_saved,
-        "winners": {
-            f"{section}.{name}": key
-            for (section, name), key in sorted(outcome.winners.items())
-        },
-    }
     return emit_result(
-        args, outcome.result, caches, {"search": summary}, notes
+        args, outcome.result, caches, {"search": outcome.to_dict()},
+        outcome.report_lines(),
     )

@@ -63,11 +63,6 @@ def register_serve(sub):
         "for fair-share ordering, LPT batch packing, and the "
         "supervisor's deadlines; scheduling only — results are unchanged",
     )
-    parser.add_argument(
-        "--no-speculation", action="store_true",
-        help="with --predict: keep the learned cost model but refuse "
-        "'warpcc watch' speculative precompiles",
-    )
     parser.set_defaults(run=run_serve)
     return parser
 
@@ -125,7 +120,7 @@ def run_serve(args) -> int:
             per_tenant_inflight=args.per_tenant,
             tenant_weights=weights,
             cost_model=cost_model,
-            speculation=args.predict and not args.no_speculation,
+            speculation=args.predict,
         )
         server = ServiceSocketServer(
             service, host=args.host, port=args.port
@@ -145,12 +140,8 @@ def run_serve(args) -> int:
                 flush=True,
             )
         if cost_model is not None:
-            speculation_state = (
-                "off" if args.no_speculation else "on"
-            )
             print(
-                f"predictive scheduling on (speculation "
-                f"{speculation_state}); editors: "
+                "predictive scheduling on (speculation on); editors: "
                 f"warpcc watch FILE --connect {server.address}",
                 flush=True,
             )

@@ -43,11 +43,6 @@ class CompileSpan:
     compute_start: float  # after startup (download + init + re-parse)
     end: float
 
-    @property
-    def startup_seconds(self) -> float:
-        return self.compute_start - self.start
-
-
 @dataclass
 class TimingReport:
     """Result of one simulated compilation."""

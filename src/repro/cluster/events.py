@@ -30,9 +30,6 @@ class Simulator:
             self._queue, (self.now + delay, next(self._sequence), callback)
         )
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        self.schedule(max(0.0, time - self.now), callback)
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue (or stop at ``until``); returns the final time."""
         self._running = True

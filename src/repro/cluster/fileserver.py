@@ -28,7 +28,3 @@ class FileServer:
     @property
     def busy_time(self) -> float:
         return self.resource.busy_time
-
-    @property
-    def active_requests(self) -> int:
-        return self.resource.active_tasks

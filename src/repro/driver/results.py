@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Union
 
 from ..asmlink.objformat import DownloadModule, ObjectFunction
 
@@ -48,11 +48,6 @@ class FunctionReport:
     pipelined_loops: int
     initiation_intervals: List[int] = field(default_factory=list)
     frame_words: int = 0
-    #: variant search: the winning config's key (None outside search
-    #: mode) and the simulated cycle count of the module with this
-    #: function's winner swapped in (None when never simulated).
-    winner_config: Optional[str] = None
-    simulated_cycles: Optional[int] = None
     #: supervision flags (0/1): ``poisoned`` means the task was pulled
     #: out of the farm after repeated failures and compiled in-process;
     #: ``failed`` means even the in-process compile failed, so the
@@ -111,20 +106,6 @@ class WorkProfile:
     #: ``module_cache``), ``phase1_memo.*`` for the workers' whole-module
     #: memo, ``supervision.<counter>`` for its supervisor's delta
     counts: Dict[str, int] = field(default_factory=dict)
-    #: variant-search counters (all zero / empty outside ``warpcc
-    #: search``).  ``search_wins`` maps a config key ("o2u64i0") to how
-    #: many functions it won; cycle counts are whole-module simulated
-    #: cycles over the search's input set.
-    searched: bool = False
-    search_space: List[str] = field(default_factory=list)
-    search_variants_simulated: int = 0
-    search_variants_cached: int = 0
-    search_variants_identical: int = 0
-    search_variants_disqualified: int = 0
-    search_wins: Dict[str, int] = field(default_factory=dict)
-    search_baseline_cycles: int = 0
-    search_module_cycles: int = 0
-    search_cycles_saved: int = 0
 
     def function_work(self) -> int:
         return sum(f.work_units for f in self.functions)
@@ -191,14 +172,6 @@ class CompilationResult:
             ii_text = (
                 f" II={fn.initiation_intervals}" if fn.initiation_intervals else ""
             )
-            cycles_text = (
-                f" ~{fn.simulated_cycles} cycles"
-                if fn.simulated_cycles is not None
-                else ""
-            )
-            winner_text = (
-                f" [{fn.winner_config}]" if fn.winner_config else ""
-            )
             mark = ""
             if fn.failed:
                 mark = " [POISONED: no object code]"
@@ -208,23 +181,7 @@ class CompilationResult:
                 f"  {fn.section_name}.{fn.name}: {fn.source_lines} lines, "
                 f"{fn.work_units} work units, {fn.bundles} bundles, "
                 f"{fn.pipelined_loops} pipelined loop(s)"
-                f"{ii_text}{cycles_text}{winner_text}{mark}"
-            )
-        if self.profile.searched:
-            wins = ", ".join(
-                f"{key} x{count}"
-                for key, count in sorted(self.profile.search_wins.items())
-            )
-            lines.append(
-                f"search: {len(self.profile.search_space)} config(s), "
-                f"baseline {self.profile.search_baseline_cycles} cycles -> "
-                f"{self.profile.search_module_cycles} cycles "
-                f"(saved {self.profile.search_cycles_saved}); "
-                f"{self.profile.search_variants_simulated} simulated, "
-                f"{self.profile.search_variants_cached} cached, "
-                f"{self.profile.search_variants_identical} identical, "
-                f"{self.profile.search_variants_disqualified} disqualified"
-                + (f"; wins: {wins}" if wins else "")
+                f"{ii_text}{mark}"
             )
         happened = render_counts({
             name[len("supervision."):]: count

@@ -22,7 +22,6 @@ from .values import (
     IR_INT,
     VReg,
     Value,
-    const_float,
     const_int,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "VReg",
     "Value",
     "compute_dominators",
-    "const_float",
     "const_int",
     "evaluate_constant",
     "find_loops",

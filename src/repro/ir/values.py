@@ -62,12 +62,3 @@ class FrameArray:
 
 def const_int(value: int) -> Const:
     return Const(int(value), IR_INT)
-
-
-def const_float(value: float) -> Const:
-    return Const(float(value), IR_FLOAT)
-
-
-def type_of(value: Value) -> str:
-    """The scalar IR type of an operand."""
-    return value.type

@@ -121,6 +121,3 @@ class WarpCellModel:
         if bank == "f":
             return self.float_registers
         raise ValueError(f"unknown register bank {bank!r}")
-
-    def issue_slots(self):
-        return list(FUClass)

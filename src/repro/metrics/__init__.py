@@ -12,7 +12,6 @@ from .job_gantt import (
     JobSpan,
     assign_slots,
     render_job_gantt,
-    slot_utilization,
 )
 from .overhead import OverheadBreakdown, compute_overhead
 from .series import Figure, Series
@@ -33,7 +32,6 @@ __all__ = [
     "profile_for",
     "render_gantt",
     "render_job_gantt",
-    "slot_utilization",
     "speedup_of",
     "user_program_profile",
     "utilization",

@@ -133,30 +133,3 @@ def render_job_gantt(
     )
     lines.append(f"jobs: {legend}")
     return "\n".join(lines)
-
-
-def slot_utilization(
-    spans: Sequence[JobSpan], slots: Optional[int] = None
-) -> float:
-    """Busy time over capacity for the rendered slot assignment.
-
-    Capacity is ``lanes * (last end - first start)``; busy time is the
-    per-lane union of span intervals, so overlapping spans squeezed
-    into one lane (batched dispatch) are not double-counted.
-    """
-    if not spans:
-        return 0.0
-    t0 = min(span.start for span in spans)
-    t1 = max(span.end for span in spans)
-    if t1 <= t0:
-        return 0.0
-    lanes = assign_slots(spans, slots=slots)
-    busy = 0.0
-    for lane in lanes:
-        cursor = t0
-        for span in sorted(lane, key=lambda s: (s.start, s.end)):
-            start = max(span.start, cursor)
-            if span.end > start:
-                busy += span.end - start
-                cursor = span.end
-    return busy / (len(lanes) * (t1 - t0))

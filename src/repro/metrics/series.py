@@ -9,7 +9,7 @@ paper's evaluation section.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 
 @dataclass
@@ -21,10 +21,6 @@ class Series:
 
     def add(self, x, y: float) -> None:
         self.points[x] = y
-
-    def ys(self, xs: Sequence) -> List[float]:
-        return [self.points[x] for x in xs]
-
 
 @dataclass
 class Figure:

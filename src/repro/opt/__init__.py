@@ -1,4 +1,4 @@
-"""Optimizer: local optimizations, dataflow analyses, and loop transforms."""
+"""Optimizer: local passes, liveness, dependence analysis, loop transforms."""
 
 from .copyprop import propagate_copies
 from .cse import eliminate_common_subexpressions
@@ -6,12 +6,8 @@ from .dataflow import (
     BlockFacts,
     facts_of,
     mask_of,
-    solve_backward,
     solve_backward_masks,
     solve_backward_sets,
-    solve_forward,
-    solve_forward_masks,
-    solve_forward_sets,
     unpack_solution,
 )
 from .dce import eliminate_dead_code
@@ -34,7 +30,6 @@ from .inline import inline_calls_in_function, inline_calls_in_module
 from .licm import hoist_loop_invariants
 from .liveness import block_use_def, live_variables
 from .pass_manager import PassManager, PassStats
-from .reaching import ReachingDefinitions, reaching_definitions
 from .simplify import simplify_control_flow
 from .unroll import unroll_constant_loops
 
@@ -48,7 +43,6 @@ __all__ = [
     "OUTPUT",
     "PassManager",
     "PassStats",
-    "ReachingDefinitions",
     "Subscript",
     "TRUE",
     "block_use_def",
@@ -66,14 +60,9 @@ __all__ = [
     "mask_of",
     "propagate_constants_globally",
     "propagate_copies",
-    "reaching_definitions",
     "simplify_control_flow",
-    "solve_backward",
     "solve_backward_masks",
     "solve_backward_sets",
-    "solve_forward",
-    "solve_forward_masks",
-    "solve_forward_sets",
     "unpack_solution",
     "unroll_constant_loops",
 ]

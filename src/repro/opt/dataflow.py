@@ -1,20 +1,17 @@
-"""Generic iterative dataflow framework over basic blocks.
+"""Backward iterative dataflow over basic blocks, on int bitsets.
 
-Solves forward and backward set problems with gen/kill transfer functions
-using a worklist.  Facts are numbered once per function and per-block
-sets are packed into Python ints used as bitsets: a union is ``|``, a
-difference is ``& ~``, and the convergence test is one int comparison —
-the inner loop moves a machine word at a time instead of hashing
-frozenset elements.  The public API is unchanged: callers still pass
-frozensets of hashable facts (virtual registers for liveness,
-(register, definition-site) pairs for reaching definitions) and receive
+:func:`solve_backward_masks` solves a backward may-problem with gen/kill
+transfer functions using a worklist.  Facts are numbered once per
+function (:func:`mask_of`) and per-block sets are Python ints used as
+bitsets: a union is ``|``, a difference is ``& ~``, and the convergence
+test is one int comparison — the inner loop moves a machine word at a
+time instead of hashing frozenset elements.  Liveness and dead-code
+elimination number their own facts (virtual registers) and call the
+kernel directly; :func:`unpack_solution` turns a mask solution back into
 a :class:`BlockFacts` of frozensets.
 
-Analyses that already number their own facts (liveness, reaching
-definitions) skip the packing step and call the mask kernels
-(:func:`solve_forward_masks` / :func:`solve_backward_masks`) directly.
-The original frozenset solvers are kept as :func:`solve_forward_sets` /
-:func:`solve_backward_sets` for differential testing and benchmarking.
+The original frozenset solver is kept as :func:`solve_backward_sets` for
+differential testing and benchmarking.
 """
 
 from __future__ import annotations
@@ -71,42 +68,6 @@ def facts_of(mask: int, universe: List[Fact]) -> FactSet:
         mask >>= 64
         base += 64
     return frozenset(out)
-
-
-def solve_forward_masks(
-    function: FunctionIR,
-    gen: MaskFacts,
-    kill: MaskFacts,
-    boundary: int = 0,
-) -> Tuple[MaskFacts, MaskFacts]:
-    """Forward may-analysis over int bitsets (the hot kernel):
-    out = gen | (in & ~kill), in = OR of predecessors' out."""
-    preds = function.predecessors()
-    names = [b.name for b in function.blocks]
-    succs = {b.name: b.successors() for b in function.blocks}
-    entry: MaskFacts = {n: 0 for n in names}
-    exit_: MaskFacts = {n: 0 for n in names}
-    entry_name = function.entry.name
-    entry[entry_name] = boundary
-
-    worklist = deque(names)
-    queued = set(names)
-    while worklist:
-        name = worklist.popleft()
-        queued.discard(name)
-        if name != entry_name:
-            merged = 0
-            for pred in preds[name]:
-                merged |= exit_[pred]
-            entry[name] = merged
-        new_exit = gen[name] | (entry[name] & ~kill[name])
-        if new_exit != exit_[name]:
-            exit_[name] = new_exit
-            for succ in succs[name]:
-                if succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
-    return entry, exit_
 
 
 def solve_backward_masks(
@@ -171,81 +132,11 @@ def unpack_solution(
     )
 
 
-def _solve_packed(function, gen, kill, boundary, kernel) -> BlockFacts:
-    """Number facts, run the mask kernel, unpack back to frozensets."""
-    index: Dict[Fact, int] = {}
-    names = [b.name for b in function.blocks]
-    gen_m = {n: mask_of(gen[n], index) for n in names}
-    kill_m = {n: mask_of(kill[n], index) for n in names}
-    boundary_m = mask_of(boundary, index)
-    entry_m, exit_m = kernel(function, gen_m, kill_m, boundary_m)
-    return unpack_solution(entry_m, exit_m, list(index))
-
-
-def solve_forward(
-    function: FunctionIR,
-    gen: Dict[str, FactSet],
-    kill: Dict[str, FactSet],
-    boundary: FactSet = frozenset(),
-) -> BlockFacts:
-    """Forward may-analysis: out = gen ∪ (in − kill), in = ∪ preds' out."""
-    return _solve_packed(function, gen, kill, boundary, solve_forward_masks)
-
-
-def solve_backward(
-    function: FunctionIR,
-    gen: Dict[str, FactSet],
-    kill: Dict[str, FactSet],
-    boundary: FactSet = frozenset(),
-) -> BlockFacts:
-    """Backward may-analysis: in = gen ∪ (out − kill), out = ∪ succs' in.
-
-    ``boundary`` seeds the out-set of every exit block (blocks with no
-    successors) — e.g. registers observable after return (none, normally).
-    """
-    return _solve_packed(function, gen, kill, boundary, solve_backward_masks)
-
-
 # ---------------------------------------------------------------------------
-# Reference frozenset solvers.  Kept verbatim for differential tests
+# Reference frozenset solver.  Kept verbatim for differential tests
 # (bitset solution == set solution on every CFG) and for the benchmark
-# that documents the bitset kernels' speedup; not used on the hot path.
+# that documents the bitset kernel's speedup; not used on the hot path.
 # ---------------------------------------------------------------------------
-
-
-def solve_forward_sets(
-    function: FunctionIR,
-    gen: Dict[str, FactSet],
-    kill: Dict[str, FactSet],
-    boundary: FactSet = frozenset(),
-) -> BlockFacts:
-    """Reference forward solver over frozensets (see module docstring)."""
-    preds = function.predecessors()
-    names = [b.name for b in function.blocks]
-    entry: Dict[str, FactSet] = {n: frozenset() for n in names}
-    exit_: Dict[str, FactSet] = {n: frozenset() for n in names}
-    entry[function.entry.name] = boundary
-
-    worklist: List[str] = list(names)
-    in_worklist = set(worklist)
-    while worklist:
-        name = worklist.pop(0)
-        in_worklist.discard(name)
-        if name != function.entry.name:
-            merged: FactSet = frozenset().union(
-                *(exit_[p] for p in preds[name])
-            ) if preds[name] else frozenset()
-            entry[name] = merged
-        new_exit = gen[name] | (entry[name] - kill[name])
-        if new_exit != exit_[name]:
-            exit_[name] = new_exit
-            for block in function.blocks:
-                if block.name == name:
-                    for succ in block.successors():
-                        if succ not in in_worklist:
-                            worklist.append(succ)
-                            in_worklist.add(succ)
-    return BlockFacts(entry=entry, exit=exit_)
 
 
 def solve_backward_sets(

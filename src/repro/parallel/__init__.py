@@ -18,7 +18,6 @@ from .schedule import (
     grouped_lpt_assignment,
     lines_and_nesting_cost,
     one_function_per_processor,
-    work_units_cost,
 )
 from .supervisor import SupervisedBackend, WorkerHealthTracker
 from .warm_pool import WarmPoolBackend
@@ -44,5 +43,4 @@ __all__ = [
     "one_function_per_processor",
     "simulate_parallel_make",
     "stream_task_results",
-    "work_units_cost",
 ]

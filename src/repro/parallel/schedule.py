@@ -44,21 +44,11 @@ class Assignment:
                 return machine
         raise KeyError(f"function {function_index} not assigned")
 
-    def nonempty_machines(self) -> int:
-        return sum(1 for tasks in self.per_machine if tasks)
-
-
 def lines_and_nesting_cost(report: FunctionReport) -> float:
     """The paper's §4.3 heuristic: lines of code combined with loop
     nesting.  ``loop_weight`` is instruction count scaled by 4**depth, so
     blending it with raw lines captures both size and nest depth."""
     return report.source_lines + 0.05 * report.loop_weight
-
-
-def work_units_cost(report: FunctionReport) -> float:
-    """An oracle estimator (exact measured work); used in ablations to
-    bound how much better a perfect estimator could do."""
-    return float(report.work_units)
 
 
 def _ast_loop_weight(stmts: List[ast.Stmt], depth: int = 0) -> int:

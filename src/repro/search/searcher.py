@@ -35,8 +35,8 @@ exploits all three —
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..asmlink.download import module_digest, module_size_words
@@ -69,7 +69,8 @@ CompilerFactory = Callable[[VariantConfig], ParallelCompiler]
 
 @dataclass
 class SearchOutcome:
-    """Everything ``warpcc search`` knows when it finishes."""
+    """Everything ``warpcc search`` knows when it finishes — the one
+    record of a search's results (the compile reports carry none)."""
 
     #: what ships: the winner module when verified, else the baseline.
     result: CompilationResult
@@ -84,6 +85,9 @@ class SearchOutcome:
     disqualified: List[Tuple[str, str, str]] = field(default_factory=list)
     baseline_cycles: Optional[int] = None
     module_cycles: Optional[int] = None
+    #: per-function simulated cycles of the module with that function's
+    #: winner swapped in (the baseline's cycles for a reference winner).
+    cycles: Dict[FnKey, int] = field(default_factory=dict)
     #: False when the final whole-module re-simulation rejected the
     #: winner (or the baseline itself would not simulate) and the
     #: baseline shipped instead.
@@ -99,6 +103,70 @@ class SearchOutcome:
         if self.baseline_cycles is None or self.module_cycles is None:
             return 0
         return self.baseline_cycles - self.module_cycles
+
+    def wins(self) -> Dict[str, int]:
+        """Config key -> how many functions it won."""
+        return dict(sorted(Counter(self.winners.values()).items()))
+
+    def report_lines(self) -> List[str]:
+        """The search's text report: a summary line, each function's
+        winner and cycles, and why the baseline shipped if it did."""
+        wins = ", ".join(
+            f"{key} x{count}" for key, count in self.wins().items()
+        )
+        lines = [
+            f"search: {len(self.space_keys)} config(s), "
+            f"baseline {self.baseline_cycles or 0} cycles -> "
+            f"{self.module_cycles or 0} cycles "
+            f"(saved {self.cycles_saved}); "
+            f"{len(self.simulated)} simulated, {len(self.cached)} cached, "
+            f"{len(self.identical)} identical, "
+            f"{len(self.disqualified)} disqualified"
+            + (f"; wins: {wins}" if wins else "")
+        ]
+        lines.extend(
+            f"  {section}.{name}: {key} ~{self.cycles[section, name]} cycles"
+            for (section, name), key in self.winners.items()
+        )
+        if self.abstained:
+            lines.append(
+                "search abstained (baseline failed to simulate: "
+                f"{self.abstained}); shipping the standard compile"
+            )
+        elif not self.verified:
+            lines.append(
+                "search winners failed whole-module verification; "
+                "shipping the baseline"
+            )
+        return lines
+
+    def to_dict(self) -> Dict:
+        """The ``search`` block of ``warpcc search --json``: every number
+        the text report prints."""
+        return {
+            "verified": self.verified,
+            "abstained": self.abstained,
+            "space": self.space_keys,
+            "input_digest": self.input_digest,
+            "baseline_cycles": self.baseline_cycles,
+            "module_cycles": self.module_cycles,
+            "cycles_saved": self.cycles_saved,
+            "winners": {
+                f"{section}.{name}": key
+                for (section, name), key in sorted(self.winners.items())
+            },
+            "cycles": {
+                f"{section}.{name}": cycles
+                for (section, name), cycles in sorted(self.cycles.items())
+            },
+            "wins": self.wins(),
+            "variants": {
+                "simulated": len(self.simulated),
+                "cached": len(self.cached),
+                "identical": len(self.identical),
+                "disqualified": len(self.disqualified),
+            },
+        }
 
 
 def _objects_by_section(
@@ -146,8 +214,6 @@ def search_module(
     options: CompileOptions = CompileOptions(),
     backend=None,
     cache=None,
-    parse_cache=None,
-    link_cache=None,
     variant_store: Optional[VariantStore] = None,
     max_cycles: int = DEFAULT_SCORE_MAX_CYCLES,
     compiler_factory: Optional[CompilerFactory] = None,
@@ -168,14 +234,10 @@ def search_module(
         input_sets = seeded_input_sets(input_seed)
     input_sets = [list(s) for s in input_sets]
     input_digest = input_set_digest(input_sets)
-    # By default every config shares the caller's backend and cache tiers.
+    # By default every config shares the caller's backend and cache.
     factory = compiler_factory or (
         lambda config: ParallelCompiler(
-            backend,
-            config.options(options),
-            cache=cache,
-            parse_cache=parse_cache,
-            link_cache=link_cache,
+            backend, config.options(options), cache=cache
         )
     )
 
@@ -203,7 +265,6 @@ def search_module(
     if not baseline_score.ok:
         # No semantic signature to judge against: abstain, ship baseline.
         outcome.abstained = baseline_score.error
-        _annotate(outcome, space, baseline, {}, results)
         return outcome
     outcome.baseline_cycles = baseline_score.cycles
 
@@ -266,17 +327,14 @@ def search_module(
             entries.append((score.cycles, index, config_key))
         candidates[fn_key] = entries
 
-    winners: Dict[FnKey, str] = {}
-    winner_cycles: Dict[FnKey, int] = {}
     for fn_key, entries in candidates.items():
         cycles, _, config_key = min(entries)
-        winners[fn_key] = config_key
-        winner_cycles[fn_key] = cycles
-    outcome.winners = winners
+        outcome.winners[fn_key] = config_key
+        outcome.cycles[fn_key] = cycles
 
     changed = {
         fn_key: key
-        for fn_key, key in winners.items()
+        for fn_key, key in outcome.winners.items()
         if key != space.reference.key()
     }
     if changed:
@@ -304,37 +362,41 @@ def search_module(
                 for section in parsed.module.sections
                 for obj in final_objects[section.name]
             ]
+            # A winner's report comes from its config's compile, so
+            # bundles and IIs describe the code that ships.
+            shipped = {
+                report.key: report
+                for key in set(changed.values())
+                for report in results[key].profile.functions
+                if changed.get(report.key) == key
+            }
             outcome.result = CompilationResult(
                 module_name=baseline.module_name,
                 download=final_module,
                 digest=module_digest(final_module),
                 diagnostics_text=baseline.diagnostics_text,
-                profile=copy.deepcopy(baseline.profile),
+                profile=replace(
+                    baseline.profile,
+                    functions=[
+                        shipped.get(report.key, report)
+                        for report in baseline.profile.functions
+                    ],
+                    download_words=module_size_words(final_module),
+                ),
                 objects=flat,
-            )
-            outcome.result.profile.download_words = module_size_words(
-                final_module
             )
         else:
             # Interaction between winners broke the per-swap prediction:
             # ship the baseline, report every winner as the reference.
-            outcome.winners = {
-                fn_key: space.reference.key() for fn_key in winners
-            }
-            winner_cycles = {
-                fn_key: baseline_score.cycles for fn_key in winners
-            }
+            for fn_key in outcome.winners:
+                outcome.winners[fn_key] = space.reference.key()
+                outcome.cycles[fn_key] = baseline_score.cycles
             outcome.module_cycles = baseline_score.cycles
-            outcome.result = baseline
     else:
         # Every function kept the reference config; the baseline module
         # *is* the winner module, already simulated and trivially valid.
         outcome.verified = True
         outcome.module_cycles = baseline_score.cycles
-
-    _annotate(
-        outcome, space, baseline, winner_cycles, results
-    )
     return outcome
 
 
@@ -393,63 +455,3 @@ def _score_variant(
         except Exception:  # noqa: BLE001 - cache write is best-effort
             pass
     return score
-
-
-def _annotate(
-    outcome: SearchOutcome,
-    space: VariantSpace,
-    baseline: CompilationResult,
-    winner_cycles: Dict[FnKey, int],
-    results: Dict[str, CompilationResult],
-) -> None:
-    """Fold the search's telemetry into the shipped result's profile.
-
-    Function reports for non-reference winners are taken from that
-    config's compile, so bundle counts and initiation intervals describe
-    the code that actually ships.
-    """
-    profile = outcome.result.profile
-    if profile is baseline.profile and outcome.result is baseline:
-        # Shipping the baseline: annotate a copy, not the compile's own
-        # profile object (search metadata must not leak into plain
-        # compiles that share the CompilationResult).
-        outcome.result = CompilationResult(
-            module_name=baseline.module_name,
-            download=baseline.download,
-            digest=baseline.digest,
-            diagnostics_text=baseline.diagnostics_text,
-            profile=copy.deepcopy(baseline.profile),
-            objects=list(baseline.objects),
-        )
-        profile = outcome.result.profile
-    profile.searched = True
-    profile.search_space = list(outcome.space_keys)
-    profile.search_variants_simulated = len(outcome.simulated)
-    profile.search_variants_cached = len(outcome.cached)
-    profile.search_variants_identical = len(outcome.identical)
-    profile.search_variants_disqualified = len(outcome.disqualified)
-    wins: Dict[str, int] = {}
-    for config_key in outcome.winners.values():
-        wins[config_key] = wins.get(config_key, 0) + 1
-    profile.search_wins = wins
-    profile.search_baseline_cycles = outcome.baseline_cycles or 0
-    profile.search_module_cycles = outcome.module_cycles or 0
-    profile.search_cycles_saved = outcome.cycles_saved
-
-    reference_key = space.reference.key()
-    for position, report in enumerate(list(profile.functions)):
-        fn_key = (report.section_name, report.name)
-        winner = outcome.winners.get(fn_key, reference_key)
-        if winner != reference_key:
-            donor = results[winner].profile
-            for candidate in donor.functions:
-                if candidate.key == fn_key:
-                    replacement = copy.deepcopy(candidate)
-                    profile.functions[position] = replacement
-                    report = replacement
-                    break
-        report.winner_config = winner
-        if fn_key in winner_cycles:
-            report.simulated_cycles = winner_cycles[fn_key]
-        elif outcome.baseline_cycles is not None:
-            report.simulated_cycles = outcome.baseline_cycles

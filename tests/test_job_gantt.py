@@ -6,7 +6,6 @@ from repro.metrics.job_gantt import (
     JobSpan,
     assign_slots,
     render_job_gantt,
-    slot_utilization,
 )
 
 
@@ -55,16 +54,3 @@ class TestRender:
     def test_rejects_silly_width(self):
         with pytest.raises(ValueError, match="width"):
             render_job_gantt([_span("a", 0, 1)], width=3)
-
-
-class TestUtilization:
-    def test_fully_busy_single_slot(self):
-        spans = [_span("a", 0, 1), _span("b", 1, 2)]
-        assert slot_utilization(spans) == pytest.approx(1.0)
-
-    def test_idle_gap_lowers_utilization(self):
-        spans = [_span("a", 0, 1), _span("b", 3, 4)]
-        assert slot_utilization(spans) == pytest.approx(0.5)
-
-    def test_empty_is_zero(self):
-        assert slot_utilization([]) == 0.0

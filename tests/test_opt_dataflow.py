@@ -1,4 +1,4 @@
-"""Dataflow analyses: liveness, reaching definitions, dependence graphs."""
+"""Dataflow analyses: liveness, dependence graphs."""
 
 import pytest
 
@@ -17,13 +17,11 @@ from repro.opt.dependence import (
 from repro.opt.dataflow import (
     facts_of,
     mask_of,
-    solve_backward,
+    solve_backward_masks,
     solve_backward_sets,
-    solve_forward,
-    solve_forward_sets,
+    unpack_solution,
 )
 from repro.opt.liveness import block_use_def, live_variables
-from repro.opt.reaching import reaching_definitions
 
 from helpers import single_function_ir, wrap_function
 
@@ -84,7 +82,7 @@ DIAMOND_SRC = wrap_function(
 
 
 class TestBitsetMatchesReferenceSets:
-    """The bitset kernels must agree exactly with the frozenset solvers
+    """The bitset kernel must agree exactly with the frozenset solver
     on every CFG (branches, loops, unreachable-free diamonds)."""
 
     def _use_def(self, fn):
@@ -97,18 +95,15 @@ class TestBitsetMatchesReferenceSets:
     def test_backward_equivalence(self, src):
         fn = single_function_ir(src)
         gen, kill = self._use_def(fn)
-        fast = solve_backward(fn, gen, kill)
+        index = {}
+        names = [block.name for block in fn.blocks]
+        entry_m, exit_m = solve_backward_masks(
+            fn,
+            {name: mask_of(gen[name], index) for name in names},
+            {name: mask_of(kill[name], index) for name in names},
+        )
+        fast = unpack_solution(entry_m, exit_m, list(index))
         slow = solve_backward_sets(fn, gen, kill)
-        assert fast.entry == slow.entry
-        assert fast.exit == slow.exit
-
-    @pytest.mark.parametrize("src", [LOOP_SRC, DIAMOND_SRC])
-    def test_forward_equivalence(self, src):
-        fn = single_function_ir(src)
-        gen, kill = self._use_def(fn)
-        boundary = frozenset(fn.param_regs)
-        fast = solve_forward(fn, gen, kill, boundary=boundary)
-        slow = solve_forward_sets(fn, gen, kill, boundary=boundary)
         assert fast.entry == slow.entry
         assert fast.exit == slow.exit
 
@@ -129,39 +124,6 @@ class TestBitsetMatchesReferenceSets:
         assert facts_of(mask, list(index)) == frozenset(facts)
         assert mask_of(["b", "e"], index) == 0b10010
         assert facts_of(0, list(index)) == frozenset()
-
-
-class TestReachingDefinitions:
-    def test_param_definition_reaches_entry(self):
-        fn = single_function_ir(
-            wrap_function("function f(n: int) : int begin return n; end")
-        )
-        rd = reaching_definitions(fn)
-        n = fn.param_regs[0]
-        entry_defs = rd.reaching_entry(fn.entry.name)
-        assert (fn.entry.name, -1, n) in entry_defs
-
-    def test_redefinition_kills(self):
-        fn = single_function_ir(
-            wrap_function(
-                "function f(n: int) : int\nbegin\n"
-                "if n > 0 then n := 1; else n := 2; end;\n"
-                "return n;\nend"
-            )
-        )
-        rd = reaching_definitions(fn)
-        join = [b for b in fn.blocks if b.name.startswith("if.join")][0]
-        n = fn.param_regs[0]
-        reaching = {d for d in rd.reaching_entry(join.name) if d[2] == n}
-        # Both arm definitions reach the join; the param def does not.
-        assert len(reaching) == 2
-        assert all(d[1] != -1 for d in reaching)
-
-    def test_loop_definition_reaches_header(self):
-        fn = single_function_ir(LOOP_SRC)
-        rd = reaching_definitions(fn)
-        header_defs = rd.reaching_entry("for.header")
-        assert any(d[0] == "for.body" for d in header_defs)
 
 
 def loop_and_graph(src: str):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,12 @@ ECHO = echo_module(
     3,
 )
 ECHO_INPUTS = [[1.0, 2.0, 3.0], [0.5, -1.5, 4.0]]
+
+SEARCH_KERNEL = Path(__file__).parent.parent / "examples" / "search_kernel.w2"
+#: per-function simulated cycles of ``search_kernel.w2`` at input seed 7
+SEARCH_KERNEL_CYCLES = {
+    "compute.decay": 1010, "compute.main": 1110, "compute.smooth": 854,
+}
 
 
 class TestVariantSpace:
@@ -496,8 +503,9 @@ class TestSafetyGates:
         )
         assert outcome.abstained is not None
         assert not outcome.verified
-        assert outcome.result.digest == outcome.baseline.digest
-        assert outcome.result.profile.searched
+        assert outcome.result is outcome.baseline
+        assert outcome.to_dict()["abstained"] == outcome.abstained
+        assert outcome.report_lines()[-1].startswith("search abstained")
 
 
 class _TamperedCompiler:
@@ -514,45 +522,61 @@ class _TamperedCompiler:
 
 
 class TestResultSurface:
+    """A search reports itself once, from its outcome; the compiler's
+    reports describe a compile and nothing else."""
+
     def test_profile_counters_and_report_lines(self):
         outcome = search_module(TWO_FUNCTION, space=sweep_space())
-        profile = outcome.result.profile
-        assert profile.searched
-        assert profile.search_space == list(SWEEP_SPACE_KEYS)
-        assert profile.search_baseline_cycles == outcome.baseline_cycles
-        assert profile.search_module_cycles == outcome.module_cycles
+        document = outcome.to_dict()
+        assert document["space"] == list(SWEEP_SPACE_KEYS)
+        assert document["baseline_cycles"] == outcome.baseline_cycles
+        assert document["module_cycles"] == outcome.module_cycles
         assert (
-            profile.search_cycles_saved
+            document["cycles_saved"]
             == outcome.baseline_cycles - outcome.module_cycles
         )
-        assert sum(profile.search_wins.values()) == 2  # one per function
-        for report in profile.functions:
-            assert report.winner_config in SWEEP_SPACE_KEYS
-            assert report.simulated_cycles is not None
-        lines = outcome.result.report_lines()
-        assert any("search:" in line for line in lines)
-        assert any("cycles" in line for line in lines)
+        assert sum(document["wins"].values()) == 2  # one per function
+        assert document["variants"] == {
+            "simulated": len(outcome.simulated),
+            "cached": len(outcome.cached),
+            "identical": len(outcome.identical),
+            "disqualified": len(outcome.disqualified),
+        }
+        assert set(outcome.cycles) == set(outcome.winners) == {
+            ("sec1", "f1"), ("sec1", "f2")
+        }
+        lines = outcome.report_lines()
+        assert lines[0].startswith("search: 3 config(s), ")
+        for (section, name), key in outcome.winners.items():
+            assert key in SWEEP_SPACE_KEYS
+            cycles = outcome.cycles[section, name]
+            assert f"  {section}.{name}: {key} ~{cycles} cycles" in lines
 
     def test_search_metadata_does_not_leak_into_plain_compiles(self):
         outcome = search_module(TWO_FUNCTION, space=sweep_space())
-        assert outcome.baseline.profile.searched is False
-        assert all(
-            fn.winner_config is None
-            for fn in outcome.baseline.profile.functions
-        )
-        # the shipped result is a separate object with its own profile
-        assert outcome.result.profile is not outcome.baseline.profile
+        for result in (outcome.baseline, outcome.result):
+            profile = result.to_dict()["profile"]
+            assert not [key for key in profile if key.startswith("search")]
+            for fn in profile["functions"]:
+                assert "winner_config" not in fn
+                assert "simulated_cycles" not in fn
+            assert not [
+                line for line in result.report_lines()
+                if line.startswith("search:") or " cycles" in line
+            ]
 
     def test_to_dict_round_trips_search_fields(self):
         outcome = search_module(TWO_FUNCTION, space=sweep_space())
-        document = json.loads(json.dumps(outcome.result.to_dict()))
-        assert document["profile"]["searched"] is True
-        assert document["profile"]["search_space"] == list(
-            SWEEP_SPACE_KEYS
-        )
-        for fn in document["profile"]["functions"]:
-            assert "winner_config" in fn
-            assert "simulated_cycles" in fn
+        document = json.loads(json.dumps(outcome.to_dict()))
+        assert document == outcome.to_dict()
+        assert document["winners"] == {
+            f"{section}.{name}": key
+            for (section, name), key in outcome.winners.items()
+        }
+        assert document["cycles"] == {
+            f"{section}.{name}": cycles
+            for (section, name), cycles in outcome.cycles.items()
+        }
 
     def test_winner_report_reflects_shipped_code(self):
         """Bundle counts / IIs for a non-reference winner must describe
@@ -619,6 +643,36 @@ class TestSearchCLI:
             document["search"]["baseline_cycles"]
             >= document["search"]["module_cycles"]
         )
+
+    def test_cli_search_json_block_is_complete(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "search", str(SEARCH_KERNEL), "--input-seed", "7",
+            "--no-cache", "--json",
+        ])
+        assert code == 0
+        block = json.loads(capsys.readouterr().out)["search"]
+        assert block["cycles"] == SEARCH_KERNEL_CYCLES
+        assert block["variants"] == {
+            "simulated": 8, "cached": 0, "identical": 4, "disqualified": 0,
+        }
+        assert block["wins"] == {"o2u0i0": 1, "o2u8i0": 2}
+        assert (block["baseline_cycles"], block["module_cycles"]) == (
+            1110, 754
+        )
+
+    def test_cli_search_report_names_every_winner(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "search", str(SEARCH_KERNEL), "--input-seed", "7", "--no-cache",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, cycles in SEARCH_KERNEL_CYCLES.items():
+            winner = "o2u0i0" if name == "compute.main" else "o2u8i0"
+            assert f"  {name}: {winner} ~{cycles} cycles" in lines
 
     def test_cli_search_digest_matches_api(self, tmp_path, capsys):
         from repro.cli import main

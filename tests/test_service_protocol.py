@@ -116,7 +116,7 @@ class TestProtocol:
         client = ServiceClient(address)
         waited = [
             client.submit_and_wait(
-                synthetic_program("small", 5, module_name=f"big{index}"),
+                synthetic_program("small", 7, module_name=f"big{index}"),
                 timeout=60.0,
             )
             for index in range(3)

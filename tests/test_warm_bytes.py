@@ -1074,7 +1074,10 @@ def test_no_stored_record_carries_run_telemetry(tmp_path):
     """What a compile counted is its own, never a fact of what it stored:
     after a fill and again after a no-edit compile, no ``objects/``
     header carries a ``*_cache_*`` key, and every report in the
-    ``modules/`` record is the report a fresh compile makes."""
+    ``modules/`` record is the report a fresh compile makes.  A variant
+    search's results live in its outcome: no header, result frame or
+    record report has a search field."""
+    search_keys = {"winner_config", "simulated_cycles"}
     source = PROGRAMS["generated_11"]
     fresh = ParallelCompiler().compile(source).profile.functions
     for run in ("fill", "no-edit"):
@@ -1083,8 +1086,17 @@ def test_no_stored_record_carries_run_telemetry(tmp_path):
             header = entry_header(path)
             keys = [*header, *header["report"]]
             assert not [key for key in keys if "_cache_" in key], (run, path)
+            assert not search_keys & set(keys), (run, path)
+            frame = encode_result(ArtifactCache.open(path.read_bytes()), "t")
+            decoded = dataclasses.asdict(decode_result(frame))
+            assert not search_keys & {*decoded, *decoded["report"]}, run
         (record,) = entries_of(tmp_path, "modules")
-        assert ModuleStore.open(record.read_bytes()).functions == fresh, run
+        stored = ModuleStore.open(record.read_bytes()).functions
+        assert stored == fresh, run
+        assert not [
+            key for report in stored for key in dataclasses.asdict(report)
+            if key in search_keys
+        ], run
 
 
 def test_printed_counts_are_the_events_that_happened(tmp_path, capsys):
