@@ -1,9 +1,10 @@
 """Predictive-compilation benchmark: replayed edit sessions with and
 without watch-mode speculation.
 
-The claim being guarded: for an editor streaming edits to a predict-
-enabled service, the *interactive* submit-to-done p95 with speculation
-must be well under the cold-compile p95 — the speculative batch job
+The claim being guarded: for an editor streaming edits to a service
+with an artifact cache (speculation follows it), the *interactive*
+submit-to-done p95 with speculation must be well under the
+cold-compile p95 — the speculative batch job
 precompiled the dirty functions during think time, so the submit is
 cache hits.  The acceptance bar from the issue: speculated p95 <
 0.6x cold p95, with bit-identical digests.
@@ -39,7 +40,6 @@ def _speculating_service(tmp_path):
         cache,
         max_queued=16,
         cost_model=model,
-        speculation=True,
     )
 
 

@@ -99,7 +99,12 @@ def test_fair_share_bounds_small_job_latency_behind_huge_one(results_dir):
             backend, max_running=5, max_queued=8
         ) as service:
             report = run_load(service, huge_spec, time_scale=0.01)
-            spans = list(service.spans)
+            jobs_seen = {
+                event["job"]
+                for row in service.jobs_summary()
+                for event in service.job(row["job"]).events
+                if event["event"] == "function_done"
+            }
     finally:
         backend.shutdown()
 
@@ -107,7 +112,6 @@ def test_fair_share_bounds_small_job_latency_behind_huge_one(results_dir):
     # tiny jobs' p50 must be well under the whole run's makespan: they
     # were interleaved, not queued behind the large module
     assert report.latency_p50 < report.elapsed
-    jobs_seen = {span.job_id for span in spans}
     assert len(jobs_seen) >= 2  # the pool really was shared
     (results_dir / "service_fairness.txt").write_text(
         f"{huge_spec.jobs} near-simultaneous jobs "

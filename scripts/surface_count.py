@@ -31,6 +31,9 @@ The counts, all over ``src/**/*.py``:
                         ``__init__`` a class defines itself (``*args``
                         and ``**kwargs`` one each): every value a caller
                         can set when it builds an object
+``protocol_verbs``      string keys of every dict literal assigned to a
+                        name or attribute called ``verbs``: every request
+                        a line-protocol server answers
 
 Every count is an AST walk — none depends on how a name is spelled, so
 no grep for a deleted name can trip (or satisfy) one.
@@ -121,6 +124,20 @@ def _names_a_tier(node: ast.ClassDef) -> bool:
     )
 
 
+def _protocol_verbs(node: ast.AST) -> int:
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)):
+        return 0
+    if not any(
+        getattr(target, "id", getattr(target, "attr", "")) == "verbs"
+        for target in node.targets
+    ):
+        return 0
+    return sum(
+        isinstance(key, ast.Constant) and isinstance(key.value, str)
+        for key in node.value.keys
+    )
+
+
 def _init_params(methods) -> int:
     for method in methods:
         if method.name == "__init__":
@@ -137,7 +154,7 @@ def _init_params(methods) -> int:
 
 def count_surface() -> dict:
     lines = flags = backends = stats = servers = clients = wire_globals = 0
-    pickle_codecs = tiers = option_fields = init_params = 0
+    pickle_codecs = tiers = option_fields = init_params = verbs = 0
     env_vars = set()
     task_surfaces = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -149,6 +166,7 @@ def count_surface() -> dict:
         for node in nodes:
             wire_globals += _wire_pickle_globals(path, node)
             pickle_codecs += _calls(node, "PickleCodec")
+            verbs += _protocol_verbs(node)
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -195,6 +213,7 @@ def count_surface() -> dict:
         "disk_tiers": tiers,
         "option_fields": option_fields,
         "init_params": init_params,
+        "protocol_verbs": verbs,
     }
 
 

@@ -2,7 +2,7 @@
 
 ``warpcc submit FILE`` submits a module and (unless ``--no-wait``)
 streams its progress until it finishes; ``warpcc watch FILE`` streams
-edits to a ``serve --predict`` service so the changed functions are
+edits to a service with an artifact cache so the changed functions are
 speculatively precompiled before the next submit; ``warpcc status``
 shows the overview, one job, or the shared pool's Gantt chart.
 """
@@ -129,7 +129,7 @@ def register_watch(sub):
         "watch",
         help="stream a file's edits to the service so it precompiles "
         "the changed functions before you submit (speculative, "
-        "batch-priority; requires 'warpcc serve --predict')",
+        "batch-priority; requires a 'warpcc serve' with a cache)",
     )
     parser.add_argument("file", help="source file to watch")
     options.connect(parser)
@@ -281,7 +281,7 @@ def run_status(args) -> int:
         # what the shared backend did about failures, when it says
         said = {
             name: render_counts(stats.get(name, {}))
-            for name in ("supervision", "fabric")
+            for name in ("supervision", "fabric", "speculation")
         }
         recovery = "; ".join(
             f"{name}: {text}" for name, text in said.items() if text

@@ -68,6 +68,7 @@ def run(args) -> int:
         ALL_PIPELINES,
         DifferentialOracle,
         OracleConfig,
+        narrowed_config,
         run_fuzz_campaign,
     )
 
@@ -127,12 +128,16 @@ def run(args) -> int:
             from ..fuzz.reduce import DeltaReducer, write_corpus_entry
 
             failure = result.failures[0]
-            reducer = DeltaReducer(
-                oracle,
-                inputs=failure.program.inputs(),
-                seed=failure.seed,
-            )
-            reduction = reducer.reduce(failure.program.source)
+            # every candidate pays one oracle run: reduce against only
+            # sequential plus the pipelines that disagreed
+            with DifferentialOracle(
+                narrowed_config(config, failure.report)
+            ) as narrow:
+                reduction = DeltaReducer(
+                    narrow,
+                    inputs=failure.program.inputs(),
+                    seed=failure.seed,
+                ).reduce(failure.program.source)
             print(
                 f"minimized: {reduction.function_count} function(s), "
                 f"{reduction.statement_count} statement(s) after "

@@ -58,10 +58,12 @@ def register_serve(sub):
     )
     parser.add_argument(
         "--predict", action="store_true",
-        help="learn per-function compile costs from observed wall-clock "
-        "(persistent observation store under --cache-dir) and use them "
-        "for fair-share ordering, LPT batch packing, and the "
-        "supervisor's deadlines; scheduling only — results are unchanged",
+        help="turn on the learned cost model: learn per-function compile "
+        "costs from observed wall-clock (persistent observation store "
+        "under --cache-dir, so not with --no-cache) and use them for "
+        "fair-share ordering, LPT batch packing, and the supervisor's "
+        "deadlines; scheduling only — results are unchanged.  Watch-mode "
+        "speculation needs no flag: it is on whenever the cache is",
     )
     parser.set_defaults(run=run_serve)
     return parser
@@ -88,6 +90,13 @@ def run_serve(args) -> int:
     except ValueError as error:
         print(f"warpcc: {error}", file=sys.stderr)
         return 2
+    if args.predict and args.no_cache:
+        print(
+            "warpcc: --predict learns into the cache directory; "
+            "it cannot run with --no-cache",
+            file=sys.stderr,
+        )
+        return 2
 
     pool = stack.build_pool(args)
     farm = pool
@@ -102,16 +111,17 @@ def run_serve(args) -> int:
         )
         farm = RemoteBackend(hub)
     backend = stack.build_backend(args, farm)
-    cost_model = None
-    if args.predict:
-        from ..predict import LearnedCostModel, ObservationStore
-
-        # The observation tier shares the cache directory layout (its
-        # own subdir), so --cache-dir governs where learning persists.
-        cost_model = LearnedCostModel(ObservationStore(args.cache_dir))
     caches = {}
     try:
-        caches = stack.open_caches(args, "artifact cache")
+        tiers = ("artifact cache",) + (
+            ("observation store",) if args.predict else ()
+        )
+        caches = stack.open_caches(args, *tiers)
+        cost_model = None
+        if args.predict:
+            from ..predict import LearnedCostModel
+
+            cost_model = LearnedCostModel(caches["observation store"])
         service = CompileService(
             backend,
             caches.get("artifact cache"),
@@ -120,7 +130,6 @@ def run_serve(args) -> int:
             per_tenant_inflight=args.per_tenant,
             tenant_weights=weights,
             cost_model=cost_model,
-            speculation=args.predict,
         )
         server = ServiceSocketServer(
             service, host=args.host, port=args.port
@@ -140,8 +149,10 @@ def run_serve(args) -> int:
                 flush=True,
             )
         if cost_model is not None:
+            print("learned cost model on", flush=True)
+        if service.speculation is not None:
             print(
-                "predictive scheduling on (speculation on); editors: "
+                "speculation on; editors: "
                 f"warpcc watch FILE --connect {server.address}",
                 flush=True,
             )

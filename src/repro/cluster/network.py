@@ -70,10 +70,6 @@ class SharedResource:
         self.total_demand_served += demand
         self._reschedule()
 
-    @property
-    def active_tasks(self) -> int:
-        return len(self._tasks)
-
     def per_task_rate(self) -> float:
         active = len(self._tasks)
         if active == 0:

@@ -516,7 +516,8 @@ class DifferentialOracle:
         return outcome.baseline
 
     def _compile_predict_variant(self, source: str, options):
-        """Watch-mode speculation leg: a predict-enabled compile service
+        """Watch-mode speculation leg: a compile service with an artifact
+        cache (speculation follows it) and the learned cost model
         speculatively compiles the module off a watch update, then an
         in-process compile *sharing its artifact cache* must be served
         from cache and (via the caller's generic check) still match the
@@ -530,10 +531,7 @@ class DifferentialOracle:
             model = LearnedCostModel(ObservationStore(tmp))
             speculated = False
             with CompileService(
-                SerialBackend(),
-                cache,
-                cost_model=model,
-                speculation=True,
+                SerialBackend(), cache, cost_model=model
             ) as service:
                 outcome = service.watch_update(
                     source, watch="oracle", options=options

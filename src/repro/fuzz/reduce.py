@@ -260,28 +260,6 @@ class DeltaReducer:
 # ---------------------------------------------------------------------------
 
 
-def _body_paths(module: ast.Module) -> Iterator[tuple]:
-    """Paths addressing every statement list in the module.
-
-    A path is ``(s_index, f_index, steps...)`` where each step is
-    ``(stmt_index, attr)`` descending into a nested body.
-    """
-    for s_index, section in enumerate(module.sections):
-        for f_index, fn in enumerate(section.functions):
-            yield from _body_paths_in(fn.body, (s_index, f_index))
-
-
-def _body_paths_in(body: List[ast.Stmt], prefix: tuple) -> Iterator[tuple]:
-    yield prefix
-    for index, stmt in enumerate(body):
-        for attr in ("then_body", "else_body", "body"):
-            nested = getattr(stmt, attr, None)
-            if isinstance(nested, list):
-                yield from _body_paths_in(
-                    nested, prefix + ((index, attr),)
-                )
-
-
 def _resolve_body(module: ast.Module, path: tuple) -> List[ast.Stmt]:
     s_index, f_index = path[0], path[1]
     body = module.sections[s_index].functions[f_index].body

@@ -7,8 +7,11 @@ pool's slots and the glyphs say *which job* occupied each slot over
 time, so fair-share interleaving (and any monopolization bug) is
 visible at a glance.
 
-The service records one :class:`JobSpan` per completed function task
-(wave start → result arrival).  Real worker attribution never crosses
+A job's event log is the service's one record of its tasks: each
+``function_done`` event carries its wave's ``start`` beside its own
+``time``, and ``CompileService.gantt`` turns the events of the jobs it
+still holds into one :class:`JobSpan` per task (wave start → result
+arrival).  Real worker attribution never crosses
 the process boundary, so spans are laid onto slots greedily — each span
 takes the first slot free at its start time, which reconstructs a
 feasible slot assignment for the overlap structure the pool actually

@@ -24,6 +24,8 @@ Safety rules (speculation must never hurt a real tenant):
   all watches, and no submission when fewer than :data:`QUEUE_HEADROOM`
   job slots remain — speculation can never push a real tenant into
   backpressure;
+- at most :data:`MAX_WATCHES` watch keys keep a snapshot, so a
+  long-running service's table stays bounded;
 - admission rejections are swallowed (speculation is best-effort), and
   a source that does not parse is skipped without disturbing the
   previous snapshot or its in-flight job.
@@ -35,7 +37,7 @@ caches, so speculation on/off cannot change any digest.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -49,6 +51,10 @@ SPECULATION_TENANT = "speculation"
 
 #: live speculative jobs allowed across all watches
 MAX_INFLIGHT = 2
+
+#: watch keys that keep a snapshot (the least recently updated are
+#: forgotten first; a key whose speculative job is live never is)
+MAX_WATCHES = 256
 
 #: free admission-queue depth a speculative submit leaves untouched
 QUEUE_HEADROOM = 2
@@ -77,7 +83,7 @@ class SpeculationManager:
         self.max_inflight = MAX_INFLIGHT
         self.queue_headroom = QUEUE_HEADROOM
         self._lock = threading.Lock()
-        self._watches: Dict[str, _WatchState] = {}
+        self._watches: "OrderedDict[str, _WatchState]" = OrderedDict()
         #: ``updates``, ``launched``, ``superseded``, ``suppressed``,
         #: ``rejected``, ``clean``, ``parse_errors``: bumped under the
         #: lock, read without it by :meth:`stats`
@@ -118,7 +124,9 @@ class SpeculationManager:
             return outcome
 
         with self._lock:
-            state = self._watches.setdefault(watch, _WatchState())
+            state = self._watches.pop(watch, None) or _WatchState()
+            self._forget_watches()
+            self._watches[watch] = state
             state.updates += 1
             dirty = sorted(
                 key
@@ -173,6 +181,20 @@ class SpeculationManager:
         outcome["job"] = job_id
         outcome["reason"] = "speculating"
         return outcome
+
+    def _forget_watches(self) -> None:
+        """Make room for one more key under :data:`MAX_WATCHES`: forget
+        the least recently updated keys with no speculative job on
+        record (caller holds the lock).  A forgotten key's next update
+        diffs against an empty snapshot, so every function is dirty
+        and the artifact cache serves the unchanged ones."""
+        excess = len(self._watches) + 1 - MAX_WATCHES
+        idle = [
+            key for key, state in self._watches.items()
+            if state.job_id is None
+        ]
+        for key in idle[:max(0, excess)]:
+            del self._watches[key]
 
     # -- helpers (no manager lock held when calling the service) -------
 

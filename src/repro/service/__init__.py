@@ -15,7 +15,6 @@ from .server import (
     CompileService,
     JobCancelled,
     ServiceSocketServer,
-    TaskSpan,
 )
 from .client import ServiceClient, ServiceError, resolve_address
 from .loadgen import (
@@ -43,7 +42,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceSocketServer",
-    "TaskSpan",
     "plan_edit_session",
     "plan_load",
     "replay_edit_session",

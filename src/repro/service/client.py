@@ -209,10 +209,6 @@ class ServiceClient:
             }
         )
 
-    def watch_status(self) -> dict:
-        """Speculation counters ({"enabled", "stats"})."""
-        return self._request({"op": "watch-status"})
-
     def cancel(self, job_id: str) -> bool:
         return self._request({"op": "cancel", "job": job_id})["cancelled"]
 

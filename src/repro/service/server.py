@@ -43,7 +43,7 @@ import itertools
 import queue as queue_mod
 import threading
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -79,13 +79,8 @@ class ServiceDispatchError(Exception):
     """The shared pool failed a wave; the affected jobs fail with this."""
 
 
-#: spans the per-job Gantt is drawn from — see metrics.job_gantt
-TaskSpan = JobSpan
-
 #: terminal jobs whose reply stays queryable (evicted oldest first)
 KEEP_FINISHED = 256
-#: most recent task spans kept for Gantt/utilization export
-MAX_SPANS = 4096
 
 
 @dataclass
@@ -197,7 +192,8 @@ class CompileService:
     :class:`~repro.parallel.supervisor.SupervisedBackend` runs under a
     fresh one, the service's one recovery policy and cost observer.
     The backend (and cache) is *borrowed*: the service never shuts it
-    down.
+    down.  Watch-mode speculation only warms the artifact cache, so it
+    is on exactly when there is one.
     """
 
     def __init__(
@@ -210,7 +206,6 @@ class CompileService:
         per_tenant_inflight: int = 8,
         tenant_weights: Optional[Dict[str, float]] = None,
         cost_model=None,
-        speculation: bool = False,
     ):
         if max_queued < 1:
             raise ValueError(f"max_queued must be positive, got {max_queued}")
@@ -248,15 +243,13 @@ class CompileService:
         self._closing = False
         self._closed = False
         self._t0 = time.monotonic()
-        #: the most recent completed task spans, for Gantt/utilization
-        self.spans: "deque[TaskSpan]" = deque(maxlen=MAX_SPANS)
         #: seeded, so ``status`` always carries all eight keys
         self.counts: Counter = Counter(
             submitted=0, rejected=0, done=0, failed=0, cancelled=0,
             waves=0, tasks_dispatched=0, busy_worker_seconds=0.0,
         )
         self._speculation = None
-        if speculation:
+        if cache is not None:
             from ..predict.watch import SpeculationManager
 
             self._speculation = SpeculationManager(self)
@@ -531,57 +524,46 @@ class CompileService:
         wave_start: float,
     ) -> None:
         key = result.key
-        now = self._now()
         with self._cond:
             queued = route.pop(key, None)
             if queued is None:
                 return  # late duplicate or unknown — drop
             job = self._jobs.get(queued.job_id)
-            if job is None or job.terminal:
-                return
-            self.spans.append(
-                TaskSpan(
-                    job_id=job.job_id,
-                    label=f"{key[0]}.{key[1]}",
-                    start=wave_start,
-                    end=now,
-                )
-            )
-            if job.cancel_requested:
-                return  # the cancel sentinel is already in the inbox
+            if job is None or job.terminal or job.cancel_requested:
+                return  # a cancelled job's sentinel is already queued
             job.tasks_done += 1
-            self._event(job, "function_done", function=f"{key[0]}.{key[1]}")
+            # the job's event log is its one record of its tasks: the
+            # Gantt chart draws each from its wave start to ``time``
+            self._event(
+                job,
+                "function_done",
+                function=f"{key[0]}.{key[1]}",
+                start=round(wave_start, 6),
+            )
             job.inbox.put(("result", result))
             self._cond.notify_all()
 
     # -- queries -------------------------------------------------------
 
+    def _job(self, job_id: str) -> JobRecord:
+        """The job by id (caller holds the lock)."""
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return job
+
     def job(self, job_id: str) -> JobRecord:
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return job
+            return self._job(job_id)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
         """Block until the job reaches a terminal state."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            while not job.terminal:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"job {job_id} still {job.state} "
-                            f"after {timeout}s"
-                        )
-                self._cond.wait(remaining)
+            job = self._job(job_id)
+            if not self._cond.wait_for(lambda: job.terminal, timeout):
+                raise TimeoutError(
+                    f"job {job_id} still {job.state} after {timeout}s"
+                )
             return job
 
     def events_since(
@@ -592,20 +574,11 @@ class CompileService:
     ) -> Tuple[List[dict], bool]:
         """(new events after ``index``, job-is-terminal) — blocks until
         there is something new, the job ends, or ``timeout`` passes."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            while len(job.events) <= index and not job.terminal:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._cond.wait(remaining)
+            job = self._job(job_id)
+            self._cond.wait_for(
+                lambda: len(job.events) > index or job.terminal, timeout
+            )
             return list(job.events[index:]), job.terminal
 
     def cancel(self, job_id: str) -> bool:
@@ -613,19 +586,22 @@ class CompileService:
         are interrupted at their next dispatch boundary (results already
         computed are discarded).  Returns False for terminal jobs."""
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
+            job = self._job(job_id)
             if job.terminal:
                 return False
-            job.cancel_requested = True
-            self.fair_queue.discard_job(job_id)
-            if job.state == "queued":
-                self._finish(job, "cancelled")
-            else:
-                job.inbox.put(("cancel", None))
-            self._cond.notify_all()
+            self._cancel(job)
             return True
+
+    def _cancel(self, job: JobRecord) -> None:
+        """Mark a live job cancelled: a queued one finishes now, a
+        running one is told through its inbox (caller holds the lock)."""
+        job.cancel_requested = True
+        self.fair_queue.discard_job(job.job_id)
+        if job.state == "queued":
+            self._finish(job, "cancelled")
+        else:
+            job.inbox.put(("cancel", None))
+        self._cond.notify_all()
 
     def jobs_summary(self) -> List[dict]:
         with self._cond:
@@ -635,7 +611,8 @@ class CompileService:
 
     @property
     def speculation(self):
-        """The SpeculationManager, or None when speculation is off."""
+        """The SpeculationManager, or None on a service with no
+        artifact cache (speculation's only effect is to warm one)."""
         return self._speculation
 
     def watch_update(
@@ -710,13 +687,21 @@ class CompileService:
         self, job_id: Optional[str] = None, width: int = 72
     ) -> str:
         """Per-job Gantt over the shared pool's slots (see
-        :mod:`repro.metrics.job_gantt`)."""
+        :mod:`repro.metrics.job_gantt`), drawn from the ``function_done``
+        events of the jobs the service still holds."""
         with self._cond:
-            spans = (
-                [s for s in self.spans if s.job_id == job_id]
-                if job_id is not None
-                else list(self.spans)
-            )
+            spans = [
+                JobSpan(
+                    job_id=job.job_id,
+                    label=event["function"],
+                    start=event["start"],
+                    end=event["time"],
+                )
+                for job in self._jobs.values()
+                if job_id is None or job.job_id == job_id
+                for event in job.events
+                if event["event"] == "function_done"
+            ]
         return render_job_gantt(
             spans, width=width, slots=self.worker_count
         )
@@ -725,19 +710,14 @@ class CompileService:
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Stop admitting; wait until every accepted job is terminal."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._cond:
             self._accepting = False
             self._cond.notify_all()
-            while any(not job.terminal for job in self._jobs.values()):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError("drain timed out")
-                self._cond.wait(remaining)
+            if not self._cond.wait_for(
+                lambda: all(job.terminal for job in self._jobs.values()),
+                timeout,
+            ):
+                raise TimeoutError("drain timed out")
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: optionally drain and stop the worker
@@ -749,12 +729,7 @@ class CompileService:
             if not drain:
                 for job in list(self._jobs.values()):
                     if not job.terminal and not job.cancel_requested:
-                        job.cancel_requested = True
-                        self.fair_queue.discard_job(job.job_id)
-                        if job.state == "queued":
-                            self._finish(job, "cancelled")
-                        else:
-                            job.inbox.put(("cancel", None))
+                        self._cancel(job)
             self._cond.notify_all()
         self.drain(timeout=timeout)
         with self._cond:
@@ -815,7 +790,6 @@ class ServiceSocketServer:
             "status": self._status,
             "wait": self._wait,
             "watch": self._watch,
-            "watch-status": self._watch_status,
             "cancel": self._cancel,
             "shutdown": self._shutdown,
         }
@@ -894,11 +868,6 @@ class ServiceSocketServer:
                     events, terminal = service.events_since(
                         job_id, index, timeout=0.5
                     )
-                    if terminal and events:
-                        # plus any events logged with the final state
-                        events += service.events_since(
-                            job_id, index + len(events), timeout=0
-                        )[0]
                     for event in events:
                         yield {"ok": True, "event": event}
                     index += len(events)
@@ -921,14 +890,6 @@ class ServiceSocketServer:
             options=_request_options(request),
         )
         return {"ok": True, **outcome}
-
-    def _watch_status(self, request: dict) -> dict:
-        manager = self.service.speculation
-        return {
-            "ok": True,
-            "enabled": manager is not None,
-            "stats": manager.stats() if manager is not None else {},
-        }
 
     def _cancel(self, request: dict) -> dict:
         try:

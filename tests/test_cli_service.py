@@ -1,14 +1,21 @@
 """The service-facing CLI surface: compile --json, submit, status."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from repro.cache import ArtifactCache
 from repro.cli import main
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
-from repro.service import CompileService, ServiceSocketServer
+from repro.service import CompileService, ServiceClient, ServiceSocketServer
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOOD = """
 module cli_service_demo
@@ -41,6 +48,21 @@ def good_file(tmp_path):
 @pytest.fixture
 def endpoint():
     service = CompileService(SerialBackend(), max_running=2)
+    server = ServiceSocketServer(service)
+    thread = threading.Thread(
+        target=server.serve_until_shutdown, daemon=True
+    )
+    thread.start()
+    try:
+        yield server.address
+    finally:
+        server.request_shutdown(drain=False)
+        thread.join(timeout=30.0)
+
+
+@pytest.fixture
+def cached_endpoint(tmp_path):
+    service = CompileService(SerialBackend(), ArtifactCache(str(tmp_path)))
     server = ServiceSocketServer(service)
     thread = threading.Thread(
         target=server.serve_until_shutdown, daemon=True
@@ -139,3 +161,34 @@ class TestSubmitAndStatus:
         monkeypatch.delenv("WARPCC_SERVICE", raising=False)
         assert main(["submit", good_file]) == 2
         assert "no-address" in capsys.readouterr().err
+
+    def test_status_prints_speculation_beside_recovery(
+        self, cached_endpoint, capsys
+    ):
+        client = ServiceClient(cached_endpoint)
+        outcome = client.watch_update(GOOD, watch="editor")
+        client.wait(outcome["job"], timeout=60.0)
+        assert main(["status", "--connect", cached_endpoint]) == 0
+        out = capsys.readouterr().out
+        assert "speculation: 1 launched, 1 updates, 1 watches" in out
+
+
+def test_serve_predict_refuses_no_cache(tmp_path):
+    """``--no-cache`` promises nothing is written under the cache
+    directory, and the learned cost model lives there."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
+            "--predict", "--no-cache", "--cache-dir", str(cache_dir),
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert "--no-cache" in done.stderr
+    assert list(cache_dir.iterdir()) == []

@@ -257,9 +257,18 @@ def test_cli_fuzz_smoke(capsys):
     assert "0 mismatch(es)" in out
 
 
-def test_cli_fuzz_minimize_writes_corpus(tmp_path, capsys):
+def test_cli_fuzz_minimize_writes_corpus(tmp_path, capsys, monkeypatch):
     from repro.cli import main
+    from repro.fuzz import reduce
 
+    reducer_pipelines = []
+
+    class RecordingReducer(DeltaReducer):
+        def __init__(self, oracle, **kwargs):
+            reducer_pipelines.append(tuple(oracle.config.pipelines))
+            super().__init__(oracle, **kwargs)
+
+    monkeypatch.setattr(reduce, "DeltaReducer", RecordingReducer)
     program = generate_program(4, config_for_size_class("tiny"))
     target = [n for n in program.function_names if n != "main"][0]
     code = main(
@@ -268,13 +277,15 @@ def test_cli_fuzz_minimize_writes_corpus(tmp_path, capsys):
             "--seed", "4",
             "--iterations", "2",
             "--size-class", "tiny",
-            "--pipelines", "sequential,parallel",
+            "--pipelines", "sequential,parallel,phase1",
             "--minimize",
             "--corpus-dir", str(tmp_path),
             "--inject-miscompile", f"parallel:{target}",
         ]
     )
     assert code == 1  # mismatch found and reported
+    # the reducer pays only the failing pipeline beside sequential
+    assert reducer_pipelines == [("sequential", "parallel")]
     written = list(tmp_path.glob("fuzz_*.json"))
     assert len(written) == 1
     entry = json.loads(written[0].read_text())

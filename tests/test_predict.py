@@ -34,6 +34,7 @@ from repro.predict import (
     SpeculationManager,
     task_fingerprint,
 )
+from repro.predict import watch as watch_module
 from repro.predict.observe import CALIBRATION_KEY
 from repro.service import CompileService, FairShareQueue
 from repro.workloads.synthetic import synthetic_program
@@ -547,7 +548,7 @@ class TestWinningAttemptObservation:
 def _watch_service(tmp_path, **kwargs):
     cache = ArtifactCache(str(tmp_path / "cache"))
     model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
-    defaults = dict(cost_model=model, speculation=True)
+    defaults = dict(cost_model=model)
     defaults.update(kwargs)
     return CompileService(SerialBackend(), cache, **defaults)
 
@@ -611,7 +612,7 @@ class TestWatchSpeculation:
     def test_newer_edit_supersedes_inflight_job(self, tmp_path):
         backend = GateBackend()
         cache = ArtifactCache(str(tmp_path / "cache"))
-        service = CompileService(backend, cache, speculation=True)
+        service = CompileService(backend, cache)
         try:
             v1 = synthetic_program("tiny", 2, module_name="w_super")
             v2 = v1.replace("return", "x := x + 0.5;\n    return", 1)
@@ -627,7 +628,7 @@ class TestWatchSpeculation:
 
     def test_inflight_cap_suppresses(self, tmp_path):
         backend = GateBackend()
-        service = CompileService(backend, speculation=True)
+        service = CompileService(backend, ArtifactCache(str(tmp_path)))
         service.speculation.max_inflight = 1
         try:
             a = service.watch_update(
@@ -648,7 +649,10 @@ class TestWatchSpeculation:
     def test_queue_headroom_protects_admission(self, tmp_path):
         backend = GateBackend()
         service = CompileService(
-            backend, max_queued=2, max_running=1, speculation=True
+            backend,
+            ArtifactCache(str(tmp_path)),
+            max_queued=2,
+            max_running=1,
         )
         assert service.speculation.queue_headroom == 2
         try:
@@ -674,6 +678,64 @@ class TestWatchSpeculation:
             backend.gate.set()
             service.close()
 
+    def test_cache_alone_turns_speculation_on(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        with CompileService(SerialBackend(), cache) as service:
+            assert service.cost_model is None
+            outcome = service.watch_update(
+                synthetic_program("tiny", 2, module_name="w_on")
+            )
+            assert outcome["reason"] == "speculating"
+            assert service.wait(outcome["job"], timeout=60.0).state == "done"
+            stats = service.service_stats()
+        assert stats["speculation"]["launched"] == 1
+
+    def test_watch_table_forgets_least_recently_updated(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(watch_module, "MAX_WATCHES", 3)
+        source = synthetic_program("tiny", 2, module_name="w_bound")
+        with _watch_service(tmp_path) as service:
+            for key in ("k0", "k1", "k2", "k3"):  # MAX_WATCHES + 1 keys
+                outcome = service.watch_update(source, watch=key)
+                assert outcome["dirty"] == 2
+                if outcome["job"] is not None:
+                    service.wait(outcome["job"], timeout=60.0)
+            assert service.speculation.stats()["watches"] == 3
+            # k0 was forgotten: its snapshot is empty again, so every
+            # function is dirty and the artifact cache serves them all
+            again = service.watch_update(source, watch="k0")
+            assert again["reason"] == "speculating"
+            assert again["dirty"] == 2
+            job = service.wait(again["job"], timeout=60.0)
+            assert job.cache_served == 2
+            # k2 is still remembered, so its repeat is clean
+            assert service.watch_update(source, watch="k2")["reason"] == (
+                "clean"
+            )
+            assert service.speculation.stats()["watches"] == 3
+
+    def test_watch_with_a_live_job_is_never_forgotten(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(watch_module, "MAX_WATCHES", 1)
+        backend = GateBackend()
+        service = CompileService(backend, ArtifactCache(str(tmp_path)))
+        try:
+            live = service.watch_update(
+                synthetic_program("tiny", 1, module_name="w_pin_a"),
+                watch="a",
+            )
+            assert live["reason"] == "speculating"
+            service.watch_update(
+                synthetic_program("tiny", 1, module_name="w_pin_b"),
+                watch="b",
+            )
+            assert service.speculation.stats()["watches"] == 2
+        finally:
+            backend.gate.set()
+            service.close()
+
     def test_speculation_disabled_reports_reason(self):
         with CompileService(SerialBackend()) as service:
             outcome = service.watch_update(
@@ -683,12 +745,14 @@ class TestWatchSpeculation:
         assert outcome["reason"] == "speculation-disabled"
         assert service.speculation is None
 
-    def test_speculation_never_starves_real_tenants(self):
+    def test_speculation_never_starves_real_tenants(self, tmp_path):
         """With the gate closed, a speculative job and a real job both
         queue their tasks; batch priority means every real task must
         dispatch before any speculative one once the gate opens."""
         backend = GateBackend()
-        service = CompileService(backend, max_running=4, speculation=True)
+        service = CompileService(
+            backend, ArtifactCache(str(tmp_path)), max_running=4
+        )
         try:
             real = service.submit(
                 synthetic_program("tiny", 3, module_name="w_starve_real"),

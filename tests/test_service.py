@@ -286,6 +286,39 @@ class TestLifecycle:
         for job_id in ids:
             assert service.job(job_id).state == "done"
 
+    def test_waits_time_out_through_one_path(self):
+        backend = GateBackend()
+        service = CompileService(backend, max_running=1)
+        try:
+            job_id = service.submit(_module("wt_run"))
+            _wait_for(lambda: service.job(job_id).state == "running")
+            with pytest.raises(TimeoutError):
+                service.wait(job_id, timeout=0.05)
+            seen = len(service.job(job_id).events)
+            assert service.events_since(job_id, seen, timeout=0.05) == (
+                [], False
+            )
+            with pytest.raises(TimeoutError):
+                service.drain(timeout=0.05)
+        finally:
+            backend.gate.set()
+            service.close()
+        assert service.job(job_id).state == "done"
+
+    def test_close_without_drain_cancels_queued_and_running(self):
+        backend = GateBackend()
+        service = CompileService(backend, max_running=1)
+        running = service.submit(_module("cn_run"))
+        _wait_for(lambda: service.job(running).state == "running")
+        queued = service.submit(_module("cn_wait"))
+        closer = threading.Thread(target=service.close, args=(False,))
+        closer.start()
+        _wait_for(lambda: service.job(queued).state == "cancelled")
+        backend.gate.set()
+        closer.join(timeout=30.0)
+        assert service.job(running).state == "cancelled"
+        assert service.counts["cancelled"] == 2
+
     def test_borrowed_backend_is_never_shut_down(self):
         backend = ShutdownProbe()
         service = CompileService(backend)
@@ -321,6 +354,24 @@ class TestLifecycle:
         assert "slot 0" in chart
         assert ja in chart and jb in chart
         assert 0.0 <= utilization <= 1.0
+
+    def test_gantt_draws_every_task_of_every_retained_job(self):
+        with CompileService(SerialBackend(), max_running=2) as service:
+            ids = [
+                service.submit(
+                    synthetic_program("tiny", 3, module_name=f"all_{i}")
+                )
+                for i in range(3)
+            ]
+            jobs = [service.wait(job_id, timeout=60.0) for job_id in ids]
+            chart = service.gantt()
+            one = service.gantt(ids[1])
+        for job in jobs:
+            done = [e for e in job.events if e["event"] == "function_done"]
+            assert len(done) == job.tasks_done == 3
+            assert all(0 <= e["start"] <= e["time"] for e in done)
+            assert f"={job.job_id} (3 task(s))" in chart
+        assert f"={ids[1]} (3 task(s))" in one and ids[0] not in one
 
 
 def _stable(report):
@@ -400,20 +451,24 @@ class TestFinishedJobRetention:
             assert [row["job"] for row in rows] == ["j7", "j8", "j9", "j10"]
 
     def test_job_after_the_span_bound_still_draws(self, monkeypatch):
+        """A job's tasks are drawn from its own events, so the chart
+        holds exactly the jobs past ``KEEP_FINISHED``: the latest draws
+        in full, an evicted one not at all."""
         from repro.service import server
 
-        monkeypatch.setattr(server, "MAX_SPANS", 5)
+        monkeypatch.setattr(server, "KEEP_FINISHED", 2)
         with CompileService(SerialBackend()) as service:
             for index in range(4):
                 job_id = service.submit(
                     synthetic_program("tiny", 3, module_name=f"span{index}")
                 )
                 service.wait(job_id, timeout=60.0)
-            assert len(service.spans) == 5
             chart = service.gantt(job_id)
             overview = service.gantt()
-        assert "slot 0" in chart and job_id in chart
-        assert job_id in overview and "j1 " not in overview
+            evicted = service.gantt("j1")
+        assert "slot 0" in chart and f"={job_id} (3 task(s))" in chart
+        assert "=j3 (3 task(s))" in overview and "=j1 " not in overview
+        assert evicted == "no task spans recorded"
 
     def test_overview_rows_carry_no_digest(self):
         import json

@@ -1,9 +1,11 @@
-"""The watch protocol verbs over the wire: ``watch`` and ``watch-status``.
+"""Watch-mode speculation over the wire: the ``watch`` verb, and the
+speculation counters ``status`` carries.
 
 A thin layer over ``tests/test_predict.py`` (which exercises the
 SpeculationManager in-process): here we prove the JSON-lines framing,
 the client helpers, and the disabled/bad-request edges behave across a
-real socket.
+real socket.  Speculation is on exactly when the service has an
+artifact cache.
 """
 
 import threading
@@ -31,7 +33,6 @@ def endpoint(tmp_path):
         cache,
         max_running=2,
         cost_model=model,
-        speculation=True,
     )
     server = ServiceSocketServer(service)
     thread = threading.Thread(
@@ -90,17 +91,16 @@ class TestWatchProtocol:
         assert second["reason"] == "clean"
         assert second["job"] is None
 
-    def test_watch_status_reports_counters(self, endpoint):
+    def test_status_reports_speculation_counters(self, endpoint):
         address, _ = endpoint
         client = ServiceClient(address)
         source = synthetic_program("tiny", 2, module_name="wire_stats")
         outcome = client.watch_update(source, watch="editor")
         client.wait(outcome["job"], timeout=60.0)
-        status = client.watch_status()
-        assert status["enabled"] is True
-        assert status["stats"]["updates"] == 1
-        assert status["stats"]["launched"] == 1
-        assert status["stats"]["watches"] == 1
+        stats = client.status()["stats"]["speculation"]
+        assert stats["updates"] == 1
+        assert stats["launched"] == 1
+        assert stats["watches"] == 1
 
     def test_missing_source_is_bad_request(self, endpoint):
         address, _ = endpoint
@@ -117,9 +117,10 @@ class TestWatchProtocol:
         )
         assert outcome["speculation"] is False
         assert outcome["reason"] == "speculation-disabled"
-        status = client.watch_status()
-        assert status["enabled"] is False
-        assert status["stats"] == {}
+        assert "speculation" not in client.status()["stats"]
+        with pytest.raises(ServiceError) as excinfo:
+            client._request({"op": "watch-status"})
+        assert excinfo.value.reason == "bad-request"  # no such verb
 
     def test_service_stats_carry_speculation_and_model(self, endpoint):
         address, service = endpoint
