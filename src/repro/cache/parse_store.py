@@ -2,7 +2,7 @@
 
 Phase 1's incremental path (:func:`repro.driver.phases.phase1_parallel`)
 splits a module into per-function byte windows and parses each window
-from its own text: offsets from 0, lines from 1, no filename.  A
+from its own text: offsets from 0, no filename.  A
 window's checked subtree is therefore a function of exactly two things:
 
 - the window's text (hashed — the *span hash*);
@@ -32,15 +32,15 @@ from typing import List, Optional
 from ..driver.phases import ParseEntry
 from ..lang import ast_nodes as ast
 from ..lang.sema import FunctionScope, Symbol
-from ..lang.source import Position, Span
 from ..lang.types import ArrayType, FloatType, IntType, VoidType
 from .fingerprint import _Hasher, _feed_signature, compiler_salt
 from .pickled import PickleCodec
 from .store import Store
 
 #: Bump whenever the AST, FunctionScope, or ParseEntry layout changes;
-#: old entries become unreachable rather than wrong.
-PARSE_SCHEMA_VERSION = 2
+#: old entries become unreachable rather than wrong.  (3: nodes carry
+#: offset pairs and a function its line count, not ``Span`` objects.)
+PARSE_SCHEMA_VERSION = 3
 
 
 def parse_salt() -> str:
@@ -107,6 +107,6 @@ class ParseCache(Store):
         ast.ReturnStmt, ast.SendStmt, ast.ReceiveStmt, ast.CallStmt,
         ast.IntLiteral, ast.FloatLiteral, ast.VarRef, ast.IndexExpr,
         ast.UnaryExpr, ast.BinaryExpr, ast.CallExpr,
-        FunctionScope, Symbol, Position, Span,
+        FunctionScope, Symbol,
         IntType, FloatType, ArrayType, VoidType,
     )

@@ -58,7 +58,7 @@ from ..lang.sema import (
     function_call_sites,
     section_function_table,
 )
-from ..lang.source import SourceFile, Span
+from ..lang.source import SourceFile
 from ..lang.tokens import Token
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
@@ -159,8 +159,8 @@ def _lex_skeleton(
 ) -> List[Token]:
     """Lex the text *between* function windows (module/section headers
     and closing ``end``s) in place, as ranges of the file, into one
-    token stream whose EOF is the last gap's: the file's.  Positions are
-    absolute, so the skeleton parse yields module/section nodes with the
+    token stream whose EOF is the last gap's: the file's.  Offsets are
+    the file's, so the skeleton parse yields module/section nodes with the
     sequential parse's spans."""
     tokens: List[Token] = []
     start = 0
@@ -190,7 +190,7 @@ class ParseEntry:
 
     function: ast.Function
     scope: FunctionScope
-    calls: List[Tuple[str, Span]]
+    calls: List[Tuple[str, ast.Offsets]]
     token_count: int
 
 
@@ -198,8 +198,8 @@ def _parse_and_check_window(
     text: str, table: Dict[str, ast.Function], spent: List[float]
 ) -> ParseEntry:
     """Lex, parse, and check one function window from its own text —
-    offsets from 0, lines from 1, no filename — adding the parse and the
-    check seconds to ``spent``.
+    offsets from 0, no filename — adding the parse and the check seconds
+    to ``spent``.
 
     Raises :class:`_WindowProblem` on any diagnostic (the fallback
     re-derives the canonical error report sequentially).
@@ -245,10 +245,11 @@ def phase1_parallel(
     windows are independent, and are parsed in a loop.
 
     The result is the sequential front end's in module and section
-    spans, structure, scopes and work counts; only a function subtree's
-    positions are measured from its window (offset 0, line 1, no
-    filename).  Nothing after phase 1 reads a position but
-    :meth:`~repro.lang.ast_nodes.Function.line_count`, a difference.
+    spans, structure, scopes, line counts and work counts; only a
+    function subtree's offsets are measured from its window (offset 0).
+    Nothing after phase 1 reads an offset:
+    :meth:`~repro.lang.ast_nodes.Function.line_count` is a count the
+    parser took once, the same wherever the window sits.
 
     Any diagnostic anywhere aborts the fast path and re-runs
     :func:`phase1_parse_and_check`, whose error report is canonical —
@@ -334,7 +335,7 @@ def phase1_parallel(
     for sec_node, section_entries in zip(module.sections, entries):
         sec_node.functions = [entry.function for entry in section_entries]
     t_struct = time.perf_counter()
-    structure_sink = DiagnosticSink()
+    structure_sink = DiagnosticSink(source)
     check_module_structure(module, structure_sink)
     for sec_node in module.sections:
         section_function_table(sec_node, structure_sink)

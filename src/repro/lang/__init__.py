@@ -11,10 +11,10 @@ Public surface:
 
 from .ast_nodes import Function, Module, Section
 from .diagnostics import CompileError, Diagnostic, DiagnosticSink, Severity
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_source, parse_text
 from .sema import SemaResult, check_module
-from .source import Position, SourceFile, Span
+from .source import SourceFile
 from .types import ArrayType, FLOAT, INT, VOID, FloatType, IntType, Type, VoidType
 
 __all__ = [
@@ -27,15 +27,12 @@ __all__ = [
     "Function",
     "INT",
     "IntType",
-    "Lexer",
     "Module",
     "Parser",
-    "Position",
     "Section",
     "SemaResult",
     "Severity",
     "SourceFile",
-    "Span",
     "Type",
     "VOID",
     "VoidType",

@@ -10,15 +10,17 @@ The tree mirrors the paper's program structure (§3.1, Figure 1):
 Sections execute independently on disjoint groups of processing elements;
 functions within a section may call one another.  This structure is what
 the parallel compiler partitions along.
+Every node's ``span`` is its ``(start, end)`` offsets in the parsed text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .source import Span
 from .types import Type
+
+Offsets = Tuple[int, int]
 
 # --------------------------------------------------------------------------
 # Expressions
@@ -29,7 +31,7 @@ from .types import Type
 class Expr:
     """Base class; ``type`` is filled in by semantic analysis."""
 
-    span: Span
+    span: Offsets
     type: Optional[Type] = field(default=None, init=False, compare=False)
 
 
@@ -80,7 +82,7 @@ class CallExpr(Expr):
 
 @dataclass
 class Stmt:
-    span: Span
+    span: Offsets
 
 
 @dataclass
@@ -146,14 +148,14 @@ class CallStmt(Stmt):
 class VarDecl:
     name: str
     type: Type
-    span: Span
+    span: Offsets
 
 
 @dataclass
 class Param:
     name: str
     type: Type
-    span: Span
+    span: Offsets
 
 
 @dataclass
@@ -163,11 +165,12 @@ class Function:
     return_type: Type  # VOID when no return value declared
     locals: List[VarDecl]
     body: List[Stmt]
-    span: Span
+    span: Offsets
+    lines: int  # counted once by the parser
 
     def line_count(self) -> int:
         """Source lines covered by this function (the paper's LOC metric)."""
-        return self.span.end.line - self.span.start.line + 1
+        return self.lines
 
 
 @dataclass
@@ -178,7 +181,7 @@ class Section:
     first_cell: int
     last_cell: int
     functions: List[Function]
-    span: Span
+    span: Offsets
 
     @property
     def cell_count(self) -> int:
@@ -197,7 +200,7 @@ class Module:
 
     name: str
     sections: List[Section]
-    span: Span
+    span: Offsets
 
     def section_named(self, name: str) -> Optional[Section]:
         for section in self.sections:

@@ -7,15 +7,18 @@ them back into source order so the parallel compiler's output is identical
 to the sequential compiler's output (the paper's §3.2 requires the section
 master "to combine the diagnostic output that was generated during the
 compilation of the functions").
+
+A reporter hands a sink the offsets ``(start, end)`` of a token or a node;
+the sink derives line and column in the source it is bound to.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from .source import Span
+from .source import SourceFile, Span
 
 
 class Severity(enum.Enum):
@@ -63,13 +66,19 @@ class CompileError(Exception):
 class DiagnosticSink:
     """Accumulates diagnostics for one compilation (or one function)."""
 
+    source: Optional[SourceFile] = field(default=None, repr=False)
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
-    def error(self, message: str, span: Optional[Span] = None) -> None:
-        self.diagnostics.append(Diagnostic(Severity.ERROR, message, span))
+    def error(self, message: str, at: Optional[Tuple[int, int]] = None) -> None:
+        """Report an error at the offsets ``at`` of :attr:`source`."""
+        self._report(Severity.ERROR, message, at)
 
-    def warning(self, message: str, span: Optional[Span] = None) -> None:
-        self.diagnostics.append(Diagnostic(Severity.WARNING, message, span))
+    def warning(self, message: str, at: Optional[Tuple[int, int]] = None) -> None:
+        self._report(Severity.WARNING, message, at)
+
+    def _report(self, severity: Severity, message: str, at) -> None:
+        span = None if at is None else self.source.span(*at)
+        self.diagnostics.append(Diagnostic(severity, message, span))
 
     def extend(self, other: "DiagnosticSink") -> None:
         self.diagnostics.extend(other.diagnostics)

@@ -9,13 +9,14 @@ fraction (a ``.`` that is not the ``..`` range operator) or an exponent
 
 The range contract: :func:`tokenize` reads ``[start, end)`` of a source
 (by default all of it) exactly as it would read ``text[start:end]`` —
-the text ends at ``end`` for every pattern — but measures each position
-in the whole source.  It asks :meth:`SourceFile.position_at` for one
-position, ``start``'s, and carries line and column forward from it: a
-token never contains a newline, so only trivia advances the line, and
-a token's offset is its match offset, so no token needs a lookup.  The
-incremental front end lexes the skeleton and the function headers as
-ranges of the file; a function window is a source of its own.
+the text ends at ``end`` for every pattern — but gives every token the
+offsets of the whole source, so a range's tokens are the whole file's
+tokens for the same lexemes.  A token holds its kind, text, value and
+offsets: the lexer builds one object per lexeme and never a line or a
+column, which are derived from an offset only when a diagnostic is
+reported (its sink is bound to the same source).  The incremental front
+end lexes the skeleton and the function headers as ranges of the file;
+a function window is a source of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from typing import List, Optional
 
 from .diagnostics import DiagnosticSink
-from .source import Position, SourceFile, Span
+from .source import SourceFile
 from .tokens import (
     KEYWORDS,
     MULTI_CHAR_OPERATORS,
@@ -54,76 +55,55 @@ MASTER = re.compile(
 )
 
 
-class Lexer:
-    """Converts a range of a source (see the module docstring) into a
-    token stream."""
-
-    def __init__(self, source: SourceFile, sink: DiagnosticSink):
-        self._source = source
-        self._sink = sink
-
-    def tokens(self, start: int = 0, end: Optional[int] = None) -> List[Token]:
-        """Lex ``[start, end)``, ending with exactly one EOF token."""
-        text = self._source.text
-        filename = self._source.filename
-        stop = len(text) if end is None else end
-        first = self._source.position_at(start)
-        # The token at offset o sits at column o - margin of ``line``.
-        line, margin = first.line, start - first.column
-        result: List[Token] = []
-        emit = result.append
-        pos = start
-        while pos is not None:
-            matches = MASTER.finditer(text, pos, stop)
-            pos = None
-            for match in matches:
-                group = match.lastgroup
-                begin, finish = match.span()
-                if group == "trivia":
-                    newlines = text.count("\n", begin, finish)
-                    if newlines:
-                        line += newlines
-                        margin = text.rfind("\n", begin, finish)
-                    continue
-                lexeme = match.group()
-                kind = value = None  # no kind: an unexpected character
-                if group == "word":
-                    kind = KEYWORDS.get(lexeme)
-                    if kind is None:
-                        initial = lexeme[0]
-                        if initial.isalpha() or initial == "_":
-                            kind, value = TokenKind.IDENT, lexeme
-                        else:
-                            # No word starts here: resume behind it.
-                            pos = finish = begin + 1
-                elif group == "op":
-                    kind = _OPERATORS[lexeme]
-                elif group == "int":
-                    kind, value = TokenKind.INT_LIT, int(lexeme)
-                elif group == "float":
-                    kind, value = TokenKind.FLOAT_LIT, float(lexeme)
-                span = Span(
-                    filename,
-                    Position(line, begin - margin, begin),
-                    Position(line, finish - margin, finish),
-                )
-                if kind is not None:
-                    emit(Token(kind, lexeme, span, value))
-                    continue
-                self._sink.error(f"unexpected character {text[begin]!r}", span)
-                if pos is not None:
-                    break
-        eof = Position(line, stop - margin, stop)
-        emit(Token(TokenKind.EOF, "", Span(filename, eof, eof), None))
-        return result
-
-
 def tokenize(
     source: SourceFile,
     sink: DiagnosticSink,
     start: int = 0,
     end: Optional[int] = None,
 ) -> List[Token]:
-    """Lex ``source``, or its range ``[start, end)``, reporting problems
-    to ``sink``."""
-    return Lexer(source, sink).tokens(start, end)
+    """Lex ``source``, or its range ``[start, end)`` (see the module
+    docstring), into tokens ending with exactly one EOF token.
+
+    Binds ``sink`` to ``source``: whatever reports to the sink next — the
+    lexer, a parser of these tokens, a checker of their tree — reports
+    offsets into ``source``.
+    """
+    sink.source = source
+    text = source.text
+    stop = len(text) if end is None else end
+    result: List[Token] = []
+    emit = result.append
+    pos = start
+    while pos is not None:
+        matches = MASTER.finditer(text, pos, stop)
+        pos = None
+        for match in matches:
+            group = match.lastgroup
+            if group == "trivia":
+                continue
+            lexeme = match.group()
+            begin, finish = match.span()
+            kind = value = None  # no kind: an unexpected character
+            if group == "word":
+                kind = KEYWORDS.get(lexeme)
+                if kind is None:
+                    initial = lexeme[0]
+                    if initial.isalpha() or initial == "_":
+                        kind, value = TokenKind.IDENT, lexeme
+                    else:
+                        # No word starts here: resume behind it.
+                        pos = finish = begin + 1
+            elif group == "op":
+                kind = _OPERATORS[lexeme]
+            elif group == "int":
+                kind, value = TokenKind.INT_LIT, int(lexeme)
+            elif group == "float":
+                kind, value = TokenKind.FLOAT_LIT, float(lexeme)
+            if kind is not None:
+                emit(Token(kind, lexeme, value, begin, finish))
+                continue
+            sink.error(f"unexpected character {text[begin]!r}", (begin, finish))
+            if pos is not None:
+                break
+    emit(Token(TokenKind.EOF, "", None, stop, stop))
+    return result

@@ -25,6 +25,11 @@ Errors are reported to the sink and the parser synchronizes at statement
 boundaries, so a single compilation reports as many problems as possible —
 the master process aborts parallel compilation only after parsing the whole
 program (paper §3.2).
+
+A node's ``span`` is the offset pair from its first token's start to its
+last token's end.  The sink the parser reports to is bound to the source
+its tokens were lexed from (lexing binds it), and the parser reads that
+text once more per function, to count the function's lines.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import List, Optional
 from . import ast_nodes as ast
 from .diagnostics import DiagnosticSink
 from .lexer import tokenize
-from .source import SourceFile, Span
+from .source import SourceFile
 from .tokens import Token, TokenKind
 from .types import ArrayType, FLOAT, INT, Type, VOID
 
@@ -77,6 +82,7 @@ class Parser:
     def __init__(self, tokens: List[Token], sink: DiagnosticSink):
         self._tokens = tokens
         self._sink = sink
+        self._text = sink.source.text
         self._index = 0
 
     # -- token stream helpers ---------------------------------------------
@@ -108,9 +114,13 @@ class Parser:
         )
         raise _ParseError()
 
-    def _span_from(self, start: Span) -> Span:
-        end = self._tokens[max(self._index - 1, 0)].span
-        return start.merge(end)
+    def _span_from(self, start: ast.Offsets) -> ast.Offsets:
+        """From ``start``'s start to the end of the last token consumed."""
+        return (start[0], self._tokens[max(self._index - 1, 0)].end)
+
+    def _lines_from(self, start: ast.Offsets) -> int:
+        """Source lines :meth:`_span_from` covers."""
+        return self._text.count("\n", *self._span_from(start)) + 1
 
     # -- program structure --------------------------------------------------
 
@@ -216,6 +226,7 @@ class Parser:
             locals=[],
             body=[],
             span=self._span_from(start),
+            lines=self._lines_from(start),
         )
 
     def _parse_function(self) -> Optional[ast.Function]:
@@ -246,6 +257,7 @@ class Parser:
             locals=local_decls,
             body=body,
             span=self._span_from(start),
+            lines=self._lines_from(start),
         )
 
     def _parse_params(self) -> List[ast.Param]:
@@ -438,7 +450,7 @@ class Parser:
             self._advance()
             right = self._parse_and()
             expr = ast.BinaryExpr(
-                span=expr.span.merge(right.span), op="or", left=expr, right=right
+                span=(expr.span[0], right.span[1]), op="or", left=expr, right=right
             )
         return expr
 
@@ -448,7 +460,7 @@ class Parser:
             self._advance()
             right = self._parse_not()
             expr = ast.BinaryExpr(
-                span=expr.span.merge(right.span), op="and", left=expr, right=right
+                span=(expr.span[0], right.span[1]), op="and", left=expr, right=right
             )
         return expr
 
@@ -457,7 +469,7 @@ class Parser:
             start = self._advance().span
             operand = self._parse_not()
             return ast.UnaryExpr(
-                span=start.merge(operand.span), op="not", operand=operand
+                span=(start[0], operand.span[1]), op="not", operand=operand
             )
         return self._parse_comparison()
 
@@ -467,7 +479,7 @@ class Parser:
             op = _COMPARISON_OPS[self._advance().kind]
             right = self._parse_additive()
             expr = ast.BinaryExpr(
-                span=expr.span.merge(right.span), op=op, left=expr, right=right
+                span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
             )
         return expr
 
@@ -477,7 +489,7 @@ class Parser:
             op = _ADDITIVE_OPS[self._advance().kind]
             right = self._parse_multiplicative()
             expr = ast.BinaryExpr(
-                span=expr.span.merge(right.span), op=op, left=expr, right=right
+                span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
             )
         return expr
 
@@ -487,7 +499,7 @@ class Parser:
             op = _MULTIPLICATIVE_OPS[self._advance().kind]
             right = self._parse_unary()
             expr = ast.BinaryExpr(
-                span=expr.span.merge(right.span), op=op, left=expr, right=right
+                span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
             )
         return expr
 
@@ -496,7 +508,7 @@ class Parser:
             start = self._advance().span
             operand = self._parse_unary()
             return ast.UnaryExpr(
-                span=start.merge(operand.span), op="-", operand=operand
+                span=(start[0], operand.span[1]), op="-", operand=operand
             )
         return self._parse_postfix()
 
@@ -508,7 +520,7 @@ class Parser:
                 index = self._parse_expr()
                 end = self._expect(TokenKind.RBRACKET).span
                 expr = ast.IndexExpr(
-                    span=expr.span.merge(end), base=expr, index=index
+                    span=(expr.span[0], end[1]), base=expr, index=index
                 )
             elif self._at(TokenKind.LPAREN) and isinstance(expr, ast.VarRef):
                 self._advance()
@@ -519,7 +531,7 @@ class Parser:
                         args.append(self._parse_expr())
                 end = self._expect(TokenKind.RPAREN).span
                 expr = ast.CallExpr(
-                    span=expr.span.merge(end), callee=expr.name, args=args
+                    span=(expr.span[0], end[1]), callee=expr.name, args=args
                 )
             else:
                 return expr

@@ -17,7 +17,7 @@ cross-function:
 - :func:`function_call_sites` + :func:`detect_call_cycles` implement the
   no-recursion rule over an already-collected call graph.
 
-:class:`SemanticChecker` composes these into the sequential whole-module
+:func:`check_module` composes these into the sequential whole-module
 pass; the incremental front end
 (:func:`repro.driver.phases.phase1_parallel`) composes the same pieces
 with the per-function step run window by window.
@@ -613,36 +613,6 @@ class FunctionChecker:
         return result
 
 
-# ---------------------------------------------------------------------------
-# Whole-module orchestration (the sequential composition of the passes)
-# ---------------------------------------------------------------------------
-
-
-class SemanticChecker:
-    """Checks one module and annotates its expressions with types."""
-
-    def __init__(self, module: ast.Module, sink: DiagnosticSink):
-        self._module = module
-        self._sink = sink
-        self._result = SemaResult(module)
-
-    def check(self) -> SemaResult:
-        check_module_structure(self._module, self._sink)
-        for section in self._module.sections:
-            self._check_section(section)
-        return self._result
-
-    def _check_section(self, section: ast.Section) -> None:
-        table = section_function_table(section, self._sink)
-        for fn in section.functions:
-            checker = FunctionChecker(table, self._sink)
-            self._result.scopes[(section.name, fn.name)] = checker.check(fn)
-        calls = {
-            fn.name: function_call_sites(fn) for fn in section.functions
-        }
-        detect_call_cycles(section.name, calls, self._sink)
-
-
 def _constant_int_value(expr: ast.Expr) -> Optional[int]:
     """Evaluate an integer-constant expression (literal or negated literal)."""
     if isinstance(expr, ast.IntLiteral):
@@ -654,5 +624,16 @@ def _constant_int_value(expr: ast.Expr) -> Optional[int]:
 
 
 def check_module(module: ast.Module, sink: DiagnosticSink) -> SemaResult:
-    """Run semantic analysis over ``module``, reporting problems to ``sink``."""
-    return SemanticChecker(module, sink).check()
+    """Run semantic analysis over ``module``, reporting problems to ``sink``:
+    the sequential composition of the passes, annotating every expression
+    with its type."""
+    result = SemaResult(module)
+    check_module_structure(module, sink)
+    for section in module.sections:
+        table = section_function_table(section, sink)
+        for fn in section.functions:
+            scope = FunctionChecker(table, sink).check(fn)
+            result.scopes[(section.name, fn.name)] = scope
+        calls = {fn.name: function_call_sites(fn) for fn in section.functions}
+        detect_call_cycles(section.name, calls, sink)
+    return result

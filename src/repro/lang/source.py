@@ -1,13 +1,16 @@
-"""Source text handling: files, positions, and spans.
+"""Source text handling: files, and the positions a diagnostic reports.
 
-Every token and AST node carries a :class:`Span` so that diagnostics can
-point at the offending source text.  The parallel compiler's master process
-parses the whole program once to derive the partitioning, and diagnostics
+Tokens and AST nodes carry integer offsets into the text they were lexed
+from — a ``(start, end)`` pair — and nothing else.  A line and column
+are a fact derived from an offset, through :meth:`SourceFile.position_at`,
+and only where one is shown: when a diagnostic is reported
+(:meth:`SourceFile.span`).  The parallel compiler's master process parses
+the whole program once to derive the partitioning, and diagnostics
 produced by the function masters are recombined by the section masters;
 stable, position-carrying diagnostics are what make that recombination
 deterministic.
 
-A position is always measured within one :class:`SourceFile`.  The
+An offset is always measured within one :class:`SourceFile`.  The
 incremental front end makes each function window a ``SourceFile`` of its
 own — its text, no filename — so a window's subtree is measured from the
 window, wherever the function sits in the file.
@@ -38,20 +41,6 @@ class Span:
     filename: str
     start: Position
     end: Position
-
-    @classmethod
-    def point(cls, filename: str, pos: Position) -> "Span":
-        return cls(filename, pos, pos)
-
-    def merge(self, other: "Span") -> "Span":
-        """Smallest span covering both ``self`` and ``other``."""
-        if self.filename != other.filename:
-            raise ValueError(
-                f"cannot merge spans from {self.filename!r} and {other.filename!r}"
-            )
-        first = self.start if self.start.offset <= other.start.offset else other.start
-        last = self.end if self.end.offset >= other.end.offset else other.end
-        return Span(self.filename, first, last)
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.start}"
@@ -84,6 +73,10 @@ class SourceFile:
         starts = self.line_starts()
         line = bisect_right(starts, offset)
         return Position(line, offset - starts[line - 1] + 1, offset)
+
+    def span(self, start: int, end: int) -> Span:
+        """The :class:`Span` of the offsets ``[start, end)``."""
+        return Span(self.filename, self.position_at(start), self.position_at(end))
 
     def line_text(self, line: int) -> str:
         """The text of the given 1-based line, without the newline."""

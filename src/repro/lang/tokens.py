@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
-
-from .source import Span
+from typing import Tuple, Union
 
 
 class TokenKind(enum.Enum):
@@ -131,14 +129,26 @@ SINGLE_CHAR_OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class Token:
-    """One lexeme with its kind, source text, decoded value, and span."""
+    """One lexeme: its kind, source text, decoded value, and the offsets
+    ``[start, end)`` of the text it was lexed from.  One small object per
+    lexeme (``__slots__``, and not frozen: a frozen dataclass builds
+    through ``object.__setattr__``); line and column are derived from
+    ``start`` only when a diagnostic needs them."""
+
+    __slots__ = ("kind", "text", "value", "start", "end")
 
     kind: TokenKind
     text: str
-    span: Span
-    value: Union[int, float, str, None] = None
+    value: Union[int, float, str, None]
+    start: int
+    end: int
+
+    @property
+    def span(self) -> Tuple[int, int]:
+        """The offset pair ``(start, end)``."""
+        return (self.start, self.end)
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -31,8 +31,7 @@ def _assert_windows_match_parser(source: str):
     for sec_bounds, section in zip(boundaries.sections, module.sections):
         assert len(sec_bounds.function_windows) == len(section.functions)
         for window, fn in zip(sec_bounds.function_windows, section.functions):
-            assert window.start == fn.span.start.offset
-            assert window.end == fn.span.end.offset
+            assert (window.start, window.end) == fn.span
             assert source[window.header_end:].startswith("begin")
 
 

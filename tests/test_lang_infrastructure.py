@@ -59,32 +59,20 @@ class TestSourceFile:
 
 
 class TestSpan:
-    def _span(self, a, b):
-        return Span("f", Position(1, a + 1, a), Position(1, b + 1, b))
-
-    def test_merge_covers_both(self):
-        merged = self._span(2, 4).merge(self._span(7, 9))
-        assert merged.start.offset == 2
-        assert merged.end.offset == 9
-
-    def test_merge_order_independent(self):
-        a, b = self._span(2, 4), self._span(7, 9)
-        assert a.merge(b) == b.merge(a)
-
-    def test_merge_different_files_rejected(self):
-        other = Span("g", Position(1, 1, 0), Position(1, 2, 1))
-        with pytest.raises(ValueError):
-            self._span(0, 1).merge(other)
-
     def test_str_form(self):
-        assert str(self._span(0, 1)) == "f:1:1"
+        assert str(Span("f", Position(1, 1, 0), Position(1, 2, 1))) == "f:1:1"
+
+    def test_offsets_become_positions_in_their_file(self):
+        span = SourceFile("f", "ab\ncde").span(4, 6)
+        assert span == Span("f", Position(2, 2, 4), Position(2, 4, 6))
 
 
 class TestDiagnostics:
     def test_render_format(self):
-        sink = DiagnosticSink()
-        sink.error("bad thing", Span("f", Position(3, 7, 20), Position(3, 8, 21)))
+        sink = DiagnosticSink(SourceFile("f", "\n\n      bad\n"))
+        sink.error("bad thing", (8, 11))
         assert sink.render() == "f:3:7: error: bad thing"
+        assert sink.diagnostics[0].span.end == Position(3, 10, 11)
 
     def test_warnings_do_not_count_as_errors(self):
         sink = DiagnosticSink()
@@ -102,11 +90,9 @@ class TestDiagnostics:
         assert len(excinfo.value.diagnostics) == 5
 
     def test_merged_in_source_order(self):
-        sink = DiagnosticSink()
-        late = Span("f", Position(9, 1, 90), Position(9, 2, 91))
-        early = Span("f", Position(2, 1, 10), Position(2, 2, 11))
-        sink.error("later", late)
-        sink.error("earlier", early)
+        sink = DiagnosticSink(SourceFile("f", "early\n" * 9))
+        sink.error("later", (48, 49))
+        sink.error("earlier", (6, 7))
         ordered = sink.merged_in_source_order()
         assert [d.message for d in ordered] == ["earlier", "later"]
 

@@ -217,13 +217,12 @@ class TestNumberEdges:
 
 class TestSpans:
     def test_token_positions(self):
-        tokens, _ = lex("ab\ncd")
-        assert tokens[0].span.start.line == 1
-        assert tokens[0].span.start.column == 1
-        assert tokens[1].span.start.line == 2
-        assert tokens[1].span.start.column == 1
+        source = SourceFile("<test>", "ab\ncd")
+        tokens = tokenize(source, DiagnosticSink())
+        assert [(t.start, t.end) for t in tokens] == [(0, 2), (3, 5), (5, 5)]
+        assert str(source.position_at(tokens[0].start)) == "1:1"
+        assert str(source.position_at(tokens[1].start)) == "2:1"
 
     def test_span_covers_token_text(self):
         tokens, _ = lex("  hello  ")
-        span = tokens[0].span
-        assert span.end.offset - span.start.offset == len("hello")
+        assert (tokens[0].start, tokens[0].end) == (2, 2 + len("hello"))

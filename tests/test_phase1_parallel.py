@@ -12,12 +12,14 @@ window builds (a window parses in its own coordinates) — and, on error
 modules, identical rendered diagnostics.
 """
 
+import pickle
 import tempfile
 from collections import Counter
 
 import pytest
 
-from repro.cache import ParseCache
+from repro.cache import ParseCache, parse_store
+from repro.cache.store import seal_entry
 from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import (
@@ -31,7 +33,7 @@ from repro.lang.boundary import scan_boundaries
 from repro.lang.diagnostics import CompileError, DiagnosticSink
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
-from repro.lang.source import SourceFile
+from repro.lang.source import Position, SourceFile, Span
 from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
 from repro.workloads.synthetic import synthetic_program
@@ -110,10 +112,9 @@ def test_parallel_phase1_matches_sequential_across_seeds(block, tmp_path):
             fn.span
             for _section, fn in seq.module.all_functions()
         ]
-        assert len(windows) == len(spans), f"{size_class} seed {seed}"
-        for window, span in zip(windows, spans):
-            assert window.start == span.start.offset
-            assert window.end == span.end.offset
+        assert [(w.start, w.end) for w in windows] == spans, (
+            f"{size_class} seed {seed}"
+        )
         stats = _assert_equivalent(source, tmp_path / str(seed))
         assert stats.mode == "parallel", (
             f"{size_class} seed {seed} fell back: {stats.fallback_reason}"
@@ -176,6 +177,131 @@ def test_error_module_with_parse_cache_still_canonical():
             with pytest.raises(CompileError) as par_err:
                 phase1_parallel(source, parse_cache=cache)
             assert _render(par_err.value) == _render(seq_err.value)
+
+
+def _module(line6, line7="    x := 2;", newline="\n"):
+    """A one-function module whose body is lines 6 and 7."""
+    lines = [
+        "module m", "section s (cells 0..1)", "function f()", "var x: int;",
+        "begin", line6, line7, "end", "end", "end",
+    ]
+    return newline.join(lines) + newline
+
+
+#: (source, what ``t.w2`` compiles to: its rendered diagnostics, or the
+#: digest of a clean compile) — each written at the parent of the offset
+#: front end, through all three doors below.
+PARENT_DIAGNOSTICS = {
+    "crlf": (
+        _module("    x := 1;", "    x := y;", "\r\n"),
+        ["t.w2:7:10: error: undeclared variable 'y'"],
+    ),
+    "tabs": (
+        _module("\tx := 1;", "\t\tx := y;"),
+        ["t.w2:7:8: error: undeclared variable 'y'"],
+    ),
+    "comment_at_eof": (
+        _module("    x := 1;") + "-- the end",
+        "6faafdb84e12d59ccaeea31b1b86ae9a498b898cfcbba63587a93eb1fff37c73",
+    ),
+    "at_sign": (
+        _module("    x := 1 @ 2;"),
+        [
+            "t.w2:6:12: error: unexpected character '@'",
+            "t.w2:6:14: error: expected ';', found '2'",
+        ],
+    ),
+    "superscript": (
+        _module("    x := 1²;"),
+        ["t.w2:6:11: error: unexpected character '²'"],
+    ),
+    "empty": ("", ["t.w2:1:1: error: expected 'module', found ''"]),
+    "unterminated": (
+        "module m\nsection s (cells 0..1)\nfunction f()\nbegin\n",
+        [
+            "t.w2:5:1: error: expected 'end', found ''",
+            "t.w2:5:1: error: expected 'end', found ''",
+            "t.w2:5:1: error: expected 'section' or 'end', found ''",
+        ],
+    ),
+    "error_module_0": (
+        ERROR_MODULES[0],
+        ["t.w2:1:52: error: undeclared variable 'x'"],
+    ),
+    "error_module_1": (
+        ERROR_MODULES[1],
+        ["t.w2:1:10: error: section 's' has no functions"],
+    ),
+    "error_module_2": (
+        ERROR_MODULES[2],
+        [
+            "t.w2:1:33: error: function 'f' declares return type int but has "
+            "no return statement",
+        ],
+    ),
+    "error_module_3": (
+        ERROR_MODULES[3],
+        [
+            "t.w2:1:64: error: recursive call cycle through 'f' in section "
+            "'s' (Warp cells have no call stack)",
+        ],
+    ),
+    "error_module_4": (
+        ERROR_MODULES[4],
+        ["t.w2:1:71: error: duplicate function 'f' in section 's'"],
+    ),
+    "error_module_5": (
+        ERROR_MODULES[5],
+        [
+            "t.w2:1:63: error: expected 'end', found ''",
+            "t.w2:1:63: error: expected 'section' or 'end', found ''",
+        ],
+    ),
+    "error_module_6": (
+        ERROR_MODULES[6],
+        ["t.w2:1:72: error: trailing input after module end: ';'"],
+    ),
+    "error_module_7": (
+        ERROR_MODULES[7],
+        ["t.w2:1:59: error: unexpected character '@'"],
+    ),
+    "error_module_8": (
+        ERROR_MODULES[8],
+        ["t.w2:1:10: error: unexpected character '$'"],
+    ),
+}
+
+
+def _outcome(compile_):
+    try:
+        return compile_().digest
+    except CompileError as error:
+        return [d.render() for d in error.diagnostics]
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_DIAGNOSTICS))
+def test_diagnostics_are_the_parents(name, tmp_path, capsys, monkeypatch):
+    """Every door renders what the parent rendered: the sequential
+    compiler, the parallel one over a parse cache (the incremental front
+    end), and ``warpcc compile``."""
+    from repro.cli import main
+
+    source, expected = PARENT_DIAGNOSTICS[name]
+    assert _outcome(lambda: SequentialCompiler().compile(source, "t.w2")) == expected
+    clear_phase1_cache()
+    parallel = ParallelCompiler(
+        backend=SerialBackend(), parse_cache=ParseCache(tmp_path / "cache")
+    )
+    assert _outcome(lambda: parallel.compile(source, "t.w2")) == expected
+    (tmp_path / "t.w2").write_bytes(source.encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    clear_phase1_cache()
+    code = main(["compile", "t.w2", "--no-cache", "--emit", "digest"])
+    out, err = capsys.readouterr()
+    if isinstance(expected, str):
+        assert (code, out.strip(), err) == (0, expected, "")
+    else:
+        assert (code, err.splitlines()) == (1, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +405,8 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
 
     def f1_line(text, filename):
         module = phase1_parse_and_check(text, filename).module
-        return module.sections[0].functions[0].span.start.line
+        start = module.sections[0].functions[0].span[0]
+        return SourceFile(filename, text).position_at(start).line
 
     assert (f1_line(padded, "a.w2"), f1_line(SOURCE, "b.w2")) == (40, 3)
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,6 +420,39 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
         assert served == _window_parse(SOURCE[window.start : window.end])
         seq = phase1_parse_and_check(SOURCE, "b.w2")
         _assert_same_module(par, seq, SOURCE)
+
+
+def test_an_entry_written_under_parse_schema_2_is_a_miss(tmp_path, monkeypatch):
+    """Entries of schema 2, whose nodes held ``Span`` objects, are never
+    served: under schema 2's keys they are out of reach, and one found
+    under a current key is a counted corrupt miss.  Either way the window
+    is parsed again, and the module is the sequential one."""
+    seq = phase1_parse_and_check(SOURCE)
+    with monkeypatch.context() as schema_2:
+        schema_2.setattr(parse_store, "PARSE_SCHEMA_VERSION", 2)
+        schema_2.setattr(ParseCache, "SCHEMA", 2)
+        phase1_parallel(SOURCE, parse_cache=ParseCache(tmp_path / "old"))
+    cache = ParseCache(tmp_path / "old")
+    counts = Counter()
+    par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
+    assert counts == {"parse_cache.misses": FUNCTIONS}
+    assert cache.counts["corrupt"] == 0
+    _assert_same_module(par, seq, SOURCE)
+
+    cache = ParseCache(tmp_path / "current")
+    phase1_parallel(SOURCE, parse_cache=cache)
+    for path in (tmp_path / "current" / "parse").rglob("*.entry"):
+        entry = ParseCache.open(path.read_bytes())
+        start, end = entry.function.span
+        entry.function.span = Span(
+            "", Position(1, 1, start), Position(entry.function.lines, 4, end)
+        )
+        path.write_bytes(seal_entry("parse", 2, {}, pickle.dumps(entry)))
+    counts = Counter()
+    par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
+    assert counts == {"parse_cache.misses": FUNCTIONS}
+    assert cache.counts["corrupt"] == FUNCTIONS
+    _assert_same_module(par, seq, SOURCE)
 
 
 # ---------------------------------------------------------------------------
