@@ -20,6 +20,9 @@ Grammar (EBNF, ``{}`` repetition, ``[]`` option)::
 
 Expression precedence, low to high: ``or`` < ``and`` < ``not`` <
 comparisons < additive < multiplicative < unary minus < postfix < primary.
+The binary levels and ``not`` are parsed by one precedence-climbing loop
+over a table of binding powers; comparisons do not associate, so ``a < b
+< c`` is an error.
 
 Errors are reported to the sink and the parser synchronizes at statement
 boundaries, so a single compilation reports as many problems as possible —
@@ -48,22 +51,29 @@ class _ParseError(Exception):
     """Internal signal: the current construct cannot be parsed further."""
 
 
-_COMPARISON_OPS = {
-    TokenKind.EQ: "=",
-    TokenKind.NE: "<>",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
+#: Binary operators and their binding power, loosest first.  Equal powers
+#: associate to the left, except comparisons, which do not associate.
+_BINARY_OPS = {
+    TokenKind.OR: ("or", 1),
+    TokenKind.AND: ("and", 2),
+    TokenKind.EQ: ("=", 4),
+    TokenKind.NE: ("<>", 4),
+    TokenKind.LT: ("<", 4),
+    TokenKind.LE: ("<=", 4),
+    TokenKind.GT: (">", 4),
+    TokenKind.GE: (">=", 4),
+    TokenKind.PLUS: ("+", 5),
+    TokenKind.MINUS: ("-", 5),
+    TokenKind.STAR: ("*", 6),
+    TokenKind.SLASH: ("/", 6),
+    TokenKind.PERCENT: ("%", 6),
 }
 
-_ADDITIVE_OPS = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-
-_MULTIPLICATIVE_OPS = {
-    TokenKind.STAR: "*",
-    TokenKind.SLASH: "/",
-    TokenKind.PERCENT: "%",
-}
+#: ``not`` binds between ``and`` and the comparisons; it is a prefix only
+#: where an operand of that power or looser is expected.
+_NOT_POWER = 3
+_COMPARISON_POWER = 4
+_TIGHTEST = 6
 
 _STATEMENT_STARTERS = {
     TokenKind.IF,
@@ -441,67 +451,35 @@ class Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._at(TokenKind.OR):
-            self._advance()
-            right = self._parse_and()
-            expr = ast.BinaryExpr(
-                span=(expr.span[0], right.span[1]), op="or", left=expr, right=right
-            )
-        return expr
-
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self._at(TokenKind.AND):
-            self._advance()
-            right = self._parse_not()
-            expr = ast.BinaryExpr(
-                span=(expr.span[0], right.span[1]), op="and", left=expr, right=right
-            )
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self._at(TokenKind.NOT):
+    def _parse_expr(self, power: int = 1) -> ast.Expr:
+        """An expression whose operators all bind at least as tightly as
+        ``power`` (precedence climbing over :data:`_BINARY_OPS`)."""
+        if power <= _NOT_POWER and self._at(TokenKind.NOT):
             start = self._advance().span
-            operand = self._parse_not()
-            return ast.UnaryExpr(
+            operand = self._parse_expr(_NOT_POWER)
+            expr = ast.UnaryExpr(
                 span=(start[0], operand.span[1]), op="not", operand=operand
             )
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        expr = self._parse_additive()
-        if self._current.kind in _COMPARISON_OPS:
-            op = _COMPARISON_OPS[self._advance().kind]
-            right = self._parse_additive()
+            # ``not`` took every tighter operator: only looser ones follow.
+            ceiling = _NOT_POWER - 1
+        else:
+            expr = self._parse_unary()
+            ceiling = _TIGHTEST
+        while True:
+            entry = _BINARY_OPS.get(self._tokens[self._index].kind)
+            if entry is None:
+                return expr
+            op, op_power = entry
+            if op_power < power or op_power > ceiling:
+                return expr
+            self._advance()
+            right = self._parse_expr(op_power + 1)
             expr = ast.BinaryExpr(
                 span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
             )
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self._current.kind in _ADDITIVE_OPS:
-            op = _ADDITIVE_OPS[self._advance().kind]
-            right = self._parse_multiplicative()
-            expr = ast.BinaryExpr(
-                span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
-            )
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while self._current.kind in _MULTIPLICATIVE_OPS:
-            op = _MULTIPLICATIVE_OPS[self._advance().kind]
-            right = self._parse_unary()
-            expr = ast.BinaryExpr(
-                span=(expr.span[0], right.span[1]), op=op, left=expr, right=right
-            )
-        return expr
+            # The right operand took every tighter operator, and a
+            # comparison does not take another comparison.
+            ceiling = op_power - 1 if op_power == _COMPARISON_POWER else op_power
 
     def _parse_unary(self) -> ast.Expr:
         if self._at(TokenKind.MINUS):

@@ -41,21 +41,21 @@ def _remove_self_moves(block) -> int:
 
 
 def _propagate_block(instructions) -> int:
-    #: register -> the value it currently equals (Const or VReg)
-    copies: Dict[VReg, Value] = {}
-    #: register -> registers recorded as its copies; one may since have
-    #: lost the fact or been given another source
-    copied_to: Dict[VReg, List[VReg]] = {}
+    #: register id -> the value it currently equals (Const or VReg)
+    copies: Dict[int, Value] = {}
+    #: register id -> ids of the registers recorded as its copies; one may
+    #: since have lost the fact or been given another source
+    copied_to: Dict[int, List[int]] = {}
     changes = 0
     for index, instr in enumerate(instructions):
         # Rewrite uses first (the instruction reads old values).
         for operand in instr.operands:
             # A copy fact never maps a register to itself, so one operand
             # with a fact is a change.
-            if operand.__class__ is VReg and operand in copies:
+            if operand.__class__ is VReg and operand.id in copies:
                 instr = instructions[index] = instr.with_operands(
                     tuple(
-                        copies.get(v, v) if v.__class__ is VReg else v
+                        copies.get(v.id, v) if v.__class__ is VReg else v
                         for v in instr.operands
                     )
                 )
@@ -65,16 +65,16 @@ def _propagate_block(instructions) -> int:
         # about ``dest`` and the facts that name it as their source.
         dest = instr.dest
         if dest is not None:
-            copies.pop(dest, None)
-            for copy in copied_to.pop(dest, ()):
+            copies.pop(dest.id, None)
+            for copy in copied_to.pop(dest.id, ()):
                 if copies.get(copy) == dest:
                     del copies[copy]
             if instr.op is Opcode.MOV:
                 source = instr.operands[0]
                 if source != dest:
-                    copies[dest] = source
+                    copies[dest.id] = source
                     if source.__class__ is VReg:
-                        copied_to.setdefault(source, []).append(dest)
+                        copied_to.setdefault(source.id, []).append(dest.id)
             elif instr.op is Opcode.LI:
-                copies[dest] = instr.operands[0]
+                copies[dest.id] = instr.operands[0]
     return changes

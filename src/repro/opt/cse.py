@@ -49,7 +49,8 @@ def eliminate_common_subexpressions(function: FunctionIR) -> int:
 
 def _operand_key(value):
     if value.__class__ is VReg:
-        return ("r", value.type, value.id)
+        # Ids are unique within a function: the id alone names it.
+        return ("r", value.id)
     if value.type == IR_FLOAT:
         # 0.0 == -0.0, but x * 0.0 and x * -0.0 differ: the key also says
         # which zero it is, as the encoder's does.
@@ -67,19 +68,19 @@ def _expr_key(instr: Instr):
 
 def _cse_block(instructions: List[Instr]) -> int:
     available: Dict[tuple, VReg] = {}
-    #: register -> expression keys that mention it (for invalidation)
-    mentioned_by: Dict[VReg, List[tuple]] = {}
-    #: register -> expression keys recorded with it as their value; a key
-    #: may since have left ``available`` or come back with another value
-    held_by: Dict[VReg, List[tuple]] = {}
+    #: register id -> expression keys that mention it (for invalidation)
+    mentioned_by: Dict[int, List[tuple]] = {}
+    #: register id -> expression keys recorded with it as their value; a
+    #: key may since have left ``available`` or come back with another value
+    held_by: Dict[int, List[tuple]] = {}
     #: array name -> load keys recorded against it
     loads_of: Dict[str, List[tuple]] = {}
     changes = 0
 
     def invalidate_register(reg: VReg) -> None:
-        for key in mentioned_by.pop(reg, ()):
+        for key in mentioned_by.pop(reg.id, ()):
             available.pop(key, None)
-        for key in held_by.pop(reg, ()):
+        for key in held_by.pop(reg.id, ()):
             if available.get(key) == reg:
                 del available[key]
 
@@ -119,9 +120,9 @@ def _cse_block(instructions: List[Instr]) -> int:
         if new_fact is not None:
             key, producer = new_fact
             available[key] = producer.dest
-            held_by.setdefault(producer.dest, []).append(key)
+            held_by.setdefault(producer.dest.id, []).append(key)
             if producer.op is Opcode.LOAD:
                 loads_of.setdefault(key[2], []).append(key)
             for reg in producer.uses():
-                mentioned_by.setdefault(reg, []).append(key)
+                mentioned_by.setdefault(reg.id, []).append(key)
     return changes

@@ -1,14 +1,15 @@
 """Backward iterative dataflow over basic blocks, on int bitsets.
 
 :func:`solve_backward_masks` solves a backward may-problem with gen/kill
-transfer functions using a worklist.  Facts are numbered once per
-function (:func:`mask_of`) and per-block sets are Python ints used as
-bitsets: a union is ``|``, a difference is ``& ~``, and the convergence
-test is one int comparison — the inner loop moves a machine word at a
-time instead of hashing frozenset elements.  Liveness and dead-code
-elimination number their own facts (virtual registers) and call the
-kernel directly; :func:`unpack_solution` turns a mask solution back into
-a :class:`BlockFacts` of frozensets.
+transfer functions using a worklist.  Per-block sets are Python ints
+used as bitsets: a union is ``|``, a difference is ``& ~``, and the
+convergence test is one int comparison — the inner loop moves a machine
+word at a time instead of hashing frozenset elements.  Liveness and
+dead-code elimination need no numbering of their own: a virtual
+register's bit is its id, which lowering hands out densely per function.
+Facts without such a number are numbered on first use by
+:func:`mask_of`; :func:`unpack_solution` turns a mask solution back into
+a :class:`BlockFacts` of frozensets, given the facts in bit order.
 
 The original frozenset solver is kept as :func:`solve_backward_sets` for
 differential testing and benchmarking.

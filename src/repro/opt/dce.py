@@ -3,7 +3,7 @@
 An instruction is dead if it has no side effects and its destination is
 not live immediately after it.  Removing one exposes the next — its
 operands may have had no other reader — so the pass runs to a fixpoint,
-on the liveness bitsets themselves: registers are numbered once, each
+on the liveness bitsets themselves: a register's bit is its id, each
 block is swept backwards once per solve, and a dead instruction's
 operands never enter the live set, so a dead chain inside a block goes
 in one sweep and only a chain that crosses blocks costs another solve.
@@ -22,8 +22,8 @@ _PINNED = SIDE_EFFECTS | TERMINATORS
 
 def eliminate_dead_code(function: FunctionIR) -> int:
     """Remove dead instructions; returns how many were removed."""
-    index, gen, kill = liveness_masks(function)
-    bit_of = {reg: 1 << bit for reg, bit in index.items()}
+    gen, kill = liveness_masks(function)
+    bits = [1 << i for i in range(function.next_vreg_id)]
     removed = 0
     stale = True
     while stale:
@@ -42,7 +42,7 @@ def eliminate_dead_code(function: FunctionIR) -> int:
             for instr in reversed(block.instructions):
                 dest = instr.dest
                 if dest is not None:
-                    bit = bit_of[dest]
+                    bit = bits[dest.id]
                     if (
                         not (block_gen | out & ~block_kill) & bit
                         and instr.op not in _PINNED
@@ -52,7 +52,7 @@ def eliminate_dead_code(function: FunctionIR) -> int:
                     block_kill |= bit
                 for operand in instr.operands:
                     if operand.__class__ is VReg:
-                        block_gen |= bit_of[operand]
+                        block_gen |= bits[operand.id]
                 keep.append(instr)
             if len(keep) != len(block.instructions):
                 removed += len(block.instructions) - len(keep)

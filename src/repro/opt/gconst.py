@@ -10,15 +10,15 @@ optimizations" (§6) the parallel compiler makes affordable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..ir.cfg import BasicBlock, FunctionIR
 from ..ir.instructions import Opcode, evaluate_constant
 from ..ir.values import Const, IR_INT, VReg
 
 Number = Union[int, float]
-#: A state maps registers to definitely-known values; absence = varying.
-State = Dict[VReg, Number]
+#: A state maps register ids to definitely-known values; absence = varying.
+State = Dict[int, Number]
 
 #: Ops whose result is computable when every operand is known.
 _EVALUATABLE = {
@@ -48,42 +48,45 @@ _EVALUATABLE = {
 }
 
 
-#: One instruction as the fixpoint sees it: the register written (if any),
-#: the opcode when its result is computable from known operands (else
-#: None), and the operands with constants unwrapped to their values.
-Row = Tuple[Optional[VReg], Optional[Opcode], Tuple[Union[VReg, Number], ...]]
+#: One instruction as the fixpoint sees it: the id of the register written
+#: (if any), ``int`` or ``float`` to give a computed result that register's
+#: type, the opcode when its result is computable from known operands
+#: (else None), and the operands — a register as its id, a constant as a
+#: one-element tuple of its value.
+Row = Tuple[Optional[int], Callable, Optional[Opcode], Tuple[object, ...]]
 
 
 def propagate_constants_globally(function: FunctionIR) -> int:
     """Rewrite register uses that are provably constant; returns changes."""
-    in_states, decoded = _solve(function)
+    carried: Set[int] = set()
+    rows = {block.name: _decode(block, carried) for block in function.blocks}
+    in_states = _solve(function, rows, carried)
     changes = 0
     for block in function.blocks:
-        rows = decoded.get(block.name)
-        if rows is None:  # unreachable: the fixpoint never came here
-            rows = _decode(block)
-        changes += _transfer(rows, dict(in_states.get(block.name, {})), block)
+        changes += _transfer(
+            rows[block.name], dict(in_states.get(block.name, {})), block
+        )
     return changes
 
 
 def _solve(
-    function: FunctionIR,
-) -> Tuple[Dict[str, State], Dict[str, List[Row]]]:
-    """Fixpoint of per-block entry states, and the blocks as it decoded them.
+    function: FunctionIR, rows: Dict[str, List[Row]], carried: Set[int]
+) -> Dict[str, State]:
+    """Fixpoint of per-block entry states.
 
     Entry block starts with nothing known (parameters vary).  A block's
     entry state is the agreement (intersection on equal values) of every
     *visited* predecessor's exit state; unvisited predecessors are
     optimistically ignored until they get an exit state, and the worklist
-    re-runs successors whenever an exit state shrinks.  A block is
-    revisited as the states around a loop descend, so it is decoded once,
-    on its first visit, and every visit whose entry state changed runs
-    over the rows (an unchanged entry state cannot change the exit state).
+    re-runs successors whenever an exit state shrinks.  A visit whose
+    entry state is unchanged is skipped (it cannot change the exit state).
+    An exit state keeps only the ``carried`` registers — those some block
+    reads before it writes them — because no other register's value on
+    entry to a block is ever looked up.
     """
     preds = function.predecessors()
     block_map = function.block_map()
     entry = function.entry.name
-    rows: Dict[str, List[Row]] = {}
     in_states: Dict[str, State] = {entry: {}}
     out_states: Dict[str, State] = {}
 
@@ -108,17 +111,16 @@ def _solve(
         if name in out_states and state == in_states[name]:
             continue
         in_states[name] = state
-        if name not in rows:
-            rows[name] = _decode(block_map[name])
         state = dict(state)
         _transfer(rows[name], state)
+        state = {reg: value for reg, value in state.items() if reg in carried}
         if out_states.get(name) != state:
             out_states[name] = state
             for succ in block_map[name].successors():
                 if succ not in queued:
                     worklist.append(succ)
                     queued.add(succ)
-    return in_states, rows
+    return in_states
 
 
 def _meet(states: List[State]) -> State:
@@ -138,17 +140,27 @@ def _same(a: Number, b: Number) -> bool:
     return a == b and (a.__class__ is not float or a.hex() == b.hex())
 
 
-def _decode(block: BasicBlock) -> List[Row]:
-    return [
-        (
-            instr.dest,
-            instr.op if instr.op in _EVALUATABLE else None,
-            tuple(
-                v.value if v.__class__ is Const else v for v in instr.operands
-            ),
+def _decode(block: BasicBlock, carried: Set[int]) -> List[Row]:
+    """The block's rows; adds the registers it reads before it writes
+    them to ``carried``."""
+    rows: List[Row] = []
+    written = set()
+    for instr in block.instructions:
+        operands = tuple(
+            [(v.value,) if v.__class__ is Const else v.id for v in instr.operands]
         )
-        for instr in block.instructions
-    ]
+        for operand in operands:
+            if operand.__class__ is int and operand not in written:
+                carried.add(operand)
+        dest = instr.dest
+        if dest is None:
+            rows.append((None, int, None, operands))
+            continue
+        written.add(dest.id)
+        convert = int if dest.type == IR_INT else float
+        op = instr.op if instr.op in _EVALUATABLE else None
+        rows.append((dest.id, convert, op, operands))
+    return rows
 
 
 def _transfer(
@@ -161,15 +173,15 @@ def _transfer(
     read the constant instead; returns how many were.
     """
     changes = 0
-    for index, (dest, op, operands) in enumerate(rows):
+    for index, (dest, convert, op, operands) in enumerate(rows):
         if rewrite is not None and state:
             for operand in operands:
-                if operand.__class__ is VReg and operand in state:
+                if operand.__class__ is int and operand in state:
                     instr = rewrite.instructions[index]
                     rewrite.instructions[index] = instr.with_operands(
                         tuple(
-                            Const(state[v], v.type)
-                            if v.__class__ is VReg and v in state
+                            Const(state[v.id], v.type)
+                            if v.__class__ is VReg and v.id in state
                             else v
                             for v in instr.operands
                         )
@@ -182,17 +194,17 @@ def _transfer(
         if op is not None:
             values = []
             for operand in operands:
-                if operand.__class__ is VReg:
+                if operand.__class__ is int:
                     operand = state.get(operand)
                     if operand is None:
                         break
+                else:
+                    operand = operand[0]
                 values.append(operand)
             else:
                 result = evaluate_constant(op, values)
                 if result is not None:
-                    state[dest] = (
-                        int(result) if dest.type == IR_INT else float(result)
-                    )
+                    state[dest] = convert(result)
                     continue
         state.pop(dest, None)
     return changes

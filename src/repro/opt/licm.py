@@ -58,52 +58,46 @@ def hoist_loop_invariants(function: FunctionIR) -> int:
     """Hoist invariant computations out of every loop; returns count."""
     # Facts for the whole pass: hoisting moves no terminator and adds or
     # removes no definition, so the loops, their preheaders and the
-    # definition counts are found once.
+    # definition counts are found once.  Registers are indexed by id,
+    # blocks by a bit of their layout position.
     loops = find_loops(function).all_loops()
     if not loops:
         return 0
     preds = function.predecessors()
     block_map = function.block_map()
+    block_bit = {block.name: 1 << i for i, block in enumerate(function.blocks)}
     # Innermost first: their invariants may bubble outward next round.
     headed = [
-        (loop, preheader)
+        (loop, sum(block_bit[name] for name in loop.blocks), preheader)
         for loop in sorted(loops, key=lambda l: -l.depth)
         if (preheader := _preheader_of(preds, block_map, loop)) is not None
     ]
-    defs_count = _definition_counts(function)
+    defs_count = [0] * function.next_vreg_id
+    for instr in function.all_instructions():
+        if instr.dest is not None:
+            defs_count[instr.dest.id] += 1
     total = 0
     # More rounds: hoisting into an outer loop's body can expose more
     # motion for the outer loop.
     for _ in range(10):
         # A fact for one round: hoisting moves uses between blocks.
-        uses_outside = _use_blocks(function)
+        use_blocks = [0] * function.next_vreg_id
+        for block in function.blocks:
+            bit = block_bit[block.name]
+            for instr in block.instructions:
+                for operand in instr.operands:
+                    if operand.__class__ is VReg:
+                        use_blocks[operand.id] |= bit
         moved = sum(
             _hoist_from_loop(
-                block_map, loop, preheader, defs_count, uses_outside
+                block_map, loop, loop_mask, preheader, defs_count, use_blocks
             )
-            for loop, preheader in headed
+            for loop, loop_mask, preheader in headed
         )
         if moved == 0:
             break
         total += moved
     return total
-
-
-def _definition_counts(function: FunctionIR) -> Dict[VReg, int]:
-    counts: Dict[VReg, int] = {}
-    for instr in function.all_instructions():
-        if instr.dest is not None:
-            counts[instr.dest] = counts.get(instr.dest, 0) + 1
-    return counts
-
-
-def _use_blocks(function: FunctionIR) -> Dict[VReg, Set[str]]:
-    uses: Dict[VReg, Set[str]] = {}
-    for block in function.blocks:
-        for instr in block.instructions:
-            for reg in instr.uses():
-                uses.setdefault(reg, set()).add(block.name)
-    return uses
 
 
 def _preheader_of(
@@ -122,9 +116,10 @@ def _preheader_of(
 def _hoist_from_loop(
     block_map: Dict[str, BasicBlock],
     loop: Loop,
+    loop_mask: int,
     preheader: BasicBlock,
-    defs_count: Dict[VReg, int],
-    uses_outside: Dict[VReg, Set[str]],
+    defs_count: List[int],
+    use_blocks: List[int],
 ) -> int:
     loop_blocks = [block_map[name] for name in sorted(loop.blocks)]
     # The static half of the test — a hoistable opcode, a single
@@ -132,25 +127,26 @@ def _hoist_from_loop(
     # dominates them via the preheader) — cannot change while this loop is
     # worked on, so it is decided once; the rescans then look only at the
     # operands of these candidates, in block order.
+    outside = ~loop_mask
     candidates = [
         (
             block,
             [
                 instr for instr in block.instructions
                 if instr.op in _HOISTABLE
-                and defs_count.get(instr.dest) == 1
-                and uses_outside.get(instr.dest, loop.blocks) <= loop.blocks
+                and defs_count[instr.dest.id] == 1
+                and not use_blocks[instr.dest.id] & outside
             ],
         )
         for block in loop_blocks
     ]
     if not any(pending for _, pending in candidates):
         return 0
-    defined_in_loop: Set[VReg] = set()
+    defined_in_loop: Set[int] = set()
     for block in loop_blocks:
         for instr in block.instructions:
             if instr.dest is not None:
-                defined_in_loop.add(instr.dest)
+                defined_in_loop.add(instr.dest.id)
 
     moved = 0
     changed = True
@@ -159,7 +155,7 @@ def _hoist_from_loop(
         for block, pending in candidates:
             for position, instr in enumerate(pending):
                 for operand in instr.operands:
-                    if operand.__class__ is VReg and operand in defined_in_loop:
+                    if operand.__class__ is VReg and operand.id in defined_in_loop:
                         break
                 else:
                     del pending[position]
@@ -168,7 +164,7 @@ def _hoist_from_loop(
                         len(preheader.instructions) - 1, instr
                     )
                     # Its only definition has left the loop.
-                    defined_in_loop.discard(instr.dest)
+                    defined_in_loop.discard(instr.dest.id)
                     moved += 1
                     changed = True
                     break  # at most one hoist per block per scan

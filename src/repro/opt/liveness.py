@@ -7,14 +7,13 @@ register allocator's live-interval construction.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..ir.cfg import BasicBlock, FunctionIR
 from ..ir.values import VReg
 from .dataflow import (
     BlockFacts,
     MaskFacts,
-    mask_of,
     solve_backward_masks,
     unpack_solution,
 )
@@ -33,32 +32,41 @@ def block_use_def(block: BasicBlock) -> Tuple[FrozenSet[VReg], FrozenSet[VReg]]:
     return frozenset(uses), frozenset(defs)
 
 
-def liveness_masks(
-    function: FunctionIR,
-) -> Tuple[Dict[VReg, int], MaskFacts, MaskFacts]:
-    """Number the registers and build each block's gen/kill bitsets.
+def liveness_masks(function: FunctionIR) -> Tuple[MaskFacts, MaskFacts]:
+    """Each block's gen/kill bitsets, bit ``reg.id`` for register ``reg``.
 
-    Returns ``(index, gen, kill)``: the bit index of every register read
-    or written, and per block name the upward-exposed uses and the
-    definitions — what :func:`solve_backward_masks` takes.  Registers
-    are numbered once for the whole function and the sets are built
-    directly as bitsets, so neither the construction nor the worklist
-    solve allocates per-block frozensets.
+    Returns ``(gen, kill)``: per block name the upward-exposed uses and
+    the definitions — what :func:`solve_backward_masks` takes.  Lowering
+    numbers a function's registers densely (``0 <= reg.id <
+    next_vreg_id``), so the id is the bit and no register is hashed.
     """
-    index: Dict[VReg, int] = {}
     gen: MaskFacts = {}
     kill: MaskFacts = {}
     for block in function.blocks:
-        # Collect use/def with small per-block sets first; only the final
-        # per-block conversion touches the (wide) bitset ints.
-        uses, defs = block_use_def(block)
-        gen[block.name] = mask_of(uses, index)
-        kill[block.name] = mask_of(defs, index)
-    return index, gen, kill
+        uses = defs = 0
+        for instr in block.instructions:
+            for operand in instr.operands:
+                if operand.__class__ is VReg:
+                    bit = 1 << operand.id
+                    if not defs & bit:
+                        uses |= bit
+            if instr.dest is not None:
+                defs |= 1 << instr.dest.id
+        gen[block.name] = uses
+        kill[block.name] = defs
+    return gen, kill
 
 
 def live_variables(function: FunctionIR) -> BlockFacts:
     """Solve liveness; ``entry``/``exit`` give live-in/live-out per block."""
-    index, gen, kill = liveness_masks(function)
+    gen, kill = liveness_masks(function)
     entry_m, exit_m = solve_backward_masks(function, gen, kill)
-    return unpack_solution(entry_m, exit_m, list(index))
+    registers: List[Optional[VReg]] = [None] * function.next_vreg_id
+    for block in function.blocks:
+        for instr in block.instructions:
+            for operand in instr.operands:
+                if operand.__class__ is VReg:
+                    registers[operand.id] = operand
+            if instr.dest is not None:
+                registers[instr.dest.id] = instr.dest
+    return unpack_solution(entry_m, exit_m, registers)

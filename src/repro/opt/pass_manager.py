@@ -25,6 +25,9 @@ from .simplify import simplify_control_flow
 #: A pass takes a function and returns how many changes it made.
 PassFn = Callable[[FunctionIR], int]
 
+#: Level 2 stops after this many rounds even short of a fixpoint.
+MAX_ROUNDS = 10
+
 _PIPELINE: List[Tuple[str, PassFn]] = [
     ("simplify-cfg", simplify_control_flow),
     ("copy-propagation", propagate_copies),
@@ -78,14 +81,13 @@ class PassManager:
 
     - level 0: no optimization (unreachable-block removal only);
     - level 1: a single round of the pipeline;
-    - level 2: rounds until a fixpoint (bounded by ``max_rounds``).
+    - level 2: rounds until a fixpoint (at most :data:`MAX_ROUNDS`).
     """
 
-    def __init__(self, opt_level: int = 2, max_rounds: int = 10):
+    def __init__(self, opt_level: int = 2):
         if opt_level not in (0, 1, 2):
             raise ValueError(f"unsupported optimization level {opt_level}")
         self.opt_level = opt_level
-        self.max_rounds = max_rounds
 
     def run(self, function: FunctionIR) -> PassStats:
         stats = PassStats()
@@ -93,7 +95,7 @@ class PassManager:
             function.remove_unreachable_blocks()
             function.validate()
             return stats
-        limit = 1 if self.opt_level == 1 else self.max_rounds
+        limit = 1 if self.opt_level == 1 else MAX_ROUNDS
         for _ in range(limit):
             stats.rounds += 1
             round_changes = 0

@@ -1,8 +1,9 @@
 """One fault plan: every seeded schedule injects what it always did.
 
-``tests/fixtures/fault_schedules.json`` was recorded by
-``scripts/pin_fault_schedules.py`` when each chaos layer still kept its
-own rates, budgets and counters.  Each test here replays the fixture's
+``tests/fixtures/fault_schedules.json`` was recorded when each chaos
+layer still kept its own rates, budgets and counters, by a script that
+last ran on the tree of commit ``aee195c`` (it imported the per-layer
+classes, so it went with them).  Each test here replays the fixture's
 inputs through the one :class:`FaultSchedule` — a supervised farm's
 :class:`ChaosBackend`, a worker node's :class:`ChaosTransport` and the
 cache server's response hook — and must reproduce every event, frame

@@ -2,9 +2,11 @@
 
 Dead-code elimination solves liveness once per layer of *blocks* on the
 bitmasks, LICM decides the static half of its test once per loop, and
-registers hash by their id; none of that may change a single instruction
-or a single counted work unit.  The one-layer-of-instructions-per-solve
-DCE this replaced is kept here as the reference.
+every pass keys its facts by register id, so no ``VReg`` is hashed while
+the pass manager runs; none of that may change a single instruction or
+a single counted work unit.  The one-layer-of-instructions-per-solve DCE
+this replaced is kept here as the reference, and so are the global
+constant propagation and LICM that keyed their facts by ``VReg``.
 """
 
 import dataclasses
@@ -16,14 +18,15 @@ import pytest
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.ir.builder import IRBuilder
 from repro.ir.cfg import BasicBlock, FunctionIR
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Opcode, evaluate_constant
+from repro.ir.loops import find_loops
 from repro.ir.lowering import lower_module
-from repro.ir.values import IR_INT, VReg, const_int
-from repro.opt import dataflow, dce
+from repro.ir.values import IR_INT, Const, VReg, const_int
+from repro.opt import dataflow, dce, gconst, licm
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.licm import hoist_loop_invariants
 from repro.opt.liveness import live_variables
-from repro.opt.pass_manager import _PIPELINE, PassManager
+from repro.opt.pass_manager import _PIPELINE, MAX_ROUNDS, PassManager
 
 from helpers import parse_ok, single_function_ir, wrap_function
 
@@ -220,6 +223,220 @@ def test_licm_hoists_invariant_chains_in_the_same_order():
 
 
 # ---------------------------------------------------------------------------
+# Global constant propagation and LICM: the references and the differential
+# ---------------------------------------------------------------------------
+
+
+def reference_gconst(function: FunctionIR) -> int:
+    """States keyed by register, every register crossing every edge, and
+    each block decoded on its first visit."""
+    preds = function.predecessors()
+    block_map = function.block_map()
+    entry = function.entry.name
+    rows, in_states, out_states = {}, {entry: {}}, {}
+    worklist, queued = [entry], {entry}
+    while worklist:
+        name = worklist.pop(0)
+        queued.discard(name)
+        if name == entry:
+            state = in_states[name]
+        else:
+            state = gconst._meet(
+                [out_states[p] for p in preds[name] if p in out_states]
+            )
+        if name in out_states and state == in_states[name]:
+            continue
+        in_states[name] = state
+        if name not in rows:
+            rows[name] = _reference_decode(block_map[name])
+        state = dict(state)
+        _reference_transfer(rows[name], state)
+        if out_states.get(name) != state:
+            out_states[name] = state
+            for succ in block_map[name].successors():
+                if succ not in queued:
+                    worklist.append(succ)
+                    queued.add(succ)
+    changes = 0
+    for block in function.blocks:
+        block_rows = rows.get(block.name)
+        if block_rows is None:  # unreachable: the fixpoint never came here
+            block_rows = _reference_decode(block)
+        changes += _reference_transfer(
+            block_rows, dict(in_states.get(block.name, {})), block
+        )
+    return changes
+
+
+def _reference_decode(block):
+    return [
+        (
+            instr.dest,
+            instr.op if instr.op in gconst._EVALUATABLE else None,
+            tuple(
+                v.value if v.__class__ is Const else v for v in instr.operands
+            ),
+        )
+        for instr in block.instructions
+    ]
+
+
+def _reference_transfer(rows, state, rewrite=None):
+    changes = 0
+    for index, (dest, op, operands) in enumerate(rows):
+        if rewrite is not None and state:
+            for operand in operands:
+                if operand.__class__ is VReg and operand in state:
+                    instr = rewrite.instructions[index]
+                    rewrite.instructions[index] = instr.with_operands(
+                        tuple(
+                            Const(state[v], v.type)
+                            if v.__class__ is VReg and v in state
+                            else v
+                            for v in instr.operands
+                        )
+                    )
+                    changes += 1
+                    break
+        if dest is None:
+            continue
+        if op is not None:
+            values = []
+            for operand in operands:
+                if operand.__class__ is VReg:
+                    operand = state.get(operand)
+                    if operand is None:
+                        break
+                values.append(operand)
+            else:
+                result = evaluate_constant(op, values)
+                if result is not None:
+                    state[dest] = (
+                        int(result) if dest.type == IR_INT else float(result)
+                    )
+                    continue
+        state.pop(dest, None)
+    return changes
+
+
+def reference_licm(function: FunctionIR) -> int:
+    """Definition counts and use blocks in dicts keyed by register, the
+    use blocks as sets of names."""
+    loops = find_loops(function).all_loops()
+    if not loops:
+        return 0
+    preds = function.predecessors()
+    block_map = function.block_map()
+    headed = []
+    for loop in sorted(loops, key=lambda l: -l.depth):
+        preheader = licm._preheader_of(preds, block_map, loop)
+        if preheader is not None:
+            headed.append((loop, preheader))
+    defs_count = {}
+    for instr in function.all_instructions():
+        if instr.dest is not None:
+            defs_count[instr.dest] = defs_count.get(instr.dest, 0) + 1
+    total = 0
+    for _ in range(10):
+        uses = {}
+        for block in function.blocks:
+            for instr in block.instructions:
+                for reg in instr.uses():
+                    uses.setdefault(reg, set()).add(block.name)
+        moved = sum(
+            _reference_hoist(block_map, loop, preheader, defs_count, uses)
+            for loop, preheader in headed
+        )
+        if moved == 0:
+            break
+        total += moved
+    return total
+
+
+def _reference_hoist(block_map, loop, preheader, defs_count, uses):
+    loop_blocks = [block_map[name] for name in sorted(loop.blocks)]
+    candidates = [
+        (
+            block,
+            [
+                instr for instr in block.instructions
+                if instr.op in licm._HOISTABLE
+                and defs_count.get(instr.dest) == 1
+                and uses.get(instr.dest, loop.blocks) <= loop.blocks
+            ],
+        )
+        for block in loop_blocks
+    ]
+    if not any(pending for _, pending in candidates):
+        return 0
+    defined_in_loop = {
+        instr.dest
+        for block in loop_blocks
+        for instr in block.instructions
+        if instr.dest is not None
+    }
+    moved = 0
+    changed = True
+    while changed:
+        changed = False
+        for block, pending in candidates:
+            for position, instr in enumerate(pending):
+                if any(
+                    operand.__class__ is VReg and operand in defined_in_loop
+                    for operand in instr.operands
+                ):
+                    continue
+                del pending[position]
+                del block.instructions[licm._index_of(block, instr)]
+                preheader.instructions.insert(
+                    len(preheader.instructions) - 1, instr
+                )
+                defined_in_loop.discard(instr.dest)
+                moved += 1
+                changed = True
+                break
+    return moved
+
+
+REFERENCES = {
+    "global-constant-propagation": reference_gconst,
+    "loop-invariant-code-motion": reference_licm,
+}
+
+
+@pytest.mark.parametrize("size_class", sorted(DIFFERENTIAL_SEEDS))
+def test_gconst_and_licm_equal_their_references_after_every_pass(size_class):
+    """The optimizer's rounds, run pass by pass; at each global constant
+    propagation and LICM the reference runs on a twin first, and the
+    two must change as many instructions and leave the same text."""
+    config = config_for_size_class(size_class)
+    compared = changed = 0
+    for seed in range(DIFFERENTIAL_SEEDS[size_class]):
+        for function in lower(generate_program(seed, config).source).all_functions():
+            for round_number in range(MAX_ROUNDS):
+                round_changes = 0
+                for name, pass_fn in _PIPELINE:
+                    reference = REFERENCES.get(name)
+                    if reference is None:
+                        round_changes += pass_fn(function)
+                        continue
+                    expected = twin(function)
+                    count = reference(expected)
+                    where = (
+                        f"{size_class} seed {seed} {function.name} "
+                        f"round {round_number} {name}"
+                    )
+                    assert pass_fn(function) == count, where
+                    assert text_of(function) == text_of(expected), where
+                    round_changes += count
+                    compared += 1
+                    changed += count
+                if round_changes == 0:
+                    break
+    assert compared and changed
+
+
+# ---------------------------------------------------------------------------
 # Registers hash by id
 # ---------------------------------------------------------------------------
 
@@ -230,6 +447,32 @@ def test_registers_hash_by_id_and_compare_by_id_and_type():
     assert VReg(7, "i") != VReg(7, "f")
     assert VReg(7, "i") == VReg(7, "i")
     assert len({VReg(7, "i"), VReg(7, "f"), VReg(7, "i")}) == 2
+
+
+def corpus_functions():
+    for path in sorted((TESTS / "corpus").glob("fuzz_*.json")):
+        source = json.loads(path.read_text())["source"]
+        yield from lower(source).all_functions()
+
+
+def test_no_register_is_hashed_inside_the_pass_manager(monkeypatch):
+    """Every pass keys its facts by ``reg.id``, an int hashed in C: over
+    the corpus's functions the pipeline calls ``VReg.__hash__`` not once
+    (1,353,353 times over one round of ``cold_branchy`` before it did)."""
+    functions = list(corpus_functions())
+    hashes = []
+    by_id = VReg.__hash__
+
+    def counting(reg):
+        hashes.append(reg)
+        return by_id(reg)
+
+    monkeypatch.setattr(VReg, "__hash__", counting)
+    assert {VReg(3, IR_INT)} and len(hashes) == 1  # the count is live
+    hashes.clear()
+    for function in functions:
+        assert PassManager().run(function).rounds
+    assert hashes == []
 
 
 # ---------------------------------------------------------------------------
