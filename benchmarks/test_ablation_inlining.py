@@ -17,6 +17,7 @@ from repro.cluster.cluster import ClusterSimulation
 from repro.codegen.compiler import compile_function
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.results import FunctionReport, WorkProfile
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
 from repro.ir.loops import loop_nest_weight
 from repro.ir.lowering import lower_module
@@ -96,7 +97,7 @@ def _profile(inline: bool) -> WorkProfile:
     for section_name, fns in keep.items():
         for fn in fns:
             ir_size = fn.instruction_count()
-            weight = loop_nest_weight(fn)
+            weight = loop_nest_weight(Cfg(fn))
             obj = compile_function(fn, cell, opt_level=2)
             profile.functions.append(
                 FunctionReport(

@@ -26,6 +26,7 @@ from repro.driver.sequential import SequentialCompiler
 from repro.lang.diagnostics import DiagnosticSink
 from repro.lang.parser import parse_text
 from repro.lang.sema import check_module
+from repro.ir.cfg import Cfg
 from repro.ir.lowering import lower_module
 from repro.opt.dataflow import (
     solve_backward_masks,
@@ -117,7 +118,7 @@ def test_bitset_liveness_beats_frozenset_on_f_huge(results_dir):
     universe = list(index)
 
     def bitset_solve():
-        entry_m, exit_m = solve_backward_masks(fn, mask_gen, mask_kill)
+        entry_m, exit_m = solve_backward_masks(Cfg(fn), mask_gen, mask_kill)
         return unpack_solution(entry_m, exit_m, universe)
 
     def sets_pipeline():
@@ -137,7 +138,7 @@ def test_bitset_liveness_beats_frozenset_on_f_huge(results_dir):
         sets = _timed(lambda: [solve_backward_sets(fn, sets_gen, sets_kill)
                                for _ in range(repeat)])
         kernel_ratios.append(sets / bitset)
-        bitset = _timed(lambda: [live_variables(fn) for _ in range(repeat)])
+        bitset = _timed(lambda: [live_variables(fn, Cfg(fn)) for _ in range(repeat)])
         sets = _timed(lambda: [sets_pipeline() for _ in range(repeat)])
         full_ratios.append(sets / bitset)
     kernel_ratio = sorted(kernel_ratios)[rounds // 2]
@@ -148,7 +149,7 @@ def test_bitset_liveness_beats_frozenset_on_f_huge(results_dir):
     fast = bitset_solve()
     assert fast.entry == reference.entry
     assert fast.exit == reference.exit
-    pipeline = live_variables(fn)
+    pipeline = live_variables(fn, Cfg(fn))
     assert pipeline.entry == reference.entry
     assert pipeline.exit == reference.exit
 

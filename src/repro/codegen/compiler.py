@@ -19,9 +19,9 @@ from ..asmlink.objformat import (
     ObjectFunction,
     ScheduledBlock,
 )
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from ..ir.instructions import Opcode
-from ..ir.loops import Loop, LoopNest, find_loops, is_pipelinable
+from ..ir.loops import Loop, LoopNest, is_pipelinable
 from ..ir.values import Const, VReg
 from ..machine.resources import FUClass, PhysReg
 from ..machine.warp_cell import WarpCellModel
@@ -50,6 +50,7 @@ def compile_function(
     opt_level: int = 2,
     unroll_budget: int = 0,
     ii_budget: int = 0,
+    cfg: Optional[Cfg] = None,
 ) -> ObjectFunction:
     """Optimize, allocate, pipeline, and schedule one function.
 
@@ -59,36 +60,41 @@ def compile_function(
     budget caps the modulo scheduler's initiation-interval search (an II
     budget of 1 disables pipelining outright, since the feasible floor
     is 2).  Both default to 0 — the standard pipeline, bit-identical to
-    what every compile before the search layer produced.
+    what every compile before the search layer produced.  ``cfg`` is the
+    caller's :class:`Cfg` of ``function``, if it has one.
     """
     info = CodegenInfo()
 
     if unroll_budget > 0:
         # Before the pass pipeline: the unroller matches the exact CFG
         # shape lowering emits, which the optimizer may rewrite.
-        unroll_constant_loops(function, max_trip=unroll_budget)
+        if unroll_constant_loops(function, max_trip=unroll_budget):
+            cfg = None
+    if cfg is None:
+        cfg = Cfg(function)
 
     pass_manager = PassManager(opt_level=opt_level)
-    pass_stats = pass_manager.run(function)
+    pass_stats = pass_manager.run(function, cfg)
     info.work_units += pass_stats.work_units
+    cfg = pass_manager.cfg
 
     alloc_cell = replace_int_registers(cell, cell.int_registers - RESERVED_INT_REGS)
-    allocation = allocate_registers(function, alloc_cell)
+    allocation = allocate_registers(function, alloc_cell, cfg)
     info.work_units += allocation.work_units
     info.spill_slots = allocation.spill_slots
 
     selected = select_function(function, allocation, cell)
 
-    nest = find_loops(function)
     pipelined: Dict[str, PipelinedLoop] = {}
     baselines: Dict[str, ScheduleResult] = {}
     if opt_level >= 2:
         pipelined = _pipeline_loops(
-            function, nest, selected, allocation, cell, info, baselines,
-            ii_budget,
+            cfg, selected, allocation, cell, info, baselines, ii_budget
         )
 
-    blocks = _schedule_and_splice(nest, selected, pipelined, baselines, info)
+    blocks = _schedule_and_splice(
+        cfg.loops, selected, pipelined, baselines, info
+    )
 
     return_bank = function.return_type
     return ObjectFunction(
@@ -119,8 +125,7 @@ def replace_int_registers(cell: WarpCellModel, count: int) -> WarpCellModel:
 
 
 def _pipeline_loops(
-    function: FunctionIR,
-    nest: LoopNest,
+    cfg: Cfg,
     selected: List[SelectedBlock],
     allocation,
     cell: WarpCellModel,
@@ -132,11 +137,11 @@ def _pipeline_loops(
     and leaves each body it list-schedules in ``baselines`` by label."""
     by_label = {block.label: block for block in selected}
     results: Dict[str, PipelinedLoop] = {}
-    for loop in nest.innermost_loops():
-        if not is_pipelinable(function, loop):
+    for loop in cfg.loops.innermost_loops():
+        if not is_pipelinable(cfg, loop):
             continue
         result = _pipeline_one(
-            function, loop, by_label, allocation, cell, info, baselines,
+            cfg, loop, by_label, allocation, cell, info, baselines,
             ii_budget,
         )
         if result is not None:
@@ -145,7 +150,7 @@ def _pipeline_loops(
 
 
 def _pipeline_one(
-    function: FunctionIR,
+    cfg: Cfg,
     loop: Loop,
     by_label: Dict[str, SelectedBlock],
     allocation,
@@ -154,12 +159,12 @@ def _pipeline_one(
     baselines: Dict[str, ScheduleResult],
     ii_budget: int = 0,
 ) -> Optional[PipelinedLoop]:
-    header_ir = function.block_named(loop.header)
+    header_ir = cfg.blocks[loop.header]
     # The pipelined path bypasses the header entirely, so the header must
     # contain nothing but the trip test.
     if len(header_ir.body) != 1:
         return None
-    induction_info = find_induction_register(function, loop)
+    induction_info = find_induction_register(cfg, loop)
     if induction_info is None:
         return None
     var_vreg, step = induction_info
@@ -178,7 +183,7 @@ def _pipeline_one(
     if not ops:
         return None
 
-    ir_graph = build_dependence_graph(function, loop)
+    ir_graph = build_dependence_graph(cfg, loop)
     if ir_graph is None:
         return None
     edges = machine_schedule_edges(ops, ir_graph)

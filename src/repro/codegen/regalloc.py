@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode
 from ..ir.values import Const, FrameArray, IR_FLOAT, IR_INT, VReg
 from ..machine.resources import PhysReg
@@ -46,13 +46,14 @@ class AllocationResult:
 
 
 def allocate_registers(
-    function: FunctionIR, cell: WarpCellModel, max_rounds: int = 12
+    function: FunctionIR, cell: WarpCellModel, cfg: Cfg, max_rounds: int = 12
 ) -> AllocationResult:
-    """Allocate physical registers, spilling as needed (modifies IR)."""
+    """Allocate physical registers, spilling as needed (modifies IR, but
+    only inside blocks: ``cfg`` stays the function's)."""
     spill_slots = {"i": 0, "f": 0}
     work_units = 0
     for round_number in range(1, max_rounds + 1):
-        intervals = _build_intervals(function)
+        intervals = _build_intervals(function, cfg)
         work_units += function.instruction_count() + len(intervals)
         assignment, spilled = _linear_scan(intervals, cell)
         if spilled is None:
@@ -69,9 +70,9 @@ def allocate_registers(
     )
 
 
-def _build_intervals(function: FunctionIR) -> List[Interval]:
+def _build_intervals(function: FunctionIR, cfg: Cfg) -> List[Interval]:
     """Conservative hole-free live intervals over the block layout order."""
-    facts = live_variables(function)
+    facts = live_variables(function, cfg)
     positions: Dict[VReg, Tuple[int, int]] = {}
 
     def extend(reg: VReg, pos: int) -> None:

@@ -41,8 +41,9 @@ from ..asmlink.linker import link_section, link_work_units
 from ..asmlink.assembler import assembly_work_units
 from ..asmlink.objformat import CellProgram, DownloadModule, ObjectFunction
 from ..codegen.compiler import compile_function
-from ..ir.lowering import lower_function
+from ..ir.cfg import Cfg
 from ..ir.loops import loop_nest_weight
+from ..ir.lowering import lower_function
 from ..lang import ast_nodes as ast
 from ..lang.boundary import scan_boundaries
 from ..lang.diagnostics import CompileError, DiagnosticSink
@@ -409,13 +410,16 @@ def compile_one_function(
         )
     fn_ir = lower_function(section, function, parsed.sema)
     ir_size = fn_ir.instruction_count()
-    weight = loop_nest_weight(fn_ir)
+    # Lowering's CFG, analysed once: the weight and the optimizer share it.
+    cfg = Cfg(fn_ir)
+    weight = loop_nest_weight(cfg)
     obj = compile_function(
         fn_ir,
         WarpArrayModel(cell_count=options.cell_count).cell,
         opt_level=options.opt_level,
         unroll_budget=options.unroll_budget,
         ii_budget=options.ii_budget,
+        cfg=cfg,
     )
     report = FunctionReport(
         section_name=section_name,

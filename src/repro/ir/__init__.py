@@ -1,8 +1,8 @@
 """Three-address intermediate representation and CFG analyses."""
 
 from .builder import IRBuilder
-from .cfg import BasicBlock, FunctionIR, ModuleIR
-from .dominators import DominatorTree, compute_dominators
+from .cfg import BasicBlock, Cfg, FunctionIR, ModuleIR
+from .dominators import DominatorTree
 from .instructions import (
     COMMUTATIVE,
     COMPARISONS,
@@ -29,6 +29,7 @@ __all__ = [
     "BasicBlock",
     "COMMUTATIVE",
     "COMPARISONS",
+    "Cfg",
     "Const",
     "DominatorTree",
     "FrameArray",
@@ -46,7 +47,6 @@ __all__ = [
     "TERMINATORS",
     "VReg",
     "Value",
-    "compute_dominators",
     "const_int",
     "evaluate_constant",
     "find_loops",

@@ -8,6 +8,7 @@ meaningful: it is the layout order used for code emission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .instructions import TERMINATORS, Instr, Opcode
@@ -144,6 +145,49 @@ class FunctionIR:
                 raise ValueError(f"br needs two labels: {term}")
             if term.op is Opcode.JMP and len(term.labels) != 1:
                 raise ValueError(f"jmp needs one label: {term}")
+
+
+class Cfg:
+    """One function's CFG facts for as long as the CFG keeps its shape:
+    block order and index, block map, predecessors and successors, and
+    (built on first read) dominators, loops and preheaders.  Whoever
+    rewrites the blocks or their labels builds the next one; the map
+    holds the blocks themselves, so editing instructions keeps it."""
+
+    def __init__(self, function: FunctionIR):
+        self.order = [block.name for block in function.blocks]
+        self.index = {name: i for i, name in enumerate(self.order)}
+        self.blocks = {block.name: block for block in function.blocks}
+        self.succs = {block.name: block.successors() for block in function.blocks}
+        self.preds: Dict[str, List[str]] = {name: [] for name in self.order}
+        for name, succs in self.succs.items():
+            for succ in succs:
+                self.preds[succ].append(name)
+
+    @cached_property
+    def dominators(self):
+        from .dominators import DominatorTree
+
+        return DominatorTree(self)
+
+    @cached_property
+    def loops(self):
+        from .loops import find_loops
+
+        return find_loops(self)
+
+    @cached_property
+    def preheaders(self) -> Dict[str, BasicBlock]:
+        """Loop header -> its preheader: the header's one predecessor
+        outside the loop, if that ends in a ``jmp``."""
+        found = {}
+        for loop in self.loops.all_loops():
+            outside = [p for p in self.preds[loop.header] if p not in loop.blocks]
+            if len(outside) == 1:
+                term = self.blocks[outside[0]].terminator
+                if term is not None and term.op is Opcode.JMP:
+                    found[loop.header] = self.blocks[outside[0]]
+        return found
 
 
 @dataclass

@@ -1,28 +1,30 @@
 """Dominator analysis (Cooper-Harvey-Kennedy iterative algorithm).
 
-Used by loop detection and by the optimizer's global passes.  Operates on
-block names, which are stable identifiers within one function.
+Used by loop detection.  Operates on block names, which are stable
+identifiers within one function.  A function's tree is built once per
+CFG shape, on the first read of its :attr:`Cfg.dominators
+<repro.ir.cfg.Cfg.dominators>`; unreachable blocks must be removed first.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .cfg import FunctionIR
+from .cfg import Cfg
 
 
 class DominatorTree:
     """Immediate-dominator mapping for one function's CFG."""
 
-    def __init__(self, function: FunctionIR):
-        self._function = function
-        self._rpo = _reverse_postorder(function)
+    def __init__(self, cfg: Cfg):
+        self._entry = cfg.order[0]
+        self._rpo = _reverse_postorder(cfg)
         self._rpo_index = {name: i for i, name in enumerate(self._rpo)}
-        self.idom: Dict[str, Optional[str]] = self._compute()
+        self.idom: Dict[str, Optional[str]] = self._compute(cfg.preds)
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b`` (reflexive)."""
-        entry = self._function.entry.name
+        entry = self._entry
         idom = self.idom
         node: Optional[str] = b
         while node is not None:
@@ -37,14 +39,13 @@ class DominatorTree:
         """All dominators of ``name``, from itself up to the entry block."""
         chain = [name]
         node = name
-        while node != self._function.entry.name:
+        while node != self._entry:
             node = self.idom[node]
             chain.append(node)
         return chain
 
-    def _compute(self) -> Dict[str, Optional[str]]:
-        entry = self._function.entry.name
-        preds = self._function.predecessors()
+    def _compute(self, preds: Dict[str, List[str]]) -> Dict[str, Optional[str]]:
+        entry = self._entry
         idom: Dict[str, Optional[str]] = {entry: entry}
         changed = True
         while changed:
@@ -74,32 +75,21 @@ class DominatorTree:
         return a
 
 
-def _reverse_postorder(function: FunctionIR) -> List[str]:
+def _reverse_postorder(cfg: Cfg) -> List[str]:
     """Block names in reverse postorder from the entry."""
-    block_map = function.block_map()
-    visited = set()
+    succs = cfg.succs
+    entry = cfg.order[0]
+    visited = {entry}
     postorder: List[str] = []
-
-    def visit(name: str) -> None:
-        stack = [(name, iter(block_map[name].successors()))]
-        visited.add(name)
-        while stack:
-            current, successors = stack[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, iter(block_map[succ].successors())))
-                    advanced = True
-                    break
-            if not advanced:
-                postorder.append(current)
-                stack.pop()
-
-    visit(function.entry.name)
-    return list(reversed(postorder))
-
-
-def compute_dominators(function: FunctionIR) -> DominatorTree:
-    """Build the dominator tree (unreachable blocks must be removed first)."""
-    return DominatorTree(function)
+    stack = [(entry, iter(succs[entry]))]
+    while stack:
+        current, successors = stack[-1]
+        for succ in successors:
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(succs[succ])))
+                break
+        else:
+            postorder.append(current)
+            stack.pop()
+    return postorder[::-1]

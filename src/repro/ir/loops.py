@@ -6,6 +6,9 @@ This module finds natural loops from back edges, nests them, and classifies
 which are pipelinable.  The loop-nest depth also feeds the load-balancing
 heuristic of the parallel driver (paper §4.3: "a combination of lines of
 code and loop nesting can serve as approximation of the compilation time").
+
+The nest is found once per CFG shape, on the first read of a
+:class:`~repro.ir.cfg.Cfg`'s ``loops``, which every reader takes.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from .cfg import FunctionIR
-from .dominators import DominatorTree, compute_dominators
+from .cfg import Cfg
 from .instructions import Opcode
 
 
@@ -67,20 +69,19 @@ class LoopNest:
         return max((loop.depth for loop in self.all_loops()), default=0)
 
 
-def find_loops(function: FunctionIR, dom: Optional[DominatorTree] = None) -> LoopNest:
-    """Detect natural loops from back edges and nest them by inclusion."""
-    if dom is None:
-        dom = compute_dominators(function)
-    preds = function.predecessors()
-    block_map = function.block_map()
+def find_loops(cfg: Cfg) -> LoopNest:
+    """Detect natural loops from back edges and nest them by inclusion
+    (read ``cfg.loops``, which calls this once)."""
+    dom = cfg.dominators
+    preds = cfg.preds
 
     # A back edge is (tail -> header) where header dominates tail.
     loops_by_header: Dict[str, Loop] = {}
-    for block in function.blocks:
-        for succ in block.successors():
-            if dom.dominates(succ, block.name):
+    for name in cfg.order:
+        for succ in cfg.succs[name]:
+            if dom.dominates(succ, name):
                 loop = loops_by_header.setdefault(succ, Loop(header=succ))
-                _collect_loop_body(loop, block.name, preds)
+                _collect_loop_body(loop, name, preds)
 
     # Nest loops: sort by body size so parents (larger) are assigned last.
     loops = sorted(loops_by_header.values(), key=lambda l: len(l.blocks))
@@ -96,7 +97,7 @@ def find_loops(function: FunctionIR, dom: Optional[DominatorTree] = None) -> Loo
         by_header=loops_by_header,
     )
     # Keep children in deterministic (block layout) order.
-    layout = {b.name: i for i, b in enumerate(function.blocks)}
+    layout = cfg.index
     for loop in nest.all_loops():
         loop.children.sort(key=lambda l: layout[l.header])
     nest.roots.sort(key=lambda l: layout[l.header])
@@ -118,7 +119,7 @@ def _collect_loop_body(loop: Loop, tail: str, preds: Dict[str, List[str]]) -> No
                 worklist.append(pred)
 
 
-def is_pipelinable(function: FunctionIR, loop: Loop) -> bool:
+def is_pipelinable(cfg: Cfg, loop: Loop) -> bool:
     """True if phase 3 can software-pipeline this loop.
 
     Requirements (matching the original compiler's restrictions): the loop
@@ -131,7 +132,7 @@ def is_pipelinable(function: FunctionIR, loop: Loop) -> bool:
     body_blocks = loop.blocks - {loop.header}
     if len(body_blocks) != 1:
         return False
-    body = function.block_named(next(iter(body_blocks)))
+    body = cfg.blocks[next(iter(body_blocks))]
     # The body must jump back to the header unconditionally.
     term = body.terminator
     if term is None or term.op is not Opcode.JMP or term.labels != (loop.header,):
@@ -139,7 +140,7 @@ def is_pipelinable(function: FunctionIR, loop: Loop) -> bool:
     return all(instr.op is not Opcode.CALL for instr in body.instructions)
 
 
-def loop_nest_weight(function: FunctionIR) -> int:
+def loop_nest_weight(cfg: Cfg) -> int:
     """The scheduler's cost proxy: sum over blocks of 4**depth.
 
     Approximates how many times each instruction will be processed by the
@@ -148,9 +149,9 @@ def loop_nest_weight(function: FunctionIR) -> int:
     """
     # A block's depth is its deepest loop's: shallow loops go first.
     depth_of: Dict[str, int] = {}
-    for loop in sorted(find_loops(function).all_loops(), key=lambda l: l.depth):
+    for loop in sorted(cfg.loops.all_loops(), key=lambda l: l.depth):
         depth_of.update(dict.fromkeys(loop.blocks, loop.depth))
     weight = 0
-    for block in function.blocks:
+    for block in cfg.blocks.values():
         weight += len(block.instructions) * (4 ** depth_of.get(block.name, 0))
     return weight

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode
 from ..ir.values import Const, VReg, Value
 
 
-def propagate_copies(function: FunctionIR) -> int:
+def propagate_copies(function: FunctionIR, cfg: Cfg) -> int:
     """Rewrite operands through local copies; returns number of changes."""
     changes = 0
     for block in function.blocks:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from ..ir.instructions import COMMUTATIVE, Instr, Opcode
 from ..ir.values import IR_FLOAT, VReg
 
@@ -40,7 +40,7 @@ _PURE = {
 }
 
 
-def eliminate_common_subexpressions(function: FunctionIR) -> int:
+def eliminate_common_subexpressions(function: FunctionIR, cfg: Cfg) -> int:
     changes = 0
     for block in function.blocks:
         changes += _cse_block(block.instructions)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 
 Fact = Hashable
 FactSet = FrozenSet[Fact]
@@ -72,21 +72,20 @@ def facts_of(mask: int, universe: List[Fact]) -> FactSet:
 
 
 def solve_backward_masks(
-    function: FunctionIR,
+    cfg: Cfg,
     gen: MaskFacts,
     kill: MaskFacts,
     boundary: int = 0,
 ) -> Tuple[MaskFacts, MaskFacts]:
-    """Backward may-analysis over int bitsets:
+    """Backward may-analysis over int bitsets, on the function's CFG:
     in = gen | (out & ~kill), out = OR of successors' in.
 
     ``boundary`` seeds the out-set of every exit block (blocks with no
     successors).
     """
-    names = [b.name for b in function.blocks]
-    block_map = function.block_map()
-    preds = function.predecessors()
-    succs = {n: block_map[n].successors() for n in names}
+    names = cfg.order
+    preds = cfg.preds
+    succs = cfg.succs
     entry: MaskFacts = {n: 0 for n in names}
     exit_: MaskFacts = {n: 0 for n in names}
     for name in names:

@@ -11,7 +11,7 @@ in one sweep and only a chain that crosses blocks costs another solve.
 
 from __future__ import annotations
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from ..ir.instructions import SIDE_EFFECTS, TERMINATORS
 from ..ir.values import VReg
 from .dataflow import solve_backward_masks
@@ -20,7 +20,7 @@ from .liveness import liveness_masks
 _PINNED = SIDE_EFFECTS | TERMINATORS
 
 
-def eliminate_dead_code(function: FunctionIR) -> int:
+def eliminate_dead_code(function: FunctionIR, cfg: Cfg) -> int:
     """Remove dead instructions; returns how many were removed."""
     gen, kill = liveness_masks(function)
     bits = [1 << i for i in range(function.next_vreg_id)]
@@ -34,7 +34,7 @@ def eliminate_dead_code(function: FunctionIR) -> int:
         # the block's own live-out through the back edge, so live-in
         # stands still while the true solution shrinks.)
         stale = False
-        _, live_out = solve_backward_masks(function, gen, kill)
+        _, live_out = solve_backward_masks(cfg, gen, kill)
         for block in function.blocks:
             out = live_out[block.name]
             block_gen = block_kill = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg
 from ..ir.instructions import Instr, Opcode
 from ..ir.loops import Loop
 from ..ir.values import Const, VReg
@@ -72,9 +72,7 @@ class Subscript:
     reg: Optional[VReg] = None  # for 'invariant'
 
 
-def find_induction_register(
-    function: FunctionIR, loop: Loop
-) -> Optional[Tuple[VReg, int]]:
+def find_induction_register(cfg: Cfg, loop: Loop) -> Optional[Tuple[VReg, int]]:
     """The loop's induction register and its per-iteration step.
 
     Recognizes the pattern lowering emits: a header comparing ``var`` to a
@@ -82,7 +80,7 @@ def find_induction_register(
     the loop does not match (the pipeliner then falls back to list
     scheduling).
     """
-    header = function.block_named(loop.header)
+    header = cfg.blocks[loop.header]
     term = header.terminator
     if term is None or term.op is not Opcode.BR:
         return None
@@ -99,7 +97,7 @@ def find_induction_register(
     body_blocks = loop.blocks - {loop.header}
     if len(body_blocks) != 1:
         return None
-    body = function.block_named(next(iter(body_blocks)))
+    body = cfg.blocks[next(iter(body_blocks))]
     # Find the trailing 'var := var + step' pattern:  add t, var, #s ; mov var, t
     step = _find_step(body, var)
     if step is None:
@@ -165,19 +163,17 @@ def classify_subscript(
     return Subscript(kind="unknown")
 
 
-def build_dependence_graph(
-    function: FunctionIR, loop: Loop
-) -> Optional[DependenceGraph]:
+def build_dependence_graph(cfg: Cfg, loop: Loop) -> Optional[DependenceGraph]:
     """Dependence graph for a pipelinable loop's body, or None if the loop
     shape is not analyzable."""
     body_blocks = loop.blocks - {loop.header}
     if len(body_blocks) != 1:
         return None
-    body = function.block_named(next(iter(body_blocks)))
+    body = cfg.blocks[next(iter(body_blocks))]
     instructions = body.body  # excludes the back-edge jump
     graph = DependenceGraph(instructions=instructions)
 
-    induction_info = find_induction_register(function, loop)
+    induction_info = find_induction_register(cfg, loop)
     induction = induction_info[0] if induction_info else None
     step = induction_info[1] if induction_info else 1
 

@@ -10,7 +10,7 @@ known defect, pinned in ``tests/test_signed_zero.py``): for ``x = -0.0``,
 
 from __future__ import annotations
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode, evaluate_constant
 from ..ir.values import Const, IR_FLOAT, IR_INT, VReg
 
@@ -46,7 +46,7 @@ def _coerced_result(value, ir_type: str):
     return float(value)
 
 
-def fold_constants(function: FunctionIR) -> int:
+def fold_constants(function: FunctionIR, cfg: Cfg) -> int:
     """Fold constant expressions in place; returns the number of changes."""
     changes = 0
     for block in function.blocks:

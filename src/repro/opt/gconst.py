@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.instructions import Opcode, evaluate_constant
 from ..ir.values import Const, IR_INT, VReg
 
@@ -56,11 +56,12 @@ _EVALUATABLE = {
 Row = Tuple[Optional[int], Callable, Optional[Opcode], Tuple[object, ...]]
 
 
-def propagate_constants_globally(function: FunctionIR) -> int:
+def propagate_constants_globally(function: FunctionIR, cfg: Cfg) -> int:
     """Rewrite register uses that are provably constant; returns changes."""
     carried: Set[int] = set()
     rows = {block.name: _decode(block, carried) for block in function.blocks}
-    in_states = _solve(function, rows, carried)
+    slices = {name: _slice(block_rows, carried) for name, block_rows in rows.items()}
+    in_states = _solve(function, cfg, slices, carried)
     changes = 0
     for block in function.blocks:
         changes += _transfer(
@@ -70,7 +71,7 @@ def propagate_constants_globally(function: FunctionIR) -> int:
 
 
 def _solve(
-    function: FunctionIR, rows: Dict[str, List[Row]], carried: Set[int]
+    function: FunctionIR, cfg: Cfg, slices: Dict[str, List[Row]], carried: Set[int]
 ) -> Dict[str, State]:
     """Fixpoint of per-block entry states.
 
@@ -82,11 +83,11 @@ def _solve(
     entry state is unchanged is skipped (it cannot change the exit state).
     An exit state keeps only the ``carried`` registers — those some block
     reads before it writes them — because no other register's value on
-    entry to a block is ever looked up.
+    entry to a block is ever looked up — so a visit transfers only the
+    block's ``slices`` row list, the rows those exit values depend on.
     """
-    preds = function.predecessors()
-    block_map = function.block_map()
-    entry = function.entry.name
+    preds = cfg.preds
+    entry = cfg.order[0]
     in_states: Dict[str, State] = {entry: {}}
     out_states: Dict[str, State] = {}
 
@@ -112,11 +113,11 @@ def _solve(
             continue
         in_states[name] = state
         state = dict(state)
-        _transfer(rows[name], state)
+        _transfer(slices[name], state)
         state = {reg: value for reg, value in state.items() if reg in carried}
         if out_states.get(name) != state:
             out_states[name] = state
-            for succ in block_map[name].successors():
+            for succ in cfg.succs[name]:
                 if succ not in queued:
                     worklist.append(succ)
                     queued.add(succ)
@@ -161,6 +162,22 @@ def _decode(block: BasicBlock, carried: Set[int]) -> List[Row]:
         op = instr.op if instr.op in _EVALUATABLE else None
         rows.append((dest.id, convert, op, operands))
     return rows
+
+
+def _slice(rows: List[Row], carried: Set[int]) -> List[Row]:
+    """The rows the block's exit values of ``carried`` registers depend on:
+    each one's last definition and, transitively, the rows that define
+    what a computable one reads."""
+    needed = set(carried)
+    kept = []
+    for row in reversed(rows):
+        if row[0] in needed:
+            kept.append(row)
+            needed.discard(row[0])
+            if row[2] is not None:
+                needed.update(row[3])  # a constant's tuple never matches a dest
+    kept.reverse()
+    return kept
 
 
 def _transfer(

@@ -22,11 +22,10 @@ Correctness conditions in this non-SSA IR (checked conservatively):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode
-from ..ir.loops import Loop, find_loops
 from ..ir.values import VReg
 
 #: Pure AND non-trapping: safe to execute speculatively in the preheader.
@@ -54,28 +53,39 @@ _HOISTABLE = {
 }
 
 
-def hoist_loop_invariants(function: FunctionIR) -> int:
+def hoist_loop_invariants(function: FunctionIR, cfg: Cfg) -> int:
     """Hoist invariant computations out of every loop; returns count."""
     # Facts for the whole pass: hoisting moves no terminator and adds or
-    # removes no definition, so the loops, their preheaders and the
-    # definition counts are found once.  Registers are indexed by id,
-    # blocks by a bit of their layout position.
-    loops = find_loops(function).all_loops()
-    if not loops:
-        return 0
-    preds = function.predecessors()
-    block_map = function.block_map()
-    block_bit = {block.name: 1 << i for i, block in enumerate(function.blocks)}
+    # removes no definition, so the definition counts hold, and so does
+    # each block's static half of the test (a hoistable opcode, a single
+    # definition), kept in instruction order beside the ids it defines; a
+    # hoist moves its entries to the preheader.  Registers are indexed by
+    # id, blocks by a bit of their layout position.
+    block_bit = {name: 1 << i for i, name in enumerate(cfg.order)}
     # Innermost first: their invariants may bubble outward next round.
     headed = [
-        (loop, sum(block_bit[name] for name in loop.blocks), preheader)
-        for loop in sorted(loops, key=lambda l: -l.depth)
-        if (preheader := _preheader_of(preds, block_map, loop)) is not None
+        (sorted(loop.blocks), sum(block_bit[name] for name in loop.blocks),
+         cfg.preheaders[loop.header])
+        for loop in sorted(cfg.loops.all_loops(), key=lambda l: -l.depth)
+        if loop.header in cfg.preheaders
     ]
+    if not headed:
+        return 0
     defs_count = [0] * function.next_vreg_id
-    for instr in function.all_instructions():
-        if instr.dest is not None:
-            defs_count[instr.dest.id] += 1
+    defined: Dict[str, Set[int]] = {}
+    for block in function.blocks:
+        ids = defined[block.name] = set()
+        for instr in block.instructions:
+            if instr.dest is not None:
+                defs_count[instr.dest.id] += 1
+                ids.add(instr.dest.id)
+    static = {
+        block.name: [
+            instr for instr in block.instructions
+            if instr.op in _HOISTABLE and defs_count[instr.dest.id] == 1
+        ]
+        for block in function.blocks
+    }
     total = 0
     # More rounds: hoisting into an outer loop's body can expose more
     # motion for the outer loop.
@@ -90,9 +100,10 @@ def hoist_loop_invariants(function: FunctionIR) -> int:
                         use_blocks[operand.id] |= bit
         moved = sum(
             _hoist_from_loop(
-                block_map, loop, loop_mask, preheader, defs_count, use_blocks
+                cfg.blocks, names, loop_mask, preheader, static, defined,
+                use_blocks,
             )
-            for loop, loop_mask, preheader in headed
+            for names, loop_mask, preheader in headed
         )
         if moved == 0:
             break
@@ -100,69 +111,53 @@ def hoist_loop_invariants(function: FunctionIR) -> int:
     return total
 
 
-def _preheader_of(
-    preds: Dict[str, List[str]], block_map: Dict[str, BasicBlock], loop: Loop
-) -> Optional[BasicBlock]:
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) != 1:
-        return None
-    preheader = block_map[outside[0]]
-    term = preheader.terminator
-    if term is None or term.op is not Opcode.JMP:
-        return None
-    return preheader
-
-
 def _hoist_from_loop(
     block_map: Dict[str, BasicBlock],
-    loop: Loop,
+    names: List[str],
     loop_mask: int,
     preheader: BasicBlock,
-    defs_count: List[int],
+    static: Dict[str, List[Instr]],
+    defined: Dict[str, Set[int]],
     use_blocks: List[int],
 ) -> int:
-    loop_blocks = [block_map[name] for name in sorted(loop.blocks)]
-    # The static half of the test — a hoistable opcode, a single
-    # definition, every use inside the loop (the hoisted def still
-    # dominates them via the preheader) — cannot change while this loop is
-    # worked on, so it is decided once; the rescans then look only at the
-    # operands of these candidates, in block order.
+    # Of each block's static candidates, those with every use inside the
+    # loop (the hoisted def still dominates them via the preheader); the
+    # rescans then look only at their operands, blocks in name order.
     outside = ~loop_mask
     candidates = [
         (
-            block,
+            name,
             [
-                instr for instr in block.instructions
-                if instr.op in _HOISTABLE
-                and defs_count[instr.dest.id] == 1
-                and not use_blocks[instr.dest.id] & outside
+                instr for instr in static[name]
+                if not use_blocks[instr.dest.id] & outside
             ],
         )
-        for block in loop_blocks
+        for name in names
     ]
     if not any(pending for _, pending in candidates):
         return 0
-    defined_in_loop: Set[int] = set()
-    for block in loop_blocks:
-        for instr in block.instructions:
-            if instr.dest is not None:
-                defined_in_loop.add(instr.dest.id)
+    defined_in_loop: Set[int] = set().union(*[defined[name] for name in names])
 
     moved = 0
     changed = True
     while changed:
         changed = False
-        for block, pending in candidates:
+        for name, pending in candidates:
             for position, instr in enumerate(pending):
                 for operand in instr.operands:
                     if operand.__class__ is VReg and operand.id in defined_in_loop:
                         break
                 else:
                     del pending[position]
-                    del block.instructions[_index_of(block, instr)]
+                    block = block_map[name]
+                    del block.instructions[_index_of(block.instructions, instr)]
                     preheader.instructions.insert(
                         len(preheader.instructions) - 1, instr
                     )
+                    del static[name][_index_of(static[name], instr)]
+                    static[preheader.name].append(instr)
+                    defined[name].discard(instr.dest.id)
+                    defined[preheader.name].add(instr.dest.id)
                     # Its only definition has left the loop.
                     defined_in_loop.discard(instr.dest.id)
                     moved += 1
@@ -171,8 +166,8 @@ def _hoist_from_loop(
     return moved
 
 
-def _index_of(block: BasicBlock, instr: Instr) -> int:
-    for index, other in enumerate(block.instructions):
+def _index_of(instructions: List[Instr], instr: Instr) -> int:
+    for index, other in enumerate(instructions):
         if other is instr:
             return index
-    raise ValueError(f"{instr} is not in block {block.name!r}")
+    raise ValueError(f"{instr} is not in the list")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.values import VReg
 from .dataflow import (
     BlockFacts,
@@ -57,10 +57,10 @@ def liveness_masks(function: FunctionIR) -> Tuple[MaskFacts, MaskFacts]:
     return gen, kill
 
 
-def live_variables(function: FunctionIR) -> BlockFacts:
+def live_variables(function: FunctionIR, cfg: Cfg) -> BlockFacts:
     """Solve liveness; ``entry``/``exit`` give live-in/live-out per block."""
     gen, kill = liveness_masks(function)
-    entry_m, exit_m = solve_backward_masks(function, gen, kill)
+    entry_m, exit_m = solve_backward_masks(cfg, gen, kill)
     registers: List[Optional[VReg]] = [None] * function.next_vreg_id
     for block in function.blocks:
         for instr in block.instructions:

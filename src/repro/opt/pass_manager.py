@@ -6,14 +6,21 @@ deterministic cost metric consumed by the workstation-cluster simulator:
 the paper's observation that "optimizing compilers for supercomputers are
 particularly slow" is, in our reproduction, a measured property of this
 very pipeline rather than an assumed constant.
+
+Every pass is handed the function's :class:`~repro.ir.cfg.Cfg`.  Inside
+:meth:`PassManager.run` only simplify-cfg changes the CFG — gconst
+rewrites a ``br`` operand, never a label; LICM inserts before a
+preheader's terminator; DCE never removes a terminator — so the ``Cfg``
+is replaced only after a simplify-cfg run that reports a change (or
+level 0 cuts a block), and codegen takes the last, :attr:`PassManager.cfg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..ir.cfg import FunctionIR
+from ..ir.cfg import Cfg, FunctionIR
 from .copyprop import propagate_copies
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
@@ -22,8 +29,8 @@ from .gconst import propagate_constants_globally
 from .licm import hoist_loop_invariants
 from .simplify import simplify_control_flow
 
-#: A pass takes a function and returns how many changes it made.
-PassFn = Callable[[FunctionIR], int]
+#: A pass takes a function and its CFG facts; returns how many changes.
+PassFn = Callable[[FunctionIR, Cfg], int]
 
 #: Level 2 stops after this many rounds even short of a fixpoint.
 MAX_ROUNDS = 10
@@ -88,12 +95,16 @@ class PassManager:
         if opt_level not in (0, 1, 2):
             raise ValueError(f"unsupported optimization level {opt_level}")
         self.opt_level = opt_level
+        #: the function's CFG facts after the last :meth:`run`
+        self.cfg: Optional[Cfg] = None
 
-    def run(self, function: FunctionIR) -> PassStats:
+    def run(self, function: FunctionIR, cfg: Cfg) -> PassStats:
         stats = PassStats()
         if self.opt_level == 0:
-            function.remove_unreachable_blocks()
+            if function.remove_unreachable_blocks():
+                cfg = Cfg(function)
             function.validate()
+            self.cfg = cfg
             return stats
         limit = 1 if self.opt_level == 1 else MAX_ROUNDS
         for _ in range(limit):
@@ -101,10 +112,13 @@ class PassManager:
             round_changes = 0
             for name, pass_fn in _PIPELINE:
                 visited = function.instruction_count()
-                changed = pass_fn(function)
+                changed = pass_fn(function, cfg)
+                if changed and name == "simplify-cfg":
+                    cfg = Cfg(function)
                 stats.record(name, changed, visited)
                 round_changes += changed
             if round_changes == 0:
                 break
         function.validate()
+        self.cfg = cfg
         return stats

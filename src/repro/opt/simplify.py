@@ -17,19 +17,23 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode
 from ..ir.values import Const
 
 
-def simplify_control_flow(function: FunctionIR) -> int:
+def simplify_control_flow(function: FunctionIR, cfg: Cfg) -> int:
+    """Returns changes; on a change ``cfg`` is stale (it keeps its own maps)."""
     changes = 0
     while True:
-        round_changes = 0
-        round_changes += _fold_constant_branches(function)
-        round_changes += function.remove_unreachable_blocks()
-        round_changes += _thread_trivial_jumps(function)
-        round_changes += function.remove_unreachable_blocks()
+        # Only a folded branch or a threaded jump cuts an edge, so only
+        # they can leave a block unreachable (on entry, any block may be).
+        round_changes = _fold_constant_branches(function)
+        if round_changes or not changes:
+            round_changes += function.remove_unreachable_blocks()
+        threaded = _thread_trivial_jumps(function)
+        if threaded:
+            round_changes += threaded + function.remove_unreachable_blocks()
         round_changes += _merge_straight_line(function)
         if round_changes == 0:
             return changes
@@ -90,11 +94,12 @@ def _thread_trivial_jumps(function: FunctionIR) -> int:
 
 
 def _merge_straight_line(function: FunctionIR) -> int:
-    """Merge ``a -> b`` when a's only successor is b and b's only pred is a."""
+    """Merge ``a -> b`` when a's only successor is b and b's only pred is a;
+    each merge updates the maps and restarts the scan at the first block."""
     changes = 0
+    preds = function.predecessors()
+    block_map = function.block_map()
     while True:
-        preds = function.predecessors()
-        block_map = function.block_map()
         merged = False
         for block in function.blocks:
             term = block.terminator
@@ -107,7 +112,13 @@ def _merge_straight_line(function: FunctionIR) -> int:
                 continue
             if succ_name == function.entry.name:
                 continue
-            succ = block_map[succ_name]
+            succ = block_map.pop(succ_name)
+            del preds[succ_name]
+            for name in succ.successors():
+                preds[name] = [
+                    block.name if pred == succ_name else pred
+                    for pred in preds[name]
+                ]
             block.instructions = block.instructions[:-1] + succ.instructions
             function.blocks.remove(succ)
             merged = True

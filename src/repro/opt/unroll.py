@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ir.cfg import BasicBlock, FunctionIR
+from ..ir.cfg import BasicBlock, Cfg, FunctionIR
 from ..ir.instructions import Instr, Opcode
-from ..ir.loops import find_loops, is_pipelinable
+from ..ir.loops import is_pipelinable
 from ..ir.values import Const, VReg
 
 #: Refuse to unroll loops with more iterations than this.
@@ -40,9 +40,9 @@ def unroll_constant_loops(
 
 
 def _unroll_one(function: FunctionIR, max_trip: int) -> bool:
-    nest = find_loops(function)
-    for loop in nest.innermost_loops():
-        if not is_pipelinable(function, loop):
+    cfg = Cfg(function)
+    for loop in cfg.loops.innermost_loops():
+        if not is_pipelinable(cfg, loop):
             continue
         plan = _plan(function, loop, max_trip)
         if plan is not None:

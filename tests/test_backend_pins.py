@@ -30,8 +30,9 @@ from repro.codegen.schedule import _build_edges, _list_schedule
 from repro.codegen.select import select_function
 from repro.driver.phases import compile_one_function, phase1_parse_and_check
 from repro.fuzz.generator import config_for_size_class, generate_program
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Instr, Opcode
-from repro.ir.loops import find_loops, loop_nest_weight
+from repro.ir.loops import loop_nest_weight
 from repro.ir.values import VReg
 from repro.machine.resources import FUClass, PhysReg
 from repro.machine.warp_cell import WarpCellModel
@@ -177,7 +178,7 @@ def reference_propagate_block(instructions):
 
 def reference_loop_nest_weight(function):
     """Looks up each block's innermost loop by scanning every loop."""
-    nest = find_loops(function)
+    nest = Cfg(function).loops
     weight = 0
     for block in function.blocks:
         best = None
@@ -201,10 +202,11 @@ def text(instructions):
 def selected_blocks(function):
     """The machine blocks ``compile_function`` list-schedules."""
     cell = WarpCellModel()
-    PassManager().run(function)
+    PassManager().run(function, Cfg(function))
     allocation = allocate_registers(
         function,
         replace_int_registers(cell, cell.int_registers - RESERVED_INT_REGS),
+        Cfg(function),
     )
     return select_function(function, allocation, cell)
 
@@ -222,7 +224,7 @@ def test_back_end_routines_equal_their_references(size_class):
         source = generate_program(seed, config).source
         for function in lower_ok(source).all_functions():
             where = f"{size_class} seed {seed} {function.name}"
-            assert loop_nest_weight(function) == reference_loop_nest_weight(
+            assert loop_nest_weight(Cfg(function)) == reference_loop_nest_weight(
                 function
             ), where
             for name, pass_fn in _PIPELINE:
@@ -238,7 +240,7 @@ def test_back_end_routines_equal_their_references(size_class):
                         assert text(got) == text(expected), where
                         local += 1
                         rewritten += count
-                pass_fn(function)
+                pass_fn(function, Cfg(function))
         for function in lower_ok(source).all_functions():
             for sel in selected_blocks(function):
                 edges = _build_edges(sel.ops) if sel.ops else []

@@ -10,6 +10,7 @@ from repro.codegen.regalloc import (
 )
 from repro.codegen.schedule import schedule_block
 from repro.codegen.select import select_function
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
 from repro.machine.resources import FUClass, PhysReg
 from repro.machine.warp_cell import WarpCellModel
@@ -32,7 +33,7 @@ def compiled(src: str, cell=None, opt_level: int = 2):
 class TestRegisterAllocation:
     def test_distinct_live_values_get_distinct_registers(self):
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         a_regs = set()
         for instr in fn.all_instructions():
             if instr.dest is not None:
@@ -42,14 +43,14 @@ class TestRegisterAllocation:
 
     def test_banks_respected(self):
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         for vreg, preg in allocation.assignment.items():
             assert vreg.type == preg.bank
 
     def test_register_indices_within_bank(self):
         cell = WarpCellModel(int_registers=8, float_registers=8)
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, cell)
+        allocation = allocate_registers(fn, cell, Cfg(fn))
         for preg in allocation.assignment.values():
             assert 0 <= preg.index < 8
 
@@ -64,7 +65,7 @@ class TestRegisterAllocation:
         )
         cell = WarpCellModel(int_registers=8, float_registers=6)
         fn = single_function_ir(src)
-        allocation = allocate_registers(fn, cell)
+        allocation = allocate_registers(fn, cell, Cfg(fn))
         assert allocation.spill_slots > 0
         # Spilled code references the scratch frame arrays.
         assert any(a.name.startswith("<spill.") for a in fn.arrays)
@@ -80,20 +81,20 @@ class TestRegisterAllocation:
         cell = WarpCellModel(int_registers=4, float_registers=1)
         fn = single_function_ir(src)
         with pytest.raises(RegisterPressureError):
-            allocate_registers(fn, cell, max_rounds=3)
+            allocate_registers(fn, cell, Cfg(fn), max_rounds=3)
 
 
 class TestSelection:
     def test_one_machine_op_per_ir_instruction(self):
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         for sel, block in zip(selected, fn.blocks):
             assert len(sel.ops) == len(block.instructions)
 
     def test_functional_units_assigned_by_type(self):
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         ops = {op.op: op for sel in selected for op in sel.ops}
         assert ops[Opcode.MUL].fu is FUClass.FMUL
@@ -105,7 +106,7 @@ class TestSelection:
             "function f(x: float) : int begin return x < 2.0; end"
         )
         fn = single_function_ir(src)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         compares = [
             op for sel in selected for op in sel.ops if op.op is Opcode.CLT
@@ -117,7 +118,7 @@ class TestSelection:
             "function f(n: int) : int begin return n < 2; end"
         )
         fn = single_function_ir(src)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         compares = [
             op for sel in selected for op in sel.ops if op.op is Opcode.CLT
@@ -128,13 +129,13 @@ class TestSelection:
 class TestListScheduling:
     def _schedule(self, src: str):
         fn = single_function_ir(src)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         return [schedule_block(sel) for sel in selected]
 
     def test_every_op_scheduled_exactly_once(self):
         fn = single_function_ir(SIMPLE)
-        allocation = allocate_registers(fn, WarpCellModel())
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
         selected = select_function(fn, allocation, WarpCellModel())
         for sel in selected:
             result = schedule_block(sel)

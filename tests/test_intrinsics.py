@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
 from repro.warpsim.cell_state import SimulationError
 
@@ -114,7 +115,7 @@ class TestCompilerIntegration:
                 "+ min(1.0, 2.0) + max(3.0, 4.0); end"
             )
         )
-        PassManager(2).run(fn)
+        PassManager(2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert rets[0].operands[0] == Const(4.0 + 2.0 + 1.0 + 4.0, "f")
 
@@ -124,7 +125,7 @@ class TestCompilerIntegration:
         fn = single_function_ir(
             wrap_function("function f() : float begin return sqrt(-1.0); end")
         )
-        fold_constants(fn)
+        fold_constants(fn, Cfg(fn))
         assert Opcode.SQRT in [i.op for i in fn.all_instructions()]
 
     def test_sqrt_issues_on_multiplier_unit(self):
@@ -138,7 +139,6 @@ class TestCompilerIntegration:
     def test_sqrt_not_hoisted_by_licm(self):
         """sqrt traps on negatives: LICM must not speculate it."""
         from repro.opt.licm import hoist_loop_invariants
-        from repro.ir.loops import find_loops
 
         fn = single_function_ir(
             wrap_function(
@@ -147,8 +147,8 @@ class TestCompilerIntegration:
                 "return acc; end"
             )
         )
-        hoist_loop_invariants(fn)
-        nest = find_loops(fn)
+        hoist_loop_invariants(fn, Cfg(fn))
+        nest = Cfg(fn).loops
         loop_ops = [
             i.op
             for name in nest.all_loops()[0].blocks
@@ -158,7 +158,6 @@ class TestCompilerIntegration:
 
     def test_min_max_hoisted_by_licm(self):
         from repro.opt.licm import hoist_loop_invariants
-        from repro.ir.loops import find_loops
 
         fn = single_function_ir(
             wrap_function(
@@ -168,4 +167,4 @@ class TestCompilerIntegration:
                 "return acc; end"
             )
         )
-        assert hoist_loop_invariants(fn) >= 1
+        assert hoist_loop_invariants(fn, Cfg(fn)) >= 1

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import FunctionIR
-from repro.ir.dominators import compute_dominators
+from repro.ir.cfg import Cfg, FunctionIR
 from repro.ir.instructions import Opcode
-from repro.ir.loops import find_loops, is_pipelinable, loop_nest_weight
+from repro.ir.loops import is_pipelinable, loop_nest_weight
 from repro.ir.values import Const, IR_INT
 
 from helpers import single_function_ir, wrap_function
@@ -36,18 +35,18 @@ def diamond_function() -> FunctionIR:
 class TestDominators:
     def test_entry_dominates_everything(self):
         fn = diamond_function()
-        dom = compute_dominators(fn)
+        dom = Cfg(fn).dominators
         for block in fn.blocks:
             assert dom.dominates("entry", block.name)
 
     def test_branch_arms_do_not_dominate_join(self):
-        dom = compute_dominators(diamond_function())
+        dom = Cfg(diamond_function()).dominators
         assert not dom.dominates("left", "join")
         assert not dom.dominates("right", "join")
         assert dom.idom["join"] == "entry"
 
     def test_self_domination(self):
-        dom = compute_dominators(diamond_function())
+        dom = Cfg(diamond_function()).dominators
         assert dom.dominates("left", "left")
 
     def test_loop_header_dominates_body(self):
@@ -57,13 +56,13 @@ class TestDominators:
                 "begin for i := 0 to 3 do i := i; end; end"
             )
         )
-        dom = compute_dominators(fn)
+        dom = Cfg(fn).dominators
         assert dom.dominates("for.header", "for.body")
         assert not dom.dominates("for.body", "for.header")
 
     def test_dominator_chain(self):
         fn = diamond_function()
-        dom = compute_dominators(fn)
+        dom = Cfg(fn).dominators
         assert dom.dominators_of("join") == ["join", "entry"]
 
 
@@ -75,7 +74,7 @@ class TestLoops:
                 "begin for i := 0 to 3 do i := i; end; end"
             )
         )
-        nest = find_loops(fn)
+        nest = Cfg(fn).loops
         assert len(nest.all_loops()) == 1
         loop = nest.all_loops()[0]
         assert loop.header == "for.header"
@@ -90,7 +89,7 @@ class TestLoops:
                 "end;\nend"
             )
         )
-        nest = find_loops(fn)
+        nest = Cfg(fn).loops
         loops = nest.all_loops()
         assert len(loops) == 2
         assert nest.max_depth() == 2
@@ -106,7 +105,7 @@ class TestLoops:
                 "for i := 0 to 3 do i := i; end;\nend"
             )
         )
-        nest = find_loops(fn)
+        nest = Cfg(fn).loops
         assert len(nest.roots) == 2
         assert all(l.depth == 1 for l in nest.all_loops())
 
@@ -116,18 +115,18 @@ class TestLoops:
                 "function f(n: int)\nbegin while n > 0 do n := n - 1; end; end"
             )
         )
-        nest = find_loops(fn)
+        nest = Cfg(fn).loops
         assert len(nest.all_loops()) == 1
 
     def test_no_loops(self):
         fn = single_function_ir(wrap_function("function f() begin end"))
-        assert find_loops(fn).all_loops() == []
+        assert Cfg(fn).loops.all_loops() == []
 
 
 class TestPipelinability:
     def _nest_of(self, body: str):
         fn = single_function_ir(wrap_function(body))
-        return fn, find_loops(fn)
+        return fn, Cfg(fn).loops
 
     def test_simple_counted_loop_is_pipelinable(self):
         fn, nest = self._nest_of(
@@ -135,7 +134,7 @@ class TestPipelinability:
             "begin for i := 0 to 3 do x := x + 1.0; end; end"
         )
         loop = nest.all_loops()[0]
-        assert is_pipelinable(fn, loop)
+        assert is_pipelinable(Cfg(fn), loop)
 
     def test_loop_with_if_not_pipelinable(self):
         fn, nest = self._nest_of(
@@ -145,7 +144,7 @@ class TestPipelinability:
             "end;\nend"
         )
         inner = nest.innermost_loops()[0]
-        assert not is_pipelinable(fn, inner)
+        assert not is_pipelinable(Cfg(fn), inner)
 
     def test_loop_with_call_not_pipelinable(self):
         from helpers import lower_ok
@@ -158,8 +157,8 @@ class TestPipelinability:
             )
         )
         fn = ir.function_named("s", "f")
-        nest = find_loops(fn)
-        assert not is_pipelinable(fn, nest.all_loops()[0])
+        nest = Cfg(fn).loops
+        assert not is_pipelinable(Cfg(fn), nest.all_loops()[0])
 
     def test_outer_loop_not_pipelinable(self):
         fn, nest = self._nest_of(
@@ -169,7 +168,7 @@ class TestPipelinability:
             "end;\nend"
         )
         outer = [l for l in nest.all_loops() if not l.is_innermost()][0]
-        assert not is_pipelinable(fn, outer)
+        assert not is_pipelinable(Cfg(fn), outer)
 
 
 class TestLoopWeight:
@@ -188,4 +187,4 @@ class TestLoopWeight:
                 "end;\nend"
             )
         )
-        assert loop_nest_weight(nested) > loop_nest_weight(flat)
+        assert loop_nest_weight(Cfg(nested)) > loop_nest_weight(Cfg(flat))

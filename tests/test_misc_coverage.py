@@ -10,7 +10,7 @@ from repro.cluster.events import Simulator
 from repro.codegen.schedule import schedule_block
 from repro.codegen.select import SelectedBlock
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import FunctionIR
+from repro.ir.cfg import Cfg, FunctionIR
 from repro.ir.printer import print_module
 from repro.ir.values import IR_INT
 from repro.machine.warp_array import WarpArrayModel
@@ -34,7 +34,7 @@ class TestSimplifyGuards:
         b.set_block(spin)
         b.jmp(spin)  # empty infinite loop: threading must not recurse
         fn.validate()
-        simplify_control_flow(fn)
+        simplify_control_flow(fn, Cfg(fn))
         fn.validate()
         assert any(block.name == "spin" for block in fn.blocks)
 
@@ -50,7 +50,7 @@ class TestSimplifyGuards:
         b.br(cond, target, target)
         b.set_block(target)
         b.ret()
-        simplify_control_flow(fn)
+        simplify_control_flow(fn, Cfg(fn))
         assert fn.blocks[0].terminator.op is not Opcode.BR
 
 

@@ -18,7 +18,7 @@ from repro.codegen.modulo import (
 )
 from repro.codegen.regalloc import allocate_registers
 from repro.codegen.select import select_function
-from repro.ir.loops import find_loops
+from repro.ir.cfg import Cfg
 from repro.machine.resources import FUClass
 from repro.machine.warp_cell import WarpCellModel
 from repro.opt.dependence import build_dependence_graph
@@ -45,14 +45,14 @@ ACC_LOOP = wrap_function(
 def body_ops_and_edges(src: str):
     cell = WarpCellModel()
     fn = single_function_ir(src)
-    PassManager(2).run(fn)
-    allocation = allocate_registers(fn, cell)
+    PassManager(2).run(fn, Cfg(fn))
+    allocation = allocate_registers(fn, cell, Cfg(fn))
     selected = select_function(fn, allocation, cell)
-    loop = find_loops(fn).innermost_loops()[0]
+    loop = Cfg(fn).loops.innermost_loops()[0]
     body_label = next(iter(loop.blocks - {loop.header}))
     body = next(b for b in selected if b.label == body_label)
     ops = body.ops[:-1]
-    graph = build_dependence_graph(fn, loop)
+    graph = build_dependence_graph(Cfg(fn), loop)
     edges = machine_schedule_edges(ops, graph)
     return ops, edges
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
-from repro.ir.loops import find_loops
 from repro.opt.dependence import (
     ANTI,
     IO,
@@ -41,7 +41,7 @@ LOOP_SRC = wrap_function(
 class TestLiveness:
     def test_param_live_into_loop(self):
         fn = single_function_ir(LOOP_SRC)
-        facts = live_variables(fn)
+        facts = live_variables(fn, Cfg(fn))
         x = fn.param_regs[0]
         assert x in facts.entry["for.body"]
 
@@ -52,14 +52,14 @@ class TestLiveness:
                 "begin y := x + 1.0; return y; end"
             )
         )
-        facts = live_variables(fn)
+        facts = live_variables(fn, Cfg(fn))
         # Nothing is live out of the exit block.
         exit_block = fn.blocks[-1]
         assert facts.exit[exit_block.name] == frozenset()
 
     def test_loop_carried_register_live_around_backedge(self):
         fn = single_function_ir(LOOP_SRC)
-        facts = live_variables(fn)
+        facts = live_variables(fn, Cfg(fn))
         header = fn.block_named("for.header")
         # The accumulator is live on entry to the header (used after the
         # loop and redefined each iteration).
@@ -98,7 +98,7 @@ class TestBitsetMatchesReferenceSets:
         index = {}
         names = [block.name for block in fn.blocks]
         entry_m, exit_m = solve_backward_masks(
-            fn,
+            Cfg(fn),
             {name: mask_of(gen[name], index) for name in names},
             {name: mask_of(kill[name], index) for name in names},
         )
@@ -111,7 +111,7 @@ class TestBitsetMatchesReferenceSets:
     def test_live_variables_equals_reference_pipeline(self, src):
         fn = single_function_ir(src)
         gen, kill = self._use_def(fn)
-        fast = live_variables(fn)
+        fast = live_variables(fn, Cfg(fn))
         slow = solve_backward_sets(fn, gen, kill)
         assert fast.entry == slow.entry
         assert fast.exit == slow.exit
@@ -128,8 +128,8 @@ class TestBitsetMatchesReferenceSets:
 
 def loop_and_graph(src: str):
     fn = single_function_ir(src)
-    loop = find_loops(fn).innermost_loops()[0]
-    graph = build_dependence_graph(fn, loop)
+    loop = Cfg(fn).loops.innermost_loops()[0]
+    graph = build_dependence_graph(Cfg(fn), loop)
     assert graph is not None
     return fn, loop, graph
 
@@ -137,8 +137,8 @@ def loop_and_graph(src: str):
 class TestInduction:
     def test_finds_induction_register_and_step(self):
         fn = single_function_ir(LOOP_SRC)
-        loop = find_loops(fn).innermost_loops()[0]
-        result = find_induction_register(fn, loop)
+        loop = Cfg(fn).loops.innermost_loops()[0]
+        result = find_induction_register(Cfg(fn), loop)
         assert result is not None
         _reg, step = result
         assert step == 1
@@ -150,8 +150,8 @@ class TestInduction:
                 "begin for i := 9 to 0 by -3 do x := x + 1.0; end; end"
             )
         )
-        loop = find_loops(fn).innermost_loops()[0]
-        _reg, step = find_induction_register(fn, loop)
+        loop = Cfg(fn).loops.innermost_loops()[0]
+        _reg, step = find_induction_register(Cfg(fn), loop)
         assert step == -3
 
 
@@ -227,10 +227,10 @@ class TestSubscriptClassification:
                 "begin for i := 0 to 3 do a[0] := a[0] + 1.0; end; end"
             )
         )
-        loop = find_loops(fn).innermost_loops()[0]
+        loop = Cfg(fn).loops.innermost_loops()[0]
         body = fn.block_named(next(iter(loop.blocks - {loop.header})))
         stores = [i for i in body.instructions if i.op is Opcode.STORE]
-        induction, _step = find_induction_register(fn, loop)
+        induction, _step = find_induction_register(Cfg(fn), loop)
         sub = classify_subscript(body, stores[0].operands[0], induction)
         assert sub.kind == "const"
         assert sub.offset == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
 from repro.ir.values import Const, IR_INT
 from repro.opt.gconst import propagate_constants_globally
@@ -24,7 +25,7 @@ class TestCrossBlockPropagation:
                 "return k;\nend"
             )
         )
-        PassManager(2).run(fn)
+        PassManager(2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert rets[0].operands[0] == Const(7, IR_INT)
 
@@ -36,7 +37,7 @@ class TestCrossBlockPropagation:
                 "return k;\nend"
             )
         )
-        PassManager(2).run(fn)
+        PassManager(2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert rets[0].operands[0] == Const(5, IR_INT)
 
@@ -48,7 +49,7 @@ class TestCrossBlockPropagation:
                 "return k;\nend"
             )
         )
-        PassManager(2).run(fn)
+        PassManager(2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert not isinstance(rets[0].operands[0], Const)
 
@@ -61,7 +62,7 @@ class TestCrossBlockPropagation:
                 "return k;\nend"
             )
         )
-        propagate_constants_globally(fn)
+        propagate_constants_globally(fn, Cfg(fn))
         # k varies around the loop; the return must still read a register.
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert not isinstance(rets[0].operands[0], Const)
@@ -75,7 +76,7 @@ class TestCrossBlockPropagation:
                 "return acc;\nend"
             )
         )
-        changes = propagate_constants_globally(fn)
+        changes = propagate_constants_globally(fn, Cfg(fn))
         assert changes >= 1
         body = fn.block_named("for.body")
         adds = [i for i in body.instructions if i.op is Opcode.ADD]
@@ -92,7 +93,7 @@ class TestCrossBlockPropagation:
                 "return 0;\nend"
             )
         )
-        PassManager(2).run(fn)
+        PassManager(2).run(fn, Cfg(fn))
         assert Opcode.BR not in ops_of(fn)
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert len(rets) == 1

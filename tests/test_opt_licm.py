@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
-from repro.ir.loops import find_loops
 from repro.opt.licm import hoist_loop_invariants
 from repro.opt.pass_manager import PassManager
 
@@ -11,7 +11,7 @@ from helpers import compile_and_run, echo_module, single_function_ir, wrap_funct
 
 
 def loop_body_ops(fn):
-    nest = find_loops(fn)
+    nest = Cfg(fn).loops
     ops = []
     for loop in nest.all_loops():
         for name in loop.blocks:
@@ -32,7 +32,7 @@ class TestHoisting:
         )
         # The multiply is recomputed every iteration before LICM.
         assert Opcode.MUL in loop_body_ops(fn)
-        moved = hoist_loop_invariants(fn)
+        moved = hoist_loop_invariants(fn, Cfg(fn))
         assert moved >= 1
         assert Opcode.MUL not in loop_body_ops(fn)
         fn.validate()
@@ -47,7 +47,7 @@ class TestHoisting:
                 "return acc;\nend"
             )
         )
-        hoist_loop_invariants(fn)
+        hoist_loop_invariants(fn, Cfg(fn))
         assert Opcode.MUL in loop_body_ops(fn)  # depends on i
 
     def test_division_never_speculated(self):
@@ -60,7 +60,7 @@ class TestHoisting:
                 "return acc;\nend"
             )
         )
-        hoist_loop_invariants(fn)
+        hoist_loop_invariants(fn, Cfg(fn))
         assert Opcode.DIV in loop_body_ops(fn)
 
     def test_loads_not_hoisted(self):
@@ -73,7 +73,7 @@ class TestHoisting:
                 "a[0] := acc;\nend"
             )
         )
-        hoist_loop_invariants(fn)
+        hoist_loop_invariants(fn, Cfg(fn))
         assert Opcode.LOAD in loop_body_ops(fn)
 
     def test_chain_of_invariants_hoisted(self):
@@ -87,7 +87,7 @@ class TestHoisting:
                 "return acc;\nend"
             )
         )
-        moved = hoist_loop_invariants(fn)
+        moved = hoist_loop_invariants(fn, Cfg(fn))
         assert moved >= 2
         body_ops = loop_body_ops(fn)
         assert body_ops.count(Opcode.MUL) == 0
@@ -104,8 +104,8 @@ class TestHoisting:
                 "return acc;\nend"
             )
         )
-        hoist_loop_invariants(fn)
-        nest = find_loops(fn)
+        hoist_loop_invariants(fn, Cfg(fn))
+        nest = Cfg(fn).loops
         inner = nest.innermost_loops()[0]
         inner_ops = [
             i.op
@@ -153,5 +153,5 @@ class TestSemanticsPreserved:
                 "return acc;\nend"
             )
         )
-        stats = PassManager(opt_level=2).run(fn)
+        stats = PassManager(opt_level=2).run(fn, Cfg(fn))
         assert stats.changes.get("loop-invariant-code-motion", 0) >= 1

@@ -3,6 +3,7 @@ simplification, and the pass manager."""
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.values import Const, IR_FLOAT, IR_INT
 from repro.opt.copyprop import propagate_copies
@@ -21,7 +22,7 @@ def ops_of(fn):
 
 def optimized(src: str, level: int = 2):
     fn = single_function_ir(src)
-    stats = PassManager(opt_level=level).run(fn)
+    stats = PassManager(opt_level=level).run(fn, Cfg(fn))
     return fn, stats
 
 
@@ -63,7 +64,7 @@ class TestConstantFolding:
                 "function f(x: float) : float begin return x * 0.0; end"
             )
         )
-        fold_constants(fn)
+        fold_constants(fn, Cfg(fn))
         assert Opcode.MUL in ops_of(fn)
 
     def test_int_multiply_by_zero_folded(self):
@@ -77,7 +78,7 @@ class TestConstantFolding:
         fn = single_function_ir(
             wrap_function("function f() : int begin return 1 / 0; end")
         )
-        fold_constants(fn)
+        fold_constants(fn, Cfg(fn))
         assert Opcode.DIV in ops_of(fn)
 
     def test_truncated_division_semantics(self):
@@ -113,7 +114,7 @@ class TestCopyPropagation:
                 "begin m := n; n := m; return n; end"
             )
         )
-        propagate_copies(fn)
+        propagate_copies(fn, Cfg(fn))
         for instr in fn.all_instructions():
             if instr.op is Opcode.MOV:
                 assert instr.operands[0] != instr.dest
@@ -139,7 +140,7 @@ class TestCSE:
             )
         )
         before = len([i for i in fn.all_instructions() if i.op is Opcode.MUL])
-        eliminate_common_subexpressions(fn)
+        eliminate_common_subexpressions(fn, Cfg(fn))
         after = len([i for i in fn.all_instructions() if i.op is Opcode.MUL])
         assert before == 2 and after == 1
 
@@ -150,7 +151,7 @@ class TestCSE:
                 "begin a := x + y; b := y + x; return a + b; end"
             )
         )
-        eliminate_common_subexpressions(fn)
+        eliminate_common_subexpressions(fn, Cfg(fn))
         adds = [i for i in fn.all_instructions() if i.op is Opcode.ADD]
         # a+b must survive; one of x+y / y+x eliminated.
         assert len(adds) == 2
@@ -165,7 +166,7 @@ class TestCSE:
         loads_before = len(
             [i for i in fn.all_instructions() if i.op is Opcode.LOAD]
         )
-        eliminate_common_subexpressions(fn)
+        eliminate_common_subexpressions(fn, Cfg(fn))
         loads_after = len(
             [i for i in fn.all_instructions() if i.op is Opcode.LOAD]
         )
@@ -179,7 +180,7 @@ class TestCSE:
                 "begin x := a[0]; b[0] := 7; y := a[0]; x := x + y; end"
             )
         )
-        eliminate_common_subexpressions(fn)
+        eliminate_common_subexpressions(fn, Cfg(fn))
         loads = [i for i in fn.all_instructions() if i.op is Opcode.LOAD]
         assert len(loads) == 1
 
@@ -190,7 +191,7 @@ class TestCSE:
                 "begin n := n + 1; n := n + 1; return n; end"
             )
         )
-        eliminate_common_subexpressions(fn)
+        eliminate_common_subexpressions(fn, Cfg(fn))
         adds = [i for i in fn.all_instructions() if i.op is Opcode.ADD]
         assert len(adds) == 2  # n+1 twice is NOT the same value
 
@@ -203,7 +204,7 @@ class TestDCE:
                 "begin dead := x * 3.0; return x; end"
             )
         )
-        eliminate_dead_code(fn)
+        eliminate_dead_code(fn, Cfg(fn))
         assert Opcode.MUL not in ops_of(fn)
 
     def test_stores_never_removed(self):
@@ -212,14 +213,14 @@ class TestDCE:
                 "function f()\nvar a: array[4] of int;\nbegin a[0] := 1; end"
             )
         )
-        eliminate_dead_code(fn)
+        eliminate_dead_code(fn, Cfg(fn))
         assert Opcode.STORE in ops_of(fn)
 
     def test_sends_never_removed(self):
         fn = single_function_ir(
             wrap_function("function f() begin send(1.0); end")
         )
-        eliminate_dead_code(fn)
+        eliminate_dead_code(fn, Cfg(fn))
         assert Opcode.SEND in ops_of(fn)
 
     def test_transitively_dead_chain_removed(self):
@@ -229,7 +230,7 @@ class TestDCE:
                 "begin a := x + 1.0; b := a * 2.0; c := b - 3.0; return x; end"
             )
         )
-        eliminate_dead_code(fn)
+        eliminate_dead_code(fn, Cfg(fn))
         # Everything except the return should be gone.
         assert ops_of(fn) == [Opcode.RET]
 
@@ -241,7 +242,7 @@ class TestDCE:
                 "return acc; end"
             )
         )
-        eliminate_dead_code(fn)
+        eliminate_dead_code(fn, Cfg(fn))
         assert Opcode.ADD in ops_of(fn)  # the accumulator survives
 
 
@@ -253,7 +254,7 @@ class TestSimplifyCFG:
                 "return 0; end"
             )
         )
-        PassManager(opt_level=2).run(fn)
+        PassManager(opt_level=2).run(fn, Cfg(fn))
         assert Opcode.BR not in ops_of(fn)
 
     def test_unreachable_else_removed(self):
@@ -284,7 +285,7 @@ class TestPassManager:
         )
         fn = single_function_ir(src)
         count_before = fn.instruction_count()
-        stats = PassManager(opt_level=0).run(fn)
+        stats = PassManager(opt_level=0).run(fn, Cfg(fn))
         assert fn.instruction_count() == count_before
         assert stats.work_units == 0
 
@@ -313,5 +314,5 @@ class TestPassManager:
         fn = single_function_ir(
             wrap_function("function f() : int begin return 1 + 1; end")
         )
-        stats = PassManager(opt_level=1).run(fn)
+        stats = PassManager(opt_level=1).run(fn, Cfg(fn))
         assert stats.rounds == 1

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.ir.cfg import Cfg
 from repro.ir.instructions import Opcode
-from repro.ir.loops import find_loops
 from repro.opt.inline import inline_calls_in_function, inline_calls_in_module
 from repro.opt.unroll import unroll_constant_loops
 
@@ -111,7 +111,7 @@ class TestUnrolling:
         )
         count = unroll_constant_loops(fn)
         assert count == 1
-        assert find_loops(fn).all_loops() == []
+        assert Cfg(fn).loops.all_loops() == []
 
     def test_unrolled_code_grows(self):
         fn = single_function_ir(
@@ -167,7 +167,7 @@ class TestUnrolling:
             )
         )
         unroll_constant_loops(fn)
-        PassManager(opt_level=2).run(fn)
+        PassManager(opt_level=2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert rets[0].operands[0] == Const(8.0, "f")
 
@@ -184,6 +184,6 @@ class TestUnrolling:
             )
         )
         unroll_constant_loops(fn)
-        PassManager(opt_level=2).run(fn)
+        PassManager(opt_level=2).run(fn, Cfg(fn))
         rets = [i for i in fn.all_instructions() if i.op is Opcode.RET]
         assert rets[0].operands[0] == Const(6, "i")

@@ -1,32 +1,37 @@
 """The optimizer does the work it always has, in fewer steps.
 
 Dead-code elimination solves liveness once per layer of *blocks* on the
-bitmasks, LICM decides the static half of its test once per loop, and
-every pass keys its facts by register id, so no ``VReg`` is hashed while
-the pass manager runs; none of that may change a single instruction or
-a single counted work unit.  The one-layer-of-instructions-per-solve DCE
+bitmasks, LICM decides the static half of its test once per call, every
+pass keys its facts by register id, so no ``VReg`` is hashed while the
+pass manager runs, and a function's CFG is analysed once per shape (one
+``Cfg`` handed from pass to pass); none of that may change a single
+instruction or a single counted work unit.  The one-layer-of-instructions-per-solve DCE
 this replaced is kept here as the reference, and so are the global
 constant propagation and LICM that keyed their facts by ``VReg``.
 """
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import CompileOptions, SequentialCompiler
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import BasicBlock, FunctionIR
+from repro.ir.cfg import BasicBlock, Cfg, FunctionIR
+from repro.ir.dominators import DominatorTree
 from repro.ir.instructions import Opcode, evaluate_constant
-from repro.ir.loops import find_loops
 from repro.ir.lowering import lower_module
 from repro.ir.values import IR_INT, Const, VReg, const_int
-from repro.opt import dataflow, dce, gconst, licm
+from repro.opt import dataflow, dce, gconst, licm, pass_manager
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.licm import hoist_loop_invariants
 from repro.opt.liveness import live_variables
-from repro.opt.pass_manager import _PIPELINE, MAX_ROUNDS, PassManager
+from repro.opt.pass_manager import _PIPELINE, PassManager
+from repro.opt.simplify import simplify_control_flow
+from repro.workloads.synthetic import synthetic_program
 
 from helpers import parse_ok, single_function_ir, wrap_function
 
@@ -52,7 +57,7 @@ def reference_dce(function: FunctionIR) -> int:
     a dead instruction's uses still enter the live set."""
     total = 0
     while True:
-        facts = live_variables(function)
+        facts = live_variables(function, Cfg(function))
         removed = 0
         for block in function.blocks:
             live = set(facts.exit[block.name])
@@ -106,11 +111,11 @@ def test_dce_equals_the_reference_after_every_earlier_pass(size_class):
     for seed in range(DIFFERENTIAL_SEEDS[size_class]):
         for function in lower(generate_program(seed, config).source).all_functions():
             for name, earlier_pass in _PIPELINE[:-1]:
-                earlier_pass(function)
+                earlier_pass(function, Cfg(function))
                 expected, got = twin(function), twin(function)
                 count = reference_dce(expected)
                 where = f"{size_class} seed {seed} {function.name} after {name}"
-                assert eliminate_dead_code(got) == count, where
+                assert eliminate_dead_code(got, Cfg(got)) == count, where
                 # The twins share instruction objects, so equal lists are
                 # the same instructions (and the same text) block by block.
                 assert [b.instructions for b in got.blocks] == [
@@ -161,13 +166,13 @@ def test_dead_use_behind_a_back_edge_goes_in_one_call(body_is_its_own_header):
     function = _loop_function(body_is_its_own_header)
     expected = twin(function)
     assert reference_dce(expected) == 2
-    assert eliminate_dead_code(function) == 2
+    assert eliminate_dead_code(function, Cfg(function)) == 2
     assert text_of(function) == text_of(expected)
     assert not any(
         instr.op in (Opcode.ADD, Opcode.MOV)
         for instr in function.all_instructions()
     )
-    assert eliminate_dead_code(function) == 0
+    assert eliminate_dead_code(function, Cfg(function)) == 0
 
 
 def test_dce_solves_liveness_once_per_layer_of_blocks(monkeypatch):
@@ -185,7 +190,7 @@ def test_dce_solves_liveness_once_per_layer_of_blocks(monkeypatch):
     for seed in range(12):
         source = generate_program(seed, config_for_size_class("large")).source
         for function in lower(source).all_functions():
-            runs += PassManager().run(function).runs["dead-code-elimination"]
+            runs += PassManager().run(function, Cfg(function)).runs["dead-code-elimination"]
     assert runs == 221
     assert runs <= len(solves) <= 340
 
@@ -210,7 +215,7 @@ def test_licm_hoists_invariant_chains_in_the_same_order():
             "return acc;\nend"
         )
     )
-    assert hoist_loop_invariants(function) == 6
+    assert hoist_loop_invariants(function, Cfg(function)) == 6
     assert [str(instr) for instr in function.entry.instructions[4:]] == [
         "%f6 = mul %f0, %f1",
         "%f11 = mul %f1, %f1",
@@ -322,14 +327,14 @@ def _reference_transfer(rows, state, rewrite=None):
 def reference_licm(function: FunctionIR) -> int:
     """Definition counts and use blocks in dicts keyed by register, the
     use blocks as sets of names."""
-    loops = find_loops(function).all_loops()
+    loops = Cfg(function).loops.all_loops()
     if not loops:
         return 0
     preds = function.predecessors()
     block_map = function.block_map()
     headed = []
     for loop in sorted(loops, key=lambda l: -l.depth):
-        preheader = licm._preheader_of(preds, block_map, loop)
+        preheader = _reference_preheader(preds, block_map, loop)
         if preheader is not None:
             headed.append((loop, preheader))
     defs_count = {}
@@ -351,6 +356,17 @@ def reference_licm(function: FunctionIR) -> int:
             break
         total += moved
     return total
+
+
+def _reference_preheader(preds, block_map, loop):
+    outside = [p for p in preds[loop.header] if p not in loop.blocks]
+    if len(outside) != 1:
+        return None
+    preheader = block_map[outside[0]]
+    term = preheader.terminator
+    if term is None or term.op is not Opcode.JMP:
+        return None
+    return preheader
 
 
 def _reference_hoist(block_map, loop, preheader, defs_count, uses):
@@ -387,7 +403,7 @@ def _reference_hoist(block_map, loop, preheader, defs_count, uses):
                 ):
                     continue
                 del pending[position]
-                del block.instructions[licm._index_of(block, instr)]
+                del block.instructions[licm._index_of(block.instructions, instr)]
                 preheader.instructions.insert(
                     len(preheader.instructions) - 1, instr
                 )
@@ -404,36 +420,129 @@ REFERENCES = {
 }
 
 
+def assert_same_cfg(held: Cfg, function: FunctionIR, where: str) -> None:
+    """``held`` is what a fresh ``Cfg(function)`` would be: the same
+    blocks (the function's own objects), edges, loops and preheaders."""
+    fresh = Cfg(function)
+    assert held.order == fresh.order, where
+    assert all(held.blocks[block.name] is block for block in function.blocks), where
+    assert held.preds == fresh.preds, where
+    assert held.succs == fresh.succs, where
+    assert {
+        header: loop.blocks for header, loop in held.loops.by_header.items()
+    } == {
+        header: loop.blocks for header, loop in fresh.loops.by_header.items()
+    }, where
+    assert {header: block.name for header, block in held.preheaders.items()} == {
+        header: block.name for header, block in fresh.preheaders.items()
+    }, where
+
+
 @pytest.mark.parametrize("size_class", sorted(DIFFERENTIAL_SEEDS))
-def test_gconst_and_licm_equal_their_references_after_every_pass(size_class):
-    """The optimizer's rounds, run pass by pass; at each global constant
-    propagation and LICM the reference runs on a twin first, and the
-    two must change as many instructions and leave the same text."""
+def test_gconst_and_licm_equal_their_references_after_every_pass(
+    size_class, monkeypatch
+):
+    """The optimizer's rounds, run by the pass manager.  Before each pass
+    the ``Cfg`` the manager hands it must equal a fresh one (only a
+    simplify-cfg run that reports a change may replace it), and so must
+    the one it holds at the end.  At each global constant propagation and
+    LICM the reference runs on a twin first, and the two must change as
+    many instructions and leave the same text."""
     config = config_for_size_class(size_class)
-    compared = changed = 0
+    seen = Counter()
+    where = [""]
+
+    def checked(name, pass_fn):
+        reference = REFERENCES.get(name)
+
+        def run(function, cfg):
+            seen[name] += 1
+            here = f"{where[0]} {name} run {seen[name]}"
+            assert_same_cfg(cfg, function, here)
+            if reference is None:
+                return pass_fn(function, cfg)
+            expected = twin(function)
+            count = reference(expected)
+            assert pass_fn(function, cfg) == count, here
+            assert text_of(function) == text_of(expected), here
+            seen["compared"] += 1
+            seen["changed"] += count
+            return count
+
+        return run
+
+    monkeypatch.setattr(
+        pass_manager,
+        "_PIPELINE",
+        [(name, checked(name, pass_fn)) for name, pass_fn in _PIPELINE],
+    )
     for seed in range(DIFFERENTIAL_SEEDS[size_class]):
         for function in lower(generate_program(seed, config).source).all_functions():
-            for round_number in range(MAX_ROUNDS):
-                round_changes = 0
-                for name, pass_fn in _PIPELINE:
-                    reference = REFERENCES.get(name)
-                    if reference is None:
-                        round_changes += pass_fn(function)
-                        continue
-                    expected = twin(function)
-                    count = reference(expected)
-                    where = (
-                        f"{size_class} seed {seed} {function.name} "
-                        f"round {round_number} {name}"
-                    )
-                    assert pass_fn(function) == count, where
-                    assert text_of(function) == text_of(expected), where
-                    round_changes += count
-                    compared += 1
-                    changed += count
-                if round_changes == 0:
-                    break
-    assert compared and changed
+            where[0] = f"{size_class} seed {seed} {function.name}"
+            manager = PassManager()
+            manager.run(function, Cfg(function))
+            assert_same_cfg(manager.cfg, function, f"{where[0]} at the end")
+    assert seen["compared"] and seen["changed"]
+
+
+def test_level_zero_rebuilds_the_cfg_after_cutting_a_block():
+    """Level 0's unreachable-block removal is the one edit to the CFG the
+    pass manager makes outside simplify-cfg."""
+    function = _loop_function(body_is_its_own_header=True)
+    builder = IRBuilder(function)
+    builder.set_block(builder.new_block("orphan"))
+    builder.jmp(function.blocks[1])
+    cfg = Cfg(function)
+    manager = PassManager(opt_level=0)
+    manager.run(function, cfg)
+    assert "orphan" in cfg.order and "orphan" not in manager.cfg.order
+    assert_same_cfg(manager.cfg, function, "level 0")
+
+
+# ---------------------------------------------------------------------------
+# One CFG analysis per shape
+# ---------------------------------------------------------------------------
+
+
+def test_one_dominator_tree_per_cfg_shape(monkeypatch):
+    """Compiling the corpus builds one ``Cfg`` and one dominator tree per
+    function after lowering, plus one per simplify-cfg run that reported a
+    change, and no other: the weight, every pass and codegen share them.
+    Over the corpus that is 7 trees for 5 functions; before, every pass
+    and codegen found the loops again and built 22 (and one
+    ``cold_branchy`` round 375 for its 135 shapes)."""
+    built = Counter()
+    for cls, kind in ((Cfg, "cfgs"), (DominatorTree, "trees")):
+        def counting(self, arg, init=cls.__init__, kind=kind):
+            built[kind] += 1
+            init(self, arg)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def counting_simplify(function, cfg):
+        changed = simplify_control_flow(function, cfg)
+        built["changed_simplify_runs"] += changed > 0
+        return changed
+
+    monkeypatch.setattr(
+        pass_manager,
+        "_PIPELINE",
+        [
+            (name, counting_simplify if name == "simplify-cfg" else pass_fn)
+            for name, pass_fn in _PIPELINE
+        ],
+    )
+    functions = 0
+    for path in sorted((TESTS / "corpus").glob("fuzz_*.json")):
+        source = json.loads(path.read_text())["source"]
+        result = SequentialCompiler().compile(source, path.stem + ".w2")
+        functions += len(result.profile.functions)
+    shapes = functions + built["changed_simplify_runs"]
+    assert built == {
+        "cfgs": shapes, "trees": shapes,
+        "changed_simplify_runs": built["changed_simplify_runs"],
+    }
+    assert shapes == 7 and functions == 5
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +580,21 @@ def test_no_register_is_hashed_inside_the_pass_manager(monkeypatch):
     assert {VReg(3, IR_INT)} and len(hashes) == 1  # the count is live
     hashes.clear()
     for function in functions:
-        assert PassManager().run(function).rounds
+        assert PassManager().run(function, Cfg(function)).rounds
     assert hashes == []
 
 
 # ---------------------------------------------------------------------------
 # PassStats: the bill is the parent's
 # ---------------------------------------------------------------------------
+
+
+#: options under which something besides simplify-cfg edits the CFG
+OPTIONS_THAT_EDIT_THE_CFG = {
+    "opt_level=0": CompileOptions(opt_level=0),
+    "opt_level=1": CompileOptions(opt_level=1),
+    "unroll_budget=8,ii_budget=6": CompileOptions(unroll_budget=8, ii_budget=6),
+}
 
 
 def test_corpus_pass_stats_match_the_fixture():
@@ -492,11 +609,40 @@ def test_corpus_pass_stats_match_the_fixture():
     for path in sorted((TESTS / "corpus").glob("fuzz_*.json")):
         source = json.loads(path.read_text())["source"]
         for function in lower(source).all_functions():
-            stats = PassManager().run(function)
+            stats = PassManager().run(function, Cfg(function))
             got[f"{path.stem}:{function.section_name}.{function.name}"] = {
                 "runs": stats.runs,
                 "changes": stats.changes,
                 "instructions_visited": stats.instructions_visited,
                 "rounds": stats.rounds,
+            }
+    assert got == expected
+
+
+def test_digests_at_options_that_change_the_cfg_match_the_fixture():
+    """Level 0 cuts unreachable blocks and an unroll budget unrolls before
+    the pipeline: both edit the CFG outside the pass manager, which must
+    then build its ``Cfg`` again.  The corpus's modules (and a synthetic
+    one with loops to unroll) compile to the digests and work units they
+    had before the CFG facts were shared
+    (``fixtures/corpus_option_digests.json``)."""
+    expected = json.loads(
+        (TESTS / "fixtures" / "corpus_option_digests.json").read_text()
+    )
+    programs = {
+        path.stem: json.loads(path.read_text())["source"]
+        for path in sorted((TESTS / "corpus").glob("fuzz_*.json"))
+    }
+    programs["synthetic_small_1"] = synthetic_program("small", 1)
+    got = {}
+    for stem, source in programs.items():
+        for label, options in OPTIONS_THAT_EDIT_THE_CFG.items():
+            result = SequentialCompiler(options).compile(source, stem + ".w2")
+            got[f"{stem} {label}"] = {
+                "digest": result.digest,
+                "work_units": [
+                    [f.section_name, f.name, f.work_units]
+                    for f in result.profile.functions
+                ],
             }
     assert got == expected

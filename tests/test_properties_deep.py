@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen.regalloc import allocate_registers
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import FunctionIR
-from repro.ir.dominators import compute_dominators
+from repro.ir.cfg import Cfg, FunctionIR
 from repro.ir.instructions import Opcode
-from repro.ir.loops import find_loops
 from repro.ir.values import IR_INT
 from repro.machine.warp_cell import WarpCellModel
 from repro.opt.liveness import live_variables
@@ -31,9 +29,9 @@ def test_allocator_never_aliases_live_values(source):
 
     ir = lower_module(module, sema)
     for fn in ir.all_functions():
-        PassManager(2).run(fn)
-        allocation = allocate_registers(fn, WarpCellModel())
-        facts = live_variables(fn)
+        PassManager(2).run(fn, Cfg(fn))
+        allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
+        facts = live_variables(fn, Cfg(fn))
         for block in fn.blocks:
             # Walk backwards: ``live_after`` is what is live after ``instr``.
             live_after = set(facts.exit[block.name])
@@ -59,8 +57,8 @@ def test_allocator_sound_under_extreme_pressure(source):
     tight = WarpCellModel(int_registers=6, float_registers=4)
     ir = lower_module(module, sema)
     for fn in ir.all_functions():
-        PassManager(2).run(fn)
-        allocation = allocate_registers(fn, tight)
+        PassManager(2).run(fn, Cfg(fn))
+        allocation = allocate_registers(fn, tight, Cfg(fn))
         for preg in allocation.assignment.values():
             limit = 6 if preg.bank == "i" else 4
             assert preg.index < limit
@@ -115,7 +113,7 @@ def _reachable_without(fn: FunctionIR, removed: str) -> set:
 @settings(max_examples=200, deadline=None)
 @given(fn=random_cfg())
 def test_dominators_match_bruteforce_removal(fn):
-    dom = compute_dominators(fn)
+    dom = Cfg(fn).dominators
     names = [b.name for b in fn.blocks]
     for a in names:
         unreachable_without_a = set(names) - _reachable_without(fn, a)
@@ -128,8 +126,8 @@ def test_dominators_match_bruteforce_removal(fn):
 @settings(max_examples=200, deadline=None)
 @given(fn=random_cfg())
 def test_loops_have_dominating_headers(fn):
-    dom = compute_dominators(fn)
-    nest = find_loops(fn)
+    dom = Cfg(fn).dominators
+    nest = Cfg(fn).loops
     for loop in nest.all_loops():
         assert loop.header in loop.blocks
         for name in loop.blocks:
@@ -141,7 +139,7 @@ def test_loops_have_dominating_headers(fn):
 def test_loop_bodies_reach_back_to_header(fn):
     """Every block of a natural loop can reach the header within it."""
     block_map = fn.block_map()
-    nest = find_loops(fn)
+    nest = Cfg(fn).loops
     for loop in nest.all_loops():
         for start in loop.blocks:
             seen = {start}
