@@ -8,8 +8,9 @@ more processors but also observe the dependence on the input size."
 """
 
 from figures_common import write_figure
+from repro import CompileOptions
 from repro.asmlink.parallel_assembler import assemble_parallel
-from repro.driver.sequential import SequentialCompiler
+from repro.driver.phases import compile_one_function, phase1_parse_and_check
 from repro.metrics.series import Figure
 from repro.workloads.synthetic import synthetic_program
 
@@ -17,10 +18,16 @@ WORKERS = [1, 2, 4, 5, 8, 12, 16]
 
 
 def _objects(size_class: str, n_functions: int):
-    result = SequentialCompiler().compile(
-        synthetic_program(size_class, n_functions)
-    )
-    return result.objects
+    """The program's object functions as code generation leaves them —
+    the input Katseff's assembler partitions."""
+    parsed = phase1_parse_and_check(synthetic_program(size_class, n_functions))
+    return [
+        compile_one_function(
+            parsed, section.name, function.name, CompileOptions()
+        )[0]
+        for section in parsed.module.sections
+        for function in section.functions
+    ]
 
 
 def assembler_speedups(objects):

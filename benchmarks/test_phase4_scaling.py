@@ -79,8 +79,8 @@ def _combined_for(source):
     return parsed, combined
 
 
-def _objects(combined):
-    return {name: sec.objects for name, sec in combined.items()}
+def _results(combined):
+    return {name: sec.results for name, sec in combined.items()}
 
 
 def _timed(fn):
@@ -121,7 +121,7 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
         full_walls.append(
             _timed(
                 lambda: phase4_link_and_download(
-                    parsed2, _objects(combined2), ARRAY
+                    parsed2, _results(combined2), ARRAY
                 )
             )
         )
@@ -138,7 +138,7 @@ def test_warm_link_cache_edit_beats_full_relink(results_dir, tmp_path):
     from repro.asmlink.download import module_digest
 
     want = module_digest(
-        phase4_link_and_download(parsed2, _objects(combined2), ARRAY)[0]
+        phase4_link_and_download(parsed2, _results(combined2), ARRAY)[0]
     )
     assert module_digest(module) == want
 

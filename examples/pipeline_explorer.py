@@ -9,6 +9,7 @@ Run:  python examples/pipeline_explorer.py
 """
 
 from repro import CompileOptions, SequentialCompiler, run_module
+from repro.driver.phases import compile_one_function, phase1_parse_and_check
 
 SOURCE = """
 module explorer
@@ -36,25 +37,28 @@ INPUTS = [1.0, 2.0, 3.0, 4.0]
 
 
 def compile_at(opt_level: int):
-    compiler = SequentialCompiler(
-        CompileOptions(opt_level=opt_level, cell_count=1)
+    """The module, and ``main`` as code generation left it (blocks and
+    labels, before its function master assembled it)."""
+    options = CompileOptions(opt_level=opt_level, cell_count=1)
+    main_obj, _ = compile_one_function(
+        phase1_parse_and_check(SOURCE), "s", "main", options
     )
-    return compiler.compile(SOURCE)
+    return SequentialCompiler(options).compile(SOURCE), main_obj
 
 
 def main() -> None:
-    plain = compile_at(1)
-    pipelined = compile_at(2)
+    plain, plain_main = compile_at(1)
+    pipelined, pipelined_main = compile_at(2)
 
-    info = pipelined.objects[0].info
+    info = pipelined_main.info
     print(f"-O2 pipelined {info.pipelined_loops} loop(s); "
           f"initiation intervals: {info.initiation_intervals}")
-    print(f"-O1 code size: {plain.objects[0].bundle_count()} bundles")
-    print(f"-O2 code size: {pipelined.objects[0].bundle_count()} bundles "
+    print(f"-O1 code size: {plain_main.bundle_count()} bundles")
+    print(f"-O2 code size: {pipelined_main.bundle_count()} bundles "
           "(prologue/kernel/epilogue + fallback)\n")
 
     # Show one pipelined kernel: II bundles, multiple iterations in flight.
-    for block in pipelined.objects[0].blocks:
+    for block in pipelined_main.blocks:
         if block.label.endswith(".pl.kernel"):
             print(f"kernel {block.label} (II = {len(block.bundles)}):")
             for index, bundle in enumerate(block.bundles):

@@ -5,6 +5,12 @@ paper keeps it sequential for exactly that reason (§3.4: "the time spent
 in the assembly stage is short compared to the time spent on code
 generation") — but it must be deterministic: the section masters feed the
 assembler "the same input ... as the sequential compiler".
+
+Labels are function-local, so each function master resolves its own as
+it seals the function (:func:`~repro.asmlink.encode.encode_function`)
+and the section link splices bytes, as in Katseff's scheme [9].
+:func:`assemble_function` builds the object graph instead, for
+:mod:`~repro.asmlink.parallel_assembler` and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from ..ir.instructions import Opcode
-from ..machine.resources import FUClass
 from .objformat import (
     AssembledFunction,
     Bundle,
@@ -26,8 +30,8 @@ class AssemblyError(Exception):
     """A label could not be resolved or the layout is malformed."""
 
 
-def assemble_function(obj: ObjectFunction) -> AssembledFunction:
-    """Flatten blocks into one bundle list and resolve branch targets."""
+def block_indices(obj: ObjectFunction) -> Dict[str, int]:
+    """Block label -> index of its first bundle in the flattened code."""
     label_to_index: Dict[str, int] = {}
     index = 0
     for block in obj.blocks:
@@ -41,7 +45,12 @@ def assemble_function(obj: ObjectFunction) -> AssembledFunction:
             )
         label_to_index[block.label] = index
         index += len(block.bundles)
+    return label_to_index
 
+
+def assemble_function(obj: ObjectFunction) -> AssembledFunction:
+    """Flatten blocks into one bundle list and resolve branch targets."""
+    label_to_index = block_indices(obj)
     bundles: List[Bundle] = []
     for block in obj.blocks:
         for bundle in block.bundles:

@@ -14,11 +14,12 @@ holds it in this format:
   words``, its own string table, its functions in name order — so a
   module is built from programs by concatenation and a program is a
   slice of the module that holds it;
-- an **object-function blob** (one pre-assembly :class:`ObjectFunction`;
-  the ``code`` of a function master's result and the body of an
-  artifact cache entry) is the same op encoding with branch targets
-  still block labels.  Like a program it holds the code, not the
-  accounting: ``info`` travels in the result's
+- a **function blob** (the ``code`` of a function master's result and
+  the body of an artifact cache entry) is one function's *assembled*
+  code — ``size in words``, its own string table, then the function as
+  a program holds it, branch targets bundle indices — which the linker
+  splices into a program (:func:`splice_program`).  It holds the code,
+  not the accounting: ``info`` travels in the result's
   :class:`~repro.driver.results.FunctionReport`, so an edit that leaves
   a function's code alone leaves its blob — and the hash of it, which
   keys the link tier — alone, however much work compiling it took.
@@ -27,24 +28,26 @@ Every number is an unsigned LEB128 varint; strings are UTF-8 behind
 their length; an integer immediate is two's complement behind its byte
 count, so the encoding is total over what the code generator can emit.
 Each bundle sits behind its byte length (``{nop}`` is the single byte 0).
-That frame is what makes both directions cheap: generated code repeats
+That frame is what makes every direction cheap: generated code repeats
 itself — the 6,720 ops of an 8 × ``f_medium`` module are 299 distinct
-ones — so the encoder remembers each op's bytes and the decoder each
-bundle's, per blob, because string references are the blob's own.
+ones — so the encoder remembers each op's bytes, and the decoder and
+the splice each bundle's, per blob, because string references are the
+blob's own.
 
-``decode_module(encode_module(m))`` rebuilds ``m`` exactly, op for op,
-and encodes back to the same bytes; ``decode_module`` of anything else
-raises :class:`FormatError` and nothing but.
+Only the form the encoder writes is read, so ``decode_module`` and
+:func:`splice_program` of anything else raise :class:`FormatError` and
+nothing but, and what they accept encodes back to the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..gcpause import collector_paused
 from ..ir.instructions import Opcode
 from ..machine.resources import FU_SLOTS, PhysReg
+from .assembler import AssemblyError, block_indices
 from .objformat import (
     AssembledFunction,
     Bundle,
@@ -52,12 +55,11 @@ from .objformat import (
     DownloadModule,
     MachineOp,
     ObjectFunction,
-    ScheduledBlock,
 )
 
 MAGIC = b"WARP"
 #: 2: varints, per-program string tables, framed bundles, integer
-#: immediates of any size, label names beside label indices.
+#: immediates of any size.
 VERSION = 2
 
 #: Stable wire ids for opcodes and functional units (enum order is part
@@ -72,8 +74,8 @@ _OPERAND_REG = 0
 _OPERAND_INT = 1
 _OPERAND_FLOAT = 2
 
+#: the kind byte before every branch target (it is a bundle index)
 _LABEL_INDEX = 0
-_LABEL_NAME = 1
 
 #: which optional fields an op carries
 _HAS_DEST = 1
@@ -88,7 +90,7 @@ _SMALL = [bytes((value,)) for value in range(0x80)]
 
 class FormatError(Exception):
     """The bytes are not valid object code (or the object code cannot
-    be written: an unresolved label in a download module)."""
+    be written: a label name in a download module)."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +123,11 @@ def _reg(reg: PhysReg) -> bytes:
 class _BlobWriter:
     """One blob's body, its string table, and its op memo."""
 
-    def __init__(self, resolved: bool):
-        #: download modules hold assembled code only: a label name there
-        #: is an error, in an object function it is the normal case
-        self.resolved = resolved
+    def __init__(self, labels: Optional[Dict[str, int]] = None):
+        #: block label -> bundle index, for a function that is assembled
+        #: while it is encoded; a program holds assembled code only, so
+        #: a label name there is an error
+        self.labels = labels
         self.body = bytearray()
         self.words = 0
         self._strings: Dict[str, int] = {}
@@ -149,9 +152,9 @@ class _BlobWriter:
         body += _uint(function.frame_words)
 
     def bundles(self, bundles: List[Bundle]) -> None:
+        """Each bundle behind its byte length (the count is the caller's)."""
         body = self.body
         by_id = self._op_by_id
-        body += _uint(len(bundles))
         for bundle in bundles:
             ops = bundle.ops
             self.words += 1 + len(ops)
@@ -217,16 +220,16 @@ class _BlobWriter:
             out += self.ref(op.array_name)
         out += _uint(len(op.labels))
         for label in op.labels:
-            if isinstance(label, int):
-                out.append(_LABEL_INDEX)
-                out += _uint(label)
-            elif self.resolved:
-                raise FormatError(
-                    f"unresolved label {label!r}: assemble before encoding"
-                )
-            else:
-                out.append(_LABEL_NAME)
-                out += self.ref(label)
+            if not isinstance(label, int):
+                if self.labels is None:
+                    raise FormatError(
+                        f"unresolved label {label!r}: assemble before encoding"
+                    )
+                if label not in self.labels:
+                    raise AssemblyError(f"unresolved label {label!r}")
+                label = self.labels[label]
+            out.append(_LABEL_INDEX)
+            out += _uint(label)
         if op.callee is not None:
             out += self.ref(op.callee)
         return bytes(out)
@@ -234,13 +237,15 @@ class _BlobWriter:
 
 def encode_program(program: CellProgram) -> bytes:
     """One linked program as a self-contained blob."""
-    writer = _BlobWriter(resolved=True)
+    writer = _BlobWriter()
     body = writer.body
     body += _uint(len(program.functions))
     for name in sorted(program.functions):
+        function = program.functions[name]
         body += _uint(program.frame_bases[name])
-        writer.signature(program.functions[name])
-        writer.bundles(program.functions[name].bundles)
+        writer.signature(function)
+        body += _uint(len(function.bundles))
+        writer.bundles(function.bundles)
     return b"".join(
         (
             _text(program.section_name),
@@ -253,19 +258,18 @@ def encode_program(program: CellProgram) -> bytes:
     )
 
 
-def encode_object_function(obj: ObjectFunction) -> bytes:
-    """One relocatable (pre-assembly) function as a self-contained blob."""
-    writer = _BlobWriter(resolved=False)
+def encode_function(obj: ObjectFunction) -> bytes:
+    """One function's blob, assembled as it is encoded: branch targets
+    resolved to bundle indices, each op in the bytes a program holds it
+    in.  Raises what :func:`~repro.asmlink.assembler.assemble_function`
+    would."""
+    writer = _BlobWriter(block_indices(obj))
     body = writer.body
     writer.signature(obj)
-    body += _uint(len(obj.diagnostics))
-    for line in obj.diagnostics:
-        body += writer.ref(line)
-    body += _uint(len(obj.blocks))
+    body += _uint(obj.bundle_count())
     for block in obj.blocks:
-        body += writer.ref(block.label)
         writer.bundles(block.bundles)
-    return writer.string_table() + body
+    return _uint(writer.words) + writer.string_table() + body
 
 
 def encode_module(module: DownloadModule) -> bytes:
@@ -303,7 +307,8 @@ def encode_module(module: DownloadModule) -> bytes:
 
 def _uint_at(data: bytes, pos: int) -> Tuple[int, int]:
     """The varint at ``pos`` and the position behind it (IndexError when
-    it runs off the end)."""
+    it runs off the end).  Only its shortest form is a number: a longer
+    one would decode, and encode back to other bytes."""
     value = data[pos]
     pos += 1
     if value < 0x80:
@@ -315,10 +320,91 @@ def _uint_at(data: bytes, pos: int) -> Tuple[int, int]:
         pos += 1
         value |= (byte & 0x7F) << shift
         if byte < 0x80:
+            if byte == 0:
+                raise FormatError("number not in its shortest form")
             return value, pos
         shift += 7
         if shift > 63:
             raise FormatError("oversized number")
+
+
+def _register_at(raw: bytes, pos: int) -> Tuple[Tuple[int, int], int]:
+    bank = raw[pos]
+    if bank not in (1, 2):
+        raise FormatError(f"bad register bank code {bank}")
+    index, pos = _uint_at(raw, pos + 1)
+    return (bank, index), pos
+
+
+def _ref_at(raw: bytes, pos: int) -> Tuple[Tuple[int, int, int], int]:
+    index, end = _uint_at(raw, pos)
+    return (pos, end, index), end
+
+
+def _read_bundle(raw: bytes) -> List[tuple]:
+    """The ops of one framed bundle (one per slot, in slot order), each
+    ``(opcode id, unit id, latency, dest, operands, array offset, array
+    name, labels, callee)``: a register is ``(bank, index)``, a string
+    reference ``(start, end, index)`` of its number in ``raw``.  The
+    frame is the bundle's own: IndexError is a truncated op."""
+    end = len(raw)
+    ops = []
+    last_fu = -1
+    pos = 0
+    while pos < end:
+        opcode_id, fu_id, flags = raw[pos], raw[pos + 1], raw[pos + 2]
+        if opcode_id >= len(_OPCODE_LIST):
+            raise FormatError(f"bad opcode id {opcode_id}")
+        if not last_fu < fu_id < len(FU_SLOTS):
+            raise FormatError(f"bad functional unit id {fu_id} in its bundle")
+        if flags > 15:
+            raise FormatError(f"bad op flags {flags:#x}")
+        last_fu = fu_id
+        latency, pos = _uint_at(raw, pos + 3)
+        dest = array_offset = array_name = callee = None
+        if flags & _HAS_DEST:
+            dest, pos = _register_at(raw, pos)
+        count, pos = _uint_at(raw, pos)
+        operands = []
+        for _ in range(count):
+            tag = raw[pos]
+            if tag == _OPERAND_REG:
+                reg, pos = _register_at(raw, pos + 1)
+                operands.append(reg)
+            elif tag == _OPERAND_INT:
+                size, pos = _uint_at(raw, pos + 1)
+                if pos + size > end:
+                    raise IndexError
+                value = int.from_bytes(raw[pos : pos + size], "little", signed=True)
+                if size != value.bit_length() // 8 + 1:
+                    raise FormatError("integer not in its shortest form")
+                operands.append(value)
+                pos += size
+            elif tag == _OPERAND_FLOAT:
+                if pos + 9 > end:
+                    raise IndexError
+                operands.append(_F64.unpack_from(raw, pos + 1)[0])
+                pos += 9
+            else:
+                raise FormatError(f"bad operand tag {tag}")
+        if flags & _HAS_ARRAY_OFFSET:
+            array_offset, pos = _uint_at(raw, pos)
+        if flags & _HAS_ARRAY_NAME:
+            array_name, pos = _ref_at(raw, pos)
+        count, pos = _uint_at(raw, pos)
+        labels = []
+        for _ in range(count):
+            if raw[pos] != _LABEL_INDEX:
+                raise FormatError(f"bad label kind {raw[pos]}")
+            target, pos = _uint_at(raw, pos + 1)
+            labels.append(target)
+        if flags & _HAS_CALLEE:
+            callee, pos = _ref_at(raw, pos)
+        ops.append((
+            opcode_id, fu_id, latency, dest, operands, array_offset,
+            array_name, tuple(labels), callee,
+        ))
+    return ops
 
 
 class _Reader:
@@ -326,11 +412,10 @@ class _Reader:
     FormatError.  A blob's string table is read up front and its
     bundles are remembered by their bytes."""
 
-    def __init__(self, data: bytes, what: str, resolved: bool = True):
+    def __init__(self, data: bytes, what: str):
         self.data = data
         self.pos = 0
         self.what = what
-        self.resolved = resolved
         self.strings: List[str] = []
         #: size of the bundles read so far: a word each, and one per op
         self.words = 0
@@ -429,79 +514,26 @@ class _Reader:
         return bundles
 
     def _decode_bundle(self, raw: bytes) -> Dict:
-        """The ops of one bundle, by slot.  ``raw`` is a frame of its
-        own, so an index past its end is a truncated op."""
-        strings = self.strings
+        """The ops of one bundle, by slot."""
+        strings, reg = self.strings, self._reg
         ops: Dict = {}
-        pos = 0
-        while pos < len(raw):
-            opcode_id, fu_id, flags = raw[pos], raw[pos + 1], raw[pos + 2]
-            if opcode_id >= len(_OPCODE_LIST):
-                raise FormatError(f"bad opcode id {opcode_id}")
-            if fu_id >= len(FU_SLOTS):
-                raise FormatError(f"bad functional unit id {fu_id}")
-            if flags > 15:
-                raise FormatError(f"bad op flags {flags:#x}")
-            latency, pos = _uint_at(raw, pos + 3)
-            dest = None
-            if flags & _HAS_DEST:
-                bank = raw[pos]
-                index, pos = _uint_at(raw, pos + 1)
-                dest = self._reg(bank, index)
-            count, pos = _uint_at(raw, pos)
-            operands = []
-            for _ in range(count):
-                tag = raw[pos]
-                if tag == _OPERAND_REG:
-                    bank = raw[pos + 1]
-                    index, pos = _uint_at(raw, pos + 2)
-                    operands.append(self._reg(bank, index))
-                elif tag == _OPERAND_INT:
-                    size, pos = _uint_at(raw, pos + 1)
-                    if pos + size > len(raw):
-                        raise IndexError
-                    value = raw[pos : pos + size]
-                    operands.append(int.from_bytes(value, "little", signed=True))
-                    pos += size
-                elif tag == _OPERAND_FLOAT:
-                    if pos + 9 > len(raw):
-                        raise IndexError
-                    operands.append(_F64.unpack_from(raw, pos + 1)[0])
-                    pos += 9
-                else:
-                    raise FormatError(f"bad operand tag {tag}")
-            array_offset = array_name = callee = None
-            if flags & _HAS_ARRAY_OFFSET:
-                array_offset, pos = _uint_at(raw, pos)
-            if flags & _HAS_ARRAY_NAME:
-                index, pos = _uint_at(raw, pos)
-                array_name = strings[index]
-            count, pos = _uint_at(raw, pos)
-            labels = []
-            for _ in range(count):
-                kind = raw[pos]
-                target, pos = _uint_at(raw, pos + 1)
-                if kind == _LABEL_NAME and not self.resolved:
-                    target = strings[target]
-                elif kind != _LABEL_INDEX:
-                    raise FormatError(f"bad label kind {kind}")
-                labels.append(target)
-            if flags & _HAS_CALLEE:
-                index, pos = _uint_at(raw, pos)
-                callee = strings[index]
-            fu = FU_SLOTS[fu_id]
-            if fu in ops:
-                raise FormatError(f"slot {fu} occupied twice in a bundle")
+        for opcode, fu, latency, dest, operands, offset, name, labels, callee in (
+            _read_bundle(raw)
+        ):
+            fu = FU_SLOTS[fu]
             ops[fu] = MachineOp(
-                op=_OPCODE_LIST[opcode_id],
+                op=_OPCODE_LIST[opcode],
                 fu=fu,
                 latency=latency,
-                dest=dest,
-                operands=tuple(operands),
-                array_offset=array_offset,
-                array_name=array_name,
-                labels=tuple(labels),
-                callee=callee,
+                dest=None if dest is None else reg(*dest),
+                operands=tuple(
+                    reg(*value) if type(value) is tuple else value
+                    for value in operands
+                ),
+                array_offset=offset,
+                array_name=None if name is None else strings[name[2]],
+                labels=labels,
+                callee=None if callee is None else strings[callee[2]],
             )
         return ops
 
@@ -538,19 +570,107 @@ def decode_program(blob: bytes) -> CellProgram:
     return program
 
 
-@collector_paused()
-def decode_object_function(blob: bytes) -> ObjectFunction:
-    """Rebuild one relocatable function from its blob."""
-    reader = _Reader(blob, "object function", resolved=False)
-    reader.string_table()
-    signature = reader.signature()
-    diagnostics = [reader.ref() for _ in range(reader.uint())]
-    blocks = [
-        ScheduledBlock(label=reader.ref(), bundles=reader.bundles())
-        for _ in range(reader.uint())
-    ]
-    reader.finish()
-    return ObjectFunction(blocks=blocks, diagnostics=diagnostics, **signature)
+# ---------------------------------------------------------------------------
+# Splicing: function blobs into a program blob
+# ---------------------------------------------------------------------------
+
+
+class FunctionBlob:
+    """A function blob read up to its bundles: size in words, string
+    table, the signature's fields, and where its bundles start."""
+
+    def __init__(self, blob: bytes):
+        reader = _Reader(blob, "function blob")
+        self.blob = blob
+        self.words = reader.uint()
+        reader.string_table()
+        self.strings = reader.strings
+        self.__dict__.update(reader.signature())
+        self.code = reader.pos
+
+
+def splice_program(
+    section_name: str,
+    entry: str,
+    data_words: int,
+    functions: List[Tuple[int, FunctionBlob]],
+) -> Tuple[bytes, Dict[str, List[str]]]:
+    """The program blob of ``functions`` — ``(frame base, blob)`` pairs
+    in name order — byte for byte what :func:`encode_program` writes, and
+    each function's callees.  Bundles are copied but for their string
+    references, renumbered into the program's table in the order they
+    are met, as :func:`encode_program` numbers them; each distinct
+    bundle is read once and rewritten once per function holding it."""
+    writer = _BlobWriter()
+    body = writer.body
+    body += _uint(len(functions))
+    read: Dict[bytes, Tuple[int, list]] = {}
+    callees: Dict[str, List[str]] = {}
+    words = 0
+    for frame_base, function in functions:
+        body += _uint(frame_base)
+        writer.signature(function)
+        blob, table = function.blob, function.strings
+        calls = callees[function.name] = []
+        rewritten: Dict[bytes, bytes] = {}
+        try:
+            count, pos = _uint_at(blob, function.code)
+            body += blob[function.code : pos]
+            copied, found = pos, count
+            for _ in range(count):
+                start = pos
+                if blob[pos] == 0:
+                    pos += 1
+                    continue
+                size, pos = _uint_at(blob, pos)
+                raw = blob[pos : pos + size]
+                if len(raw) != size:
+                    raise IndexError
+                pos += size
+                known = read.get(raw)
+                if known is None:
+                    ops = _read_bundle(raw)
+                    refs = [(*op[6], False) for op in ops if op[6]]
+                    refs += [(*op[8], True) for op in ops if op[8]]
+                    known = read[raw] = (len(ops), sorted(refs))
+                found += known[0]
+                if not known[1]:
+                    continue
+                framed = rewritten.get(raw)
+                if framed is None:
+                    pieces, last = [], 0
+                    for begin, end, index, is_callee in known[1]:
+                        pieces += (raw[last:begin], writer.ref(table[index]))
+                        last = end
+                        if is_callee and table[index] not in calls:
+                            calls.append(table[index])
+                    pieces.append(raw[last:])
+                    spliced = b"".join(pieces)
+                    framed = rewritten[raw] = _uint(len(spliced)) + spliced
+                body += blob[copied:start]
+                body += framed
+                copied = pos
+        except IndexError:
+            raise FormatError(
+                f"malformed function blob {function.name!r}: a field runs "
+                f"past its frame or names a string the table lacks"
+            ) from None
+        body += blob[copied:pos]
+        if pos != len(blob):
+            raise FormatError(f"trailing bytes after function {function.name!r}")
+        if found != function.words:
+            raise FormatError(
+                f"function {function.name!r} says {function.words} words, "
+                f"holds {found}"
+            )
+        words += found
+    return (
+        b"".join((
+            _text(section_name), _text(entry), _uint(data_words),
+            _uint(words), writer.string_table(), body,
+        )),
+        callees,
+    )
 
 
 def decode_module(data: bytes) -> DownloadModule:

@@ -1,10 +1,10 @@
 """Object-code format for Warp cell programs.
 
 Code generation (phase 3) produces one :class:`ObjectFunction` per source
-function — this is exactly the artifact a *function master* ships back to
-its section master in the parallel compiler.  The assembler resolves
-labels to bundle indices, and the linker lays functions out into a
-:class:`CellProgram` per processing element.
+function; its *function master* resolves the labels to bundle indices as
+it encodes it, and ships those bytes.  The linker splices a section's
+functions into a :class:`CellProgram` per processing element, whose
+decoded form holds :class:`AssembledFunction` s.
 
 A :class:`Bundle` is one wide instruction: at most one operation per
 functional unit, all issued in the same cycle.
@@ -119,17 +119,14 @@ class ObjectFunction:
     return_bank: Optional[str] = None  # 'i' / 'f' / None for void
     frame_words: int = 0
     info: CodegenInfo = field(default_factory=CodegenInfo)
-    #: per-function diagnostics text recombined by the section master
-    diagnostics: List[str] = field(default_factory=list)
 
     def bundle_count(self) -> int:
         return sum(len(b.bundles) for b in self.blocks)
 
     def digest_text(self) -> str:
         """Deterministic printable form of the code (not of ``info``):
-        the readable side of a failed comparison, and how variant search
-        tells that two configs produced the same code.  What crosses a
-        boundary, and is hashed, is the encoded form."""
+        the readable side of a failed comparison.  What crosses a
+        boundary, is hashed and is compared, is the encoded form."""
         lines = [
             f"func {self.section_name}.{self.name} "
             f"params=({', '.join(str(r) for r in self.param_regs)}) "

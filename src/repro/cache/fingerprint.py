@@ -47,7 +47,9 @@ from ..options import CompileOptions
 #: 7: four hashed fields — the unit of dispatch is no option (§3.1).
 #: 8: a result's report carries no cache telemetry.
 #: 9: a result's report carries no search fields.
-CACHE_SCHEMA_VERSION = 9
+#: 10: a result's code is its function's assembled blob (labels are
+#: bundle indices), which the section link splices.
+CACHE_SCHEMA_VERSION = 10
 
 _SEP = b"\x1f"  # field separator: cannot appear in the encoded text
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 from ..asmlink.assembler import assembly_work_units
-from ..asmlink.encode import decode_object_function, encode_object_function
+from ..asmlink.encode import encode_function
 from ..asmlink.objformat import ObjectFunction
 from ..facts import from_facts
 from ..options import CompileOptions
@@ -61,32 +61,30 @@ class FunctionTask:
         return (self.section_name, self.function_name)
 
 
-class PayloadCorruption(Exception):
-    """A result's ``code`` does not hash to its sealed ``payload_digest``."""
-
-
 @dataclass
 class FunctionTaskResult:
     """What a function master sends back to its section master: the
     compiled function as bytes, and the facts read without them.
 
-    This is the one form of a compiled function.  Outside the process
-    it is one entry — :func:`result_facts` as the header, ``code`` as
-    the body — on disk, in a fabric frame and in the cache server; only
-    the pool's own IPC pickles it.  :attr:`obj` is the graph behind it.
+    This is the one form of a compiled function, in the process that
+    compiled it and everywhere else.  Outside the process it is one
+    entry — :func:`result_facts` as the header, ``code`` as the body —
+    on disk, in a fabric frame and in the cache server; only the pool's
+    own IPC pickles it.
     """
 
     section_name: str
     function_name: str
-    #: the object function as :func:`~repro.asmlink.encode.encode_object_function`
-    #: wrote it — what the linker consumes, once decoded
+    #: the function's assembled code as
+    #: :func:`~repro.asmlink.encode.encode_function` wrote it — what the
+    #: linker splices into its section's program
     code: bytes
     report: FunctionReport
     #: sha256 of ``code``, sealed by the function master.  Every boundary
     #: a result crosses re-hashes the bytes against it (the supervisor,
     #: the wire, the network tier, the cache entry's header) and so does
-    #: the first read of :attr:`obj`: damaged bytes are re-run, refused
-    #: or missed, never linked.
+    #: the linker: damaged bytes are re-run, refused or missed, never
+    #: linked.
     payload_digest: str
     #: work units of assembling this function, counted by the function
     #: master so that nobody needs the code to answer it
@@ -105,27 +103,6 @@ class FunctionTaskResult:
     def key(self) -> Tuple[str, str]:
         """The key of the task this answers."""
         return (self.section_name, self.function_name)
-
-    @property
-    def obj(self) -> ObjectFunction:
-        """The object function: the graph the function master built, in
-        its own process; anywhere else ``code``, verified against the
-        seal and decoded on the first read."""
-        obj = self.__dict__.get("_obj")
-        if obj is None:
-            if result_payload_digest(self) != self.payload_digest:
-                raise PayloadCorruption(
-                    f"object code of {self.section_name}."
-                    f"{self.function_name} does not match its payload digest"
-                )
-            obj = self._obj = decode_object_function(self.code)
-        return obj
-
-    def __getstate__(self) -> dict:
-        # Only bytes cross a process, socket or file boundary.
-        state = dict(self.__dict__)
-        state.pop("_obj", None)
-        return state
 
 
 def result_payload_digest(result: FunctionTaskResult) -> str:
@@ -160,17 +137,13 @@ def result_from_facts(facts: dict, code: bytes) -> FunctionTaskResult:
 def attach_assembly(
     obj: ObjectFunction, report: FunctionReport, diagnostics: List[str]
 ) -> FunctionTaskResult:
-    """Seal one compiled function into its result: encode the object
-    function, count its assembly work, hash the bytes.  The result keeps
-    ``obj`` — the process that compiled a function links it without a
-    decode — and drops it when pickled.
-
-    (The name is from when this step assembled, and shipped the assembly
-    beside the object function; ``benchmarks/e2e/tracing.py`` binds it,
-    so the rename waits for the next benchmark change.)
-    """
-    code = encode_object_function(obj)
-    result = FunctionTaskResult(
+    """Seal one compiled function into its result: assemble it as it is
+    encoded (:func:`~repro.asmlink.encode.encode_function` resolves its
+    block labels), count the assembly work, hash the bytes.  The graph
+    is not kept: the section link splices the bytes, in this process or
+    any other."""
+    code = encode_function(obj)
+    return FunctionTaskResult(
         section_name=report.section_name,
         function_name=report.name,
         code=code,
@@ -179,8 +152,6 @@ def attach_assembly(
         assembly_work=assembly_work_units(obj),
         diagnostics=diagnostics,
     )
-    result._obj = obj
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ class ParallelCompiler:
 
     def _served(self, source_text, filename, counts, record, module):
         """The compile the module tier answered: the record's facts and
-        the module rebuilt from its sections.  The object code, which
-        only search reads, comes from the ordinary warm path on demand."""
+        the module rebuilt from its sections.  The sealed results, which
+        only search reads, come from the ordinary warm path on demand."""
         self.last_phase1_stats = Phase1Stats(mode="cached")
         self.last_phase4_stats = Phase4Stats(mode="cached")
         profile = WorkProfile(
@@ -124,9 +124,9 @@ class ParallelCompiler:
             digest=record.digest,
             diagnostics_text=record.diagnostics_text,
             profile=profile,
-            objects=lambda: self._compile(
+            results=lambda: self._compile(
                 source_text, filename, None, Counter()
-            ).objects,
+            ).results,
         )
 
     def _compile(
@@ -274,10 +274,7 @@ class ParallelCompiler:
             digest=digest,
             diagnostics_text=diagnostics_text,
             profile=profile,
-            # On demand: a function that came as bytes (from the cache,
-            # from another process) is decoded when its object code is
-            # first read, not before.
-            objects=lambda: [result.obj for result in results],
+            results=results,
         )
 
     # -- artifact cache -------------------------------------------------

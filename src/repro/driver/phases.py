@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cache.link_store import LinkCache, ModuleRecord
+    from .function_master import FunctionTaskResult
     from .section_master import CombinedSection
 
 from ..asmlink.download import build_download_module, module_digest
 from ..asmlink.linker import link_section, link_work_units
-from ..asmlink.assembler import assembly_work_units
 from ..asmlink.objformat import CellProgram, DownloadModule, ObjectFunction
 from ..codegen.compiler import compile_function
 from ..ir.cfg import Cfg
@@ -438,13 +438,14 @@ def compile_one_function(
 
 def phase4_link_and_download(
     parsed: ParsedProgram,
-    objects: Dict[str, List[ObjectFunction]],
+    results: Dict[str, List["FunctionTaskResult"]],
     array: WarpArrayModel,
     diagnostics_text: str = "",
 ) -> Tuple[DownloadModule, int, int]:
-    """Assembly, linking, I/O driver, download module (sequential tail).
+    """Linking, I/O driver, download module (sequential tail); the
+    function masters assembled their functions when they sealed them.
 
-    ``objects`` maps section name -> object functions in source order.
+    ``results`` maps section name -> sealed results in source order.
     Returns (module, assembly work, link work).
     """
     section_cells: Dict[str, Tuple[int, int]] = {}
@@ -454,11 +455,11 @@ def phase4_link_and_download(
     for section in parsed.module.sections:
         array.validate_section_range(section.first_cell, section.last_cell)
         section_cells[section.name] = (section.first_cell, section.last_cell)
-        section_objects = objects[section.name]
-        assembly_work += sum(assembly_work_units(o) for o in section_objects)
-        link_work += link_work_units(section_objects)
+        section_results = results[section.name]
+        assembly_work += sum(r.assembly_work for r in section_results)
+        link_work += link_work_units(section_results)
         programs[section.name] = link_section(
-            section.name, section_objects, array.cell
+            section.name, section_results, array.cell
         )
     module = build_download_module(
         parsed.module.name, section_cells, programs, diagnostics_text
@@ -479,7 +480,7 @@ def _require_cells(module: DownloadModule) -> None:
 # Incremental phase 4.
 #
 # Sections are independent by construction — link_section reads one
-# section's object functions and the cell model, nothing else — so each
+# section's sealed results and the cell model, nothing else — so each
 # one is linked the moment its streaming recombiner completes, and each
 # linked program can be cached on its own.  Everything below mirrors
 # the phase-1 contract: the sequential phase4_link_and_download stays
@@ -628,7 +629,7 @@ class Phase4Runner:
             self._taint(f"{type(exc).__name__}: {exc}")
 
     def _link_one(self, section: ast.Section, combined: "CombinedSection"):
-        """One section: section-cache probe, else assemble and link."""
+        """One section: section-cache probe, else link."""
         key = None
         if self.link_cache is not None:
             from ..cache.link_store import section_link_key
@@ -648,7 +649,7 @@ class Phase4Runner:
                 return program, 0.0
         start = time.perf_counter()
         program = link_section(
-            section.name, combined.objects, self.array.cell
+            section.name, combined.results, self.array.cell
         )
         link_s = time.perf_counter() - start
         if key is not None:
@@ -664,13 +665,12 @@ class Phase4Runner:
         ``(module, assembly_work, link_work)`` triple as the sequential
         :func:`phase4_link_and_download`."""
         # Per function, from its result: what came out of the artifact
-        # cache states both counts without its object code (link work is
-        # link_work_units': bundles touched plus one symbol each).
+        # cache states both counts without its object code.
         assembly_work = link_work = 0
         for section in self.parsed.module.sections:
-            for result in combined[section.name].results:
-                assembly_work += result.assembly_work
-                link_work += result.report.bundles + 1
+            results = combined[section.name].results
+            assembly_work += sum(result.assembly_work for result in results)
+            link_work += link_work_units(results)
         reason = self._taint_reason
         if reason is None:
             try:
@@ -683,11 +683,11 @@ class Phase4Runner:
         # re-raises the canonical first error).
         self.stats.mode = "fallback"
         self.stats.fallback_reason = reason
-        objects = {
-            name: section.objects for name, section in combined.items()
+        results = {
+            name: section.results for name, section in combined.items()
         }
         return phase4_link_and_download(
-            self.parsed, objects, self.array, self.diagnostics_text
+            self.parsed, results, self.array, self.diagnostics_text
         )
 
     def _gather(self, combined: Dict[str, "CombinedSection"]) -> DownloadModule:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Union
 
-from ..asmlink.objformat import DownloadModule, ObjectFunction
+from ..asmlink.objformat import DownloadModule
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .function_master import FunctionTaskResult
 
 
 def render_counts(counts: Mapping[str, int]) -> str:
@@ -155,11 +158,11 @@ class CompilationResult:
     digest: str
     diagnostics_text: str
     profile: WorkProfile
-    #: the object functions in source order — or, from a compiler that
-    #: may hold them only as encoded bytes, a callable that produces
-    #: them, called the first time ``objects`` is read
-    objects: Union[
-        List[ObjectFunction], Callable[[], List[ObjectFunction]]
+    #: each function's sealed result (its assembled code), in source
+    #: order — or, from a compile the module tier answered, a callable
+    #: that produces them, called the first time ``results`` is read
+    results: Union[
+        List["FunctionTaskResult"], Callable[[], List["FunctionTaskResult"]]
     ] = field(default_factory=list)
 
     def report_lines(self) -> List[str]:
@@ -206,16 +209,16 @@ class CompilationResult:
         }
 
 
-def _objects(self: CompilationResult) -> List[ObjectFunction]:
-    if callable(self._objects):
-        self._objects = self._objects()
-    return self._objects
+def _results(self: CompilationResult) -> List["FunctionTaskResult"]:
+    if callable(self._results):
+        self._results = self._results()
+    return self._results
 
 
-def _set_objects(self: CompilationResult, value) -> None:
-    self._objects = value
+def _set_results(self: CompilationResult, value) -> None:
+    self._results = value
 
 
 # After the decorator has seen the field: the generated __init__ /
 # __repr__ / __eq__ go through the property like any other reader.
-CompilationResult.objects = property(_objects, _set_objects)
+CompilationResult.results = property(_results, _set_results)

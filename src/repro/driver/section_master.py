@@ -20,10 +20,8 @@ without waiting on a global barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
-from ..asmlink.objformat import ObjectFunction
 from ..lang import ast_nodes as ast
 from .function_master import FunctionTaskResult
 from .results import FunctionReport
@@ -38,10 +36,9 @@ class CombinedSection:
     """A section's recombined compilation output, in source order."""
 
     section_name: str
-    #: the function masters' results — what a link that is served from
-    #: the cache reads of them is their reports and digests, so the
-    #: object code (``objects``) is taken out on demand: for a result
-    #: that crossed a boundary that is when it is verified and decoded
+    #: the function masters' results: the section link splices their
+    #: code; a link that is served from the cache reads only their
+    #: reports and digests
     results: List[FunctionTaskResult] = field(default_factory=list)
     reports: List[FunctionReport] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
@@ -50,10 +47,6 @@ class CombinedSection:
     #: per-function payload digests in source order — the content
     #: fingerprints the link cache keys a section's CellProgram by
     payload_digests: List[str] = field(default_factory=list)
-
-    @cached_property
-    def objects(self) -> List[ObjectFunction]:
-        return [result.obj for result in self.results]
 
 
 def combine_section_results(

@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..asmlink.download import module_digest, module_size_words
-from ..asmlink.objformat import ObjectFunction
 from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
+from .function_master import FunctionTaskResult, attach_assembly
 from .phases import (
     ParsedProgram,
     compile_one_function,
@@ -41,22 +41,21 @@ class SequentialCompiler:
             sema_work=parsed.sema_work,
             source_lines=parsed.source_lines,
         )
-        objects: Dict[str, List[ObjectFunction]] = {}
-        all_objects: List[ObjectFunction] = []
+        results: Dict[str, List[FunctionTaskResult]] = {}
+        all_results: List[FunctionTaskResult] = []
         for section in parsed.module.sections:
-            section_objects: List[ObjectFunction] = []
+            section_results = results[section.name] = []
             for function in section.functions:
                 obj, report = compile_one_function(
                     parsed, section.name, function.name, self.options
                 )
-                section_objects.append(obj)
-                all_objects.append(obj)
+                section_results.append(attach_assembly(obj, report, []))
                 profile.functions.append(report)
-            objects[section.name] = section_objects
+            all_results += section_results
 
         diagnostics_text = parsed.sink.render()
         module, assembly_work, link_work = phase4_link_and_download(
-            parsed, objects, self.array, diagnostics_text
+            parsed, results, self.array, diagnostics_text
         )
         profile.assembly_work = assembly_work
         profile.link_work = link_work
@@ -67,5 +66,5 @@ class SequentialCompiler:
             digest=module_digest(module),
             diagnostics_text=diagnostics_text,
             profile=profile,
-            objects=all_objects,
+            results=all_results,
         )

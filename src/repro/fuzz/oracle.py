@@ -432,7 +432,7 @@ class DifferentialOracle:
         digest check still pins search's baseline == sequential.
         """
         from ..cache.variant_store import VariantStore
-        from ..driver.function_master import phase1_cached
+        from ..driver.function_master import attach_assembly, phase1_cached
         from ..driver.phases import (
             compile_one_function,
             phase4_link_and_download,
@@ -470,23 +470,23 @@ class DifferentialOracle:
         if outcome.abstained is None:
             parsed, _ = phase1_cached(source)
             reference_key = outcome.space_keys[0]
-            rebuilt_objects = {}
+            rebuilt_results = {}
             for section in parsed.module.sections:
-                objs = []
+                sealed = []
                 for fn in section.functions:
                     key = outcome.winners.get(
                         (section.name, fn.name), reference_key
                     )
-                    obj, _ = compile_one_function(
+                    obj, report = compile_one_function(
                         parsed,
                         section.name,
                         fn.name,
                         VariantConfig.from_key(key).options(options),
                     )
-                    objs.append(obj)
-                rebuilt_objects[section.name] = objs
+                    sealed.append(attach_assembly(obj, report, []))
+                rebuilt_results[section.name] = sealed
             rebuilt, _, _ = phase4_link_and_download(
-                parsed, rebuilt_objects, array,
+                parsed, rebuilt_results, array,
                 outcome.result.diagnostics_text,
             )
             if module_digest(rebuilt) != outcome.result.digest:

@@ -2,7 +2,7 @@
 
 The paper's machinery makes this almost free: function masters are pure
 functions of (source, config), the artifact cache memoizes them, and
-phase 4 is a pure recombination of object functions.  The search
+phase 4 is a pure recombination of their sealed results.  The search
 exploits all three —
 
 1. compile the module once per config in the variant space (each
@@ -18,8 +18,9 @@ exploits all three —
    module* — the baseline with exactly that one function replaced —
    and score it in warpsim.  Scores are memoized in the
    :class:`~repro.cache.variant_store.VariantStore` keyed by (function
-   fingerprint, config, input digest).  A variant whose object code is
-   bit-identical to the baseline's is skipped outright; one that
+   fingerprint, config, input digest).  A variant whose assembled code
+   is bit-identical to the baseline's (equal payload digests) is
+   skipped outright; one that
    fails to simulate or changes the observed outputs is disqualified;
 4. pick each function's winner: minimum (cycles, config index) over
    the baseline and every surviving variant — strictly-better-or-
@@ -40,10 +41,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..asmlink.download import module_digest, module_size_words
-from ..asmlink.objformat import ObjectFunction
 from ..cache import compiler_salt, module_fingerprints, variant_key
 from ..cache.variant_store import VariantScore, VariantStore
-from ..driver.function_master import phase1_cached
+from ..driver.function_master import FunctionTaskResult, phase1_cached
 from ..driver.master import ParallelCompiler
 from ..driver.phases import ParsedProgram, phase4_link_and_download
 from ..driver.results import CompilationResult
@@ -169,38 +169,37 @@ class SearchOutcome:
         }
 
 
-def _objects_by_section(
-    result: CompilationResult,
-) -> Dict[str, List[ObjectFunction]]:
-    """Section name -> object functions, preserving source order."""
-    grouped: Dict[str, List[ObjectFunction]] = {}
-    for obj in result.objects:
-        grouped.setdefault(obj.section_name, []).append(obj)
+Sealed = Dict[str, List[FunctionTaskResult]]
+
+
+def _results_by_section(result: CompilationResult) -> Sealed:
+    """Section name -> sealed results, preserving source order."""
+    grouped: Sealed = {}
+    for sealed in result.results:
+        grouped.setdefault(sealed.section_name, []).append(sealed)
     return grouped
 
 
 def _swap(
-    objects: Dict[str, List[ObjectFunction]],
-    section_name: str,
-    replacement: ObjectFunction,
-) -> Dict[str, List[ObjectFunction]]:
-    """A copy of ``objects`` with one function replaced in place."""
-    swapped = dict(objects)
+    results: Sealed, section_name: str, replacement: FunctionTaskResult
+) -> Sealed:
+    """A copy of ``results`` with one function replaced in place."""
+    swapped = dict(results)
     swapped[section_name] = [
-        replacement if obj.name == replacement.name else obj
-        for obj in objects[section_name]
+        replacement if sealed.key == replacement.key else sealed
+        for sealed in results[section_name]
     ]
     return swapped
 
 
 def _link(
     parsed: ParsedProgram,
-    objects: Dict[str, List[ObjectFunction]],
+    results: Sealed,
     array: WarpArrayModel,
     diagnostics_text: str,
 ):
     module, _, _ = phase4_link_and_download(
-        parsed, objects, array, diagnostics_text
+        parsed, results, array, diagnostics_text
     )
     return module
 
@@ -250,7 +249,7 @@ def search_module(
     baseline = results[space.reference.key()]
 
     parsed, _ = phase1_cached(source_text, filename)
-    baseline_objects = _objects_by_section(baseline)
+    baseline_results = _results_by_section(baseline)
 
     outcome = SearchOutcome(
         result=baseline,
@@ -274,20 +273,16 @@ def search_module(
         parsed.module, space.reference.options(options), salt=compiler_salt()
     )
 
-    obj_index: Dict[str, Dict[FnKey, ObjectFunction]] = {}
-    for key, result in results.items():
-        obj_index[key] = {
-            (obj.section_name, obj.name): obj for obj in result.objects
-        }
+    sealed_index: Dict[str, Dict[FnKey, FunctionTaskResult]] = {
+        key: {sealed.key: sealed for sealed in result.results}
+        for key, result in results.items()
+    }
 
     # candidates[fn] = list of (cycles, config index, config key)
     candidates: Dict[FnKey, List[Tuple[int, int, str]]] = {}
-    fn_keys = [
-        (obj.section_name, obj.name) for obj in baseline.objects
-    ]
-    for fn_key in fn_keys:
+    for fn_key in [sealed.key for sealed in baseline.results]:
         section_name, function_name = fn_key
-        base_obj = obj_index[space.reference.key()][fn_key]
+        base = sealed_index[space.reference.key()][fn_key]
         entries: List[Tuple[int, int, str]] = [
             (baseline_score.cycles, 0, space.reference.key())
         ]
@@ -295,11 +290,11 @@ def search_module(
             if index == 0:
                 continue
             config_key = config.key()
-            variant_obj = obj_index[config_key].get(fn_key)
-            if variant_obj is None:  # partial build at this config
+            variant = sealed_index[config_key].get(fn_key)
+            if variant is None:  # partial build at this config
                 outcome.disqualified.append((*fn_key, config_key))
                 continue
-            if variant_obj.digest_text() == base_obj.digest_text():
+            if variant.payload_digest == base.payload_digest:
                 outcome.identical.append((*fn_key, config_key))
                 continue
             score = _score_variant(
@@ -309,9 +304,9 @@ def search_module(
                 config_key,
                 input_digest,
                 parsed,
-                baseline_objects,
+                baseline_results,
                 section_name,
-                variant_obj,
+                variant,
                 array,
                 baseline.diagnostics_text,
                 input_sets,
@@ -338,13 +333,13 @@ def search_module(
         if key != space.reference.key()
     }
     if changed:
-        final_objects = dict(baseline_objects)
+        final_results = dict(baseline_results)
         for fn_key, config_key in changed.items():
-            final_objects = _swap(
-                final_objects, fn_key[0], obj_index[config_key][fn_key]
+            final_results = _swap(
+                final_results, fn_key[0], sealed_index[config_key][fn_key]
             )
         final_module = _link(
-            parsed, final_objects, array, baseline.diagnostics_text
+            parsed, final_results, array, baseline.diagnostics_text
         )
         final_score = score_module(
             final_module, input_sets, array, max_cycles
@@ -358,9 +353,9 @@ def search_module(
             outcome.verified = True
             outcome.module_cycles = final_score.cycles
             flat = [
-                obj
+                sealed
                 for section in parsed.module.sections
-                for obj in final_objects[section.name]
+                for sealed in final_results[section.name]
             ]
             # A winner's report comes from its config's compile, so
             # bundles and IIs describe the code that ships.
@@ -383,7 +378,7 @@ def search_module(
                     ],
                     download_words=module_size_words(final_module),
                 ),
-                objects=flat,
+                results=flat,
             )
         else:
             # Interaction between winners broke the per-swap prediction:
@@ -407,9 +402,9 @@ def _score_variant(
     config_key: str,
     input_digest: str,
     parsed: ParsedProgram,
-    baseline_objects: Dict[str, List[ObjectFunction]],
+    baseline_results: Sealed,
     section_name: str,
-    variant_obj: ObjectFunction,
+    variant: FunctionTaskResult,
     array: WarpArrayModel,
     diagnostics_text: str,
     input_sets: List[List[Number]],
@@ -427,7 +422,7 @@ def _score_variant(
     try:
         swap_module = _link(
             parsed,
-            _swap(baseline_objects, section_name, variant_obj),
+            _swap(baseline_results, section_name, variant),
             array,
             diagnostics_text,
         )

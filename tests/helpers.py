@@ -93,6 +93,39 @@ def compile_and_run(
     return run_module(result.download, inputs, max_cycles=max_cycles)
 
 
+def object_functions(source: str, options: CompileOptions = CompileOptions()):
+    """Every function of ``source`` as code generation leaves it — the
+    object graphs, blocks and labels and all — in source order."""
+    from repro.driver.phases import compile_one_function, phase1_parse_and_check
+
+    parsed = phase1_parse_and_check(source)
+    return [
+        compile_one_function(parsed, section.name, function.name, options)[0]
+        for section in parsed.module.sections
+        for function in section.functions
+    ]
+
+
+def seal(obj):
+    """``obj`` as a function master seals it: its assembled code in a
+    result, beside the report its compile would have written."""
+    from repro.driver.function_master import attach_assembly
+    from repro.driver.results import FunctionReport
+
+    report = FunctionReport(
+        section_name=obj.section_name,
+        name=obj.name,
+        source_lines=0,
+        ir_instructions=0,
+        loop_weight=0,
+        work_units=obj.info.work_units,
+        bundles=obj.bundle_count(),
+        pipelined_loops=obj.info.pipelined_loops,
+        frame_words=obj.frame_words,
+    )
+    return attach_assembly(obj, report, [])
+
+
 def compile_with_ir_transform(source: str, transform, opt_level: int = 2):
     """Compile ``source`` applying ``transform(module_ir)`` after lowering.
 
@@ -110,15 +143,15 @@ def compile_with_ir_transform(source: str, transform, opt_level: int = 2):
     module_ir = lower_module(parsed.module, parsed.sema)
     transform(module_ir)
     array = WarpArrayModel()
-    objects = {
+    results = {
         name: [
-            compile_function(fn, array.cell, opt_level=opt_level)
+            seal(compile_function(fn, array.cell, opt_level=opt_level))
             for fn in fns
         ]
         for name, fns in module_ir.functions.items()
     }
     module, _assembly, _link = phase4_link_and_download(
-        parsed, objects, array
+        parsed, results, array
     )
     return module
 

@@ -18,7 +18,7 @@ from repro.ir.instructions import Opcode
 from repro.machine.resources import FUClass
 from repro.machine.warp_cell import WarpCellModel
 
-from helpers import lower_ok, single_function_ir, wrap_function
+from helpers import lower_ok, seal, single_function_ir, wrap_function
 
 
 def object_for(src: str) -> ObjectFunction:
@@ -31,6 +31,14 @@ def section_objects(src: str):
     return {
         name: [compile_function(fn, cell) for fn in fns]
         for name, fns in ir.functions.items()
+    }
+
+
+def section_results(src: str):
+    """Each section's functions as their function masters seal them."""
+    return {
+        name: [seal(obj) for obj in objects]
+        for name, objects in section_objects(src).items()
     }
 
 
@@ -92,7 +100,7 @@ class TestAssembler:
 
 class TestLinker:
     def test_links_section_with_frames(self):
-        objects = section_objects(
+        results = section_results(
             wrap_function(
                 "function f(x: float) : float\n"
                 "var a: array[10] of float;\n"
@@ -102,48 +110,48 @@ class TestLinker:
                 "begin b[0] := x; return b[0]; end"
             )
         )
-        program = link_section("s", objects["s"], WarpCellModel())
+        program = link_section("s", results["s"], WarpCellModel())
         assert program.frame_bases["f"] == 0
         assert program.frame_bases["g"] == 10
         assert program.data_words == 16
 
     def test_entry_is_main_when_present(self):
-        objects = section_objects(TWO_FUNCTIONS)
-        program = link_section("s", objects["s"], WarpCellModel())
+        results = section_results(TWO_FUNCTIONS)
+        program = link_section("s", results["s"], WarpCellModel())
         assert program.entry == "main"
 
     def test_entry_defaults_to_first_function(self):
-        objects = section_objects(SIMPLE)
-        program = link_section("s", objects["s"], WarpCellModel())
+        results = section_results(SIMPLE)
+        program = link_section("s", results["s"], WarpCellModel())
         assert program.entry == "f"
 
     def test_memory_limit_enforced(self):
-        objects = section_objects(
+        results = section_results(
             wrap_function(
                 "function f()\nvar a: array[100] of float;\nbegin a[0] := 1.0; end"
             )
         )
         tiny_cell = WarpCellModel(data_memory_words=50)
         with pytest.raises(LinkError, match="data words"):
-            link_section("s", objects["s"], tiny_cell)
+            link_section("s", results["s"], tiny_cell)
 
     def test_wrong_section_rejected(self):
-        objects = section_objects(SIMPLE)
+        results = section_results(SIMPLE)
         with pytest.raises(LinkError):
-            link_section("other", objects["s"], WarpCellModel())
+            link_section("other", results["s"], WarpCellModel())
 
     def test_call_targets_checked(self):
-        objects = section_objects(TWO_FUNCTIONS)
+        results = section_results(TWO_FUNCTIONS)
         # Drop the callee: the call from main cannot resolve.
-        only_main = [o for o in objects["s"] if o.name == "main"]
+        only_main = [r for r in results["s"] if r.function_name == "main"]
         with pytest.raises(LinkError, match="cannot be resolved"):
             link_section("s", only_main, WarpCellModel())
 
 
 class TestDownloadModule:
     def _module(self):
-        objects = section_objects(TWO_FUNCTIONS)
-        program = link_section("s", objects["s"], WarpCellModel())
+        results = section_results(TWO_FUNCTIONS)
+        program = link_section("s", results["s"], WarpCellModel())
         return build_download_module("m", {"s": (0, 2)}, {"s": program})
 
     def test_section_replicated_on_cells(self):

@@ -95,7 +95,7 @@ class TestFunctionMaster:
             function_name="work",
         )
         result = run_function_master(task)
-        assert result.obj.name == "work"
+        assert result.key == ("alpha", "work")
         assert result.report.section_name == "alpha"
 
     def test_unknown_function_raises(self):
@@ -126,7 +126,7 @@ class TestSectionMaster:
     def test_recombines_in_source_order(self):
         section, results = self._results()
         combined = combine_section_results(section, list(reversed(results)))
-        assert [o.name for o in combined.objects] == ["work", "main"]
+        assert [r.function_name for r in combined.results] == ["work", "main"]
 
     def test_missing_result_rejected(self):
         section, results = self._results()

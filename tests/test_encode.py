@@ -6,19 +6,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.asmlink.download import module_digest, module_listing
 from repro.asmlink.encode import (
     FormatError,
+    FunctionBlob,
     decode_module,
-    decode_object_function,
     decode_program,
+    encode_function,
     encode_module,
-    encode_object_function,
     encode_program,
     read_module,
+    splice_program,
     write_module,
 )
 from repro.driver.sequential import SequentialCompiler
 from repro.warpsim.array_runner import run_module
 
-from helpers import echo_module, wrap_function
+from helpers import echo_module, object_functions, wrap_function
 
 SOURCE = echo_module(
     "  var i: int; acc: float; a: array[8] of float;\n"
@@ -290,33 +291,47 @@ def _round_trip_operand(value):
 
 
 class TestObjectFunctionBlobs:
-    """A result's code and the artifact tier's body: a pre-assembly
-    function, labels still names, round-trips exactly — diagnostics
-    included, accounting (``info``) left to the function's report."""
+    """A result's code and the artifact tier's body: one function,
+    assembled as it was encoded, in exactly the bytes a program holds it
+    in — accounting (``info``) left to the function's report."""
 
-    def test_round_trip_is_exact(self, compiled, compiled_multi):
+    def test_round_trip_is_exact(self):
         from dataclasses import replace
 
-        from repro.asmlink.objformat import CodegenInfo
+        from repro.asmlink.assembler import assemble_function
+        from repro.asmlink.objformat import CellProgram, CodegenInfo
 
-        for result in (compiled, compiled_multi):
-            for obj in result.objects:
-                obj.diagnostics = [f"note: {obj.name}"]
-                blob = encode_object_function(obj)
+        for source in (SOURCE, MULTI_SECTION):
+            for obj in object_functions(source):
+                blob = encode_function(obj)
                 assert obj.info.work_units > 0
-                assert decode_object_function(blob) == replace(
-                    obj, info=CodegenInfo()
+                program = splice_program(
+                    obj.section_name, obj.name, obj.frame_words,
+                    [(0, FunctionBlob(blob))],
+                )[0]
+                assembled = assemble_function(obj)
+                assert program == encode_program(
+                    CellProgram(
+                        section_name=obj.section_name,
+                        functions={obj.name: assembled},
+                        entry=obj.name,
+                        frame_bases={obj.name: 0},
+                        data_words=obj.frame_words,
+                    )
+                )
+                assert decode_program(program).functions[obj.name] == (
+                    replace(assembled, info=CodegenInfo())
                 )
                 # Same code, more work spent on it: same bytes.
                 busier = replace(
                     obj, info=replace(obj.info, work_units=obj.info.work_units + 14)
                 )
-                assert encode_object_function(busier) == blob
+                assert encode_function(busier) == blob
 
-    def test_label_names_are_refused_in_a_download_module(self, compiled):
+    def test_label_names_are_refused_in_a_download_module(self):
         from repro.asmlink.objformat import AssembledFunction, CellProgram
 
-        obj = compiled.objects[0]
+        obj = object_functions(SOURCE)[0]
         unassembled = AssembledFunction(
             name=obj.name,
             section_name=obj.section_name,
@@ -329,6 +344,32 @@ class TestObjectFunctionBlobs:
         )
         with pytest.raises(FormatError, match="unresolved label"):
             encode_program(program)
+
+    def test_a_label_without_a_block_is_refused_when_sealed(self):
+        from repro.asmlink.assembler import AssemblyError
+        from repro.asmlink.objformat import (
+            Bundle,
+            MachineOp,
+            ObjectFunction,
+            ScheduledBlock,
+        )
+        from repro.ir.instructions import Opcode
+        from repro.machine.resources import FUClass
+
+        jump = Bundle()
+        jump.add(
+            MachineOp(
+                op=Opcode.JMP, fu=FUClass.SEQ, latency=1, labels=("nowhere",)
+            )
+        )
+        obj = ObjectFunction(
+            name="f", section_name="s", blocks=[ScheduledBlock("entry", [jump])]
+        )
+        with pytest.raises(AssemblyError, match="nowhere"):
+            encode_function(obj)
+        obj.blocks.append(ScheduledBlock("entry", [Bundle()]))
+        with pytest.raises(AssemblyError, match="duplicate"):
+            encode_function(obj)
 
 
 class TestDecodeIsTotal:
@@ -344,41 +385,26 @@ class TestDecodeIsTotal:
             pass
 
     @pytest.fixture(scope="class")
-    def encodings(self, compiled, compiled_multi):
-        modules = [r.download.encoded() for r in (compiled, compiled_multi)]
-        functions = [encode_object_function(o) for o in compiled_multi.objects]
-        return modules, functions
+    def modules(self, compiled, compiled_multi):
+        return [r.download.encoded() for r in (compiled, compiled_multi)]
 
-    def test_every_truncation(self, encodings):
-        modules, functions = encodings
+    def test_every_truncation(self, modules):
         for data in modules:
             for cut in range(len(data)):
                 with pytest.raises(FormatError):
                     decode_module(data[:cut])
-        for data in functions:
-            for cut in range(len(data)):
-                with pytest.raises(FormatError):
-                    decode_object_function(data[:cut])
 
-    def test_every_single_byte_set_to_every_extreme(self, encodings):
-        modules, functions = encodings
-        for decode, blobs in (
-            (decode_module, modules),
-            (decode_object_function, functions),
-        ):
-            for data in blobs:
-                for position in range(len(data)):
-                    for value in (0x00, 0x7F, 0x80, 0xFF):
-                        damaged = bytearray(data)
-                        damaged[position] = value
-                        self._decodes_or_refuses(decode, bytes(damaged))
+    def test_every_single_byte_set_to_every_extreme(self, modules):
+        for data in modules:
+            for position in range(len(data)):
+                for value in (0x00, 0x7F, 0x80, 0xFF):
+                    damaged = bytearray(data)
+                    damaged[position] = value
+                    self._decodes_or_refuses(decode_module, bytes(damaged))
 
-    def test_trailing_bytes_are_refused(self, encodings):
-        modules, functions = encodings
+    def test_trailing_bytes_are_refused(self, modules):
         with pytest.raises(FormatError, match="trailing"):
             decode_module(modules[0] + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
-            decode_object_function(functions[0] + b"\x00")
 
     @settings(
         max_examples=300,
@@ -386,31 +412,137 @@ class TestDecodeIsTotal:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_mutated_and_truncated_valid_encodings(self, encodings, data):
-        modules, functions = encodings
-        decode, blobs = data.draw(
-            st.sampled_from(
-                [(decode_module, modules), (decode_object_function, functions)]
-            )
-        )
-        damaged = bytearray(data.draw(st.sampled_from(blobs)))
-        for _ in range(data.draw(st.integers(1, 6))):
-            kind = data.draw(st.sampled_from(["set", "drop", "insert", "cut"]))
-            at = data.draw(st.integers(0, len(damaged) - 1))
-            if kind == "set":
-                damaged[at] = data.draw(st.integers(0, 255))
-            elif kind == "drop":
-                del damaged[at : at + data.draw(st.integers(1, 8))]
-            elif kind == "insert":
-                damaged[at:at] = data.draw(st.binary(min_size=1, max_size=8))
-            else:
-                del damaged[at:]
-            if not damaged:
-                break
-        self._decodes_or_refuses(decode, bytes(damaged))
+    def test_mutated_and_truncated_valid_encodings(self, modules, data):
+        damaged = mutated(data, data.draw(st.sampled_from(modules)))
+        self._decodes_or_refuses(decode_module, damaged)
 
     @settings(max_examples=200, deadline=None)
     @given(noise=st.binary(max_size=256))
     def test_arbitrary_bytes_behind_a_valid_head(self, noise):
         self._decodes_or_refuses(decode_module, b"WARP\x02\x00" + noise)
-        self._decodes_or_refuses(decode_object_function, noise)
+
+
+def mutated(data, blob: bytes) -> bytes:
+    """``blob`` with one to six random edits: a byte set, bytes dropped
+    or inserted, or the tail cut off."""
+    damaged = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(["set", "drop", "insert", "cut"]))
+        at = data.draw(st.integers(0, len(damaged) - 1))
+        if kind == "set":
+            damaged[at] = data.draw(st.integers(0, 255))
+        elif kind == "drop":
+            del damaged[at : at + data.draw(st.integers(1, 8))]
+        elif kind == "insert":
+            damaged[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+        else:
+            del damaged[at:]
+        if not damaged:
+            break
+    return bytes(damaged)
+
+
+class TestTheLinkRefusesHostileBlobs:
+    """The function blobs a section link splices come from other
+    processes, the wire and the disk: whatever they hold, re-sealed so
+    the digest check passes, the link raises ``FormatError`` — or, for
+    well-formed bytes that say something the section cannot hold (a
+    callee renamed away, a frame too large), its own ``LinkError`` — or
+    builds a program that ``decode_program`` reads and encodes back to
+    the same bytes.  Nothing else escapes, and nothing is copied that
+    does not decode to itself."""
+
+    @staticmethod
+    def _link(results, index, code):
+        """Link ``results``' section with one function's code replaced
+        by ``code``, re-sealed."""
+        from dataclasses import replace
+        from hashlib import sha256
+
+        from repro.asmlink.linker import link_section
+        from repro.machine.warp_cell import WarpCellModel
+
+        damaged = list(results)
+        damaged[index] = replace(
+            results[index], code=code, payload_digest=sha256(code).hexdigest()
+        )
+        return link_section(results[0].section_name, damaged, WarpCellModel())
+
+    def _links_or_refuses(self, results, index, code) -> bool:
+        from repro.asmlink.linker import LinkError
+
+        try:
+            program = self._link(results, index, code)
+        except (FormatError, LinkError):
+            return False
+        blob = program.encoded()
+        assert encode_program(decode_program(blob)) == blob
+        return True
+
+    @pytest.fixture(scope="class")
+    def sections(self, compiled_multi):
+        """Each section's sealed results, section ``a`` with a call."""
+        grouped = {}
+        for result in compiled_multi.results:
+            grouped.setdefault(result.section_name, []).append(result)
+        return list(grouped.values())
+
+    def _each_blob(self, sections):
+        for results in sections:
+            for index, result in enumerate(results):
+                yield results, index, result.code
+
+    def test_every_truncation(self, sections):
+        for results, index, code in self._each_blob(sections):
+            for cut in range(len(code)):
+                with pytest.raises(FormatError):
+                    self._link(results, index, code[:cut])
+
+    def test_every_single_byte_set_to_every_extreme(self, sections):
+        linked = refused = 0
+        for results, index, code in self._each_blob(sections):
+            assert self._links_or_refuses(results, index, code)
+            for position in range(len(code)):
+                for value in (0x00, 0x7F, 0x80, 0xFF):
+                    damaged = bytearray(code)
+                    damaged[position] = value
+                    if self._links_or_refuses(results, index, bytes(damaged)):
+                        linked += 1
+                    else:
+                        refused += 1
+        assert linked and refused  # both ways out are taken
+
+    def test_trailing_bytes_are_refused(self, sections):
+        results, index, code = next(self._each_blob(sections))
+        with pytest.raises(FormatError, match="trailing"):
+            self._link(results, index, code + b"\x00")
+
+    def test_a_wrong_word_count_is_refused(self, sections):
+        results, index, code = next(self._each_blob(sections))
+        assert code[0] < 0x7F  # the count is its first byte
+        with pytest.raises(FormatError, match="words"):
+            self._link(results, index, bytes([code[0] + 1]) + code[1:])
+
+    def test_a_longer_than_shortest_number_is_refused(self, sections):
+        results, index, code = next(self._each_blob(sections))
+        padded = bytes([code[0] | 0x80, 0x00]) + code[1:]
+        with pytest.raises(FormatError, match="shortest"):
+            self._link(results, index, padded)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_and_truncated_valid_blobs(self, sections, data):
+        results = data.draw(st.sampled_from(sections))
+        index = data.draw(st.integers(0, len(results) - 1))
+        self._links_or_refuses(
+            results, index, mutated(data, results[index].code)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(noise=st.binary(max_size=256))
+    def test_arbitrary_bytes(self, sections, noise):
+        self._links_or_refuses(sections[1], 0, noise)

@@ -58,6 +58,11 @@ TOKEN_HASHES = {
     "s2_huge": "df880487d178fbaf53eaced32f9849e96e38cd823e49a8704897e6fc53d22762",
 }
 
+#: the version salt the fingerprints below were written under: what is
+#: pinned is what the front end hands the fingerprint, so a later cache
+#: schema (which only changes the salt) leaves the pins alone
+PINNED_SALT = "1.0.0+schema9"
+
 #: sha256(repr((lines, fingerprints))) of each input: every function's
 #: ``line_count()`` and its artifact fingerprint at default options,
 #: written at the parent of the offset model (a line count the parser
@@ -145,7 +150,9 @@ def test_line_counts_and_fingerprints_are_the_parents(name):
         for section, fn in parsed.module.all_functions()
     ]
     fingerprints = sorted(
-        module_fingerprints(parsed.module, CompileOptions()).items()
+        module_fingerprints(
+            parsed.module, CompileOptions(), salt=PINNED_SALT
+        ).items()
     )
     digest = hashlib.sha256(repr((lines, fingerprints)).encode()).hexdigest()
     assert digest == FUNCTION_HASHES[name]

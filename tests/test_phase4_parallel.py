@@ -20,10 +20,11 @@ from collections import Counter
 import pytest
 
 from repro.asmlink.download import module_digest
+from repro.asmlink.linker import PayloadCorruption
 from repro.cache import ArtifactCache, LinkCache
 from repro.driver.function_master import (
     FunctionTask,
-    PayloadCorruption,
+    FunctionTaskResult,
     run_function_master,
 )
 from repro.driver.master import ParallelCompiler
@@ -74,8 +75,8 @@ def run_phase4(
     return finished
 
 
-def _objects(combined):
-    return {name: sec.objects for name, sec in combined.items()}
+def _results(combined):
+    return {name: sec.results for name, sec in combined.items()}
 
 
 ARRAY = WarpArrayModel(cell_count=10)
@@ -99,7 +100,7 @@ def test_parallel_phase4_matches_sequential_across_seeds(block):
             source = generate_program(seed, config).source
             parsed, combined = _combined_for(source)
             seq_module, seq_aw, seq_lw = phase4_link_and_download(
-                parsed, _objects(combined), ARRAY
+                parsed, _results(combined), ARRAY
             )
             want = module_digest(seq_module)
             # Plain parallel, no cache.
@@ -162,7 +163,7 @@ def test_link_cache_cold_then_warm_section_tier():
     also for a runner nobody announced a section to."""
     parsed, combined = _combined_for(SOURCE)
     want = module_digest(
-        phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
+        phase4_link_and_download(parsed, _results(combined), ARRAY)[0]
     )
     with tempfile.TemporaryDirectory() as tmp:
         cache = LinkCache(tmp)
@@ -198,7 +199,7 @@ def test_one_function_edit_relinks_exactly_one_section():
             "link_cache.hits": SECTIONS - 1, "link_cache.misses": 1,
         }
         want = module_digest(
-            phase4_link_and_download(parsed2, _objects(combined2), ARRAY)[0]
+            phase4_link_and_download(parsed2, _results(combined2), ARRAY)[0]
         )
         assert module_digest(module) == want
 
@@ -218,7 +219,7 @@ def test_geometry_change_invalidates_section_entries():
         )
         assert counts == {"link_cache.misses": SECTIONS}
         want = module_digest(
-            phase4_link_and_download(parsed, _objects(combined), small)[0]
+            phase4_link_and_download(parsed, _results(combined), small)[0]
         )
         assert module_digest(module) == want
 
@@ -241,16 +242,19 @@ def test_diagnostics_text_keys_the_module_tier(tmp_path):
 
 
 def test_stripped_assembly_still_links_identically():
-    """Results stripped to what crosses a boundary — their bytes: no
-    object graph, nothing assembled — link to the same bits; the link
-    job decodes and assembles in place."""
+    """Results stripped to what crosses a boundary — their fields and
+    their bytes — link to the same bits: the link splices the code the
+    function masters assembled."""
     parsed, combined = _combined_for(SOURCE)
     want = module_digest(
-        phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
+        phase4_link_and_download(parsed, _results(combined), ARRAY)[0]
     )
     for section in parsed.module.sections:
         stripped = pickle.loads(pickle.dumps(combined[section.name].results))
-        assert not any("_obj" in vars(result) for result in stripped)
+        assert all(
+            set(vars(result)) == set(FunctionTaskResult.__dataclass_fields__)
+            for result in stripped
+        )
         combined[section.name] = combine_section_results(section, stripped)
     stats = Phase4Stats()
     module, _, _ = run_phase4(
@@ -263,8 +267,8 @@ def test_stripped_assembly_still_links_identically():
 def test_mismatched_assembly_payload_is_reassembled():
     """No assembly is shipped any more, so none can mismatch; what can
     is a result's code and its payload digest (corruption the
-    supervisor never saw).  Such a result is not linked: reading its
-    object code raises, in the runner and again in the fallback."""
+    supervisor never saw).  Such a result is not linked: the linker
+    checks the seal, in the runner and again in the fallback."""
     parsed, combined = _combined_for(SOURCE)
     section = parsed.module.section_named("a")
     results = pickle.loads(pickle.dumps(combined["a"].results))
@@ -286,7 +290,7 @@ def test_bad_cell_range_raises_identical_error():
     small = WarpArrayModel(cell_count=3)
     parsed, combined = _combined_for(SOURCE)
     with pytest.raises(ValueError) as seq_err:
-        phase4_link_and_download(parsed, _objects(combined), small)
+        phase4_link_and_download(parsed, _results(combined), small)
     stats = Phase4Stats()
     with pytest.raises(ValueError) as par_err:
         run_phase4(parsed, combined, small, stats=stats)
@@ -305,7 +309,7 @@ def test_poisoned_section_falls_back_to_sequential():
     assert stats.mode == "fallback"
     assert "poisoned" in stats.fallback_reason
     want = module_digest(
-        phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
+        phase4_link_and_download(parsed, _results(combined), ARRAY)[0]
     )
     assert module_digest(module) == want
 
@@ -370,7 +374,7 @@ def test_duplicate_section_delivery_taints():
     assert stats.mode == "fallback"
     assert "duplicate" in stats.fallback_reason
     want = module_digest(
-        phase4_link_and_download(parsed, _objects(combined), ARRAY)[0]
+        phase4_link_and_download(parsed, _results(combined), ARRAY)[0]
     )
     assert module_digest(module) == want
 
@@ -379,8 +383,6 @@ def test_unknown_section_taints():
     parsed, combined = _combined_for(SOURCE)
     stray = _combined_for(SOURCE)[1]["a"]
     stray.section_name = "ghost"
-    for obj in stray.objects:
-        obj.section_name = "ghost"
     runner = Phase4Runner(parsed, ARRAY)
     runner.section_ready(stray)
     assert runner._taint_reason is not None
@@ -419,7 +421,7 @@ def test_runner_fills_work_model_on_every_path():
     serves it as the compile that wrote it computed it."""
     parsed, combined = _combined_for(SOURCE)
     _, want_aw, want_lw = phase4_link_and_download(
-        parsed, _objects(combined), ARRAY
+        parsed, _results(combined), ARRAY
     )
     cache = LinkCache(tempfile.mkdtemp())
     modes = []

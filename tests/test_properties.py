@@ -19,7 +19,7 @@ from repro.lang.source import SourceFile
 from repro.lang.tokens import TokenKind
 from repro.warpsim.array_runner import run_module
 
-from helpers import parse_ok
+from helpers import object_functions, parse_ok
 from reference_interp import interpret_module
 
 
@@ -288,8 +288,7 @@ def test_shared_resource_equal_demands_finish_together(demands):
 @given(source=random_program())
 def test_schedule_resource_and_drain_invariants(source):
     """Every generated program's schedule obeys the bundle rules."""
-    result = SequentialCompiler().compile(source)
-    for obj in result.objects:
+    for obj in object_functions(source):
         for block in obj.blocks:
             end = len(block.bundles)
             for cycle, bundle in enumerate(block.bundles):

@@ -607,6 +607,42 @@ class TestResultSurface:
             )
 
 
+def test_identical_code_is_identical_bytes():
+    """The search skips a variant whose code is the baseline's, and it
+    tells by the sealed bytes (equal payload digests).  The printed
+    object code says the same of every (function, config) pair of the
+    default space over the search kernel, ``S_2(small)`` and eight
+    generated programs: 230 pairs, both answers on each side."""
+    from repro.asmlink.encode import encode_function
+    from repro.driver.phases import compile_one_function, phase1_parse_and_check
+    from repro.fuzz import config_for_size_class, generate_program
+    from repro.workloads import synthetic_program
+
+    programs = [SEARCH_KERNEL.read_text(), synthetic_program("small", 2)] + [
+        generate_program(seed, config_for_size_class("medium")).source
+        for seed in range(8)
+    ]
+    seen = []
+    for source in programs:
+        parsed = phase1_parse_and_check(source)
+        for section in parsed.module.sections:
+            for function in section.functions:
+                base, *variants = [
+                    compile_one_function(
+                        parsed, section.name, function.name,
+                        config.options(CompileOptions()),
+                    )[0]
+                    for config in default_space()
+                ]
+                for variant in [base, *variants]:
+                    same_text = variant.digest_text() == base.digest_text()
+                    same_bytes = encode_function(variant) == encode_function(base)
+                    assert same_text == same_bytes, (section.name, function.name)
+                    seen.append(same_bytes)
+    assert len(seen) == 230
+    assert True in seen and False in seen
+
+
 class TestSearchCLI:
     def test_cli_search_report(self, tmp_path, capsys):
         from repro.cli import main

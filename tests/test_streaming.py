@@ -167,7 +167,7 @@ class TestStreamingSectionCombiner:
         assert combiner.add(a1) is None
         combined_a = combiner.add(a2)
         assert combined_a is not None
-        assert [obj.name for obj in combined_a.objects] == ["a1", "a2"]
+        assert [r.function_name for r in combined_a.results] == ["a1", "a2"]
         combined = combiner.finalize()
         assert sorted(combined) == ["a", "b"]
 
@@ -178,7 +178,9 @@ class TestStreamingSectionCombiner:
         combiner.add(a1)
         combiner.add(b1)
         combined = combiner.finalize()
-        assert [obj.name for obj in combined["a"].objects] == ["a1", "a2"]
+        assert [r.function_name for r in combined["a"].results] == [
+            "a1", "a2",
+        ]
 
     def test_missing_results_fail_finalize(self):
         combiner = StreamingSectionCombiner(self.sections())

@@ -380,10 +380,10 @@ class TestPoisonIsolation:
         par = ParallelCompiler(backend=backend).compile(SOURCE)
         seq = SequentialCompiler().compile(SOURCE)
         # the build completes: healthy functions are bit-identical
-        seq_objects = {o.name: o.digest_text() for o in seq.objects}
-        for obj in par.objects:
-            if obj.name != "f2":
-                assert obj.digest_text() == seq_objects[obj.name]
+        seq_code = {r.key: r.code for r in seq.results}
+        for sealed in par.results:
+            if sealed.function_name != "f2":
+                assert sealed.code == seq_code[sealed.key]
         assert [f.name for f in par.profile.failed_functions()] == ["f2"]
         assert "[POISONED: no object code]" in "\n".join(par.report_lines())
         # the in-process traceback is surfaced as a diagnostic
@@ -491,10 +491,10 @@ class TestSeededChaosEndToEnd:
         # give the whole 5-task run a generous multiple of that bound
         assert wall < 1.0 * 4 * 5
 
-        seq_objects = {o.name: o.digest_text() for o in seq.objects}
-        for obj in par.objects:
-            if obj.name != "a3":
-                assert obj.digest_text() == seq_objects[obj.name]
+        seq_code = {r.key: r.code for r in seq.results}
+        for sealed in par.results:
+            if sealed.function_name != "a3":
+                assert sealed.code == seq_code[sealed.key]
         assert [f.name for f in par.profile.failed_functions()] == ["a3"]
         assert backend.counts["poisoned_tasks"] == 1
         assert "poison function is genuinely broken" in par.diagnostics_text

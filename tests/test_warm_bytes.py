@@ -14,8 +14,9 @@ What these tests pin, each meaningless before the change:
   a cold compile gives;
 - a compiled function has one form, and it is bytes: one result class,
   one payload digest (the hash of the code, which is also the cache
-  entry's), nothing but bytes in a result that crossed a boundary, and
-  assembly in the linker only.
+  entry's), nothing but bytes in a result wherever it is, assembled by
+  its function master as it is sealed; the section link splices those
+  bytes and builds no assembled object graph.
 """
 
 import ast
@@ -28,8 +29,8 @@ import pickle
 import pickletools
 import re
 import struct
+import sys
 import threading
-import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,13 +43,9 @@ from repro.asmlink.download import (
     module_listing,
     module_size_words,
 )
-from repro.asmlink import linker
-from repro.asmlink.encode import (
-    decode_module,
-    decode_object_function,
-    encode_module,
-)
-from repro.asmlink.objformat import CellProgram, CodegenInfo, DownloadModule
+from repro.asmlink import assembler, objformat
+from repro.asmlink.encode import decode_module, encode_module
+from repro.asmlink.objformat import CellProgram, DownloadModule
 from repro import CompileOptions
 from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
 from repro.cache import store as store_module
@@ -395,7 +392,7 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
     sections = len(phase1_parse_and_check(source).module.sections)
 
     refuse_everywhere(monkeypatch, lexer.tokenize, "tokenize")
-    for name in ("decode_program", "decode_object_function", "decode_module"):
+    for name in ("decode_program", "splice_program", "decode_module"):
         refuse_everywhere(monkeypatch, getattr(encode, name), name)
     for name in ("bundles", "_decode_bundle", "string_table"):
         monkeypatch.setattr(encode._Reader, name, refuse(name))
@@ -570,13 +567,12 @@ def test_a_one_edit_compile_builds_its_module_from_bytes(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a one-edit compile decoded or re-encoded code")
 
-    for name in ("decode_program", "decode_object_function", "encode_program"):
+    for name in ("decode_program", "encode_program"):
         monkeypatch.setattr(encode, name, boom)
-    monkeypatch.setattr(function_master, "decode_object_function", boom)
     sealed = []
-    seal = function_master.encode_object_function
+    seal = function_master.encode_function
     monkeypatch.setattr(
-        function_master, "encode_object_function",
+        function_master, "encode_function",
         lambda obj: sealed.append(obj.name) or seal(obj),
     )
     result, compiler = cached_compile(tmp_path, SESSION[1].source)
@@ -797,10 +793,8 @@ def test_what_a_warm_result_hands_out_is_what_a_cold_one_does(tmp_path):
     assert warm_run.outputs == cold_run.outputs
     assert warm_run.cycles == cold_run.cycles
 
-    assert [o.digest_text() for o in warm.objects] == [
-        o.digest_text() for o in cold.objects
-    ]
-    assert warm.objects is warm.objects  # decoded once
+    assert [r.code for r in warm.results] == [r.code for r in cold.results]
+    assert warm.results is warm.results  # produced once
     assert module_listing(warm.download) == module_listing(cold.download)
     assert warm.download.cells_used == cold.download.cells_used
     assert decode_module(warm.download.encoded()) == decode_module(
@@ -826,21 +820,16 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
         assert type(served) is FunctionTaskResult
         want = fresh[served.function_name]
         # It is the result its function master sealed, field for field
-        # (but for the per-run state no entry keeps), and nothing of it
-        # has been decoded...
+        # (but for the per-run state no entry keeps): its code is the
+        # code that was compiled, its report the accounting...
         assert served == replace(want, diagnostics=[], phase1_memo_hit=None)
-        assert "_obj" not in vars(served)
-        assert served.report.bundles == want.obj.bundle_count()
-        # ...what it decodes to is the code that was compiled (the
-        # accounting is in the report)...
-        assert served.obj == replace(want.obj, info=CodegenInfo())
-        assert served.report.work_units == want.obj.info.work_units
-        assert served.obj is served.obj  # once
+        assert set(vars(served)) == set(FunctionTaskResult.__dataclass_fields__)
+        assert served.code == want.code and served.report == want.report
         # ...and the pool's IPC pickles it as its fields and its code,
-        # never as a graph, whether or not it has been decoded; what
-        # crosses the wire is the entry it was read from.
+        # never as a graph; what crosses the wire is the entry it was
+        # read from.
         revived = pickle.loads(pickle.dumps(served))
-        assert revived == served and "_obj" not in vars(revived)
+        assert revived == served
         assert pickle.dumps(served) == pickle.dumps(revived)
         assert ArtifactCache.seal(served) == path.read_bytes()
         assert decode_result(encode_result(served, "w0.0")) == served
@@ -924,7 +913,7 @@ def test_the_payload_digest_is_the_hash_of_the_code(name, tmp_path, warm_pool):
     for origin, results in sources.items():
         by_key = {(r.section_name, r.function_name): r for r in results}
         assert sorted(by_key) == sorted(order), origin
-        objects = {section.name: [] for section in parsed.module.sections}
+        sealed = {section.name: [] for section in parsed.module.sections}
         for key in order:
             result = by_key[key]
             assert (
@@ -935,38 +924,49 @@ def test_the_payload_digest_is_the_hash_of_the_code(name, tmp_path, warm_pool):
             ), (origin, key)
             assert "payload_digest" not in headers[key]  # stored once
             assert result.assembly_work == headers[key]["assembly_work"]
-            objects[key[0]].append(decode_object_function(result.code))
+            sealed[key[0]].append(result)
         module, _, _ = phase4_link_and_download(
-            parsed, objects, WarpArrayModel(), parsed.sink.render()
+            parsed, sealed, WarpArrayModel(), parsed.sink.render()
         )
         assert module_digest(module) == sequential(source).digest, origin
 
 
-def test_a_result_crosses_a_process_boundary_as_bytes(monkeypatch, warm_pool):
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Every assembled object graph built: ``AssembledFunction``'s
+    constructor and ``assemble_function``, wherever it was imported."""
+    built = []
+    init = objformat.AssembledFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append("AssembledFunction")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(objformat.AssembledFunction, "__init__", counting_init)
+    original = assembler.assemble_function
+    counting = lambda obj: built.append("assemble_function") or original(obj)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("repro"):
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, counting)
+    return built
+
+
+def test_a_result_crosses_a_process_boundary_as_bytes(
+    assemblies, monkeypatch, warm_pool
+):
     """The count guard, host-independent.  From another process a result
-    arrives holding no graph, its pickle names nothing of the object
-    code's classes, and the master decodes it once, to link it; in
-    process nothing is decoded, and either way each function is
-    assembled once — by the linker."""
+    arrives holding no graph, and its pickle names nothing of the object
+    code's classes; in and out of process the master decodes nothing
+    and assembles nothing — each function was assembled by its function
+    master, as it was sealed, and the section link splices bytes."""
     source = PROGRAMS["s2_medium"]
-    functions = len(sequential(source).profile.functions)
-
-    decoded, assembled, received = [], [], []
-    decode = function_master.decode_object_function
-    assemble = linker.assemble_function
-
-    def counting_decode(blob):
-        callers = [frame.name for frame in traceback.extract_stack()]
-        decoded.append("_link_one" in callers)
-        return decode(blob)
-
-    monkeypatch.setattr(
-        function_master, "decode_object_function", counting_decode
-    )
-    monkeypatch.setattr(
-        linker, "assemble_function",
-        lambda obj: assembled.append(obj.name) or assemble(obj),
-    )
+    received, decoded = [], []
+    for name in ("decode_program", "decode_module"):
+        monkeypatch.setattr(
+            encode, name, lambda *args, _name=name: decoded.append(_name)
+        )
 
     class Receiving:
         """The pool, with a look at each result as the master gets it."""
@@ -975,16 +975,13 @@ def test_a_result_crosses_a_process_boundary_as_bytes(monkeypatch, warm_pool):
 
         def run_tasks_streaming(self, tasks):
             for result in warm_pool.run_tasks_streaming(tasks):
-                received.append((pickle.dumps(result), "_obj" in vars(result)))
+                received.append(pickle.dumps(result))
                 yield result
 
     result = ParallelCompiler(backend=Receiving()).compile(source)
     assert result.digest == sequential(source).digest
-    assert decoded == [True] * functions  # once each, at link time
-    assert len(assembled) == functions
-    assert len(received) == functions
-    for blob, held_a_graph in received:
-        assert not held_a_graph
+    assert len(received) == len(sequential(source).profile.functions)
+    for blob in received:
         assert len(blob) < 25_000
         # Globals are named by strings (an argument of GLOBAL, or pushed
         # for STACK_GLOBAL): none of them names an object-code module.
@@ -996,19 +993,42 @@ def test_a_result_crosses_a_process_boundary_as_bytes(monkeypatch, warm_pool):
             string.startswith(("repro.asmlink", "repro.machine", "repro.ir"))
             for string in strings
         )
-
-    del decoded[:], assembled[:]
     result = ParallelCompiler(backend=SerialBackend()).compile(source)
     assert result.digest == sequential(source).digest
-    assert decoded == []
-    assert len(assembled) == functions
+    assert decoded == [] and assemblies == []
     assert not hasattr(function_master, "assemble_function")
+
+
+#: cold_branchy's ``fz1`` and the paper's user program
+ASSEMBLY_FREE = {
+    "fz1": generate_program(1, config_for_size_class("large")).source,
+    "user_program": user_program(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_FREE))
+def test_no_compile_builds_an_assembled_function(name, assemblies, warm_pool):
+    """The byte path end to end: compiling, sealing and linking build no
+    ``AssembledFunction`` — in process, through the serial backend and
+    through a process pool — and the module is the sequential one."""
+    source = ASSEMBLY_FREE[name]
+    digests = {
+        compiler.compile(source, f"{name}.w2").digest
+        for compiler in (
+            ParallelCompiler(),
+            ParallelCompiler(backend=SerialBackend()),
+            ParallelCompiler(backend=warm_pool),
+            SequentialCompiler(),
+        )
+    }
+    assert len(digests) == 1
+    assert assemblies == []
 
 
 def test_there_is_one_form_of_a_compiled_function():
     """An AST walk over ``src/``: nothing subclasses the result type,
     nothing reads or declares a shipped assembly, the linker takes none,
-    and only the linker (and the Katseff comparison) assembles."""
+    and only the Katseff comparison builds assembled object graphs."""
     import repro
 
     root = Path(repro.__file__).parent
@@ -1038,7 +1058,7 @@ def test_there_is_one_form_of_a_compiled_function():
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if callee == "assemble_function":
                     assemblers.add(where)
-    assert assemblers == {"asmlink/linker.py", "asmlink/parallel_assembler.py"}
+    assert assemblers == {"asmlink/parallel_assembler.py"}
 
 
 def test_a_report_has_one_dict_form(tmp_path):

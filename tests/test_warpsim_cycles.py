@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from helpers import echo_module, wrap_function
 from repro import CompileOptions
+from repro.driver.function_master import attach_assembly
 from repro.driver.phases import (
     compile_one_function,
     phase1_parse_and_check,
@@ -72,7 +73,8 @@ def _score_config(source, unroll_budget, ii_budget):
         parsed, "s", "f",
         CompileOptions(unroll_budget=unroll_budget, ii_budget=ii_budget),
     )
-    module, _, _ = phase4_link_and_download(parsed, {"s": [obj]}, array)
+    sealed = attach_assembly(obj, report, [])
+    module, _, _ = phase4_link_and_download(parsed, {"s": [sealed]}, array)
     return score_module(module, [[]], array), report
 
 
