@@ -272,6 +272,11 @@ def encode_function(obj: ObjectFunction) -> bytes:
     return _uint(writer.words) + writer.string_table() + body
 
 
+def function_words(blob: bytes) -> int:
+    """A function blob's first varint: its size in words (assembly work)."""
+    return _uint_at(blob, 0)[0]
+
+
 def encode_module(module: DownloadModule) -> bytes:
     """Serialize a download module to bytes."""
     # Programs in order of their first cell; replicated cells share one

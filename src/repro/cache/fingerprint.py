@@ -19,13 +19,17 @@ fingerprint must cover *exactly* the inputs those phases read — no more
   compile's :class:`~repro.options.CompileOptions`;
 - a compiler-version salt, so upgrading the compiler never serves
   artifacts produced by old code.
+
+A fingerprint is one SHA-256 over the section's part (salt, options,
+section, signatures: built once per section) and :func:`function_text`,
+which a parse entry stores, so the tree of a parse hit is never walked.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..lang import ast_nodes as ast
 from ..options import CompileOptions
@@ -51,7 +55,7 @@ from ..options import CompileOptions
 #: bundle indices), which the section link splices.
 CACHE_SCHEMA_VERSION = 10
 
-_SEP = b"\x1f"  # field separator: cannot appear in the encoded text
+_SEP = "\x1f"  # field separator: cannot appear in the encoded text
 
 
 def compiler_salt() -> str:
@@ -62,18 +66,24 @@ def compiler_salt() -> str:
 
 
 class _Hasher:
-    """Feeds length-unambiguous tokens into a sha256."""
+    """Length-unambiguous tokens as one text, and its SHA-256."""
 
     def __init__(self) -> None:
-        self._h = hashlib.sha256()
+        self._parts: List[str] = []
 
     def feed(self, *tokens: object) -> None:
         for token in tokens:
-            self._h.update(str(token).encode("utf-8"))
-            self._h.update(_SEP)
+            self._parts += (str(token), _SEP)
+
+    def text(self) -> str:
+        return "".join(self._parts)
 
     def hexdigest(self) -> str:
-        return self._h.hexdigest()
+        return _digest(self.text())
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _feed_expr(h: _Hasher, expr: Optional[ast.Expr]) -> None:
@@ -160,6 +170,28 @@ def _feed_function(h: _Hasher, fn: ast.Function) -> None:
     _feed_body(h, fn.body)
 
 
+def function_text(fn: ast.Function) -> str:
+    """The function's own part of its fingerprint (a walk of the tree)."""
+    h = _Hasher()
+    _feed_function(h, fn)
+    return h.text()
+
+
+def _section_head(section, options, salt) -> str:
+    h = _Hasher()
+    h.feed(salt if salt is not None else compiler_salt())
+    for option in fields(options):
+        h.feed(option.name, getattr(options, option.name))
+    h.feed(section.name, section.first_cell, section.last_cell)
+    # Sibling signatures, in source order (order is part of the section's
+    # identity; lowering's callee table is name-keyed but a reordering
+    # also reorders spans, which we deliberately do not hash).
+    h.feed(len(section.functions))
+    for sibling in section.functions:
+        _feed_signature(h, sibling)
+    return h.text()
+
+
 def function_fingerprint(
     section: ast.Section,
     function: ast.Function,
@@ -173,29 +205,20 @@ def function_fingerprint(
     field added to :class:`~repro.options.CompileOptions` is part of
     the key the day it is added.
     """
-    h = _Hasher()
-    h.feed(salt if salt is not None else compiler_salt())
-    for option in fields(options):
-        h.feed(option.name, getattr(options, option.name))
-    h.feed(section.name, section.first_cell, section.last_cell)
-    # Sibling signatures, in source order (order is part of the section's
-    # identity; lowering's callee table is name-keyed but a reordering
-    # also reorders spans, which we deliberately do not hash).
-    h.feed(len(section.functions))
-    for sibling in section.functions:
-        _feed_signature(h, sibling)
-    _feed_function(h, function)
-    return h.hexdigest()
+    return _digest(_section_head(section, options, salt) + function_text(function))
 
 
 def module_fingerprints(
-    module: ast.Module, options: CompileOptions, salt: Optional[str] = None
+    module: ast.Module, options: CompileOptions, salt: Optional[str] = None,
+    texts: Mapping[Tuple[str, str], str] = {},
 ) -> Dict[Tuple[str, str], str]:
-    """``(section name, function name) -> fingerprint`` for a module."""
-    return {
-        (section.name, function.name): function_fingerprint(
-            section, function, options, salt
-        )
-        for section in module.sections
-        for function in section.functions
-    }
+    """``(section name, function name) -> fingerprint`` for a module; a
+    function whose text is in ``texts`` (``ParsedProgram.fingerprint_texts``)
+    is not walked."""
+    fingerprints = {}
+    for section in module.sections:
+        head = _section_head(section, options, salt)
+        for fn in section.functions:
+            key = (section.name, fn.name)
+            fingerprints[key] = _digest(head + (texts.get(key) or function_text(fn)))
+    return fingerprints

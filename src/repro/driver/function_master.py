@@ -25,8 +25,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
-from ..asmlink.assembler import assembly_work_units
-from ..asmlink.encode import encode_function
+from ..asmlink.encode import encode_function, function_words
 from ..asmlink.objformat import ObjectFunction
 from ..facts import from_facts
 from ..options import CompileOptions
@@ -139,9 +138,9 @@ def attach_assembly(
 ) -> FunctionTaskResult:
     """Seal one compiled function into its result: assemble it as it is
     encoded (:func:`~repro.asmlink.encode.encode_function` resolves its
-    block labels), count the assembly work, hash the bytes.  The graph
-    is not kept: the section link splices the bytes, in this process or
-    any other."""
+    block labels), count the assembly work — the words the blob says it
+    holds — and hash the bytes.  The graph is not kept: the section link
+    splices the bytes, in this process or any other."""
     code = encode_function(obj)
     return FunctionTaskResult(
         section_name=report.section_name,
@@ -149,7 +148,7 @@ def attach_assembly(
         code=code,
         report=report,
         payload_digest=hashlib.sha256(code).hexdigest(),
-        assembly_work=assembly_work_units(obj),
+        assembly_work=function_words(code),
         diagnostics=diagnostics,
     )
 

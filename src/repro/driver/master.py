@@ -10,10 +10,10 @@ compilation" (§3.2).
 Our master first asks the module tier for the record of a clean
 compile of this very input, and given one rebuilds the module from the
 section programs it names, parsing nothing.  Otherwise it parses and
-checks once (aborting on errors), builds one
-:class:`FunctionTask` per function, consults the persistent artifact
+checks once (aborting on errors), consults the persistent artifact
 cache (functions whose fingerprints hit never cross the process
-boundary), streams the remaining tasks through an execution backend while
+boundary), builds one :class:`FunctionTask` per remaining function,
+streams those tasks through an execution backend while
 section masters recombine results as they arrive, and runs phase 4
 through :class:`~repro.driver.phases.Phase4Runner`: each section is
 linked the moment its streaming recombiner completes, behind the
@@ -149,7 +149,6 @@ class ParallelCompiler:
         if memo_hit:
             stats.mode = "memo"
         self.last_phase1_stats = stats
-        tasks = self._build_tasks(parsed, source_text, filename)
 
         # Section masters combine incrementally: cache hits land first,
         # backend results stream in behind them.
@@ -163,9 +162,10 @@ class ParallelCompiler:
             else None
         )
         before = Counter(supervisor.counts) if supervisor is not None else None
-        misses, fingerprints = self._serve_from_cache(
-            parsed, tasks, combiner, counts
+        missed, fingerprints = self._serve_from_cache(
+            parsed, combiner, counts
         )
+        misses = self._build_tasks(missed, source_text, filename)
         dispatched = bool(misses)
 
         # Phase 4: each section is linked as its recombiner completes
@@ -282,37 +282,38 @@ class ParallelCompiler:
     def _serve_from_cache(
         self,
         parsed: ParsedProgram,
-        tasks: List[FunctionTask],
         combiner: StreamingSectionCombiner,
         counts: Counter,
-    ) -> Tuple[List[FunctionTask], Dict[Tuple[str, str], str]]:
+    ) -> Tuple[list, Dict[Tuple[str, str], str]]:
         """Feed cache hits straight into the combiner, counting each get;
-        return the tasks that must go to the backend plus the
-        fingerprint map for write-back."""
+        return the ``(section, function)`` pairs that must go to the
+        backend plus the fingerprint map for write-back."""
+        functions = list(parsed.module.all_functions())
         if self.cache is None:
-            return tasks, {}
+            return functions, {}
         # The salt comes from the one canonical seam (repro.cache), passed
         # explicitly so the keying policy is visible at the call site.
         from ..cache import compiler_salt, module_fingerprints
 
         fingerprints = module_fingerprints(
-            parsed.module, self.options, salt=compiler_salt()
+            parsed.module, self.options, salt=compiler_salt(),
+            texts=parsed.fingerprint_texts,
         )
         rendered = [d.render() for d in parsed.sink.diagnostics]
-        misses: List[FunctionTask] = []
-        for task in tasks:
-            fingerprint = fingerprints[task.key]
+        missed = []
+        for section, function in functions:
+            fingerprint = fingerprints[(section.name, function.name)]
             result = count_lookup(
                 counts, "artifact_cache", self.cache.get(fingerprint)
             )
             if result is None:
-                misses.append(task)
+                missed.append((section, function))
                 continue
             # What a live function master would have sent: the current
             # diagnostics.
             result.diagnostics = list(rendered)
             combiner.add(result)
-        return misses, fingerprints
+        return missed, fingerprints
 
     def _write_back(
         self,
@@ -335,8 +336,9 @@ class ParallelCompiler:
             self.cache.put(fingerprint, replace(result, diagnostics=[]))
 
     def _build_tasks(
-        self, parsed: ParsedProgram, source_text: str, filename: str
+        self, functions, source_text: str, filename: str
     ) -> List[FunctionTask]:
+        """A task per ``(section, function)`` pair of ``functions``."""
         return [
             FunctionTask(
                 source_text,
@@ -346,6 +348,5 @@ class ParallelCompiler:
                 cost_hint=ast_cost_hint(function),
                 options=self.options,
             )
-            for section in parsed.module.sections
-            for function in section.functions
+            for section, function in functions
         ]

@@ -6,9 +6,10 @@ body.  :func:`from_facts` turns such a ``dict`` into a dataclass only if
 it names exactly the dataclass's fields and every value has the type
 the field is annotated with (``bool`` is not an ``int``, an ``int`` may
 stand where a ``float`` is asked for and stays an ``int``, a JSON list
-becomes the ``List`` or ``Tuple`` annotated, nested dataclasses
-recurse); anything else raises, which a store counts as a corrupt entry
-and the wire as a corrupt frame.  The way out is ``dataclasses.asdict``.
+becomes the ``List`` or ``Tuple`` annotated — a fixed ``Tuple`` only of
+its length — nested dataclasses recurse); anything else raises, which a
+store counts as a corrupt entry and the wire as a corrupt frame.  The way
+out is ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ def _checked(hint, value):
                 return _checked(arm, value)
             except TypeError:
                 continue
-    elif origin in (list, tuple):
-        if type(value) is list:
-            item = get_args(hint)[0]
-            return origin(_checked(item, element) for element in value)
+    elif origin in (list, tuple) and type(value) is list:
+        items = get_args(hint)
+        if origin is list or items[-1] is ...:
+            return origin(_checked(items[0], element) for element in value)
+        if len(items) == len(value):  # a fixed-length tuple
+            return tuple(map(_checked, items, value))
     elif is_dataclass(hint):
         return from_facts(hint, value)
     raise TypeError(f"expected {hint}, got {type(value).__name__}")

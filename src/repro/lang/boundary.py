@@ -7,7 +7,10 @@ block-structured grammar: a single skim built from the lexer's own
 comment, number and word classes (so a ``function`` inside a ``--``
 comment or glued to a float literal is never mistaken for a keyword)
 that tracks block depth through ``begin``/``if``/``for``/
-``while``/``end``.  It never builds tokens or an AST; its output is one
+``while``/``end``.  Only those keywords reach Python: the regex engine
+passes over every other word, and a run of them is one entry, since the
+scan only asks whether one stands where a keyword must.  It never builds
+tokens or an AST; its output is one
 half-open byte window per function plus the offset where the header ends
 (the ``begin`` keyword), which is all the window parser and the
 signature pass need.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .lexer import COMMENT, FLOAT, WORD
 
@@ -68,50 +71,51 @@ class ModuleBoundaries:
         return sum(len(sec.function_windows) for sec in self.sections)
 
 
-#: Everything up to the next word — skipped inside the regex engine — and
-#: that word: runs of characters no word contains, the lexer's numbers and
-#: comments (neither may hide or fake a keyword), a lone ``-``.
-_SKIM = re.compile(rf"(?:[^\w-]+|{FLOAT}|\d+|{COMMENT}|-)*({WORD})?")
-
-
-def _words(text: str) -> Iterator[Tuple[str, int, int]]:
-    """Yield ``(word, start, end)`` for every identifier/keyword word, by
-    the lexer's own classes.
-
-    Fidelity matters: ``1e5end`` lexes as FLOAT_LIT then ``end`` (the
-    exponent rule stops before the ``e`` of a second word), and a scan
-    with rules of its own would disagree.  The one place this scan parts
-    from the lexer is a character that is ``\\w`` without starting a word
-    (``½``): it is an error in whichever gap or window holds it, and any
-    error sends the caller back to the sequential front end.
-    """
-    for match in _SKIM.finditer(text):
-        if match.lastindex:
-            yield (match[1], *match.span(1))
+#: What the skim passes over between words: runs of characters no word
+#: contains, the lexer's numbers and comments (neither may hide or fake a
+#: keyword: ``1e5end`` lexes as FLOAT_LIT then ``end``), a lone ``-``.
+_GAP = rf"[^\w-]+|{FLOAT}|\d+|{COMMENT}|-"
+#: every word the scan below asks about; the skim surfaces these alone
+_KEYWORDS = _STRUCTURE_WORDS | _BLOCK_OPENERS | {"begin", "end"}
+_KEYWORD = rf"(?:{'|'.join(sorted(_KEYWORDS))})(?!\w)"
+#: what a header passes over: any word but begin, end or a structural one
+_SKIPPED = _BLOCK_OPENERS | {""}
+#: the next word, whatever it is (a module's first two)
+_WORD = re.compile(rf"(?:{_GAP})*({WORD})?")
+#: up to and including the next keyword; group 1: the first other word
+_SKIM = re.compile(
+    rf"(?:{_GAP})*(?:((?!{_KEYWORD}){WORD})(?:{_GAP}|(?!{_KEYWORD}){WORD})*)?"
+    rf"({_KEYWORD})?"
+)
 
 
 def scan_boundaries(text: str) -> Optional[ModuleBoundaries]:
-    """Token-skim ``text`` and return its function windows, or ``None``
-    when the word-level structure does not match a well-formed module
-    (the caller must fall back to the sequential front end)."""
-    words = list(_words(text))
+    """Skim ``text`` and return its function windows, or ``None`` when its
+    keywords do not make a well-formed module (the caller must fall back
+    to the sequential front end)."""
+    head = _WORD.match(text)
+    if head[1] != "module":
+        return None
+    # past the name (any word); a run of other words is one "" entry
+    words = [
+        (word, *match.span(group))
+        for match in _SKIM.finditer(text, _WORD.match(text, head.end()).end())
+        for word, group in (("", 1), (match[2], 2))
+        if match.start(group) >= 0
+    ]
     n = len(words)
 
     def word_at(j: int) -> Optional[str]:
         return words[j][0] if j < n else None
 
-    if word_at(0) != "module":
-        return None
-    i = 2  # 'module' + its name; a missing/keyword name fails skeleton parse
+    i = 0
     sections: List[SectionBoundaries] = []
     while word_at(i) == "section":
         i += 1
         # Section header: name + 'cells' (the punctuation is invisible).
         # Skim to the first structural word; a malformed header either
         # trips the checks below or fails the skeleton parse later.
-        while i < n and word_at(i) not in (
-            "function", "end", "section", "module", "begin",
-        ):
+        while word_at(i) in _SKIPPED:
             i += 1
         windows: List[FunctionWindow] = []
         while word_at(i) == "function":
@@ -119,9 +123,7 @@ def scan_boundaries(text: str) -> Optional[ModuleBoundaries]:
             i += 1
             # Header: everything up to 'begin'.  A structural word (or
             # 'end', or EOF) before 'begin' means a malformed header.
-            while i < n and word_at(i) not in (
-                "begin", "end", "function", "section", "module",
-            ):
+            while word_at(i) in _SKIPPED:
                 i += 1
             if word_at(i) != "begin":
                 return None
@@ -151,7 +153,7 @@ def scan_boundaries(text: str) -> Optional[ModuleBoundaries]:
         return None  # module never closed
     i += 1
     if i != n:
-        return None  # trailing words after the module end
+        return None  # words after the module's end: a keyword or others
     # Trailing *operator* garbage (e.g. a stray ';') is invisible here;
     # it lands in the final skeleton gap and fails the skeleton parse.
     return ModuleBoundaries(tuple(sections))

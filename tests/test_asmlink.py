@@ -18,7 +18,13 @@ from repro.ir.instructions import Opcode
 from repro.machine.resources import FUClass
 from repro.machine.warp_cell import WarpCellModel
 
-from helpers import lower_ok, seal, single_function_ir, wrap_function
+from helpers import (
+    lower_ok,
+    object_functions,
+    seal,
+    single_function_ir,
+    wrap_function,
+)
 
 
 def object_for(src: str) -> ObjectFunction:
@@ -96,6 +102,22 @@ class TestAssembler:
 
     def test_work_units_positive(self):
         assert assembly_work_units(object_for(SIMPLE)) > 0
+
+    def test_a_sealed_result_counts_the_work_of_its_graph(self):
+        """A function master reads the assembly work off the blob it
+        sealed (its word count): the walk over the graph's bundles."""
+        from repro.fuzz import config_for_size_class, generate_program
+        from repro.workloads.synthetic import synthetic_program
+        from repro.workloads.user_program import user_program
+
+        large = config_for_size_class("large")
+        for source in (
+            user_program(),
+            synthetic_program("medium", 2),
+            generate_program(3, large).source,
+        ):
+            for obj in object_functions(source):
+                assert seal(obj).assembly_work == assembly_work_units(obj)
 
 
 class TestLinker:

@@ -54,7 +54,7 @@ def fired(backend):
 
 def build_tasks(source=SOURCE):
     return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source), source, "<t>"
+        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
     )
 
 

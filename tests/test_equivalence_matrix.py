@@ -81,7 +81,8 @@ class TestOneDispatchSurface:
         from repro.driver.phases import phase1_parse_and_check
 
         return ParallelCompiler()._build_tasks(
-            phase1_parse_and_check(self.SOURCE), self.SOURCE, "<t>"
+            phase1_parse_and_check(self.SOURCE).module.all_functions(),
+            self.SOURCE, "<t>",
         )
 
     @pytest.mark.parametrize("which", ["serial", "warm"])

@@ -56,7 +56,7 @@ def _record_events(backend, tasks):
 def tasks():
     source = FIXTURE["source"]
     return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source), source, "<t>"
+        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
     )
 
 

@@ -32,7 +32,7 @@ def build_tasks(source=SOURCE):
     from repro.driver.phases import phase1_parse_and_check
 
     return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source), source, "<t>"
+        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
     )
 
 

@@ -52,7 +52,7 @@ with WarmPoolBackend(2) as pool, tempfile.TemporaryDirectory() as tmp:
     for name in ("s2_medium", "user_program"):
         parsed = phase1_parse_and_check(programs[name])
         tasks = ParallelCompiler()._build_tasks(
-            parsed, programs[name], name + ".w2"
+            parsed.module.all_functions(), programs[name], name + ".w2"
         )
         serial = list(SerialBackend().run_tasks_streaming(tasks))
         for index, result in enumerate(serial):

@@ -13,17 +13,35 @@ modules, identical rendered diagnostics.
 """
 
 import pickle
+import struct
+import sys
 import tempfile
+import threading
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
-from repro.cache import ParseCache, parse_store
-from repro.cache.store import seal_entry
+import repro.cache as cache_package
+from repro import CompileOptions
+from repro.cache import (
+    ArtifactCache,
+    LinkCache,
+    ParseCache,
+    compiler_salt,
+    fingerprint,
+    module_fingerprints,
+    parse_store,
+    pickled,
+)
+from repro.cache.fingerprint import function_text
+from repro.cache.store import open_entry, seal_entry
 from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import (
+    ParseFacts,
     Phase1Stats,
+    _function_size,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -32,7 +50,9 @@ from repro.fuzz import config_for_size_class, generate_program
 from repro.lang.boundary import scan_boundaries
 from repro.lang.diagnostics import CompileError, DiagnosticSink
 from repro.lang.lexer import tokenize
+from repro.lang.ast_nodes import Function
 from repro.lang.parser import Parser
+from repro.lang.sema import function_call_sites
 from repro.lang.source import Position, SourceFile, Span
 from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
@@ -453,6 +473,242 @@ def test_an_entry_written_under_parse_schema_2_is_a_miss(tmp_path, monkeypatch):
     assert counts == {"parse_cache.misses": FUNCTIONS}
     assert cache.counts["corrupt"] == FUNCTIONS
     _assert_same_module(par, seq, SOURCE)
+
+
+def _drop(name):
+    return lambda facts: facts.pop(name)
+
+
+def _set(name, value):
+    return lambda facts: facts.__setitem__(name, value)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        _drop("ast_size"),
+        _drop("calls"),
+        _set("colour", "red"),
+        _set("token_count", "many"),
+        _set("lines", True),
+        _set("name", 3),
+        _set("calls", [["f1", [0]]]),
+        _set("calls", [["f1", [0, 1, 2]]]),
+        _set("calls", "f1"),
+        _set("fingerprint_text", None),
+    ],
+    ids=[
+        "missing_ast_size", "missing_calls", "extra_fact", "token_count_str",
+        "lines_bool", "name_int", "call_offsets_short", "call_offsets_long",
+        "calls_str", "text_in_header",
+    ],
+)
+def test_an_entry_with_a_flawed_fact_is_a_counted_corrupt_miss(
+    tmp_path, mangle
+):
+    """The header's facts are type-checked on open, as any tier's: a
+    missing, extra or mistyped one makes the entry corrupt — counted,
+    quarantined, parsed again — never an exception, never a hit."""
+    cache = ParseCache(tmp_path)
+    phase1_parallel(SOURCE, parse_cache=cache)
+    for path in (tmp_path / "parse").rglob("*.entry"):
+        facts, body = open_entry(path.read_bytes(), "parse", ParseCache.SCHEMA)
+        mangle(facts)
+        path.write_bytes(seal_entry("parse", ParseCache.SCHEMA, facts, body))
+    counts = Counter()
+    par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
+    assert counts == {"parse_cache.misses": FUNCTIONS}
+    assert cache.counts["corrupt"] == FUNCTIONS
+    _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
+
+
+def _text_past_the_end(body):
+    return struct.pack("<I", len(body)) + body[4:]
+
+
+def _text_not_utf8(body):
+    return body[:4] + b"\xff" + body[5:]
+
+
+@pytest.mark.parametrize("mangle", [_text_past_the_end, _text_not_utf8])
+def test_an_entry_whose_body_has_no_text_is_a_counted_corrupt_miss(
+    tmp_path, mangle
+):
+    """The fingerprint text leads the body, behind its size, and is read
+    on open: a size past the body's end or bytes that are not UTF-8 make
+    the entry corrupt, like a flawed fact."""
+    cache = ParseCache(tmp_path)
+    phase1_parallel(SOURCE, parse_cache=cache)
+    for path in (tmp_path / "parse").rglob("*.entry"):
+        facts, body = open_entry(path.read_bytes(), "parse", ParseCache.SCHEMA)
+        del facts["sha256"]
+        path.write_bytes(
+            seal_entry("parse", ParseCache.SCHEMA, facts, mangle(body))
+        )
+    counts = Counter()
+    par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
+    assert counts == {"parse_cache.misses": FUNCTIONS}
+    assert cache.counts["corrupt"] == FUNCTIONS
+    _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
+
+
+def test_a_hit_whose_tree_is_another_functions_is_parsed_again(tmp_path):
+    """A tree is decoded only when read, so only then can it be found
+    wrong: two entries whose sound headers sit beside each other's trees
+    open as hits, and reading them takes the hits back — counted corrupt
+    misses, deleted — and parses their windows again."""
+    cache = ParseCache(tmp_path)
+    phase1_parallel(SOURCE, parse_cache=cache)
+    first, second = sorted((tmp_path / "parse").rglob("*.entry"))[:2]
+    opened = {}
+    for path in (first, second):
+        facts, body = open_entry(path.read_bytes(), "parse", ParseCache.SCHEMA)
+        del facts["sha256"]
+        text_end = 4 + struct.unpack_from("<I", body)[0]
+        opened[path] = facts, body[:text_end], body[text_end:]
+    for path, other in ((first, second), (second, first)):
+        facts, text, _ = opened[path]
+        path.write_bytes(seal_entry(
+            "parse", ParseCache.SCHEMA, facts, text + opened[other][2]
+        ))
+    counts = Counter()
+    cache = ParseCache(tmp_path)
+    par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
+    assert counts == {"parse_cache.hits": FUNCTIONS}
+    _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
+    assert cache.counts == {
+        "hits": FUNCTIONS - 2, "misses": 2, "corrupt": 2
+    }
+    assert not first.exists() and not second.exists()
+
+
+def test_every_entrys_facts_are_its_decoded_trees(tmp_path):
+    """Over the corpus, what a hit reads instead of the tree is what the
+    tree says: name, lines, AST size, call sites and fingerprint text
+    recomputed from the decoded tree, the token count from relexing the
+    window that parses to it."""
+    from test_lexer_pins import INPUTS
+
+    for name, source in INPUTS.items():
+        cache = ParseCache(tmp_path / name)
+        phase1_parallel(source, parse_cache=cache)
+        windows = [
+            source[w.start : w.end]
+            for w in scan_boundaries(source).all_windows()
+        ]
+        entries = [
+            ParseCache.open(path.read_bytes())
+            for path in (tmp_path / name / "parse").rglob("*.entry")
+        ]
+        assert 0 < len(entries) <= len(windows), name
+        for entry in entries:
+            fn = entry.function
+            text = next(w for w in windows if _window_parse(w) == fn)
+            recomputed = ParseFacts(
+                fn.name, fn.lines,
+                len(tokenize(SourceFile("", text), DiagnosticSink())) - 1,
+                _function_size(fn), function_call_sites(fn),
+                function_text(fn),
+            )
+            facts = ParseFacts(
+                **{f.name: getattr(entry, f.name) for f in fields(ParseFacts)}
+            )
+            assert facts == recomputed, (name, fn.name)
+            assert type(fn) is Function and entry.scope.function is fn
+
+
+def test_threads_sharing_a_hit_decode_its_body_once(tmp_path, monkeypatch):
+    """A phase-1 memo may hand one parse to many threads: reading a hit's
+    tree from all of them at once decodes its body once, and every
+    thread sees the whole tree and its scope."""
+    cache = ParseCache(tmp_path)
+    phase1_parallel(SOURCE, parse_cache=cache)
+    par = phase1_parallel(SOURCE, parse_cache=cache)
+    section = par.module.sections[0]
+    decodes = []
+    loads = pickled.restricted_loads
+    monkeypatch.setattr(
+        pickled, "restricted_loads",
+        lambda blob, allowed: decodes.append(1) or loads(blob, allowed),
+    )
+    seen = []
+
+    def read(fn):
+        scope = par.sema.scopes[(section.name, fn.name)]
+        seen.append((fn.name, len(fn.body), len(scope.symbols)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=read, args=(fn,))
+            for fn in section.functions for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(decodes) == FUNCTIONS
+    want = phase1_parse_and_check(SOURCE)
+    assert sorted(set(seen)) == sorted(
+        (fn.name, len(fn.body), len(want.sema.scopes[(s.name, fn.name)].symbols))
+        for s, fn in want.module.all_functions()
+    )
+    assert len(seen) == 8 * FUNCTIONS
+
+
+def test_a_one_edit_compile_walks_one_tree_and_decodes_none(
+    tmp_path, monkeypatch
+):
+    """Eight functions, one edited, all three tiers: the edited window
+    is parsed (one tree walked for its fingerprint text); the seven hits
+    are their headers — no tree decoded, no fingerprint walk — and the
+    fingerprints are a fresh sequential parse's."""
+    source = synthetic_program("small", 8)
+    edited = source.replace("acc := 0.0;", "acc := 0.0;\n    acc := acc + 1.0;", 1)
+    assert edited != source
+
+    def compile_(text):
+        clear_phase1_cache()
+        return ParallelCompiler(
+            backend=SerialBackend(),
+            cache=ArtifactCache(tmp_path),
+            parse_cache=ParseCache(tmp_path),
+            link_cache=LinkCache(tmp_path),
+        ).compile(text)
+
+    compile_(source)
+    walks, decodes, served = [], [], []
+    feed = fingerprint._feed_function
+    monkeypatch.setattr(
+        fingerprint, "_feed_function",
+        lambda h, fn: walks.append(fn.name) or feed(h, fn),
+    )
+    loads = pickled.restricted_loads
+    monkeypatch.setattr(
+        pickled, "restricted_loads",
+        lambda blob, allowed: decodes.append(1) or loads(blob, allowed),
+    )
+    fingerprints = cache_package.module_fingerprints
+    monkeypatch.setattr(
+        cache_package, "module_fingerprints",
+        lambda *args, **kwargs: served.append(fingerprints(*args, **kwargs))
+        or served[-1],
+    )
+    result = compile_(edited)
+    monkeypatch.undo()
+
+    assert result.profile.counts["parse_cache.hits"] == 7
+    assert result.profile.counts["artifact_cache.misses"] == 1
+    assert walks == ["f1"] and decodes == []
+    options = CompileOptions()
+    assert served == [module_fingerprints(
+        phase1_parse_and_check(edited).module, options, salt=compiler_salt()
+    )]
+    assert result.digest == SequentialCompiler(options).compile(edited).digest
 
 
 # ---------------------------------------------------------------------------

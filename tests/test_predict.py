@@ -265,9 +265,11 @@ class TestTaskFingerprint:
         compiler = ParallelCompiler(options=options, cache=cache)
         compiler.compile(source, "s2.w2")
         parsed = phase1_parse_and_check(source, "s2.w2")
-        tasks = compiler._build_tasks(parsed, source, "s2.w2")
+        tasks = compiler._build_tasks(
+            parsed.module.all_functions(), source, "s2.w2"
+        )
         _, served_under = compiler._serve_from_cache(
-            parsed, tasks, StreamingSectionCombiner(parsed.module.sections),
+            parsed, StreamingSectionCombiner(parsed.module.sections),
             Counter(),
         )
         assert len(tasks) == 2 and all(t.options is options for t in tasks)

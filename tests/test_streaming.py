@@ -41,7 +41,7 @@ end
 
 def build_tasks():
     return ParallelCompiler()._build_tasks(
-        phase1_parse_and_check(SOURCE), SOURCE, "<t>"
+        phase1_parse_and_check(SOURCE).module.all_functions(), SOURCE, "<t>"
     )
 
 
