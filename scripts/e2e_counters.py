@@ -19,8 +19,9 @@ session's edits leave the object code as it was).  A no-edit compile
 is 2 lookups, both hits: the record and its one section program (it
 was 17 before the module record was keyed by the source text: 8 parse
 entries, 8 artifacts, the module).  Hits 2*7 + 3*2 = 20 of
-10 + 2*10 + 3*2 = 36.  The leg leaves 96,567 bytes on disk (85,911
-while a parse entry stored neither its facts nor its fingerprint text,
+10 + 2*10 + 3*2 = 36.  The leg leaves 58,596 bytes on disk (96,567
+while a parse entry also held its tree and scope, pickled; 85,911
+while it stored neither its facts nor its fingerprint text,
 the text being most of the growth; 141,186
 while a parse entry's nodes held ``Span`` and ``Position`` objects
 instead of offset pairs; 142,068

@@ -52,7 +52,6 @@ from .link_store import (
 from .parse_store import (
     PARSE_SCHEMA_VERSION,
     ParseCache,
-    ParseEntry,
     parse_salt,
     signature_table_hash,
     window_key,
@@ -73,7 +72,6 @@ __all__ = [
     "ModuleStore",
     "PARSE_SCHEMA_VERSION",
     "ParseCache",
-    "ParseEntry",
     "SectionLinkStore",
     "VariantScore",
     "VariantStore",

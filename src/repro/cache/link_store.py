@@ -162,11 +162,6 @@ class ModuleStore(Store):
     SCHEMA = LINK_SCHEMA_VERSION
     codec = FactsCodec(ModuleRecord)
 
-    def reject(self, fingerprint: str) -> None:
-        """Take back the hit just served: a corrupt entry, deleted."""
-        self.counts.update({"hits": -1, "misses": 1, "corrupt": 1})
-        self._remove(self._entry_path(fingerprint))
-
 
 class LinkCache:
     """Both link tiers behind one handle.

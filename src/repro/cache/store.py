@@ -35,8 +35,9 @@ subdirectory, a schema number and a *codec* — how a payload becomes
 it in the serial form of :mod:`repro.asmlink.encode`, with what a warm
 compile reads in the header; ``variants/``, ``observe/`` and
 ``modules/`` hold one small record each as header facts with no body
-(:class:`FactsCodec`); ``parse/`` alone holds an object graph, pickled
-behind a closed allowlist (:mod:`.pickled`).
+(:class:`FactsCodec`); ``parse/`` holds a window's facts as header and
+its fingerprint text as body.  No tier holds an object graph, so no
+byte read from disk is unpickled.
 """
 
 from __future__ import annotations
@@ -168,6 +169,13 @@ class Store:
         """:meth:`get`, for the entry's bytes as they are stored: framing
         checked, the body's codec not run (what a cache server serves)."""
         return self._read(fingerprint, self._framed)
+
+    def reject(self, fingerprint: str) -> None:
+        """Take back the hit served from an entry whose payload proved
+        wrong once read: a corrupt entry, deleted — counted by whoever
+        deletes it, once."""
+        if self._remove(self._entry_path(fingerprint)):
+            self.counts.update({"hits": -1, "misses": 1, "corrupt": 1})
 
     def _framed(self, data: bytes) -> bytes:
         open_entry(data, self.SUBDIR, self.SCHEMA)

@@ -165,6 +165,11 @@ class ParallelCompiler:
         missed, fingerprints = self._serve_from_cache(
             parsed, combiner, counts
         )
+        # A parse hit's function is its signature stub; cost hints read trees.
+        missed = [
+            (sec, parsed.function(sec.name, fn.name, counts)[0])
+            for sec, fn in missed
+        ]
         misses = self._build_tasks(missed, source_text, filename)
         dispatched = bool(misses)
 

@@ -27,11 +27,12 @@ irregularity so diagnostics and digests stay byte-identical.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cache.link_store import LinkCache, ModuleRecord
@@ -69,7 +70,9 @@ from .results import FunctionReport, count_lookup
 
 @dataclass
 class ParsedProgram:
-    """Phase-1 output: the checked AST plus partitioning information."""
+    """Phase-1 output: the checked AST plus partitioning information.
+    A parse hit's function is its signature stub (``body`` and ``locals``
+    None, no scope) until :meth:`function` is asked for its tree."""
 
     module: ast.Module
     sema: SemaResult
@@ -79,6 +82,43 @@ class ParsedProgram:
     source_lines: int
     #: (section, function) -> fingerprint text, from the parse entries
     fingerprint_texts: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    #: (section, function) -> a parse hit's :func:`_parse_hit_again`
+    rebuilds: Dict[Tuple[str, str], Callable] = field(default_factory=dict)
+    #: a phase-1 memo hands one parse to many threads
+    _splicing: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def function(
+        self,
+        section_name: str,
+        function_name: str,
+        counts: Optional[Counter] = None,
+    ) -> Tuple[ast.Function, FunctionScope]:
+        """One function's checked tree and scope (KeyError if there is no
+        such function): a stub's window is parsed again and spliced in,
+        counted ``parse_cache.rebuilds`` into ``counts``."""
+        section = self.module.section_named(section_name)
+        if section is None:
+            raise KeyError(f"no section named {section_name!r}")
+        function = section.function_named(function_name)
+        if function is None:
+            raise KeyError(
+                f"no function {function_name!r} in section {section_name!r}"
+            )
+        key = (section_name, function_name)
+        if function.body is None:
+            tree, scope = self.rebuilds[key]()
+            with self._splicing:
+                if section.function_named(function_name) is function:
+                    # no other thread was first
+                    functions = section.functions
+                    functions[functions.index(function)] = tree
+                    self.sema.scopes[key] = scope
+                    if counts is not None:
+                        counts["parse_cache.rebuilds"] += 1
+                function = section.function_named(function_name)
+        return function, self.sema.scopes[key]
 
 
 @dataclass
@@ -189,8 +229,9 @@ def _parse_signature_stub(
 
 @dataclass
 class ParseFacts:
-    """What a compile reads of a window instead of its tree (an entry's
-    header): its ``parse_work`` (tokens but EOF) and ``sema_work``."""
+    """What a compile reads of a window instead of its tree — what the
+    parse cache holds: its ``parse_work`` (tokens but EOF), its
+    ``sema_work``, its call sites and its fingerprint text."""
 
     name: str
     lines: int
@@ -200,24 +241,12 @@ class ParseFacts:
     fingerprint_text: str
 
 
-@dataclass
-class ParseEntry(ParseFacts):
-    """One function window's checked parse, in window coordinates: what
-    a miss builds and what the parse cache serves on a hit."""
-
-    function: ast.Function
-    scope: FunctionScope
-
-    def __getstate__(self):  # a pickle holds the tree; the rest are facts
-        return {"function": self.function, "scope": self.scope}
-
-
 def _parse_and_check_window(
     text: str, table: Dict[str, ast.Function], spent: List[float]
-) -> ParseEntry:
+) -> Tuple[ParseFacts, ast.Function, FunctionScope]:
     """Lex, parse, and check one function window from its own text —
     offsets from 0, no filename — adding the parse and the check seconds
-    to ``spent``.
+    to ``spent``; returns its facts, tree and scope.
 
     Raises :class:`_WindowProblem` on any diagnostic (the fallback
     re-derives the canonical error report sequentially).
@@ -236,16 +265,24 @@ def _parse_and_check_window(
     spent[1] += time.perf_counter() - t1
     if sink.has_errors:
         raise _WindowProblem("window sema error")
-    return ParseEntry(
+    facts = ParseFacts(
         fn.name, fn.lines, len(tokens) - 1, _function_size(fn),
-        function_call_sites(fn), function_text(fn), fn, scope,
+        function_call_sites(fn), function_text(fn),
     )
+    return facts, fn, scope
 
 
-def _reparse(counts: Counter, *window) -> ParseEntry:
-    """A hit whose tree failed to decode: counted a miss, parsed after all."""
-    counts.update({"parse_cache.hits": -1, "parse_cache.misses": 1})
-    return _parse_and_check_window(*window)
+def _parse_hit_again(text, table, parse_cache, key, source_text, filename):
+    """A parse hit's tree and scope: its window parsed and checked as a
+    miss parses it.  A window that does not check was never the entry's:
+    the entry is counted corrupt and deleted, and the sequential front
+    end raises the canonical error report."""
+    try:
+        return _parse_and_check_window(text, table, [0.0, 0.0])[1:]
+    except _WindowProblem:
+        parse_cache.reject(key)
+        phase1_parse_and_check(source_text, filename)
+        raise  # unreachable while the two front ends agree
 
 
 def phase1_parallel(
@@ -265,10 +302,12 @@ def phase1_parallel(
     module shell with absolute spans, and the per-section signature
     table; then parse+check every function window from its own text
     against that read-only table — or serve it from ``parse_cache`` (a
-    :class:`~repro.cache.parse_store.ParseCache`), which holds exactly
-    what the parse builds; each get is counted into ``counts`` as
-    ``parse_cache.hits`` / ``parse_cache.misses``; a hit is read as its
-    :class:`ParseFacts`.  A final structure pass re-checks the
+    :class:`~repro.cache.parse_store.ParseCache`), which holds the
+    :class:`ParseFacts` the parse derives; each get is counted into
+    ``counts`` as ``parse_cache.hits`` / ``parse_cache.misses``.  A hit
+    is read as its facts, and its function is its signature stub until
+    :meth:`ParsedProgram.function` parses its window again.  A final
+    structure pass re-checks the
     whole-module properties (duplicate names, cell ranges, call cycles).
     The name records the window split's origin, not threads: the
     windows are independent, and are parsed in a loop.
@@ -336,60 +375,64 @@ def phase1_parallel(
     signature_s = time.perf_counter() - t_sig
 
     # -- per-function pass: a cache hit, or a parse of the window --------
-    entries: List[List[ParseEntry]] = []
+    sema = SemaResult(module)
+    texts: Dict[Tuple[str, str], str] = {}
+    rebuilds: Dict[Tuple[str, str], partial] = {}
+    section_calls: List[Dict[str, list]] = []
+    window_tokens = sema_work = 0
     spent = [0.0, 0.0]  # parse s, check s of the windows parsed here
     try:
-        for stubs, signatures, sec_bounds in zip(
-            section_stubs, section_hashes, boundaries.sections
+        for sec_node, stubs, signatures, sec_bounds in zip(
+            module.sections, section_stubs, section_hashes,
+            boundaries.sections,
         ):
             table: Dict[str, ast.Function] = {}
             for stub in stubs:  # first definition wins, like sema's table
                 table.setdefault(stub.name, stub)
-            section_entries = []
+            calls = {}
             for window, stub in zip(sec_bounds.function_windows, stubs):
                 text = source_text[window.start : window.end]
                 key = window_key(text, signatures)
-                rebuild = partial(_reparse, counts, text, table, spent)
-                entry = count_lookup(
-                    counts, "parse_cache", parse_cache.get(key, rebuild)
-                )
-                if entry is None:
-                    entry = _parse_and_check_window(text, table, spent)
-                    parse_cache.put(key, entry)
-                else:  # the tree stays encoded; lowering reads stubs
-                    entry.function.params = stub.params
-                    entry.function.return_type = stub.return_type
-                section_entries.append(entry)
-            entries.append(section_entries)
+                facts = parse_cache.get(key)
+                if facts is not None and facts.name != stub.name:
+                    parse_cache.reject(key)  # another window's entry
+                    facts = None
+                pair = (sec_node.name, stub.name)
+                if count_lookup(counts, "parse_cache", facts) is None:
+                    facts, function, scope = _parse_and_check_window(
+                        text, table, spent
+                    )
+                    parse_cache.put(key, facts)
+                    sema.scopes[pair] = scope
+                else:  # the stub stands for the tree until it is asked for
+                    function = stub
+                    stub.lines, stub.locals, stub.body = facts.lines, None, None
+                    rebuilds[pair] = partial(
+                        _parse_hit_again, text, table, parse_cache, key,
+                        source_text, filename,
+                    )
+                sec_node.functions.append(function)
+                calls[facts.name] = facts.calls
+                texts[pair] = facts.fingerprint_text
+                window_tokens += facts.token_count
+                sema_work += facts.ast_size
+            section_calls.append(calls)
     except _WindowProblem as problem:
         return _phase1_fallback(source_text, filename, stats, problem.reason)
 
-    # -- splice + structure pass ----------------------------------------
-    for sec_node, section_entries in zip(module.sections, entries):
-        sec_node.functions = [entry.function for entry in section_entries]
+    # -- structure pass ---------------------------------------------------
     t_struct = time.perf_counter()
     structure_sink = DiagnosticSink(source)
     check_module_structure(module, structure_sink)
     for sec_node in module.sections:
         section_function_table(sec_node, structure_sink)
-    for sec_node, section_entries in zip(module.sections, entries):
-        calls = {entry.name: entry.calls for entry in section_entries}
+    for sec_node, calls in zip(module.sections, section_calls):
         detect_call_cycles(sec_node.name, calls, structure_sink)
     structure_s = time.perf_counter() - t_struct
     if structure_sink.has_errors:
         return _phase1_fallback(
             source_text, filename, stats, "structure pass error"
         )
-
-    sema = SemaResult(module)
-    texts: Dict[Tuple[str, str], str] = {}
-    window_tokens = sema_work = 0
-    for sec_node, section_entries in zip(module.sections, entries):
-        for entry in section_entries:
-            sema.scopes[(sec_node.name, entry.name)] = entry.scope
-            texts[(sec_node.name, entry.name)] = entry.fingerprint_text
-            window_tokens += entry.token_count
-            sema_work += entry.ast_size
 
     if stats is not None:
         stats.mode = "parallel"
@@ -407,6 +450,7 @@ def phase1_parallel(
         sema_work=sema_work,
         source_lines=source.count_lines(),
         fingerprint_texts=texts,
+        rebuilds=rebuilds,
     )
 
 
@@ -433,14 +477,8 @@ def compile_one_function(
     options: CompileOptions,
 ) -> Tuple[ObjectFunction, FunctionReport]:
     """Phases 2+3 for exactly one function (a function master's job)."""
+    function, _ = parsed.function(section_name, function_name)
     section = parsed.module.section_named(section_name)
-    if section is None:
-        raise KeyError(f"no section named {section_name!r}")
-    function = section.function_named(function_name)
-    if function is None:
-        raise KeyError(
-            f"no function {function_name!r} in section {section_name!r}"
-        )
     fn_ir = lower_function(section, function, parsed.sema)
     ir_size = fn_ir.instruction_count()
     # Lowering's CFG, analysed once: the weight and the optimizer share it.

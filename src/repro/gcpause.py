@@ -1,13 +1,13 @@
 """Pausing the cyclic collector while a burst of long-lived objects is built.
 
-Loading a cache entry — unpickling a parse tree, decoding a program —
-allocates tens of thousands of small containers, none of them garbage,
-yet every allocation threshold crossed starts a collection over them
-(and now and then over the whole heap: 25 ms where a compile has just
-run).  :func:`collector_paused` switches the collector off for the load
-and puts it back the way the outermost pause found it.  The switch is
-process-wide, so the bookkeeping is too: pauses nest and overlap across
-threads, and the collector comes back on when the last one ends.
+Decoding a program from its bytes allocates tens of thousands of small
+containers, none of them garbage, yet every allocation threshold crossed
+starts a collection over them (and now and then over the whole heap:
+25 ms where a compile has just run).  :func:`collector_paused` switches
+the collector off for the load and puts it back the way the outermost
+pause found it.  The switch is process-wide, so the bookkeeping is too:
+pauses nest and overlap across threads, and the collector comes back on
+when the last one ends.
 """
 
 from __future__ import annotations

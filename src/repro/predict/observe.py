@@ -70,12 +70,8 @@ def _resolve(task: FunctionTask) -> Optional[Tuple[str, float]]:
     to it."""
     try:
         parsed, _ = phase1_cached(task.source_text, task.filename)
+        function, _ = parsed.function(task.section_name, task.function_name)
         section = parsed.module.section_named(task.section_name)
-        if section is None:
-            return None
-        function = section.function_named(task.function_name)
-        if function is None:
-            return None
         fingerprint = function_fingerprint(section, function, task.options)
         return fingerprint, ast_cost_hint(function)
     except Exception:

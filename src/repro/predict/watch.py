@@ -114,7 +114,9 @@ class SpeculationManager:
             self.counts["updates"] += 1
         try:
             parsed, _ = phase1_cached(source, filename)
-            fingerprints = module_fingerprints(parsed.module, options)
+            fingerprints = module_fingerprints(
+                parsed.module, options, texts=parsed.fingerprint_texts
+            )
         except Exception:
             # A broken intermediate edit state: skip, keep the previous
             # snapshot (and any job speculating on it) untouched.

@@ -270,7 +270,8 @@ def search_module(
     # Reference-config fingerprints identify the function *body*; the
     # config under measurement is a separate key component.
     base_fps = module_fingerprints(
-        parsed.module, space.reference.options(options), salt=compiler_salt()
+        parsed.module, space.reference.options(options), salt=compiler_salt(),
+        texts=parsed.fingerprint_texts,
     )
 
     sealed_index: Dict[str, Dict[FnKey, FunctionTaskResult]] = {

@@ -1,8 +1,13 @@
 """Binary download-module format: round-trip and robustness."""
 
+import gc
+import sys
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.asmlink import encode
 from repro.asmlink.download import module_digest, module_listing
 from repro.asmlink.encode import (
     FormatError,
@@ -114,6 +119,85 @@ class TestRobustness:
         """The binary form is smaller than the listing."""
         data = encode_module(compiled.download)
         assert len(data) < len(module_listing(compiled.download).encode("utf-8"))
+
+
+class TestCollectorPausedAroundDecode:
+    """Decoding a program switches the cyclic collector off for the
+    load and puts it back the way it found it
+    (:func:`repro.gcpause.collector_paused`)."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.fixture
+    def during(self, monkeypatch):
+        """Whether the collector was on, each time a decode built a
+        program."""
+        seen = []
+        build = encode.CellProgram
+
+        def spy(**fields):
+            for _ in range(2000):  # Python code: a thread switch can land here
+                pass
+            seen.append(gc.isenabled())
+            return build(**fields)
+
+        monkeypatch.setattr(encode, "CellProgram", spy)
+        return seen
+
+    @staticmethod
+    def _blob(compiled):
+        return encode_program(next(iter(compiled.download.cell_programs.values())))
+
+    def test_off_during_the_load_and_restored_after_it(self, compiled, during):
+        blob = self._blob(compiled)
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            decode_program(blob)
+            assert gc.isenabled() is before
+        assert during == [False, False]
+
+    def test_restored_when_the_load_raises(self, compiled):
+        blob = self._blob(compiled)
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            with pytest.raises(FormatError):
+                decode_program(blob[: len(blob) // 2])
+            assert gc.isenabled() is before
+
+    def test_two_threads_leave_it_as_they_found_it(self, compiled, during):
+        """The switch is process-wide: if saves and restores from two
+        threads interleaved, the first to finish would turn the collector
+        back on under the other's load, or the last would put back the
+        "off" it saw while another had it paused."""
+        blob = self._blob(compiled)
+        failures = []
+
+        def reader():
+            try:
+                for _ in range(50):
+                    decode_program(blob)
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        gc.enable()
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(during) == 4 * 50 and not any(during)
+        assert gc.isenabled()
 
 
 class TestSeededRoundTripProperty:

@@ -175,8 +175,6 @@ class TestServerSide:
         import os
         import pickle
 
-        from repro.cache import pickled
-
         canary = tmp_path / "pwned"
 
         class Evil:
@@ -187,7 +185,6 @@ class TestServerSide:
         entered = []
         for module, name in (
             (pickle, "loads"), (pickle, "load"), (pickle, "Unpickler"),
-            (pickled, "restricted_loads"), (pickled, "_RestrictedUnpickler"),
         ):
             monkeypatch.setattr(
                 module, name, lambda *a, _name=name, **k: entered.append(_name)

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro import CompileOptions
-from repro.cache import ArtifactCache, compiler_salt, module_fingerprints, pickled
+from repro.cache import ArtifactCache, compiler_salt, module_fingerprints
 from repro.cache.store import open_entry, seal_entry
 from repro.driver.function_master import FunctionTask, run_compile_task
 from repro.driver.master import ParallelCompiler
@@ -261,8 +261,6 @@ def unpicklers_entered(monkeypatch):
         (pickle, "loads"),
         (pickle, "load"),
         (pickle, "Unpickler"),
-        (pickled, "restricted_loads"),
-        (pickled, "_RestrictedUnpickler"),
     ):
         monkeypatch.setattr(module, name, trap(f"{module.__name__}.{name}"))
     return entered

@@ -12,13 +12,10 @@ window builds (a window parses in its own coordinates) — and, on error
 modules, identical rendered diagnostics.
 """
 
-import pickle
-import struct
 import sys
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 
@@ -32,7 +29,7 @@ from repro.cache import (
     fingerprint,
     module_fingerprints,
     parse_store,
-    pickled,
+    window_key,
 )
 from repro.cache.fingerprint import function_text
 from repro.cache.store import open_entry, seal_entry
@@ -42,6 +39,7 @@ from repro.driver.phases import (
     ParseFacts,
     Phase1Stats,
     _function_size,
+    _parse_signature_stub,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -50,10 +48,9 @@ from repro.fuzz import config_for_size_class, generate_program
 from repro.lang.boundary import scan_boundaries
 from repro.lang.diagnostics import CompileError, DiagnosticSink
 from repro.lang.lexer import tokenize
-from repro.lang.ast_nodes import Function
 from repro.lang.parser import Parser
 from repro.lang.sema import function_call_sites
-from repro.lang.source import Position, SourceFile, Span
+from repro.lang.source import SourceFile
 from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
 from repro.workloads.synthetic import synthetic_program
@@ -73,7 +70,10 @@ def _window_parse(text: str):
 
 def _assert_same_module(par, seq, source: str):
     """phase1_parallel's module is the sequential one in everything a
-    later phase reads; a function subtree is measured from its window."""
+    later phase reads once each hit's tree is asked for; a function
+    subtree is measured from its window."""
+    for section, fn in list(par.module.all_functions()):
+        par.function(section.name, fn.name)
     # Module and section spans are absolute, as in the sequential parse.
     assert par.module.span == seq.module.span
     assert [s.span for s in par.module.sections] == [
@@ -436,7 +436,9 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
         par = phase1_parallel(SOURCE, "b.w2", parse_cache=cache, counts=counts)
         assert counts == {"parse_cache.hits": FUNCTIONS}
         window = scan_boundaries(SOURCE).all_windows()[0]
-        served = par.module.sections[0].functions[0]
+        stub = par.module.sections[0].functions[0]
+        assert (stub.body, stub.locals) == (None, None)
+        served, _ = par.function(par.module.sections[0].name, stub.name)
         assert served == _window_parse(SOURCE[window.start : window.end])
         seq = phase1_parse_and_check(SOURCE, "b.w2")
         _assert_same_module(par, seq, SOURCE)
@@ -462,12 +464,8 @@ def test_an_entry_written_under_parse_schema_2_is_a_miss(tmp_path, monkeypatch):
     cache = ParseCache(tmp_path / "current")
     phase1_parallel(SOURCE, parse_cache=cache)
     for path in (tmp_path / "current" / "parse").rglob("*.entry"):
-        entry = ParseCache.open(path.read_bytes())
-        start, end = entry.function.span
-        entry.function.span = Span(
-            "", Position(1, 1, start), Position(entry.function.lines, 4, end)
-        )
-        path.write_bytes(seal_entry("parse", 2, {}, pickle.dumps(entry)))
+        facts, body = open_entry(path.read_bytes(), "parse", ParseCache.SCHEMA)
+        path.write_bytes(seal_entry("parse", 2, facts, body))
     counts = Counter()
     par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
     assert counts == {"parse_cache.misses": FUNCTIONS}
@@ -522,21 +520,16 @@ def test_an_entry_with_a_flawed_fact_is_a_counted_corrupt_miss(
     _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
 
 
-def _text_past_the_end(body):
-    return struct.pack("<I", len(body)) + body[4:]
-
-
 def _text_not_utf8(body):
-    return body[:4] + b"\xff" + body[5:]
+    return b"\xff" + body[1:]
 
 
-@pytest.mark.parametrize("mangle", [_text_past_the_end, _text_not_utf8])
+@pytest.mark.parametrize("mangle", [_text_not_utf8])
 def test_an_entry_whose_body_has_no_text_is_a_counted_corrupt_miss(
     tmp_path, mangle
 ):
-    """The fingerprint text leads the body, behind its size, and is read
-    on open: a size past the body's end or bytes that are not UTF-8 make
-    the entry corrupt, like a flawed fact."""
+    """The body is the fingerprint text, read on open: bytes that are
+    not UTF-8 make the entry corrupt, like a flawed fact."""
     cache = ParseCache(tmp_path)
     phase1_parallel(SOURCE, parse_cache=cache)
     for path in (tmp_path / "parse").rglob("*.entry"):
@@ -553,111 +546,179 @@ def test_an_entry_whose_body_has_no_text_is_a_counted_corrupt_miss(
 
 
 def test_a_hit_whose_tree_is_another_functions_is_parsed_again(tmp_path):
-    """A tree is decoded only when read, so only then can it be found
-    wrong: two entries whose sound headers sit beside each other's trees
-    open as hits, and reading them takes the hits back — counted corrupt
-    misses, deleted — and parses their windows again."""
+    """Two sound entries, each moved under the other's key: each names
+    another function than the window it is found for, so neither is
+    served — counted corrupt misses, deleted — and both windows are
+    parsed again and their own entries written back."""
     cache = ParseCache(tmp_path)
     phase1_parallel(SOURCE, parse_cache=cache)
-    first, second = sorted((tmp_path / "parse").rglob("*.entry"))[:2]
-    opened = {}
-    for path in (first, second):
-        facts, body = open_entry(path.read_bytes(), "parse", ParseCache.SCHEMA)
-        del facts["sha256"]
-        text_end = 4 + struct.unpack_from("<I", body)[0]
-        opened[path] = facts, body[:text_end], body[text_end:]
-    for path, other in ((first, second), (second, first)):
-        facts, text, _ = opened[path]
-        path.write_bytes(seal_entry(
-            "parse", ParseCache.SCHEMA, facts, text + opened[other][2]
-        ))
+    paths = sorted((tmp_path / "parse").rglob("*.entry"))
+    names = {path: ParseCache.open(path.read_bytes()).name for path in paths}
+    first = paths[0]
+    second = next(path for path in paths if names[path] != names[first])
+    swapped = second.read_bytes(), first.read_bytes()
+    first.write_bytes(swapped[0])
+    second.write_bytes(swapped[1])
     counts = Counter()
     cache = ParseCache(tmp_path)
     par = phase1_parallel(SOURCE, parse_cache=cache, counts=counts)
-    assert counts == {"parse_cache.hits": FUNCTIONS}
-    _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
+    assert counts == {
+        "parse_cache.hits": FUNCTIONS - 2, "parse_cache.misses": 2,
+    }
     assert cache.counts == {
         "hits": FUNCTIONS - 2, "misses": 2, "corrupt": 2
     }
-    assert not first.exists() and not second.exists()
+    assert [ParseCache.open(path.read_bytes()).name for path in (first, second)] == [
+        names[first], names[second],
+    ]
+    _assert_same_module(par, phase1_parse_and_check(SOURCE), SOURCE)
 
 
-def test_every_entrys_facts_are_its_decoded_trees(tmp_path):
-    """Over the corpus, what a hit reads instead of the tree is what the
-    tree says: name, lines, AST size, call sites and fingerprint text
-    recomputed from the decoded tree, the token count from relexing the
-    window that parses to it."""
+def test_every_entrys_facts_are_a_fresh_parse_of_its_window(tmp_path):
+    """Over the corpus, what a hit reads instead of the tree is what a
+    fresh parse of its window says: name, lines, AST size, call sites
+    and fingerprint text recomputed from the tree, the token count from
+    relexing the window."""
     from test_lexer_pins import INPUTS
 
     for name, source in INPUTS.items():
         cache = ParseCache(tmp_path / name)
         phase1_parallel(source, parse_cache=cache)
-        windows = [
-            source[w.start : w.end]
-            for w in scan_boundaries(source).all_windows()
-        ]
-        entries = [
-            ParseCache.open(path.read_bytes())
-            for path in (tmp_path / name / "parse").rglob("*.entry")
-        ]
-        assert 0 < len(entries) <= len(windows), name
-        for entry in entries:
-            fn = entry.function
-            text = next(w for w in windows if _window_parse(w) == fn)
-            recomputed = ParseFacts(
+        recomputed = []
+        for window in scan_boundaries(source).all_windows():
+            text = source[window.start : window.end]
+            fn = _window_parse(text)
+            recomputed.append(ParseFacts(
                 fn.name, fn.lines,
                 len(tokenize(SourceFile("", text), DiagnosticSink())) - 1,
                 _function_size(fn), function_call_sites(fn),
                 function_text(fn),
-            )
-            facts = ParseFacts(
-                **{f.name: getattr(entry, f.name) for f in fields(ParseFacts)}
-            )
-            assert facts == recomputed, (name, fn.name)
-            assert type(fn) is Function and entry.scope.function is fn
+            ))
+        entries = [
+            ParseCache.open(path.read_bytes())
+            for path in (tmp_path / name / "parse").rglob("*.entry")
+        ]
+        assert 0 < len(entries) <= len(recomputed), name
+        for facts in entries:
+            assert facts in recomputed, (name, facts.name)
+        for facts in recomputed:
+            assert facts in entries, (name, facts.name)
 
 
-def test_threads_sharing_a_hit_decode_its_body_once(tmp_path, monkeypatch):
-    """A phase-1 memo may hand one parse to many threads: reading a hit's
-    tree from all of them at once decodes its body once, and every
-    thread sees the whole tree and its scope."""
-    cache = ParseCache(tmp_path)
-    phase1_parallel(SOURCE, parse_cache=cache)
-    par = phase1_parallel(SOURCE, parse_cache=cache)
-    section = par.module.sections[0]
-    decodes = []
-    loads = pickled.restricted_loads
-    monkeypatch.setattr(
-        pickled, "restricted_loads",
-        lambda blob, allowed: decodes.append(1) or loads(blob, allowed),
+def _forge(cache_dir, source, edited, function_name):
+    """Seal the sound entry ``source`` stores for ``function_name`` at
+    the key of that function's window in ``edited``; returns its path."""
+    phase1_parallel(source, parse_cache=ParseCache(cache_dir))
+    entries = [
+        ParseCache.open(path.read_bytes())
+        for path in (cache_dir / "parse").rglob("*.entry")
+    ]
+    facts = next(entry for entry in entries if entry.name == function_name)
+    windows = scan_boundaries(edited).sections[0].function_windows
+    stubs = [
+        _parse_signature_stub(SourceFile("", edited), w) for w in windows
+    ]
+    section = phase1_parse_and_check(source).module.sections[0]
+    signatures = parse_store.signature_table_hash(
+        section.name, section.first_cell, section.last_cell, stubs
     )
-    seen = []
+    window = next(
+        w for w, stub in zip(windows, stubs) if stub.name == function_name
+    )
+    key = window_key(edited[window.start : window.end], signatures)
+    ParseCache(cache_dir).put(key, facts)
+    return ParseCache(cache_dir)._entry_path(key)
 
-    def read(fn):
-        scope = par.sema.scopes[(section.name, fn.name)]
-        seen.append((fn.name, len(fn.body), len(scope.symbols)))
+
+def test_a_sound_entry_at_a_window_that_does_not_check_is_corrupt(tmp_path):
+    """A sound header and text stored at the key of a window that does
+    not check open as a hit; asking for its tree parses the window,
+    which fails: the entry is counted corrupt and deleted, and the
+    compile raises the sequential front end's error report."""
+    edited = SOURCE.replace("acc := 0.0;", "acc := undeclared;", 1)
+    assert edited != SOURCE
+    path = _forge(tmp_path, SOURCE, edited, "f1")
+    with pytest.raises(CompileError) as seq_err:
+        SequentialCompiler().compile(edited, "t.w2")
+    clear_phase1_cache()
+    cache = ParseCache(tmp_path)
+    compiler = ParallelCompiler(backend=SerialBackend(), parse_cache=cache)
+    for _ in range(2):  # the second compile takes the phase-1 memo's parse
+        with pytest.raises(CompileError) as par_err:
+            compiler.compile(edited, "t.w2")
+        assert _render(par_err.value) == _render(seq_err.value)
+    assert cache.counts == {"hits": FUNCTIONS - 1, "misses": 1, "corrupt": 1}
+    assert not path.exists()
+
+
+def test_compilers_sharing_a_memo_on_eight_threads_match_sequential(tmp_path):
+    """The compile service runs many compiles in one process on one
+    phase-1 memo, so an in-process function master may be handed a
+    parse hit's stub its own master never asked for: another compile,
+    whose artifacts all hit, left its parse in the memo.  First that
+    hand-over itself, then two compilers at different optimization
+    levels on one cache root, eight threads, the memo cleared before
+    every compile: every digest is the sequential compiler's, and
+    nothing raises."""
+    from repro.driver.function_master import (
+        FunctionTask, phase1_cached, run_function_master,
+    )
+
+    source = synthetic_program("small", 8)
+    levels = (CompileOptions(opt_level=1), CompileOptions(opt_level=2))
+    sequential = {
+        options: SequentialCompiler(options).compile(source)
+        for options in levels
+    }
+
+    def compiler(options):
+        return ParallelCompiler(
+            backend=SerialBackend(), options=options,
+            cache=ArtifactCache(tmp_path), parse_cache=ParseCache(tmp_path),
+        )
+
+    compiler(levels[0]).compile(source)  # parse entries, level-1 artifacts
+    clear_phase1_cache()
+    compiler(levels[0]).compile(source)  # every artifact hits: no tree asked for
+    parsed, _ = phase1_cached(source)
+    assert all(fn.body is None for _, fn in parsed.module.all_functions())
+    for want in sequential[levels[1]].results:
+        task = FunctionTask(
+            source, "<input>", want.section_name, want.function_name,
+            options=levels[1],
+        )
+        assert run_function_master(task).payload_digest == want.payload_digest
+
+    compilers = [compiler(options) for options in levels]
+    seen, failures = [], []
+
+    def compile_(compiler):
+        try:
+            for _ in range(3):
+                clear_phase1_cache()
+                seen.append((compiler.options, compiler.compile(source).digest))
+        except BaseException as exc:  # pragma: no cover - reported below
+            failures.append(exc)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=read, args=(fn,))
-            for fn in section.functions for _ in range(8)
+            threading.Thread(target=compile_, args=(compilers[i % 2],))
+            for i in range(8)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=30)
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(decodes) == FUNCTIONS
-    want = phase1_parse_and_check(SOURCE)
-    assert sorted(set(seen)) == sorted(
-        (fn.name, len(fn.body), len(want.sema.scopes[(s.name, fn.name)].symbols))
-        for s, fn in want.module.all_functions()
+    assert failures == []
+    assert len(seen) == 8 * 3
+    assert all(
+        digest == sequential[options].digest for options, digest in seen
     )
-    assert len(seen) == 8 * FUNCTIONS
 
 
 def test_a_one_edit_compile_walks_one_tree_and_decodes_none(
@@ -665,8 +726,8 @@ def test_a_one_edit_compile_walks_one_tree_and_decodes_none(
 ):
     """Eight functions, one edited, all three tiers: the edited window
     is parsed (one tree walked for its fingerprint text); the seven hits
-    are their headers — no tree decoded, no fingerprint walk — and the
-    fingerprints are a fresh sequential parse's."""
+    are their headers — no window parsed again, no fingerprint walk —
+    and the fingerprints are a fresh sequential parse's."""
     source = synthetic_program("small", 8)
     edited = source.replace("acc := 0.0;", "acc := 0.0;\n    acc := acc + 1.0;", 1)
     assert edited != source
@@ -681,16 +742,11 @@ def test_a_one_edit_compile_walks_one_tree_and_decodes_none(
         ).compile(text)
 
     compile_(source)
-    walks, decodes, served = [], [], []
+    walks, served = [], []
     feed = fingerprint._feed_function
     monkeypatch.setattr(
         fingerprint, "_feed_function",
         lambda h, fn: walks.append(fn.name) or feed(h, fn),
-    )
-    loads = pickled.restricted_loads
-    monkeypatch.setattr(
-        pickled, "restricted_loads",
-        lambda blob, allowed: decodes.append(1) or loads(blob, allowed),
     )
     fingerprints = cache_package.module_fingerprints
     monkeypatch.setattr(
@@ -703,12 +759,63 @@ def test_a_one_edit_compile_walks_one_tree_and_decodes_none(
 
     assert result.profile.counts["parse_cache.hits"] == 7
     assert result.profile.counts["artifact_cache.misses"] == 1
-    assert walks == ["f1"] and decodes == []
+    assert "parse_cache.rebuilds" not in result.profile.counts
+    assert walks == ["f1"]
     options = CompileOptions()
     assert served == [module_fingerprints(
         phase1_parse_and_check(edited).module, options, salt=compiler_salt()
     )]
     assert result.digest == SequentialCompiler(options).compile(edited).digest
+
+
+def test_memo_readers_fingerprint_a_parse_hits_tree(tmp_path, monkeypatch):
+    """A three-tier compile whose parse entries all hit leaves its parse
+    — every function a signature stub — in the phase-1 memo.  What else
+    reads that memo — the variant search, the watch update, the cost
+    model's task fingerprint — fingerprints each function as a fresh
+    sequential parse does."""
+    from repro.driver.function_master import FunctionTask, phase1_cached
+    from repro.predict import task_fingerprint
+    from repro.predict import watch as watch_module
+    from repro.search import searcher
+    from repro.service.server import CompileService
+
+    options = CompileOptions()
+
+    def compile_(filename):
+        clear_phase1_cache()
+        return ParallelCompiler(
+            backend=SerialBackend(),
+            cache=ArtifactCache(tmp_path),
+            parse_cache=ParseCache(tmp_path),
+            link_cache=LinkCache(tmp_path),
+        ).compile(SOURCE, filename)
+
+    compile_("a.w2")
+    # every config's artifacts, so that no compile of the search below
+    # asks for a tree
+    searcher.search_module(SOURCE, "a.w2", cache=ArtifactCache(tmp_path))
+    warm = compile_("b.w2")  # the module record is keyed by the file name
+    assert warm.profile.counts["parse_cache.hits"] == FUNCTIONS
+    parsed, _ = phase1_cached(SOURCE, "b.w2")
+    assert all(fn.body is None for _, fn in parsed.module.all_functions())
+
+    seq = phase1_parse_and_check(SOURCE)
+    want = module_fingerprints(seq.module, options, salt=compiler_salt())
+    served = []
+    for module in (searcher, watch_module):
+        monkeypatch.setattr(
+            module, "module_fingerprints",
+            lambda *args, fingerprints=module.module_fingerprints, **kwargs:
+            served.append(fingerprints(*args, **kwargs)) or served[-1],
+        )
+    searcher.search_module(SOURCE, "b.w2", cache=ArtifactCache(tmp_path))
+    with CompileService(SerialBackend(), ArtifactCache(tmp_path)) as service:
+        service.watch_update(SOURCE, watch="w", filename="b.w2")
+    assert served == [want, want]
+    for section, fn in seq.module.all_functions():
+        task = FunctionTask(SOURCE, "b.w2", section.name, fn.name)
+        assert task_fingerprint(task) == want[(section.name, fn.name)]
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +841,8 @@ def test_compiler_with_parallel_front_end_is_bit_identical():
         warm = compiler.compile(SOURCE)
         assert warm.digest == seq.digest
         assert warm.profile.counts["parse_cache.hits"] == FUNCTIONS
+        # no artifact tier: every hit's window is parsed again for its task
+        assert warm.profile.counts["parse_cache.rebuilds"] == FUNCTIONS
         assert "parse_cache.misses" not in warm.profile.counts
         assert warm.profile.phase1_parse_ms >= 0.0
         assert "phase1_mode" in warm.profile.to_dict()

@@ -7,17 +7,12 @@ as a miss, never returned as an artifact.  These tests hammer one store
 directory from many real processes to prove it.
 """
 
-import gc
 import os
 import pickle
-import sys
-import threading
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
-import pytest
-
-from repro.cache.pickled import PickleCodec
-from repro.cache.store import Store
+from repro.cache.store import FactsCodec, Store, seal_entry
 
 KEYS = [f"{i:02x}" * 32 for i in range(8)]
 
@@ -38,6 +33,28 @@ class _BlobStore(Store):
 
     SUBDIR = "blobs"
     codec = _BytesCodec()
+
+
+@dataclass
+class _Number:
+    value: int
+
+
+@dataclass
+class _Word:
+    value: str
+
+
+class _Numbers(Store):
+    SUBDIR = "probe"
+    codec = FactsCodec(_Number)
+
+
+class _Words(Store):
+    """Another record type in the same tier directory."""
+
+    SUBDIR = "probe"
+    codec = FactsCodec(_Word)
 
 
 def _value_for(key: str, round_no: int) -> bytes:
@@ -133,10 +150,10 @@ class TestQuarantine:
         assert not path.exists()
 
     def test_wrong_payload_type_is_quarantined(self, tmp_path):
-        store = _PickledNumbers(tmp_path / "s")
+        store = _Numbers(tmp_path / "s")
         key = KEYS[2]
-        # A well-formed entry whose pickle is of the WRONG type.
-        _PickledAnything(tmp_path / "s").put(key, {"not": "a number"})
+        # A well-formed entry whose facts are of the WRONG type.
+        _Words(tmp_path / "s").put(key, _Word("not a number"))
         path = store._entry_path(key)
         assert path.exists()
         assert store.get(key) is None
@@ -147,9 +164,9 @@ class TestQuarantine:
         """Tier confusion: a sound entry, moved under another tier's
         directory, names the tier it was written for."""
         blobs = _BlobStore(tmp_path / "s")
-        numbers = _PickledNumbers(tmp_path / "s")
+        numbers = _Numbers(tmp_path / "s")
         key = KEYS[2]
-        numbers.put(key, 7)
+        numbers.put(key, _Number(7))
         target = blobs._entry_path(key)
         target.parent.mkdir(parents=True)
         os.replace(numbers._entry_path(key), target)
@@ -173,21 +190,27 @@ class TestQuarantine:
             assert not path.exists()
 
     def test_pickle_naming_a_foreign_global_never_runs(self, tmp_path):
-        """The disk is a trust boundary: an entry whose pickle names
-        ``os.system`` is corrupt, and nothing it names is called."""
+        """The disk is a trust boundary: an entry whose sound header sits
+        beside a pickle naming ``os.system`` is corrupt — no tier
+        unpickles — and nothing it names is called."""
         canary = tmp_path / "pwned"
 
         class Evil:
             def __reduce__(self):
                 return (os.system, (f"touch {canary}",))
 
-        store = _PickledNumbers(tmp_path / "s")
+        store = _Numbers(tmp_path / "s")
         key = KEYS[5]
-        store.put(key, Evil())  # a writer is free to pickle anything
+        path = store._entry_path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(seal_entry(
+            _Numbers.SUBDIR, _Numbers.SCHEMA, {"value": 7},
+            pickle.dumps(Evil()),  # a writer is free to write anything
+        ))
         assert store.get(key) is None
         assert store.counts["corrupt"] == 1
-        assert not store._entry_path(key).exists()
-        assert not canary.exists(), "restricted unpickler executed a payload"
+        assert not path.exists()
+        assert not canary.exists(), "an entry's payload was executed"
 
     def test_tmp_files_never_count_as_entries(self, tmp_path):
         store = _BlobStore(tmp_path / "s")
@@ -267,93 +290,3 @@ class TestSizeBound:
         assert not old.exists()
         assert store.size_bytes() <= 2 * entry
 
-
-def _collector_state():
-    for _ in range(2000):  # Python code, so a thread switch can land here
-        pass
-    return gc.isenabled()
-
-
-class _PickledAnything(Store):
-    """A pickling tier for these tests: any payload type, and the one
-    function ``_DuringLoad`` reduces to on its allowlist."""
-
-    SUBDIR = "probe"
-    codec = PickleCodec(object, _collector_state)
-
-
-class _PickledNumbers(Store):
-    SUBDIR = "probe"
-    codec = PickleCodec(int)
-
-
-class _DuringLoad:
-    """Unpickles to whether the cyclic collector is on *during* the load."""
-
-    def __reduce__(self):
-        return _collector_state, ()
-
-
-class TestCollectorPausedAroundUnpickle:
-    """A pickling tier's ``get`` switches the cyclic collector off for
-    the unpickle and puts it back the way it found it."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_collector(self):
-        was_enabled = gc.isenabled()
-        yield
-        (gc.enable if was_enabled else gc.disable)()
-
-    def test_off_during_the_load_and_restored_on_a_hit(self, tmp_path):
-        store = _PickledAnything(tmp_path / "s")
-        store.put(KEYS[0], _DuringLoad())
-        for before in (True, False):
-            (gc.enable if before else gc.disable)()
-            assert store.get(KEYS[0]) is False  # collector off in the load
-            assert gc.isenabled() is before
-        assert store.counts["hits"] == 2
-
-    def test_restored_on_miss_and_corrupt_entry(self, tmp_path):
-        store = _PickledAnything(tmp_path / "s")
-        store.put(KEYS[1], [1, 2, 3])
-        store._entry_path(KEYS[1]).write_bytes(b"\x80\x04 not a pickle")
-        for before in (True, False):
-            (gc.enable if before else gc.disable)()
-            assert store.get(KEYS[0]) is None  # never written: a miss
-            assert gc.isenabled() is before
-        gc.enable()
-        assert store.get(KEYS[1]) is None
-        assert store.counts["corrupt"] == 1
-        assert gc.isenabled()
-
-    def test_two_threads_leave_it_as_they_found_it(self, tmp_path):
-        """The switch is process-wide: if saves and restores from two
-        threads interleaved, the first to finish would turn the collector
-        back on under the other's load, or the last would put back the
-        "off" it saw while another had it paused."""
-        store = _PickledAnything(tmp_path / "s")
-        store.put(KEYS[2], [_DuringLoad() for _ in range(20)])
-        seen, failures = [], []
-
-        def reader():
-            try:
-                for _ in range(10):
-                    seen.extend(store.get(KEYS[2]))
-            except BaseException as exc:  # pragma: no cover - reported below
-                failures.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        gc.enable()
-        try:
-            threads = [threading.Thread(target=reader) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == []
-        assert len(seen) == 4 * 10 * 20 and not any(seen)
-        assert gc.isenabled()

@@ -47,7 +47,7 @@ from repro.asmlink import assembler, objformat
 from repro.asmlink.encode import decode_module, encode_module
 from repro.asmlink.objformat import CellProgram, DownloadModule
 from repro import CompileOptions
-from repro.cache import ArtifactCache, LinkCache, ParseCache, pickled
+from repro.cache import ArtifactCache, LinkCache, ParseCache
 from repro.cache import store as store_module
 from repro.cache.link_store import ModuleStore
 from repro.cli import main
@@ -385,7 +385,8 @@ def refuse_everywhere(monkeypatch, original, what):
 
 def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
     """One record and its section programs: no lex, no parse, no
-    unpickle, no decoded instruction, no artifact read."""
+    unpickle, no decoded instruction, no artifact read, no window parsed
+    again."""
     source = SESSION[0].source
     cold, _ = cached_compile(tmp_path, source)
     assert cold.profile.counts["artifact_cache.misses"] == 8
@@ -397,12 +398,7 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
     for name in ("bundles", "_decode_bundle", "string_table"):
         monkeypatch.setattr(encode._Reader, name, refuse(name))
     monkeypatch.setattr(pickle, "loads", refuse("pickle.loads"))
-    unpickled = []
-    loads = pickled.restricted_loads
-    monkeypatch.setattr(
-        pickled, "restricted_loads",
-        lambda blob, allowed: unpickled.append(allowed) or loads(blob, allowed),
-    )
+    monkeypatch.setattr(pickle, "Unpickler", refuse("pickle.Unpickler"))
     opened = []
     open_entry = store_module.open_entry
     monkeypatch.setattr(
@@ -414,7 +410,6 @@ def test_a_no_edit_compile_decodes_nothing(tmp_path, monkeypatch):
     warm, compiler = cached_compile(tmp_path, source)
 
     assert sorted(opened) == ["link", "modules"]
-    assert unpickled == []
     assert compiler.cache.counts["hits"] + compiler.cache.counts["misses"] == 0
     # what the record answer read: the record and its section programs
     assert warm.profile.counts == {
@@ -669,7 +664,10 @@ def test_a_damaged_entry_is_counted_quarantined_and_recompiled(
 
 
 def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
-    """The parse tier still unpickles — through its own allowlist."""
+    """No tier unpickles: a parse entry whose sound header sits beside a
+    pickle naming ``os.system`` is a body that is no fingerprint text —
+    a counted corrupt miss, deleted and written afresh by its window's
+    parse — and nothing it names runs."""
     source = PROGRAMS["generated_11"]
     want = sequential(source).digest
     cached_compile(tmp_path, source)
@@ -681,57 +679,18 @@ def test_a_parse_entry_naming_a_foreign_global_is_corrupt(tmp_path):
 
     drop_records(tmp_path)
     victim = entries_of(tmp_path, "parse")[0]
-    ParseCache(tmp_path).put(victim.stem, Evil())
-    result, compiler = cached_compile(tmp_path, source)
-    assert compiler.parse_cache.counts["corrupt"] == 1
-    assert not canary.exists()
-    assert result.digest == want
-
-
-def test_a_parse_hit_whose_tree_names_a_foreign_global_is_a_corrupt_miss(
-    tmp_path,
-):
-    """A parse hit opens on its header; its tree is unpickled only when
-    the compile needs it, here because every artifact misses.  A sound
-    header sealed beside an ``os.system`` pickle constructs nothing then
-    either: the hit is taken back as a counted corrupt miss, its entry
-    deleted, and its window parsed again."""
-    source = PROGRAMS["generated_11"]
-    want = sequential(source).digest
-    cached_compile(tmp_path, source)
-    canary = tmp_path / "pwned"
-
-    class Evil:
-        def __reduce__(self):
-            return (os.system, (f"touch {canary}",))
-
-    victim = entries_of(tmp_path, "parse")[0]
-    facts, body = store_module.open_entry(
+    facts, _ = store_module.open_entry(
         victim.read_bytes(), "parse", ParseCache.SCHEMA
     )
     del facts["sha256"]
-    text_end = 4 + struct.unpack_from("<I", body)[0]
     victim.write_bytes(store_module.seal_entry(
-        "parse", ParseCache.SCHEMA, facts,
-        body[:text_end] + pickle.dumps(Evil()),
+        "parse", ParseCache.SCHEMA, facts, pickle.dumps(Evil())
     ))
-    for tier in ("modules", "objects", "link"):
-        for path in entries_of(tmp_path, tier):
-            path.unlink()
     result, compiler = cached_compile(tmp_path, source)
-    assert result.digest == want
-    assert not canary.exists()
     assert compiler.parse_cache.counts["corrupt"] == 1
-    assert compiler.parse_cache.counts["misses"] == 1
-    # the compile's own counts say the same: the hit became a miss
     assert result.profile.counts["parse_cache.misses"] == 1
-    assert result.profile.counts["parse_cache.hits"] == (
-        compiler.parse_cache.counts["hits"]
-    )
-    assert not victim.exists()
-    again, compiler = cached_compile(tmp_path, source)
-    assert again.digest == want
-    assert compiler.parse_cache.counts["corrupt"] == 0
+    assert not canary.exists()
+    assert result.digest == want
 
 
 def test_no_pickle_on_the_object_code_path():
@@ -761,11 +720,11 @@ def test_no_pickle_on_the_object_code_path():
         assert not {"pickle", "pickled", "marshal", "shelve"} & imported, module
 
 
-def test_pickle_is_left_in_parse_alone():
-    """An AST walk over ``src/``, not a grep: nothing under ``fabric/``
-    imports pickle (or the cache's restricted unpickler), exactly one
-    ``PickleCodec(...)`` is constructed — the parse tier's — and no tier
-    is named ``netblobs``."""
+def test_no_pickle_is_left_in_src():
+    """An AST walk over ``src/``, not a grep: no module imports pickle
+    (or marshal), no ``PickleCodec(...)`` is constructed — no byte read
+    from disk or a socket is unpickled; only ``multiprocessing``'s IPC
+    pickles — and no tier is named ``netblobs``."""
     import ast
     import repro
 
@@ -777,8 +736,7 @@ def test_pickle_is_left_in_parse_alone():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {alias.name.split(".")[-1] for alias in node.names}
                 names.add((getattr(node, "module", None) or "").split(".")[-1])
-                if path.parent.name == "fabric":
-                    assert not {"pickle", "pickled", "marshal"} & names, path
+                assert not {"pickle", "pickled", "marshal"} & names, path
             elif isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", ""))
                 if callee == "PickleCodec":
@@ -791,7 +749,7 @@ def test_pickle_is_left_in_parse_alone():
                         and getattr(item.value, "value", "")
                     ):
                         tiers.append(item.value.value)
-    assert codecs == ["parse_store.py"]
+    assert codecs == []
     assert sorted(tiers) == [
         "link", "modules", "objects", "observe", "parse", "variants",
     ]
