@@ -76,7 +76,10 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
         assert counts == {"parse_cache.hits": FUNCTIONS}
 
     # Correctness before speed: the warm module is the sequential one
-    # in structure and in its module and section spans.
+    # in structure and in its module and section spans, once each hit's
+    # tree is asked for (a hit is its signature stub until then).
+    for section, fn in list(parsed.module.all_functions()):
+        parsed.function(section.name, fn.name)
     sequential = phase1_parse_and_check(edited).module
     assert unparse_module(parsed.module) == unparse_module(sequential)
     assert [s.span for s in parsed.module.sections] == [
