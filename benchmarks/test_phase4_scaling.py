@@ -21,11 +21,13 @@ import statistics
 import time
 
 from repro.cache import LinkCache
-from repro.driver.function_master import FunctionTask, run_function_master
+from repro import CompileOptions
+from repro.driver.function_master import run_function_master
+from repro.driver.master import function_tasks
 from repro.driver.phases import (
     Phase4Runner,
     Phase4Stats,
-    phase1_parse_and_check,
+    phase1_parallel,
     phase4_link_and_download,
 )
 from repro.driver.section_master import combine_section_results
@@ -66,14 +68,13 @@ EDITED = SOURCE.replace("t := a[i] * b[j] + t * 0.9987;",
 
 def _combined_for(source):
     """Phases 1-3 once — the recombined input phase 4 consumes."""
-    parsed = phase1_parse_and_check(source)
+    parsed = phase1_parallel(source, "<bench>")
+    tasks = function_tasks(parsed, parsed.module.all_functions(), CompileOptions())
     combined = {}
     for section in parsed.module.sections:
         results = [
-            run_function_master(
-                FunctionTask(source, "<bench>", section.name, function.name)
-            )
-            for function in section.functions
+            run_function_master(task) for task in tasks
+            if task.section_name == section.name
         ]
         combined[section.name] = combine_section_results(section, results)
     return parsed, combined

@@ -53,7 +53,8 @@ from ..options import CompileOptions
 #: 9: a result's report carries no search fields.
 #: 10: a result's code is its function's assembled blob (labels are
 #: bundle indices), which the section link splices.
-CACHE_SCHEMA_VERSION = 10
+#: 11: a result carries its window's facts and a refusal reason.
+CACHE_SCHEMA_VERSION = 11
 
 _SEP = "\x1f"  # field separator: cannot appear in the encoded text
 

@@ -123,10 +123,6 @@ def _run_live(args, source: str) -> int:
             print(f"parallel wall #{round_no}:  {wall:10.3f} s")
         best = min(walls)
         print(f"best speedup:       {sequential_wall / best:10.2f}x")
-        profile = result.profile
-        hits = profile.counts.get("phase1_memo.hits", 0)
-        saved = (profile.parse_work + profile.sema_work) * hits
-        print(f"phase-1 cache hits: {hits:10d} (saved {saved} work units)")
         for label, store in caches.items():
             print(f"{label}: {render_counts(stack.cache_counts(store))}")
         print(f"download identical to sequential: {'yes' if matches else 'NO'}")

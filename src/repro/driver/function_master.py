@@ -6,15 +6,17 @@ processes.  The task of a function master is to implement phases 2 and 3
 of the compiler" (§3.2).
 
 Our function masters are Python processes (or in-process calls for the
-serial backend).  Each worker receives a small, picklable
-:class:`FunctionTask` and compiles its one function to
-object code.  Phase-1 state is re-derived from the source text — the
-moral equivalent of a fresh Lisp process interpreting its initializing
-information — but memoized per worker process: a warm worker that
-receives its second task for the same module skips parsing and semantic
-checking entirely (see :func:`phase1_cached`).  The cache is a bounded
-LRU keyed by ``(sha256(source text), filename)``, so two different
-modules that happen to share a filename can never collide.
+serial backend).  Each receives a small, picklable :class:`FunctionTask`
+— its function's window and its section's signature headers, never the
+module — parses and checks only that window
+(:func:`~repro.driver.phases.window_program`), compiles it and returns
+the window's facts with its result.  A window that does not parse, check
+or agree with its task is *refused* in a result, never a failure a
+supervisor would retry.  In the master's own process a function master
+reads the master's checked tree instead, through the
+:func:`phase1_cached` entry its task names: the master's memo, a bounded
+LRU keyed by ``(sha256(source text), filename)``, which no worker
+process consults.
 """
 
 from __future__ import annotations
@@ -31,8 +33,12 @@ from ..facts import from_facts
 from ..options import CompileOptions
 from .phases import (
     ParsedProgram,
+    WindowFacts,
+    WindowRefused,
+    attach_windows,
     compile_one_function,
     phase1_parse_and_check,
+    window_program,
 )
 from .results import FunctionReport
 
@@ -45,15 +51,21 @@ class FunctionTask:
     program, §3.1, lives on the simulated cluster only.)
     """
 
-    source_text: str
-    filename: str
     section_name: str
     function_name: str
-    #: pre-compilation cost estimate (§4.3 lines + loop nesting), filled
-    #: in by the master from the parse; drives size-aware batching.
+    #: the function's text, ``function`` through its closing ``end``
+    window: str
+    #: its section's function headers in source order: the signatures
+    #: its calls are checked and lowered against
+    headers: List[str]
+    #: pre-compilation cost estimate (§4.3 lines + loop nesting, read
+    #: from the window's text); drives size-aware batching.
     cost_hint: float = 1.0
     #: the compile's options, whole — what the cache fingerprint hashes
     options: CompileOptions = CompileOptions()
+    #: the master's :func:`phase1_cached` entry, whose checked tree a
+    #: function master in the master's process reads
+    phase1_key: Optional[Tuple[str, str]] = None
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -93,10 +105,11 @@ class FunctionTaskResult:
     #: fault-injection suite's simulated workers report it; real pools
     #: leave it None).  Drives the supervisor's health tracking.
     worker: Optional[str] = None
-    #: whether the function master found its module in the per-process
-    #: phase-1 memo (None: nobody ran one here — a cached or remote
-    #: result).  Like ``worker``, it belongs to the run, not the result.
-    phase1_memo_hit: Optional[bool] = None
+    #: the facts of the window its function master parsed (None: it read
+    #: the master's tree, or a cache served it), for a window plan
+    window: Optional[WindowFacts] = None
+    #: why its window was refused ("": it was not); then it has no code
+    refused: str = ""
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -114,13 +127,12 @@ def result_payload_digest(result: FunctionTaskResult) -> str:
 
 def result_facts(result: FunctionTaskResult) -> Tuple[dict, bytes]:
     """A result as ``(header facts, body)``: the body is ``code``,
-    verbatim; the facts are its other fields but ``worker`` and
-    ``phase1_memo_hit`` (they belong to the run that compiled it), the
-    ``payload_digest`` as the entry's ``sha256`` — as sealed, not
-    re-derived, so a result damaged between seal and write makes an
-    entry that fails its check."""
+    verbatim; the facts are its other fields but ``worker`` (it belongs
+    to the run that compiled it), the ``payload_digest`` as the entry's
+    ``sha256`` — as sealed, not re-derived, so a result damaged between
+    seal and write makes an entry that fails its check."""
     facts = asdict(result)
-    del facts["worker"], facts["phase1_memo_hit"]
+    del facts["worker"]
     facts["sha256"] = facts.pop("payload_digest")
     return facts, facts.pop("code")
 
@@ -128,7 +140,7 @@ def result_facts(result: FunctionTaskResult) -> Tuple[dict, bytes]:
 def result_from_facts(facts: dict, code: bytes) -> FunctionTaskResult:
     """The way back: exact field set and every type checked, the
     report's included; whoever opened the entry hashed ``code``."""
-    fields = dict(facts, code=code, worker=None, phase1_memo_hit=None)
+    fields = dict(facts, code=code, worker=None)
     fields["payload_digest"] = fields.pop("sha256")
     return from_facts(FunctionTaskResult, fields)
 
@@ -154,19 +166,16 @@ def attach_assembly(
 
 
 # ---------------------------------------------------------------------------
-# Per-worker phase-1 cache.
-#
-# Module-level so it lives exactly as long as the worker process: a cold
-# worker misses once per module, then every further task for the same
-# module is parse-free.  With a fork start method (Linux default) workers
-# even inherit the master's parse, so their first task hits too.
+# The master's phase-1 memo: a module compiled again skips its phase 1,
+# and a function master in the master's process reads its checked tree.
+# A window plan is kept apart from a checked parse, which holds trees.
 # ---------------------------------------------------------------------------
 
 
 #: modules the memo holds per process (LRU eviction beyond it)
 PHASE1_CACHE_CAPACITY = 8
 
-_phase1_cache: "OrderedDict[Tuple[str, str], ParsedProgram]" = OrderedDict()
+_phase1_cache: "OrderedDict[Tuple[str, str, bool], ParsedProgram]" = OrderedDict()
 #: The compile service runs many job threads in one process, all sharing
 #: this cache; LRU bookkeeping (move_to_end + eviction) must not race.
 _phase1_lock = threading.Lock()
@@ -178,49 +187,81 @@ def clear_phase1_cache() -> None:
         _phase1_cache.clear()
 
 
+def phase1_key(source_text: str, filename: str) -> Tuple[str, str]:
+    """What the memo keys a module by: its text's SHA-256 and its name."""
+    return hashlib.sha256(source_text.encode("utf-8")).hexdigest(), filename
+
+
 def phase1_cached(
-    source_text: str, filename: str = "<input>", front=None
+    source_text: str, filename: str = "<input>", front=None, checked=True
 ) -> Tuple[ParsedProgram, bool]:
-    """Phase 1 through the per-worker memo; returns ``(parsed, hit)``.
+    """Phase 1 through the master's memo; returns ``(parsed, hit)``.
 
     ``front`` (a ``(source_text, filename) -> ParsedProgram`` callable)
     is what runs on a miss; it defaults to the sequential
-    :func:`phase1_parse_and_check` — what a worker that misses its memo
-    runs.  Only successful parses are cached — a module with errors raises
+    :func:`~repro.driver.phases.phase1_parse_and_check`, with the windows
+    tasks carry attached.  With ``checked`` False a window plan serves
+    as well as a checked parse.
+    Only successful parses are cached — a module with errors raises
     :class:`~repro.lang.diagnostics.CompileError` every time.
     """
-    key = (
-        hashlib.sha256(source_text.encode("utf-8")).hexdigest(),
-        filename,
-    )
-    with _phase1_lock:
-        cached = _phase1_cache.get(key)
-        if cached is not None:
-            _phase1_cache.move_to_end(key)
-            return cached, True
+    key = phase1_key(source_text, filename)
+    cached = memo_program(key, checked)
+    if cached is not None:
+        return cached, True
     # Parse outside the lock: concurrent job threads parsing *different*
     # modules must not serialize on each other.  Two threads racing the
     # same module both parse; last writer wins, results are identical.
-    builder = front if front is not None else phase1_parse_and_check
-    parsed = builder(source_text, filename)
+    if front is None:
+        parsed = phase1_parse_and_check(source_text, filename)
+        parsed = attach_windows(parsed, source_text)
+    else:
+        parsed = front(source_text, filename)
     with _phase1_lock:
-        _phase1_cache[key] = parsed
+        _phase1_cache[(*key, parsed.checked)] = parsed
         while len(_phase1_cache) > PHASE1_CACHE_CAPACITY:
             _phase1_cache.popitem(last=False)
     return parsed, False
 
 
+def memo_program(key, checked: bool = True) -> Optional[ParsedProgram]:
+    """The memo's checked parse under ``key`` — with ``checked`` False a
+    window plan too — or None; under a task's ``phase1_key``, the
+    master's program when the caller runs in the master's process."""
+    if key is None:
+        return None
+    with _phase1_lock:
+        for kind in (True,) if checked else (True, False):
+            cached = _phase1_cache.get((*key, kind))
+            if cached is not None:
+                _phase1_cache.move_to_end((*key, kind))
+                return cached
+    return None
+
+
 def run_function_master(task: FunctionTask) -> FunctionTaskResult:
-    """Entry point of one function master (picklable module-level fn)."""
-    parsed, hit = phase1_cached(task.source_text, task.filename)
-    obj, report = compile_one_function(
-        parsed, task.section_name, task.function_name, task.options
-    )
+    """Entry point of one function master (picklable module-level fn):
+    the master's checked tree if this process holds it, else the task's
+    window parsed and checked — a window that does not is refused."""
+    parsed, facts = memo_program(task.phase1_key), None
+    if parsed is None:
+        try:
+            parsed, facts = window_program(*task.key, task.window, task.headers)
+        except WindowRefused as refusal:
+            return refused_result(task, str(refusal))
+    obj, report = compile_one_function(parsed, *task.key, task.options)
     result = attach_assembly(
         obj, report, [d.render() for d in parsed.sink.diagnostics]
     )
-    result.phase1_memo_hit = hit
+    result.window = facts
     return result
+
+
+def refused_result(task: FunctionTask, reason: str) -> FunctionTaskResult:
+    """The answer to a task whose window was refused: no code, and why."""
+    report = FunctionReport(*task.key, 0, 0, 0, 0, 0, 0)
+    digest = hashlib.sha256(b"").hexdigest()
+    return FunctionTaskResult(*task.key, b"", report, digest, 0, refused=reason)
 
 
 def run_compile_task(task: FunctionTask) -> List[FunctionTaskResult]:
@@ -235,8 +276,7 @@ def run_compile_batch(tasks: List[FunctionTask]) -> List[FunctionTaskResult]:
     """Run a whole batch of tasks in one worker round-trip.
 
     Backends submit size-aware batches through this entry point so tiny
-    functions (the paper's f_tiny pathology) share one IPC round-trip —
-    and, thanks to the phase-1 cache above, one parse.
+    functions (the paper's f_tiny pathology) share one IPC round-trip.
     """
     results: List[FunctionTaskResult] = []
     for task in tasks:

@@ -9,15 +9,21 @@ compilation" (§3.2).
 
 Our master first asks the module tier for the record of a clean
 compile of this very input, and given one rebuilds the module from the
-section programs it names, parsing nothing.  Otherwise it parses and
-checks once (aborting on errors), consults the persistent artifact
-cache (functions whose fingerprints hit never cross the process
-boundary), builds one :class:`FunctionTask` per remaining function,
-streams those tasks through an execution backend while
+section programs it names, parsing nothing.  Otherwise it splits the
+text into function windows and parses the skeleton and the signature
+headers (:func:`~repro.driver.phases.phase1_parallel`'s first passes) —
+the windows too only when a cache tier needs what that yields — and
+consults the artifact cache (functions whose fingerprints hit never
+cross the process boundary).  It builds one :class:`FunctionTask` per
+remaining function — its window and its section's headers — streams
+those tasks through an execution backend while
 section masters recombine results as they arrive, and runs phase 4
 through :class:`~repro.driver.phases.Phase4Runner`: each section is
 linked the moment its streaming recombiner completes, behind the
 optional link cache, and a clean compile leaves its record behind.
+Having parsed no window, it finishes phase 1 from the function masters'
+facts; a refused window, a late cycle or a missing fact sends it to the
+sequential front end, whose error report is canonical.
 The output is bit-identical to the sequential compiler's.
 
 A compiler never owns its backend or caches: it never shuts down or
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..asmlink.download import module_digest, module_size_words
@@ -37,14 +44,23 @@ from ..machine.warp_array import WarpArrayModel
 from ..options import CompileOptions
 from ..parallel.backend import ExecutionBackend, stream_task_results
 from ..parallel.local import SerialBackend
-from ..parallel.schedule import ast_cost_hint
+from ..parallel.schedule import window_cost_hint
 from ..parallel.supervisor import SupervisedBackend
-from .function_master import FunctionTask, FunctionTaskResult, phase1_cached
+from .function_master import (
+    FunctionTask,
+    FunctionTaskResult,
+    attach_assembly,
+    phase1_cached,
+    phase1_key,
+)
 from .phases import (
     ParsedProgram,
     Phase1Stats,
     Phase4Runner,
     Phase4Stats,
+    attach_windows,
+    compile_one_function,
+    finish_window_plan,
     phase1_parallel,
     phase1_parse_and_check,
 )
@@ -71,10 +87,9 @@ class ParallelCompiler:
         #: are served from / written back to it, keyed per function.
         self.cache = cache
         #: optional :class:`repro.cache.ParseCache`: per-function parse+
-        #: sema results are served from / written back to it.  Given one,
-        #: phase 1 runs the incremental front end
-        #: (:func:`phase1_parallel`); without one, the sequential front
-        #: end, which has nothing to reuse.
+        #: sema results are served from / written back to it.  With
+        #: neither tier the master parses no window: its function
+        #: masters do (:func:`phase1_parallel`'s window plan).
         self.parse_cache = parse_cache
         #: :class:`~repro.driver.phases.Phase1Stats` of the most recent
         #: :meth:`compile` — telemetry for reports and benchmarks.
@@ -134,18 +149,23 @@ class ParallelCompiler:
     ) -> CompilationResult:
         """Phases 1-4; leaves a record under ``key`` if the compile was
         clean."""
-        # Master: one extra parse of the whole program to determine the
-        # partitioning; syntax/semantic errors abort here.  The parse
-        # goes through the phase-1 cache so in-process workers (and, with
-        # a fork start method, freshly forked pool workers) reuse it.
+        # Master: the first passes determine the partitioning; the
+        # windows too when a tier reads what their parse yields.  Errors
+        # abort here, or once the function masters report them.
         stats = Phase1Stats()
-        if self.parse_cache is not None:
-            front = lambda s, f: phase1_parallel(
-                s, f, parse_cache=self.parse_cache, stats=stats, counts=counts
+        tiered = self.cache is not None or self.parse_cache is not None
+        if tiered and self.parse_cache is None:
+            front = lambda s, f: attach_windows(
+                phase1_parse_and_check(s, f, stats=stats), s
             )
         else:
-            front = lambda s, f: phase1_parse_and_check(s, f, stats=stats)
-        parsed, memo_hit = phase1_cached(source_text, filename, front=front)
+            front = partial(
+                phase1_parallel, parse_cache=self.parse_cache,
+                parse_windows=tiered, stats=stats, counts=counts,
+            )
+        parsed, memo_hit = phase1_cached(
+            source_text, filename, front=front, checked=tiered
+        )
         if memo_hit:
             stats.mode = "memo"
         self.last_phase1_stats = stats
@@ -165,13 +185,10 @@ class ParallelCompiler:
         missed, fingerprints = self._serve_from_cache(
             parsed, combiner, counts
         )
-        # A parse hit's function is its signature stub; cost hints read trees.
-        missed = [
-            (sec, parsed.function(sec.name, fn.name, counts)[0])
-            for sec, fn in missed
-        ]
-        misses = self._build_tasks(missed, source_text, filename)
-        dispatched = bool(misses)
+        tasks = function_tasks(
+            parsed, missed, self.options, phase1_key(source_text, filename)
+        )
+        dispatched = bool(tasks)
 
         # Phase 4: each section is linked as its recombiner completes
         # it.  diagnostics_text is fixed before dispatch — the module
@@ -185,22 +202,43 @@ class ParallelCompiler:
         for ready in combiner.combined_sections():
             runner.section_ready(ready)
 
-        for result in stream_task_results(self.backend, misses):
-            if result.phase1_memo_hit is not None:
-                counts[
-                    "phase1_memo.hits" if result.phase1_memo_hit
-                    else "phase1_memo.misses"
-                ] += 1
+        refused, facts = [], {}
+        for result in stream_task_results(self.backend, tasks):
+            if result.refused:
+                refused.append(result)  # never combined, never linked
+                continue
+            facts[result.key] = result.window
             if self.cache is not None:
                 self._write_back(fingerprints, result)
             completed = combiner.add(result)
             if completed is not None:
                 runner.section_ready(completed)
+        work = (
+            (parsed.parse_work, parsed.sema_work) if parsed.checked
+            else finish_window_plan(parsed, facts)
+        )
+        if refused or work is None:
+            # The canonical error, or the refused functions compiled here
+            stats.mode = "fallback"
+            stats.fallback_reason = (
+                refused[0].refused if refused else "late cycle or missing facts"
+            )
+            checked = phase1_parse_and_check(source_text, filename)
+            work = (checked.parse_work, checked.sema_work)
+            for result in refused:
+                obj, report = compile_one_function(
+                    checked, *result.key, self.options
+                )
+                completed = combiner.add(attach_assembly(obj, report, []))
+                if completed is not None:
+                    runner.section_ready(completed)
+        if stats.mode == "fallback":
+            counts["phase1.fallbacks"] += 1
         combined = combiner.finalize()
 
         profile = WorkProfile(
-            parse_work=parsed.parse_work,
-            sema_work=parsed.sema_work,
+            parse_work=work[0],
+            sema_work=work[1],
             source_lines=parsed.source_lines,
             workers_used=(
                 self.backend.effective_worker_count
@@ -340,18 +378,22 @@ class ParallelCompiler:
             # Diagnostics belong to the module that *reads* the cache.
             self.cache.put(fingerprint, replace(result, diagnostics=[]))
 
-    def _build_tasks(
-        self, functions, source_text: str, filename: str
-    ) -> List[FunctionTask]:
-        """A task per ``(section, function)`` pair of ``functions``."""
-        return [
-            FunctionTask(
-                source_text,
-                filename,
-                section.name,
-                function.name,
-                cost_hint=ast_cost_hint(function),
-                options=self.options,
-            )
-            for section, function in functions
-        ]
+
+def function_tasks(
+    parsed: ParsedProgram,
+    functions,
+    options: CompileOptions,
+    key: Optional[Tuple[str, str]] = None,
+) -> List[FunctionTask]:
+    """A task per ``(section, function)`` pair of ``functions``: its
+    window, its section's headers and a cost read from its text; ``key``
+    names the :func:`phase1_cached` entry ``parsed`` is."""
+    tasks = []
+    for section, function in functions:
+        window = parsed.windows.get((section.name, function.name), "")
+        tasks.append(FunctionTask(
+            section.name, function.name, window,
+            parsed.headers.get(section.name, []), window_cost_hint(window),
+            options, key,
+        ))
+    return tasks

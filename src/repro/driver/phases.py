@@ -72,7 +72,8 @@ from .results import FunctionReport, count_lookup
 class ParsedProgram:
     """Phase-1 output: the checked AST plus partitioning information.
     A parse hit's function is its signature stub (``body`` and ``locals``
-    None, no scope) until :meth:`function` is asked for its tree."""
+    None, no scope) until :meth:`function` is asked for its tree; a
+    window plan's (``checked`` False) are all stubs."""
 
     module: ast.Module
     sema: SemaResult
@@ -84,20 +85,21 @@ class ParsedProgram:
     fingerprint_texts: Dict[Tuple[str, str], str] = field(default_factory=dict)
     #: (section, function) -> a parse hit's :func:`_parse_hit_again`
     rebuilds: Dict[Tuple[str, str], Callable] = field(default_factory=dict)
+    #: (section, function) -> window text, section -> header texts in
+    #: source order: what tasks carry (empty after the sequential parse)
+    windows: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    headers: Dict[str, List[str]] = field(default_factory=dict)
+    #: False for a window plan: no window parsed, no call cycle checked,
+    #: the work counts the skeleton's (see :func:`finish_window_plan`)
+    checked: bool = True
     #: a phase-1 memo hands one parse to many threads
     _splicing: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def function(
-        self,
-        section_name: str,
-        function_name: str,
-        counts: Optional[Counter] = None,
-    ) -> Tuple[ast.Function, FunctionScope]:
-        """One function's checked tree and scope (KeyError if there is no
-        such function): a stub's window is parsed again and spliced in,
-        counted ``parse_cache.rebuilds`` into ``counts``."""
+    def function(self, section_name: str, function_name: str) -> ast.Function:
+        """One function's checked tree (KeyError if there is no such
+        function): a stub's window is parsed again and spliced in."""
         section = self.module.section_named(section_name)
         if section is None:
             raise KeyError(f"no section named {section_name!r}")
@@ -115,17 +117,15 @@ class ParsedProgram:
                     functions = section.functions
                     functions[functions.index(function)] = tree
                     self.sema.scopes[key] = scope
-                    if counts is not None:
-                        counts["parse_cache.rebuilds"] += 1
                 function = section.function_named(function_name)
-        return function, self.sema.scopes[key]
+        return function
 
 
 @dataclass
 class Phase1Stats:
     """Telemetry for one phase-1 run (either front end)."""
 
-    mode: str = "sequential"  # sequential | parallel | fallback | memo
+    mode: str = "sequential"  # sequential|parallel|windows|fallback|memo
     parse_ms: float = 0.0
     sema_ms: float = 0.0
     fallback_reason: Optional[str] = None
@@ -171,18 +171,42 @@ def phase1_parse_and_check(
     )
 
 
+def attach_windows(
+    parsed: ParsedProgram, source_text: str, scan=None
+) -> ParsedProgram:
+    """``parsed`` with the windows and headers its tasks carry, from the
+    boundary scan of ``source_text`` (none where the two disagree)."""
+    scan = scan or scan_boundaries(source_text)
+    sections = parsed.module.sections
+    if scan is None or [len(s.functions) for s in sections] != [
+        len(b.function_windows) for b in scan.sections
+    ]:
+        return parsed
+    for section, bounds in zip(sections, scan.sections):
+        windows = bounds.function_windows
+        parsed.headers[section.name] = [
+            source_text[w.start : w.header_end] for w in windows
+        ]
+        for function, w in zip(section.functions, windows):
+            parsed.windows[section.name, function.name] = source_text[w.start : w.end]
+    return parsed
+
+
 # ---------------------------------------------------------------------------
 # Incremental phase 1
 # ---------------------------------------------------------------------------
 
 
-class _WindowProblem(Exception):
-    """Internal: the fast path hit something only the sequential front
-    end may diagnose; unwinds to the fallback."""
+class _VerdictSink(DiagnosticSink):
+    """No position for a window's diagnostics: the fallback prints them."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    def _report(self, severity, message, at) -> None:
+        super()._report(severity, message, None)
+
+
+class WindowRefused(Exception):
+    """A window did not parse or check, or disagrees with its task: only
+    the sequential front end may diagnose it (the master falls back)."""
 
 
 def _phase1_fallback(
@@ -215,16 +239,26 @@ def _lex_skeleton(
 
 
 def _parse_signature_stub(
-    source: SourceFile, window
+    source: SourceFile, start: int, end: int
 ) -> Optional[ast.Function]:
-    """Header-only parse of one window (name, params, return type),
+    """Header-only parse of ``[start, end)`` (name, params, return type),
     lexed in place."""
-    sink = DiagnosticSink()
-    tokens = tokenize(source, sink, window.start, window.header_end)
+    sink = _VerdictSink()
+    tokens = tokenize(source, sink, start, end)
     stub = Parser(tokens, sink).parse_function_signature()
     if stub is None or sink.has_errors:
         return None
     return stub
+
+
+@dataclass
+class WindowFacts:
+    """What a window's parse and check yield besides its tree — its
+    ``parse_work`` (tokens but EOF), ``sema_work`` and call sites."""
+
+    token_count: int
+    ast_size: int
+    calls: List[Tuple[str, Tuple[int, int]]]
 
 
 @dataclass
@@ -243,44 +277,42 @@ class ParseFacts:
 
 def _parse_and_check_window(
     text: str, table: Dict[str, ast.Function], spent: List[float]
-) -> Tuple[ParseFacts, ast.Function, FunctionScope]:
+) -> Tuple[ast.Function, FunctionScope, WindowFacts]:
     """Lex, parse, and check one function window from its own text —
     offsets from 0, no filename — adding the parse and the check seconds
-    to ``spent``; returns its facts, tree and scope.
+    to ``spent``; returns its tree, scope and facts.
 
-    Raises :class:`_WindowProblem` on any diagnostic (the fallback
+    Raises :class:`WindowRefused` on any diagnostic (the fallback
     re-derives the canonical error report sequentially).
     """
-    from ..cache.fingerprint import function_text
-
-    sink = DiagnosticSink()
+    sink = _VerdictSink()
     t0 = time.perf_counter()
     tokens = tokenize(SourceFile("", text), sink)
     fn = Parser(tokens, sink).parse_function()
     t1 = time.perf_counter()
     spent[0] += t1 - t0
     if fn is None or sink.has_errors:
-        raise _WindowProblem("window parse error")
+        raise WindowRefused("window parse error")
     scope = FunctionChecker(table, sink).check(fn)
     spent[1] += time.perf_counter() - t1
     if sink.has_errors:
-        raise _WindowProblem("window sema error")
-    facts = ParseFacts(
-        fn.name, fn.lines, len(tokens) - 1, _function_size(fn),
-        function_call_sites(fn), function_text(fn),
+        raise WindowRefused("window sema error")
+    facts = WindowFacts(
+        len(tokens) - 1, _function_size(fn), function_call_sites(fn)
     )
-    return facts, fn, scope
+    return fn, scope, facts
 
 
 def _parse_hit_again(text, table, parse_cache, key, source_text, filename):
-    """A parse hit's tree and scope: its window parsed and checked as a
-    miss parses it.  A window that does not check was never the entry's:
+    """A stub's tree and scope: its window parsed and checked as a miss
+    parses it.  A window that does not check was never the parse entry's:
     the entry is counted corrupt and deleted, and the sequential front
     end raises the canonical error report."""
     try:
-        return _parse_and_check_window(text, table, [0.0, 0.0])[1:]
-    except _WindowProblem:
-        parse_cache.reject(key)
+        return _parse_and_check_window(text, table, [0.0, 0.0])[:2]
+    except WindowRefused:
+        if parse_cache is not None:
+            parse_cache.reject(key)
         phase1_parse_and_check(source_text, filename)
         raise  # unreachable while the two front ends agree
 
@@ -289,7 +321,8 @@ def phase1_parallel(
     source_text: str,
     filename: str = "<input>",
     *,
-    parse_cache,
+    parse_cache=None,
+    parse_windows: bool = True,
     stats: Optional[Phase1Stats] = None,
     counts: Optional[Counter] = None,
 ) -> ParsedProgram:
@@ -312,6 +345,9 @@ def phase1_parallel(
     The name records the window split's origin, not threads: the
     windows are independent, and are parsed in a loop.
 
+    With ``parse_windows`` False it parses no window: a *window plan*
+    (``checked`` False), finished by :func:`finish_window_plan`.
+
     The result is the sequential front end's in module and section
     spans, structure, scopes, line counts and work counts; only a
     function subtree's offsets are measured from its window (offset 0).
@@ -324,6 +360,7 @@ def phase1_parallel(
     errors abort compilation anyway, so the doubled front-end cost on
     the error path is irrelevant.
     """
+    from ..cache.fingerprint import function_text
     from ..cache.parse_store import signature_table_hash, window_key
 
     if counts is None:
@@ -360,7 +397,7 @@ def phase1_parallel(
     for sec_node, sec_bounds in zip(module.sections, boundaries.sections):
         stubs = []
         for window in sec_bounds.function_windows:
-            stub = _parse_signature_stub(source, window)
+            stub = _parse_signature_stub(source, window.start, window.header_end)
             if stub is None:
                 return _phase1_fallback(
                     source_text, filename, stats, "signature parse error"
@@ -386,39 +423,49 @@ def phase1_parallel(
             module.sections, section_stubs, section_hashes,
             boundaries.sections,
         ):
-            table: Dict[str, ast.Function] = {}
-            for stub in stubs:  # first definition wins, like sema's table
-                table.setdefault(stub.name, stub)
+            # first definition wins, like sema's table
+            table = {stub.name: stub for stub in reversed(stubs)}
             calls = {}
             for window, stub in zip(sec_bounds.function_windows, stubs):
                 text = source_text[window.start : window.end]
-                key = window_key(text, signatures)
-                facts = parse_cache.get(key)
-                if facts is not None and facts.name != stub.name:
-                    parse_cache.reject(key)  # another window's entry
-                    facts = None
                 pair = (sec_node.name, stub.name)
-                if count_lookup(counts, "parse_cache", facts) is None:
-                    facts, function, scope = _parse_and_check_window(
+                key = facts = None
+                if parse_cache is not None:
+                    key = window_key(text, signatures)
+                    facts = parse_cache.get(key)
+                    if facts is not None and facts.name != stub.name:
+                        parse_cache.reject(key)  # another window's entry
+                        facts = None
+                    count_lookup(counts, "parse_cache", facts)
+                if facts is None and parse_windows:
+                    function, scope, found = _parse_and_check_window(
                         text, table, spent
                     )
-                    parse_cache.put(key, facts)
+                    facts = ParseFacts(
+                        function.name, function.lines, found.token_count,
+                        found.ast_size, found.calls, function_text(function),
+                    )
+                    if parse_cache is not None:
+                        parse_cache.put(key, facts)
                     sema.scopes[pair] = scope
                 else:  # the stub stands for the tree until it is asked for
                     function = stub
-                    stub.lines, stub.locals, stub.body = facts.lines, None, None
+                    stub.locals, stub.body = None, None
                     rebuilds[pair] = partial(
                         _parse_hit_again, text, table, parse_cache, key,
                         source_text, filename,
                     )
                 sec_node.functions.append(function)
+                if facts is None:
+                    continue  # a window plan's: its function master's
+                stub.lines = facts.lines
                 calls[facts.name] = facts.calls
                 texts[pair] = facts.fingerprint_text
                 window_tokens += facts.token_count
                 sema_work += facts.ast_size
             section_calls.append(calls)
-    except _WindowProblem as problem:
-        return _phase1_fallback(source_text, filename, stats, problem.reason)
+    except WindowRefused as problem:
+        return _phase1_fallback(source_text, filename, stats, str(problem))
 
     # -- structure pass ---------------------------------------------------
     t_struct = time.perf_counter()
@@ -435,14 +482,14 @@ def phase1_parallel(
         )
 
     if stats is not None:
-        stats.mode = "parallel"
+        stats.mode = "parallel" if parse_windows else "windows"
         stats.parse_ms += (skeleton_s + signature_s + spent[0]) * 1000.0
         stats.sema_ms += (structure_s + spent[1]) * 1000.0
 
     # Token identity: sequential lexing sees every skeleton token, every
     # window token, and one EOF — exactly what the two counts sum to.
     parse_work = len(skeleton_tokens) + window_tokens
-    return ParsedProgram(
+    parsed = ParsedProgram(
         module=module,
         sema=sema,
         sink=DiagnosticSink(),
@@ -451,7 +498,63 @@ def phase1_parallel(
         source_lines=source.count_lines(),
         fingerprint_texts=texts,
         rebuilds=rebuilds,
+        checked=parse_windows,
     )
+    return attach_windows(parsed, source_text, boundaries)
+
+
+def finish_window_plan(
+    plan: ParsedProgram, facts: Dict[Tuple[str, str], WindowFacts]
+) -> Optional[Tuple[int, int]]:
+    """A window plan's call-cycle check and ``(parse_work, sema_work)``
+    from its function masters' ``facts``; None when a function's facts
+    are missing or the check fails (the sequential front end says why)."""
+    parse_work, sema_work = plan.parse_work, 0
+    sink = _VerdictSink()
+    for section in plan.module.sections:
+        calls = {}
+        for function in section.functions:
+            found = facts.get((section.name, function.name))
+            if found is None:
+                return None
+            calls[function.name] = found.calls
+            parse_work += found.token_count
+            sema_work += found.ast_size
+        detect_call_cycles(section.name, calls, sink)
+    return None if sink.has_errors else (parse_work, sema_work)
+
+
+def window_program(
+    section_name: str, function_name: str, window: str, headers: List[str]
+) -> Tuple[ParsedProgram, WindowFacts]:
+    """A function master's phase 1, which never sees the module: the
+    headers and the window lexed from their own texts, the window checked
+    against the headers; returns a one-section program of the headers'
+    stubs with the tree in place, and the window's facts.  Raises
+    :class:`WindowRefused` for a window that does not check, holds
+    another function or a signature the headers do not."""
+    stubs = []
+    for header in headers:
+        stub = _parse_signature_stub(SourceFile("", header), 0, len(header))
+        if stub is None:
+            raise WindowRefused("signature header parse error")
+        stubs.append(stub)
+    table = {stub.name: stub for stub in reversed(stubs)}
+    fn, _, facts = _parse_and_check_window(window, table, [0.0, 0.0])
+    if fn.name != function_name:
+        raise WindowRefused(f"the window holds {fn.name!r}")
+    own = table.get(fn.name)  # a header lexes as its window's prefix
+    if own is None or (own.params, own.return_type) != (fn.params, fn.return_type):
+        raise WindowRefused("the signature headers disagree with the window")
+    section = ast.Section(
+        section_name, 0, 0, [fn if s is own else s for s in stubs], (0, 0)
+    )
+    module = ast.Module("", [section], (0, 0))
+    program = ParsedProgram(
+        module, SemaResult(module), DiagnosticSink(),
+        facts.token_count, facts.ast_size, fn.lines,
+    )
+    return program, facts
 
 
 def _function_size(fn: ast.Function) -> int:
@@ -477,9 +580,9 @@ def compile_one_function(
     options: CompileOptions,
 ) -> Tuple[ObjectFunction, FunctionReport]:
     """Phases 2+3 for exactly one function (a function master's job)."""
-    function, _ = parsed.function(section_name, function_name)
+    function = parsed.function(section_name, function_name)
     section = parsed.module.section_named(section_name)
-    fn_ir = lower_function(section, function, parsed.sema)
+    fn_ir = lower_function(section, function)
     ir_size = fn_ir.instruction_count()
     # Lowering's CFG, analysed once: the weight and the optimizer share it.
     cfg = Cfg(fn_ir)

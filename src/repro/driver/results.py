@@ -79,9 +79,10 @@ class WorkProfile:
     sema_work: int = 0
     #: wall-time telemetry for the master's own phase-1 run and which
     #: front end ran: ``sequential``, ``parallel`` (the incremental,
-    #: window-split one), ``fallback`` (it bailed to sequential),
-    #: ``memo`` (whole-module LRU hit, no parse), or ``cached`` (a module
-    #: record answered the compile: no phase 1 at all).
+    #: window-split one), ``windows`` (its first passes: the function
+    #: masters parsed the windows), ``fallback`` (it bailed to
+    #: sequential), ``memo`` (whole-module LRU hit, no parse), or
+    #: ``cached`` (a module record answered the compile: no phase 1).
     phase1_parse_ms: float = 0.0
     phase1_sema_ms: float = 0.0
     phase1_mode: str = "sequential"
@@ -106,8 +107,9 @@ class WorkProfile:
     #: the events this compile caused, nonzero only, by dotted name:
     #: ``<tier>.hits`` / ``<tier>.misses`` for the lookups it made
     #: (``artifact_cache``, ``parse_cache``, ``link_cache``,
-    #: ``module_cache``), ``phase1_memo.*`` for the workers' whole-module
-    #: memo, ``supervision.<counter>`` for its supervisor's delta
+    #: ``module_cache``), ``phase1.fallbacks`` for a phase 1 the
+    #: sequential front end finished, ``supervision.<counter>`` for its
+    #: supervisor's delta
     counts: Dict[str, int] = field(default_factory=dict)
 
     def function_work(self) -> int:

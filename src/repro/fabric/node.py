@@ -82,7 +82,8 @@ class WorkerNodeAgent:
         self.backend = backend if backend is not None else SerialBackend()
         self.node_id = node_id or default_node_id()
         self.chaos = chaos
-        #: ``tasks_completed`` / ``tasks_failed``, bumped from the
+        #: ``tasks_completed`` / ``tasks_refused`` (answered with a
+        #: refused window) / ``tasks_failed``, bumped from the
         #: session's pool threads under ``_counts``, and ``sessions``
         self.counts: Counter = Counter()
         self._counts = threading.Lock()
@@ -242,5 +243,6 @@ class WorkerNodeAgent:
         except (OSError, ConnectionError, ProtocolError):
             # Link died under the result: the hub reports the task lost.
             return
+        counted = "tasks_refused" if result.refused else "tasks_completed"
         with self._counts:
-            self.counts["tasks_completed"] += 1
+            self.counts[counted] += 1

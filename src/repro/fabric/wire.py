@@ -66,7 +66,9 @@ from ..driver.function_master import FunctionTask, FunctionTaskResult
 #: Protocol revision; bumped on incompatible frame changes, and the
 #: schema of a task entry: a peer of another revision cannot open one.
 #: 2: a task names one function, a result frame completes its task.
-PROTOCOL_VERSION = 2
+#: 3: a task carries its window and its section's headers, not the
+#: module; a result, the window's facts or why it was refused.
+PROTOCOL_VERSION = 3
 
 #: Hard bound on one frame.  Object code for a function is a few KB;
 #: whole-module sources top out far below this.  Anything larger is a

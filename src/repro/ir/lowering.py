@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..lang import ast_nodes as ast
-from ..lang.sema import SemaResult
 from ..lang.types import ArrayType, FLOAT, INT, Type, VOID
 from .builder import IRBuilder
 from .cfg import FunctionIR, ModuleIR
@@ -66,15 +65,8 @@ class LoweringError(Exception):
 class FunctionLowerer:
     """Lowers a single, semantically checked function to IR."""
 
-    def __init__(
-        self,
-        section: ast.Section,
-        function: ast.Function,
-        sema: SemaResult,
-    ):
-        self._section = section
+    def __init__(self, section: ast.Section, function: ast.Function):
         self._fn = function
-        self._scope = sema.scope_for(section, function)
         self._callees: Dict[str, _CalleeInfo] = {
             f.name: _CalleeInfo([p.type for p in f.params], f.return_type)
             for f in section.functions
@@ -423,19 +415,18 @@ def _constant_int(expr: ast.Expr) -> Optional[int]:
     return None
 
 
-def lower_function(
-    section: ast.Section, function: ast.Function, sema: SemaResult
-) -> FunctionIR:
-    """Lower one checked function to IR."""
-    return FunctionLowerer(section, function, sema).lower()
+def lower_function(section: ast.Section, function: ast.Function) -> FunctionIR:
+    """Lower one checked function to IR: sema wrote each expression's
+    type onto the tree, so no scope is read."""
+    return FunctionLowerer(section, function).lower()
 
 
-def lower_module(module: ast.Module, sema: SemaResult) -> ModuleIR:
+def lower_module(module: ast.Module) -> ModuleIR:
     """Lower every function of a checked module."""
     result = ModuleIR(name=module.name)
     for section in module.sections:
         result.section_cells[section.name] = (section.first_cell, section.last_cell)
         result.functions[section.name] = [
-            lower_function(section, fn, sema) for fn in section.functions
+            lower_function(section, fn) for fn in section.functions
         ]
     return result

@@ -81,9 +81,6 @@ class SemaResult:
     #: (section name, function name) -> scope
     scopes: Dict[tuple, FunctionScope] = field(default_factory=dict)
 
-    def scope_for(self, section: ast.Section, fn: ast.Function) -> FunctionScope:
-        return self.scopes[(section.name, fn.name)]
-
 
 # ---------------------------------------------------------------------------
 # Structure pass (sequential, cheap)

@@ -12,12 +12,12 @@ from .parallel_make import (
 )
 from .schedule import (
     Assignment,
-    ast_cost_hint,
     batch_tasks_by_cost,
     fcfs_assignment,
     grouped_lpt_assignment,
     lines_and_nesting_cost,
     one_function_per_processor,
+    window_cost_hint,
 )
 from .supervisor import SupervisedBackend, WorkerHealthTracker
 from .warm_pool import WarmPoolBackend
@@ -35,7 +35,6 @@ __all__ = [
     "MakeTarget",
     "SerialBackend",
     "WarmPoolBackend",
-    "ast_cost_hint",
     "batch_tasks_by_cost",
     "fcfs_assignment",
     "grouped_lpt_assignment",
@@ -43,4 +42,5 @@ __all__ = [
     "one_function_per_processor",
     "simulate_parallel_make",
     "stream_task_results",
+    "window_cost_hint",
 ]

@@ -187,7 +187,7 @@ class ChaosBackend:
                 "corrupt", key, attempt
             )
             for result in results:
-                if corrupt:
+                if corrupt and result.code:  # a refusal has none to flip
                     # Flip a byte *after* the digest was sealed (the
                     # copy has the bytes and no graph): different code
                     # would link — unless validation catches it.

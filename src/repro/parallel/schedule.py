@@ -14,11 +14,11 @@ reports to an :class:`Assignment`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 from ..driver.results import FunctionReport
-from ..lang import ast_nodes as ast
 
 #: Estimates the relative compile cost of a function before compiling it.
 CostEstimator = Callable[[FunctionReport], float]
@@ -51,28 +51,27 @@ def lines_and_nesting_cost(report: FunctionReport) -> float:
     return report.source_lines + 0.05 * report.loop_weight
 
 
-def _ast_loop_weight(stmts: List[ast.Stmt], depth: int = 0) -> int:
-    """Statement count scaled by 4**nesting-depth, from the AST alone."""
-    total = 0
-    for stmt in stmts:
-        total += 4 ** depth
-        if isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
-            total += _ast_loop_weight(stmt.body, depth + 1)
-        elif isinstance(stmt, ast.IfStmt):
-            total += _ast_loop_weight(stmt.then_body, depth)
-            total += _ast_loop_weight(stmt.else_body, depth)
-    return total
+#: the words that open and close a block of a function body
+_BLOCK_WORDS = re.compile(r"\b(?:(for|while)|if|end)\b")
 
 
-def ast_cost_hint(function: ast.Function) -> float:
-    """The §4.3 estimate computed *before* compilation.
-
-    The master has only the parse when it dispatches tasks — "since the
-    master process parses the program to determine the partitioning, this
-    information is readily available" — so this mirrors
-    :func:`lines_and_nesting_cost` using AST-level lines and nesting.
-    """
-    return function.line_count() + 0.05 * _ast_loop_weight(function.body)
+def window_cost_hint(window: str) -> float:
+    """The §4.3 estimate computed *before* compilation, from a function's
+    text — "readily available" since the master splits the program: its
+    lines plus 0.05 x each line weighted 4**(loops around it), mirroring
+    :func:`lines_and_nesting_cost` without a parse."""
+    weight = depth = last = 0
+    blocks: List[int] = []  # per open block: 1 for a loop
+    for match in _BLOCK_WORDS.finditer(window):
+        weight += window.count("\n", last, match.start()) * 4 ** depth
+        last = match.start()
+        if match[0] != "end":
+            blocks.append(1 if match[1] else 0)
+            depth += blocks[-1]
+        elif blocks:
+            depth -= blocks.pop()
+    weight += window.count("\n", last) * 4 ** depth
+    return window.count("\n") + 1 + 0.05 * weight
 
 
 def batch_tasks_by_cost(

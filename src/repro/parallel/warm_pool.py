@@ -2,19 +2,18 @@
 
 The paper's implementation overhead is dominated by per-task startup:
 every function master is a fresh Lisp process that must "download a
-portion of a large core image" and re-derive phase-1 state before any
-useful work.  A process pool built per compilation has the same
-pathology — a new ``ProcessPoolExecutor`` per dispatch, and a full
-re-parse in every worker.
+portion of a large core image" before any useful work.  A process pool
+built per compilation has the same pathology — a new
+``ProcessPoolExecutor`` per dispatch.
 
-:class:`WarmPoolBackend` removes both costs:
+:class:`WarmPoolBackend` removes it:
 
 - the executor starts lazily on first use and **stays alive across
   compilations** (explicit :meth:`shutdown`, or use the backend as a
   context manager);
-- because worker processes survive, each worker's phase-1 LRU cache
-  (:mod:`repro.driver.function_master`) stays hot — the second task for
-  the same module skips parse + sema entirely;
+- a worker parses only the window its task carries: it starts with an
+  empty phase-1 memo (a forked worker drops the one it inherited), so
+  no worker reads a module's parse;
 - tasks are dispatched in §4.3 cost-balanced batches
   (:func:`repro.parallel.schedule.batch_tasks_by_cost`), so tiny
   functions share one IPC round-trip instead of paying one each;
@@ -35,6 +34,7 @@ from typing import Iterator, List, Optional
 from ..driver.function_master import (
     FunctionTask,
     FunctionTaskResult,
+    clear_phase1_cache,
     run_compile_batch,
 )
 from .schedule import batch_tasks_by_cost
@@ -115,7 +115,8 @@ class WarmPoolBackend:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self._max_workers
+                    max_workers=self._max_workers,
+                    initializer=clear_phase1_cache,
                 )
             return self._pool
 

@@ -6,7 +6,7 @@ Two halves, both feeding the compile service:
   observed compile times (a fifth :class:`~repro.cache.store.Store`
   tier) and :class:`LearnedCostModel`, an EWMA estimator the
   compile service asks once per task, as the task enters its queue; the
-  answer replaces the static §4.3 ``ast_cost_hint`` in the task's
+  answer replaces the static §4.3 ``window_cost_hint`` in the task's
   ``cost_hint``, which the fair-share queue, the LPT batch packer and
   the supervision deadlines read.  Unseen fingerprints keep the static
   hint.

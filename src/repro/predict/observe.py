@@ -1,7 +1,7 @@
 """Learned compile-cost model over a persistent observation store.
 
 The paper's scheduler costs tasks with a static "lines + nesting"
-estimate (§4.3, :func:`~repro.parallel.schedule.ast_cost_hint`).  After
+estimate (§4.3, :func:`~repro.parallel.schedule.window_cost_hint`).  After
 enough compiles the system has ground truth the estimate never sees:
 the wall-clock each function actually took.  This module closes the
 loop:
@@ -21,7 +21,8 @@ loop:
   which the queue, the LPT packer and the supervisor's deadlines read.
 
 Fallback rules keep the model harmless: unseen fingerprint, too few
-samples, missing calibration, unparseable source, any internal error —
+samples, missing calibration, a module this process holds no parse
+of, any internal error —
 all fall back to the task's static ``cost_hint``.  Learned costs
 reorder dispatch; they can never alter a compile result (results are
 routed by (section, function) key, not by cost).
@@ -32,12 +33,12 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..cache.fingerprint import function_fingerprint
 from ..cache.store import FactsCodec, Store
-from ..driver.function_master import FunctionTask, phase1_cached
-from ..parallel.schedule import ast_cost_hint
+from ..driver.function_master import FunctionTask, memo_program
+from ..parallel.schedule import window_cost_hint
 
 #: fingerprint of the synthetic calibration record (hint-units-per-second
 #: EWMA; ordinary fingerprints are hex digests so this can't collide)
@@ -60,34 +61,30 @@ class ObservationStore(Store):
     """Persistent per-fingerprint compile-time observations (``observe/``)."""
 
     SUBDIR = "observe"
-    SCHEMA = 3  # 3: no sample window (2 kept one; 1 was a pickle)
+    #: 4: hints read from the window's text (3 kept no sample window,
+    #: 2 kept one; 1 was a pickle)
+    SCHEMA = 4
     codec = FactsCodec(CostObservation)
 
 
-def _resolve(task: FunctionTask) -> Optional[Tuple[str, float]]:
-    """``(content fingerprint, static §4.3 hint)`` of the function a
-    task names, from the parse; None when the source does not resolve
-    to it."""
-    try:
-        parsed, _ = phase1_cached(task.source_text, task.filename)
-        function, _ = parsed.function(task.section_name, task.function_name)
-        section = parsed.module.section_named(task.section_name)
-        fingerprint = function_fingerprint(section, function, task.options)
-        return fingerprint, ast_cost_hint(function)
-    except Exception:
-        return None
-
-
 def task_fingerprint(task: FunctionTask) -> Optional[str]:
-    """The content fingerprint a task's artifact is cached under.
+    """The content fingerprint a task's artifact is cached under, read
+    off the master's phase-1 memo entry the task names.
 
     Observations must key on *content*, not names, so a renamed file or
-    a different module with the same function bodies shares history.
-    Unparseable sources return None — callers fall back to the static
-    hint.
+    a different module with the same function bodies shares history.  A
+    task whose module this process holds no parse of returns None —
+    callers fall back to the static hint.
     """
-    resolved = _resolve(task)
-    return None if resolved is None else resolved[0]
+    try:
+        parsed = memo_program(task.phase1_key, checked=False)
+        if parsed is None:
+            return None
+        function = parsed.function(task.section_name, task.function_name)
+        section = parsed.module.section_named(task.section_name)
+        return function_fingerprint(section, function, task.options)
+    except Exception:
+        return None
 
 
 class LearnedCostModel:
@@ -123,13 +120,14 @@ class LearnedCostModel:
     def observe_task(self, task: FunctionTask, seconds: float) -> None:
         """Record one task's measured wall clock (no-op when the task
         has no content fingerprint).  The calibration pairs it with the
-        function's static §4.3 hint, never ``task.cost_hint``: that may
+        window's static §4.3 hint, never ``task.cost_hint``: that may
         be this model's own estimate, which must not feed its own
         calibration."""
-        resolved = _resolve(task)
-        if resolved is not None:
-            fingerprint, hint = resolved
-            self.observe(fingerprint, seconds, hint=hint)
+        fingerprint = task_fingerprint(task)
+        if fingerprint is not None:
+            self.observe(
+                fingerprint, seconds, hint=window_cost_hint(task.window)
+            )
 
     def observe(
         self, fingerprint: str, seconds: float, hint: float = 1.0

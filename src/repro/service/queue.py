@@ -7,7 +7,7 @@ the farm — the paper's §4.3 observation that small functions should
 share processors, replayed across whole jobs.  The interleaving is
 driven by the same cost estimate the paper's scheduler uses ("lines of
 code and loop nesting", §4.3): every task carries its ``cost_hint`` —
-the static :func:`~repro.parallel.schedule.ast_cost_hint`, or the
+the static :func:`~repro.parallel.schedule.window_cost_hint`, or the
 estimate a service with a learned cost model wrote onto it once,
 before enqueueing — and dispatching a task advances its tenant's
 *virtual time* by ``cost / weight`` (stride scheduling).  Only the

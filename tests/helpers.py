@@ -37,8 +37,8 @@ def sema_errors(source: str) -> List[str]:
 
 
 def lower_ok(source: str) -> ModuleIR:
-    module, sema = parse_ok(source)
-    return lower_module(module, sema)
+    module, _ = parse_ok(source)
+    return lower_module(module)
 
 
 def single_function_ir(source: str) -> FunctionIR:
@@ -106,6 +106,35 @@ def object_functions(source: str, options: CompileOptions = CompileOptions()):
     ]
 
 
+def function_tasks(
+    source: str,
+    filename: str = "<input>",
+    options: CompileOptions = CompileOptions(),
+    memo: bool = False,
+):
+    """The tasks the master builds for every function of ``source``, by
+    ``(section, function)``: window plan tasks, or with ``memo`` tasks
+    that name the master's checked parse (which this puts in the memo),
+    as an in-process function master reads it."""
+    from repro.driver.function_master import phase1_cached, phase1_key
+    from repro.driver.master import function_tasks as build
+    from repro.driver.phases import phase1_parallel
+
+    if memo:
+        parsed, _ = phase1_cached(source, filename)
+        key = phase1_key(source, filename)
+    else:
+        parsed, key = phase1_parallel(source, filename, parse_windows=False), None
+    tasks = build(parsed, parsed.module.all_functions(), options, key)
+    return {task.key: task for task in tasks}
+
+
+def function_task(source: str, section: str, function: str, **kwargs):
+    """The master's task for one function of ``source`` (see
+    :func:`function_tasks`)."""
+    return function_tasks(source, **kwargs)[(section, function)]
+
+
 def seal(obj):
     """``obj`` as a function master seals it: its assembled code in a
     result, beside the report its compile would have written."""
@@ -140,7 +169,7 @@ def compile_with_ir_transform(source: str, transform, opt_level: int = 2):
     from repro.ir.lowering import lower_module
 
     parsed = phase1_parse_and_check(source)
-    module_ir = lower_module(parsed.module, parsed.sema)
+    module_ir = lower_module(parsed.module)
     transform(module_ir)
     array = WarpArrayModel()
     results = {

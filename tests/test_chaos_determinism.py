@@ -16,7 +16,6 @@ import re
 import pytest
 
 from repro.driver.master import ParallelCompiler
-from repro.driver.phases import phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric.chaos import ChaosTransport
 from repro.parallel.fault_schedule import FaultSchedule
@@ -24,7 +23,7 @@ from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
-from helpers import collect_events, wrap_function
+from helpers import collect_events, function_tasks, wrap_function
 from test_supervisor import TWO_SECTIONS, TestSeededChaosEndToEnd
 
 SOURCE = wrap_function(
@@ -53,9 +52,7 @@ def fired(backend):
 
 
 def build_tasks(source=SOURCE):
-    return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
-    )
+    return list(function_tasks(source, "<t>").values())
 
 
 def schedule_via_events(backend, tasks):

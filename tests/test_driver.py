@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.driver.function_master import FunctionTask, run_function_master
+from dataclasses import replace
+
+from repro.driver.function_master import run_function_master
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.section_master import (
@@ -15,7 +17,7 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 from repro.warpsim.array_runner import run_module
 
-from helpers import wrap_function
+from helpers import function_task, wrap_function
 
 
 MULTI_SECTION = """
@@ -88,40 +90,35 @@ class TestSequentialCompiler:
 
 class TestFunctionMaster:
     def test_compiles_exactly_one_function(self):
-        task = FunctionTask(
-            source_text=MULTI_SECTION,
-            filename="<t>",
-            section_name="alpha",
-            function_name="work",
-        )
+        task = function_task(MULTI_SECTION, "alpha", "work")
         result = run_function_master(task)
         assert result.key == ("alpha", "work")
         assert result.report.section_name == "alpha"
+        assert not result.refused and result.window is not None
 
     def test_unknown_function_raises(self):
-        task = FunctionTask(
-            source_text=MULTI_SECTION,
-            filename="<t>",
-            section_name="alpha",
-            function_name="nope",
-        )
+        """In the master's process a task reads the master's tree, which
+        has no such function; elsewhere its window says it is another."""
+        task = function_task(MULTI_SECTION, "alpha", "work", memo=True)
         with pytest.raises(KeyError):
-            run_function_master(task)
+            run_function_master(replace(task, function_name="nope"))
+        alone = replace(task, function_name="nope", phase1_key=None)
+        assert run_function_master(alone).refused == "the window holds 'work'"
 
     def test_unknown_section_rejected(self):
+        task = function_task(MULTI_SECTION, "alpha", "work", memo=True)
         with pytest.raises(KeyError, match="no section named 'zz'"):
-            run_function_master(FunctionTask(MULTI_SECTION, "<t>", "zz", "work"))
+            run_function_master(replace(task, section_name="zz"))
 
 
 class TestSectionMaster:
     def _results(self):
         parsed = phase1_parse_and_check(MULTI_SECTION)
         section = parsed.module.section_named("alpha")
-        tasks = [
-            FunctionTask(MULTI_SECTION, "<t>", "alpha", fn.name)
+        return section, [
+            run_function_master(function_task(MULTI_SECTION, "alpha", fn.name))
             for fn in section.functions
         ]
-        return section, [run_function_master(t) for t in tasks]
 
     def test_recombines_in_source_order(self):
         section, results = self._results()
@@ -140,9 +137,7 @@ class TestSectionMaster:
 
     def test_foreign_result_rejected(self):
         section, results = self._results()
-        stray = run_function_master(
-            FunctionTask(MULTI_SECTION, "<t>", "beta", "main")
-        )
+        stray = run_function_master(function_task(MULTI_SECTION, "beta", "main"))
         with pytest.raises(SectionCombineError):
             combine_section_results(section, results + [stray])
 

@@ -10,22 +10,28 @@ exception gets the same reply shape and the connection stays.
 
 The second half is the client side of the same boundary: a server that
 answers junk must surface as a ``ServiceError``, and as exit code 2
-from the client verbs, never as a traceback.
+from the client verbs, never as a traceback — and a worker node handed
+hostile task frames answers each with a counted refusal and keeps
+serving.
 """
 
 import json
 import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.cli import main
 from repro.fabric import CacheServiceServer, FabricHub
+from repro.fabric.node import WorkerNodeAgent
 from repro.fabric.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    decode_result,
+    encode_task,
     error_reply,
 )
 from repro.parallel.local import SerialBackend
@@ -35,6 +41,8 @@ from repro.service import (
     ServiceError,
     ServiceSocketServer,
 )
+
+from helpers import function_task
 
 
 class Peer:
@@ -300,3 +308,69 @@ class TestClientSide:
         assert captured.out == ""
         (line,) = captured.err.strip().splitlines()
         assert line.startswith("warpcc: ") and "[bad-json]" in line
+
+
+# ---------------------------------------------------------------------------
+# Node side: a hub that sends hostile task frames.  A task is a window and
+# its section's headers; a window that does not parse, headers that
+# disagree with it, or a name it does not hold is answered with a refused
+# result — counted, never run, never a crash — and the node serves on.
+# ---------------------------------------------------------------------------
+
+WINDOW_MODULE = """
+module w
+section s (cells 0..0)
+  function main(x: float) : float begin return x * 2.0; end
+end
+end
+"""
+
+
+def _hostile_tasks():
+    from dataclasses import replace
+
+    task = function_task(WINDOW_MODULE, "s", "main")
+    return task, {
+        "window_does_not_parse": replace(task, window="function main( begin"),
+        "headers_disagree": replace(task, headers=["function main()"]),
+        "name_not_in_the_window": replace(task, function_name="other"),
+    }
+
+
+def test_a_worker_node_refuses_hostile_task_frames_and_serves_on():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(10.0)
+    address = "127.0.0.1:%d" % listener.getsockname()[1]
+    agent = WorkerNodeAgent(address, SerialBackend(), node_id="target")
+    agent.reconnect = False
+    agent.start()
+    sock, _ = listener.accept()
+    hub = Peer.__new__(Peer)
+    hub.sock, hub.rfile = sock, sock.makefile("rb")
+    try:
+        assert hub.reply()["op"] == "register"
+        hub.send(json.dumps({"ok": True, "heartbeat_interval": 30}).encode() + b"\n")
+        healthy, hostile = _hostile_tasks()
+        answers = {}
+        for name, task in [*sorted(hostile.items()), ("healthy", healthy)]:
+            hub.send(json.dumps(encode_task(task, name)).encode() + b"\n")
+            frame = hub.reply()
+            while frame["op"] == "heartbeat":
+                frame = hub.reply()
+            assert frame["op"] == "result" and frame["id"] == name
+            answers[name] = decode_result(frame)
+        for name in hostile:
+            assert answers[name].refused and answers[name].code == b""
+        assert not answers["healthy"].refused and answers["healthy"].code
+        deadline = time.monotonic() + 10.0  # a node counts after it sends
+        while agent.counts["tasks_completed"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert agent.counts["tasks_refused"] == 3
+        assert agent.counts["tasks_completed"] == 1
+        assert agent.counts["tasks_failed"] == 0
+    finally:
+        agent.stop()
+        hub.close()
+        listener.close()

@@ -15,6 +15,8 @@ from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
 from repro.workloads.synthetic import all_synthetic_programs
 
+from helpers import function_tasks
+
 # Keep the big size classes to their smallest function counts: coverage
 # of every class without minutes of compile time.
 _MAX_FUNCTIONS = {"tiny": 8, "small": 8, "medium": 2, "large": 1, "huge": 1}
@@ -78,12 +80,7 @@ class TestOneDispatchSurface:
     )
 
     def _tasks(self):
-        from repro.driver.phases import phase1_parse_and_check
-
-        return ParallelCompiler()._build_tasks(
-            phase1_parse_and_check(self.SOURCE).module.all_functions(),
-            self.SOURCE, "<t>",
-        )
+        return list(function_tasks(self.SOURCE, "<t>").values())
 
     @pytest.mark.parametrize("which", ["serial", "warm"])
     def test_one_result_per_function_task(self, which, warm_pool):

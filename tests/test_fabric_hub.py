@@ -7,10 +7,15 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
-from repro.driver.function_master import FunctionTask, run_function_master
+from repro.driver.function_master import (
+    phase1_cached,
+    phase1_key,
+    run_function_master,
+)
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.fabric import FabricHub, RemoteBackend, WorkerNodeAgent
@@ -25,6 +30,8 @@ from repro.fabric.wire import (
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 from repro.service import CompileService
+
+from helpers import function_task
 
 SOURCE = """
 module hub_mod
@@ -53,12 +60,7 @@ FUNCTIONS = ("main", "double_it", "third")
 
 def _tasks():
     return [
-        FunctionTask(
-            source_text=SOURCE,
-            filename="hub_mod.w2",
-            section_name="s",
-            function_name=name,
-        )
+        function_task(SOURCE, "s", name, filename="hub_mod.w2")
         for name in FUNCTIONS
     ]
 
@@ -693,11 +695,11 @@ class TestWaveCleanup:
         fake = FakeNode(hub.address, node_id="bouncer")
         assert hub.wait_for_nodes(1, timeout=10.0)
         received = _serve(fake, _bounce(fake))
-        bad = FunctionTask(
-            source_text="this is not a module",
-            filename="bad.w2",
-            section_name="s",
-            function_name="main",
+        # the master's own tree holds no such function
+        phase1_cached(SOURCE, "hub_mod.w2")
+        bad = replace(
+            _tasks()[0], function_name="missing",
+            phase1_key=phase1_key(SOURCE, "hub_mod.w2"),
         )
         backend = RemoteBackend(hub)
         backend.health.quarantine_after = 100

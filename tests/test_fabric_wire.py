@@ -18,7 +18,7 @@ import pytest
 from repro import CompileOptions
 from repro.cache import ArtifactCache, compiler_salt, module_fingerprints
 from repro.cache.store import open_entry, seal_entry
-from repro.driver.function_master import FunctionTask, run_compile_task
+from repro.driver.function_master import run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import compile_one_function, phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
@@ -52,6 +52,8 @@ from repro.fabric.wire import (
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
+from helpers import function_task
+
 SOURCE = """
 module wire_mod
 section s (cells 0..0)
@@ -66,12 +68,7 @@ end
 
 
 def _compiled_result():
-    task = FunctionTask(
-        source_text=SOURCE,
-        filename="wire_mod.w2",
-        section_name="s",
-        function_name="main",
-    )
+    task = function_task(SOURCE, "s", "main", filename="wire_mod.w2")
     return task, run_compile_task(task)[0]
 
 
@@ -126,7 +123,7 @@ class TestBlobCodec:
         decoded = decode_task(frame)
         assert decoded.section_name == "s"
         assert decoded.function_name == "main"
-        assert decoded.source_text == task.source_text
+        assert (decoded.window, decoded.headers) == (task.window, task.headers)
 
     def test_result_roundtrip_preserves_payload_digest(self):
         _, result = _compiled_result()
@@ -318,8 +315,8 @@ class TestRestrictedUnpickling:
                 decode(_frame_around(pickle.dumps(payload)))
         decoded = decode_result(encode_result(result, "w0.0"))
         assert unpicklers_entered == []
-        # whole, but for the worker's memo outcome: no entry carries it
-        assert decoded == dataclasses.replace(result, phase1_memo_hit=None)
+        # whole, the window's facts too
+        assert decoded == result and decoded.window is not None
 
     def test_object_code_classes_are_refused_like_any_foreign_global(
         self, unpicklers_entered
@@ -558,7 +555,8 @@ HOSTILE_TASKS = {
     "unknown_option": _set(("options", "inline_budget"), 4),
     "unknown_key": _set(("run_as",), "root"),
     "options_missing": lambda facts: facts.pop("options"),
-    "source_not_text": _set(("source_text",), ["module", "x"]),
+    "source_not_text": _set(("window",), ["module", "x"]),
+    "headers_not_texts": _set(("headers",), "function main()"),
     "cost_hint_a_bool": _set(("cost_hint",), True),
 }
 
@@ -595,6 +593,78 @@ def test_a_node_reports_a_hostile_task_and_keeps_serving():
     assert agent.counts["tasks_failed"] == 1
     assert agent.counts["tasks_completed"] == 0
     assert [frame["op"] for frame in conn.sent] == ["task-failed"]
+
+
+# ---------------------------------------------------------------------------
+# A task frame is a function's window and its section's headers.  A frame
+# that is well-formed but whose window does not parse, disagrees with its
+# headers or holds another function is answered with a refused result —
+# counted by the node, never run, never linked — and a refusal the
+# sequential front end does not confirm is compiled by the master itself.
+# ---------------------------------------------------------------------------
+
+
+HOSTILE_WINDOWS = {
+    "window_does_not_parse": lambda task: replace(
+        task, window=task.window.replace("begin", "begin (", 1)
+    ),
+    "headers_disagree": lambda task: replace(
+        task, headers=["function main(x: float)"]
+    ),
+    "name_not_in_the_window": lambda task: replace(task, function_name="other"),
+}
+
+
+class _Sent:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, frame):
+        self.sent.append(frame)
+
+
+@pytest.mark.parametrize("hostility", sorted(HOSTILE_WINDOWS))
+def test_a_hostile_window_is_a_counted_refusal_at_the_node(hostility):
+    task, _ = _compiled_result()
+    frame = encode_task(HOSTILE_WINDOWS[hostility](task), "w0.0")
+    agent = WorkerNodeAgent("127.0.0.1:1", SerialBackend(), node_id="n")
+    conn = _Sent()
+    agent._run_task(conn, frame)
+    assert agent.counts == {"tasks_refused": 1}
+    (answer,) = conn.sent
+    refused = decode_result(answer)
+    assert refused.refused and refused.code == b"" and refused.window is None
+
+
+class _RefusesEverything(SerialBackend):
+    """A worker that refuses every window, however sound."""
+
+    def run_tasks_streaming(self, tasks):
+        from repro.driver.function_master import refused_result
+
+        for task in tasks:
+            yield refused_result(task, "window parse error")
+
+
+def test_a_refusal_the_sequential_front_end_does_not_confirm_is_never_linked():
+    """Through the fabric, a node refuses a valid module's windows: the
+    master's sequential front end accepts the module, so the master
+    compiles those functions itself — the digest is the sequential
+    compiler's, and the fallback is counted."""
+    with FabricHub(lease_ttl=5.0, heartbeat_interval=0.2) as hub:
+        agent = WorkerNodeAgent(
+            hub.address, _RefusesEverything(), node_id="refuser"
+        ).start()
+        try:
+            assert hub.wait_for_nodes(1, timeout=10.0)
+            compiler = ParallelCompiler(backend=RemoteBackend(hub))
+            result = compiler.compile(SOURCE)
+        finally:
+            agent.stop()
+    assert result.digest == SequentialCompiler().compile(SOURCE).digest
+    assert result.profile.counts["phase1.fallbacks"] == 1
+    assert compiler.last_phase1_stats.fallback_reason == "window parse error"
+    assert agent.counts["tasks_refused"] == 1
 
 
 class TestAuthentication:
@@ -636,7 +706,7 @@ class TestAuthentication:
         task, _ = _compiled_result()
         frame = encode_task(task, "w0.0")
         evil = unpack_bytes(
-            encode_task(replace(task, source_text="module stolen end"), "w0.0")
+            encode_task(replace(task, window="function stolen() begin end"), "w0.0")
         )
         frame["blob"] = base64.b64encode(evil).decode("ascii")
         frame["sha256"] = hashlib.sha256(evil).hexdigest()
@@ -648,4 +718,4 @@ class TestAuthentication:
         task, _ = _compiled_result()
         frame = encode_task(task, "w0.0")
         assert "hmac" not in frame
-        assert decode_task(frame).source_text == task.source_text
+        assert decode_task(frame).window == task.window

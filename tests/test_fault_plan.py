@@ -21,8 +21,6 @@ import pytest
 
 from repro.cache.store import ArtifactCache, seal_entry
 from repro.cli.serve import _CHAOS_FAULTS
-from repro.driver.master import ParallelCompiler
-from repro.driver.phases import phase1_parse_and_check
 from repro.fabric.chaos import ChaosTransport
 from repro.fabric.netcache import CacheServiceServer
 from repro.fabric.node import WorkerNodeAgent
@@ -30,6 +28,8 @@ from repro.fabric.wire import unpack_bytes
 from repro.parallel.fault_schedule import FaultSchedule
 from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
+
+from helpers import function_tasks
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "fault_schedules.json")
@@ -55,9 +55,7 @@ def _record_events(backend, tasks):
 @pytest.fixture(scope="module")
 def tasks():
     source = FIXTURE["source"]
-    return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
-    )
+    return list(function_tasks(source, "<t>").values())
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from repro.parallel.fault_tolerance import ChaosBackend
 from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 
-from helpers import collect_events, plain_retry as retrying, wrap_function
+from helpers import collect_events, function_tasks, plain_retry as retrying, wrap_function
 
 SOURCE = wrap_function(
     "\n".join(
@@ -29,11 +29,7 @@ def flaky(rate: float, seed: int = 7, crash_budget=None) -> ChaosBackend:
 
 
 def build_tasks(source=SOURCE):
-    from repro.driver.phases import phase1_parse_and_check
-
-    return ParallelCompiler(backend=SerialBackend())._build_tasks(
-        phase1_parse_and_check(source).module.all_functions(), source, "<t>"
-    )
+    return list(function_tasks(source, "<t>").values())
 
 
 class TestFlakyBackend:

@@ -20,11 +20,12 @@ import hashlib, json, tempfile
 from repro import CompileOptions, ParallelCompiler, SequentialCompiler
 from repro.cache import ArtifactCache, module_fingerprints
 from repro.fabric.wire import decode_result, encode_result
-from repro.driver.phases import phase1_parse_and_check
+from repro.driver.phases import phase1_parallel
 from repro.parallel import SerialBackend, WarmPoolBackend
 from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.workloads.synthetic import synthetic_program
 from repro.workloads.user_program import user_program
+from repro.driver.master import function_tasks
 
 programs = {
     "s2_medium": synthetic_program("medium", 2),
@@ -50,9 +51,9 @@ def payload_digests(results):
 
 with WarmPoolBackend(2) as pool, tempfile.TemporaryDirectory() as tmp:
     for name in ("s2_medium", "user_program"):
-        parsed = phase1_parse_and_check(programs[name])
-        tasks = ParallelCompiler()._build_tasks(
-            parsed.module.all_functions(), programs[name], name + ".w2"
+        parsed = phase1_parallel(programs[name])
+        tasks = function_tasks(
+            parsed, parsed.module.all_functions(), CompileOptions()
         )
         serial = list(SerialBackend().run_tasks_streaming(tasks))
         for index, result in enumerate(serial):

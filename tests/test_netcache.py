@@ -1,6 +1,5 @@
 """Two-tier network artifact cache: read-through, write-behind, degradation."""
 
-import dataclasses
 import pickle
 import socket
 
@@ -8,7 +7,6 @@ import pytest
 
 from repro.cache.store import ArtifactCache, open_entry, seal_entry
 from repro.driver.function_master import (
-    FunctionTask,
     result_payload_digest,
     run_compile_task,
 )
@@ -19,6 +17,8 @@ from repro.fabric import (
 )
 from repro.fabric.wire import encode_result, pack_bytes, unpack_bytes
 from repro.parallel.fault_schedule import FaultSchedule
+
+from helpers import function_task
 
 SOURCE = """
 module net_mod
@@ -34,12 +34,7 @@ end
 
 
 def _artifact():
-    task = FunctionTask(
-        source_text=SOURCE,
-        filename="net_mod.w2",
-        section_name="s",
-        function_name="main",
-    )
+    task = function_task(SOURCE, "s", "main", filename="net_mod.w2")
     result = run_compile_task(task)[0]
     # Keys are opaque content hashes to the cache tier; any hex string of
     # the right shape exercises the same paths the real fingerprints do.
@@ -144,7 +139,7 @@ class TestClientServer:
         in_frame = unpack_bytes(encode_result(result, "w0.0"))
         assert on_server == fetched == on_disk == in_frame
         beside = ArtifactCache(server.store.cache_dir)
-        assert beside.get(fp) == dataclasses.replace(result, phase1_memo_hit=None)
+        assert beside.get(fp) == result
         assert beside.counts["hits"] == 1
         other = "e" * 64
         beside.put(other, result)

@@ -39,8 +39,8 @@ TESTS = Path(__file__).parent
 
 
 def lower(source):
-    module, sema = parse_ok(source)
-    return lower_module(module, sema)
+    module, _ = parse_ok(source)
+    return lower_module(module)
 
 
 def text_of(function):

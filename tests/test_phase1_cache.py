@@ -1,16 +1,19 @@
-"""The per-worker phase-1 cache: correctness, keying, and telemetry.
+"""The master's phase-1 memo: correctness, keying, and who reads it.
 
-A warm worker that receives its second task for the same module must
-skip parse + sema entirely — and produce byte-identical object code to a
-cold parse.  The cache is keyed by (sha256(source), filename), so two
-modules sharing a filename can never collide.
+A function master in the master's process reads the master's checked
+tree through the memo entry its task names, skipping parse + sema — and
+produces byte-identical object code to one that parses its window.  The
+memo is keyed by (sha256(source), filename), so two modules sharing a
+filename can never collide.
 """
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.driver.function_master import (
     PHASE1_CACHE_CAPACITY,
-    FunctionTask,
     clear_phase1_cache,
     phase1_cached,
     run_compile_task,
@@ -18,10 +21,13 @@ from repro.driver.function_master import (
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.sequential import SequentialCompiler
-from repro.lang.diagnostics import CompileError
+from repro.lang import parser as parser_module
+from repro.lang.diagnostics import CompileError, DiagnosticSink
+from repro.lang.lexer import tokenize
+from repro.lang.source import SourceFile
 from repro.parallel.local import SerialBackend
 
-from helpers import wrap_function
+from helpers import function_task, wrap_function
 
 SOURCE_A = """
 module cachemod
@@ -51,10 +57,10 @@ def fresh_cache():
 
 class TestCacheSemantics:
     def test_hit_returns_same_compiled_object_bytes(self):
-        task = FunctionTask(SOURCE_A, "<t>", "s", "f")
-        cold = run_compile_task(task)[0]
+        task = function_task(SOURCE_A, "s", "f", filename="<t>", memo=True)
         warm = run_compile_task(task)[0]
-        assert (cold.phase1_memo_hit, warm.phase1_memo_hit) == (False, True)
+        cold = run_compile_task(replace(task, phase1_key=None))[0]
+        assert (cold.window is None, warm.window is None) == (False, True)
         assert warm.code == cold.code
 
     def test_hit_reuses_the_same_parse(self):
@@ -64,11 +70,11 @@ class TestCacheSemantics:
         assert second is first
 
     def test_keyed_by_content_not_filename(self):
-        first = run_compile_task(FunctionTask(SOURCE_A, "same.w", "s", "f"))
-        result = run_compile_task(FunctionTask(SOURCE_B, "same.w", "s", "f"))
-        assert (first[0].phase1_memo_hit, result[0].phase1_memo_hit) == (
-            False, False,
-        )
+        task_a = function_task(SOURCE_A, "s", "f", filename="same.w", memo=True)
+        task_b = function_task(SOURCE_B, "s", "f", filename="same.w", memo=True)
+        assert task_a.phase1_key != task_b.phase1_key
+        first = run_compile_task(task_a)
+        result = run_compile_task(task_b)
         # The second compile really used SOURCE_B's text.
         assert result[0].code != first[0].code
         assert result[0].code == (
@@ -107,29 +113,48 @@ class TestCacheSemantics:
 
 class TestCacheTelemetry:
     def test_counters_surface_in_function_report(self):
-        """The memo outcome rides on the result, beside ``worker``, and
-        never on the report: it is the run's, not the function's."""
-        task = FunctionTask(SOURCE_A, "<t>", "s", "g")
-        cold = run_compile_task(task)[0]
-        warm = run_compile_task(task)[0]
-        assert (cold.phase1_memo_hit, warm.phase1_memo_hit) == (False, True)
-        assert cold.report == warm.report
+        """A window's facts ride on the result, beside ``worker``, and
+        never on the report: they are the run's, not the function's."""
+        task = function_task(SOURCE_A, "s", "g", filename="<t>", memo=True)
+        window = run_compile_task(replace(task, phase1_key=None))[0]
+        tree = run_compile_task(task)[0]
+        assert window.window.token_count > 0 and tree.window is None
+        assert window.report == tree.report
 
-    def test_serial_backend_tasks_hit_the_masters_parse(self):
-        # The master's own parse seeds the cache, so every in-process
-        # function-master task is a hit.
-        result = ParallelCompiler(backend=SerialBackend()).compile(SOURCE_A)
-        assert result.profile.counts["phase1_memo.hits"] == 2
-        assert "phase1_memo.misses" not in result.profile.counts
+    def test_serial_backend_tasks_hit_the_masters_parse(
+        self, monkeypatch, tmp_path
+    ):
+        # With a tier the master parses the module, so every in-process
+        # function master reads its tree and parses nothing.
+        from repro.cache import ArtifactCache
+
+        parses = Counter()
+        for name in ("parse_module", "parse_function"):
+            parse = getattr(parser_module.Parser, name)
+            monkeypatch.setattr(
+                parser_module.Parser, name,
+                lambda self, name=name, parse=parse: parses.update([name])
+                or parse(self),
+            )
+        cache = ArtifactCache(tmp_path)
+        result = ParallelCompiler(backend=SerialBackend(), cache=cache).compile(
+            SOURCE_A
+        )
+        assert result.profile.counts["artifact_cache.misses"] == 2
+        assert parses == {"parse_module": 1}  # the master's, once
 
     def test_section_task_records_on_first_report_only(self):
-        """A section's tasks in one cold worker: the first pays the
-        parse, and each records on its own report."""
+        """A section's tasks in a worker that holds no parse: each
+        parses only its own window and records its own facts."""
         results = [
-            run_compile_task(FunctionTask(SOURCE_A, "<t>", "s", name))[0]
+            run_compile_task(function_task(SOURCE_A, "s", name))[0]
             for name in ("f", "g")
         ]
-        assert [r.phase1_memo_hit for r in results] == [False, True]
+        windows = [line.strip() for line in SOURCE_A.splitlines()[3:5]]
+        assert [r.window.token_count for r in results] == [
+            len(tokenize(SourceFile("", text), DiagnosticSink())) - 1
+            for text in windows
+        ]
 
 
 class TestCachedOutputIdentity:
@@ -148,7 +173,8 @@ class TestSectionDiagnosticsRenderedOnce:
         parsed, _ = phase1_cached(SOURCE_A, "<d>")
         parsed.sink.warning("synthetic warning for the dedup test")
         for name in ("f", "g"):  # every task renders the module's sink
-            (result,) = run_compile_task(FunctionTask(SOURCE_A, "<d>", "s", name))
+            task = function_task(SOURCE_A, "s", name, filename="<d>", memo=True)
+            (result,) = run_compile_task(task)
             assert len(result.diagnostics) == 1
             assert "synthetic warning" in result.diagnostics[0]
 

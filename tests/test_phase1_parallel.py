@@ -55,6 +55,8 @@ from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
 from repro.workloads.synthetic import synthetic_program
 
+from helpers import function_task
+
 
 def _render(error: CompileError) -> str:
     return "\n".join(d.render() for d in error.diagnostics)
@@ -438,7 +440,7 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
         window = scan_boundaries(SOURCE).all_windows()[0]
         stub = par.module.sections[0].functions[0]
         assert (stub.body, stub.locals) == (None, None)
-        served, _ = par.function(par.module.sections[0].name, stub.name)
+        served = par.function(par.module.sections[0].name, stub.name)
         assert served == _window_parse(SOURCE[window.start : window.end])
         seq = phase1_parse_and_check(SOURCE, "b.w2")
         _assert_same_module(par, seq, SOURCE)
@@ -616,7 +618,8 @@ def _forge(cache_dir, source, edited, function_name):
     facts = next(entry for entry in entries if entry.name == function_name)
     windows = scan_boundaries(edited).sections[0].function_windows
     stubs = [
-        _parse_signature_stub(SourceFile("", edited), w) for w in windows
+        _parse_signature_stub(SourceFile("", edited), w.start, w.header_end)
+        for w in windows
     ]
     section = phase1_parse_and_check(source).module.sections[0]
     signatures = parse_store.signature_table_hash(
@@ -660,9 +663,7 @@ def test_compilers_sharing_a_memo_on_eight_threads_match_sequential(tmp_path):
     levels on one cache root, eight threads, the memo cleared before
     every compile: every digest is the sequential compiler's, and
     nothing raises."""
-    from repro.driver.function_master import (
-        FunctionTask, phase1_cached, run_function_master,
-    )
+    from repro.driver.function_master import phase1_cached, run_function_master
 
     source = synthetic_program("small", 8)
     levels = (CompileOptions(opt_level=1), CompileOptions(opt_level=2))
@@ -683,9 +684,9 @@ def test_compilers_sharing_a_memo_on_eight_threads_match_sequential(tmp_path):
     parsed, _ = phase1_cached(source)
     assert all(fn.body is None for _, fn in parsed.module.all_functions())
     for want in sequential[levels[1]].results:
-        task = FunctionTask(
-            source, "<input>", want.section_name, want.function_name,
-            options=levels[1],
+        task = function_task(
+            source, want.section_name, want.function_name,
+            options=levels[1], memo=True,
         )
         assert run_function_master(task).payload_digest == want.payload_digest
 
@@ -774,7 +775,7 @@ def test_memo_readers_fingerprint_a_parse_hits_tree(tmp_path, monkeypatch):
     reads that memo — the variant search, the watch update, the cost
     model's task fingerprint — fingerprints each function as a fresh
     sequential parse does."""
-    from repro.driver.function_master import FunctionTask, phase1_cached
+    from repro.driver.function_master import phase1_cached
     from repro.predict import task_fingerprint
     from repro.predict import watch as watch_module
     from repro.search import searcher
@@ -814,7 +815,9 @@ def test_memo_readers_fingerprint_a_parse_hits_tree(tmp_path, monkeypatch):
         service.watch_update(SOURCE, watch="w", filename="b.w2")
     assert served == [want, want]
     for section, fn in seq.module.all_functions():
-        task = FunctionTask(SOURCE, "b.w2", section.name, fn.name)
+        task = function_task(
+            SOURCE, section.name, fn.name, filename="b.w2", memo=True
+        )
         assert task_fingerprint(task) == want[(section.name, fn.name)]
 
 
@@ -841,8 +844,9 @@ def test_compiler_with_parallel_front_end_is_bit_identical():
         warm = compiler.compile(SOURCE)
         assert warm.digest == seq.digest
         assert warm.profile.counts["parse_cache.hits"] == FUNCTIONS
-        # no artifact tier: every hit's window is parsed again for its task
-        assert warm.profile.counts["parse_cache.rebuilds"] == FUNCTIONS
+        # no artifact tier: each hit's function master parses its window
+        # again, and the master sizes its task from the text alone
+        assert "parse_cache.rebuilds" not in warm.profile.counts
         assert "parse_cache.misses" not in warm.profile.counts
         assert warm.profile.phase1_parse_ms >= 0.0
         assert "phase1_mode" in warm.profile.to_dict()

@@ -41,16 +41,17 @@ from repro.lang.diagnostics import CompileError
 from repro.machine.warp_array import WarpArrayModel
 from repro.parallel.local import SerialBackend
 
+from helpers import function_tasks
+
 
 def _combined_for(source, array=None):
     """Phases 1-3 once, recombined per section — phase 4's input."""
     parsed = phase1_parse_and_check(source)
+    tasks = function_tasks(source)
     combined = {}
     for section in parsed.module.sections:
         results = [
-            run_function_master(
-                FunctionTask(source, "<t>", section.name, function.name)
-            )
+            run_function_master(tasks[(section.name, function.name)])
             for function in section.functions
         ]
         combined[section.name] = combine_section_results(section, results)

@@ -39,7 +39,7 @@ from repro.predict.observe import CALIBRATION_KEY
 from repro.service import CompileService, FairShareQueue
 from repro.workloads.synthetic import synthetic_program
 
-from helpers import wrap_function
+from helpers import function_tasks, wrap_function
 
 SOURCE = wrap_function(
     "\n".join(
@@ -73,13 +73,14 @@ class GateBackend:
     def __init__(self):
         self.inner = SerialBackend()
         self.gate = threading.Event()
-        #: (section, function) of every task that reached the backend,
+        #: (file name, function) of every task that reached the backend,
         #: in dispatch order — what starvation tests assert on
         self.dispatched = []
 
     def run_tasks_streaming(self, tasks):
         for task in tasks:
-            self.dispatched.append((task.filename, task.function_name))
+            # the file name is the second half of the memo entry's key
+            self.dispatched.append((task.phase1_key[1], task.function_name))
         self.gate.wait(timeout=30.0)
         yield from stream_task_results(self.inner, tasks)
 
@@ -155,7 +156,7 @@ class TestCostModel:
 
     def test_unfingerprintable_task_falls_back_to_hint(self, tmp_path):
         model = LearnedCostModel(ObservationStore(str(tmp_path)))
-        bogus = FunctionTask("not a module", "<t>", "s", "f", cost_hint=7.5)
+        bogus = FunctionTask("s", "f", "not a window", [], cost_hint=7.5)
         assert model.cost_for(bogus) == 7.5
         assert model.counts["fallbacks"] == 1
         model.observe_task(bogus, 1.0)  # ... and observing it is a no-op
@@ -265,8 +266,8 @@ class TestTaskFingerprint:
         compiler = ParallelCompiler(options=options, cache=cache)
         compiler.compile(source, "s2.w2")
         parsed = phase1_parse_and_check(source, "s2.w2")
-        tasks = compiler._build_tasks(
-            parsed.module.all_functions(), source, "s2.w2"
+        tasks = list(
+            function_tasks(source, "s2.w2", options=options, memo=True).values()
         )
         _, served_under = compiler._serve_from_cache(
             parsed, StreamingSectionCombiner(parsed.module.sections),
@@ -334,7 +335,7 @@ class TestCostProviderSeam:
     def test_queue_task_cost_provider_and_floor(self):
         def queued_cost(hint):
             queue = FairShareQueue()
-            queue.enqueue("j", "t", 1, [FunctionTask("", "<t>", "s", "f", hint)])
+            queue.enqueue("j", "t", 1, [FunctionTask("s", "f", "", [], hint)])
             return queue.next_wave(1)[0].cost
 
         assert queued_cost(5.0) == 5.0
@@ -344,7 +345,7 @@ class TestCostProviderSeam:
     def test_supervisor_timeout_uses_provider(self):
         backend = SupervisedBackend(SerialBackend())
         backend.timeout_floor, backend.timeout_multiplier = 1.0, 0.01
-        plain = FunctionTask("", "<t>", "s", "f", cost_hint=100.0)
+        plain = FunctionTask("s", "f", "", [], cost_hint=100.0)
         assert backend.timeout_for(plain) == pytest.approx(1.0)
         informed = dataclasses.replace(plain, cost_hint=1000.0)
         assert backend.timeout_for(informed) == pytest.approx(10.0)

@@ -24,10 +24,10 @@ from test_properties import random_program
 @settings(max_examples=25, deadline=None)
 @given(source=random_program())
 def test_allocator_never_aliases_live_values(source):
-    module, sema = parse_ok(source)
+    module, _ = parse_ok(source)
     from repro.ir.lowering import lower_module
 
-    ir = lower_module(module, sema)
+    ir = lower_module(module)
     for fn in ir.all_functions():
         PassManager(2).run(fn, Cfg(fn))
         allocation = allocate_registers(fn, WarpCellModel(), Cfg(fn))
@@ -51,11 +51,11 @@ def test_allocator_never_aliases_live_values(source):
 def test_allocator_sound_under_extreme_pressure(source):
     """Even with 4 registers per bank (forcing heavy spills), allocation
     must terminate and remain alias-free."""
-    module, sema = parse_ok(source)
+    module, _ = parse_ok(source)
     from repro.ir.lowering import lower_module
 
     tight = WarpCellModel(int_registers=6, float_registers=4)
-    ir = lower_module(module, sema)
+    ir = lower_module(module)
     for fn in ir.all_functions():
         PassManager(2).run(fn, Cfg(fn))
         allocation = allocate_registers(fn, tight, Cfg(fn))
@@ -168,7 +168,7 @@ def test_ir_printer_deterministic(source):
     from repro.ir.printer import print_module
     from repro.ir.lowering import lower_module
 
-    module, sema = parse_ok(source)
-    first = print_module(lower_module(module, sema))
-    second = print_module(lower_module(module, sema))
+    module, _ = parse_ok(source)
+    first = print_module(lower_module(module))
+    second = print_module(lower_module(module))
     assert first == second

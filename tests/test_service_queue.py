@@ -11,13 +11,7 @@ from repro.service.queue import (
 
 
 def _task(section, function, cost=1.0):
-    return FunctionTask(
-        source_text="",
-        filename="t.w2",
-        section_name=section,
-        function_name=function,
-        cost_hint=cost,
-    )
+    return FunctionTask(section, function, "", [], cost_hint=cost)
 
 
 def _names(wave):

@@ -9,7 +9,7 @@ each section the moment its last function lands.
 
 import pytest
 
-from repro.driver.function_master import FunctionTask, run_compile_task
+from repro.driver.function_master import run_compile_task
 from repro.driver.master import ParallelCompiler
 from repro.driver.phases import phase1_parse_and_check
 from repro.driver.section_master import (
@@ -24,7 +24,7 @@ from repro.parallel.local import SerialBackend
 from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 
-from helpers import plain_retry
+from helpers import function_task, function_tasks, plain_retry
 
 SOURCE = """
 module streams
@@ -40,9 +40,7 @@ end
 
 
 def build_tasks():
-    return ParallelCompiler()._build_tasks(
-        phase1_parse_and_check(SOURCE).module.all_functions(), SOURCE, "<t>"
-    )
+    return list(function_tasks(SOURCE, "<t>").values())
 
 
 def crashing_farm() -> ChaosBackend:
@@ -198,9 +196,7 @@ class TestStreamingSectionCombiner:
 
     def test_unknown_section_rejected(self):
         combiner = StreamingSectionCombiner(self.sections())
-        stray = run_compile_task(
-            FunctionTask(SOURCE, "<t>", "a", "a1")
-        )[0]
+        stray = run_compile_task(function_task(SOURCE, "a", "a1"))[0]
         stray.section_name = "zz"
         with pytest.raises(SectionCombineError, match="unknown section"):
             combiner.add(stray)

@@ -165,7 +165,7 @@ class TestTransparency:
     def test_timeout_derivation(self):
         from repro.driver.function_master import FunctionTask
 
-        task = FunctionTask("", "<t>", "s", "f", cost_hint=1000.0)
+        task = FunctionTask("s", "f", "", [], cost_hint=1000.0)
         assert supervised(task_timeout=2.5).timeout_for(task) == 2.5
         assert supervised(task_timeout=0).timeout_for(task) is None
         backend = supervised()
@@ -419,12 +419,11 @@ class TestResultValidation:
     def test_payload_digest_travels_with_results(self):
         import hashlib
 
-        from repro.driver.function_master import (
-            FunctionTask,
-            result_payload_digest,
-        )
+        from repro.driver.function_master import result_payload_digest
 
-        results = run_compile_task(FunctionTask(SOURCE, "<t>", "s", "f0"))
+        from helpers import function_task
+
+        results = run_compile_task(function_task(SOURCE, "s", "f0"))
         assert results[0].payload_digest == result_payload_digest(results[0])
         assert (
             results[0].payload_digest

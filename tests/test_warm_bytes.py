@@ -73,6 +73,8 @@ from repro.service import CompileService, EditSessionSpec, plan_edit_session
 from repro.warpsim.array_runner import run_module
 from repro.workloads import synthetic_program, user_program
 
+from helpers import function_tasks
+
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -812,10 +814,7 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
     fresh = {
         result.function_name: result
         for result in SerialBackend().run_tasks_streaming(
-            ParallelCompiler()._build_tasks(
-                phase1_parse_and_check(source).module.all_functions(),
-                source, "<input>",
-            )
+            list(function_tasks(source).values())
         )
     }
 
@@ -827,7 +826,7 @@ def test_a_cache_served_result_is_a_plain_result_to_everyone_else(tmp_path):
         # It is the result its function master sealed, field for field
         # (but for the per-run state no entry keeps): its code is the
         # code that was compiled, its report the accounting...
-        assert served == replace(want, diagnostics=[], phase1_memo_hit=None)
+        assert served == replace(want, diagnostics=[], window=None)
         assert set(vars(served)) == set(FunctionTaskResult.__dataclass_fields__)
         assert served.code == want.code and served.report == want.report
         # ...and the pool's IPC pickles it as its fields and its code,
@@ -867,9 +866,7 @@ def test_a_stored_program_decodes_on_first_read_only(tmp_path):
 
 
 def tasks_of(source, filename="<input>"):
-    return ParallelCompiler()._build_tasks(
-        phase1_parse_and_check(source).module.all_functions(), source, filename
-    )
+    return list(function_tasks(source, filename).values())
 
 
 def entry_header(path) -> dict:

@@ -11,21 +11,22 @@ import json
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
 from repro.driver import function_master
-from repro.driver.function_master import FunctionTask, clear_phase1_cache
+from repro.driver.function_master import clear_phase1_cache
 from repro.driver.master import ParallelCompiler
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
-from repro.parallel.schedule import ast_cost_hint, batch_tasks_by_cost
+from repro.parallel.schedule import batch_tasks_by_cost, window_cost_hint
 from repro.parallel.supervisor import SupervisedBackend
 from repro.parallel.warm_pool import WarmPoolBackend
 from repro.workloads.synthetic import synthetic_program
 from repro.workloads.user_program import user_program
 
-from helpers import wrap_function
+from helpers import function_task, function_tasks, wrap_function
 
 SMALL = """
 module farm
@@ -128,13 +129,19 @@ class TestPoolPersistence:
             compiler.compile(SMALL)
             assert backend._pool is first_pool
 
-    def test_second_compile_is_served_from_worker_caches(self):
+    def test_no_worker_reads_a_module_memo(self):
+        """The master's memo serves its second phase 1; a worker, even
+        one forked after the master's parse, parses its task's window
+        and returns its facts."""
         with WarmPoolBackend(max_workers=1) as backend:
             compiler = ParallelCompiler(backend=backend)
             compiler.compile(SMALL)
             second = compiler.compile(SMALL)
-        assert second.profile.counts["phase1_memo.hits"] == 3
-        assert "phase1_memo.misses" not in second.profile.counts
+            assert compiler.last_phase1_stats.mode == "memo"
+            tasks = list(function_tasks(SMALL, memo=True).values())
+            results = list(backend.run_tasks_streaming(tasks))
+        assert all(result.window is not None for result in results)
+        assert second.digest == SequentialCompiler().compile(SMALL).digest
 
     def test_restart_after_shutdown(self):
         backend = WarmPoolBackend(max_workers=1)
@@ -167,9 +174,10 @@ class TestPoolPersistence:
         """A task that raises is not a crash: the pool re-raises it once
         and keeps its executor.  Re-running it is the supervisor's call —
         twice on the farm, then in-process, where it fails for real."""
-        task = FunctionTask(SMALL, "<t>", "nope", "main")
+        # a malformed task: its headers are no list
+        task = replace(function_task(SMALL, "a", "a1"), headers=None)
         with WarmPoolBackend(max_workers=1) as backend:
-            with pytest.raises(KeyError):
+            with pytest.raises(TypeError):
                 list(backend.run_tasks_streaming([task]))
             pool = backend._pool
             supervised = SupervisedBackend(backend, hedge_after=None)
@@ -190,9 +198,9 @@ class TestPoolPersistence:
         discarded the broken executor and a third started a fresh one:
         the late report must discard only the executor that broke."""
         crash_workers(monkeypatch, "b1")
-        heavy = FunctionTask(SMALL, "<t>", "a", "a1", cost_hint=2.0)
-        crash = FunctionTask(SMALL, "<t>", "b", "b1", cost_hint=1.0)
-        others = [FunctionTask(SMALL, "<t>", "a", f) for f in ("a1", "a2")]
+        heavy = replace(function_task(SMALL, "a", "a1"), cost_hint=2.0)
+        crash = replace(function_task(SMALL, "b", "b1"), cost_hint=1.0)
+        others = [function_task(SMALL, "a", f) for f in ("a1", "a2")]
         with WarmPoolBackend(max_workers=1) as backend:
             # One worker runs a1's batch, then b1's, which kills it.
             stale = backend.run_tasks_streaming([heavy, crash])
@@ -258,14 +266,14 @@ class TestBatchedDispatch:
         with pytest.raises(ValueError):
             batch_tasks_by_cost([1.0], 0)
 
-    def test_ast_cost_hint_tracks_size(self):
-        from repro.driver.phases import phase1_parse_and_check
-
-        small = phase1_parse_and_check(synthetic_program("tiny", 1))
-        large = phase1_parse_and_check(synthetic_program("large", 1))
-        small_fn = small.module.sections[0].functions[0]
-        large_fn = large.module.sections[0].functions[0]
-        assert ast_cost_hint(large_fn) > ast_cost_hint(small_fn)
+    def test_window_cost_hint_tracks_size(self):
+        small = synthetic_program("tiny", 1)
+        large = synthetic_program("large", 1)
+        assert window_cost_hint(large) > window_cost_hint(small)
+        # nesting weighs: the same lines one loop deeper cost more
+        flat = "function f()\nbegin\n  x := 1;\n  y := 2;\nend"
+        nested = "function f()\nbegin\n  for i := 0 to 1 do\n  y := 2;\nend\nend"
+        assert window_cost_hint(nested) > window_cost_hint(flat)
 
 
 @needs_fork
