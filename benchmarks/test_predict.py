@@ -18,7 +18,6 @@ import platform
 
 from repro.cache import ArtifactCache
 from repro.parallel.local import SerialBackend
-from repro.predict import LearnedCostModel, ObservationStore
 from repro.service import CompileService, EditSessionSpec, replay_edit_session
 
 SPEC = EditSessionSpec(
@@ -34,13 +33,7 @@ ADVANTAGE_BAR = 0.6
 
 def _speculating_service(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
-    model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
-    return CompileService(
-        SerialBackend(),
-        cache,
-        max_queued=16,
-        cost_model=model,
-    )
+    return CompileService(SerialBackend(), cache, max_queued=16)
 
 
 def test_speculation_beats_cold_compile_p95(results_dir, tmp_path):
@@ -49,8 +42,8 @@ def test_speculation_beats_cold_compile_p95(results_dir, tmp_path):
     with _speculating_service(tmp_path) as service:
         speculated = replay_edit_session(service, SPEC, speculate=True)
 
-    # Cold: the same edit sources, submitted with no cache, no model,
-    # no speculation — what the editor pays without watch mode.
+    # Cold: the same edit sources, submitted with no cache and no
+    # speculation — what the editor pays without watch mode.
     with CompileService(SerialBackend(), max_queued=16) as service:
         cold = replay_edit_session(service, SPEC, speculate=False)
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """CI smoke test for watch-mode speculation over the full network stack.
 
-Starts ``warpcc serve --predict`` (with ``--plain``: a plain ``warpcc
-serve``, since speculation follows the cache and needs no flag) as a
-real subprocess with a fresh cache directory, replays a fixed-seed
-edit session through the ``watch`` protocol verb (each edit
+Starts ``warpcc serve`` (speculation follows the cache and needs no
+flag) as a real subprocess with a fresh cache directory, replays a
+fixed-seed edit session through the ``watch`` protocol verb (each edit
 speculated, then submitted interactively), and checks:
 
 - every interactive submit's digest matches a direct in-process compile
@@ -17,7 +16,7 @@ speculated, then submitted interactively), and checks:
 
 Exits non-zero (with a diagnostic) on any mismatch.  Usage::
 
-    PYTHONPATH=src python scripts/watch_smoke.py [--edits N] [--plain]
+    PYTHONPATH=src python scripts/watch_smoke.py [--edits N]
 """
 
 import argparse
@@ -46,10 +45,6 @@ def main() -> int:
     parser.add_argument("--edits", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--timeout", type=float, default=120.0)
-    parser.add_argument(
-        "--plain", action="store_true",
-        help="serve without --predict: speculation follows the cache",
-    )
     args = parser.parse_args()
 
     spec = EditSessionSpec(
@@ -68,8 +63,7 @@ def main() -> int:
         }
         server = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--workers", "2", *([] if args.plain else ["--predict"]),
+                sys.executable, "-m", "repro.cli", "serve", "--workers", "2",
             ],
             cwd=REPO,
             env=env,

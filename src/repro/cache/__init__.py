@@ -27,11 +27,6 @@ A fourth tier (:mod:`repro.cache.variant_store`) memoizes the variant
 search's simulated scores: per-(function, config, input set) cycle
 counts and outputs, salted with the warpsim scoring schema so a timing
 model change invalidates scores instead of flipping winners.
-
-A fifth tier (:mod:`repro.predict.observe`) reuses the same store
-machinery for *cost observations*: per-fingerprint wall-clock samples
-that feed the learned cost model.  Unlike the other tiers it never
-affects compile results — only scheduling order and timeouts.
 """
 
 from .fingerprint import (

@@ -33,8 +33,8 @@ subdirectory, a schema number and a *codec* — how a payload becomes
 ``(header facts, body)`` and back.  The tiers that hold object code
 (``objects/`` here, ``link/`` in :mod:`repro.cache.link_store`) keep
 it in the serial form of :mod:`repro.asmlink.encode`, with what a warm
-compile reads in the header; ``variants/``, ``observe/`` and
-``modules/`` hold one small record each as header facts with no body
+compile reads in the header; ``variants/`` and ``modules/`` hold one
+small record each as header facts with no body
 (:class:`FactsCodec`); ``parse/`` holds a window's facts as header and
 its fingerprint text as body.  No tier holds an object graph, so no
 byte read from disk is unpickled.
@@ -296,7 +296,7 @@ class Store:
 
 class FactsCodec:
     """A small dataclass as header facts, with an empty body (``variants/``,
-    ``observe/``, ``modules/``): ``asdict`` out, type-checked in."""
+    ``modules/``): ``asdict`` out, type-checked in."""
 
     def __init__(self, record_type: type):
         self.record_type = record_type

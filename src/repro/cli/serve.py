@@ -56,15 +56,6 @@ def register_serve(sub):
         "registration and HMAC-tagged payloads; without it the port is "
         "unauthenticated — trusted networks only",
     )
-    parser.add_argument(
-        "--predict", action="store_true",
-        help="turn on the learned cost model: learn per-function compile "
-        "costs from observed wall-clock (persistent observation store "
-        "under --cache-dir, so not with --no-cache) and use them for "
-        "fair-share ordering, LPT batch packing, and the supervisor's "
-        "deadlines; scheduling only — results are unchanged.  Watch-mode "
-        "speculation needs no flag: it is on whenever the cache is",
-    )
     parser.set_defaults(run=run_serve)
     return parser
 
@@ -90,13 +81,6 @@ def run_serve(args) -> int:
     except ValueError as error:
         print(f"warpcc: {error}", file=sys.stderr)
         return 2
-    if args.predict and args.no_cache:
-        print(
-            "warpcc: --predict learns into the cache directory; "
-            "it cannot run with --no-cache",
-            file=sys.stderr,
-        )
-        return 2
 
     pool = stack.build_pool(args)
     farm = pool
@@ -113,15 +97,7 @@ def run_serve(args) -> int:
     backend = stack.build_backend(args, farm)
     caches = {}
     try:
-        tiers = ("artifact cache",) + (
-            ("observation store",) if args.predict else ()
-        )
-        caches = stack.open_caches(args, *tiers)
-        cost_model = None
-        if args.predict:
-            from ..predict import LearnedCostModel
-
-            cost_model = LearnedCostModel(caches["observation store"])
+        caches = stack.open_caches(args, "artifact cache")
         service = CompileService(
             backend,
             caches.get("artifact cache"),
@@ -129,7 +105,6 @@ def run_serve(args) -> int:
             max_running=args.max_running,
             per_tenant_inflight=args.per_tenant,
             tenant_weights=weights,
-            cost_model=cost_model,
         )
         server = ServiceSocketServer(
             service, host=args.host, port=args.port
@@ -148,8 +123,6 @@ def run_serve(args) -> int:
                 f"warpcc worker --connect {hub.address}",
                 flush=True,
             )
-        if cost_model is not None:
-            print("learned cost model on", flush=True)
         if service.speculation is not None:
             print(
                 "speculation on; editors: "

@@ -17,7 +17,6 @@ from ..parallel.fault_tolerance import ChaosBackend
 from ..parallel.local import SerialBackend
 from ..parallel.supervisor import SupervisedBackend
 from ..parallel.warm_pool import WarmPoolBackend
-from ..predict.observe import ObservationStore
 
 #: report label -> store class, for every tier --cache-dir can hold
 TIERS = {
@@ -25,7 +24,6 @@ TIERS = {
     "parse cache": ParseCache,
     "link cache": LinkCache,
     "variant store": VariantStore,
-    "observation store": ObservationStore,
 }
 
 

@@ -31,8 +31,8 @@ Pipeline variants (the matrix):
                           direct compilation at the winning configs, and the
                           shipped module must match the baseline's simulated
                           outputs at no more cycles
-``predict``               watch-mode speculation: a compile service with the
-                          learned cost model speculatively precompiles the
+``predict``               watch-mode speculation: a compile service with an
+                          artifact cache speculatively precompiles the
                           module, then a compile sharing its artifact cache
                           must be served from cache and still match the
                           sequential digest bit-for-bit
@@ -517,22 +517,18 @@ class DifferentialOracle:
 
     def _compile_predict_variant(self, source: str, options):
         """Watch-mode speculation leg: a compile service with an artifact
-        cache (speculation follows it) and the learned cost model
-        speculatively compiles the module off a watch update, then an
-        in-process compile *sharing its artifact cache* must be served
-        from cache and (via the caller's generic check) still match the
-        sequential digest.  Compile errors propagate from the in-process
-        compile so reject-parity is checked like any pipeline."""
-        from ..predict import LearnedCostModel, ObservationStore
+        cache (speculation follows it) speculatively compiles the module
+        off a watch update, then an in-process compile *sharing its
+        artifact cache* must be served from cache and (via the caller's
+        generic check) still match the sequential digest.  Compile errors
+        propagate from the in-process compile so reject-parity is checked
+        like any pipeline."""
         from ..service import CompileService
 
         with tempfile.TemporaryDirectory(prefix="warpcc-fuzz-predict-") as tmp:
             cache = ArtifactCache(tmp)
-            model = LearnedCostModel(ObservationStore(tmp))
             speculated = False
-            with CompileService(
-                SerialBackend(), cache, cost_model=model
-            ) as service:
+            with CompileService(SerialBackend(), cache) as service:
                 outcome = service.watch_update(
                     source, watch="oracle", options=options
                 )

@@ -203,13 +203,6 @@ class SupervisedBackend:
     #: seconds an attempt must have run before it is hedged — keeps the
     #: no-fault overhead at zero for fast waves
     hedge_min_age: float = 1.0
-    #: Callable[[FunctionTask, float], None] told each task's measured
-    #: wall clock — exactly once, for the attempt that won (the original
-    #: on a clean run, the hedge when the hedge wins, the retry after a
-    #: failure) — so supervision noise (abandoned deadlines, lost hedges,
-    #: queue time) never poisons a learned cost model.  Isolated (poison)
-    #: tasks are never reported.  The compile service assigns it.
-    cost_observer = None
 
     def __init__(
         self,
@@ -286,10 +279,6 @@ class _TaskState:
     #: dispatch id -> deadline (monotonic seconds) or None
     active: Dict[int, Optional[float]] = field(default_factory=dict)
     last_started: float = 0.0
-    #: dispatch id -> when *that* attempt began (launch, refined by the
-    #: backend's "start" event) — per-dispatch so a winning hedge or
-    #: retry is measured from its own start, not the original's
-    started_at: Dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -384,7 +373,6 @@ class _SupervisedRun:
                 deadline = None if seconds is None else now + seconds
             state.active[dispatch.id] = deadline
             state.last_started = now
-            state.started_at[dispatch.id] = now
         thread = threading.Thread(
             target=self._dispatch_thread,
             args=(dispatch, list(tasks), backend),
@@ -456,7 +444,6 @@ class _SupervisedRun:
             if seconds is not None:
                 state.active[dispatch.id] = now + seconds
             state.last_started = now
-            state.started_at[dispatch.id] = now
 
     def _on_result(
         self, dispatch: _Dispatch, result: FunctionTaskResult
@@ -477,27 +464,8 @@ class _SupervisedRun:
         if state.resolved:  # first result won already
             self.counts["late_duplicates"] += 1
             return
-        self._observe(state, dispatch)
         self._resolve(state, dispatch)
         yield result
-
-    def _observe(self, state: _TaskState, dispatch: _Dispatch) -> None:
-        """Report the winning attempt's wall clock to the cost observer.
-
-        Called exactly once per task, at resolution, with the duration
-        of the *delivering* dispatch (its own start time, re-armed by
-        the backend's "start" event where available) — a hedged or
-        retried task is attributed the attempt that actually produced
-        the result, never the abandoned one's elapsed time.
-        """
-        observer = self.sup.cost_observer
-        if observer is None:
-            return
-        started = state.started_at.get(dispatch.id, state.last_started)
-        try:
-            observer(state.task, max(self.sup.clock() - started, 0.0))
-        except Exception:
-            pass  # the model is advisory; it must never fail a compile
 
     def _resolve(self, state: _TaskState, dispatch: Optional[_Dispatch]) -> None:
         state.resolved = True

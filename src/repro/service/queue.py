@@ -7,12 +7,11 @@ the farm — the paper's §4.3 observation that small functions should
 share processors, replayed across whole jobs.  The interleaving is
 driven by the same cost estimate the paper's scheduler uses ("lines of
 code and loop nesting", §4.3): every task carries its ``cost_hint`` —
-the static :func:`~repro.parallel.schedule.window_cost_hint`, or the
-estimate a service with a learned cost model wrote onto it once,
-before enqueueing — and dispatching a task advances its tenant's
-*virtual time* by ``cost / weight`` (stride scheduling).  Only the
-dispatch *order* depends on the cost, never any result.  The next task
-always comes from the tenant with the least virtual time, so:
+the static :func:`~repro.parallel.schedule.window_cost_hint` — and
+dispatching a task advances its tenant's *virtual time* by ``cost /
+weight`` (stride scheduling).  Only the dispatch *order* depends on the
+cost, never any result.  The next task always comes from the tenant
+with the least virtual time, so:
 
 - tenants receive pool share proportional to their weights;
 - a tenant burning huge tasks accumulates virtual time quickly and

@@ -44,7 +44,7 @@ import queue as queue_mod
 import threading
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -190,7 +190,7 @@ class CompileService:
     :class:`~repro.parallel.warm_pool.WarmPoolBackend` or a fleet's
     ``RemoteBackend``; one that is not already a
     :class:`~repro.parallel.supervisor.SupervisedBackend` runs under a
-    fresh one, the service's one recovery policy and cost observer.
+    fresh one, the service's one recovery policy.
     The backend (and cache) is *borrowed*: the service never shuts it
     down.  Watch-mode speculation only warms the artifact cache, so it
     is on exactly when there is one.
@@ -205,7 +205,6 @@ class CompileService:
         max_running: int = 4,
         per_tenant_inflight: int = 8,
         tenant_weights: Optional[Dict[str, float]] = None,
-        cost_model=None,
     ):
         if max_queued < 1:
             raise ValueError(f"max_queued must be positive, got {max_queued}")
@@ -225,14 +224,6 @@ class CompileService:
         self.max_queued = max_queued
         self.max_running = max_running
         self.per_tenant_inflight = per_tenant_inflight
-
-        #: learned cost model (repro.predict.observe.LearnedCostModel) or
-        #: None for the static §4.3 hints.  When set, each cache-miss
-        #: task's ``cost_hint`` is its estimate (see _submit_tasks), and
-        #: the supervisor feeds it each task's winning attempt.
-        self.cost_model = cost_model
-        if cost_model is not None:
-            backend.cost_observer = cost_model.observe_task
 
         self.fair_queue = FairShareQueue(tenant_weights)
         self._cond = threading.Condition()
@@ -445,17 +436,7 @@ class CompileService:
     # -- shared-pool dispatcher ----------------------------------------
 
     def _submit_tasks(self, job: JobRecord, tasks: List[FunctionTask]) -> None:
-        """Called from a job thread: feed its tasks to the fair queue.
-
-        With a cost model, each task's one estimate is written into its
-        ``cost_hint`` here, before the queue sees it: the queue's order,
-        the pool's LPT packing and the supervisor's deadlines — on a
-        fleet node or the degraded fallback as well — all read that."""
-        if self.cost_model is not None:
-            tasks = [
-                replace(task, cost_hint=self.cost_model.cost_for(task))
-                for task in tasks
-            ]
+        """Called from a job thread: feed its tasks to the fair queue."""
         with self._cond:
             if job.cancel_requested:
                 raise JobCancelled(job.job_id)
@@ -668,8 +649,6 @@ class CompileService:
                 stats["fabric"] = fleet_stats()
             if self._speculation is not None:
                 stats["speculation"] = self._speculation.stats()
-            if self.cost_model is not None:
-                stats["cost_model"] = self.cost_model.snapshot()
             return stats
 
     def pool_utilization(self) -> float:

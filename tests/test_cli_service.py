@@ -1,10 +1,6 @@
 """The service-facing CLI surface: compile --json, submit, status."""
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -14,8 +10,6 @@ from repro.cli import main
 from repro.driver.sequential import SequentialCompiler
 from repro.parallel.local import SerialBackend
 from repro.service import CompileService, ServiceClient, ServiceSocketServer
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOOD = """
 module cli_service_demo
@@ -171,24 +165,3 @@ class TestSubmitAndStatus:
         assert main(["status", "--connect", cached_endpoint]) == 0
         out = capsys.readouterr().out
         assert "speculation: 1 launched, 1 updates, 1 watches" in out
-
-
-def test_serve_predict_refuses_no_cache(tmp_path):
-    """``--no-cache`` promises nothing is written under the cache
-    directory, and the learned cost model lives there."""
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    done = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
-            "--predict", "--no-cache", "--cache-dir", str(cache_dir),
-        ],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert done.returncode == 2
-    assert len(done.stderr.splitlines()) == 1
-    assert "--no-cache" in done.stderr
-    assert list(cache_dir.iterdir()) == []

@@ -28,6 +28,16 @@ class TestPriorityIndex:
 
 
 class TestFairShare:
+    def test_task_cost_is_its_hint_floored_at_min_cost(self):
+        def queued_cost(hint):
+            queue = FairShareQueue()
+            queue.enqueue("j", "t", 1, [FunctionTask("s", "f", "", [], hint)])
+            return queue.next_wave(1)[0].cost
+
+        assert queued_cost(5.0) == 5.0
+        assert queued_cost(9.0) == 9.0
+        assert queued_cost(0.0) == 1.0  # the min_cost floor
+
     def test_single_job_is_fifo(self):
         q = FairShareQueue()
         q.enqueue("j1", "a", 1, [_task("s", f"f{i}") for i in range(4)])

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.parallel.local import SerialBackend
-from repro.predict import LearnedCostModel, ObservationStore
 from repro.service import (
     CompileService,
     ServiceClient,
@@ -27,13 +26,7 @@ from repro.workloads.synthetic import synthetic_program
 @pytest.fixture
 def endpoint(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
-    model = LearnedCostModel(ObservationStore(str(tmp_path / "obs")))
-    service = CompileService(
-        SerialBackend(),
-        cache,
-        max_running=2,
-        cost_model=model,
-    )
+    service = CompileService(SerialBackend(), cache, max_running=2)
     server = ServiceSocketServer(service)
     thread = threading.Thread(
         target=server.serve_until_shutdown, daemon=True
@@ -130,4 +123,3 @@ class TestWatchProtocol:
         client.wait(outcome["job"], timeout=60.0)
         stats = service.service_stats()
         assert stats["speculation"]["launched"] == 1
-        assert stats["cost_model"]["recorded"] == 2

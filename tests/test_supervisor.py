@@ -9,6 +9,7 @@ compiled in-process for its true traceback, and surfaced as a diagnostic
 while the rest of the module still compiles.
 """
 
+import dataclasses
 import os
 import time
 
@@ -173,6 +174,16 @@ class TestTransparency:
         assert backend.timeout_for(task) == pytest.approx(10.0)
         backend.timeout_floor = 60.0
         assert backend.timeout_for(task) == pytest.approx(60.0)
+
+    def test_deadline_follows_the_task_cost_hint(self):
+        from repro.driver.function_master import FunctionTask
+
+        backend = SupervisedBackend(SerialBackend())
+        backend.timeout_floor, backend.timeout_multiplier = 1.0, 0.01
+        plain = FunctionTask("s", "f", "", [], cost_hint=100.0)
+        assert backend.timeout_for(plain) == pytest.approx(1.0)
+        informed = dataclasses.replace(plain, cost_hint=1000.0)
+        assert backend.timeout_for(informed) == pytest.approx(10.0)
 
 
 class TestDeadlines:

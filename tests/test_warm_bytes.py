@@ -753,7 +753,7 @@ def test_no_pickle_is_left_in_src():
                         tiers.append(item.value.value)
     assert codecs == []
     assert sorted(tiers) == [
-        "link", "modules", "objects", "observe", "parse", "variants",
+        "link", "modules", "objects", "parse", "variants",
     ]
 
 

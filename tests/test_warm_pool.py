@@ -266,6 +266,27 @@ class TestBatchedDispatch:
         with pytest.raises(ValueError):
             batch_tasks_by_cost([1.0], 0)
 
+    def test_reversed_cost_hints_leave_digests_unchanged(self):
+        """Costs reorder batches; results must be bit-identical."""
+        expected = SequentialCompiler().compile(SIX).digest
+        with WarmPoolBackend(max_workers=2) as pool:
+
+            class Reversed:
+                """Reverses the relative order the packer sees."""
+
+                worker_count = effective_worker_count = 2
+
+                def run_tasks_streaming(self, tasks):
+                    return pool.run_tasks_streaming([
+                        replace(
+                            task, cost_hint=1.0 / max(task.cost_hint, 1.0)
+                        )
+                        for task in tasks
+                    ])
+
+            result = ParallelCompiler(backend=Reversed()).compile(SIX)
+        assert result.digest == expected
+
     def test_window_cost_hint_tracks_size(self):
         small = synthetic_program("tiny", 1)
         large = synthetic_program("large", 1)
