@@ -66,7 +66,7 @@ def _source() -> str:
 
 def _profile(inline: bool) -> WorkProfile:
     parsed = phase1_parse_and_check(_source())
-    module_ir = lower_module(parsed.module, parsed.sema)
+    module_ir = lower_module(parsed.module)
     cell = WarpCellModel()
     keep = {
         name: list(fns) for name, fns in module_ir.functions.items()

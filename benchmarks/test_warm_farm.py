@@ -92,8 +92,8 @@ def test_bitset_liveness_beats_frozenset_on_f_huge(results_dir):
     sink = DiagnosticSink()
     module = parse_text(synthetic_program("huge", 1), sink)
     assert not sink.has_errors
-    sema = check_module(module, sink)
-    ir = lower_module(module, sema)
+    check_module(module, sink)
+    ir = lower_module(module)
     fn = next(iter(ir.all_functions()))
 
     # Prebuild each solver's natural input: frozensets for the reference,

@@ -12,6 +12,7 @@ from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
 from ..machine.warp_array import WarpArrayModel
 from ..warpsim.array_runner import run_module
+from ..warpsim.cell_state import SimulationError
 from . import options
 from .compile import report_compile_error
 
@@ -43,26 +44,27 @@ def _is_binary_module(path: str) -> bool:
 
 
 def run_simulation(args) -> int:
-    array = WarpArrayModel(cell_count=args.cells)
-    if _is_binary_module(args.file):
-        from ..asmlink.encode import read_module
+    from ..asmlink.encode import FormatError, read_module
 
-        download = read_module(args.file)
-    else:
-        source = options.read_source(args.file)
-        try:
-            result = SequentialCompiler(
-                options.compile_options(args)
-            ).compile(source, filename=args.file)
-        except CompileError as error:
-            return report_compile_error(error, as_json=False)
-        download = result.download
-    outcome = run_module(
-        download,
-        options.parse_inputs(args.inputs),
-        array=array,
-        max_cycles=args.max_cycles,
-    )
+    try:  # a trap, deadlock or ceiling, or a bad .warp file: one line
+        if _is_binary_module(args.file):
+            download = read_module(args.file)
+        else:
+            compiler = SequentialCompiler(options.compile_options(args))
+            source = options.read_source(args.file)
+            try:
+                download = compiler.compile(source, args.file).download
+            except CompileError as error:
+                return report_compile_error(error, as_json=False)
+        outcome = run_module(
+            download,
+            options.parse_inputs(args.inputs),
+            array=WarpArrayModel(cell_count=args.cells),
+            max_cycles=args.max_cycles,
+        )
+    except (SimulationError, FormatError, OSError) as error:
+        print(f"warpcc: {error}", file=sys.stderr)
+        return 1
     print("outputs:", " ".join(repr(v) for v in outcome.outputs))
     print(f"cycles: {outcome.cycles}")
     return 0

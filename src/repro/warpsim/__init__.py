@@ -1,9 +1,7 @@
 """Functional simulator for the Warp array."""
 
 from .array_runner import ArrayRunner, RunResult, run_module
-from .cell_state import CellState, CellStats, SimulationError
-from .executor import step_cell
-from .queues import CellQueue
+from .cell_state import CellStats, SimulationError
 from .scoring import (
     DEFAULT_SCORE_MAX_CYCLES,
     SCORING_SCHEMA_VERSION,
@@ -15,8 +13,6 @@ from .scoring import (
 
 __all__ = [
     "ArrayRunner",
-    "CellQueue",
-    "CellState",
     "CellStats",
     "DEFAULT_SCORE_MAX_CYCLES",
     "ModuleScore",
@@ -27,5 +23,4 @@ __all__ = [
     "run_module",
     "score_module",
     "seeded_input_sets",
-    "step_cell",
 ]

@@ -9,13 +9,13 @@ spinning forever.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..asmlink.objformat import DownloadModule
 from ..machine.warp_array import WarpArrayModel
-from .cell_state import CellState, CellStats, SimulationError
-from .executor import step_cell
+from .cell_state import PROGRESS, CellState, CellStats, SimulationError
 from .queues import CellQueue
 
 Number = Union[int, float]
@@ -57,49 +57,40 @@ class ArrayRunner:
 
     def run(self, inputs: List[Number]) -> RunResult:
         cells = sorted(self.module.cell_programs)
-        states: Dict[int, CellState] = {
-            index: CellState(self.module.cell_programs[index], self.array.cell)
+        states = [
+            CellState(self.module.cell_programs[index], self.array.cell)
             for index in cells
-        }
-        capacity = self.array.cell.queue_capacity
-        # Queue i feeds cell cells[i]; the last queue collects output.
-        queues: List[CellQueue] = [
-            CellQueue(capacity) for _ in range(len(cells) + 1)
         ]
+        # Queue i feeds cell cells[i]; the last queue collects output.
+        capacity = self.array.cell.queue_capacity
+        queues = [CellQueue(capacity) for _ in range(len(cells) + 1)]
+        lanes = list(zip(states, queues, queues[1:]))
         input_queue = queues[0]
         output_queue = queues[-1]
-        pending_input = list(inputs)
+        pending_input = deque(inputs)
         outputs: List[Number] = []
 
         cycle = 0
-        while cycle < self.max_cycles:
+        max_cycles = self.max_cycles
+        while cycle < max_cycles:
             # Feed the external stream as space allows (host DMA).
             while pending_input and not input_queue.is_full:
-                input_queue.push(pending_input.pop(0))
+                input_queue.push(pending_input.popleft())
             # Output drains freely: the host always accepts results.
-            outputs.extend(output_queue.drain())
-            progress = False
-            all_halted = True
-            for position, index in enumerate(cells):
-                state = states[index]
-                if step_cell(
-                    state, cycle, queues[position], queues[position + 1]
-                ):
-                    progress = True
-                if not state.halted:
-                    all_halted = False
-                elif state.has_pending_writes():
-                    progress = True
-            if all_halted and not any(
-                states[i].has_pending_writes() for i in cells
-            ):
-                cycle += 1
-                break
-            if not progress and not pending_input:
-                live = [i for i in cells if not states[i].halted]
-                if live and all(
-                    not states[i].has_pending_writes() for i in cells
-                ):
+            if output_queue.items:
+                outputs.extend(output_queue.drain())
+            status = 0
+            for state, in_queue, out_queue in lanes:
+                status |= state.step(cycle, in_queue, out_queue)
+            # A cycle in which a cell progressed and none halted can
+            # neither end the run nor deadlock it.
+            if status != PROGRESS:
+                pending_writes = any(state.buckets for state in states)
+                live = [i for i, s in zip(cells, states) if not s.halted]
+                if not live and not pending_writes:
+                    cycle += 1
+                    break
+                if not (status & PROGRESS or pending_input or pending_writes):
                     raise SimulationError(
                         f"deadlock at cycle {cycle}: cells {live} stalled"
                     )
@@ -113,7 +104,10 @@ class ArrayRunner:
         return RunResult(
             outputs=outputs,
             cycles=cycle,
-            cell_stats={i: states[i].stats for i in cells},
+            cell_stats={
+                i: CellStats(s.bundles_executed, s.stall_cycles, s.busy_cycles)
+                for i, s in zip(cells, states)
+            },
             leftover_input=len(pending_input) + len(input_queue),
         )
 

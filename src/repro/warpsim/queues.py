@@ -15,36 +15,33 @@ class CellQueue:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: Deque[Number] = deque()
+        #: the queued values, oldest first (the simulator reads its length)
+        self.items: Deque[Number] = deque()
         self.total_pushed = 0
         self.total_popped = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
+        return len(self.items) >= self.capacity
 
     def push(self, value: Number) -> None:
         if self.is_full:
             raise OverflowError("push to a full queue (sender must stall)")
-        self._items.append(value)
+        self.items.append(value)
         self.total_pushed += 1
 
     def pop(self) -> Number:
-        if self.is_empty:
+        if not self.items:
             raise IndexError("pop from an empty queue (receiver must stall)")
         self.total_popped += 1
-        return self._items.popleft()
+        return self.items.popleft()
 
     def drain(self) -> List[Number]:
         """Remove and return everything (used to collect final outputs)."""
-        items = list(self._items)
+        items = list(self.items)
         self.total_popped += len(items)
-        self._items.clear()
+        self.items.clear()
         return items

@@ -260,6 +260,43 @@ class TestRun:
         assert main(["run", str(out), "--inputs", "2,4,6"]) == 0
         assert "4.0 8.0 12.0" in capsys.readouterr().out
 
+    def run_fails(self, argv, capsys) -> str:
+        """``warpcc run`` exits 1 with one ``warpcc:`` line on stderr."""
+        assert main(["run", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("warpcc: ")
+        assert captured.err.count("\n") == 1, captured.err
+        return captured.err
+
+    def test_starved_program_reports_deadlock(self, good_file, capsys):
+        err = self.run_fails([good_file, "--inputs", "1"], capsys)
+        assert "deadlock at cycle" in err and "cells [0] stalled" in err
+
+    def test_cycle_ceiling_is_reported(self, good_file, capsys):
+        err = self.run_fails(
+            [good_file, "--inputs", "1,2,3", "--max-cycles", "3"], capsys
+        )
+        assert err == "warpcc: array did not finish within 3 cycles\n"
+
+    def test_trap_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "trap.w2"
+        path.write_text(
+            "module m\nsection s (cells 0..0)\nfunction main()\n"
+            "var v: float; begin receive(v); send(sqrt(v)); end\nend\nend"
+        )
+        err = self.run_fails([str(path), "--inputs", "-1"], capsys)
+        assert err == "warpcc: arithmetic trap in 'main': sqrt [-1.0]\n"
+
+    def test_malformed_binary_module_is_reported(self, tmp_path, capsys):
+        bogus = tmp_path / "junk.warp"
+        bogus.write_bytes(b"WARP and then junk")
+        assert "format version" in self.run_fails([str(bogus)], capsys)
+
+    def test_unreadable_file_is_reported(self, tmp_path, capsys):
+        missing = tmp_path / "missing.warp"
+        assert "No such file" in self.run_fails([str(missing)], capsys)
+
 
 class TestDisasm:
     def test_disassembles_binary_module(self, good_file, tmp_path, capsys):
