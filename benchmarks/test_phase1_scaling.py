@@ -26,6 +26,7 @@ from repro.cache import ParseCache
 from repro.driver.phases import (
     phase1_parallel,
     phase1_parse_and_check,
+    window_program,
 )
 from repro.lang.unparse import unparse_module
 from repro.workloads.synthetic import synthetic_program
@@ -77,9 +78,17 @@ def test_warm_parse_cache_edit_beats_full_parse(results_dir, tmp_path):
 
     # Correctness before speed: the warm module is the sequential one
     # in structure and in its module and section spans, once each hit's
-    # tree is asked for (a hit is its signature stub until then).
-    for section, fn in list(parsed.module.all_functions()):
-        parsed.function(section.name, fn.name)
+    # signature stub is replaced by the tree its function master parses
+    # from the window.
+    for section in parsed.module.sections:
+        headers = parsed.headers[section.name]
+        section.functions = [
+            window_program(
+                section.name, fn.name,
+                parsed.windows[section.name, fn.name], headers,
+            )[0].function(section.name, fn.name)
+            for fn in section.functions
+        ]
     sequential = phase1_parse_and_check(edited).module
     assert unparse_module(parsed.module) == unparse_module(sequential)
     assert [s.span for s in parsed.module.sections] == [

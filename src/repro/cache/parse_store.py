@@ -24,8 +24,8 @@ version bumped (the salt).  A function that only moved — down, across,
 or into another file — invalidates nothing.
 
 An entry is the window's :class:`~repro.driver.phases.ParseFacts`, its
-fingerprint text as the body, and no tree: a hit's tree is its window
-parsed again (:meth:`repro.driver.phases.ParsedProgram.function`).
+fingerprint text as the body, and no tree: a hit's function is its
+signature stub (:func:`repro.driver.phases.window_program` parses it).
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from ..driver.master import ParallelCompiler
 from ..driver.results import render_counts
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
+from ..machine.warp_array import CellRangeError
 from . import options, stack
 
 
@@ -86,11 +87,11 @@ def report_compile_error(error: CompileError, as_json: bool) -> int:
 
 
 def run_compile(args) -> int:
-    source = options.read_source(args.file)
-    compile_options = options.compile_options(args)
     caches = {}
     backend = None
     try:
+        source = options.read_source(args.file)
+        compile_options = options.compile_options(args)
         # --parallel with --cache-dir / --no-cache is the one switch for
         # the on-disk tiers.
         if args.parallel or args.chaos is not None:
@@ -113,6 +114,9 @@ def run_compile(args) -> int:
             )
     except CompileError as error:
         return report_compile_error(error, args.json)
+    except (OSError, CellRangeError) as error:
+        print(f"warpcc: {error}", file=sys.stderr)
+        return 1
     finally:
         # This compile built the farm, so it shuts it down (a warm pool
         # used once is the cold pool), and flushes any write-behind

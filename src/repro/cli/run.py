@@ -10,7 +10,7 @@ import sys
 from ..asmlink.download import module_listing
 from ..driver.sequential import SequentialCompiler
 from ..lang.diagnostics import CompileError
-from ..machine.warp_array import WarpArrayModel
+from ..machine.warp_array import CellRangeError, WarpArrayModel
 from ..warpsim.array_runner import run_module
 from ..warpsim.cell_state import SimulationError
 from . import options
@@ -62,7 +62,7 @@ def run_simulation(args) -> int:
             array=WarpArrayModel(cell_count=args.cells),
             max_cycles=args.max_cycles,
         )
-    except (SimulationError, FormatError, OSError) as error:
+    except (SimulationError, FormatError, OSError, CellRangeError) as error:
         print(f"warpcc: {error}", file=sys.stderr)
         return 1
     print("outputs:", " ".join(repr(v) for v in outcome.outputs))

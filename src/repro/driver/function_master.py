@@ -13,10 +13,10 @@ module — parses and checks only that window
 the window's facts with its result.  A window that does not parse, check
 or agree with its task is *refused* in a result, never a failure a
 supervisor would retry.  In the master's own process a function master
-reads the master's checked tree instead, through the
-:func:`phase1_cached` entry its task names: the master's memo, a bounded
-LRU keyed by ``(sha256(source text), filename)``, which no worker
-process consults.
+reads the master's tree instead when the :func:`phase1_cached` entry its
+task names holds it (a parse hit's stub is none) — the master's memo, a
+bounded LRU keyed by ``(sha256(source text), filename)``, which no
+worker process consults.  Module diagnostics live in the master's sink.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class FunctionTask:
     cost_hint: float = 1.0
     #: the compile's options, whole — what the cache fingerprint hashes
     options: CompileOptions = CompileOptions()
-    #: the master's :func:`phase1_cached` entry, whose checked tree a
-    #: function master in the master's process reads
+    #: the master's :func:`phase1_cached` entry, whose tree of this
+    #: function a function master in the master's process reads
     phase1_key: Optional[Tuple[str, str]] = None
 
     @property
@@ -100,6 +100,8 @@ class FunctionTaskResult:
     #: work units of assembling this function, counted by the function
     #: master so that nobody needs the code to answer it
     assembly_work: int
+    #: what the supervisor says of this function (a poison warning, an
+    #: isolation traceback); the module's diagnostics are the master's
     diagnostics: List[str] = field(default_factory=list)
     #: worker that produced this result, when the backend knows (the
     #: fault-injection suite's simulated workers report it; real pools
@@ -146,7 +148,7 @@ def result_from_facts(facts: dict, code: bytes) -> FunctionTaskResult:
 
 
 def attach_assembly(
-    obj: ObjectFunction, report: FunctionReport, diagnostics: List[str]
+    obj: ObjectFunction, report: FunctionReport
 ) -> FunctionTaskResult:
     """Seal one compiled function into its result: assemble it as it is
     encoded (:func:`~repro.asmlink.encode.encode_function` resolves its
@@ -161,7 +163,6 @@ def attach_assembly(
         report=report,
         payload_digest=hashlib.sha256(code).hexdigest(),
         assembly_work=function_words(code),
-        diagnostics=diagnostics,
     )
 
 
@@ -241,17 +242,17 @@ def memo_program(key, checked: bool = True) -> Optional[ParsedProgram]:
 
 def run_function_master(task: FunctionTask) -> FunctionTaskResult:
     """Entry point of one function master (picklable module-level fn):
-    the master's checked tree if this process holds it, else the task's
-    window parsed and checked — a window that does not is refused."""
+    the master's tree of this function if this process holds it, else
+    the task's window parsed and checked — a window that does not is
+    refused."""
     parsed, facts = memo_program(task.phase1_key), None
-    if parsed is None:
+    if parsed is None or parsed.function(*task.key).body is None:
         try:
             parsed, facts = window_program(*task.key, task.window, task.headers)
         except WindowRefused as refusal:
             return refused_result(task, str(refusal))
-    obj, report = compile_one_function(parsed, *task.key, task.options)
     result = attach_assembly(
-        obj, report, [d.render() for d in parsed.sink.diagnostics]
+        *compile_one_function(parsed, *task.key, task.options)
     )
     result.window = facts
     return result

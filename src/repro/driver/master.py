@@ -35,7 +35,6 @@ pool and one artifact cache).  Whoever built a farm shuts it down.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -191,9 +190,9 @@ class ParallelCompiler:
         dispatched = bool(tasks)
 
         # Phase 4: each section is linked as its recombiner completes
-        # it.  diagnostics_text is fixed before dispatch — the module
-        # embeds only the master's own sink, never supervisor additions
-        # (see below).
+        # it.  The module embeds only the master's own sink — the
+        # sequential front end's after a fallback — never what results
+        # carry (see below).
         diagnostics_text = parsed.sink.render()
         runner = Phase4Runner(
             parsed, self.array, diagnostics_text, link_cache=self.link_cache
@@ -223,13 +222,19 @@ class ParallelCompiler:
             stats.fallback_reason = (
                 refused[0].refused if refused else "late cycle or missing facts"
             )
+            # A refused window was never its parse hit's entry.
+            if self.parse_cache is not None:
+                for result in refused:
+                    if result.key in parsed.parse_keys:
+                        self.parse_cache.reject(parsed.parse_keys[result.key])
             checked = phase1_parse_and_check(source_text, filename)
+            diagnostics_text = runner.diagnostics_text = checked.sink.render()
             work = (checked.parse_work, checked.sema_work)
             for result in refused:
                 obj, report = compile_one_function(
                     checked, *result.key, self.options
                 )
-                completed = combiner.add(attach_assembly(obj, report, []))
+                completed = combiner.add(attach_assembly(obj, report))
                 if completed is not None:
                     runner.section_ready(completed)
         if stats.mode == "fallback":
@@ -269,17 +274,11 @@ class ParallelCompiler:
         profile.phase4_mode = phase4_stats.mode
         counts.update(runner.counts)
         profile.counts = dict(sorted((+counts).items()))
-        # Result diagnostics normally mirror the master's own sink; any
-        # others (the supervisor's poison warnings and isolation
-        # tracebacks) exist only on results.  Surface them on the
-        # compilation result — but not inside the download module, whose
-        # bytes must stay bit-identical to the sequential compiler's.
-        sink_rendered = {d.render() for d in parsed.sink.diagnostics}
-        extra = [
-            line
-            for line in dict.fromkeys(diagnostics)
-            if line not in sink_rendered
-        ]
+        # A result carries only what the supervisor says of it (poison
+        # warnings, isolation tracebacks).  Surface it on the compilation
+        # result — but not inside the download module, whose bytes must
+        # stay bit-identical to the sequential compiler's.
+        extra = list(dict.fromkeys(diagnostics))
         if extra:
             joined = "\n".join(extra)
             diagnostics_text = (
@@ -342,7 +341,6 @@ class ParallelCompiler:
             parsed.module, self.options, salt=compiler_salt(),
             texts=parsed.fingerprint_texts,
         )
-        rendered = [d.render() for d in parsed.sink.diagnostics]
         missed = []
         for section, function in functions:
             fingerprint = fingerprints[(section.name, function.name)]
@@ -352,9 +350,6 @@ class ParallelCompiler:
             if result is None:
                 missed.append((section, function))
                 continue
-            # What a live function master would have sent: the current
-            # diagnostics.
-            result.diagnostics = list(rendered)
             combiner.add(result)
         return missed, fingerprints
 
@@ -375,8 +370,7 @@ class ParallelCompiler:
             return
         fingerprint = fingerprints.get(result.key)
         if fingerprint is not None:
-            # Diagnostics belong to the module that *reads* the cache.
-            self.cache.put(fingerprint, replace(result, diagnostics=[]))
+            self.cache.put(fingerprint, result)
 
 
 def function_tasks(

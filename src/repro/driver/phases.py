@@ -8,7 +8,9 @@
    per-function results are reused across runs through the span-hash
    parse cache (:mod:`repro.cache.parse_store`).  Everything a later
    phase reads of it is the sequential front end's, to which it falls
-   back on any deviation (or any diagnostic);
+   back on any deviation (or any diagnostic).  A parse hit's function
+   stays its signature stub: a function master that compiles it parses
+   its window itself (:func:`window_program`), as every worker does;
 2. flowgraph construction, local optimization, global dependencies;
 3. software pipelining and code generation;
 4. I/O driver generation, assembly, and post-processing (linking,
@@ -27,12 +29,10 @@ irregularity so diagnostics and digests stay byte-identical.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cache.link_store import LinkCache, ModuleRecord
@@ -53,8 +53,6 @@ from ..lang.lexer import tokenize
 from ..lang.parser import Parser
 from ..lang.sema import (
     FunctionChecker,
-    FunctionScope,
-    SemaResult,
     check_module,
     check_module_structure,
     detect_call_cycles,
@@ -72,19 +70,19 @@ from .results import FunctionReport, count_lookup
 class ParsedProgram:
     """Phase-1 output: the checked AST plus partitioning information.
     A parse hit's function is its signature stub (``body`` and ``locals``
-    None, no scope) until :meth:`function` is asked for its tree; a
-    window plan's (``checked`` False) are all stubs."""
+    None) for good, and a window plan's (``checked`` False) are all
+    stubs: nothing writes a program once phase 1 has built it."""
 
     module: ast.Module
-    sema: SemaResult
     sink: DiagnosticSink
     parse_work: int
     sema_work: int
     source_lines: int
     #: (section, function) -> fingerprint text, from the parse entries
     fingerprint_texts: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    #: (section, function) -> a parse hit's :func:`_parse_hit_again`
-    rebuilds: Dict[Tuple[str, str], Callable] = field(default_factory=dict)
+    #: (section, function) -> a parse hit's key in the parse cache: a
+    #: window refused by its function master was never that entry's
+    parse_keys: Dict[Tuple[str, str], str] = field(default_factory=dict)
     #: (section, function) -> window text, section -> header texts in
     #: source order: what tasks carry (empty after the sequential parse)
     windows: Dict[Tuple[str, str], str] = field(default_factory=dict)
@@ -92,14 +90,9 @@ class ParsedProgram:
     #: False for a window plan: no window parsed, no call cycle checked,
     #: the work counts the skeleton's (see :func:`finish_window_plan`)
     checked: bool = True
-    #: a phase-1 memo hands one parse to many threads
-    _splicing: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def function(self, section_name: str, function_name: str) -> ast.Function:
-        """One function's checked tree (KeyError if there is no such
-        function): a stub's window is parsed again and spliced in."""
+        """One function's node: its tree, or a stub's signature."""
         section = self.module.section_named(section_name)
         if section is None:
             raise KeyError(f"no section named {section_name!r}")
@@ -108,16 +101,6 @@ class ParsedProgram:
             raise KeyError(
                 f"no function {function_name!r} in section {section_name!r}"
             )
-        key = (section_name, function_name)
-        if function.body is None:
-            tree, scope = self.rebuilds[key]()
-            with self._splicing:
-                if section.function_named(function_name) is function:
-                    # no other thread was first
-                    functions = section.functions
-                    functions[functions.index(function)] = tree
-                    self.sema.scopes[key] = scope
-                function = section.function_named(function_name)
         return function
 
 
@@ -153,7 +136,7 @@ def phase1_parse_and_check(
     if sink.has_errors:
         raise CompileError(sink.diagnostics)
     t1 = time.perf_counter()
-    sema = check_module(module, sink)
+    check_module(module, sink)
     if stats is not None:
         stats.sema_ms += (time.perf_counter() - t1) * 1000.0
     if sink.has_errors:
@@ -163,7 +146,6 @@ def phase1_parse_and_check(
     sema_work = sum(_function_size(fn) for _, fn in module.all_functions())
     return ParsedProgram(
         module=module,
-        sema=sema,
         sink=sink,
         parse_work=parse_work,
         sema_work=sema_work,
@@ -246,7 +228,7 @@ def _parse_signature_stub(
     sink = _VerdictSink()
     tokens = tokenize(source, sink, start, end)
     stub = Parser(tokens, sink).parse_function_signature()
-    if stub is None or sink.has_errors:
+    if stub is None or sink.diagnostics:
         return None
     return stub
 
@@ -277,10 +259,10 @@ class ParseFacts:
 
 def _parse_and_check_window(
     text: str, table: Dict[str, ast.Function], spent: List[float]
-) -> Tuple[ast.Function, FunctionScope, WindowFacts]:
+) -> Tuple[ast.Function, WindowFacts]:
     """Lex, parse, and check one function window from its own text —
     offsets from 0, no filename — adding the parse and the check seconds
-    to ``spent``; returns its tree, scope and facts.
+    to ``spent``; returns its tree and facts.
 
     Raises :class:`WindowRefused` on any diagnostic (the fallback
     re-derives the canonical error report sequentially).
@@ -291,30 +273,16 @@ def _parse_and_check_window(
     fn = Parser(tokens, sink).parse_function()
     t1 = time.perf_counter()
     spent[0] += t1 - t0
-    if fn is None or sink.has_errors:
+    if fn is None or sink.diagnostics:
         raise WindowRefused("window parse error")
-    scope = FunctionChecker(table, sink).check(fn)
+    FunctionChecker(table, sink).check(fn)
     spent[1] += time.perf_counter() - t1
-    if sink.has_errors:
+    if sink.diagnostics:
         raise WindowRefused("window sema error")
     facts = WindowFacts(
         len(tokens) - 1, _function_size(fn), function_call_sites(fn)
     )
-    return fn, scope, facts
-
-
-def _parse_hit_again(text, table, parse_cache, key, source_text, filename):
-    """A stub's tree and scope: its window parsed and checked as a miss
-    parses it.  A window that does not check was never the parse entry's:
-    the entry is counted corrupt and deleted, and the sequential front
-    end raises the canonical error report."""
-    try:
-        return _parse_and_check_window(text, table, [0.0, 0.0])[:2]
-    except WindowRefused:
-        if parse_cache is not None:
-            parse_cache.reject(key)
-        phase1_parse_and_check(source_text, filename)
-        raise  # unreachable while the two front ends agree
+    return fn, facts
 
 
 def phase1_parallel(
@@ -338,8 +306,8 @@ def phase1_parallel(
     :class:`~repro.cache.parse_store.ParseCache`), which holds the
     :class:`ParseFacts` the parse derives; each get is counted into
     ``counts`` as ``parse_cache.hits`` / ``parse_cache.misses``.  A hit
-    is read as its facts, and its function is its signature stub until
-    :meth:`ParsedProgram.function` parses its window again.  A final
+    is read as its facts, its function is its signature stub, and its
+    key goes into :attr:`ParsedProgram.parse_keys`.  A final
     structure pass re-checks the
     whole-module properties (duplicate names, cell ranges, call cycles).
     The name records the window split's origin, not threads: the
@@ -349,7 +317,7 @@ def phase1_parallel(
     (``checked`` False), finished by :func:`finish_window_plan`.
 
     The result is the sequential front end's in module and section
-    spans, structure, scopes, line counts and work counts; only a
+    spans, structure, line counts and work counts; only a
     function subtree's offsets are measured from its window (offset 0).
     Nothing after phase 1 reads an offset:
     :meth:`~repro.lang.ast_nodes.Function.line_count` is a count the
@@ -379,7 +347,7 @@ def phase1_parallel(
     skeleton_tokens = _lex_skeleton(source, windows, skeleton_sink)
     module = Parser(skeleton_tokens, skeleton_sink).parse_module()
     skeleton_s = time.perf_counter() - t_skel
-    if skeleton_sink.has_errors:
+    if skeleton_sink.diagnostics:
         return _phase1_fallback(
             source_text, filename, stats, "skeleton parse error"
         )
@@ -412,9 +380,8 @@ def phase1_parallel(
     signature_s = time.perf_counter() - t_sig
 
     # -- per-function pass: a cache hit, or a parse of the window --------
-    sema = SemaResult(module)
     texts: Dict[Tuple[str, str], str] = {}
-    rebuilds: Dict[Tuple[str, str], partial] = {}
+    parse_keys: Dict[Tuple[str, str], str] = {}
     section_calls: List[Dict[str, list]] = []
     window_tokens = sema_work = 0
     spent = [0.0, 0.0]  # parse s, check s of the windows parsed here
@@ -438,7 +405,7 @@ def phase1_parallel(
                         facts = None
                     count_lookup(counts, "parse_cache", facts)
                 if facts is None and parse_windows:
-                    function, scope, found = _parse_and_check_window(
+                    function, found = _parse_and_check_window(
                         text, table, spent
                     )
                     facts = ParseFacts(
@@ -447,14 +414,11 @@ def phase1_parallel(
                     )
                     if parse_cache is not None:
                         parse_cache.put(key, facts)
-                    sema.scopes[pair] = scope
-                else:  # the stub stands for the tree until it is asked for
+                else:  # a stub: its function master parses the window
                     function = stub
                     stub.locals, stub.body = None, None
-                    rebuilds[pair] = partial(
-                        _parse_hit_again, text, table, parse_cache, key,
-                        source_text, filename,
-                    )
+                    if facts is not None:
+                        parse_keys[pair] = key
                 sec_node.functions.append(function)
                 if facts is None:
                     continue  # a window plan's: its function master's
@@ -476,7 +440,7 @@ def phase1_parallel(
     for sec_node, calls in zip(module.sections, section_calls):
         detect_call_cycles(sec_node.name, calls, structure_sink)
     structure_s = time.perf_counter() - t_struct
-    if structure_sink.has_errors:
+    if structure_sink.diagnostics:
         return _phase1_fallback(
             source_text, filename, stats, "structure pass error"
         )
@@ -491,13 +455,12 @@ def phase1_parallel(
     parse_work = len(skeleton_tokens) + window_tokens
     parsed = ParsedProgram(
         module=module,
-        sema=sema,
         sink=DiagnosticSink(),
         parse_work=parse_work,
         sema_work=sema_work,
         source_lines=source.count_lines(),
         fingerprint_texts=texts,
-        rebuilds=rebuilds,
+        parse_keys=parse_keys,
         checked=parse_windows,
     )
     return attach_windows(parsed, source_text, boundaries)
@@ -521,7 +484,7 @@ def finish_window_plan(
             parse_work += found.token_count
             sema_work += found.ast_size
         detect_call_cycles(section.name, calls, sink)
-    return None if sink.has_errors else (parse_work, sema_work)
+    return None if sink.diagnostics else (parse_work, sema_work)
 
 
 def window_program(
@@ -540,7 +503,7 @@ def window_program(
             raise WindowRefused("signature header parse error")
         stubs.append(stub)
     table = {stub.name: stub for stub in reversed(stubs)}
-    fn, _, facts = _parse_and_check_window(window, table, [0.0, 0.0])
+    fn, facts = _parse_and_check_window(window, table, [0.0, 0.0])
     if fn.name != function_name:
         raise WindowRefused(f"the window holds {fn.name!r}")
     own = table.get(fn.name)  # a header lexes as its window's prefix
@@ -551,8 +514,7 @@ def window_program(
     )
     module = ast.Module("", [section], (0, 0))
     program = ParsedProgram(
-        module, SemaResult(module), DiagnosticSink(),
-        facts.token_count, facts.ast_size, fn.lines,
+        module, DiagnosticSink(), facts.token_count, facts.ast_size, fn.lines
     )
     return program, facts
 

@@ -49,7 +49,7 @@ class SequentialCompiler:
                 obj, report = compile_one_function(
                     parsed, section.name, function.name, self.options
                 )
-                section_results.append(attach_assembly(obj, report, []))
+                section_results.append(attach_assembly(obj, report))
                 profile.functions.append(report)
             all_results += section_results
 

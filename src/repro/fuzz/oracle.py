@@ -432,9 +432,10 @@ class DifferentialOracle:
         digest check still pins search's baseline == sequential.
         """
         from ..cache.variant_store import VariantStore
-        from ..driver.function_master import attach_assembly, phase1_cached
+        from ..driver.function_master import attach_assembly
         from ..driver.phases import (
             compile_one_function,
+            phase1_parse_and_check,
             phase4_link_and_download,
         )
         from ..search import VariantConfig, search_module
@@ -468,7 +469,7 @@ class DifferentialOracle:
 
         outcome = warm
         if outcome.abstained is None:
-            parsed, _ = phase1_cached(source)
+            parsed = phase1_parse_and_check(source)
             reference_key = outcome.space_keys[0]
             rebuilt_results = {}
             for section in parsed.module.sections:
@@ -483,7 +484,7 @@ class DifferentialOracle:
                         fn.name,
                         VariantConfig.from_key(key).options(options),
                     )
-                    sealed.append(attach_assembly(obj, report, []))
+                    sealed.append(attach_assembly(obj, report))
                 rebuilt_results[section.name] = sealed
             rebuilt, _, _ = phase4_link_and_download(
                 parsed, rebuilt_results, array,

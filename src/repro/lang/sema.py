@@ -22,8 +22,8 @@ pass; the incremental front end
 (:func:`repro.driver.phases.phase1_parallel`) composes the same pieces
 with the per-function step run window by window.
 
-Analysis annotates every expression with its type and returns a
-:class:`SemaResult` with per-function symbol tables consumed by lowering.
+Analysis annotates every expression with its type, which lowering reads,
+and returns a :class:`SemaResult` of per-function symbol tables.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from .warp_cell import WarpCellModel
 
 
+class CellRangeError(ValueError):
+    """A section outside the array."""
+
+
 @dataclass
 class WarpArrayModel:
     """Parameters of the whole machine."""
@@ -27,7 +31,7 @@ class WarpArrayModel:
 
     def validate_section_range(self, first: int, last: int) -> None:
         if not (0 <= first <= last < self.cell_count):
-            raise ValueError(
+            raise CellRangeError(
                 f"section cells {first}..{last} outside array of "
                 f"{self.cell_count} cells"
             )

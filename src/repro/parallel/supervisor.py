@@ -676,5 +676,4 @@ class _SupervisedRun:
                 bundles=0,
                 pipelined_loops=0,
             ),
-            [],
         )

@@ -123,68 +123,72 @@ class CellState:
         next_pc = pc + 1
         transfer = None  # deferred call/return
         buckets = self.buckets
-        for op in ops:
-            kind, fn, latency, conv, dl, di, al, ai, bl, bi, extra = op
-            if kind == BINARY:
-                try:
-                    value = fn(al[ai], bl[bi])
-                except (OverflowError, ValueError):
-                    raise self._arithmetic_trap(op) from None
-            elif kind == MOVE:
-                value = al[ai]
-            elif kind == LOAD or kind == STORE:
-                address = extra + int(al[ai])
-                memory = self.memory
-                if not 0 <= address < len(memory):
-                    raise SimulationError(
-                        f"{fn} out of range: address {address} "
-                        f"(cell has {len(memory)} words)"
-                    )
-                if kind == LOAD:
-                    value = memory[address]
-                else:  # lands in memory, as it is: ``conv`` is the identity
-                    dl, di, value = memory, address, bl[bi]
-            elif kind == BRANCH:
-                next_pc = extra[0] if al[ai] != 0 else extra[1]
-                continue
-            elif kind == JUMP:
-                next_pc = extra
-                continue
-            elif kind == EVALUATE:
-                value = evaluate_constant(fn, [l[i] for l, i in extra[1]])
-                if value is None:
-                    raise self._arithmetic_trap(op)
-            elif kind == SEND:
-                out_queue.push(al[ai])
-                continue
-            elif kind == RECV:
-                value = in_queue.pop()
-            else:  # CALL or RETURN
-                transfer = op
-                continue
-            # Every kind that reaches here writes ``value`` to ``dest``.
-            due = cycle + latency
-            entry = (dl, di, conv(value))
-            bucket = buckets.get(due)
-            if bucket is None:
-                buckets[due] = [entry]
-                if due < self.next_due:
-                    self.next_due = due
-            else:
-                bucket.append(entry)
+        # One try a bundle, none an op: ``inf`` or ``nan`` as an int traps.
+        try:
+            for op in ops:
+                kind, fn, latency, conv, dl, di, al, ai, bl, bi, extra = op
+                if kind == BINARY:
+                    try:
+                        value = fn(al[ai], bl[bi])
+                    except (OverflowError, ValueError):
+                        raise self._arithmetic_trap(op) from None
+                elif kind == MOVE:
+                    value = al[ai]
+                elif kind == LOAD or kind == STORE:
+                    address = extra + int(al[ai])
+                    memory = self.memory
+                    if not 0 <= address < len(memory):
+                        raise SimulationError(
+                            f"{fn} out of range: address {address} "
+                            f"(cell has {len(memory)} words)"
+                        )
+                    if kind == LOAD:
+                        value = memory[address]
+                    else:  # lands in memory as it is: ``conv`` is identity
+                        dl, di, value = memory, address, bl[bi]
+                elif kind == BRANCH:
+                    next_pc = extra[0] if al[ai] != 0 else extra[1]
+                    continue
+                elif kind == JUMP:
+                    next_pc = extra
+                    continue
+                elif kind == EVALUATE:
+                    value = evaluate_constant(fn, [l[i] for l, i in extra[1]])
+                    if value is None:
+                        raise self._arithmetic_trap(op)
+                elif kind == SEND:
+                    out_queue.push(al[ai])
+                    continue
+                elif kind == RECV:
+                    value = in_queue.pop()
+                else:  # CALL or RETURN
+                    transfer = op
+                    continue
+                # Every kind that reaches here writes ``value`` to ``dest``.
+                due = cycle + latency
+                entry = (dl, di, conv(value))
+                bucket = buckets.get(due)
+                if bucket is None:
+                    buckets[due] = [entry]
+                    if due < self.next_due:
+                        self.next_due = due
+                else:
+                    bucket.append(entry)
 
-        if transfer is None:
-            self.pc = next_pc
+            if transfer is None:
+                self.pc = next_pc
+                return PROGRESS
+            kind, callee, latency = transfer[:3]
+            values = [l[i] for l, i in transfer[10]]
+            if kind == CALL:  # the result lands in (conv, dest list, index)
+                self._call(callee, values, transfer[3:6], pc + 1)
+            elif self._return(values[0] if values else None):
+                self.busy_until = _NEVER
+                return PROGRESS | HALTED
+            self.busy_until = cycle + latency
             return PROGRESS
-        kind, callee, latency = transfer[:3]
-        values = [l[i] for l, i in transfer[10]]
-        if kind == CALL:  # the result lands in (conv, dest list, index)
-            self._call(callee, values, transfer[3:6], pc + 1)
-        elif self._return(values[0] if values else None):
-            self.busy_until = _NEVER
-            return PROGRESS | HALTED
-        self.busy_until = cycle + latency
-        return PROGRESS
+        except (OverflowError, ValueError) as error:
+            raise SimulationError(f"{error} in {self.function.name!r}") from None
 
     def _arithmetic_trap(self, op: tuple) -> SimulationError:
         opcode, slots = op[10]

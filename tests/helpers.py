@@ -152,7 +152,7 @@ def seal(obj):
         pipelined_loops=obj.info.pipelined_loops,
         frame_words=obj.frame_words,
     )
-    return attach_assembly(obj, report, [])
+    return attach_assembly(obj, report)
 
 
 def compile_with_ir_transform(source: str, transform, opt_level: int = 2):

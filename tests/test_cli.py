@@ -177,6 +177,31 @@ class TestCompile:
         assert "squared.w2:7:46: error: unexpected character '²'" in err
         assert "Traceback" not in err
 
+    def compile_fails(self, argv, capsys) -> str:
+        """``warpcc compile`` exits 1 with one ``warpcc:`` line on stderr."""
+        assert main(["compile", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("warpcc: ")
+        assert captured.err.count("\n") == 1, captured.err
+        return captured.err
+
+    def test_missing_file_is_reported(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.w2")
+        assert "No such file" in self.compile_fails([missing], capsys)
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--parallel", "--jobs", "1", "--no-cache"]],
+        ids=["sequential", "parallel"],
+    )
+    def test_a_section_outside_the_array_is_reported(
+        self, tmp_path, extra, capsys
+    ):
+        path = tmp_path / "wide.w2"
+        path.write_text(GOOD.replace("cells 0..0", "cells 0..1"))
+        err = self.compile_fails([str(path), "--cells", "1", *extra], capsys)
+        assert err == "warpcc: section cells 0..1 outside array of 1 cells\n"
+
     def test_parallel_serial_fallback(self, good_file, capsys):
         assert main(
             ["compile", good_file, "--parallel", "--jobs", "1"]
@@ -292,6 +317,12 @@ class TestRun:
         bogus = tmp_path / "junk.warp"
         bogus.write_bytes(b"WARP and then junk")
         assert "format version" in self.run_fails([str(bogus)], capsys)
+
+    def test_a_section_outside_the_array_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "wide.w2"
+        path.write_text(GOOD.replace("cells 0..0", "cells 0..1"))
+        err = self.run_fails([str(path), "--cells", "1"], capsys)
+        assert err == "warpcc: section cells 0..1 outside array of 1 cells\n"
 
     def test_unreadable_file_is_reported(self, tmp_path, capsys):
         missing = tmp_path / "missing.warp"

@@ -102,7 +102,7 @@ def test_every_program_blob_is_the_old_links(family):
                     parsed, section.name, function.name, CompileOptions()
                 )
                 objects.append(obj)
-                sealed.append(attach_assembly(obj, report, []))
+                sealed.append(attach_assembly(obj, report))
             got = link_section(section.name, sealed, cell).encoded()
             assert got == reference_program(section.name, objects), (
                 name, section.name,

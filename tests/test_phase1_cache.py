@@ -169,15 +169,6 @@ class TestCachedOutputIdentity:
 
 
 class TestSectionDiagnosticsRenderedOnce:
-    def test_section_task_attaches_diagnostics_once(self):
-        parsed, _ = phase1_cached(SOURCE_A, "<d>")
-        parsed.sink.warning("synthetic warning for the dedup test")
-        for name in ("f", "g"):  # every task renders the module's sink
-            task = function_task(SOURCE_A, "s", name, filename="<d>", memo=True)
-            (result,) = run_compile_task(task)
-            assert len(result.diagnostics) == 1
-            assert "synthetic warning" in result.diagnostics[0]
-
     def test_recombined_section_has_no_duplicates(self):
         parsed, _ = phase1_cached(SOURCE_A, "<d>")
         parsed.sink.warning("synthetic warning for the dedup test")

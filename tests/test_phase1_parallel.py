@@ -42,6 +42,7 @@ from repro.driver.phases import (
     _parse_signature_stub,
     phase1_parallel,
     phase1_parse_and_check,
+    window_program,
 )
 from repro.driver.sequential import SequentialCompiler
 from repro.fuzz import config_for_size_class, generate_program
@@ -49,7 +50,7 @@ from repro.lang.boundary import scan_boundaries
 from repro.lang.diagnostics import CompileError, DiagnosticSink
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
-from repro.lang.sema import function_call_sites
+from repro.lang.sema import FunctionChecker, check_module, function_call_sites
 from repro.lang.source import SourceFile
 from repro.lang.unparse import unparse_module
 from repro.parallel.local import SerialBackend
@@ -72,10 +73,15 @@ def _window_parse(text: str):
 
 def _assert_same_module(par, seq, source: str):
     """phase1_parallel's module is the sequential one in everything a
-    later phase reads once each hit's tree is asked for; a function
-    subtree is measured from its window."""
-    for section, fn in list(par.module.all_functions()):
-        par.function(section.name, fn.name)
+    later phase reads once each hit's stub is replaced by its window's
+    parse, as its function master parses it; a function subtree is
+    measured from its window."""
+    boundaries = scan_boundaries(source)
+    for section, bounds in zip(par.module.sections, boundaries.sections):
+        section.functions = [
+            _window_parse(source[w.start : w.end]) if fn.body is None else fn
+            for fn, w in zip(section.functions, bounds.function_windows)
+        ]
     # Module and section spans are absolute, as in the sequential parse.
     assert par.module.span == seq.module.span
     assert [s.span for s in par.module.sections] == [
@@ -88,10 +94,23 @@ def _assert_same_module(par, seq, source: str):
     assert par.parse_work == seq.parse_work
     assert par.sema_work == seq.sema_work
     assert par.source_lines == seq.source_lines
-    assert set(par.sema.scopes) == set(seq.sema.scopes)
-    for key, seq_scope in seq.sema.scopes.items():
-        par_scope = par.sema.scopes[key]
-        assert par_scope.symbols == seq_scope.symbols, key
+    # Scopes: each window checked against its section's signature stubs,
+    # as its function master checks it, and the sequential check's.
+    seq_scopes = check_module(seq.module, DiagnosticSink()).scopes
+    keys, file = set(), SourceFile("", source)
+    for section, bounds in zip(par.module.sections, boundaries.sections):
+        stubs = [
+            _parse_signature_stub(file, w.start, w.header_end)
+            for w in bounds.function_windows
+        ]
+        table = {stub.name: stub for stub in reversed(stubs)}
+        for w in bounds.function_windows:
+            fn = _window_parse(source[w.start : w.end])
+            scope = FunctionChecker(table, DiagnosticSink()).check(fn)
+            key = (section.name, fn.name)
+            keys.add(key)
+            assert scope.symbols == seq_scopes[key].symbols, key
+    assert keys == set(seq_scopes)
     # Each function subtree is a fresh parse of its window, and spans
     # the sequential parse's number of lines.
     windows = scan_boundaries(source).all_windows()
@@ -326,6 +345,40 @@ def test_diagnostics_are_the_parents(name, tmp_path, capsys, monkeypatch):
         assert (code, err.splitlines()) == (1, expected)
 
 
+@pytest.mark.parametrize("tier", ["none", "parse", "artifact"])
+def test_a_warning_refuses_a_window(tier, tmp_path, monkeypatch):
+    """A warning is a diagnostic as an error is: the window that has one
+    is refused, and the master reports the sequential front end's
+    diagnostics — cold and warm, with no tier, the parse tier or the
+    artifact tier — beside the sequential digest."""
+    from repro.cache import ArtifactCache
+    from repro.lang import sema
+
+    check = sema.FunctionChecker.check
+
+    def warn(self, fn):
+        scope = check(self, fn)
+        if fn.name == "f2":
+            self._sink.warning("unused result", fn.body[0].span)
+        return scope
+
+    monkeypatch.setattr(sema.FunctionChecker, "check", warn)
+    want = SequentialCompiler().compile(SOURCE, "w.w2")
+    assert want.diagnostics_text.endswith("warning: unused result")
+    tiers = {
+        "none": {},
+        "parse": {"parse_cache": ParseCache(tmp_path)},
+        "artifact": {"cache": ArtifactCache(tmp_path)},
+    }
+    compiler = ParallelCompiler(backend=SerialBackend(), **tiers[tier])
+    for _ in range(2):  # cold, then warm
+        clear_phase1_cache()
+        got = compiler.compile(SOURCE, "w.w2")
+        assert (got.digest, got.diagnostics_text) == (
+            want.digest, want.diagnostics_text,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Parse cache: hit/miss accounting and single-function invalidation
 # ---------------------------------------------------------------------------
@@ -421,7 +474,8 @@ def test_a_function_moved_right_is_a_hit_with_the_sequential_digest():
 def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
     """A window's subtree is a pure function of its text: the entry
     ``a.w2`` wrote with f1 at line 40 is served to ``b.w2``, where f1
-    sits at line 3, and equals a fresh parse of the window."""
+    sits at line 3: a stub, whose function master's tree equals a fresh
+    parse of the window."""
     header = "section sec1 (cells 0..0)\n"
     padded = SOURCE.replace(header, header + "-- padding\n" * 37, 1)
 
@@ -438,9 +492,14 @@ def test_an_entry_written_at_line_40_is_served_to_another_file_at_line_3():
         par = phase1_parallel(SOURCE, "b.w2", parse_cache=cache, counts=counts)
         assert counts == {"parse_cache.hits": FUNCTIONS}
         window = scan_boundaries(SOURCE).all_windows()[0]
+        section = par.module.sections[0].name
         stub = par.module.sections[0].functions[0]
         assert (stub.body, stub.locals) == (None, None)
-        served = par.function(par.module.sections[0].name, stub.name)
+        text = par.windows[section, stub.name]
+        program, _ = window_program(
+            section, stub.name, text, par.headers[section]
+        )
+        served = program.function(section, stub.name)
         assert served == _window_parse(SOURCE[window.start : window.end])
         seq = phase1_parse_and_check(SOURCE, "b.w2")
         _assert_same_module(par, seq, SOURCE)
@@ -652,6 +711,74 @@ def test_a_sound_entry_at_a_window_that_does_not_check_is_corrupt(tmp_path):
         assert _render(par_err.value) == _render(seq_err.value)
     assert cache.counts == {"hits": FUNCTIONS - 1, "misses": 1, "corrupt": 1}
     assert not path.exists()
+
+
+def test_a_window_a_pool_worker_refuses_rejects_its_entry(tmp_path):
+    """The same forged entry under a warm pool, whose workers hold no
+    memo: the worker parses the window and refuses it, and the master
+    deletes the entry before it raises the sequential front end's
+    error report."""
+    from repro.parallel import WarmPoolBackend
+
+    edited = SOURCE.replace("acc := 0.0;", "acc := undeclared;", 1)
+    path = _forge(tmp_path, SOURCE, edited, "f1")
+    with pytest.raises(CompileError) as seq_err:
+        SequentialCompiler().compile(edited, "t.w2")
+    clear_phase1_cache()
+    cache = ParseCache(tmp_path)
+    with WarmPoolBackend(2) as backend:
+        compiler = ParallelCompiler(backend=backend, parse_cache=cache)
+        with pytest.raises(CompileError) as par_err:
+            compiler.compile(edited, "t.w2")
+    assert _render(par_err.value) == _render(seq_err.value)
+    assert cache.counts == {"hits": FUNCTIONS - 1, "misses": 1, "corrupt": 1}
+    assert not path.exists()
+
+
+def test_an_in_process_function_master_parses_a_stubs_window_once(
+    tmp_path, monkeypatch
+):
+    """Handed a parse hit's stub through the master's memo, an
+    in-process function master parses its own window, once, and nothing
+    else; its code is the sequential compiler's, and the memo's program
+    holds the very function objects it held before."""
+    from repro.driver import phases
+    from repro.driver.function_master import phase1_cached, run_function_master
+
+    cache = ParseCache(tmp_path)
+    phase1_parallel(SOURCE, parse_cache=cache)
+    clear_phase1_cache()
+    parsed, hit = phase1_cached(
+        SOURCE, front=lambda s, f: phase1_parallel(s, f, parse_cache=cache)
+    )
+    assert not hit
+    before = [fn for _, fn in parsed.module.all_functions()]
+    assert all(fn.body is None for fn in before)
+    section = parsed.module.sections[0].name
+    task = function_task(SOURCE, section, before[1].name, memo=True)
+
+    texts, parses = [], Counter()
+    check = phases._parse_and_check_window
+    monkeypatch.setattr(
+        phases, "_parse_and_check_window",
+        lambda text, *rest: texts.append(text) or check(text, *rest),
+    )
+    for name in ("parse_module", "parse_function"):
+        parse = getattr(Parser, name)
+        monkeypatch.setattr(
+            Parser, name,
+            lambda self, name=name, parse=parse: parses.update([name])
+            or parse(self),
+        )
+    result = run_function_master(task)
+    monkeypatch.undo()
+
+    assert (texts, parses) == ([task.window], {"parse_function": 1})
+    want = {r.key: r for r in SequentialCompiler().compile(SOURCE).results}
+    assert result.payload_digest == want[task.key].payload_digest
+    after = [fn for _, fn in parsed.module.all_functions()]
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
 
 
 def test_compilers_sharing_a_memo_on_eight_threads_match_sequential(tmp_path):

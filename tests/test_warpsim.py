@@ -7,6 +7,17 @@ source semantics.
 
 import pytest
 
+from repro.asmlink.objformat import (
+    AssembledFunction,
+    Bundle,
+    CellProgram,
+    DownloadModule,
+    MachineOp,
+)
+from repro.ir.instructions import Opcode
+from repro.machine.resources import FUClass, PhysReg
+from repro.machine.warp_array import WarpArrayModel
+from repro.warpsim.array_runner import run_module
 from repro.warpsim.cell_state import SimulationError
 from repro.warpsim.queues import CellQueue
 
@@ -332,3 +343,92 @@ end
         )
         stats = result.cell_stats[0]
         assert stats.bundles_executed > 0
+
+
+INF = float("inf")
+R0, F0 = PhysReg("i", 0), PhysReg("f", 0)
+
+
+def _op(opcode, dest=None, operands=()):
+    """``LI`` on the integer ALU, ``CALL`` (of ``f``) and ``RET`` on the
+    sequencer."""
+    fu = FUClass.IALU if opcode == Opcode.LI else FUClass.SEQ
+    callee = "f" if opcode == Opcode.CALL else None
+    return MachineOp(
+        op=opcode, fu=fu, latency=1, dest=dest, operands=operands,
+        callee=callee,
+    )
+
+
+def _run_main_and_f(main, f, f_params):
+    """A one-cell module of ``main`` and ``f``, one op a bundle."""
+
+    def function(name, ops, params=()):
+        bundles = []
+        for op in ops:
+            bundles.append(Bundle())
+            bundles[-1].add(op)
+        return AssembledFunction(
+            name=name, section_name="s", bundles=bundles,
+            param_regs=list(params),
+        )
+
+    program = CellProgram(
+        section_name="s",
+        functions={
+            "main": function("main", main),
+            "f": function("f", f, f_params),
+        },
+        entry="main",
+        frame_bases={"main": 0, "f": 16},
+        data_words=32,
+    )
+    module = DownloadModule(module_name="t", cell_programs={0: program})
+    return run_module(module, [], array=WarpArrayModel(cell_count=1))
+
+
+class TestUnconvertibleValues:
+    """A value its register cannot hold (``inf`` into an ``int``) traps
+    wherever it is converted: write-back, a call's parameters, a
+    return value."""
+
+    def test_write_back(self):
+        src = """
+module t
+section s (cells 0..0)
+  function main()
+  var n: int;
+  begin receive(n); send(n); end
+end
+end
+"""
+        with pytest.raises(
+            SimulationError,
+            match="cannot convert float infinity to integer in 'main'",
+        ):
+            compile_and_run(src, [INF])
+
+    def test_call_parameter(self):
+        with pytest.raises(
+            SimulationError,
+            match="cannot convert float infinity to integer in 'f'",
+        ):
+            _run_main_and_f(
+                [
+                    _op(Opcode.LI, F0, (INF,)),
+                    _op(Opcode.CALL, operands=(F0,)),
+                    _op(Opcode.RET),
+                ],
+                [_op(Opcode.RET)], (R0,),
+            )
+
+    def test_return_value(self):
+        with pytest.raises(
+            SimulationError,
+            match="cannot convert float infinity to integer in 'f'",
+        ):
+            _run_main_and_f(
+                [_op(Opcode.CALL, R0), _op(Opcode.RET)],
+                [_op(Opcode.LI, F0, (INF,)), _op(Opcode.RET, operands=(F0,))],
+                (),
+            )

@@ -73,7 +73,7 @@ def _score_config(source, unroll_budget, ii_budget):
         parsed, "s", "f",
         CompileOptions(unroll_budget=unroll_budget, ii_budget=ii_budget),
     )
-    sealed = attach_assembly(obj, report, [])
+    sealed = attach_assembly(obj, report)
     module, _, _ = phase4_link_and_download(parsed, {"s": [sealed]}, array)
     return score_module(module, [[]], array), report
 
